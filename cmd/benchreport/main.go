@@ -24,7 +24,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -145,14 +144,12 @@ type benchRecord struct {
 	// Chunked snapshots (PR 4): bytes a snapshot writes when the whole
 	// hub changed vs when ~1% of one source changed (unchanged sections
 	// carry forward by reference), and recovery wall time from the
-	// chunked snapshot (sections decoded in parallel) vs the PR 3
-	// single-frame encoding of the same state.
+	// chunked snapshot (sections decoded in parallel).
 	SnapFullBytes      int64   `json:"snap_full_bytes"`
 	SnapIncrBytes      int64   `json:"snap_incr_bytes"`
 	SnapIncrRatio      float64 `json:"snap_incr_ratio"`
 	SnapSectionsReused int     `json:"snap_sections_reused"`
 	RecoverChunkedNS   int64   `json:"recover_chunked_ns"`
-	RecoverV1FrameNS   int64   `json:"recover_v1_frame_ns"`
 
 	// Read-scalable serving (PR 5, BenchmarkHubServe's workload): point
 	// cluster reads hammered while ingest streams continuously (the
@@ -617,8 +614,7 @@ func runBenchJSON(path string, w io.Writer) int {
 
 	// Chunked snapshots: write a full snapshot, mutate ~1% of one
 	// source, write an incremental one, and compare the bytes each put
-	// on disk; then time recovery from the chunked snapshot against the
-	// single-frame (PR 3) encoding of the same state.
+	// on disk; then time recovery from the chunked snapshot.
 	sh, _, err := hub.Open(walDir, hub.Options{})
 	if err != nil {
 		fmt.Fprintf(w, "benchjson: snapshot hub: %v\n", err)
@@ -651,16 +647,6 @@ func runBenchJSON(path string, w io.Writer) int {
 	rec.SnapIncrBytes = incr.BytesWritten
 	rec.SnapSectionsReused = incr.SectionsReused
 	rec.SnapIncrRatio = float64(rec.SnapIncrBytes) / float64(rec.SnapFullBytes)
-	v1Frame, err := sh.EncodeLegacySnapshot()
-	if err != nil {
-		fmt.Fprintf(w, "benchjson: legacy snapshot encode: %v\n", err)
-		return 1
-	}
-	v1Path := filepath.Join(walDir, "bench-v1-snapshot.ei")
-	if err := os.WriteFile(v1Path, v1Frame, 0o644); err != nil {
-		fmt.Fprintf(w, "benchjson: %v\n", err)
-		return 1
-	}
 	if err := sh.Close(); err != nil {
 		fmt.Fprintf(w, "benchjson: %v\n", err)
 		return 1
@@ -676,18 +662,6 @@ func runBenchJSON(path string, w io.Writer) int {
 			snapErr = fmt.Errorf("chunked recovery ignored the snapshot")
 		}
 		if err := rh.Close(); err != nil && snapErr == nil {
-			snapErr = err
-		}
-	})
-	rec.RecoverV1FrameNS = best(3, func() {
-		f, err := os.Open(v1Path)
-		if err != nil {
-			snapErr = err
-			return
-		}
-		_, _, err = hub.LoadSnapshot(f)
-		f.Close()
-		if err != nil {
 			snapErr = err
 		}
 	})
@@ -901,7 +875,7 @@ func runBenchJSON(path string, w io.Writer) int {
 		fmt.Fprintf(w, "benchjson: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(w, "wrote %s: build %.1fx, counts %.1fx (engine vs naive, %d×%d grid, GOMAXPROCS=%d); hub ingest %.0f tuples/sec (%d sources); stream ingest %.0f tuples/sec, %d-tuple bulk stream %.0f tuples/sec at +%.1f MiB peak heap; obs overhead %.1f%% (%.0f instrumented vs %.0f baseline tuples/sec); serving reads %.0f/sec at %d readers (%.2fx vs 1 reader) with ingest at %.0f tuples/sec; clusters stream %.0f/sec over %d pages; WAL replay %.0f records/sec (%d records); snapshot 1%%-changed writes %.1f%% of full (%d of %d bytes, %d sections reused); chunked recovery %.1fms vs single-frame %.1fms; degraded reads %.0f/sec on a dead disk; overload shed %.0f%% (%d workers vs %d slots)\n",
+	fmt.Fprintf(w, "wrote %s: build %.1fx, counts %.1fx (engine vs naive, %d×%d grid, GOMAXPROCS=%d); hub ingest %.0f tuples/sec (%d sources); stream ingest %.0f tuples/sec, %d-tuple bulk stream %.0f tuples/sec at +%.1f MiB peak heap; obs overhead %.1f%% (%.0f instrumented vs %.0f baseline tuples/sec); serving reads %.0f/sec at %d readers (%.2fx vs 1 reader) with ingest at %.0f tuples/sec; clusters stream %.0f/sec over %d pages; WAL replay %.0f records/sec (%d records); snapshot 1%%-changed writes %.1f%% of full (%d of %d bytes, %d sections reused); chunked recovery %.1fms; degraded reads %.0f/sec on a dead disk; overload shed %.0f%% (%d workers vs %d slots)\n",
 		path, rec.BuildSpeedup, rec.CountsSpeedup, rec.RTuples, rec.STuples, rec.GoMaxProcs,
 		rec.HubTuplesPerSec, rec.HubSources,
 		rec.StreamTuplesPerSec, rec.StreamBulkTuples, rec.StreamBulkPerSec, float64(rec.StreamBulkPeakHeap)/(1<<20),
@@ -910,7 +884,7 @@ func runBenchJSON(path string, w io.Writer) int {
 		rec.ClustersStreamPerSec, rec.ClustersStreamPages,
 		rec.ReplayRecsPerSec, rec.ReplayRecords,
 		100*rec.SnapIncrRatio, rec.SnapIncrBytes, rec.SnapFullBytes, rec.SnapSectionsReused,
-		float64(rec.RecoverChunkedNS)/1e6, float64(rec.RecoverV1FrameNS)/1e6,
+		float64(rec.RecoverChunkedNS)/1e6,
 		rec.DegradedReadsPerSec, 100*rec.OverloadShedRate, rec.OverloadWorkers, rec.OverloadCapacity)
 	fmt.Fprintf(w, "disk store: cold page-in %.1fµs avg over %d page-ins (%.0f reads/sec full cold scan), hot hit rate %.1f%% at %d/%d resident entries (%d cold records)\n",
 		float64(rec.DiskColdPageInNS)/1e3, rec.DiskColdPageIns, rec.DiskReadsPerSecCold,

@@ -31,7 +31,7 @@
 // the page cache itself is forfeit), -sync-every N additionally fsyncs
 // the log every N appends, with the ingest pipeline batching the
 // remainder into one sync per flush epoch (each time its input drains,
-// and at every stream's end).
+// and before every stream's end is reported).
 //
 // # Serving
 //
@@ -142,7 +142,7 @@ func main() {
 		demo          = flag.Bool("demo", false, "run the 3-source walkthrough and exit")
 		dataDir       = flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
 		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots (0: only on shutdown)")
-		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends, batching each ingest batch into one sync (0: leave durability between snapshots to the page cache)")
+		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when the pipeline drains and before a stream's results end (0: leave durability between snapshots to the page cache)")
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests to finish")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
@@ -677,11 +677,9 @@ func streamReadError(err error) error {
 // stream; a malformed-JSON line or a body over -max-insert-body
 // terminates the stream with a final {"ok":false,...,"terminal":true}
 // line — lines already acked by then are committed and stay committed.
-// (Previously such bodies were rejected whole with 400/413 after a
-// full-body buffer; that whole-batch contract is gone with the batch
-// barrier that made it possible.) A client disconnect cancels the
-// pipeline stream mid-flight and leaves exactly the acked prefix — and
-// at most a bounded in-flight window past it — committed.
+// A client disconnect cancels the pipeline stream mid-flight and leaves
+// exactly the acked prefix — and at most a bounded in-flight window
+// past it — committed.
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// Admission first: shed while draining or degraded (503) or when
 	// the concurrency gate is full (429) — never queue.

@@ -205,9 +205,10 @@ func WithSnapshotEvery(n int) HubOption {
 }
 
 // WithSyncEvery opts into the group-commit fsync policy: the
-// write-ahead log is forced to stable storage after every n appends,
-// and IngestBatch flushes each batch with one final sync. This bounds
-// what a power-loss crash can take to the last n acknowledged
+// write-ahead log is forced to stable storage after every n appends
+// and at every flush epoch of the ingest pipeline — when it drains, and
+// before a stream's result channel closes or IngestBatch returns. This
+// bounds what a power-loss crash can take to the last n acknowledged
 // mutations, at the cost of an fsync on every n-th commit. 0 (the
 // default) leaves durability between snapshots to the OS page cache —
 // the right trade when the crash model is process death, not power
@@ -310,10 +311,9 @@ func (h *Hub) Insert(source string, t Tuple) (*HubReceipt, error) {
 	return h.inner.Insert(source, t)
 }
 
-// IngestBatch runs a batch of inserts through the resident ingest
-// pipeline, reporting per-item results in input order; commits happen
-// strictly in input order. For unbounded or incremental input, prefer
-// IngestStream.
+// IngestBatch is IngestStream for a batch already in hand: it reports
+// per-item results in input order, and commits happen strictly in input
+// order. For unbounded or incremental input, prefer IngestStream.
 func (h *Hub) IngestBatch(items []HubInsert) []HubInsertResult {
 	return h.inner.IngestBatch(items)
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"entityid/internal/datagen"
-	"entityid/internal/relation"
 	"entityid/internal/wal"
 	"entityid/internal/wal/errfs"
 )
@@ -45,27 +44,10 @@ func chaosWorkload(t *testing.T) (*datagen.MultiWorkload, []Insert, hubState) {
 // fast recovery probes, registering the workload topology when fresh.
 func openChaosMulti(t *testing.T, dir string, w *datagen.MultiWorkload, every int, fsys wal.FS) *Hub {
 	t.Helper()
-	h, info, err := Open(dir, Options{
+	h, _ := openMultiOpts(t, dir, w, Options{
 		SnapshotEvery: every, FS: fsys,
 		ProbeBackoff: 2 * time.Millisecond, ProbeBackoffMax: 20 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatalf("open %s: %v", dir, err)
-	}
-	if !info.FromSnapshot && info.LastSeq == 0 {
-		for k, name := range w.Names {
-			if err := h.AddSource(name, relation.New(w.Relations[k].Schema())); err != nil {
-				t.Fatalf("add source %s: %v", name, err)
-			}
-		}
-		for i := 0; i < len(w.Names); i++ {
-			for j := i + 1; j < len(w.Names); j++ {
-				if err := h.Link(SpecFromMultiPair(w.Pair(i, j))); err != nil {
-					t.Fatalf("link %d-%d: %v", i, j, err)
-				}
-			}
-		}
-	}
 	return h
 }
 

@@ -1,87 +1,156 @@
 package hub
 
-// FuzzSnapshotDecode throws arbitrary bytes at the snapshot loader.
-// The properties: LoadSnapshot never panics and never hangs — every
-// input either yields a hub that passed full verification (matching
-// tables rebuilt and compared, cluster partition refolded) or an
-// error. The seed corpus covers the interesting shapes: a valid
-// chunked stream, a stream truncated mid-section, a sequence jump
-// between chunks, a valid legacy single-frame snapshot, and raw
-// garbage.
+// FuzzSnapshotDecode throws arbitrary bytes at what Open reads: the
+// manifest file and a section file. Each input is tried as a manifest
+// frame and as section bytes twice over — verbatim, and with its lines
+// re-framed as chunk payloads under fresh CRCs, so mutations reach the
+// chunk decoder instead of dying at the frame check. Bytes that decode
+// as a section get a manifest entry built around them (the content hash
+// the loader verifies is computed here, independently) and are spliced
+// into a committed snapshot directory in place of the section they
+// claim to be, then loaded through loadSnapshotSections: hash check,
+// chunk decoding, assembly. The properties: the loader never panics and
+// never hangs — every input either yields a hub that passed full
+// verification (matching tables rebuilt and compared, cluster partition
+// refolded) and snapshots again cleanly, or an error.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/wal"
 )
 
 func FuzzSnapshotDecode(f *testing.F) {
-	h, _ := fuzzHub(f)
-	h.snapChunkBytes = 1 << 10 // force several chunks per section
-	var valid bytes.Buffer
-	if _, err := h.SaveSnapshot(&valid); err != nil {
+	dir := f.TempDir()
+	snapshottedDir(f, dir, datagen.MultiConfig{
+		Sources: 2, Entities: 12, PresenceFrac: 0.8, HomonymRate: 0.2,
+		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
+	}, 1<<8) // several chunks per section
+	base, err := readManifest(wal.OS, dir)
+	if err != nil {
 		f.Fatal(err)
 	}
-	stream := valid.Bytes()
-	f.Add(stream)
-	// Truncated mid-section: cut inside the second frame.
-	lines := bytes.SplitAfter(stream, []byte("\n"))
-	if len(lines) > 2 {
-		f.Add(bytes.Join(lines[:2], nil)[:len(lines[0])+len(lines[1])/2])
+	committed := map[string]bool{}
+	for _, sec := range base.Sections {
+		committed[sec.Hash] = true
+		data, err := os.ReadFile(secPath(dir, sec.Hash))
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Every committed section, framed and as bare chunk payloads.
+		f.Add(data)
+		f.Add(chunkPayloads(data))
 	}
-	// Sequence jump between chunks: drop a middle frame.
-	if len(lines) > 3 {
-		f.Add(append(append([]byte(nil), lines[0]...), bytes.Join(lines[2:], nil)...))
+	src, err := os.ReadFile(secPath(dir, base.Sections[0].Hash))
+	if err != nil {
+		f.Fatal(err)
 	}
-	// Legacy single-frame snapshot.
-	h.mu.RLock()
-	h.commitMu.Lock()
-	v1, _ := h.captureLocked()
-	h.commitMu.Unlock()
-	h.mu.RUnlock()
-	if frame, err := encodeSnapshot(v1, 0); err == nil {
+	if frames := bytes.SplitAfter(src, []byte("\n")); len(frames) > 3 {
+		// Truncated mid-section: cut inside the second frame.
+		f.Add(src[:len(frames[0])+len(frames[1])/2])
+		// Sequence jump between chunks: drop a middle frame.
+		f.Add(append(append([]byte(nil), frames[0]...), bytes.Join(frames[2:], nil)...))
+	}
+	// The committed manifest, a manifest with no sections, and garbage.
+	if frame, err := os.ReadFile(filepath.Join(dir, snapshotManifest)); err == nil {
 		f.Add(frame)
 	}
-	// A manifest with no sections, and garbage.
-	man := &snapManifest{V2: secManifest, Format: snapFormat}
-	if frame, err := encodeManifest(man); err == nil {
+	if frame, err := encodeManifest(&snapManifest{V2: secManifest, Format: snapFormat}); err == nil {
 		f.Add(frame)
 	}
 	f.Add([]byte("w1 1 00000000 0 \n"))
 	f.Add([]byte(nil))
 	f.Add([]byte(strings.Repeat("{", 100)))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, _, err := LoadSnapshot(bytes.NewReader(data))
-		if err == nil && h == nil {
+	// load runs the manifest through the loader; a hub that comes back
+	// passed full verification and must snapshot again.
+	load := func(t *testing.T, man *snapManifest) {
+		h, err := loadSnapshotSections(wal.OS, dir, man, nil)
+		if err != nil {
+			return
+		}
+		if h == nil {
 			t.Fatal("nil hub with nil error")
 		}
-		if err == nil {
-			// A snapshot that loads must re-save cleanly.
-			var buf bytes.Buffer
-			if _, err := h.SaveSnapshot(&buf); err != nil {
-				t.Fatalf("accepted snapshot does not re-save: %v", err)
+		h.mu.RLock()
+		h.commitMu.Lock()
+		cut := h.cutLocked(man.Watermark)
+		h.commitMu.Unlock()
+		h.mu.RUnlock()
+		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil), 0, nil); err != nil {
+			t.Fatalf("accepted snapshot does not re-save: %v", err)
+		}
+	}
+	section := func(t *testing.T, data []byte) {
+		d, err := decodeSection(bytes.NewReader(data), 0)
+		if err != nil {
+			return
+		}
+		sum := sha256.Sum256(data)
+		entry := d.meta
+		if entry.Hash != hex.EncodeToString(sum[:]) || entry.Bytes != int64(len(data)) {
+			t.Fatalf("accepted section's content address covers %d bytes (%s), file has %d (%x)",
+				entry.Bytes, entry.Hash, len(data), sum)
+		}
+		if !committed[entry.Hash] {
+			path := secPath(dir, entry.Hash)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Remove(path)
+		}
+		// Splice the entry in for the committed section of the same
+		// identity; a new identity goes in ahead of the partition.
+		man := *base
+		man.Sections = append([]snapSection(nil), base.Sections...)
+		at := len(man.Sections) - 1
+		for i, sec := range man.Sections {
+			if sectionID(sec) == sectionID(entry) {
+				at = i
+				man.Sections = append(man.Sections[:i], man.Sections[i+1:]...)
+				break
 			}
 		}
+		man.Sections = append(man.Sections[:at], append([]snapSection{entry}, man.Sections[at:]...)...)
+		load(t, &man)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if rec, err := wal.DecodeRecord(data); err == nil {
+			if man, err := decodeManifest(rec); err == nil {
+				load(t, man)
+			}
+		}
+		section(t, data)
+		var framed []byte
+		for i, payload := range bytes.Split(data, []byte("\n")) {
+			frame, err := wal.EncodeRecord(uint64(i+1), payload)
+			if err != nil {
+				return
+			}
+			framed = append(framed, frame...)
+		}
+		section(t, framed)
 	})
 }
 
-// fuzzHub builds a small ingested hub for seed generation.
-func fuzzHub(f *testing.F) (*Hub, *datagen.MultiWorkload) {
-	w := datagen.MustMultiGenerate(datagen.MultiConfig{
-		Sources: 2, Entities: 12, PresenceFrac: 0.8, HomonymRate: 0.2,
-		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
-	})
-	h, err := NewFromMulti(w)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, res := range h.IngestBatch(MultiInserts(w)) {
-		if res.Err != nil {
-			f.Fatal(res.Err)
+// chunkPayloads strips a section's frames down to their payloads, one
+// per line — the form the fuzz target re-frames.
+func chunkPayloads(section []byte) []byte {
+	var out [][]byte
+	sc := wal.NewFrameScanner(bytes.NewReader(section))
+	for {
+		rec, _, err := sc.Next()
+		if err != nil {
+			return bytes.Join(out, []byte("\n"))
 		}
+		out = append(out, rec.Payload)
 	}
-	return h, w
 }

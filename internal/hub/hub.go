@@ -22,9 +22,10 @@
 // everywhere. Locking is per source, per pair and one commit lock,
 // acquired in a fixed order (source → pairs by ordinal → commit), so
 // inserts into disjoint regions of the topology proceed in parallel.
-// Bulk ingest is streaming: IngestStream (pipeline.go) flows tuples
-// through resident bounded-channel stages — validate, WAL-encode,
-// commit — with backpressure, and IngestBatch rides the same stages.
+// There is one ingest path: Insert is the commit path, IngestStream
+// (pipeline.go) is the pipeline around it — resident bounded-channel
+// stages that validate, WAL-encode and commit with backpressure — and
+// IngestBatch is a slice-in/slice-out wrapper over IngestStream.
 //
 // Reads scale independently of ingest: point reads (Lookup, ClusterAt)
 // resolve the topology through an atomically published snapshot, the
@@ -45,6 +46,7 @@
 package hub
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -202,13 +204,9 @@ type Hub struct {
 	// rejected one or tear a committed one.
 	per *walLogger
 	// pipe is the resident streaming-ingest machinery (pipeline.go):
-	// stages spawn when the first stream or multi-item batch attaches
-	// and exit when the last detaches.
+	// stages spawn when the first stream attaches and exit when the last
+	// detaches.
 	pipe pipeline
-	// snapChunkBytes overrides the snapshot chunk payload budget
-	// (0 means wal.DefaultChunkPayload); set by Open from Options and by
-	// tests exercising the multi-chunk paths at small scale.
-	snapChunkBytes int
 	// health is the degraded-mode state machine (degraded.go): ingest
 	// fails fast while the disk is sick, reads keep serving.
 	health healthState
@@ -563,14 +561,21 @@ type Receipt struct {
 // pairwise §3.2 uniqueness or consistency violation, transitive
 // cluster-uniqueness violation) leave the hub exactly as it was.
 func (h *Hub) Insert(source string, t relation.Tuple) (*Receipt, error) {
-	return h.insertTraced(source, t, nil)
+	var payload []byte
+	if h.per != nil {
+		var err error
+		if payload, err = encodeInsert(source, t); err != nil {
+			return nil, fmt.Errorf("hub: source %q: %w", source, err)
+		}
+	}
+	return h.insertTraced(source, t, payload)
 }
 
 // insertTraced is the traced commit path shared by Insert and the
 // pipeline's commit stage: health fast path, slow-op tracing, outcome
-// counters. payload, when non-nil, is the pre-encoded WAL record for
-// this exact (source, tuple) — the encode stage produces it so the
-// write-ahead append needs no marshaling under the locks.
+// counters. payload is the encoded WAL record (encodeInsert) for this
+// exact (source, tuple) on a durable hub — marshaled by the caller, so
+// the write-ahead append needs no marshaling under the locks.
 func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Receipt, error) {
 	// Degraded/poisoned fast path: fail before taking any lock, so a
 	// sick disk turns ingest into an immediate typed rejection instead
@@ -676,14 +681,8 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	// (ENOSPC, EIO, unusable log) additionally degrades the hub to
 	// read-only; the rejection is typed either way.
 	if h.per != nil {
-		var aerr error
-		if payload != nil {
-			aerr = h.per.appendPayload(payload)
-		} else {
-			aerr = h.per.appendInsert(source, t)
-		}
-		if aerr != nil {
-			return nil, fmt.Errorf("hub: source %q: %w", source, h.ingestFailed(aerr))
+		if err := h.per.appendPayload(payload); err != nil {
+			return nil, fmt.Errorf("hub: source %q: %w", source, h.ingestFailed(err))
 		}
 	}
 	observeStage(stageWalAppend, op.Stage("wal_append"))
@@ -826,35 +825,23 @@ type InsertResult struct {
 	Err     error
 }
 
-// IngestBatch runs a batch of inserts through the resident ingest
-// pipeline, reporting per-item results in input order; a rejected item
-// leaves the hub unchanged and does not stop the batch. Commits happen
-// strictly in input order, so batch results are deterministic. A
-// single-item batch — the hot serving shape — commits directly with no
-// goroutine spawned at all; larger batches are fed to the pipeline
-// stages from the caller's goroutine.
+// IngestBatch is IngestStream for callers that hold the whole batch: it
+// streams the items through the resident ingest pipeline and reports
+// per-item results in input order; a rejected item leaves the hub
+// unchanged and does not stop the batch. Commits happen strictly in
+// input order, so batch results are deterministic, and when the call
+// returns every append the batch made is synced per the SyncEvery
+// policy (the pipeline closes its flush epoch before a stream ends).
 func (h *Hub) IngestBatch(items []Insert) []InsertResult {
 	mBatchSize.ObserveVal(int64(len(items)))
+	in := make(chan Insert, len(items)) // sized to the sends: filled without a feeder goroutine
+	for _, it := range items {
+		in <- it
+	}
+	close(in)
 	out := make([]InsertResult, len(items))
-	if len(items) == 0 {
-		return out
-	}
-	var appended int64
-	if h.per != nil {
-		appended = h.per.appended.Load()
-	}
-	if len(items) == 1 {
-		rec, err := h.Insert(items[0].Source, items[0].Tuple)
-		out[0] = InsertResult{Receipt: rec, Err: err}
-	} else {
-		h.ingestBatchPipeline(items, out)
-	}
-	// Group commit: under the opt-in fsync policy the whole batch is
-	// flushed with one final sync instead of one per item — skipped
-	// when nothing in this batch reached the log (empty and
-	// fully-rejected batches cost no fsync).
-	if h.per != nil && h.per.appended.Load() != appended {
-		h.per.flushSync()
+	for res := range h.IngestStream(context.Background(), in, StreamOptions{}) {
+		out[res.Seq] = InsertResult{Receipt: res.Receipt, Err: res.Err}
 	}
 	return out
 }

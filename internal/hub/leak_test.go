@@ -3,6 +3,8 @@ package hub
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -10,32 +12,50 @@ import (
 	"entityid/internal/datagen"
 )
 
-// TestLoadSnapshotNoGoroutineLeak hammers LoadSnapshot with bit-rotted
-// streams (the fuzz workload in miniature) and checks the per-section
-// decode goroutines are always reaped, on failure paths included.
+// TestLoadSnapshotNoGoroutineLeak hammers Open with directories whose
+// section files are bit-rotted (the fuzz workload in miniature) and
+// checks the parallel section readers of loadSnapshotSections are
+// always reaped, on failure paths included.
 func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
-	h, _ := multiHub(t, datagen.MultiConfig{
+	dir := t.TempDir()
+	snapshottedDir(t, dir, datagen.MultiConfig{
 		Sources: 2, Entities: 12, PresenceFrac: 0.8, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
-	})
-	h.snapChunkBytes = 1 << 10
-	var valid bytes.Buffer
-	if _, err := h.SaveSnapshot(&valid); err != nil {
-		t.Fatal(err)
+	}, 1<<10)
+	secs, err := filepath.Glob(filepath.Join(dir, snapSecDir, "*"+snapSecSuffix))
+	if err != nil || len(secs) == 0 {
+		t.Fatalf("sections: %v %v", secs, err)
 	}
-	base := valid.Bytes()
 	rng := rand.New(rand.NewSource(1))
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	const rounds = 2000
+	const rounds = 300
 	for i := 0; i < rounds; i++ {
-		data := append([]byte(nil), base...)
+		path := secs[rng.Intn(len(secs))]
+		clean, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := append([]byte(nil), clean...)
 		for n := 0; n < 1+rng.Intn(4); n++ {
 			data[rng.Intn(len(data))] ^= byte(1 << rng.Intn(8))
 		}
-		LoadSnapshot(bytes.NewReader(data))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Any net change to the bytes changes the section's content hash,
+		// so the open must fail closed (flips that cancelled out aside).
+		if h, _, err := Open(dir, Options{}); err == nil {
+			h.Close()
+			if !bytes.Equal(data, clean) {
+				t.Fatalf("round %d: bit-rotted section file %s loaded", i, filepath.Base(path))
+			}
+		}
+		if err := os.WriteFile(path, clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Logf("%d loads in %v (%.0f/sec)", rounds, time.Since(start), rounds/time.Since(start).Seconds())
+	t.Logf("%d opens in %v (%.0f/sec)", rounds, time.Since(start), rounds/time.Since(start).Seconds())
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
 		runtime.GC()

@@ -7,18 +7,17 @@
 // watermark, reproducing clusters, matching tables and canonical
 // relations bit-for-bit.
 //
-// Snapshots are chunked and incremental (snapshot.go): the data
-// directory holds a manifest file plus one content-addressed section
-// file per source/pair/partition under snapsecs/. The background
-// writer takes an O(sources+pairs) cut at the trigger (the only work
-// under the commit locks), then captures and writes one section at a
-// time, carrying sections whose content is unchanged since the
+// Snapshots have one representation (snapshot.go): the data directory
+// holds a manifest file plus one content-addressed section file per
+// source/pair/partition under snapsecs/. The background writer takes
+// an O(sources+pairs) cut at the trigger (the only work under the
+// commit locks), then captures and writes one section at a time,
+// carrying sections whose content is unchanged since the
 // previous manifest forward by reference — steady-state snapshot cost
 // is proportional to change. The manifest rename is the commit point:
 // a crash at any moment leaves either the old manifest with a longer
 // log or the new manifest with a shorter one, and orphaned section
-// files are swept on the next open or snapshot. Legacy single-frame
-// snapshot.ei files (format 1) are still recognised on open.
+// files are swept on the next open or snapshot.
 //
 // Jumbo source registrations take the same medicine: an AddSource
 // whose seed relation would overflow one WAL frame is logged as a
@@ -46,8 +45,6 @@ import (
 )
 
 const (
-	snapshotFile     = "snapshot.ei" // format-1 single frame (legacy, read-only)
-	snapshotTmp      = "snapshot.ei.tmp"
 	snapshotManifest = "snapshot.manifest.ei"
 	snapshotManTmp   = "snapshot.manifest.ei.tmp"
 	snapSecDir       = "snapsecs"
@@ -62,10 +59,10 @@ type Options struct {
 	SnapshotEvery int
 	// SyncEvery, when positive, fsyncs the write-ahead log after every
 	// N appends (group commit): the window of committed-but-volatile
-	// records under a power-loss crash model is bounded by N, and
-	// IngestBatch flushes the remainder with one final sync per batch.
-	// 0 leaves durability between snapshots to the OS page cache, as
-	// before.
+	// records under a power-loss crash model is bounded by N, and the
+	// ingest pipeline flushes the remainder at every flush epoch — when
+	// its input drains and before a stream's (or batch's) results end.
+	// 0 leaves durability between snapshots to the OS page cache.
 	SyncEvery int
 	// ChunkBytes overrides the snapshot chunk payload budget
 	// (0 means wal.DefaultChunkPayload). Also bounds the seed-tuple
@@ -128,9 +125,13 @@ func resolveBackend(dir string, opts Options) (store.Backend, error) {
 	case "", "mem":
 		return nil, nil
 	case "disk":
-		caps := store.Caps{
-			HotClusterEntries: budgetFor(opts.HotClusterEntries, "ENTITYID_STORE_HOT_CLUSTERS", defaultHotClusterEntries),
-			HotPairs:          budgetFor(opts.HotPairs, "ENTITYID_STORE_HOT_PAIRS", defaultHotPairs),
+		var caps store.Caps
+		var err error
+		if caps.HotClusterEntries, err = budgetFor(opts.HotClusterEntries, "ENTITYID_STORE_HOT_CLUSTERS", defaultHotClusterEntries); err != nil {
+			return nil, err
+		}
+		if caps.HotPairs, err = budgetFor(opts.HotPairs, "ENTITYID_STORE_HOT_PAIRS", defaultHotPairs); err != nil {
+			return nil, err
 		}
 		return disk.Open(filepath.Join(dir, storeTierDir), caps)
 	default:
@@ -139,17 +140,22 @@ func resolveBackend(dir string, opts Options) (store.Backend, error) {
 }
 
 // budgetFor resolves one hot-tier budget: explicit option, environment
-// override, default.
-func budgetFor(opt int, env string, def int) int {
+// override, default. An override that is set but not a positive integer
+// is an error naming the variable, never a silent fall-back to the
+// default: a typo must not run a "squeezed" tier unsqueezed.
+func budgetFor(opt int, env string, def int) (int, error) {
 	if opt > 0 {
-		return opt
+		return opt, nil
 	}
-	if v := os.Getenv(env); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
+	v := os.Getenv(env)
+	if v == "" {
+		return def, nil
 	}
-	return def
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("%s=%q: want a positive integer", env, v)
+	}
+	return n, nil
 }
 
 // Default recovery-probe backoff bounds.
@@ -160,8 +166,7 @@ const (
 
 // RecoveryInfo reports what Open reconstructed.
 type RecoveryInfo struct {
-	// FromSnapshot reports whether a snapshot (either format) was
-	// loaded.
+	// FromSnapshot reports whether a snapshot was loaded.
 	FromSnapshot bool
 	// Watermark is the snapshot's last covered sequence number.
 	Watermark uint64
@@ -194,10 +199,9 @@ type SnapshotStats struct {
 }
 
 // Open opens (or creates) a durable hub rooted at dir: it loads the
-// snapshot if one exists (chunked format-2 manifests preferred, legacy
-// format-1 files still recognised), replays the write-ahead log tail
-// past the snapshot watermark, and attaches the logger so subsequent
-// mutations are persisted. The returned hub must be Closed.
+// snapshot the manifest names if one exists, replays the write-ahead
+// log tail past the snapshot watermark, and attaches the logger so
+// subsequent mutations are persisted. The returned hub must be Closed.
 func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -213,10 +217,9 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("hub: open %s: %w", dir, err)
 	}
-	// Leftover temp files are interrupted snapshot writes by a now dead
+	// A leftover temp file is an interrupted manifest write by a now dead
 	// writer (we hold the lock); the committed snapshot (if any) is
-	// intact, so the temps are garbage.
-	fsys.Remove(filepath.Join(dir, snapshotTmp))
+	// intact, so the temp is garbage.
 	fsys.Remove(filepath.Join(dir, snapshotManTmp))
 
 	// The backend opens under the lock too: the disk backend wipes and
@@ -237,7 +240,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	info := &RecoveryInfo{}
 	var h *Hub
 	var prevMan *snapManifest
-	switch man, err := readManifestFS(fsys, dir); {
+	switch man, err := readManifest(fsys, dir); {
 	case err == nil:
 		h, err = loadSnapshotSections(fsys, dir, man, b)
 		if err != nil {
@@ -247,22 +250,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 		info.FromSnapshot = true
 		info.Watermark = man.Watermark
 	case os.IsNotExist(err):
-		// No manifest: fall back to a legacy format-1 snapshot, then to
-		// an empty hub.
-		f, ferr := fsys.Open(filepath.Join(dir, snapshotFile))
-		switch {
-		case ferr == nil:
-			h, info.Watermark, err = loadSnapshot(f, b)
-			f.Close()
-			if err != nil {
-				return fail(fmt.Errorf("hub: open %s: %w", dir, err))
-			}
-			info.FromSnapshot = true
-		case os.IsNotExist(ferr):
-			h = NewWithBackend(b)
-		default:
-			return fail(fmt.Errorf("hub: open %s: %w", dir, ferr))
-		}
+		h = NewWithBackend(b)
 	default:
 		return fail(fmt.Errorf("hub: open %s: %w", dir, err))
 	}
@@ -297,7 +285,6 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	}
 	info.Replayed = n
 	info.LastSeq = l.LastSeq()
-	h.snapChunkBytes = opts.ChunkBytes
 	probe, probeMax := opts.ProbeBackoff, opts.ProbeBackoffMax
 	if probe <= 0 {
 		probe = defaultProbeBackoff
@@ -325,12 +312,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 }
 
 // readManifest reads and validates the committed manifest file.
-func readManifest(dir string) (*snapManifest, error) {
-	return readManifestFS(wal.OS, dir)
-}
-
-// readManifestFS is readManifest over an injectable filesystem.
-func readManifestFS(fsys wal.FS, dir string) (*snapManifest, error) {
+func readManifest(fsys wal.FS, dir string) (*snapManifest, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, snapshotManifest))
 	if err != nil {
 		return nil, err
@@ -406,15 +388,28 @@ func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Ba
 	return assembleHub(secs, b)
 }
 
-// readSectionFile streams one section file through the chunk decoder.
+// readSectionFile decodes one section file and verifies the result —
+// identity, counts, content hash — against its manifest entry.
 func readSectionFile(fsys wal.FS, dir string, sec int, want snapSection) (*decSection, error) {
 	f, err := fsys.Open(secPath(dir, want.Hash))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot section: %w", err)
 	}
 	defer f.Close()
+	d, err := decodeSection(f, sec)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.matches(want); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// decodeSection streams one section's bytes through the chunk decoder.
+func decodeSection(r io.Reader, sec int) (*decSection, error) {
 	a := newSectionAccum(sec)
-	scanner := wal.NewFrameScanner(f)
+	scanner := wal.NewFrameScanner(r)
 	for !a.done {
 		rec, raw, err := scanner.Next()
 		if err == io.EOF {
@@ -432,14 +427,7 @@ func readSectionFile(fsys wal.FS, dir string, sec int, want snapSection) (*decSe
 			return nil, fmt.Errorf("hub: snapshot section %d: trailing frames after final chunk", sec)
 		}
 	}
-	d, err := a.finish()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.matches(want); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return a.finish()
 }
 
 // Replay re-applies the log tail after the snapshot watermark: every
@@ -648,9 +636,9 @@ type walLogger struct {
 	unsynced atomic.Int64
 	//entitylint:lock rank=70
 	syncMu sync.Mutex
-	// appended counts every successful log append, so batch and
-	// pipeline flush points can tell whether their window actually
-	// reached the log — a window with no appends skips its fsync.
+	// appended counts every successful log append, so the pipeline's
+	// flush epochs can tell whether their window actually reached the
+	// log — a window with no appends skips its fsync.
 	appended atomic.Int64
 	// snapMu serialises snapshot production (cut → capture → write →
 	// truncate); the trigger uses TryLock so ingest never queues behind
@@ -688,8 +676,8 @@ func (p *walLogger) append(env wal.Envelope) error {
 	return p.appendPayload(payload)
 }
 
-// appendPayload appends an already-encoded record — the pipeline's
-// encode stage marshals off the commit path and hands the bytes here.
+// appendPayload appends an already-encoded record — inserts arrive
+// marshaled (encodeInsert), off the commit path.
 //
 //entitylint:walappend
 func (p *walLogger) appendPayload(payload []byte) error {
@@ -718,20 +706,15 @@ func (p *walLogger) maybeSync() {
 	p.syncPending()
 }
 
-// flushSync forces any appends pending under the group-commit policy to
-// stable storage — the one sync that covers a whole IngestBatch.
-func (p *walLogger) flushSync() {
-	if p.syncEvery <= 0 || p.unsynced.Load() == 0 {
-		return
-	}
-	p.syncPending()
-}
-
 // syncPending fsyncs and consumes exactly the counted appends the sync
 // covered (an append racing in after the Sync keeps its count, so it is
-// flushed by a later sync). syncMu makes the load-sync-subtract triple
-// atomic against concurrent flushes.
+// flushed by a later sync); with nothing counted — always the case
+// without the group-commit policy — it is a no-op. syncMu makes the
+// load-sync-subtract triple atomic against concurrent flushes.
 func (p *walLogger) syncPending() {
+	if p.unsynced.Load() == 0 {
+		return // nothing counted: skip the lock too (flush epochs land here per stream)
+	}
 	p.syncMu.Lock()
 	defer p.syncMu.Unlock()
 	n := p.unsynced.Load()
@@ -794,12 +777,13 @@ func (p *walLogger) appendLink(spec PairSpec) error {
 	return p.append(wal.Envelope{Type: wal.TypeLink, Link: &rec})
 }
 
-//entitylint:walappend
-func (p *walLogger) appendInsert(source string, t relation.Tuple) error {
-	return p.append(wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
+// encodeInsert marshals an insert's write-ahead-log record: the one
+// encoding behind Insert and the pipeline's encode stage.
+func encodeInsert(source string, t relation.Tuple) ([]byte, error) {
+	return wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
 		Source: source,
 		Tuple:  wal.EncodeTuple(t),
-	}})
+	}}.Encode()
 }
 
 func (p *walLogger) fail(err error) {
@@ -1016,7 +1000,7 @@ func (p *walLogger) writeSnapshot(h *Hub, cut *snapshotCut) error {
 
 func (p *walLogger) writeSnapshotLocked(h *Hub, cut *snapshotCut) error {
 	sink := newDirSink(p.fs, p.dir, p.prevMan)
-	man, err := h.writeSnapshotV2(cut, sink, p.chunkBytes, p.snapSectionHook)
+	man, err := h.writeSnapshotSections(cut, sink, p.chunkBytes, p.snapSectionHook)
 	if err != nil {
 		return err
 	}
@@ -1025,9 +1009,8 @@ func (p *walLogger) writeSnapshotLocked(h *Hub, cut *snapshotCut) error {
 	p.stats = sink.stats
 	p.stats.Taken = time.Now()
 	p.statsMu.Unlock()
-	// The manifest is committed: the legacy single-frame snapshot (if
-	// any) and sections only older manifests referenced are now stale.
-	p.fs.Remove(filepath.Join(p.dir, snapshotFile))
+	// The manifest is committed: sections only older manifests
+	// referenced are now stale.
 	if err := sweepSections(p.fs, p.dir, man); err != nil {
 		return fmt.Errorf("hub: snapshot: %w", err)
 	}

@@ -32,11 +32,14 @@
 // channels, so commits happen in submission order per stream — the
 // committed set after a crash is always a prefix of the submitted
 // order, and every acknowledged result is committed (acked ⊆
-// committed). Under the opt-in group-commit fsync policy (SyncEvery),
-// the commit stage flushes by *flush epoch*: whenever its input drains
-// — the natural batch boundary of a bursty stream — and when a stream
-// ends, any appends since the last epoch are fsynced; an epoch in which
-// nothing reached the log skips the fsync entirely.
+// committed). There is one sync policy, opt-in (SyncEvery): an fsync
+// every N appends, plus the commit stage's *flush epochs* — whenever its
+// input drains (the natural batch boundary of a bursty stream) and
+// before it delivers a stream's end-of-stream sentinel, any appends
+// since the last epoch are fsynced, and an epoch in which nothing
+// reached the log skips the fsync entirely. So a closed result channel
+// means every acknowledged append of that stream is synced per policy —
+// for IngestStream callers and for IngestBatch, which is one.
 //
 // Lifecycle: the stages are spawned when the first stream attaches and
 // exit when the last one detaches (the input channel closes and the
@@ -51,7 +54,6 @@ import (
 
 	"entityid/internal/obs"
 	"entityid/internal/relation"
-	"entityid/internal/wal"
 )
 
 const (
@@ -224,11 +226,7 @@ func (h *Hub) encodeStage(in <-chan *pipeJob, next chan<- *pipeJob) {
 	for j := range in {
 		depthEncode.Add(-1)
 		if !j.eos && !j.rejected && h.per != nil {
-			env := wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
-				Source: j.src,
-				Tuple:  wal.EncodeTuple(j.t),
-			}}
-			payload, err := env.Encode()
+			payload, err := encodeInsert(j.src, j.t)
 			if err != nil {
 				j.rejected = true
 				j.res = StreamResult{Seq: j.seq, Err: fmt.Errorf("hub: source %q: %w", j.src, err)}
@@ -246,9 +244,11 @@ func (h *Hub) encodeStage(in <-chan *pipeJob, next chan<- *pipeJob) {
 // locks, transitive uniqueness, WAL append, apply, cluster fold), then
 // its result is delivered to its stream's done queue — which never
 // blocks, by the queue's capacity invariant. Whenever the input drains,
-// and when the stage shuts down, a flush epoch ends: appends since the
-// last epoch are fsynced under the group-commit policy, and an epoch
-// with no appends skips the fsync.
+// and before a stream's eos sentinel is delivered, a flush epoch ends:
+// appends since the last epoch are fsynced under the group-commit
+// policy, and an epoch with no appends skips the fsync. Closing the
+// epoch *before* the sentinel is what lets a stream's consumer read
+// "result channel closed" as "my acknowledged appends are synced".
 func (h *Hub) commitStage(in <-chan *pipeJob) {
 	var flushed int64
 	if h.per != nil {
@@ -266,11 +266,12 @@ func (h *Hub) commitStage(in <-chan *pipeJob) {
 			j, ok = <-in
 		}
 		if !ok {
-			h.flushEpoch(&flushed)
 			return
 		}
 		depthCommit.Add(-1)
-		if !j.eos && !j.rejected {
+		if j.eos {
+			h.flushEpoch(&flushed)
+		} else if !j.rejected {
 			rec, err := h.insertTraced(j.src, j.t, j.payload)
 			j.res = StreamResult{Seq: j.seq, Receipt: rec, Err: err}
 		}
@@ -291,7 +292,7 @@ func (h *Hub) flushEpoch(flushed *int64) {
 	}
 	*flushed = cur
 	mPipeFlushEpochs.Inc()
-	h.per.flushSync()
+	h.per.syncPending()
 }
 
 // IngestStream feeds an insert stream through the resident dataflow
@@ -373,36 +374,4 @@ func (h *Hub) IngestStream(ctx context.Context, in <-chan Insert, opts StreamOpt
 		}
 	}()
 	return out
-}
-
-// ingestBatchPipeline runs a multi-item batch through the resident
-// pipeline from the caller's goroutine: one select loop interleaves
-// feeding and result collection, so the batch API spawns no goroutines
-// at all — the resident stages do the work.
-func (h *Hub) ingestBatchPipeline(items []Insert, out []InsertResult) {
-	s := &stream{ctx: context.Background(), done: make(chan *pipeJob, defaultStreamWindow+1)}
-	pin := h.pipeAttach()
-	defer h.pipeDetach()
-	fed, got, inflight := 0, 0, 0
-	record := func(j *pipeJob) {
-		out[j.seq] = InsertResult{Receipt: j.res.Receipt, Err: j.res.Err}
-		got++
-		inflight--
-	}
-	for got < len(items) {
-		if fed < len(items) && inflight < defaultStreamWindow {
-			j := &pipeJob{s: s, seq: fed, src: items[fed].Source, t: items[fed].Tuple}
-			depthAdmit.Add(1)
-			select {
-			case pin <- j:
-				fed++
-				inflight++
-			case d := <-s.done:
-				depthAdmit.Add(-1) // j was not sent; retry next turn
-				record(d)
-			}
-			continue
-		}
-		record(<-s.done)
-	}
 }

@@ -298,7 +298,7 @@ func TestPipelineFlushSkipsWhenNoAppends(t *testing.T) {
 	if err := h.AddSource("s", rel); err != nil {
 		t.Fatal(err)
 	}
-	h.per.flushSync() // settle the setup records
+	h.per.syncPending() // settle the setup records
 	seq0, _ := h.per.log.Synced()
 	last0 := h.per.log.LastSeq()
 
@@ -329,8 +329,21 @@ func TestPipelineFlushSkipsWhenNoAppends(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	}
-	if seq, _ := h.per.log.Synced(); seq != h.per.log.LastSeq() || seq == seq0 {
-		t.Fatalf("batch left unsynced appends: synced %d, last %d", seq, h.per.log.LastSeq())
+	seq1, _ := h.per.log.Synced()
+	if seq1 != h.per.log.LastSeq() || seq1 == seq0 {
+		t.Fatalf("batch left unsynced appends: synced %d, last %d", seq1, h.per.log.LastSeq())
+	}
+
+	// The same holds for a plain stream: the flush epoch closes before
+	// the eos sentinel is delivered, so once the result channel is closed
+	// every acknowledged append is synced — no later drain to wait for.
+	for _, res := range streamAll(h, context.Background(), rowItems(20)[10:], StreamOptions{}) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if seq, _ := h.per.log.Synced(); seq != h.per.log.LastSeq() || seq == seq1 {
+		t.Fatalf("stream left unsynced appends at close: synced %d, last %d", seq, h.per.log.LastSeq())
 	}
 }
 

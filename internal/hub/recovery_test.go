@@ -93,7 +93,13 @@ func mustEqualState(t *testing.T, label string, got, want hubState) {
 // pair — the durable analogue of NewFromMulti.
 func openDurableMulti(t *testing.T, dir string, w *datagen.MultiWorkload, every int) (*Hub, *RecoveryInfo) {
 	t.Helper()
-	h, info, err := Open(dir, Options{SnapshotEvery: every})
+	return openMultiOpts(t, dir, w, Options{SnapshotEvery: every})
+}
+
+// openMultiOpts is openDurableMulti under arbitrary Options.
+func openMultiOpts(t testing.TB, dir string, w *datagen.MultiWorkload, opts Options) (*Hub, *RecoveryInfo) {
+	t.Helper()
+	h, info, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
@@ -497,81 +503,80 @@ func TestBackgroundSnapshotTruncatesLog(t *testing.T) {
 	mustEqualState(t, "recovered from forced snapshot", stateOf(h3), want)
 }
 
-// TestSnapshotRoundTripAndTamperDetection exercises the public
-// SaveSnapshot/LoadSnapshot pair directly, then corrupts the snapshot
-// three ways — bit rot (CRC), a doctored matching table
-// (federate.Restore verification) and a doctored cluster partition
-// (refold verification) — all of which must fail the load.
+// TestSnapshotRoundTripAndTamperDetection round-trips a snapshot through
+// SnapshotNow and Open, then doctors copies of the directory two ways
+// that keep every frame CRC, section hash and manifest entry
+// self-consistent — a matching table with a pair dropped
+// (federate.Restore verification) and a cluster partition with a
+// cluster dropped (refold verification) — so only the semantic
+// re-verification in assembleHub can catch them. Both must fail the
+// open.
 func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
-	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+	base := t.TempDir()
+	want := snapshottedDir(t, base, datagen.MultiConfig{
 		Sources: 3, Entities: 24, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 13,
-	})
-	h, err := NewFromMulti(w)
+	}, 0)
+	h2, info, err := Open(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range h.IngestBatch(MultiInserts(w)) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+	if !info.FromSnapshot || info.Replayed != 0 {
+		t.Fatalf("snapshot not used: %+v", info)
+	}
+	mustEqualState(t, "snapshot round trip", stateOf(h2), want)
+	if err := h2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// doctor re-encodes one section of a copy of the directory with
+	// mutated content, then re-addresses it: new content hash, new
+	// manifest entry, re-framed manifest.
+	doctor := func(kind string, mutate func(*decSection) chunkItems) string {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(base)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	var buf strings.Builder
-	if _, err := h.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	frame := []byte(buf.String())
-
-	h2, wm, err := LoadSnapshot(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wm != 0 {
-		t.Fatalf("memory-only snapshot watermark %d", wm)
-	}
-	mustEqualState(t, "snapshot round trip", stateOf(h2), stateOf(h))
-
-	rotted := append([]byte(nil), frame...)
-	rotted[len(rotted)/2] ^= 0x04
-	if _, _, err := LoadSnapshot(strings.NewReader(string(rotted))); err == nil {
-		t.Fatal("bit-rotted snapshot loaded")
-	}
-
-	// Doctor the matching table: drop one pair and re-frame. The CRC is
-	// now valid, so only the federate.Restore verification can catch it.
-	doctor := func(mutate func(*hubSnap)) []byte {
-		h.mu.RLock()
-		h.commitMu.Lock()
-		snap, _ := h.captureLocked()
-		h.commitMu.Unlock()
-		h.mu.RUnlock()
-		mutate(snap)
-		out, err := encodeSnapshot(snap, 0)
+		man, err := readManifest(wal.OS, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	badMT := doctor(func(s *hubSnap) {
-		for i := range s.Pairs {
-			if len(s.Pairs[i].MT) > 0 {
-				s.Pairs[i].MT = s.Pairs[i].MT[:len(s.Pairs[i].MT)-1]
-				return
+		for i, meta := range man.Sections {
+			if meta.Kind != kind || meta.Items == 0 {
+				continue
 			}
+			d, err := readSectionFile(wal.OS, dir, i, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := &sectionBody{kind: kind, sec: i, items: mutate(d)}
+			if d.pair != nil {
+				body.link, body.rlen, body.slen = &d.pair.link, d.pair.rlen, d.pair.slen
+			}
+			meta.Items = body.items.len()
+			if err := newDirSink(wal.OS, dir, nil).write(&meta, body, 0); err != nil {
+				t.Fatal(err)
+			}
+			man.Sections[i] = meta
+			frame, err := encodeManifest(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotManifest), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return dir
 		}
-		t.Fatal("no pairs to doctor")
-	})
-	if _, _, err := LoadSnapshot(strings.NewReader(string(badMT))); err == nil {
-		t.Fatal("doctored matching table loaded")
+		t.Fatalf("no non-empty %s section to doctor", kind)
+		return ""
 	}
-	badClusters := doctor(func(s *hubSnap) {
-		if len(s.Clusters) == 0 {
-			t.Fatal("no clusters to doctor")
-		}
-		s.Clusters = s.Clusters[:len(s.Clusters)-1]
-	})
-	if _, _, err := LoadSnapshot(strings.NewReader(string(badClusters))); err == nil {
-		t.Fatal("doctored cluster store loaded")
+	badMT := doctor(secPair, func(d *decSection) chunkItems { return mtItems(d.pair.mt[:len(d.pair.mt)-1]) })
+	if _, _, err := Open(badMT, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
+		t.Fatalf("doctored matching table: want a federate.Restore rejection, got %v", err)
+	}
+	badClusters := doctor(secClusters, func(d *decSection) chunkItems { return clusterItems(d.clusters[:len(d.clusters)-1]) })
+	if _, _, err := Open(badClusters, Options{}); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
+		t.Fatalf("doctored cluster store: want a partition refold rejection, got %v", err)
 	}
 }
 
@@ -665,12 +670,15 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 	}
 
 	// Case 2: log kept, snapshot lost → truncated prefix with no cover.
+	// A stray file under the retired single-frame snapshot's name is not
+	// a snapshot: it changes nothing.
 	case2 := t.TempDir()
 	for _, s := range segs {
 		copyFile(t, s, filepath.Join(case2, filepath.Base(s)))
 	}
-	if _, _, err := Open(case2, Options{}); err == nil {
-		t.Fatal("opened a truncated log with no snapshot")
+	copyFile(t, filepath.Join(dir, snapshotManifest), filepath.Join(case2, "snapshot.ei"))
+	if _, _, err := Open(case2, Options{}); err == nil || !strings.Contains(err.Error(), "no snapshot covering the truncated prefix") {
+		t.Fatalf("truncated log with no snapshot: want the uncovered-prefix rejection, got %v", err)
 	}
 
 	// Case 2b: manifest kept but a section file lost → fails closed.
@@ -784,7 +792,7 @@ func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 			mustEqualState(t, "recovered vs crashed", stateOf(h2), crashed)
 			// Orphans of the aborted attempt are swept: every surviving
 			// section file is referenced by the committed manifest.
-			man, err := readManifest(dir)
+			man, err := readManifest(wal.OS, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -865,8 +873,8 @@ func TestPowerLossAtSyncBoundary(t *testing.T) {
 	}
 	mustEqualState(t, "recovered vs synced prefix", stateOf(h2), stateOf(ref))
 
-	// IngestBatch flushes the whole batch with one final sync: after a
-	// batch, nothing is pending.
+	// The pipeline closes its flush epoch before a batch's stream ends:
+	// after a batch, nothing is pending.
 	rest := make([]Insert, 0, len(items)-survived)
 	for _, it := range items[survived:] {
 		rest = append(rest, Insert{Source: it.Source, Tuple: it.Tuple.Clone()})

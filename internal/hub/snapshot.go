@@ -1,9 +1,9 @@
-// Hub snapshots, format 2: a chunked, incremental, streaming encoding
-// of the federation state. Instead of one CRC frame holding the whole
-// hub (format 1, snapshot_v1.go — still loaded for compatibility), a
-// snapshot is a *manifest* record plus one *section* per source, per
-// pair and for the cluster partition. Each section is a run of CRC
-// frames whose tuple/pair payloads are split across continuation
+// Hub snapshots: a chunked, incremental encoding of the federation
+// state, and the only one. A snapshot is a *manifest* record plus one
+// *section* per source, per pair and for the cluster partition, each
+// section a content-addressed file under the data directory (the
+// directory sink and the loader live in persist.go). A section is a run
+// of CRC frames whose tuple/pair payloads are split across continuation
 // chunks, so no frame approaches the WAL's frame cap no matter how
 // large the hub grows; the manifest carries each section's SHA-256
 // content address, chunk count and item count.
@@ -26,30 +26,26 @@
 //     only what changed — steady-state snapshot cost is proportional
 //     to change, not to hub size.
 //
-//   - Loading streams and parallelises. The decoder hands each
-//     section's chunks to its own goroutine as they arrive (or reads
-//     section files concurrently), so independent sections are decoded
-//     and their relations rebuilt in parallel, and the pairwise
-//     federations are re-verified concurrently before the sequential
-//     cluster fold.
+//   - Loading parallelises. Section files are read concurrently, so
+//     independent sections are decoded and their relations rebuilt in
+//     parallel, and the pairwise federations are re-verified
+//     concurrently before the sequential cluster fold.
 //
-// Loading fails closed exactly as format 1 did: frame CRCs, per-section
-// content hashes and chunk/item counts are verified against the
-// manifest; every schema, ILFD and rule is re-validated by its domain
-// constructor; every pairwise federation is rebuilt through
-// federate.Restore (which verifies the rebuilt matching table equals
-// the saved one); and the cluster partition refolded from the pairwise
-// tables must equal the saved partition.
+// Loading fails closed: frame CRCs, per-section content hashes and
+// chunk/item counts are verified against the manifest; every schema,
+// ILFD and rule is re-validated by its domain constructor; every
+// pairwise federation is rebuilt through federate.Restore (which
+// verifies the rebuilt matching table equals the saved one); and the
+// cluster partition refolded from the pairwise tables must equal the
+// saved partition.
 package hub
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -77,7 +73,7 @@ const (
 
 // snapManifest is the manifest record: the snapshot's watermark and the
 // ordered section directory. Its frame sequence number is watermark+1,
-// like the format-1 frame, so the zero watermark still frames validly.
+// so the zero watermark still frames validly.
 type snapManifest struct {
 	V2        string        `json:"v2"` // always "manifest"
 	Format    int           `json:"format"`
@@ -433,26 +429,12 @@ func writeSectionChunks(sw *wal.SectionWriter, b *sectionBody, budget int) error
 	return writeChunked(b.items, budget, encode, emit)
 }
 
-// sectionSink receives encoded sections: the stream sink concatenates
-// them into one writer; the directory sink gives each section its own
-// content-addressed file and can carry unchanged sections forward.
-type sectionSink interface {
-	// reuse reports whether a section with this identity and content is
-	// already persisted; on true it fills meta's Chunks/Bytes/Hash from
-	// the previous snapshot.
-	reuse(meta *snapSection) bool
-	// write encodes the body and fills meta's Chunks/Bytes/Hash.
-	write(meta *snapSection, body *sectionBody, budget int) error
-	// finish persists the manifest (the commit point).
-	finish(man *snapManifest) error
-}
-
-// writeSnapshotV2 drives a snapshot at the given cut through a sink:
-// capture each section under briefly-held locks, encode, write (or
-// carry forward), then commit the manifest. sectionHook, when non-nil,
-// runs after each section is persisted — the crash harness's
-// mid-snapshot kill point.
-func (h *Hub) writeSnapshotV2(cut *snapshotCut, sink sectionSink, budget int, sectionHook func(int) error) (*snapManifest, error) {
+// writeSnapshotSections drives a snapshot at the given cut through the
+// directory sink: capture each section under briefly-held locks,
+// encode, write (or carry forward), then commit the manifest.
+// sectionHook, when non-nil, runs after each section is persisted — the
+// crash harness's mid-snapshot kill point.
+func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int, sectionHook func(int) error) (*snapManifest, error) {
 	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark}
 	allCarried := true
 	emit := func(meta *snapSection, body *sectionBody) error {
@@ -559,64 +541,6 @@ func decodeManifest(rec wal.Record) (*snapManifest, error) {
 	return &man, nil
 }
 
-// manifestPrefix is the byte prefix every canonical manifest payload
-// starts with (json.Marshal emits struct fields in order). Detection by
-// prefix keeps the stream reader from JSON-scanning every chunk twice;
-// a non-canonical manifest simply fails the load, consistent with the
-// WAL's canonical-frame stance.
-var manifestPrefix = []byte(`{"v2":"manifest"`)
-
-// streamSink writes every section back-to-back into one writer, the
-// manifest last — the SaveSnapshot wire form.
-type streamSink struct {
-	w io.Writer
-}
-
-func (s *streamSink) reuse(*snapSection) bool { return false }
-
-func (s *streamSink) write(meta *snapSection, body *sectionBody, budget int) error {
-	sw := wal.NewSectionWriter(s.w)
-	if err := writeSectionChunks(sw, body, budget); err != nil {
-		return err
-	}
-	meta.Chunks, meta.Bytes, meta.Hash = sw.Chunks(), sw.Bytes(), sw.Sum()
-	return nil
-}
-
-func (s *streamSink) finish(man *snapManifest) error {
-	frame, err := encodeManifest(man)
-	if err != nil {
-		return err
-	}
-	if _, err := s.w.Write(frame); err != nil {
-		return fmt.Errorf("hub: snapshot: %w", err)
-	}
-	return nil
-}
-
-// SaveSnapshot captures the hub's current state — sources, per-pair
-// federation state, cluster store — and streams it to w as a chunked
-// format-2 snapshot: section frames first, the manifest frame last. It
-// returns the WAL watermark the snapshot covers (0 for a memory-only
-// hub). Safe for concurrent use with ingest: commits are blocked only
-// while the O(sources+pairs) cut is taken and while each section's
-// slice headers are copied, never for the encode or the writes.
-func (h *Hub) SaveSnapshot(w io.Writer) (uint64, error) {
-	h.mu.RLock()
-	h.commitMu.Lock()
-	var watermark uint64
-	if h.per != nil {
-		watermark = h.per.log.LastSeq()
-	}
-	cut := h.cutLocked(watermark)
-	h.commitMu.Unlock()
-	h.mu.RUnlock()
-	if _, err := h.writeSnapshotV2(cut, &streamSink{w: w}, h.snapChunkBytes, nil); err != nil {
-		return 0, err
-	}
-	return watermark, nil
-}
-
 // ---------------------------------------------------------------------
 // Section decoding
 // ---------------------------------------------------------------------
@@ -655,7 +579,7 @@ type decSection struct {
 // file keeps the ordinal it was written under even after the topology
 // grows around it; its identity is its content address.
 type sectionAccum struct {
-	sec    int       // position in the manifest/stream, for error messages
+	sec    int       // position in the manifest, for error messages
 	decSec int       // the Sec ordinal the section's chunks declare
 	sum    hash.Hash // sha256 over the raw frame bytes
 	chunks int
@@ -762,164 +686,6 @@ func (d *decSection) matches(want snapSection) error {
 			want.Kind, want.Name, want.Left, want.Right)
 	}
 	return nil
-}
-
-// LoadSnapshot rebuilds a hub from a snapshot and returns it with the
-// snapshot's watermark. It sniffs the first frame: a format-1
-// single-frame snapshot (PR 3) loads through the legacy path; a
-// format-2 stream is decoded section-at-a-time, each section's chunks
-// handed to its own goroutine so independent sections rebuild in
-// parallel. Frame CRCs, section hashes, every domain constructor, every
-// pairwise matching table and the cluster partition are re-verified;
-// any mismatch fails the load.
-func LoadSnapshot(r io.Reader) (*Hub, uint64, error) {
-	return loadSnapshot(r, nil)
-}
-
-// loadSnapshot is LoadSnapshot onto a specific storage backend (nil
-// means a fresh in-memory backend) — the Open path threads the
-// configured backend through here.
-func loadSnapshot(r io.Reader, b store.Backend) (*Hub, uint64, error) {
-	sc := wal.NewFrameScanner(r)
-	rec, raw, err := sc.Next()
-	if err != nil {
-		return nil, 0, fmt.Errorf("hub: load snapshot: %w", err)
-	}
-	if !bytes.HasPrefix(rec.Payload, []byte(`{"v2":"`)) {
-		// Format 1: exactly one frame.
-		if _, _, err := sc.Next(); err != io.EOF {
-			return nil, 0, fmt.Errorf("hub: load snapshot: trailing data after single-record frame")
-		}
-		return loadSnapshotV1(rec, b)
-	}
-	return loadSnapshotV2Stream(sc, frameMsg{rec: rec, raw: raw}, b)
-}
-
-// sectionFeed decodes one section's chunks on its own goroutine.
-type sectionFeed struct {
-	ch  chan frameMsg
-	res chan secResult
-}
-
-// frameMsg carries one frame plus its raw bytes (hashed for the
-// section's content address).
-type frameMsg struct {
-	rec wal.Record
-	raw []byte
-}
-
-type secResult struct {
-	sec *decSection
-	err error
-}
-
-func startSectionFeed(sec int) *sectionFeed {
-	f := &sectionFeed{ch: make(chan frameMsg, 4), res: make(chan secResult, 1)}
-	go func() {
-		a := newSectionAccum(sec)
-		var err error
-		for msg := range f.ch {
-			if err != nil {
-				continue // drain
-			}
-			err = a.addChunk(msg.rec, msg.raw)
-		}
-		if err != nil {
-			f.res <- secResult{err: err}
-			return
-		}
-		d, err := a.finish()
-		f.res <- secResult{sec: d, err: err}
-	}()
-	return f
-}
-
-// loadSnapshotV2Stream reads a format-2 stream: section frames
-// (sequence numbers restarting at 1 per section) followed by the
-// manifest frame. Each section is decoded by its own goroutine while
-// the reader streams ahead.
-func loadSnapshotV2Stream(sc *wal.FrameScanner, first frameMsg, b store.Backend) (*Hub, uint64, error) {
-	var (
-		feeds []*sectionFeed
-		open  bool
-		man   *snapManifest
-	)
-	closeOpen := func() {
-		if open {
-			close(feeds[len(feeds)-1].ch)
-			open = false
-		}
-	}
-	drain := func() {
-		closeOpen()
-		for _, f := range feeds {
-			<-f.res
-		}
-	}
-	fail := func(err error) (*Hub, uint64, error) {
-		drain()
-		return nil, 0, err
-	}
-	msg := first
-	for {
-		if bytes.HasPrefix(msg.rec.Payload, manifestPrefix) {
-			closeOpen()
-			m, err := decodeManifest(msg.rec)
-			if err != nil {
-				return fail(err)
-			}
-			man = m
-			if _, _, err := sc.Next(); err != io.EOF {
-				return fail(fmt.Errorf("hub: load snapshot: trailing data after manifest"))
-			}
-			break
-		}
-		if msg.rec.Seq == 1 {
-			closeOpen()
-			feeds = append(feeds, startSectionFeed(len(feeds)))
-			open = true
-		} else if !open {
-			return fail(fmt.Errorf("hub: load snapshot: continuation frame %d with no open section", msg.rec.Seq))
-		}
-		feeds[len(feeds)-1].ch <- msg
-
-		rec, raw, err := sc.Next()
-		if err == io.EOF {
-			return fail(fmt.Errorf("hub: load snapshot: stream ends without a manifest"))
-		}
-		if err != nil {
-			return fail(fmt.Errorf("hub: load snapshot: %w", err))
-		}
-		msg = frameMsg{rec: rec, raw: raw}
-	}
-	secs := make([]*decSection, len(feeds))
-	var firstErr error
-	for i, f := range feeds {
-		r := <-f.res
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		secs[i] = r.sec
-	}
-	if firstErr != nil {
-		return nil, 0, firstErr
-	}
-	if len(man.Sections) != len(secs) {
-		return nil, 0, fmt.Errorf("hub: load snapshot: manifest lists %d sections, stream holds %d", len(man.Sections), len(secs))
-	}
-	for i, sec := range secs {
-		if err := sec.matches(man.Sections[i]); err != nil {
-			return nil, 0, err
-		}
-	}
-	h, err := assembleHub(secs, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return h, man.Watermark, nil
 }
 
 // ---------------------------------------------------------------------

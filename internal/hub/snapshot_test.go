@@ -1,10 +1,11 @@
 package hub
 
-// Tests for the chunked, incremental, streaming snapshot subsystem:
-// byte-determinism of the stream form, the multi-chunk path past a
-// (test-lowered) WAL frame cap that format 1 cannot cross, chunked
-// jumbo AddSource logging, carry-forward economics of incremental
-// snapshots, format-1 compatibility, and v2 tamper detection.
+// Tests for the snapshot subsystem, all through what production runs —
+// Open, SnapshotNow and the background writer over a data directory:
+// determinism of the section encoding across a reopen, the multi-chunk
+// path past a (test-lowered) WAL frame cap, chunked jumbo AddSource
+// logging, carry-forward economics of incremental snapshots, snapshots
+// cut during ingest, and tamper detection.
 
 import (
 	"bytes"
@@ -19,106 +20,83 @@ import (
 	"entityid/internal/wal"
 )
 
-// multiHub builds an ingested in-memory hub over a standard workload.
-func multiHub(t *testing.T, cfg datagen.MultiConfig) (*Hub, *datagen.MultiWorkload) {
+// snapshottedDir ingests a workload into a fresh durable hub in dir,
+// snapshots it and closes it, returning the state the directory must
+// recover to.
+func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkBytes int) hubState {
 	t.Helper()
 	w := datagen.MustMultiGenerate(cfg)
-	h, err := NewFromMulti(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range h.IngestBatch(MultiInserts(w)) {
+	h, _ := openMultiOpts(t, dir, w, Options{ChunkBytes: chunkBytes})
+	for i, res := range h.IngestBatch(MultiInserts(w)) {
 		if res.Err != nil {
-			t.Fatal(res.Err)
+			t.Fatalf("ingest %d: %v", i, res.Err)
 		}
 	}
-	return h, w
-}
-
-// TestSnapshotDeterministicRoundTrip pins snapshot→load→snapshot
-// byte-identity: the stream a loaded hub saves is exactly the stream it
-// was loaded from, chunk boundaries, hashes and manifest included.
-func TestSnapshotDeterministicRoundTrip(t *testing.T) {
-	h, _ := multiHub(t, datagen.MultiConfig{
-		Sources: 3, Entities: 30, PresenceFrac: 0.7, HomonymRate: 0.2,
-		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 41,
-	})
-	var buf1 bytes.Buffer
-	if _, err := h.SaveSnapshot(&buf1); err != nil {
+	if err := h.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	h2, wm, err := LoadSnapshot(bytes.NewReader(buf1.Bytes()))
+	want := stateOf(h)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestSnapshotDeterministicRoundTrip pins snapshot→reopen→snapshot
+// identity: a hub recovered from a snapshot re-encodes every section to
+// exactly the bytes it was loaded from — same chunk boundaries, same
+// content hashes — and commits a byte-identical manifest.
+func TestSnapshotDeterministicRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	want := snapshottedDir(t, dir, datagen.MultiConfig{
+		Sources: 3, Entities: 30, PresenceFrac: 0.7, HomonymRate: 0.2,
+		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 41,
+	}, 0)
+	man1, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wm != 0 {
-		t.Fatalf("memory-only snapshot watermark %d", wm)
-	}
-	mustEqualState(t, "stream round trip", stateOf(h2), stateOf(h))
-	var buf2 bytes.Buffer
-	if _, err := h2.SaveSnapshot(&buf2); err != nil {
+	h2, info, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatalf("snapshot→load→snapshot is not byte-identical: %d vs %d bytes", buf1.Len(), buf2.Len())
+	defer h2.Close()
+	if !info.FromSnapshot || info.Replayed != 0 {
+		t.Fatalf("reopen did not come up from the snapshot alone: %+v", info)
+	}
+	mustEqualState(t, "snapshot round trip", stateOf(h2), want)
+	// Forget the loaded manifest so nothing carries forward by reference:
+	// every section is re-encoded from the recovered state.
+	h2.per.prevMan = nil
+	if err := h2.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if st := h2.LastSnapshot(); st.SectionsReused != 0 || st.SectionsWritten == 0 {
+		t.Fatalf("second snapshot did not re-encode: %+v", st)
+	}
+	man2, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(man1, man2) {
+		t.Fatalf("snapshot→reopen→snapshot changed the manifest (section hashes differ):\n%s\n%s", man1, man2)
 	}
 }
 
-// TestSnapshotMultiChunkBeyondV1FrameCap lowers the WAL frame cap so
-// the hub's encoded state no longer fits one frame: the format-1
-// encoder must fail (the 256MB ceiling in miniature), while the
-// chunked snapshot both streams and persists it — multi-chunk sections,
-// every frame under the cap — and recovers it bit-for-bit.
-func TestSnapshotMultiChunkBeyondV1FrameCap(t *testing.T) {
+// TestSnapshotMultiChunkBeyondFrameCap lowers the WAL frame cap so the
+// hub's encoded state no longer fits one frame (the 256MB ceiling in
+// miniature): the snapshot persists it as multi-chunk sections, every
+// frame under the cap, and recovers it bit-for-bit — with a jumbo
+// AddSource seed relation chunked across source_begin/source_chunk
+// records on the way in.
+func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
 	restore := wal.SetFrameCapForTesting(16 << 10)
 	defer restore()
 
-	h, w := multiHub(t, datagen.MultiConfig{
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 3, Entities: 60, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 43,
 	})
-	h.snapChunkBytes = 2 << 10
-
-	// Format 1 cannot hold this hub in one frame.
-	h.mu.RLock()
-	h.commitMu.Lock()
-	v1, _ := h.captureLocked()
-	h.commitMu.Unlock()
-	h.mu.RUnlock()
-	if _, err := encodeSnapshot(v1, 0); err == nil {
-		t.Fatal("format-1 encoder fit a hub beyond the frame cap; grow the workload")
-	}
-
-	// The chunked stream form handles it.
-	var buf bytes.Buffer
-	if _, err := h.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := wal.NewFrameScanner(bytes.NewReader(buf.Bytes()))
-	frames, restarts := 0, 0
-	for {
-		rec, _, err := sc.Next()
-		if err != nil {
-			break
-		}
-		frames++
-		if rec.Seq == 1 {
-			restarts++
-		}
-	}
-	if frames < 8 || restarts < 4 {
-		t.Fatalf("expected a genuinely multi-chunk stream, got %d frames, %d sections", frames, restarts)
-	}
-	h2, _, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualState(t, "multi-chunk stream round trip", stateOf(h2), stateOf(h))
-
-	// And the durable path: a hub too big for one frame still snapshots
-	// to disk and recovers (multi-chunk section files), with a jumbo
-	// AddSource seed relation chunked across source_begin/source_chunk
-	// records on the way in.
 	dir := t.TempDir()
 	dh, _, err := Open(dir, Options{ChunkBytes: 2 << 10})
 	if err != nil {
@@ -152,6 +130,22 @@ func TestSnapshotMultiChunkBeyondV1FrameCap(t *testing.T) {
 	}
 	if err := dh.SnapshotNow(); err != nil {
 		t.Fatalf("chunked snapshot of an over-cap hub: %v", err)
+	}
+	man, err := readManifest(wal.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, multi, total := 0, 0, int64(0)
+	for _, sec := range man.Sections {
+		chunks += sec.Chunks
+		total += sec.Bytes
+		if sec.Chunks > 1 {
+			multi++
+		}
+	}
+	if chunks < 8 || multi < 4 || total <= int64(wal.FrameCap()) {
+		t.Fatalf("expected a genuinely multi-chunk snapshot past the %d-byte frame cap, got %d chunks, %d multi-chunk sections, %d bytes; grow the workload",
+			wal.FrameCap(), chunks, multi, total)
 	}
 	want := stateOf(dh)
 	if err := dh.Close(); err != nil {
@@ -288,147 +282,72 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 	mustEqualState(t, "incremental recovery", stateOf(h2), want)
 }
 
-// TestFormatV1SnapshotStillLoads writes a PR 3 single-frame snapshot
-// into a data directory and recovers from it: the legacy format must
-// keep loading (and the next snapshot upgrades the directory to the
-// chunked format).
-func TestFormatV1SnapshotStillLoads(t *testing.T) {
-	w := datagen.MustMultiGenerate(datagen.MultiConfig{
-		Sources: 3, Entities: 24, PresenceFrac: 0.7, HomonymRate: 0.2,
-		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 53,
-	})
-	dir := t.TempDir()
-	h, _ := openDurableMulti(t, dir, w, 0)
-	for _, it := range MultiInserts(w) {
-		if _, err := h.Insert(it.Source, it.Tuple); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Write the legacy single-frame snapshot exactly as PR 3 did.
-	h.mu.RLock()
-	h.commitMu.Lock()
-	snap, _ := h.captureLocked()
-	watermark := h.per.log.LastSeq()
-	h.commitMu.Unlock()
-	h.mu.RUnlock()
-	frame, err := encodeSnapshot(snap, watermark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := stateOf(h)
-	h.per.quiesce()
-
-	h2, info, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("recover from format-1 snapshot: %v", err)
-	}
-	if !info.FromSnapshot || info.Watermark != watermark {
-		t.Fatalf("format-1 snapshot not used: %+v", info)
-	}
-	mustEqualState(t, "format-1 recovery", stateOf(h2), want)
-
-	// The next snapshot upgrades in place: manifest + sections appear,
-	// the legacy file is retired, and recovery keeps working.
-	if err := h2.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot file not retired after upgrade: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotManifest)); err != nil {
-		t.Fatalf("no manifest after upgrade: %v", err)
-	}
-	h2.per.quiesce()
-	h3, info3, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h3.Close()
-	if !info3.FromSnapshot || info3.Replayed != 0 {
-		t.Fatalf("upgraded snapshot not used: %+v", info3)
-	}
-	mustEqualState(t, "post-upgrade recovery", stateOf(h3), want)
-}
-
-// TestSnapshotV2TamperDetection corrupts the chunked form three ways —
-// a flipped bit in the stream (frame CRC), a doctored section file
-// (content hash), and a doctored manifest (its own frame CRC) — all of
-// which must fail the load.
+// TestSnapshotV2TamperDetection corrupts the on-disk form two ways — a
+// flipped byte in a section file (content hash, even though the file's
+// own frames may still parse) and a flipped byte in the manifest (its
+// own frame CRC) — both of which must fail the open.
 func TestSnapshotV2TamperDetection(t *testing.T) {
-	h, w := multiHub(t, datagen.MultiConfig{
+	dir := t.TempDir()
+	snapshottedDir(t, dir, datagen.MultiConfig{
 		Sources: 3, Entities: 24, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 59,
-	})
-	var buf bytes.Buffer
-	if _, err := h.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, pos := range []int{buf.Len() / 3, buf.Len() / 2, buf.Len() - 20} {
-		rotted := append([]byte(nil), buf.Bytes()...)
-		rotted[pos] ^= 0x04
-		if _, _, err := LoadSnapshot(bytes.NewReader(rotted)); err == nil {
-			t.Fatalf("bit-rotted stream (offset %d) loaded", pos)
-		}
-	}
-
-	// On-disk: flip a byte inside a section file; the manifest hash
-	// must catch it even though the file's own frames may still parse.
-	dir := t.TempDir()
-	dh, _ := openDurableMulti(t, dir, w, 0)
-	for _, it := range MultiInserts(w) {
-		if _, err := dh.Insert(it.Source, it.Tuple); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dh.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dh.Close(); err != nil {
-		t.Fatal(err)
-	}
+	}, 0)
 	secs, err := filepath.Glob(filepath.Join(dir, snapSecDir, "*"+snapSecSuffix))
 	if err != nil || len(secs) == 0 {
 		t.Fatalf("sections: %v %v", secs, err)
 	}
-	data, err := os.ReadFile(secs[0])
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{secs[0], filepath.Join(dir, snapshotManifest)} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotted := append([]byte(nil), data...)
+		rotted[len(rotted)/2] ^= 0x10
+		if err := os.WriteFile(path, rotted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); err == nil {
+			t.Fatalf("doctored %s loaded", filepath.Base(path))
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(secs[0], data, 0o644); err != nil {
-		t.Fatal(err)
+	// Control: with both files restored the directory opens again.
+	h, info, err := Open(dir, Options{})
+	if err != nil || !info.FromSnapshot {
+		t.Fatalf("restored directory: %v %+v", err, info)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("doctored section file loaded")
-	}
+	h.Close()
 }
 
-// TestSaveSnapshotDuringIngest exercises SaveSnapshot concurrently with
-// a streaming ingest (run under -race): the cut must be internally
-// consistent — the loaded hub verifies or the load fails, never a torn
-// capture.
-func TestSaveSnapshotDuringIngest(t *testing.T) {
+// TestSnapshotDuringIngest cuts snapshots concurrently with a streaming
+// ingest (run under -race): every cut must be internally consistent —
+// what it committed to disk loads through the full verification (every
+// matching table rebuilt, the partition refolded), never a torn capture.
+func TestSnapshotDuringIngest(t *testing.T) {
 	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 3, Entities: 60, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 61,
 	})
-	h, err := NewFromMulti(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	h, _ := openDurableMulti(t, dir, w, 0)
 	items := MultiInserts(w)
 	done := make(chan []InsertResult, 1)
 	go func() { done <- h.IngestBatch(items) }()
 	for i := 0; i < 5; i++ {
-		var buf bytes.Buffer
-		if _, err := h.SaveSnapshot(&buf); err != nil {
+		if err := h.SnapshotNow(); err != nil {
 			t.Errorf("concurrent snapshot %d: %v", i, err)
 			continue
 		}
-		h2, _, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+		// The directory is locked by h, so load what Open would: the
+		// committed manifest's sections, verified and assembled.
+		man, err := readManifest(wal.OS, dir)
+		if err != nil {
+			t.Errorf("concurrent snapshot %d: %v", i, err)
+			continue
+		}
+		h2, err := loadSnapshotSections(wal.OS, dir, man, nil)
 		if err != nil {
 			t.Errorf("concurrent snapshot %d failed verification: %v", i, err)
 			continue
@@ -443,13 +362,20 @@ func TestSaveSnapshotDuringIngest(t *testing.T) {
 		}
 	}
 	// The final quiescent snapshot round-trips exactly.
-	var buf bytes.Buffer
-	if _, err := h.SaveSnapshot(&buf); err != nil {
+	if err := h.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	want := stateOf(h)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, info, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualState(t, "post-ingest snapshot", stateOf(h2), stateOf(h))
+	defer h2.Close()
+	if !info.FromSnapshot || info.Replayed != 0 {
+		t.Fatalf("post-ingest snapshot not used: %+v", info)
+	}
+	mustEqualState(t, "post-ingest snapshot", stateOf(h2), want)
 }

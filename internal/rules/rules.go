@@ -325,8 +325,14 @@ func formatPreds(preds []Predicate) string {
 //
 //	(e1.A1=a1) ∧ … ∧ (e1.An=an) ∧ (e2.B ≠ b) → (e1 ≢ e2).
 //
-// Multi-consequent ILFDs yield one rule per consequent condition.
+// Multi-consequent ILFDs yield one rule per consequent condition. An
+// ILFD with an empty antecedent (an unconditional fact, which ilfd.New
+// admits) has no such form — a distinctness rule must involve
+// attributes of both entities — and yields none.
 func ToDistinctness(f ilfd.ILFD) []DistinctnessRule {
+	if len(f.Antecedent) == 0 {
+		return nil
+	}
 	var out []DistinctnessRule
 	for _, cons := range f.Consequent {
 		preds := make([]Predicate, 0, len(f.Antecedent)+1)

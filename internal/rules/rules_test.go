@@ -272,6 +272,20 @@ func TestProposition1(t *testing.T) {
 	}
 }
 
+// TestProposition1EmptyAntecedent pins that an unconditional fact —
+// which ilfd.New admits and a persisted link spec can therefore carry —
+// converts to no distinctness rule instead of panicking: a distinctness
+// rule must involve attributes of both entities.
+func TestProposition1EmptyAntecedent(t *testing.T) {
+	f, err := ilfd.New(nil, ilfd.Conditions{{Attr: "cuisine", Val: value.String("Indian")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := ToDistinctness(f); len(ds) != 0 {
+		t.Fatalf("unconditional fact yielded distinctness rules %v", ds)
+	}
+}
+
 func TestProposition1MultiConsequent(t *testing.T) {
 	f := ilfd.MustParse("street=FrontAve. -> county=Ramsey & state=MN")
 	ds := ToDistinctness(f)
