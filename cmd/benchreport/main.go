@@ -121,13 +121,12 @@ type benchRecord struct {
 	HubIngestNS     int64   `json:"hub_ingest_ns"`
 	HubTuplesPerSec float64 `json:"hub_tuples_per_sec"`
 
-	// Streaming dataflow ingest (PR 8): the same canonical workload
-	// through IngestStream — per-item acks through the resident
-	// pipeline stages, same commit semantics — which must hold up
-	// against the batch path; plus a 100k-tuple bulk stream over a
-	// lazily generated single-source feed, whose peak heap growth is
-	// the pipeline's memory story (the hub state itself plus bounded
-	// stage buffers, never an O(stream) ingest queue).
+	// Streaming ingest: the same canonical workload through
+	// IngestStream — per-item acks, same commit semantics — which must
+	// hold up against the batch path; plus a 100k-tuple bulk stream
+	// over a lazily generated single-source feed, whose peak heap growth
+	// is the stream's memory story (the hub state itself plus two
+	// bounded channels, never an O(stream) ingest queue).
 	StreamIngestNS     int64   `json:"ingest_stream_ns"`
 	StreamTuplesPerSec float64 `json:"ingest_stream_tuples_per_sec"`
 	StreamBulkTuples   int     `json:"stream_bulk_tuples"`
@@ -312,8 +311,8 @@ func runBenchJSON(path string, w io.Writer) int {
 	rec.HubClusters = hubStats.Clusters
 	rec.HubTuplesPerSec = float64(len(items)) / (float64(rec.HubIngestNS) / 1e9)
 
-	// Streaming ingest: the identical workload through the dataflow
-	// pipeline with per-item results, best of 3.
+	// Streaming ingest: the identical workload through IngestStream
+	// with per-item results, best of 3.
 	var pipeErr error
 	rec.StreamIngestNS = best(3, func() {
 		h, err := hub.NewFromMulti(mw)
@@ -343,7 +342,7 @@ func runBenchJSON(path string, w io.Writer) int {
 
 	// Bulk stream: 100k lazily generated single-source tuples — the
 	// feeder materialises nothing, so peak heap is hub state plus the
-	// pipeline's bounded buffers. Sampled heap is a trajectory metric:
+	// stream's bounded channels. Sampled heap is a trajectory metric:
 	// a regression to O(body) ingest buffering roughly doubles it.
 	rec.StreamBulkTuples = 100_000
 	bh := hub.New()

@@ -168,7 +168,7 @@ func TestServerGolden(t *testing.T) {
 // TestServerDurableRecovery drives the serving contract across a
 // restart: register/link/insert over HTTP against a durable hub,
 // reopen the data directory, and the recovered server must parse
-// typed keys (registry rebuilt from the recovered schemas), serve the
+// typed keys (against the recovered schemas), serve the
 // same clusters, and keep accepting inserts.
 func TestServerDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -177,11 +177,7 @@ func TestServerDurableRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := newServerFor(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return newServerFor(h)
 	}
 	srv := boot()
 	for _, st := range goldenScript {

@@ -29,9 +29,9 @@
 // forward untouched between snapshots, and hubs of any size snapshot
 // without hitting a single-record ceiling. Against power loss (where
 // the page cache itself is forfeit), -sync-every N additionally fsyncs
-// the log every N appends, with the ingest pipeline batching the
-// remainder into one sync per flush epoch (each time its input drains,
-// and before every stream's end is reported).
+// the log every N appends, with every insert stream batching the
+// remainder into one sync per flush epoch (each time its input runs
+// empty, and before its end is reported).
 //
 // # Serving
 //
@@ -42,21 +42,21 @@
 // before the hub is checkpointed and closed.
 //
 // /v1/insert streams both ways: request lines decode as they arrive
-// off the wire and flow through the hub's dataflow ingest pipeline
-// (bounded stages with backpressure — a slow disk or consumer stalls
-// the client's upload, never the server's memory), and one ack line
-// streams back per input line, in input order, flushed per line while
-// the body trickles and every 64 lines during a sustained bulk load.
-// Acks are per line: a line that fails tuple parsing or hub admission
-// is reported in place ({"ok":false,...}) without aborting the stream;
-// a malformed-JSON line or a body hitting -max-insert-body ends the
-// response with a final {"ok":false,...,"terminal":true} line, and
-// lines acked before it remain committed (the pre-pipeline server
-// rejected such bodies whole with 400/413 — that contract required
-// buffering the entire body and is gone). A client disconnect cancels
-// the stream and leaves exactly the acked prefix, plus at most the
-// bounded in-flight window, committed — acknowledged lines are never
-// lost, unacknowledged tails never half-apply.
+// off the wire into a hub ingest stream of the request's own (two
+// goroutines over bounded channels — a slow disk or consumer stalls
+// that client's upload, never the server's memory or another request),
+// and one ack line streams back per input line, in input order, flushed
+// per line while the body trickles and every 64 lines during a
+// sustained bulk load. Acks are per line: a line that fails tuple
+// parsing or hub admission is reported in place ({"ok":false,...})
+// without aborting the stream; a malformed-JSON line or a body hitting
+// -max-insert-body ends the response with a final
+// {"ok":false,...,"terminal":true} line, and lines acked before it
+// remain committed (rejecting such bodies whole with 400/413 would
+// require buffering the entire body). A client disconnect cancels the
+// stream and leaves exactly the acked prefix, plus at most the bounded
+// in-flight window, committed — acknowledged lines are never lost,
+// unacknowledged tails never half-apply.
 //
 // /v1/clusters streams one cluster per NDJSON line with bounded memory
 // — the enumeration never materialises the hub — flushes periodically,
@@ -142,7 +142,7 @@ func main() {
 		demo          = flag.Bool("demo", false, "run the 3-source walkthrough and exit")
 		dataDir       = flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
 		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots (0: only on shutdown)")
-		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when the pipeline drains and before a stream's results end (0: leave durability between snapshots to the page cache)")
+		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when an insert stream's input runs empty and before its results end (0: leave durability between snapshots to the page cache)")
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests to finish")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
@@ -181,10 +181,7 @@ func main() {
 			log.Printf("entityidd: WARNING: damaged log tail dropped during recovery (unacknowledged writes discarded): %s", ri.TailDamage)
 		}
 	}
-	srv, err := newServerFor(hub)
-	if err != nil {
-		log.Fatalf("entityidd: %v", err)
-	}
+	srv := newServerFor(hub)
 	srv.maxInsertBody = *maxInsertBody
 	srv.gate = admit.New(*ingestConc)
 	ihub.SlowOps.SetThreshold(*slowOpThresh)
@@ -272,9 +269,9 @@ const (
 	insertFlushEvery = 64
 )
 
-// server is the HTTP front-end over one hub. It keeps its own
-// attribute registry (filled on source creation) so tuple parsing
-// needs no hub round-trip.
+// server is the HTTP front-end over one hub. Which sources exist, and
+// their schemas, is the hub's knowledge alone: tuples and key
+// parameters are parsed against Hub.SourceSchema.
 type server struct {
 	hub *entityid.Hub
 	mux *http.ServeMux
@@ -294,33 +291,13 @@ type server struct {
 	// logf writes the access log and panic reports; a seam so tests can
 	// capture log output.
 	logf func(format string, args ...any)
-
-	mu      sync.RWMutex
-	schemas map[string][]attrInfo
-	// keyKinds holds each source's primary-key attribute kinds in key
-	// order, so /v1/cluster can parse key query parameters typedly.
-	keyKinds map[string][]value.Kind
 }
 
-// attrInfo is one declared attribute of a registered source.
-type attrInfo struct {
-	name string
-	kind value.Kind
-}
-
-func newServer() *server {
-	s, err := newServerFor(entityid.NewHub())
-	if err != nil {
-		// Unreachable: an empty hub has no sources to mirror.
-		panic(err)
-	}
-	return s
-}
+func newServer() *server { return newServerFor(entityid.NewHub()) }
 
 // newServerFor builds the front-end over an existing hub — possibly
-// one recovered from disk, whose sources must be mirrored into the
-// server's tuple-parsing registry.
-func newServerFor(h *entityid.Hub) (*server, error) {
+// one recovered from disk.
+func newServerFor(h *entityid.Hub) *server {
 	s := &server{
 		hub:           h,
 		mux:           http.NewServeMux(),
@@ -329,25 +306,6 @@ func newServerFor(h *entityid.Hub) (*server, error) {
 		health:        h.Health,
 		lastSnapshot:  h.LastSnapshot,
 		logf:          log.Printf,
-		schemas:       map[string][]attrInfo{},
-		keyKinds:      map[string][]value.Kind{},
-	}
-	for _, name := range h.SourceNames() {
-		sch, err := h.SourceSchema(name)
-		if err != nil {
-			return nil, err
-		}
-		infos := make([]attrInfo, sch.Arity())
-		for i, a := range sch.Attrs() {
-			infos[i] = attrInfo{name: a.Name, kind: a.Kind}
-		}
-		key := sch.PrimaryKey()
-		kk := make([]value.Kind, len(key))
-		for i, a := range key {
-			kk[i] = sch.KindOf(a)
-		}
-		s.schemas[name] = infos
-		s.keyKinds[name] = kk
 	}
 	s.mux.HandleFunc("POST /v1/sources", s.handleSources)
 	s.mux.HandleFunc("POST /v1/links", s.handleLinks)
@@ -361,7 +319,7 @@ func newServerFor(h *entityid.Hub) (*server, error) {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", handleMetrics)
 	s.mux.HandleFunc("GET /debug/slow", handleSlow)
-	return s, nil
+	return s
 }
 
 // ServeHTTP dispatches through the mux with a request ID, per-route
@@ -564,29 +522,6 @@ func (s *server) handleSources(w http.ResponseWriter, r *http.Request) {
 		httpHubError(w, http.StatusConflict, err)
 		return
 	}
-	infos := make([]attrInfo, len(attrs))
-	kindOf := map[string]value.Kind{}
-	for i, a := range attrs {
-		infos[i] = attrInfo{name: a.Name, kind: a.Kind}
-		kindOf[a.Name] = a.Kind
-	}
-	// Primary key in key order; with no declared key the whole
-	// attribute set is the key (the paper's convention, mirrored by
-	// NewRelation).
-	keyAttrs := req.Key
-	if len(keyAttrs) == 0 {
-		for _, a := range req.Attrs {
-			keyAttrs = append(keyAttrs, a.Name)
-		}
-	}
-	kk := make([]value.Kind, len(keyAttrs))
-	for i, a := range keyAttrs {
-		kk[i] = kindOf[a]
-	}
-	s.mu.Lock()
-	s.schemas[req.Name] = infos
-	s.keyKinds[req.Name] = kk
-	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]string{"source": req.Name})
 }
 
@@ -648,8 +583,8 @@ type insertLine struct {
 // insertLineMeta carries one body line's fate from the decoder to the
 // writer, in line order: a parse error reported in place, a terminal
 // stream failure (malformed framing, body cap), or a line that went to
-// the hub — whose outcome is the next result off the pipeline, since
-// the pipeline preserves order.
+// the hub — whose outcome is the next result off the ingest stream,
+// which preserves order.
 type insertLineMeta struct {
 	err      error
 	terminal bool
@@ -666,20 +601,19 @@ func streamReadError(err error) error {
 	return err
 }
 
-// handleInsert streams the NDJSON ingest body through the hub's
-// dataflow pipeline: lines decode as they arrive off the wire, commit
-// in order with bounded in-flight work, and each result line is
-// written — and periodically flushed — while later lines are still
-// being read. Nothing buffers O(body).
+// handleInsert streams the NDJSON ingest body through a hub ingest
+// stream: lines decode as they arrive off the wire, commit in order
+// with bounded in-flight work, and each result line is written — and
+// periodically flushed — while later lines are still being read.
+// Nothing buffers O(body).
 //
-// Contract (since the pipelined ingest path): acks are per line. A
-// line that fails to parse is reported in place without aborting the
-// stream; a malformed-JSON line or a body over -max-insert-body
-// terminates the stream with a final {"ok":false,...,"terminal":true}
-// line — lines already acked by then are committed and stay committed.
-// A client disconnect cancels the pipeline stream mid-flight and leaves
-// exactly the acked prefix — and at most a bounded in-flight window
-// past it — committed.
+// Contract: acks are per line. A line that fails to parse is reported
+// in place without aborting the stream; a malformed-JSON line or a body
+// over -max-insert-body terminates the stream with a final
+// {"ok":false,...,"terminal":true} line — lines already acked by then
+// are committed and stay committed. A client disconnect cancels the
+// ingest stream mid-flight and leaves exactly the acked prefix — and at
+// most a bounded in-flight window past it — committed.
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// Admission first: shed while draining or degraded (503) or when
 	// the concurrency gate is full (429) — never queue.
@@ -694,7 +628,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	in := make(chan entityid.HubInsert)
 	metas := make(chan insertLineMeta, insertFlushEvery)
 	// Decoder: scan the body incrementally, parse each line, and hand
-	// valid tuples to the pipeline. Every send selects on ctx so a
+	// valid tuples to the ingest stream. Every send selects on ctx so a
 	// disconnected client never wedges the scan. The meta always
 	// precedes its item, so the writer can pair hub results with lines.
 	go func() {
@@ -771,8 +705,8 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	// dead flags a failed response write (client gone): stop writing but
-	// keep draining metas and results so the decoder and pipeline wind
-	// down through their normal paths.
+	// keep draining metas and results so the decoder and the ingest
+	// stream wind down through their normal paths.
 	dead := false
 	emit := func(v any) {
 		if dead {
@@ -812,7 +746,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		default:
 			res, rok := <-results
 			if !rok {
-				// The pipeline closed early (canceled): nothing more to ack.
+				// The stream closed early (canceled): nothing more to ack.
 				dead = true
 				continue
 			}
@@ -832,8 +766,8 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			flush()
 		}
 	}
-	// Drain any residual results (cancellation races) so the pipeline's
-	// pump is never left blocked on an unread channel.
+	// Drain any residual results (cancellation races) so the stream's
+	// commit goroutine is never left blocked on an unread channel.
 	for range results {
 	}
 }
@@ -845,21 +779,23 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("source and key parameters required"))
 		return
 	}
-	s.mu.RLock()
-	kinds, known := s.keyKinds[source]
-	s.mu.RUnlock()
-	if !known {
+	sch, err := s.hub.SourceSchema(source)
+	if err != nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown source %q", source))
 		return
 	}
-	if len(kinds) != len(keys) {
+	// Key parameters arrive in primary-key order; with no declared key
+	// the whole attribute set is the key (the paper's convention,
+	// applied by NewRelation).
+	pk := sch.PrimaryKey()
+	if len(pk) != len(keys) {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("source %q: %d key values, primary key has %d attributes", source, len(keys), len(kinds)))
+			fmt.Errorf("source %q: %d key values, primary key has %d attributes", source, len(keys), len(pk)))
 		return
 	}
 	vals := make([]entityid.Value, len(keys))
 	for i, k := range keys {
-		v, err := value.Parse(k, kinds[i])
+		v, err := value.Parse(k, sch.KindOf(pk[i]))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("key %d: %w", i, err))
 			return
@@ -970,20 +906,19 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // toTuple converts JSON scalars into a typed tuple per the source
 // schema.
 func (s *server) toTuple(source string, raw []any) (entityid.Tuple, error) {
-	s.mu.RLock()
-	infos, ok := s.schemas[source]
-	s.mu.RUnlock()
-	if !ok {
+	sch, err := s.hub.SourceSchema(source)
+	if err != nil {
 		return nil, fmt.Errorf("unknown source %q", source)
 	}
-	if len(raw) != len(infos) {
-		return nil, fmt.Errorf("source %q: %d values, schema wants %d", source, len(raw), len(infos))
+	if len(raw) != sch.Arity() {
+		return nil, fmt.Errorf("source %q: %d values, schema wants %d", source, len(raw), sch.Arity())
 	}
 	t := make(entityid.Tuple, len(raw))
 	for i, rv := range raw {
-		v, err := jsonToValue(rv, infos[i].kind)
+		a := sch.Attr(i)
+		v, err := jsonToValue(rv, a.Kind)
 		if err != nil {
-			return nil, fmt.Errorf("source %q: attribute %q: %w", source, infos[i].name, err)
+			return nil, fmt.Errorf("source %q: attribute %q: %w", source, a.Name, err)
 		}
 		t[i] = v
 	}

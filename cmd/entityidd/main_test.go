@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Streaming ingest. The zagat tuples commit first in their own
-	// request; the pipeline commits lines in order, so the cross-source
+	// request; a stream commits its lines in order, so the cross-source
 	// request's "matched" output below is deterministic.
 	code, results := ndjson(t, srv, "POST", "/v1/insert", strings.Join([]string{
 		`{"source":"zagat","tuple":["villagewok","wash ave","chinese","612-0001"]}`,
@@ -316,7 +317,7 @@ func TestInsertBodyCap(t *testing.T) {
 
 // TestInsertClientDisconnect pins the mid-stream disconnect contract: a
 // client that vanishes leaves the hub with exactly the acked prefix —
-// the handler stops pulling, cancels the pipeline stream, and exits
+// the handler stops pulling, cancels the ingest stream, and exits
 // without wedging any goroutine.
 func TestInsertClientDisconnect(t *testing.T) {
 	srv := newServer()
@@ -383,5 +384,61 @@ func TestClustersAbortsOnDisconnect(t *testing.T) {
 	srv.ServeHTTP(rw, req)
 	if body := strings.TrimSpace(rw.Body.String()); body != "" {
 		t.Fatalf("canceled request still streamed: %q", body)
+	}
+}
+
+// TestInsertRacesSourceRegistration pins that "which sources exist" has
+// one owner: an insert racing its source's POST /v1/sources is accepted
+// from the moment the hub has registered the source — which precedes
+// the 201 — and so always once the 201 has been written. The sources
+// are wide so that the handler's work after Hub.AddSource returns is
+// long enough for the racing insert to land inside it.
+func TestInsertRacesSourceRegistration(t *testing.T) {
+	const width = 2000
+	attrs := make([]string, width)
+	nulls := make([]string, width-1)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf(`{"name":"a%d"}`, i)
+	}
+	for i := range nulls {
+		nulls[i] = "null"
+	}
+	insert := func(srv *server, source, id string) map[string]any {
+		t.Helper()
+		_, res := ndjson(t, srv, "POST", "/v1/insert",
+			fmt.Sprintf(`{"source":%q,"tuple":[%q,%s]}`, source, id, strings.Join(nulls, ",")))
+		if len(res) != 1 {
+			t.Fatalf("insert into %s: %v", source, res)
+		}
+		return res[0]
+	}
+	srv := newServer()
+	srv.logf = func(string, ...any) {}
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("s%d", i)
+		created := make(chan struct{})
+		go func() {
+			defer close(created)
+			req := httptest.NewRequest("POST", "/v1/sources",
+				strings.NewReader(`{"name":"`+name+`","attrs":[`+strings.Join(attrs, ",")+`],"key":["a0"]}`))
+			rw := httptest.NewRecorder()
+			srv.ServeHTTP(rw, req)
+			if rw.Code != http.StatusCreated {
+				t.Errorf("register %s: %d %s", name, rw.Code, rw.Body.String())
+			}
+		}()
+		for {
+			if _, err := srv.hub.SourceSchema(name); err == nil {
+				break
+			}
+			runtime.Gosched()
+		}
+		if res := insert(srv, name, "racing"); res["ok"] != true {
+			t.Fatalf("insert into %s after the hub registered it: %v", name, res)
+		}
+		<-created
+		if res := insert(srv, name, "after-201"); res["ok"] != true {
+			t.Fatalf("insert into %s after its 201: %v", name, res)
+		}
 	}
 }

@@ -32,7 +32,6 @@ package entityid
 import (
 	"context"
 	"iter"
-	"time"
 
 	"entityid/internal/hub"
 	"entityid/internal/ilfd"
@@ -187,13 +186,11 @@ func NewHub() *Hub {
 type HubOption func(*hubOptions)
 
 type hubOptions struct {
-	snapshotEvery   int
-	syncEvery       int
-	probeBackoff    time.Duration
-	probeBackoffMax time.Duration
-	store           string
-	hotClusters     int
-	hotPairs        int
+	snapshotEvery int
+	syncEvery     int
+	store         string
+	hotClusters   int
+	hotPairs      int
 }
 
 // WithSnapshotEvery sets how many committed inserts elapse between
@@ -206,8 +203,8 @@ func WithSnapshotEvery(n int) HubOption {
 
 // WithSyncEvery opts into the group-commit fsync policy: the
 // write-ahead log is forced to stable storage after every n appends
-// and at every flush epoch of the ingest pipeline — when it drains, and
-// before a stream's result channel closes or IngestBatch returns. This
+// and at every flush epoch of an ingest stream — when its input runs
+// empty, and before its result channel closes or IngestBatch returns. This
 // bounds what a power-loss crash can take to the last n acknowledged
 // mutations, at the cost of an fsync on every n-th commit. 0 (the
 // default) leaves durability between snapshots to the OS page cache —
@@ -215,17 +212,6 @@ func WithSnapshotEvery(n int) HubOption {
 // loss.
 func WithSyncEvery(n int) HubOption {
 	return func(o *hubOptions) { o.syncEvery = n }
-}
-
-// WithProbeBackoff shapes the degraded-mode recovery probe loop: after
-// a persistent I/O failure degrades the hub to read-only, the first
-// probe fires after base, each failed probe doubles the delay, and max
-// caps it. Zero values keep the defaults (500ms base, 15s cap).
-func WithProbeBackoff(base, max time.Duration) HubOption {
-	return func(o *hubOptions) {
-		o.probeBackoff = base
-		o.probeBackoffMax = max
-	}
 }
 
 // WithStore selects the storage backend by name. "mem" (the default)
@@ -269,8 +255,6 @@ func OpenHub(dir string, opts ...HubOption) (*Hub, error) {
 	inner, info, err := hub.Open(dir, hub.Options{
 		SnapshotEvery:     o.snapshotEvery,
 		SyncEvery:         o.syncEvery,
-		ProbeBackoff:      o.probeBackoff,
-		ProbeBackoffMax:   o.probeBackoffMax,
 		Store:             o.store,
 		HotClusterEntries: o.hotClusters,
 		HotPairs:          o.hotPairs,
@@ -318,13 +302,13 @@ func (h *Hub) IngestBatch(items []HubInsert) []HubInsertResult {
 	return h.inner.IngestBatch(items)
 }
 
-// IngestStream feeds an insert stream through the hub's resident
-// dataflow pipeline: items are read from in until it closes or ctx is
-// canceled, committed strictly in input order with write-ahead
-// durability per item, and each outcome is delivered on the returned
-// channel (closed after the last). At most HubStreamOptions.Window
-// items (default 64) are in flight between feeder and consumer, so a
-// slow result consumer backpressures the stream at bounded memory.
+// IngestStream commits an insert stream on goroutines of its own: items
+// are read from in until it closes or ctx is canceled, committed
+// strictly in input order with write-ahead durability per item, and
+// each outcome is delivered on the returned channel (closed after the
+// last). At most 2×HubStreamOptions.Window commits (Window defaults to
+// 64) run ahead of the consumer, so a slow result consumer backpressures
+// its stream — and no other — at bounded memory.
 // Cancellation leaves an acked-prefix-committed hub: every delivered
 // result is committed, and the committed set is always a prefix of the
 // submitted order.

@@ -218,7 +218,7 @@ func (c *checker) publishedMutator(call *ast.CallExpr) (*types.Var, bool) {
 }
 
 // publishedInChain walks a receiver chain (h.clusters, s.view,
-// h.backend.Tuples(), src.pairs[i].fed ...) looking for a published
+// h.backend.Clusters(), src.pairs[i].fed ...) looking for a published
 // field.
 func (c *checker) publishedInChain(e ast.Expr) (*types.Var, bool) {
 	for {

@@ -23,8 +23,8 @@
 // acquired in a fixed order (source → pairs by ordinal → commit), so
 // inserts into disjoint regions of the topology proceed in parallel.
 // There is one ingest path: Insert is the commit path, IngestStream
-// (pipeline.go) is the pipeline around it — resident bounded-channel
-// stages that validate, WAL-encode and commit with backpressure — and
+// (pipeline.go) runs it over a channel — two goroutines per stream, one
+// WAL-encoding ahead of the one that commits, with backpressure — and
 // IngestBatch is a slice-in/slice-out wrapper over IngestStream.
 //
 // Reads scale independently of ingest: point reads (Lookup, ClusterAt)
@@ -37,12 +37,11 @@
 // a lock.
 //
 // Storage is a seam (internal/store): the hub talks to a pluggable
-// Backend for cluster records, spilled pair tables and tuple
-// registration. The default mem backend keeps everything resident;
-// the disk backend bounds resident memory by spilling cold cluster
-// records and cold pairwise federations and paging them back on
-// demand (see pairFedLocked / maybeSpillPairs below for the pair
-// lifecycle the hub drives).
+// Backend for cluster records and spilled pair tables. The default mem
+// backend keeps everything resident; the disk backend bounds resident
+// memory by spilling cold cluster records and cold pairwise federations
+// and paging them back on demand (see pairFedLocked / maybeSpillPairs
+// below for the pair lifecycle the hub drives).
 package hub
 
 import (
@@ -203,10 +202,6 @@ type Hub struct {
 	// a crash can lose an unacknowledged insert but never resurrect a
 	// rejected one or tear a committed one.
 	per *walLogger
-	// pipe is the resident streaming-ingest machinery (pipeline.go):
-	// stages spawn when the first stream attaches and exit when the last
-	// detaches.
-	pipe pipeline
 	// health is the degraded-mode state machine (degraded.go): ingest
 	// fails fast while the disk is sick, reads keep serving.
 	health healthState
@@ -276,7 +271,6 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 		rel:    rel.Clone(),
 		attrOf: map[string]string{},
 	}
-	h.backend.Tuples().Attach(id, s.rel)
 	s.publishView()
 	h.sources = append(h.sources, s)
 	h.byName[name] = id
@@ -309,7 +303,6 @@ func (h *Hub) addSourceOwned(name string, rel *relation.Relation) error {
 		rel:    rel,
 		attrOf: map[string]string{},
 	}
-	h.backend.Tuples().Attach(id, s.rel)
 	s.publishView()
 	h.sources = append(h.sources, s)
 	h.byName[name] = id
@@ -561,21 +554,31 @@ type Receipt struct {
 // pairwise §3.2 uniqueness or consistency violation, transitive
 // cluster-uniqueness violation) leave the hub exactly as it was.
 func (h *Hub) Insert(source string, t relation.Tuple) (*Receipt, error) {
-	var payload []byte
-	if h.per != nil {
-		var err error
-		if payload, err = encodeInsert(source, t); err != nil {
-			return nil, fmt.Errorf("hub: source %q: %w", source, err)
-		}
+	payload, err := h.walPayload(source, t)
+	if err != nil {
+		return nil, err
 	}
 	return h.insertTraced(source, t, payload)
 }
 
-// insertTraced is the traced commit path shared by Insert and the
-// pipeline's commit stage: health fast path, slow-op tracing, outcome
-// counters. payload is the encoded WAL record (encodeInsert) for this
-// exact (source, tuple) on a durable hub — marshaled by the caller, so
-// the write-ahead append needs no marshaling under the locks.
+// walPayload marshals the write-ahead-log record of an insert on a
+// durable hub (nil on a memory-only one) — outside every lock, so the
+// append under them is a pure log write.
+func (h *Hub) walPayload(source string, t relation.Tuple) ([]byte, error) {
+	if h.per == nil {
+		return nil, nil
+	}
+	payload, err := encodeInsert(source, t)
+	if err != nil {
+		return nil, fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	return payload, nil
+}
+
+// insertTraced is the traced commit path shared by Insert and a
+// stream's commit goroutine: health fast path, slow-op tracing, outcome
+// counters. payload is walPayload's record for this exact (source,
+// tuple).
 func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Receipt, error) {
 	// Degraded/poisoned fast path: fail before taking any lock, so a
 	// sick disk turns ingest into an immediate typed rejection instead
@@ -826,15 +829,15 @@ type InsertResult struct {
 }
 
 // IngestBatch is IngestStream for callers that hold the whole batch: it
-// streams the items through the resident ingest pipeline and reports
-// per-item results in input order; a rejected item leaves the hub
-// unchanged and does not stop the batch. Commits happen strictly in
-// input order, so batch results are deterministic, and when the call
-// returns every append the batch made is synced per the SyncEvery
-// policy (the pipeline closes its flush epoch before a stream ends).
+// streams the items and reports per-item results in input order; a
+// rejected item leaves the hub unchanged and does not stop the batch.
+// Commits happen strictly in input order, so batch results are
+// deterministic, and when the call returns every append the batch made
+// is synced per the SyncEvery policy (a stream closes its flush epoch
+// before its result channel).
 func (h *Hub) IngestBatch(items []Insert) []InsertResult {
 	mBatchSize.ObserveVal(int64(len(items)))
-	in := make(chan Insert, len(items)) // sized to the sends: filled without a feeder goroutine
+	in := make(chan Insert, len(items)) // sized to the sends: filled without a goroutine
 	for _, it := range items {
 		in <- it
 	}
@@ -857,15 +860,15 @@ func (h *Hub) SourceNames() []string {
 	return out
 }
 
-// SourceSchema returns a source's schema.
+// SourceSchema returns a source's schema, resolved through the
+// published topology snapshot: no hub-global lock.
 func (h *Hub) SourceSchema(source string) (*schema.Schema, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	si, ok := h.byName[source]
+	t := h.topo.Load()
+	si, ok := t.byName[source]
 	if !ok {
 		return nil, fmt.Errorf("hub: unknown source %q", source)
 	}
-	return h.sources[si].rel.Schema(), nil
+	return t.sources[si].rel.Schema(), nil
 }
 
 // SourceRelation returns a clone of a source's current canonical

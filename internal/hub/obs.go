@@ -36,22 +36,21 @@ var (
 	mBatchSize = obs.Default.SizeHistogram("hub_ingest_batch_size",
 		"IngestBatch sizes")
 
-	mPipeDepth = obs.Default.GaugeVec("hub_pipeline_stage_depth",
-		"Jobs queued at each ingest pipeline stage input", "stage")
-	depthAdmit  = mPipeDepth.With("admit")
-	depthEncode = mPipeDepth.With("encode")
-	depthCommit = mPipeDepth.With("commit")
+	depthCommit = obs.Default.GaugeVec("hub_pipeline_stage_depth",
+		"Items queued for the commit goroutines of all ingest streams", "stage").With("commit")
 
 	mPipeStalls = obs.Default.CounterVec("hub_pipeline_stall_total",
-		"Sends into a full pipeline stage input (backpressure engaged)", "stage")
-	stallAdmit  = mPipeStalls.With("admit")
-	stallEncode = mPipeStalls.With("encode")
+		"Sends that found a stream's commit goroutine input full (backpressure engaged)", "stage")
 	stallCommit = mPipeStalls.With("commit")
+	// Nothing increments these two: bench/cmd/ebench/metrics.go sums the
+	// admit, encode and commit children and fails on a missing one, and
+	// bench/ is frozen. The next benchmark PR drops them.
+	_, _ = mPipeStalls.With("admit"), mPipeStalls.With("encode")
 
 	mPipeStreams = obs.Default.Counter("hub_pipeline_streams_total",
 		"IngestStream streams opened")
 	mPipeFlushEpochs = obs.Default.Counter("hub_pipeline_flush_epochs_total",
-		"Pipeline flush epochs that forced pending WAL appends to stable storage")
+		"Stream flush epochs that forced pending WAL appends to stable storage")
 	mClusterMerges = obs.Default.Counter("hub_cluster_merges_total",
 		"Inserts that merged the new tuple into at least one existing cluster")
 	mUniqueness = obs.Default.Counter("hub_uniqueness_rejections_total",

@@ -59,9 +59,9 @@ type Options struct {
 	SnapshotEvery int
 	// SyncEvery, when positive, fsyncs the write-ahead log after every
 	// N appends (group commit): the window of committed-but-volatile
-	// records under a power-loss crash model is bounded by N, and the
-	// ingest pipeline flushes the remainder at every flush epoch — when
-	// its input drains and before a stream's (or batch's) results end.
+	// records under a power-loss crash model is bounded by N, and every
+	// ingest stream flushes the remainder at its flush epochs — when its
+	// input runs empty and before its (or a batch's) results end.
 	// 0 leaves durability between snapshots to the OS page cache.
 	SyncEvery int
 	// ChunkBytes overrides the snapshot chunk payload budget
@@ -636,10 +636,6 @@ type walLogger struct {
 	unsynced atomic.Int64
 	//entitylint:lock rank=70
 	syncMu sync.Mutex
-	// appended counts every successful log append, so the pipeline's
-	// flush epochs can tell whether their window actually reached the
-	// log — a window with no appends skips its fsync.
-	appended atomic.Int64
 	// snapMu serialises snapshot production (cut → capture → write →
 	// truncate); the trigger uses TryLock so ingest never queues behind
 	// a snapshot in flight. It also guards prevMan, which only snapshot
@@ -684,7 +680,6 @@ func (p *walLogger) appendPayload(payload []byte) error {
 	if _, err := p.log.Append(payload); err != nil {
 		return err
 	}
-	p.appended.Add(1)
 	p.maybeSync()
 	return nil
 }
@@ -778,7 +773,7 @@ func (p *walLogger) appendLink(spec PairSpec) error {
 }
 
 // encodeInsert marshals an insert's write-ahead-log record: the one
-// encoding behind Insert and the pipeline's encode stage.
+// encoding behind Insert and IngestStream (Hub.walPayload).
 func encodeInsert(source string, t relation.Tuple) ([]byte, error) {
 	return wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
 		Source: source,

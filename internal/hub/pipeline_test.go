@@ -1,19 +1,21 @@
 package hub
 
-// Harness for the streaming dataflow ingest path: IngestStream must be
+// Harness for the streaming ingest path: IngestStream must be
 // observationally identical to the sequential Insert loop (same final
 // state, results in submission order), hold its memory bound under a
-// stalled consumer (backpressure, not buffering), leave exactly an
-// acked prefix committed across cancellation + crash + recovery, keep
-// every acknowledged insert through injected WAL faults at pipeline
-// commit points, skip group-commit fsyncs for windows that appended
-// nothing, and spawn no goroutines that outlive the streams. Run under
-// -race: the stages, feeder and pump are all concurrent.
+// stalled consumer (backpressure, not buffering) without stalling any
+// other stream, leave exactly an acked prefix committed across
+// cancellation + crash + recovery, keep every acknowledged insert
+// through injected WAL faults at commit points, skip group-commit
+// fsyncs for windows that appended nothing, and spawn no goroutines
+// that outlive the streams. Run under -race: every stream is two
+// goroutines, and concurrent streams share the hub's locks.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -116,9 +118,9 @@ func rowItems(n int) []Insert {
 
 // TestIngestStreamBackpressureBound pins the memory bound: with a
 // consumer that reads nothing, a long stream must stall after at most
-// 2×Window commits (Window credits in flight plus Window results
-// buffered on the output channel) — the stream backpressures instead of
-// buffering the input. Once the consumer drains, every item lands.
+// 2×Window commits (Window results buffered on the output channel plus
+// the one the commit goroutine holds) — the stream backpressures instead
+// of buffering the input. Once the consumer drains, every item lands.
 func TestIngestStreamBackpressureBound(t *testing.T) {
 	const window, total = 8, 500
 	h := oneSourceHub(t)
@@ -234,7 +236,7 @@ func TestIngestStreamCancelAckedPrefix(t *testing.T) {
 }
 
 // TestIngestStreamChaosWALFault injects ENOSPC at a WAL append in the
-// middle of a stream — the pipeline's commit point — and checks the
+// middle of a stream — at a commit point — and checks the
 // acked/failed split is honest: every result acked ok before the fault
 // survives crash + recovery, every later item failed fast, and the
 // recovered hub is exactly the acked set.
@@ -335,8 +337,8 @@ func TestPipelineFlushSkipsWhenNoAppends(t *testing.T) {
 	}
 
 	// The same holds for a plain stream: the flush epoch closes before
-	// the eos sentinel is delivered, so once the result channel is closed
-	// every acknowledged append is synced — no later drain to wait for.
+	// the result channel does, so once that is closed every acknowledged
+	// append is synced — no later drain to wait for.
 	for _, res := range streamAll(h, context.Background(), rowItems(20)[10:], StreamOptions{}) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -347,10 +349,10 @@ func TestPipelineFlushSkipsWhenNoAppends(t *testing.T) {
 	}
 }
 
-// TestPipelineGoroutineLifecycle pins the resident-stage lifecycle:
-// batches and streams spawn stages on demand and reap them when the
-// last producer detaches, so churning the ingest APIs leaks nothing and
-// an idle hub owns no pipeline goroutines.
+// TestPipelineGoroutineLifecycle pins the stream lifecycle: a batch or
+// stream's goroutines are gone once its result channel is closed, so
+// churning the ingest APIs leaks nothing and an idle hub owns no ingest
+// goroutines.
 func TestPipelineGoroutineLifecycle(t *testing.T) {
 	h := oneSourceHub(t)
 	before := runtime.NumGoroutine()
@@ -386,4 +388,102 @@ func TestPipelineGoroutineLifecycle(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before+5 {
 		t.Fatalf("goroutine leak: %d before, %d after 50 ingest rounds", before, after)
 	}
+}
+
+// TestIngestStreamsIsolatedAndOrdered runs concurrent streams over
+// linked sources beside one whose consumer reads nothing: every other
+// stream completes (a stalled consumer stalls only its own stream), each
+// stream's results arrive in Seq order, and the interleaving the hub's
+// locks chose is exactly what its log recorded — the directory reopens
+// (a sequential replay of the WAL) to the live state.
+func TestIngestStreamsIsolatedAndOrdered(t *testing.T) {
+	const streams, window = 4, 2
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 3, Entities: 60, PresenceFrac: 0.65, HomonymRate: 0.2,
+		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 131,
+	})
+	items := shuffled(w, 31)
+	dir := t.TempDir()
+	h, _ := openDurableMulti(t, dir, w, 0)
+
+	parts := make([][]Insert, streams)
+	for i, it := range items {
+		parts[i%streams] = append(parts[i%streams], it)
+	}
+	if len(parts[0]) <= 2*window {
+		t.Fatalf("stalled stream has %d items: too few to stall at window %d", len(parts[0]), window)
+	}
+	outs := make([]<-chan StreamResult, streams)
+	for k, part := range parts {
+		in := make(chan Insert)
+		go func() {
+			defer close(in)
+			for _, it := range part {
+				in <- it
+			}
+		}()
+		outs[k] = h.IngestStream(context.Background(), in, StreamOptions{Window: window})
+	}
+
+	// Stream 0's consumer reads nothing until every other stream is done.
+	results := make([][]StreamResult, streams)
+	var wg sync.WaitGroup
+	for k := 1; k < streams; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for res := range outs[k] {
+				results[k] = append(results[k], res)
+			}
+		}()
+	}
+	others := make(chan struct{})
+	go func() { wg.Wait(); close(others) }()
+	select {
+	case <-others:
+	case <-time.After(30 * time.Second):
+		t.Fatal("streams beside a stalled consumer did not complete")
+	}
+	committed := func(rs [][]StreamResult) int {
+		n := 0
+		for _, part := range rs {
+			for _, res := range part {
+				if res.Err == nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if ahead := h.Stats().Tuples - committed(results); ahead > 2*window {
+		t.Fatalf("stalled stream committed %d items, want ≤ %d (2×window)", ahead, 2*window)
+	}
+	for res := range outs[0] {
+		results[0] = append(results[0], res)
+	}
+
+	for k, part := range results {
+		if len(part) != len(parts[k]) {
+			t.Fatalf("stream %d: %d results for %d items", k, len(part), len(parts[k]))
+		}
+		for i, res := range part {
+			if res.Seq != i {
+				t.Fatalf("stream %d: result %d carries seq %d", k, i, res.Seq)
+			}
+		}
+	}
+	if got, want := h.Stats().Tuples, committed(results); got != want || want == 0 {
+		t.Fatalf("hub holds %d tuples, streams acknowledged %d", got, want)
+	}
+
+	live := stateOf(h)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer h2.Close()
+	mustEqualState(t, "replayed log vs live interleaving", stateOf(h2), live)
 }

@@ -873,7 +873,7 @@ func TestPowerLossAtSyncBoundary(t *testing.T) {
 	}
 	mustEqualState(t, "recovered vs synced prefix", stateOf(h2), stateOf(ref))
 
-	// The pipeline closes its flush epoch before a batch's stream ends:
+	// A stream closes its flush epoch before its results end:
 	// after a batch, nothing is pending.
 	rest := make([]Insert, 0, len(items)-survived)
 	for _, it := range items[survived:] {

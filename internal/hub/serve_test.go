@@ -155,7 +155,7 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 			}
 		}(r)
 	}
-	// Sub-batch with explicit yields: the pipelined batch path commits a
+	// Sub-batch with explicit yields: the batch path commits a
 	// batch this small in a few milliseconds on one core, so without
 	// yield points the reader goroutines would barely interleave with
 	// ingest and the test could sample nothing.

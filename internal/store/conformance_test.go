@@ -15,12 +15,9 @@ import (
 	"testing"
 
 	"entityid/internal/match"
-	"entityid/internal/relation"
-	"entityid/internal/schema"
 	"entityid/internal/store"
 	"entityid/internal/store/disk"
 	"entityid/internal/store/mem"
-	"entityid/internal/value"
 )
 
 // backends are the implementations under the contract. The disk
@@ -272,16 +269,11 @@ func TestPairsConformance(t *testing.T) {
 }
 
 func TestBackendIdentityAndLifecycle(t *testing.T) {
-	rel := relation.New(schema.MustNew("s", []schema.Attribute{{Name: "id", Kind: value.KindString}}, []string{"id"}))
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
 			b := bk.open(t)
 			if b.Name() != bk.name {
 				t.Fatalf("Name() = %q, want %q", b.Name(), bk.name)
-			}
-			b.Tuples().Attach(0, rel)
-			if b.Tuples().Relation(0) != rel || b.Tuples().Relation(1) != nil {
-				t.Fatal("Tuples does not hand back exactly the attached relation")
 			}
 			if err := b.Close(); err != nil {
 				t.Fatal(err)

@@ -539,7 +539,6 @@ type Backend struct {
 	caps      store.Caps
 	c         clusters
 	p         pairs
-	t         store.ResidentTuples
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -570,7 +569,6 @@ func (b *Backend) Name() string             { return "disk" }
 func (b *Backend) Caps() store.Caps         { return b.caps }
 func (b *Backend) Clusters() store.Clusters { return &b.c }
 func (b *Backend) Pairs() store.Pairs       { return &b.p }
-func (b *Backend) Tuples() store.Tuples     { return &b.t }
 
 func (b *Backend) Close() error {
 	b.closeOnce.Do(func() {

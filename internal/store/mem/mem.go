@@ -228,7 +228,6 @@ func (p *pairs) Stats() store.PairStats {
 type Backend struct {
 	c clusters
 	p pairs
-	t store.ResidentTuples
 }
 
 // New returns a fresh, empty in-memory backend.
@@ -245,5 +244,4 @@ func (b *Backend) Name() string             { return "mem" }
 func (b *Backend) Caps() store.Caps         { return store.Caps{} }
 func (b *Backend) Clusters() store.Clusters { return &b.c }
 func (b *Backend) Pairs() store.Pairs       { return &b.p }
-func (b *Backend) Tuples() store.Tuples     { return &b.t }
 func (b *Backend) Close() error             { return nil }

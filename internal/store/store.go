@@ -1,7 +1,8 @@
 // Package store is the hub's storage seam: narrow interfaces for the
-// three kinds of committed state the hub serves — per-source tuples,
-// per-pair matching tables, and cluster records — plus the generic
-// merge logic that is identical across backends.
+// two kinds of committed state a backend may tier — per-pair matching
+// tables and cluster records — plus the generic merge logic that is
+// identical across backends. Source tuples stay with the hub: the live
+// pairwise matchers require resident attribute access.
 //
 // The hub never reaches into concrete maps; it holds a Backend and
 // talks to whatever that backend returns. store/mem is the default
@@ -24,10 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"entityid/internal/federate"
-	"entityid/internal/relation"
 )
 
 // Node identifies one tuple: source ordinal and tuple index within
@@ -137,20 +136,6 @@ type Pairs interface {
 	Stats() PairStats
 }
 
-// Tuples is the per-source tuple store. Both current backends keep
-// every relation resident — the live pairwise matchers require
-// resident attribute access — so the interface registers canonical
-// relations and hands back the resident handle; it is the seam a
-// future tiered tuple store plugs into.
-type Tuples interface {
-	// Attach registers source ordinal si's canonical relation.
-	// Ordinals arrive densely, in order.
-	Attach(si int, rel *relation.Relation)
-
-	// Relation returns the resident handle for source si.
-	Relation(si int) *relation.Relation
-}
-
 // Caps is a backend's residency budget. Zero means unbounded (the mem
 // backend); the disk backend evicts past these.
 type Caps struct {
@@ -158,42 +143,15 @@ type Caps struct {
 	HotPairs          int // live federations the hub keeps resident
 }
 
-// Backend bundles the three stores plus identity and lifecycle.
+// Backend bundles the two stores plus identity and lifecycle.
 type Backend interface {
 	Name() string
 	Caps() Caps
 	Clusters() Clusters
 	Pairs() Pairs
-	Tuples() Tuples
 
 	// Close releases backend resources. Idempotent.
 	Close() error
-}
-
-// ResidentTuples is the always-resident Tuples implementation shared
-// by both backends.
-type ResidentTuples struct {
-	//entitylint:lock rank=100
-	mu   sync.RWMutex
-	rels []*relation.Relation
-}
-
-func (t *ResidentTuples) Attach(si int, rel *relation.Relation) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.rels) <= si {
-		t.rels = append(t.rels, nil)
-	}
-	t.rels[si] = rel
-}
-
-func (t *ResidentTuples) Relation(si int) *relation.Relation {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if si < 0 || si >= len(t.rels) {
-		return nil
-	}
-	return t.rels[si]
 }
 
 // CheckMerge verifies that merging node n with the clusters of the
