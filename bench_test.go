@@ -13,19 +13,15 @@ package entityid
 
 import (
 	"fmt"
-	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"entityid/internal/baselines"
 	"entityid/internal/datagen"
 	"entityid/internal/derive"
 	"entityid/internal/federate"
-	"entityid/internal/hub"
 	"entityid/internal/ilfd"
 	"entityid/internal/integrate"
 	"entityid/internal/match"
-	"entityid/internal/obs"
 	"entityid/internal/paperdata"
 	"entityid/internal/quality"
 	"entityid/internal/relation"
@@ -414,207 +410,6 @@ func BenchmarkFederateInsert(b *testing.B) {
 		if _, err := fed.InsertR(t); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkHubIngest is S8: K-source streaming ingest through the hub
-// — every insert is prepared against K-1 pairwise federations, checked
-// for transitive uniqueness and committed under the per-pair locks,
-// sharded across the ingest worker pool. ReportMetric exposes
-// tuples/sec; BENCH_match.json (benchreport -benchjson) tracks the
-// same measurement across PRs.
-func BenchmarkHubIngest(b *testing.B) {
-	for _, k := range []int{2, 4} {
-		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
-			w := datagen.MustMultiGenerate(datagen.MultiConfig{
-				Sources: k, Entities: 300, PresenceFrac: 0.6,
-				HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2,
-				Seed: int64(1000 + k),
-			})
-			items := hub.MultiInserts(w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h, err := hub.NewFromMulti(w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, res := range h.IngestBatch(items) {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-		})
-	}
-}
-
-// BenchmarkObsOverhead is the observability-overhead series: the
-// 4-source BenchmarkHubIngest workload with the obs clock disabled
-// (baseline — counters still tick, but histogram and slow-op timing
-// capture is off) against the fully instrumented default. Compare the
-// two tuples/sec metrics; instrumentation must stay within a few
-// percent. BENCH_match.json (benchreport -benchjson) tracks the same
-// ratio across PRs.
-func BenchmarkObsOverhead(b *testing.B) {
-	w := datagen.MustMultiGenerate(datagen.MultiConfig{
-		Sources: 4, Entities: 300, PresenceFrac: 0.6,
-		HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 1004,
-	})
-	items := hub.MultiInserts(w)
-	ingest := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h, err := hub.NewFromMulti(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, res := range h.IngestBatch(items) {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-	}
-	b.Run("baseline-obs-off", func(b *testing.B) {
-		obs.SetEnabled(false)
-		defer obs.SetEnabled(true)
-		b.ResetTimer()
-		ingest(b)
-	})
-	b.Run("instrumented", ingest)
-}
-
-// BenchmarkHubServe is S9: mixed read/ingest serving through the hub.
-// reads-during-ingest hammers point cluster reads (ClusterAt over the
-// committed prefix) from GOMAXPROCS-wide readers while a background
-// ingester streams the second half of the workload — the reads take
-// only per-shard/per-source read locks, so throughput scales with
-// readers instead of serialising behind a hub-global lock.
-// clusters-stream walks the full paginated enumeration, one bounded
-// page at a time. BENCH_match.json (benchreport -benchjson) tracks
-// both series across PRs.
-func BenchmarkHubServe(b *testing.B) {
-	w := datagen.MustMultiGenerate(datagen.MultiConfig{
-		Sources: 3, Entities: 400, PresenceFrac: 0.6, HomonymRate: 0.1,
-		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 9,
-	})
-	items := hub.MultiInserts(w)
-	b.Run("reads-during-ingest", func(b *testing.B) {
-		// The shared harness keeps committing until the readers finish —
-		// every timed read races a live commit path, however large b.N
-		// grows.
-		h, ing, err := hub.NewServeBench(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		names := h.SourceNames()
-		var seq atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := rand.New(rand.NewSource(seq.Add(1)))
-			for pb.Next() {
-				src := names[rng.Intn(len(names))]
-				n, err := h.SourceLen(src)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if n == 0 {
-					continue
-				}
-				if _, err := h.ClusterAt(src, rng.Intn(n)); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		if _, _, err := ing.Stop(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/sec")
-	})
-	b.Run("clusters-stream", func(b *testing.B) {
-		h, err := hub.NewFromMulti(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, res := range h.IngestBatch(items) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			cursor := ""
-			for {
-				page, next, err := h.ClustersPage(cursor, 128)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += len(page)
-				if next == "" {
-					break
-				}
-				cursor = next
-			}
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "clusters/sec")
-	})
-}
-
-// BenchmarkScaleBuild is S6: full matching-table construction on the
-// canonical ~2k×2k scale workload, blocked hash-join identity rules
-// (engine) versus the nested-loop reference (naive).
-func BenchmarkScaleBuild(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		naive bool
-	}{{"engine", false}, {"naive", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := datagen.ScaleMatchConfig()
-			cfg.Naive = mode.naive
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := match.Build(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.MT.Len() == 0 {
-					b.Fatal("empty matching table")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScaleCounts is S7: the full |R|×|S| Figure 3 partition on
-// the canonical scale workload — the pair-indexed, compiled-rule,
-// parallel sweep (engine) versus the linear-scan, interpreted,
-// sequential reference (naive). BENCH_match.json (benchreport
-// -benchjson) tracks the same measurement across PRs.
-func BenchmarkScaleCounts(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		naive bool
-	}{{"engine", false}, {"naive", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := datagen.ScaleMatchConfig()
-			cfg.Naive = mode.naive
-			res, err := match.Build(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, _, u := res.Counts()
-				if m == 0 || u == 0 {
-					b.Fatal("degenerate partition")
-				}
-			}
-		})
 	}
 }
 

@@ -325,13 +325,12 @@ func (w *Workload) MatchConfig() match.Config {
 	}
 }
 
-// ScaleMatchConfig is the canonical perf workload shared by the
-// BenchmarkScale* benchmarks and benchreport's BENCH_match.json
-// emitter: ~2k×2k tuples, a blocked identity rule (name ∧ phone) that
-// carries the bulk of the matching table, light instance-ILFD coverage
-// so the distinctness-rule set stays representative without drowning
-// the sweep in rules. Deterministic (fixed seed), so timings across
-// PRs measure the engine, not the data.
+// ScaleMatchConfig is the canonical perf workload of internal/match's
+// BenchmarkScale* benchmarks: ~2k×2k tuples, a blocked identity rule
+// (name ∧ phone) that carries the bulk of the matching table, light
+// instance-ILFD coverage so the distinctness-rule set stays
+// representative without drowning the sweep in rules. Deterministic
+// (fixed seed), so timings across PRs measure the engine, not the data.
 func ScaleMatchConfig() match.Config {
 	w := MustGenerate(Config{
 		Entities:    2700, // ≈2k tuples per side at 0.5 overlap

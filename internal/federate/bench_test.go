@@ -1,0 +1,60 @@
+package federate
+
+import (
+	"testing"
+	"time"
+
+	"entityid/internal/datagen"
+	"entityid/internal/relation"
+)
+
+// BenchmarkPrepareCommit is the hub's per-pair cost of one insert, the
+// two halves timed apart: PrepareR (validate, derive the tuple's R′
+// image, probe the extended-key index and the identity-rule blocks,
+// check uniqueness and consistency) and Commit (append to both
+// relations and every index). S is resident and R's tuples arrive one
+// by one, so about half the prepares find a match; the federation is
+// rebuilt off the clock when R runs out.
+//
+//	go test -run=NONE -bench=. -count=10 ./internal/federate
+func BenchmarkPrepareCommit(b *testing.B) {
+	w := datagen.MustGenerate(datagen.Config{
+		Entities: 400, OverlapFrac: 0.5, HomonymRate: 0.1, ILFDCoverage: 0.8, Seed: 505,
+	})
+	cfg := w.MatchConfig()
+	arrivals := w.R.Tuples()
+	fresh := func() *Federation {
+		c := cfg
+		c.R = relation.New(w.R.Schema())
+		c.S = w.S.Clone()
+		f, err := New(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f
+	}
+	f := fresh()
+	var prepare, commit time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(arrivals)
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			f = fresh()
+			b.StartTimer()
+		}
+		t0 := time.Now()
+		p, err := f.PrepareR(arrivals[k].Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, err := p.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		prepare += t1.Sub(t0)
+		commit += time.Since(t1)
+	}
+	b.ReportMetric(float64(prepare.Nanoseconds())/float64(b.N), "prepare-ns/op")
+	b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "commit-ns/op")
+}

@@ -527,9 +527,11 @@ func (f *Federation) Pairs() []match.Pair {
 }
 
 // State is a federation's exported mutable state — the matching table
-// plus the side lengths it was computed over — in the canonical order
-// (sorted pairs). Snapshots store it so recovery can verify that a
-// rebuilt federation reproduces exactly the state that was saved.
+// plus the side lengths it was computed over. Snapshots store it with
+// the pairs in the canonical sorted order (SortPairs), the storage
+// layer in commit order (ExportOrdered), so recovery and page-in can
+// verify that a rebuilt federation reproduces exactly the state that
+// was saved.
 type State struct {
 	Pairs      []match.Pair
 	RLen, SLen int
@@ -562,18 +564,9 @@ func SortPairs(ps []match.Pair) {
 	})
 }
 
-// Export captures the federation's mutable state for a snapshot.
-func (f *Federation) Export() State {
-	return State{
-		Pairs: sortedPairs(f.res.MT.Pairs),
-		RLen:  f.cfg.R.Len(),
-		SLen:  f.cfg.S.Len(),
-	}
-}
-
 // ExportOrdered captures the federation's mutable state with the
-// matching table in COMMIT ORDER instead of the canonical sorted
-// order. The hub's storage layer spills this form: the table is
+// matching table in COMMIT ORDER, not the canonical sorted order. The
+// hub's storage layer spills this form: the table is
 // append-only under the commit lock, so the length-n prefix of a
 // commit-order export reproduces any cut taken at length n — even a
 // cut taken before the export. Restore accepts either form (it sorts

@@ -1,0 +1,272 @@
+package hub
+
+// The hub layer's benchmarks: what one commit, one bulk stream, one
+// recovery and one incremental snapshot cost in process, with no socket
+// and no front-end. The end-to-end figures are bench/'s; these say how
+// much of them is the hub's. Durable hubs honour ENTITYID_STORE like the
+// tests do, so both backends can be measured.
+//
+//	go test -run=NONE -bench=. -count=10 ./internal/hub
+
+import (
+	"fmt"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+
+	"entityid/internal/datagen"
+	"entityid/internal/relation"
+	"entityid/internal/value"
+)
+
+// benchMulti is the K-source workload the hub benchmarks share: every
+// insert is prepared against K-1 pairwise federations.
+func benchMulti(sources int) *datagen.MultiWorkload {
+	return datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: sources, Entities: 300, PresenceFrac: 0.6,
+		HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2,
+		Seed: int64(1000 + sources),
+	})
+}
+
+// freshTuple is the k-th synthetic singleton of the MultiGenerate
+// schema: its key collides with nothing and its NULL phone matches
+// nothing, so it always commits.
+func freshTuple(k int) relation.Tuple {
+	return relation.Tuple{
+		value.String(fmt.Sprintf("bench-extra-%d", k)),
+		value.String(fmt.Sprintf("%d bench st", k)),
+		value.Null, value.Null,
+	}
+}
+
+func mustIngest(b *testing.B, h *Hub, items []Insert) {
+	b.Helper()
+	for _, res := range h.IngestBatch(items) {
+		if res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+}
+
+// BenchmarkInsert is one tuple through Insert, the commit path a
+// single-line POST takes: prepare against every linked pair, transitive
+// uniqueness, (wal: encode and append, no fsync), apply, cluster fold.
+// The hub is rebuilt off the clock whenever the workload runs out.
+func BenchmarkInsert(b *testing.B) {
+	w := benchMulti(4)
+	items := MultiInserts(w)
+	for _, mode := range []struct {
+		name string
+		open func(b *testing.B) *Hub
+	}{
+		{"mem", func(b *testing.B) *Hub {
+			h, err := NewFromMulti(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return h
+		}},
+		{"wal", func(b *testing.B) *Hub {
+			h, _ := openMultiOpts(b, b.TempDir(), w, Options{})
+			return h
+		}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			h := mode.open(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it := items[i%len(items)]
+				if i > 0 && i%len(items) == 0 {
+					b.StopTimer()
+					h.Close()
+					h = mode.open(b)
+					b.StartTimer()
+				}
+				if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			h.Close()
+		})
+	}
+}
+
+// BenchmarkIngestStream is the bulk path: the whole workload through
+// one IngestStream (IngestBatch is its slice-in/slice-out form) into a
+// fresh memory hub, across source counts.
+func BenchmarkIngestStream(b *testing.B) {
+	for _, k := range []int{2, 4} {
+		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
+			w := benchMulti(k)
+			items := MultiInserts(w)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, err := NewFromMulti(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mustIngest(b, h, items)
+			}
+			b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
+		})
+	}
+}
+
+// BenchmarkOpenReplay is recovery from the write-ahead log alone: the
+// workload is logged once with snapshots off, then every iteration
+// opens the directory (replaying each record through the commit path)
+// and closes it.
+func BenchmarkOpenReplay(b *testing.B) {
+	w := benchMulti(4)
+	dir := b.TempDir()
+	h, _ := openMultiOpts(b, dir, w, Options{})
+	mustIngest(b, h, MultiInserts(w))
+	if err := h.Close(); err != nil {
+		b.Fatal(err)
+	}
+	replayed := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, info, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		replayed = info.Replayed
+		if err := h.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if replayed == 0 {
+		b.Fatal("nothing replayed")
+	}
+	b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+}
+
+// BenchmarkSnapshotIncremental is SnapshotNow after about 1 % of the
+// hub changed since the last snapshot: the inserts run off the clock,
+// the snapshot (capture, write of the changed sections, log truncation)
+// on it. How many sections carry forward is pinned by snapshot_test.go,
+// not measured here.
+func BenchmarkSnapshotIncremental(b *testing.B) {
+	w := benchMulti(4)
+	h, _ := openMultiOpts(b, b.TempDir(), w, Options{})
+	defer h.Close()
+	items := MultiInserts(w)
+	mustIngest(b, h, items)
+	if err := h.SnapshotNow(); err != nil {
+		b.Fatal(err)
+	}
+	delta := len(items)/100 + 1
+	var bytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < delta; k++ {
+			if _, err := h.Insert(w.Names[0], freshTuple(i*delta+k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := h.SnapshotNow(); err != nil {
+			b.Fatal(err)
+		}
+		bytes += h.LastSnapshot().BytesWritten
+	}
+	b.ReportMetric(float64(bytes)/float64(b.N), "bytes-written/op")
+}
+
+// BenchmarkServe is the read side. reads-during-ingest hammers point
+// cluster reads from GOMAXPROCS-wide readers while a background
+// committer streams the second half of the workload and then fresh
+// singletons, so every timed read races a live commit however large
+// b.N grows. clusters-stream walks the full paginated enumeration, one
+// bounded page at a time.
+func BenchmarkServe(b *testing.B) {
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 3, Entities: 400, PresenceFrac: 0.6, HomonymRate: 0.1,
+		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 9,
+	})
+	items := MultiInserts(w)
+	b.Run("reads-during-ingest", func(b *testing.B) {
+		h, err := NewFromMulti(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		half := len(items) / 2
+		mustIngest(b, h, items[:half])
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			for i := half; ; i++ {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				var it Insert
+				if i < len(items) {
+					it = items[i]
+				} else {
+					it = Insert{Source: w.Names[i%len(w.Names)], Tuple: freshTuple(i)}
+				}
+				if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		names := h.SourceNames()
+		var seq atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			rng := rand.New(rand.NewSource(seq.Add(1)))
+			for pb.Next() {
+				src := names[rng.Intn(len(names))]
+				n, err := h.SourceLen(src)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if n == 0 {
+					continue
+				}
+				if _, err := h.ClusterAt(src, rng.Intn(n)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		close(stop)
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("clusters-stream", func(b *testing.B) {
+		h, err := NewFromMulti(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mustIngest(b, h, items)
+		b.ResetTimer()
+		total := 0
+		for i := 0; i < b.N; i++ {
+			cursor := ""
+			for {
+				page, next, err := h.ClustersPage(cursor, 128)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += len(page)
+				if next == "" {
+					break
+				}
+				cursor = next
+			}
+		}
+		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "clusters/sec")
+	})
+}

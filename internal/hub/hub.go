@@ -245,11 +245,8 @@ func (h *Hub) publishTopo() {
 //
 //entitylint:commitpath
 func (h *Hub) AddSource(name string, rel *relation.Relation) error {
-	if name == "" {
-		return fmt.Errorf("hub: empty source name")
-	}
-	if rel == nil {
-		return fmt.Errorf("hub: source %q: nil relation", name)
+	if err := checkSource(name, rel); err != nil {
+		return err
 	}
 	if err := h.healthErr(); err != nil {
 		return fmt.Errorf("hub: source %q: %w", name, err)
@@ -264,17 +261,7 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 			return fmt.Errorf("hub: source %q: %w", name, h.ingestFailed(err))
 		}
 	}
-	id := len(h.sources)
-	s := &sourceState{
-		id:     id,
-		name:   name,
-		rel:    rel.Clone(),
-		attrOf: map[string]string{},
-	}
-	s.publishView()
-	h.sources = append(h.sources, s)
-	h.byName[name] = id
-	h.publishTopo()
+	h.registerLocked(name, rel.Clone())
 	return nil
 }
 
@@ -285,17 +272,32 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 // load spike this avoids), and logging it would re-log a record being
 // replayed.
 func (h *Hub) addSourceOwned(name string, rel *relation.Relation) error {
-	if name == "" {
-		return fmt.Errorf("hub: empty source name")
-	}
-	if rel == nil {
-		return fmt.Errorf("hub: source %q: nil relation", name)
+	if err := checkSource(name, rel); err != nil {
+		return err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, dup := h.byName[name]; dup {
 		return fmt.Errorf("hub: source %q already registered", name)
 	}
+	h.registerLocked(name, rel)
+	return nil
+}
+
+func checkSource(name string, rel *relation.Relation) error {
+	if name == "" {
+		return fmt.Errorf("hub: empty source name")
+	}
+	if rel == nil {
+		return fmt.Errorf("hub: source %q: nil relation", name)
+	}
+	return nil
+}
+
+// registerLocked installs rel, which the hub now owns, as the next
+// source and publishes it. Callers hold h.mu exclusively and have
+// checked the name is free.
+func (h *Hub) registerLocked(name string, rel *relation.Relation) {
 	id := len(h.sources)
 	s := &sourceState{
 		id:     id,
@@ -307,7 +309,6 @@ func (h *Hub) addSourceOwned(name string, rel *relation.Relation) error {
 	h.sources = append(h.sources, s)
 	h.byName[name] = id
 	h.publishTopo()
-	return nil
 }
 
 // Link registers the identification link between two sources and
@@ -599,9 +600,7 @@ func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Re
 		return nil, err
 	}
 	ingestOK.Inc()
-	if total > 0 {
-		mIngestSeconds.Observe(total)
-	}
+	mIngestSeconds.Observe(total)
 	return rec, nil
 }
 
@@ -675,7 +674,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		}
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
 	}
-	observeStage(stagePrepare, op.Stage("prepare"))
+	stagePrepare.Observe(op.Stage("prepare"))
 	// Write-ahead: the insert reaches the log before any in-memory
 	// commit. A failed append rejects the insert with the hub unchanged
 	// (at worst a torn, unacknowledged record reaches disk — recovery's
@@ -688,7 +687,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 			return nil, fmt.Errorf("hub: source %q: %w", source, h.ingestFailed(err))
 		}
 	}
-	observeStage(stageWalAppend, op.Stage("wal_append"))
+	stageWalAppend.Observe(op.Stage("wal_append"))
 	for i, pd := range pendings {
 		prs, err := pd.Commit()
 		if err != nil {
@@ -718,7 +717,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		return nil, fmt.Errorf("hub: source %q: %w", source,
 			h.poison(fmt.Errorf("canonical insert after CanInsert: %v", insErr)))
 	}
-	observeStage(stageApply, op.Stage("apply"))
+	stageApply.Observe(op.Stage("apply"))
 	members, err := store.Apply(h.clusters, n, partners)
 	if err != nil {
 		// Practically unreachable: everything Apply folds was paged in
@@ -732,7 +731,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	if len(partners) > 0 {
 		mClusterMerges.Inc()
 	}
-	observeStage(stageClusterFold, op.Stage("cluster_fold"))
+	stageClusterFold.Observe(op.Stage("cluster_fold"))
 	if h.per != nil {
 		h.per.noteCommit(h)
 	}
@@ -869,21 +868,6 @@ func (h *Hub) SourceSchema(source string) (*schema.Schema, error) {
 		return nil, fmt.Errorf("hub: unknown source %q", source)
 	}
 	return t.sources[si].rel.Schema(), nil
-}
-
-// SourceRelation returns a clone of a source's current canonical
-// relation, for inspection and differential testing.
-func (h *Hub) SourceRelation(source string) (*relation.Relation, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	si, ok := h.byName[source]
-	if !ok {
-		return nil, fmt.Errorf("hub: unknown source %q", source)
-	}
-	src := h.sources[si]
-	src.keyMu.RLock()
-	defer src.keyMu.RUnlock()
-	return src.rel.Clone(), nil
 }
 
 // SourceLen returns a source's current committed tuple count.
@@ -1027,56 +1011,4 @@ func (h *Hub) Stats() Stats {
 	}
 	st.Clusters = st.Tuples - int(merged)
 	return st
-}
-
-// Pairs returns, per link, the two source names and the current
-// pairwise matching-pair count, in link order.
-type PairInfo struct {
-	Left, Right string
-	Matches     int
-}
-
-// PairInfos lists the registered links.
-func (h *Hub) PairInfos() []PairInfo {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]PairInfo, len(h.pairs))
-	for i, p := range h.pairs {
-		p.mu.Lock()
-		out[i] = PairInfo{
-			Left:    h.sources[p.left].name,
-			Right:   h.sources[p.right].name,
-			Matches: p.mtLen,
-		}
-		p.mu.Unlock()
-	}
-	return out
-}
-
-// PairResult exposes one link's current match result for differential
-// testing against batch construction (shared state; hold no reference
-// across hub mutations).
-func (h *Hub) PairResult(left, right string) (*match.Result, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	li, ok := h.byName[left]
-	if !ok {
-		return nil, fmt.Errorf("hub: unknown source %q", left)
-	}
-	ri, ok := h.byName[right]
-	if !ok {
-		return nil, fmt.Errorf("hub: unknown source %q", right)
-	}
-	for _, p := range h.pairs {
-		if p.left == li && p.right == ri {
-			p.mu.Lock()
-			fed, err := h.pairFedLocked(p)
-			p.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return fed.Result(), nil
-		}
-	}
-	return nil, fmt.Errorf("hub: sources %q and %q not linked", left, right)
 }

@@ -76,11 +76,3 @@ var (
 	mRecoveries = obs.Default.Counter("hub_recoveries_total",
 		"Completed degraded-to-ready recoveries")
 )
-
-// observeStage feeds a stage histogram, skipping the zero duration a
-// disabled obs clock produces.
-func observeStage(h *obs.Histogram, d time.Duration) {
-	if d > 0 {
-		h.Observe(d)
-	}
-}

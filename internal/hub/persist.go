@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"entityid/internal/obs"
 	"entityid/internal/relation"
 	"entityid/internal/store"
 	"entityid/internal/store/disk"
@@ -977,7 +976,7 @@ func writeFileSync(fsys wal.FS, path string, data []byte) error {
 // manifest — then sweeps stale files and truncates the log segments the
 // snapshot covers. Callers hold snapMu.
 func (p *walLogger) writeSnapshot(h *Hub, cut *snapshotCut) error {
-	start := obs.Now()
+	start := time.Now()
 	if err := p.writeSnapshotLocked(h, cut); err != nil {
 		snapshotFail.Inc()
 		return err

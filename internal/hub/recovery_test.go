@@ -46,11 +46,11 @@ func stateOf(h *Hub) hubState {
 	}
 	for _, p := range h.pairs {
 		key := h.sources[p.left].name + "|" + h.sources[p.right].name
-		est, err := h.exportPair(p)
+		mt, err := h.copyPairMT(cutPair{p: p, n: p.mtLen})
 		if err != nil {
 			panic(err)
 		}
-		st.pairs[key] = est.Pairs
+		st.pairs[key] = mt
 	}
 	for _, s := range h.sources {
 		tuples := make([]relation.Tuple, s.rel.Len())

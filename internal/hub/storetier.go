@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"entityid/internal/federate"
-	"entityid/internal/match"
 	"entityid/internal/store"
 )
 
@@ -46,24 +45,6 @@ func (h *Hub) pairFedLocked(p *pairState) (*federate.Federation, error) {
 	p.fed.Store(fed)
 	h.hotPairs.Add(1)
 	return fed, nil
-}
-
-// exportPair returns p's exported federation state whether the pair
-// is hot or cold. Cold state is read straight from the pair store —
-// no page-in, no residency change — and sorted into the canonical
-// export order. Callers hold h.mu (at least shared) and h.commitMu,
-// or otherwise guarantee quiescence.
-func (h *Hub) exportPair(p *pairState) (federate.State, error) {
-	if fed := p.fed.Load(); fed != nil {
-		return fed.Export(), nil
-	}
-	tab, err := h.backend.Pairs().Load(p.id)
-	if err != nil {
-		return federate.State{}, fmt.Errorf("pair %q-%q: %w", p.spec.Left, p.spec.Right, err)
-	}
-	st := federate.State{Pairs: append([]match.Pair(nil), tab.Pairs...), RLen: tab.RLen, SLen: tab.SLen}
-	federate.SortPairs(st.Pairs)
-	return st, nil
 }
 
 // maybeSpillPairs spills least-recently-used pairs until the resident

@@ -12,11 +12,8 @@
 // sync.Map and should be hoisted out of hot loops by caching the
 // child (see the package-level stage children in internal/hub).
 //
-// SetEnabled(false) turns the timing capture off globally: counters
-// keep counting (they cost a few nanoseconds) but Now() returns the
-// zero time and Since/Observe on a zero time are no-ops, so the
-// time.Now() calls — the only measurable cost of instrumentation —
-// vanish. benchreport uses this to measure instrumentation overhead.
+// Timing capture is always on: what the instruments cost is part of
+// every figure bench/ reports.
 package obs
 
 import (
@@ -25,32 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// enabled gates timing capture globally; see SetEnabled. Counters are
-// unaffected. The zero value of an atomic.Bool is false, so the
-// package init flips it on.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether timing capture is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled switches timing capture (histogram latency observation
-// via Now/Since and slow-op tracing) on or off globally. Off is only
-// for overhead benchmarking — production keeps it on.
-func SetEnabled(v bool) { enabled.Store(v) }
-
-// Now returns the current time, or the zero time when timing capture
-// is disabled. Pair it with Histogram.Since or Op tracing: a zero
-// start makes them no-ops, so one branch at the call site removes all
-// timing cost.
-func Now() time.Time {
-	if !enabled.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
 
 // Counter is a monotonically increasing counter. The zero value is
 // usable but unregistered; obtain registered counters from a Registry.
@@ -137,14 +108,8 @@ func (h *Histogram) Observe(d time.Duration) { h.observe(int64(d)) }
 // size histogram.
 func (h *Histogram) ObserveVal(v int64) { h.observe(v) }
 
-// Since observes the elapsed time from start; a zero start (timing
-// capture disabled — see Now) is a no-op.
-func (h *Histogram) Since(start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	h.Observe(time.Since(start))
-}
+// Since observes the elapsed time from start.
+func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }

@@ -167,33 +167,6 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestEnabledGatesTiming(t *testing.T) {
-	defer SetEnabled(true)
-	SetEnabled(false)
-	if !Now().IsZero() {
-		t.Fatal("Now() not zero while disabled")
-	}
-	r := NewRegistry()
-	h := r.LatencyHistogram("h_seconds", "hist")
-	h.Since(Now())
-	if h.Count() != 0 {
-		t.Fatal("Since(zero) observed")
-	}
-	op := StartOp("x", "")
-	op.Stage("a")
-	if d := op.Finish(NewTracer(4, 0)); d != 0 {
-		t.Fatalf("disabled op total = %v, want 0", d)
-	}
-	SetEnabled(true)
-	if Now().IsZero() {
-		t.Fatal("Now() zero while enabled")
-	}
-	h.Since(Now())
-	if h.Count() != 1 {
-		t.Fatal("Since(now) did not observe")
-	}
-}
-
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "counter")

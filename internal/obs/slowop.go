@@ -96,9 +96,6 @@ func (t *Tracer) Snapshot() []Trace {
 //	... phase 2 ...
 //	op.Stage("wal_append")
 //	op.Finish(tracer)
-//
-// A zero Op (timing capture disabled — StartOp checked Enabled) makes
-// every method a no-op.
 type Op struct {
 	name, detail string
 	start, last  time.Time
@@ -106,25 +103,17 @@ type Op struct {
 	n            int
 }
 
-// StartOp begins a traced operation. When timing capture is disabled
-// it returns a zero Op whose methods do nothing.
+// StartOp begins a traced operation.
 func StartOp(name, detail string) Op {
-	if !enabled.Load() {
-		return Op{}
-	}
 	now := time.Now()
 	return Op{name: name, detail: detail, start: now, last: now}
 }
 
 // Stage closes the current stage under the given name and returns its
-// duration (0 for a zero Op); time between Stage calls belongs to the
-// stage being closed. Stages past maxStages are dropped from the trace
+// duration; time between Stage calls belongs to the stage being closed. Stages past maxStages are dropped from the trace
 // but still timed. The returned duration lets callers feed a per-stage
 // histogram off the same clock readings the trace uses.
 func (o *Op) Stage(name string) time.Duration {
-	if o.start.IsZero() {
-		return 0
-	}
 	now := time.Now()
 	d := now.Sub(o.last)
 	if o.n < maxStages {
@@ -136,12 +125,8 @@ func (o *Op) Stage(name string) time.Duration {
 }
 
 // Finish completes the operation, recording it into the tracer if it
-// exceeded the threshold. It returns the total duration (0 for a zero
-// Op).
+// exceeded the threshold. It returns the total duration.
 func (o *Op) Finish(t *Tracer) time.Duration {
-	if o.start.IsZero() {
-		return 0
-	}
 	total := time.Since(o.start)
 	if t == nil {
 		return total

@@ -1,8 +1,6 @@
 // WAL metrics, registered into the process-wide obs registry. The hot
 // path (Append under l.mu) pays only atomic adds plus two time.Now
-// calls — and obs.Now returns the zero time when timing capture is
-// disabled, collapsing the histograms to no-ops for overhead
-// benchmarking.
+// calls.
 package wal
 
 import (

@@ -42,8 +42,7 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
-
-	"entityid/internal/obs"
+	"time"
 )
 
 const (
@@ -560,7 +559,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	case l.torn > 0:
 		l.torn--
 	}
-	start := obs.Now()
+	start := time.Now()
 	if n, err := l.f.Write(frame); err != nil {
 		// A short write (disk full, I/O error) may have landed partial
 		// frame bytes. Roll the segment back to the last good record so
@@ -601,7 +600,7 @@ func (l *Log) Rotate() (uint64, error) {
 	if l.fail != nil {
 		return 0, l.fail
 	}
-	start := obs.Now()
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
@@ -702,7 +701,7 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return nil
 	}
-	start := obs.Now()
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		mFsyncErrors.Inc()
 		return fmt.Errorf("wal: %w", err)
