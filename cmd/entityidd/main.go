@@ -9,7 +9,6 @@
 //	entityidd -addr :8080                 # serve, in-memory only
 //	entityidd -addr :8080 -data-dir /var/lib/entityidd
 //	                                      # serve durably (WAL + snapshots)
-//	entityidd -demo                       # run the 3-source walkthrough and exit
 //
 // # Durability and crash recovery
 //
@@ -139,18 +138,14 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		demo          = flag.Bool("demo", false, "run the 3-source walkthrough and exit")
 		dataDir       = flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
 		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots (0: only on shutdown)")
 		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when an insert stream's input runs empty and before its results end (0: leave durability between snapshots to the page cache)")
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
-		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests to finish")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
 		debugAddr     = flag.String("debug-addr", "", "operator-only listen address serving /metrics, /debug/slow and /debug/pprof (empty: disabled; pprof is never on the main port)")
-		slowOpThresh  = flag.Duration("slow-op-threshold", 100*time.Millisecond, "commits slower than this are recorded with per-stage timings at /debug/slow (0: disabled)")
 		storeName     = flag.String("store", "", "storage backend: mem keeps everything resident, disk spills cold cluster records and pair tables under the data dir (empty: $ENTITYID_STORE, then mem)")
 		storeHotClus  = flag.Int("store-hot-clusters", 0, "disk backend: max resident cluster members before cold records spill (0: $ENTITYID_STORE_HOT_CLUSTERS, then the default)")
-		storeHotPairs = flag.Int("store-hot-pairs", 0, "disk backend: max resident pairwise federations before cold pairs spill (0: $ENTITYID_STORE_HOT_PAIRS, then the default)")
 	)
 	flag.Parse()
 	if *maxInsertBody < 0 {
@@ -158,19 +153,13 @@ func main() {
 		// request to drop the DoS guard.
 		log.Fatalf("entityidd: -max-insert-body must be >= 0 (0 disables the cap)")
 	}
-	if *demo {
-		if err := runDemo(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	hub := entityid.NewHub()
 	durable := *dataDir != ""
 	if durable {
 		var err error
 		hub, err = entityid.OpenHub(*dataDir,
 			entityid.WithSnapshotEvery(*snapEvery), entityid.WithSyncEvery(*syncEvery),
-			entityid.WithStore(*storeName), entityid.WithStoreBudgets(*storeHotClus, *storeHotPairs))
+			entityid.WithStore(*storeName), entityid.WithStoreBudgets(*storeHotClus, 0))
 		if err != nil {
 			log.Fatalf("entityidd: %v", err)
 		}
@@ -184,7 +173,7 @@ func main() {
 	srv := newServerFor(hub)
 	srv.maxInsertBody = *maxInsertBody
 	srv.gate = admit.New(*ingestConc)
-	ihub.SlowOps.SetThreshold(*slowOpThresh)
+	ihub.SlowOps.SetThreshold(slowOpThreshold)
 	if *debugAddr != "" {
 		dbg, dbgAddr, err := startDebugServer(*debugAddr)
 		if err != nil {
@@ -220,7 +209,7 @@ func main() {
 		log.Fatalf("entityidd: %v", err)
 	case s := <-sig:
 		// Drain before the hub goes away: stop accepting, let in-flight
-		// requests finish (bounded by -drain-timeout; past it their
+		// requests finish (bounded by drainTimeout; past it their
 		// connections are severed so they unblock), then wait for the
 		// last handler to actually return — a handler can never observe
 		// a closed hub.
@@ -229,7 +218,7 @@ func main() {
 		// the listener stops: a load balancer polling readiness sees the
 		// drain as soon as it starts.
 		srv.draining.Store(true)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			log.Printf("entityidd: drain: %v (severing connections)", err)
 			httpSrv.Close()
@@ -267,6 +256,12 @@ const (
 	// before an explicit flush during a sustained bulk load; when the
 	// request body trickles, acks flush as soon as the decoder idles.
 	insertFlushEvery = 64
+	// drainTimeout is how long shutdown waits for in-flight requests to
+	// finish before their connections are severed.
+	drainTimeout = 15 * time.Second
+	// slowOpThreshold: commits slower than this are recorded with
+	// per-stage timings at /debug/slow.
+	slowOpThreshold = 100 * time.Millisecond
 )
 
 // server is the HTTP front-end over one hub. Which sources exist, and

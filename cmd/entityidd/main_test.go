@@ -228,24 +228,6 @@ func TestServerTypedKeyLookup(t *testing.T) {
 	}
 }
 
-func TestDemoRuns(t *testing.T) {
-	var b bytes.Buffer
-	if err := runDemo(&b); err != nil {
-		t.Fatalf("demo: %v\n%s", err, b.String())
-	}
-	for _, want := range []string{
-		"4 clusters",
-		"zagat[villagewok] ≡ michelin[villagewok]",
-		"transitive uniqueness violation",
-		"state unchanged",
-		"corrected insert clusters with: zagat",
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("demo output missing %q:\n%s", want, b.String())
-		}
-	}
-}
-
 // TestJSONToValueIntRange pins the float64→int64 conversion guards:
 // JSON numbers arrive as float64, so non-integral values, values beyond
 // the int64 range (where Go's float→int conversion is

@@ -2,16 +2,12 @@
 // internal/analysis suite (lockorder, walfirst, hotpath, errwrapcheck,
 // boundedcard) over Go packages.
 //
-// Standalone:
-//
 //	entitylint ./...                 # analyze package patterns
 //	entitylint -disable hotpath ./...
 //	entitylint -list                 # describe the analyzers
 //
-// As a vet tool (one analyzer protocol unit at a time, driven by the
-// go command):
-//
-//	go vet -vettool=$(which entitylint) ./...
+// It loads the packages itself (internal/analysis/load, the loader the
+// analyzers' own tests use).
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 findings.
 package main
@@ -43,30 +39,16 @@ var suite = []*analysis.Analyzer{
 
 func main() {
 	var (
-		disable    = flag.String("disable", "", "comma-separated analyzer names to skip")
-		list       = flag.Bool("list", false, "describe the analyzers and exit")
-		versionV   = flag.String("V", "", "version flag used by the go vet protocol")
-		printFlags = flag.Bool("flags", false, "print the tool's flags as JSON (go vet protocol)")
+		disable = flag.String("disable", "", "comma-separated analyzer names to skip")
+		list    = flag.Bool("list", false, "describe the analyzers and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: entitylint [-disable names] [packages]\n       go vet -vettool=$(which entitylint) [packages]\n")
+			"usage: entitylint [-disable names] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	if *versionV != "" {
-		// The go command probes vet tools with -V=full and expects a
-		// "name version" line it can cache on.
-		printVersion()
-		return
-	}
-	if *printFlags {
-		// The go command probes vet tools with -flags to learn which
-		// options it may forward from the vet command line.
-		fmt.Println(`[{"Name":"disable","Bool":false,"Usage":"comma-separated analyzer names to skip"}]`)
-		return
-	}
 	if *list {
 		for _, a := range suite {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
@@ -77,13 +59,10 @@ func main() {
 	enabled := enabledAnalyzers(*disable)
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], enabled))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(standalone(args, enabled))
+	os.Exit(run(args, enabled))
 }
 
 func enabledAnalyzers(disable string) []*analysis.Analyzer {
@@ -102,9 +81,9 @@ func enabledAnalyzers(disable string) []*analysis.Analyzer {
 	return out
 }
 
-// standalone loads the patterns itself and runs every analyzer over
-// every package.
-func standalone(patterns []string, enabled []*analysis.Analyzer) int {
+// run loads the patterns and runs every analyzer over every package;
+// the return value is the process exit status.
+func run(patterns []string, enabled []*analysis.Analyzer) int {
 	pkgs, err := load.Module(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "entitylint:", err)

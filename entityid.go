@@ -365,8 +365,8 @@ func (sys *System) Federate() (*Federation, error) {
 		return nil, fmt.Errorf("entityid: call SetExtendedKey first")
 	}
 	inner, err := federate.New(match.Config{
-		R:            sys.r,
-		S:            sys.s,
+		R:            sys.r.Clone(),
+		S:            sys.s.Clone(),
 		Attrs:        sys.attrs,
 		ExtKey:       sys.extKey,
 		ILFDs:        sys.ilfds,

@@ -32,6 +32,16 @@
 //
 // Equivalence with batch identification (match.Build on the final
 // relations) is the package's central invariant, pinned by tests.
+//
+// Ownership: a Federation is a view over two relations it is lent
+// (Config.R and Config.S), not an owner of copies. The lender owns the
+// tuples and guards their candidate keys; the federation owns only what
+// it derives from them — the extended images R′/S′, the probe indexes
+// and the matching table. InsertR/InsertS insert into the lent relation
+// on the caller's behalf; a coordinator that uses Prepare + Commit
+// inserts the tuple into the lent relation itself, exactly once,
+// between the two (the hub does, under its own locks), and Commit
+// fails closed if it did not.
 package federate
 
 import (
@@ -65,9 +75,6 @@ type Federation struct {
 	// identity rules: compiled forms plus the blocked-join hash buckets
 	// over both extended relations, maintained across inserts.
 	idRules []idRuleState
-	// matchedR / matchedS track current pairings for uniqueness guards.
-	matchedR map[int]int
-	matchedS map[int]int
 	// gen counts state mutations (commits and rebuilds); a Pending
 	// prepared at one generation refuses to commit at another.
 	gen uint64
@@ -95,11 +102,11 @@ type idRuleState struct {
 }
 
 // New builds the initial state from a configuration; the initial
-// matching table must verify (fail-closed like System.Identify).
+// matching table must verify (fail-closed like System.Identify). The
+// federation borrows cfg.R and cfg.S: it reads them here and on every
+// rebuild, and a caller that wants them left alone by InsertR/InsertS
+// passes clones.
 func New(cfg match.Config) (*Federation, error) {
-	// Work on private copies: the federation owns its relations.
-	cfg.R = cfg.R.Clone()
-	cfg.S = cfg.S.Clone()
 	f := &Federation{cfg: cfg}
 	if err := f.rebuild(); err != nil {
 		return nil, err
@@ -124,12 +131,6 @@ func (f *Federation) rebuild() error {
 	f.rIdx = indexByKey(res.RPrime, f.rKeyPos)
 	f.sIdx = indexByKey(res.SPrime, f.sKeyPos)
 	f.idRules = buildIDRules(f.cfg.Identity, res.RPrime, res.SPrime)
-	f.matchedR = make(map[int]int, res.MT.Len())
-	f.matchedS = make(map[int]int, res.MT.Len())
-	for _, p := range res.MT.Pairs {
-		f.matchedR[p.RIndex] = p.SIndex
-		f.matchedS[p.SIndex] = p.RIndex
-	}
 	f.gen++
 	return nil
 }
@@ -218,38 +219,52 @@ func (f *Federation) Integrated() (*integrate.Table, error) {
 	return integrate.Build(f.res, integrate.Options{})
 }
 
-// InsertR adds a tuple to relation R, identifies it incrementally, and
-// returns the pairs it produced (at most one, by uniqueness). The
-// insert is rejected — with the federation state unchanged — if it
-// would make the matching table unsound (uniqueness or consistency
-// violation) or violate R's candidate keys.
+// InsertR adds a tuple to the lent relation R, identifies it
+// incrementally, and returns the pairs it produced (at most one, by
+// uniqueness). The insert is rejected — with the federation and R
+// unchanged — if it would make the matching table unsound (uniqueness
+// or consistency violation) or violate R's candidate keys.
 func (f *Federation) InsertR(t relation.Tuple) ([]match.Pair, error) {
-	p, err := f.prepare(t, true)
-	if err != nil {
-		return nil, err
-	}
-	return p.Commit()
+	return f.insert(t, true)
 }
 
 // InsertS is InsertR for relation S.
 func (f *Federation) InsertS(t relation.Tuple) ([]match.Pair, error) {
-	p, err := f.prepare(t, false)
+	return f.insert(t, false)
+}
+
+// insert is the coordinator protocol run stand-alone: prepare, insert
+// into the lent relation (whose keys are the last guard), commit.
+func (f *Federation) insert(t relation.Tuple, left bool) ([]match.Pair, error) {
+	p, err := f.prepare(t, left)
 	if err != nil {
 		return nil, err
+	}
+	if err := f.base(left).Insert(t); err != nil {
+		return nil, fmt.Errorf("federate: %w", err)
 	}
 	return p.Commit()
 }
 
+// base returns the lent relation of one side.
+func (f *Federation) base(left bool) *relation.Relation {
+	if left {
+		return f.cfg.R
+	}
+	return f.cfg.S
+}
+
 // Pending is a prepared, not yet applied insert: the new tuple has been
-// validated, extended and identified against the current state without
-// mutating anything. Commit applies it. A Pending is invalidated by any
+// shape-checked, extended and identified against the current state
+// without mutating anything. The caller then inserts the tuple into the
+// lent relation — whose candidate keys are the lender's to guard — and
+// Commit applies the federation's half. A Pending is invalidated by any
 // intervening mutation of the federation; coordinators must serialise
 // prepare→commit windows per federation (Commit re-checks and fails on
 // a stale Pending rather than corrupting state).
 type Pending struct {
 	f    *Federation
 	left bool
-	src  relation.Tuple
 	ext  relation.Tuple
 	// pairs are the matching pairs the commit will add; the new tuple's
 	// index is its side's pre-commit length. atGen is the federation
@@ -277,21 +292,11 @@ func (p *Pending) Pairs() []match.Pair {
 	return append([]match.Pair(nil), p.pairs...)
 }
 
-// Left reports which side the pending insert targets.
-func (p *Pending) Left() bool { return p.left }
-
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	base := f.cfg.S
-	if left {
-		base = f.cfg.R
-	}
-	// Validate against the base schema and keys first, without mutating.
-	if err := base.CanInsert(t); err != nil {
-		return nil, fmt.Errorf("federate: %w", err)
-	}
 	// Extend the single new tuple: run derivation on a one-tuple
-	// relation with the same schema.
-	oneTuple := relation.New(base.Schema())
+	// relation with the same schema (whose Insert checks the tuple's
+	// shape; the candidate keys are the lender's to guard).
+	oneTuple := relation.New(f.base(left).Schema())
 	if err := oneTuple.Insert(t.Clone()); err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
@@ -339,13 +344,13 @@ func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 	var newPairs []match.Pair
 	for _, j := range partners {
 		if left {
-			if prev, taken := f.matchedS[j]; taken {
-				return nil, fmt.Errorf("federate: uniqueness violation: S tuple %d already matched to R tuple %d", j, prev)
+			if prev := f.res.MT.MatchesOfS(j); len(prev) > 0 {
+				return nil, fmt.Errorf("federate: uniqueness violation: S tuple %d already matched to R tuple %d", j, prev[0])
 			}
 			newPairs = append(newPairs, match.Pair{RIndex: f.res.RPrime.Len(), SIndex: j})
 		} else {
-			if prev, taken := f.matchedR[j]; taken {
-				return nil, fmt.Errorf("federate: uniqueness violation: R tuple %d already matched to S tuple %d", j, prev)
+			if prev := f.res.MT.MatchesOfR(j); len(prev) > 0 {
+				return nil, fmt.Errorf("federate: uniqueness violation: R tuple %d already matched to S tuple %d", j, prev[0])
 			}
 			newPairs = append(newPairs, match.Pair{RIndex: j, SIndex: f.res.SPrime.Len()})
 		}
@@ -364,7 +369,7 @@ func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 			return nil, fmt.Errorf("federate: consistency violation: new tuple matches a pair distinctness rule %q forbids", name)
 		}
 	}
-	return &Pending{f: f, left: left, src: t, ext: extTuple, pairs: newPairs, atGen: f.gen}, nil
+	return &Pending{f: f, left: left, ext: extTuple, pairs: newPairs, atGen: f.gen}, nil
 }
 
 // identityPartners returns the opposite-side tuple positions some extra
@@ -416,28 +421,28 @@ func (f *Federation) identityPartners(extTuple relation.Tuple, left bool) []int 
 	return out
 }
 
-// Commit applies a prepared insert: base relation, extended relation,
-// probe indexes, identity-rule blocks, matching pairs. It fails — with
-// the state untouched — only on a stale Pending (any federation
-// mutation since prepare: an insert on either side, or an AddILFD
-// rebuild) or a base-relation race; under the documented
-// serialise-per-federation discipline it cannot fail.
+// Commit applies a prepared insert whose tuple the caller has inserted
+// into the lent relation: extended relation, probe indexes,
+// identity-rule blocks, matching pairs. It fails — with the state
+// untouched — on a stale Pending (any federation mutation since
+// prepare: an insert on either side, or an AddILFD rebuild) or when the
+// lent relation is not exactly one tuple ahead of its extended image
+// (the prepared tuple was not inserted, or more than it was); under the
+// documented serialise-per-federation discipline it cannot fail.
 func (p *Pending) Commit() ([]match.Pair, error) {
 	f := p.f
 	if p.done {
 		return nil, fmt.Errorf("federate: commit of an already committed insert")
 	}
 	side := f.res.SPrime
-	base := f.cfg.S
 	if p.left {
 		side = f.res.RPrime
-		base = f.cfg.R
 	}
 	if f.gen != p.atGen {
 		return nil, fmt.Errorf("federate: stale prepared insert: federation mutated since prepare (generation %d, now %d)", p.atGen, f.gen)
 	}
-	if err := base.Insert(p.src); err != nil {
-		return nil, fmt.Errorf("federate: %w", err)
+	if got, want := f.base(p.left).Len(), side.Len()+1; got != want {
+		return nil, fmt.Errorf("federate: commit: lent relation holds %d tuples, the prepared insert makes it %d", got, want)
 	}
 	if err := side.Insert(p.ext); err != nil {
 		return nil, fmt.Errorf("federate: extended insert: %w", err)
@@ -468,8 +473,6 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	}
 	for _, pr := range p.pairs {
 		f.res.MT.Add(pr)
-		f.matchedR[pr.RIndex] = pr.SIndex
-		f.matchedS[pr.SIndex] = pr.RIndex
 	}
 	f.gen++
 	return append([]match.Pair(nil), p.pairs...), nil
@@ -509,7 +512,7 @@ func (f *Federation) AddILFD(fd ilfd.ILFD) error {
 		return err
 	}
 	for _, p := range prevPairs {
-		if _, ok := f.matchedR[p.RIndex]; !ok || f.matchedR[p.RIndex] != p.SIndex {
+		if !f.res.MT.Contains(p.RIndex, p.SIndex) {
 			err := fmt.Errorf("federate: ILFD %v breaks monotonicity: pair (%d,%d) lost", fd, p.RIndex, p.SIndex)
 			f.cfg.ILFDs = prev
 			if rerr := f.rebuild(); rerr != nil {

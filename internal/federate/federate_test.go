@@ -298,29 +298,124 @@ func mustILFD(t *testing.T, line string) ilfd.ILFD {
 }
 
 func TestPrepareCommitTwoPhase(t *testing.T) {
-	f, err := New(example3Config())
+	cfg := example3Config()
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := f.MT().Len()
-	p, err := f.PrepareR(relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")})
+	tup := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
+	p, err := f.PrepareR(tup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Prepare mutated nothing.
-	if f.MT().Len() != before || f.Result().RPrime.Len() != 5 {
-		t.Fatalf("prepare mutated state: %d pairs, %d R' tuples", f.MT().Len(), f.Result().RPrime.Len())
+	if f.MT().Len() != before || f.Result().RPrime.Len() != 5 || cfg.R.Len() != 5 {
+		t.Fatalf("prepare mutated state: %d pairs, %d R' tuples, %d R tuples", f.MT().Len(), f.Result().RPrime.Len(), cfg.R.Len())
+	}
+	// The coordinator's half: the tuple goes into the lent relation once.
+	if err := cfg.R.Insert(tup); err != nil {
+		t.Fatal(err)
 	}
 	pairs, err := p.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != 0 || f.Result().RPrime.Len() != 6 {
-		t.Fatalf("commit: %d pairs, %d R' tuples", len(pairs), f.Result().RPrime.Len())
+	// Exactly the coordinator's one insert: Commit added nothing to R.
+	if len(pairs) != 0 || f.Result().RPrime.Len() != 6 || cfg.R.Len() != 6 || f.ExportOrdered().RLen != 6 {
+		t.Fatalf("commit: %d pairs, %d R' tuples, %d R tuples, exported RLen %d",
+			len(pairs), f.Result().RPrime.Len(), cfg.R.Len(), f.ExportOrdered().RLen)
 	}
 	if _, err := p.Commit(); err == nil {
 		t.Fatal("double commit accepted")
 	}
+}
+
+// TestPrepareLeavesKeysToLender pins the guard half of the ownership
+// contract: the lent relation's candidate keys are the lender's to
+// check, so a duplicate key prepares and it is the lender's Insert —
+// the step between Prepare and Commit — that rejects it.
+func TestPrepareLeavesKeysToLender(t *testing.T) {
+	cfg := example3Config()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Duplicate of R's key (name, cuisine).
+	dup := relation.Tuple{s("TwinCities"), s("Chinese"), s("Anywhere")}
+	if _, err := f.PrepareR(dup); err != nil {
+		t.Fatalf("prepare guarded the lent relation's key: %v", err)
+	}
+	if err := cfg.R.Insert(dup); err == nil {
+		t.Fatal("lender accepted a duplicate key")
+	}
+	if cfg.R.Len() != 5 || f.Result().RPrime.Len() != 5 {
+		t.Fatalf("rejected tuple left a trace: %d R tuples, %d R' tuples", cfg.R.Len(), f.Result().RPrime.Len())
+	}
+}
+
+// TestInsertGrowsLentRelation: the one-call form inserts into the
+// caller's relation — there is no private copy for it to go to.
+func TestInsertGrowsLentRelation(t *testing.T) {
+	cfg := example3Config()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rBefore, sBefore := cfg.R.Len(), cfg.S.Len()
+	rt := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
+	if _, err := f.InsertR(rt); err != nil {
+		t.Fatal(err)
+	}
+	st := relation.Tuple{s("OtherPlace"), s("Hennepin"), s("Gyros")}
+	if _, err := f.InsertS(st); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.R.Len() != rBefore+1 || !cfg.R.Tuple(rBefore).Identical(rt) {
+		t.Fatalf("InsertR: lent R has %d tuples, want %d ending in %v", cfg.R.Len(), rBefore+1, rt)
+	}
+	if cfg.S.Len() != sBefore+1 || !cfg.S.Tuple(sBefore).Identical(st) {
+		t.Fatalf("InsertS: lent S has %d tuples, want %d ending in %v", cfg.S.Len(), sBefore+1, st)
+	}
+}
+
+// TestCommitFailsClosedUnlessInsertedOnce: a Commit whose tuple did not
+// reach the lent relation, or did not reach it alone, is refused with
+// the federation exactly as it was.
+func TestCommitFailsClosedUnlessInsertedOnce(t *testing.T) {
+	cfg := example3Config()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairsBefore, extBefore := f.MT().Len(), f.Result().RPrime.Len()
+	unchanged := func(when string) {
+		t.Helper()
+		if f.MT().Len() != pairsBefore || f.Result().RPrime.Len() != extBefore {
+			t.Fatalf("%s: federation changed: %d pairs, %d R' tuples; want %d, %d",
+				when, f.MT().Len(), f.Result().RPrime.Len(), pairsBefore, extBefore)
+		}
+	}
+	tup := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
+	p, err := f.PrepareR(tup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err == nil {
+		t.Fatal("commit accepted a tuple that never reached the lent relation")
+	}
+	unchanged("commit without insert")
+	// Inserted twice over: the lent relation is two ahead.
+	if err := cfg.R.Insert(tup); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.R.Insert(relation.Tuple{s("Another"), s("Oak St."), s("Greek")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err == nil {
+		t.Fatal("commit accepted a lent relation two tuples ahead")
+	}
+	unchanged("commit after two inserts")
 }
 
 func TestCommitFailsOnAnyInterveningMutation(t *testing.T) {

@@ -11,15 +11,12 @@
 // cluster, each source may contribute at most one tuple (two tuples of
 // the same autonomous source in one cluster would assert that the
 // source models the same entity twice, the cross-source analogue of a
-// matching-table uniqueness violation). The check runs before any
-// union, so a violating merge is rejected with the structure untouched.
+// matching-table uniqueness violation). The check (store.CheckMerge)
+// runs before any union, so a violating merge is rejected with the
+// structure untouched.
 package hub
 
-import (
-	"fmt"
-
-	"entityid/internal/store"
-)
+import "entityid/internal/store"
 
 // node identifies one tuple: source ordinal and tuple position. It is
 // the storage layer's key type, aliased so hub code reads naturally.
@@ -71,35 +68,12 @@ func (c *clusterSet) sizeOf(root node) int {
 	return 1
 }
 
-// checkMerge verifies that merging node n with the clusters of all
-// partners preserves transitive uniqueness: the combined cluster must
-// not hold two tuples of one source (srcName renders source ordinals
-// for the violation message). n's own current cluster counts — n may
-// already be clustered when links fold seeded matching tables. It
-// mutates nothing; a nil return guarantees the subsequent unions are
-// sound.
-func (c *clusterSet) checkMerge(n node, partners []node, srcName func(int) string) error {
-	nRoot := c.find(n)
-	bySrc := map[int]node{}
-	for _, m := range c.membersOf(nRoot) {
-		bySrc[m.Src] = m
-	}
-	seen := map[node]bool{nRoot: true}
-	for _, p := range partners {
-		root := c.find(p)
-		if seen[root] {
-			continue
-		}
-		seen[root] = true
-		for _, m := range c.membersOf(root) {
-			if prev, dup := bySrc[m.Src]; dup {
-				return fmt.Errorf("transitive uniqueness violation: tuples %d and %d of source %q would join one cluster",
-					prev.Idx, m.Idx, srcName(m.Src))
-			}
-			bySrc[m.Src] = m
-		}
-	}
-	return nil
+// Members returns the members of n's cluster — the reader
+// store.CheckMerge runs the transitive uniqueness check over, so a
+// link's speculative fold and a live insert are decided by the same
+// function. Every node of one cluster gets the same slice.
+func (c *clusterSet) Members(n node) ([]node, error) {
+	return c.membersOf(c.find(n)), nil
 }
 
 // union merges the clusters of a and b (union by size).

@@ -7,7 +7,7 @@
 // A Hub registers named sources and links source pairs, each link
 // carrying its own attribute correspondences, extended key, ILFDs and
 // rules — pairwise knowledge stays pairwise, exactly as autonomous
-// administration implies. Every link owns a live federate.Federation;
+// administration implies. Every link has a live federate.Federation;
 // the hub folds the pairwise matching tables into global entity
 // clusters with a union-find (cluster.go), lifting the §3.2 uniqueness
 // constraint transitively: a cluster may hold at most one tuple per
@@ -15,6 +15,15 @@
 // of one source is rejected with every pairwise state rolled back
 // (nothing was committed), preserving §3.3 monotonicity — clusters
 // only ever grow or merge.
+//
+// Ownership: a source's tuples live once, in the hub's canonical
+// relation (sourceState.rel). Every pairwise federation of the source
+// borrows that relation — it is never cloned on Link, insert, page-in
+// or snapshot load — and keeps only what it derives from it (extended
+// images, probe indexes, matching table). The source's candidate keys
+// are guarded here and nowhere else: once by CanInsert before the WAL
+// append, once by the canonical Insert after it, however many sources
+// are linked.
 //
 // Ingest is concurrent: Insert prepares the new tuple against every
 // pairwise federation of its source (federate's side-effect-free
@@ -82,15 +91,16 @@ type PairSpec struct {
 }
 
 // sourceState is one registered source: the hub-owned canonical
-// relation plus the links that involve it.
+// relation — the only copy of the source's tuples, lent to every
+// pairwise federation of the source — plus the links that involve it.
 type sourceState struct {
 	id   int
 	name string
 	//entitylint:published
 	rel *relation.Relation
 	// mu serialises inserts into this source, which keeps tuple
-	// positions identical across the canonical relation and every
-	// pairwise federation the source participates in.
+	// positions identical across the canonical relation and the
+	// extended image in every pairwise federation of the source.
 	//entitylint:lock rank=30
 	mu sync.Mutex
 	//entitylint:published
@@ -322,25 +332,16 @@ func (h *Hub) Link(spec PairSpec) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.linkLocked(spec, nil)
+	return h.linkLocked(spec)
 }
 
-// linkLocked implements Link. With a non-nil restore state (snapshot
-// recovery), the federation is rebuilt through federate.Restore, which
-// verifies the rebuilt matching table against the saved one. Callers
-// hold h.mu exclusively.
-func (h *Hub) linkLocked(spec PairSpec, restore *federate.State) error {
+// linkLocked implements Link. Callers hold h.mu exclusively.
+func (h *Hub) linkLocked(spec PairSpec) error {
 	li, ri, err := h.resolveLinkLocked(spec)
 	if err != nil {
 		return err
 	}
-	cfg := h.matchConfig(li, ri, spec)
-	var fed *federate.Federation
-	if restore != nil {
-		fed, err = federate.Restore(cfg, *restore)
-	} else {
-		fed, err = federate.New(cfg)
-	}
+	fed, err := federate.New(h.matchConfig(li, ri, spec))
 	if err != nil {
 		return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
 	}
@@ -349,8 +350,10 @@ func (h *Hub) linkLocked(spec PairSpec, restore *federate.State) error {
 
 // matchConfig builds a pair's matching configuration over the hub's
 // canonical relations — the single place the PairSpec→match.Config
-// mapping lives, shared by live linking and snapshot restoration so
-// the two can never diverge on a knob.
+// mapping lives, shared by live linking, page-in and snapshot
+// restoration so they can never diverge on a knob. The relations are
+// lent, not copied: every pair of a source reads the one canonical
+// relation, and Prepare/Commit never write it.
 func (h *Hub) matchConfig(li, ri int, spec PairSpec) match.Config {
 	return match.Config{
 		R:            h.sources[li].rel,
@@ -451,7 +454,7 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 		if err := seed(b); err != nil {
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
 		}
-		if err := scratch.checkMerge(a, []node{b}, h.sourceName); err != nil {
+		if err := store.CheckMerge(scratch, a, []node{b}, h.sourceName); err != nil {
 			return fmt.Errorf("hub: link %q-%q: initial pair (%d,%d): %w",
 				spec.Left, spec.Right, pr.RIndex, pr.SIndex, err)
 		}
@@ -688,22 +691,9 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		}
 	}
 	stageWalAppend.Observe(op.Stage("wal_append"))
-	for i, pd := range pendings {
-		prs, err := pd.Commit()
-		if err != nil {
-			// Unreachable under the locking discipline. If it fires
-			// anyway, in-memory pairwise state is torn mid-commit while
-			// the WAL already holds the record: poison the hub —
-			// fail-closed ingest, reads keep serving the published
-			// views, restart replays the log into a consistent state.
-			return nil, fmt.Errorf("hub: source %q: %w", source,
-				h.poison(fmt.Errorf("pair %d commit after successful prepare: %v", src.pairs[i].id, err)))
-		}
-		src.pairs[i].mtLen += len(prs)
-	}
-	// The canonical insert and the view republication share the key
-	// lock, so a reader whose key lookup finds the new tuple always
-	// loads a view that covers it.
+	// The one copy of the tuple: the canonical insert and the view
+	// republication share the key lock, so a reader whose key lookup
+	// finds the new tuple always loads a view that covers it.
 	src.keyMu.Lock()
 	insErr := src.rel.Insert(t)
 	if insErr == nil {
@@ -711,11 +701,25 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	}
 	src.keyMu.Unlock()
 	if insErr != nil {
-		// Same invariant class as the pair-commit failure above: the
-		// pairwise federations committed but the canonical relation
-		// refused a tuple CanInsert accepted. Poison instead of panic.
+		// Unreachable under the locking discipline: the canonical
+		// relation refused a tuple CanInsert accepted. The WAL already
+		// holds the record, so poison the hub instead of panicking —
+		// fail-closed ingest, reads keep serving the published views,
+		// restart replays the log into a consistent state.
 		return nil, fmt.Errorf("hub: source %q: %w", source,
 			h.poison(fmt.Errorf("canonical insert after CanInsert: %v", insErr)))
+	}
+	// Every pair commits beside it, each checking the relation it
+	// borrows is now exactly one tuple ahead of its extended image.
+	for i, pd := range pendings {
+		prs, err := pd.Commit()
+		if err != nil {
+			// Same invariant class as above, with in-memory pairwise
+			// state torn mid-commit: poison.
+			return nil, fmt.Errorf("hub: source %q: %w", source,
+				h.poison(fmt.Errorf("pair %d commit after successful prepare: %v", src.pairs[i].id, err)))
+		}
+		src.pairs[i].mtLen += len(prs)
 	}
 	stageApply.Observe(op.Stage("apply"))
 	members, err := store.Apply(h.clusters, n, partners)
@@ -735,11 +739,17 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	if h.per != nil {
 		h.per.noteCommit(h)
 	}
+	// Every member's view was published before the cluster record that
+	// names it, so the read side's materialiser serves the receipt too.
+	topo := h.topo.Load()
 	rec := &Receipt{Source: source, Index: n.Idx}
 	for _, p := range partners {
-		rec.Matched = append(rec.Matched, h.member(p))
+		rec.Matched = append(rec.Matched, topo.member(p))
 	}
-	rec.Cluster = h.clusterOf(n, members)
+	if members == nil {
+		members = []node{n}
+	}
+	rec.Cluster = h.materialize(topo, members)
 	return rec, nil
 }
 
@@ -755,30 +765,17 @@ func (p *pairState) other(si int) int {
 	return p.left
 }
 
-// member materialises a node on the writer side. Callers hold commitMu
-// (every relation mutation happens under it, so direct reads are safe).
-func (h *Hub) member(n node) Member {
-	s := h.sources[n.Src]
-	return Member{Source: s.name, Index: n.Idx, Tuple: s.rel.Tuple(n.Idx)}
+// member materialises a node from its source's published view.
+func (t *topoView) member(n node) Member {
+	s := t.sources[n.Src]
+	return Member{Source: s.name, Index: n.Idx, Tuple: s.view.Load().tuples[n.Idx]}
 }
 
-// clusterOf builds the Cluster over a sorted member set (nil means the
-// implicit singleton {n}) on the writer side. Callers hold commitMu.
-func (h *Hub) clusterOf(n node, members []node) Cluster {
-	if len(members) == 0 {
-		members = []node{n}
-	}
-	c := Cluster{ID: fmt.Sprintf("%s/%d", h.sources[members[0].Src].name, members[0].Idx)}
-	for _, m := range members {
-		c.Members = append(c.Members, h.member(m))
-	}
-	return c
-}
-
-// materialize builds the Cluster over a sorted member set on the read
-// side: each member's tuple comes from its source's published view,
-// which is guaranteed to cover the member because views are published
-// before the cluster record that references them. A record can also
+// materialize builds the Cluster over a sorted member set, for readers
+// and for the commit path's receipt alike: each member's tuple comes
+// from its source's published view, which is guaranteed to cover the
+// member because views are published before the cluster record that
+// references them (on the commit path too). A record can also
 // name a source registered *after* the caller's topo snapshot was
 // taken (the topology only grows, and the record was published after
 // the source), so the snapshot is upgraded on demand — the current
@@ -793,8 +790,7 @@ func (h *Hub) materialize(t *topoView, members []node) Cluster {
 	lead := t.sources[members[0].Src]
 	c := Cluster{ID: fmt.Sprintf("%s/%d", lead.name, members[0].Idx)}
 	for _, m := range members {
-		s := t.sources[m.Src]
-		c.Members = append(c.Members, Member{Source: s.name, Index: m.Idx, Tuple: s.view.Load().tuples[m.Idx]})
+		c.Members = append(c.Members, t.member(m))
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package hub_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"entityid/internal/relation"
 	"entityid/internal/resolve"
 	"entityid/internal/schema"
+	"entityid/internal/store"
 	"entityid/internal/value"
 )
 
@@ -323,9 +325,11 @@ func TestHubLinkRejectsTransitiveViolationFromSeededSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := h.Stats()
+	// Typed like an insert rejected for the same reason: one function
+	// (store.CheckMerge) decides both.
 	err := link("B", "C", "phone")
-	if err == nil || !strings.Contains(err.Error(), "transitive uniqueness") {
-		t.Fatalf("seeded link folding missed the violation: %v", err)
+	if !errors.Is(err, store.ErrUniqueness) || !strings.Contains(err.Error(), "transitive uniqueness") {
+		t.Fatalf("seeded link folding missed the violation, or left it untyped: %v", err)
 	}
 	if after := h.Stats(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("rejected link changed state: %+v -> %+v", before, after)

@@ -695,8 +695,10 @@ func (d *decSection) matches(want snapSection) error {
 // assembleHub builds a hub from decoded sections onto the given
 // storage backend (nil means in-memory): sources registered in section
 // order, pairwise federations re-verified in parallel through
-// federate.Restore, links folded sequentially, and the saved cluster
-// partition checked against the refold.
+// federate.Restore — each over the loaded relations themselves, which
+// the federations only read, so concurrent restores share them without
+// a copy — links folded sequentially, and the saved cluster partition
+// checked against the refold.
 func assembleHub(secs []*decSection, b store.Backend) (*Hub, error) {
 	h := NewWithBackend(b)
 	var pairs []*decPair

@@ -11,7 +11,10 @@
 // in first (insert takes the pair lock and calls pairFedLocked before
 // preparing). Page-in therefore always restores against exactly the
 // lengths federate.Restore verifies, and the rebuilt matching table is
-// re-verified pair by pair — a page-in is a free integrity check.
+// re-verified pair by pair — a page-in is a free integrity check. It
+// rebuilds over the canonical relations themselves (federations borrow
+// them), so a page-in allocates the pair's derived state and no second
+// copy of either side's tuples.
 //
 // Spill stores the matching table in COMMIT ORDER (ExportOrdered), not
 // sorted: snapshot cuts read "the first n commits" of a pair, and a

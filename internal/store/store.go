@@ -154,46 +154,46 @@ type Backend interface {
 	Close() error
 }
 
-// CheckMerge verifies that merging node n with the clusters of the
-// given partner nodes cannot place two tuples of one source into the
-// same cluster. Backend-generic: records are identified by their lead
-// (first, smallest) member, which is unique per record because records
-// partition the node space. srcName renders a source ordinal for the
-// rejection message. Serialized by the commit lock.
-func CheckMerge(c Clusters, n Node, partners []Node, srcName func(int) string) error {
+// CheckMerge verifies that merging node n's cluster with the clusters
+// of the given partner nodes cannot place two tuples of one source
+// into the same cluster — the one place the transitive §3.2 check
+// lives, for live inserts (c is the cluster store, n a fresh tuple)
+// and for a link's speculative fold (c is the scratch union-find, n may
+// already be clustered). It needs only Members, and only that every
+// node of one cluster gets the same slice back: a cluster is then
+// identified by its slice's first node (for a store record the lead,
+// smallest member; a singleton is its own). srcName renders a source
+// ordinal for the rejection message. Serialized by the commit lock.
+func CheckMerge(c interface{ Members(Node) ([]Node, error) }, n Node, partners []Node, srcName func(int) string) error {
 	if len(partners) == 0 {
 		return nil
 	}
 	bySrc := make(map[int]Node, len(partners)+1)
-	bySrc[n.Src] = n
-	seen := make(map[Node]bool, len(partners)) // lead (first) member -> cluster absorbed
-	absorb := func(m Node) error {
-		if prev, ok := bySrc[m.Src]; ok {
-			if prev != m {
-				return fmt.Errorf("%w: tuples %d and %d of source %q would join one cluster",
-					ErrUniqueness, prev.Idx, m.Idx, srcName(m.Src))
-			}
-			return nil
-		}
-		bySrc[m.Src] = m
-		return nil
-	}
-	for _, p := range partners {
+	seen := make(map[Node]bool, len(partners)+1) // first node of a cluster -> absorbed
+	absorb := func(p Node) error {
 		ms, err := c.Members(p)
 		if err != nil {
 			return err
 		}
-		// Dedup clusters by their lead member: records partition the
-		// node space, so the sorted member set's first node uniquely
-		// identifies the record (and a singleton is its own lead).
 		if seen[ms[0]] {
-			continue
+			return nil
 		}
 		seen[ms[0]] = true
 		for _, m := range ms {
-			if err := absorb(m); err != nil {
-				return err
+			if prev, ok := bySrc[m.Src]; ok {
+				return fmt.Errorf("%w: tuples %d and %d of source %q would join one cluster",
+					ErrUniqueness, prev.Idx, m.Idx, srcName(m.Src))
 			}
+			bySrc[m.Src] = m
+		}
+		return nil
+	}
+	if err := absorb(n); err != nil {
+		return err
+	}
+	for _, p := range partners {
+		if err := absorb(p); err != nil {
+			return err
 		}
 	}
 	return nil
