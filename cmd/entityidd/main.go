@@ -638,7 +638,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		sc.Buffer(make([]byte, 0, 4096), 1<<20)
 		lineNo := 0
 		for sc.Scan() {
 			lineNo++

@@ -24,6 +24,7 @@ package derive
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"entityid/internal/ilfd"
 	"entityid/internal/ra"
@@ -94,20 +95,36 @@ func Extend(rel *relation.Relation, name string, extra []schema.Attribute, fs il
 	return NewExtender(fs, opts).Extend(rel, name, extra)
 }
 
-// Extender applies a fixed ILFD set under fixed options, amortising the
-// discrimination-index construction across calls.
+// Extender applies a fixed ILFD set under fixed options. The ILFDs are
+// bound to an extended schema — attributes resolved to column offsets,
+// rules indexed by column and value — once per schema, not per tuple:
+// Extend binds the schema it builds, and ExtendTuple keeps the binding
+// of the schema it was last given, so a caller that holds one extended
+// schema across tuples (match.SideExtender) pays for it once.
 type Extender struct {
 	fs   ilfd.Set
-	ix   *ilfdIndex
 	opts Options
+	last atomic.Pointer[program]
 }
 
 // NewExtender prepares an extender for the ILFD set.
 func NewExtender(fs ilfd.Set, opts Options) *Extender {
-	return &Extender{fs: fs, ix: indexILFDs(fs), opts: opts}
+	return &Extender{fs: fs, opts: opts}
 }
 
-// Extend is Extend with the extender's cached index.
+// bound returns the ILFD set bound to extSch. Schemas are immutable, so
+// pointer identity is a sound cache key; concurrent callers with
+// different schemas at worst bind again.
+func (e *Extender) bound(extSch *schema.Schema) *program {
+	if p := e.last.Load(); p != nil && p.sch == extSch {
+		return p
+	}
+	p := bind(e.fs, extSch)
+	e.last.Store(p)
+	return p
+}
+
+// Extend is Extend with the extender's ILFD set and options.
 func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.Attribute) (*relation.Relation, []Conflict, error) {
 	sch := rel.Schema()
 	for _, a := range extra {
@@ -119,15 +136,14 @@ func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.At
 	if err != nil {
 		return nil, nil, err
 	}
+	p := bind(e.fs, extSch)
 	out := relation.New(extSch)
 	var conflicts []Conflict
 	for idx, t := range rel.Tuples() {
+		// The columns past the source arity are zero Values: NULL.
 		ext := make(relation.Tuple, extSch.Arity())
 		copy(ext, t)
-		for i := sch.Arity(); i < extSch.Arity(); i++ {
-			ext[i] = value.Null
-		}
-		rowConflicts, err := deriveTuple(out, ext, idx, e.fs, e.ix, e.opts)
+		rowConflicts, err := p.derive(ext, idx, e.opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,170 +158,220 @@ func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.At
 // ExtendTuple derives a single pre-padded tuple in place against the
 // extended schema extSch (the tuple must already have extSch's arity,
 // with NULLs in underived positions). It returns the conflicts found
-// (Fixpoint mode). This is the per-insert path of incremental
-// identification.
+// (Fixpoint mode), reported at tuple index 0. This is the per-tuple step
+// every extension runs: match.SideExtender.ExtendTuple pads a source
+// tuple into its side's extended schema and calls it, for one inserted
+// tuple (federate's prepare) and for each tuple of a batch build alike.
 func (e *Extender) ExtendTuple(extSch *schema.Schema, ext relation.Tuple) ([]Conflict, error) {
 	if len(ext) != extSch.Arity() {
 		return nil, fmt.Errorf("derive: tuple arity %d, schema wants %d", len(ext), extSch.Arity())
 	}
-	scratch := relation.New(extSch)
-	return deriveTuple(scratch, ext, 0, e.fs, e.ix, e.opts)
+	return e.bound(extSch).derive(ext, 0, e.opts)
 }
 
-// ilfdIndex is a discrimination index over an ILFD set: rules grouped
-// by their canonically smallest antecedent condition, so a tuple only
-// examines rules whose indexed condition its current values could
-// satisfy (a rule fires only when its whole antecedent holds, so any
-// one condition is a sound index key; the smallest is chosen so the
-// keying does not depend on how the caller ordered the antecedent).
-// ilfd.New normalizes antecedents into sorted order, but ILFD values
-// can be constructed as raw literals, so the minimum is computed here
-// rather than assumed at position 0. Rules with empty antecedents are
-// always candidates.
-type ilfdIndex struct {
-	byCond map[string][]int
+// program is an ILFD set bound to one extended schema: every condition's
+// attribute is resolved to its column, and the rules are held in a
+// discrimination index — grouped by their canonically smallest
+// antecedent condition, so a tuple only examines rules whose indexed
+// condition its current values could satisfy (a rule fires only when its
+// whole antecedent holds, so any one condition is a sound index key; the
+// smallest is chosen so the keying does not depend on how the caller
+// ordered the antecedent). ilfd.New normalizes antecedents into sorted
+// order, but ILFD values can be constructed as raw literals, so the
+// minimum is computed here rather than assumed at position 0. Rules with
+// empty antecedents are always candidates; a rule that mentions an
+// antecedent attribute the schema lacks can never hold and is a
+// candidate for nothing.
+type program struct {
+	sch    *schema.Schema
+	rules  []boundRule // parallel to the ILFD set
 	always []int
+	// byCol holds, per column (nil where no rule is indexed), the rules
+	// by the value their indexed condition requires there. value.Value
+	// is comparable and == agrees with value.Equal on non-NULL values.
+	byCol []map[value.Value][]int
 }
 
-func indexILFDs(fs ilfd.Set) *ilfdIndex {
-	ix := &ilfdIndex{byCond: make(map[string][]int, len(fs))}
-	for i, f := range fs {
-		if len(f.Antecedent) == 0 {
-			ix.always = append(ix.always, i)
-			continue
-		}
-		k := f.Antecedent[0].Key()
-		for _, c := range f.Antecedent[1:] {
-			if ck := c.Key(); ck < k {
-				k = ck
+// boundRule is one ILFD over column offsets. cons keeps only the
+// consequents whose attribute the schema has; dead marks a rule with an
+// antecedent attribute the schema lacks.
+type boundRule struct {
+	ante, cons []boundCond
+	dead       bool
+}
+
+type boundCond struct {
+	col  int
+	attr string
+	val  value.Value
+}
+
+func bind(fs ilfd.Set, sch *schema.Schema) *program {
+	p := &program{
+		sch:   sch,
+		rules: make([]boundRule, len(fs)),
+		byCol: make([]map[value.Value][]int, sch.Arity()),
+	}
+	for fi, f := range fs {
+		r := &p.rules[fi]
+		for _, c := range f.Consequent {
+			if i := sch.Index(c.Attr); i >= 0 {
+				r.cons = append(r.cons, boundCond{col: i, attr: c.Attr, val: c.Val})
 			}
 		}
-		ix.byCond[k] = append(ix.byCond[k], i)
+		if len(f.Antecedent) == 0 {
+			p.always = append(p.always, fi)
+			continue
+		}
+		least := f.Antecedent[0]
+		for _, c := range f.Antecedent {
+			i := sch.Index(c.Attr)
+			if i < 0 {
+				r.dead = true
+				break
+			}
+			r.ante = append(r.ante, boundCond{col: i, attr: c.Attr, val: c.Val})
+			if c.Key() < least.Key() {
+				least = c
+			}
+		}
+		if r.dead {
+			continue
+		}
+		col := sch.Index(least.Attr)
+		if p.byCol[col] == nil {
+			p.byCol[col] = map[value.Value][]int{}
+		}
+		p.byCol[col][least.Val] = append(p.byCol[col][least.Val], fi)
 	}
-	return ix
+	return p
 }
 
 // candidates returns, in ascending rule order, the indexes of rules
 // whose indexed (canonically smallest) antecedent condition holds in
 // ext (plus the empty-antecedent rules). scratch is reused across
 // calls.
-func (ix *ilfdIndex) candidates(rel *relation.Relation, ext relation.Tuple, scratch []int) []int {
-	out := scratch[:0]
-	out = append(out, ix.always...)
-	sch := rel.Schema()
-	for i, v := range ext {
-		if v.IsNull() {
-			continue
+func (p *program) candidates(ext relation.Tuple, scratch []int) []int {
+	out := append(scratch[:0], p.always...)
+	for col, rules := range p.byCol {
+		if v := ext[col]; rules != nil && !v.IsNull() {
+			out = append(out, rules[v]...)
 		}
-		k := ilfd.Condition{Attr: sch.Attr(i).Name, Val: v}.Key()
-		out = append(out, ix.byCond[k]...)
 	}
 	sort.Ints(out)
 	return out
 }
 
-// deriveTuple fills derivable NULL attributes of ext in place. Only
-// rules surfaced by the discrimination index are examined each round,
-// and the pruned pass is exactly equivalent to an unindexed in-order
-// pass: when a firing changes ext, the candidate list is refreshed and
-// iteration resumes just past the fired rule, so rules a mid-round
-// derivation enables fire at the same position — and under the same
-// cut state — as they would without pruning. (Rules earlier than the
-// firing one wait for the next round in both disciplines: the pass
-// already moved past them.)
-func deriveTuple(rel *relation.Relation, ext relation.Tuple, idx int, fs ilfd.Set, ix *ilfdIndex, opts Options) ([]Conflict, error) {
+// holds reports whether the rule's whole antecedent holds in ext.
+func (r *boundRule) holds(ext relation.Tuple) bool {
+	if r.dead {
+		return false
+	}
+	for _, c := range r.ante {
+		if !value.Equal(ext[c.col], c.val) {
+			return false
+		}
+	}
+	return true
+}
+
+// derivation is the state of one tuple's derivation.
+type derivation struct {
+	ext  relation.Tuple
+	idx  int
+	mode Mode
+	// cut (FirstMatch) marks, per column, an attribute some rule has set
+	// or found set: later rules never touch it. Chaining still happens
+	// across rounds because newly set attributes can satisfy other
+	// antecedents.
+	cut []bool
+	// seen (Fixpoint) de-duplicates the conflicts reported.
+	seen      map[string]bool
+	conflicts []Conflict
+}
+
+// fire applies the rule's consequents to the tuple and reports whether
+// it changed.
+func (d *derivation) fire(r *boundRule) bool {
+	changed := false
+	for _, c := range r.cons {
+		cur := d.ext[c.col]
+		if d.mode == FirstMatch {
+			if d.cut[c.col] {
+				continue
+			}
+			// A source value already present wins: the prototype's rule
+			// order places facts before ILFDs, so cut the attribute
+			// either way and no ILFD overrides it.
+			d.cut[c.col] = true
+			if cur.IsNull() {
+				d.ext[c.col] = c.val
+				changed = true
+			}
+			continue
+		}
+		if cur.IsNull() {
+			d.ext[c.col] = c.val
+			changed = true
+			continue
+		}
+		if !value.Equal(cur, c.val) {
+			k := c.attr + "\x1f" + cur.Key() + "\x1f" + c.val.Key()
+			if !d.seen[k] {
+				if d.seen == nil {
+					d.seen = map[string]bool{}
+				}
+				d.seen[k] = true
+				d.conflicts = append(d.conflicts, Conflict{
+					TupleIndex: d.idx, Attr: c.attr, Old: cur, New: c.val,
+				})
+			}
+		}
+	}
+	return changed
+}
+
+// derive fills derivable NULL attributes of ext in place. Only rules
+// surfaced by the discrimination index are examined each round, and the
+// pruned pass is exactly equivalent to an unindexed in-order pass: when
+// a firing changes ext, the candidate list is refreshed and iteration
+// resumes just past the fired rule, so rules a mid-round derivation
+// enables fire at the same position — and under the same cut state — as
+// they would without pruning. (Rules earlier than the firing one wait
+// for the next round in both disciplines: the pass already moved past
+// them.)
+func (p *program) derive(ext relation.Tuple, idx int, opts Options) ([]Conflict, error) {
+	d := derivation{ext: ext, idx: idx, mode: opts.Mode}
+	switch opts.Mode {
+	case FirstMatch:
+		d.cut = make([]bool, len(ext))
+	case Fixpoint:
+	default:
+		return nil, fmt.Errorf("derive: unknown mode %v", opts.Mode)
+	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = len(fs) + 1
+		maxRounds = len(p.rules) + 1
 	}
-	var conflicts []Conflict
-	var scratch []int
-	// runRound makes one in-order pass, applying fire(fi) to each
-	// candidate rule whose antecedent holds; a true return from fire
-	// means ext changed, triggering the refresh-and-resume.
-	runRound := func(fire func(fi int) bool) bool {
+	var cand []int
+	for round := 0; round < maxRounds; round++ {
 		changed := false
-		scratch = ix.candidates(rel, ext, scratch)
-		k := 0
-		for k < len(scratch) {
-			fi := scratch[k]
-			if fs[fi].Antecedent.HoldIn(rel, ext) && fire(fi) {
+		cand = p.candidates(ext, cand)
+		for k := 0; k < len(cand); {
+			fi := cand[k]
+			if r := &p.rules[fi]; r.holds(ext) && d.fire(r) {
 				changed = true
-				scratch = ix.candidates(rel, ext, scratch)
-				k = sort.SearchInts(scratch, fi+1)
+				cand = p.candidates(ext, cand)
+				k = sort.SearchInts(cand, fi+1)
 				continue
 			}
 			k++
 		}
-		return changed
+		if !changed {
+			break
+		}
 	}
-	switch opts.Mode {
-	case FirstMatch:
-		// A cut per (attribute): once a rule has set an attribute, later
-		// rules never touch it. Chaining still happens across rounds
-		// because newly set attributes can satisfy other antecedents.
-		cut := map[string]bool{}
-		fire := func(fi int) bool {
-			changed := false
-			for _, c := range fs[fi].Consequent {
-				i := rel.Schema().Index(c.Attr)
-				if i < 0 || cut[c.Attr] {
-					continue
-				}
-				if !ext[i].IsNull() {
-					// Source value present: the prototype's rule order
-					// places facts before ILFDs, so facts win; cut the
-					// attribute so no ILFD overrides it.
-					cut[c.Attr] = true
-					continue
-				}
-				ext[i] = c.Val
-				cut[c.Attr] = true
-				changed = true
-			}
-			return changed
-		}
-		for round := 0; round < maxRounds; round++ {
-			if !runRound(fire) {
-				break
-			}
-		}
-	case Fixpoint:
-		seen := map[string]bool{}
-		fire := func(fi int) bool {
-			changed := false
-			for _, c := range fs[fi].Consequent {
-				i := rel.Schema().Index(c.Attr)
-				if i < 0 {
-					continue
-				}
-				cur := ext[i]
-				if cur.IsNull() {
-					ext[i] = c.Val
-					changed = true
-					continue
-				}
-				if !value.Equal(cur, c.Val) {
-					k := c.Attr + "\x1f" + cur.Key() + "\x1f" + c.Val.Key()
-					if !seen[k] {
-						seen[k] = true
-						conflicts = append(conflicts, Conflict{
-							TupleIndex: idx, Attr: c.Attr, Old: cur, New: c.Val,
-						})
-					}
-				}
-			}
-			return changed
-		}
-		for round := 0; round < maxRounds; round++ {
-			if !runRound(fire) {
-				break
-			}
-		}
-	default:
-		return nil, fmt.Errorf("derive: unknown mode %v", opts.Mode)
-	}
-	return conflicts, nil
+	return d.conflicts, nil
 }
 
 // Derivable returns, for each attribute name, whether some ILFD in fs

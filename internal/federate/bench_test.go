@@ -38,6 +38,7 @@ func BenchmarkPrepareCommit(b *testing.B) {
 	}
 	f := fresh()
 	var prepare, commit time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(arrivals)

@@ -31,7 +31,17 @@
 // side, mirroring the engine's nested-loop fallback).
 //
 // Equivalence with batch identification (match.Build on the final
-// relations) is the package's central invariant, pinned by tests.
+// relations) is the package's central invariant, pinned by tests. At the
+// extension step it holds by construction: the new tuple's R′/S′ image
+// comes from match.SideExtender.ExtendTuple, the function Build itself
+// runs over every tuple of a side. The federation extends a tuple, never
+// a relation — prepare builds no relation and no schema. It relies on the
+// extender's layout guarantee (a renamed attribute keeps its column, the
+// missing ones append, so the image is laid out like R′/S′ and the cached
+// key offsets and compiled rules apply to it); match.NewSideExtender
+// resolves that layout, match's tests hold it against the relational
+// rename + extend pipeline, and Commit's insert into R′/S′ re-checks the
+// image's shape against the relation Build produced.
 //
 // Ownership: a Federation is a view over two relations it is lent
 // (Config.R and Config.S), not an owner of copies. The lender owns the
@@ -46,6 +56,7 @@ package federate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"entityid/internal/ilfd"
@@ -59,9 +70,8 @@ import (
 type Federation struct {
 	cfg match.Config
 	res *match.Result
-	// rExt / sExt are the cached per-side rename+derive pipelines, so a
-	// single insert pays only the per-tuple derivation, not pipeline
-	// setup.
+	// rExt / sExt extend one tuple of either side into its R′/S′ image
+	// (schema resolved once per rebuild).
 	rExt, sExt *match.SideExtender
 	// extKeyIdx indexes each side's extended relation by its non-NULL
 	// extended-key projection: projection -> tuple positions.
@@ -123,9 +133,15 @@ func (f *Federation) rebuild() error {
 	if err := res.Verify(); err != nil {
 		return fmt.Errorf("federate: %w", err)
 	}
-	f.res = res
-	f.rExt = match.NewSideExtender(f.cfg, true)
-	f.sExt = match.NewSideExtender(f.cfg, false)
+	rExt, err := match.NewSideExtender(f.cfg, true)
+	if err != nil {
+		return err
+	}
+	sExt, err := match.NewSideExtender(f.cfg, false)
+	if err != nil {
+		return err
+	}
+	f.res, f.rExt, f.sExt = res, rExt, sExt
 	f.rKeyPos = keyOffsets(res.RPrime, res.ExtKey())
 	f.sKeyPos = keyOffsets(res.SPrime, res.ExtKey())
 	f.rIdx = indexByKey(res.RPrime, f.rKeyPos)
@@ -266,10 +282,15 @@ type Pending struct {
 	f    *Federation
 	left bool
 	ext  relation.Tuple
-	// pairs are the matching pairs the commit will add; the new tuple's
-	// index is its side's pre-commit length. atGen is the federation
-	// generation the prepare ran against.
+	// key is ext's extended-key projection, the one the probe used and
+	// the commit indexes it under; keyed is false when it holds a NULL.
+	key   string
+	keyed bool
+	// pairs are the matching pairs the commit will add — none, or the one
+	// held in `one`; the new tuple's index is its side's pre-commit
+	// length. atGen is the federation generation the prepare ran against.
 	pairs []match.Pair
+	one   [1]match.Pair
 	atGen uint64
 	done  bool
 }
@@ -286,90 +307,68 @@ func (f *Federation) PrepareS(t relation.Tuple) (*Pending, error) {
 	return f.prepare(t, false)
 }
 
-// Pairs returns the matching pairs the commit will add (the new
-// tuple's index is the side's pre-commit length).
-func (p *Pending) Pairs() []match.Pair {
-	return append([]match.Pair(nil), p.pairs...)
-}
+// Pairs returns the matching pairs the commit will add — at most one, by
+// uniqueness; the new tuple's index is the side's pre-commit length.
+// The slice is shared with the Pending; callers must not mutate it.
+func (p *Pending) Pairs() []match.Pair { return p.pairs }
 
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	// Extend the single new tuple: run derivation on a one-tuple
-	// relation with the same schema (whose Insert checks the tuple's
-	// shape; the candidate keys are the lender's to guard).
-	oneTuple := relation.New(f.base(left).Schema())
-	if err := oneTuple.Insert(t.Clone()); err != nil {
+	// own is the side the tuple joins, other the side it is identified
+	// against.
+	se, keyPos, otherIdx, own, other := f.sExt, f.sKeyPos, f.rIdx, f.res.SPrime, f.res.RPrime
+	if left {
+		se, keyPos, otherIdx, own, other = f.rExt, f.rKeyPos, f.sIdx, f.res.RPrime, f.res.SPrime
+	}
+	// Extend the one tuple (its shape is checked first; the candidate
+	// keys are the lender's to guard). The image has its side's extended
+	// layout, so the cached key offsets and compiled rules apply to it.
+	ext, _, err := se.ExtendTuple(t)
+	if err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
-	ext, err := f.extendOne(oneTuple, left)
-	if err != nil {
-		return nil, err
-	}
-	extTuple := ext.Tuple(0)
-
-	// Probe the opposite side's extended-key index. The one-tuple
-	// extended relation shares its side's schema layout (same rename +
-	// extend pipeline), so the cached key offsets apply.
-	keyPos := f.sKeyPos
-	if left {
-		keyPos = f.rKeyPos
-	}
+	// Probe the opposite side's extended-key index, and the
+	// identity-rule hash blocks too: a tuple that matches solely via an
+	// extra identity rule must be caught on insert, or the batch ≡
+	// incremental invariant breaks.
 	var partners []int
-	seen := map[int]bool{}
-	if k, ok := match.ProjectionKey(extTuple, keyPos); ok {
-		var hits []int
-		if left {
-			hits = f.sIdx[k]
-		} else {
-			hits = f.rIdx[k]
-		}
-		for _, j := range hits {
-			if !seen[j] {
-				seen[j] = true
-				partners = append(partners, j)
-			}
-		}
+	key, keyed := match.ProjectionKey(ext, keyPos)
+	if keyed {
+		partners = otherIdx[key]
 	}
-	// Probe the identity-rule hash blocks too: a tuple that matches
-	// solely via an extra identity rule must be caught on insert, or the
-	// batch ≡ incremental invariant breaks.
-	for _, j := range f.identityPartners(extTuple, left) {
-		if !seen[j] {
-			seen[j] = true
-			partners = append(partners, j)
+	for _, j := range f.identityPartners(ext, left) {
+		if !slices.Contains(partners, j) {
+			// Capped, so append copies: partners may be an index bucket.
+			partners = append(partners[:len(partners):len(partners)], j)
 		}
 	}
 	if len(partners) > 1 {
 		return nil, fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners))
 	}
-	var newPairs []match.Pair
-	for _, j := range partners {
-		if left {
-			if prev := f.res.MT.MatchesOfS(j); len(prev) > 0 {
-				return nil, fmt.Errorf("federate: uniqueness violation: S tuple %d already matched to R tuple %d", j, prev[0])
-			}
-			newPairs = append(newPairs, match.Pair{RIndex: f.res.RPrime.Len(), SIndex: j})
-		} else {
-			if prev := f.res.MT.MatchesOfR(j); len(prev) > 0 {
-				return nil, fmt.Errorf("federate: uniqueness violation: R tuple %d already matched to S tuple %d", j, prev[0])
-			}
-			newPairs = append(newPairs, match.Pair{RIndex: j, SIndex: f.res.SPrime.Len()})
-		}
+	p := &Pending{f: f, left: left, ext: ext, key: key, keyed: keyed, atGen: f.gen}
+	if len(partners) == 0 {
+		return p, nil
 	}
-	// Consistency guard: a new pair must not be declared distinct. The
+	j := partners[0]
+	rt, st := other.Tuple(j), ext
+	pair := match.Pair{RIndex: j, SIndex: own.Len()}
+	prev, side, otherSide := f.res.MT.MatchesOfR(j), "R", "S"
+	if left {
+		rt, st = ext, other.Tuple(j)
+		pair = match.Pair{RIndex: own.Len(), SIndex: j}
+		prev, side, otherSide = f.res.MT.MatchesOfS(j), "S", "R"
+	}
+	if len(prev) > 0 {
+		return nil, fmt.Errorf("federate: uniqueness violation: %s tuple %d already matched to %s tuple %d", side, j, otherSide, prev[0])
+	}
+	// Consistency guard: the new pair must not be declared distinct. The
 	// result's compiled distinctness rules are reused — the candidate
 	// tuple has R′/S′ layout, which is all compiled evaluation needs.
-	for _, p := range newPairs {
-		var rt, st relation.Tuple
-		if left {
-			rt, st = extTuple, f.res.SPrime.Tuple(p.SIndex)
-		} else {
-			rt, st = f.res.RPrime.Tuple(p.RIndex), extTuple
-		}
-		if name, fires := f.res.DistinctFires(rt, st); fires {
-			return nil, fmt.Errorf("federate: consistency violation: new tuple matches a pair distinctness rule %q forbids", name)
-		}
+	if name, fires := f.res.DistinctFires(rt, st); fires {
+		return nil, fmt.Errorf("federate: consistency violation: new tuple matches a pair distinctness rule %q forbids", name)
 	}
-	return &Pending{f: f, left: left, ext: extTuple, pairs: newPairs, atGen: f.gen}, nil
+	p.one[0] = pair
+	p.pairs = p.one[:]
+	return p, nil
 }
 
 // identityPartners returns the opposite-side tuple positions some extra
@@ -449,14 +448,12 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	}
 	p.done = true
 	pos := side.Len() - 1
-	if p.left {
-		if k, ok := match.ProjectionKey(p.ext, f.rKeyPos); ok {
-			f.rIdx[k] = append(f.rIdx[k], pos)
+	if p.keyed {
+		idx := f.sIdx
+		if p.left {
+			idx = f.rIdx
 		}
-	} else {
-		if k, ok := match.ProjectionKey(p.ext, f.sKeyPos); ok {
-			f.sIdx[k] = append(f.sIdx[k], pos)
-		}
+		idx[p.key] = append(idx[p.key], pos)
 	}
 	for i := range f.idRules {
 		st := &f.idRules[i]
@@ -475,21 +472,7 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 		f.res.MT.Add(pr)
 	}
 	f.gen++
-	return append([]match.Pair(nil), p.pairs...), nil
-}
-
-// extendOne runs the cached per-side rename + derivation pipeline on a
-// single-tuple relation.
-func (f *Federation) extendOne(one *relation.Relation, left bool) (*relation.Relation, error) {
-	se := f.sExt
-	if left {
-		se = f.rExt
-	}
-	ext, _, err := se.Extend(one)
-	if err != nil {
-		return nil, fmt.Errorf("federate: extend: %w", err)
-	}
-	return ext, nil
+	return p.pairs, nil
 }
 
 // AddILFD grows the knowledge base and rebuilds the state, asserting

@@ -510,3 +510,71 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatal("doctored-pair state restored")
 	}
 }
+
+// TestMisshapenTupleRejectedBeforeTouchingR: the tuple's shape is
+// checked before anything is derived from it or inserted anywhere — the
+// stand-alone InsertR leaves R, R′ and the matching table alone — with
+// the text the relation itself gives.
+func TestMisshapenTupleRejectedBeforeTouchingR(t *testing.T) {
+	cfg := example3Config()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tup  relation.Tuple
+		want string
+	}{
+		{relation.Tuple{s("NewPlace"), s("Greek")},
+			"federate: relation R: arity 2 tuple, schema wants 3"},
+		{relation.Tuple{s("NewPlace"), s("Greek"), s("Elm St."), s("extra")},
+			"federate: relation R: arity 4 tuple, schema wants 3"},
+		{relation.Tuple{s("NewPlace"), value.Int(7), s("Elm St.")},
+			`federate: relation R: attribute "cuisine": int value, schema wants string`},
+	} {
+		if _, err := f.PrepareR(c.tup); err == nil || err.Error() != c.want {
+			t.Errorf("PrepareR(%v) = %v, want %q", c.tup, err, c.want)
+		}
+		if _, err := f.InsertR(c.tup); err == nil || err.Error() != c.want {
+			t.Errorf("InsertR(%v) = %v, want %q", c.tup, err, c.want)
+		}
+	}
+	if cfg.R.Len() != 5 || f.Result().RPrime.Len() != 5 || f.MT().Len() != 3 {
+		t.Fatalf("rejected tuples left a trace: %d R tuples, %d R' tuples, %d pairs",
+			cfg.R.Len(), f.Result().RPrime.Len(), f.MT().Len())
+	}
+}
+
+// TestPrepareAllocs holds the allocation count of one prepare — the
+// tuple's extended image, its key projection and the Pending, plus the
+// pair when it matches — under a ceiling the relational pipeline it
+// replaced (three relations and two schemas per tuple) cannot meet.
+func TestPrepareAllocs(t *testing.T) {
+	w := datagen.MustGenerate(datagen.Config{
+		Entities: 400, OverlapFrac: 0.5, HomonymRate: 0.1, ILFDCoverage: 0.8, Seed: 505,
+	})
+	cfg := w.MatchConfig()
+	cfg.R = relation.New(w.R.Schema())
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := w.R.Tuples()
+	i, matched := 0, 0
+	avg := testing.AllocsPerRun(len(arrivals)-1, func() {
+		p, err := f.PrepareR(arrivals[i%len(arrivals)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched += len(p.Pairs())
+		i++
+	})
+	if matched == 0 {
+		t.Fatal("no prepare found a partner: the workload does not exercise the probe")
+	}
+	const ceiling = 20
+	if avg > ceiling {
+		t.Fatalf("PrepareR allocates %.1f times per tuple, ceiling %d", avg, ceiling)
+	}
+	t.Logf("PrepareR: %.1f allocs per tuple (%d of %d matched)", avg, matched, i)
+}

@@ -74,6 +74,7 @@ func BenchmarkInsert(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			h := mode.open(b)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				it := items[i%len(items)]
@@ -127,6 +128,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	replayed := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, info, err := Open(dir, Options{})

@@ -106,3 +106,30 @@ func TestKeyedLookupAllocBound(t *testing.T) {
 		t.Fatalf("keyed lookup allocates %.1f times per probe, want <= 3", avg)
 	}
 }
+
+// TestInsertAllocBound holds one commit — a tuple prepared against
+// three linked pairs, the canonical insert, three pair commits, the
+// cluster fold and the receipt — under an allocation ceiling that a
+// per-pair relational pipeline (a one-tuple relation renamed and
+// extended per linked pair: ~330 allocations here) cannot meet. Memory
+// hub, 4 sources fully linked, the benchmarks' workload.
+func TestInsertAllocBound(t *testing.T) {
+	w := benchMulti(4)
+	h, err := NewFromMulti(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := MultiInserts(w)
+	i := 0
+	avg := testing.AllocsPerRun(len(items)-1, func() {
+		if _, err := h.Insert(items[i].Source, items[i].Tuple); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	const ceiling = 160
+	if avg > ceiling {
+		t.Fatalf("Insert allocates %.1f times per tuple, ceiling %d", avg, ceiling)
+	}
+	t.Logf("Insert: %.1f allocs per tuple over %d tuples", avg, i)
+}

@@ -56,12 +56,19 @@ func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 		}
 	}
 	t.Logf("%d opens in %v (%.0f/sec)", rounds, time.Since(start), rounds/time.Since(start).Seconds())
+	mustNotLeakGoroutines(t, before+5)
+}
+
+// mustNotLeakGoroutines fails unless the goroutine count settles back to
+// at most limit within two seconds.
+func mustNotLeakGoroutines(t *testing.T, limit int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
-	if after := runtime.NumGoroutine(); after > before+5 {
-		t.Fatalf("goroutine leak: %d before, %d after", before, after)
+	if after := runtime.NumGoroutine(); after > limit {
+		t.Fatalf("goroutine leak: %d goroutines, want at most %d", after, limit)
 	}
 }

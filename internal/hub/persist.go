@@ -27,6 +27,7 @@
 package hub
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -441,28 +442,86 @@ func decodeSection(r io.Reader, sec int) (*decSection, error) {
 // the writer crashed or its append failed between chunks, so the
 // registration was never acknowledged — is discarded, exactly like a
 // torn single record.
+//
+// Replay decodes ahead the way a stream encodes ahead: the log read, the
+// frame checks and the JSON decoding of each record run on a second
+// goroutine (inside the log's replay callback), the mutations on the
+// caller's, in log order. A record that fails to decode travels down the
+// same channel as the good ones before it, so the error returned, the
+// count and the hub's state on failure are those of a serial replay.
 func (h *Hub) Replay(l *wal.Log, after uint64) (int, error) {
 	if h.per != nil {
 		return 0, fmt.Errorf("hub: replay into a hub that is already logging")
 	}
+	// recs is as deep as a stream's channels, for the same reason: enough
+	// for the decoder to run ahead of a slow apply, bounded in memory.
+	recs := make(chan replayRecord, defaultStreamWindow)
+	stop := make(chan struct{})
+	var readErr error
+	go func() {
+		defer close(recs)
+		readErr = l.Replay(after, func(rec wal.Record) error {
+			d := decodeReplayRecord(rec)
+			select {
+			case recs <- d:
+			case <-stop:
+				return errReplayStopped
+			}
+			if d.err != nil {
+				return errReplayStopped // the applier fails here; read no further
+			}
+			return nil
+		})
+	}()
 	n := 0
 	var open *pendingSource
-	err := l.Replay(after, func(rec wal.Record) error {
-		env, err := wal.DecodeEnvelope(rec.Payload)
+	var err error
+	// The range ends only when the reader has returned, so no goroutine
+	// (and no log read) outlives Replay, failed or not.
+	for d := range recs {
 		if err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
+			continue // failed: drain what the reader had in flight
 		}
-		applied, err := h.applyRecord(env, &open)
-		if err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
+		applied := 0
+		if d.err == nil {
+			applied, d.err = h.applyRecord(d, &open)
+		}
+		if d.err != nil {
+			err = fmt.Errorf("record %d: %w", d.seq, d.err)
+			close(stop)
+			continue
 		}
 		n += applied
-		return nil
-	})
+	}
+	if err == nil {
+		err = readErr
+	}
 	// A group still open at the end of the log is an abandoned,
 	// unacknowledged registration; its records were never counted and
 	// nothing of it reached the hub.
 	return n, err
+}
+
+// errReplayStopped ends the log read once the applying side has failed;
+// the failure itself is what Replay returns.
+var errReplayStopped = errors.New("hub: replay stopped")
+
+// replayRecord is one log record decoded ahead of its application: the
+// envelope, an insert's tuple, or the error decoding either gave.
+type replayRecord struct {
+	seq   uint64
+	env   wal.Envelope
+	tuple relation.Tuple
+	err   error
+}
+
+func decodeReplayRecord(rec wal.Record) replayRecord {
+	d := replayRecord{seq: rec.Seq}
+	d.env, d.err = wal.DecodeEnvelope(rec.Payload)
+	if d.err == nil && d.env.Type == wal.TypeInsert {
+		d.tuple, d.err = wal.DecodeTuple(d.env.Insert.Tuple)
+	}
+	return d
 }
 
 // pendingSource buffers an in-flight chunked source registration during
@@ -477,7 +536,8 @@ type pendingSource struct {
 // applyRecord re-applies one decoded WAL record, returning how many log
 // records it committed (group records count at the final chunk). open
 // threads the chunked-registration state machine between records.
-func (h *Hub) applyRecord(env wal.Envelope, open **pendingSource) (int, error) {
+func (h *Hub) applyRecord(d replayRecord, open **pendingSource) (int, error) {
+	env := d.env
 	if env.Type != wal.TypeSourceChunk && *open != nil {
 		// Any non-continuation record aborts an open group: the group's
 		// writer saw an append fail and the registration was rejected.
@@ -535,11 +595,7 @@ func (h *Hub) applyRecord(env wal.Envelope, open **pendingSource) (int, error) {
 		}
 		return 1, h.Link(spec)
 	case wal.TypeInsert:
-		t, err := wal.DecodeTuple(env.Insert.Tuple)
-		if err != nil {
-			return 0, err
-		}
-		_, err = h.Insert(env.Insert.Source, t)
+		_, err := h.Insert(env.Insert.Source, d.tuple)
 		return 1, err
 	default:
 		return 0, fmt.Errorf("hub: unknown record type %q", env.Type)

@@ -40,7 +40,7 @@ package hub
 import "context"
 
 // defaultStreamWindow is the depth of a stream's two channels when
-// StreamOptions.Window is 0.
+// StreamOptions.Window is 0, and of replay's one (persist.go).
 const defaultStreamWindow = 64
 
 // StreamOptions configures IngestStream.

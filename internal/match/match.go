@@ -10,6 +10,9 @@
 //     side is missing, NULL-initialised.
 //  2. Apply the available ILFDs to derive missing extended-key values
 //     (delegated to the derive package; cut or fixpoint semantics).
+//     Steps 1 and 2 are SideExtender.ExtendTuple, tuple by tuple: Build
+//     loops it over each side, incremental maintenance (federate) calls
+//     it on each arriving tuple, and nobody else extends anything.
 //  3. Join R′ and S′ on identical non-NULL extended-key values; project
 //     each matched pair onto (K_R, K_S) to form MT_RS.
 //
@@ -49,7 +52,6 @@ import (
 
 	"entityid/internal/derive"
 	"entityid/internal/ilfd"
-	"entityid/internal/ra"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
 	"entityid/internal/schema"
@@ -261,11 +263,11 @@ func Build(cfg Config) (*Result, error) {
 		}
 	}
 
-	rPrime, rConf, err := extendSide(cfg.R, "R'", true, cfg)
+	rPrime, rConf, err := extendSide(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sPrime, sConf, err := extendSide(cfg.S, "S'", false, cfg)
+	sPrime, sConf, err := extendSide(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -317,82 +319,134 @@ func Build(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// SideExtender is the reusable rename + derive pipeline for one side of
-// a configuration: it turns any relation with that side's schema into
-// its extended form. Build uses one per side; incremental maintenance
-// (the federate package) holds them across inserts to amortise the
-// derivation index.
+// SideExtender turns tuples of one side's source relation into their
+// extended form: attributes renamed to integrated names, the integrated
+// attributes the side does not model appended as NULLs, then whatever
+// the ILFDs derive filled in. The extended schema is resolved once, here,
+// and its layout is fixed: a renamed attribute keeps its column and the
+// missing attributes append in attribute-map order — so a source tuple
+// is the prefix of its extended image, and offsets resolved against R′ or
+// S′ (extended-key positions, compiled rules) apply to any tuple this
+// extender produces. ExtendTuple is the one extension path: Build runs it
+// over every tuple of a side, and incremental maintenance (the federate
+// package) holds the extenders across inserts and runs it on each
+// arriving tuple.
 type SideExtender struct {
-	name      string
-	renameMap map[string]string
-	extra     []schema.Attribute
-	ext       *derive.Extender
+	// shape is an empty relation over the side's source schema; its
+	// CanInsert is the tuple shape check (arity, kinds), with the error
+	// text the relation itself would give.
+	shape *relation.Relation
+	sch   *schema.Schema
+	ext   *derive.Extender
 }
 
-// NewSideExtender prepares the pipeline for the left (R) or right (S)
-// side of cfg. It assumes cfg's attribute map was validated (Build does
-// so; external callers get errors surfaced on Extend).
-func NewSideExtender(cfg Config, left bool) *SideExtender {
-	se := &SideExtender{renameMap: map[string]string{}}
-	if left {
-		se.name = "R'"
-	} else {
-		se.name = "S'"
+// NewSideExtender resolves the extended schema for the left (R′) or right
+// (S′) side of cfg. It fails if renaming or appending makes two
+// attributes collide; it assumes cfg's attribute map was otherwise
+// validated (Build does so).
+func NewSideExtender(cfg Config, left bool) (*SideExtender, error) {
+	name, rel, other := "R'", cfg.R, cfg.S
+	if !left {
+		name, rel, other = "S'", cfg.S, cfg.R
 	}
+	src := rel.Schema()
+	rename := map[string]string{}
+	var extra []schema.Attribute
 	for _, am := range cfg.Attrs {
-		src := am.R
+		from, otherFrom := am.R, am.S
 		if !left {
-			src = am.S
+			from, otherFrom = am.S, am.R
 		}
-		if src != "" && src != am.Name {
-			se.renameMap[src] = am.Name
-		}
-	}
-	// Attributes the side is missing: in the map but with empty source.
-	for _, am := range cfg.Attrs {
-		src := am.R
-		other := am.S
-		if !left {
-			src, other = am.S, am.R
-		}
-		if src != "" {
+		if from != "" {
+			if from != am.Name {
+				rename[from] = am.Name
+			}
 			continue
 		}
+		// The side is missing the attribute: append it, typed like the
+		// other side's column or, failing that, an ILFD consequent.
 		kind := value.KindString
-		if other != "" {
-			if left {
-				kind = cfg.S.Schema().KindOf(other)
-			} else {
-				kind = cfg.R.Schema().KindOf(other)
-			}
+		if otherFrom != "" {
+			kind = other.Schema().KindOf(otherFrom)
 		} else if k, ok := consequentKind(cfg.ILFDs, am.Name); ok {
 			kind = k
 		}
-		se.extra = append(se.extra, schema.Attribute{Name: am.Name, Kind: kind})
+		extra = append(extra, schema.Attribute{Name: am.Name, Kind: kind})
 	}
-	se.ext = derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode})
-	return se
-}
-
-// Extend runs the pipeline over a relation with the side's source
-// schema.
-func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []derive.Conflict, error) {
-	cur := rel
-	if len(se.renameMap) > 0 {
-		renamed, err := ra.Rename(rel, rel.Schema().Name(), se.renameMap)
-		if err != nil {
-			return nil, nil, fmt.Errorf("match: rename %s: %w", rel.Schema().Name(), err)
+	attrs, keys := src.Attrs(), src.Keys()
+	for i := range attrs {
+		if nn, ok := rename[attrs[i].Name]; ok {
+			attrs[i].Name = nn
 		}
-		cur = renamed
 	}
-	return se.ext.Extend(cur, se.name, se.extra)
+	for _, k := range keys {
+		for i := range k {
+			if nn, ok := rename[k[i]]; ok {
+				k[i] = nn
+			}
+		}
+	}
+	sch, err := schema.New(name, append(attrs, extra...), keys...)
+	if err != nil {
+		return nil, fmt.Errorf("match: extend %s: %w", src.Name(), err)
+	}
+	return &SideExtender{
+		shape: relation.New(src),
+		sch:   sch,
+		ext:   derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode}),
+	}, nil
 }
 
-// extendSide renames a source relation's mapped attributes to integrated
-// names, then derives the missing integrated attributes.
-func extendSide(rel *relation.Relation, name string, left bool, cfg Config) (*relation.Relation, []derive.Conflict, error) {
-	se := NewSideExtender(cfg, left)
-	se.name = name
+// ExtendTuple returns the extended image of one tuple of the side's
+// source relation, and the derivation conflicts found (fixpoint mode),
+// reported at tuple index 0. The tuple's shape is checked against the
+// source schema before anything is derived; t itself is left alone.
+func (se *SideExtender) ExtendTuple(t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
+	if err := se.shape.CanInsert(t); err != nil {
+		return nil, nil, err
+	}
+	// The columns past the source arity are zero Values: NULL.
+	ext := make(relation.Tuple, se.sch.Arity())
+	copy(ext, t)
+	conflicts, err := se.ext.ExtendTuple(se.sch, ext)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ext, conflicts, nil
+}
+
+// Extend runs ExtendTuple over a relation with the side's source schema,
+// collecting the images into the extended relation; conflicts carry the
+// position of the tuple they arose in.
+func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []derive.Conflict, error) {
+	out := relation.New(se.sch)
+	var conflicts []derive.Conflict
+	for i, t := range rel.Tuples() {
+		ext, cs, err := se.ExtendTuple(t)
+		if err != nil {
+			return nil, nil, fmt.Errorf("match: extend: %w", err)
+		}
+		for _, c := range cs {
+			c.TupleIndex = i
+			conflicts = append(conflicts, c)
+		}
+		if err := out.Insert(ext); err != nil {
+			return nil, nil, fmt.Errorf("match: extend: %w", err)
+		}
+	}
+	return out, conflicts, nil
+}
+
+// extendSide builds one side's extended relation.
+func extendSide(cfg Config, left bool) (*relation.Relation, []derive.Conflict, error) {
+	se, err := NewSideExtender(cfg, left)
+	if err != nil {
+		return nil, nil, err
+	}
+	rel := cfg.S
+	if left {
+		rel = cfg.R
+	}
 	return se.Extend(rel)
 }
 

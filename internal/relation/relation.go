@@ -62,6 +62,10 @@ func (t Tuple) Identical(o Tuple) bool {
 type Relation struct {
 	schema *schema.Schema
 	tuples []Tuple
+	// keyCols holds, per candidate key, the column offsets of its
+	// attributes — resolved once, so key projection indexes the tuple
+	// instead of copying the schema's keys and looking each name up.
+	keyCols [][]int
 	// keyIdx maps candidate-key ordinal -> key-projection string -> tuple
 	// position, for O(1) duplicate detection and key lookups.
 	keyIdx []map[string]int
@@ -71,10 +75,18 @@ type Relation struct {
 
 // New creates an empty relation with the given schema.
 func New(s *schema.Schema) *Relation {
-	r := &Relation{schema: s}
-	r.keyIdx = make([]map[string]int, len(s.Keys()))
-	for i := range r.keyIdx {
-		r.keyIdx[i] = make(map[string]int)
+	keys := s.Keys()
+	r := &Relation{
+		schema:  s,
+		keyCols: make([][]int, len(keys)),
+		keyIdx:  make([]map[string]int, len(keys)),
+	}
+	for ki, key := range keys {
+		r.keyCols[ki] = make([]int, len(key))
+		for i, a := range key {
+			r.keyCols[ki][i] = s.Index(a)
+		}
+		r.keyIdx[ki] = make(map[string]int)
 	}
 	return r
 }
@@ -126,14 +138,18 @@ func (r *Relation) MustValue(i int, attr string) value.Value {
 	return v
 }
 
-// keyProjection returns the encoded projection of t onto key, and whether
-// every key attribute is non-NULL (NULL-containing projections are not
-// indexed, mirroring SQL's treatment of NULLs in unique constraints and
-// the paper's extended relations).
-func (r *Relation) keyProjection(t Tuple, key []string) (string, bool) {
+// keyProjection returns the encoded projection of t onto the key columns
+// cols, and whether every key attribute is non-NULL (NULL-containing
+// projections are not indexed, mirroring SQL's treatment of NULLs in
+// unique constraints and the paper's extended relations).
+func keyProjection(t Tuple, cols []int) (string, bool) {
+	if len(cols) == 1 {
+		v := t[cols[0]]
+		return v.Key(), !v.IsNull()
+	}
 	var b strings.Builder
-	for i, a := range key {
-		v := t[r.schema.Index(a)]
+	for i, c := range cols {
+		v := t[c]
 		if v.IsNull() {
 			return "", false
 		}
@@ -152,17 +168,24 @@ func (r *Relation) CanInsert(t Tuple) error {
 	if err := r.checkShape(t); err != nil {
 		return err
 	}
-	for ki, key := range r.schema.Keys() {
-		proj, full := r.keyProjection(t, key)
+	for ki, cols := range r.keyCols {
+		if len(r.keyIdx[ki]) == 0 {
+			continue // nothing to collide with
+		}
+		proj, full := keyProjection(t, cols)
 		if !full {
 			continue
 		}
 		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
-			return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
-				r.schema.Name(), strings.Join(key, ","), t, at)
+			return r.keyViolation(ki, t, at)
 		}
 	}
 	return nil
+}
+
+func (r *Relation) keyViolation(ki int, t Tuple, at int) error {
+	return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
+		r.schema.Name(), strings.Join(r.schema.Keys()[ki], ","), t, at)
 }
 
 func (r *Relation) checkShape(t Tuple) error {
@@ -189,24 +212,24 @@ func (r *Relation) Insert(t Tuple) error {
 	if err := r.checkShape(t); err != nil {
 		return err
 	}
-	keys := r.schema.Keys()
-	projs := make([]string, len(keys))
-	indexed := make([]bool, len(keys))
-	for ki, key := range keys {
-		proj, full := r.keyProjection(t, key)
+	// Projections are checked for every key before any is indexed; a
+	// full projection is never the empty string, which marks a key the
+	// tuple is not indexed under.
+	projs := make([]string, len(r.keyCols))
+	for ki, cols := range r.keyCols {
+		proj, full := keyProjection(t, cols)
 		if !full {
 			continue
 		}
 		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
-			return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
-				r.schema.Name(), strings.Join(key, ","), t, at)
+			return r.keyViolation(ki, t, at)
 		}
-		projs[ki], indexed[ki] = proj, true
+		projs[ki] = proj
 	}
 	pos := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
-	for ki := range keys {
-		if indexed[ki] {
+	for ki := range r.keyCols {
+		if projs[ki] != "" {
 			r.keyIdx[ki][projs[ki]] = pos
 		}
 	}
@@ -245,8 +268,7 @@ func (r *Relation) InsertStrings(fields ...string) error {
 //
 //entitylint:hotpath nolock,noobs,noio
 func (r *Relation) LookupKey(keyVals ...value.Value) int {
-	key := r.schema.PrimaryKey()
-	if len(keyVals) != len(key) {
+	if len(keyVals) != len(r.keyCols[0]) {
 		return -1
 	}
 	var b strings.Builder
@@ -345,13 +367,12 @@ func (r *Relation) Sort(attrs ...string) error {
 }
 
 func (r *Relation) reindex() {
-	keys := r.schema.Keys()
 	for ki := range r.keyIdx {
 		r.keyIdx[ki] = make(map[string]int)
 	}
 	for pos, t := range r.tuples {
-		for ki, key := range keys {
-			if proj, full := r.keyProjection(t, key); full {
+		for ki, cols := range r.keyCols {
+			if proj, full := keyProjection(t, cols); full {
 				r.keyIdx[ki][proj] = pos
 			}
 		}

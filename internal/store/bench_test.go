@@ -37,6 +37,7 @@ func pairRecord(i int) []store.Node { return []store.Node{n(0, i), n(1, i)} }
 // BenchmarkRead cycles through the records in publication order, which
 // against an LRU tier smaller than the cycle makes every cold read a
 // page-in and every hot read a hit; the tier's own counters check it.
+// B/op on disk-cold is what one page-in allocates.
 func BenchmarkRead(b *testing.B) {
 	for _, tier := range []struct {
 		name string
@@ -53,6 +54,7 @@ func BenchmarkRead(b *testing.B) {
 				c.Publish(pairRecord(i))
 			}
 			before := c.Stats().PageIns
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ms, err := c.Read(n(0, i%benchRecords))

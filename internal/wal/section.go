@@ -38,9 +38,16 @@ type FrameScanner struct {
 	off int64
 }
 
-// NewFrameScanner wraps a reader.
+// NewFrameScanner wraps a reader. The read buffer is 64 KiB, or as much
+// as the reader says it holds when that is less (io.SectionReader,
+// bytes.Reader): a disk-tier page-in scans one ~100-byte frame, and
+// reads exactly that.
 func NewFrameScanner(r io.Reader) *FrameScanner {
-	return &FrameScanner{br: bufio.NewReaderSize(r, 1<<16)}
+	size := 1 << 16
+	if sz, ok := r.(interface{ Size() int64 }); ok && sz.Size() < int64(size) {
+		size = int(sz.Size())
+	}
+	return &FrameScanner{br: bufio.NewReaderSize(r, size)}
 }
 
 // Offset returns the byte offset just past the last good frame.
