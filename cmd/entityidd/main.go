@@ -361,9 +361,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		route = "unmatched"
 	}
 	dur := time.Since(start)
-	//entitylint:bounded route is a registered mux pattern or "unmatched"; statusClass returns one of five constants
 	mHTTPRequests.With(route, statusClass(sw.code)).Inc()
-	//entitylint:bounded route is a registered mux pattern or "unmatched"
 	mHTTPSeconds.With(route).Observe(dur)
 	s.logf("entityidd: access method=%s path=%s route=%q status=%d bytes=%d dur_ms=%.3f request_id=%s",
 		r.Method, r.URL.Path, route, sw.code, sw.bytes, float64(dur)/float64(time.Millisecond), rid)

@@ -1,6 +1,6 @@
 // Command entitylint is the hub's multichecker: it runs the
-// internal/analysis suite (lockorder, walfirst, hotpath, errwrapcheck,
-// boundedcard) over Go packages.
+// internal/analysis suite (lockorder, walfirst, hotpath, errwrapcheck)
+// over Go packages.
 //
 //	entitylint ./...                 # analyze package patterns
 //	entitylint -disable hotpath ./...
@@ -20,7 +20,6 @@ import (
 
 	"entityid/internal/analysis"
 	"entityid/internal/analysis/analysistest"
-	"entityid/internal/analysis/boundedcard"
 	"entityid/internal/analysis/errwrapcheck"
 	"entityid/internal/analysis/hotpath"
 	"entityid/internal/analysis/load"
@@ -30,7 +29,6 @@ import (
 
 // suite is every analyzer the multichecker runs, in report order.
 var suite = []*analysis.Analyzer{
-	boundedcard.Analyzer,
 	errwrapcheck.Analyzer,
 	hotpath.Analyzer,
 	lockorder.Analyzer,

@@ -31,10 +31,6 @@
 //	                                    comma-separated subset of
 //	                                    noalloc,nolock,noobs,noio
 //	                                    (empty means all) (hotpath)
-//	//entitylint:bounded <reason>       on or above a labeled-family
-//	                                    With call: the non-constant
-//	                                    label provably comes from a
-//	                                    finite set (boundedcard)
 //	//entitylint:ignore <analyzer> <reason>
 //	                                    on or above a line: suppress
 //	                                    that analyzer's findings there

@@ -65,3 +65,22 @@ func BenchmarkPrepareCommit(b *testing.B) {
 	b.ReportMetric(float64(prepare.Nanoseconds())/float64(b.N), "prepare-ns/op")
 	b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "commit-ns/op")
 }
+
+// BenchmarkNew is what a Link, a snapshot restore, a pair page-in and
+// every AddILFD rebuild pay: batch identification of two resident
+// relations (the ~2k×2k scale workload, one blocked identity rule)
+// into a verified federation ready to take inserts.
+func BenchmarkNew(b *testing.B) {
+	cfg := datagen.ScaleMatchConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.MT().Len() == 0 {
+			b.Fatal("empty matching table")
+		}
+	}
+}

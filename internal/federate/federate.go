@@ -24,30 +24,26 @@
 //   - Integrated / Result: the current integrated view for query
 //     processing.
 //
-// Incremental identification probes both sources of matching pairs the
-// batch construction uses: the extended-key index and, per extra
-// identity rule, the same hash blocks the engine's blocked join buckets
-// by (rules without a usable equality predicate scan the opposite
-// side, mirroring the engine's nested-loop fallback).
-//
 // Equivalence with batch identification (match.Build on the final
-// relations) is the package's central invariant, pinned by tests. At the
-// extension step it holds by construction: the new tuple's R′/S′ image
-// comes from match.SideExtender.ExtendTuple, the function Build itself
-// runs over every tuple of a side. The federation extends a tuple, never
-// a relation — prepare builds no relation and no schema. It relies on the
-// extender's layout guarantee (a renamed attribute keeps its column, the
-// missing ones append, so the image is laid out like R′/S′ and the cached
-// key offsets and compiled rules apply to it); match.NewSideExtender
-// resolves that layout, match's tests hold it against the relational
-// rename + extend pipeline, and Commit's insert into R′/S′ re-checks the
-// image's shape against the relation Build produced.
+// relations) is the package's central invariant, and it holds by
+// construction at both steps. Extension: the new tuple's R′/S′ image
+// comes from match.SideExtender.ExtendTuple, the function Build runs over
+// every tuple of a side, on the extenders Build resolved. Matching: its
+// partners come from match.Result.Probe — the extended-key bucket and,
+// per extra identity rule, the hash block (or, for a rule with no usable
+// equality, the scan) — which is the function Build gives every R′ tuple,
+// over the index Build filled; Commit grows that index through
+// match.Result.Append. The federation builds no relation, no schema and
+// no index, and compiles no rule. What is its own: the §3.2 insertion
+// guards, the two-phase protocol with its generation and one-ahead
+// checks, monotone rebuild (AddILFD) and the state round-trip (State,
+// Restore).
 //
 // Ownership: a Federation is a view over two relations it is lent
 // (Config.R and Config.S), not an owner of copies. The lender owns the
 // tuples and guards their candidate keys; the federation owns only what
-// it derives from them — the extended images R′/S′, the probe indexes
-// and the matching table. InsertR/InsertS insert into the lent relation
+// it derives from them — the match.Result: extended images R′/S′, probe
+// index and matching table. InsertR/InsertS insert into the lent relation
 // on the caller's behalf; a coordinator that uses Prepare + Commit
 // inserts the tuple into the lent relation itself, exactly once,
 // between the two (the hub does, under its own locks), and Commit
@@ -55,61 +51,44 @@
 package federate
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"entityid/internal/ilfd"
 	"entityid/internal/integrate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
-	"entityid/internal/rules"
 )
 
 // Federation is a live, incrementally maintained identification state.
 type Federation struct {
 	cfg match.Config
+	// res is the batch result of the last rebuild, grown since by every
+	// commit; the extenders and the matching step's index are its own.
 	res *match.Result
-	// rExt / sExt extend one tuple of either side into its R′/S′ image
-	// (schema resolved once per rebuild).
-	rExt, sExt *match.SideExtender
-	// extKeyIdx indexes each side's extended relation by its non-NULL
-	// extended-key projection: projection -> tuple positions.
-	rIdx, sIdx map[string][]int
-	// rKeyPos / sKeyPos are the extended-key column offsets in each
-	// side's extended schema, resolved once per rebuild so per-insert key
-	// projection indexes raw tuples instead of calling Schema().Index per
-	// attribute.
-	rKeyPos, sKeyPos []int
-	// idRules holds the incremental evaluation state of the extra
-	// identity rules: compiled forms plus the blocked-join hash buckets
-	// over both extended relations, maintained across inserts.
-	idRules []idRuleState
 	// gen counts state mutations (commits and rebuilds); a Pending
 	// prepared at one generation refuses to commit at another.
 	gen uint64
 }
 
-// idRuleState is one extra identity rule prepared for incremental
-// probing: the same hash-block discipline as the engine's
-// blockedIdentityPairs, maintained tuple by tuple.
-type idRuleState struct {
-	rule rules.IdentityRule
-	// skip marks rules mentioning an equality attribute absent from
-	// either extended schema: the cross equality can never hold.
-	skip bool
-	// fallback marks rules with no usable cross-equality attribute,
-	// which must scan the opposite side (the engine's nested-loop path).
-	fallback bool
-	// rPos / sPos are the equality-attribute offsets in R′/S′.
-	rPos, sPos []int
-	// rBlocks / sBlocks bucket each side's tuples by their non-NULL
-	// equality projection, exactly like the blocked hash join.
-	rBlocks, sBlocks map[string][]int
-	// fwd / rev are the rule compiled in both orientations
-	// (e1 ← R′, e2 ← S′ and the reverse).
-	fwd, rev rules.CompiledIdentityRule
+// ErrUniqueness and ErrConsistency mark a prepare rejected by a §3.2
+// insertion guard: the tuple would match several tuples at once or one
+// that is already matched, or a distinctness rule forbids the pair it
+// would form. Callers classify rejections with errors.Is.
+var (
+	ErrUniqueness  = errors.New("uniqueness violation")
+	ErrConsistency = errors.New("consistency violation")
+)
+
+// guardError is a guard's rejection: the message, and the sentinel it
+// unwraps to.
+type guardError struct {
+	error
+	guard error
 }
+
+func (e guardError) Unwrap() error { return e.guard }
 
 // New builds the initial state from a configuration; the initial
 // matching table must verify (fail-closed like System.Identify). The
@@ -124,7 +103,7 @@ func New(cfg match.Config) (*Federation, error) {
 	return f, nil
 }
 
-// rebuild runs batch identification and refreshes the indexes.
+// rebuild runs batch identification.
 func (f *Federation) rebuild() error {
 	res, err := match.Build(f.cfg)
 	if err != nil {
@@ -133,95 +112,9 @@ func (f *Federation) rebuild() error {
 	if err := res.Verify(); err != nil {
 		return fmt.Errorf("federate: %w", err)
 	}
-	rExt, err := match.NewSideExtender(f.cfg, true)
-	if err != nil {
-		return err
-	}
-	sExt, err := match.NewSideExtender(f.cfg, false)
-	if err != nil {
-		return err
-	}
-	f.res, f.rExt, f.sExt = res, rExt, sExt
-	f.rKeyPos = keyOffsets(res.RPrime, res.ExtKey())
-	f.sKeyPos = keyOffsets(res.SPrime, res.ExtKey())
-	f.rIdx = indexByKey(res.RPrime, f.rKeyPos)
-	f.sIdx = indexByKey(res.SPrime, f.sKeyPos)
-	f.idRules = buildIDRules(f.cfg.Identity, res.RPrime, res.SPrime)
+	f.res = res
 	f.gen++
 	return nil
-}
-
-// buildIDRules compiles the extra identity rules against the extended
-// schemas and buckets both extended relations by each rule's equality
-// projection.
-func buildIDRules(identity []rules.IdentityRule, rp, sp *relation.Relation) []idRuleState {
-	if len(identity) == 0 {
-		return nil
-	}
-	rs, ss := rp.Schema(), sp.Schema()
-	states := make([]idRuleState, len(identity))
-	for n, rule := range identity {
-		st := idRuleState{
-			rule: rule,
-			fwd:  rule.Compile(rs, ss),
-			rev:  rule.Compile(ss, rs),
-		}
-		eq := rule.EqualityAttrs()
-		for _, a := range eq {
-			if !rs.Has(a) || !ss.Has(a) {
-				st.skip = true
-			}
-		}
-		switch {
-		case st.skip:
-		case len(eq) == 0:
-			st.fallback = true
-		default:
-			st.rPos = make([]int, len(eq))
-			st.sPos = make([]int, len(eq))
-			for i, a := range eq {
-				st.rPos[i] = rs.Index(a)
-				st.sPos[i] = ss.Index(a)
-			}
-			st.rBlocks = make(map[string][]int)
-			st.sBlocks = make(map[string][]int)
-			for i, t := range rp.Tuples() {
-				if k, ok := match.ProjectionKey(t, st.rPos); ok {
-					st.rBlocks[k] = append(st.rBlocks[k], i)
-				}
-			}
-			for j, t := range sp.Tuples() {
-				if k, ok := match.ProjectionKey(t, st.sPos); ok {
-					st.sBlocks[k] = append(st.sBlocks[k], j)
-				}
-			}
-		}
-		states[n] = st
-	}
-	return states
-}
-
-// keyOffsets resolves the extended-key attributes to column offsets in
-// the extended relation's schema. Build guarantees they exist.
-func keyOffsets(rel *relation.Relation, extKey []string) []int {
-	pos := make([]int, len(extKey))
-	for n, a := range extKey {
-		pos[n] = rel.Schema().Index(a)
-	}
-	return pos
-}
-
-// indexByKey builds the probe index with match.ProjectionKey — the
-// same encoding the batch join buckets by, so incremental probes and
-// batch construction can never disagree on key equality.
-func indexByKey(rel *relation.Relation, keyPos []int) map[string][]int {
-	idx := make(map[string][]int, rel.Len())
-	for i, t := range rel.Tuples() {
-		if k, ok := match.ProjectionKey(t, keyPos); ok {
-			idx[k] = append(idx[k], i)
-		}
-	}
-	return idx
 }
 
 // Result returns the current match result (shared; do not mutate).
@@ -282,10 +175,9 @@ type Pending struct {
 	f    *Federation
 	left bool
 	ext  relation.Tuple
-	// key is ext's extended-key projection, the one the probe used and
-	// the commit indexes it under; keyed is false when it holds a NULL.
-	key   string
-	keyed bool
+	// keys are ext's projection keys, the ones the probe looked up and the
+	// commit indexes it under.
+	keys match.Keys
 	// pairs are the matching pairs the commit will add — none, or the one
 	// held in `one`; the new tuple's index is its side's pre-commit
 	// length. atGen is the federation generation the prepare ran against.
@@ -313,40 +205,26 @@ func (f *Federation) PrepareS(t relation.Tuple) (*Pending, error) {
 func (p *Pending) Pairs() []match.Pair { return p.pairs }
 
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	// own is the side the tuple joins, other the side it is identified
-	// against.
-	se, keyPos, otherIdx, own, other := f.sExt, f.sKeyPos, f.rIdx, f.res.SPrime, f.res.RPrime
-	if left {
-		se, keyPos, otherIdx, own, other = f.rExt, f.rKeyPos, f.sIdx, f.res.RPrime, f.res.SPrime
-	}
 	// Extend the one tuple (its shape is checked first; the candidate
-	// keys are the lender's to guard). The image has its side's extended
-	// layout, so the cached key offsets and compiled rules apply to it.
-	ext, _, err := se.ExtendTuple(t)
+	// keys are the lender's to guard), then give its image the probe
+	// Build gave every tuple: the opposite side's extended-key bucket and
+	// identity-rule blocks.
+	ext, _, err := f.res.ExtendTuple(left, t)
 	if err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
-	// Probe the opposite side's extended-key index, and the
-	// identity-rule hash blocks too: a tuple that matches solely via an
-	// extra identity rule must be caught on insert, or the batch ≡
-	// incremental invariant breaks.
-	var partners []int
-	key, keyed := match.ProjectionKey(ext, keyPos)
-	if keyed {
-		partners = otherIdx[key]
-	}
-	for _, j := range f.identityPartners(ext, left) {
-		if !slices.Contains(partners, j) {
-			// Capped, so append copies: partners may be an index bucket.
-			partners = append(partners[:len(partners):len(partners)], j)
-		}
-	}
+	partners, keys := f.res.Probe(left, ext)
 	if len(partners) > 1 {
-		return nil, fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners))
+		return nil, guardError{fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners)), ErrUniqueness}
 	}
-	p := &Pending{f: f, left: left, ext: ext, key: key, keyed: keyed, atGen: f.gen}
+	p := &Pending{f: f, left: left, ext: ext, keys: keys, atGen: f.gen}
 	if len(partners) == 0 {
 		return p, nil
+	}
+	// own is the side the tuple joins, other the side it matched on.
+	own, other := f.res.SPrime, f.res.RPrime
+	if left {
+		own, other = other, own
 	}
 	j := partners[0]
 	rt, st := other.Tuple(j), ext
@@ -358,76 +236,27 @@ func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 		prev, side, otherSide = f.res.MT.MatchesOfS(j), "S", "R"
 	}
 	if len(prev) > 0 {
-		return nil, fmt.Errorf("federate: uniqueness violation: %s tuple %d already matched to %s tuple %d", side, j, otherSide, prev[0])
+		return nil, guardError{fmt.Errorf("federate: uniqueness violation: %s tuple %d already matched to %s tuple %d", side, j, otherSide, prev[0]), ErrUniqueness}
 	}
 	// Consistency guard: the new pair must not be declared distinct. The
 	// result's compiled distinctness rules are reused — the candidate
 	// tuple has R′/S′ layout, which is all compiled evaluation needs.
 	if name, fires := f.res.DistinctFires(rt, st); fires {
-		return nil, fmt.Errorf("federate: consistency violation: new tuple matches a pair distinctness rule %q forbids", name)
+		return nil, guardError{fmt.Errorf("federate: consistency violation: new tuple matches a pair distinctness rule %q forbids", name), ErrConsistency}
 	}
 	p.one[0] = pair
 	p.pairs = p.one[:]
 	return p, nil
 }
 
-// identityPartners returns the opposite-side tuple positions some extra
-// identity rule pairs the candidate extended tuple with: hash-block
-// probing for rules with cross-equality attributes, a scan of the
-// opposite side for fallback rules.
-func (f *Federation) identityPartners(extTuple relation.Tuple, left bool) []int {
-	var out []int
-	for i := range f.idRules {
-		st := &f.idRules[i]
-		if st.skip {
-			continue
-		}
-		holds := func(j int) bool {
-			var rt, stup relation.Tuple
-			if left {
-				rt, stup = extTuple, f.res.SPrime.Tuple(j)
-			} else {
-				rt, stup = f.res.RPrime.Tuple(j), extTuple
-			}
-			return st.fwd.Holds(rt, stup) || st.rev.Holds(stup, rt)
-		}
-		if st.fallback {
-			n := f.res.RPrime.Len()
-			if left {
-				n = f.res.SPrime.Len()
-			}
-			for j := 0; j < n; j++ {
-				if holds(j) {
-					out = append(out, j)
-				}
-			}
-			continue
-		}
-		pos, blocks := st.rPos, st.sBlocks
-		if !left {
-			pos, blocks = st.sPos, st.rBlocks
-		}
-		k, ok := match.ProjectionKey(extTuple, pos)
-		if !ok {
-			continue
-		}
-		for _, j := range blocks[k] {
-			if holds(j) {
-				out = append(out, j)
-			}
-		}
-	}
-	return out
-}
-
 // Commit applies a prepared insert whose tuple the caller has inserted
-// into the lent relation: extended relation, probe indexes,
-// identity-rule blocks, matching pairs. It fails — with the state
-// untouched — on a stale Pending (any federation mutation since
-// prepare: an insert on either side, or an AddILFD rebuild) or when the
-// lent relation is not exactly one tuple ahead of its extended image
-// (the prepared tuple was not inserted, or more than it was); under the
-// documented serialise-per-federation discipline it cannot fail.
+// into the lent relation: match.Result.Append puts the image into R′/S′,
+// indexes it and adds its pairs. It fails — with the state untouched —
+// on a stale Pending (any federation mutation since prepare: an insert
+// on either side, or an AddILFD rebuild) or when the lent relation is
+// not exactly one tuple ahead of its extended image (the prepared tuple
+// was not inserted, or more than it was); under the documented
+// serialise-per-federation discipline it cannot fail.
 func (p *Pending) Commit() ([]match.Pair, error) {
 	f := p.f
 	if p.done {
@@ -443,34 +272,10 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	if got, want := f.base(p.left).Len(), side.Len()+1; got != want {
 		return nil, fmt.Errorf("federate: commit: lent relation holds %d tuples, the prepared insert makes it %d", got, want)
 	}
-	if err := side.Insert(p.ext); err != nil {
+	if err := f.res.Append(p.left, p.ext, p.keys, p.pairs); err != nil {
 		return nil, fmt.Errorf("federate: extended insert: %w", err)
 	}
 	p.done = true
-	pos := side.Len() - 1
-	if p.keyed {
-		idx := f.sIdx
-		if p.left {
-			idx = f.rIdx
-		}
-		idx[p.key] = append(idx[p.key], pos)
-	}
-	for i := range f.idRules {
-		st := &f.idRules[i]
-		if st.skip || st.fallback {
-			continue
-		}
-		blockPos, blocks := st.sPos, st.sBlocks
-		if p.left {
-			blockPos, blocks = st.rPos, st.rBlocks
-		}
-		if k, ok := match.ProjectionKey(p.ext, blockPos); ok {
-			blocks[k] = append(blocks[k], pos)
-		}
-	}
-	for _, pr := range p.pairs {
-		f.res.MT.Add(pr)
-	}
 	f.gen++
 	return p.pairs, nil
 }

@@ -1,6 +1,8 @@
 package federate
 
 import (
+	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"entityid/internal/match"
 	"entityid/internal/paperdata"
 	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/value"
 )
 
@@ -109,40 +112,74 @@ func TestInsertRejectsKeyViolation(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsUniquenessViolation drives both §3.2 uniqueness
+// guards: the extended key is name alone beside per-source id keys, so
+// the lender's keys let through what the guards must stop. A rejected
+// insert leaves the lent relation, R′/S′, the probe's index, the
+// matching table and the generation as they were.
 func TestInsertRejectsUniquenessViolation(t *testing.T) {
-	f, err := New(example3Config())
-	if err != nil {
-		t.Fatal(err)
+	idName := func(name string) *relation.Relation {
+		return relation.New(schema.MustNew(name, []schema.Attribute{{Name: "id"}, {Name: "name"}}, []string{"id"}))
 	}
-	// S's Hunan TwinCities row is already matched to R's Chinese
-	// TwinCities. A second R tuple that derives the same extended key
-	// must be rejected — but R's candidate key (name, cuisine) already
-	// blocks exact duplicates, so construct the collision through a new
-	// cuisine value... the extended key includes cuisine, so a true
-	// collision needs equal (name, cuisine, speciality): impossible
-	// through R's key. Instead exercise the S side: a new S tuple that
-	// derives the extended key of the already-matched Hunan pair.
-	_, err = f.InsertS(relation.Tuple{s("TwinCities"), s("Hunan2"), s("Dakota")})
-	if err != nil {
-		t.Fatalf("benign insert rejected: %v", err)
+	fresh := func() (*Federation, match.Config) {
+		cfg := match.Config{
+			R: idName("R"), S: idName("S"),
+			Attrs: []match.AttrMap{
+				{Name: "name", R: "name", S: "name"},
+				{Name: "rid", R: "id"}, {Name: "sid", S: "id"},
+			},
+			ExtKey: []string{"name"},
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, cfg
 	}
-	// Add knowledge mapping Hunan2 to the same (cuisine, speciality)
-	// surface as Hunan... speciality is part of S's identity, so the
-	// derived attribute is cuisine only. The Hunan2 tuple has extended
-	// key (TwinCities, Chinese?, Hunan2) — distinct. So uniqueness can
-	// only trip via a tuple matching an already-matched partner's key
-	// exactly; simulate by inserting S tuple with speciality Hunan in a
-	// different county — S's key (name, speciality) forbids it. The
-	// remaining avenue: an R insert whose derived key equals a matched S
-	// row's key. R key (name, cuisine) permits (TwinCities, Szechwan) +
-	// ILFD street→speciality=Hunan ⇒ key (TwinCities, Szechwan, Hunan):
-	// no collision either (cuisine differs). Conclusion: with these
-	// schemas the extended key embeds both source keys, so incremental
-	// uniqueness violations cannot arise — assert that invariant by
-	// checking every insert path kept the table verified.
-	if err := f.Result().Verify(); err != nil {
-		t.Fatalf("state unsound after inserts: %v", err)
+	mustInsert := func(insert func(relation.Tuple) ([]match.Pair, error), wantPairs []match.Pair, vals ...string) {
+		t.Helper()
+		pairs, err := insert(relation.Tuple{s(vals[0]), s(vals[1])})
+		if err != nil {
+			t.Fatalf("insert %v: %v", vals, err)
+		}
+		if len(pairs) != len(wantPairs) || len(pairs) > 0 && pairs[0] != wantPairs[0] {
+			t.Fatalf("insert %v produced %v, want %v", vals, pairs, wantPairs)
+		}
 	}
+	// rejected inserts the tuple into R, wants the guard's text and
+	// sentinel, and then shows nothing moved: same lengths, pairs and
+	// generation, and the next valid inserts land where they would have
+	// (r9 unmatched at the old end of R; an S tuple named like it finds
+	// r9 there, so the index took r9 and not the rejected tuple).
+	rejected := func(f *Federation, cfg match.Config, want string, vals ...string) {
+		t.Helper()
+		rLen, extLen, pairs, gen := cfg.R.Len(), f.Result().RPrime.Len(), f.Pairs(), f.gen
+		_, err := f.InsertR(relation.Tuple{s(vals[0]), s(vals[1])})
+		if err == nil || !errors.Is(err, ErrUniqueness) || errors.Is(err, ErrConsistency) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("InsertR %v = %v, want ErrUniqueness with %q", vals, err, want)
+		}
+		if cfg.R.Len() != rLen || f.Result().RPrime.Len() != extLen || !reflect.DeepEqual(f.Pairs(), pairs) || f.gen != gen {
+			t.Fatalf("rejected insert left a trace: %d R tuples, %d R' tuples, pairs %v, generation %d; want %d, %d, %v, %d",
+				cfg.R.Len(), f.Result().RPrime.Len(), f.Pairs(), f.gen, rLen, extLen, pairs, gen)
+		}
+		mustInsert(f.InsertR, nil, "r9", "Z")
+		mustInsert(f.InsertS, []match.Pair{{RIndex: rLen, SIndex: cfg.S.Len()}}, "s9", "Z")
+		if err := f.Result().Verify(); err != nil {
+			t.Fatalf("state unsound: %v", err)
+		}
+	}
+
+	// The partner is already matched.
+	f, cfg := fresh()
+	mustInsert(f.InsertS, nil, "s1", "A")
+	mustInsert(f.InsertR, []match.Pair{{RIndex: 0, SIndex: 0}}, "r1", "A")
+	rejected(f, cfg, "federate: uniqueness violation: S tuple 0 already matched to R tuple 0", "r2", "A")
+
+	// Two partners at once: S may hold two A's while R holds none.
+	f, cfg = fresh()
+	mustInsert(f.InsertS, nil, "s1", "A")
+	mustInsert(f.InsertS, nil, "s2", "A")
+	rejected(f, cfg, "federate: insert would match 2 tuples at once (unsound)", "r1", "A")
 }
 
 func TestInsertConsistencyGuard(t *testing.T) {
@@ -168,8 +205,8 @@ func TestInsertConsistencyGuard(t *testing.T) {
 		t.Fatalf("InsertS: %v", err)
 	}
 	_, err = f.InsertR(relation.Tuple{s("VillageWok"), s("Chinese"), s("DB1")})
-	if err == nil || !strings.Contains(err.Error(), "consistency violation") {
-		t.Fatalf("consistency guard did not fire: %v", err)
+	if !errors.Is(err, ErrConsistency) || errors.Is(err, ErrUniqueness) || !strings.Contains(err.Error(), "federate: consistency violation: new tuple matches a pair distinctness rule") {
+		t.Fatalf("consistency guard did not fire, or is mistyped: %v", err)
 	}
 }
 

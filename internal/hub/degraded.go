@@ -238,7 +238,6 @@ func isPersistentIO(err error) bool {
 		}
 	}
 	// The log declared itself unusable (failed append whose rollback
-	// also failed) or hit a torn write: no append can succeed until
-	// Heal does.
-	return errors.Is(err, wal.ErrLogUnusable) || errors.Is(err, wal.ErrTornWrite)
+	// also failed): no append can succeed until Heal does.
+	return errors.Is(err, wal.ErrLogUnusable)
 }

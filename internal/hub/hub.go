@@ -653,7 +653,9 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 			pd, err = p.fed.Load().PrepareS(t)
 		}
 		if err != nil {
-			mUniqueness.Inc()
+			if errors.Is(err, federate.ErrUniqueness) {
+				mUniqueness.Inc()
+			}
 			return nil, fmt.Errorf("hub: source %q vs %q: %w", source, h.sources[p.other(si)].name, err)
 		}
 		for _, pr := range pd.Pairs() {

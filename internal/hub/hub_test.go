@@ -5,14 +5,18 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/federate"
 	"entityid/internal/hub"
 	"entityid/internal/match"
+	"entityid/internal/obs"
 	"entityid/internal/relation"
 	"entityid/internal/resolve"
+	"entityid/internal/rules"
 	"entityid/internal/schema"
 	"entityid/internal/store"
 	"entityid/internal/value"
@@ -44,7 +48,7 @@ func fourSourceHub(t *testing.T) *hub.Hub {
 	mk("B", "id", "name", "phone")
 	mk("C", "id", "code", "city")
 	mk("D", "id", "phone", "city")
-	link := func(left, right, shared string) {
+	link := func(left, right, shared string, distinct ...rules.DistinctnessRule) {
 		t.Helper()
 		err := h.Link(hub.PairSpec{
 			Left:  left,
@@ -54,13 +58,19 @@ func fourSourceHub(t *testing.T) *hub.Hub {
 				{Name: "id_" + left, R: "id", S: ""},
 				{Name: "id_" + right, R: "", S: "id"},
 			},
-			ExtKey: []string{shared},
+			ExtKey:   []string{shared},
+			Distinct: distinct,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	link("A", "B", "name")
+	// Nobody with code "kx" is anybody with phone "px": the one
+	// distinctness rule, there for the consistency guard's test.
+	link("A", "B", "name", rules.MustNewDistinctness("kx-px", []rules.Predicate{
+		{Left: rules.Attr1("code"), Op: rules.Eq, Right: rules.Const(value.String("kx"))},
+		{Left: rules.Attr2("phone"), Op: rules.Eq, Right: rules.Const(value.String("px"))},
+	}))
 	link("A", "C", "code")
 	link("B", "D", "phone")
 	link("C", "D", "city")
@@ -147,6 +157,101 @@ func TestHubRejectsTransitiveUniquenessViolationWithRollback(t *testing.T) {
 	}
 }
 
+// uniquenessRejections scrapes hub_uniqueness_rejections_total.
+func uniquenessRejections(t *testing.T) int {
+	t.Helper()
+	var sb strings.Builder
+	if err := obs.Default.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "hub_uniqueness_rejections_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("hub_uniqueness_rejections_total not exposed")
+	return 0
+}
+
+// TestHubPairwiseGuardRejections sends an insert into each §3.2 guard of
+// a pairwise federation. Whichever pair rejects it, and whatever the
+// pairs prepared before that one found, nothing moves: Stats, every
+// pair's matching table and extended relations, every source. The
+// uniqueness counter counts the two uniqueness guards and not the
+// consistency guard.
+func TestHubPairwiseGuardRejections(t *testing.T) {
+	h := fourSourceHub(t)
+	ins(t, h, "A", "a0", "n1", "k1")
+	ins(t, h, "B", "b0", "n1", "p1") // {a0, b0} via name
+	ins(t, h, "A", "a1", "n2", "k2") // two A's named n2 while B has none
+	ins(t, h, "A", "a2", "n2", "k3")
+	ins(t, h, "A", "a3", "n3", "kx")
+	ins(t, h, "A", "a4", "n4", "k4")
+	ins(t, h, "D", "d0", "p4", "c1") // two D's on phone p4 while B has none
+	ins(t, h, "D", "d1", "p4", "c2")
+
+	type pairState struct {
+		pairs      []match.Pair
+		rLen, sLen int
+	}
+	links := [][2]string{{"A", "B"}, {"A", "C"}, {"B", "D"}, {"C", "D"}}
+	snapshot := func() (hub.Stats, []pairState, []int) {
+		t.Helper()
+		var ps []pairState
+		for _, l := range links {
+			res, err := h.PairResult(l[0], l[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps = append(ps, pairState{append([]match.Pair(nil), res.MT.Pairs...), res.RPrime.Len(), res.SPrime.Len()})
+		}
+		var lens []int
+		for _, name := range []string{"A", "B", "C", "D"} {
+			n, err := h.SourceLen(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, n)
+		}
+		return h.Stats(), ps, lens
+	}
+	for _, c := range []struct {
+		tuple   []string
+		guard   error
+		text    string
+		counted int
+	}{
+		{[]string{"b1", "n1", "p2"}, federate.ErrUniqueness, "uniqueness violation: R tuple 0 already matched to S tuple 0", 1},
+		{[]string{"b1", "n2", "p2"}, federate.ErrUniqueness, "insert would match 2 tuples at once (unsound)", 1},
+		{[]string{"b1", "n3", "px"}, federate.ErrConsistency, `distinctness rule "kx-px" forbids`, 0},
+		// A-B prepares first and finds a4; B-D, prepared after it, rejects.
+		{[]string{"b1", "n4", "p4"}, federate.ErrUniqueness, `source "B" vs "D": federate: insert would match 2 tuples at once (unsound)`, 1},
+	} {
+		stats, pairs, lens := snapshot()
+		counter := uniquenessRejections(t)
+		_, err := h.Insert("B", relation.Tuple{value.String(c.tuple[0]), value.String(c.tuple[1]), value.String(c.tuple[2])})
+		if !errors.Is(err, c.guard) || !strings.Contains(err.Error(), c.text) {
+			t.Fatalf("insert %v = %v, want %v with %q", c.tuple, err, c.guard, c.text)
+		}
+		if got := uniquenessRejections(t) - counter; got != c.counted {
+			t.Fatalf("insert %v moved hub_uniqueness_rejections_total by %d, want %d", c.tuple, got, c.counted)
+		}
+		if s2, p2, l2 := snapshot(); s2 != stats || !reflect.DeepEqual(p2, pairs) || !reflect.DeepEqual(l2, lens) {
+			t.Fatalf("insert %v, rejected, changed state:\n%+v %+v %v ->\n%+v %+v %v", c.tuple, stats, pairs, lens, s2, p2, l2)
+		}
+	}
+	// The hub keeps serving, and the rejected tuples left no index entry
+	// behind: b1 arrives at last and matches a4 alone.
+	rec := ins(t, h, "B", "b1", "n4", "p5")
+	if rec.Index != 1 || len(rec.Matched) != 1 || rec.Matched[0].Source != "A" || rec.Matched[0].Index != 4 {
+		t.Fatalf("valid insert after the rejections: %+v", rec)
+	}
+}
+
 func TestHubLinkFoldsSeededSources(t *testing.T) {
 	// Sources seeded before Link: the initial matching tables fold into
 	// clusters at link time.
@@ -227,48 +332,120 @@ func TestHubPairwiseStateEqualsBatchBuild(t *testing.T) {
 		Sources: 3, Entities: 80, PresenceFrac: 0.6, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 7,
 	})
-	h, err := hub.NewFromMulti(w)
+	namePhone, err := rules.KeyEquivalence("name-phone", []string{"name", "phone"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	items := hub.MultiInserts(w)
-	for i, res := range h.IngestBatch(items) {
-		if res.Err != nil {
-			t.Fatalf("insert %d (%s): %v", i, items[i].Source, res.Err)
-		}
-	}
-	for i := 0; i < len(w.Names); i++ {
-		for j := i + 1; j < len(w.Names); j++ {
-			mp := w.Pair(i, j)
-			live, err := h.PairResult(mp.Left, mp.Right)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		// identity replaces the links' ILFDs: wherever a side lacks
+		// cuisine the extended key then finds nothing, and the rule's
+		// blocks carry the link alone.
+		identity []rules.IdentityRule
+		// durable opens the hub on the backend the CI leg selects (the
+		// disk leg spills pairs, and every page-in rebuilds the probe's
+		// index through federate.Restore) and crashes it mid-stream, so
+		// recovery rebuilds the index too and then has to find the second
+		// half's partners in it.
+		durable bool
+	}{
+		{name: "extended key"},
+		{name: "identity rule", identity: []rules.IdentityRule{namePhone}, durable: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := func(i, j int) hub.PairSpec {
+				spec := hub.SpecFromMultiPair(w.Pair(i, j))
+				if tc.identity != nil {
+					spec.ILFDs, spec.Identity = nil, tc.identity
+				}
+				return spec
 			}
-			r, err := h.SourceRelation(mp.Left)
-			if err != nil {
-				t.Fatal(err)
+			ingest := func(h *hub.Hub, items []hub.Insert) {
+				t.Helper()
+				for i, res := range h.IngestBatch(items) {
+					if res.Err != nil {
+						t.Fatalf("insert %d (%s): %v", i, items[i].Source, res.Err)
+					}
+				}
 			}
-			s, err := h.SourceRelation(mp.Right)
-			if err != nil {
-				t.Fatal(err)
+			h, dir := hub.New(), t.TempDir()
+			if tc.durable {
+				if h, _, err = hub.Open(dir, hub.Options{}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			batch, err := match.Build(match.Config{
-				R: r, S: s, Attrs: mp.Attrs, ExtKey: mp.ExtKey, ILFDs: mp.ILFDs,
-			})
-			if err != nil {
-				t.Fatal(err)
+			for k, name := range w.Names {
+				if err := h.AddSource(name, relation.New(w.Relations[k].Schema())); err != nil {
+					t.Fatal(err)
+				}
 			}
-			got := append([]match.Pair(nil), live.MT.Pairs...)
-			wantPairs := append([]match.Pair(nil), batch.MT.Pairs...)
-			sortPairs(got)
-			sortPairs(wantPairs)
-			if !reflect.DeepEqual(got, wantPairs) {
-				t.Fatalf("pair %s-%s: live MT %v != batch MT %v", mp.Left, mp.Right, got, wantPairs)
+			for i := 0; i < len(w.Names); i++ {
+				for j := i + 1; j < len(w.Names); j++ {
+					if err := h.Link(spec(i, j)); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if err := live.Verify(); err != nil {
-				t.Fatalf("pair %s-%s: live state unsound: %v", mp.Left, mp.Right, err)
+			if tc.durable {
+				ingest(h, items[:len(items)/2])
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if h, _, err = hub.Open(dir, hub.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				defer h.Close()
+				ingest(h, items[len(items)/2:])
+				if si := h.StoreInfo(); si.Backend == "disk" && si.Pairs.PageIns == 0 {
+					t.Fatalf("the disk backend never paged a pair in: %+v", si.Pairs)
+				}
+			} else {
+				ingest(h, items)
 			}
-		}
+			ruleOnly := 0
+			for i := 0; i < len(w.Names); i++ {
+				for j := i + 1; j < len(w.Names); j++ {
+					spec := spec(i, j)
+					live, err := h.PairResult(spec.Left, spec.Right)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := h.SourceRelation(spec.Left)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := h.SourceRelation(spec.Right)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := match.Config{
+						R: r, S: s, Attrs: spec.Attrs, ExtKey: spec.ExtKey, ILFDs: spec.ILFDs, Identity: spec.Identity,
+					}
+					batch, err := match.Build(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := append([]match.Pair(nil), live.MT.Pairs...)
+					sortPairs(got)
+					if !reflect.DeepEqual(got, batch.MT.Pairs) {
+						t.Fatalf("pair %s-%s: live MT %v != batch MT %v", spec.Left, spec.Right, got, batch.MT.Pairs)
+					}
+					if err := live.Verify(); err != nil {
+						t.Fatalf("pair %s-%s: live state unsound: %v", spec.Left, spec.Right, err)
+					}
+					cfg.Identity = nil
+					byKey, err := match.Build(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ruleOnly += batch.MT.Len() - byKey.MT.Len()
+				}
+			}
+			if tc.identity != nil && ruleOnly == 0 {
+				t.Fatal("no link matched anything through its identity rule alone")
+			}
+		})
 	}
 }
 

@@ -22,12 +22,14 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 
 	"entityid/internal/datagen"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/wal"
+	"entityid/internal/wal/errfs"
 )
 
 // hubState is everything recovery must reproduce exactly.
@@ -193,9 +195,10 @@ func TestCrashRecoveryRandomKillPoints(t *testing.T) {
 }
 
 // TestCrashRecoveryMidBatchTornWrite kills the hub in the middle of a
-// concurrent IngestBatch by injecting a torn WAL write: the append
-// writes half a frame and fails, every later append fails, and the
-// affected inserts are rejected. Recovery must drop the torn tail
+// concurrent IngestBatch by tearing a WAL write (errfs): the append
+// writes half a frame and fails, its rollback fails too, so every later
+// append fails, and the affected inserts are rejected. Recovery — on a
+// clean file system, the process having died — must drop the torn tail
 // (CRC), reproduce the crashed hub exactly — in particular, inserts
 // that were rejected (torn-write casualties and duplicate-key items)
 // must NOT reappear after replay — and the interrupted workload must
@@ -225,10 +228,14 @@ func TestCrashRecoveryMidBatchTornWrite(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			dir := t.TempDir()
-			h, _ := openDurableMulti(t, dir, w, 0) // no snapshots: pure WAL replay
+			fs := errfs.New(nil)
+			h := openChaosMulti(t, dir, w, 0, fs) // no snapshots: pure WAL replay
 			// Kill mid-batch: after a random number of further appends,
 			// the WAL tears.
-			h.per.log.InjectTornAppends(len(items)/4 + rng.Intn(len(items)/2))
+			fs.Inject(
+				errfs.Rule{Op: errfs.OpWrite, PathContains: "wal-", After: len(items)/4 + rng.Intn(len(items)/2), Err: syscall.EIO, Partial: 12},
+				errfs.Rule{Op: errfs.OpTruncate, PathContains: "wal-", Err: syscall.EIO},
+			)
 			results := h.IngestBatch(items)
 
 			var torn, committed, rejected []int
@@ -236,7 +243,7 @@ func TestCrashRecoveryMidBatchTornWrite(t *testing.T) {
 				switch {
 				case res.Err == nil:
 					committed = append(committed, i)
-				case errors.Is(res.Err, wal.ErrTornWrite):
+				case errors.Is(res.Err, ErrDegraded):
 					torn = append(torn, i)
 				default:
 					rejected = append(rejected, i)

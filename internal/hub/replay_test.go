@@ -48,9 +48,9 @@ func replayLog(t *testing.T) (dir string, payloads [][]byte, items []Insert) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	d := wal.NewDecoder(f)
+	sc := wal.NewFrameScanner(f)
 	for {
-		rec, err := d.Next()
+		rec, _, err := sc.Next()
 		if err != nil {
 			break
 		}

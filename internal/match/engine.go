@@ -9,13 +9,17 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"entityid/internal/derive"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
+	"entityid/internal/schema"
+	"entityid/internal/value"
 )
 
 // engine holds the distinctness rules compiled against the R′/S′
@@ -64,110 +68,222 @@ func (e *engine) distinctFiresNamed(rt, st relation.Tuple) (string, bool) {
 	return "", false
 }
 
-// attrOffsets resolves attribute names to column offsets in rel's
-// schema, failing on absent attributes.
-func attrOffsets(rel *relation.Relation, attrs []string) ([]int, error) {
-	out := make([]int, len(attrs))
-	for n, a := range attrs {
-		i := rel.Schema().Index(a)
-		if i < 0 {
-			return nil, fmt.Errorf("match: extended relation %s missing key attribute %q", rel.Schema().Name(), a)
-		}
-		out[n] = i
-	}
-	return out, nil
+// probe is the matching step — §4.2's join of R′ and S′ on identical
+// non-NULL extended-key values, plus §3.2's extra identity rules — as an
+// index the Result keeps. Build fills it and reads the matching table
+// off it; incremental maintenance (the federate package) probes and
+// grows the same index one arriving tuple at a time, so batch and
+// incremental identification agree because they are one function over
+// one set of buckets. Everything is resolved once, in Build. The
+// two-element arrays are indexed by side: 0 is R′, 1 is S′.
+type probe struct {
+	ext    [2]*SideExtender
+	rel    [2]*relation.Relation // RPrime, SPrime
+	keyPos [2][]int              // extended-key column offsets
+	byKey  [2]map[string][]int   // extended-key projection -> tuple positions
+	rules  []probeRule
 }
 
-// ProjectionKey encodes the tuple's projection onto the given column
-// offsets; ok is false when any projected value is NULL (NULL never
-// joins, per value.Equal). Blocking soundness needs value.Equal(a, b)
-// ⇒ Key(a) == Key(b) on every column, which value.Key guarantees (same
-// kind, same contents, float zeros collapsed); key-equal NaNs merely
-// over-generate candidates, which the full rule evaluation filters.
-// Exported so incremental maintenance (federate) probes with the exact
-// encoding the build-time join indexes by.
-func ProjectionKey(t relation.Tuple, idx []int) (string, bool) {
+// probeRule is one extra identity rule prepared for probing. Its
+// cross-equality attributes (e1.A = e2.A predicates — §3.2
+// well-formedness guarantees every matched pair agrees, non-NULL, on
+// them) block both sides into hash buckets, and only a bucket's
+// candidates get the full conjunction, in both orientations. Cross
+// equality is symmetric in the two sides, so one projection serves both.
+type probeRule struct {
+	// scan marks a rule with no cross equality (every attribute is pinned
+	// by constants): its candidates are the whole opposite side.
+	scan bool
+	// pos are the equality-attribute offsets and blocks the tuple
+	// positions by non-NULL equality projection. Both are nil under scan,
+	// and for a rule with an equality attribute one extended schema
+	// lacks: that side resolves to NULL in both orientations, e1.a = e2.a
+	// cannot hold, and the rule has no candidates at all.
+	pos    [2][]int
+	blocks [2]map[string][]int
+	// fwd / rev are the rule compiled in both orientations (e1 ← R′,
+	// e2 ← S′ and the reverse).
+	fwd, rev rules.CompiledIdentityRule
+}
+
+// Keys are the projection keys of one extended tuple — onto the extended
+// key and onto each blocked identity rule's equality attributes — each
+// string built once: Probe looks the opposite side up under them and
+// Append indexes the tuple's own side under the same ones. A key is ""
+// when its projection cannot join.
+type Keys struct {
+	ext   string
+	rules []string // parallel to the identity rules; nil without any
+}
+
+// sides maps a tuple's side to the probe's array indexes: the side it
+// joins and the side it is identified against.
+func sides(left bool) (own, other int) {
+	if left {
+		return 0, 1
+	}
+	return 1, 0
+}
+
+// offsets resolves attribute names to column offsets in sch; ok is false
+// when sch lacks one.
+func offsets(sch *schema.Schema, attrs []string) (pos []int, ok bool) {
+	pos = make([]int, len(attrs))
+	for n, a := range attrs {
+		if pos[n] = sch.Index(a); pos[n] < 0 {
+			return nil, false
+		}
+	}
+	return pos, true
+}
+
+// newProbe resolves the empty index for res: extended-key offsets, and
+// per identity rule its classification, equality offsets and compiled
+// forms.
+func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityRule) error {
+	px := &res.px
+	px.ext = [2]*SideExtender{rExt, sExt}
+	px.rel = [2]*relation.Relation{res.RPrime, res.SPrime}
+	px.rules = make([]probeRule, len(identity))
+	for side, rel := range px.rel {
+		pos, ok := offsets(rel.Schema(), res.extKey)
+		if !ok {
+			return fmt.Errorf("match: extended relation %s lacks an attribute of the extended key %v", rel.Schema().Name(), res.extKey)
+		}
+		px.keyPos[side], px.byKey[side] = pos, make(map[string][]int, rel.Len())
+	}
+	rs, ss := res.RPrime.Schema(), res.SPrime.Schema()
+	for n, rule := range identity {
+		pr := &px.rules[n]
+		pr.fwd, pr.rev = rule.Compile(rs, ss), rule.Compile(ss, rs)
+		eq := rule.EqualityAttrs()
+		rPos, rOK := offsets(rs, eq)
+		sPos, sOK := offsets(ss, eq)
+		if pr.scan = len(eq) == 0; !pr.scan && rOK && sOK {
+			pr.pos = [2][]int{rPos, sPos}
+			pr.blocks = [2]map[string][]int{make(map[string][]int), make(map[string][]int)}
+		}
+	}
+	return nil
+}
+
+// projectionKey encodes t's projection onto the column offsets idx (at
+// least one), or returns "" — which no encoding is, value.Key prefixes
+// the kind — when the projection cannot join: bucket membership stands
+// for value.Equal on every column, and a NULL or a NaN equals nothing,
+// itself included. The converse, value.Equal(a, b) ⇒ Key(a) == Key(b),
+// is value.Key's guarantee (same kind, same contents, float zeros
+// collapsed).
+func projectionKey(t relation.Tuple, idx []int) string {
 	var b strings.Builder
 	for n, i := range idx {
 		v := t[i]
-		if v.IsNull() {
-			return "", false
+		if !value.Equal(v, v) {
+			return ""
 		}
 		if n > 0 {
 			b.WriteByte('\x1f')
 		}
 		b.WriteString(v.Key())
 	}
-	return b.String(), true
+	return b.String()
 }
 
-// blockedIdentityPairs evaluates the extra identity rules by hash-join
-// candidate generation. For each rule, its cross-equality attributes
-// (e1.A = e2.A predicates — §3.2 well-formedness guarantees every
-// matched pair agrees, non-NULL, on them) drive a hash join of R′
-// against S′; only the joined candidates get the full conjunction, in
-// both orientations. Because cross-equality is symmetric in the two
-// sides, one join covers both orientations. Rules without a usable
-// equality predicate (all their attributes pinned by constants) fall
-// back to the reference nested loop; rules mentioning an attribute
-// absent from either schema can never hold and are skipped.
-//
-// base lists pairs already in the table (the extended-key join); they
-// are excluded, exactly like the reference path's have-set.
-func blockedIdentityPairs(rp, sp *relation.Relation, identity []rules.IdentityRule, base []Pair) []Pair {
-	have := make(map[Pair]bool, len(base))
-	for _, p := range base {
-		have[p] = true
-	}
-	rs, ss := rp.Schema(), sp.Schema()
-	var out []Pair
-	var fallback []rules.IdentityRule
-rule:
-	for _, rule := range identity {
-		eq := rule.EqualityAttrs()
-		for _, a := range eq {
-			if !rs.Has(a) || !ss.Has(a) {
-				// e1.a = e2.a can never hold: the side missing the
-				// attribute resolves to NULL in both orientations.
-				continue rule
-			}
-		}
-		if len(eq) == 0 {
-			fallback = append(fallback, rule)
-			continue
-		}
-		rIdx, _ := attrOffsets(rp, eq)
-		sIdx, _ := attrOffsets(sp, eq)
-		fwd := rule.Compile(rs, ss)
-		rev := rule.Compile(ss, rs)
-		buckets := make(map[string][]int)
-		for j, st := range sp.Tuples() {
-			if k, ok := ProjectionKey(st, sIdx); ok {
-				buckets[k] = append(buckets[k], j)
-			}
-		}
-		for i, rt := range rp.Tuples() {
-			k, ok := ProjectionKey(rt, rIdx)
-			if !ok {
-				continue
-			}
-			for _, j := range buckets[k] {
-				p := Pair{RIndex: i, SIndex: j}
-				if have[p] {
-					continue
-				}
-				st := sp.Tuple(j)
-				if fwd.Holds(rt, st) || rev.Holds(st, rt) {
-					have[p] = true
-					out = append(out, p)
-				}
+// keys projects an extended tuple of side own.
+func (res *Result) keys(own int, ext relation.Tuple) Keys {
+	px := &res.px
+	k := Keys{ext: projectionKey(ext, px.keyPos[own])}
+	if len(px.rules) > 0 {
+		k.rules = make([]string, len(px.rules))
+		for n := range px.rules {
+			if pos := px.rules[n].pos[own]; pos != nil {
+				k.rules[n] = projectionKey(ext, pos)
 			}
 		}
 	}
-	if len(fallback) > 0 {
-		out = append(out, referenceIdentityPairsHave(rp, sp, fallback, have)...)
+	return k
+}
+
+// index files tuple pos of side own under its keys.
+func (res *Result) index(own, pos int, keys Keys) {
+	px := &res.px
+	if keys.ext != "" {
+		px.byKey[own][keys.ext] = append(px.byKey[own][keys.ext], pos)
 	}
-	return out
+	for n, k := range keys.rules {
+		if k != "" {
+			blocks := px.rules[n].blocks[own]
+			blocks[k] = append(blocks[k], pos)
+		}
+	}
+}
+
+// ExtendTuple returns the R′ (left) or S′ image of a source tuple of that
+// side: SideExtender.ExtendTuple on the extender Build resolved.
+func (res *Result) ExtendTuple(left bool, t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
+	own, _ := sides(left)
+	return res.px.ext[own].ExtendTuple(t)
+}
+
+// Probe identifies an extended tuple of one side (left: an R′ tuple)
+// against the opposite side as it stands: the positions there that share
+// its non-NULL extended-key projection, then those an extra identity
+// rule pairs it with, each position once. It mutates nothing, and ext
+// need not be in its relation (yet). The partners may alias an index
+// bucket — do not write to them. The keys are ext's, for Append.
+func (res *Result) Probe(left bool, ext relation.Tuple) ([]int, Keys) {
+	px := &res.px
+	own, other := sides(left)
+	keys := res.keys(own, ext)
+	var partners []int
+	if keys.ext != "" {
+		partners = px.byKey[other][keys.ext]
+	}
+	opposite := px.rel[other]
+	for n := range px.rules {
+		pr := &px.rules[n]
+		if pr.scan {
+			for j, cand := range opposite.Tuples() {
+				partners = pr.admit(partners, left, ext, cand, j)
+			}
+		} else if k := keys.rules[n]; k != "" {
+			for _, j := range pr.blocks[other][k] {
+				partners = pr.admit(partners, left, ext, opposite.Tuple(j), j)
+			}
+		}
+	}
+	return partners, keys
+}
+
+// admit adds candidate position j to partners if it is not there and the
+// rule pairs ext with cand, the opposite side's tuple j.
+func (pr *probeRule) admit(partners []int, left bool, ext, cand relation.Tuple, j int) []int {
+	rt, st := cand, ext
+	if left {
+		rt, st = ext, cand
+	}
+	if slices.Contains(partners, j) || !(pr.fwd.Holds(rt, st) || pr.rev.Holds(st, rt)) {
+		return partners
+	}
+	// Capped, so append copies: partners may be an index bucket.
+	return append(partners[:len(partners):len(partners)], j)
+}
+
+// Append adds an extended tuple to its side: the R′/S′ insert (which
+// re-checks the image's shape and the side's keys, and on failure leaves
+// everything as it was), the index entries under the keys Probe returned
+// for it, and its matching pairs.
+func (res *Result) Append(left bool, ext relation.Tuple, keys Keys, pairs []Pair) error {
+	own, _ := sides(left)
+	rel := res.px.rel[own]
+	if err := rel.Insert(ext); err != nil {
+		return err
+	}
+	res.index(own, rel.Len()-1, keys)
+	for _, p := range pairs {
+		res.MT.Add(p)
+	}
+	return nil
 }
 
 // sweepPlan is the evaluation plan for the distinctness rules over the

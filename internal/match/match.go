@@ -14,7 +14,12 @@
 //     loops it over each side, incremental maintenance (federate) calls
 //     it on each arriving tuple, and nobody else extends anything.
 //  3. Join R′ and S′ on identical non-NULL extended-key values; project
-//     each matched pair onto (K_R, K_S) to form MT_RS.
+//     each matched pair onto (K_R, K_S) to form MT_RS. Step 3 is
+//     Result.Probe, tuple by tuple, over an index the Result keeps
+//     (engine.go): Build indexes S′ and gives every R′ tuple the probe,
+//     federate gives it to each arriving tuple and grows the same index
+//     with Result.Append, and nobody else pairs anything up — except the
+//     reference path, whose nested loops the probe is held against.
 //
 // Negative information comes from distinctness rules: the user-supplied
 // ones plus — via Proposition 1 — one rule per ILFD consequent. The
@@ -36,10 +41,10 @@
 //     (rules.Compile) against the R′/S′ schemas once per Result, turning
 //     each predicate evaluation into direct tuple-slice indexing instead
 //     of per-evaluation Schema().Index lookups.
-//   - Blocking: extra identity rules are evaluated by hash-join candidate
-//     generation over each rule's cross-equality attributes (§3.2
-//     well-formedness guarantees matched pairs agree on them), falling
-//     back to the nested loop only for rules with no usable equality.
+//   - Blocking: the probe evaluates extra identity rules by hash-join
+//     candidate generation over each rule's cross-equality attributes
+//     (§3.2 well-formedness guarantees matched pairs agree on them),
+//     scanning the opposite side only for rules with no usable equality.
 //   - Parallel sweeps: Counts, NegativePairs and UndeterminedPairs shard
 //     the |R|×|S| grid across a GOMAXPROCS-sized worker pool and merge
 //     shard results in deterministic row order.
@@ -215,6 +220,9 @@ type Result struct {
 	// naive routes Classify/Counts/sweeps through the reference
 	// implementation (set from Config.Naive).
 	naive bool
+	// px is the matching step's index (engine.go): filled by Build, probed
+	// and grown by Probe and Append.
+	px probe
 	// eng is the lazily built compiled-rule engine (engine.go).
 	eng     *engine
 	engOnce sync.Once
@@ -263,49 +271,20 @@ func Build(cfg Config) (*Result, error) {
 		}
 	}
 
-	rPrime, rConf, err := extendSide(cfg, true)
+	rExt, rPrime, rConf, err := extendSide(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sPrime, sConf, err := extendSide(cfg, false)
+	sExt, sPrime, sConf, err := extendSide(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-
-	// Join R′ and S′ over the extended key (non-NULL equality) and read
-	// off tuple pairs. The join result is only needed for pair
-	// extraction, so pair up directly with the same hash discipline as
-	// ra.Join — but through the public operator to stay faithful to the
-	// paper's relational expression.
-	pairs, err := joinPairs(rPrime, sPrime, cfg.ExtKey)
-	if err != nil {
-		return nil, err
-	}
-	// Extra identity rules contribute pairs beyond the extended-key join:
-	// blocked hash-join candidate generation per rule (engine.go), or the
-	// reference nested loop under cfg.Naive.
-	if len(cfg.Identity) > 0 {
-		var extra []Pair
-		if cfg.Naive {
-			extra = referenceIdentityPairs(rPrime, sPrime, cfg.Identity, pairs)
-		} else {
-			extra = blockedIdentityPairs(rPrime, sPrime, cfg.Identity, pairs)
-		}
-		pairs = append(pairs, extra...)
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].RIndex != pairs[b].RIndex {
-				return pairs[a].RIndex < pairs[b].RIndex
-			}
-			return pairs[a].SIndex < pairs[b].SIndex
-		})
-	}
-
 	res := &Result{
 		RPrime: rPrime,
 		SPrime: sPrime,
 		// Key attribute names are taken from the extended relations, so
 		// they reflect integrated names after renaming.
-		MT:        &Table{RKey: rPrime.Schema().PrimaryKey(), SKey: sPrime.Schema().PrimaryKey(), Pairs: pairs},
+		MT:        &Table{RKey: rPrime.Schema().PrimaryKey(), SKey: sPrime.Schema().PrimaryKey()},
 		Conflicts: append(rConf, sConf...),
 		extKey:    append([]string(nil), cfg.ExtKey...),
 		naive:     cfg.Naive,
@@ -316,6 +295,39 @@ func Build(cfg Config) (*Result, error) {
 			res.distinct = append(res.distinct, rules.ToDistinctness(f)...)
 		}
 	}
+	if err := res.newProbe(rExt, sExt, cfg.Identity); err != nil {
+		return nil, err
+	}
+
+	// The matching step. Index S′, then give each R′ tuple the probe an
+	// arriving tuple gets (engine.go) and index it too; the reference
+	// path fills the same index, for the inserts that may follow, but
+	// reads its pairs off nested loops (reference.go).
+	for j, t := range sPrime.Tuples() {
+		res.index(1, j, res.keys(1, t))
+	}
+	var pairs []Pair
+	for i, t := range rPrime.Tuples() {
+		if cfg.Naive {
+			res.index(0, i, res.keys(0, t))
+			continue
+		}
+		partners, keys := res.Probe(true, t)
+		res.index(0, i, keys)
+		for _, j := range partners {
+			pairs = append(pairs, Pair{RIndex: i, SIndex: j})
+		}
+	}
+	if cfg.Naive {
+		pairs = referencePairs(rPrime, sPrime, cfg.ExtKey, cfg.Identity)
+	}
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a].RIndex != pairs[b].RIndex {
+			return pairs[a].RIndex < pairs[b].RIndex
+		}
+		return pairs[a].SIndex < pairs[b].SIndex
+	})
+	res.MT.Pairs = pairs
 	return res, nil
 }
 
@@ -437,17 +449,19 @@ func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []de
 	return out, conflicts, nil
 }
 
-// extendSide builds one side's extended relation.
-func extendSide(cfg Config, left bool) (*relation.Relation, []derive.Conflict, error) {
+// extendSide resolves one side's extender and builds its extended
+// relation.
+func extendSide(cfg Config, left bool) (*SideExtender, *relation.Relation, []derive.Conflict, error) {
 	se, err := NewSideExtender(cfg, left)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rel := cfg.S
 	if left {
 		rel = cfg.R
 	}
-	return se.Extend(rel)
+	ext, conflicts, err := se.Extend(rel)
+	return se, ext, conflicts, err
 }
 
 // consequentKind infers an attribute's kind from ILFD consequents.
@@ -460,43 +474,6 @@ func consequentKind(fs ilfd.Set, attr string) (value.Kind, bool) {
 		}
 	}
 	return value.KindNull, false
-}
-
-// joinPairs pairs up tuples of rp and sp that agree (non-NULL) on every
-// extended-key attribute. Key columns are resolved to offsets once per
-// relation; tuple encoding then indexes the raw slices directly.
-func joinPairs(rp, sp *relation.Relation, extKey []string) ([]Pair, error) {
-	rIdx, err := attrOffsets(rp, extKey)
-	if err != nil {
-		return nil, err
-	}
-	sIdx, err := attrOffsets(sp, extKey)
-	if err != nil {
-		return nil, err
-	}
-	index := map[string][]int{}
-	for j, t := range sp.Tuples() {
-		if k, ok := ProjectionKey(t, sIdx); ok {
-			index[k] = append(index[k], j)
-		}
-	}
-	var pairs []Pair
-	for i, t := range rp.Tuples() {
-		k, ok := ProjectionKey(t, rIdx)
-		if !ok {
-			continue
-		}
-		for _, j := range index[k] {
-			pairs = append(pairs, Pair{RIndex: i, SIndex: j})
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].RIndex != pairs[b].RIndex {
-			return pairs[a].RIndex < pairs[b].RIndex
-		}
-		return pairs[a].SIndex < pairs[b].SIndex
-	})
-	return pairs, nil
 }
 
 // Verify checks the §3.2 constraints on the matching table:

@@ -1,6 +1,6 @@
 // The reference (pre-engine) implementation of the §3.2/§4.2 semantics:
-// nested-loop identity rules, linear-scan table membership, interpreted
-// rule predicates, sequential |R|×|S| sweeps. It is kept as the
+// nested-loop extended-key join and identity rules, linear-scan table
+// membership, interpreted rule predicates, sequential |R|×|S| sweeps. It is kept as the
 // executable specification of what the indexed/blocked/parallel engine
 // (engine.go) must compute — differential tests build each workload both
 // ways and require identical results — and as the baseline the scale
@@ -12,35 +12,33 @@ import (
 
 	"entityid/internal/relation"
 	"entityid/internal/rules"
+	"entityid/internal/value"
 )
 
-// referenceIdentityPairs is the nested-loop identity-rule pass: every
-// (i, j) not already paired is tested against every rule, in both
-// orientations, with interpreted predicate evaluation.
-func referenceIdentityPairs(rp, sp *relation.Relation, identity []rules.IdentityRule, base []Pair) []Pair {
-	have := make(map[Pair]bool, len(base))
-	for _, p := range base {
-		have[p] = true
-	}
-	return referenceIdentityPairsHave(rp, sp, identity, have)
-}
-
-// referenceIdentityPairsHave is referenceIdentityPairs over a shared
-// have-set; the blocked path reuses it for rules with no usable
-// equality predicate.
-func referenceIdentityPairsHave(rp, sp *relation.Relation, identity []rules.IdentityRule, have map[Pair]bool) []Pair {
+// referencePairs is the matching step as nested loops: a pair joins the
+// table when its tuples agree on every extended-key attribute
+// (value.Equal, so a NULL never joins) or some identity rule holds for
+// it, in either orientation, with interpreted predicate evaluation.
+// Row-major, which is the table's sorted order.
+func referencePairs(rp, sp *relation.Relation, extKey []string, identity []rules.IdentityRule) []Pair {
+	// Build has resolved both already (newProbe), so neither can fail.
+	rPos, _ := offsets(rp.Schema(), extKey)
+	sPos, _ := offsets(sp.Schema(), extKey)
 	var out []Pair
 	for i, rt := range rp.Tuples() {
 		for j, st := range sp.Tuples() {
-			if have[Pair{RIndex: i, SIndex: j}] {
-				continue
-			}
-			for _, rule := range identity {
-				if rule.Holds(rp, rt, sp, st) || rule.Holds(sp, st, rp, rt) {
-					have[Pair{RIndex: i, SIndex: j}] = true
-					out = append(out, Pair{RIndex: i, SIndex: j})
+			joins := true
+			for n := range extKey {
+				if !value.Equal(rt[rPos[n]], st[sPos[n]]) {
+					joins = false
 					break
 				}
+			}
+			for n := 0; !joins && n < len(identity); n++ {
+				joins = identity[n].Holds(rp, rt, sp, st) || identity[n].Holds(sp, st, rp, rt)
+			}
+			if joins {
+				out = append(out, Pair{RIndex: i, SIndex: j})
 			}
 		}
 	}

@@ -45,8 +45,8 @@ func TestTablePairIndex(t *testing.T) {
 
 // TestBlockedIdentityFloatZero pins hash-join blocking against the
 // float negative-zero edge: value.Equal treats -0.0 and +0.0 as equal,
-// so the blocked path must bucket them together exactly like the
-// reference nested loop matches them.
+// so the probe must bucket them together exactly like the reference
+// nested loop matches them.
 func TestBlockedIdentityFloatZero(t *testing.T) {
 	rs := schema.MustNew("R", []schema.Attribute{
 		{Name: "id"}, {Name: "lat", Kind: value.KindFloat},
@@ -60,12 +60,27 @@ func TestBlockedIdentityFloatZero(t *testing.T) {
 	rule := rules.MustNewIdentity("lat-eq", []rules.Predicate{
 		{Left: rules.Attr1("lat"), Op: rules.Eq, Right: rules.Attr2("lat")},
 	})
-	got := blockedIdentityPairs(rp, sp, []rules.IdentityRule{rule}, nil)
-	want := referenceIdentityPairs(rp, sp, []rules.IdentityRule{rule}, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("blocked %v != reference %v", got, want)
+	// The ids differ, so the extended key pairs nothing: the rule's block
+	// is the only way in.
+	cfg := Config{
+		R: rp, S: sp,
+		Attrs:    []AttrMap{{Name: "id", R: "id", S: "id"}, {Name: "lat", R: "lat", S: "lat"}},
+		ExtKey:   []string{"id"},
+		Identity: []rules.IdentityRule{rule},
 	}
-	if len(got) != 1 {
-		t.Fatalf("pairs = %v, want the -0.0/+0.0 pair", got)
+	got, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Naive = true
+	want, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.MT.Pairs, want.MT.Pairs) {
+		t.Fatalf("blocked %v != reference %v", got.MT.Pairs, want.MT.Pairs)
+	}
+	if got.MT.Len() != 1 {
+		t.Fatalf("pairs = %v, want the -0.0/+0.0 pair", got.MT.Pairs)
 	}
 }

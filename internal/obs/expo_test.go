@@ -234,7 +234,6 @@ func TestRenderDeterministicChildOrder(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("x_total", "vec", "k")
 	for _, k := range []string{"zeta", "alpha", "mid"} {
-		//entitylint:bounded three fixed label values testing render order
 		v.With(k).Inc()
 	}
 	var a, b strings.Builder

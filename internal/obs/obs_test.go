@@ -79,7 +79,6 @@ func TestVecCardinalityBound(t *testing.T) {
 	v := r.CounterVec("req_total", "requests", "route")
 	// Distinct children up to the cap...
 	for i := 0; i < maxFamilyChildren; i++ {
-		//entitylint:bounded deliberately minting children to exercise the runtime cap
 		v.With(strings.Repeat("x", i+1)).Inc()
 	}
 	// ...then every new label value collapses into the shared child.

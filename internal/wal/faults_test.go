@@ -80,6 +80,47 @@ func TestAppendENOSPCRollsBack(t *testing.T) {
 	}
 }
 
+// TestInjectTornAppends is a process dying mid-append: the fourth
+// segment write tears and the rollback's truncate fails with it, so
+// half a frame stays on disk, the append is never acknowledged and the
+// log takes no other. The next open — the dead writer's lock gone with
+// it — drops the half frame and keeps the three good records.
+func TestInjectTornAppends(t *testing.T) {
+	dir := t.TempDir()
+	fs := errfs.New(nil)
+	l, err := wal.OpenFS(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Inject(
+		errfs.Rule{Op: errfs.OpWrite, PathContains: "wal-", After: 3, Err: syscall.EIO, Partial: 12},
+		errfs.Rule{Op: errfs.OpTruncate, PathContains: "wal-", Err: syscall.EIO},
+	)
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(`{"ok":true}`)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if _, err := l.Append([]byte(`{"doomed":true}`)); !errors.Is(err, wal.ErrLogUnusable) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("torn append: %v", err)
+	}
+	if _, err := l.Append([]byte(`{"after":true}`)); !errors.Is(err, wal.ErrLogUnusable) {
+		t.Fatalf("post-torn append: %v", err)
+	}
+	l.DropLock()
+	l2, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Damage() == nil {
+		t.Fatal("torn write left no detectable damage")
+	}
+	if l2.LastSeq() != 3 {
+		t.Fatalf("LastSeq = %d, want 3", l2.LastSeq())
+	}
+}
+
 func TestAppendPoisonThenHeal(t *testing.T) {
 	dir := t.TempDir()
 	fs := errfs.New(nil)

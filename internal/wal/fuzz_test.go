@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode throws arbitrary bytes at the frame decoder. The
-// properties: decoding never panics, always terminates in io.EOF or a
-// *CorruptError, and every accepted record re-encodes to exactly the
-// bytes consumed — so the decoder can never "repair" a frame into
-// something the writer would not have produced, and recovery's
-// stop-at-last-good-record offset is always a valid re-append point.
+// FuzzWALDecode throws arbitrary bytes at the frame scanner and at the
+// segment scan over it. The properties: scanning never panics, always
+// terminates in io.EOF or a *CorruptError, and every accepted frame
+// re-encodes to exactly the bytes consumed — so the scanner can never
+// "repair" a frame into something the writer would not have produced.
+// The segment scan stops after the last frame that continues the
+// sequence, with damage exactly when bytes are left, so the offset Open
+// truncates to is always a valid re-append point.
 func FuzzWALDecode(f *testing.F) {
 	good := func(payloads ...string) []byte {
 		var buf bytes.Buffer
@@ -36,16 +38,18 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte("v9 1 00000000 0 \n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(bytes.NewReader(data))
+		sc := NewFrameScanner(bytes.NewReader(data))
 		var reencoded bytes.Buffer
+		// The frames that continue the sequence from 1, and their bytes.
+		contiguous, prefix, inSeq := uint64(0), 0, true
 		for {
-			rec, err := d.Next()
+			rec, raw, err := sc.Next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				if _, ok := err.(*CorruptError); !ok {
-					t.Fatalf("decoder error is neither EOF nor CorruptError: %v", err)
+					t.Fatalf("scanner error is neither EOF nor CorruptError: %v", err)
 				}
 				break
 			}
@@ -53,11 +57,23 @@ func FuzzWALDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted record does not re-encode: %v", err)
 			}
+			if !bytes.Equal(frame, raw) {
+				t.Fatalf("re-encoded record differs from the raw frame handed back")
+			}
 			reencoded.Write(frame)
+			if inSeq = inSeq && rec.Seq == contiguous+1; inSeq {
+				contiguous, prefix = rec.Seq, reencoded.Len()
+			}
 		}
-		consumed := data[:d.Offset()]
+		consumed := data[:sc.Offset()]
 		if !bytes.Equal(reencoded.Bytes(), consumed) {
-			t.Fatalf("re-encoded records differ from the %d consumed bytes", d.Offset())
+			t.Fatalf("re-encoded records differ from the %d consumed bytes", sc.Offset())
+		}
+
+		last, off, dmg, err := scanFrames(bytes.NewReader(data), 0)
+		if err != nil || last != contiguous || off != int64(prefix) || (dmg == nil) != (prefix == len(data)) || dmg != nil && dmg.Offset != off {
+			t.Fatalf("segment scan = seq %d, offset %d, damage %v, error %v; the first %d of %d bytes hold %d contiguous records",
+				last, off, dmg, err, prefix, len(data), contiguous)
 		}
 	})
 }

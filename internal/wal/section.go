@@ -28,9 +28,10 @@ import (
 	"io"
 )
 
-// FrameScanner reads consecutive CRC frames from a stream. Unlike
-// Decoder it imposes no sequence contiguity across frames — callers
-// that interleave independent sections in one stream enforce their own
+// FrameScanner reads consecutive CRC frames from a stream. It imposes
+// no sequence contiguity across frames: the log's segment scan and
+// replay track the last sequence number themselves, and callers that
+// interleave independent sections in one stream enforce their own
 // per-section ordering. Next returns the decoded record plus the raw
 // frame bytes (including the trailing newline).
 type FrameScanner struct {

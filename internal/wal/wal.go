@@ -31,7 +31,6 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
@@ -117,65 +116,14 @@ func EncodeRecord(seq uint64, payload []byte) ([]byte, error) {
 // DecodeRecord decodes data holding exactly one framed record (the
 // snapshot file reuses the WAL frame for its checksum).
 func DecodeRecord(data []byte) (Record, error) {
-	d := NewDecoder(bytes.NewReader(data))
-	rec, err := d.Next()
+	sc := NewFrameScanner(bytes.NewReader(data))
+	rec, _, err := sc.Next()
 	if err != nil {
 		return Record{}, err
 	}
-	if _, err := d.Next(); err != io.EOF {
+	if _, _, err := sc.Next(); err != io.EOF {
 		return Record{}, fmt.Errorf("wal: trailing data after single-record frame")
 	}
-	return rec, nil
-}
-
-// Decoder reads framed records from a stream, verifying length, CRC and
-// sequence contiguity. Next returns io.EOF at a clean end and a
-// *CorruptError when the remaining bytes are not a valid record — the
-// caller keeps everything decoded so far (stop at the last good
-// record).
-type Decoder struct {
-	r    *bufio.Reader
-	off  int64 // end of the last good record
-	seq  uint64
-	have bool
-}
-
-// NewDecoder wraps a reader.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
-}
-
-// Offset returns the byte offset just past the last good record.
-func (d *Decoder) Offset() int64 { return d.off }
-
-// LastSeq returns the last good sequence number (0 if none yet).
-func (d *Decoder) LastSeq() uint64 { return d.seq }
-
-func (d *Decoder) corrupt(reason string) *CorruptError {
-	return &CorruptError{Offset: d.off, Reason: reason}
-}
-
-// Next decodes the next record.
-func (d *Decoder) Next() (Record, error) {
-	line, err := d.r.ReadBytes('\n')
-	if err == io.EOF {
-		if len(line) == 0 {
-			return Record{}, io.EOF
-		}
-		return Record{}, d.corrupt("truncated record (no trailing newline)")
-	}
-	if err != nil {
-		return Record{}, err
-	}
-	rec, perr := parseFrame(line[:len(line)-1])
-	if perr != "" {
-		return Record{}, d.corrupt(perr)
-	}
-	if d.have && rec.Seq != d.seq+1 {
-		return Record{}, d.corrupt(fmt.Sprintf("sequence jump: %d after %d", rec.Seq, d.seq))
-	}
-	d.have, d.seq = true, rec.Seq
-	d.off += int64(len(line))
 	return rec, nil
 }
 
@@ -227,11 +175,6 @@ func parseFrame(line []byte) (Record, string) {
 	return Record{Seq: seq, Payload: append([]byte(nil), payload...)}, ""
 }
 
-// ErrTornWrite is returned by Append after an injected torn write (see
-// InjectTornAppends); the log refuses further appends, exactly like a
-// process that died mid-write.
-var ErrTornWrite = fmt.Errorf("wal: injected torn write (log crashed)")
-
 // ErrLogUnusable marks the sticky append-poison state: a failed append
 // could not be rolled back, so the segment tail holds garbage and every
 // further append is refused until Heal succeeds. It is classified as a
@@ -266,10 +209,6 @@ type Log struct {
 	// append returns it rather than stranding acknowledged records
 	// behind garbage bytes.
 	fail error
-	// torn is the test hook armed by InjectTornAppends: -1 disabled,
-	// n>=0 counts successful appends left before a torn failure, -2
-	// means the log already failed.
-	torn int
 }
 
 // lockDir takes the exclusive advisory lock. flock locks belong to the
@@ -340,7 +279,7 @@ func OpenFS(dir string, fsys FS) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, fs: fsys, lock: lock, torn: -1}
+	l := &Log{dir: dir, fs: fsys, lock: lock}
 	firsts, err := segments(fsys, dir)
 	if err != nil {
 		lock.Close()
@@ -432,33 +371,46 @@ func preserveSegments(fsys FS, dir string, firsts []uint64) (note string) {
 	return note
 }
 
-// scanSegment decodes one segment. prevSeq is the last sequence number
-// of the preceding segment; a first record that does not continue it is
-// damage (lost records). It returns the last good seq, the byte offset
-// past the last good record, and any damage found.
+// scanSegment decodes one segment file with scanFrames, naming the file
+// in any damage found.
 func scanSegment(fsys FS, path string, prevSeq uint64) (uint64, int64, *CorruptError, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	d := NewDecoder(f)
+	last, off, dmg, err := scanFrames(f, prevSeq)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("wal: read %s: %w", path, err)
+	}
+	if dmg != nil {
+		dmg.Reason = fmt.Sprintf("%s: %s", filepath.Base(path), dmg.Reason)
+	}
+	return last, off, dmg, nil
+}
+
+// scanFrames decodes a segment's bytes. prevSeq is the last sequence
+// number of the preceding segment; a record that does not continue the
+// one before it — the first one, prevSeq — is damage (lost records). It
+// returns the last good seq, the byte offset past the last good record,
+// and any damage found.
+func scanFrames(r io.Reader, prevSeq uint64) (uint64, int64, *CorruptError, error) {
+	sc := NewFrameScanner(r)
 	last := prevSeq
 	for {
-		rec, err := d.Next()
+		good := sc.Offset()
+		rec, _, err := sc.Next()
 		if err == io.EOF {
-			return last, d.Offset(), nil, nil
+			return last, good, nil, nil
 		}
 		if ce, ok := err.(*CorruptError); ok {
-			ce.Reason = fmt.Sprintf("%s: %s", filepath.Base(path), ce.Reason)
-			return last, d.Offset(), ce, nil
+			return last, good, ce, nil
 		}
 		if err != nil {
-			return 0, 0, nil, fmt.Errorf("wal: read %s: %w", path, err)
+			return 0, 0, nil, err
 		}
 		if rec.Seq != last+1 {
-			return last, d.Offset(), &CorruptError{Offset: d.Offset(),
-				Reason: fmt.Sprintf("%s: sequence jump: %d after %d", filepath.Base(path), rec.Seq, last)}, nil
+			return last, good, &CorruptError{Offset: good, Reason: fmt.Sprintf("sequence jump: %d after %d", rec.Seq, last)}, nil
 		}
 		last = rec.Seq
 	}
@@ -504,16 +456,23 @@ func (l *Log) Replay(after uint64, fn func(Record) error) error {
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		d := NewDecoder(f)
-		for {
-			rec, err := d.Next()
+		sc := NewFrameScanner(f)
+		// A segment is named after its first record, which Open held to
+		// continue the segment before it.
+		for last := first - 1; ; {
+			good := sc.Offset()
+			rec, _, err := sc.Next()
 			if err == io.EOF {
 				break
+			}
+			if err == nil && rec.Seq != last+1 {
+				err = &CorruptError{Offset: good, Reason: fmt.Sprintf("sequence jump: %d after %d", rec.Seq, last)}
 			}
 			if err != nil {
 				f.Close()
 				return fmt.Errorf("wal: replay %s: %w", segName(first), err)
 			}
+			last = rec.Seq
 			if rec.Seq <= after {
 				continue
 			}
@@ -544,20 +503,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	frame, err := EncodeRecord(l.seq+1, payload)
 	if err != nil {
 		return 0, err
-	}
-	switch {
-	case l.torn == -2:
-		mAppendErrors.Inc()
-		return 0, ErrTornWrite
-	case l.torn == 0:
-		// Simulate the process dying mid-write: half a frame reaches the
-		// file, the append is never acknowledged, and the log is dead.
-		l.f.Write(frame[:len(frame)/2])
-		l.torn = -2
-		mAppendErrors.Inc()
-		return 0, ErrTornWrite
-	case l.torn > 0:
-		l.torn--
 	}
 	start := time.Now()
 	if n, err := l.f.Write(frame); err != nil {
@@ -669,16 +614,12 @@ func (l *Log) RemoveThrough(seq uint64) error {
 // back to its last good record) and the segment is fsynced. On success
 // the log accepts appends again with every acknowledged record intact —
 // the degraded hub's recovery probe calls this once the disk answers
-// again. A log dead from an injected torn write stays dead: that state
-// models a crashed process, not a sick disk.
+// again.
 func (l *Log) Heal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: heal closed log")
-	}
-	if l.torn == -2 {
-		return ErrTornWrite
 	}
 	if l.fail != nil {
 		if err := l.f.Truncate(l.off); err != nil {
@@ -756,14 +697,4 @@ func (l *Log) DropLock() {
 		l.lock.Close()
 		l.lock = nil
 	}
-}
-
-// InjectTornAppends is a test hook for crash harnesses: after n more
-// successful appends, the next append writes only a torn frame prefix
-// and fails with ErrTornWrite, and the log refuses all further appends
-// — the observable behaviour of a process killed mid-write.
-func (l *Log) InjectTornAppends(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.torn = n
 }

@@ -268,65 +268,65 @@ func TestCorruptMiddleStopsAtLastGoodRecord(t *testing.T) {
 	}
 }
 
-func TestInjectTornAppends(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.InjectTornAppends(3)
-	for i := 0; i < 3; i++ {
-		if _, err := l.Append([]byte(`{"ok":true}`)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if _, err := l.Append([]byte(`{"doomed":true}`)); !errors.Is(err, ErrTornWrite) {
-		t.Fatalf("torn append: %v", err)
-	}
-	if _, err := l.Append([]byte(`{"after":true}`)); !errors.Is(err, ErrTornWrite) {
-		t.Fatalf("post-torn append: %v", err)
-	}
-	// The dead writer's directory lock evaporates with the "process".
-	l.DropLock()
-	// Reopen: the half-frame is dropped, the three good records survive.
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Damage() == nil {
-		t.Fatal("torn write left no detectable damage")
-	}
-	if l2.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d, want 3", l2.LastSeq())
-	}
-}
-
 func TestEncodeRecordRejectsNewlinePayload(t *testing.T) {
 	if _, err := EncodeRecord(1, []byte("a\nb")); err == nil {
 		t.Fatal("newline payload accepted")
 	}
 }
 
-func TestDecoderDetectsSequenceJump(t *testing.T) {
-	var buf bytes.Buffer
+// TestSegmentScanDetectsSequenceJump: a record that does not continue
+// the one before it is damage at the end of the last good record — to
+// the scan Open runs, which truncates there, and to Replay on a handle
+// whose segment changed under it.
+func TestSegmentScanDetectsSequenceJump(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	var good int64
 	for _, seq := range []uint64{1, 2, 5} {
 		frame, err := EncodeRecord(seq, []byte(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(frame)
-	}
-	d := NewDecoder(&buf)
-	for i := 0; i < 2; i++ {
-		if _, err := d.Next(); err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		if seq == 5 {
+			good = int64(len(data))
 		}
+		data = append(data, frame...)
 	}
-	if _, err := d.Next(); err == nil {
-		t.Fatal("sequence jump accepted")
-	} else if _, ok := err.(*CorruptError); !ok {
-		t.Fatalf("sequence jump error type: %v", err)
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const reason = "sequence jump: 5 after 2"
+	n := 0
+	err = l.Replay(0, func(Record) error { n++; return nil })
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Offset != good || ce.Reason != reason || n != 2 {
+		t.Fatalf("replay over a sequence jump = %v after %d records, want %q at offset %d after 2", err, n, reason, good)
+	}
+	last, off, dmg, err := scanSegment(OS, path, 0)
+	if err != nil || last != 2 || off != good || dmg == nil || dmg.Offset != good || dmg.Reason != segName(1)+": "+reason {
+		t.Fatalf("scanSegment = seq %d, offset %d, damage %v, error %v; want seq 2, offset %d, %q", last, off, dmg, err, good, reason)
+	}
+	// The first record of a segment continues the segment before it.
+	if last, off, dmg, err := scanSegment(OS, path, 7); err != nil || last != 7 || off != 0 || dmg == nil ||
+		dmg.Reason != segName(1)+": sequence jump: 1 after 7" {
+		t.Fatalf("scanSegment after seq 7 = seq %d, offset %d, damage %v, error %v", last, off, dmg, err)
+	}
+	l.Close()
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if d := l2.Damage(); d == nil || d.Offset != good || l2.LastSeq() != 2 {
+		t.Fatalf("open over a sequence jump: damage %v, last seq %d", d, l2.LastSeq())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != good {
+		t.Fatalf("segment not truncated to its last good record: %v, %v", fi, err)
 	}
 }
 
@@ -396,10 +396,10 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 	}
 }
 
-func TestDecoderCleanEOF(t *testing.T) {
-	d := NewDecoder(bytes.NewReader(nil))
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("empty stream: %v", err)
+func TestFrameScannerCleanEOF(t *testing.T) {
+	sc := NewFrameScanner(bytes.NewReader(nil))
+	if _, _, err := sc.Next(); err != io.EOF || sc.Offset() != 0 {
+		t.Fatalf("empty stream: %v at offset %d", err, sc.Offset())
 	}
 }
 
