@@ -57,6 +57,16 @@
 // in-flight window, committed — acknowledged lines are never lost,
 // unacknowledged tails never half-apply.
 //
+// A body that is one line — the request declares its Content-Length, it
+// fits 4 KiB and holds exactly one non-blank line — is not wrapped in a
+// stream: the handler commits it on the request's own goroutine and
+// answers with Content-Length in one write. Only the response's framing
+// differs (a declared length instead of chunks): status, content type
+// and the bytes of the result line are the stream's, and the ack still
+// follows the WAL append and the flush epoch (the fsync, under
+// -sync-every). Such a body that the client never finishes sending
+// commits nothing and gets the terminal line.
+//
 // /v1/clusters streams one cluster per NDJSON line with bounded memory
 // — the enumeration never materialises the hub — flushes periodically,
 // stops as soon as the client disconnects, and paginates: pass limit=N
@@ -101,7 +111,9 @@
 // stack logged server-side.
 //
 // Attribute kinds are string (default), int, float, bool. Tuple values
-// are JSON scalars matching the declared kind; null means NULL. JSON
+// are JSON scalars matching the declared kind; null means NULL (a
+// string is parsed as the kind, which is how a float NaN or ±Inf gets
+// in — and how it is rendered back, JSON having no such number). JSON
 // numbers pass through float64, which is exact only up to ±2^53:
 // larger int values that survived the round-trip intact are accepted,
 // anything non-integral or beyond the int64 range is rejected.
@@ -109,11 +121,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -122,7 +136,6 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -262,7 +275,22 @@ const (
 	// slowOpThreshold: commits slower than this are recorded with
 	// per-stage timings at /debug/slow.
 	slowOpThreshold = 100 * time.Millisecond
+	// directInsertMax is the largest declared-length /v1/insert body that
+	// is read whole to see whether it is one line (handleInsert) — the
+	// size the stream decoder's line buffer starts at.
+	directInsertMax = 4096
 )
+
+// scratch is one request's working memory, pooled across requests: out
+// is where every response line that shows a cluster is rendered
+// (render.go), body where a small declared-length insert body is read
+// whole.
+type scratch struct {
+	out  []byte
+	body [directInsertMax]byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // server is the HTTP front-end over one hub. Which sources exist, and
 // their schemas, is the hub's knowledge alone: tuples and key
@@ -324,14 +352,17 @@ func newServerFor(h *entityid.Hub) *server {
 // http.ErrAbortHandler keeps its contract (re-panicked, connection
 // severed).
 //
-// An incoming X-Request-ID is honored (so a proxy's ID correlates
-// across hops); otherwise one is generated. Either way the ID is set
-// on the response before dispatch, which also makes it available to
-// httpError for inclusion in error bodies.
+// An incoming X-Request-ID is honored when it is a plain token (so a
+// proxy's ID correlates across hops); otherwise one is generated. Either
+// way the ID is set on the response before dispatch, which also makes it
+// available to httpError for inclusion in error bodies. The ID and the
+// request path are the client's bytes: the ID is restricted to what
+// cannot forge a log field and the decoded path is logged quoted, so one
+// request is always one access-log line.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rid := r.Header.Get("X-Request-ID")
-	if rid == "" {
+	if !validRequestID(rid) {
 		rid = newRequestID()
 	}
 	w.Header().Set("X-Request-ID", rid)
@@ -347,7 +378,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			panic(rec)
 		}
 		mHTTPPanics.Inc()
-		s.logf("entityidd: panic serving %s %s request_id=%s: %v\n%s", r.Method, r.URL.Path, rid, rec, debug.Stack())
+		s.logf("entityidd: panic serving %s %q request_id=%s: %v\n%s", r.Method, r.URL.Path, rid, rec, debug.Stack())
 		// Best effort: if the handler already wrote a response, the
 		// status is gone and this write lands in the body or fails.
 		httpError(sw, http.StatusInternalServerError, fmt.Errorf("internal server error"))
@@ -363,7 +394,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(start)
 	mHTTPRequests.With(route, statusClass(sw.code)).Inc()
 	mHTTPSeconds.With(route).Observe(dur)
-	s.logf("entityidd: access method=%s path=%s route=%q status=%d bytes=%d dur_ms=%.3f request_id=%s",
+	s.logf("entityidd: access method=%s path=%q route=%q status=%d bytes=%d dur_ms=%.3f request_id=%s",
 		r.Method, r.URL.Path, route, sw.code, sw.bytes, float64(dur)/float64(time.Millisecond), rid)
 }
 
@@ -573,6 +604,54 @@ type insertLine struct {
 	Tuple  []any  `json:"tuple"`
 }
 
+// decodeLine parses one trimmed, non-blank body line into a hub insert.
+// A framing error (malformed JSON) is terminal — nothing after the line
+// can be trusted, it may be a torn tail; a tuple error is the line's own.
+func (s *server) decodeLine(line []byte) (ins entityid.HubInsert, terminal bool, err error) {
+	var il insertLine
+	if err := json.Unmarshal(line, &il); err != nil {
+		return ins, true, err
+	}
+	t, err := s.toTuple(il.Source, il.Tuple)
+	if err != nil {
+		return ins, false, err
+	}
+	return entityid.HubInsert{Source: il.Source, Tuple: t}, false, nil
+}
+
+// soleLine returns the one non-blank line of body, trimmed, and its
+// 1-based line number — lines and blanks as the stream decoder's scanner
+// sees them. ok is false when body holds no such line, or several.
+func soleLine(body []byte) (line []byte, lineNo int, ok bool) {
+	for n := 1; len(body) > 0; n++ {
+		l := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			l, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		if l = bytes.TrimSpace(l); len(l) == 0 {
+			continue
+		}
+		if ok {
+			return nil, 0, false
+		}
+		line, lineNo, ok = l, n, true
+	}
+	return line, lineNo, ok
+}
+
+// appendErrorLine renders the result line of a failed insert line: in
+// place ({"error":…,"ok":false}) or, when terminal, ending the response.
+func appendErrorLine(b []byte, err error, terminal bool) []byte {
+	m := map[string]any{"ok": false, "error": err.Error()}
+	if terminal {
+		m["terminal"] = true
+	}
+	j, _ := json.Marshal(m) // a map of strings and bools always marshals
+	return append(append(b, j...), '\n')
+}
+
 // insertLineMeta carries one body line's fate from the decoder to the
 // writer, in line order: a parse error reported in place, a terminal
 // stream failure (malformed framing, body cap), or a line that went to
@@ -594,7 +673,76 @@ func streamReadError(err error) error {
 	return err
 }
 
-// handleInsert streams the NDJSON ingest body through a hub ingest
+// handleInsert commits an NDJSON ingest body, one ack line per input
+// line, always 200 + application/x-ndjson once admitted.
+//
+// A body is a stream (insertStream) unless the request shows it is not:
+// one that declares its length (Content-Length, so not chunked), fits
+// directInsertMax and the body cap, and turns out to hold exactly one
+// non-blank line is committed right here — decode, Hub.Insert, flush
+// epoch, one write carrying Content-Length (insertOne) — with no
+// goroutine, channel or ingest stream built around it. The two differ in
+// response framing only: status, content type and the bytes of every
+// outcome (ack, tuple error, hub rejection, terminal framing error) are
+// the stream's. A declared-length body that is short or fails to read
+// commits nothing and answers the stream's terminal line.
+func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
+	// Admission first: shed while draining or degraded (503) or when
+	// the concurrency gate is full (429) — never queue.
+	if !s.admitIngest(w) {
+		return
+	}
+	defer s.gate.Release()
+	if s.maxInsertBody > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, s.maxInsertBody)
+	}
+	buf := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(buf)
+	body := io.Reader(r.Body)
+	if n := r.ContentLength; n > 0 && n <= directInsertMax && (s.maxInsertBody <= 0 || n <= s.maxInsertBody) {
+		whole := buf.body[:n]
+		if _, err := io.ReadFull(r.Body, whole); err != nil {
+			writeInsertLine(w, appendErrorLine(buf.out[:0], streamReadError(err), true))
+			return
+		}
+		if line, lineNo, ok := soleLine(whole); ok {
+			buf.out = s.insertOne(buf.out[:0], line, lineNo)
+			writeInsertLine(w, buf.out)
+			return
+		}
+		// Several lines, or none: a stream after all, over a copy of the
+		// bytes in hand (its decoder goroutine must not share the pool's).
+		body = bytes.NewReader(bytes.Clone(whole))
+	}
+	s.insertStream(r.Context(), w, body, buf)
+}
+
+// insertOne commits the single line of a one-line body on the request's
+// goroutine and renders its result line. An ack follows the WAL append
+// (Insert) and the flush epoch, as a stream's does.
+func (s *server) insertOne(b, line []byte, lineNo int) []byte {
+	ins, terminal, err := s.decodeLine(line)
+	if err != nil {
+		return appendErrorLine(b, fmt.Errorf("line %d: %w", lineNo, err), terminal)
+	}
+	rec, err := s.hub.Insert(ins.Source, ins.Tuple)
+	if err != nil {
+		return appendErrorLine(b, err, false)
+	}
+	s.hub.FlushEpoch()
+	return s.appendAck(b, rec)
+}
+
+// writeInsertLine answers a whole /v1/insert response that is one line:
+// a declared length, so net/http neither chunks it nor needs a flush —
+// header and body leave in one segment.
+func writeInsertLine(w http.ResponseWriter, line []byte) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(len(line)))
+	w.Write(line) // a failed write means the client is gone: nothing to tell it
+}
+
+// insertStream streams an NDJSON ingest body through a hub ingest
 // stream: lines decode as they arrive off the wire, commit in order
 // with bounded in-flight work, and each result line is written — and
 // periodically flushed — while later lines are still being read.
@@ -607,17 +755,7 @@ func streamReadError(err error) error {
 // are committed and stay committed. A client disconnect cancels the
 // ingest stream mid-flight and leaves exactly the acked prefix — and at
 // most a bounded in-flight window past it — committed.
-func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	// Admission first: shed while draining or degraded (503) or when
-	// the concurrency gate is full (429) — never queue.
-	if !s.admitIngest(w) {
-		return
-	}
-	defer s.gate.Release()
-	if s.maxInsertBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxInsertBody)
-	}
-	ctx := r.Context()
+func (s *server) insertStream(ctx context.Context, w http.ResponseWriter, body io.Reader, buf *scratch) {
 	in := make(chan entityid.HubInsert)
 	metas := make(chan insertLineMeta, insertFlushEvery)
 	// Decoder: scan the body incrementally, parse each line, and hand
@@ -635,22 +773,20 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 		}
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 4096), 1<<20)
+		sc := bufio.NewScanner(body)
+		sc.Buffer(make([]byte, 0, directInsertMax), 1<<20)
 		lineNo := 0
 		for sc.Scan() {
 			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
+			line := bytes.TrimSpace(sc.Bytes())
+			if len(line) == 0 {
 				continue
 			}
-			var il insertLine
-			if err := json.Unmarshal([]byte(line), &il); err != nil {
-				// Malformed framing: nothing after this line can be
-				// trusted (it may be a torn tail). Terminal. If the tear
-				// came from a read failure — the body cap truncating
-				// mid-line is the common case — report that instead of
-				// the confusing partial-JSON error.
+			ins, terminal, err := s.decodeLine(line)
+			if terminal {
+				// If the tear came from a read failure — the body cap
+				// truncating mid-line is the common case — report that
+				// instead of the confusing partial-JSON error.
 				terr := error(fmt.Errorf("line %d: %w", lineNo, err))
 				if !sc.Scan() {
 					if serr := sc.Err(); serr != nil {
@@ -660,7 +796,6 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 				sendMeta(insertLineMeta{err: terr, terminal: true})
 				return
 			}
-			t, err := s.toTuple(il.Source, il.Tuple)
 			if err != nil {
 				// Tuple-level error: reported in place, stream continues.
 				if !sendMeta(insertLineMeta{err: fmt.Errorf("line %d: %w", lineNo, err)}) {
@@ -672,7 +807,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			select {
-			case in <- entityid.HubInsert{Source: il.Source, Tuple: t}:
+			case in <- ins:
 			case <-ctx.Done():
 				return
 			}
@@ -696,16 +831,16 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
 	// dead flags a failed response write (client gone): stop writing but
 	// keep draining metas and results so the decoder and the ingest
 	// stream wind down through their normal paths.
 	dead := false
-	emit := func(v any) {
+	emit := func(line []byte) {
+		buf.out = line // rendered into buf.out: keep what it grew to
 		if dead {
 			return
 		}
-		if err := enc.Encode(v); err != nil {
+		if _, err := w.Write(line); err != nil {
 			dead = true
 		}
 	}
@@ -732,10 +867,8 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		switch {
-		case m.terminal:
-			emit(map[string]any{"ok": false, "error": m.err.Error(), "terminal": true})
 		case m.err != nil:
-			emit(map[string]any{"ok": false, "error": m.err.Error()})
+			emit(appendErrorLine(buf.out[:0], m.err, m.terminal))
 		default:
 			res, rok := <-results
 			if !rok {
@@ -744,14 +877,9 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if res.Err != nil {
-				emit(map[string]any{"ok": false, "error": res.Err.Error()})
+				emit(appendErrorLine(buf.out[:0], res.Err, false))
 			} else {
-				emit(map[string]any{
-					"ok":      true,
-					"index":   res.Receipt.Index,
-					"matched": membersJSON(res.Receipt.Matched),
-					"cluster": s.clusterJSON(res.Receipt.Cluster, ""),
-				})
+				emit(s.appendAck(buf.out[:0], res.Receipt))
 			}
 		}
 		pending++
@@ -766,8 +894,8 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	source := r.URL.Query().Get("source")
-	keys := r.URL.Query()["key"]
+	q := r.URL.Query()
+	source, keys := q.Get("source"), q["key"]
 	if source == "" || len(keys) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("source and key parameters required"))
 		return
@@ -800,7 +928,11 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.clusterJSON(cl, r.URL.Query().Get("merge")))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.out = append(s.appendCluster(sc.out[:0], cl, q.Get("merge")), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(sc.out) // a failed write means the client is gone
 }
 
 // handleClusters streams the cluster enumeration as NDJSON with
@@ -823,16 +955,8 @@ func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	flusher, _ := w.(http.Flusher)
-	var enc *json.Encoder
-	emit := func(v any) error {
-		// The NDJSON header commits lazily, so a cursor parse error can
-		// still answer with a JSON 400 before anything streams.
-		if enc == nil {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			enc = json.NewEncoder(w)
-		}
-		return enc.Encode(v)
-	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	emitted, truncated, aborted := 0, false, false
 	var last string
 	walkErr := s.hub.ClustersWalk(q.Get("cursor"), offset, func(cl entityid.EntityCluster, resume string) bool {
@@ -844,7 +968,13 @@ func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 			truncated = true
 			return false
 		}
-		if err := emit(s.clusterJSON(cl, merge)); err != nil {
+		// The NDJSON header commits lazily, with the first line, so a
+		// cursor parse error can still answer with a JSON 400.
+		if emitted == 0 {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		}
+		sc.out = append(s.appendCluster(sc.out[:0], cl, merge), '\n')
+		if _, err := w.Write(sc.out); err != nil {
 			aborted = true // write failed (client disconnected)
 			return false
 		}
@@ -863,11 +993,11 @@ func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if truncated {
-		emit(map[string]any{"next_cursor": last})
+		json.NewEncoder(w).Encode(map[string]any{"next_cursor": last})
 		return
 	}
 	// An empty enumeration still answers as NDJSON.
-	if enc == nil {
+	if emitted == 0 {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 }
@@ -969,61 +1099,6 @@ func jsonToValue(raw any, kind value.Kind) (value.Value, error) {
 	default:
 		return value.Null, fmt.Errorf("unsupported JSON value %T", raw)
 	}
-}
-
-// valueToJSON renders a typed value as a JSON scalar.
-func valueToJSON(v value.Value) any {
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindInt:
-		return v.IntVal()
-	case value.KindFloat:
-		return v.FloatVal()
-	case value.KindBool:
-		return v.BoolVal()
-	default:
-		return v.Str()
-	}
-}
-
-func membersJSON(ms []entityid.ClusterMember) []map[string]any {
-	out := make([]map[string]any, len(ms))
-	for i, m := range ms {
-		tuple := make([]any, len(m.Tuple))
-		for j, v := range m.Tuple {
-			tuple[j] = valueToJSON(v)
-		}
-		out[i] = map[string]any{"source": m.Source, "index": m.Index, "tuple": tuple}
-	}
-	return out
-}
-
-// clusterJSON renders a cluster, optionally with its merged record.
-func (s *server) clusterJSON(cl entityid.EntityCluster, merge string) map[string]any {
-	out := map[string]any{"id": cl.ID, "members": membersJSON(cl.Members)}
-	if merge == "" {
-		return out
-	}
-	strategy, ok := mergeStrategies[merge]
-	if !ok {
-		out["merge_error"] = fmt.Sprintf("unknown strategy %q", merge)
-		return out
-	}
-	me, err := s.hub.Merged(cl, strategy)
-	if err != nil {
-		out["merge_error"] = err.Error()
-		return out
-	}
-	vals := map[string]any{}
-	for k, v := range me.Values {
-		vals[k] = valueToJSON(v)
-	}
-	out["merged"] = vals
-	if len(me.Conflicts) > 0 {
-		out["conflicts"] = me.Conflicts
-	}
-	return out
 }
 
 var mergeStrategies = map[string]entityid.MergeStrategy{

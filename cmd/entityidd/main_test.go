@@ -19,7 +19,7 @@ import (
 
 // do runs one request against the server and decodes a JSON object
 // response.
-func do(t *testing.T, srv *server, method, path, body string) (int, map[string]any) {
+func do(t testing.TB, srv *server, method, path, body string) (int, map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	rw := httptest.NewRecorder()
@@ -34,7 +34,7 @@ func do(t *testing.T, srv *server, method, path, body string) (int, map[string]a
 }
 
 // ndjson runs one request and decodes every NDJSON line.
-func ndjson(t *testing.T, srv *server, method, path, body string) (int, []map[string]any) {
+func ndjson(t testing.TB, srv *server, method, path, body string) (int, []map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	rw := httptest.NewRecorder()

@@ -49,6 +49,26 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// validRequestID reports whether an incoming X-Request-ID is safe to
+// echo into the access log, the response header and error bodies: at
+// most 64 bytes of [A-Za-z0-9._:-]. Anything else — empty, oversized,
+// spaces, control bytes — is replaced by a generated ID.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '.', c == '_', c == ':', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // statusWriter captures the status code and body size for the access
 // log and metrics. It forwards Flush so the NDJSON streaming handlers
 // keep flushing through the wrapper.

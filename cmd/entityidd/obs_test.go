@@ -151,6 +151,59 @@ func TestRequestIDHonored(t *testing.T) {
 	}
 }
 
+// TestAccessLogCannotBeForged: the request path and X-Request-ID are the
+// client's bytes, and one request must stay one access-log line — a
+// %0A in the path is logged quoted, and an ID that is not a short plain
+// token (oversized, spaced, carrying a newline) is replaced by a
+// generated one everywhere it would have been echoed: the log, the
+// response header and the error body.
+func TestAccessLogCannotBeForged(t *testing.T) {
+	srv := newServer()
+	var logged []string
+	srv.logf = func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	forged := "entityidd: access method=GET path=/v1/stats status=200"
+	req := httptest.NewRequest("GET", "/nowhere%0A"+strings.ReplaceAll(forged, " ", "%20"), nil)
+	srv.ServeHTTP(httptest.NewRecorder(), req)
+	if len(logged) != 1 || strings.Contains(logged[0], "\n") || !strings.Contains(logged[0], `path="/nowhere\nentityidd: access`) {
+		t.Fatalf("a newline in the path must stay inside one quoted field: %q", logged)
+	}
+
+	for name, id := range map[string]string{
+		"oversized": strings.Repeat("a", 65),
+		"spaced":    "abc status=500",
+		"newline":   "abc\n" + forged,
+		"quoted":    `abc"def`,
+	} {
+		logged = nil
+		req := httptest.NewRequest("GET", "/v1/cluster", nil) // missing params -> 400 with request_id
+		req.Header["X-Request-Id"] = []string{id}
+		rw := httptest.NewRecorder()
+		srv.ServeHTTP(rw, req)
+		rid := rw.Header().Get("X-Request-ID")
+		if rid == id || len(rid) != 16 {
+			t.Fatalf("%s request ID %q echoed as %q, want a generated one", name, id, rid)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rw.Body.Bytes(), &body); err != nil || body["request_id"] != rid {
+			t.Fatalf("%s: error body %q, want request_id %q", name, rw.Body.String(), rid)
+		}
+		if len(logged) != 1 || strings.Contains(logged[0], "\n") || !strings.HasSuffix(logged[0], "request_id="+rid) {
+			t.Fatalf("%s: access log %q", name, logged)
+		}
+	}
+	// The longest and widest ID still honored.
+	id := strings.Repeat("aZ9._:-x", 8)
+	req = httptest.NewRequest("GET", "/v1/stats", nil)
+	req.Header.Set("X-Request-ID", id)
+	rw := httptest.NewRecorder()
+	srv.ServeHTTP(rw, req)
+	if got := rw.Header().Get("X-Request-ID"); got != id {
+		t.Fatalf("a 64-byte token ID was not honored: %q", got)
+	}
+}
+
 func TestPanicRecoveryLogsRequestID(t *testing.T) {
 	srv := newServer()
 	var logged []string

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,24 +45,46 @@ func TestReadyzTransitions(t *testing.T) {
 	}
 }
 
+// unreadBody is a request body that fails the test when touched: what a
+// shed request's body must be.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("a shed insert's body was read")
+	return 0, io.EOF
+}
+
 // TestIngestShedding pins the admission-control contract on
 // /v1/insert: 503 + Retry-After while draining or degraded (before
 // the body is even read), 429 + Retry-After when the concurrency gate
-// is full — never a hang, never a silent queue.
+// is full — never a hang, never a silent queue. A one-line body, which
+// the handler would otherwise read whole, is shed the same way: before
+// any byte of it is read.
 func TestIngestShedding(t *testing.T) {
 	srv := newServer()
+	oneLine := func() *http.Request {
+		req := httptest.NewRequest("POST", "/v1/insert", unreadBody{t})
+		req.ContentLength = int64(len(`{"source":"a","tuple":["x"]}`))
+		return req
+	}
 
 	srv.draining.Store(true)
-	req := httptest.NewRequest("POST", "/v1/insert", nil)
-	rw := httptest.NewRecorder()
-	srv.ServeHTTP(rw, req)
-	if rw.Code != http.StatusServiceUnavailable || rw.Header().Get("Retry-After") != "5" {
-		t.Fatalf("draining insert = %d (Retry-After %q), want 503/5", rw.Code, rw.Header().Get("Retry-After"))
+	for _, req := range []*http.Request{httptest.NewRequest("POST", "/v1/insert", nil), oneLine()} {
+		rw := httptest.NewRecorder()
+		srv.ServeHTTP(rw, req)
+		if rw.Code != http.StatusServiceUnavailable || rw.Header().Get("Retry-After") != "5" {
+			t.Fatalf("draining insert = %d (Retry-After %q), want 503/5", rw.Code, rw.Header().Get("Retry-After"))
+		}
 	}
 	srv.draining.Store(false)
 
 	srv.health = func() entityid.HubHealth {
 		return entityid.HubHealth{State: entityid.HubDegraded, Cause: "disk gone"}
+	}
+	rw := httptest.NewRecorder()
+	srv.ServeHTTP(rw, oneLine())
+	if rw.Code != http.StatusServiceUnavailable || rw.Header().Get("Retry-After") != "5" {
+		t.Fatalf("degraded one-line insert = %d (Retry-After %q), want 503/5", rw.Code, rw.Header().Get("Retry-After"))
 	}
 	rw = httptest.NewRecorder()
 	srv.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/insert", nil))
@@ -78,10 +101,12 @@ func TestIngestShedding(t *testing.T) {
 	if !srv.gate.TryAcquire() {
 		t.Fatal("setup: could not occupy the only gate slot")
 	}
-	rw = httptest.NewRecorder()
-	srv.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/insert", nil))
-	if rw.Code != http.StatusTooManyRequests || rw.Header().Get("Retry-After") != "1" {
-		t.Fatalf("gate-full insert = %d (Retry-After %q), want 429/1", rw.Code, rw.Header().Get("Retry-After"))
+	for _, req := range []*http.Request{httptest.NewRequest("POST", "/v1/insert", nil), oneLine()} {
+		rw = httptest.NewRecorder()
+		srv.ServeHTTP(rw, req)
+		if rw.Code != http.StatusTooManyRequests || rw.Header().Get("Retry-After") != "1" {
+			t.Fatalf("gate-full insert = %d (Retry-After %q), want 429/1", rw.Code, rw.Header().Get("Retry-After"))
+		}
 	}
 	srv.gate.Release()
 

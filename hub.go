@@ -295,6 +295,17 @@ func (h *Hub) Insert(source string, t Tuple) (*HubReceipt, error) {
 	return h.inner.Insert(source, t)
 }
 
+// FlushEpoch closes a flush epoch — the step an ingest stream takes
+// when its input runs empty and before its results end: under
+// WithSyncEvery, every append since the last fsync is forced to stable
+// storage now. Insert alone syncs only every n-th append; a caller that
+// acknowledges its own Insert to someone else calls FlushEpoch between
+// the successful Insert and the acknowledgement. No-op on a memory-only
+// hub.
+func (h *Hub) FlushEpoch() {
+	h.inner.FlushEpoch()
+}
+
 // IngestBatch is IngestStream for a batch already in hand: it reports
 // per-item results in input order, and commits happen strictly in input
 // order. For unbounded or incremental input, prefer IngestStream.

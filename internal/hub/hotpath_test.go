@@ -107,6 +107,56 @@ func TestKeyedLookupAllocBound(t *testing.T) {
 	}
 }
 
+// TestReadSideAllocBound holds the served read side — what a point
+// read and an enumeration line cost before rendering — to the
+// allocations their results need: a Lookup builds its key probe (two),
+// the cluster ID and the member slice, and a walk builds ID and members
+// per cluster (the resume cursor is the ID when the visit node leads)
+// plus its cut and closures once. Formatting an ID with fmt, growing Members
+// by append or rendering a cursor of its own per cluster breaks these.
+func TestReadSideAllocBound(t *testing.T) {
+	h := twoSourceHub(t)
+	for _, id := range []string{"a1", "a2", "a3"} {
+		if _, err := h.Insert("A", relation.Tuple{value.String(id), value.Null}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []value.Value{value.String("a0")}
+	bad := false
+	avg := testing.AllocsPerRun(200, func() {
+		c, err := h.Lookup("A", key...)
+		if err != nil || c.ID != "A/0" || len(c.Members) != 2 {
+			bad = true
+		}
+	})
+	if bad {
+		t.Fatal("Lookup missed cluster A/0")
+	}
+	if avg > 4 {
+		t.Fatalf("Lookup allocates %.1f times, want <= 4", avg)
+	}
+	const clusters = 4 // {A/0,B/0}, A/1, A/2, A/3
+	avg = testing.AllocsPerRun(200, func() {
+		n := 0
+		err := h.ClustersWalk("", 0, func(c Cluster, resume string) bool {
+			if resume != c.ID {
+				bad = true
+			}
+			n++
+			return true
+		})
+		if err != nil || n != clusters {
+			bad = true
+		}
+	})
+	if bad {
+		t.Fatal("walk did not visit the four clusters with ID cursors")
+	}
+	if ceiling := float64(2*clusters + 4); avg > ceiling {
+		t.Fatalf("ClustersWalk allocates %.1f times over %d clusters, want <= %.0f", avg, clusters, ceiling)
+	}
+}
+
 // TestInsertAllocBound holds one commit — a tuple prepared against
 // three linked pairs, the canonical insert, three pair commits, the
 // cluster fold and the receipt — under an allocation ceiling that a

@@ -58,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -745,8 +746,11 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	// names it, so the read side's materialiser serves the receipt too.
 	topo := h.topo.Load()
 	rec := &Receipt{Source: source, Index: n.Idx}
-	for _, p := range partners {
-		rec.Matched = append(rec.Matched, topo.member(p))
+	if len(partners) > 0 {
+		rec.Matched = make([]Member, len(partners))
+		for i, p := range partners {
+			rec.Matched[i] = topo.member(p)
+		}
 	}
 	if members == nil {
 		members = []node{n}
@@ -789,12 +793,17 @@ func (h *Hub) materialize(t *topoView, members []node) Cluster {
 			break
 		}
 	}
-	lead := t.sources[members[0].Src]
-	c := Cluster{ID: fmt.Sprintf("%s/%d", lead.name, members[0].Idx)}
-	for _, m := range members {
-		c.Members = append(c.Members, t.member(m))
+	c := Cluster{ID: nodeID(t, members[0]), Members: make([]Member, len(members))}
+	for i, m := range members {
+		c.Members[i] = t.member(m)
 	}
 	return c
+}
+
+// nodeID renders a node as "source/index" — the ID of the cluster it
+// leads and the cursor that resumes a walk after it.
+func nodeID(t *topoView, n node) string {
+	return t.sources[n.Src].name + "/" + strconv.Itoa(n.Idx)
 }
 
 // clusterRead resolves and materialises node n's cluster on the read

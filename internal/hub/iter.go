@@ -138,14 +138,19 @@ func (h *Hub) ClustersFrom(cursor string) (iter.Seq[Cluster], error) {
 	}, nil
 }
 
-// cursorFor renders the cursor that resumes the walk after visit node
-// n. On a quiescent hub this equals the cluster's ID; under concurrent
-// ingest the two can differ (a merge can hand the cluster a lead
-// outside the cut), and it is the *visit* position that must anchor
-// resumption — a cursor taken from the absolute lead could jump the
-// walk backwards and re-serve clusters already emitted.
-func cursorFor(t *topoView, n node) string {
-	return fmt.Sprintf("%s/%d", t.sources[n.Src].name, n.Idx)
+// cursorFor returns the cursor that resumes the walk after visit node
+// n, whose cluster c was just materialised over members. On a quiescent
+// hub this equals the cluster's ID — the visit node is the lead, and
+// the string is reused; under concurrent ingest the two can differ (a
+// merge can hand the cluster a lead outside the cut), and it is the
+// *visit* position that must anchor resumption — a cursor taken from
+// the absolute lead could jump the walk backwards and re-serve clusters
+// already emitted.
+func cursorFor(t *topoView, n node, members []node, c Cluster) string {
+	if members[0] == n {
+		return c.ID
+	}
+	return nodeID(t, n)
 }
 
 // ClustersWalk visits the clusters that follow the cursor ("" = from
@@ -172,7 +177,8 @@ func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume st
 		if members == nil {
 			members = []node{n}
 		}
-		return fn(h.materialize(t, members), cursorFor(t, n))
+		c := h.materialize(t, members)
+		return fn(c, cursorFor(t, n, members, c))
 	})
 }
 
@@ -204,8 +210,9 @@ func (h *Hub) ClustersPage(cursor string, limit int) ([]Cluster, string, error) 
 		if members == nil {
 			members = []node{n}
 		}
-		out = append(out, h.materialize(t, members))
-		lastResume = cursorFor(t, n)
+		c := h.materialize(t, members)
+		out = append(out, c)
+		lastResume = cursorFor(t, n, members, c)
 		return true
 	}); err != nil {
 		return nil, "", err

@@ -32,6 +32,8 @@
 // inserts reached the log since its last epoch. So a closed result
 // channel means every acknowledged append of that stream is synced per
 // policy — for IngestStream callers and for IngestBatch, which is one.
+// An epoch is the FlushEpoch method, which a caller acknowledging a
+// direct Insert calls too; Insert alone keeps only the every-N sync.
 //
 // Lifecycle: encode-ahead exits before the result channel closes and
 // commit exits by closing it; an idle hub owns no ingest goroutines.
@@ -131,6 +133,23 @@ func (h *Hub) encodeAhead(ctx context.Context, in <-chan Insert, jobs chan<- str
 	}
 }
 
+// FlushEpoch closes a flush epoch: under the SyncEvery policy every
+// append counted since the last fsync is forced to stable storage now.
+// It is what turns "committed" into "acknowledgeable": a stream's commit
+// goroutine calls it when its input runs empty and before it closes its
+// result channel, and a caller that acknowledges an Insert of its own
+// (entityidd's one-line POST) calls it between the commit and the ack —
+// so "acked ⇒ synced per SyncEvery" is decided here and nowhere else.
+// Call it only after an append of your own reached the log: an epoch
+// with nothing to force is not an epoch. No-op on a memory-only hub.
+func (h *Hub) FlushEpoch() {
+	if h.per == nil {
+		return
+	}
+	mPipeFlushEpochs.Inc()
+	h.per.syncPending()
+}
+
 // commitStream is a stream's serialized tail: each job takes the full
 // Insert commit path and its result goes to out. Once ctx has fired the
 // remaining jobs are drained uncommitted and nothing more is delivered
@@ -142,26 +161,24 @@ func (h *Hub) commitStream(ctx context.Context, jobs <-chan streamJob, out chan<
 	// appended: an insert of this stream reached the log since the last
 	// flush epoch, so the epoch has something to force to stable storage.
 	appended := false
-	flushEpoch := func() {
-		if appended {
-			appended = false
-			mPipeFlushEpochs.Inc()
-			h.per.syncPending()
-		}
-	}
 	for seq := 0; ; seq++ {
 		var j streamJob
-		var ok bool
+		ok, waited := false, false
 		select {
 		case j, ok = <-jobs:
 		default:
-			// The burst is over: close the flush epoch before blocking
-			// for the next one.
-			flushEpoch()
+			waited = true
+		}
+		// The burst is over (nothing queued) or the stream is (jobs
+		// closed): close the flush epoch before blocking or ending.
+		if appended && (waited || !ok) {
+			appended = false
+			h.FlushEpoch()
+		}
+		if waited {
 			j, ok = <-jobs
 		}
 		if !ok {
-			flushEpoch()
 			close(out)
 			return
 		}

@@ -344,9 +344,25 @@ func TestPipelineFlushSkipsWhenNoAppends(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	}
-	if seq, _ := h.per.log.Synced(); seq != h.per.log.LastSeq() || seq == seq1 {
-		t.Fatalf("stream left unsynced appends at close: synced %d, last %d", seq, h.per.log.LastSeq())
+	seq2, _ := h.per.log.Synced()
+	if seq2 != h.per.log.LastSeq() || seq2 == seq1 {
+		t.Fatalf("stream left unsynced appends at close: synced %d, last %d", seq2, h.per.log.LastSeq())
 	}
+
+	// And for a caller that acknowledges its own Insert: Insert alone
+	// keeps only the every-N sync, the caller's FlushEpoch — the method
+	// the stream's epochs are — leaves nothing acknowledged unsynced.
+	if _, err := h.Insert("s", relation.Tuple{value.String("direct")}); err != nil {
+		t.Fatal(err)
+	}
+	if seq, _ := h.per.log.Synced(); seq != seq2 || h.per.log.LastSeq() == seq2 {
+		t.Fatalf("a lone Insert under SyncEvery 100: synced %d→%d, last %d", seq2, seq, h.per.log.LastSeq())
+	}
+	h.FlushEpoch()
+	if seq, _ := h.per.log.Synced(); seq != h.per.log.LastSeq() {
+		t.Fatalf("FlushEpoch left unsynced appends: synced %d, last %d", seq, h.per.log.LastSeq())
+	}
+	New().FlushEpoch() // a memory-only hub has nothing to flush
 }
 
 // TestPipelineGoroutineLifecycle pins the stream lifecycle: a batch or
