@@ -27,6 +27,18 @@ import (
 // is a §3.2 rejection). maxBody > 0 lowers the body cap.
 func contractServer(t *testing.T, maxBody int64) (*server, *httptest.Server) {
 	t.Helper()
+	srv := contractHub(t)
+	if maxBody > 0 {
+		srv.maxInsertBody = maxBody
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// contractHub is contractServer's fixture without a listener.
+func contractHub(t testing.TB) *server {
+	t.Helper()
 	srv := newServer()
 	srv.logf = func(string, ...any) {}
 	for _, name := range []string{"a", "b"} {
@@ -39,12 +51,7 @@ func contractServer(t *testing.T, maxBody int64) (*server, *httptest.Server) {
 		t.Fatalf("link: %d %v", code, out)
 	}
 	ndjson(t, srv, "POST", "/v1/insert", `{"source":"a","tuple":["a0","n1"]}`+"\n"+`{"source":"b","tuple":["b0","n1"]}`)
-	if maxBody > 0 {
-		srv.maxInsertBody = maxBody
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return srv
 }
 
 // rawInsert writes one raw request to ts — head, then body, then (for a

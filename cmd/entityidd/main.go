@@ -156,7 +156,7 @@ func main() {
 		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when an insert stream's input runs empty and before its results end (0: leave durability between snapshots to the page cache)")
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
-		debugAddr     = flag.String("debug-addr", "", "operator-only listen address serving /metrics, /debug/slow and /debug/pprof (empty: disabled; pprof is never on the main port)")
+		debugAddr     = flag.String("debug-addr", "", "operator-only listen address serving /metrics, /debug/slow, /debug/check and /debug/pprof (empty: disabled; pprof is never on the main port)")
 		storeName     = flag.String("store", "", "storage backend: mem keeps everything resident, disk spills cold cluster records and pair tables under the data dir (empty: $ENTITYID_STORE, then mem)")
 		storeHotClus  = flag.Int("store-hot-clusters", 0, "disk backend: max resident cluster members before cold records spill (0: $ENTITYID_STORE_HOT_CLUSTERS, then the default)")
 	)
@@ -188,12 +188,12 @@ func main() {
 	srv.gate = admit.New(*ingestConc)
 	ihub.SlowOps.SetThreshold(slowOpThreshold)
 	if *debugAddr != "" {
-		dbg, dbgAddr, err := startDebugServer(*debugAddr)
+		dbg, dbgAddr, err := startDebugServer(*debugAddr, hub.CheckInvariants)
 		if err != nil {
 			log.Fatalf("entityidd: %v", err)
 		}
 		defer dbg.Close()
-		log.Printf("entityidd: debug listener (metrics, slow-ops, pprof) on %s", dbgAddr)
+		log.Printf("entityidd: debug listener (metrics, slow-ops, invariant check, pprof) on %s", dbgAddr)
 	}
 	// inflight counts handlers between entry and return, so shutdown
 	// can hold the hub open until the last one is truly out — even when

@@ -139,11 +139,20 @@ func handleSlow(w http.ResponseWriter, _ *http.Request) {
 }
 
 // newDebugMux builds the operator-only debug surface: metrics and the
-// slow-op ring (also served on the main port) plus pprof.
-func newDebugMux() *http.ServeMux {
+// slow-op ring (also served on the main port), pprof, and /debug/check —
+// the hub's invariant check, O(hub) and commit-stalling, which is why
+// it is not on the main port.
+func newDebugMux(check func() error) *http.ServeMux {
 	m := http.NewServeMux()
 	m.HandleFunc("GET /metrics", handleMetrics)
 	m.HandleFunc("GET /debug/slow", handleSlow)
+	m.HandleFunc("GET /debug/check", func(w http.ResponseWriter, _ *http.Request) {
+		if err := check(); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	})
 	m.HandleFunc("/debug/pprof/", pprof.Index)
 	m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	m.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -154,13 +163,13 @@ func newDebugMux() *http.ServeMux {
 
 // startDebugServer listens on addr and serves the debug mux in the
 // background. The returned server owns the listener: Close stops it.
-func startDebugServer(addr string) (*http.Server, net.Addr, error) {
+func startDebugServer(addr string, check func() error) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("debug listener: %w", err)
 	}
 	srv := &http.Server{
-		Handler:           newDebugMux(),
+		Handler:           newDebugMux(check),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	go srv.Serve(ln)

@@ -298,12 +298,13 @@ func TestPprofNotOnMainPort(t *testing.T) {
 // and verifies shutdown leaves no goroutines behind.
 func TestDebugListener(t *testing.T) {
 	before := runtime.NumGoroutine()
-	dbg, addr, err := startDebugServer("127.0.0.1:0")
+	srv := renderHub(t)
+	dbg, addr, err := startDebugServer("127.0.0.1:0", srv.hub.CheckInvariants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + addr.String()
-	for _, path := range []string{"/metrics", "/debug/slow", "/debug/pprof/"} {
+	for _, path := range []string{"/metrics", "/debug/slow", "/debug/check", "/debug/pprof/"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

@@ -31,7 +31,6 @@ package entityid
 
 import (
 	"context"
-	"iter"
 
 	"entityid/internal/hub"
 	"entityid/internal/ilfd"
@@ -334,38 +333,10 @@ func (h *Hub) Lookup(source string, key ...Value) (EntityCluster, error) {
 }
 
 // Clusters enumerates every global entity cluster, deterministically.
-// It materialises the whole enumeration; prefer ClustersIter or
-// ClustersPage on large hubs.
+// It materialises the whole enumeration; prefer ClustersWalk on large
+// hubs.
 func (h *Hub) Clusters() []EntityCluster {
 	return h.inner.Clusters()
-}
-
-// ClustersIter streams every global entity cluster ordered by smallest
-// member, holding no hub-global lock and materialising one cluster at a
-// time. Under concurrent ingest the enumeration is weakly consistent:
-// every emitted cluster is a committed state at its visit time and one
-// pass's clusters are pairwise disjoint, but a tuple whose cluster
-// merges mid-walk into a region already passed can be absent from that
-// pass. A quiescent hub enumerates exactly its partition, every tuple
-// included.
-func (h *Hub) ClustersIter() iter.Seq[EntityCluster] {
-	return h.inner.ClustersIter()
-}
-
-// ClustersFrom streams the clusters whose walk position follows the
-// given source/index cursor ("" starts from the beginning). On a
-// quiescent hub a cluster's ID is its walk position; to resume a walk
-// racing concurrent ingest, prefer ClustersWalk or ClustersPage, whose
-// returned cursors always track the visit position.
-func (h *Hub) ClustersFrom(cursor string) (iter.Seq[EntityCluster], error) {
-	return h.inner.ClustersFrom(cursor)
-}
-
-// ClustersPage returns up to limit clusters after the cursor plus the
-// cursor of the next page ("" when the enumeration is exhausted) — the
-// serving form of the streaming enumeration.
-func (h *Hub) ClustersPage(cursor string, limit int) ([]EntityCluster, string, error) {
-	return h.inner.ClustersPage(cursor, limit)
 }
 
 // ClustersWalk visits the clusters after the cursor, skipping the
@@ -436,6 +407,16 @@ type HubSnapshotStats = hub.SnapshotStats
 // case for a memory-only hub.
 func (h *Hub) LastSnapshot() HubSnapshotStats {
 	return h.inner.LastSnapshot()
+}
+
+// CheckInvariants verifies the served state against the paper's §3.2
+// guarantees and the hub's own bookkeeping — pairwise and transitive
+// uniqueness, partition = closure of the pairwise matching tables, every
+// length the hub keeps twice — and returns the first violation. It is
+// O(hub) and stalls commits while it reads the partition: a diagnostic
+// (entityidd serves it at /debug/check), not a request-path call.
+func (h *Hub) CheckInvariants() error {
+	return h.inner.CheckInvariants()
 }
 
 // Close quiesces background snapshotting and closes the write-ahead

@@ -89,18 +89,45 @@ type Options struct {
 // conflict.
 //
 // The relation's candidate keys are preserved; the extended relation is
-// named name. For repeated extensions with the same ILFD set (e.g.
-// per-insert incremental identification), build an Extender once.
+// named name. Each tuple is padded and derived by the step ExtendTuple
+// is; a caller extending tuple by tuple (per-insert incremental
+// identification) builds an Extender once and calls that.
 func Extend(rel *relation.Relation, name string, extra []schema.Attribute, fs ilfd.Set, opts Options) (*relation.Relation, []Conflict, error) {
-	return NewExtender(fs, opts).Extend(rel, name, extra)
+	sch := rel.Schema()
+	for _, a := range extra {
+		if sch.Has(a.Name) {
+			return nil, nil, fmt.Errorf("derive: relation %s already has attribute %q", sch.Name(), a.Name)
+		}
+	}
+	extSch, err := sch.Extend(name, extra)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := NewExtender(fs, opts)
+	out := relation.New(extSch)
+	var conflicts []Conflict
+	for idx, t := range rel.Tuples() {
+		// The columns past the source arity are zero Values: NULL.
+		ext := make(relation.Tuple, extSch.Arity())
+		copy(ext, t)
+		rowConflicts, err := e.extendAt(extSch, ext, idx)
+		if err != nil {
+			return nil, nil, err
+		}
+		conflicts = append(conflicts, rowConflicts...)
+		if err := out.Insert(ext); err != nil {
+			return nil, nil, fmt.Errorf("derive: %w", err)
+		}
+	}
+	return out, conflicts, nil
 }
 
 // Extender applies a fixed ILFD set under fixed options. The ILFDs are
 // bound to an extended schema — attributes resolved to column offsets,
 // rules indexed by column and value — once per schema, not per tuple:
-// Extend binds the schema it builds, and ExtendTuple keeps the binding
-// of the schema it was last given, so a caller that holds one extended
-// schema across tuples (match.SideExtender) pays for it once.
+// ExtendTuple keeps the binding of the schema it was last given, so a
+// caller that holds one extended schema across tuples (Extend,
+// match.SideExtender) pays for it once.
 type Extender struct {
 	fs   ilfd.Set
 	opts Options
@@ -124,37 +151,6 @@ func (e *Extender) bound(extSch *schema.Schema) *program {
 	return p
 }
 
-// Extend is Extend with the extender's ILFD set and options.
-func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.Attribute) (*relation.Relation, []Conflict, error) {
-	sch := rel.Schema()
-	for _, a := range extra {
-		if sch.Has(a.Name) {
-			return nil, nil, fmt.Errorf("derive: relation %s already has attribute %q", sch.Name(), a.Name)
-		}
-	}
-	extSch, err := sch.Extend(name, extra)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := bind(e.fs, extSch)
-	out := relation.New(extSch)
-	var conflicts []Conflict
-	for idx, t := range rel.Tuples() {
-		// The columns past the source arity are zero Values: NULL.
-		ext := make(relation.Tuple, extSch.Arity())
-		copy(ext, t)
-		rowConflicts, err := p.derive(ext, idx, e.opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		conflicts = append(conflicts, rowConflicts...)
-		if err := out.Insert(ext); err != nil {
-			return nil, nil, fmt.Errorf("derive: %w", err)
-		}
-	}
-	return out, conflicts, nil
-}
-
 // ExtendTuple derives a single pre-padded tuple in place against the
 // extended schema extSch (the tuple must already have extSch's arity,
 // with NULLs in underived positions). It returns the conflicts found
@@ -163,10 +159,15 @@ func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.At
 // tuple into its side's extended schema and calls it, for one inserted
 // tuple (federate's prepare) and for each tuple of a batch build alike.
 func (e *Extender) ExtendTuple(extSch *schema.Schema, ext relation.Tuple) ([]Conflict, error) {
+	return e.extendAt(extSch, ext, 0)
+}
+
+// extendAt is ExtendTuple reporting conflicts at tuple index idx.
+func (e *Extender) extendAt(extSch *schema.Schema, ext relation.Tuple, idx int) ([]Conflict, error) {
 	if len(ext) != extSch.Arity() {
 		return nil, fmt.Errorf("derive: tuple arity %d, schema wants %d", len(ext), extSch.Arity())
 	}
-	return e.bound(extSch).derive(ext, 0, e.opts)
+	return e.bound(extSch).derive(ext, idx, e.opts)
 }
 
 // program is an ILFD set bound to one extended schema: every condition's

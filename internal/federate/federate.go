@@ -51,7 +51,6 @@
 package federate
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -75,10 +74,11 @@ type Federation struct {
 // ErrUniqueness and ErrConsistency mark a prepare rejected by a §3.2
 // insertion guard: the tuple would match several tuples at once or one
 // that is already matched, or a distinctness rule forbids the pair it
-// would form. Callers classify rejections with errors.Is.
+// would form — match's own two, so one errors.Is classifies a guard's
+// rejection and a Verify failure alike.
 var (
-	ErrUniqueness  = errors.New("uniqueness violation")
-	ErrConsistency = errors.New("consistency violation")
+	ErrUniqueness  = match.ErrUniqueness
+	ErrConsistency = match.ErrConsistency
 )
 
 // guardError is a guard's rejection: the message, and the sentinel it

@@ -256,18 +256,11 @@ func BenchmarkServe(b *testing.B) {
 		b.ResetTimer()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			cursor := ""
-			for {
-				page, next, err := h.ClustersPage(cursor, 128)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += len(page)
-				if next == "" {
-					break
-				}
-				cursor = next
+			page, err := walkPages(h, 128)
+			if err != nil {
+				b.Fatal(err)
 			}
+			total += len(page)
 		}
 		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "clusters/sec")
 	})

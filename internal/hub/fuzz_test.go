@@ -12,12 +12,14 @@ package hub
 // chunk decoding, assembly. The properties: the loader never panics and
 // never hangs — every input either yields a hub that passed full
 // verification (matching tables rebuilt and compared, cluster partition
-// refolded) and snapshots again cleanly, or an error.
+// refolded), snapshots again cleanly and passes Hub.CheckInvariants, or
+// an error.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,8 +86,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		cut := h.cutLocked(man.Watermark)
 		h.commitMu.Unlock()
 		h.mu.RUnlock()
-		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil), 0, nil); err != nil {
+		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil), 0); err != nil {
 			t.Fatalf("accepted snapshot does not re-save: %v", err)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("accepted snapshot loads a hub that breaks its invariants: %v", err)
 		}
 	}
 	section := func(t *testing.T, data []byte) {
@@ -153,4 +158,47 @@ func chunkPayloads(section []byte) []byte {
 		}
 		out = append(out, rec.Payload)
 	}
+}
+
+// FuzzCursor throws arbitrary strings at the cluster cursor parser
+// (parseCursor, startFrom) through ClustersWalk, over a hub one of whose
+// source names holds a slash: a cursor either is refused or resumes at a
+// position inside the topology — never negative, never wrapped past the
+// maximum int — and every cursor a walk hands out renders back to itself
+// and resumes exactly the rest of that walk.
+func FuzzCursor(f *testing.F) {
+	h := namedHub(f, "a", "x/y")
+	for i := 0; i < 6; i++ {
+		mustInsert(f, h, []string{"a", "x/y"}[i%2], fmt.Sprintf("k%d", i), fmt.Sprintf("n%d", i/2+i%2*2))
+	}
+	tv := h.topo.Load()
+	var ids, resumes []string
+	if err := h.ClustersWalk("", 0, func(c Cluster, resume string) bool {
+		ids, resumes = append(ids, c.ID), append(resumes, resume)
+		return true
+	}); err != nil {
+		f.Fatal(err)
+	}
+	for i, resume := range resumes {
+		n, err := parseCursor(tv, resume)
+		var rest []string
+		werr := h.ClustersWalk(resume, 0, func(c Cluster, _ string) bool { rest = append(rest, c.ID); return true })
+		if err != nil || werr != nil || nodeID(tv, n) != resume || fmt.Sprint(rest) != fmt.Sprint(ids[i+1:]) {
+			f.Fatalf("cursor %q handed out after %s: parses to %v (%v), resumes %v (%v), want %v", resume, ids[i], n, err, rest, werr, ids[i+1:])
+		}
+		f.Add(resume)
+	}
+	for _, seed := range []string{"", "nope", "a/b/", "a/x", "a/-1", "ghost/0", "a/9223372036854775807", "a/9223372036854775806", "x/y/", "x/1", "/0", "a/+1", "a/ 1", "a/01"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, cursor string) {
+		start, err := startFrom(tv, cursor)
+		werr := h.ClustersWalk(cursor, 0, func(Cluster, string) bool { return true })
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("cursor %q: startFrom %v, ClustersWalk %v", cursor, err, werr)
+		}
+		if err == nil && (start.Src < 0 || start.Src >= len(tv.sources) || start.Idx < 0) {
+			t.Fatalf("cursor %q starts the walk at %+v", cursor, start)
+		}
+	})
 }

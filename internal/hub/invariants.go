@@ -1,0 +1,104 @@
+// The invariants of the served state that need no history — one
+// stateless check, run by the simulator after every step, by the
+// snapshot fuzzer on every hub it manages to load and by GET
+// /debug/check. The two that need history (§3.3 matching-table
+// monotonicity, "served view = some committed prefix") compare two
+// states and live with the simulator (sim_test.go).
+package hub
+
+import (
+	"fmt"
+
+	"entityid/internal/match"
+)
+
+// CheckInvariants verifies, on a consistent cut of the hub:
+//
+//   - §3.2 uniqueness, pairwise: no tuple appears twice on its side of a
+//     pair's matching table, and every entry lies inside both sides;
+//   - §3.2 uniqueness, transitive: no cluster holds two tuples of one
+//     source, and every member lies inside its source's published view;
+//   - the served partition is the transitive closure of the pairwise
+//     matching tables;
+//   - each pair's mtLen is its table's length, each resident
+//     federation's extended images are as long as the relations it
+//     borrows, and each source's published view is as long as its
+//     canonical relation.
+//
+// It returns the first violation, nil if there is none. It is O(hub) and
+// on no request path but /debug/check: it holds h.mu shared and the
+// commit lock while it takes the cut and reads the whole partition —
+// commits wait that long — then releases both and copies each pair's
+// table prefix the way a snapshot does (the commit lock again, briefly,
+// per resident pair; a spilled pair is read from the pair store).
+func (h *Hub) CheckInvariants() error {
+	h.mu.RLock()
+	h.commitMu.Lock()
+	cut := h.cutLocked(0)
+	part, err := h.partitionLocked()
+	if err == nil {
+		err = h.checkLengthsLocked(cut)
+	}
+	h.commitMu.Unlock()
+	h.mu.RUnlock()
+	if err != nil {
+		return fmt.Errorf("hub: invariant: %w", err)
+	}
+	for _, c := range part {
+		seen := map[int]int{}
+		for _, m := range c {
+			if m[0] >= len(cut.sources) || m[1] >= cut.sources[m[0]].n {
+				return fmt.Errorf("hub: invariant: cluster member %d/%d lies outside its source's view", m[0], m[1])
+			}
+			if prev, dup := seen[m[0]]; dup {
+				return fmt.Errorf("hub: invariant: transitive uniqueness: tuples %d and %d of source %q share a cluster",
+					prev, m[1], cut.sources[m[0]].s.name)
+			}
+			seen[m[0]] = m[1]
+		}
+	}
+	mts := make([][]match.Pair, len(cut.pairs))
+	for i, cp := range cut.pairs {
+		if mts[i], err = h.copyPairMT(cp); err != nil {
+			return fmt.Errorf("hub: invariant: %w", err)
+		}
+		seenR, seenS := map[int]bool{}, map[int]bool{}
+		for _, pr := range mts[i] {
+			if pr.RIndex >= cp.rlen || pr.SIndex >= cp.slen {
+				return fmt.Errorf("hub: invariant: pair %q-%q: entry (%d,%d) lies outside sides of %d and %d tuples",
+					cp.p.spec.Left, cp.p.spec.Right, pr.RIndex, pr.SIndex, cp.rlen, cp.slen)
+			}
+			if seenR[pr.RIndex] || seenS[pr.SIndex] {
+				return fmt.Errorf("hub: invariant: pair %q-%q: uniqueness: entry (%d,%d) matches a tuple already matched",
+					cp.p.spec.Left, cp.p.spec.Right, pr.RIndex, pr.SIndex)
+			}
+			seenR[pr.RIndex], seenS[pr.SIndex] = true, true
+		}
+	}
+	if !partitionsEqual(part, foldPartition(cut, mts)) {
+		return fmt.Errorf("hub: invariant: served partition is not the transitive closure of the pairwise matching tables")
+	}
+	return nil
+}
+
+// checkLengthsLocked holds every length the hub keeps twice to its
+// other copy. Callers hold h.mu shared and the commit lock.
+func (h *Hub) checkLengthsLocked(cut *snapshotCut) error {
+	for _, cs := range cut.sources {
+		if got := len(cs.s.view.Load().tuples); got != cs.n {
+			return fmt.Errorf("source %q publishes %d tuples, its relation holds %d", cs.s.name, got, cs.n)
+		}
+	}
+	for _, cp := range cut.pairs {
+		fed := cp.p.fed.Load()
+		if fed == nil {
+			continue // spilled: copyPairMT holds the stored table to mtLen
+		}
+		res := fed.Result()
+		if res.MT.Len() != cp.n || res.RPrime.Len() != cp.rlen || res.SPrime.Len() != cp.slen {
+			return fmt.Errorf("pair %q-%q: table of %d over images of %d and %d tuples, hub records %d over %d and %d",
+				cp.p.spec.Left, cp.p.spec.Right, res.MT.Len(), res.RPrime.Len(), res.SPrime.Len(), cp.n, cp.rlen, cp.slen)
+		}
+	}
+	return nil
+}

@@ -29,14 +29,12 @@
 //
 // Pagination builds on the same walk: the cursor is a walk position
 // (source/index), and resumption seeks straight to the following node
-// — O(1), not O(offset). ClustersWalk and ClustersPage hand back the
-// exact resume cursor; on a quiescent hub it equals the last cluster's
-// ID.
+// — O(1), not O(offset). ClustersWalk hands back the exact resume
+// cursor; on a quiescent hub it equals the last cluster's ID.
 package hub
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"strconv"
 	"strings"
@@ -94,50 +92,6 @@ func (h *Hub) clustersWalk(t *topoView, start node, fn func(n node, members []no
 	return nil
 }
 
-// ClustersIter streams every global entity cluster — including
-// singletons for tuples matched nowhere — ordered by smallest member.
-// The source lengths are cut when iteration starts; each cluster is a
-// committed state at its visit time (see the package notes on weak
-// consistency under concurrent ingest).
-//
-//entitylint:hotpath noobs,noio
-func (h *Hub) ClustersIter() iter.Seq[Cluster] {
-	seq, err := h.ClustersFrom("")
-	if err != nil {
-		// Unreachable: the empty cursor always parses.
-		panic(err)
-	}
-	return seq
-}
-
-// ClustersFrom streams the clusters whose walk position follows the
-// cursor — a source/index position; "" starts from the beginning. An
-// unknown source or malformed cursor is an error. On a quiescent hub
-// the last cluster's ID is exactly its walk position; to resume a walk
-// that races ingest, use ClustersWalk or ClustersPage instead — their
-// returned cursors track the visit position, whereas a concurrent
-// merge can hand a cluster an ID outside the walk's cut that would
-// rewind this seek and re-serve earlier clusters.
-//
-//entitylint:hotpath noobs,noio
-func (h *Hub) ClustersFrom(cursor string) (iter.Seq[Cluster], error) {
-	t := h.topo.Load()
-	start, err := startFrom(t, cursor)
-	if err != nil {
-		return nil, err
-	}
-	return func(yield func(Cluster) bool) {
-		// A storage read error ends the stream early; callers needing
-		// the error use ClustersWalk or ClustersPage.
-		_ = h.clustersWalk(t, start, func(n node, members []node) bool {
-			if members == nil {
-				members = []node{n}
-			}
-			return yield(h.materialize(t, members))
-		})
-	}, nil
-}
-
 // cursorFor returns the cursor that resumes the walk after visit node
 // n, whose cluster c was just materialised over members. On a quiescent
 // hub this equals the cluster's ID — the visit node is the lead, and
@@ -157,10 +111,10 @@ func cursorFor(t *topoView, n node, members []node, c Cluster) string {
 // the beginning), passing each materialised cluster together with the
 // cursor that resumes the walk immediately after it; fn returns false
 // to stop. The first skip clusters are counted past without being
-// materialised — the offset form of pagination. It is the primitive
-// ClustersPage and the HTTP front-end paginate with: the resume cursor
-// tracks the walk position, which stays monotone even when concurrent
-// merges move a cluster's ID.
+// materialised — the offset form of pagination. It is the one
+// enumeration primitive, what the HTTP front-end paginates with: the
+// resume cursor tracks the walk position, which stays monotone even when
+// concurrent merges move a cluster's ID.
 //
 //entitylint:hotpath noobs,noio
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume string) bool) error {
@@ -182,57 +136,18 @@ func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume st
 	})
 }
 
-// ClustersPage materialises one page of the enumeration: up to limit
-// clusters after the cursor ("" = first page; limit <= 0 means
-// DefaultClustersPageSize). The returned cursor addresses the next
-// page, "" when the enumeration is exhausted. The look-ahead that
-// detects a further page never materialises its cluster.
-//
-//entitylint:hotpath noobs,noio
-func (h *Hub) ClustersPage(cursor string, limit int) ([]Cluster, string, error) {
-	if limit <= 0 {
-		limit = DefaultClustersPageSize
-	}
-	t := h.topo.Load()
-	start, err := startFrom(t, cursor)
-	if err != nil {
-		return nil, "", err
-	}
-	out := make([]Cluster, 0, min(limit, 64))
-	next, lastResume := "", ""
-	if err := h.clustersWalk(t, start, func(n node, members []node) bool {
-		if len(out) == limit {
-			// A further cluster exists: the page is full and the walk
-			// resumes after its last entry's visit position.
-			next = lastResume
-			return false
-		}
-		if members == nil {
-			members = []node{n}
-		}
-		c := h.materialize(t, members)
-		out = append(out, c)
-		lastResume = cursorFor(t, n, members, c)
-		return true
-	}); err != nil {
-		return nil, "", err
-	}
-	return out, next, nil
-}
-
-// DefaultClustersPageSize bounds ClustersPage when the caller passes no
-// limit.
-const DefaultClustersPageSize = 256
-
 // Clusters enumerates every global entity cluster into one slice — the
-// materialised form of ClustersIter, deterministic for a given
-// partition regardless of insert order. Prefer ClustersIter or
-// ClustersPage when the hub is large.
+// materialised form of a whole ClustersWalk, deterministic for a given
+// partition regardless of insert order. Prefer ClustersWalk when the
+// hub is large.
 func (h *Hub) Clusters() []Cluster {
 	var out []Cluster
-	for c := range h.ClustersIter() {
+	// A storage read error ends the enumeration early; callers needing
+	// the error use ClustersWalk.
+	_ = h.ClustersWalk("", 0, func(c Cluster, _ string) bool {
 		out = append(out, c)
-	}
+		return true
+	})
 	return out
 }
 

@@ -8,6 +8,7 @@ package hub
 
 import (
 	"fmt"
+	"testing"
 
 	"entityid/internal/datagen"
 	"entityid/internal/match"
@@ -25,23 +26,42 @@ func SpecFromMultiPair(mp datagen.MultiPair) PairSpec {
 	}
 }
 
-// NewFromMulti assembles a hub over empty copies of the workload's
-// sources with every pair linked — the streaming-ingest starting state.
-func NewFromMulti(w *datagen.MultiWorkload) (*Hub, error) {
-	h := New()
+// seedTopology registers empty copies of the workload's sources and
+// links every pair — the streaming-ingest starting state.
+func seedTopology(h *Hub, w *datagen.MultiWorkload) error {
 	for k, name := range w.Names {
 		if err := h.AddSource(name, relation.New(w.Relations[k].Schema())); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := 0; i < len(w.Names); i++ {
 		for j := i + 1; j < len(w.Names); j++ {
 			if err := h.Link(SpecFromMultiPair(w.Pair(i, j))); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return h, nil
+	return nil
+}
+
+// NewFromMulti is seedTopology on a fresh memory-only hub.
+func NewFromMulti(w *datagen.MultiWorkload) (*Hub, error) {
+	h := New()
+	return h, seedTopology(h, w)
+}
+
+// openMultiOpts opens a durable hub in dir and, when the directory is
+// fresh, seeds the workload's topology.
+func openMultiOpts(t testing.TB, dir string, w *datagen.MultiWorkload, opts Options) (*Hub, *RecoveryInfo) {
+	t.Helper()
+	h, info, err := Open(dir, opts)
+	if err == nil && !info.FromSnapshot && info.LastSeq == 0 {
+		err = seedTopology(h, w)
+	}
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	return h, info
 }
 
 // MultiInserts flattens the workload into ingest items, in source-major

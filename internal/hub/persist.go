@@ -700,9 +700,6 @@ type walLogger struct {
 	// prevMan is the manifest of the latest committed snapshot: the
 	// diff base that lets unchanged sections carry forward.
 	prevMan *snapManifest
-	// snapSectionHook, when set, runs after each section write — the
-	// crash harness's mid-snapshot kill point.
-	snapSectionHook func(int) error
 	// wg tracks the background writer, so close can quiesce it.
 	wg sync.WaitGroup
 	// errMu/bgErr hold the first background snapshot failure, surfaced
@@ -1050,7 +1047,7 @@ func (p *walLogger) writeSnapshot(h *Hub, cut *snapshotCut) error {
 
 func (p *walLogger) writeSnapshotLocked(h *Hub, cut *snapshotCut) error {
 	sink := newDirSink(p.fs, p.dir, p.prevMan)
-	man, err := h.writeSnapshotSections(cut, sink, p.chunkBytes, p.snapSectionHook)
+	man, err := h.writeSnapshotSections(cut, sink, p.chunkBytes)
 	if err != nil {
 		return err
 	}

@@ -1,145 +1,33 @@
-package hub_test
-
-// Randomized property tests for hub clustering: K sources with planted
-// cross-source entities, inserts shuffled and fanned across goroutines.
-// The global partition must be (a) order-independent — any
-// schedule/shuffle yields the same clusters, (b) exactly the planted
-// ground truth, (c) monotone — clusters observed mid-stream only ever
-// grow or merge, never split, and (d) transitively sound — no cluster
-// holds two tuples of one source. Tuples are identified by their
-// (source, primary key) rather than position, since concurrent ingest
-// permutes per-source insertion order.
+package hub
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/hub"
 )
 
-// memberKey identifies a cluster member stably across insert orders.
-func memberKey(m hub.Member) string {
-	return m.Source + "|" + m.Tuple.Key()
-}
-
-// partition serialises a cluster set canonically: each cluster as its
-// sorted member keys, clusters sorted.
-func partition(cs []hub.Cluster) []string {
-	out := make([]string, 0, len(cs))
-	for _, c := range cs {
-		keys := make([]string, 0, len(c.Members))
-		for _, m := range c.Members {
-			keys = append(keys, memberKey(m))
-		}
-		sort.Strings(keys)
-		out = append(out, strings.Join(keys, " & "))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// truthPartition serialises the planted ground truth the same way.
-func truthPartition(w *datagen.MultiWorkload) []string {
-	var out []string
-	for _, members := range w.TruthClusters() {
-		keys := make([]string, 0, len(members))
-		for _, m := range members {
-			keys = append(keys, w.Names[m[0]]+"|"+w.Relations[m[0]].Tuple(m[1]).Key())
-		}
-		sort.Strings(keys)
-		out = append(out, strings.Join(keys, " & "))
-	}
-	sort.Strings(out)
-	return out
-}
-
+// TestHubClusteringProperties: K sources with planted cross-source
+// entities, three insertion orders each, ingested in two batches. Every
+// order must end at the planted ground truth — so the partition is
+// order-independent — and on the way the runner holds each step to the
+// model: no cluster ever holds two tuples of one source, and matching
+// tables, hence clusters, only grow or merge (§3.3).
 func TestHubClusteringProperties(t *testing.T) {
 	for _, seed := range []int64{11, 22, 33} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			w := datagen.MustMultiGenerate(datagen.MultiConfig{
-				Sources: 4, Entities: 60, PresenceFrac: 0.6, HomonymRate: 0.25,
-				MissingPhone: 0.1, DirtyPhone: 0.2, Seed: seed,
-			})
-			truth := truthPartition(w)
-			base := hub.MultiInserts(w)
-
-			var first []string
 			for shuffle := int64(0); shuffle < 3; shuffle++ {
-				h, err := hub.NewFromMulti(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				items := append([]hub.Insert(nil), base...)
-				rand.New(rand.NewSource(seed*100+shuffle)).Shuffle(len(items), func(a, b int) {
-					items[a], items[b] = items[b], items[a]
-				})
-
-				// Monotonicity probe: ingest the first half, snapshot.
-				half := len(items) / 2
-				for i, res := range h.IngestBatch(items[:half]) {
-					if res.Err != nil {
-						t.Fatalf("shuffle %d insert %d: %v", shuffle, i, res.Err)
+				ws := workSpec{kind: "multi", shuffle: seed*100 + shuffle, cfg: datagen.MultiConfig{
+					Sources: 4, Entities: 60, PresenceFrac: 0.6, HomonymRate: 0.25, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: seed,
+				}}
+				w := ws.build()
+				n := len(w.items)
+				for _, r := range runSchedule(t, schedule{work: ws, ops: append(setup(w), batch(span(0, n/2)...), batch(span(n/2, n)...))}) {
+					if err := r.servesTruth(); err != nil {
+						t.Fatalf("shuffle %d: %v", shuffle, err)
 					}
 				}
-				mid := h.Clusters()
-				for i, res := range h.IngestBatch(items[half:]) {
-					if res.Err != nil {
-						t.Fatalf("shuffle %d insert %d: %v", shuffle, half+i, res.Err)
-					}
-				}
-				final := h.Clusters()
-
-				// (d) transitive soundness.
-				for _, c := range final {
-					seen := map[string]bool{}
-					for _, m := range c.Members {
-						if seen[m.Source] {
-							t.Fatalf("cluster %s holds two tuples of source %s", c.ID, m.Source)
-						}
-						seen[m.Source] = true
-					}
-				}
-				// (c) monotone: every mid-stream cluster's member set is
-				// contained in exactly one final cluster.
-				finalOf := map[string]string{}
-				for _, c := range final {
-					for _, m := range c.Members {
-						finalOf[memberKey(m)] = c.ID
-					}
-				}
-				for _, c := range mid {
-					var home string
-					for n, m := range c.Members {
-						id, ok := finalOf[memberKey(m)]
-						if !ok {
-							t.Fatalf("mid-stream member %s lost", memberKey(m))
-						}
-						if n == 0 {
-							home = id
-						} else if id != home {
-							t.Fatalf("mid-stream cluster %s split across final clusters %s and %s", c.ID, home, id)
-						}
-					}
-				}
-				// (a) order independence across shuffles and schedules.
-				p := partition(final)
-				if first == nil {
-					first = p
-				} else if !reflect.DeepEqual(first, p) {
-					t.Fatalf("shuffle %d produced a different partition", shuffle)
-				}
-			}
-			// (b) the partition is the planted ground truth.
-			if !reflect.DeepEqual(first, truth) {
-				t.Fatalf("partition differs from planted truth:\ngot  %d clusters\nwant %d clusters",
-					len(first), len(truth))
 			}
 		})
 	}

@@ -432,22 +432,9 @@ func writeSectionChunks(sw *wal.SectionWriter, b *sectionBody, budget int) error
 // writeSnapshotSections drives a snapshot at the given cut through the
 // directory sink: capture each section under briefly-held locks,
 // encode, write (or carry forward), then commit the manifest.
-// sectionHook, when non-nil, runs after each section is persisted — the
-// crash harness's mid-snapshot kill point.
-func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int, sectionHook func(int) error) (*snapManifest, error) {
+func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int) (*snapManifest, error) {
 	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark}
 	allCarried := true
-	emit := func(meta *snapSection, body *sectionBody) error {
-		if err := sink.write(meta, body, budget); err != nil {
-			return err
-		}
-		if sectionHook != nil {
-			if err := sectionHook(len(man.Sections)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for i, cs := range cut.sources {
 		meta := snapSection{Kind: secSource, Name: cs.s.name, Items: cs.n}
 		if !sink.reuse(&meta) {
@@ -457,7 +444,7 @@ func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int,
 				kind: secSource, sec: i, name: cs.s.name, schema: &sch,
 				items: tupleItems(h.copySourceTuples(cs)),
 			}
-			if err := emit(&meta, body); err != nil {
+			if err := sink.write(&meta, body, budget); err != nil {
 				return nil, err
 			}
 		}
@@ -480,7 +467,7 @@ func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int,
 				kind: secPair, sec: len(man.Sections), link: &link,
 				rlen: cp.rlen, slen: cp.slen, items: mtItems(mts[i]),
 			}
-			if err := emit(&meta, body); err != nil {
+			if err := sink.write(&meta, body, budget); err != nil {
 				return nil, err
 			}
 		}
@@ -502,7 +489,7 @@ func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int,
 		clusters := foldPartition(cut, mts)
 		clMeta.Items = len(clusters)
 		body := &sectionBody{kind: secClusters, sec: len(man.Sections), items: clusterItems(clusters)}
-		if err := emit(&clMeta, body); err != nil {
+		if err := sink.write(&clMeta, body, budget); err != nil {
 			return nil, err
 		}
 	}

@@ -18,8 +18,52 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/match"
 	"entityid/internal/relation"
 )
+
+// hubState is everything two hubs must agree on to be the same hub.
+type hubState struct {
+	clusters []Cluster
+	pairs    map[string][]match.Pair
+	rels     map[string][]relation.Tuple
+}
+
+// stateOf captures a quiescent hub's full observable state. It is the
+// hub-against-hub comparison — this file's differential, replay's
+// prefix runs, a snapshot's round trip; what a hub should hold in the
+// first place is the model's business (model_test.go).
+func stateOf(h *Hub) hubState {
+	st := hubState{clusters: h.Clusters(), pairs: map[string][]match.Pair{}, rels: map[string][]relation.Tuple{}}
+	for _, p := range h.pairs {
+		mt, err := h.copyPairMT(cutPair{p: p, n: p.mtLen})
+		if err != nil {
+			panic(err)
+		}
+		st.pairs[p.spec.Left+"|"+p.spec.Right] = mt
+	}
+	for _, s := range h.sources {
+		st.rels[s.name] = append([]relation.Tuple(nil), s.rel.Tuples()...)
+	}
+	return st
+}
+
+// mustEqualState asserts bit-for-bit equality: clusters (IDs, members,
+// positions, tuples), sorted matching tables, and canonical relations
+// position by position.
+func mustEqualState(t *testing.T, label string, got, want hubState) {
+	t.Helper()
+	if !reflect.DeepEqual(got.clusters, want.clusters) {
+		t.Fatalf("%s: clusters differ:\ngot  %d clusters %v\nwant %d clusters %v",
+			label, len(got.clusters), got.clusters, len(want.clusters), want.clusters)
+	}
+	if !reflect.DeepEqual(got.pairs, want.pairs) {
+		t.Fatalf("%s: matching tables differ:\ngot  %v\nwant %v", label, got.pairs, want.pairs)
+	}
+	if !reflect.DeepEqual(got.rels, want.rels) {
+		t.Fatalf("%s: canonical relations differ", label)
+	}
+}
 
 // diffWorkload generates the K-source workload the differential tests
 // share.
@@ -30,51 +74,14 @@ func diffWorkload(seed int64) *datagen.MultiWorkload {
 	})
 }
 
-// openPair opens a mem-backed and a disk-backed hub over fresh
-// directories, the disk hub's hot tiers squeezed so most of the state
-// lives cold.
-func openPair(t *testing.T, snapEvery int) (hm, hd *Hub) {
+// openBackend opens (or reopens) a hub over the workload's topology on
+// the named backend, the disk tiers squeezed — a handful of resident
+// cluster members, one resident pair — so reads and snapshots constantly
+// page cold state back in.
+func openBackend(t *testing.T, dir, backend string, w *datagen.MultiWorkload) *Hub {
 	t.Helper()
-	hm = openBackend(t, t.TempDir(), "mem", snapEvery)
-	hd = openBackend(t, t.TempDir(), "disk", snapEvery)
-	return hm, hd
-}
-
-func openBackend(t *testing.T, dir, backend string, snapEvery int) *Hub {
-	t.Helper()
-	h, _, err := Open(dir, Options{
-		SnapshotEvery: snapEvery,
-		Store:         backend,
-		// Squeeze the disk tiers: a handful of resident cluster
-		// members and a single resident pair, so reads and snapshots
-		// constantly page cold state back in.
-		HotClusterEntries: 16,
-		HotPairs:          1,
-	})
-	if err != nil {
-		t.Fatalf("open %s hub: %v", backend, err)
-	}
+	h, _ := openMultiOpts(t, dir, w, Options{SnapshotEvery: 40, Store: backend, HotClusterEntries: 16, HotPairs: 1})
 	return h
-}
-
-// seedTopology registers the workload's sources (empty) and links every
-// pair on both hubs.
-func seedTopology(t *testing.T, w *datagen.MultiWorkload, hubs ...*Hub) {
-	t.Helper()
-	for _, h := range hubs {
-		for k, name := range w.Names {
-			if err := h.AddSource(name, relation.New(w.Relations[k].Schema())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < len(w.Names); i++ {
-			for j := i + 1; j < len(w.Names); j++ {
-				if err := h.Link(SpecFromMultiPair(w.Pair(i, j))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
 }
 
 // mustEqualServed compares every served surface of the two hubs:
@@ -101,26 +108,12 @@ func mustEqualServed(t *testing.T, label string, hm, hd *Hub) {
 		}
 	}
 
-	// Pagination: identical pages, cursors and order at any page size.
-	for _, limit := range []int{1, 3, 7, 1 << 20} {
-		curM, curD := "", ""
-		for page := 0; ; page++ {
-			pm, nextM, err := hm.ClustersPage(curM, limit)
-			if err != nil {
-				t.Fatalf("%s: mem page %d: %v", label, page, err)
-			}
-			pd, nextD, err := hd.ClustersPage(curD, limit)
-			if err != nil {
-				t.Fatalf("%s: disk page %d: %v", label, page, err)
-			}
-			if !reflect.DeepEqual(pm, pd) || nextM != nextD {
-				t.Fatalf("%s: page %d (limit %d) diverges: mem %d clusters next %q, disk %d clusters next %q",
-					label, page, limit, len(pm), nextM, len(pd), nextD)
-			}
-			if nextM == "" {
-				break
-			}
-			curM, curD = nextM, nextD
+	// Pagination: identical pages and order at any page size.
+	for _, limit := range []int{1, 3, 7, 0} {
+		pm, errM := walkPages(hm, limit)
+		pd, errD := walkPages(hd, limit)
+		if errM != nil || errD != nil || !reflect.DeepEqual(pm, pd) {
+			t.Fatalf("%s: pages of %d diverge: mem %d clusters (%v), disk %d clusters (%v)", label, limit, len(pm), errM, len(pd), errD)
 		}
 	}
 }
@@ -135,8 +128,7 @@ func TestStoreDifferentialMemVsDisk(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			w := diffWorkload(seed)
-			hm, hd := openPair(t, 40)
-			seedTopology(t, w, hm, hd)
+			hm, hd := openBackend(t, t.TempDir(), "mem", w), openBackend(t, t.TempDir(), "disk", w)
 
 			items := MultiInserts(w)
 			rand.New(rand.NewSource(seed)).Shuffle(len(items), func(a, b int) {
@@ -189,8 +181,7 @@ func TestStoreDifferentialMemVsDisk(t *testing.T) {
 			dirM, dirD := hm.per.dir, hd.per.dir
 			hm.per.quiesce()
 			hd.per.quiesce()
-			hm = openBackend(t, dirM, "mem", 40)
-			hd = openBackend(t, dirD, "disk", 40)
+			hm, hd = openBackend(t, dirM, "mem", w), openBackend(t, dirD, "disk", w)
 			defer hm.Close()
 			defer hd.Close()
 			mustEqualServed(t, "recovered", hm, hd)
@@ -209,18 +200,12 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
 	})
 	const budget = 24
-	hd, _, err := Open(t.TempDir(), Options{
-		Store: "disk", HotClusterEntries: budget, HotPairs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hd, _ := openMultiOpts(t, t.TempDir(), w, Options{Store: "disk", HotClusterEntries: budget, HotPairs: 1})
 	defer hd.Close()
 	hr, err := NewFromMulti(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedTopology(t, w, hd)
 	for _, res := range hd.IngestBatch(MultiInserts(w)) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -248,21 +233,7 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 		t.Fatalf("working set does not dwarf the hot tier: %d cold of %d records (want >= 3/4 cold); grow the workload",
 			st.ColdRecords, total)
 	}
-	if got, want := partitionIDs(hd), partitionIDs(hr); !reflect.DeepEqual(got, want) {
-		t.Fatalf("disk partition diverges from memory reference:\ndisk: %v\nmem:  %v", got, want)
-	}
-	// And the full deep comparison.
 	mustEqualState(t, "bounded-residency", stateOf(hd), stateOf(hr))
-}
-
-// partitionIDs flattens a hub's partition to cluster IDs with member
-// counts — a quick structural fingerprint before the deep comparison.
-func partitionIDs(h *Hub) []string {
-	var out []string
-	for _, c := range h.Clusters() {
-		out = append(out, fmt.Sprintf("%s#%d", c.ID, len(c.Members)))
-	}
-	return out
 }
 
 // TestStoreBudgetEnvValidation pins that a hot-tier budget taken from

@@ -51,6 +51,7 @@
 package match
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -476,6 +477,13 @@ func consequentKind(fs ilfd.Set, attr string) (value.Kind, bool) {
 	return value.KindNull, false
 }
 
+// ErrUniqueness and ErrConsistency are the two ways a matching table
+// can be unsound (§3.2); what Verify returns wraps one of them.
+var (
+	ErrUniqueness  = errors.New("uniqueness violation")
+	ErrConsistency = errors.New("consistency violation")
+)
+
 // Verify checks the §3.2 constraints on the matching table:
 //
 //   - uniqueness: no tuple of either relation matches more than one
@@ -497,13 +505,13 @@ func (res *Result) Verify() error {
 	seenS := make(map[int]int, len(res.MT.Pairs))
 	for _, p := range res.MT.Pairs {
 		if j, dup := seenR[p.RIndex]; dup {
-			return fmt.Errorf("match: uniqueness violation: R tuple %d matches S tuples %d and %d",
-				p.RIndex, j, p.SIndex)
+			return fmt.Errorf("match: %w: R tuple %d matches S tuples %d and %d",
+				ErrUniqueness, p.RIndex, j, p.SIndex)
 		}
 		seenR[p.RIndex] = p.SIndex
 		if i, dup := seenS[p.SIndex]; dup {
-			return fmt.Errorf("match: uniqueness violation: S tuple %d matches R tuples %d and %d",
-				p.SIndex, i, p.RIndex)
+			return fmt.Errorf("match: %w: S tuple %d matches R tuples %d and %d",
+				ErrUniqueness, p.SIndex, i, p.RIndex)
 		}
 		seenS[p.SIndex] = p.RIndex
 	}
@@ -513,8 +521,8 @@ func (res *Result) Verify() error {
 	eng := res.engine()
 	for _, p := range res.MT.Pairs {
 		if name, fires := eng.distinctFiresNamed(res.RPrime.Tuple(p.RIndex), res.SPrime.Tuple(p.SIndex)); fires {
-			return fmt.Errorf("match: consistency violation: pair (%d,%d) matched but distinctness rule %q fires",
-				p.RIndex, p.SIndex, name)
+			return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
+				ErrConsistency, p.RIndex, p.SIndex, name)
 		}
 	}
 	return nil

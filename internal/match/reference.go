@@ -119,8 +119,8 @@ func (res *Result) referenceVerifyConsistency() error {
 	for _, p := range res.MT.Pairs {
 		for _, d := range res.distinct {
 			if res.distinctHolds(d, p.RIndex, p.SIndex) {
-				return fmt.Errorf("match: consistency violation: pair (%d,%d) matched but distinctness rule %q fires",
-					p.RIndex, p.SIndex, d.Name)
+				return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
+					ErrConsistency, p.RIndex, p.SIndex, d.Name)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ type On struct {
 // ("R.attr"). The full attribute set is the declared key.
 func Join(a, b *relation.Relation, name string, kind JoinKind, conds []On) (*relation.Relation, error) {
 	if len(conds) == 0 {
-		return nil, fmt.Errorf("ra: join: no conditions (use Product for ×)")
+		return nil, fmt.Errorf("ra: join: no conditions")
 	}
 	for _, c := range conds {
 		if !a.Schema().Has(c.Left) {
@@ -117,41 +117,6 @@ func Join(a, b *relation.Relation, name string, kind JoinKind, conds []On) (*rel
 				if err := insertUnchecked(out, concatTuple(nullsA, tb)); err != nil {
 					return nil, err
 				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// NaturalJoin joins a and b on all attributes they share by name.
-func NaturalJoin(a, b *relation.Relation, name string, kind JoinKind) (*relation.Relation, error) {
-	var conds []On
-	for _, attr := range a.Schema().AttrNames() {
-		if b.Schema().Has(attr) {
-			conds = append(conds, On{Left: attr, Right: attr})
-		}
-	}
-	if len(conds) == 0 {
-		return nil, fmt.Errorf("ra: natural join: %s and %s share no attributes",
-			a.Schema().Name(), b.Schema().Name())
-	}
-	return Join(a, b, name, kind, conds)
-}
-
-// Product returns the Cartesian product of a and b.
-func Product(a, b *relation.Relation, name string) (*relation.Relation, error) {
-	sch, err := concatSchema(a, b, name)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(sch)
-	if a.IsBag() || b.IsBag() {
-		out = relation.NewBag(sch)
-	}
-	for _, ta := range a.Tuples() {
-		for _, tb := range b.Tuples() {
-			if err := insertUnchecked(out, concatTuple(ta, tb)); err != nil {
-				return nil, err
 			}
 		}
 	}

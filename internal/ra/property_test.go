@@ -125,103 +125,3 @@ func countMatched(a, b *relation.Relation, leftSide bool) int {
 	}
 	return n
 }
-
-// TestUnionDifferenceLaws: |A ∪ B| ≤ |A|+|B|, A − A = ∅, (A − B) ⊆ A,
-// and A ∪ A collapses to the distinct tuples of A.
-func TestUnionDifferenceLaws(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		a := randRel(rng, "A", []string{"k", "v"}, rng.Intn(10))
-		b := randRel(rng, "B", []string{"k", "v"}, rng.Intn(10))
-		u, err := Union(a, b, "U")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u.Len() > a.Len()+b.Len() {
-			t.Fatalf("trial %d: union bigger than inputs", trial)
-		}
-		dAA, err := Difference(a, a, "D")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dAA.Len() != 0 {
-			t.Fatalf("trial %d: A − A = %d tuples", trial, dAA.Len())
-		}
-		dAB, err := Difference(a, b, "D")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tup := range dAB.Tuples() {
-			found := false
-			for _, at := range a.Tuples() {
-				if tup.Identical(at) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("trial %d: difference invented a tuple", trial)
-			}
-		}
-		uAA, err := Union(a, a, "U")
-		if err != nil {
-			t.Fatal(err)
-		}
-		distinct := map[string]bool{}
-		for _, tup := range a.Tuples() {
-			distinct[tup.Key()] = true
-		}
-		if uAA.Len() != len(distinct) {
-			t.Fatalf("trial %d: A ∪ A = %d, want %d distinct", trial, uAA.Len(), len(distinct))
-		}
-	}
-}
-
-// TestProjectIdempotent: projecting twice onto the same attributes
-// equals projecting once.
-func TestProjectIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		a := randRel(rng, "A", []string{"k", "v"}, rng.Intn(15))
-		p1, err := Project(a, "P", []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := Project(p1, "P", []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !p1.Equal(p2) {
-			t.Fatalf("trial %d: projection not idempotent", trial)
-		}
-	}
-}
-
-// TestSelectThenProjectCommutes: σ then π equals π then σ when the
-// predicate only reads projected attributes.
-func TestSelectThenProjectCommutes(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	pred := AttrEquals("k", value.String("a"))
-	for trial := 0; trial < 50; trial++ {
-		a := randRel(rng, "A", []string{"k", "v"}, rng.Intn(15))
-		s1, err := Select(a, "S", pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p1, err := Project(s1, "X", []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2pre, err := Project(a, "P", []string{"k"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := Select(p2pre, "X", pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !p1.Equal(p2) {
-			t.Fatalf("trial %d: σπ ≠ πσ", trial)
-		}
-	}
-}

@@ -34,74 +34,6 @@ func mkRel(t *testing.T, name string, attrs []string, key []string, rows ...[]st
 	return r
 }
 
-func TestSelect(t *testing.T) {
-	r := mkRel(t, "R", []string{"name", "cuisine"}, []string{"name"},
-		[]string{"wok", "chinese"},
-		[]string{"anjuman", "indian"},
-		[]string{"ching", "chinese"},
-	)
-	got, err := Select(r, "Chinese", AttrEquals("cuisine", s("chinese")))
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
-	if got.Len() != 2 {
-		t.Errorf("Select returned %d tuples, want 2", got.Len())
-	}
-	// Candidate keys are preserved by selection.
-	if !got.Schema().IsKey([]string{"name"}) {
-		t.Error("selection dropped key")
-	}
-	// AttrEquals never matches NULL.
-	n := mkRel(t, "N", []string{"name", "cuisine"}, []string{"name"})
-	n.MustInsert(s("x"), value.Null)
-	got, err = Select(n, "Q", AttrEquals("cuisine", value.Null))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Error("AttrEquals matched NULL")
-	}
-	// Unknown attribute predicate simply never matches.
-	got, err = Select(r, "Q", AttrEquals("bogus", s("x")))
-	if err != nil || got.Len() != 0 {
-		t.Errorf("unknown-attr select = %d, %v", got.Len(), err)
-	}
-}
-
-func TestProjectCollapsesDuplicates(t *testing.T) {
-	r := mkRel(t, "R", []string{"name", "cuisine"}, []string{"name"},
-		[]string{"wok", "chinese"},
-		[]string{"ching", "chinese"},
-		[]string{"anjuman", "indian"},
-	)
-	got, err := Project(r, "P", []string{"cuisine"})
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if got.Len() != 2 {
-		t.Errorf("projection has %d tuples, want 2 (set semantics)", got.Len())
-	}
-	if _, err := Project(r, "P", []string{"zzz"}); err == nil {
-		t.Error("Project unknown attr did not fail")
-	}
-}
-
-func TestProjectKeepsNullRows(t *testing.T) {
-	r := mkRel(t, "R", []string{"a", "b"}, []string{"a"},
-		[]string{"x", "null"},
-		[]string{"y", "null"},
-	)
-	got, err := Project(r, "P", []string{"b"})
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	// Both rows project to (null) — identical at storage level, so they
-	// collapse to one.
-	if got.Len() != 1 {
-		t.Errorf("NULL projection rows = %d, want 1", got.Len())
-	}
-}
-
 func TestRename(t *testing.T) {
 	r := mkRel(t, "R", []string{"name", "cui"}, []string{"name"},
 		[]string{"wok", "chinese"},
@@ -127,33 +59,6 @@ func TestRename(t *testing.T) {
 	// Renaming into a collision fails.
 	if _, err := Rename(r, "R4", map[string]string{"cui": "name"}); err == nil {
 		t.Error("rename collision accepted")
-	}
-}
-
-func TestUnionAndDifference(t *testing.T) {
-	a := mkRel(t, "A", []string{"x"}, []string{"x"}, []string{"1"}, []string{"2"})
-	b := mkRel(t, "B", []string{"x"}, []string{"x"}, []string{"2"}, []string{"3"})
-	u, err := Union(a, b, "U")
-	if err != nil {
-		t.Fatalf("Union: %v", err)
-	}
-	if u.Len() != 3 {
-		t.Errorf("union size = %d, want 3", u.Len())
-	}
-	d, err := Difference(a, b, "D")
-	if err != nil {
-		t.Fatalf("Difference: %v", err)
-	}
-	if d.Len() != 1 || d.Tuple(0)[0].Str() != "1" {
-		t.Errorf("difference = %v", d.Tuples())
-	}
-	// Union compatibility.
-	c := mkRel(t, "C", []string{"x", "y"}, nil)
-	if _, err := Union(a, c, "U"); err == nil {
-		t.Error("incompatible union accepted")
-	}
-	if _, err := Difference(a, c, "D"); err == nil {
-		t.Error("incompatible difference accepted")
 	}
 }
 
@@ -259,34 +164,6 @@ func TestJoinValidation(t *testing.T) {
 	}
 	if _, err := Join(r, q, "J", Inner, []On{{Left: "a", Right: "zzz"}}); err == nil {
 		t.Error("join with bad right attr accepted")
-	}
-}
-
-func TestNaturalJoin(t *testing.T) {
-	r := mkRel(t, "R", []string{"id", "a"}, []string{"id"}, []string{"1", "x"})
-	q := mkRel(t, "S", []string{"id", "b"}, []string{"id"}, []string{"1", "y"})
-	j, err := NaturalJoin(r, q, "J", Inner)
-	if err != nil {
-		t.Fatalf("NaturalJoin: %v", err)
-	}
-	if j.Len() != 1 {
-		t.Errorf("natural join size = %d", j.Len())
-	}
-	disjoint := mkRel(t, "D", []string{"zz"}, nil, []string{"1"})
-	if _, err := NaturalJoin(r, disjoint, "J", Inner); err == nil {
-		t.Error("natural join with no shared attributes accepted")
-	}
-}
-
-func TestProduct(t *testing.T) {
-	a := mkRel(t, "A", []string{"x"}, []string{"x"}, []string{"1"}, []string{"2"})
-	b := mkRel(t, "B", []string{"y"}, []string{"y"}, []string{"p"}, []string{"q"})
-	p, err := Product(a, b, "P")
-	if err != nil {
-		t.Fatalf("Product: %v", err)
-	}
-	if p.Len() != 4 {
-		t.Errorf("product size = %d, want 4", p.Len())
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"entityid/internal/match"
@@ -280,6 +282,57 @@ func TestBackendIdentityAndLifecycle(t *testing.T) {
 			}
 			if err := b.Close(); err != nil {
 				t.Fatalf("second Close: %v", err)
+			}
+		})
+	}
+}
+
+// TestPublishReachesLaterMembersFirst: a reader that finds a new record
+// at one member finds it at every later member too — a walk in node
+// order never meets the merged cluster and then, further on, the state
+// it superseded. The reader spins on each row's first member while the
+// writer publishes the row, so it reads the rest inside the publication.
+func TestPublishReachesLaterMembersFirst(t *testing.T) {
+	const rows, width = 4000, 8
+	for _, bk := range backends {
+		t.Run(bk.name, func(t *testing.T) {
+			b := bk.open(t)
+			defer b.Close()
+			c := b.Clusters()
+			var watching atomic.Int64
+			watching.Store(-1)
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < rows; i++ {
+					watching.Store(int64(i))
+					for {
+						if ms, err := c.Read(n(0, i)); err != nil || ms != nil {
+							break
+						}
+						runtime.Gosched()
+					}
+					for s := 1; s < width; s++ {
+						if ms, err := c.Read(n(s, i)); err != nil || len(ms) != width {
+							watching.Store(rows) // let the writer run out
+							done <- fmt.Errorf("row %d: the record stood at %v and not yet at %v (read %v, %v)", i, n(0, i), n(s, i), ms, err)
+							return
+						}
+					}
+				}
+				done <- nil
+			}()
+			for i := 0; i < rows; i++ {
+				for watching.Load() < int64(i) {
+					runtime.Gosched()
+				}
+				members := make([]store.Node, width)
+				for s := range members {
+					members[s] = n(s, i)
+				}
+				c.Publish(members)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -115,10 +115,13 @@ func (c *clusters) Has(n store.Node) bool {
 }
 
 // Publish installs one cluster: a fresh immutable record stored for
-// every member, one shard at a time (shard write locks are never
-// nested). A reader of any member sees either its old record or the
-// new one — both committed states. Writer-side; the only place shard
-// write locks are taken.
+// every member, from the last member to the first, one shard lock at a
+// time (shard write locks are never nested). A reader of any member
+// sees either its old record or the new one — both committed states —
+// and one that has seen the new record at a member sees it at every
+// later member, so a walk in node order never serves a merged cluster
+// and then, further on, a state it superseded. Writer-side; the only
+// place shard write locks are taken.
 func (c *clusters) Publish(members []store.Node) {
 	prev := 0
 	prevRecs := 0
@@ -131,19 +134,10 @@ func (c *clusters) Publish(members []store.Node) {
 		}
 	}
 	nr := &rec{members: members}
-	var byShard [shardCount][]store.Node
-	for _, m := range members {
-		byShard[shardOf(m)] = append(byShard[shardOf(m)], m)
-	}
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
-		}
-		sh := &c.shards[si]
+	for i := len(members) - 1; i >= 0; i-- {
+		sh := &c.shards[shardOf(members[i])]
 		sh.mu.Lock()
-		for _, m := range byShard[si] {
-			sh.rec[m] = nr
-		}
+		sh.rec[members[i]] = nr
 		sh.mu.Unlock()
 	}
 	c.merged.Add(int64(len(members) - 1 - prev))

@@ -88,9 +88,12 @@ type Clusters interface {
 	// Publish installs a new record mapping every member to the given
 	// sorted member set, superseding the members' previous records.
 	// The caller's member set must be a superset of every superseded
-	// record (always true for union-style merges). Publish is
-	// infallible: a tiered backend that cannot spill keeps records
-	// resident (over budget) rather than losing them.
+	// record (always true for union-style merges). A concurrent reader
+	// that has read the new record at one member reads it at every
+	// later member: that is what keeps the clusters of one walk in node
+	// order pairwise disjoint. Publish is infallible: a tiered backend
+	// that cannot spill keeps records resident (over budget) rather
+	// than losing them.
 	Publish(members []Node)
 
 	// Merged returns the total merge count: for each record,
