@@ -424,3 +424,38 @@ func TestInsertRacesSourceRegistration(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceKindSpellings is the daemon's column of internal/value's
+// kindSpellings table: POST /v1/sources takes the four kind names
+// exactly, reads a missing kind as string, and refuses everything else —
+// the CSV header's aliases and case-folding included.
+func TestSourceKindSpellings(t *testing.T) {
+	srv := newServer()
+	srv.logf = func(string, ...any) {}
+	for i, tc := range []struct {
+		spelling string
+		want     value.Kind // KindNull: refused
+	}{
+		{"string", value.KindString}, {"int", value.KindInt}, {"float", value.KindFloat}, {"bool", value.KindBool},
+		{"", value.KindString},
+		{"str", value.KindNull}, {"integer", value.KindNull}, {"double", value.KindNull}, {"boolean", value.KindNull},
+		{"String", value.KindNull}, {"INT", value.KindNull}, {" float ", value.KindNull}, {"Boolean", value.KindNull},
+		{"null", value.KindNull}, {"NULL", value.KindNull}, {"number", value.KindNull}, {"text", value.KindNull}, {"kind(7)", value.KindNull},
+	} {
+		name := fmt.Sprintf("s%d", i)
+		code, out := do(t, srv, "POST", "/v1/sources", fmt.Sprintf(`{"name":%q,"attrs":[{"name":"a","kind":%q}]}`, name, tc.spelling))
+		if tc.want == value.KindNull {
+			if code != http.StatusBadRequest {
+				t.Errorf("kind %q: %d %v, want 400", tc.spelling, code, out)
+			}
+			continue
+		}
+		if code != http.StatusCreated {
+			t.Errorf("kind %q: %d %v, want 201", tc.spelling, code, out)
+			continue
+		}
+		if sch, err := srv.hub.SourceSchema(name); err != nil || sch.Attr(0).Kind != tc.want {
+			t.Errorf("kind %q registered as %v (%v), want %v", tc.spelling, sch.Attr(0).Kind, err, tc.want)
+		}
+	}
+}

@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,4 +173,109 @@ func TestPanicRecovery(t *testing.T) {
 	}()
 	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/abort", nil))
 	t.Fatal("ErrAbortHandler did not propagate")
+}
+
+// lateHeaders counts the status lines a handler tries to send after its
+// body has begun.
+type lateHeaders struct {
+	*httptest.ResponseRecorder
+	wrote bool
+	late  int
+}
+
+func (c *lateHeaders) Write(b []byte) (int, error) {
+	c.wrote = true
+	return c.ResponseRecorder.Write(b)
+}
+
+func (c *lateHeaders) WriteHeader(code int) {
+	if c.wrote {
+		c.late++
+	}
+	c.ResponseRecorder.WriteHeader(code)
+}
+
+// TestStorageFaultOnReadIs500: a read that fails because the store could
+// not page a record in is the server's fault, not the client's. On the
+// disk store with a one-entry hot tier every cluster record is cold; with
+// the spill file truncated underneath it, /v1/cluster on such a record
+// answers 500 (not 404), and /v1/clusters — whose 200 and first lines,
+// the record-less singletons, are already out when the walk reaches it —
+// ends with one terminal line instead of a second status and an error
+// object spliced into the stream. The client's own mistakes keep their
+// 4xx on the same hub.
+func TestStorageFaultOnReadIs500(t *testing.T) {
+	dir := t.TempDir()
+	h, err := entityid.OpenHub(dir, entityid.WithStore("disk"), entityid.WithStoreBudgets(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	srv := newServerFor(h)
+	srv.logf = func(string, ...any) {}
+	for _, name := range []string{"a", "b"} {
+		if code, out := do(t, srv, "POST", "/v1/sources", `{"name":"`+name+`","attrs":[{"name":"id"},{"name":"name"}],"key":["id"]}`); code != 201 {
+			t.Fatalf("source %s: %d %v", name, code, out)
+		}
+	}
+	if code, out := do(t, srv, "POST", "/v1/links", `{"left":"a","right":"b","extkey":["name"],"attrs":[
+		{"name":"id_a","left":"id"},{"name":"id_b","right":"id"},{"name":"name","left":"name","right":"name"}]}`); code != 201 {
+		t.Fatalf("link: %d %v", code, out)
+	}
+	// a0 and a1 stay singletons (no record to page in); a2–a4 each match a b.
+	_, acks := ndjson(t, srv, "POST", "/v1/insert", strings.Join([]string{
+		`{"source":"a","tuple":["a0","alone0"]}`, `{"source":"a","tuple":["a1","alone1"]}`,
+		`{"source":"a","tuple":["a2","n2"]}`, `{"source":"b","tuple":["b2","n2"]}`,
+		`{"source":"a","tuple":["a3","n3"]}`, `{"source":"b","tuple":["b3","n3"]}`,
+		`{"source":"a","tuple":["a4","n4"]}`, `{"source":"b","tuple":["b4","n4"]}`,
+	}, "\n"))
+	for i, a := range acks {
+		if a["ok"] != true {
+			t.Fatalf("insert %d: %v", i, a)
+		}
+	}
+	if st := h.StoreInfo(); st.Clusters.ColdRecords != 3 {
+		t.Fatalf("fixture: %d cold cluster records, want 3 (%+v)", st.Clusters.ColdRecords, st.Clusters)
+	}
+	if code, out := do(t, srv, "GET", "/v1/cluster?source=a&key=a3", ""); code != 200 || len(out["members"].([]any)) != 2 {
+		t.Fatalf("healthy cold read: %d %v", code, out)
+	}
+	if err := os.Truncate(filepath.Join(dir, "storetier", "clusters.spill"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out := do(t, srv, "GET", "/v1/cluster?source=a&key=a2", "")
+	if code != http.StatusInternalServerError || out["error"] == nil {
+		t.Errorf("point read of a record the store cannot page in: %d %v, want 500", code, out)
+	}
+	rw := &lateHeaders{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(rw, httptest.NewRequest("GET", "/v1/clusters", nil))
+	lines := strings.Split(strings.TrimSpace(rw.Body.String()), "\n")
+	if rw.Code != 200 || rw.late != 0 || len(lines) != 3 {
+		t.Fatalf("scan: status %d, %d more after the body began, body %q; want one 200, two clusters and a terminal line", rw.Code, rw.late, rw.Body.String())
+	}
+	for i, line := range lines {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("scan line %d is not one JSON object: %q", i, line)
+		}
+		if terminal := m["terminal"] == true && m["error"] != nil; terminal != (i == 2) {
+			t.Errorf("scan line %d: %q", i, line)
+		}
+	}
+	// A walk that fails before its first line still has a status to give.
+	if code, out := do(t, srv, "GET", "/v1/clusters?cursor=a/1", ""); code != http.StatusInternalServerError {
+		t.Errorf("scan failing at its first record: %d %v, want 500", code, out)
+	}
+	for path, want := range map[string]int{
+		"/v1/cluster?source=a&key=nope": http.StatusNotFound,
+		"/v1/cluster?source=zz&key=a0":  http.StatusNotFound,
+		"/v1/clusters?cursor=nope":      http.StatusBadRequest,
+		"/v1/clusters?cursor=zz/0":      http.StatusBadRequest,
+		"/v1/cluster?source=a&key=a0":   http.StatusOK, // a singleton has no record to lose
+	} {
+		if code, out := do(t, srv, "GET", path, ""); code != want {
+			t.Errorf("GET %s: %d %v, want %d", path, code, out, want)
+		}
+	}
 }

@@ -97,6 +97,15 @@ var ErrHubDegraded = hub.ErrDegraded
 // writes until a restart replays the log.
 var ErrHubPoisoned = hub.ErrPoisoned
 
+// ErrHubNotFound matches a read refused because it names something the
+// hub does not hold (an unknown source, a key no tuple has) and
+// ErrHubBadCursor a ClustersWalk refused for its cursor; any other error
+// out of a read is a storage fault — a record failed to page in.
+var (
+	ErrHubNotFound  = hub.ErrNotFound
+	ErrHubBadCursor = hub.ErrBadCursor
+)
+
 // MergedEntity is a cluster's merged cross-source record.
 type MergedEntity = hub.MergedEntity
 
@@ -217,10 +226,9 @@ func WithSyncEvery(n int) HubOption {
 // keeps every structure resident; "disk" bounds resident memory by
 // spilling cold cluster records and cold pair matching tables to a
 // tier under the data directory and paging them back on demand. The
-// empty string falls back to the ENTITYID_STORE environment variable,
-// then to "mem". Durability is identical either way — the write-ahead
-// log and snapshots — and the served state is bit-for-bit the same;
-// the backend only decides what stays resident.
+// empty string means "mem". Durability is identical either way — the
+// write-ahead log and snapshots — and the served state is bit-for-bit
+// the same; the backend only decides what stays resident.
 func WithStore(name string) HubOption {
 	return func(o *hubOptions) { o.store = name }
 }
@@ -228,9 +236,7 @@ func WithStore(name string) HubOption {
 // WithStoreBudgets bounds the disk backend's hot tiers:
 // hotClusterEntries caps the total members across resident cluster
 // records, hotPairs caps the resident pairwise federations. Zero keeps
-// a value's default (the ENTITYID_STORE_HOT_CLUSTERS and
-// ENTITYID_STORE_HOT_PAIRS environment variables, then built-in
-// defaults). The memory backend ignores both.
+// a value's built-in default. The memory backend ignores both.
 func WithStoreBudgets(hotClusterEntries, hotPairs int) HubOption {
 	return func(o *hubOptions) {
 		o.hotClusters = hotClusterEntries
@@ -271,8 +277,12 @@ func (h *Hub) Recovery() *HubRecovery {
 }
 
 // AddSource registers an autonomous source under a unique name; the
-// relation seeds the hub's canonical copy (cloned).
+// relation seeds the hub's canonical copy (cloned — later hub inserts
+// do not touch the original, nor later changes to it the hub).
 func (h *Hub) AddSource(name string, rel *Relation) error {
+	if rel != nil {
+		rel = rel.Clone() // the inner hub takes ownership of what it is given
+	}
 	return h.inner.AddSource(name, rel)
 }
 

@@ -245,3 +245,42 @@ func TestHubSyncEveryOption(t *testing.T) {
 		t.Fatalf("recovered %d tuples, want 3", st.Tuples)
 	}
 }
+
+// TestHubAddSourceClonesItsSeed: the relation handed to AddSource seeds
+// the hub and stays the caller's. Neither side's later inserts reach the
+// other — on a memory-only hub and on a durable one, where the seed is
+// also what the log recorded.
+func TestHubAddSourceClonesItsSeed(t *testing.T) {
+	durable, err := entityid.OpenHub(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for name, h := range map[string]*entityid.Hub{"memory": entityid.NewHub(), "durable": durable} {
+		rel, err := entityid.NewRelation("r", []entityid.Attribute{{Name: "id"}, {Name: "name"}}, []string{"id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.InsertStrings("1", "wok"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AddSource("r", rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.InsertStrings("2", "the caller's own"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Insert("r", entityid.Tuple{entityid.String("3"), entityid.String("the hub's own")}); err != nil {
+			t.Fatal(err)
+		}
+		if st := h.Stats(); st.Tuples != 2 {
+			t.Errorf("%s hub: %d tuples after one seed tuple and one insert (the caller's later insert leaked in?)", name, st.Tuples)
+		}
+		if _, err := h.Lookup("r", entityid.String("2")); err == nil {
+			t.Errorf("%s hub: serves a tuple inserted into the caller's relation after AddSource", name)
+		}
+		if rel.Len() != 2 {
+			t.Errorf("%s hub: the caller's relation holds %d tuples, want its own 2 (a hub insert leaked out?)", name, rel.Len())
+		}
+	}
+}

@@ -23,11 +23,11 @@ package derive
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"entityid/internal/ilfd"
-	"entityid/internal/ra"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
 	"entityid/internal/value"
@@ -424,29 +424,33 @@ func ExtendWithTables(rel *relation.Relation, name string, extra []schema.Attrib
 		}
 		work[i] = ext
 	}
-	// Primary-key positions for folding derived values back.
-	pk := sch.PrimaryKey()
-	pkIdx := make([]int, len(pk))
-	for i, a := range pk {
-		pkIdx[i] = extSch.Index(a)
-	}
-	keyOf := func(t relation.Tuple) (string, bool) {
-		k := ""
-		for n, i := range pkIdx {
-			if t[i].IsNull() {
-				return "", false
-			}
-			if n > 0 {
-				k += "\x1f"
-			}
-			k += t[i].Key()
-		}
-		return k, true
-	}
-	index := map[string]int{}
+	// A tuple whose primary key contains NULL cannot be addressed
+	// relationally (the paper folds derived values back keyed by K_R) and
+	// is left alone. The key is the source's own, which nothing here
+	// writes.
+	addressable := make([]bool, len(work))
 	for i, t := range work {
-		if k, ok := keyOf(t); ok {
-			index[k] = i
+		addressable[i] = true
+		for _, a := range sch.PrimaryKey() {
+			addressable[i] = addressable[i] && !t[extSch.Index(a)].IsNull()
+		}
+	}
+	// Each usable table bound once to the offsets of its columns in a
+	// working tuple; the table's own key index (its antecedent columns)
+	// is what R ⋈_x̄ IM probes.
+	type boundTable struct {
+		tab  *ilfd.Table
+		from []int // antecedent offsets
+		y    int   // consequent offset
+	}
+	var bound []boundTable
+	for _, tab := range tables {
+		b := boundTable{tab: tab, y: extSch.Index(tab.To())}
+		for _, a := range tab.From() {
+			b.from = append(b.from, extSch.Index(a))
+		}
+		if b.y >= 0 && !slices.Contains(b.from, -1) {
+			bound = append(bound, b)
 		}
 	}
 
@@ -456,62 +460,38 @@ func ExtendWithTables(rel *relation.Relation, name string, extra []schema.Attrib
 	}
 	var conflicts []Conflict
 	seenConflict := map[string]bool{}
+	start := make([]relation.Tuple, len(work))
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		// Materialize the current working state for joining.
-		cur := relation.New(extSch)
-		for _, t := range work {
-			if err := cur.Insert(t.Clone()); err != nil {
-				return nil, nil, fmt.Errorf("derive: materialize: %w", err)
-			}
+		// R ⋈_x̄ IM reads R as the round found it: a value one table
+		// derives feeds another table's antecedent in the next round, not
+		// this one.
+		for i, t := range work {
+			start[i] = append(start[i][:0], t...)
 		}
-		for _, tab := range tables {
-			yPos := extSch.Index(tab.To())
-			if yPos < 0 {
-				continue
-			}
-			usable := true
-			conds := make([]ra.On, 0, len(tab.From()))
-			for _, a := range tab.From() {
-				if !extSch.Has(a) {
-					usable = false
-					break
+		for _, b := range bound {
+			x := make([]value.Value, len(b.from))
+			for i, t := range start {
+				for n, at := range b.from {
+					x[n] = t[at]
 				}
-				conds = append(conds, ra.On{Left: a, Right: a})
-			}
-			if !usable {
-				continue
-			}
-			// R ⋈_x̄ IM: joined rows carry R′'s attributes first, then the
-			// table's; the consequent column sits right after the
-			// antecedent columns.
-			j, err := ra.Join(cur, tab.Relation(), "Rj", ra.Inner, conds)
-			if err != nil {
-				return nil, nil, fmt.Errorf("derive: table join: %w", err)
-			}
-			consPos := extSch.Arity() + len(tab.From())
-			for _, jt := range j.Tuples() {
-				k, ok := keyOf(jt[:extSch.Arity()])
-				if !ok {
+				// A NULL antecedent never joins (Lookup refuses it).
+				derived, ok := b.tab.Lookup(x...)
+				if !ok || !addressable[i] {
 					continue
 				}
-				i, found := index[k]
-				if !found {
-					continue
-				}
-				derived := jt[consPos]
-				curVal := work[i][yPos]
+				curVal := work[i][b.y]
 				if curVal.IsNull() {
-					work[i][yPos] = derived
+					work[i][b.y] = derived
 					changed = true
 					continue
 				}
 				if !value.Equal(curVal, derived) && opts.Mode == Fixpoint {
-					ck := fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s", i, tab.To(), curVal.Key(), derived.Key())
+					ck := fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s", i, b.tab.To(), curVal.Key(), derived.Key())
 					if !seenConflict[ck] {
 						seenConflict[ck] = true
 						conflicts = append(conflicts, Conflict{
-							TupleIndex: i, Attr: tab.To(), Old: curVal, New: derived,
+							TupleIndex: i, Attr: b.tab.To(), Old: curVal, New: derived,
 						})
 					}
 				}

@@ -3,8 +3,8 @@ package hub
 // The hub layer's benchmarks: what one commit, one bulk stream, one
 // recovery and one incremental snapshot cost in process, with no socket
 // and no front-end. The end-to-end figures are bench/'s; these say how
-// much of them is the hub's. Durable hubs honour ENTITYID_STORE like the
-// tests do, so both backends can be measured.
+// much of them is the hub's. Durable hubs open on the -hub.store flag's
+// backend like the tests do, so both can be measured.
 //
 //	go test -run=NONE -bench=. -count=10 ./internal/hub
 
@@ -131,7 +131,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, info, err := Open(dir, Options{})
+		h, info, err := openOn(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

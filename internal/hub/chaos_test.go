@@ -10,10 +10,16 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"regexp"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"entityid/internal/relation"
+	"entityid/internal/schema"
+	"entityid/internal/value"
+	"entityid/internal/wal"
 	"entityid/internal/wal/errfs"
 )
 
@@ -181,5 +187,84 @@ func TestPoisonFailsClosed(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestSnapshotFailsTheSameSyncOrBackground: SnapshotNow and the
+// insert-count trigger end in one run, so a snapshot that fails under a
+// given disk fault leaves the same record whichever of them asked for it
+// — the same health, the same hub_snapshot_total{outcome="error"} delta,
+// the same first error out of Close.
+func TestSnapshotFailsTheSameSyncOrBackground(t *testing.T) {
+	const inserts = 6
+	type outcome struct {
+		state    State
+		cause    string
+		failures uint64
+		closeErr string
+	}
+	run := func(t *testing.T, rule errfs.Rule, background bool) outcome {
+		dir := t.TempDir()
+		fsys := errfs.New(wal.OS)
+		opts := Options{FS: fsys, ProbeBackoff: time.Hour} // one episode: no probe gets to end it
+		if background {
+			opts.SnapshotEvery = inserts
+		}
+		h, _, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := relation.New(schema.MustNew("s", []schema.Attribute{{Name: "id", Kind: value.KindString}}, []string{"id"}))
+		if err := h.AddSource("s", rel); err != nil {
+			t.Fatal(err)
+		}
+		before := snapshotFail.Value()
+		fsys.Inject(rule)
+		for _, it := range rowItems(0, inserts) {
+			if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if background {
+			h.snap.wg.Wait()
+		} else if err := h.SnapshotNow(); !errors.Is(err, rule.Err) {
+			t.Fatalf("SnapshotNow under the fault = %v, want %v", err, rule.Err)
+		}
+		hh := h.Health()
+		out := outcome{state: hh.State, cause: hh.Cause, failures: snapshotFail.Value() - before}
+		fsys.Clear()
+		if err := h.Close(); !errors.Is(err, rule.Err) {
+			t.Fatalf("Close after the failed snapshot = %v, want %v", err, rule.Err)
+		} else {
+			out.closeErr = err.Error()
+		}
+		// Paths differ run to run: the directory, a section's temp name.
+		scrub := func(s string) string {
+			return regexp.MustCompile(`sec-\d+\.tmp`).ReplaceAllString(strings.ReplaceAll(s, dir, "DIR"), "sec-N.tmp")
+		}
+		out.cause, out.closeErr = scrub(out.cause), scrub(out.closeErr)
+		return out
+	}
+	for name, rule := range map[string]errfs.Rule{
+		"rotate":          {Op: errfs.OpOpenFile, PathContains: "wal-", Err: syscall.ENOSPC},
+		"section write":   {Op: errfs.OpWrite, PathContains: "sec-", Err: syscall.EIO},
+		"section sync":    {Op: errfs.OpSync, PathContains: "sec-", Err: syscall.EIO},
+		"manifest write":  {Op: errfs.OpOpenFile, PathContains: snapshotManTmp, Err: syscall.EROFS},
+		"manifest rename": {Op: errfs.OpRename, PathContains: snapshotManifest, Err: syscall.EIO},
+		"not persistent":  {Op: errfs.OpCreateTemp, PathContains: snapSecDir, Err: syscall.EMFILE},
+	} {
+		t.Run(name, func(t *testing.T) {
+			now, bg := run(t, rule, false), run(t, rule, true)
+			if now != bg {
+				t.Fatalf("a failed SnapshotNow left\n%+v\nthe same failure in the background\n%+v", now, bg)
+			}
+			wantState := StateDegraded
+			if name == "not persistent" {
+				wantState = StateReady
+			}
+			if now.state != wantState || now.failures != 1 {
+				t.Fatalf("outcome %+v, want %v and one counted failure", now, wantState)
+			}
+		})
 	}
 }

@@ -1,0 +1,273 @@
+// The commit path: the one way a tuple enters the hub. Insert prepares
+// the new tuple against every pairwise federation of its source
+// (federate's side-effect-free Prepare), checks the transitive
+// constraint, and only then commits everywhere. Locking is per source,
+// per pair and one commit lock, acquired in a fixed order (source →
+// pairs by ordinal → commit), so inserts into disjoint regions of the
+// topology proceed in parallel. There is one ingest path: Insert is the
+// commit path, IngestStream (pipeline.go) runs it over a channel — two
+// goroutines per stream, one WAL-encoding ahead of the one that commits,
+// with backpressure — and IngestBatch is a slice-in/slice-out wrapper
+// over IngestStream.
+package hub
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"entityid/internal/federate"
+	"entityid/internal/obs"
+	"entityid/internal/relation"
+	"entityid/internal/store"
+)
+
+// Receipt reports a successful insert: the tuple's position in its
+// source, the pairwise matches it produced, and its cluster after the
+// insert.
+type Receipt struct {
+	Source  string
+	Index   int
+	Matched []Member
+	Cluster Cluster
+}
+
+// Insert streams one tuple into a source: it is identified against
+// every linked source concurrently-safely, and either committed
+// everywhere — canonical relation, every pairwise federation, global
+// clusters — or rejected everywhere. Rejections (source key violation,
+// pairwise §3.2 uniqueness or consistency violation, transitive
+// cluster-uniqueness violation) leave the hub exactly as it was.
+func (h *Hub) Insert(source string, t relation.Tuple) (*Receipt, error) {
+	payload, err := h.walPayload(source, t)
+	if err != nil {
+		return nil, err
+	}
+	return h.insertTraced(source, t, payload)
+}
+
+// walPayload marshals the write-ahead-log record of an insert on a
+// durable hub (nil on a memory-only one) — outside every lock, so the
+// append under them is a pure log write.
+func (h *Hub) walPayload(source string, t relation.Tuple) ([]byte, error) {
+	if h.per == nil {
+		return nil, nil
+	}
+	payload, err := encodeInsert(source, t)
+	if err != nil {
+		return nil, fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	return payload, nil
+}
+
+// insertTraced is the traced commit path shared by Insert and a
+// stream's commit goroutine: health fast path, slow-op tracing, outcome
+// counters. payload is walPayload's record for this exact (source,
+// tuple).
+func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Receipt, error) {
+	// Degraded/poisoned fast path: fail before taking any lock, so a
+	// sick disk turns ingest into an immediate typed rejection instead
+	// of a queue behind the failure.
+	if err := h.healthErr(); err != nil {
+		ingestUnavailable.Inc()
+		return nil, fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	op := obs.StartOp("insert", source)
+	rec, err := h.insert(source, t, payload, &op)
+	total := op.Finish(SlowOps)
+	// Rebalance the resident-pair budget outside every insert lock —
+	// a no-op unless the backend caps hot pairs and an insert paged
+	// some in.
+	h.maybeSpillPairs()
+	if err != nil {
+		ingestRejected.Inc()
+		return nil, err
+	}
+	ingestOK.Inc()
+	mIngestSeconds.Observe(total)
+	return rec, nil
+}
+
+// insert is Insert's locked body; op marks its commit stages.
+//
+//entitylint:commitpath
+func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op) (*Receipt, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	si, ok := h.byName[source]
+	if !ok {
+		return nil, fmt.Errorf("hub: unknown source %q", source)
+	}
+	src := h.sources[si]
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	// Pair locks in ordinal order (source.pairs is ordinal-sorted by
+	// construction): fixed acquisition order across all inserts.
+	for _, p := range src.pairs {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	if err := src.rel.CanInsert(t); err != nil {
+		return nil, fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	// Page any spilled pairwise federation back in before preparing.
+	// Under the pair locks both side relations are frozen, so the
+	// restored federation verifies against exactly the lengths it was
+	// spilled at (a cold pair implies frozen sides — every mutation of
+	// either side pages the pair in first, through this very path).
+	for _, p := range src.pairs {
+		if _, err := h.pairFedLocked(p); err != nil {
+			return nil, fmt.Errorf("hub: source %q: %w", source, err)
+		}
+		p.lastUse.Store(h.pairClock.Add(1))
+	}
+	// Phase 1: prepare against every pairwise federation, mutating
+	// nothing, collecting the partner tuples the insert would match.
+	pendings := make([]*federate.Pending, 0, len(src.pairs))
+	var partners []node
+	for _, p := range src.pairs {
+		var pd *federate.Pending
+		var err error
+		if p.left == si {
+			pd, err = p.fed.Load().PrepareR(t)
+		} else {
+			pd, err = p.fed.Load().PrepareS(t)
+		}
+		if err != nil {
+			if errors.Is(err, federate.ErrUniqueness) {
+				mUniqueness.Inc()
+			}
+			return nil, fmt.Errorf("hub: source %q vs %q: %w", source, h.sources[p.other(si)].name, err)
+		}
+		for _, pr := range pd.Pairs() {
+			if p.left == si {
+				partners = append(partners, node{Src: p.right, Idx: pr.SIndex})
+			} else {
+				partners = append(partners, node{Src: p.left, Idx: pr.RIndex})
+			}
+		}
+		pendings = append(pendings, pd)
+	}
+	n := node{Src: si, Idx: src.rel.Len()}
+	// Phase 2: transitive uniqueness, then commit everywhere. The check
+	// precedes every mutation, so rejection needs no undo; commits
+	// cannot fail under the locks held here.
+	h.commitMu.Lock()
+	defer h.commitMu.Unlock()
+	if err := store.CheckMerge(h.clusters, n, partners, h.sourceName); err != nil {
+		if errors.Is(err, store.ErrUniqueness) {
+			mUniqueness.Inc()
+		}
+		return nil, fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	stagePrepare.Observe(op.Stage("prepare"))
+	// Write-ahead: the insert reaches the log before any in-memory
+	// commit. A failed append rejects the insert with the hub unchanged
+	// (at worst a torn, unacknowledged record reaches disk — recovery's
+	// CRC check drops it), so replaying the log can never resurrect a
+	// rejected insert or observe a torn commit. A persistent failure
+	// (ENOSPC, EIO, unusable log) additionally degrades the hub to
+	// read-only; the rejection is typed either way.
+	if h.per != nil {
+		if err := h.per.appendPayload(payload); err != nil {
+			return nil, fmt.Errorf("hub: source %q: %w", source, h.ingestFailed(err))
+		}
+	}
+	stageWalAppend.Observe(op.Stage("wal_append"))
+	// The one copy of the tuple: the canonical insert and the view
+	// republication share the key lock, so a reader whose key lookup
+	// finds the new tuple always loads a view that covers it.
+	src.keyMu.Lock()
+	insErr := src.rel.Insert(t)
+	if insErr == nil {
+		src.publishView()
+	}
+	src.keyMu.Unlock()
+	if insErr != nil {
+		// Unreachable under the locking discipline: the canonical
+		// relation refused a tuple CanInsert accepted. The WAL already
+		// holds the record, so poison the hub instead of panicking —
+		// fail-closed ingest, reads keep serving the published views,
+		// restart replays the log into a consistent state.
+		return nil, fmt.Errorf("hub: source %q: %w", source,
+			h.poison(fmt.Errorf("canonical insert after CanInsert: %v", insErr)))
+	}
+	// Every pair commits beside it, each checking the relation it
+	// borrows is now exactly one tuple ahead of its extended image.
+	for i, pd := range pendings {
+		prs, err := pd.Commit()
+		if err != nil {
+			// Same invariant class as above, with in-memory pairwise
+			// state torn mid-commit: poison.
+			return nil, fmt.Errorf("hub: source %q: %w", source,
+				h.poison(fmt.Errorf("pair %d commit after successful prepare: %v", src.pairs[i].id, err)))
+		}
+		src.pairs[i].mtLen += len(prs)
+	}
+	stageApply.Observe(op.Stage("apply"))
+	members, err := store.Apply(h.clusters, n, partners)
+	if err != nil {
+		// Practically unreachable: everything Apply folds was paged in
+		// resident by CheckMerge (writer-side reads defer eviction to
+		// Publish), so Apply performs no I/O. If storage fails here
+		// anyway the WAL already holds the record — poison, like the
+		// pair-commit case above.
+		return nil, fmt.Errorf("hub: source %q: %w", source,
+			h.poison(fmt.Errorf("cluster fold after successful check: %v", err)))
+	}
+	if len(partners) > 0 {
+		mClusterMerges.Inc()
+	}
+	stageClusterFold.Observe(op.Stage("cluster_fold"))
+	if h.snap != nil {
+		h.snap.noteCommit()
+	}
+	// Every member's view was published before the cluster record that
+	// names it, so the read side's materialiser serves the receipt too.
+	topo := h.topo.Load()
+	rec := &Receipt{Source: source, Index: n.Idx}
+	if len(partners) > 0 {
+		rec.Matched = make([]Member, len(partners))
+		for i, p := range partners {
+			rec.Matched[i] = topo.member(p)
+		}
+	}
+	if members == nil {
+		members = []node{n}
+	}
+	rec.Cluster = h.materialize(topo, members)
+	return rec, nil
+}
+
+// Insert is the unit of IngestBatch.
+type Insert struct {
+	Source string
+	Tuple  relation.Tuple
+}
+
+// InsertResult is one IngestBatch outcome, in input order.
+type InsertResult struct {
+	Receipt *Receipt
+	Err     error
+}
+
+// IngestBatch is IngestStream for callers that hold the whole batch: it
+// streams the items and reports per-item results in input order; a
+// rejected item leaves the hub unchanged and does not stop the batch.
+// Commits happen strictly in input order, so batch results are
+// deterministic, and when the call returns every append the batch made
+// is synced per the SyncEvery policy (a stream closes its flush epoch
+// before its result channel).
+func (h *Hub) IngestBatch(items []Insert) []InsertResult {
+	mBatchSize.ObserveVal(int64(len(items)))
+	in := make(chan Insert, len(items)) // sized to the sends: filled without a goroutine
+	for _, it := range items {
+		in <- it
+	}
+	close(in)
+	out := make([]InsertResult, len(items))
+	for res := range h.IngestStream(context.Background(), in, StreamOptions{}) {
+		out[res.Seq] = InsertResult{Receipt: res.Receipt, Err: res.Err}
+	}
+	return out
+}

@@ -20,6 +20,8 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -111,6 +113,11 @@ type healthState struct {
 	since      time.Time
 	probes     int
 	recoveries int
+	// errMu/bgErr hold the first persistence failure found off the
+	// ingest path (backgroundFailed), surfaced by Close.
+	//entitylint:lock rank=80
+	errMu sync.Mutex
+	bgErr error
 }
 
 // Health reports the hub's current health.
@@ -172,9 +179,30 @@ func (h *Hub) degrade(cause error) {
 	h.health.probes = 0
 	h.health.mu.Unlock()
 	mHealthState.Set(int64(StateDegraded))
-	if h.per != nil {
-		h.per.startProbes(h)
+	if h.prober != nil {
+		h.prober.startProbes(h)
 	}
+}
+
+// backgroundFailed records a persistence failure found off the ingest
+// path — a group-commit fsync, a snapshot. The first one is kept for
+// Close to return, and a persistent one (fsync ENOSPC, snapshot EIO)
+// degrades the hub just like an ingest-path append failure.
+func (h *Hub) backgroundFailed(err error) {
+	h.health.errMu.Lock()
+	if h.health.bgErr == nil {
+		h.health.bgErr = err
+	}
+	h.health.errMu.Unlock()
+	if isPersistentIO(err) {
+		h.degrade(err)
+	}
+}
+
+func (s *healthState) failed() error {
+	s.errMu.Lock()
+	defer s.errMu.Unlock()
+	return s.bgErr
 }
 
 // poison moves the hub to the terminal fail-closed state and returns
@@ -240,4 +268,92 @@ func isPersistentIO(err error) bool {
 	// The log declared itself unusable (failed append whose rollback
 	// also failed): no append can succeed until Heal does.
 	return errors.Is(err, wal.ErrLogUnusable)
+}
+
+// prober is the degraded-mode recovery loop of a durable hub: what
+// retries the disk until it heals.
+type prober struct {
+	log *wal.Log
+	fs  wal.FS
+	dir string
+	// base/max bound the recovery backoff; probing guards the singleton
+	// probe loop, done stops it (and is closed exactly once, by
+	// stopProbes); wg lets Close wait the loop out.
+	base     time.Duration
+	max      time.Duration
+	probing  atomic.Bool
+	done     chan struct{}
+	doneOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+// startProbes launches the degraded-mode recovery loop (at most one at
+// a time): capped exponential backoff between probes, stop on recovery
+// or when the hub shuts down. Called by Hub.degrade.
+func (p *prober) startProbes(h *Hub) {
+	if !p.probing.CompareAndSwap(false, true) {
+		return
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer p.probing.Store(false)
+		delay := p.base
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		for {
+			select {
+			case <-p.done:
+				return
+			case <-t.C:
+			}
+			if State(h.health.state.Load()) != StateDegraded {
+				return // poisoned or already recovered; nothing to probe for
+			}
+			h.noteProbe()
+			if err := p.probe(); err == nil {
+				h.recoverHealth()
+				return
+			}
+			delay *= 2
+			if delay > p.max {
+				delay = p.max
+			}
+			t.Reset(delay)
+		}
+	}()
+}
+
+// probe checks whether the disk accepts writes again: a small canary
+// file is written, fsynced and removed next to the log, then the log
+// itself is healed (retrying the rollback of the append that degraded
+// us and fsyncing the segment). Only when both succeed is the episode
+// over — a canary that fits in a nearly-full disk must not resurrect a
+// log whose own sync still fails.
+func (p *prober) probe() error {
+	canary := filepath.Join(p.dir, "probe.canary")
+	f, err := p.fs.OpenFile(canary, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 8<<10)
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if rerr := p.fs.Remove(canary); err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return err
+	}
+	return p.log.Heal()
+}
+
+// stopProbes tells the recovery loop to exit; safe to call repeatedly.
+func (p *prober) stopProbes() {
+	p.doneOnce.Do(func() { close(p.done) })
 }

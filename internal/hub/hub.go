@@ -25,40 +25,19 @@
 // append, once by the canonical Insert after it, however many sources
 // are linked.
 //
-// Ingest is concurrent: Insert prepares the new tuple against every
-// pairwise federation of its source (federate's side-effect-free
-// Prepare), checks the transitive constraint, and only then commits
-// everywhere. Locking is per source, per pair and one commit lock,
-// acquired in a fixed order (source → pairs by ordinal → commit), so
-// inserts into disjoint regions of the topology proceed in parallel.
-// There is one ingest path: Insert is the commit path, IngestStream
-// (pipeline.go) runs it over a channel — two goroutines per stream, one
-// WAL-encoding ahead of the one that commits, with backpressure — and
-// IngestBatch is a slice-in/slice-out wrapper over IngestStream.
-//
-// Reads scale independently of ingest: point reads (Lookup, ClusterAt)
-// resolve the topology through an atomically published snapshot, the
-// tuple store through per-source published views, and the cluster
-// partition through the storage backend's cluster-record store — no
-// read path takes the commit lock or any hub-global exclusive lock, so
-// reads proceed concurrently with each other and with commits. Cluster
-// enumeration streams (iter.go) instead of materialising the hub under
-// a lock.
+// Ingest (commit.go, pipeline.go) and reads (read.go, iter.go) describe
+// themselves where they live; this file is the topology.
 //
 // Storage is a seam (internal/store): the hub talks to a pluggable
 // Backend for cluster records and spilled pair tables. The default mem
 // backend keeps everything resident; the disk backend bounds resident
 // memory by spilling cold cluster records and cold pairwise federations
-// and paging them back on demand (see pairFedLocked / maybeSpillPairs
-// below for the pair lifecycle the hub drives).
+// and paging them back on demand (storetier.go is the pair lifecycle
+// the hub drives).
 package hub
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -66,14 +45,10 @@ import (
 	"entityid/internal/federate"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
-	"entityid/internal/obs"
 	"entityid/internal/relation"
-	"entityid/internal/resolve"
 	"entityid/internal/rules"
-	"entityid/internal/schema"
 	"entityid/internal/store"
 	"entityid/internal/store/mem"
-	"entityid/internal/value"
 )
 
 // PairSpec configures the identification link between two registered
@@ -208,11 +183,15 @@ type Hub struct {
 	hotPairs  atomic.Int64
 	//entitylint:lock rank=10
 	spillMu sync.Mutex
-	// per is the durability layer (persist.go); nil for a memory-only
-	// hub. Mutators append to the write-ahead log before committing, so
-	// a crash can lose an unacknowledged insert but never resurrect a
-	// rejected one or tear a committed one.
-	per *walLogger
+	// per is the log writer (wallog.go); nil for a memory-only hub.
+	// Mutators append to the write-ahead log before committing, so a
+	// crash can lose an unacknowledged insert but never resurrect a
+	// rejected one or tear a committed one. snap (snapwriter.go) and
+	// prober (degraded.go) are the two other things a durable hub runs;
+	// Open sets all three or none.
+	per    *walLogger
+	snap   *snapshotter
+	prober *prober
 	// health is the degraded-mode state machine (degraded.go): ingest
 	// fails fast while the disk is sick, reads keep serving.
 	health healthState
@@ -251,13 +230,19 @@ func (h *Hub) publishTopo() {
 }
 
 // AddSource registers an autonomous source under a unique name. The
-// relation seeds the hub's canonical copy (cloned — later hub inserts
-// do not touch the original); pass an empty relation to start blank.
+// hub takes ownership of rel, which becomes the source's canonical
+// relation (pass an empty one to start blank): the caller must not use
+// it afterwards. Replay and the snapshot loader register through here
+// too, with no logger attached — the relation they hand over was just
+// built from persisted records and lives nowhere else.
 //
 //entitylint:commitpath
 func (h *Hub) AddSource(name string, rel *relation.Relation) error {
-	if err := checkSource(name, rel); err != nil {
-		return err
+	if name == "" {
+		return fmt.Errorf("hub: empty source name")
+	}
+	if rel == nil {
+		return fmt.Errorf("hub: source %q: nil relation", name)
 	}
 	if err := h.healthErr(); err != nil {
 		return fmt.Errorf("hub: source %q: %w", name, err)
@@ -272,54 +257,12 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 			return fmt.Errorf("hub: source %q: %w", name, h.ingestFailed(err))
 		}
 	}
-	h.registerLocked(name, rel.Clone())
-	return nil
-}
-
-// addSourceOwned registers a source taking ownership of rel — no clone,
-// no write-ahead logging. It is the loader/replay path: the relation
-// was just built from persisted records, so cloning it would only
-// re-buffer state that already lives nowhere else (the triple-buffered
-// load spike this avoids), and logging it would re-log a record being
-// replayed.
-func (h *Hub) addSourceOwned(name string, rel *relation.Relation) error {
-	if err := checkSource(name, rel); err != nil {
-		return err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, dup := h.byName[name]; dup {
-		return fmt.Errorf("hub: source %q already registered", name)
-	}
-	h.registerLocked(name, rel)
-	return nil
-}
-
-func checkSource(name string, rel *relation.Relation) error {
-	if name == "" {
-		return fmt.Errorf("hub: empty source name")
-	}
-	if rel == nil {
-		return fmt.Errorf("hub: source %q: nil relation", name)
-	}
-	return nil
-}
-
-// registerLocked installs rel, which the hub now owns, as the next
-// source and publishes it. Callers hold h.mu exclusively and have
-// checked the name is free.
-func (h *Hub) registerLocked(name string, rel *relation.Relation) {
-	id := len(h.sources)
-	s := &sourceState{
-		id:     id,
-		name:   name,
-		rel:    rel,
-		attrOf: map[string]string{},
-	}
+	s := &sourceState{id: len(h.sources), name: name, rel: rel, attrOf: map[string]string{}}
 	s.publishView()
 	h.sources = append(h.sources, s)
-	h.byName[name] = id
+	h.byName[name] = s.id
 	h.publishTopo()
+	return nil
 }
 
 // Link registers the identification link between two sources and
@@ -333,11 +276,6 @@ func (h *Hub) Link(spec PairSpec) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.linkLocked(spec)
-}
-
-// linkLocked implements Link. Callers hold h.mu exclusively.
-func (h *Hub) linkLocked(spec PairSpec) error {
 	li, ri, err := h.resolveLinkLocked(spec)
 	if err != nil {
 		return err
@@ -367,18 +305,6 @@ func (h *Hub) matchConfig(li, ri int, spec PairSpec) match.Config {
 		DeriveMode:   spec.DeriveMode,
 		DisableProp1: spec.DisableProp1,
 	}
-}
-
-// linkRestored registers a link whose federation was already rebuilt
-// and verified (the snapshot loader restores pairwise federations in
-// parallel before folding them in sequentially). Callers hold h.mu
-// exclusively.
-func (h *Hub) linkRestored(spec PairSpec, fed *federate.Federation) error {
-	li, ri, err := h.resolveLinkLocked(spec)
-	if err != nil {
-		return err
-	}
-	return h.registerLinkLocked(spec, li, ri, fed)
 }
 
 // resolveLinkLocked validates a link spec against the topology: both
@@ -526,239 +452,6 @@ func recordAttrNames(left, right *sourceState, attrs []match.AttrMap) {
 	}
 }
 
-// Member is one tuple of one cluster.
-type Member struct {
-	Source string
-	Index  int
-	Tuple  relation.Tuple
-}
-
-// Cluster is one global entity: its members across sources, sorted by
-// (source registration order, tuple position). ID is derived from the
-// smallest member, so it is stable under any insert order producing the
-// same partition.
-type Cluster struct {
-	ID      string
-	Members []Member
-}
-
-// Receipt reports a successful insert: the tuple's position in its
-// source, the pairwise matches it produced, and its cluster after the
-// insert.
-type Receipt struct {
-	Source  string
-	Index   int
-	Matched []Member
-	Cluster Cluster
-}
-
-// Insert streams one tuple into a source: it is identified against
-// every linked source concurrently-safely, and either committed
-// everywhere — canonical relation, every pairwise federation, global
-// clusters — or rejected everywhere. Rejections (source key violation,
-// pairwise §3.2 uniqueness or consistency violation, transitive
-// cluster-uniqueness violation) leave the hub exactly as it was.
-func (h *Hub) Insert(source string, t relation.Tuple) (*Receipt, error) {
-	payload, err := h.walPayload(source, t)
-	if err != nil {
-		return nil, err
-	}
-	return h.insertTraced(source, t, payload)
-}
-
-// walPayload marshals the write-ahead-log record of an insert on a
-// durable hub (nil on a memory-only one) — outside every lock, so the
-// append under them is a pure log write.
-func (h *Hub) walPayload(source string, t relation.Tuple) ([]byte, error) {
-	if h.per == nil {
-		return nil, nil
-	}
-	payload, err := encodeInsert(source, t)
-	if err != nil {
-		return nil, fmt.Errorf("hub: source %q: %w", source, err)
-	}
-	return payload, nil
-}
-
-// insertTraced is the traced commit path shared by Insert and a
-// stream's commit goroutine: health fast path, slow-op tracing, outcome
-// counters. payload is walPayload's record for this exact (source,
-// tuple).
-func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Receipt, error) {
-	// Degraded/poisoned fast path: fail before taking any lock, so a
-	// sick disk turns ingest into an immediate typed rejection instead
-	// of a queue behind the failure.
-	if err := h.healthErr(); err != nil {
-		ingestUnavailable.Inc()
-		return nil, fmt.Errorf("hub: source %q: %w", source, err)
-	}
-	op := obs.StartOp("insert", source)
-	rec, err := h.insert(source, t, payload, &op)
-	total := op.Finish(SlowOps)
-	// Rebalance the resident-pair budget outside every insert lock —
-	// a no-op unless the backend caps hot pairs and an insert paged
-	// some in.
-	h.maybeSpillPairs()
-	if err != nil {
-		ingestRejected.Inc()
-		return nil, err
-	}
-	ingestOK.Inc()
-	mIngestSeconds.Observe(total)
-	return rec, nil
-}
-
-// insert is Insert's locked body; op marks its commit stages.
-//
-//entitylint:commitpath
-func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op) (*Receipt, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	si, ok := h.byName[source]
-	if !ok {
-		return nil, fmt.Errorf("hub: unknown source %q", source)
-	}
-	src := h.sources[si]
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	// Pair locks in ordinal order (source.pairs is ordinal-sorted by
-	// construction): fixed acquisition order across all inserts.
-	for _, p := range src.pairs {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	if err := src.rel.CanInsert(t); err != nil {
-		return nil, fmt.Errorf("hub: source %q: %w", source, err)
-	}
-	// Page any spilled pairwise federation back in before preparing.
-	// Under the pair locks both side relations are frozen, so the
-	// restored federation verifies against exactly the lengths it was
-	// spilled at (a cold pair implies frozen sides — every mutation of
-	// either side pages the pair in first, through this very path).
-	for _, p := range src.pairs {
-		if _, err := h.pairFedLocked(p); err != nil {
-			return nil, fmt.Errorf("hub: source %q: %w", source, err)
-		}
-		p.lastUse.Store(h.pairClock.Add(1))
-	}
-	// Phase 1: prepare against every pairwise federation, mutating
-	// nothing, collecting the partner tuples the insert would match.
-	pendings := make([]*federate.Pending, 0, len(src.pairs))
-	var partners []node
-	for _, p := range src.pairs {
-		var pd *federate.Pending
-		var err error
-		if p.left == si {
-			pd, err = p.fed.Load().PrepareR(t)
-		} else {
-			pd, err = p.fed.Load().PrepareS(t)
-		}
-		if err != nil {
-			if errors.Is(err, federate.ErrUniqueness) {
-				mUniqueness.Inc()
-			}
-			return nil, fmt.Errorf("hub: source %q vs %q: %w", source, h.sources[p.other(si)].name, err)
-		}
-		for _, pr := range pd.Pairs() {
-			if p.left == si {
-				partners = append(partners, node{Src: p.right, Idx: pr.SIndex})
-			} else {
-				partners = append(partners, node{Src: p.left, Idx: pr.RIndex})
-			}
-		}
-		pendings = append(pendings, pd)
-	}
-	n := node{Src: si, Idx: src.rel.Len()}
-	// Phase 2: transitive uniqueness, then commit everywhere. The check
-	// precedes every mutation, so rejection needs no undo; commits
-	// cannot fail under the locks held here.
-	h.commitMu.Lock()
-	defer h.commitMu.Unlock()
-	if err := store.CheckMerge(h.clusters, n, partners, h.sourceName); err != nil {
-		if errors.Is(err, store.ErrUniqueness) {
-			mUniqueness.Inc()
-		}
-		return nil, fmt.Errorf("hub: source %q: %w", source, err)
-	}
-	stagePrepare.Observe(op.Stage("prepare"))
-	// Write-ahead: the insert reaches the log before any in-memory
-	// commit. A failed append rejects the insert with the hub unchanged
-	// (at worst a torn, unacknowledged record reaches disk — recovery's
-	// CRC check drops it), so replaying the log can never resurrect a
-	// rejected insert or observe a torn commit. A persistent failure
-	// (ENOSPC, EIO, unusable log) additionally degrades the hub to
-	// read-only; the rejection is typed either way.
-	if h.per != nil {
-		if err := h.per.appendPayload(payload); err != nil {
-			return nil, fmt.Errorf("hub: source %q: %w", source, h.ingestFailed(err))
-		}
-	}
-	stageWalAppend.Observe(op.Stage("wal_append"))
-	// The one copy of the tuple: the canonical insert and the view
-	// republication share the key lock, so a reader whose key lookup
-	// finds the new tuple always loads a view that covers it.
-	src.keyMu.Lock()
-	insErr := src.rel.Insert(t)
-	if insErr == nil {
-		src.publishView()
-	}
-	src.keyMu.Unlock()
-	if insErr != nil {
-		// Unreachable under the locking discipline: the canonical
-		// relation refused a tuple CanInsert accepted. The WAL already
-		// holds the record, so poison the hub instead of panicking —
-		// fail-closed ingest, reads keep serving the published views,
-		// restart replays the log into a consistent state.
-		return nil, fmt.Errorf("hub: source %q: %w", source,
-			h.poison(fmt.Errorf("canonical insert after CanInsert: %v", insErr)))
-	}
-	// Every pair commits beside it, each checking the relation it
-	// borrows is now exactly one tuple ahead of its extended image.
-	for i, pd := range pendings {
-		prs, err := pd.Commit()
-		if err != nil {
-			// Same invariant class as above, with in-memory pairwise
-			// state torn mid-commit: poison.
-			return nil, fmt.Errorf("hub: source %q: %w", source,
-				h.poison(fmt.Errorf("pair %d commit after successful prepare: %v", src.pairs[i].id, err)))
-		}
-		src.pairs[i].mtLen += len(prs)
-	}
-	stageApply.Observe(op.Stage("apply"))
-	members, err := store.Apply(h.clusters, n, partners)
-	if err != nil {
-		// Practically unreachable: everything Apply folds was paged in
-		// resident by CheckMerge (writer-side reads defer eviction to
-		// Publish), so Apply performs no I/O. If storage fails here
-		// anyway the WAL already holds the record — poison, like the
-		// pair-commit case above.
-		return nil, fmt.Errorf("hub: source %q: %w", source,
-			h.poison(fmt.Errorf("cluster fold after successful check: %v", err)))
-	}
-	if len(partners) > 0 {
-		mClusterMerges.Inc()
-	}
-	stageClusterFold.Observe(op.Stage("cluster_fold"))
-	if h.per != nil {
-		h.per.noteCommit(h)
-	}
-	// Every member's view was published before the cluster record that
-	// names it, so the read side's materialiser serves the receipt too.
-	topo := h.topo.Load()
-	rec := &Receipt{Source: source, Index: n.Idx}
-	if len(partners) > 0 {
-		rec.Matched = make([]Member, len(partners))
-		for i, p := range partners {
-			rec.Matched[i] = topo.member(p)
-		}
-	}
-	if members == nil {
-		members = []node{n}
-	}
-	rec.Cluster = h.materialize(topo, members)
-	return rec, nil
-}
-
 // sourceName renders a source ordinal. Callers hold at least h.mu
 // shared.
 func (h *Hub) sourceName(si int) string { return h.sources[si].name }
@@ -769,253 +462,4 @@ func (p *pairState) other(si int) int {
 		return p.right
 	}
 	return p.left
-}
-
-// member materialises a node from its source's published view.
-func (t *topoView) member(n node) Member {
-	s := t.sources[n.Src]
-	return Member{Source: s.name, Index: n.Idx, Tuple: s.view.Load().tuples[n.Idx]}
-}
-
-// materialize builds the Cluster over a sorted member set, for readers
-// and for the commit path's receipt alike: each member's tuple comes
-// from its source's published view, which is guaranteed to cover the
-// member because views are published before the cluster record that
-// references them (on the commit path too). A record can also
-// name a source registered *after* the caller's topo snapshot was
-// taken (the topology only grows, and the record was published after
-// the source), so the snapshot is upgraded on demand — the current
-// topo is always at least as new as any record already read. Lock-free.
-func (h *Hub) materialize(t *topoView, members []node) Cluster {
-	for _, m := range members {
-		if m.Src >= len(t.sources) {
-			t = h.topo.Load()
-			break
-		}
-	}
-	c := Cluster{ID: nodeID(t, members[0]), Members: make([]Member, len(members))}
-	for i, m := range members {
-		c.Members[i] = t.member(m)
-	}
-	return c
-}
-
-// nodeID renders a node as "source/index" — the ID of the cluster it
-// leads and the cursor that resumes a walk after it.
-func nodeID(t *topoView, n node) string {
-	return t.sources[n.Src].name + "/" + strconv.Itoa(n.Idx)
-}
-
-// clusterRead resolves and materialises node n's cluster on the read
-// side: one store read around the record lookup (paging a cold record
-// in on the disk backend), then lock-free tuple access. The member set
-// is immutable, so it is always a committed partition state — never
-// torn mid-merge.
-func (h *Hub) clusterRead(t *topoView, n node) (Cluster, error) {
-	ms, err := h.clusters.Read(n)
-	if err != nil {
-		return Cluster{}, err
-	}
-	if ms == nil {
-		ms = []node{n}
-	}
-	return h.materialize(t, ms), nil
-}
-
-// Insert is the unit of IngestBatch.
-type Insert struct {
-	Source string
-	Tuple  relation.Tuple
-}
-
-// InsertResult is one IngestBatch outcome, in input order.
-type InsertResult struct {
-	Receipt *Receipt
-	Err     error
-}
-
-// IngestBatch is IngestStream for callers that hold the whole batch: it
-// streams the items and reports per-item results in input order; a
-// rejected item leaves the hub unchanged and does not stop the batch.
-// Commits happen strictly in input order, so batch results are
-// deterministic, and when the call returns every append the batch made
-// is synced per the SyncEvery policy (a stream closes its flush epoch
-// before its result channel).
-func (h *Hub) IngestBatch(items []Insert) []InsertResult {
-	mBatchSize.ObserveVal(int64(len(items)))
-	in := make(chan Insert, len(items)) // sized to the sends: filled without a goroutine
-	for _, it := range items {
-		in <- it
-	}
-	close(in)
-	out := make([]InsertResult, len(items))
-	for res := range h.IngestStream(context.Background(), in, StreamOptions{}) {
-		out[res.Seq] = InsertResult{Receipt: res.Receipt, Err: res.Err}
-	}
-	return out
-}
-
-// SourceNames lists the registered sources in registration order.
-func (h *Hub) SourceNames() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]string, len(h.sources))
-	for i, s := range h.sources {
-		out[i] = s.name
-	}
-	return out
-}
-
-// SourceSchema returns a source's schema, resolved through the
-// published topology snapshot: no hub-global lock.
-func (h *Hub) SourceSchema(source string) (*schema.Schema, error) {
-	t := h.topo.Load()
-	si, ok := t.byName[source]
-	if !ok {
-		return nil, fmt.Errorf("hub: unknown source %q", source)
-	}
-	return t.sources[si].rel.Schema(), nil
-}
-
-// SourceLen returns a source's current committed tuple count.
-//
-//entitylint:hotpath nolock,noobs,noio
-func (h *Hub) SourceLen(source string) (int, error) {
-	t := h.topo.Load()
-	si, ok := t.byName[source]
-	if !ok {
-		return 0, fmt.Errorf("hub: unknown source %q", source)
-	}
-	return len(t.sources[si].view.Load().tuples), nil
-}
-
-// Lookup finds a source tuple by its primary-key values and returns its
-// cluster. It is a point read: the source's key lock shared for the key
-// probe, one shard lock shared for the cluster record — no hub-global
-// lock, so lookups scale with readers and proceed during ingest.
-//
-//entitylint:hotpath noobs,noio
-func (h *Hub) Lookup(source string, key ...value.Value) (Cluster, error) {
-	t := h.topo.Load()
-	si, ok := t.byName[source]
-	if !ok {
-		return Cluster{}, fmt.Errorf("hub: unknown source %q", source)
-	}
-	src := t.sources[si]
-	src.keyMu.RLock()
-	idx := src.rel.LookupKey(key...)
-	src.keyMu.RUnlock()
-	if idx < 0 {
-		return Cluster{}, fmt.Errorf("hub: source %q: no tuple with key %v", source, key)
-	}
-	return h.clusterRead(t, node{Src: si, Idx: idx})
-}
-
-// ClusterAt returns the cluster of the tuple at a source position — a
-// point read, like Lookup.
-//
-//entitylint:hotpath noobs,noio
-func (h *Hub) ClusterAt(source string, idx int) (Cluster, error) {
-	t := h.topo.Load()
-	si, ok := t.byName[source]
-	if !ok {
-		return Cluster{}, fmt.Errorf("hub: unknown source %q", source)
-	}
-	if idx < 0 || idx >= len(t.sources[si].view.Load().tuples) {
-		return Cluster{}, fmt.Errorf("hub: source %q: no tuple %d", source, idx)
-	}
-	return h.clusterRead(t, node{Src: si, Idx: idx})
-}
-
-// MergedEntity is a cluster's single merged record: one value per
-// integrated attribute, resolved across the member tuples.
-type MergedEntity struct {
-	Cluster Cluster
-	// Values maps integrated attribute names to the merged value.
-	Values map[string]value.Value
-	// Conflicts lists the integrated attributes whose member values
-	// disagreed (empty under resolve.Strict, which fails instead).
-	Conflicts []string
-}
-
-// Merged resolves a cluster into one record per integrated attribute
-// (§2's attribute-value-conflict resolution, lifted from two sides to N
-// members via resolve.Reduce). Member values are folded in member
-// order; attributes no member models stay NULL and are omitted.
-func (h *Hub) Merged(c Cluster, strategy resolve.Strategy) (*MergedEntity, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := &MergedEntity{Cluster: c, Values: map[string]value.Value{}}
-	attrs := map[string]bool{}
-	for _, m := range c.Members {
-		si, ok := h.byName[m.Source]
-		if !ok {
-			return nil, fmt.Errorf("hub: unknown source %q", m.Source)
-		}
-		for name := range h.sources[si].attrOf {
-			attrs[name] = true
-		}
-	}
-	names := make([]string, 0, len(attrs))
-	for name := range attrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		vals := make([]value.Value, 0, len(c.Members))
-		for _, m := range c.Members {
-			s := h.sources[h.byName[m.Source]]
-			attr, ok := s.attrOf[name]
-			if !ok {
-				continue
-			}
-			vals = append(vals, m.Tuple[s.rel.Schema().Index(attr)])
-		}
-		v, conflicted, err := resolve.Reduce(strategy, vals...)
-		if err != nil {
-			return nil, fmt.Errorf("hub: merge %q: %w", name, err)
-		}
-		if conflicted {
-			out.Conflicts = append(out.Conflicts, name)
-		}
-		if !v.IsNull() {
-			out.Values[name] = v
-		}
-	}
-	return out, nil
-}
-
-// Stats summarises the hub for serving and monitoring.
-type Stats struct {
-	Sources  int
-	Pairs    int
-	Tuples   int
-	Matches  int
-	Clusters int
-}
-
-// Stats counts sources, links, tuples, pairwise matches and clusters.
-// It is O(sources+pairs): tuple counts come from the published views
-// and the cluster count from the store's running merge counter, so
-// Stats never scans the hub or blocks ingest. Under concurrent ingest
-// the counters are each individually accurate but may straddle a
-// commit; at quiescence they are exact.
-func (h *Hub) Stats() Stats {
-	h.mu.RLock()
-	st := Stats{Sources: len(h.sources), Pairs: len(h.pairs)}
-	for _, p := range h.pairs {
-		p.mu.Lock()
-		st.Matches += p.mtLen
-		p.mu.Unlock()
-	}
-	h.mu.RUnlock()
-	// Load merged before the views: views only grow, so the difference
-	// can transiently overcount clusters but never go negative.
-	merged := h.clusters.Merged()
-	t := h.topo.Load()
-	for _, s := range t.sources {
-		st.Tuples += len(s.view.Load().tuples)
-	}
-	st.Clusters = st.Tuples - int(merged)
-	return st
 }

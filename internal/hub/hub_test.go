@@ -37,7 +37,7 @@ func fourSourceHub(t *testing.T) *Hub {
 	w := workSpec{kind: "ring"}.build()
 	h := New()
 	for k, name := range w.names {
-		if err := h.AddSource(name, w.seeds[k]); err != nil {
+		if err := h.AddSource(name, w.seeds[k].Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}

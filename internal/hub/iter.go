@@ -34,6 +34,7 @@
 package hub
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -46,7 +47,9 @@ import (
 // member set (nil for an implicit singleton) and returns false to stop.
 // Materialisation is left to the caller, so a walk can count or probe
 // clusters without building them. A storage read error (possible only
-// on a paging backend) stops the walk and is returned.
+// on a paging backend) stops the walk and is returned — which is why
+// noio below is the mem backend's claim only: the analyzer does not
+// follow store.Clusters.Read.
 //
 //entitylint:hotpath noobs,noio
 func (h *Hub) clustersWalk(t *topoView, start node, fn func(n node, members []node) bool) error {
@@ -151,6 +154,11 @@ func (h *Hub) Clusters() []Cluster {
 	return out
 }
 
+// ErrBadCursor matches (errors.Is) a walk refused because its cursor is
+// malformed or names no position of this hub — the caller's mistake, as
+// opposed to a storage read error mid-walk.
+var ErrBadCursor = errors.New("hub: bad cluster cursor")
+
 // startFrom resolves a cursor to the walk's first candidate node: the
 // position immediately after the cursor, or the origin for "".
 func startFrom(t *topoView, cursor string) (node, error) {
@@ -170,18 +178,18 @@ func startFrom(t *topoView, cursor string) (node, error) {
 func parseCursor(t *topoView, cursor string) (node, error) {
 	slash := strings.LastIndexByte(cursor, '/')
 	if slash < 0 {
-		return node{}, fmt.Errorf("hub: bad cluster cursor %q (want source/index)", cursor)
+		return node{}, fmt.Errorf("%w %q (want source/index)", ErrBadCursor, cursor)
 	}
 	name := cursor[:slash]
 	si, ok := t.byName[name]
 	if !ok {
-		return node{}, fmt.Errorf("hub: bad cluster cursor %q: unknown source %q", cursor, name)
+		return node{}, fmt.Errorf("%w %q: unknown source %q", ErrBadCursor, cursor, name)
 	}
 	idx, err := strconv.Atoi(cursor[slash+1:])
 	// The walk resumes at idx+1, so the maximum int is rejected too —
 	// the increment must not overflow into a negative start position.
 	if err != nil || idx < 0 || idx == math.MaxInt {
-		return node{}, fmt.Errorf("hub: bad cluster cursor %q (want source/index)", cursor)
+		return node{}, fmt.Errorf("%w %q (want source/index)", ErrBadCursor, cursor)
 	}
 	return node{Src: si, Idx: idx}, nil
 }

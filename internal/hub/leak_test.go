@@ -45,7 +45,7 @@ func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 		}
 		// Any net change to the bytes changes the section's content hash,
 		// so the open must fail closed (flips that cancelled out aside).
-		if h, _, err := Open(dir, Options{}); err == nil {
+		if h, _, err := openOn(dir, Options{}); err == nil {
 			h.Close()
 			if !bytes.Equal(data, clean) {
 				t.Fatalf("round %d: bit-rotted section file %s loaded", i, filepath.Base(path))

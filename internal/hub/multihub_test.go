@@ -54,7 +54,7 @@ func NewFromMulti(w *datagen.MultiWorkload) (*Hub, error) {
 // fresh, seeds the workload's topology.
 func openMultiOpts(t testing.TB, dir string, w *datagen.MultiWorkload, opts Options) (*Hub, *RecoveryInfo) {
 	t.Helper()
-	h, info, err := Open(dir, opts)
+	h, info, err := openOn(dir, opts)
 	if err == nil && !info.FromSnapshot && info.LastSeq == 0 {
 		err = seedTopology(h, w)
 	}

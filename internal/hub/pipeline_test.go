@@ -159,7 +159,7 @@ func TestIngestStreamChaosWALFault(t *testing.T) {
 // with appends is flushed in full by the time its results end, and a
 // caller acknowledging its own Insert gets the same from FlushEpoch.
 func TestPipelineFlushSkipsWhenNoAppends(t *testing.T) {
-	h, _, err := Open(t.TempDir(), Options{SyncEvery: 100})
+	h, _, err := openOn(t.TempDir(), Options{SyncEvery: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,11 +156,11 @@ func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
 		return ""
 	}
 	badMT := doctor(secPair, func(d *decSection) chunkItems { return mtItems(d.pair.mt[:len(d.pair.mt)-1]) })
-	if _, _, err := Open(badMT, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
+	if _, _, err := openOn(badMT, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
 		t.Fatalf("doctored matching table: want a federate.Restore rejection, got %v", err)
 	}
 	badClusters := doctor(secClusters, func(d *decSection) chunkItems { return clusterItems(d.clusters[:len(d.clusters)-1]) })
-	if _, _, err := Open(badClusters, Options{}); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
+	if _, _, err := openOn(badClusters, Options{}); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
 		t.Fatalf("doctored cluster store: want a partition refold rejection, got %v", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 		}
 		return to
 	}
-	if _, _, err := Open(restore("wal-*.log"), Options{}); err == nil {
+	if _, _, err := openOn(restore("wal-*.log"), Options{}); err == nil {
 		t.Fatal("opened a directory whose log is behind its snapshot")
 	}
 	// A stray file under the retired single-frame snapshot's name is not
@@ -231,14 +231,14 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(noSnap, "snapshot.ei"), []byte("stray"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(noSnap, Options{}); err == nil || !strings.Contains(err.Error(), "no snapshot covering the truncated prefix") {
+	if _, _, err := openOn(noSnap, Options{}); err == nil || !strings.Contains(err.Error(), "no snapshot covering the truncated prefix") {
 		t.Fatalf("truncated log with no snapshot: want the uncovered-prefix rejection, got %v", err)
 	}
-	if _, _, err := Open(restore(filepath.Join(snapSecDir, "*"+snapSecSuffix)), Options{}); err == nil {
+	if _, _, err := openOn(restore(filepath.Join(snapSecDir, "*"+snapSecSuffix)), Options{}); err == nil {
 		t.Fatal("opened a snapshot with a missing section file")
 	}
 	// Control: every piece together recovers.
-	h, info, err := Open(restore(), Options{})
+	h, info, err := openOn(restore(), Options{})
 	if err != nil || !info.FromSnapshot || h.Stats().Tuples != tuples {
 		t.Fatalf("full restore: %v %+v", err, info)
 	}

@@ -163,7 +163,7 @@ func TestReplayStopsAtTheFailingRecord(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			// The reference: records 1..k-1 and nothing else.
 			writeSegment(t, dir, payloads[:k-1], 0, nil)
-			ref, info, err := Open(dir, Options{})
+			ref, info, err := openOn(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestReplayStopsAtTheFailingRecord(t *testing.T) {
 			// and reports it; everything else fails the open — closed, and
 			// with no goroutine left behind.
 			before := runtime.NumGoroutine()
-			oh, info, err := Open(dir, Options{})
+			oh, info, err := openOn(dir, Options{})
 			if c.mangle != nil {
 				if err != nil {
 					t.Fatalf("open over a corrupt tail: %v", err)
@@ -239,7 +239,7 @@ func TestReplayStopsAtTheFailingRecord(t *testing.T) {
 // there.
 func TestReplayDiscardsAbandonedGroupFarBehind(t *testing.T) {
 	dir, payloads, _ := replayLog(t)
-	ref, info, err := Open(dir, Options{})
+	ref, info, err := openOn(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestReplayDiscardsAbandonedGroupFarBehind(t *testing.T) {
 		t.Fatalf("only %d records follow the abandoned group", len(payloads))
 	}
 	writeSegment(t, dir, append([][]byte{begin, chunk}, payloads...), 0, nil)
-	h, info, err := Open(dir, Options{})
+	h, info, err := openOn(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,36 @@ import (
 var (
 	simSeeds  = flag.String("sim.seeds", "", "TestSim: seed range lo-hi to run instead of the default slice")
 	simUpdate = flag.Bool("update", false, "TestSimBytes: rewrite testdata/simbytes.golden (format changes only)")
+	// The store a test's durable hub opens on when the test does not
+	// care (openOn), and the one backend the simulator is restricted to:
+	// CI's squeezed-tier leg is -hub.store=disk -hub.hot-clusters=256
+	// -hub.hot-pairs=2. Flags of this test binary, not product options.
+	hubStore       = flag.String("hub.store", "", "backend of durable test hubs that name none, and the simulator's only one: mem or disk (default: mem, and the simulator runs both)")
+	hubHotClusters = flag.Int("hub.hot-clusters", 0, "disk backend of such hubs: hot cluster-entry budget (0: the default)")
+	hubHotPairs    = flag.Int("hub.hot-pairs", 0, "disk backend of such hubs: hot pair budget (0: the default)")
 )
+
+// openOn is Open on the store the -hub.* flags name, for tests that
+// name none themselves.
+func openOn(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
+	if opts.Store == "" && opts.Backend == nil {
+		opts.Store, opts.HotClusterEntries, opts.HotPairs = *hubStore, *hubHotClusters, *hubHotPairs
+	}
+	return Open(dir, opts)
+}
+
+// quiesce simulates the tail end of a process death for crash-recovery
+// tests: it waits out any in-flight background snapshot (a real crash
+// kills that goroutine; in-process it must drain before the directory
+// is reopened) and releases the directory lock the way the kernel
+// releases a dead process's flock. The hub must not be used afterwards.
+func (h *Hub) quiesce() {
+	h.quiesceBackground()
+	h.per.log.DropLock()
+	// The spill tier is an ephemeral cache the next open wipes anyway;
+	// closing it here just releases the dead hub's file handles.
+	h.backend.Close()
+}
 
 // defaultSeeds is the slice every `go test` runs.
 const defaultSeeds = 120
@@ -603,7 +632,7 @@ func (r *simRun) step(o op) error {
 	switch o.kind {
 	case opSource:
 		name, seed := r.w.names[o.n], r.w.seeds[o.n]
-		return r.mutate("add source "+name, r.h.AddSource(name, seed), errModelTopology, func() error { return r.m.addSource(name, seed) })
+		return r.mutate("add source "+name, r.h.AddSource(name, seed.Clone()), errModelTopology, func() error { return r.m.addSource(name, seed) })
 	case opLink:
 		spec := r.w.links[o.n]
 		return r.mutate(fmt.Sprintf("link %s-%s", spec.Left, spec.Right), r.h.Link(spec), errModelTopology, func() error { return r.m.link(spec) })
@@ -664,7 +693,7 @@ func (r *simRun) reopen(o op) error {
 			return fmt.Errorf("close: %w", err)
 		}
 	} else {
-		r.h.per.quiesce()
+		r.h.quiesce()
 		syncedSeq, syncedOff = r.h.per.log.Synced()
 		r.fs.Clear() // the process died with its disk's troubles; the next one starts clean
 	}
@@ -1145,11 +1174,11 @@ func (r *simRun) hashFiles() {
 // Driving: backends, shrinking, the tests
 // ---------------------------------------------------------------------
 
-// simBackends is both backends, or the one ENTITYID_STORE names (the CI
+// simBackends is both backends, or the one -hub.store names (the CI
 // legs split the soak between them).
 func simBackends() []string {
-	if b := os.Getenv("ENTITYID_STORE"); b != "" {
-		return []string{b}
+	if *hubStore != "" {
+		return []string{*hubStore}
 	}
 	return []string{"mem", "disk"}
 }
@@ -1163,7 +1192,7 @@ func failsOn(s schedule, backend string) error {
 	defer os.RemoveAll(dir)
 	r, err := runOn(s, backend, dir, nil)
 	if r.h != nil {
-		r.h.per.quiesce()
+		r.h.quiesce()
 	}
 	return err
 }
@@ -1193,7 +1222,7 @@ func runSchedule(t *testing.T, s schedule) []*simRun {
 	for _, backend := range simBackends() {
 		r, err := runOn(s, backend, t.TempDir(), nil)
 		if r.h != nil {
-			t.Cleanup(func() { r.h.per.quiesce() })
+			t.Cleanup(func() { r.h.quiesce() })
 		}
 		if err != nil {
 			small := shrink(s, backend)

@@ -1,43 +1,13 @@
 // Hub snapshots: a chunked, incremental encoding of the federation
 // state, and the only one. A snapshot is a *manifest* record plus one
 // *section* per source, per pair and for the cluster partition, each
-// section a content-addressed file under the data directory (the
-// directory sink and the loader live in persist.go). A section is a run
-// of CRC frames whose tuple/pair payloads are split across continuation
+// section a content-addressed file under the data directory (written by
+// snapwriter.go at a cut snapcut.go captures, read back by
+// snapload.go); this file is what is in them. A section is a run of CRC
+// frames whose tuple/pair payloads are split across continuation
 // chunks, so no frame approaches the WAL's frame cap no matter how
 // large the hub grows; the manifest carries each section's SHA-256
 // content address, chunk count and item count.
-//
-// Three properties fall out of the sectioned shape:
-//
-//   - Capture is per-section under briefly-held locks. A consistent cut
-//     is just the per-source tuple counts, per-pair matching-table
-//     lengths and the WAL watermark, taken in O(sources+pairs) under
-//     the commit locks; the relations and matching tables are
-//     append-only under those locks, so each section's content can be
-//     copied later, one section at a time, holding the cluster lock
-//     only long enough to copy that section's slice headers. Commits
-//     never stall behind an O(hub) copy.
-//
-//   - Snapshots are incremental. Sections are content-addressed, so a
-//     writer that remembers the previous manifest carries unchanged
-//     sections forward by reference (same item count ⇒ same content,
-//     by append-onlyness within one directory's lineage) and writes
-//     only what changed — steady-state snapshot cost is proportional
-//     to change, not to hub size.
-//
-//   - Loading parallelises. Section files are read concurrently, so
-//     independent sections are decoded and their relations rebuilt in
-//     parallel, and the pairwise federations are re-verified
-//     concurrently before the sequential cluster fold.
-//
-// Loading fails closed: frame CRCs, per-section content hashes and
-// chunk/item counts are verified against the manifest; every schema,
-// ILFD and rule is re-validated by its domain constructor; every
-// pairwise federation is rebuilt through federate.Restore (which
-// verifies the rebuilt matching table equals the saved one); and the
-// cluster partition refolded from the pairwise tables must equal the
-// saved partition.
 package hub
 
 import (
@@ -46,15 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
-	"runtime"
-	"sort"
-	"sync"
 
-	"entityid/internal/derive"
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
-	"entityid/internal/store"
 	"entityid/internal/wal"
 )
 
@@ -135,158 +99,6 @@ type snapChunk struct {
 
 	// Clusters section.
 	Clusters [][][2]int `json:"clusters,omitempty"`
-}
-
-// ---------------------------------------------------------------------
-// Consistent cut + per-section capture
-// ---------------------------------------------------------------------
-
-// cutSource is one source at the cut: the state pointer (stable — the
-// topology only grows) and its tuple count.
-type cutSource struct {
-	s *sourceState
-	n int
-}
-
-// cutPair is one pair at the cut: matching-table length and side
-// lengths.
-type cutPair struct {
-	p          *pairState
-	n          int
-	rlen, slen int
-}
-
-// snapshotCut is a consistent cut of the hub: O(sources+pairs) counts
-// plus the covered WAL watermark. Because every structure it points at
-// is append-only under the commit locks, the cut pins the exact state
-// at the watermark without copying any content.
-type snapshotCut struct {
-	watermark uint64
-	sources   []cutSource
-	pairs     []cutPair
-}
-
-// cutLocked builds a cut. Callers hold h.mu (at least shared) and
-// h.commitMu — the commit locks — so the counts are mutually
-// consistent and consistent with the watermark.
-func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
-	cut := &snapshotCut{watermark: watermark}
-	for _, s := range h.sources {
-		cut.sources = append(cut.sources, cutSource{s: s, n: s.rel.Len()})
-	}
-	for _, p := range h.pairs {
-		// p.mtLen is written under the commit lock (held here), so this
-		// read is consistent without paging a cold pair in.
-		cut.pairs = append(cut.pairs, cutPair{
-			p: p, n: p.mtLen, rlen: h.sources[p.left].rel.Len(), slen: h.sources[p.right].rel.Len(),
-		})
-	}
-	return cut
-}
-
-// copySourceTuples copies one source section's tuple headers from the
-// published view — the view at the cut already covers cs.n and its
-// prefix is immutable, so the copy takes no lock at all and commits
-// never stall behind it.
-func (h *Hub) copySourceTuples(cs cutSource) []relation.Tuple {
-	v := cs.s.view.Load()
-	out := make([]relation.Tuple, cs.n)
-	copy(out, v.tuples[:cs.n])
-	return out
-}
-
-// copyPairMT copies one pair section's matching-table prefix and sorts
-// it canonically off-lock. A hot pair's prefix is read under a
-// briefly-held commit lock; a cold pair's is read from the backend's
-// pair store, whose spilled table is stored in commit order at a
-// length ≥ the cut (the pair can only have been spilled at or after
-// the cut was taken, and spilling requires the commit lock's ordering
-// of mutations), so the length-n prefix is exactly the cut's table.
-// The federation pointer loaded here may be spilled concurrently — the
-// object itself is never mutated after the spill, so reading its
-// frozen (≥ cut) state remains correct.
-func (h *Hub) copyPairMT(cp cutPair) ([]match.Pair, error) {
-	var ps []match.Pair
-	if fed := cp.p.fed.Load(); fed != nil {
-		h.commitMu.Lock()
-		ps = fed.PairsPrefix(cp.n)
-		h.commitMu.Unlock()
-	} else {
-		tab, err := h.backend.Pairs().Load(cp.p.id)
-		if err != nil {
-			return nil, fmt.Errorf("hub: snapshot pair %q-%q: %w", cp.p.spec.Left, cp.p.spec.Right, err)
-		}
-		if len(tab.Pairs) < cp.n {
-			return nil, fmt.Errorf("hub: snapshot pair %q-%q: spilled table has %d pairs, cut expects %d",
-				cp.p.spec.Left, cp.p.spec.Right, len(tab.Pairs), cp.n)
-		}
-		ps = append([]match.Pair(nil), tab.Pairs[:cp.n]...)
-	}
-	federate.SortPairs(ps)
-	return ps, nil
-}
-
-// foldPartition refolds the cut's matching tables into the canonical
-// non-singleton cluster partition — pure off-lock work that reproduces
-// exactly what partitionLocked would have returned at the cut, by the
-// invariant (verified on every load) that the live cluster store equals
-// the transitive closure of the pairwise tables.
-func foldPartition(cut *snapshotCut, mts [][]match.Pair) [][][2]int {
-	cs := newClusterSet()
-	for i, cp := range cut.pairs {
-		for _, pr := range mts[i] {
-			cs.union(node{Src: cp.p.left, Idx: pr.RIndex}, node{Src: cp.p.right, Idx: pr.SIndex})
-		}
-	}
-	byRoot := map[node][]node{}
-	for n := range cs.parent {
-		root := cs.find(n)
-		byRoot[root] = append(byRoot[root], n)
-	}
-	return canonicalPartition(byRoot)
-}
-
-// canonicalPartition renders non-singleton clusters canonically:
-// members sorted by (source, index), clusters sorted by first member.
-func canonicalPartition(byRoot map[node][]node) [][][2]int {
-	var out [][][2]int
-	for _, ns := range byRoot {
-		if len(ns) < 2 {
-			continue
-		}
-		sortNodes(ns)
-		c := make([][2]int, len(ns))
-		for i, n := range ns {
-			c[i] = [2]int{n.Src, n.Idx}
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0][0] != out[b][0][0] {
-			return out[a][0][0] < out[b][0][0]
-		}
-		return out[a][0][1] < out[b][0][1]
-	})
-	return out
-}
-
-// partitionLocked returns the canonical non-singleton cluster
-// partition of the live store. Callers hold h.commitMu (and h.mu at
-// least shared).
-func (h *Hub) partitionLocked() ([][][2]int, error) {
-	part, err := h.clusters.Partition()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][2]int, len(part))
-	for i, ms := range part {
-		c := make([][2]int, len(ms))
-		for j, m := range ms {
-			c[j] = [2]int{m.Src, m.Idx}
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------
@@ -414,90 +226,9 @@ func writeSectionChunks(sw *wal.SectionWriter, b *sectionBody, budget int) error
 		if hi > lo {
 			b.items.put(&c, lo, hi)
 		}
-		payload, err := json.Marshal(c)
-		if err != nil {
-			return nil, fmt.Errorf("hub: snapshot: %w", err)
-		}
-		return payload, nil
+		return json.Marshal(c)
 	}
-	emit := func(payload []byte) error {
-		if err := sw.WriteChunk(payload); err != nil {
-			return fmt.Errorf("hub: snapshot: %w", err)
-		}
-		return nil
-	}
-	return writeChunked(b.items, budget, encode, emit)
-}
-
-// writeSnapshotSections drives a snapshot at the given cut through the
-// directory sink: capture each section under briefly-held locks,
-// encode, write (or carry forward), then commit the manifest.
-func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int) (*snapManifest, error) {
-	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark}
-	allCarried := true
-	for i, cs := range cut.sources {
-		meta := snapSection{Kind: secSource, Name: cs.s.name, Items: cs.n}
-		if !sink.reuse(&meta) {
-			allCarried = false
-			sch := wal.EncodeSchema(cs.s.rel.Schema())
-			body := &sectionBody{
-				kind: secSource, sec: i, name: cs.s.name, schema: &sch,
-				items: tupleItems(h.copySourceTuples(cs)),
-			}
-			if err := sink.write(&meta, body, budget); err != nil {
-				return nil, err
-			}
-		}
-		man.Sections = append(man.Sections, meta)
-	}
-	mts := make([][]match.Pair, len(cut.pairs))
-	for i, cp := range cut.pairs {
-		meta := snapSection{
-			Kind: secPair, Left: cp.p.spec.Left, Right: cp.p.spec.Right,
-			Items: cp.n, RLen: cp.rlen, SLen: cp.slen,
-		}
-		if !sink.reuse(&meta) {
-			allCarried = false
-			var err error
-			if mts[i], err = h.copyPairMT(cp); err != nil {
-				return nil, err
-			}
-			link := linkRecFromSpec(cp.p.spec)
-			body := &sectionBody{
-				kind: secPair, sec: len(man.Sections), link: &link,
-				rlen: cp.rlen, slen: cp.slen, items: mtItems(mts[i]),
-			}
-			if err := sink.write(&meta, body, budget); err != nil {
-				return nil, err
-			}
-		}
-		man.Sections = append(man.Sections, meta)
-	}
-	// The cluster partition is a function of the matching tables and
-	// side lengths, so it is unchanged exactly when every other section
-	// was carried forward.
-	clMeta := snapSection{Kind: secClusters}
-	if !allCarried || !sink.reuse(&clMeta) {
-		for i := range mts {
-			if mts[i] == nil {
-				var err error
-				if mts[i], err = h.copyPairMT(cut.pairs[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		clusters := foldPartition(cut, mts)
-		clMeta.Items = len(clusters)
-		body := &sectionBody{kind: secClusters, sec: len(man.Sections), items: clusterItems(clusters)}
-		if err := sink.write(&clMeta, body, budget); err != nil {
-			return nil, err
-		}
-	}
-	man.Sections = append(man.Sections, clMeta)
-	if err := sink.finish(man); err != nil {
-		return nil, err
-	}
-	return man, nil
+	return writeChunked(b.items, budget, encode, sw.WriteChunk)
 }
 
 // encodeManifest frames a manifest under sequence watermark+1.
@@ -673,176 +404,4 @@ func (d *decSection) matches(want snapSection) error {
 			want.Kind, want.Name, want.Left, want.Right)
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Assembly
-// ---------------------------------------------------------------------
-
-// assembleHub builds a hub from decoded sections onto the given
-// storage backend (nil means in-memory): sources registered in section
-// order, pairwise federations re-verified in parallel through
-// federate.Restore — each over the loaded relations themselves, which
-// the federations only read, so concurrent restores share them without
-// a copy — links folded sequentially, and the saved cluster partition
-// checked against the refold.
-func assembleHub(secs []*decSection, b store.Backend) (*Hub, error) {
-	h := NewWithBackend(b)
-	var pairs []*decPair
-	var clusters [][][2]int
-	clustersSeen := false
-	for _, s := range secs {
-		switch s.meta.Kind {
-		case secSource:
-			if err := h.addSourceOwned(s.src.name, s.src.rel); err != nil {
-				return nil, fmt.Errorf("hub: load snapshot: %w", err)
-			}
-		case secPair:
-			pairs = append(pairs, s.pair)
-		case secClusters:
-			if clustersSeen {
-				return nil, fmt.Errorf("hub: load snapshot: duplicate clusters section")
-			}
-			clustersSeen = true
-			clusters = s.clusters
-		}
-	}
-	if !clustersSeen {
-		return nil, fmt.Errorf("hub: load snapshot: no clusters section")
-	}
-	// Re-verify every pairwise federation concurrently: Restore rebuilds
-	// the matching table from the loaded relations and proves it equals
-	// the saved one — the expensive, independent step.
-	specs := make([]PairSpec, len(pairs))
-	feds := make([]*federate.Federation, len(pairs))
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
-	for i, dp := range pairs {
-		wg.Add(1)
-		go func(i int, dp *decPair) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			spec, err := specFromLinkRec(dp.link)
-			if err != nil {
-				errs[i] = fmt.Errorf("hub: load snapshot: link %q-%q: %w", dp.link.Left, dp.link.Right, err)
-				return
-			}
-			li, ok := h.byName[spec.Left]
-			if !ok {
-				errs[i] = fmt.Errorf("hub: load snapshot: link references unknown source %q", spec.Left)
-				return
-			}
-			ri, ok := h.byName[spec.Right]
-			if !ok {
-				errs[i] = fmt.Errorf("hub: load snapshot: link references unknown source %q", spec.Right)
-				return
-			}
-			st := federate.State{RLen: dp.rlen, SLen: dp.slen, Pairs: dp.mt}
-			fed, err := federate.Restore(h.matchConfig(li, ri, spec), st)
-			if err != nil {
-				errs[i] = fmt.Errorf("hub: load snapshot: link %q-%q: %w", spec.Left, spec.Right, err)
-				return
-			}
-			specs[i], feds[i] = spec, fed
-		}(i, dp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := range pairs {
-		h.mu.Lock()
-		err := h.linkRestored(specs[i], feds[i])
-		h.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("hub: load snapshot: %w", err)
-		}
-	}
-	h.mu.RLock()
-	h.commitMu.Lock()
-	refolded, perr := h.partitionLocked()
-	h.commitMu.Unlock()
-	h.mu.RUnlock()
-	if perr != nil {
-		return nil, fmt.Errorf("hub: load snapshot: %w", perr)
-	}
-	if !partitionsEqual(refolded, clusters) {
-		return nil, fmt.Errorf("hub: load snapshot: cluster store does not match the refolded pairwise matching tables")
-	}
-	return h, nil
-}
-
-// maxParallel bounds concurrent section work during loads.
-func maxParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-func partitionsEqual(a, b [][][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// linkRecFromSpec converts a pair spec into its WAL/snapshot record.
-func linkRecFromSpec(spec PairSpec) wal.LinkRec {
-	return wal.LinkRec{
-		Left:         spec.Left,
-		Right:        spec.Right,
-		Attrs:        wal.EncodeAttrMaps(spec.Attrs),
-		ExtKey:       spec.ExtKey,
-		ILFDs:        wal.EncodeILFDs(spec.ILFDs),
-		Identity:     wal.EncodeIdentityRules(spec.Identity),
-		Distinct:     wal.EncodeDistinctnessRules(spec.Distinct),
-		DeriveMode:   int(spec.DeriveMode),
-		DisableProp1: spec.DisableProp1,
-	}
-}
-
-// specFromLinkRec restores a pair spec, re-validating ILFDs and rules.
-func specFromLinkRec(r wal.LinkRec) (PairSpec, error) {
-	ilfds, err := wal.DecodeILFDs(r.ILFDs)
-	if err != nil {
-		return PairSpec{}, err
-	}
-	identity, err := wal.DecodeIdentityRules(r.Identity)
-	if err != nil {
-		return PairSpec{}, err
-	}
-	distinct, err := wal.DecodeDistinctnessRules(r.Distinct)
-	if err != nil {
-		return PairSpec{}, err
-	}
-	if r.DeriveMode != int(derive.FirstMatch) && r.DeriveMode != int(derive.Fixpoint) {
-		return PairSpec{}, fmt.Errorf("hub: unknown derive mode %d", r.DeriveMode)
-	}
-	return PairSpec{
-		Left:         r.Left,
-		Right:        r.Right,
-		Attrs:        wal.DecodeAttrMaps(r.Attrs),
-		ExtKey:       r.ExtKey,
-		ILFDs:        ilfds,
-		Identity:     identity,
-		Distinct:     distinct,
-		DeriveMode:   derive.Mode(r.DeriveMode),
-		DisableProp1: r.DisableProp1,
-	}, nil
 }

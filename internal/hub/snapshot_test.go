@@ -53,7 +53,7 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, info, err := Open(dir, Options{})
+	h2, info, err := openOn(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 	}
 	// Forget the loaded manifest so nothing carries forward by reference:
 	// every section is re-encoded from the recovered state.
-	h2.per.prevMan = nil
+	h2.snap.prevMan = nil
 	if err := h2.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,8 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 		t.Fatalf("incremental snapshot wrote %d bytes, not o(full %d)", incr.BytesWritten, full.BytesWritten)
 	}
 	want := stateOf(h)
-	h.per.quiesce()
-	h2, info, err := Open(dir, Options{})
+	h.quiesce()
+	h2, info, err := openOn(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSnapshotV2TamperDetection(t *testing.T) {
 		if err := os.WriteFile(path, rotted, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir, Options{}); err == nil {
+		if _, _, err := openOn(dir, Options{}); err == nil {
 			t.Fatalf("doctored %s loaded", filepath.Base(path))
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -241,7 +241,7 @@ func TestSnapshotV2TamperDetection(t *testing.T) {
 		}
 	}
 	// Control: with both files restored the directory opens again.
-	h, info, err := Open(dir, Options{})
+	h, info, err := openOn(dir, Options{})
 	if err != nil || !info.FromSnapshot {
 		t.Fatalf("restored directory: %v %+v", err, info)
 	}
@@ -296,7 +296,7 @@ func TestSnapshotDuringIngest(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h2, info, err := Open(dir, Options{})
+	h2, info, err := openOn(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"entityid/internal/datagen"
@@ -178,9 +177,9 @@ func TestStoreDifferentialMemVsDisk(t *testing.T) {
 			// tier abandoned) and recover: the disk backend's cold tier
 			// is a cache, so recovery must reproduce everything from the
 			// WAL and snapshots alone.
-			dirM, dirD := hm.per.dir, hd.per.dir
-			hm.per.quiesce()
-			hd.per.quiesce()
+			dirM, dirD := hm.snap.dir, hd.snap.dir
+			hm.quiesce()
+			hd.quiesce()
 			hm, hd = openBackend(t, dirM, "mem", w), openBackend(t, dirD, "disk", w)
 			defer hm.Close()
 			defer hd.Close()
@@ -234,56 +233,4 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 			st.ColdRecords, total)
 	}
 	mustEqualState(t, "bounded-residency", stateOf(hd), stateOf(hr))
-}
-
-// TestStoreBudgetEnvValidation pins that a hot-tier budget taken from
-// the environment is either used or refused: a value that is set but is
-// not a positive integer fails Open with an error naming the variable,
-// instead of silently running the disk tier at its default size.
-func TestStoreBudgetEnvValidation(t *testing.T) {
-	budgets := []struct {
-		env string
-		def int
-		got func(*Hub) int
-	}{
-		{"ENTITYID_STORE_HOT_CLUSTERS", defaultHotClusterEntries, func(h *Hub) int { return h.caps.HotClusterEntries }},
-		{"ENTITYID_STORE_HOT_PAIRS", defaultHotPairs, func(h *Hub) int { return h.caps.HotPairs }},
-	}
-	for _, b := range budgets {
-		for _, tc := range []struct {
-			val  string
-			want int // 0: Open must fail
-		}{
-			{"", b.def}, // unset (or set empty, as the CI matrix's mem leg does)
-			{"17", 17},
-			{"abc", 0},
-			{"0", 0},
-			{"-3", 0},
-		} {
-			t.Run(fmt.Sprintf("%s=%q", b.env, tc.val), func(t *testing.T) {
-				for _, other := range budgets {
-					t.Setenv(other.env, "")
-				}
-				t.Setenv(b.env, tc.val)
-				h, _, err := Open(t.TempDir(), Options{Store: "disk"})
-				if tc.want == 0 {
-					if err == nil {
-						h.Close()
-						t.Fatalf("Open accepted %s=%q", b.env, tc.val)
-					}
-					if !strings.Contains(err.Error(), b.env) {
-						t.Fatalf("error does not name %s: %v", b.env, err)
-					}
-					return
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer h.Close()
-				if got := b.got(h); got != tc.want {
-					t.Fatalf("%s=%q resolved to a budget of %d, want %d", b.env, tc.val, got, tc.want)
-				}
-			})
-		}
-	}
 }

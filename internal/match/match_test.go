@@ -1,6 +1,7 @@
 package match
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -116,8 +117,8 @@ func TestUnsoundExtendedKey(t *testing.T) {
 	if err == nil {
 		t.Fatal("Verify accepted the unsound {name} extended key")
 	}
-	if !strings.Contains(err.Error(), "uniqueness violation") {
-		t.Errorf("Verify error = %v", err)
+	if !errors.Is(err, ErrUniqueness) || !strings.Contains(err.Error(), "uniqueness violation") {
+		t.Errorf("Verify error = %v, want it typed ErrUniqueness", err)
 	}
 }
 
@@ -297,13 +298,18 @@ func TestFigure2Soundness(t *testing.T) {
 			}),
 		},
 	}
-	res2, err := Build(fixed)
-	if err != nil {
-		t.Fatalf("Build fixed: %v", err)
-	}
-	err = res2.Verify()
-	if err == nil || !strings.Contains(err.Error(), "consistency violation") {
-		t.Errorf("Verify = %v, want consistency violation exposing Figure 2's unsoundness", err)
+	// The engine and the naive reference word and type it alike: callers
+	// classify with errors.Is, not by reading the text.
+	for _, naive := range []bool{false, true} {
+		fixed.Naive = naive
+		res2, err := Build(fixed)
+		if err != nil {
+			t.Fatalf("Build fixed: %v", err)
+		}
+		err = res2.Verify()
+		if !errors.Is(err, ErrConsistency) || !strings.Contains(err.Error(), "consistency violation") {
+			t.Errorf("naive=%v: Verify = %v, want a typed consistency violation exposing Figure 2's unsoundness", naive, err)
+		}
 	}
 }
 

@@ -1,19 +1,11 @@
-// Package ra implements the relational-algebra operators of the
-// paper's matching-table construction (§4.2) that still have a caller:
-// the equi-join with its left/right/full outer forms — the ILFD-table
-// formulation of derivation (derive.ExtendWithTables) — and renaming,
-// the relational reference match's extension path is held against.
+// Package ra keeps the one relational-algebra operator of the paper's
+// matching-table construction (§4.2) that still has a caller: Rename,
+// used by the relational reference match's extension path is held
+// against (match/extend_test.go). The equi-join went when
+// derive.ExtendWithTables began probing ILFD tables by column offset.
 //
-// Join equality uses matching-level value equality (value.Equal), under
-// which NULL never joins with anything — the prototype's non_null_eq.
-// Outer joins pad the non-matching side with NULL, which is how the
-// integrated table T_RS = MT ⋈ R full-outer-join S acquires its NULL
-// rows (§4.1).
-//
-// All operators are pure: they return fresh relations and leave their
-// inputs untouched. Result schemas declare the full attribute set as key
-// (operators do not in general preserve candidate keys), except where
-// documented.
+// Rename is pure: it returns a fresh relation and leaves its input
+// untouched.
 package ra
 
 import (

@@ -100,17 +100,19 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// kindAliases are the header spellings ReadCSV accepts beyond the kind
+// names themselves, after trimming and lower-casing.
+var kindAliases = map[string]string{
+	"": "string", "str": "string", "integer": "int", "double": "float", "boolean": "bool",
+}
+
 func parseKind(s string) (value.Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "string", "str":
-		return value.KindString, nil
-	case "int", "integer":
-		return value.KindInt, nil
-	case "float", "double":
-		return value.KindFloat, nil
-	case "bool", "boolean":
-		return value.KindBool, nil
-	default:
-		return value.KindNull, fmt.Errorf("unknown kind %q", s)
+	name := strings.ToLower(strings.TrimSpace(s))
+	if full, ok := kindAliases[name]; ok {
+		name = full
 	}
+	if k, err := value.ParseKind(name); err == nil {
+		return k, nil
+	}
+	return value.KindNull, fmt.Errorf("unknown kind %q", s)
 }

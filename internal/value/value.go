@@ -47,6 +47,20 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind is the inverse of Kind.String over the kinds an attribute
+// can be declared as, spelled exactly so. "null" is refused with
+// everything else: KindNull is the kind of the NULL value, and a schema
+// reads it as "undeclared". What a front door accepts beyond that (a
+// missing kind, the CSV header's aliases) is that door's layer over this.
+func ParseKind(s string) (Kind, error) {
+	for k := KindString; k <= KindBool; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return KindNull, fmt.Errorf("unknown kind %q", s)
+}
+
 // Value is an immutable typed attribute value. The zero Value is NULL.
 type Value struct {
 	kind Kind

@@ -246,7 +246,7 @@ func EncodeSchema(s *schema.Schema) SchemaRec {
 func DecodeSchema(r SchemaRec) (*schema.Schema, error) {
 	attrs := make([]schema.Attribute, len(r.Attrs))
 	for i, a := range r.Attrs {
-		k, err := decodeKind(a.Kind)
+		k, err := value.ParseKind(a.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("wal: schema %s attribute %q: %w", r.Name, a.Name, err)
 		}
@@ -257,21 +257,6 @@ func DecodeSchema(r SchemaRec) (*schema.Schema, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return s, nil
-}
-
-func decodeKind(k string) (value.Kind, error) {
-	switch k {
-	case "string":
-		return value.KindString, nil
-	case "int":
-		return value.KindInt, nil
-	case "float":
-		return value.KindFloat, nil
-	case "bool":
-		return value.KindBool, nil
-	default:
-		return value.KindNull, fmt.Errorf("unknown kind %q", k)
-	}
 }
 
 // AttrMapRec is one attribute correspondence.
