@@ -24,9 +24,11 @@
 // means the next start replays a longer log tail.
 //
 // Snapshots are chunked and incremental: the data directory holds a
-// manifest plus per-source section files, unchanged sections carry
-// forward untouched between snapshots, and hubs of any size snapshot
-// without hitting a single-record ceiling. Against power loss (where
+// manifest plus, per source and per linked pair, files of 1024 tuples
+// or matching-table entries in commit order; a full file never changes
+// and carries forward untouched, so a snapshot costs what was inserted
+// since the last one, not what the hub holds, and hubs of any size
+// snapshot without hitting a single-record ceiling. Against power loss (where
 // the page cache itself is forfeit), -sync-every N additionally fsyncs
 // the log every N appends, with every insert stream batching the
 // remainder into one sync per flush epoch (each time its input runs
@@ -88,7 +90,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		dataDir       = flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
-		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots (0: only on shutdown)")
+		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots, each of which writes what was inserted since the last one, not the hub (0: only on shutdown)")
 		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when an insert stream's input runs empty and before its results end (0: leave durability between snapshots to the page cache)")
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")

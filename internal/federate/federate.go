@@ -318,11 +318,11 @@ func (f *Federation) Pairs() []match.Pair {
 }
 
 // State is a federation's exported mutable state — the matching table
-// plus the side lengths it was computed over. Snapshots store it with
-// the pairs in the canonical sorted order (SortPairs), the storage
-// layer in commit order (ExportOrdered), so recovery and page-in can
-// verify that a rebuilt federation reproduces exactly the state that
-// was saved.
+// plus the side lengths it was computed over. Snapshots and the storage
+// layer both store it with the pairs in commit order (ExportOrdered,
+// PairsRange), so recovery and page-in can verify that a rebuilt
+// federation reproduces exactly the state that was saved, and continue
+// its order.
 type State struct {
 	Pairs      []match.Pair
 	RLen, SLen int
@@ -335,17 +335,18 @@ func sortedPairs(ps []match.Pair) []match.Pair {
 	return out
 }
 
-// PairsPrefix returns a copy of the first n matching pairs in commit
+// PairsRange returns a copy of matching pairs [lo, hi) in commit
 // order. The matching table is append-only under the hub's commit lock,
-// so a (length, prefix) pair taken at a consistent cut reproduces the
-// table exactly as it stood at that cut — the basis of per-section
-// snapshot capture under briefly-held locks.
-func (f *Federation) PairsPrefix(n int) []match.Pair {
-	return append([]match.Pair(nil), f.res.MT.Pairs[:n]...)
+// so what a consistent cut of length hi saw is exactly the table's first
+// hi entries, and what an earlier cut saw a prefix of them — the basis of
+// snapshot capture under briefly-held locks and of runs that never
+// change once full.
+func (f *Federation) PairsRange(lo, hi int) []match.Pair {
+	return append([]match.Pair(nil), f.res.MT.Pairs[lo:hi]...)
 }
 
 // SortPairs sorts a pair slice into the canonical (RIndex, SIndex)
-// order snapshots store.
+// order two tables are compared in.
 func SortPairs(ps []match.Pair) {
 	sort.Slice(ps, func(a, b int) bool {
 		if ps[a].RIndex != ps[b].RIndex {

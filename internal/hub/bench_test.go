@@ -147,36 +147,48 @@ func BenchmarkOpenReplay(b *testing.B) {
 }
 
 // BenchmarkSnapshotIncremental is SnapshotNow after about 1 % of the
-// hub changed since the last snapshot: the inserts run off the clock,
-// the snapshot (capture, write of the changed sections, log truncation)
-// on it. How many sections carry forward is pinned by snapshot_test.go,
-// not measured here.
+// hub changed since the last snapshot — all of it in one source, or
+// spread over every source the way a served hub's traffic is: the
+// inserts run off the clock, the snapshot (capture, write of what is
+// past the sealed runs, log truncation) on it. The hub is large enough
+// that most of every sequence is sealed. How many runs carry forward is
+// pinned by snapshot_test.go, not measured here.
 func BenchmarkSnapshotIncremental(b *testing.B) {
-	w := benchMulti(4)
-	h, _ := openMultiOpts(b, b.TempDir(), w, Options{})
-	defer h.Close()
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 4, Entities: 8000, PresenceFrac: 0.6,
+		HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 1004,
+	})
 	items := MultiInserts(w)
-	mustIngest(b, h, items)
-	if err := h.SnapshotNow(); err != nil {
-		b.Fatal(err)
-	}
-	delta := len(items)/100 + 1
-	var bytes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for k := 0; k < delta; k++ {
-			if _, err := h.Insert(w.Names[0], freshTuple(i*delta+k)); err != nil {
+	for _, leg := range []struct {
+		name string
+		into int
+	}{{"one-source", 1}, {"all-sources", len(w.Names)}} {
+		b.Run(leg.name, func(b *testing.B) {
+			h, _ := openMultiOpts(b, b.TempDir(), w, Options{})
+			defer h.Close()
+			mustIngest(b, h, items)
+			if err := h.SnapshotNow(); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StartTimer()
-		if err := h.SnapshotNow(); err != nil {
-			b.Fatal(err)
-		}
-		bytes += h.LastSnapshot().BytesWritten
+			delta := len(items)/100 + 1
+			var bytes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for k := 0; k < delta; k++ {
+					if _, err := h.Insert(w.Names[k%leg.into], freshTuple(i*delta+k)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := h.SnapshotNow(); err != nil {
+					b.Fatal(err)
+				}
+				bytes += h.LastSnapshot().BytesWritten
+			}
+			b.ReportMetric(float64(bytes)/float64(b.N), "bytes-written/op")
+		})
 	}
-	b.ReportMetric(float64(bytes)/float64(b.N), "bytes-written/op")
 }
 
 // BenchmarkServe is the read side. reads-during-ingest hammers point

@@ -1,19 +1,19 @@
 package hub
 
 // FuzzSnapshotDecode throws arbitrary bytes at what Open reads: the
-// manifest file and a section file. Each input is tried as a manifest
-// frame and as section bytes twice over — verbatim, and with its lines
-// re-framed as chunk payloads under fresh CRCs, so mutations reach the
-// chunk decoder instead of dying at the frame check. Bytes that decode
-// as a section get a manifest entry built around them (the content hash
-// the loader verifies is computed here, independently) and are spliced
-// into a committed snapshot directory in place of the section they
-// claim to be, then loaded through loadSnapshotSections: hash check,
-// chunk decoding, assembly. The properties: the loader never panics and
-// never hangs — every input either yields a hub that passed full
-// verification (matching tables rebuilt and compared, cluster partition
-// refolded), snapshots again cleanly and passes Hub.CheckInvariants, or
-// an error.
+// manifest file and a run file. Each input is tried as a manifest frame
+// and as run bytes twice over — verbatim, and with its lines re-framed
+// as chunk payloads under fresh CRCs, so mutations reach the chunk
+// decoder instead of dying at the frame check. Bytes that decode as a
+// run get a manifest entry built around them (the content hash the
+// loader verifies is computed here, independently) and are spliced into
+// a committed snapshot directory at the position of the sequence they
+// claim, then loaded through loadSnapshotSections: hash check, chunk
+// decoding, run contiguity, assembly. The properties: the loader never
+// panics and never hangs — every input either yields a hub that passed
+// full verification (matching tables rebuilt and compared, cluster
+// partition refolded), snapshots again cleanly and passes
+// Hub.CheckInvariants, or an error.
 
 import (
 	"bytes"
@@ -34,38 +34,50 @@ func FuzzSnapshotDecode(f *testing.F) {
 	snapshottedDir(f, dir, datagen.MultiConfig{
 		Sources: 2, Entities: 12, PresenceFrac: 0.8, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
-	}, 1<<8) // several chunks per section
+	}, 1<<8, 4) // several runs per sequence, several chunks per run
 	base, err := readManifest(wal.OS, dir)
 	if err != nil {
 		f.Fatal(err)
 	}
 	committed := map[string]bool{}
-	for _, sec := range base.Sections {
-		committed[sec.Hash] = true
-		data, err := os.ReadFile(secPath(dir, sec.Hash))
+	var first []byte
+	base.eachRun(func(_ runID, r snapRun) {
+		committed[r.Hash] = true
+		data, err := os.ReadFile(secPath(dir, r.Hash))
 		if err != nil {
 			f.Fatal(err)
 		}
-		// Every committed section, framed and as bare chunk payloads.
+		if first == nil {
+			first = data
+		}
+		// Every committed run, framed and as bare chunk payloads.
 		f.Add(data)
 		f.Add(chunkPayloads(data))
-	}
-	src, err := os.ReadFile(secPath(dir, base.Sections[0].Hash))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if frames := bytes.SplitAfter(src, []byte("\n")); len(frames) > 3 {
-		// Truncated mid-section: cut inside the second frame.
-		f.Add(src[:len(frames[0])+len(frames[1])/2])
+	})
+	if frames := bytes.SplitAfter(first, []byte("\n")); len(frames) > 3 {
+		// Truncated mid-run: cut inside the second frame.
+		f.Add(first[:len(frames[0])+len(frames[1])/2])
 		// Sequence jump between chunks: drop a middle frame.
 		f.Add(append(append([]byte(nil), frames[0]...), bytes.Join(frames[2:], nil)...))
 	}
-	// The committed manifest, a manifest with no sections, and garbage.
+	// The committed manifest, one with a sealed run gone, one cut at a
+	// run length its runs do not have, one with no sequences, one of the
+	// retired format, and garbage.
 	if frame, err := os.ReadFile(filepath.Join(dir, snapshotManifest)); err == nil {
 		f.Add(frame)
 	}
-	if frame, err := encodeManifest(&snapManifest{V2: secManifest, Format: snapFormat}); err == nil {
-		f.Add(frame)
+	for _, doctor := range []func(*snapManifest){
+		func(m *snapManifest) { m.Sources[0].Runs = m.Sources[0].Runs[1:] },
+		func(m *snapManifest) { m.RunItems = 3 },
+		func(m *snapManifest) { m.Sources, m.Pairs = nil, nil },
+		func(m *snapManifest) { m.Format = 2 },
+	} {
+		man := *base
+		man.Sources = append([]snapSource(nil), base.Sources...)
+		doctor(&man)
+		if frame, err := encodeManifest(&man); err == nil {
+			f.Add(frame)
+		}
 	}
 	f.Add([]byte("w1 1 00000000 0 \n"))
 	f.Add([]byte(nil))
@@ -86,44 +98,70 @@ func FuzzSnapshotDecode(f *testing.F) {
 		cut := h.cutLocked(man.Watermark)
 		h.commitMu.Unlock()
 		h.mu.RUnlock()
-		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil), 0); err != nil {
+		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil, man.RunItems), 0); err != nil {
 			t.Fatalf("accepted snapshot does not re-save: %v", err)
 		}
 		if err := h.CheckInvariants(); err != nil {
 			t.Fatalf("accepted snapshot loads a hub that breaks its invariants: %v", err)
 		}
 	}
-	section := func(t *testing.T, data []byte) {
-		d, err := decodeSection(bytes.NewReader(data), 0)
+	// put places run r at position k of a copy of runs: in place of the
+	// committed run there, or at the end.
+	put := func(runs []snapRun, k int, r snapRun) []snapRun {
+		runs = append([]snapRun(nil), runs...)
+		if k >= 0 && k < len(runs) {
+			runs[k] = r
+			return runs
+		}
+		return append(runs, r)
+	}
+	run := func(t *testing.T, data []byte) {
+		d, err := decodeRun(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		sum := sha256.Sum256(data)
-		entry := d.meta
-		if entry.Hash != hex.EncodeToString(sum[:]) || entry.Bytes != int64(len(data)) {
-			t.Fatalf("accepted section's content address covers %d bytes (%s), file has %d (%x)",
-				entry.Bytes, entry.Hash, len(data), sum)
+		if d.meta.Hash != hex.EncodeToString(sum[:]) || d.meta.Bytes != int64(len(data)) {
+			t.Fatalf("accepted run's content address covers %d bytes (%s), file has %d (%x)",
+				d.meta.Bytes, d.meta.Hash, len(data), sum)
 		}
-		if !committed[entry.Hash] {
-			path := secPath(dir, entry.Hash)
+		if !committed[d.meta.Hash] {
+			path := secPath(dir, d.meta.Hash)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			defer os.Remove(path)
 		}
-		// Splice the entry in for the committed section of the same
-		// identity; a new identity goes in ahead of the partition.
+		// Splice the run in where it says it goes: into the committed
+		// sequence of the same identity, or as a new sequence's first run
+		// under a committed schema or link.
 		man := *base
-		man.Sections = append([]snapSection(nil), base.Sections...)
-		at := len(man.Sections) - 1
-		for i, sec := range man.Sections {
-			if sectionID(sec) == sectionID(entry) {
-				at = i
-				man.Sections = append(man.Sections[:i], man.Sections[i+1:]...)
-				break
+		man.Sources = append([]snapSource(nil), base.Sources...)
+		man.Pairs = append([]snapPair(nil), base.Pairs...)
+		at := -1
+		if d.id.kind == secSource {
+			for i, s := range man.Sources {
+				if s.Name == d.id.name {
+					at = i
+				}
 			}
+			if at < 0 {
+				at, man.Sources = len(man.Sources), append(man.Sources, snapSource{Name: d.id.name, Schema: base.Sources[0].Schema})
+			}
+			man.Sources[at].Runs = put(man.Sources[at].Runs, d.id.run, d.meta)
+		} else {
+			for i, p := range man.Pairs {
+				if p.Link.Left == d.id.left && p.Link.Right == d.id.right {
+					at = i
+				}
+			}
+			if at < 0 {
+				p := base.Pairs[0]
+				p.Link.Left, p.Link.Right, p.Runs = d.id.left, d.id.right, nil
+				at, man.Pairs = len(man.Pairs), append(man.Pairs, p)
+			}
+			man.Pairs[at].Runs = put(man.Pairs[at].Runs, d.id.run, d.meta)
 		}
-		man.Sections = append(man.Sections[:at], append([]snapSection{entry}, man.Sections[at:]...)...)
 		load(t, &man)
 	}
 
@@ -133,7 +171,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 				load(t, man)
 			}
 		}
-		section(t, data)
+		run(t, data)
 		var framed []byte
 		for i, payload := range bytes.Split(data, []byte("\n")) {
 			frame, err := wal.EncodeRecord(uint64(i+1), payload)
@@ -142,15 +180,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 			framed = append(framed, frame...)
 		}
-		section(t, framed)
+		run(t, framed)
 	})
 }
 
-// chunkPayloads strips a section's frames down to their payloads, one
-// per line — the form the fuzz target re-frames.
-func chunkPayloads(section []byte) []byte {
+// chunkPayloads strips a run's frames down to their payloads, one per
+// line — the form the fuzz target re-frames.
+func chunkPayloads(run []byte) []byte {
 	var out [][]byte
-	sc := wal.NewFrameScanner(bytes.NewReader(section))
+	sc := wal.NewFrameScanner(bytes.NewReader(run))
 	for {
 		rec, _, err := sc.Next()
 		if err != nil {

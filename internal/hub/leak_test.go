@@ -13,18 +13,18 @@ import (
 )
 
 // TestLoadSnapshotNoGoroutineLeak hammers Open with directories whose
-// section files are bit-rotted (the fuzz workload in miniature) and
-// checks the parallel section readers of loadSnapshotSections are
-// always reaped, on failure paths included.
+// run files are bit-rotted (the fuzz workload in miniature) and checks
+// the parallel run readers of loadSnapshotSections are always reaped, on
+// failure paths included.
 func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
 		Sources: 2, Entities: 12, PresenceFrac: 0.8, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
-	}, 1<<10)
+	}, 1<<10, 4)
 	secs, err := filepath.Glob(filepath.Join(dir, snapSecDir, "*"+snapSecSuffix))
 	if err != nil || len(secs) == 0 {
-		t.Fatalf("sections: %v %v", secs, err)
+		t.Fatalf("runs: %v %v", secs, err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	before := runtime.NumGoroutine()
@@ -43,12 +43,12 @@ func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Any net change to the bytes changes the section's content hash,
+		// Any net change to the bytes changes the run's content hash,
 		// so the open must fail closed (flips that cancelled out aside).
 		if h, _, err := openOn(dir, Options{}); err == nil {
 			h.Close()
 			if !bytes.Equal(data, clean) {
-				t.Fatalf("round %d: bit-rotted section file %s loaded", i, filepath.Base(path))
+				t.Fatalf("round %d: bit-rotted run file %s loaded", i, filepath.Base(path))
 			}
 		}
 		if err := os.WriteFile(path, clean, 0o644); err != nil {

@@ -63,11 +63,11 @@ var (
 	snapshotOK     = mSnapshotTotal.With("ok")
 	snapshotFail   = mSnapshotTotal.With("error")
 	mSnapshotBytes = obs.Default.Counter("hub_snapshot_bytes_total",
-		"Bytes newly written by snapshots (reused sections cost nothing)")
+		"Bytes newly written by snapshots (carried-forward runs cost nothing)")
 	mSnapSectionsWritten = obs.Default.Counter("hub_snapshot_sections_written_total",
-		"Snapshot sections re-encoded and written")
+		"Snapshot runs encoded and written")
 	mSnapSectionsReused = obs.Default.Counter("hub_snapshot_sections_reused_total",
-		"Snapshot sections carried forward by reference")
+		"Snapshot runs carried forward by reference")
 
 	mHealthState = obs.Default.Gauge("hub_health_state",
 		"Hub health: 0 ready, 1 degraded, 2 poisoned (last hub to transition wins)")

@@ -20,7 +20,8 @@ import (
 // Options configures a durable hub.
 type Options struct {
 	// SnapshotEvery is the number of committed inserts between
-	// background snapshots (and the accompanying log truncation);
+	// background snapshots (and the accompanying log truncation), each
+	// of which costs in proportion to those inserts, not to the hub;
 	// 0 disables automatic snapshots — the log grows until SnapshotNow.
 	SnapshotEvery int
 	// SyncEvery, when positive, fsyncs the write-ahead log after every
@@ -30,7 +31,7 @@ type Options struct {
 	// input runs empty and before its (or a batch's) results end.
 	// 0 leaves durability between snapshots to the OS page cache.
 	SyncEvery int
-	// ChunkBytes overrides the snapshot chunk payload budget
+	// ChunkBytes overrides the chunk payload budget of a snapshot run
 	// (0 means wal.DefaultChunkPayload). Also bounds the seed-tuple
 	// batches of chunked AddSource log records.
 	ChunkBytes int
@@ -174,7 +175,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	default:
 		return fail(fmt.Errorf("hub: open %s: %w", dir, err))
 	}
-	// Sweep section files no committed manifest references — debris of
+	// Sweep run files no committed manifest references — debris of
 	// snapshot attempts a crash interrupted before their manifest
 	// rename.
 	if err := sweepSections(fsys, dir, prevMan); err != nil {
@@ -215,7 +216,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	h.per = &walLogger{log: l, syncEvery: opts.SyncEvery, chunkBytes: opts.ChunkBytes, hub: h}
 	h.snap = &snapshotter{
 		log: l, fs: fsys, dir: dir, every: opts.SnapshotEvery, chunkBytes: opts.ChunkBytes,
-		prevMan: prevMan, hub: h,
+		runItems: snapRunItems, prevMan: prevMan, hub: h,
 	}
 	h.prober = &prober{log: l, fs: fsys, dir: dir, base: probe, max: probeMax, done: make(chan struct{})}
 	if prevMan != nil {

@@ -18,6 +18,8 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/store"
+	"entityid/internal/store/mem"
 	"entityid/internal/wal"
 	"entityid/internal/wal/errfs"
 )
@@ -103,66 +105,54 @@ func TestBackgroundSnapshotTruncatesLog(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripAndTamperDetection doctors copies of a snapshot
-// two ways that keep every frame CRC, section hash and manifest entry
-// self-consistent — a matching table with a pair dropped, a partition
-// with a cluster dropped — so only the semantic re-verification in
-// assembleHub (federate.Restore, the refold) can catch them.
+// TestSnapshotRoundTripAndTamperDetection holds the two semantic
+// re-verifications of assembleHub, which no frame CRC, run hash or
+// manifest count stands in for: a matching table re-encoded with a pair
+// dropped (every checksum self-consistent) is caught by
+// federate.Restore, and a cluster store whose fold of the registered
+// links lost a cluster is caught by the comparison with foldPartition of
+// the loaded tables — the check that stood against the stored partition
+// section while snapshots had one.
 func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
-	base := t.TempDir()
-	snapshottedDir(t, base, datagen.MultiConfig{
+	dir := t.TempDir()
+	snapshottedDir(t, dir, datagen.MultiConfig{
 		Sources: 3, Entities: 24, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 13,
-	}, 0)
-	// doctor re-encodes one section of a copy of the directory with
-	// mutated content, then re-addresses it: new content hash, new
-	// manifest entry, re-framed manifest.
-	doctor := func(kind string, mutate func(*decSection) chunkItems) string {
-		dir := t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(base)); err != nil {
-			t.Fatal(err)
-		}
-		man, err := readManifest(wal.OS, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, meta := range man.Sections {
-			if meta.Kind != kind || meta.Items == 0 {
-				continue
-			}
-			d, err := readSectionFile(wal.OS, dir, i, meta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body := &sectionBody{kind: kind, sec: i, items: mutate(d)}
-			if d.pair != nil {
-				body.link, body.rlen, body.slen = &d.pair.link, d.pair.rlen, d.pair.slen
-			}
-			meta.Items = body.items.len()
-			if err := newDirSink(wal.OS, dir, nil).write(&meta, body, 0); err != nil {
-				t.Fatal(err)
-			}
-			man.Sections[i] = meta
-			frame, err := encodeManifest(man)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, snapshotManifest), frame, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return dir
-		}
-		t.Fatalf("no non-empty %s section to doctor", kind)
-		return ""
+	}, 0, 4)
+	man, err := readManifest(wal.OS, dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	badMT := doctor(secPair, func(d *decSection) chunkItems { return mtItems(d.pair.mt[:len(d.pair.mt)-1]) })
-	if _, _, err := openOn(badMT, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
+	lossy := lossyBackend{mem.New()}
+	if _, err := loadSnapshotSections(wal.OS, dir, man, lossy); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
+		t.Fatalf("cluster store that lost a cluster: want a partition refold rejection, got %v", err)
+	}
+	editManifest(t, dir, func(m *snapManifest) {
+		p := &m.Pairs[0]
+		last := len(p.Runs) - 1
+		id := p.id()
+		id.run = last
+		rewriteRun(t, dir, id, &p.Runs[last], func(d *decRun) { d.mt = d.mt[:len(d.mt)-1] })
+		if p.Runs[last].Items == 0 {
+			p.Runs = p.Runs[:last]
+		}
+	})
+	if _, _, err := openOn(dir, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
 		t.Fatalf("doctored matching table: want a federate.Restore rejection, got %v", err)
 	}
-	badClusters := doctor(secClusters, func(d *decSection) chunkItems { return clusterItems(d.clusters[:len(d.clusters)-1]) })
-	if _, _, err := openOn(badClusters, Options{}); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
-		t.Fatalf("doctored cluster store: want a partition refold rejection, got %v", err)
-	}
+}
+
+// lossyBackend is a backend whose cluster store forgets its first
+// cluster when asked for the partition.
+type lossyBackend struct{ store.Backend }
+
+func (b lossyBackend) Clusters() store.Clusters { return lossyClusters{b.Backend.Clusters()} }
+
+type lossyClusters struct{ store.Clusters }
+
+func (c lossyClusters) Partition() ([][]store.Node, error) {
+	part, err := c.Clusters.Partition()
+	return part[min(1, len(part)):], err
 }
 
 // TestRecoveryDegenerateWorkloads sweeps the corners datagen must
@@ -188,7 +178,7 @@ func TestRecoveryDegenerateWorkloads(t *testing.T) {
 
 // TestRecoveryFailsClosedOnPartialRestore pins the snapshot↔WAL
 // cross-check: a data directory missing pieces (lost log segments, a
-// lost snapshot, a lost section) must refuse to open rather than replay
+// lost snapshot, a lost run) must refuse to open rather than replay
 // around the hole or log new commits at covered sequence numbers.
 func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 	ws := multiWork(3, 20, 0.7, 29, 3)
@@ -203,7 +193,7 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// restore copies the directory without the files matching drop (of
-	// the sections, only the first).
+	// the run files, only the first).
 	restore := func(drop ...string) string {
 		to := t.TempDir()
 		if err := os.CopyFS(to, os.DirFS(r.dir)); err != nil {
@@ -235,7 +225,7 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 		t.Fatalf("truncated log with no snapshot: want the uncovered-prefix rejection, got %v", err)
 	}
 	if _, _, err := openOn(restore(filepath.Join(snapSecDir, "*"+snapSecSuffix)), Options{}); err == nil {
-		t.Fatal("opened a snapshot with a missing section file")
+		t.Fatal("opened a snapshot with a missing run file")
 	}
 	// Control: every piece together recovers.
 	h, info, err := openOn(restore(), Options{})
@@ -246,9 +236,9 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 }
 
 // TestCrashMidSnapshotBetweenSections kills the snapshot writer between
-// section files: the N+1-th rename into snapsecs/ fails and the process
+// run files: the N+1-th rename into snapsecs/ fails and the process
 // dies. The manifest was never renamed, so recovery comes up from the
-// previous snapshot plus the log, and the orphaned sections are swept.
+// previous snapshot plus the log, and the orphaned runs are swept.
 func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 	ws := multiWork(3, 36, 0.65, 67, 19)
 	w := ws.build()
@@ -258,7 +248,9 @@ func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 			ops := append(append(setup(w), seq(0, n/2)...), snap())
 			ops = append(append(ops, seq(n/2, n)...),
 				fault(errfs.OpRename, snapSecDir, landed, 0, syscall.EIO, 0, 0), snap(), reopen(reopenKill))
-			for _, r := range runSchedule(t, schedule{work: ws, ops: ops}) {
+			// Runs of four: the second snapshot carries sealed runs of the first
+			// and dies between the files of the ones it adds.
+			for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{runItems: 4}, ops: ops}) {
 				if r.errs[len(ops)-2] == nil {
 					t.Fatal("mid-snapshot kill did not fire")
 				}
@@ -270,13 +262,11 @@ func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 					t.Fatal(err)
 				}
 				referenced := map[string]bool{}
-				for _, s := range man.Sections {
-					referenced[s.Hash+snapSecSuffix] = true
-				}
+				man.eachRun(func(_ runID, r snapRun) { referenced[r.Hash+snapSecSuffix] = true })
 				secs, _ := filepath.Glob(filepath.Join(r.dir, snapSecDir, "*"))
 				for _, s := range secs {
 					if !referenced[filepath.Base(s)] {
-						t.Fatalf("orphan section file survived recovery: %s", s)
+						t.Fatalf("orphan run file survived recovery: %s", s)
 					}
 				}
 				if err := r.h.SnapshotNow(); err != nil {

@@ -1,20 +1,18 @@
-// Snapshot capture: the consistent cut and the per-section copy.
-// Capture is per-section under briefly-held locks. A consistent cut is
-// just the per-source tuple counts, per-pair matching-table lengths and
-// the WAL watermark, taken in O(sources+pairs) under the commit locks;
-// the relations and matching tables are append-only under those locks,
-// so each section's content can be copied later, one section at a time,
-// holding the cluster lock only long enough to copy that section's
-// slice headers. Commits never stall behind an O(hub) copy.
+// Snapshot capture: the consistent cut and the per-sequence copy.
+// A consistent cut is just the per-source tuple counts, per-pair
+// matching-table lengths and the WAL watermark, taken in
+// O(sources+pairs) under the commit locks; the relations and matching
+// tables are append-only under those locks, so each sequence's content
+// can be copied later, one sequence at a time, and only what lies past
+// its sealed runs: the commit lock is held for a copy the size of the
+// increment, never of the hub.
 package hub
 
 import (
 	"fmt"
-	"sort"
 
 	"entityid/internal/federate"
 	"entityid/internal/match"
-	"entityid/internal/relation"
 	"entityid/internal/wal"
 )
 
@@ -61,89 +59,95 @@ func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
 	return cut
 }
 
-// copySourceTuples copies one source section's tuple headers from the
-// published view — the view at the cut already covers cs.n and its
-// prefix is immutable, so the copy takes no lock at all and commits
-// never stall behind it.
-func (h *Hub) copySourceTuples(cs cutSource) []relation.Tuple {
-	v := cs.s.view.Load()
-	out := make([]relation.Tuple, cs.n)
-	copy(out, v.tuples[:cs.n])
-	return out
-}
-
-// copyPairMT copies one pair section's matching-table prefix and sorts
-// it canonically off-lock. A hot pair's prefix is read under a
-// briefly-held commit lock; a cold pair's is read from the backend's
-// pair store, whose spilled table is stored in commit order at a
-// length ≥ the cut (the pair can only have been spilled at or after
+// copyPairRange copies entries [lo, cp.n) of one pair's matching table
+// in commit order — the order the runs are cut in. A hot pair's range is
+// read under a briefly-held commit lock; a cold pair's is read from the
+// backend's pair store, whose spilled table is stored in commit order
+// at a length ≥ the cut (the pair can only have been spilled at or after
 // the cut was taken, and spilling requires the commit lock's ordering
-// of mutations), so the length-n prefix is exactly the cut's table.
+// of mutations), so its first n entries are exactly the cut's table.
 // The federation pointer loaded here may be spilled concurrently — the
 // object itself is never mutated after the spill, so reading its
 // frozen (≥ cut) state remains correct.
-func (h *Hub) copyPairMT(cp cutPair) ([]match.Pair, error) {
-	var ps []match.Pair
+func (h *Hub) copyPairRange(cp cutPair, lo int) ([]match.Pair, error) {
 	if fed := cp.p.fed.Load(); fed != nil {
 		h.commitMu.Lock()
-		ps = fed.PairsPrefix(cp.n)
+		ps := fed.PairsRange(lo, cp.n)
 		h.commitMu.Unlock()
-	} else {
-		tab, err := h.backend.Pairs().Load(cp.p.id)
-		if err != nil {
-			return nil, fmt.Errorf("hub: snapshot pair %q-%q: %w", cp.p.spec.Left, cp.p.spec.Right, err)
-		}
-		if len(tab.Pairs) < cp.n {
-			return nil, fmt.Errorf("hub: snapshot pair %q-%q: spilled table has %d pairs, cut expects %d",
-				cp.p.spec.Left, cp.p.spec.Right, len(tab.Pairs), cp.n)
-		}
-		ps = append([]match.Pair(nil), tab.Pairs[:cp.n]...)
+		return ps, nil
 	}
+	tab, err := h.backend.Pairs().Load(cp.p.id)
+	if err != nil {
+		return nil, fmt.Errorf("hub: snapshot pair %q-%q: %w", cp.p.spec.Left, cp.p.spec.Right, err)
+	}
+	if len(tab.Pairs) < cp.n {
+		return nil, fmt.Errorf("hub: snapshot pair %q-%q: spilled table has %d pairs, cut expects %d",
+			cp.p.spec.Left, cp.p.spec.Right, len(tab.Pairs), cp.n)
+	}
+	return append([]match.Pair(nil), tab.Pairs[lo:cp.n]...), nil
+}
+
+// copyPairMT is the pair's whole table at the cut in the canonical
+// sorted order — what CheckInvariants and the tests compare; a snapshot
+// never pays for it.
+func (h *Hub) copyPairMT(cp cutPair) ([]match.Pair, error) {
+	ps, err := h.copyPairRange(cp, 0)
 	federate.SortPairs(ps)
-	return ps, nil
+	return ps, err
 }
 
 // foldPartition refolds the cut's matching tables into the canonical
-// non-singleton cluster partition — pure off-lock work that reproduces
-// exactly what partitionLocked would have returned at the cut, by the
-// invariant (verified on every load) that the live cluster store equals
-// the transitive closure of the pairwise tables.
+// non-singleton cluster partition — members sorted by (source, index),
+// clusters by first member — pure off-lock work that reproduces exactly
+// what partitionLocked would have returned at the cut, by the invariant
+// (verified on every load, which is where a snapshot's partition comes
+// from) that the live cluster store equals the transitive closure of
+// the pairwise tables. Tuples are numbered densely in (source, index)
+// order and every union keeps the smaller root, so a cluster's root is
+// its first member and one ascending pass emits the canonical form
+// with no map and no sort.
 func foldPartition(cut *snapshotCut, mts [][]match.Pair) [][][2]int {
-	cs := newClusterSet()
+	base := make([]int32, len(cut.sources)+1)
+	for i, cs := range cut.sources {
+		base[i+1] = base[i] + int32(cs.n)
+	}
+	parent := make([]int32, base[len(cut.sources)])
+	for x := range parent {
+		parent[x] = int32(x)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
 	for i, cp := range cut.pairs {
 		for _, pr := range mts[i] {
-			cs.union(node{Src: cp.p.left, Idx: pr.RIndex}, node{Src: cp.p.right, Idx: pr.SIndex})
+			a, b := find(base[cp.p.left]+int32(pr.RIndex)), find(base[cp.p.right]+int32(pr.SIndex))
+			parent[max(a, b)] = min(a, b)
 		}
 	}
-	byRoot := map[node][]node{}
-	for n := range cs.parent {
-		root := cs.find(n)
-		byRoot[root] = append(byRoot[root], n)
+	size := make([]int32, len(parent))
+	for x := range parent {
+		size[find(int32(x))]++
 	}
-	return canonicalPartition(byRoot)
-}
-
-// canonicalPartition renders non-singleton clusters canonically:
-// members sorted by (source, index), clusters sorted by first member.
-func canonicalPartition(byRoot map[node][]node) [][][2]int {
 	var out [][][2]int
-	for _, ns := range byRoot {
-		if len(ns) < 2 {
-			continue
+	at := make([]int32, len(parent)) // a root's position in out
+	for src, cs := range cut.sources {
+		for idx := 0; idx < cs.n; idx++ {
+			x := base[src] + int32(idx)
+			root := find(x)
+			if size[root] < 2 {
+				continue
+			}
+			if root == x {
+				at[root] = int32(len(out))
+				out = append(out, make([][2]int, 0, size[root]))
+			}
+			out[at[root]] = append(out[at[root]], [2]int{src, idx})
 		}
-		sortNodes(ns)
-		c := make([][2]int, len(ns))
-		for i, n := range ns {
-			c[i] = [2]int{n.Src, n.Idx}
-		}
-		out = append(out, c)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0][0] != out[b][0][0] {
-			return out[a][0][0] < out[b][0][0]
-		}
-		return out[a][0][1] < out[b][0][1]
-	})
 	return out
 }
 
@@ -167,70 +171,37 @@ func (h *Hub) partitionLocked() ([][][2]int, error) {
 }
 
 // writeSnapshotSections drives a snapshot at the given cut through the
-// directory sink: capture each section under briefly-held locks,
-// encode, write (or carry forward), then commit the manifest.
+// directory sink: per sequence, carry the sealed runs forward, capture
+// what is past them under briefly-held locks, encode and write it, then
+// commit the manifest. A source's tuples come from the published view —
+// the view at the cut already covers cs.n and its prefix is immutable,
+// so they are sliced, not copied, and take no lock at all.
 func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int) (*snapManifest, error) {
-	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark}
-	allCarried := true
-	for i, cs := range cut.sources {
-		meta := snapSection{Kind: secSource, Name: cs.s.name, Items: cs.n}
-		if !sink.reuse(&meta) {
-			allCarried = false
-			sch := wal.EncodeSchema(cs.s.rel.Schema())
-			body := &sectionBody{
-				kind: secSource, sec: i, name: cs.s.name, schema: &sch,
-				items: tupleItems(h.copySourceTuples(cs)),
-			}
-			if err := sink.write(&meta, body, budget); err != nil {
-				return nil, err
-			}
-		}
-		man.Sections = append(man.Sections, meta)
-	}
-	mts := make([][]match.Pair, len(cut.pairs))
-	for i, cp := range cut.pairs {
-		meta := snapSection{
-			Kind: secPair, Left: cp.p.spec.Left, Right: cp.p.spec.Right,
-			Items: cp.n, RLen: cp.rlen, SLen: cp.slen,
-		}
-		if !sink.reuse(&meta) {
-			allCarried = false
-			var err error
-			if mts[i], err = h.copyPairMT(cp); err != nil {
-				return nil, err
-			}
-			link := linkRecFromSpec(cp.p.spec)
-			body := &sectionBody{
-				kind: secPair, sec: len(man.Sections), link: &link,
-				rlen: cp.rlen, slen: cp.slen, items: mtItems(mts[i]),
-			}
-			if err := sink.write(&meta, body, budget); err != nil {
-				return nil, err
-			}
-		}
-		man.Sections = append(man.Sections, meta)
-	}
-	// The cluster partition is a function of the matching tables and
-	// side lengths, so it is unchanged exactly when every other section
-	// was carried forward.
-	clMeta := snapSection{Kind: secClusters}
-	if !allCarried || !sink.reuse(&clMeta) {
-		for i := range mts {
-			if mts[i] == nil {
-				var err error
-				if mts[i], err = h.copyPairMT(cut.pairs[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		clusters := foldPartition(cut, mts)
-		clMeta.Items = len(clusters)
-		body := &sectionBody{kind: secClusters, sec: len(man.Sections), items: clusterItems(clusters)}
-		if err := sink.write(&clMeta, body, budget); err != nil {
+	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark, RunItems: sink.runItems}
+	for _, cs := range cut.sources {
+		src := snapSource{Name: cs.s.name, Schema: wal.EncodeSchema(cs.s.rel.Schema())}
+		tuples := tupleItems(cs.s.view.Load().tuples)
+		var err error
+		src.Runs, err = sink.runs(src.id(), cs.n, budget, func(lo int) (chunkItems, error) {
+			return tuples[lo:cs.n], nil
+		})
+		if err != nil {
 			return nil, err
 		}
+		man.Sources = append(man.Sources, src)
 	}
-	man.Sections = append(man.Sections, clMeta)
+	for _, cp := range cut.pairs {
+		pair := snapPair{Link: linkRecFromSpec(cp.p.spec), RLen: cp.rlen, SLen: cp.slen}
+		var err error
+		pair.Runs, err = sink.runs(pair.id(), cp.n, budget, func(lo int) (chunkItems, error) {
+			ps, err := h.copyPairRange(cp, lo)
+			return mtItems(ps), err
+		})
+		if err != nil {
+			return nil, err
+		}
+		man.Pairs = append(man.Pairs, pair)
+	}
 	if err := sink.finish(man); err != nil {
 		return nil, err
 	}

@@ -1,27 +1,33 @@
 // The snapshot loader: the directory store read back. The data
-// directory holds a manifest file plus one content-addressed section
-// file per source/pair/partition under snapsecs/ (written by
-// snapwriter.go, in the format of snapshot.go). Loading parallelises —
-// section files are read concurrently, so independent sections are
-// decoded and their relations rebuilt in parallel, and the pairwise
-// federations are re-verified concurrently before the sequential
-// cluster fold — and fails closed: frame CRCs, per-section content
-// hashes and chunk/item counts are verified against the manifest;
+// directory holds a manifest file plus one content-addressed file per
+// run of each source's tuples and each pair's matching table under
+// snapsecs/ (written by snapwriter.go, in the format of snapshot.go).
+// Loading parallelises — run files are read and decoded on a fixed set
+// of workers, the relations are rebuilt one source per worker, and the
+// pairwise federations are re-verified concurrently before the
+// sequential cluster fold — and fails closed: frame CRCs, per-run
+// content hashes, chunk and item counts, and each run's declared
+// sequence and position are verified against the manifest, whose run
+// directories must be dense and full but for each sequence's last run;
 // every schema, ILFD and rule is re-validated by its domain
 // constructor; every pairwise federation is rebuilt through
 // federate.Restore (which verifies the rebuilt matching table equals
-// the saved one); and the cluster partition refolded from the pairwise
-// tables must equal the saved partition.
+// the saved one); and the partition the cluster store folded while the
+// links registered must equal foldPartition of the loaded tables — the
+// function that cut the partition section when snapshots still stored
+// one.
 package hub
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"entityid/internal/federate"
+	"entityid/internal/match"
+	"entityid/internal/relation"
 	"entityid/internal/store"
 	"entityid/internal/wal"
 )
@@ -46,110 +52,131 @@ func readManifest(fsys wal.FS, dir string) (*snapManifest, error) {
 	return decodeManifest(rec)
 }
 
-// secPath names a section's content-addressed file.
+// secPath names a run's content-addressed file.
 func secPath(dir, hash string) string {
 	return filepath.Join(dir, snapSecDir, hash+snapSecSuffix)
 }
 
-// loadSnapshotSections rebuilds a hub from a manifest's section files,
-// decoding independent sections in parallel and verifying each file's
-// content hash, chunk count and item counts against the manifest. The
-// hub is assembled onto the given storage backend (nil means memory).
+// loadSnapshotSections rebuilds a hub from a manifest's run files,
+// decoding them in parallel and verifying each file's content hash,
+// chunk count, item count and declared position against the manifest.
+// The hub is assembled onto the given storage backend (nil means
+// memory).
 func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Backend) (*Hub, error) {
-	secs := make([]*decSection, len(man.Sections))
-	err := inParallel(len(secs), func(i int) (err error) {
-		secs[i], err = readSectionFile(fsys, dir, i, man.Sections[i])
+	if man.RunItems < 1 {
+		return nil, fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
+	}
+	// One job per run file; seqs[i] collects sequence i's decoded runs,
+	// sources then pairs.
+	type job struct {
+		id   runID
+		want snapRun
+		into **decRun
+	}
+	var jobs []job
+	var seqs [][]*decRun
+	add := func(id runID, runs []snapRun) error {
+		dec := make([]*decRun, len(runs))
+		for k, r := range runs {
+			id.run = k
+			jobs = append(jobs, job{id, r, &dec[k]})
+		}
+		seqs = append(seqs, dec)
+		return checkRuns(id, runs, man.RunItems)
+	}
+	for _, s := range man.Sources {
+		if err := add(s.id(), s.Runs); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range man.Pairs {
+		if err := add(p.id(), p.Runs); err != nil {
+			return nil, err
+		}
+	}
+	err := inParallel(len(jobs), func(i int) (err error) {
+		*jobs[i].into, err = readRunFile(fsys, dir, jobs[i].id, jobs[i].want)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return assembleHub(secs, b)
+	return assembleHub(man, seqs[:len(man.Sources)], seqs[len(man.Sources):], b)
 }
 
-// readSectionFile decodes one section file and verifies the result —
-// identity, counts, content hash — against its manifest entry.
-func readSectionFile(fsys wal.FS, dir string, sec int, want snapSection) (*decSection, error) {
+// readRunFile decodes one run file and verifies the result — sequence,
+// position, counts, content hash — against its manifest entry.
+func readRunFile(fsys wal.FS, dir string, id runID, want snapRun) (*decRun, error) {
 	f, err := fsys.Open(secPath(dir, want.Hash))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot section: %w", err)
+		return nil, fmt.Errorf("snapshot %v: %w", id, err)
 	}
 	defer f.Close()
-	d, err := decodeSection(f, sec)
+	d, err := decodeRun(f)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.matches(want); err != nil {
+	if err := d.matches(id, want); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// decodeSection streams one section's bytes through the chunk decoder.
-func decodeSection(r io.Reader, sec int) (*decSection, error) {
-	a := newSectionAccum(sec)
-	scanner := wal.NewFrameScanner(r)
-	for !a.done {
-		rec, raw, err := scanner.Next()
-		if err == io.EOF {
-			break
+// assembleHub builds a hub from a manifest and its decoded runs, one
+// slice per source and per pair, onto the given storage backend (nil
+// means in-memory):
+// each source's runs concatenated into its relation, one source per
+// worker, and registered in manifest order; pairwise federations
+// re-verified in parallel through federate.Restore — each over the
+// loaded relations themselves, which the federations only read, so
+// concurrent restores share them without a copy, and each adopting its
+// table's saved commit order, which later commits continue; links
+// folded sequentially; and the partition that fold left in the cluster
+// store checked against foldPartition of the loaded tables.
+func assembleHub(man *snapManifest, srcRuns, pairRuns [][]*decRun, b store.Backend) (*Hub, error) {
+	mts := make([][]match.Pair, len(man.Pairs))
+	for i, runs := range pairRuns {
+		for _, r := range runs {
+			mts[i] = append(mts[i], r.mt...)
 		}
+	}
+	rels := make([]*relation.Relation, len(man.Sources))
+	err := inParallel(len(rels), func(i int) error {
+		src := man.Sources[i]
+		sch, err := wal.DecodeSchema(src.Schema)
 		if err != nil {
-			return nil, fmt.Errorf("hub: snapshot section %d: %w", sec, err)
+			return fmt.Errorf("hub: snapshot source %q: %w", src.Name, err)
 		}
-		if err := a.addChunk(rec, raw); err != nil {
-			return nil, err
+		rels[i] = relation.New(sch)
+		for _, r := range srcRuns[i] {
+			for _, t := range r.tuples {
+				if err := rels[i].Insert(t); err != nil {
+					return fmt.Errorf("hub: snapshot source %q tuple %d: %w", src.Name, rels[i].Len(), err)
+				}
+			}
+			r.tuples = nil // the relation holds its own copy
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if a.done {
-		if _, _, err := scanner.Next(); err != io.EOF {
-			return nil, fmt.Errorf("hub: snapshot section %d: trailing frames after final chunk", sec)
-		}
-	}
-	return a.finish()
-}
-
-// assembleHub builds a hub from decoded sections onto the given
-// storage backend (nil means in-memory): sources registered in section
-// order, pairwise federations re-verified in parallel through
-// federate.Restore — each over the loaded relations themselves, which
-// the federations only read, so concurrent restores share them without
-// a copy — links folded sequentially, and the saved cluster partition
-// checked against the refold.
-func assembleHub(secs []*decSection, b store.Backend) (*Hub, error) {
 	h := NewWithBackend(b)
-	var pairs []*decPair
-	var clusters [][][2]int
-	clustersSeen := false
-	for _, s := range secs {
-		switch s.meta.Kind {
-		case secSource:
-			if err := h.AddSource(s.src.name, s.src.rel); err != nil {
-				return nil, fmt.Errorf("hub: load snapshot: %w", err)
-			}
-		case secPair:
-			pairs = append(pairs, s.pair)
-		case secClusters:
-			if clustersSeen {
-				return nil, fmt.Errorf("hub: load snapshot: duplicate clusters section")
-			}
-			clustersSeen = true
-			clusters = s.clusters
+	for i, src := range man.Sources {
+		if err := h.AddSource(src.Name, rels[i]); err != nil {
+			return nil, fmt.Errorf("hub: load snapshot: %w", err)
 		}
-	}
-	if !clustersSeen {
-		return nil, fmt.Errorf("hub: load snapshot: no clusters section")
 	}
 	// Re-verify every pairwise federation concurrently: Restore rebuilds
 	// the matching table from the loaded relations and proves it equals
 	// the saved one — the expensive, independent step.
-	specs := make([]PairSpec, len(pairs))
-	feds := make([]*federate.Federation, len(pairs))
-	err := inParallel(len(pairs), func(i int) error {
-		dp := pairs[i]
-		spec, err := specFromLinkRec(dp.link)
+	specs := make([]PairSpec, len(man.Pairs))
+	feds := make([]*federate.Federation, len(man.Pairs))
+	err = inParallel(len(man.Pairs), func(i int) error {
+		dp := man.Pairs[i]
+		spec, err := specFromLinkRec(dp.Link)
 		if err != nil {
-			return fmt.Errorf("hub: load snapshot: link %q-%q: %w", dp.link.Left, dp.link.Right, err)
+			return fmt.Errorf("hub: load snapshot: link %q-%q: %w", dp.Link.Left, dp.Link.Right, err)
 		}
 		li, ok := h.byName[spec.Left]
 		if !ok {
@@ -159,7 +186,7 @@ func assembleHub(secs []*decSection, b store.Backend) (*Hub, error) {
 		if !ok {
 			return fmt.Errorf("hub: load snapshot: link references unknown source %q", spec.Right)
 		}
-		st := federate.State{RLen: dp.rlen, SLen: dp.slen, Pairs: dp.mt}
+		st := federate.State{RLen: dp.RLen, SLen: dp.SLen, Pairs: mts[i]}
 		fed, err := federate.Restore(h.matchConfig(li, ri, spec), st)
 		if err != nil {
 			return fmt.Errorf("hub: load snapshot: link %q-%q: %w", spec.Left, spec.Right, err)
@@ -170,7 +197,7 @@ func assembleHub(secs []*decSection, b store.Backend) (*Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range pairs {
+	for i := range specs {
 		h.mu.Lock()
 		li, ri, err := h.resolveLinkLocked(specs[i])
 		if err == nil {
@@ -183,31 +210,33 @@ func assembleHub(secs []*decSection, b store.Backend) (*Hub, error) {
 	}
 	h.mu.RLock()
 	h.commitMu.Lock()
-	refolded, perr := h.partitionLocked()
+	cut := h.cutLocked(0)
+	folded, perr := h.partitionLocked()
 	h.commitMu.Unlock()
 	h.mu.RUnlock()
 	if perr != nil {
 		return nil, fmt.Errorf("hub: load snapshot: %w", perr)
 	}
-	if !partitionsEqual(refolded, clusters) {
+	if !partitionsEqual(folded, foldPartition(cut, mts)) {
 		return nil, fmt.Errorf("hub: load snapshot: cluster store does not match the refolded pairwise matching tables")
 	}
 	return h, nil
 }
 
 // inParallel runs fn(0..n-1) on at most GOMAXPROCS (and at least two)
-// goroutines and returns the error of the lowest index that failed.
+// workers pulling indices in order, and returns the error of the lowest
+// index that failed.
 func inParallel(n int, fn func(i int) error) error {
 	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, max(runtime.GOMAXPROCS(0), 2))
-	for i := range n {
+	for range min(n, max(runtime.GOMAXPROCS(0), 2)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = fn(i)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
 		}()
 	}
 	wg.Wait()

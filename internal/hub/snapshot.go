@@ -1,13 +1,22 @@
 // Hub snapshots: a chunked, incremental encoding of the federation
-// state, and the only one. A snapshot is a *manifest* record plus one
-// *section* per source, per pair and for the cluster partition, each
-// section a content-addressed file under the data directory (written by
-// snapwriter.go at a cut snapcut.go captures, read back by
-// snapload.go); this file is what is in them. A section is a run of CRC
-// frames whose tuple/pair payloads are split across continuation
-// chunks, so no frame approaches the WAL's frame cap no matter how
-// large the hub grows; the manifest carries each section's SHA-256
-// content address, chunk count and item count.
+// state, and the only one. A snapshot is a *manifest* record plus the
+// *runs* of each source's tuples and each pair's matching table, both
+// taken in commit order: sequence items [k·R, (k+1)·R) are run k, R one
+// constant (snapRunItems). Sources are append-only and the matching
+// table is monotone (§3.3: an insert adds entries and never retracts
+// one), so a full run is *sealed* — its content can never change — and
+// only a sequence's last, partial run is ever re-encoded. Each run is a
+// content-addressed file under the data directory (written by
+// snapwriter.go at a cut snapcut.go captures, read back by snapload.go);
+// this file is what is in them. A run is a sequence of CRC frames whose
+// tuple/pair payloads are split across continuation chunks, so no frame
+// approaches the WAL's frame cap however the chunk budget is set; the
+// manifest carries each run's SHA-256 content address, chunk count and
+// item count, and — so that nothing that changes ever sits inside a
+// sealed run — each source's schema, each pair's link spec and the
+// cut's side lengths. The cluster partition is not stored: it is
+// foldPartition of the very pair tables the manifest hash-verifies, so
+// the loader computes it from them (snapload.go).
 package hub
 
 import (
@@ -15,7 +24,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
+	"io"
 
 	"entityid/internal/match"
 	"entityid/internal/relation"
@@ -25,88 +34,137 @@ import (
 // matchPair converts the snapshot's compact pair form.
 func matchPair(p [2]int) match.Pair { return match.Pair{RIndex: p[0], SIndex: p[1]} }
 
-// The section kinds (and the v2 marker of manifest records).
+// The run kinds (and the marker of manifest records).
 const (
 	secSource   = "source"
 	secPair     = "pair"
-	secClusters = "clusters"
 	secManifest = "manifest"
 
-	snapFormat = 2
+	snapFormat = 3
+
+	// snapRunItems is R, the items of a sealed run. An incremental
+	// snapshot re-encodes each sequence's partial run — R/2 items it has
+	// written before, on average — and the manifest lists every run, so R
+	// trades bytes rewritten per snapshot against manifest entries and
+	// files per item. Measured under read_cold's traffic (inserts into
+	// all four sources, a snapshot per 1024; CHANGES.md, PR 23): a
+	// snapshot's cost is mostly per file, not per byte, so 256 halves the
+	// bytes written (2.9 per user byte against 5.4) yet ingests no faster
+	// (30.5–33.6k tuples/s against 32.9–34.9k) on a manifest four times
+	// as long, and 4096 re-encodes three times as much (15.9 per user
+	// byte, half the runs reused) and ingests at 29.6–30.9k.
+	snapRunItems = 1024
 )
 
-// snapManifest is the manifest record: the snapshot's watermark and the
-// ordered section directory. Its frame sequence number is watermark+1,
-// so the zero watermark still frames validly.
+// snapManifest is the manifest record: the snapshot's watermark, the run
+// length its sequences were cut at and, per source and per pair in
+// registration order, what a run must not hold and the run directory.
+// Its frame sequence number is watermark+1, so the zero watermark still
+// frames validly.
 type snapManifest struct {
-	V2        string        `json:"v2"` // always "manifest"
-	Format    int           `json:"format"`
-	Watermark uint64        `json:"watermark"`
-	Sections  []snapSection `json:"sections"`
+	V2        string       `json:"v2"` // always "manifest"
+	Format    int          `json:"format"`
+	Watermark uint64       `json:"watermark"`
+	RunItems  int          `json:"run_items"`
+	Sources   []snapSource `json:"sources"`
+	Pairs     []snapPair   `json:"pairs"`
 }
 
-// snapSection is one manifest entry: the section's identity, logical
-// size and content address.
-type snapSection struct {
-	Kind string `json:"kind"`
-	// Name identifies a source section; Left/Right identify a pair
-	// section.
-	Name  string `json:"name,omitempty"`
-	Left  string `json:"left,omitempty"`
-	Right string `json:"right,omitempty"`
-	// Items counts the section's logical entries (tuples, matching
-	// pairs, clusters). RLen/SLen are a pair section's side lengths at
-	// the cut.
-	Items int `json:"items"`
-	RLen  int `json:"rlen,omitempty"`
-	SLen  int `json:"slen,omitempty"`
-	// Chunks, Bytes and Hash describe the encoded frames: chunk count,
-	// framed byte count, and hex SHA-256 over the frame bytes.
+// snapSource is one source at the cut: its schema and its tuples' runs.
+type snapSource struct {
+	Name   string        `json:"name"`
+	Schema wal.SchemaRec `json:"schema"`
+	Runs   []snapRun     `json:"runs"`
+}
+
+// snapPair is one pair at the cut: its link, the side lengths the table
+// was computed over and the table's runs.
+type snapPair struct {
+	Link wal.LinkRec `json:"link"`
+	RLen int         `json:"rlen"`
+	SLen int         `json:"slen"`
+	Runs []snapRun   `json:"runs"`
+}
+
+// snapRun is one run's manifest entry: how many items it holds and the
+// encoded frames' chunk count, framed byte count and hex SHA-256 — the
+// run file's name.
+type snapRun struct {
+	Items  int    `json:"items"`
 	Chunks int    `json:"chunks"`
 	Bytes  int64  `json:"bytes"`
 	Hash   string `json:"hash"`
 }
 
-// sameContent reports whether two section entries describe identical
-// logical content for carry-forward purposes: same identity and item
-// counts. Relations and matching tables are append-only, so within one
-// data directory's lineage equal counts imply equal content.
-func (s snapSection) sameContent(o snapSection) bool {
-	return s.Kind == o.Kind && s.Name == o.Name && s.Left == o.Left && s.Right == o.Right &&
-		s.Items == o.Items && s.RLen == o.RLen && s.SLen == o.SLen
+// runID says which run a file holds: the sequence (a source by name, a
+// pair by its sides) and the position in it. The first chunk of every
+// run declares it, so a run file substituted for another fails the load
+// even when the manifest was edited to name it.
+type runID struct {
+	kind              string
+	name, left, right string
+	run               int
 }
 
-// snapChunk is one section frame's payload. The first chunk of a
-// section carries its header (name+schema, or link+side lengths); every
-// chunk carries a slice of the section's items; the final chunk is
-// marked Last.
+func (id runID) String() string {
+	if id.kind == secPair {
+		return fmt.Sprintf("pair %s-%s run %d", id.left, id.right, id.run)
+	}
+	return fmt.Sprintf("%s %s run %d", id.kind, id.name, id.run)
+}
+
+// id is the source's sequence: its run 0.
+func (s snapSource) id() runID { return runID{kind: secSource, name: s.Name} }
+
+// id is the pair's sequence: its run 0.
+func (p snapPair) id() runID { return runID{kind: secPair, left: p.Link.Left, right: p.Link.Right} }
+
+// eachSeq calls fn for every sequence of the manifest — sources, then
+// pairs, each in registration order — with its run directory.
+func (m *snapManifest) eachSeq(fn func(id runID, runs []snapRun)) {
+	for _, s := range m.Sources {
+		fn(s.id(), s.Runs)
+	}
+	for _, p := range m.Pairs {
+		fn(p.id(), p.Runs)
+	}
+}
+
+// eachRun calls fn for every run of the manifest in manifest order.
+func (m *snapManifest) eachRun(fn func(id runID, r snapRun)) {
+	m.eachSeq(func(id runID, runs []snapRun) {
+		for k, r := range runs {
+			id.run = k
+			fn(id, r)
+		}
+	})
+}
+
+// snapChunk is one run frame's payload. Every chunk carries a slice of
+// the run's items; the first also carries the run's identity, the final
+// one is marked Last.
 type snapChunk struct {
-	V2    string `json:"v2"` // section kind
-	Sec   int    `json:"sec"`
+	V2    string `json:"v2"` // run kind
+	Run   int    `json:"run"`
 	Chunk int    `json:"chunk"` // 1-based; equals the frame sequence number
 	Last  bool   `json:"last,omitempty"`
 
-	// Source sections.
+	// A source run's sequence and items.
 	Name   string           `json:"name,omitempty"`
-	Schema *wal.SchemaRec   `json:"schema,omitempty"`
 	Tuples [][]wal.ValueRec `json:"tuples,omitempty"`
 
-	// Pair sections.
-	Link *wal.LinkRec `json:"link,omitempty"`
-	RLen int          `json:"rlen,omitempty"`
-	SLen int          `json:"slen,omitempty"`
-	MT   [][2]int     `json:"mt,omitempty"`
-
-	// Clusters section.
-	Clusters [][][2]int `json:"clusters,omitempty"`
+	// A pair run's sequence and items.
+	Left  string   `json:"left,omitempty"`
+	Right string   `json:"right,omitempty"`
+	MT    [][2]int `json:"mt,omitempty"`
 }
 
 // ---------------------------------------------------------------------
-// Section encoding
+// Run encoding
 // ---------------------------------------------------------------------
 
-// chunkItems abstracts the three section bodies for size-budgeted
-// chunking: tuple lists, matching-pair lists, cluster lists.
+// chunkItems abstracts the two run bodies for size-budgeted chunking:
+// tuple lists and matching-pair lists.
 type chunkItems interface {
 	len() int
 	// estimate approximates item i's encoded size; it only needs to be
@@ -114,6 +172,8 @@ type chunkItems interface {
 	estimate(i int) int
 	// put encodes items [lo, hi) into the chunk.
 	put(c *snapChunk, lo, hi int)
+	// slice is items [lo, hi) as a body of their own.
+	slice(lo, hi int) chunkItems
 }
 
 type tupleItems []relation.Tuple
@@ -136,6 +196,7 @@ func (t tupleItems) put(c *snapChunk, lo, hi int) {
 		c.Tuples[i-lo] = wal.EncodeTuple(t[i])
 	}
 }
+func (t tupleItems) slice(lo, hi int) chunkItems { return t[lo:hi] }
 
 type mtItems []match.Pair
 
@@ -147,26 +208,7 @@ func (m mtItems) put(c *snapChunk, lo, hi int) {
 		c.MT[i-lo] = [2]int{m[i].RIndex, m[i].SIndex}
 	}
 }
-
-type clusterItems [][][2]int
-
-func (cl clusterItems) len() int           { return len(cl) }
-func (cl clusterItems) estimate(i int) int { return 4 + 24*len(cl[i]) }
-func (cl clusterItems) put(c *snapChunk, lo, hi int) {
-	c.Clusters = cl[lo:hi:hi]
-}
-
-// sectionBody is the captured content of one section, ready to encode.
-type sectionBody struct {
-	kind   string
-	sec    int
-	name   string
-	schema *wal.SchemaRec
-	link   *wal.LinkRec
-	rlen   int
-	slen   int
-	items  chunkItems
-}
+func (m mtItems) slice(lo, hi int) chunkItems { return m[lo:hi] }
 
 // writeChunked splits items into budget-sized runs, encoding each via
 // encode and handing the payload to emit. The estimator is
@@ -174,8 +216,8 @@ type sectionBody struct {
 // frame cap is halved until it fits (a single item larger than the cap
 // is unrepresentable and fails loudly at the frame encoder). The split
 // is deterministic for given items and budget, so equal content always
-// yields equal bytes. Shared by snapshot sections and chunked
-// AddSource log groups.
+// yields equal bytes. Shared by snapshot runs and chunked AddSource log
+// groups.
 func writeChunked(items chunkItems, budget int, encode func(lo, hi int, first, last bool) ([]byte, error), emit func([]byte) error) error {
 	if budget <= 0 {
 		budget = wal.DefaultChunkPayload
@@ -215,20 +257,20 @@ func writeChunked(items chunkItems, budget int, encode func(lo, hi int, first, l
 	return nil
 }
 
-// writeSectionChunks encodes the body as budget-sized chunks through
+// writeRunChunks encodes run id's items as budget-sized chunks through
 // the section writer.
-func writeSectionChunks(sw *wal.SectionWriter, b *sectionBody, budget int) error {
+func writeRunChunks(sw *wal.SectionWriter, id runID, items chunkItems, budget int) error {
 	encode := func(lo, hi int, first, last bool) ([]byte, error) {
-		c := snapChunk{V2: b.kind, Sec: b.sec, Chunk: sw.Chunks() + 1, Last: last}
+		c := snapChunk{V2: id.kind, Run: id.run, Chunk: sw.Chunks() + 1, Last: last}
 		if first {
-			c.Name, c.Schema, c.Link, c.RLen, c.SLen = b.name, b.schema, b.link, b.rlen, b.slen
+			c.Name, c.Left, c.Right = id.name, id.left, id.right
 		}
 		if hi > lo {
-			b.items.put(&c, lo, hi)
+			items.put(&c, lo, hi)
 		}
 		return json.Marshal(c)
 	}
-	return writeChunked(b.items, budget, encode, sw.WriteChunk)
+	return writeChunked(items, budget, encode, sw.WriteChunk)
 }
 
 // encodeManifest frames a manifest under sequence watermark+1.
@@ -244,14 +286,16 @@ func encodeManifest(man *snapManifest) ([]byte, error) {
 	return frame, nil
 }
 
-// decodeManifest validates a manifest record.
+// decodeManifest validates a manifest record. A manifest of another
+// format is refused by both numbers and never read further: format 2's
+// whole-sequence sections share nothing with runs but the frame.
 func decodeManifest(rec wal.Record) (*snapManifest, error) {
 	var man snapManifest
 	if err := json.Unmarshal(rec.Payload, &man); err != nil {
 		return nil, fmt.Errorf("hub: snapshot manifest: %w", err)
 	}
 	if man.V2 != secManifest || man.Format != snapFormat {
-		return nil, fmt.Errorf("hub: snapshot manifest: unsupported format %d", man.Format)
+		return nil, fmt.Errorf("hub: snapshot manifest: format %d, this build reads %d", man.Format, snapFormat)
 	}
 	if rec.Seq != man.Watermark+1 {
 		return nil, fmt.Errorf("hub: snapshot manifest: frame sequence %d does not match watermark %d", rec.Seq, man.Watermark)
@@ -259,149 +303,99 @@ func decodeManifest(rec wal.Record) (*snapManifest, error) {
 	return &man, nil
 }
 
-// ---------------------------------------------------------------------
-// Section decoding
-// ---------------------------------------------------------------------
-
-// decSource is a decoded source section.
-type decSource struct {
-	name string
-	rel  *relation.Relation
-}
-
-// decPair is a decoded pair section.
-type decPair struct {
-	link       wal.LinkRec
-	rlen, slen int
-	mt         []match.Pair
-}
-
-// decSection is one fully decoded section plus the manifest entry it
-// reproduces (identity, counts, content address), for verification.
-type decSection struct {
-	meta     snapSection
-	src      *decSource
-	pair     *decPair
-	clusters [][][2]int
-}
-
-// sectionAccum decodes one section chunk-at-a-time: each chunk is
-// applied as it arrives (tuples are inserted into the relation
-// incrementally, so a jumbo source never exists as one decoded buffer),
-// and the section's content address — the SHA-256 of the raw frame
-// bytes exactly as read — accumulates as it goes.
-//
-// The Sec ordinal embedded in chunks is validated for internal
-// consistency only (every chunk of a section must declare the same
-// one), not against the manifest position: a carried-forward section
-// file keeps the ordinal it was written under even after the topology
-// grows around it; its identity is its content address.
-type sectionAccum struct {
-	sec    int       // position in the manifest, for error messages
-	decSec int       // the Sec ordinal the section's chunks declare
-	sum    hash.Hash // sha256 over the raw frame bytes
-	chunks int
-	bytes  int64
-	meta   snapSection
-	done   bool
-
-	src      *decSource
-	pair     *decPair
-	clusters [][][2]int
-}
-
-func newSectionAccum(sec int) *sectionAccum {
-	return &sectionAccum{sec: sec, sum: sha256.New()}
-}
-
-func (a *sectionAccum) addChunk(rec wal.Record, raw []byte) error {
-	if a.done {
-		return fmt.Errorf("hub: snapshot section %d: chunk after final chunk", a.sec)
-	}
-	var c snapChunk
-	if err := json.Unmarshal(rec.Payload, &c); err != nil {
-		return fmt.Errorf("hub: snapshot section %d: %w", a.sec, err)
-	}
-	wantChunk := a.chunks + 1
-	if wantChunk == 1 {
-		a.decSec = c.Sec
-	}
-	if c.Sec != a.decSec || c.Chunk != wantChunk || uint64(c.Chunk) != rec.Seq {
-		return fmt.Errorf("hub: snapshot section %d: chunk out of sequence (sec %d chunk %d, frame %d, want sec %d chunk %d)",
-			a.sec, c.Sec, c.Chunk, rec.Seq, a.decSec, wantChunk)
-	}
-	if wantChunk == 1 {
-		a.meta.Kind = c.V2
-		switch c.V2 {
-		case secSource:
-			if c.Schema == nil {
-				return fmt.Errorf("hub: snapshot section %d: source section without schema header", a.sec)
-			}
-			sch, err := wal.DecodeSchema(*c.Schema)
-			if err != nil {
-				return fmt.Errorf("hub: snapshot source %q: %w", c.Name, err)
-			}
-			a.src = &decSource{name: c.Name, rel: relation.New(sch)}
-			a.meta.Name = c.Name
-		case secPair:
-			if c.Link == nil {
-				return fmt.Errorf("hub: snapshot section %d: pair section without link header", a.sec)
-			}
-			a.pair = &decPair{link: *c.Link, rlen: c.RLen, slen: c.SLen}
-			a.meta.Left, a.meta.Right = c.Link.Left, c.Link.Right
-			a.meta.RLen, a.meta.SLen = c.RLen, c.SLen
-		case secClusters:
-		default:
-			return fmt.Errorf("hub: snapshot section %d: unknown section kind %q", a.sec, c.V2)
+// checkRuns holds a sequence's run directory to the cut it claims: runs
+// dense from 0 (their position is their number), every run but the last
+// exactly runItems long, the last non-empty and no longer.
+func checkRuns(id runID, runs []snapRun, runItems int) error {
+	for k, r := range runs {
+		if r.Items < 1 || r.Items > runItems || (r.Items < runItems && k < len(runs)-1) {
+			id.run = k
+			return fmt.Errorf("hub: snapshot %v holds %d items: every run but a sequence's last holds %d", id, r.Items, runItems)
 		}
-	} else if c.V2 != a.meta.Kind {
-		return fmt.Errorf("hub: snapshot section %d: chunk kind %q in %q section", a.sec, c.V2, a.meta.Kind)
-	}
-	switch a.meta.Kind {
-	case secSource:
-		for i, tr := range c.Tuples {
-			t, err := wal.DecodeTuple(tr)
-			if err != nil {
-				return fmt.Errorf("hub: snapshot source %q tuple %d: %w", a.src.name, a.meta.Items+i, err)
-			}
-			if err := a.src.rel.Insert(t); err != nil {
-				return fmt.Errorf("hub: snapshot source %q tuple %d: %w", a.src.name, a.meta.Items+i, err)
-			}
-		}
-		a.meta.Items += len(c.Tuples)
-	case secPair:
-		for _, pr := range c.MT {
-			a.pair.mt = append(a.pair.mt, matchPair(pr))
-		}
-		a.meta.Items += len(c.MT)
-	case secClusters:
-		a.clusters = append(a.clusters, c.Clusters...)
-		a.meta.Items += len(c.Clusters)
-	}
-	a.sum.Write(raw)
-	a.chunks++
-	a.bytes += int64(len(raw))
-	if c.Last {
-		a.done = true
 	}
 	return nil
 }
 
-// finish validates terminal state and returns the decoded section.
-func (a *sectionAccum) finish() (*decSection, error) {
-	if !a.done {
-		return nil, fmt.Errorf("hub: snapshot section %d: truncated (no final chunk)", a.sec)
-	}
-	a.meta.Chunks, a.meta.Bytes, a.meta.Hash = a.chunks, a.bytes, hex.EncodeToString(a.sum.Sum(nil))
-	return &decSection{meta: a.meta, src: a.src, pair: a.pair, clusters: a.clusters}, nil
+// ---------------------------------------------------------------------
+// Run decoding
+// ---------------------------------------------------------------------
+
+// decRun is one decoded run: the identity its first chunk declares, the
+// manifest entry it reproduces (counts, content address) and its items.
+type decRun struct {
+	id     runID
+	meta   snapRun
+	tuples []relation.Tuple
+	mt     []match.Pair
 }
 
-// matches verifies a decoded section against its manifest entry.
-func (d *decSection) matches(want snapSection) error {
-	got := d.meta
-	if !got.sameContent(want) || got.Chunks != want.Chunks || got.Bytes != want.Bytes || got.Hash != want.Hash {
-		return fmt.Errorf("hub: snapshot section %s %s%s-%s does not match its manifest entry",
-			want.Kind, want.Name, want.Left, want.Right)
+// decodeRun streams one run's bytes through the chunk decoder. The run's
+// content address — the SHA-256 of the raw frame bytes exactly as read —
+// accumulates as it goes.
+func decodeRun(r io.Reader) (*decRun, error) {
+	d := &decRun{}
+	sum := sha256.New()
+	scanner := wal.NewFrameScanner(r)
+	for last := false; !last; {
+		rec, raw, err := scanner.Next()
+		if err == io.EOF {
+			return nil, fmt.Errorf("hub: snapshot run: truncated (no final chunk)")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("hub: snapshot run: %w", err)
+		}
+		if last, err = d.addChunk(rec); err != nil {
+			return nil, err
+		}
+		sum.Write(raw)
+		d.meta.Bytes += int64(len(raw))
+	}
+	if _, _, err := scanner.Next(); err != io.EOF {
+		return nil, fmt.Errorf("hub: snapshot %v: trailing frames after final chunk", d.id)
+	}
+	d.meta.Hash = hex.EncodeToString(sum.Sum(nil))
+	return d, nil
+}
+
+// addChunk applies one chunk and reports whether it was the final one.
+func (d *decRun) addChunk(rec wal.Record) (last bool, err error) {
+	var c snapChunk
+	if err := json.Unmarshal(rec.Payload, &c); err != nil {
+		return false, fmt.Errorf("hub: snapshot run: %w", err)
+	}
+	d.meta.Chunks++
+	if d.meta.Chunks == 1 {
+		if c.V2 != secSource && c.V2 != secPair {
+			return false, fmt.Errorf("hub: snapshot run: unknown kind %q", c.V2)
+		}
+		d.id = runID{kind: c.V2, name: c.Name, left: c.Left, right: c.Right, run: c.Run}
+	}
+	if c.V2 != d.id.kind || c.Run != d.id.run || c.Chunk != d.meta.Chunks || uint64(c.Chunk) != rec.Seq {
+		return false, fmt.Errorf("hub: snapshot %v: chunk out of sequence (%s run %d chunk %d, frame %d, want chunk %d)",
+			d.id, c.V2, c.Run, c.Chunk, rec.Seq, d.meta.Chunks)
+	}
+	if (d.id.kind == secSource && len(c.MT) > 0) || (d.id.kind == secPair && len(c.Tuples) > 0) {
+		return false, fmt.Errorf("hub: snapshot %v: chunk %d holds items of the other kind", d.id, c.Chunk)
+	}
+	for i, tr := range c.Tuples {
+		t, err := wal.DecodeTuple(tr)
+		if err != nil {
+			return false, fmt.Errorf("hub: snapshot %v tuple %d: %w", d.id, d.meta.Items+i, err)
+		}
+		d.tuples = append(d.tuples, t)
+	}
+	for _, pr := range c.MT {
+		d.mt = append(d.mt, matchPair(pr))
+	}
+	d.meta.Items += len(c.Tuples) + len(c.MT)
+	return c.Last, nil
+}
+
+// matches verifies a decoded run against the manifest position it was
+// read for and that position's entry.
+func (d *decRun) matches(id runID, want snapRun) error {
+	if d.id != id || d.meta != want {
+		return fmt.Errorf("hub: snapshot %v does not match its manifest entry", id)
 	}
 	return nil
 }

@@ -21,11 +21,12 @@ import (
 )
 
 // snapshottedDir ingests a workload into a fresh durable hub in dir,
-// snapshots it and closes it.
-func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkBytes int) {
+// snapshots it with runs of runItems (0: the constant) and closes it.
+func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkBytes, runItems int) {
 	t.Helper()
 	w := datagen.MustMultiGenerate(cfg)
 	h, _ := openMultiOpts(t, dir, w, Options{ChunkBytes: chunkBytes})
+	sealAt(h, runItems)
 	for i, res := range h.IngestBatch(MultiInserts(w)) {
 		if res.Err != nil {
 			t.Fatalf("ingest %d: %v", i, res.Err)
@@ -39,16 +40,62 @@ func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkByte
 	}
 }
 
+// sealAt makes h cut its runs every n items instead of every
+// snapRunItems (0 leaves the constant), so a test-sized hub has sealed
+// runs; the loader takes the run length from the manifest.
+func sealAt(h *Hub, n int) {
+	if n > 0 {
+		h.snap.runItems = n
+	}
+}
+
+// editManifest commits dir's manifest again as edit leaves it.
+func editManifest(t testing.TB, dir string, edit func(*snapManifest)) {
+	t.Helper()
+	man, err := readManifest(wal.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(man)
+	frame, err := encodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotManifest), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteRun re-encodes the run entry names as edit leaves its decoded
+// content and re-addresses it — new file, new content hash, new entry —
+// so every frame CRC, run hash and count stays self-consistent.
+func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*decRun)) {
+	t.Helper()
+	d, err := readRunFile(wal.OS, dir, id, *entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(d)
+	items := chunkItems(tupleItems(d.tuples))
+	if id.kind == secPair {
+		items = mtItems(d.mt)
+	}
+	if *entry, err = newDirSink(wal.OS, dir, nil, 0).write(id, items, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSnapshotDeterministicRoundTrip pins snapshot→reopen→snapshot
-// identity: a hub recovered from a snapshot re-encodes every section to
-// exactly the bytes it was loaded from — same chunk boundaries, same
-// content hashes — and commits a byte-identical manifest.
+// identity: a hub recovered from a snapshot re-encodes every run to
+// exactly the bytes it was loaded from — same run and chunk boundaries,
+// same content hashes, each restored matching table in the commit order
+// it was saved in — and commits a byte-identical manifest.
 func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
 		Sources: 3, Entities: 30, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 41,
-	}, 0)
+	}, 0, 8)
 	man1, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +109,9 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 		t.Fatalf("reopen did not come up from the snapshot alone: %+v", info)
 	}
 	// Forget the loaded manifest so nothing carries forward by reference:
-	// every section is re-encoded from the recovered state.
+	// every run is re-encoded from the recovered state.
 	h2.snap.prevMan = nil
+	sealAt(h2, 8)
 	if err := h2.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +123,7 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(man1, man2) {
-		t.Fatalf("snapshot→reopen→snapshot changed the manifest (section hashes differ):\n%s\n%s", man1, man2)
+		t.Fatalf("snapshot→reopen→snapshot changed the manifest (run hashes differ):\n%s\n%s", man1, man2)
 	}
 }
 
@@ -83,7 +131,7 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 // hub's encoded state no longer fits one frame (the 256MB ceiling in
 // miniature): seed relations too large for one record go in as
 // source_begin/source_chunk groups, the snapshot persists multi-chunk
-// sections with every frame under the cap, and recovery comes up from
+// runs with every frame under the cap, and recovery comes up from
 // it alone.
 func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
 	defer wal.SetFrameCapForTesting(16 << 10)()
@@ -100,15 +148,15 @@ func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		chunks, multi, total := 0, 0, int64(0)
-		for _, sec := range man.Sections {
-			chunks += sec.Chunks
-			total += sec.Bytes
-			if sec.Chunks > 1 {
+		man.eachRun(func(_ runID, run snapRun) {
+			chunks += run.Chunks
+			total += run.Bytes
+			if run.Chunks > 1 {
 				multi++
 			}
-		}
-		if chunks < 8 || multi < 4 || total <= int64(wal.FrameCap()) {
-			t.Fatalf("expected a genuinely multi-chunk snapshot past the %d-byte frame cap, got %d chunks, %d multi-chunk sections, %d bytes; grow the workload",
+		})
+		if chunks < 8 || multi < 3 || total <= int64(wal.FrameCap()) {
+			t.Fatalf("expected a genuinely multi-chunk snapshot past the %d-byte frame cap, got %d chunks, %d multi-chunk runs, %d bytes; grow the workload",
 				wal.FrameCap(), chunks, multi, total)
 		}
 	}
@@ -134,8 +182,9 @@ func TestJumboAddSourceReplaysFromChunks(t *testing.T) {
 
 // TestSnapshotIncrementalCarryForward pins the economics: when almost
 // nothing changed between snapshots, almost nothing is rewritten —
-// unchanged source sections carry forward by reference and the bytes
-// written are o(full state).
+// whether the little that changed went into one source or was spread
+// over all of them, every sealed run carries forward by reference and
+// the bytes written are o(full state).
 func TestSnapshotIncrementalCarryForward(t *testing.T) {
 	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 4, Entities: 120, PresenceFrac: 0.7, HomonymRate: 0.1,
@@ -143,6 +192,7 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 	})
 	dir := t.TempDir()
 	h, _ := openMultiOpts(t, dir, w, Options{})
+	sealAt(h, 16)
 	items := MultiInserts(w)
 	for _, it := range items {
 		if _, err := h.Insert(it.Source, it.Tuple); err != nil {
@@ -157,44 +207,51 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 		t.Fatalf("full snapshot wrote nothing: %+v", full)
 	}
 	if full.SectionsReused != 0 {
-		t.Fatalf("first snapshot reused sections: %+v", full)
+		t.Fatalf("first snapshot reused runs: %+v", full)
 	}
+	sequences := len(h.sources) + len(h.pairs)
 
-	// An unchanged hub re-snapshots for (almost) free: every section
-	// carries forward, only the manifest is rewritten.
+	// An unchanged hub re-snapshots for (almost) free: every run carries
+	// forward, only the manifest is rewritten.
 	if err := h.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
 	idle := h.LastSnapshot()
 	if idle.SectionsWritten != 0 || idle.SectionsReused != full.SectionsWritten {
-		t.Fatalf("idle snapshot rewrote sections: %+v (full %+v)", idle, full)
+		t.Fatalf("idle snapshot rewrote runs: %+v (full %+v)", idle, full)
 	}
 
-	// Change one source (~1% of tuples): only that source's section,
-	// the pair sections it participates in and the partition re-encode.
+	// Change ~1% of the tuples, first in one source, then in every source:
+	// at most the last run of each sequence (and what the inserts newly
+	// fill) is written, everything sealed is carried.
 	extra := datagen.MustMultiGenerate(datagen.MultiConfig{
-		Sources: 4, Entities: 2, PresenceFrac: 1, Seed: 48,
+		Sources: 4, Entities: 4, PresenceFrac: 1, Seed: 48,
 	})
-	n := 0
-	for _, tup := range extra.Relations[0].Tuples() {
-		if _, err := h.Insert(w.Names[0], tup.Clone()); err == nil {
-			n++
+	runs := full.SectionsWritten
+	for leg, into := range [][]int{{0}, {0, 1, 2, 3}} {
+		n := 0
+		for _, k := range into {
+			for _, tup := range extra.Relations[k].Tuples()[2*leg : 2*leg+2] {
+				if _, err := h.Insert(w.Names[k], tup.Clone()); err == nil {
+					n++
+				}
+			}
 		}
-	}
-	if n == 0 {
-		t.Fatal("no incremental inserts landed")
-	}
-	if err := h.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	incr := h.LastSnapshot()
-	unchangedSources := len(w.Names) - 1
-	if incr.SectionsReused < unchangedSources {
-		t.Fatalf("incremental snapshot reused %d sections, want at least the %d unchanged sources (%+v)",
-			incr.SectionsReused, unchangedSources, incr)
-	}
-	if incr.BytesWritten*2 >= full.BytesWritten {
-		t.Fatalf("incremental snapshot wrote %d bytes, not o(full %d)", incr.BytesWritten, full.BytesWritten)
+		if n == 0 {
+			t.Fatal("no incremental inserts landed")
+		}
+		if err := h.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		incr := h.LastSnapshot()
+		if incr.SectionsWritten > 2*sequences || incr.SectionsReused < runs-sequences {
+			t.Fatalf("incremental snapshot into sources %v wrote %d runs and reused %d of %d (%d sequences): %+v",
+				into, incr.SectionsWritten, incr.SectionsReused, runs, sequences, incr)
+		}
+		if incr.BytesWritten*2 >= full.BytesWritten {
+			t.Fatalf("incremental snapshot into sources %v wrote %d bytes, not o(full %d)", into, incr.BytesWritten, full.BytesWritten)
+		}
+		runs = incr.SectionsWritten + incr.SectionsReused
 	}
 	want := stateOf(h)
 	h.quiesce()
@@ -209,19 +266,114 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 	mustEqualState(t, "incremental recovery", stateOf(h2), want)
 }
 
-// TestSnapshotV2TamperDetection corrupts the on-disk form two ways — a
-// flipped byte in a section file (content hash, even though the file's
-// own frames may still parse) and a flipped byte in the manifest (its
-// own frame CRC) — both of which must fail the open.
-func TestSnapshotV2TamperDetection(t *testing.T) {
+// TestSnapshotSealedMeansSealed drives twenty snapshots with inserts
+// spread over every source between them, at two hub sizes: a run that
+// was full in one manifest has the same content address in every later
+// one, and what a snapshot writes after Δ inserts is bounded by
+// Δ + R·(sources + pairs) items — the increment plus each sequence's
+// partial run — however large the hub already is.
+func TestSnapshotSealedMeansSealed(t *testing.T) {
+	const runItems, delta, snapshots = 16, 12, 20
+	// No framed tuple or table entry of this workload is larger, and no
+	// manifest entry of a run.
+	const itemBytes, entryBytes = 200, 140
+	var steady [2]int64
+	for leg, entities := range []int{150, 600} {
+		w := datagen.MustMultiGenerate(datagen.MultiConfig{
+			Sources: 3, Entities: entities, PresenceFrac: 0.8, HomonymRate: 0.1,
+			MissingPhone: 0.1, DirtyPhone: 0.1, Seed: 73,
+		})
+		dir := t.TempDir()
+		h, _ := openMultiOpts(t, dir, w, Options{})
+		sealAt(h, runItems)
+		// The last delta·snapshots/K tuples of each source, dealt round robin,
+		// are the increments; everything before them is the hub's size.
+		var head, tail []Insert
+		per := delta * snapshots / len(w.Names)
+		for i := 0; i < per; i++ {
+			for k, rel := range w.Relations {
+				tail = append(tail, Insert{Source: w.Names[k], Tuple: rel.Tuple(rel.Len() - per + i).Clone()})
+			}
+		}
+		for k, rel := range w.Relations {
+			for _, tup := range rel.Tuples()[:rel.Len()-per] {
+				head = append(head, Insert{Source: w.Names[k], Tuple: tup.Clone()})
+			}
+		}
+		for _, res := range h.IngestBatch(head) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		if err := h.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		sequences := len(h.sources) + len(h.pairs)
+		sealed := map[runID]string{}
+		for i := 0; i < snapshots; i++ {
+			for _, it := range tail[i*delta : (i+1)*delta] {
+				if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			man, err := readManifest(wal.OS, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			man.eachRun(func(id runID, r snapRun) {
+				total++
+				if was, ok := sealed[id]; ok && was != r.Hash {
+					t.Fatalf("snapshot %d: sealed %v changed from %s to %s", i, id, was, r.Hash)
+				}
+				if r.Items == runItems {
+					sealed[id] = r.Hash
+				}
+			})
+			st := h.LastSnapshot()
+			// A tuple adds itself and at most one entry to each table of its
+			// source's pairs (§3.2), two here.
+			if limit := int64(itemBytes*(3*delta+runItems*sequences) + entryBytes*total + 1024); st.BytesWritten > limit {
+				t.Fatalf("snapshot %d of a %d-tuple hub wrote %d bytes after %d inserts, limit %d: %+v", i, len(head)+len(tail), st.BytesWritten, delta, limit, st)
+			}
+			if st.SectionsReused < total-3*sequences {
+				t.Fatalf("snapshot %d reused %d of %d runs over %d sequences: %+v", i, st.SectionsReused, total, sequences, st)
+			}
+			steady[leg] = st.BytesWritten - int64(entryBytes*total)
+		}
+		if len(sealed) < 4*sequences {
+			t.Fatalf("only %d runs ever sealed over %d sequences; grow the workload", len(sealed), sequences)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("run bytes written by the last snapshot: %d at the small hub, %d at the large", steady[0], steady[1])
+	if steady[1] > 2*steady[0]+1024 {
+		t.Fatalf("run bytes written per snapshot grew with the hub: %d at the small hub, %d at the large", steady[0], steady[1])
+	}
+}
+
+// TestSnapshotV3TamperDetection corrupts the on-disk form: a flipped byte
+// in a run file (content hash, even though the file's own frames may
+// still parse) and in the manifest (its own frame CRC), and manifests
+// whose every frame, hash and count is self-consistent but whose run
+// directory is not the cut's — a run removed, two sealed runs swapped, a
+// short run that is not its sequence's last, a run of another source in
+// place of one — all of which must fail the open. A directory of the
+// retired format 2 is refused by name, never misread.
+func TestSnapshotV3TamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
 		Sources: 3, Entities: 24, PresenceFrac: 0.7, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 59,
-	}, 0)
+	}, 0, 4)
 	secs, err := filepath.Glob(filepath.Join(dir, snapSecDir, "*"+snapSecSuffix))
 	if err != nil || len(secs) == 0 {
-		t.Fatalf("sections: %v %v", secs, err)
+		t.Fatalf("runs: %v %v", secs, err)
 	}
 	for _, path := range []string{secs[0], filepath.Join(dir, snapshotManifest)} {
 		data, err := os.ReadFile(path)
@@ -240,12 +392,50 @@ func TestSnapshotV2TamperDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Control: with both files restored the directory opens again.
+	for name, c := range map[string]struct {
+		edit func(*snapManifest)
+		want string
+	}{
+		"a run removed": {func(m *snapManifest) { m.Sources[0].Runs = m.Sources[0].Runs[1:] }, "does not match its manifest entry"},
+		"the last run removed": {func(m *snapManifest) {
+			m.Sources[0].Runs = m.Sources[0].Runs[:len(m.Sources[0].Runs)-1]
+		}, "federate: restore"},
+		"two runs swapped": {func(m *snapManifest) {
+			r := m.Sources[1].Runs
+			r[0], r[1] = r[1], r[0]
+		}, "does not match its manifest entry"},
+		"a short run that is not the last": {func(m *snapManifest) {
+			rewriteRun(t, dir, m.Sources[0].id(), &m.Sources[0].Runs[0], func(d *decRun) { d.tuples = d.tuples[:len(d.tuples)-1] })
+		}, "every run but a sequence's last holds 4"},
+		"another source's run": {func(m *snapManifest) { m.Sources[0].Runs[0] = m.Sources[1].Runs[0] }, "does not match its manifest entry"},
+	} {
+		committed, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		editManifest(t, dir, c.edit)
+		if _, _, err := openOn(dir, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("manifest with %s: want a refusal saying %q, got %v", name, c.want, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotManifest), committed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Control: with every file restored the directory opens again (and
+	// sweeps the run the short-run case left behind).
 	h, info, err := openOn(dir, Options{})
 	if err != nil || !info.FromSnapshot {
 		t.Fatalf("restored directory: %v %+v", err, info)
 	}
 	h.Close()
+
+	old := t.TempDir()
+	if err := os.CopyFS(old, os.DirFS("testdata/snapshot-format2")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openOn(old, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot manifest: format 2, this build reads 3") {
+		t.Fatalf("format-2 directory: want a refusal naming both formats, got %v", err)
+	}
 }
 
 // TestSnapshotDuringIngest cuts snapshots concurrently with a streaming

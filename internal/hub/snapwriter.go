@@ -1,15 +1,16 @@
-// The snapshot producer and its directory store. It writes one section
-// at a time at a cut taken under the commit locks (snapcut.go), carrying
-// sections whose content is unchanged since the previous manifest
-// forward by reference: sections are
-// content-addressed, so a writer that remembers the previous manifest
-// writes only what changed (same item count ⇒ same content, by
-// append-onlyness within one directory's lineage) — steady-state
-// snapshot cost is proportional to change, not to hub size. The
-// manifest rename is the commit point: a crash at any moment leaves
-// either the old manifest with a longer log or the new manifest with a
-// shorter one, and orphaned section files are swept on the next open or
-// snapshot.
+// The snapshot producer and its directory store. It writes one run at a
+// time at a cut taken under the commit locks (snapcut.go), carrying the
+// runs the previous manifest already holds forward by reference: a run
+// at the same position of the same sequence with the same item count has
+// the same content, by append-onlyness within one directory's lineage,
+// and a full run never gains an item — so a writer that remembers the
+// previous manifest re-encodes each sequence's last, partial run plus
+// whatever arrived since, and a snapshot costs what the increment costs
+// (plus at most R items per sequence and one manifest entry per run),
+// not what the hub holds. The manifest rename is the commit point: a
+// crash at any moment leaves either the old manifest with a longer log
+// or the new manifest with a shorter one, and orphaned run files are
+// swept on the next open or snapshot.
 package hub
 
 import (
@@ -28,11 +29,13 @@ import (
 type SnapshotStats struct {
 	// Watermark is the WAL sequence number the snapshot covers.
 	Watermark uint64
-	// BytesWritten counts newly written bytes (changed section files
-	// plus the manifest); carried-forward sections cost nothing.
+	// BytesWritten counts newly written bytes (run files plus the
+	// manifest); carried-forward runs cost nothing, so it is proportional
+	// to what was inserted since the previous snapshot, not to the hub.
 	BytesWritten int64
-	// SectionsWritten and SectionsReused partition the snapshot's
-	// sections into re-encoded vs carried forward by reference.
+	// SectionsWritten and SectionsReused partition the snapshot's runs
+	// into encoded and written vs carried forward by reference (every
+	// sealed run the previous manifest held is).
 	SectionsWritten int
 	SectionsReused  int
 	// Taken is when the snapshot committed. After Open with no snapshot
@@ -51,6 +54,9 @@ type snapshotter struct {
 	dir        string
 	every      int
 	chunkBytes int
+	// runItems is snapRunItems; a field so tests can seal runs at hub
+	// sizes they can afford.
+	runItems int
 	// hub is the owner: a cut is taken of it, and a snapshot failure is
 	// recorded on and may degrade it.
 	hub *Hub
@@ -64,7 +70,7 @@ type snapshotter struct {
 	//entitylint:lock rank=15
 	snapMu sync.Mutex
 	// prevMan is the manifest of the latest committed snapshot: the
-	// diff base that lets unchanged sections carry forward.
+	// diff base that lets sealed and unchanged runs carry forward.
 	prevMan *snapManifest
 	// wg tracks the background writer, so Close can quiesce it.
 	wg sync.WaitGroup
@@ -74,7 +80,7 @@ type snapshotter struct {
 	stats   SnapshotStats
 }
 
-// SnapshotNow forces a synchronous snapshot: cut, per-section capture
+// SnapshotNow forces a synchronous snapshot: cut, per-run capture
 // and write, manifest rename, log truncation. It fails on a memory-only
 // hub.
 func (h *Hub) SnapshotNow() error {
@@ -108,7 +114,7 @@ func (h *Hub) LastSnapshot() SnapshotStats {
 // locks held. When the snapshot interval elapses it takes the
 // O(sources+pairs) cut and the watermark — the only work done under
 // the lock — and hands everything slow (log rotation with its fsync,
-// per-section capture, encoding, writing, truncation) to a background
+// per-run capture, encoding, writing, truncation) to a background
 // goroutine, so ingest never waits on snapshot I/O. Because rotation
 // happens off-lock, the segment boundary may land past the watermark;
 // that only means the boundary segment survives until a later snapshot
@@ -132,7 +138,7 @@ func (s *snapshotter) noteCommit() {
 }
 
 // run produces the snapshot at cut, for the trigger and SnapshotNow
-// alike: log rotation, per-section capture under briefly-held locks,
+// alike: log rotation, per-run capture under briefly-held locks,
 // an incremental write against the previous manifest, a sweep of the
 // files it made stale and truncation of the log segments it covers. It
 // is the one place a snapshot failure is counted, recorded for Close
@@ -151,7 +157,7 @@ func (s *snapshotter) run(cut *snapshotCut) (err error) {
 		return err
 	}
 	start := time.Now()
-	sink := newDirSink(s.fs, s.dir, s.prevMan)
+	sink := newDirSink(s.fs, s.dir, s.prevMan, s.runItems)
 	man, err := s.hub.writeSnapshotSections(cut, sink, s.chunkBytes)
 	if err != nil {
 		return err
@@ -162,8 +168,8 @@ func (s *snapshotter) run(cut *snapshotCut) (err error) {
 	s.statsMu.Lock()
 	s.stats = st
 	s.statsMu.Unlock()
-	// The manifest is committed: sections only older manifests
-	// referenced are now stale.
+	// The manifest is committed: runs only older manifests referenced
+	// are now stale.
 	if err := sweepSections(s.fs, s.dir, man); err != nil {
 		return fmt.Errorf("hub: snapshot: %w", err)
 	}
@@ -178,79 +184,82 @@ func (s *snapshotter) run(cut *snapshotCut) (err error) {
 	return nil
 }
 
-// dirSink persists sections as content-addressed files under
-// snapsecs/, carrying unchanged sections forward from the previous
-// manifest, and commits by atomically renaming the manifest.
+// dirSink persists runs as content-addressed files under snapsecs/,
+// carrying forward the runs the previous manifest already holds, and
+// commits by atomically renaming the manifest.
 type dirSink struct {
-	fs  wal.FS
-	dir string
-	// prevByID indexes the previous manifest's sections by identity
-	// (kind + name/left/right), so carry-forward planning is O(1) per
-	// section instead of rescanning the manifest.
-	prevByID map[string]snapSection
-	stats    SnapshotStats
+	fs       wal.FS
+	dir      string
+	runItems int
+	// prev indexes the previous manifest's run directories by sequence
+	// (a runID at run 0), so planning a snapshot is O(sources+pairs).
+	prev  map[runID][]snapRun
+	stats SnapshotStats
 }
 
-// newDirSink indexes the previous manifest (nil for a full write).
-func newDirSink(fsys wal.FS, dir string, prev *snapManifest) *dirSink {
-	s := &dirSink{fs: fsys, dir: dir}
-	if prev != nil {
-		s.prevByID = make(map[string]snapSection, len(prev.Sections))
-		for _, sec := range prev.Sections {
-			s.prevByID[sectionID(sec)] = sec
-		}
+// newDirSink indexes the previous manifest (nil for a full write; one
+// cut at another run length shares no run with this one).
+func newDirSink(fsys wal.FS, dir string, prev *snapManifest, runItems int) *dirSink {
+	s := &dirSink{fs: fsys, dir: dir, runItems: runItems, prev: map[runID][]snapRun{}}
+	if prev != nil && prev.RunItems == runItems {
+		prev.eachSeq(func(id runID, runs []snapRun) { s.prev[id] = runs })
 	}
 	return s
 }
 
-// sectionID is a section's identity key within one manifest.
-func sectionID(s snapSection) string {
-	return s.Kind + "\x1f" + s.Name + "\x1f" + s.Left + "\x1f" + s.Right
+// runs returns the run directory of sequence id at n items: the leading
+// runs the previous manifest holds at the same length are carried
+// forward — every sealed one is — and the rest are cut from from(lo),
+// the sequence's items [lo, n), and written. from is not called when
+// nothing was added.
+func (s *dirSink) runs(id runID, n, budget int, from func(lo int) (chunkItems, error)) ([]snapRun, error) {
+	prev := s.prev[id]
+	k := 0
+	for k < len(prev) && prev[k].Items == min(s.runItems, n-k*s.runItems) {
+		k++
+	}
+	s.stats.SectionsReused += k
+	runs, lo := prev[:k:k], k*s.runItems
+	if lo >= n {
+		return runs, nil
+	}
+	items, err := from(lo)
+	if err != nil {
+		return nil, err
+	}
+	for at := lo; at < n; at += s.runItems {
+		id.run = len(runs)
+		meta, err := s.write(id, items.slice(at-lo, min(at+s.runItems, n)-lo), budget)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, meta)
+	}
+	return runs, nil
 }
 
-func (s *dirSink) reuse(meta *snapSection) bool {
-	prev, ok := s.prevByID[sectionID(*meta)]
-	if !ok {
-		return false
-	}
-	// Clusters sections match on identity alone: the writer only
-	// attempts their reuse when every other section carried forward,
-	// which pins the partition content.
-	if meta.Kind != secClusters && !meta.sameContent(prev) {
-		return false
-	}
-	if _, err := s.fs.Stat(secPath(s.dir, prev.Hash)); err != nil {
-		return false
-	}
-	if meta.Kind == secClusters {
-		*meta = prev
-	} else {
-		meta.Chunks, meta.Bytes, meta.Hash = prev.Chunks, prev.Bytes, prev.Hash
-	}
-	s.stats.SectionsReused++
-	return true
-}
-
-func (s *dirSink) write(meta *snapSection, body *sectionBody, budget int) error {
+// write encodes one run into its content-addressed file.
+func (s *dirSink) write(id runID, items chunkItems, budget int) (snapRun, error) {
 	secdir := filepath.Join(s.dir, snapSecDir)
 	if err := s.fs.MkdirAll(secdir, 0o755); err != nil {
-		return fmt.Errorf("hub: snapshot: %w", err)
+		return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
 	}
 	tmp, err := s.fs.CreateTemp(secdir, "sec-*.tmp")
 	if err != nil {
-		return fmt.Errorf("hub: snapshot: %w", err)
+		return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
 	}
 	sw := wal.NewSectionWriter(tmp)
-	err = commitFile(s.fs, tmp, func() error { return writeSectionChunks(sw, body, budget) }, func() string {
+	meta := snapRun{Items: items.len()}
+	err = commitFile(s.fs, tmp, func() error { return writeRunChunks(sw, id, items, budget) }, func() string {
 		meta.Chunks, meta.Bytes, meta.Hash = sw.Chunks(), sw.Bytes(), sw.Sum()
 		return secPath(s.dir, meta.Hash)
 	})
 	if err != nil {
-		return err
+		return snapRun{}, err
 	}
 	s.stats.SectionsWritten++
 	s.stats.BytesWritten += sw.Bytes()
-	return nil
+	return meta, nil
 }
 
 func (s *dirSink) finish(man *snapManifest) error {
@@ -258,8 +267,8 @@ func (s *dirSink) finish(man *snapManifest) error {
 	if err != nil {
 		return err
 	}
-	// The section files (and their directory entry) must be durable
-	// before the manifest that references them commits.
+	// The run files (and their directory entry) must be durable before
+	// the manifest that references them commits.
 	syncDir(s.fs, filepath.Join(s.dir, snapSecDir))
 	tmp, err := s.fs.OpenFile(filepath.Join(s.dir, snapshotManTmp), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -277,7 +286,7 @@ func (s *dirSink) finish(man *snapManifest) error {
 
 // commitFile is the one durable file write: fill writes the open
 // temporary file f, which is then fsynced, closed and renamed to dst()
-// (a section's name is the hash of what was written). On any failure the
+// (a run file's name is the hash of what was written). On any failure the
 // temporary file is removed and nothing appears under dst.
 func commitFile(fsys wal.FS, f wal.File, fill func() error, dst func() string) error {
 	err := fill()
@@ -307,7 +316,7 @@ func syncDir(fsys wal.FS, path string) {
 	}
 }
 
-// sweepSections removes section files the manifest does not reference
+// sweepSections removes run files the manifest does not reference
 // (man may be nil: remove them all). The caller holds the directory
 // lock.
 func sweepSections(fsys wal.FS, dir string, man *snapManifest) error {
@@ -321,9 +330,7 @@ func sweepSections(fsys wal.FS, dir string, man *snapManifest) error {
 	}
 	keep := map[string]bool{}
 	if man != nil {
-		for _, s := range man.Sections {
-			keep[s.Hash+snapSecSuffix] = true
-		}
+		man.eachRun(func(_ runID, r snapRun) { keep[r.Hash+snapSecSuffix] = true })
 	}
 	for _, e := range ents {
 		if !strings.HasSuffix(e.Name(), snapSecSuffix) && !strings.HasSuffix(e.Name(), ".tmp") {

@@ -97,7 +97,7 @@ func (p *walLogger) syncPending() {
 // one frame-capped chunk is logged as a single add_source record,
 // byte-compatible with older logs; a jumbo relation is split into a
 // source_begin record plus budget-sized source_chunk continuations
-// (the same writeChunked splitter the snapshot sections use, frame-cap
+// (the same writeChunked splitter the snapshot runs use, frame-cap
 // halving included) that commit atomically at the final chunk.
 //
 //entitylint:walappend

@@ -1,9 +1,9 @@
 // Section/continuation framing: the primitives behind jumbo logical
 // records that do not fit one CRC frame. A *section* is an ordered run
 // of frames whose sequence numbers restart at 1 — the hub's chunked
-// snapshot stores one section per source, per pair and for the cluster
-// partition, and reads them back independently (and in parallel, when
-// each section lives in its own file).
+// snapshot stores one section per run of a source's tuples or a pair's
+// matching table, each in its own file, and reads them back
+// independently and in parallel.
 //
 // SectionWriter frames chunk payloads with section-local sequence
 // numbers and maintains a running SHA-256 over the emitted frame bytes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -271,6 +272,39 @@ func TestCorruptMiddleStopsAtLastGoodRecord(t *testing.T) {
 func TestEncodeRecordRejectsNewlinePayload(t *testing.T) {
 	if _, err := EncodeRecord(1, []byte("a\nb")); err == nil {
 		t.Fatal("newline payload accepted")
+	}
+}
+
+// TestFrameCanonicalForm holds the hand-built frame to the format string
+// that defines it, and the parser's field-by-field canonical-form checks
+// to what re-encoding and comparing used to refuse.
+func TestFrameCanonicalForm(t *testing.T) {
+	for _, c := range []struct {
+		seq     uint64
+		payload string
+	}{{1, ""}, {1, "{}"}, {9, "x"}, {10, "a b  c"}, {1<<64 - 1, strings.Repeat("é", 300)}, {42, "\x00\xff"}} {
+		want := fmt.Appendf(nil, "%s %d %08x %d %s\n", magic, c.seq, crc32.Checksum([]byte(c.payload), castagnoli), len(c.payload), c.payload)
+		got, err := EncodeRecord(c.seq, []byte(c.payload))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("EncodeRecord(%d, %q) = %q, %v; want %q", c.seq, c.payload, got, err, want)
+		}
+		if rec, err := DecodeRecord(got); err != nil || rec.Seq != c.seq || string(rec.Payload) != c.payload {
+			t.Fatalf("DecodeRecord(%q) = %+v, %v", got, rec, err)
+		}
+	}
+	// crc32c("abc") is 364b3fb7: every frame below carries the right
+	// checksum and length and differs from the canonical one in form only.
+	if _, err := DecodeRecord([]byte("w1 7 364b3fb7 3 abc\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range []string{
+		"w1 07 364b3fb7 3 abc\n", "w1 +7 364b3fb7 3 abc\n", "w1 7 364B3FB7 3 abc\n", "w1 7 364b3fb7 03 abc\n",
+		"w1 7 364b3fb7 +3 abc\n", "w1 7 0x4b3fb7 3 abc\n", "w1 7 364b3fb7 3  abc\n", "w1  7 364b3fb7 3 abc\n",
+		"w1 7 00000000 0\n", "w1 7 00000000 00 \n", "w1 7 00000000 -0 \n", "w1 1_0 364b3fb7 3 abc\n",
+	} {
+		if rec, err := DecodeRecord([]byte(frame)); err == nil {
+			t.Errorf("non-canonical frame %q decoded as %+v", frame, rec)
+		}
 	}
 }
 
