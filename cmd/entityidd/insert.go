@@ -1,4 +1,8 @@
-// POST /v1/insert, the NDJSON ingest path, and its input codec.
+// POST /v1/insert, the NDJSON ingest path. A line is
+// {"source":…,"tuple":[…]}: encoding/json reads the envelope, and the
+// tuple — a JSON array of scalars, the bytes an ack serves back and the
+// log keeps — is read by the one tuple codec against the source's schema
+// (decodeLine).
 //
 // /v1/insert streams both ways: request lines decode as they arrive
 // off the wire into a hub ingest stream of the request's own (two
@@ -36,31 +40,47 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 
 	"entityid"
+	"entityid/internal/relation"
 	"entityid/internal/value"
 )
 
-// insertLine is one NDJSON ingest item.
+// insertLine is one NDJSON ingest item, its tuple kept as the bytes it
+// arrived in for the tuple codec.
 type insertLine struct {
-	Source string `json:"source"`
-	Tuple  []any  `json:"tuple"`
+	Source string          `json:"source"`
+	Tuple  json.RawMessage `json:"tuple"`
 }
 
 // decodeLine parses one trimmed, non-blank body line into a hub insert.
 // A framing error (malformed JSON) is terminal — nothing after the line
 // can be trusted, it may be a torn tail; a tuple error is the line's own.
+// What only this door does is fold a string attribute's "" and "null"
+// into NULL, the way value.Parse folds them for every other kind and
+// every CSV field; storage holds those two strings as themselves.
 func (s *server) decodeLine(line []byte) (ins entityid.HubInsert, terminal bool, err error) {
 	var il insertLine
 	if err := json.Unmarshal(line, &il); err != nil {
 		return ins, true, err
 	}
-	t, err := s.toTuple(il.Source, il.Tuple)
+	sch, err := s.hub.SourceSchema(il.Source)
 	if err != nil {
-		return ins, false, err
+		return ins, false, fmt.Errorf("unknown source %q", il.Source)
+	}
+	if len(il.Tuple) == 0 || string(il.Tuple) == "null" {
+		il.Tuple = json.RawMessage("[]") // a missing tuple is an empty one
+	}
+	t, err := relation.ParseTupleJSON(sch, il.Tuple)
+	if err != nil {
+		return ins, false, fmt.Errorf("source %q: %w", il.Source, err)
+	}
+	for i, v := range t {
+		if v.Kind() == value.KindString {
+			t[i], _ = value.Parse(v.Str(), value.KindString) // never fails: folds, or keeps the string
+		}
 	}
 	return entityid.HubInsert{Source: il.Source, Tuple: t}, false, nil
 }
@@ -336,65 +356,5 @@ func (s *server) insertStream(ctx context.Context, w http.ResponseWriter, body i
 	// Drain any residual results (cancellation races) so the stream's
 	// commit goroutine is never left blocked on an unread channel.
 	for range results {
-	}
-}
-
-// toTuple converts JSON scalars into a typed tuple per the source
-// schema.
-func (s *server) toTuple(source string, raw []any) (entityid.Tuple, error) {
-	sch, err := s.hub.SourceSchema(source)
-	if err != nil {
-		return nil, fmt.Errorf("unknown source %q", source)
-	}
-	if len(raw) != sch.Arity() {
-		return nil, fmt.Errorf("source %q: %d values, schema wants %d", source, len(raw), sch.Arity())
-	}
-	t := make(entityid.Tuple, len(raw))
-	for i, rv := range raw {
-		a := sch.Attr(i)
-		v, err := jsonToValue(rv, a.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("source %q: attribute %q: %w", source, a.Name, err)
-		}
-		t[i] = v
-	}
-	return t, nil
-}
-
-// jsonToValue converts one decoded JSON scalar to a typed value.
-func jsonToValue(raw any, kind value.Kind) (value.Value, error) {
-	if raw == nil {
-		return value.Null, nil
-	}
-	switch v := raw.(type) {
-	case string:
-		return value.Parse(v, kind)
-	case float64:
-		switch kind {
-		case value.KindInt:
-			if v != math.Trunc(v) {
-				return value.Null, fmt.Errorf("non-integer %v for int attribute", v)
-			}
-			// Range-check before converting: float→int overflow is
-			// implementation-defined in Go. Both bounds are exact float64
-			// values (-2^63 is representable; 2^63 is the first excluded
-			// value). Integers beyond ±2^53 already lost precision in
-			// JSON's float64 carriage, but in-range ones convert exactly.
-			if v < math.MinInt64 || v >= -(math.MinInt64) {
-				return value.Null, fmt.Errorf("integer %v overflows int64", v)
-			}
-			return value.Int(int64(v)), nil
-		case value.KindFloat:
-			return value.Float(v), nil
-		default:
-			return value.Null, fmt.Errorf("number %v for %s attribute", v, kind)
-		}
-	case bool:
-		if kind != value.KindBool {
-			return value.Null, fmt.Errorf("bool for %s attribute", kind)
-		}
-		return value.Bool(v), nil
-	default:
-		return value.Null, fmt.Errorf("unsupported JSON value %T", raw)
 	}
 }

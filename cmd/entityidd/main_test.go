@@ -228,34 +228,6 @@ func TestServerTypedKeyLookup(t *testing.T) {
 	}
 }
 
-// TestJSONToValueIntRange pins the float64→int64 conversion guards:
-// JSON numbers arrive as float64, so non-integral values, values beyond
-// the int64 range (where Go's float→int conversion is
-// implementation-defined) and the first excluded value 2^63 must all be
-// rejected, while every in-range integral float converts exactly.
-func TestJSONToValueIntRange(t *testing.T) {
-	ok := []float64{0, 1, -1, 1 << 53, -(1 << 53), -9223372036854775808}
-	for _, v := range ok {
-		got, err := jsonToValue(v, value.KindInt)
-		if err != nil {
-			t.Fatalf("jsonToValue(%v): %v", v, err)
-		}
-		if got.IntVal() != int64(v) {
-			t.Fatalf("jsonToValue(%v) = %d", v, got.IntVal())
-		}
-	}
-	bad := []float64{
-		9223372036854775808,  // 2^63: first value past int64
-		-9223372036854777856, // next float64 below -2^63
-		1e300, -1e300, 1.5, -0.25,
-	}
-	for _, v := range bad {
-		if _, err := jsonToValue(v, value.KindInt); err == nil {
-			t.Fatalf("jsonToValue(%v) accepted", v)
-		}
-	}
-}
-
 // TestInsertBodyCap pins the streaming ingest size cap: a body past
 // -max-insert-body is truncated at the cap — lines before it are acked
 // and committed, and the stream ends with a terminal error line instead

@@ -252,13 +252,13 @@ func TestRenderMatchesReference(t *testing.T) {
 	}
 	// Every listed string and number on its own, so a failure names it.
 	for _, s := range nastyStrings {
-		if got, want := appendString(nil, s), bytes.TrimSuffix(refLine(t, s), []byte("\n")); !bytes.Equal(got, want) {
-			t.Errorf("appendString(%q) = %s, encoding/json writes %s", s, got, want)
+		if got, want := value.AppendJSONString(nil, s), bytes.TrimSuffix(refLine(t, s), []byte("\n")); !bytes.Equal(got, want) {
+			t.Errorf("AppendJSONString(%q) = %s, encoding/json writes %s", s, got, want)
 		}
 	}
 	for _, f := range nastyFloats {
-		if got, want := appendFloat(nil, f), bytes.TrimSuffix(refLine(t, f), []byte("\n")); !bytes.Equal(got, want) {
-			t.Errorf("appendFloat(%v) = %s, encoding/json writes %s", f, got, want)
+		if got, want := value.AppendJSON(nil, value.Float(f)), bytes.TrimSuffix(refLine(t, f), []byte("\n")); !bytes.Equal(got, want) {
+			t.Errorf("AppendJSON(%v) = %s, encoding/json writes %s", f, got, want)
 		}
 	}
 }
@@ -273,12 +273,12 @@ func TestRenderNonFiniteFloat(t *testing.T) {
 		if _, err := json.Marshal(valueToJSON(value.Float(f))); err == nil {
 			t.Fatalf("reference encodes %v: compare it instead", f)
 		}
-		got := appendValue(nil, value.Float(f))
+		got := value.AppendJSON(nil, value.Float(f))
 		var s string
 		if err := json.Unmarshal(got, &s); err != nil {
 			t.Fatalf("%v rendered as %s: not a JSON string: %v", f, got, err)
 		}
-		back, err := jsonToValue(s, value.KindFloat)
+		back, _, err := value.ParseJSON(got, value.KindFloat)
 		if err != nil {
 			t.Fatalf("%v rendered as %s, which the tuple codec rejects: %v", f, got, err)
 		}

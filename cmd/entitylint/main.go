@@ -1,5 +1,5 @@
 // Command entitylint is the hub's multichecker: it runs the
-// internal/analysis suite (lockorder, walfirst, hotpath, errwrapcheck)
+// internal/analysis suite (lockorder, walfirst, hotpath)
 // over Go packages.
 //
 //	entitylint ./...                 # analyze package patterns
@@ -20,7 +20,6 @@ import (
 
 	"entityid/internal/analysis"
 	"entityid/internal/analysis/analysistest"
-	"entityid/internal/analysis/errwrapcheck"
 	"entityid/internal/analysis/hotpath"
 	"entityid/internal/analysis/load"
 	"entityid/internal/analysis/lockorder"
@@ -29,7 +28,6 @@ import (
 
 // suite is every analyzer the multichecker runs, in report order.
 var suite = []*analysis.Analyzer{
-	errwrapcheck.Analyzer,
 	hotpath.Analyzer,
 	lockorder.Analyzer,
 	walfirst.Analyzer,

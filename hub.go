@@ -106,6 +106,11 @@ var (
 	ErrHubBadCursor = hub.ErrBadCursor
 )
 
+// ErrHubInvalidUTF8 matches the refusal of a tuple (inserted, streamed
+// or seeded) holding a string that is not valid UTF-8, which the hub's
+// log cannot spell; nothing of it was logged or applied.
+var ErrHubInvalidUTF8 = hub.ErrInvalidUTF8
+
 // MergedEntity is a cluster's merged cross-source record.
 type MergedEntity = hub.MergedEntity
 

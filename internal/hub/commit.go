@@ -19,8 +19,26 @@ import (
 	"entityid/internal/federate"
 	"entityid/internal/obs"
 	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/store"
+	"entityid/internal/wal"
 )
+
+// ErrInvalidUTF8 matches the refusal of a tuple — inserted, streamed or
+// seeded — holding a string that is not valid UTF-8: JSON, the tuple
+// codec, would log it as U+FFFD and replay a different value. Refused
+// on memory-only hubs too: what a hub accepts does not depend on whether
+// it is durable.
+var ErrInvalidUTF8 = errors.New("string value is not valid UTF-8")
+
+// checkUTF8 refuses a tuple over sch that the codec cannot hold, naming
+// the attribute.
+func checkUTF8(sch *schema.Schema, t relation.Tuple) error {
+	if i := t.InvalidUTF8(); i >= 0 {
+		return fmt.Errorf("attribute %q: %w (%q)", sch.Attr(i).Name, ErrInvalidUTF8, t[i].Str())
+	}
+	return nil
+}
 
 // Receipt reports a successful insert: the tuple's position in its
 // source, the pairwise matches it produced, and its cluster after the
@@ -39,25 +57,17 @@ type Receipt struct {
 // pairwise §3.2 uniqueness or consistency violation, transitive
 // cluster-uniqueness violation) leave the hub exactly as it was.
 func (h *Hub) Insert(source string, t relation.Tuple) (*Receipt, error) {
-	payload, err := h.walPayload(source, t)
-	if err != nil {
-		return nil, err
-	}
-	return h.insertTraced(source, t, payload)
+	return h.insertTraced(source, t, h.walPayload(source, t))
 }
 
-// walPayload marshals the write-ahead-log record of an insert on a
+// walPayload encodes the write-ahead-log record of an insert on a
 // durable hub (nil on a memory-only one) — outside every lock, so the
 // append under them is a pure log write.
-func (h *Hub) walPayload(source string, t relation.Tuple) ([]byte, error) {
+func (h *Hub) walPayload(source string, t relation.Tuple) []byte {
 	if h.per == nil {
-		return nil, nil
+		return nil
 	}
-	payload, err := encodeInsert(source, t)
-	if err != nil {
-		return nil, fmt.Errorf("hub: source %q: %w", source, err)
-	}
-	return payload, nil
+	return wal.AppendInsert(make([]byte, 0, 64+24*len(t)), source, t)
 }
 
 // insertTraced is the traced commit path shared by Insert and a
@@ -108,6 +118,9 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		defer p.mu.Unlock()
 	}
 	if err := src.rel.CanInsert(t); err != nil {
+		return nil, fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	if err := checkUTF8(src.rel.Schema(), t); err != nil {
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
 	}
 	// Page any spilled pairwise federation back in before preparing.

@@ -39,6 +39,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Every source of the fixture has the one shape (four strings), so
+	// any slot's schema reads any source run.
+	sch, err := wal.DecodeSchema(base.Sources[0].Schema)
+	if err != nil {
+		f.Fatal(err)
+	}
 	committed := map[string]bool{}
 	var first []byte
 	base.eachRun(func(_ runID, r snapRun) {
@@ -71,6 +77,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		func(m *snapManifest) { m.RunItems = 3 },
 		func(m *snapManifest) { m.Sources, m.Pairs = nil, nil },
 		func(m *snapManifest) { m.Format = 2 },
+		func(m *snapManifest) { m.Format = 3 },
 	} {
 		man := *base
 		man.Sources = append([]snapSource(nil), base.Sources...)
@@ -82,6 +89,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("w1 1 00000000 0 \n"))
 	f.Add([]byte(nil))
 	f.Add([]byte(strings.Repeat("{", 100)))
+	// A source run of the retired format (3): a {"k","v"} object per
+	// value. Like the corpus files under testdata/fuzz, refused.
+	f.Add([]byte(`{"v2":"source","run":0,"chunk":1,"last":true,"name":"src0","tuples":[[{"k":"string","v":"a"},{"k":"string","v":"b"},{"k":"null"},{"k":"string","v":"c"}]]}`))
 
 	// load runs the manifest through the loader; a hub that comes back
 	// passed full verification and must snapshot again.
@@ -116,7 +126,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		return append(runs, r)
 	}
 	run := func(t *testing.T, data []byte) {
-		d, err := decodeRun(bytes.NewReader(data))
+		d, err := decodeRun(bytes.NewReader(data), sch)
 		if err != nil {
 			return
 		}

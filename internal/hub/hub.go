@@ -247,6 +247,11 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 	if err := h.healthErr(); err != nil {
 		return fmt.Errorf("hub: source %q: %w", name, err)
 	}
+	for i, t := range rel.Tuples() {
+		if err := checkUTF8(rel.Schema(), t); err != nil {
+			return fmt.Errorf("hub: source %q: seed tuple %d: %w", name, i, err)
+		}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, dup := h.byName[name]; dup {

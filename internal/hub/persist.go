@@ -5,6 +5,7 @@
 package hub
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/store"
 	"entityid/internal/store/disk"
 	"entityid/internal/wal"
@@ -245,15 +247,25 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 // torn single record.
 //
 // Replay decodes ahead the way a stream encodes ahead: the log read, the
-// frame checks and the JSON decoding of each record run on a second
-// goroutine (inside the log's replay callback), the mutations on the
-// caller's, in log order. A record that fails to decode travels down the
-// same channel as the good ones before it, so the error returned, the
-// count and the hub's state on failure are those of a serial replay.
+// frame checks and the decoding of each record — the envelope, a schema,
+// the tuples — run on a second goroutine (inside the log's replay
+// callback), the mutations on the caller's, in log order. A tuple is read
+// against its source's schema, so the decoder carries the schemas it has
+// seen: the hub's own when Replay starts, then each add_source and
+// source_begin record's as it passes — a source is always logged before
+// its tuples. A record that fails to decode travels down the same channel
+// as the good ones before it, so the error returned, the count and the
+// hub's state on failure are those of a serial replay.
 func (h *Hub) Replay(l *wal.Log, after uint64) (int, error) {
 	if h.per != nil {
 		return 0, fmt.Errorf("hub: replay into a hub that is already logging")
 	}
+	schemas := map[string]*schema.Schema{}
+	h.mu.RLock()
+	for _, s := range h.sources {
+		schemas[s.name] = s.rel.Schema()
+	}
+	h.mu.RUnlock()
 	// recs is as deep as a stream's channels, for the same reason: enough
 	// for the decoder to run ahead of a slow apply, bounded in memory.
 	recs := make(chan replayRecord, defaultStreamWindow)
@@ -262,7 +274,7 @@ func (h *Hub) Replay(l *wal.Log, after uint64) (int, error) {
 	go func() {
 		defer close(recs)
 		readErr = l.Replay(after, func(rec wal.Record) error {
-			d := decodeReplayRecord(rec)
+			d := decodeReplayRecord(rec, schemas)
 			select {
 			case recs <- d:
 			case <-stop:
@@ -308,19 +320,54 @@ func (h *Hub) Replay(l *wal.Log, after uint64) (int, error) {
 var errReplayStopped = errors.New("hub: replay stopped")
 
 // replayRecord is one log record decoded ahead of its application: the
-// envelope, an insert's tuple, or the error decoding either gave.
+// envelope, the schema it registers, the tuples it carries (an insert's
+// one), or the error decoding any of them gave.
 type replayRecord struct {
-	seq   uint64
-	env   wal.Envelope
-	tuple relation.Tuple
-	err   error
+	seq    uint64
+	env    wal.Envelope
+	schema *schema.Schema
+	tuples []relation.Tuple
+	err    error
 }
 
-func decodeReplayRecord(rec wal.Record) replayRecord {
+// decodeReplayRecord decodes one record against the schemas logged so
+// far, adding the one it registers.
+func decodeReplayRecord(rec wal.Record, schemas map[string]*schema.Schema) replayRecord {
 	d := replayRecord{seq: rec.Seq}
-	d.env, d.err = wal.DecodeEnvelope(rec.Payload)
-	if d.err == nil && d.env.Type == wal.TypeInsert {
-		d.tuple, d.err = wal.DecodeTuple(d.env.Insert.Tuple)
+	if d.env, d.err = wal.DecodeEnvelope(rec.Payload); d.err != nil {
+		return d
+	}
+	var name string
+	var tuples json.RawMessage
+	switch env := d.env; env.Type {
+	case wal.TypeAddSource:
+		name, tuples = env.AddSource.Name, env.AddSource.Tuples
+		d.schema, d.err = wal.DecodeSchema(env.AddSource.Schema)
+	case wal.TypeSourceBegin:
+		name = env.SourceBegin.Name
+		d.schema, d.err = wal.DecodeSchema(env.SourceBegin.Schema)
+	case wal.TypeSourceChunk:
+		name, tuples = env.SourceChunk.Name, env.SourceChunk.Tuples
+	case wal.TypeInsert:
+		name = env.Insert.Source
+	default:
+		return d
+	}
+	if d.schema != nil {
+		schemas[name] = d.schema
+	}
+	switch sch := schemas[name]; {
+	case d.err != nil:
+	case sch == nil:
+		d.err = fmt.Errorf("no earlier record registers it")
+	case d.env.Type == wal.TypeInsert:
+		d.tuples = make([]relation.Tuple, 1)
+		d.tuples[0], d.err = relation.ParseTupleJSON(sch, d.env.Insert.Tuple)
+	case tuples != nil:
+		d.tuples, d.err = relation.ParseTuplesJSON(sch, tuples)
+	}
+	if d.err != nil {
+		d.err = fmt.Errorf("hub: %s record for source %q: %w", d.env.Type, name, d.err)
 	}
 	return d
 }
@@ -347,28 +394,20 @@ func (h *Hub) applyRecord(d replayRecord, open **pendingSource) (int, error) {
 	}
 	switch env.Type {
 	case wal.TypeAddSource:
-		sch, err := wal.DecodeSchema(env.AddSource.Schema)
-		if err != nil {
-			return 0, err
-		}
-		rel := relation.New(sch)
-		if err := seedTuples(rel, env.AddSource.Tuples); err != nil {
+		rel := relation.New(d.schema)
+		if err := seedTuples(rel, d.tuples); err != nil {
 			return 0, err
 		}
 		return 1, h.AddSource(env.AddSource.Name, rel)
 	case wal.TypeSourceBegin:
-		sch, err := wal.DecodeSchema(env.SourceBegin.Schema)
-		if err != nil {
-			return 0, err
-		}
-		*open = &pendingSource{name: env.SourceBegin.Name, rel: relation.New(sch), records: 1}
+		*open = &pendingSource{name: env.SourceBegin.Name, rel: relation.New(d.schema), records: 1}
 		return 0, nil
 	case wal.TypeSourceChunk:
 		p := *open
 		if p == nil || p.name != env.SourceChunk.Name {
 			return 0, fmt.Errorf("hub: source_chunk for %q without matching source_begin", env.SourceChunk.Name)
 		}
-		if err := seedTuples(p.rel, env.SourceChunk.Tuples); err != nil {
+		if err := seedTuples(p.rel, d.tuples); err != nil {
 			return 0, err
 		}
 		p.records++
@@ -384,21 +423,17 @@ func (h *Hub) applyRecord(d replayRecord, open **pendingSource) (int, error) {
 		}
 		return 1, h.Link(spec)
 	case wal.TypeInsert:
-		_, err := h.Insert(env.Insert.Source, d.tuple)
+		_, err := h.Insert(env.Insert.Source, d.tuples[0])
 		return 1, err
 	default:
 		return 0, fmt.Errorf("hub: unknown record type %q", env.Type)
 	}
 }
 
-// seedTuples decodes a registration record's seed tuples into rel.
-func seedTuples(rel *relation.Relation, recs [][]wal.ValueRec) error {
-	for i, tr := range recs {
-		t, err := wal.DecodeTuple(tr)
-		if err == nil {
-			err = rel.Insert(t)
-		}
-		if err != nil {
+// seedTuples inserts a registration record's seed tuples into rel.
+func seedTuples(rel *relation.Relation, ts []relation.Tuple) error {
+	for i, t := range ts {
+		if err := rel.Insert(t); err != nil {
 			return fmt.Errorf("seed tuple %d: %w", i, err)
 		}
 	}

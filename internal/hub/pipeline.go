@@ -5,7 +5,7 @@
 //
 // and streams share nothing but the hub's locks. Encode-ahead reads the
 // caller's channel, honours the stream context and — on durable hubs —
-// marshals the tuple's write-ahead-log payload, so the encoding of tuple
+// encodes the tuple's write-ahead-log payload, so the encoding of tuple
 // N+1 overlaps the commit of tuple N. Commit runs the Insert commit path
 // (health, source lookup, blocking, per-pair matching, WAL append, apply
 // and cluster fold, under the same per-source, per-pair and commit locks
@@ -62,13 +62,11 @@ type StreamResult struct {
 	Err     error
 }
 
-// streamJob is one item between a stream's two goroutines: the insert,
-// its pre-encoded WAL record (durable hubs), or the encode failure that
-// is its result.
+// streamJob is one item between a stream's two goroutines: the insert
+// and its pre-encoded WAL record (durable hubs).
 type streamJob struct {
 	Insert
 	payload []byte
-	err     error
 }
 
 // IngestStream commits an insert stream: items are read from in until
@@ -115,8 +113,7 @@ func (h *Hub) encodeAhead(ctx context.Context, in <-chan Insert, jobs chan<- str
 		case <-ctx.Done():
 			return
 		}
-		j := streamJob{Insert: item}
-		j.payload, j.err = h.walPayload(item.Source, item.Tuple)
+		j := streamJob{Insert: item, payload: h.walPayload(item.Source, item.Tuple)}
 		depthCommit.Add(1)
 		select {
 		case jobs <- j:
@@ -186,12 +183,10 @@ func (h *Hub) commitStream(ctx context.Context, jobs <-chan streamJob, out chan<
 		if ctx.Err() != nil {
 			continue
 		}
-		res := StreamResult{Seq: seq, Err: j.err}
-		if j.err == nil {
-			res.Receipt, res.Err = h.insertTraced(j.Source, j.Tuple, j.payload)
-			if res.Err == nil && h.per != nil {
-				appended = true
-			}
+		res := StreamResult{Seq: seq}
+		res.Receipt, res.Err = h.insertTraced(j.Source, j.Tuple, j.payload)
+		if res.Err == nil && h.per != nil {
+			appended = true
 		}
 		select {
 		case out <- res:

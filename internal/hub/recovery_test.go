@@ -10,6 +10,7 @@ package hub
 // doctored by hand.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,8 +19,11 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/store"
 	"entityid/internal/store/mem"
+	"entityid/internal/value"
 	"entityid/internal/wal"
 	"entityid/internal/wal/errfs"
 )
@@ -297,5 +301,61 @@ func TestPowerLossAtSyncBoundary(t *testing.T) {
 		if err := r.servesTruth(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestInvalidUTF8IsRefusedBeforeTheLog: the tuple codec is JSON, which
+// cannot spell a string that is not UTF-8 — it would log "\xff" and
+// "\xfe" both as U+FFFD, two acknowledged keys as one, and the directory
+// would never open again (the second insert replays as a key violation).
+// Such a tuple is refused, by a sentinel, on every door — Insert, a
+// stream, AddSource's seeds — before anything is logged or applied, on a
+// memory-only hub exactly as on a durable one; the directory reopens
+// with what was accepted.
+func TestInvalidUTF8IsRefusedBeforeTheLog(t *testing.T) {
+	dir := t.TempDir()
+	durable, _, err := openOn(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Hub{New(), durable} {
+		addNamed(t, h, "a")
+		mustInsert(t, h, "a", "ok", "café")
+		before := h.Stats()
+		for _, key := range []string{"\xff", "\xfe", "tail\xc3"} {
+			bad := relation.Tuple{value.String(key), value.String("n")}
+			if _, err := h.Insert("a", bad); !errors.Is(err, ErrInvalidUTF8) || !strings.Contains(err.Error(), `source "a": attribute "id"`) {
+				t.Fatalf("Insert %q: %v, want ErrInvalidUTF8 naming the attribute", key, err)
+			}
+			res := h.IngestBatch([]Insert{{Source: "a", Tuple: bad}, {Source: "a", Tuple: relation.Tuple{value.String("n-" + key[:1]), value.String("n\xff")}}})
+			for _, r := range res {
+				if !errors.Is(r.Err, ErrInvalidUTF8) {
+					t.Fatalf("streamed %q: %v, want ErrInvalidUTF8", key, r.Err)
+				}
+			}
+			seed := relation.New(schema.MustNew("s", []schema.Attribute{{Name: "id", Kind: value.KindString}}))
+			seed.MustInsert(value.String("fine"))
+			seed.MustInsert(value.String(key))
+			if err := h.AddSource("s", seed); !errors.Is(err, ErrInvalidUTF8) || !strings.Contains(err.Error(), "seed tuple 1") {
+				t.Fatalf("AddSource seeded with %q: %v, want ErrInvalidUTF8 naming the seed", key, err)
+			}
+		}
+		if after := h.Stats(); after != before {
+			t.Fatalf("refused tuples changed the hub: %+v -> %+v", before, after)
+		}
+		if _, err := h.SourceSchema("s"); err == nil {
+			t.Fatal("the refused registration reached the hub")
+		}
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h, info, err := openOn(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer h.Close()
+	if info.Replayed != 2 || h.Stats().Tuples != 1 {
+		t.Fatalf("reopened with %+v, %+v; want the source and the one accepted tuple", info, h.Stats())
 	}
 }

@@ -9,6 +9,7 @@ package hub
 // expected strings were taken from the serial replay this one replaced.
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,7 +112,7 @@ func TestReplayStopsAtTheFailingRecord(t *testing.T) {
 	}
 	badTuple, err := wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
 		Source: prev.Insert.Source,
-		Tuple:  []wal.ValueRec{{Kind: "int", Text: "seven"}},
+		Tuple:  json.RawMessage(`[7,"loc","k","phone"]`),
 	}}.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +152,7 @@ func TestReplayStopsAtTheFailingRecord(t *testing.T) {
 		{
 			name:     "undecodable tuple",
 			payloads: with(payloads, k, badTuple),
-			want:     fmt.Sprintf(`record %d: wal: int value "seven": strconv.ParseInt: parsing "seven": invalid syntax`, k),
+			want:     fmt.Sprintf(`record %d: hub: insert record for source %q: attribute "name": number 7 for string attribute`, k, prev.Insert.Source),
 		},
 		{
 			name:     "rejected insert",
@@ -257,7 +258,7 @@ func TestReplayDiscardsAbandonedGroupFarBehind(t *testing.T) {
 	}
 	chunk, err := wal.Envelope{Type: wal.TypeSourceChunk, SourceChunk: &wal.SourceChunkRec{
 		Name:   "ghost",
-		Tuples: wal.EncodeTuples([]relation.Tuple{{value.String("g1")}, {value.String("g2")}}),
+		Tuples: relation.AppendTuplesJSON(nil, []relation.Tuple{{value.String("g1")}, {value.String("g2")}}),
 	}}.Encode()
 	if err != nil {
 		t.Fatal(err)

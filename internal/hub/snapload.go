@@ -28,6 +28,7 @@ import (
 	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/store"
 	"entityid/internal/wal"
 )
@@ -67,52 +68,60 @@ func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Ba
 		return nil, fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
 	}
 	// One job per run file; seqs[i] collects sequence i's decoded runs,
-	// sources then pairs.
+	// sources then pairs. A source's runs are read against the schema of
+	// its manifest slot.
 	type job struct {
 		id   runID
 		want snapRun
+		sch  *schema.Schema
 		into **decRun
 	}
 	var jobs []job
 	var seqs [][]*decRun
-	add := func(id runID, runs []snapRun) error {
+	add := func(id runID, runs []snapRun, sch *schema.Schema) error {
 		dec := make([]*decRun, len(runs))
 		for k, r := range runs {
 			id.run = k
-			jobs = append(jobs, job{id, r, &dec[k]})
+			jobs = append(jobs, job{id, r, sch, &dec[k]})
 		}
 		seqs = append(seqs, dec)
 		return checkRuns(id, runs, man.RunItems)
 	}
-	for _, s := range man.Sources {
-		if err := add(s.id(), s.Runs); err != nil {
+	schemas := make([]*schema.Schema, len(man.Sources))
+	for i, s := range man.Sources {
+		var err error
+		if schemas[i], err = wal.DecodeSchema(s.Schema); err != nil {
+			return nil, fmt.Errorf("hub: snapshot source %q: %w", s.Name, err)
+		}
+		if err := add(s.id(), s.Runs, schemas[i]); err != nil {
 			return nil, err
 		}
 	}
 	for _, p := range man.Pairs {
-		if err := add(p.id(), p.Runs); err != nil {
+		if err := add(p.id(), p.Runs, nil); err != nil {
 			return nil, err
 		}
 	}
 	err := inParallel(len(jobs), func(i int) (err error) {
-		*jobs[i].into, err = readRunFile(fsys, dir, jobs[i].id, jobs[i].want)
+		*jobs[i].into, err = readRunFile(fsys, dir, jobs[i].id, jobs[i].want, jobs[i].sch)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return assembleHub(man, seqs[:len(man.Sources)], seqs[len(man.Sources):], b)
+	return assembleHub(man, schemas, seqs[:len(man.Sources)], seqs[len(man.Sources):], b)
 }
 
-// readRunFile decodes one run file and verifies the result — sequence,
-// position, counts, content hash — against its manifest entry.
-func readRunFile(fsys wal.FS, dir string, id runID, want snapRun) (*decRun, error) {
+// readRunFile decodes one run file (a source's against sch) and verifies
+// the result — sequence, position, counts, content hash — against its
+// manifest entry.
+func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema) (*decRun, error) {
 	f, err := fsys.Open(secPath(dir, want.Hash))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %v: %w", id, err)
 	}
 	defer f.Close()
-	d, err := decodeRun(f)
+	d, err := decodeRun(f, sch)
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +131,9 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun) (*decRun, erro
 	return d, nil
 }
 
-// assembleHub builds a hub from a manifest and its decoded runs, one
-// slice per source and per pair, onto the given storage backend (nil
-// means in-memory):
+// assembleHub builds a hub from a manifest, its sources' decoded schemas
+// and its decoded runs, one slice per source and per pair, onto the given
+// storage backend (nil means in-memory):
 // each source's runs concatenated into its relation, one source per
 // worker, and registered in manifest order; pairwise federations
 // re-verified in parallel through federate.Restore — each over the
@@ -133,7 +142,7 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun) (*decRun, erro
 // table's saved commit order, which later commits continue; links
 // folded sequentially; and the partition that fold left in the cluster
 // store checked against foldPartition of the loaded tables.
-func assembleHub(man *snapManifest, srcRuns, pairRuns [][]*decRun, b store.Backend) (*Hub, error) {
+func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns [][]*decRun, b store.Backend) (*Hub, error) {
 	mts := make([][]match.Pair, len(man.Pairs))
 	for i, runs := range pairRuns {
 		for _, r := range runs {
@@ -143,11 +152,7 @@ func assembleHub(man *snapManifest, srcRuns, pairRuns [][]*decRun, b store.Backe
 	rels := make([]*relation.Relation, len(man.Sources))
 	err := inParallel(len(rels), func(i int) error {
 		src := man.Sources[i]
-		sch, err := wal.DecodeSchema(src.Schema)
-		if err != nil {
-			return fmt.Errorf("hub: snapshot source %q: %w", src.Name, err)
-		}
-		rels[i] = relation.New(sch)
+		rels[i] = relation.New(schemas[i])
 		for _, r := range srcRuns[i] {
 			for _, t := range r.tuples {
 				if err := rels[i].Insert(t); err != nil {

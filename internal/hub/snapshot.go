@@ -10,7 +10,10 @@
 // snapwriter.go at a cut snapcut.go captures, read back by snapload.go);
 // this file is what is in them. A run is a sequence of CRC frames whose
 // tuple/pair payloads are split across continuation chunks, so no frame
-// approaches the WAL's frame cap however the chunk budget is set; the
+// approaches the WAL's frame cap however the chunk budget is set — a
+// source run's tuples as the tuple codec's bytes
+// (internal/relation/json.go; kinds come from the schema in the run's
+// manifest slot, which is what the loader reads them against); the
 // manifest carries each run's SHA-256 content address, chunk count and
 // item count, and — so that nothing that changes ever sits inside a
 // sealed run — each source's schema, each pair's link spec and the
@@ -28,6 +31,7 @@ import (
 
 	"entityid/internal/match"
 	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/wal"
 )
 
@@ -40,7 +44,7 @@ const (
 	secPair     = "pair"
 	secManifest = "manifest"
 
-	snapFormat = 3
+	snapFormat = 4
 
 	// snapRunItems is R, the items of a sealed run. An incremental
 	// snapshot re-encodes each sequence's partial run — R/2 items it has
@@ -149,9 +153,10 @@ type snapChunk struct {
 	Chunk int    `json:"chunk"` // 1-based; equals the frame sequence number
 	Last  bool   `json:"last,omitempty"`
 
-	// A source run's sequence and items.
-	Name   string           `json:"name,omitempty"`
-	Tuples [][]wal.ValueRec `json:"tuples,omitempty"`
+	// A source run's sequence and items (relation.AppendTuplesJSON's
+	// array).
+	Name   string          `json:"name,omitempty"`
+	Tuples json.RawMessage `json:"tuples,omitempty"`
 
 	// A pair run's sequence and items.
 	Left  string   `json:"left,omitempty"`
@@ -180,21 +185,14 @@ type tupleItems []relation.Tuple
 
 func (t tupleItems) len() int { return len(t) }
 func (t tupleItems) estimate(i int) int {
-	n := 4
+	n := 2
 	for _, v := range t[i] {
-		if v.IsNull() {
-			n += 12
-		} else {
-			n += len(v.Kind().String()) + len(v.String()) + 16
-		}
+		n += len(v.String()) + 3
 	}
 	return n
 }
 func (t tupleItems) put(c *snapChunk, lo, hi int) {
-	c.Tuples = make([][]wal.ValueRec, hi-lo)
-	for i := lo; i < hi; i++ {
-		c.Tuples[i-lo] = wal.EncodeTuple(t[i])
-	}
+	c.Tuples = relation.AppendTuplesJSON(nil, t[lo:hi])
 }
 func (t tupleItems) slice(lo, hi int) chunkItems { return t[lo:hi] }
 
@@ -329,10 +327,12 @@ type decRun struct {
 	mt     []match.Pair
 }
 
-// decodeRun streams one run's bytes through the chunk decoder. The run's
-// content address — the SHA-256 of the raw frame bytes exactly as read —
-// accumulates as it goes.
-func decodeRun(r io.Reader) (*decRun, error) {
+// decodeRun streams one run's bytes through the chunk decoder, reading
+// a source run's tuples against sch — the schema of the manifest slot
+// the run is read for (nil for a pair's). The run's content address —
+// the SHA-256 of the raw frame bytes exactly as read — accumulates as it
+// goes.
+func decodeRun(r io.Reader, sch *schema.Schema) (*decRun, error) {
 	d := &decRun{}
 	sum := sha256.New()
 	scanner := wal.NewFrameScanner(r)
@@ -344,7 +344,7 @@ func decodeRun(r io.Reader) (*decRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hub: snapshot run: %w", err)
 		}
-		if last, err = d.addChunk(rec); err != nil {
+		if last, err = d.addChunk(rec, sch); err != nil {
 			return nil, err
 		}
 		sum.Write(raw)
@@ -358,7 +358,7 @@ func decodeRun(r io.Reader) (*decRun, error) {
 }
 
 // addChunk applies one chunk and reports whether it was the final one.
-func (d *decRun) addChunk(rec wal.Record) (last bool, err error) {
+func (d *decRun) addChunk(rec wal.Record, sch *schema.Schema) (last bool, err error) {
 	var c snapChunk
 	if err := json.Unmarshal(rec.Payload, &c); err != nil {
 		return false, fmt.Errorf("hub: snapshot run: %w", err)
@@ -374,20 +374,21 @@ func (d *decRun) addChunk(rec wal.Record) (last bool, err error) {
 		return false, fmt.Errorf("hub: snapshot %v: chunk out of sequence (%s run %d chunk %d, frame %d, want chunk %d)",
 			d.id, c.V2, c.Run, c.Chunk, rec.Seq, d.meta.Chunks)
 	}
-	if (d.id.kind == secSource && len(c.MT) > 0) || (d.id.kind == secPair && len(c.Tuples) > 0) {
+	if (d.id.kind == secSource && (len(c.MT) > 0 || sch == nil)) || (d.id.kind == secPair && len(c.Tuples) > 0) {
 		return false, fmt.Errorf("hub: snapshot %v: chunk %d holds items of the other kind", d.id, c.Chunk)
 	}
-	for i, tr := range c.Tuples {
-		t, err := wal.DecodeTuple(tr)
+	if len(c.Tuples) > 0 {
+		ts, err := relation.ParseTuplesJSON(sch, c.Tuples)
 		if err != nil {
-			return false, fmt.Errorf("hub: snapshot %v tuple %d: %w", d.id, d.meta.Items+i, err)
+			return false, fmt.Errorf("hub: snapshot %v after tuple %d: %w", d.id, d.meta.Items, err)
 		}
-		d.tuples = append(d.tuples, t)
+		d.tuples = append(d.tuples, ts...)
+		d.meta.Items += len(ts)
 	}
 	for _, pr := range c.MT {
 		d.mt = append(d.mt, matchPair(pr))
 	}
-	d.meta.Items += len(c.Tuples) + len(c.MT)
+	d.meta.Items += len(c.MT)
 	return c.Last, nil
 }
 

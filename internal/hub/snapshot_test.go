@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/schema"
 	"entityid/internal/wal"
 )
 
@@ -71,7 +72,20 @@ func editManifest(t testing.TB, dir string, edit func(*snapManifest)) {
 // so every frame CRC, run hash and count stays self-consistent.
 func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*decRun)) {
 	t.Helper()
-	d, err := readRunFile(wal.OS, dir, id, *entry)
+	// A source's run is read against its manifest slot's schema.
+	var sch *schema.Schema
+	man, err := readManifest(wal.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range man.Sources {
+		if id.kind == secSource && s.Name == id.name {
+			if sch, err = wal.DecodeSchema(s.Schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d, err := readRunFile(wal.OS, dir, id, *entry, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +148,12 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 // runs with every frame under the cap, and recovery comes up from
 // it alone.
 func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
-	defer wal.SetFrameCapForTesting(16 << 10)()
+	defer wal.SetFrameCapForTesting(8 << 10)()
 	ws := multiWork(3, 60, 0.7, 43, 43)
 	ws.seeded = 100
 	w := ws.build()
 	ops := append(append(setup(w), seq(0, len(w.items))...), snap(), reopen(reopenClose))
-	for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{chunkBytes: 2 << 10}, ops: ops}) {
+	for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{chunkBytes: 1 << 10}, ops: ops}) {
 		if info := r.infos[1]; !info.FromSnapshot || info.Replayed != 0 {
 			t.Fatalf("recovery ignored the chunked snapshot: %+v", info)
 		}
@@ -363,8 +377,8 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 // whose every frame, hash and count is self-consistent but whose run
 // directory is not the cut's — a run removed, two sealed runs swapped, a
 // short run that is not its sequence's last, a run of another source in
-// place of one — all of which must fail the open. A directory of the
-// retired format 2 is refused by name, never misread.
+// place of one — all of which must fail the open. A directory of a
+// retired format is refused by name, never misread.
 func TestSnapshotV3TamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -429,12 +443,22 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	}
 	h.Close()
 
-	old := t.TempDir()
-	if err := os.CopyFS(old, os.DirFS("testdata/snapshot-format2")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := openOn(old, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot manifest: format 2, this build reads 3") {
-		t.Fatalf("format-2 directory: want a refusal naming both formats, got %v", err)
+	// Directories written by earlier builds, checked in as they wrote
+	// them: format 2 (PR 22's), and the parent of the one tuple codec's —
+	// a format-3 snapshot with a log tail, and a log alone whose records
+	// spell a tuple value by value. Each is refused by both numbers.
+	for fixture, want := range map[string]string{
+		"snapshot-format2": "snapshot manifest: format 2, this build reads 4",
+		"snapshot-format3": "snapshot manifest: format 3, this build reads 4",
+		"wal-format1":      "record 1: wal: add_source record of format 1, this build reads 2",
+	} {
+		old := t.TempDir()
+		if err := os.CopyFS(old, os.DirFS(filepath.Join("testdata", fixture))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := openOn(old, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: want a refusal saying %q, got %v", fixture, want, err)
+		}
 	}
 }
 

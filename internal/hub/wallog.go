@@ -2,9 +2,12 @@
 // is appended to a wal.Log before it is applied (the topology and the
 // commit path call the append* helpers at their commit points), so the
 // on-disk log is always a prefix-exact account of the in-memory state.
-// It also owns the opt-in group-commit sync policy and the two record
-// codecs that are the hub's rather than the wal package's (an insert's
-// envelope, a link's spec).
+// It also owns the opt-in group-commit sync policy and the one record
+// codec that is the hub's rather than the wal package's (a link's spec).
+// What each record holds: add_source a schema and its seed tuples,
+// source_begin a schema, source_chunk tuples, insert a source name and
+// one tuple — tuples always the tuple codec's bytes
+// (internal/relation/json.go) — and link a pair's whole spec.
 package hub
 
 import (
@@ -43,7 +46,7 @@ func (p *walLogger) append(env wal.Envelope) error {
 }
 
 // appendPayload appends an already-encoded record — inserts arrive
-// marshaled (encodeInsert), off the commit path.
+// encoded (Hub.walPayload), off the commit path.
 //
 //entitylint:walappend
 func (p *walLogger) appendPayload(payload []byte) error {
@@ -94,8 +97,8 @@ func (p *walLogger) syncPending() {
 }
 
 // appendAddSource logs a source registration. A seed relation that fits
-// one frame-capped chunk is logged as a single add_source record,
-// byte-compatible with older logs; a jumbo relation is split into a
+// one frame-capped chunk is logged as a single add_source record; a
+// jumbo relation is split into a
 // source_begin record plus budget-sized source_chunk continuations
 // (the same writeChunked splitter the snapshot runs use, frame-cap
 // halving included) that commit atomically at the final chunk.
@@ -116,7 +119,7 @@ func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
 		return p.append(wal.Envelope{Type: wal.TypeAddSource, AddSource: &wal.AddSourceRec{
 			Name:   name,
 			Schema: wal.EncodeSchema(rel.Schema()),
-			Tuples: wal.EncodeTuples(tuples),
+			Tuples: relation.AppendTuplesJSON(nil, tuples),
 		}})
 	}
 	if err := p.append(wal.Envelope{Type: wal.TypeSourceBegin, SourceBegin: &wal.SourceBeginRec{
@@ -128,7 +131,7 @@ func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
 	encode := func(lo, hi int, _, last bool) ([]byte, error) {
 		env := wal.Envelope{Type: wal.TypeSourceChunk, SourceChunk: &wal.SourceChunkRec{
 			Name:   name,
-			Tuples: wal.EncodeTuples(tuples[lo:hi]),
+			Tuples: relation.AppendTuplesJSON(nil, tuples[lo:hi]),
 			Final:  last,
 		}}
 		return env.Encode()
@@ -140,15 +143,6 @@ func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
 func (p *walLogger) appendLink(spec PairSpec) error {
 	rec := linkRecFromSpec(spec)
 	return p.append(wal.Envelope{Type: wal.TypeLink, Link: &rec})
-}
-
-// encodeInsert marshals an insert's write-ahead-log record: the one
-// encoding behind Insert and IngestStream (Hub.walPayload).
-func encodeInsert(source string, t relation.Tuple) ([]byte, error) {
-	return wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
-		Source: source,
-		Tuple:  wal.EncodeTuple(t),
-	}}.Encode()
 }
 
 // linkRecFromSpec converts a pair spec into its WAL/snapshot record.

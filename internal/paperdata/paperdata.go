@@ -1,9 +1,8 @@
 // Package paperdata holds the exact example data of Lim et al.: the
-// relations of Tables 1, 2 and 5, the ILFDs I1–I8 of Example 3, the
-// Figure 2 soundness-failure scenario, and the attribute correspondences
-// each example assumes. Tests, experiments, examples and benchmarks all
-// draw on these fixtures so the reproduced tables stay pinned to the
-// paper.
+// relations of Tables 1, 2 and 5, the ILFDs I1–I8 of Example 3 and the
+// Figure 2 soundness-failure scenario. Tests, experiments, examples and
+// benchmarks all draw on these fixtures so the reproduced tables stay
+// pinned to the paper.
 package paperdata
 
 import (
@@ -62,13 +61,6 @@ func Table1S() *relation.Relation {
 	return r
 }
 
-// Table1Correspondences links Table 1's R and S: only name corresponds.
-func Table1Correspondences(r, sRel *relation.Relation) *schema.Correspondences {
-	return schema.MustNewCorrespondences(r.Schema(), sRel.Schema(), []schema.Correspondence{
-		{Name: "name", Left: "name", Right: "name"},
-	})
-}
-
 // Table2R returns relation R of Table 2 (Example 2), key (name, cuisine)
 // per the paper's underlining.
 //
@@ -107,14 +99,6 @@ func Table2S() *relation.Relation {
 	r := relation.New(sch)
 	r.MustInsert(s("TwinCities"), s("Mughalai"), s("St. Paul"))
 	return r
-}
-
-// Table2Correspondences links Table 2's R and S: only name corresponds
-// directly; cuisine exists only in R and speciality only in S.
-func Table2Correspondences(r, sRel *relation.Relation) *schema.Correspondences {
-	return schema.MustNewCorrespondences(r.Schema(), sRel.Schema(), []schema.Correspondence{
-		{Name: "name", Left: "name", Right: "name"},
-	})
 }
 
 // Example2ILFD returns I4, the single ILFD Example 2 uses:
@@ -172,21 +156,6 @@ func Table5S() *relation.Relation {
 	r.MustInsert(s("It'sGreek"), s("Gyros"), s("Ramsey"))
 	r.MustInsert(s("Anjuman"), s("Mughalai"), s("Mpls."))
 	return r
-}
-
-// Table5Correspondences links Table 5's R and S. name corresponds in
-// both; the extended key's cuisine and speciality each exist in only one
-// relation — the correspondences record their one-sided locations with
-// the absent side left empty (""), which the ek package treats as
-// missing.
-//
-// The prototype's setup_extkey lists exactly these three integrated
-// attributes: Name (r_name, s_name), Spec (r_spec, s_spec), Cui (r_cui,
-// s_cui) — after the relations are extended, both sides carry all three.
-func Table5Correspondences(r, sRel *relation.Relation) *schema.Correspondences {
-	return schema.MustNewCorrespondences(r.Schema(), sRel.Schema(), []schema.Correspondence{
-		{Name: "name", Left: "name", Right: "name"},
-	})
 }
 
 // Example3ILFDs returns ILFDs I1–I8 of Example 3 in paper order. The

@@ -26,10 +26,6 @@ func TestTable1Fixtures(t *testing.T) {
 	if got := s.MustValue(2, "manager").Str(); got != "Tom" {
 		t.Errorf("S[2].manager = %q", got)
 	}
-	c := Table1Correspondences(r, s)
-	if got := c.Names(); len(got) != 1 || got[0] != "name" {
-		t.Errorf("correspondences = %v", got)
-	}
 }
 
 func TestTable2Fixtures(t *testing.T) {
@@ -47,9 +43,6 @@ func TestTable2Fixtures(t *testing.T) {
 	if f.String() != "(speciality=Mughalai) → (cuisine=Indian)" {
 		t.Errorf("I4 = %v", f)
 	}
-	if c := Table2Correspondences(r, s); c == nil {
-		t.Error("correspondences nil")
-	}
 }
 
 func TestTable5Fixtures(t *testing.T) {
@@ -62,9 +55,6 @@ func TestTable5Fixtures(t *testing.T) {
 	}
 	if got := s.MustValue(3, "county").Str(); got != "Mpls." {
 		t.Errorf("S[3].county = %q", got)
-	}
-	if c := Table5Correspondences(r, s); c == nil {
-		t.Error("correspondences nil")
 	}
 }
 

@@ -1,0 +1,144 @@
+// The tuple codec: a tuple is a JSON array of scalars, its only
+// serialised form — the request line's "tuple", every served member, the
+// insert, add_source and source_chunk log records and the snapshot's
+// source runs hold these bytes. A schema fixes every attribute's domain
+// (§3), so the array carries no kinds: ParseTupleJSON reads against the
+// schema the reader already has. What AppendTupleJSON writes reads back
+// as itself (NULL, "", "null", −0, NaN, ±Inf, the int64 extremes), but
+// for a string that is not UTF-8, which writers refuse first
+// (InvalidUTF8).
+package relation
+
+import (
+	"fmt"
+	"unicode/utf8"
+
+	"entityid/internal/schema"
+	"entityid/internal/value"
+)
+
+// AppendTupleJSON appends t as a JSON array of scalars.
+func AppendTupleJSON(b []byte, t Tuple) []byte {
+	b = append(b, '[')
+	for i, v := range t {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = value.AppendJSON(b, v)
+	}
+	return append(b, ']')
+}
+
+// AppendTuplesJSON appends ts as a JSON array of tuples.
+func AppendTuplesJSON(b []byte, ts []Tuple) []byte {
+	b = append(b, '[')
+	for i, t := range ts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendTupleJSON(b, t)
+	}
+	return append(b, ']')
+}
+
+// InvalidUTF8 returns the position of t's first string value that is
+// not valid UTF-8, or -1: JSON cannot spell such a string, so the codec
+// would read back a different one.
+func (t Tuple) InvalidUTF8() int {
+	for i, v := range t {
+		if v.Kind() == value.KindString && !utf8.ValidString(v.Str()) {
+			return i
+		}
+	}
+	return -1
+}
+
+func skipSpace(b []byte) []byte {
+	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
+		b = b[1:]
+	}
+	return b
+}
+
+// element steps over the array punctuation before an element — '['
+// before the first, ',' before the others — and reports false once the
+// closing ']' is consumed instead.
+func element(b []byte, first bool) (rest []byte, ok bool, err error) {
+	want := byte(',')
+	if first {
+		want = '['
+	}
+	if b = skipSpace(b); !first && len(b) > 0 && b[0] == ']' {
+		return b[1:], false, nil
+	}
+	if len(b) == 0 || b[0] != want {
+		return b, false, fmt.Errorf("want %q in a JSON array", want)
+	}
+	if b = skipSpace(b[1:]); first && len(b) > 0 && b[0] == ']' {
+		return b[1:], false, nil
+	}
+	return b, true, nil
+}
+
+// ParseTupleJSON reads b, a JSON array of scalars and nothing else, as a
+// tuple over sch: one scalar per attribute, each read as its attribute's
+// kind by value.ParseJSON.
+func ParseTupleJSON(sch *schema.Schema, b []byte) (Tuple, error) {
+	t, rest, err := parseTuple(sch, b)
+	if err == nil && len(skipSpace(rest)) > 0 {
+		return nil, fmt.Errorf("trailing bytes after the JSON array")
+	}
+	return t, err
+}
+
+// parseTuple reads the tuple at the front of b and returns what follows
+// it.
+func parseTuple(sch *schema.Schema, b []byte) (Tuple, []byte, error) {
+	t := make(Tuple, 0, sch.Arity())
+	for first := true; ; first = false {
+		var ok bool
+		var err error
+		if b, ok, err = element(b, first); err != nil {
+			return nil, b, err
+		} else if !ok {
+			break
+		}
+		if len(t) == sch.Arity() {
+			return nil, b, fmt.Errorf("more than %d values, schema wants %[1]d", sch.Arity())
+		}
+		a := sch.Attr(len(t))
+		var v value.Value
+		if v, b, err = value.ParseJSON(b, a.Kind); err != nil {
+			return nil, b, fmt.Errorf("attribute %q: %w", a.Name, err)
+		}
+		t = append(t, v)
+	}
+	if len(t) != sch.Arity() {
+		return nil, b, fmt.Errorf("%d values, schema wants %d", len(t), sch.Arity())
+	}
+	return t, b, nil
+}
+
+// ParseTuplesJSON reads b, a JSON array of tuples over sch and nothing
+// else.
+func ParseTuplesJSON(sch *schema.Schema, b []byte) ([]Tuple, error) {
+	var ts []Tuple
+	for first := true; ; first = false {
+		var ok bool
+		var err error
+		if b, ok, err = element(b, first); err != nil {
+			return nil, err
+		} else if !ok {
+			break
+		}
+		var t Tuple
+		if t, b, err = parseTuple(sch, b); err != nil {
+			return nil, fmt.Errorf("tuple %d: %w", len(ts), err)
+		}
+		ts = append(ts, t)
+	}
+	if len(skipSpace(b)) > 0 {
+		return nil, fmt.Errorf("trailing bytes after the JSON array")
+	}
+	return ts, nil
+}

@@ -1,13 +1,11 @@
 // Package schema describes relation schemas: named attributes with typed
-// domains, one or more candidate keys, and the cross-database attribute
-// correspondences that the paper assumes were established during schema
-// integration (§3.1).
+// domains and one or more candidate keys.
 //
 // The entity-identification problem is posed at the instance level; the
 // schema package only records the results of the (out-of-scope) schema
-// integration phase: which attributes exist, which attribute combinations
-// are candidate keys, and which attributes of two relations are
-// semantically equivalent.
+// integration phase (§3.1): which attributes exist and which attribute
+// combinations are candidate keys. Which attributes of two relations are
+// semantically equivalent is match.AttrMap's to say.
 package schema
 
 import (

@@ -170,73 +170,3 @@ func TestEqualAndString(t *testing.T) {
 		}
 	}
 }
-
-func TestCorrespondences(t *testing.T) {
-	r := MustNew("R",
-		[]Attribute{
-			{Name: "r_name", Kind: value.KindString},
-			{Name: "r_cui", Kind: value.KindString},
-		}, []string{"r_name"})
-	s := MustNew("S",
-		[]Attribute{
-			{Name: "s_name", Kind: value.KindString},
-			{Name: "s_spec", Kind: value.KindString},
-		}, []string{"s_name"})
-
-	c, err := NewCorrespondences(r, s, []Correspondence{
-		{Name: "name", Left: "r_name", Right: "s_name"},
-	})
-	if err != nil {
-		t.Fatalf("NewCorrespondences: %v", err)
-	}
-	if c.Left() != r || c.Right() != s {
-		t.Error("Left/Right schemas wrong")
-	}
-	if got := c.Names(); len(got) != 1 || got[0] != "name" {
-		t.Errorf("Names = %v", got)
-	}
-	if l, ok := c.LeftAttr("name"); !ok || l != "r_name" {
-		t.Errorf("LeftAttr = %q, %t", l, ok)
-	}
-	if rr, ok := c.RightAttr("name"); !ok || rr != "s_name" {
-		t.Errorf("RightAttr = %q, %t", rr, ok)
-	}
-	if _, ok := c.ByName("bogus"); ok {
-		t.Error("ByName(bogus) found")
-	}
-	if got := c.List(); len(got) != 1 || got[0].Name != "name" {
-		t.Errorf("List = %v", got)
-	}
-}
-
-func TestCorrespondenceValidation(t *testing.T) {
-	r := MustNew("R", []Attribute{
-		{Name: "a", Kind: value.KindString},
-		{Name: "n", Kind: value.KindInt},
-	})
-	s := MustNew("S", []Attribute{
-		{Name: "b", Kind: value.KindString},
-	})
-	cases := []struct {
-		name string
-		list []Correspondence
-		want string
-	}{
-		{"empty integrated name", []Correspondence{{Name: "", Left: "a", Right: "b"}}, "empty integrated name"},
-		{"missing left", []Correspondence{{Name: "x", Left: "zz", Right: "b"}}, "no attribute"},
-		{"missing right", []Correspondence{{Name: "x", Left: "a", Right: "zz"}}, "no attribute"},
-		{"kind mismatch", []Correspondence{{Name: "x", Left: "n", Right: "b"}}, "kind mismatch"},
-		{"duplicate name", []Correspondence{
-			{Name: "x", Left: "a", Right: "b"},
-			{Name: "x", Left: "a", Right: "b"},
-		}, "duplicate integrated name"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := NewCorrespondences(r, s, c.list)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error = %v, want contains %q", err, c.want)
-			}
-		})
-	}
-}

@@ -6,8 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzWALDecode throws arbitrary bytes at the frame scanner and at the
-// segment scan over it. The properties: scanning never panics, always
+// FuzzWALDecode throws arbitrary bytes at the frame scanner, at the
+// segment scan over it and — each accepted frame's payload — at the
+// envelope decoder (a record of the retired tuple format, like the second
+// seed and the corpus files, must be refused there, not panic). The
+// properties: scanning never panics, always
 // terminates in io.EOF or a *CorruptError, and every accepted frame
 // re-encodes to exactly the bytes consumed — so the scanner can never
 // "repair" a frame into something the writer would not have produced.
@@ -36,6 +39,10 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte("w1 1 00000000 3 abc\n"))
 	f.Add([]byte("w1 2 deadbeef 100 short\n"))
 	f.Add([]byte("v9 1 00000000 0 \n"))
+	f.Add(good(
+		`{"type":"add_source","v":2,"add_source":{"name":"zagat","schema":{"name":"zagat","attrs":[{"name":"name","kind":"string"},{"name":"stars","kind":"int"}],"keys":[["name"]]},"tuples":[["wok",3],["\u003cb\u003e",null]]}}`,
+		`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["wok \"2\"",-0]}}`,
+		`{"type":"source_chunk","v":2,"source_chunk":{"name":"zagat","tuples":[],"final":true}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewFrameScanner(bytes.NewReader(data))
@@ -52,6 +59,9 @@ func FuzzWALDecode(f *testing.F) {
 					t.Fatalf("scanner error is neither EOF nor CorruptError: %v", err)
 				}
 				break
+			}
+			if env, err := DecodeEnvelope(rec.Payload); err == nil && !env.bodyOK() {
+				t.Fatalf("accepted envelope %s has no body matching its type", rec.Payload)
 			}
 			frame, err := EncodeRecord(rec.Seq, rec.Payload)
 			if err != nil {

@@ -1,11 +1,20 @@
 // Typed WAL records: the JSON payloads the hub appends, plus the
 // encoders/decoders between the on-disk DTOs and the domain types
-// (values, tuples, schemas, ILFDs, identity/distinctness rules,
-// attribute maps). Decoding always re-runs the domain constructors —
-// schema.New, ilfd.New, rules.NewIdentity/NewDistinctness — so a log
-// record that was valid when written is re-validated on replay, and a
+// (schemas, ILFDs, identity/distinctness rules, attribute maps).
+// Decoding always re-runs the domain constructors — schema.New,
+// ilfd.New, rules.NewIdentity/NewDistinctness — so a log record that was
+// valid when written is re-validated on replay, and a
 // corrupted-but-CRC-clean payload still cannot smuggle an ill-formed
 // rule into a recovered hub.
+//
+// A tuple is not a DTO of this package: the records that carry tuples
+// (insert, add_source, source_chunk) hold the tuple codec's bytes
+// (internal/relation/json.go) as raw JSON, which their reader parses
+// against the schema the record's source logged first, and are written
+// with "v":2 (TupleFormat); one of the format before — {"k":…,"v":…} per
+// value, no "v" — is refused by both numbers. ValueRec, that kind-tagged
+// form, remains for the values no schema describes: ILFD conditions and
+// rule constants inside link records.
 package wal
 
 import (
@@ -34,10 +43,16 @@ const (
 	TypeSourceChunk = "source_chunk"
 )
 
+// TupleFormat is the format of the records that carry tuples, written
+// as the envelope's "v"; every other record is format 1 and carries no
+// "v".
+const TupleFormat = 2
+
 // Envelope is the one-of payload wrapper; exactly the body named by
-// Type is set.
+// Type is set. Encode sets V.
 type Envelope struct {
 	Type        string          `json:"type"`
+	V           int             `json:"v,omitempty"`
 	AddSource   *AddSourceRec   `json:"add_source,omitempty"`
 	Link        *LinkRec        `json:"link,omitempty"`
 	Insert      *InsertRec      `json:"insert,omitempty"`
@@ -72,12 +87,34 @@ func (e Envelope) bodyOK() bool {
 	return false
 }
 
+// v is the "v" a record of e's type carries: TupleFormat on the three
+// that hold tuples, none — format 1 — on the rest.
+func (e Envelope) v() int {
+	switch e.Type {
+	case TypeAddSource, TypeInsert, TypeSourceChunk:
+		return TupleFormat
+	}
+	return 0
+}
+
 // Encode marshals the envelope after checking the body matches Type.
 func (e Envelope) Encode() ([]byte, error) {
 	if !e.bodyOK() {
 		return nil, fmt.Errorf("wal: envelope type %q does not match its body", e.Type)
 	}
+	e.V = e.v()
 	return json.Marshal(e)
+}
+
+// AppendInsert appends an insert record's payload: byte for byte what
+// Encode marshals for it, by appends alone — it is the one record a
+// commit encodes.
+func AppendInsert(b []byte, source string, t relation.Tuple) []byte {
+	b = append(b, `{"type":"insert","v":2,"insert":{"source":`...)
+	b = value.AppendJSONString(b, source)
+	b = append(b, `,"tuple":`...)
+	b = relation.AppendTupleJSON(b, t)
+	return append(b, "}}"...)
 }
 
 // DecodeEnvelope unmarshals a record payload and checks the body.
@@ -91,6 +128,9 @@ func DecodeEnvelope(payload []byte) (Envelope, error) {
 		if !e.bodyOK() {
 			return Envelope{}, fmt.Errorf("wal: %s record without matching body", e.Type)
 		}
+		if e.V != e.v() {
+			return Envelope{}, fmt.Errorf("wal: %s record of format %d, this build reads %d", e.Type, max(e.V, 1), max(e.v(), 1))
+		}
 	default:
 		return Envelope{}, fmt.Errorf("wal: unknown record type %q", e.Type)
 	}
@@ -98,11 +138,11 @@ func DecodeEnvelope(payload []byte) (Envelope, error) {
 }
 
 // AddSourceRec registers a source: its schema and the seed tuples it
-// was registered with.
+// was registered with (relation.AppendTuplesJSON's array).
 type AddSourceRec struct {
-	Name   string       `json:"name"`
-	Schema SchemaRec    `json:"schema"`
-	Tuples [][]ValueRec `json:"tuples,omitempty"`
+	Name   string          `json:"name"`
+	Schema SchemaRec       `json:"schema"`
+	Tuples json.RawMessage `json:"tuples"`
 }
 
 // SourceBeginRec opens a chunked source registration: the schema comes
@@ -116,9 +156,9 @@ type SourceBeginRec struct {
 // SourceChunkRec is one continuation batch of a chunked source
 // registration. Final marks the commit point of the group.
 type SourceChunkRec struct {
-	Name   string       `json:"name"`
-	Tuples [][]ValueRec `json:"tuples,omitempty"`
-	Final  bool         `json:"final,omitempty"`
+	Name   string          `json:"name"`
+	Tuples json.RawMessage `json:"tuples"`
+	Final  bool            `json:"final,omitempty"`
 }
 
 // LinkRec is a pair link: the full per-pair identification knowledge.
@@ -134,15 +174,17 @@ type LinkRec struct {
 	DisableProp1 bool         `json:"disable_prop1,omitempty"`
 }
 
-// InsertRec is one committed tuple insert.
+// InsertRec is one committed tuple insert (relation.AppendTupleJSON's
+// array).
 type InsertRec struct {
-	Source string     `json:"source"`
-	Tuple  []ValueRec `json:"tuple"`
+	Source string          `json:"source"`
+	Tuple  json.RawMessage `json:"tuple"`
 }
 
-// ValueRec encodes a typed value losslessly: the kind name plus the
-// value's canonical text. Unlike value.Parse, decoding never folds the
-// texts "null" or "" into NULL — the kind field alone decides.
+// ValueRec encodes a typed value where no schema says its kind (an ILFD
+// condition, a rule constant): the kind name plus the value's canonical
+// text. Unlike value.Parse, decoding never folds the texts "null" or ""
+// into NULL — the kind field alone decides.
 type ValueRec struct {
 	Kind string `json:"k"`
 	Text string `json:"v,omitempty"`
@@ -184,40 +226,6 @@ func DecodeValue(r ValueRec) (value.Value, error) {
 	default:
 		return value.Null, fmt.Errorf("wal: unknown value kind %q", r.Kind)
 	}
-}
-
-// EncodeTuple converts one tuple.
-func EncodeTuple(t relation.Tuple) []ValueRec {
-	out := make([]ValueRec, len(t))
-	for i, v := range t {
-		out[i] = EncodeValue(v)
-	}
-	return out
-}
-
-// DecodeTuple restores one tuple.
-func DecodeTuple(rs []ValueRec) (relation.Tuple, error) {
-	out := make(relation.Tuple, len(rs))
-	for i, r := range rs {
-		v, err := DecodeValue(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// EncodeTuples converts a tuple slice.
-func EncodeTuples(ts []relation.Tuple) [][]ValueRec {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([][]ValueRec, len(ts))
-	for i, t := range ts {
-		out[i] = EncodeTuple(t)
-	}
-	return out
 }
 
 // SchemaRec encodes a relation schema.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"entityid/internal/ilfd"
@@ -60,8 +61,9 @@ func TestTupleAndSchemaRoundTrip(t *testing.T) {
 	if !got.Equal(sch) {
 		t.Fatalf("schema round trip:\n%v\n%v", got, sch)
 	}
+	// A tuple is the codec's bytes, read back against the decoded schema.
 	tup := relation.Tuple{value.String("wok"), value.Int(3), value.Null, value.Bool(true)}
-	got2, err := DecodeTuple(EncodeTuple(tup))
+	got2, err := relation.ParseTupleJSON(got, relation.AppendTupleJSON(nil, tup))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +144,10 @@ func TestRuleRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	env := Envelope{Type: TypeInsert, Insert: &InsertRec{
-		Source: "zagat",
-		Tuple:  []ValueRec{{Kind: "string", Text: "wok"}, {Kind: "null"}},
+	tup := relation.Tuple{value.String("wok <&> \u2028"), value.Null, value.Float(-0.5), value.Int(-1 << 63)}
+	env := Envelope{Type: TypeInsert, V: TupleFormat, Insert: &InsertRec{
+		Source: "zagat \"1\"",
+		Tuple:  relation.AppendTupleJSON(nil, tup),
 	}}
 	payload, err := env.Encode()
 	if err != nil {
@@ -156,6 +159,28 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, env) {
 		t.Fatalf("envelope round trip: %+v", got)
+	}
+	// The commit path's appends are that record, byte for byte.
+	if direct := AppendInsert(nil, env.Insert.Source, tup); string(direct) != string(payload) {
+		t.Fatalf("AppendInsert wrote %s\nEncode marshals  %s", direct, payload)
+	}
+	// A record of the format before TupleFormat — a {"k","v"} object per
+	// value and no "v" on the envelope — is refused by both numbers, as is
+	// any "v" this build does not write for the type.
+	for _, old := range []string{
+		`{"type":"insert","insert":{"source":"zagat","tuple":[{"k":"string","v":"wok"},{"k":"null"}]}}`,
+		`{"type":"add_source","add_source":{"name":"s","schema":{"name":"s","attrs":[{"name":"a","kind":"string"}],"keys":[["a"]]}}}`,
+		`{"type":"source_chunk","source_chunk":{"name":"s","tuples":[[{"k":"string","v":"v"}]],"final":true}}`,
+	} {
+		if _, err := DecodeEnvelope([]byte(old)); err == nil || !strings.Contains(err.Error(), "record of format 1, this build reads 2") {
+			t.Fatalf("%s: want a refusal naming formats 1 and 2, got %v", old, err)
+		}
+	}
+	if _, err := DecodeEnvelope([]byte(`{"type":"insert","v":3,"insert":{"source":"zagat","tuple":[]}}`)); err == nil || !strings.Contains(err.Error(), "record of format 3, this build reads 2") {
+		t.Fatalf("format 3 insert: %v", err)
+	}
+	if _, err := DecodeEnvelope([]byte(`{"type":"source_begin","v":2,"source_begin":{"name":"s","schema":{"name":"s"}}}`)); err == nil || !strings.Contains(err.Error(), "record of format 2, this build reads 1") {
+		t.Fatalf("format 2 source_begin: %v", err)
 	}
 	if _, err := (Envelope{Type: TypeLink, Insert: env.Insert}).Encode(); err == nil {
 		t.Fatal("mismatched envelope accepted")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -209,7 +210,7 @@ func TestChunkedSourceEnvelopes(t *testing.T) {
 	}}
 	chunk := Envelope{Type: TypeSourceChunk, SourceChunk: &SourceChunkRec{
 		Name:   "s",
-		Tuples: [][]ValueRec{{{Kind: "string", Text: "v"}}},
+		Tuples: json.RawMessage(`[["v"]]`),
 		Final:  true,
 	}}
 	for _, env := range []Envelope{begin, chunk} {
@@ -233,7 +234,7 @@ func TestChunkedSourceEnvelopes(t *testing.T) {
 	if _, err := DecodeEnvelope([]byte(`{"type":"source_begin"}`)); err == nil {
 		t.Fatal("decode accepted a bodyless record")
 	}
-	if _, err := DecodeEnvelope([]byte(`{"type":"insert","insert":{"source":"s","tuple":[]},"link":{"left":"a","right":"b"}}`)); err == nil {
+	if _, err := DecodeEnvelope([]byte(`{"type":"insert","v":2,"insert":{"source":"s","tuple":[]},"link":{"left":"a","right":"b"}}`)); err == nil {
 		t.Fatal("decode accepted two bodies")
 	}
 }
