@@ -2,7 +2,10 @@
 // do not log write-ahead before mutating published state.
 package walfirst_a
 
-import "sync/atomic"
+import (
+	"relation"
+	"sync/atomic"
+)
 
 type logger struct{ n int }
 
@@ -14,6 +17,8 @@ func (l *logger) appendRecord(b []byte) error {
 
 type Hub struct {
 	per *logger
+	//entitylint:published
+	rel *relation.Relation
 	//entitylint:published
 	view atomic.Value
 	// clock is deliberately NOT published: Store calls through it are
@@ -39,6 +44,28 @@ func (h *Hub) goodCommit(b []byte) error {
 	h.view.Store(len(h.sources))
 	h.publishView()
 	return nil
+}
+
+//entitylint:commitpath
+func (h *Hub) goodAdmitted(b []byte) error {
+	adm := h.rel.Admit(len(b)) // a check: nothing is mutated before the append
+	if h.per != nil {
+		if err := h.per.appendRecord(b); err != nil {
+			return err
+		}
+	}
+	return h.rel.InsertAdmitted(adm)
+}
+
+//entitylint:commitpath
+func (h *Hub) badAdmitted(b []byte) error {
+	insErr := h.rel.InsertAdmitted(h.rel.Admit(len(b))) // want `call to InsertAdmitted through published field rel before the write-ahead append`
+	if h.per != nil {
+		if err := h.per.appendRecord(b); err != nil {
+			return err
+		}
+	}
+	return insErr
 }
 
 //entitylint:commitpath
@@ -74,6 +101,24 @@ func (h *Hub) badConditionalAppend(b []byte, ok bool) {
 		_ = h.per.appendRecord(b)
 	}
 	h.view.Store(1) // want `call to Store through published field view before the write-ahead append`
+}
+
+// badAfterErrorCheck: an error check that returns is a nil comparison
+// too, but not a persistence guard — getting past it says nothing was
+// logged.
+//
+//entitylint:commitpath
+func (h *Hub) badAfterErrorCheck(b []byte, check func() error) error {
+	if err := check(); err != nil {
+		return err
+	}
+	h.view.Store(1) // want `call to Store through published field view before the write-ahead append`
+	if h.per != nil {
+		if err := h.per.appendRecord(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // goodBothBranches: both arms of the if append, so the mutation after

@@ -6,7 +6,7 @@
 // same-package functions that transitively call one). Mutations are:
 //
 //   - method calls with a store/publish verb name (Publish, Commit,
-//     Insert, Attach, Store) whose receiver chain passes through a
+//     Insert, InsertAdmitted, Attach, Store) whose receiver chain passes through a
 //     struct field annotated //entitylint:published — a Store on an
 //     unannotated field (an eviction clock, a page-in cache) is not a
 //     logical mutation;
@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 // mutatorMethods are method names that publish or store committed
 // state when invoked through a published field.
 var mutatorMethods = map[string]bool{
-	"Publish": true, "Commit": true, "Insert": true, "Attach": true, "Store": true,
+	"Publish": true, "Commit": true, "Insert": true, "InsertAdmitted": true, "Attach": true, "Store": true,
 }
 
 type checker struct {
@@ -424,8 +424,10 @@ func merge(st *state, then, els state, hasElse, nilGuard bool) {
 	// No else: fall-through may skip the branch entirely, so its facts
 	// only hold when the branch both ran and appended — which we can
 	// only assume for the recognized nil-guard idiom, where skipping
-	// the branch means persistence is off and nothing needs logging.
-	if nilGuard && (then.appended || then.terminated) {
+	// the branch means persistence is off and nothing needs logging. A
+	// branch that merely returns (`if err != nil { return err }` is a nil
+	// comparison too) establishes nothing.
+	if nilGuard && then.appended {
 		st.appended = true
 	}
 	if then.terminated && els.appended {

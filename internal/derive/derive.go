@@ -188,8 +188,8 @@ type program struct {
 	rules  []boundRule // parallel to the ILFD set
 	always []int
 	// byCol holds, per column (nil where no rule is indexed), the rules
-	// by the value their indexed condition requires there. value.Value
-	// is comparable and == agrees with value.Equal on non-NULL values.
+	// by the value their indexed condition requires there, in the form
+	// whose == is value.Equal (Value.Canon).
 	byCol []map[value.Value][]int
 }
 
@@ -243,7 +243,8 @@ func bind(fs ilfd.Set, sch *schema.Schema) *program {
 		if p.byCol[col] == nil {
 			p.byCol[col] = map[value.Value][]int{}
 		}
-		p.byCol[col][least.Val] = append(p.byCol[col][least.Val], fi)
+		k := least.Val.Canon()
+		p.byCol[col][k] = append(p.byCol[col][k], fi)
 	}
 	return p
 }
@@ -255,8 +256,9 @@ func bind(fs ilfd.Set, sch *schema.Schema) *program {
 func (p *program) candidates(ext relation.Tuple, scratch []int) []int {
 	out := append(scratch[:0], p.always...)
 	for col, rules := range p.byCol {
-		if v := ext[col]; rules != nil && !v.IsNull() {
-			out = append(out, rules[v]...)
+		// A NULL or a NaN equals nothing, itself included.
+		if v := ext[col]; rules != nil && value.Equal(v, v) {
+			out = append(out, rules[v.Canon()]...)
 		}
 	}
 	sort.Ints(out)

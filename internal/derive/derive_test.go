@@ -1,6 +1,7 @@
 package derive
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -333,6 +334,31 @@ func TestExtendEmptyILFDSetLeavesNulls(t *testing.T) {
 	for i := 0; i < got.Len(); i++ {
 		if !got.MustValue(i, "speciality").IsNull() {
 			t.Errorf("row %d: speciality not NULL with empty ILFD set", i)
+		}
+	}
+}
+
+// TestFloatAntecedentFollowsEqual: the antecedent index is keyed by
+// value, and a float's == is not its Equal — the two zeros are equal,
+// a NaN equals nothing. The indexed derivation must follow Equal.
+func TestFloatAntecedentFollowsEqual(t *testing.T) {
+	sch := schema.MustNew("T", []schema.Attribute{{Name: "id", Kind: value.KindInt}, {Name: "f", Kind: value.KindFloat}}, []string{"id"})
+	r := relation.New(sch)
+	negZero, nan := value.Float(math.Copysign(0, -1)), value.Float(math.NaN())
+	r.MustInsert(value.Int(0), negZero)
+	r.MustInsert(value.Int(1), value.Float(0))
+	r.MustInsert(value.Int(2), nan)
+	fs := ilfd.Set{
+		ilfd.MustNew(ilfd.Conditions{{Attr: "f", Val: value.Float(0)}}, ilfd.Conditions{ilfd.C("x", "zero")}),
+		ilfd.MustNew(ilfd.Conditions{{Attr: "f", Val: nan}}, ilfd.Conditions{ilfd.C("x", "nan")}),
+	}
+	got, _, err := Extend(r, "T'", strAttr("x"), fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []value.Value{value.String("zero"), value.String("zero"), value.Null} {
+		if x := got.MustValue(i, "x"); !value.Identical(x, want) {
+			t.Errorf("f = %v: x = %v, want %v", got.MustValue(i, "f"), x, want)
 		}
 	}
 }

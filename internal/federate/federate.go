@@ -43,11 +43,16 @@
 // (Config.R and Config.S), not an owner of copies. The lender owns the
 // tuples and guards their candidate keys; the federation owns only what
 // it derives from them — the match.Result: extended images R′/S′, probe
-// index and matching table. InsertR/InsertS insert into the lent relation
-// on the caller's behalf; a coordinator that uses Prepare + Commit
-// inserts the tuple into the lent relation itself, exactly once,
-// between the two (the hub does, under its own locks), and Commit
-// fails closed if it did not.
+// index and matching table. R′ and S′ are image relations: row i is the
+// image of the lent relation's tuple i, adopted from the prepare that
+// built it, under no key index of its own — the lent relation's index is
+// the only one, its Admit the only key guard. InsertR/InsertS insert into
+// the lent relation on the caller's behalf; a coordinator that uses
+// Prepare + Commit inserts the tuple into the lent relation itself,
+// exactly once, between the two (the hub does, under its own locks), and
+// Commit fails closed if it did not. Such a coordinator admits the tuple
+// first (relation.Admit: shape and keys, checked once) and prepares from
+// the admission — PrepareAdmitted — so no pair checks the shape again.
 package federate
 
 import (
@@ -142,14 +147,20 @@ func (f *Federation) InsertS(t relation.Tuple) ([]match.Pair, error) {
 	return f.insert(t, false)
 }
 
-// insert is the coordinator protocol run stand-alone: prepare, insert
-// into the lent relation (whose keys are the last guard), commit.
+// insert is the coordinator protocol run stand-alone: the lent relation
+// admits the tuple (its shape and keys are checked here, once), the
+// federation prepares from the admission, the tuple goes in, commit.
 func (f *Federation) insert(t relation.Tuple, left bool) ([]match.Pair, error) {
-	p, err := f.prepare(t, left)
+	base := f.base(left)
+	a, err := base.Admit(t)
+	if err != nil {
+		return nil, fmt.Errorf("federate: %w", err)
+	}
+	p, err := f.PrepareAdmitted(left, a)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.base(left).Insert(t); err != nil {
+	if err := base.InsertAdmitted(a); err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
 	return p.Commit()
@@ -164,10 +175,11 @@ func (f *Federation) base(left bool) *relation.Relation {
 }
 
 // Pending is a prepared, not yet applied insert: the new tuple has been
-// shape-checked, extended and identified against the current state
-// without mutating anything. The caller then inserts the tuple into the
-// lent relation — whose candidate keys are the lender's to guard — and
-// Commit applies the federation's half. A Pending is invalidated by any
+// extended and its image — the tuple R′/S′ will adopt — identified
+// against the current state without mutating anything. The caller then
+// inserts the tuple into the lent relation — whose candidate keys, and
+// under PrepareAdmitted whose shape check, are the lender's — and Commit
+// applies the federation's half. A Pending is invalidated by any
 // intervening mutation of the federation; coordinators must serialise
 // prepare→commit windows per federation (Commit re-checks and fails on
 // a stale Pending rather than corrupting state).
@@ -204,15 +216,36 @@ func (f *Federation) PrepareS(t relation.Tuple) (*Pending, error) {
 // The slice is shared with the Pending; callers must not mutate it.
 func (p *Pending) Pairs() []match.Pair { return p.pairs }
 
+// prepare extends the one tuple (its shape is checked first; the
+// candidate keys are the lender's to guard) and identifies the image.
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	// Extend the one tuple (its shape is checked first; the candidate
-	// keys are the lender's to guard), then give its image the probe
-	// Build gave every tuple: the opposite side's extended-key bucket and
-	// identity-rule blocks.
 	ext, _, err := f.res.ExtendTuple(left, t)
 	if err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
+	return f.identify(ext, left)
+}
+
+// PrepareAdmitted is PrepareR (left) or PrepareS for a coordinator that
+// holds the lent relation's admission of the tuple: the shape the
+// relation checked is not checked again, here or in any other pair the
+// coordinator prepares the same admission against. An admission some
+// other relation gave is refused.
+func (f *Federation) PrepareAdmitted(left bool, a relation.Admission) (*Pending, error) {
+	if !a.By(f.base(left)) {
+		return nil, fmt.Errorf("federate: prepare: the admission is not the lent relation's")
+	}
+	ext, _, err := f.res.ExtendAdmitted(left, a)
+	if err != nil {
+		return nil, fmt.Errorf("federate: %w", err)
+	}
+	return f.identify(ext, left)
+}
+
+// identify gives an extended image the probe Build gave every tuple —
+// the opposite side's extended-key bucket and identity-rule blocks —
+// and the §3.2 guards.
+func (f *Federation) identify(ext relation.Tuple, left bool) (*Pending, error) {
 	partners, keys := f.res.Probe(left, ext)
 	if len(partners) > 1 {
 		return nil, guardError{fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners)), ErrUniqueness}
@@ -250,8 +283,8 @@ func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 }
 
 // Commit applies a prepared insert whose tuple the caller has inserted
-// into the lent relation: match.Result.Append puts the image into R′/S′,
-// indexes it and adds its pairs. It fails — with the state untouched —
+// into the lent relation: match.Result.Append has R′/S′ adopt the image
+// the prepare built, indexes it and adds its pairs. It fails — with the state untouched —
 // on a stale Pending (any federation mutation since prepare: an insert
 // on either side, or an AddILFD rebuild) or when the lent relation is
 // not exactly one tuple ahead of its extended image (the prepared tuple

@@ -615,3 +615,42 @@ func TestPrepareAllocs(t *testing.T) {
 	}
 	t.Logf("PrepareR: %.1f allocs per tuple (%d of %d matched)", avg, matched, i)
 }
+
+// TestCommitAdoptsThePreparedImage: R′ is an image relation, and the row
+// a commit adds to it is the very image the prepare extended and probed
+// — same backing array — not a copy of it filed under a second key index.
+func TestCommitAdoptsThePreparedImage(t *testing.T) {
+	cfg := example3Config()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Result().RPrime.IsImage() || !f.Result().SPrime.IsImage() || cfg.R.IsImage() {
+		t.Fatal("R′ and S′ must be image relations over ordinary lent ones")
+	}
+	tup := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
+	a, err := cfg.R.Admit(tup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.PrepareAdmitted(false, a); err == nil {
+		t.Error("S's side prepared from R's admission")
+	}
+	p, err := f.PrepareAdmitted(true, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.R.InsertAdmitted(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := f.Result().RPrime.Tuple(5)
+	if &got[0] != &p.ext[0] {
+		t.Error("R′ holds a copy of the prepared image")
+	}
+	if !got[:len(tup)].Identical(tup) || !got[:len(tup)].Identical(cfg.R.Tuple(5)) {
+		t.Errorf("image %v does not begin with the source tuple %v", got, tup)
+	}
+}

@@ -96,23 +96,49 @@ func BenchmarkInsert(b *testing.B) {
 
 // BenchmarkIngestStream is the bulk path: the whole workload through
 // one IngestStream (IngestBatch is its slice-in/slice-out form) into a
-// fresh memory hub, across source counts.
+// fresh memory hub, across source counts. The cold leg is the in-process
+// series that tracks bench/'s read_cold ingest — the daemon settings of
+// that workload (durable, disk store with a hot tier of 4096 cluster
+// entries, a background snapshot every 1024 commits) under ≈48k shuffled
+// tuples over four sources — so the layers' sum has a hub row for it.
 func BenchmarkIngestStream(b *testing.B) {
+	stream := func(b *testing.B, items []Insert, open func() *Hub) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h := open()
+			mustIngest(b, h, items)
+			b.StopTimer()
+			if err := h.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
+	}
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
 			w := benchMulti(k)
-			items := MultiInserts(w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			stream(b, MultiInserts(w), func() *Hub {
 				h, err := NewFromMulti(w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mustIngest(b, h, items)
-			}
-			b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
+				return h
+			})
 		})
 	}
+	b.Run("cold", func(b *testing.B) {
+		w := datagen.MustMultiGenerate(datagen.MultiConfig{
+			Sources: 4, Entities: 20000, PresenceFrac: 0.6,
+			HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 1025,
+		})
+		items := MultiInserts(w)
+		rand.New(rand.NewSource(1025)).Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		stream(b, items, func() *Hub {
+			h, _ := openMultiOpts(b, b.TempDir(), w, Options{Store: "disk", HotClusterEntries: 4096, SnapshotEvery: 1024})
+			return h
+		})
+	})
 }
 
 // BenchmarkOpenReplay is recovery from the write-ahead log alone: the

@@ -62,7 +62,11 @@ func mustDegrade(t *testing.T, r *simRun, i int) {
 // write fails with ENOSPC (log segments and the recovery canary alike),
 // ingest and the control plane are refused with ErrDegraded, the disk
 // heals, the probe loop notices on its own, and the workload finishes —
-// surviving a final kill.
+// surviving a final kill. hub_ingest_total keeps the two refusals apart:
+// the insert whose append found the disk full and the one refused on the
+// fast path after it are both "unavailable" — the hub could not take
+// them — and "rejected" counts the tuples a §3.2, key or shape guard
+// turned down, nothing else.
 func TestChaosDegradedReadOnlyAndAutoRecovery(t *testing.T) {
 	ws, w, ops := chaosWork()
 	half, n := len(w.items)/2, len(w.items)
@@ -70,7 +74,27 @@ func TestChaosDegradedReadOnlyAndAutoRecovery(t *testing.T) {
 	at := len(ops)
 	ops = append(ops, fault(errfs.OpWrite, "", 0, 0, syscall.ENOSPC, 0, 0), ins(half), ins(half), link(0), heal())
 	ops = append(append(ops, seq(half, n)...), reopen(reopenKill))
-	for _, r := range runSchedule(t, schedule{work: ws, ops: ops}) {
+	rejected, unavailable := ingestRejected.Value(), ingestUnavailable.Value()
+	runs := runSchedule(t, schedule{work: ws, ops: ops})
+	var guards, sick uint64
+	for _, r := range runs {
+		for i, o := range r.s.ops {
+			switch err := r.errs[i]; {
+			case o.kind != opInsert || err == nil:
+			case errors.Is(err, ErrDegraded):
+				sick++
+			default:
+				guards++
+			}
+		}
+	}
+	if got := ingestUnavailable.Value() - unavailable; got != sick || sick != uint64(2*len(runs)) {
+		t.Errorf("hub_ingest_total{unavailable} rose by %d over %d inserts refused degraded (two a run of %d)", got, sick, len(runs))
+	}
+	if got := ingestRejected.Value() - rejected; got != guards {
+		t.Errorf("hub_ingest_total{rejected} rose by %d over %d inserts a guard refused", got, guards)
+	}
+	for _, r := range runs {
 		for i := at + 1; i <= at+3; i++ { // the failing append, the fast path after it, a control-plane write
 			mustBe(t, r, i, ErrDegraded)
 		}

@@ -89,7 +89,14 @@ func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Re
 	// a no-op unless the backend caps hot pairs and an insert paged
 	// some in.
 	h.maybeSpillPairs()
-	if err != nil {
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrDegraded), errors.Is(err, ErrPoisoned):
+		// The insert that found the disk sick, or tripped an invariant: the
+		// hub could not take it, which is not the tuple's doing.
+		ingestUnavailable.Inc()
+		return nil, err
+	default:
 		ingestRejected.Inc()
 		return nil, err
 	}
@@ -117,7 +124,12 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		p.mu.Lock()
 		defer p.mu.Unlock()
 	}
-	if err := src.rel.CanInsert(t); err != nil {
+	// The source admits the tuple — shape and candidate keys, the one time
+	// either is checked: every pair prepares from the admission, and the
+	// canonical insert below files the tuple under the key projections
+	// built here.
+	adm, err := src.rel.Admit(t)
+	if err != nil {
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
 	}
 	if err := checkUTF8(src.rel.Schema(), t); err != nil {
@@ -139,13 +151,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	pendings := make([]*federate.Pending, 0, len(src.pairs))
 	var partners []node
 	for _, p := range src.pairs {
-		var pd *federate.Pending
-		var err error
-		if p.left == si {
-			pd, err = p.fed.Load().PrepareR(t)
-		} else {
-			pd, err = p.fed.Load().PrepareS(t)
-		}
+		pd, err := p.fed.Load().PrepareAdmitted(p.left == si, adm)
 		if err != nil {
 			if errors.Is(err, federate.ErrUniqueness) {
 				mUniqueness.Inc()
@@ -167,7 +173,8 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	// cannot fail under the locks held here.
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	if err := store.CheckMerge(h.clusters, n, partners, h.sourceName); err != nil {
+	merged, err := store.CheckMerge(h.clusters, n, partners, h.sourceName)
+	if err != nil {
 		if errors.Is(err, store.ErrUniqueness) {
 			mUniqueness.Inc()
 		}
@@ -191,22 +198,23 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	// republication share the key lock, so a reader whose key lookup
 	// finds the new tuple always loads a view that covers it.
 	src.keyMu.Lock()
-	insErr := src.rel.Insert(t)
+	insErr := src.rel.InsertAdmitted(adm)
 	if insErr == nil {
 		src.publishView()
 	}
 	src.keyMu.Unlock()
 	if insErr != nil {
 		// Unreachable under the locking discipline: the canonical
-		// relation refused a tuple CanInsert accepted. The WAL already
-		// holds the record, so poison the hub instead of panicking —
-		// fail-closed ingest, reads keep serving the published views,
-		// restart replays the log into a consistent state.
+		// relation changed between admitting the tuple and taking it. The
+		// WAL already holds the record, so poison the hub instead of
+		// panicking — fail-closed ingest, reads keep serving the published
+		// views, restart replays the log into a consistent state.
 		return nil, fmt.Errorf("hub: source %q: %w", source,
-			h.poison(fmt.Errorf("canonical insert after CanInsert: %v", insErr)))
+			h.poison(fmt.Errorf("canonical insert after its admission: %v", insErr)))
 	}
-	// Every pair commits beside it, each checking the relation it
-	// borrows is now exactly one tuple ahead of its extended image.
+	// Every pair commits beside it — its R′/S′ adopts the image its prepare
+	// built — each checking the relation it borrows is now exactly one
+	// tuple ahead of its extended image.
 	for i, pd := range pendings {
 		prs, err := pd.Commit()
 		if err != nil {
@@ -218,16 +226,8 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		src.pairs[i].mtLen += len(prs)
 	}
 	stageApply.Observe(op.Stage("apply"))
-	members, err := store.Apply(h.clusters, n, partners)
-	if err != nil {
-		// Practically unreachable: everything Apply folds was paged in
-		// resident by CheckMerge (writer-side reads defer eviction to
-		// Publish), so Apply performs no I/O. If storage fails here
-		// anyway the WAL already holds the record — poison, like the
-		// pair-commit case above.
-		return nil, fmt.Errorf("hub: source %q: %w", source,
-			h.poison(fmt.Errorf("cluster fold after successful check: %v", err)))
-	}
+	// The fold was done by the check; what is left cannot fail.
+	store.Apply(h.clusters, merged)
 	if len(partners) > 0 {
 		mClusterMerges.Inc()
 	}
@@ -245,10 +245,10 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 			rec.Matched[i] = topo.member(p)
 		}
 	}
-	if members == nil {
-		members = []node{n}
+	if merged == nil {
+		merged = []node{n}
 	}
-	rec.Cluster = h.materialize(topo, members)
+	rec.Cluster = h.materialize(topo, merged)
 	return rec, nil
 }
 

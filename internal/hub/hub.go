@@ -21,9 +21,13 @@
 // borrows that relation — it is never cloned on Link, insert, page-in
 // or snapshot load — and keeps only what it derives from it (extended
 // images, probe indexes, matching table). The source's candidate keys
-// are guarded here and nowhere else: once by CanInsert before the WAL
-// append, once by the canonical Insert after it, however many sources
-// are linked.
+// are guarded here and nowhere else, once: the relation admits the tuple
+// before the WAL append (relation.Admit — shape, keys), and the canonical
+// insert after it files the tuple under the key strings the admission
+// built, however many sources are linked. The extended images R′/S′ of
+// every pair are image relations, indexed under no key of their own;
+// that row i of each begins with tuple i of its source is an invariant
+// CheckInvariants holds.
 //
 // Ingest (commit.go, pipeline.go) and reads (read.go, iter.go) describe
 // themselves where they live; this file is the topology.
@@ -386,7 +390,7 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 		if err := seed(b); err != nil {
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
 		}
-		if err := store.CheckMerge(scratch, a, []node{b}, h.sourceName); err != nil {
+		if _, err := store.CheckMerge(scratch, a, []node{b}, h.sourceName); err != nil {
 			return fmt.Errorf("hub: link %q-%q: initial pair (%d,%d): %w",
 				spec.Left, spec.Right, pr.RIndex, pr.SIndex, err)
 		}

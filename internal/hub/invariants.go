@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"entityid/internal/match"
+	"entityid/internal/relation"
 )
 
 // CheckInvariants verifies, on a consistent cut of the hub:
@@ -23,7 +24,10 @@ import (
 //   - each pair's mtLen is its table's length, each resident
 //     federation's extended images are as long as the relations it
 //     borrows, and each source's published view is as long as its
-//     canonical relation.
+//     canonical relation;
+//   - image i of every resident federation begins with tuple i of the
+//     source it extends — R′ and S′ keep no key index of their own, so
+//     what ties a row to the key it is found under is its position.
 //
 // It returns the first violation, nil if there is none. It is O(hub) and
 // on no request path but /debug/check: it holds h.mu shared and the
@@ -37,7 +41,7 @@ func (h *Hub) CheckInvariants() error {
 	cut := h.cutLocked(0)
 	part, err := h.partitionLocked()
 	if err == nil {
-		err = h.checkLengthsLocked(cut)
+		err = h.checkCopiesLocked(cut)
 	}
 	h.commitMu.Unlock()
 	h.mu.RUnlock()
@@ -81,9 +85,10 @@ func (h *Hub) CheckInvariants() error {
 	return nil
 }
 
-// checkLengthsLocked holds every length the hub keeps twice to its
-// other copy. Callers hold h.mu shared and the commit lock.
-func (h *Hub) checkLengthsLocked(cut *snapshotCut) error {
+// checkCopiesLocked holds everything the hub keeps twice to its other
+// copy: lengths, and the source tuple every extended image begins with.
+// Callers hold h.mu shared and the commit lock.
+func (h *Hub) checkCopiesLocked(cut *snapshotCut) error {
 	for _, cs := range cut.sources {
 		if got := len(cs.s.view.Load().tuples); got != cs.n {
 			return fmt.Errorf("source %q publishes %d tuples, its relation holds %d", cs.s.name, got, cs.n)
@@ -98,6 +103,18 @@ func (h *Hub) checkLengthsLocked(cut *snapshotCut) error {
 		if res.MT.Len() != cp.n || res.RPrime.Len() != cp.rlen || res.SPrime.Len() != cp.slen {
 			return fmt.Errorf("pair %q-%q: table of %d over images of %d and %d tuples, hub records %d over %d and %d",
 				cp.p.spec.Left, cp.p.spec.Right, res.MT.Len(), res.RPrime.Len(), res.SPrime.Len(), cp.n, cp.rlen, cp.slen)
+		}
+		for _, side := range []struct {
+			image *relation.Relation
+			src   *sourceState
+		}{{res.RPrime, h.sources[cp.p.left]}, {res.SPrime, h.sources[cp.p.right]}} {
+			arity := side.src.rel.Schema().Arity()
+			for i, t := range side.src.rel.Tuples() {
+				if img := side.image.Tuple(i); len(img) < arity || !img[:arity].Identical(t) {
+					return fmt.Errorf("pair %q-%q: extended image %d of source %q is %v, which does not begin with the source's tuple %v",
+						cp.p.spec.Left, cp.p.spec.Right, i, side.src.name, img, t)
+				}
+			}
 		}
 	}
 	return nil

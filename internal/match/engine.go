@@ -1,5 +1,7 @@
 // The indexed/blocked/parallel evaluation engine behind Build, Classify
-// and the |R|×|S| sweeps. Everything here is an execution strategy only:
+// and the |R|×|S| sweeps: the distinctness rules filed by the constant
+// each is pinned on, the probe index of the matching step, the sweep
+// plan. Everything here is an execution strategy only:
 // reference.go holds the naive formulation the engine must agree with
 // bit-for-bit (pinned by the differential tests), and Config.Naive
 // selects it at run time.
@@ -26,10 +28,33 @@ import (
 // schemas, in both (e1, e2) orientations: the rules range over all
 // entity pairs, so (r, s) instantiates either (e1=r, e2=s) or
 // (e1=s, e2=r) — Table 4 of the paper needs the second orientation (the
-// Mughalai tuple lives in S).
+// Mughalai tuple lives in S). A rule in one orientation is a virtual
+// rule: rule i forward is 2i, reversed 2i+1.
+//
+// One pair's check does not walk them. Nearly every rule is a Prop.-1
+// rule, pinned by "attribute = constant" to pairs one of whose tuples
+// holds that constant in that column (rules.Pin), so each virtual rule is
+// filed under its pin and a pair's candidates are looked up by the
+// values its two tuples hold; the few rules with no such predicate stay
+// in a list that is walked. Candidates get the full conjunction, and the
+// answer is what the walk over every rule gives: the first rule, in
+// declaration order, that fires in either orientation.
 type engine struct {
 	fwd []rules.CompiledDistinctnessRule // e1 ← R′ tuple, e2 ← S′ tuple
 	rev []rules.CompiledDistinctnessRule // e1 ← S′ tuple, e2 ← R′ tuple
+	// slots are the (tuple, column) places some virtual rule is pinned on;
+	// unpinned the virtual rules with no pin, ascending.
+	slots    []pinSlot
+	unpinned []int
+}
+
+// pinSlot is one column of one of the pair's two tuples, and the virtual
+// rules pinned there by the constant each requires (in the form whose ==
+// is value.Equal), ascending.
+type pinSlot struct {
+	sPrime  bool // reads the S′ tuple, else the R′ tuple
+	col     int
+	byConst map[value.Value][]int
 }
 
 // engine compiles the distinctness rules once per Result.
@@ -43,10 +68,33 @@ func (res *Result) engine() *engine {
 		for i, d := range res.distinct {
 			e.fwd[i] = d.Compile(rs, ss)
 			e.rev[i] = d.Compile(ss, rs)
+			e.file(2*i, e.fwd[i], false)
+			e.file(2*i+1, e.rev[i], true)
 		}
 		res.eng = e
 	})
 	return res.eng
+}
+
+// file puts virtual rule v under its pin. reversed says the rule's e1
+// is the S′ tuple. A rule no pair can meet is filed nowhere.
+func (e *engine) file(v int, rule rules.CompiledDistinctnessRule, reversed bool) {
+	pin, pinned := rule.Pin()
+	if !pinned {
+		e.unpinned = append(e.unpinned, v)
+		return
+	}
+	if pin.Col < 0 {
+		return
+	}
+	sPrime := pin.E2 != reversed
+	at := slices.IndexFunc(e.slots, func(s pinSlot) bool { return s.sPrime == sPrime && s.col == pin.Col })
+	if at < 0 {
+		at = len(e.slots)
+		e.slots = append(e.slots, pinSlot{sPrime: sPrime, col: pin.Col, byConst: map[value.Value][]int{}})
+	}
+	k := pin.Val.Canon()
+	e.slots[at].byConst[k] = append(e.slots[at].byConst[k], v)
 }
 
 // distinctFires reports whether any rule declares (rt, st) distinct in
@@ -60,12 +108,36 @@ func (e *engine) distinctFires(rt, st relation.Tuple) bool {
 // rule, in declaration order (for Verify's violation message, which must
 // match the reference path).
 func (e *engine) distinctFiresNamed(rt, st relation.Tuple) (string, bool) {
-	for i := range e.fwd {
-		if e.fwd[i].Holds(rt, st) || e.rev[i].Holds(st, rt) {
-			return e.fwd[i].Name, true
+	first := len(e.fwd) // the lowest rule found firing so far
+	// try evaluates an ascending candidate list up to the first rule that
+	// fires, or that could not lower first.
+	try := func(vs []int) {
+		for _, v := range vs {
+			switch {
+			case v/2 >= first:
+				return
+			case v%2 == 0 && e.fwd[v/2].Holds(rt, st), v%2 == 1 && e.rev[v/2].Holds(st, rt):
+				first = v / 2
+				return
+			}
 		}
 	}
-	return "", false
+	for i := range e.slots {
+		s := &e.slots[i]
+		t := rt
+		if s.sPrime {
+			t = st
+		}
+		// A NULL or a NaN equals no constant.
+		if s.col < len(t) && value.Equal(t[s.col], t[s.col]) {
+			try(s.byConst[t[s.col].Canon()])
+		}
+	}
+	try(e.unpinned)
+	if first == len(e.fwd) {
+		return "", false
+	}
+	return e.fwd[first].Name, true
 }
 
 // probe is the matching step — §4.2's join of R′ and S′ on identical
@@ -225,6 +297,14 @@ func (res *Result) ExtendTuple(left bool, t relation.Tuple) (relation.Tuple, []d
 	return res.px.ext[own].ExtendTuple(t)
 }
 
+// ExtendAdmitted is ExtendTuple for a tuple the side's source relation
+// has admitted (relation.Admit): the shape that relation has just
+// checked is not checked again.
+func (res *Result) ExtendAdmitted(left bool, a relation.Admission) (relation.Tuple, []derive.Conflict, error) {
+	own, _ := sides(left)
+	return res.px.ext[own].image(a.Tuple())
+}
+
 // Probe identifies an extended tuple of one side (left: an R′ tuple)
 // against the opposite side as it stands: the positions there that share
 // its non-NULL extended-key projection, then those an extra identity
@@ -269,14 +349,17 @@ func (pr *probeRule) admit(partners []int, left bool, ext, cand relation.Tuple, 
 	return append(partners[:len(partners):len(partners)], j)
 }
 
-// Append adds an extended tuple to its side: the R′/S′ insert (which
-// re-checks the image's shape and the side's keys, and on failure leaves
-// everything as it was), the index entries under the keys Probe returned
-// for it, and its matching pairs.
+// Append adds an extended tuple to its side: R′/S′ adopts the image
+// ExtendTuple built — the row is that tuple, not a copy, so the caller
+// gives it up — after checking its shape (on failure everything is as it
+// was), then the index entries under the keys Probe returned for it, and
+// its matching pairs. The side's candidate keys are not looked at: they
+// are the source relation's, which admits the tuple before its image is
+// appended here.
 func (res *Result) Append(left bool, ext relation.Tuple, keys Keys, pairs []Pair) error {
 	own, _ := sides(left)
 	rel := res.px.rel[own]
-	if err := rel.Insert(ext); err != nil {
+	if err := rel.Adopt(ext); err != nil {
 		return err
 	}
 	res.index(own, rel.Len()-1, keys)

@@ -12,7 +12,9 @@
 //     (delegated to the derive package; cut or fixpoint semantics).
 //     Steps 1 and 2 are SideExtender.ExtendTuple, tuple by tuple: Build
 //     loops it over each side, incremental maintenance (federate) calls
-//     it on each arriving tuple, and nobody else extends anything.
+//     it on each arriving tuple, and nobody else extends anything. A
+//     tuple's shape is checked once, by the relation that holds or
+//     admits it, not again here.
 //  3. Join R′ and S′ on identical non-NULL extended-key values; project
 //     each matched pair onto (K_R, K_S) to form MT_RS. Step 3 is
 //     Result.Probe, tuple by tuple, over an index the Result keeps
@@ -41,6 +43,16 @@
 //     (rules.Compile) against the R′/S′ schemas once per Result, turning
 //     each predicate evaluation into direct tuple-slice indexing instead
 //     of per-evaluation Schema().Index lookups.
+//   - Pinned distinctness rules: one pair's consistency check (every
+//     incremental prepare, every matched pair of Verify) does not walk the
+//     rules: each is filed under its first "attribute = constant"
+//     predicate and a pair's candidates are looked up by the values its
+//     two tuples hold (engine.go); the first firing rule in declaration
+//     order is still the answer.
+//   - Image relations: R′ and S′ are relation.NewImage relations — row i
+//     is the image of the source relation's tuple i, adopted from
+//     ExtendTuple without a copy, under no key index of its own. The
+//     source relation guards the candidate keys R′/S′ inherit.
 //   - Blocking: the probe evaluates extra identity rules by hash-join
 //     candidate generation over each rule's cross-equality attributes
 //     (§3.2 well-formedness guarantees matched pairs agree on them),
@@ -345,12 +357,9 @@ func Build(cfg Config) (*Result, error) {
 // package) holds the extenders across inserts and runs it on each
 // arriving tuple.
 type SideExtender struct {
-	// shape is an empty relation over the side's source schema; its
-	// CanInsert is the tuple shape check (arity, kinds), with the error
-	// text the relation itself would give.
-	shape *relation.Relation
-	sch   *schema.Schema
-	ext   *derive.Extender
+	src *schema.Schema // the side's source schema
+	sch *schema.Schema // R′ or S′
+	ext *derive.Extender
 }
 
 // NewSideExtender resolves the extended schema for the left (R′) or right
@@ -404,9 +413,9 @@ func NewSideExtender(cfg Config, left bool) (*SideExtender, error) {
 		return nil, fmt.Errorf("match: extend %s: %w", src.Name(), err)
 	}
 	return &SideExtender{
-		shape: relation.New(src),
-		sch:   sch,
-		ext:   derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode}),
+		src: src,
+		sch: sch,
+		ext: derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode}),
 	}, nil
 }
 
@@ -415,9 +424,15 @@ func NewSideExtender(cfg Config, left bool) (*SideExtender, error) {
 // reported at tuple index 0. The tuple's shape is checked against the
 // source schema before anything is derived; t itself is left alone.
 func (se *SideExtender) ExtendTuple(t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
-	if err := se.shape.CanInsert(t); err != nil {
+	if err := relation.CheckShape(se.src, t); err != nil {
 		return nil, nil, err
 	}
+	return se.image(t)
+}
+
+// image is ExtendTuple for a tuple the side's source relation holds or
+// has admitted: its shape is that relation's to check, and was.
+func (se *SideExtender) image(t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
 	// The columns past the source arity are zero Values: NULL.
 	ext := make(relation.Tuple, se.sch.Arity())
 	copy(ext, t)
@@ -428,14 +443,19 @@ func (se *SideExtender) ExtendTuple(t relation.Tuple) (relation.Tuple, []derive.
 	return ext, conflicts, nil
 }
 
-// Extend runs ExtendTuple over a relation with the side's source schema,
-// collecting the images into the extended relation; conflicts carry the
+// Extend builds the side's extended relation over rel, a relation with
+// the side's source schema: an image relation (relation.NewImage) whose
+// row i is the image of rel's tuple i. rel has admitted its tuples —
+// shape and keys — and goes on guarding them; conflicts carry the
 // position of the tuple they arose in.
 func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []derive.Conflict, error) {
-	out := relation.New(se.sch)
+	if !rel.Schema().Equal(se.src) {
+		return nil, nil, fmt.Errorf("match: extend: relation %s does not have the side's source schema %s", rel.Schema(), se.src)
+	}
+	out := relation.NewImage(se.sch)
 	var conflicts []derive.Conflict
 	for i, t := range rel.Tuples() {
-		ext, cs, err := se.ExtendTuple(t)
+		ext, cs, err := se.image(t)
 		if err != nil {
 			return nil, nil, fmt.Errorf("match: extend: %w", err)
 		}
@@ -443,7 +463,7 @@ func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []de
 			c.TupleIndex = i
 			conflicts = append(conflicts, c)
 		}
-		if err := out.Insert(ext); err != nil {
+		if err := out.Adopt(ext); err != nil {
 			return nil, nil, fmt.Errorf("match: extend: %w", err)
 		}
 	}

@@ -10,6 +10,12 @@
 // and the integrated table T_RS may hold NULLs even inside extended-key
 // attributes. Candidate keys are therefore checked with storage-level
 // identity over fully non-NULL key projections only.
+//
+// R′ and S′ themselves are image relations (NewImage): row i is the
+// extended image of tuple i of the relation they extend, so they hold no
+// key index of their own — the extended relation's index is the one
+// index, and its Admit the one key guard — and they Adopt the image they
+// are given instead of copying it.
 package relation
 
 import (
@@ -71,6 +77,8 @@ type Relation struct {
 	keyIdx []map[string]int
 	// bag disables duplicate detection (NewBag).
 	bag bool
+	// image marks an image relation (NewImage): keyIdx is nil.
+	image bool
 }
 
 // New creates an empty relation with the given schema.
@@ -100,6 +108,39 @@ func NewBag(s *schema.Schema) *Relation {
 	r := New(s)
 	r.bag = true
 	return r
+}
+
+// NewImage creates an empty image relation: one whose row i is derived
+// from — begins with, under renamed attributes — tuple i of another
+// relation, the way §4.2's R′ extends R. The schema's candidate keys are
+// the extended relation's, which has admitted every tuple an image is
+// made of; an image relation therefore keeps no key index and guards no
+// key. Rows join it through Adopt. What the missing index changes:
+// LookupKey answers by scanning, Sort is refused (position is what ties
+// a row to the tuple it extends), and Clone returns an ordinary relation
+// — a deep copy with a key index of its own, free to be sorted.
+func NewImage(s *schema.Schema) *Relation {
+	r := New(s)
+	r.image, r.keyIdx = true, nil
+	return r
+}
+
+// IsImage reports whether the relation was created with NewImage.
+func (r *Relation) IsImage() bool { return r.image }
+
+// Adopt appends a row to an image relation without copying it: the
+// relation takes the tuple over, and the caller must not write to it
+// afterwards. The row's shape is checked (a derived value has its
+// column's kind); no key is, see NewImage.
+func (r *Relation) Adopt(t Tuple) error {
+	if !r.image {
+		return fmt.Errorf("relation %s: Adopt on a relation that is not an image", r.schema.Name())
+	}
+	if err := CheckShape(r.schema, t); err != nil {
+		return err
+	}
+	r.tuples = append(r.tuples, t)
+	return nil
 }
 
 // Schema returns the relation's schema.
@@ -161,60 +202,39 @@ func keyProjection(t Tuple, cols []int) (string, bool) {
 	return b.String(), true
 }
 
-// CanInsert reports whether Insert would accept the tuple, without
-// mutating the relation: it checks arity, value kinds and candidate
-// keys. Incremental pipelines use it as a cheap insertion guard.
-func (r *Relation) CanInsert(t Tuple) error {
-	if err := r.checkShape(t); err != nil {
-		return err
-	}
-	for ki, cols := range r.keyCols {
-		if len(r.keyIdx[ki]) == 0 {
-			continue // nothing to collide with
-		}
-		proj, full := keyProjection(t, cols)
-		if !full {
-			continue
-		}
-		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
-			return r.keyViolation(ki, t, at)
-		}
-	}
-	return nil
+// Admission is a tuple a relation has checked and not yet inserted:
+// Admit's verdict kept, with the key projections it was reached on, so
+// InsertAdmitted files the tuple without checking its shape or building
+// a key string again. It is good for the relation that gave it, until
+// that relation next changes.
+type Admission struct {
+	r *Relation
+	t Tuple
+	// projs holds, per candidate key, the tuple's encoded projection, ""
+	// where it has a NULL (not indexed); at is the position the tuple
+	// will take.
+	projs []string
+	at    int
 }
 
-func (r *Relation) keyViolation(ki int, t Tuple, at int) error {
-	return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
-		r.schema.Name(), strings.Join(r.schema.Keys()[ki], ","), t, at)
-}
+// Tuple returns the admitted tuple.
+func (a Admission) Tuple() Tuple { return a.t }
 
-func (r *Relation) checkShape(t Tuple) error {
-	if len(t) != r.schema.Arity() {
-		return fmt.Errorf("relation %s: arity %d tuple, schema wants %d",
-			r.schema.Name(), len(t), r.schema.Arity())
-	}
-	for i, v := range t {
-		if v.IsNull() {
-			continue
-		}
-		if want := r.schema.Attr(i).Kind; v.Kind() != want {
-			return fmt.Errorf("relation %s: attribute %q: %s value, schema wants %s",
-				r.schema.Name(), r.schema.Attr(i).Name, v.Kind(), want)
-		}
-	}
-	return nil
-}
+// By reports whether r gave the admission.
+func (a Admission) By(r *Relation) bool { return a.r == r }
 
-// Insert appends a tuple. It fails if the arity is wrong, a value's kind
-// disagrees with the schema (NULL is allowed anywhere), or a candidate key
-// is violated.
-func (r *Relation) Insert(t Tuple) error {
-	if err := r.checkShape(t); err != nil {
-		return err
+// Admit checks that the relation can take the tuple — arity, value kinds
+// and every candidate key — without changing anything. On an image
+// relation it fails: rows join one through Adopt.
+func (r *Relation) Admit(t Tuple) (Admission, error) {
+	if r.image {
+		return Admission{}, fmt.Errorf("relation %s: an image relation takes rows through Adopt", r.schema.Name())
 	}
-	// Projections are checked for every key before any is indexed; a
-	// full projection is never the empty string, which marks a key the
-	// tuple is not indexed under.
+	if err := CheckShape(r.schema, t); err != nil {
+		return Admission{}, err
+	}
+	// Every key is checked before any is indexed; a full projection is
+	// never the empty string.
 	projs := make([]string, len(r.keyCols))
 	for ki, cols := range r.keyCols {
 		proj, full := keyProjection(t, cols)
@@ -222,18 +242,70 @@ func (r *Relation) Insert(t Tuple) error {
 			continue
 		}
 		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
-			return r.keyViolation(ki, t, at)
+			return Admission{}, r.keyViolation(ki, t, at)
 		}
 		projs[ki] = proj
 	}
-	pos := len(r.tuples)
-	r.tuples = append(r.tuples, t.Clone())
-	for ki := range r.keyCols {
-		if projs[ki] != "" {
-			r.keyIdx[ki][projs[ki]] = pos
+	return Admission{r: r, t: t, projs: projs, at: len(r.tuples)}, nil
+}
+
+// InsertAdmitted appends a copy of an admitted tuple under the key
+// projections it was admitted on. It fails, changing nothing, if the
+// admission is another relation's or the relation has changed since.
+func (r *Relation) InsertAdmitted(a Admission) error {
+	if a.r != r || a.at != len(r.tuples) {
+		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, len(r.tuples))
+	}
+	r.tuples = append(r.tuples, a.t.Clone())
+	for ki, proj := range a.projs {
+		if proj != "" {
+			r.keyIdx[ki][proj] = a.at
 		}
 	}
 	return nil
+}
+
+// CanInsert reports whether Insert would accept the tuple, without
+// mutating the relation: it checks arity, value kinds and candidate
+// keys. Incremental pipelines use it as a cheap insertion guard.
+func (r *Relation) CanInsert(t Tuple) error {
+	_, err := r.Admit(t)
+	return err
+}
+
+func (r *Relation) keyViolation(ki int, t Tuple, at int) error {
+	return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
+		r.schema.Name(), strings.Join(r.schema.Keys()[ki], ","), t, at)
+}
+
+// CheckShape reports whether t is a tuple over s: the schema's arity,
+// and every non-NULL value of its column's kind.
+func CheckShape(s *schema.Schema, t Tuple) error {
+	if len(t) != s.Arity() {
+		return fmt.Errorf("relation %s: arity %d tuple, schema wants %d",
+			s.Name(), len(t), s.Arity())
+	}
+	for i, v := range t {
+		if v.IsNull() {
+			continue
+		}
+		if want := s.Attr(i).Kind; v.Kind() != want {
+			return fmt.Errorf("relation %s: attribute %q: %s value, schema wants %s",
+				s.Name(), s.Attr(i).Name, v.Kind(), want)
+		}
+	}
+	return nil
+}
+
+// Insert appends a copy of the tuple. It fails if the arity is wrong, a
+// value's kind disagrees with the schema (NULL is allowed anywhere), or a
+// candidate key is violated.
+func (r *Relation) Insert(t Tuple) error {
+	a, err := r.Admit(t)
+	if err != nil {
+		return err
+	}
+	return r.InsertAdmitted(a)
 }
 
 // MustInsert is Insert that panics on error; for literals in tests and
@@ -264,12 +336,17 @@ func (r *Relation) InsertStrings(fields ...string) error {
 
 // LookupKey finds the tuple whose primary-key projection equals the given
 // values (in primary-key attribute order). It returns the tuple index or
-// -1. NULL key values never match.
+// -1. NULL key values never match. An image relation has no index to ask
+// and scans its rows (the relation it extends answers in O(1), with the
+// same position).
 //
 //entitylint:hotpath nolock,noobs,noio
 func (r *Relation) LookupKey(keyVals ...value.Value) int {
 	if len(keyVals) != len(r.keyCols[0]) {
 		return -1
+	}
+	if r.image {
+		return r.scanKey(keyVals)
 	}
 	var b strings.Builder
 	for i, v := range keyVals {
@@ -282,6 +359,21 @@ func (r *Relation) LookupKey(keyVals ...value.Value) int {
 		b.WriteString(v.Key())
 	}
 	if pos, ok := r.keyIdx[0][b.String()]; ok {
+		return pos
+	}
+	return -1
+}
+
+// scanKey is LookupKey without an index: the last row whose primary-key
+// columns are Equal to keyVals (a NULL equals nothing).
+func (r *Relation) scanKey(keyVals []value.Value) int {
+rows:
+	for pos := len(r.tuples) - 1; pos >= 0; pos-- {
+		for i, c := range r.keyCols[0] {
+			if !value.Equal(r.tuples[pos][c], keyVals[i]) {
+				continue rows
+			}
+		}
 		return pos
 	}
 	return -1
@@ -301,7 +393,9 @@ func (r *Relation) Project(t Tuple, attrs []string) (Tuple, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the relation.
+// Clone returns a deep copy of the relation. The copy of an image
+// relation is an ordinary relation: detached from what the image
+// extends, it indexes its own keys.
 func (r *Relation) Clone() *Relation {
 	out := New(r.schema)
 	out.bag = r.bag
@@ -309,11 +403,7 @@ func (r *Relation) Clone() *Relation {
 	for i, t := range r.tuples {
 		out.tuples[i] = t.Clone()
 	}
-	for ki := range r.keyIdx {
-		for k, v := range r.keyIdx[ki] {
-			out.keyIdx[ki][k] = v
-		}
-	}
+	out.reindex()
 	return out
 }
 
@@ -338,8 +428,12 @@ func (r *Relation) Equal(o *Relation) bool {
 
 // Sort orders tuples by the given attributes (ascending, value.Compare),
 // in place. With no attributes it sorts by the whole tuple. Sorting
-// re-indexes keys.
+// re-indexes keys. An image relation refuses: its rows are tied by
+// position to the tuples they extend — sort its Clone.
 func (r *Relation) Sort(attrs ...string) error {
+	if r.image {
+		return fmt.Errorf("relation %s: sort: an image relation's rows keep the positions of the tuples they extend; sort a Clone", r.schema.Name())
+	}
 	idx := make([]int, 0, len(attrs))
 	for _, a := range attrs {
 		j := r.schema.Index(a)

@@ -122,6 +122,39 @@ func (c CompiledDistinctnessRule) Holds(t1, t2 relation.Tuple) bool {
 	return allHold(c.preds, t1, t2)
 }
 
+// Pin is a necessary condition read off a compiled rule: the rule can
+// hold only for a pair whose e1 tuple (e2 when E2 is set) carries, in
+// column Col, a value Equal to the constant Val. An evaluator that files
+// rules by their pins looks a pair's candidates up by the values its
+// tuples hold instead of walking every rule.
+type Pin struct {
+	E2  bool
+	Col int
+	Val value.Value
+}
+
+// Pin returns the rule's first "attribute = constant" predicate (either
+// way round) as a Pin; pinned is false when the conjunction has none.
+// A pin nothing can meet — the attribute is absent from its schema, or
+// the constant equals nothing (NULL, NaN) — comes back with Col -1: the
+// rule holds for no pair.
+func (c CompiledDistinctnessRule) Pin() (pin Pin, pinned bool) {
+	for _, p := range c.preds {
+		attr, k := p.left, p.right
+		if attr.isConst {
+			attr, k = k, attr
+		}
+		if p.op != Eq || attr.isConst || !k.isConst {
+			continue
+		}
+		if attr.idx < 0 || !value.Equal(k.constVal, k.constVal) {
+			return Pin{Col: -1}, true
+		}
+		return Pin{E2: attr.e2, Col: attr.idx, Val: k.constVal}, true
+	}
+	return Pin{}, false
+}
+
 // SidePredicates partitions the compiled rule's conjunction by the
 // tuples each predicate reads: predicates over e1's tuple only, over
 // e2's tuple only, and over both (cross predicates). Constant-only

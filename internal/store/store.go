@@ -13,8 +13,8 @@
 //
 // Concurrency contract: Clusters readers (Read, Has, Merged, Stats)
 // may run concurrently with each other and with the single mutator.
-// Mutations (Publish) and writer-side reads (Members, CheckMerge,
-// Apply) are serialized by the hub's commit lock; backends may rely on
+// Mutations (Publish, Apply) and writer-side reads (Members,
+// CheckMerge) are serialized by the hub's commit lock; backends may rely on
 // at most one of these running at a time. Slices returned by Read and
 // Members are immutable once returned — callers must not modify them,
 // and backends must never mutate a slice they have handed out, even
@@ -22,9 +22,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"entityid/internal/federate"
 )
@@ -39,11 +40,8 @@ type Node struct {
 // SortNodes orders nodes by (Src, Idx), the canonical member order of
 // every published cluster record.
 func SortNodes(ns []Node) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Src != ns[j].Src {
-			return ns[i].Src < ns[j].Src
-		}
-		return ns[i].Idx < ns[j].Idx
+	slices.SortFunc(ns, func(a, b Node) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Idx, b.Idx))
 	})
 }
 
@@ -162,83 +160,52 @@ type Backend interface {
 // into the same cluster — the one place the transitive §3.2 check
 // lives, for live inserts (c is the cluster store, n a fresh tuple)
 // and for a link's speculative fold (c is the scratch union-find, n may
-// already be clustered). It needs only Members, and only that every
-// node of one cluster gets the same slice back: a cluster is then
-// identified by its slice's first node (for a store record the lead,
-// smallest member; a singleton is its own). srcName renders a source
-// ordinal for the rejection message. Serialized by the commit lock.
-func CheckMerge(c interface{ Members(Node) ([]Node, error) }, n Node, partners []Node, srcName func(int) string) error {
+// already be clustered) — and returns the merged cluster it assembled
+// on the way: the sorted union of the member sets, which is what Apply
+// publishes. Without partners nothing merges and it returns nil. It
+// needs only Members, and only that every node of one cluster gets the
+// same slice back. srcName renders a source ordinal for the rejection
+// message. Serialized by the commit lock.
+func CheckMerge(c interface{ Members(Node) ([]Node, error) }, n Node, partners []Node, srcName func(int) string) ([]Node, error) {
 	if len(partners) == 0 {
-		return nil
-	}
-	bySrc := make(map[int]Node, len(partners)+1)
-	seen := make(map[Node]bool, len(partners)+1) // first node of a cluster -> absorbed
-	absorb := func(p Node) error {
-		ms, err := c.Members(p)
-		if err != nil {
-			return err
-		}
-		if seen[ms[0]] {
-			return nil
-		}
-		seen[ms[0]] = true
-		for _, m := range ms {
-			if prev, ok := bySrc[m.Src]; ok {
-				return fmt.Errorf("%w: tuples %d and %d of source %q would join one cluster",
-					ErrUniqueness, prev.Idx, m.Idx, srcName(m.Src))
-			}
-			bySrc[m.Src] = m
-		}
-		return nil
-	}
-	if err := absorb(n); err != nil {
-		return err
-	}
-	for _, p := range partners {
-		if err := absorb(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Apply merges node n with its partners' clusters and publishes the
-// union record, returning the sorted member set. Must follow a
-// successful CheckMerge under the same commit-lock critical section.
-// A nil error is the only acceptable outcome after the merge has been
-// logged; backends keep everything Apply needs resident between
-// CheckMerge and Apply (see Members).
-func Apply(c Clusters, n Node, partners []Node) ([]Node, error) {
-	if len(partners) == 0 && !c.Has(n) {
 		return nil, nil
 	}
-	memberSet := make(map[Node]bool)
-	add := func(m Node) error {
-		if memberSet[m] {
-			return nil
+	// A sound cluster holds one node per source, so merged stays as short
+	// as the sources are few and is searched, not hashed.
+	merged := make([]Node, 0, 2*(len(partners)+1))
+	for i := -1; i < len(partners); i++ {
+		p := n
+		if i >= 0 {
+			p = partners[i]
 		}
-		ms, err := c.Members(m)
+		ms, err := c.Members(p)
 		if err != nil {
-			return err
-		}
-		for _, x := range ms {
-			memberSet[x] = true
-		}
-		return nil
-	}
-	if err := add(n); err != nil {
-		return nil, err
-	}
-	for _, p := range partners {
-		if err := add(p); err != nil {
 			return nil, err
 		}
+		if slices.Contains(merged, ms[0]) {
+			continue // p's cluster is already absorbed
+		}
+		for _, m := range ms {
+			for _, prev := range merged {
+				if prev.Src == m.Src {
+					return nil, fmt.Errorf("%w: tuples %d and %d of source %q would join one cluster",
+						ErrUniqueness, prev.Idx, m.Idx, srcName(m.Src))
+				}
+			}
+			merged = append(merged, m)
+		}
 	}
-	members := make([]Node, 0, len(memberSet))
-	for m := range memberSet {
-		members = append(members, m)
+	SortNodes(merged)
+	return merged, nil
+}
+
+// Apply publishes the merged cluster a successful CheckMerge returned,
+// under the same commit-lock critical section (nil: nothing merged,
+// nothing to publish). It cannot fail — which is what a step after the
+// merge has been logged must be: everything a merge reads, CheckMerge
+// has read.
+func Apply(c Clusters, merged []Node) {
+	if merged != nil {
+		c.Publish(merged)
 	}
-	SortNodes(members)
-	c.Publish(members)
-	return members, nil
 }

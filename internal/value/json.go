@@ -99,11 +99,11 @@ func AppendJSON(b []byte, v Value) []byte {
 	case KindNull:
 		return append(b, "null"...)
 	case KindInt:
-		return strconv.AppendInt(b, v.i, 10)
+		return strconv.AppendInt(b, int64(v.n), 10)
 	case KindFloat:
-		return appendJSONFloat(b, v.f)
+		return appendJSONFloat(b, math.Float64frombits(v.n))
 	case KindBool:
-		return strconv.AppendBool(b, v.b)
+		return strconv.AppendBool(b, v.n != 0)
 	default:
 		return AppendJSONString(b, v.s)
 	}

@@ -11,7 +11,9 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -62,12 +64,15 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Value is an immutable typed attribute value. The zero Value is NULL.
+// It is 32 bytes — every tuple cell pays for it — so the three scalar
+// kinds share one word: n holds an integer's bits, a float's IEEE bits
+// or a boolean's 0/1. That makes == on Values a comparison of bits, which
+// Identical is not for floats (NaN, the two zeros): compare with Equal
+// and Identical, and key a map with Canon.
 type Value struct {
-	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null is the NULL value.
@@ -77,13 +82,18 @@ var Null = Value{}
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -101,19 +111,19 @@ func (v Value) Str() string {
 // IntVal returns the underlying integer.
 func (v Value) IntVal() int64 {
 	v.mustBe(KindInt)
-	return v.i
+	return int64(v.n)
 }
 
 // FloatVal returns the underlying float.
 func (v Value) FloatVal() float64 {
 	v.mustBe(KindFloat)
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // BoolVal returns the underlying boolean.
 func (v Value) BoolVal() bool {
 	v.mustBe(KindBool)
-	return v.b
+	return v.n != 0
 }
 
 func (v Value) mustBe(k Kind) {
@@ -131,11 +141,11 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	default:
 		return "?"
 	}
@@ -165,15 +175,25 @@ func Identical(a, b Value) bool {
 		return true
 	case KindString:
 		return a.s == b.s
-	case KindInt:
-		return a.i == b.i
 	case KindFloat:
-		return a.f == b.f
-	case KindBool:
-		return a.b == b.b
+		return math.Float64frombits(a.n) == math.Float64frombits(b.n)
+	case KindInt, KindBool:
+		return a.n == b.n
 	default:
 		return false
 	}
+}
+
+// Canon returns v in the form whose == is Equal: for a and b that each
+// equal themselves (neither NULL nor NaN — test Equal(v, v) first),
+// Equal(a, b) exactly when a.Canon() == b.Canon(). Only the negative
+// float zero changes, to the positive one it is Identical to. A map from
+// constants to what they select is keyed so.
+func (v Value) Canon() Value {
+	if v.kind == KindFloat && math.Float64frombits(v.n) == 0 {
+		v.n = 0
+	}
+	return v
 }
 
 // Compare orders two values. It returns a negative number, zero or a
@@ -192,29 +212,17 @@ func Compare(a, b Value) int {
 	case KindString:
 		return strings.Compare(a.s, b.s)
 	case KindInt:
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		}
-		return 0
+		return cmp.Compare(int64(a.n), int64(b.n))
 	case KindFloat:
-		switch {
-		case a.f < b.f:
+		switch af, bf := math.Float64frombits(a.n), math.Float64frombits(b.n); {
+		case af < bf:
 			return -1
-		case a.f > b.f:
+		case af > bf:
 			return 1
 		}
 		return 0
 	case KindBool:
-		switch {
-		case !a.b && b.b:
-			return -1
-		case a.b && !b.b:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.n, b.n)
 	default:
 		return 0
 	}
@@ -235,15 +243,12 @@ func (v Value) Key() string {
 	case KindString:
 		return "s:" + v.s
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.i, 10)
+		return "i:" + strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		f := v.f
-		if f == 0 {
-			f = 0 // collapse -0.0 onto +0.0: Identical(−0.0, +0.0) is true
-		}
-		return "f:" + strconv.FormatFloat(f, 'b', -1, 64)
+		// Canon collapses -0.0 onto +0.0: Identical(−0.0, +0.0) is true.
+		return "f:" + strconv.FormatFloat(math.Float64frombits(v.Canon().n), 'b', -1, 64)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.b)
+		return "b:" + strconv.FormatBool(v.n != 0)
 	default:
 		return "?"
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -316,5 +317,32 @@ func TestKeyAgreesWithIdentical(t *testing.T) {
 	}
 	if Float(1).Key() == Float(-1).Key() {
 		t.Error("distinct floats must keep distinct keys")
+	}
+}
+
+// TestCanonIsEqualUnderEquals pins what lets a Value key a map: over
+// values that equal themselves, == on the canonical forms is Equal —
+// where == on the raw Values, a comparison of bits, tells the two float
+// zeros apart. And the cell stays at four words.
+func TestCanonIsEqualUnderEquals(t *testing.T) {
+	vals := []Value{
+		String(""), String("1"), Int(0), Int(1), Int(-1), Int(math.MinInt64), Bool(false), Bool(true),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(math.Inf(1)), Float(math.Inf(-1)),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.Canon() == b.Canon(), Equal(a, b); got != want {
+				t.Errorf("Canon(%v) == Canon(%v) is %v, Equal says %v", a, b, got, want)
+			}
+		}
+		if !Identical(a.Canon(), a) || a.Canon().Key() != a.Key() {
+			t.Errorf("Canon(%v) = %v is another value", a, a.Canon())
+		}
+	}
+	if nan := Float(math.NaN()); Equal(nan, nan) || !Null.Canon().IsNull() {
+		t.Error("NaN must fail the Equal(v, v) test that guards a Canon lookup; NULL stays NULL")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("a Value is %d bytes, want 32", got)
 	}
 }
