@@ -200,6 +200,41 @@ func TestWireAcceptance(t *testing.T) {
 			t.Errorf("%s: terminal=%v err=%v, want terminal=%v %q", c.line, terminal, err, c.terminal, c.err)
 		}
 	}
+
+	// A string is accepted whatever its bytes, so no byte in one may
+	// decide a key: two tuples that differ column by column — though a key
+	// joined with "\x1f" and the kind prefix "s:" would read the same for
+	// both — neither match on the extended key {name, cuisine} nor collide
+	// on a's candidate key (name, street).
+	for _, body := range []string{
+		`{"name":"a","attrs":[{"name":"name"},{"name":"street"},{"name":"cuisine"}],"key":["name","street"]}`,
+		`{"name":"b","attrs":[{"name":"id"},{"name":"name"},{"name":"cuisine"}],"key":["id"]}`,
+	} {
+		if code, out := do(t, srv, "POST", "/v1/sources", body); code != 201 {
+			t.Fatalf("source: %d %v", code, out)
+		}
+	}
+	if code, out := do(t, srv, "POST", "/v1/links", `{"left":"a","right":"b","extkey":["name","cuisine"],"attrs":[
+		{"name":"name","left":"name","right":"name"},{"name":"cuisine","left":"cuisine","right":"cuisine"}]}`); code != 201 {
+		t.Fatalf("link: %d %v", code, out)
+	}
+	for _, c := range []struct {
+		line    string
+		matched int
+	}{
+		{`{"source":"a","tuple":["x\u001fs:y","1 Elm St.","z"]}`, 0},
+		{`{"source":"b","tuple":["b0","x","y\u001fs:z"]}`, 0}, // not a/0: another name, another cuisine
+		{`{"source":"b","tuple":["b1","x\u001fs:y","z"]}`, 1}, // a/0, column for column
+		{`{"source":"a","tuple":["p\u001fs:q","r","thai"]}`, 0},
+		{`{"source":"a","tuple":["p","q\u001fs:r","thai"]}`, 0}, // another key than (p␟s:q, r)
+	} {
+		_, acks := ndjson(t, srv, "POST", "/v1/insert", c.line)
+		if len(acks) != 1 || acks[0]["ok"] != true {
+			t.Errorf("%s: %v, want it accepted", c.line, acks)
+		} else if m := acks[0]["matched"].([]any); len(m) != c.matched {
+			t.Errorf("%s: matched: %v, want %d partners", c.line, m, c.matched)
+		}
+	}
 }
 
 // TestJSONToValueIntRange pins the guards on a JSON number bound for an

@@ -29,9 +29,10 @@
 // construction at both steps. Extension: the new tuple's R′/S′ image
 // comes from match.SideExtender.ExtendTuple, the function Build runs over
 // every tuple of a side, on the extenders Build resolved. Matching: its
-// partners come from match.Result.Probe — the extended-key bucket and,
+// partners come from match.Result.Probe — the extended-key chain and,
 // per extra identity rule, the hash block (or, for a rule with no usable
-// equality, the scan) — which is the function Build gives every R′ tuple,
+// equality, the scan), every candidate verified by comparison — which is
+// the function Build gives every R′ tuple,
 // over the index Build filled; Commit grows that index through
 // match.Result.Append. The federation builds no relation, no schema and
 // no index, and compiles no rule. What is its own: the §3.2 insertion
@@ -43,16 +44,21 @@
 // (Config.R and Config.S), not an owner of copies. The lender owns the
 // tuples and guards their candidate keys; the federation owns only what
 // it derives from them — the match.Result: extended images R′/S′, probe
-// index and matching table. R′ and S′ are image relations: row i is the
-// image of the lent relation's tuple i, adopted from the prepare that
-// built it, under no key index of its own — the lent relation's index is
-// the only one, its Admit the only key guard. InsertR/InsertS insert into
-// the lent relation on the caller's behalf; a coordinator that uses
-// Prepare + Commit inserts the tuple into the lent relation itself,
-// exactly once, between the two (the hub does, under its own locks), and
-// Commit fails closed if it did not. Such a coordinator admits the tuple
-// first (relation.Admit: shape and keys, checked once) and prepares from
-// the admission — PrepareAdmitted — so no pair checks the shape again.
+// index and matching table. R′ and S′ are image relations over the lent
+// ones: row i is the lent relation's tuple i, read where it lies, plus
+// the cells the ILFDs derived for it — all a commit keeps of the image
+// its prepare built — under no key index of its own: the lent relation's
+// index is the only one, its Admit the only key guard. The image a
+// prepare builds, the partners it finds and the one partner row it reads
+// whole live in scratch the federation owns: one prepared insert at a
+// time, and a later prepare voids an earlier Pending. InsertR/InsertS
+// insert into the lent relation on the caller's behalf; a coordinator
+// that uses Prepare + Commit inserts the tuple into the lent relation
+// itself, exactly once, between the two (the hub does, under its own
+// locks), and Commit fails closed if it did not. Such a coordinator
+// admits the tuple first (relation.Admit: shape and keys, checked once)
+// and prepares from the admission — PrepareAdmitted — so no pair checks
+// the shape again.
 package federate
 
 import (
@@ -74,6 +80,11 @@ type Federation struct {
 	// gen counts state mutations (commits and rebuilds); a Pending
 	// prepared at one generation refuses to commit at another.
 	gen uint64
+	// sc is what the one prepared insert at a time works in, and prepares
+	// counts them: a Pending whose image a later prepare has overwritten
+	// refuses to commit.
+	sc       match.Scratch
+	prepares uint64
 }
 
 // ErrUniqueness and ErrConsistency mark a prepare rejected by a §3.2
@@ -175,11 +186,11 @@ func (f *Federation) base(left bool) *relation.Relation {
 }
 
 // Pending is a prepared, not yet applied insert: the new tuple has been
-// extended and its image — the tuple R′/S′ will adopt — identified
-// against the current state without mutating anything. The caller then
-// inserts the tuple into the lent relation — whose candidate keys, and
-// under PrepareAdmitted whose shape check, are the lender's — and Commit
-// applies the federation's half. A Pending is invalidated by any
+// extended and its image — in the federation's scratch, until the next
+// prepare — identified against the current state without mutating
+// anything. The caller then inserts the tuple into the lent relation —
+// whose candidate keys, and under PrepareAdmitted whose shape check, are
+// the lender's — and Commit applies the federation's half. A Pending is invalidated by any
 // intervening mutation of the federation; coordinators must serialise
 // prepare→commit windows per federation (Commit re-checks and fails on
 // a stale Pending rather than corrupting state).
@@ -192,10 +203,12 @@ type Pending struct {
 	keys match.Keys
 	// pairs are the matching pairs the commit will add — none, or the one
 	// held in `one`; the new tuple's index is its side's pre-commit
-	// length. atGen is the federation generation the prepare ran against.
+	// length. atGen is the federation generation the prepare ran against,
+	// nth its place among the federation's prepares.
 	pairs []match.Pair
 	one   [1]match.Pair
 	atGen uint64
+	nth   uint64
 	done  bool
 }
 
@@ -219,7 +232,8 @@ func (p *Pending) Pairs() []match.Pair { return p.pairs }
 // prepare extends the one tuple (its shape is checked first; the
 // candidate keys are the lender's to guard) and identifies the image.
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	ext, _, err := f.res.ExtendTuple(left, t)
+	f.prepares++
+	ext, _, err := f.res.ExtendTuple(left, t, &f.sc)
 	if err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
@@ -235,7 +249,8 @@ func (f *Federation) PrepareAdmitted(left bool, a relation.Admission) (*Pending,
 	if !a.By(f.base(left)) {
 		return nil, fmt.Errorf("federate: prepare: the admission is not the lent relation's")
 	}
-	ext, _, err := f.res.ExtendAdmitted(left, a)
+	f.prepares++
+	ext, _, err := f.res.ExtendAdmitted(left, a, &f.sc)
 	if err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
@@ -243,28 +258,29 @@ func (f *Federation) PrepareAdmitted(left bool, a relation.Admission) (*Pending,
 }
 
 // identify gives an extended image the probe Build gave every tuple —
-// the opposite side's extended-key bucket and identity-rule blocks —
+// the opposite side's extended-key chain and identity-rule blocks —
 // and the §3.2 guards.
 func (f *Federation) identify(ext relation.Tuple, left bool) (*Pending, error) {
-	partners, keys := f.res.Probe(left, ext)
+	partners, keys := f.res.Probe(left, ext, &f.sc)
 	if len(partners) > 1 {
 		return nil, guardError{fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners)), ErrUniqueness}
 	}
-	p := &Pending{f: f, left: left, ext: ext, keys: keys, atGen: f.gen}
+	p := &Pending{f: f, left: left, ext: ext, keys: keys, atGen: f.gen, nth: f.prepares}
 	if len(partners) == 0 {
 		return p, nil
 	}
-	// own is the side the tuple joins, other the side it matched on.
-	own, other := f.res.SPrime, f.res.RPrime
+	// own is the side the tuple joins; the partner is read whole, into the
+	// scratch, for the rules that judge the pair.
+	own := f.res.SPrime
 	if left {
-		own, other = other, own
+		own = f.res.RPrime
 	}
 	j := partners[0]
-	rt, st := other.Tuple(j), ext
+	rt, st := f.res.Opposite(left, j, &f.sc), ext
 	pair := match.Pair{RIndex: j, SIndex: own.Len()}
 	prev, side, otherSide := f.res.MT.MatchesOfR(j), "R", "S"
 	if left {
-		rt, st = ext, other.Tuple(j)
+		rt, st = st, rt
 		pair = match.Pair{RIndex: own.Len(), SIndex: j}
 		prev, side, otherSide = f.res.MT.MatchesOfS(j), "S", "R"
 	}
@@ -284,12 +300,14 @@ func (f *Federation) identify(ext relation.Tuple, left bool) (*Pending, error) {
 
 // Commit applies a prepared insert whose tuple the caller has inserted
 // into the lent relation: match.Result.Append has R′/S′ adopt the image
-// the prepare built, indexes it and adds its pairs. It fails — with the state untouched —
-// on a stale Pending (any federation mutation since prepare: an insert
-// on either side, or an AddILFD rebuild) or when the lent relation is
-// not exactly one tuple ahead of its extended image (the prepared tuple
-// was not inserted, or more than it was); under the documented
-// serialise-per-federation discipline it cannot fail.
+// the prepare built — keeping what it adds to that tuple — indexes it and
+// adds its pairs. It fails — with the state untouched — on a stale
+// Pending (any federation mutation since prepare: an insert on either
+// side, or an AddILFD rebuild; or a later prepare, which took the scratch
+// the image was in) or when the lent relation is not exactly one tuple
+// ahead of its extended image (the prepared tuple was not inserted, or
+// more than it was); under the documented serialise-per-federation
+// discipline it cannot fail.
 func (p *Pending) Commit() ([]match.Pair, error) {
 	f := p.f
 	if p.done {
@@ -301,6 +319,9 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	}
 	if f.gen != p.atGen {
 		return nil, fmt.Errorf("federate: stale prepared insert: federation mutated since prepare (generation %d, now %d)", p.atGen, f.gen)
+	}
+	if f.prepares != p.nth {
+		return nil, fmt.Errorf("federate: stale prepared insert: %d later prepares have reused the federation's scratch", f.prepares-p.nth)
 	}
 	if got, want := f.base(p.left).Len(), side.Len()+1; got != want {
 		return nil, fmt.Errorf("federate: commit: lent relation holds %d tuples, the prepared insert makes it %d", got, want)

@@ -616,10 +616,12 @@ func TestPrepareAllocs(t *testing.T) {
 	t.Logf("PrepareR: %.1f allocs per tuple (%d of %d matched)", avg, matched, i)
 }
 
-// TestCommitAdoptsThePreparedImage: R′ is an image relation, and the row
-// a commit adds to it is the very image the prepare extended and probed
-// — same backing array — not a copy of it filed under a second key index.
-func TestCommitAdoptsThePreparedImage(t *testing.T) {
+// TestCommittedImageIsNotThePreparedScratch: R′ is an image relation over
+// the lent R, and the image a prepare extends and probes lives in scratch
+// the federation reuses. What a commit keeps of it is its own — the next
+// prepare overwrites the scratch and the committed row reads as before —
+// and a Pending whose scratch a later prepare has taken refuses to commit.
+func TestCommittedImageIsNotThePreparedScratch(t *testing.T) {
 	cfg := example3Config()
 	f, err := New(cfg)
 	if err != nil {
@@ -646,11 +648,32 @@ func TestCommitAdoptsThePreparedImage(t *testing.T) {
 	if _, err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got := f.Result().RPrime.Tuple(5)
-	if &got[0] != &p.ext[0] {
-		t.Error("R′ holds a copy of the prepared image")
+	image := p.ext.Clone()
+	if !image[:len(tup)].Identical(tup) {
+		t.Fatalf("image %v does not begin with the source tuple %v", image, tup)
 	}
-	if !got[:len(tup)].Identical(tup) || !got[:len(tup)].Identical(cfg.R.Tuple(5)) {
-		t.Errorf("image %v does not begin with the source tuple %v", got, tup)
+	// The next prepare is built where the last one was.
+	next, err := f.PrepareR(relation.Tuple{s("Another"), s("Oak St."), s("Thai")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next.ext[0] != &p.ext[0] {
+		t.Error("the second prepare did not reuse the federation's scratch")
+	}
+	if got := f.Result().RPrime.Tuple(5); !got.Identical(image) {
+		t.Errorf("the committed image reads %v once the scratch is overwritten, it was %v", got, image)
+	}
+	// A third prepare takes the scratch from under the second.
+	if _, err := f.PrepareR(relation.Tuple{s("Third"), s("Ash St."), s("Thai")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.R.Insert(relation.Tuple{s("Another"), s("Oak St."), s("Thai")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Commit(); err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Fatalf("commit of a prepare whose scratch was reused = %v", err)
+	}
+	if f.Result().RPrime.Len() != 6 {
+		t.Errorf("the refused commit left %d R′ rows, want 6", f.Result().RPrime.Len())
 	}
 }

@@ -126,8 +126,8 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	}
 	// The source admits the tuple — shape and candidate keys, the one time
 	// either is checked: every pair prepares from the admission, and the
-	// canonical insert below files the tuple under the key projections
-	// built here.
+	// canonical insert below files the tuple under the key hashes taken
+	// here.
 	adm, err := src.rel.Admit(t)
 	if err != nil {
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
@@ -212,9 +212,10 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		return nil, fmt.Errorf("hub: source %q: %w", source,
 			h.poison(fmt.Errorf("canonical insert after its admission: %v", insErr)))
 	}
-	// Every pair commits beside it — its R′/S′ adopts the image its prepare
-	// built — each checking the relation it borrows is now exactly one
-	// tuple ahead of its extended image.
+	// Every pair commits beside it — its R′/S′ keeps what the image its
+	// prepare built adds to the tuple just inserted — each checking the
+	// relation it borrows is now exactly one tuple ahead of its extended
+	// image.
 	for i, pd := range pendings {
 		prs, err := pd.Commit()
 		if err != nil {

@@ -9,15 +9,17 @@ import (
 
 // residentCeiling is the live heap a committed tuple may cost a
 // memory-store hub of four fully linked sources, in bytes. On this
-// workload: 1,500 with a 32-byte value cell and the extended images
-// adopted under no key index of their own; 1,830 with the 48-byte cell;
-// 2,111 with each image a second copy filed under its own copy of the
-// source's key strings; 3,101 with every pair holding clones of its two
-// sides. The ceiling sits under the second figure, so either saving
-// leaking back — on any path: Link, insert, page-in — fails here. It is
-// the first row of ROADMAP item 4's per-tuple byte budget; lower it when
-// the next owner is cut.
-const residentCeiling = 1800
+// workload: 600 with each extended image a view over its source tuple
+// that keeps only the derived cells, and every key index positions under
+// a hash; 1,500 with the images whole rows and each index keyed by a
+// joined string; 2,111
+// with each image a second copy filed under its own copy of the source's
+// key strings; 3,101 with every pair holding clones of its two sides.
+// The ceiling sits under the second figure, so either saving leaking
+// back — on any path: Link, insert, page-in — fails here. It is the
+// first row of the README's per-tuple byte budget; lower it when the
+// next owner is cut.
+const residentCeiling = 800
 
 // TestResidentBytesPerTuple streams a fixed 4-source workload into a
 // resident hub and divides what the heap then holds by the tuples
@@ -54,6 +56,6 @@ func TestResidentBytesPerTuple(t *testing.T) {
 	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(st.Tuples)
 	t.Logf("%d tuples, %d pairwise matches: %.0f B live heap per tuple (ceiling %d)", st.Tuples, st.Matches, per, residentCeiling)
 	if per > residentCeiling {
-		t.Fatalf("%.0f B resident per tuple, ceiling %d: something holds a second copy of the sources' tuples or their key strings, or the value cell grew", per, residentCeiling)
+		t.Fatalf("%.0f B resident per tuple, ceiling %d: something holds a second copy of the sources' tuples, or a key string per index, or the value cell grew", per, residentCeiling)
 	}
 }

@@ -19,15 +19,22 @@
 // Ownership: a source's tuples live once, in the hub's canonical
 // relation (sourceState.rel). Every pairwise federation of the source
 // borrows that relation — it is never cloned on Link, insert, page-in
-// or snapshot load — and keeps only what it derives from it (extended
-// images, probe indexes, matching table). The source's candidate keys
-// are guarded here and nowhere else, once: the relation admits the tuple
-// before the WAL append (relation.Admit — shape, keys), and the canonical
-// insert after it files the tuple under the key strings the admission
-// built, however many sources are linked. The extended images R′/S′ of
-// every pair are image relations, indexed under no key of their own;
-// that row i of each begins with tuple i of its source is an invariant
-// CheckInvariants holds.
+// or snapshot load — and keeps only what it derives from it: per tuple,
+// the cells the pair's ILFDs derived, two index entries and its
+// matching-table entry. The source's candidate keys are guarded here and
+// nowhere else, once: the relation admits the tuple before the WAL
+// append (relation.Admit — shape, keys), and the canonical insert after
+// it files the tuple under the key hashes the admission was reached on,
+// however many sources are linked. The extended images R′/S′ of every
+// pair are image relations over the canonical ones (relation.NewImage):
+// views, indexed under no key of their own, whose row i is tuple i of the
+// source where it lies plus what was derived for it. That an image
+// agrees with its source tuple wherever that tuple is not NULL — all
+// §4.2 asks of R′ — holds by construction (relation.Adopt refuses
+// anything else); what CheckInvariants holds is that the two are equally
+// long. No index anywhere keys on bytes: each files positions under a
+// hash and the reader verifies the candidate, value by value
+// (relation.PosIndex), so no byte a tuple may hold can make two keys one.
 //
 // Ingest (commit.go, pipeline.go) and reads (read.go, iter.go) describe
 // themselves where they live; this file is the topology.

@@ -357,39 +357,3 @@ func TestHubLinkValidation(t *testing.T) {
 		t.Fatalf("conflicting attribute mapping: %v", err)
 	}
 }
-
-// TestCheckInvariantsNamesACorruptImage: R′ and S′ keep no key index of
-// their own, so that row i of each is the image of its source's tuple i
-// is held by position alone — and CheckInvariants holds it: one cell of
-// one image overwritten is named, pair, source, row and all.
-func TestCheckInvariantsNamesACorruptImage(t *testing.T) {
-	w := benchMulti(3)
-	h, err := NewFromMulti(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range h.IngestBatch(MultiInserts(w)) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.PairResult(w.Names[0], w.Names[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := &res.SPrime.Tuple(7)[1]
-	was := *cell
-	*cell = value.String("not what the source holds")
-	err = h.CheckInvariants()
-	want := fmt.Sprintf("pair %q-%q: extended image 7 of source %q", w.Names[0], w.Names[2], w.Names[2])
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("CheckInvariants = %v, want it to name %s", err, want)
-	}
-	*cell = was
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"entityid/internal/datagen"
+	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/resolve"
@@ -99,10 +101,14 @@ const defaultSeeds = 120
 // ILFDs), "rule" the same world linked by a name+phone identity rule
 // instead of the ILFDs, "ring" four hand-made sources A–B–D–C–A, each
 // link on its own attribute and A–B under a distinctness rule, filled
-// from value domains small enough that every §3.2 guard fires.
+// from value domains small enough that every §3.2 guard fires, "hostile"
+// the ring under two-column keys — each source's own, and A–B's extended
+// key {name, cuisine} — over values that hold what a joined key would
+// put between two columns, with A's cuisine a column of its own that an
+// ILFD fills where A left it NULL.
 type workSpec struct {
 	kind string
-	cfg  datagen.MultiConfig // multi, rule; ring reads Entities (tuples per source) and Seed
+	cfg  datagen.MultiConfig // multi, rule; ring and hostile read Entities (tuples per source) and Seed
 	// shuffle orders the items; mutants plants that many extra tuples —
 	// an accepted tuple again under a fresh key (a second model of one
 	// entity in one source) or verbatim (a candidate-key violation);
@@ -129,9 +135,12 @@ type workload struct {
 func (ws workSpec) build() *workload {
 	w := &workload{}
 	rng := rand.New(rand.NewSource(ws.shuffle))
-	if ws.kind == "ring" {
+	switch ws.kind {
+	case "ring":
 		ringWorkload(w, ws.cfg.Entities, rand.New(rand.NewSource(ws.cfg.Seed)))
-	} else {
+	case "hostile":
+		hostileWorkload(w, ws.cfg.Entities, rand.New(rand.NewSource(ws.cfg.Seed)))
+	default:
 		mw := datagen.MustMultiGenerate(ws.cfg)
 		w.truth, w.names = mw, mw.Names
 		for _, rel := range mw.Relations {
@@ -158,7 +167,7 @@ func (ws workSpec) build() *workload {
 		mut := Insert{Source: src.Source, Tuple: src.Tuple.Clone()}
 		if n%3 != 0 { // fresh key, same entity; every third stays verbatim
 			key := 0
-			if ws.kind != "ring" {
+			if w.truth != nil {
 				key = 1 // (name, loc): loc is the source-local half
 			}
 			mut.Tuple[key] = value.String(fmt.Sprintf("mutant-%d", n))
@@ -219,6 +228,101 @@ func ringWorkload(w *workload, perSource int, rng *rand.Rand) {
 		for i := 0; i < perSource; i++ {
 			id := fmt.Sprintf("%s%d", strings.ToLower(name), i)
 			w.items = append(w.items, Insert{Source: name, Tuple: relation.Tuple{value.String(id), val(cols[name][0]), val(cols[name][1])}})
+		}
+	}
+}
+
+// joinedSep is what a key projection joined into one string would put
+// between two string columns; a value that holds it moves the boundary.
+const joinedSep = "\x1fs:"
+
+// hostileWorkload is the ring under keys of two columns over values that
+// a joined key string cannot tell apart — ("x\x1fs:y", "x") and
+// ("x", "y\x1fs:x") are two keys, one string — beside the empty string,
+// NUL and a kind prefix. Every source's key is (id, sub), drawn so that
+// consecutive tuples are such a pair; A–B's extended key is
+// {name, cuisine}; and A models cuisine itself, NULL half the time, where
+// an ILFD on its speciality fills it: an extended image that differs
+// from its source tuple inside the source's own arity.
+func hostileWorkload(w *workload, perSource int, rng *rand.Rand) {
+	cols := map[string][]string{"A": {"name", "code", "speciality", "cuisine"}, "B": {"name", "phone", "cuisine"}, "C": {"code", "city"}, "D": {"phone", "city"}}
+	w.names = []string{"A", "B", "C", "D"}
+	for _, name := range w.names {
+		attrs := []schema.Attribute{{Name: "id", Kind: value.KindString}, {Name: "sub", Kind: value.KindString}}
+		for _, c := range cols[name] {
+			attrs = append(attrs, schema.Attribute{Name: c, Kind: value.KindString})
+		}
+		w.seeds = append(w.seeds, relation.New(schema.MustNew(name, attrs, []string{"id", "sub"})))
+	}
+	link := func(left, right string, spec PairSpec, shared ...string) {
+		spec.Left, spec.Right, spec.ExtKey = left, right, shared
+		for _, a := range shared {
+			spec.Attrs = append(spec.Attrs, match.AttrMap{Name: a, R: a, S: a})
+		}
+		for _, k := range []string{"id", "sub"} {
+			spec.Attrs = append(spec.Attrs, match.AttrMap{Name: k + "_" + left, R: k}, match.AttrMap{Name: k + "_" + right, S: k})
+		}
+		w.links = append(w.links, spec)
+	}
+	str := func(s string) value.Value { return value.String(s) }
+	link("A", "B", PairSpec{
+		Attrs: []match.AttrMap{{Name: "speciality", R: "speciality"}},
+		ILFDs: ilfd.Set{
+			ilfd.MustNew(ilfd.Conditions{{Attr: "speciality", Val: str("hunan")}}, ilfd.Conditions{{Attr: "cuisine", Val: str("x")}}),
+			ilfd.MustNew(ilfd.Conditions{{Attr: "speciality", Val: str("h" + joinedSep)}}, ilfd.Conditions{{Attr: "cuisine", Val: str("x" + joinedSep + "y")}}),
+		},
+		Distinct: []rules.DistinctnessRule{rules.MustNewDistinctness("kx-px", []rules.Predicate{
+			{Left: rules.Attr1("code"), Op: rules.Eq, Right: rules.Const(str("kx"))},
+			{Left: rules.Attr2("phone"), Op: rules.Eq, Right: rules.Const(str("px"))},
+		})},
+	}, "name", "cuisine")
+	link("A", "C", PairSpec{}, "code")
+	link("B", "D", PairSpec{}, "phone")
+	link("C", "D", PairSpec{}, "city")
+	// One domain for every attribute: the size of a source, so most values
+	// pair up across a link once, and closed under moving the boundary —
+	// ("x␟y", "x") and ("x", "y␟x"), ("", "␟") and ("␟", "") join to one
+	// string each, as does every (p␟q, r) with (p, q␟r) further down.
+	pieces := []string{"x", "y", "", "\x00", "i:1", "z"}
+	domain := []string{"x", "x" + joinedSep + "y", "y", "y" + joinedSep + "x", "", joinedSep, "\x00", "i:1"}
+	for _, p := range pieces {
+		for _, q := range pieces {
+			if v := p + joinedSep + q; !slices.Contains(domain, v) {
+				domain = append(domain, v)
+			}
+		}
+	}
+	domain = domain[:min(len(domain), max(8, perSource))]
+	val := func(source, attr string) value.Value {
+		switch n := rng.Intn(10); {
+		case n == 0:
+			return value.Null
+		case n == 1 && (attr == "code" || attr == "phone"):
+			return str(map[string]string{"code": "kx", "phone": "px"}[attr])
+		case attr == "speciality":
+			return str([]string{"hunan", "h" + joinedSep, "x"}[rng.Intn(3)])
+		case attr == "cuisine" && source == "A" && n < 6:
+			return value.Null // for the ILFDs to fill
+		case attr == "cuisine":
+			return str(domain[rng.Intn(3)]) // what they fill it with, and one more
+		case attr == "name":
+			return str(domain[rng.Intn(8)]) // half of a two-column key: few, so that pairs agree on both
+		default:
+			return str(domain[rng.Intn(len(domain))])
+		}
+	}
+	for _, name := range w.names {
+		for i := 0; i < perSource; i++ {
+			// Tuples 2k and 2k+1 of a source: one joined key string, two keys.
+			base := fmt.Sprintf("%s%d", strings.ToLower(name), i/2)
+			tup := relation.Tuple{str(base + joinedSep + "q"), str("r")}
+			if i%2 == 1 {
+				tup = relation.Tuple{str(base), str("q" + joinedSep + "r")}
+			}
+			for _, c := range cols[name] {
+				tup = append(tup, val(name, c))
+			}
+			w.items = append(w.items, Insert{Source: name, Tuple: tup})
 		}
 	}
 }
@@ -382,6 +486,9 @@ func genSchedule(seed int64) schedule {
 	switch rng.Intn(5) {
 	case 0, 1:
 		s.work.kind, s.work.cfg = "ring", datagen.MultiConfig{Entities: 5 + rng.Intn(12), Seed: seed}
+		if seed%3 == 0 { // off the seed, not the stream: every other seed's schedule stays what it was
+			s.work.kind = "hostile"
+		}
 	default:
 		s.work.kind = "multi"
 		if rng.Intn(3) == 0 {

@@ -1,7 +1,10 @@
 // The indexed/blocked/parallel evaluation engine behind Build, Classify
 // and the |R|×|S| sweeps: the distinctness rules filed by the constant
-// each is pinned on, the probe index of the matching step, the sweep
-// plan. Everything here is an execution strategy only:
+// each is pinned on, the probe index of the matching step — positions
+// under a hash, every candidate verified with value.Equal against the
+// image read in place — and the sweep plan, which walks R′ and S′
+// (views over the source relations) through per-worker scratch rows.
+// Everything here is an execution strategy only:
 // reference.go holds the naive formulation the engine must agree with
 // bit-for-bit (pinned by the differential tests), and Config.Naive
 // selects it at run time.
@@ -13,7 +16,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -146,20 +148,27 @@ func (e *engine) distinctFiresNamed(rt, st relation.Tuple) (string, bool) {
 // off it; incremental maintenance (the federate package) probes and
 // grows the same index one arriving tuple at a time, so batch and
 // incremental identification agree because they are one function over
-// one set of buckets. Everything is resolved once, in Build. The
+// one set of chains. Everything is resolved once, in Build. The
 // two-element arrays are indexed by side: 0 is R′, 1 is S′.
+//
+// An index here is a relation.PosIndex: positions filed under a hash of
+// the projection, no key kept. Filing under one hash stands for nothing;
+// the probe verifies every position a chain hands out with value.Equal
+// on every column, read from the image in place (relation.At), so a
+// partner is a partner by comparison — a NULL or a NaN equals nothing,
+// itself included, and is neither filed nor looked up.
 type probe struct {
 	ext    [2]*SideExtender
 	rel    [2]*relation.Relation // RPrime, SPrime
 	keyPos [2][]int              // extended-key column offsets
-	byKey  [2]map[string][]int   // extended-key projection -> tuple positions
+	byKey  [2]*relation.PosIndex // tuple positions by extended-key projection
 	rules  []probeRule
 }
 
 // probeRule is one extra identity rule prepared for probing. Its
 // cross-equality attributes (e1.A = e2.A predicates — §3.2
 // well-formedness guarantees every matched pair agrees, non-NULL, on
-// them) block both sides into hash buckets, and only a bucket's
+// them) block both sides into hash chains, and only a chain's verified
 // candidates get the full conjunction, in both orientations. Cross
 // equality is symmetric in the two sides, so one projection serves both.
 type probeRule struct {
@@ -172,20 +181,38 @@ type probeRule struct {
 	// lacks: that side resolves to NULL in both orientations, e1.a = e2.a
 	// cannot hold, and the rule has no candidates at all.
 	pos    [2][]int
-	blocks [2]map[string][]int
+	blocks [2]*relation.PosIndex
 	// fwd / rev are the rule compiled in both orientations (e1 ← R′,
 	// e2 ← S′ and the reverse).
 	fwd, rev rules.CompiledIdentityRule
 }
 
-// Keys are the projection keys of one extended tuple — onto the extended
-// key and onto each blocked identity rule's equality attributes — each
-// string built once: Probe looks the opposite side up under them and
-// Append indexes the tuple's own side under the same ones. A key is ""
-// when its projection cannot join.
+// Keys are the projections of one extended tuple — onto the extended key
+// and onto each blocked identity rule's equality attributes — each
+// hashed once: Probe looks the opposite side up under them and Append
+// files the tuple's own side under the same ones.
 type Keys struct {
-	ext   string
-	rules []string // parallel to the identity rules; nil without any
+	ext   projKey
+	rules []projKey // parallel to the identity rules; nil without any
+}
+
+// projKey is one projection's hash; joins is false when the projection
+// cannot join (it holds a NULL or a NaN, or the rule is not blocked).
+type projKey struct {
+	h     uint64
+	joins bool
+}
+
+// Scratch is the working memory of one identification at a time: the
+// image being prepared, the partners found for it and the one candidate
+// row materialised to run a rule on. Whoever serialises a Result's
+// identifications (a federation, under its coordinator's pair lock)
+// owns one and hands it to each call; what a call returns in it stands
+// until the next call given the same Scratch.
+type Scratch struct {
+	ext      relation.Tuple
+	row      relation.Tuple
+	partners []int
 }
 
 // sides maps a tuple's side to the probe's array indexes: the side it
@@ -222,7 +249,7 @@ func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityR
 		if !ok {
 			return fmt.Errorf("match: extended relation %s lacks an attribute of the extended key %v", rel.Schema().Name(), res.extKey)
 		}
-		px.keyPos[side], px.byKey[side] = pos, make(map[string][]int, rel.Len())
+		px.keyPos[side], px.byKey[side] = pos, relation.NewPosIndex()
 	}
 	rs, ss := res.RPrime.Schema(), res.SPrime.Schema()
 	for n, rule := range identity {
@@ -233,136 +260,178 @@ func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityR
 		sPos, sOK := offsets(ss, eq)
 		if pr.scan = len(eq) == 0; !pr.scan && rOK && sOK {
 			pr.pos = [2][]int{rPos, sPos}
-			pr.blocks = [2]map[string][]int{make(map[string][]int), make(map[string][]int)}
+			pr.blocks = [2]*relation.PosIndex{relation.NewPosIndex(), relation.NewPosIndex()}
 		}
 	}
 	return nil
 }
 
-// projectionKey encodes t's projection onto the column offsets idx (at
-// least one), or returns "" — which no encoding is, value.Key prefixes
-// the kind — when the projection cannot join: bucket membership stands
-// for value.Equal on every column, and a NULL or a NaN equals nothing,
-// itself included. The converse, value.Equal(a, b) ⇒ Key(a) == Key(b),
-// is value.Key's guarantee (same kind, same contents, float zeros
-// collapsed).
-func projectionKey(t relation.Tuple, idx []int) string {
-	var b strings.Builder
-	for n, i := range idx {
-		v := t[i]
-		if !value.Equal(v, v) {
-			return ""
+// projection hashes t's projection onto the column offsets idx (at least
+// one), unless it cannot join: a NULL or a NaN equals nothing, itself
+// included. Every index of a probe hashes alike, so ix is any of them.
+func projection(ix *relation.PosIndex, t relation.Tuple, idx []int) projKey {
+	for _, i := range idx {
+		if v := t[i]; !value.Equal(v, v) {
+			return projKey{}
 		}
-		if n > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.Key())
 	}
-	return b.String()
+	return projKey{h: ix.Hash(t, idx), joins: true}
 }
 
 // keys projects an extended tuple of side own.
 func (res *Result) keys(own int, ext relation.Tuple) Keys {
 	px := &res.px
-	k := Keys{ext: projectionKey(ext, px.keyPos[own])}
+	k := Keys{ext: projection(px.byKey[own], ext, px.keyPos[own])}
 	if len(px.rules) > 0 {
-		k.rules = make([]string, len(px.rules))
+		k.rules = make([]projKey, len(px.rules))
 		for n := range px.rules {
-			if pos := px.rules[n].pos[own]; pos != nil {
-				k.rules[n] = projectionKey(ext, pos)
+			if pr := &px.rules[n]; pr.blocks[own] != nil {
+				k.rules[n] = projection(pr.blocks[own], ext, pr.pos[own])
 			}
 		}
 	}
 	return k
 }
 
-// index files tuple pos of side own under its keys.
-func (res *Result) index(own, pos int, keys Keys) {
+// index files the next tuple of side own under its keys.
+func (res *Result) index(own int, keys Keys) {
 	px := &res.px
-	if keys.ext != "" {
-		px.byKey[own][keys.ext] = append(px.byKey[own][keys.ext], pos)
-	}
-	for n, k := range keys.rules {
-		if k != "" {
-			blocks := px.rules[n].blocks[own]
-			blocks[k] = append(blocks[k], pos)
+	px.byKey[own].Add(keys.ext.h, keys.ext.joins)
+	for n := range px.rules {
+		if blocks := px.rules[n].blocks[own]; blocks != nil {
+			blocks.Add(keys.rules[n].h, keys.rules[n].joins)
 		}
 	}
 }
 
-// ExtendTuple returns the R′ (left) or S′ image of a source tuple of that
-// side: SideExtender.ExtendTuple on the extender Build resolved.
-func (res *Result) ExtendTuple(left bool, t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
+// joined appends to out, ascending, the positions ix files under h whose
+// projection onto theirs — columns of rel, the side ix indexes — is
+// Equal, column by column, to ext's onto ours.
+func joined(out []int, ix *relation.PosIndex, h uint64, rel *relation.Relation, theirs []int, ext relation.Tuple, ours []int) []int {
+	base := len(out)
+chain:
+	for pos := ix.Last(h); pos >= 0; pos = ix.Prev(pos) {
+		for n, c := range theirs {
+			if !value.Equal(rel.At(pos, c), ext[ours[n]]) {
+				continue chain
+			}
+		}
+		out = append(out, pos)
+	}
+	slices.Reverse(out[base:])
+	return out
+}
+
+// ExtendTuple returns, in sc, the R′ (left) or S′ image of a source
+// tuple of that side: SideExtender.ExtendTuple on the extender Build
+// resolved.
+func (res *Result) ExtendTuple(left bool, t relation.Tuple, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
 	own, _ := sides(left)
-	return res.px.ext[own].ExtendTuple(t)
+	if err := relation.CheckShape(res.px.ext[own].src, t); err != nil {
+		return nil, nil, err
+	}
+	return res.extendInto(own, t, sc)
 }
 
 // ExtendAdmitted is ExtendTuple for a tuple the side's source relation
 // has admitted (relation.Admit): the shape that relation has just
 // checked is not checked again.
-func (res *Result) ExtendAdmitted(left bool, a relation.Admission) (relation.Tuple, []derive.Conflict, error) {
+func (res *Result) ExtendAdmitted(left bool, a relation.Admission, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
 	own, _ := sides(left)
-	return res.px.ext[own].image(a.Tuple())
+	return res.extendInto(own, a.Tuple(), sc)
+}
+
+func (res *Result) extendInto(own int, t relation.Tuple, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
+	ext, conflicts, err := res.px.ext[own].extendInto(sc.ext, t)
+	if err == nil {
+		sc.ext = ext
+	}
+	return ext, conflicts, err
 }
 
 // Probe identifies an extended tuple of one side (left: an R′ tuple)
 // against the opposite side as it stands: the positions there that share
-// its non-NULL extended-key projection, then those an extra identity
-// rule pairs it with, each position once. It mutates nothing, and ext
-// need not be in its relation (yet). The partners may alias an index
-// bucket — do not write to them. The keys are ext's, for Append.
-func (res *Result) Probe(left bool, ext relation.Tuple) ([]int, Keys) {
+// its non-NULL extended-key projection, ascending, then those an extra
+// identity rule pairs it with, each position once. It changes nothing
+// but sc, and ext need not be in its relation (yet). The partners are
+// sc's; the keys are ext's, for Append.
+func (res *Result) Probe(left bool, ext relation.Tuple, sc *Scratch) ([]int, Keys) {
+	own, _ := sides(left)
+	keys := res.keys(own, ext)
+	return res.partners(left, ext, keys, sc), keys
+}
+
+// partners is Probe under ext's keys: each hash only says which chain to
+// walk, and every position on it is verified against ext.
+func (res *Result) partners(left bool, ext relation.Tuple, keys Keys, sc *Scratch) []int {
 	px := &res.px
 	own, other := sides(left)
-	keys := res.keys(own, ext)
-	var partners []int
-	if keys.ext != "" {
-		partners = px.byKey[other][keys.ext]
-	}
 	opposite := px.rel[other]
+	partners := sc.partners[:0]
+	if keys.ext.joins {
+		partners = joined(partners, px.byKey[other], keys.ext.h, opposite, px.keyPos[other], ext, px.keyPos[own])
+	}
 	for n := range px.rules {
 		pr := &px.rules[n]
 		if pr.scan {
-			for j, cand := range opposite.Tuples() {
-				partners = pr.admit(partners, left, ext, cand, j)
+			for j := 0; j < opposite.Len(); j++ {
+				partners = pr.admit(partners, left, ext, opposite, j, sc)
 			}
-		} else if k := keys.rules[n]; k != "" {
-			for _, j := range pr.blocks[other][k] {
-				partners = pr.admit(partners, left, ext, opposite.Tuple(j), j)
+		} else if k := keys.rules[n]; k.joins {
+			// The block's candidates are gathered past the partners and
+			// admitted back over themselves: one is read before the slot it
+			// may be admitted into is written.
+			found := len(partners)
+			cands := joined(partners, pr.blocks[other], k.h, opposite, pr.pos[other], ext, pr.pos[own])[found:]
+			for _, j := range cands {
+				partners = pr.admit(partners, left, ext, opposite, j, sc)
 			}
 		}
 	}
-	return partners, keys
+	sc.partners = partners
+	return partners
 }
 
 // admit adds candidate position j to partners if it is not there and the
-// rule pairs ext with cand, the opposite side's tuple j.
-func (pr *probeRule) admit(partners []int, left bool, ext, cand relation.Tuple, j int) []int {
-	rt, st := cand, ext
-	if left {
-		rt, st = ext, cand
-	}
-	if slices.Contains(partners, j) || !(pr.fwd.Holds(rt, st) || pr.rev.Holds(st, rt)) {
+// rule pairs ext with the opposite side's tuple j, read into sc.
+func (pr *probeRule) admit(partners []int, left bool, ext relation.Tuple, opposite *relation.Relation, j int, sc *Scratch) []int {
+	if slices.Contains(partners, j) {
 		return partners
 	}
-	// Capped, so append copies: partners may be an index bucket.
-	return append(partners[:len(partners):len(partners)], j)
+	sc.row = opposite.TupleInto(sc.row, j)
+	rt, st := sc.row, ext
+	if left {
+		rt, st = ext, sc.row
+	}
+	if !(pr.fwd.Holds(rt, st) || pr.rev.Holds(st, rt)) {
+		return partners
+	}
+	return append(partners, j)
+}
+
+// Opposite returns, in sc, tuple j of the side an extended tuple of the
+// other (left: an R′ tuple) is identified against — a partner Probe
+// found, read whole for the rules that judge the pair.
+func (res *Result) Opposite(left bool, j int, sc *Scratch) relation.Tuple {
+	_, other := sides(left)
+	sc.row = res.px.rel[other].TupleInto(sc.row, j)
+	return sc.row
 }
 
 // Append adds an extended tuple to its side: R′/S′ adopts the image
-// ExtendTuple built — the row is that tuple, not a copy, so the caller
-// gives it up — after checking its shape (on failure everything is as it
+// ExtendTuple built — keeping the cells in which it differs from the
+// source tuple at its position, which the caller has inserted; ext stays
+// the caller's — after checking its shape (on failure everything is as it
 // was), then the index entries under the keys Probe returned for it, and
 // its matching pairs. The side's candidate keys are not looked at: they
 // are the source relation's, which admits the tuple before its image is
 // appended here.
 func (res *Result) Append(left bool, ext relation.Tuple, keys Keys, pairs []Pair) error {
 	own, _ := sides(left)
-	rel := res.px.rel[own]
-	if err := rel.Adopt(ext); err != nil {
+	if err := res.px.rel[own].Adopt(ext); err != nil {
 		return err
 	}
-	res.index(own, rel.Len()-1, keys)
+	res.index(own, keys)
 	for _, p := range pairs {
 		res.MT.Add(p)
 	}
@@ -449,18 +518,29 @@ func (res *Result) sweepPlanSnapshot() sweepPlan {
 		res.plan = res.newSweepPlan()
 	}
 	p := res.plan
+	var row relation.Tuple
 	for i := len(p.rowBits); i < res.RPrime.Len(); i++ {
-		p.rowBits = append(p.rowBits, p.bitsFor(res.RPrime.Tuple(i), p.row))
+		row = res.RPrime.TupleInto(row, i)
+		p.rowBits = append(p.rowBits, p.bitsFor(row, p.row))
 	}
 	for j := len(p.colBits); j < res.SPrime.Len(); j++ {
-		p.colBits = append(p.colBits, p.bitsFor(res.SPrime.Tuple(j), p.col))
+		row = res.SPrime.TupleInto(row, j)
+		p.colBits = append(p.colBits, p.bitsFor(row, p.col))
 	}
 	return *p
 }
 
+// sweepRows is one sweep worker's pair of scratch rows: a cell's two
+// tuples are read into them only when a cross predicate needs them, the
+// R′ one once per row.
+type sweepRows struct {
+	rt, st relation.Tuple
+	i      int // the row rt holds, -1 for none
+}
+
 // fires reports whether some distinctness rule declares cell (i, j)
 // distinct, using the precomputed survival bitsets.
-func (p *sweepPlan) fires(res *Result, i, j int) bool {
+func (p *sweepPlan) fires(res *Result, i, j int, rows *sweepRows) bool {
 	rb, cb := p.rowBits[i], p.colBits[j]
 	for w := 0; w < p.words; w++ {
 		live := rb[w] & cb[w]
@@ -471,7 +551,11 @@ func (p *sweepPlan) fires(res *Result, i, j int) bool {
 			if len(cross) == 0 {
 				return true
 			}
-			rt, st := res.RPrime.Tuple(i), res.SPrime.Tuple(j)
+			if rows.i != i {
+				rows.rt, rows.i = res.RPrime.TupleInto(rows.rt, i), i
+			}
+			rows.st = res.SPrime.TupleInto(rows.st, j)
+			rt, st := rows.rt, rows.st
 			t1, t2 := rt, st
 			if k%2 == 1 {
 				t1, t2 = st, rt
@@ -505,7 +589,7 @@ func (res *Result) rowMatches(i int) []int {
 
 // sweepRow classifies every cell of row i in column order, invoking
 // visit per cell until it returns false.
-func (res *Result) sweepRow(plan *sweepPlan, i, cols int, visit func(j int, v Verdict) bool) {
+func (res *Result) sweepRow(plan *sweepPlan, rows *sweepRows, i, cols int, visit func(j int, v Verdict) bool) {
 	mcols := res.rowMatches(i)
 	ptr := 0
 	for j := 0; j < cols; j++ {
@@ -516,7 +600,7 @@ func (res *Result) sweepRow(plan *sweepPlan, i, cols int, visit func(j int, v Ve
 		switch {
 		case ptr < len(mcols) && mcols[ptr] == j:
 			v = Matching
-		case plan.fires(res, i, j):
+		case plan.fires(res, i, j, rows):
 			v = NotMatching
 		default:
 			v = Undetermined
@@ -564,13 +648,14 @@ func (res *Result) parallelCounts() (matching, notMatching, undetermined int) {
 		go func(w int) {
 			defer wg.Done()
 			var t tally
+			scratch := sweepRows{i: -1}
 			for {
 				lo := int(next.Add(sweepGrain)) - sweepGrain
 				if lo >= rows {
 					break
 				}
 				for i := lo; i < min(lo+sweepGrain, rows); i++ {
-					res.sweepRow(&plan, i, cols, func(_ int, v Verdict) bool {
+					res.sweepRow(&plan, &scratch, i, cols, func(_ int, v Verdict) bool {
 						switch v {
 						case Matching:
 							t.m++
@@ -611,8 +696,9 @@ func (res *Result) parallelSweep(want Verdict, limit int) []Pair {
 	plan := res.sweepPlanSnapshot()
 	if limit > 0 {
 		var out []Pair
+		scratch := sweepRows{i: -1}
 		for i := 0; i < rows && len(out) < limit; i++ {
-			res.sweepRow(&plan, i, cols, func(j int, v Verdict) bool {
+			res.sweepRow(&plan, &scratch, i, cols, func(j int, v Verdict) bool {
 				if v == want {
 					out = append(out, Pair{RIndex: i, SIndex: j})
 				}
@@ -630,6 +716,7 @@ func (res *Result) parallelSweep(want Verdict, limit int) []Pair {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			scratch := sweepRows{i: -1}
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= blocks {
@@ -638,7 +725,7 @@ func (res *Result) parallelSweep(want Verdict, limit int) []Pair {
 				lo, hi := b*sweepGrain, min((b+1)*sweepGrain, rows)
 				var out []Pair
 				for i := lo; i < hi; i++ {
-					res.sweepRow(&plan, i, cols, func(j int, v Verdict) bool {
+					res.sweepRow(&plan, &scratch, i, cols, func(j int, v Verdict) bool {
 						if v == want {
 							out = append(out, Pair{RIndex: i, SIndex: j})
 						}

@@ -49,10 +49,19 @@
 //     predicate and a pair's candidates are looked up by the values its
 //     two tuples hold (engine.go); the first firing rule in declaration
 //     order is still the answer.
-//   - Image relations: R′ and S′ are relation.NewImage relations — row i
-//     is the image of the source relation's tuple i, adopted from
-//     ExtendTuple without a copy, under no key index of its own. The
-//     source relation guards the candidate keys R′/S′ inherit.
+//   - Image relations: R′ and S′ are relation.NewImage relations — views
+//     over the source relations: row i is the source's tuple i where it
+//     lies, plus the cells ExtendTuple derived for it, under no key index
+//     of its own. The source relation guards the candidate keys R′/S′
+//     inherit. The commit path reads a row one cell at a time
+//     (relation.At) or, the 0–1 candidates per insert a rule must judge,
+//     whole into scratch (TupleInto, Scratch); the sweeps walk with a
+//     scratch row per worker.
+//   - Hashed, verified indexes: the extended-key join and the identity
+//     rules' blocks file positions under a hash of the projection
+//     (relation.PosIndex) and verify every candidate with value.Equal —
+//     no projection is joined into a key string, so a match is a match
+//     by comparison, whatever bytes the values hold.
 //   - Blocking: the probe evaluates extra identity rules by hash-join
 //     candidate generation over each rule's cross-equality attributes
 //     (§3.2 well-formedness guarantees matched pairs agree on them),
@@ -315,18 +324,23 @@ func Build(cfg Config) (*Result, error) {
 	// The matching step. Index S′, then give each R′ tuple the probe an
 	// arriving tuple gets (engine.go) and index it too; the reference
 	// path fills the same index, for the inserts that may follow, but
-	// reads its pairs off nested loops (reference.go).
-	for j, t := range sPrime.Tuples() {
-		res.index(1, j, res.keys(1, t))
+	// reads its pairs off nested loops (reference.go). Rows are read
+	// through one scratch row.
+	var row relation.Tuple
+	var sc Scratch
+	for j := 0; j < sPrime.Len(); j++ {
+		row = sPrime.TupleInto(row, j)
+		res.index(1, res.keys(1, row))
 	}
 	var pairs []Pair
-	for i, t := range rPrime.Tuples() {
+	for i := 0; i < rPrime.Len(); i++ {
+		row = rPrime.TupleInto(row, i)
 		if cfg.Naive {
-			res.index(0, i, res.keys(0, t))
+			res.index(0, res.keys(0, row))
 			continue
 		}
-		partners, keys := res.Probe(true, t)
-		res.index(0, i, keys)
+		partners, keys := res.Probe(true, row, &sc)
+		res.index(0, keys)
 		for _, j := range partners {
 			pairs = append(pairs, Pair{RIndex: i, SIndex: j})
 		}
@@ -349,10 +363,11 @@ func Build(cfg Config) (*Result, error) {
 // attributes the side does not model appended as NULLs, then whatever
 // the ILFDs derive filled in. The extended schema is resolved once, here,
 // and its layout is fixed: a renamed attribute keeps its column and the
-// missing attributes append in attribute-map order — so a source tuple
-// is the prefix of its extended image, and offsets resolved against R′ or
-// S′ (extended-key positions, compiled rules) apply to any tuple this
-// extender produces. ExtendTuple is the one extension path: Build runs it
+// missing attributes append in attribute-map order — so an extended
+// image agrees with its source tuple, column for column, wherever that
+// tuple is not NULL (an ILFD fills NULLs, the source's own included, and
+// rewrites nothing), and offsets resolved against R′ or S′ (extended-key
+// positions, compiled rules) apply to any tuple this extender produces. ExtendTuple is the one extension path: Build runs it
 // over every tuple of a side, and incremental maintenance (the federate
 // package) holds the extenders across inserts and runs it on each
 // arriving tuple.
@@ -427,15 +442,17 @@ func (se *SideExtender) ExtendTuple(t relation.Tuple) (relation.Tuple, []derive.
 	if err := relation.CheckShape(se.src, t); err != nil {
 		return nil, nil, err
 	}
-	return se.image(t)
+	return se.extendInto(nil, t)
 }
 
-// image is ExtendTuple for a tuple the side's source relation holds or
-// has admitted: its shape is that relation's to check, and was.
-func (se *SideExtender) image(t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
-	// The columns past the source arity are zero Values: NULL.
-	ext := make(relation.Tuple, se.sch.Arity())
-	copy(ext, t)
+// extendInto is ExtendTuple, over the scratch dst, for a tuple the
+// side's source relation holds or has admitted: its shape is that
+// relation's to check, and was.
+func (se *SideExtender) extendInto(dst, t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
+	ext := append(dst[:0], t...)
+	for n := se.sch.Arity(); len(ext) < n; {
+		ext = append(ext, value.Null)
+	}
 	conflicts, err := se.ext.ExtendTuple(se.sch, ext)
 	if err != nil {
 		return nil, nil, err
@@ -444,19 +461,23 @@ func (se *SideExtender) image(t relation.Tuple) (relation.Tuple, []derive.Confli
 }
 
 // Extend builds the side's extended relation over rel, a relation with
-// the side's source schema: an image relation (relation.NewImage) whose
-// row i is the image of rel's tuple i. rel has admitted its tuples —
-// shape and keys — and goes on guarding them; conflicts carry the
-// position of the tuple they arose in.
+// the side's source schema: an image relation (relation.NewImage) over
+// rel, whose row i keeps what the image of rel's tuple i adds to it. rel
+// has admitted its tuples — shape and keys — and goes on guarding them;
+// conflicts carry the position of the tuple they arose in.
 func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []derive.Conflict, error) {
 	if !rel.Schema().Equal(se.src) {
 		return nil, nil, fmt.Errorf("match: extend: relation %s does not have the side's source schema %s", rel.Schema(), se.src)
 	}
-	out := relation.NewImage(se.sch)
+	out, err := relation.NewImage(se.sch, rel)
+	if err != nil {
+		return nil, nil, fmt.Errorf("match: extend: %w", err)
+	}
 	var conflicts []derive.Conflict
+	var ext relation.Tuple
 	for i, t := range rel.Tuples() {
-		ext, cs, err := se.image(t)
-		if err != nil {
+		var cs []derive.Conflict
+		if ext, cs, err = se.extendInto(ext, t); err != nil {
 			return nil, nil, fmt.Errorf("match: extend: %w", err)
 		}
 		for _, c := range cs {
@@ -539,8 +560,10 @@ func (res *Result) Verify() error {
 		return res.referenceVerifyConsistency()
 	}
 	eng := res.engine()
+	var rt, st relation.Tuple
 	for _, p := range res.MT.Pairs {
-		if name, fires := eng.distinctFiresNamed(res.RPrime.Tuple(p.RIndex), res.SPrime.Tuple(p.SIndex)); fires {
+		rt, st = res.RPrime.TupleInto(rt, p.RIndex), res.SPrime.TupleInto(st, p.SIndex)
+		if name, fires := eng.distinctFiresNamed(rt, st); fires {
 			return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
 				ErrConsistency, p.RIndex, p.SIndex, name)
 		}
@@ -553,7 +576,7 @@ func (res *Result) Verify() error {
 // otherwise Undetermined (§3.2, Figure 3).
 func (res *Result) Classify(i, j int) Verdict {
 	if res.naive {
-		return res.referenceClassify(i, j)
+		return res.referenceClassify(i, j, res.RPrime.Tuple(i), res.SPrime.Tuple(j))
 	}
 	if res.MT.Contains(i, j) {
 		return Matching

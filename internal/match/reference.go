@@ -55,24 +55,32 @@ func (res *Result) referenceContains(i, j int) bool {
 	return false
 }
 
+// referenceRows are R′ and S′ read whole, once, for a reference pass:
+// the extended relations are views (relation.NewImage), and the nested
+// loops would otherwise build a row per cell.
+type referenceRows struct{ r, s []relation.Tuple }
+
+func (res *Result) referenceRows() referenceRows {
+	return referenceRows{res.RPrime.Tuples(), res.SPrime.Tuples()}
+}
+
 // distinctHolds evaluates a distinctness rule over the pair in both
 // orientations: the rule's e1 and e2 range over all entities of E, so a
 // pair (r, s) instantiates either (e1=r, e2=s) or (e1=s, e2=r). Table 4
 // of the paper needs the second orientation (the Mughalai tuple lives in
 // S).
-func (res *Result) distinctHolds(d rules.DistinctnessRule, i, j int) bool {
-	rt, st := res.RPrime.Tuple(i), res.SPrime.Tuple(j)
+func (res *Result) distinctHolds(d rules.DistinctnessRule, rt, st relation.Tuple) bool {
 	return d.Holds(res.RPrime, rt, res.SPrime, st) ||
 		d.Holds(res.SPrime, st, res.RPrime, rt)
 }
 
 // referenceClassify is the interpreted, linear-scan classifier.
-func (res *Result) referenceClassify(i, j int) Verdict {
+func (res *Result) referenceClassify(i, j int, rt, st relation.Tuple) Verdict {
 	if res.referenceContains(i, j) {
 		return Matching
 	}
 	for _, d := range res.distinct {
-		if res.distinctHolds(d, i, j) {
+		if res.distinctHolds(d, rt, st) {
 			return NotMatching
 		}
 	}
@@ -81,9 +89,10 @@ func (res *Result) referenceClassify(i, j int) Verdict {
 
 // referenceCounts is the sequential Figure 3 tally.
 func (res *Result) referenceCounts() (matching, notMatching, undetermined int) {
-	for i := 0; i < res.RPrime.Len(); i++ {
-		for j := 0; j < res.SPrime.Len(); j++ {
-			switch res.referenceClassify(i, j) {
+	rows := res.referenceRows()
+	for i := range rows.r {
+		for j := range rows.s {
+			switch res.referenceClassify(i, j, rows.r[i], rows.s[j]) {
 			case Matching:
 				matching++
 			case NotMatching:
@@ -99,10 +108,11 @@ func (res *Result) referenceCounts() (matching, notMatching, undetermined int) {
 // referenceSweep is the sequential row-major enumeration of pairs with
 // the given verdict.
 func (res *Result) referenceSweep(want Verdict, limit int) []Pair {
+	rows := res.referenceRows()
 	var out []Pair
-	for i := 0; i < res.RPrime.Len(); i++ {
-		for j := 0; j < res.SPrime.Len(); j++ {
-			if res.referenceClassify(i, j) == want {
+	for i := range rows.r {
+		for j := range rows.s {
+			if res.referenceClassify(i, j, rows.r[i], rows.s[j]) == want {
 				out = append(out, Pair{RIndex: i, SIndex: j})
 				if limit > 0 && len(out) >= limit {
 					return out
@@ -116,9 +126,10 @@ func (res *Result) referenceSweep(want Verdict, limit int) []Pair {
 // referenceVerifyConsistency is the interpreted consistency half of
 // Verify.
 func (res *Result) referenceVerifyConsistency() error {
+	rows := res.referenceRows()
 	for _, p := range res.MT.Pairs {
 		for _, d := range res.distinct {
-			if res.distinctHolds(d, p.RIndex, p.SIndex) {
+			if res.distinctHolds(d, rows.r[p.RIndex], rows.s[p.SIndex]) {
 				return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
 					ErrConsistency, p.RIndex, p.SIndex, d.Name)
 			}

@@ -84,7 +84,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, sch.Arity())
-	for _, t := range r.tuples {
+	for _, t := range r.Tuples() {
 		for i, v := range t {
 			if v.IsNull() {
 				rec[i] = "null"

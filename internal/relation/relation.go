@@ -9,18 +9,25 @@
 // S′ of §4.2 carry NULL in attributes the source relation never modeled,
 // and the integrated table T_RS may hold NULLs even inside extended-key
 // attributes. Candidate keys are therefore checked with storage-level
-// identity over fully non-NULL key projections only.
+// identity over fully non-NULL key projections only. A key index is a
+// PosIndex (posindex.go): positions filed under a hash of the projection,
+// every candidate verified value by value — no projection is ever joined
+// into a string, so no byte a value may hold can make two keys one.
 //
-// R′ and S′ themselves are image relations (NewImage): row i is the
-// extended image of tuple i of the relation they extend, so they hold no
-// key index of their own — the extended relation's index is the one
-// index, and its Admit the one key guard — and they Adopt the image they
-// are given instead of copying it.
+// R′ and S′ themselves are image relations (NewImage): views over the
+// relation they extend. Row i is that relation's tuple i — held there,
+// once — plus the cells in which the extended image differs from it: what
+// the ILFDs derived. An image keeps no key index of its own — the
+// extended relation's index is the one index, and its Admit the one key
+// guard — and reads go through At (one cell) or TupleInto (a row, into
+// the caller's scratch).
 package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"entityid/internal/schema"
@@ -35,14 +42,16 @@ func (t Tuple) Clone() Tuple {
 	return append(Tuple(nil), t...)
 }
 
-// Key encodes the tuple (or a projection of it) as a map key.
+// Key encodes the tuple (or a projection of it) as a map key: each
+// value's Key behind its length, so no value's bytes can pass for the
+// boundary between two.
 func (t Tuple) Key() string {
 	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.Key())
+	for _, v := range t {
+		k := v.Key()
+		b.WriteString(strconv.Itoa(len(k)))
+		b.WriteByte(':')
+		b.WriteString(k)
 	}
 	return b.String()
 }
@@ -67,18 +76,29 @@ func (t Tuple) Identical(o Tuple) bool {
 // candidate keys declared on the schema are enforced likewise.
 type Relation struct {
 	schema *schema.Schema
+	// tuples are an ordinary relation's rows; an image relation has none.
 	tuples []Tuple
 	// keyCols holds, per candidate key, the column offsets of its
 	// attributes — resolved once, so key projection indexes the tuple
 	// instead of copying the schema's keys and looking each name up.
 	keyCols [][]int
-	// keyIdx maps candidate-key ordinal -> key-projection string -> tuple
-	// position, for O(1) duplicate detection and key lookups.
-	keyIdx []map[string]int
+	// keyIdx holds, per candidate key, the positions of the tuples whose
+	// projection is fully non-NULL, for O(1) duplicate detection and key
+	// lookups. Nil on an image relation.
+	keyIdx []*PosIndex
 	// bag disables duplicate detection (NewBag).
 	bag bool
-	// image marks an image relation (NewImage): keyIdx is nil.
-	image bool
+	// limit is how many tuples the relation admits: maxRows.
+	limit int
+
+	// lender marks an image relation (NewImage) and is the relation it
+	// extends: row i is lender.tuples[i] overlaid with the cells
+	// [rowEnd[i-1], rowEnd[i]) of one append-only arena, each a column
+	// and the value the image holds there.
+	lender  *Relation
+	cellCol []int32
+	cellVal []value.Value
+	rowEnd  []uint32
 }
 
 // New creates an empty relation with the given schema.
@@ -87,14 +107,15 @@ func New(s *schema.Schema) *Relation {
 	r := &Relation{
 		schema:  s,
 		keyCols: make([][]int, len(keys)),
-		keyIdx:  make([]map[string]int, len(keys)),
+		keyIdx:  make([]*PosIndex, len(keys)),
+		limit:   maxRows,
 	}
 	for ki, key := range keys {
 		r.keyCols[ki] = make([]int, len(key))
 		for i, a := range key {
 			r.keyCols[ki][i] = s.Index(a)
 		}
-		r.keyIdx[ki] = make(map[string]int)
+		r.keyIdx[ki] = NewPosIndex()
 	}
 	return r
 }
@@ -110,37 +131,92 @@ func NewBag(s *schema.Schema) *Relation {
 	return r
 }
 
-// NewImage creates an empty image relation: one whose row i is derived
-// from — begins with, under renamed attributes — tuple i of another
-// relation, the way §4.2's R′ extends R. The schema's candidate keys are
-// the extended relation's, which has admitted every tuple an image is
-// made of; an image relation therefore keeps no key index and guards no
-// key. Rows join it through Adopt. What the missing index changes:
-// LookupKey answers by scanning, Sort is refused (position is what ties
-// a row to the tuple it extends), and Clone returns an ordinary relation
-// — a deep copy with a key index of its own, free to be sorted.
-func NewImage(s *schema.Schema) *Relation {
+// NewImage creates an empty image relation over lender: one whose row i
+// extends — begins with, under renamed attributes — lender's tuple i, the
+// way §4.2's R′ extends R. It holds no copy of that tuple, only the cells
+// in which row i differs from it: the columns past lender's arity that
+// are not NULL, and the NULLs of the tuple an ILFD filled. The schema
+// must therefore begin with lender's columns, kind for kind. Its
+// candidate keys are lender's, which has admitted every tuple an image is
+// made of; an image relation keeps no key index and guards no key. Rows
+// join it through Adopt. What the missing index changes: LookupKey
+// answers by scanning, Sort is refused (position is what ties a row to
+// the tuple it extends), and Clone returns an ordinary relation — a deep
+// copy with a key index of its own, free to be sorted.
+//
+// An image reads lender's tuples whenever it is read: whoever reads one
+// while the other grows must order the two, as for the relation alone.
+func NewImage(s *schema.Schema, lender *Relation) (*Relation, error) {
+	if lender.lender != nil {
+		return nil, fmt.Errorf("relation %s: an image of the image relation %s", s.Name(), lender.schema.Name())
+	}
+	ls := lender.schema
+	if s.Arity() < ls.Arity() {
+		return nil, fmt.Errorf("relation %s: %d attributes cannot extend the %d of %s", s.Name(), s.Arity(), ls.Arity(), ls.Name())
+	}
+	for c := 0; c < ls.Arity(); c++ {
+		if got, want := s.Attr(c).Kind, ls.Attr(c).Kind; got != want {
+			return nil, fmt.Errorf("relation %s: attribute %q is %s, the column of %s it extends is %s", s.Name(), s.Attr(c).Name, got, ls.Name(), want)
+		}
+	}
 	r := New(s)
-	r.image, r.keyIdx = true, nil
-	return r
+	r.lender, r.keyIdx = lender, nil
+	return r, nil
 }
 
 // IsImage reports whether the relation was created with NewImage.
-func (r *Relation) IsImage() bool { return r.image }
+func (r *Relation) IsImage() bool { return r.lender != nil }
 
-// Adopt appends a row to an image relation without copying it: the
-// relation takes the tuple over, and the caller must not write to it
-// afterwards. The row's shape is checked (a derived value has its
-// column's kind); no key is, see NewImage.
-func (r *Relation) Adopt(t Tuple) error {
-	if !r.image {
+// Adopt appends a row to an image relation: ext is the extended image
+// of the lender's tuple at the row's position, and what the relation
+// keeps of it is where it differs from that tuple, copied — ext stays
+// the caller's. The row's shape is checked (a derived value has its
+// column's kind); no key is, see NewImage. Refused, with the relation as
+// it was: a row with no lender tuple to extend, and an image that
+// disagrees with a cell the tuple holds — extending fills NULLs, it
+// rewrites nothing, so agreement wherever the source is not NULL holds
+// of every row by construction.
+func (r *Relation) Adopt(ext Tuple) error {
+	if r.lender == nil {
 		return fmt.Errorf("relation %s: Adopt on a relation that is not an image", r.schema.Name())
 	}
-	if err := CheckShape(r.schema, t); err != nil {
+	i := len(r.rowEnd)
+	if i >= len(r.lender.tuples) {
+		return fmt.Errorf("relation %s: adopt: row %d has no tuple to extend: %s holds %d", r.schema.Name(), i, r.lender.schema.Name(), len(r.lender.tuples))
+	}
+	if err := CheckShape(r.schema, ext); err != nil {
 		return err
 	}
-	r.tuples = append(r.tuples, t)
+	src, mark := r.lender.tuples[i], len(r.cellVal)
+	for c, v := range ext {
+		var have value.Value // NULL past the lender's arity
+		if c < len(src) {
+			have = src[c]
+		}
+		if v.Canon() == have.Canon() {
+			continue
+		}
+		if !have.IsNull() {
+			r.cellCol, r.cellVal = r.cellCol[:mark], r.cellVal[:mark]
+			return fmt.Errorf("relation %s: adopt: image %v of row %d holds %v for %q where tuple %v of %s holds %v",
+				r.schema.Name(), ext, i, v, r.schema.Attr(c).Name, src, r.lender.schema.Name(), have)
+		}
+		r.cellCol, r.cellVal = append(r.cellCol, int32(c)), append(r.cellVal, v)
+	}
+	if uint64(len(r.cellVal)) > math.MaxUint32 {
+		r.cellCol, r.cellVal = r.cellCol[:mark], r.cellVal[:mark]
+		return fmt.Errorf("relation %s: adopt: row %d: more derived cells than a row offset counts", r.schema.Name(), i)
+	}
+	r.rowEnd = append(r.rowEnd, uint32(len(r.cellVal)))
 	return nil
+}
+
+// cells returns the arena range of image row i.
+func (r *Relation) cells(i int) (lo, hi uint32) {
+	if i > 0 {
+		lo = r.rowEnd[i-1]
+	}
+	return lo, r.rowEnd[i]
 }
 
 // Schema returns the relation's schema.
@@ -151,15 +227,77 @@ func (r *Relation) Schema() *schema.Schema { return r.schema }
 func (r *Relation) IsBag() bool { return r.bag }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int {
+	if r.lender != nil {
+		return len(r.rowEnd)
+	}
+	return len(r.tuples)
+}
 
-// Tuple returns the tuple at position i (not a copy; callers must not
-// mutate it).
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+// At returns column c of tuple i. It is how a row of an image relation
+// is read one cell at a time: it allocates nothing.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (r *Relation) At(i, c int) value.Value {
+	if r.lender == nil {
+		return r.tuples[i][c]
+	}
+	for k, hi := r.cells(i); k < hi; k++ {
+		if int(r.cellCol[k]) == c {
+			return r.cellVal[k]
+		}
+	}
+	if src := r.lender.tuples[i]; c < len(src) {
+		return src[c]
+	}
+	return value.Null
+}
 
-// Tuples returns the tuples in insertion order. The slice is shared;
-// callers must not mutate it.
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+// TupleInto writes tuple i over dst — scratch the caller owns, grown if
+// it is too small — and returns it. It is how a row of an image relation
+// is read whole; what it returns is the caller's to overwrite, not the
+// relation's row.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (r *Relation) TupleInto(dst Tuple, i int) Tuple {
+	if r.lender == nil {
+		return append(dst[:0], r.tuples[i]...)
+	}
+	dst = append(dst[:0], r.lender.tuples[i]...)
+	for n := r.schema.Arity(); len(dst) < n; {
+		dst = append(dst, value.Null)
+	}
+	for k, hi := r.cells(i); k < hi; k++ {
+		dst[r.cellCol[k]] = r.cellVal[k]
+	}
+	return dst
+}
+
+// Tuple returns the tuple at position i: an ordinary relation's own row
+// (not a copy; callers must not mutate it), an image relation's row
+// materialised — a sweep reads through TupleInto and a scratch row
+// instead.
+func (r *Relation) Tuple(i int) Tuple {
+	if r.lender != nil {
+		return r.TupleInto(make(Tuple, 0, r.schema.Arity()), i)
+	}
+	return r.tuples[i]
+}
+
+// Tuples returns the tuples in insertion order: an ordinary relation's
+// own slice (shared; callers must not mutate it), an image relation's
+// rows materialised, all of them, on every call.
+func (r *Relation) Tuples() []Tuple {
+	if r.lender == nil {
+		return r.tuples
+	}
+	arity := r.schema.Arity()
+	out, cells := make([]Tuple, r.Len()), make(Tuple, r.Len()*arity)
+	for i := range out {
+		out[i] = r.TupleInto(cells[i*arity:i*arity:(i+1)*arity], i)
+	}
+	return out
+}
 
 // Value returns tuple i's value for the named attribute.
 func (r *Relation) Value(i int, attr string) (value.Value, error) {
@@ -167,7 +305,7 @@ func (r *Relation) Value(i int, attr string) (value.Value, error) {
 	if j < 0 {
 		return value.Null, fmt.Errorf("relation %s: no attribute %q", r.schema.Name(), attr)
 	}
-	return r.tuples[i][j], nil
+	return r.At(i, j), nil
 }
 
 // MustValue is Value that panics on unknown attributes.
@@ -179,42 +317,67 @@ func (r *Relation) MustValue(i int, attr string) value.Value {
 	return v
 }
 
-// keyProjection returns the encoded projection of t onto the key columns
-// cols, and whether every key attribute is non-NULL (NULL-containing
-// projections are not indexed, mirroring SQL's treatment of NULLs in
-// unique constraints and the paper's extended relations).
-func keyProjection(t Tuple, cols []int) (string, bool) {
-	if len(cols) == 1 {
-		v := t[cols[0]]
-		return v.Key(), !v.IsNull()
-	}
-	var b strings.Builder
-	for i, c := range cols {
-		v := t[c]
-		if v.IsNull() {
-			return "", false
+// keyHash is one tuple's projection onto one candidate key, hashed; full
+// is false where the projection holds a NULL (not indexed, mirroring
+// SQL's treatment of NULLs in unique constraints and the paper's extended
+// relations).
+type keyHash struct {
+	h    uint64
+	full bool
+}
+
+// hashKey hashes vals' projection onto candidate key ki: vals is a tuple
+// under cols, the key's values themselves under nil.
+func (r *Relation) hashKey(ki int, vals Tuple, cols []int) keyHash {
+	for n := range r.keyCols[ki] {
+		if projected(vals, cols, n).IsNull() {
+			return keyHash{}
 		}
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.Key())
 	}
-	return b.String(), true
+	return keyHash{h: r.keyIdx[ki].Hash(vals, cols), full: true}
+}
+
+// projected is the n-th value of vals' projection onto cols (vals itself
+// under nil).
+func projected(vals Tuple, cols []int, n int) value.Value {
+	if cols == nil {
+		return vals[n]
+	}
+	return vals[cols[n]]
+}
+
+// find returns the newest tuple filed under h whose projection onto
+// candidate key ki is vals' (as hashKey reads it), or -1: every position
+// of the chain is held to the key's identity, value by value — one kind
+// and one canonical form, the identity value.Key spells.
+func (r *Relation) find(ki int, h uint64, vals Tuple, cols []int) int {
+	ix := r.keyIdx[ki]
+chain:
+	for pos := ix.Last(h); pos >= 0; pos = ix.Prev(pos) {
+		for n, c := range r.keyCols[ki] {
+			if r.tuples[pos][c].Canon() != projected(vals, cols, n).Canon() {
+				continue chain
+			}
+		}
+		return pos
+	}
+	return -1
 }
 
 // Admission is a tuple a relation has checked and not yet inserted:
-// Admit's verdict kept, with the key projections it was reached on, so
-// InsertAdmitted files the tuple without checking its shape or building
-// a key string again. It is good for the relation that gave it, until
-// that relation next changes.
+// Admit's verdict kept, with the key hashes it was reached on, so
+// InsertAdmitted files the tuple without checking its shape or hashing a
+// key again. It is good for the relation that gave it, until that
+// relation next changes.
 type Admission struct {
 	r *Relation
 	t Tuple
-	// projs holds, per candidate key, the tuple's encoded projection, ""
-	// where it has a NULL (not indexed); at is the position the tuple
-	// will take.
-	projs []string
-	at    int
+	// key0 and more hold the tuple's projection hash per candidate key —
+	// the first inline, so a single-key relation's admission allocates
+	// nothing; at is the position the tuple will take.
+	key0 keyHash
+	more []keyHash
+	at   int
 }
 
 // Tuple returns the admitted tuple.
@@ -223,44 +386,55 @@ func (a Admission) Tuple() Tuple { return a.t }
 // By reports whether r gave the admission.
 func (a Admission) By(r *Relation) bool { return a.r == r }
 
+// key returns the hash the tuple was admitted under for candidate key ki.
+func (a *Admission) key(ki int) *keyHash {
+	if ki == 0 {
+		return &a.key0
+	}
+	return &a.more[ki-1]
+}
+
 // Admit checks that the relation can take the tuple — arity, value kinds
 // and every candidate key — without changing anything. On an image
 // relation it fails: rows join one through Adopt.
 func (r *Relation) Admit(t Tuple) (Admission, error) {
-	if r.image {
+	if r.lender != nil {
 		return Admission{}, fmt.Errorf("relation %s: an image relation takes rows through Adopt", r.schema.Name())
 	}
 	if err := CheckShape(r.schema, t); err != nil {
 		return Admission{}, err
 	}
-	// Every key is checked before any is indexed; a full projection is
-	// never the empty string.
-	projs := make([]string, len(r.keyCols))
-	for ki, cols := range r.keyCols {
-		proj, full := keyProjection(t, cols)
-		if !full {
-			continue
-		}
-		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
-			return Admission{}, r.keyViolation(ki, t, at)
-		}
-		projs[ki] = proj
+	a := Admission{r: r, t: t, at: len(r.tuples)}
+	if a.at >= r.limit {
+		return Admission{}, fmt.Errorf("relation %s: full: it holds %d tuples, the most a position index files", r.schema.Name(), a.at)
 	}
-	return Admission{r: r, t: t, projs: projs, at: len(r.tuples)}, nil
+	if n := len(r.keyCols); n > 1 {
+		a.more = make([]keyHash, n-1)
+	}
+	// Every key is checked before any is indexed.
+	for ki, cols := range r.keyCols {
+		kh := r.hashKey(ki, t, cols)
+		if kh.full && !r.bag {
+			if dup := r.find(ki, kh.h, t, cols); dup >= 0 {
+				return Admission{}, r.keyViolation(ki, t, dup)
+			}
+		}
+		*a.key(ki) = kh
+	}
+	return a, nil
 }
 
 // InsertAdmitted appends a copy of an admitted tuple under the key
-// projections it was admitted on. It fails, changing nothing, if the
+// hashes it was admitted on. It fails, changing nothing, if the
 // admission is another relation's or the relation has changed since.
 func (r *Relation) InsertAdmitted(a Admission) error {
 	if a.r != r || a.at != len(r.tuples) {
 		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, len(r.tuples))
 	}
 	r.tuples = append(r.tuples, a.t.Clone())
-	for ki, proj := range a.projs {
-		if proj != "" {
-			r.keyIdx[ki][proj] = a.at
-		}
+	for ki, ix := range r.keyIdx {
+		kh := a.key(ki)
+		ix.Add(kh.h, kh.full)
 	}
 	return nil
 }
@@ -345,32 +519,23 @@ func (r *Relation) LookupKey(keyVals ...value.Value) int {
 	if len(keyVals) != len(r.keyCols[0]) {
 		return -1
 	}
-	if r.image {
+	if r.lender != nil {
 		return r.scanKey(keyVals)
 	}
-	var b strings.Builder
-	for i, v := range keyVals {
-		if v.IsNull() {
-			return -1
-		}
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.Key())
+	kh := r.hashKey(0, keyVals, nil)
+	if !kh.full {
+		return -1
 	}
-	if pos, ok := r.keyIdx[0][b.String()]; ok {
-		return pos
-	}
-	return -1
+	return r.find(0, kh.h, keyVals, nil)
 }
 
 // scanKey is LookupKey without an index: the last row whose primary-key
 // columns are Equal to keyVals (a NULL equals nothing).
 func (r *Relation) scanKey(keyVals []value.Value) int {
 rows:
-	for pos := len(r.tuples) - 1; pos >= 0; pos-- {
+	for pos := r.Len() - 1; pos >= 0; pos-- {
 		for i, c := range r.keyCols[0] {
-			if !value.Equal(r.tuples[pos][c], keyVals[i]) {
+			if !value.Equal(r.At(pos, c), keyVals[i]) {
 				continue rows
 			}
 		}
@@ -395,13 +560,13 @@ func (r *Relation) Project(t Tuple, attrs []string) (Tuple, error) {
 
 // Clone returns a deep copy of the relation. The copy of an image
 // relation is an ordinary relation: detached from what the image
-// extends, it indexes its own keys.
+// extends, it holds whole rows and indexes its own keys.
 func (r *Relation) Clone() *Relation {
 	out := New(r.schema)
 	out.bag = r.bag
-	out.tuples = make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		out.tuples[i] = t.Clone()
+	out.tuples = make([]Tuple, r.Len())
+	for i := range out.tuples {
+		out.tuples[i] = r.TupleInto(nil, i)
 	}
 	out.reindex()
 	return out
@@ -414,12 +579,13 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	counts := make(map[string]int, r.Len())
-	for _, t := range r.tuples {
+	for _, t := range r.Tuples() {
 		counts[t.Key()]++
 	}
-	for _, t := range o.tuples {
-		counts[t.Key()]--
-		if counts[t.Key()] < 0 {
+	for _, t := range o.Tuples() {
+		k := t.Key()
+		counts[k]--
+		if counts[k] < 0 {
 			return false
 		}
 	}
@@ -431,7 +597,7 @@ func (r *Relation) Equal(o *Relation) bool {
 // re-indexes keys. An image relation refuses: its rows are tied by
 // position to the tuples they extend — sort its Clone.
 func (r *Relation) Sort(attrs ...string) error {
-	if r.image {
+	if r.lender != nil {
 		return fmt.Errorf("relation %s: sort: an image relation's rows keep the positions of the tuples they extend; sort a Clone", r.schema.Name())
 	}
 	idx := make([]int, 0, len(attrs))
@@ -461,14 +627,11 @@ func (r *Relation) Sort(attrs ...string) error {
 }
 
 func (r *Relation) reindex() {
-	for ki := range r.keyIdx {
-		r.keyIdx[ki] = make(map[string]int)
-	}
-	for pos, t := range r.tuples {
-		for ki, cols := range r.keyCols {
-			if proj, full := keyProjection(t, cols); full {
-				r.keyIdx[ki][proj] = pos
-			}
+	for ki, cols := range r.keyCols {
+		r.keyIdx[ki] = NewPosIndex()
+		for _, t := range r.tuples {
+			kh := r.hashKey(ki, t, cols)
+			r.keyIdx[ki].Add(kh.h, kh.full)
 		}
 	}
 }
@@ -477,7 +640,7 @@ func (r *Relation) reindex() {
 // style: a header line with attribute names, a dashed rule, then one line
 // per tuple with NULLs printed as "null".
 func (r *Relation) String() string {
-	return Format(r.schema.Name(), r.schema.AttrNames(), r.tuples)
+	return Format(r.schema.Name(), r.schema.AttrNames(), r.Tuples())
 }
 
 // Format renders any header + rows as the aligned text table used by the

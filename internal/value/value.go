@@ -12,7 +12,9 @@ package value
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -186,14 +188,37 @@ func Identical(a, b Value) bool {
 
 // Canon returns v in the form whose == is Equal: for a and b that each
 // equal themselves (neither NULL nor NaN — test Equal(v, v) first),
-// Equal(a, b) exactly when a.Canon() == b.Canon(). Only the negative
-// float zero changes, to the positive one it is Identical to. A map from
-// constants to what they select is keyed so.
+// Equal(a, b) exactly when a.Canon() == b.Canon(). The negative float
+// zero changes, to the positive one it is Identical to, and every NaN to
+// one NaN — so that over all values, NULL and NaN included, == on
+// canonical forms is equality of Key, the identity a candidate key is
+// held to. A map from constants to what they select is keyed so.
 func (v Value) Canon() Value {
-	if v.kind == KindFloat && math.Float64frombits(v.n) == 0 {
-		v.n = 0
+	if v.kind == KindFloat {
+		switch f := math.Float64frombits(v.n); {
+		case f == 0:
+			v.n = 0
+		case f != f:
+			v.n = canonNaN
+		}
 	}
 	return v
+}
+
+var canonNaN = math.Float64bits(math.NaN())
+
+// Hash hashes the canonical form under seed — kind and word, or a
+// string's bytes — so a.Canon() == b.Canon() implies equal hashes. The
+// converse is the caller's to verify.
+func (v Value) Hash(seed maphash.Seed) uint64 {
+	v = v.Canon()
+	if v.kind == KindString {
+		return maphash.String(seed, v.s)
+	}
+	var b [9]byte
+	b[0] = byte(v.kind)
+	binary.LittleEndian.PutUint64(b[1:], v.n)
+	return maphash.Bytes(seed, b[:])
 }
 
 // Compare orders two values. It returns a negative number, zero or a
