@@ -72,7 +72,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -95,14 +97,12 @@ func main() {
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
 		debugAddr     = flag.String("debug-addr", "", "operator-only listen address serving /metrics, /debug/slow, /debug/check and /debug/pprof (empty: disabled; pprof is never on the main port)")
-		storeName     = flag.String("store", "", "storage backend: mem keeps everything resident, disk spills cold cluster records and pair tables under the data dir (empty: mem)")
-		storeHotClus  = flag.Int("store-hot-clusters", 0, "disk backend: max resident cluster members before cold records spill (0: the default)")
+		storeName     = flag.String("store", "", "storage backend, with -data-dir: mem keeps everything resident, disk spills cold cluster records and pair tables under the data dir (empty: mem)")
+		storeHotClus  = flag.Int("store-hot-clusters", 0, "with -store disk: max resident cluster members before cold records spill (0: the default)")
 	)
 	flag.Parse()
-	if *maxInsertBody < 0 {
-		// Only 0 means unlimited; a negative value is a typo, not a
-		// request to drop the DoS guard.
-		log.Fatalf("entityidd: -max-insert-body must be >= 0 (0 disables the cap)")
+	if err := checkFlags(*dataDir, *storeName, *storeHotClus, *maxInsertBody); err != nil {
+		log.Fatalf("entityidd: %v", err)
 	}
 	hub := entityid.NewHub()
 	durable := *dataDir != ""
@@ -191,6 +191,27 @@ func main() {
 			log.Printf("entityidd: hub closed cleanly")
 		}
 	}
+}
+
+// checkFlags refuses a flag set that would otherwise start and quietly
+// not do what it says: a flag the chosen configuration never looks at,
+// or a value that would be replaced by a default.
+func checkFlags(dataDir, storeName string, storeHotClusters int, maxInsertBody int64) error {
+	switch {
+	case maxInsertBody < 0:
+		// Only 0 means unlimited; a negative value is a typo, not a
+		// request to drop the DoS guard.
+		return errors.New("-max-insert-body must be >= 0 (0 disables the cap)")
+	case storeName != "" && storeName != "mem" && storeName != "disk":
+		return fmt.Errorf("-store must be mem or disk (got %q)", storeName)
+	case storeHotClusters < 0:
+		return errors.New("-store-hot-clusters must be >= 0 (0 keeps the default)")
+	case dataDir == "" && (storeName != "" || storeHotClusters != 0):
+		return errors.New("-store and -store-hot-clusters need -data-dir (without one the hub is in memory only and has no store to choose)")
+	case storeHotClusters != 0 && storeName != "disk":
+		return errors.New("-store-hot-clusters needs -store disk (the resident store has no budget)")
+	}
+	return nil
 }
 
 const (

@@ -269,6 +269,42 @@ func TestInsertBodyCap(t *testing.T) {
 	}
 }
 
+// TestFlagsRefusedAtStartup: a flag the configuration would never look
+// at, or a value a default would quietly replace, stops the daemon with
+// a message naming the flag; the flag sets CI and the benchmark start it
+// with pass.
+func TestFlagsRefusedAtStartup(t *testing.T) {
+	for _, tc := range []struct {
+		name, dataDir, store string
+		hot                  int
+		body                 int64
+		refusal              string // "" = starts
+	}{
+		{name: "defaults"},
+		{name: "durable, default store", dataDir: "d"},
+		{name: "benchmark live_mixed", dataDir: "d", store: "mem"},
+		{name: "benchmark read_cold", dataDir: "d", store: "disk", hot: 4096},
+		{name: "disk at its default budget", dataDir: "d", store: "disk"},
+		{name: "negative insert body", body: -1, refusal: "-max-insert-body"},
+		{name: "store without a data dir", store: "disk", refusal: "-data-dir"},
+		{name: "resident store without a data dir", store: "mem", refusal: "-data-dir"},
+		{name: "budget without a data dir", hot: 8, refusal: "-data-dir"},
+		{name: "unknown store", dataDir: "d", store: "bogus", refusal: `-store must be mem or disk (got "bogus")`},
+		{name: "unknown store without a data dir", store: "bogus", hot: -5, refusal: `-store must be mem or disk (got "bogus")`},
+		{name: "negative budget", dataDir: "d", store: "disk", hot: -5, refusal: "-store-hot-clusters must be >= 0"},
+		{name: "budget for the resident store", dataDir: "d", store: "mem", hot: 8, refusal: "-store-hot-clusters needs -store disk"},
+		{name: "budget for the default store", dataDir: "d", hot: 8, refusal: "-store-hot-clusters needs -store disk"},
+	} {
+		err := checkFlags(tc.dataDir, tc.store, tc.hot, tc.body)
+		switch {
+		case tc.refusal == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal)):
+			t.Errorf("%s: checkFlags = %v, want a refusal naming %q", tc.name, err, tc.refusal)
+		}
+	}
+}
+
 // TestInsertClientDisconnect pins the mid-stream disconnect contract: a
 // client that vanishes leaves the hub with exactly the acked prefix —
 // the handler stops pulling, cancels the ingest stream, and exits

@@ -222,7 +222,7 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 // committer streams the second half of the workload and then fresh
 // singletons, so every timed read races a live commit however large
 // b.N grows. clusters-stream walks the full paginated enumeration, one
-// bounded page at a time.
+// bounded page at a time, on the resident store and on the disk store.
 func BenchmarkServe(b *testing.B) {
 	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 3, Entities: 400, PresenceFrac: 0.6, HomonymRate: 0.1,
@@ -285,21 +285,39 @@ func BenchmarkServe(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	b.Run("clusters-stream", func(b *testing.B) {
-		h, err := NewFromMulti(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mustIngest(b, h, items)
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			page, err := walkPages(h, 128)
+	for _, leg := range []struct {
+		name string
+		open func(b *testing.B) *Hub
+	}{
+		{"clusters-stream", func(b *testing.B) *Hub {
+			h, err := NewFromMulti(w)
 			if err != nil {
 				b.Fatal(err)
 			}
-			total += len(page)
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "clusters/sec")
-	})
+			return h
+		}},
+		// The disk store with room for a sixth of the clustered tuples: the
+		// walk reads nearly every cluster's body through the tier.
+		{"clusters-stream-disk", func(b *testing.B) *Hub {
+			h, _ := openMultiOpts(b, b.TempDir(), w, Options{Store: "disk", HotClusterEntries: len(items) / 6})
+			b.Cleanup(func() { h.Close() })
+			return h
+		}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			h := leg.open(b)
+			mustIngest(b, h, items)
+			b.ReportAllocs()
+			b.ResetTimer()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				page, err := walkPages(h, 128)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += len(page)
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "clusters/sec")
+		})
+	}
 }

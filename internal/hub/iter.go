@@ -5,9 +5,15 @@
 // smallest member *inside the iteration cut* — the committed lengths
 // when the walk started. On a quiescent hub that is simply the
 // smallest member, reproducing the classic enumeration order (by
-// smallest member, singletons included) while holding only one shard
-// read lock at a time and materialising one cluster at a time, so
-// enumeration memory is O(largest cluster), not O(hub). Anchoring
+// smallest member, singletons included) while holding only one store
+// lock at a time and materialising one cluster at a time, so
+// enumeration memory is O(largest cluster), not O(hub). The walk reads
+// through the store, never into it: one index probe per node
+// (store.Clusters.Glance), one body per emitted cluster and none per
+// skipped one (Peek), and no record promoted — on the resident store
+// that is the one shard probe per node a walk always cost, on the disk
+// store it is one pread per cold cluster, outside the tier's lock, that
+// leaves the hot set as the point reads built it. Anchoring
 // emission inside the cut matters under concurrent ingest: a cluster
 // whose absolute lead was committed after the cut is still emitted at
 // its oldest in-cut member instead of being skipped toward a node the
@@ -43,16 +49,29 @@ import (
 
 // clustersWalk visits, in canonical order, every cluster with a member
 // inside the cut (the committed source lengths at call time) whose
-// position follows start. fn receives the visit node and the cluster's
-// member set (nil for an implicit singleton) and returns false to stop.
-// Materialisation is left to the caller, so a walk can count or probe
-// clusters without building them. A storage read error (possible only
-// on a paging backend) stops the walk and is returned — which is why
-// noio below is the mem backend's claim only: the analyzer does not
-// follow store.Clusters.Read.
+// position follows start, counts the first skip of them past, and hands
+// fn each of the rest: the visit node and the cluster's member set (nil
+// for an implicit singleton); fn returns false to stop.
 //
-//entitylint:hotpath noobs,noio
-func (h *Hub) clustersWalk(t *topoView, start node, fn func(n node, members []node) bool) error {
+// The walk reads through the store, not into it. At every node it asks
+// the index alone (Glance): a node with no record is a singleton; a node
+// whose record's first member is inside the cut and is not the node
+// itself belongs to a cluster emitted earlier and is passed without a
+// body being read; a node that is its record's first member leads it,
+// which is all a skipped cluster needs to be counted. A body is asked
+// for (Peek, which promotes nothing) only to emit a cluster, or in the
+// rare case the record's first member lies outside the cut — a merge
+// after the cut handed the cluster a new lead — and the lead inside the
+// cut has to be found among the members. Either way each emit, count or
+// pass is decided from ONE committed record: the glance's, or, once a
+// body has been fetched, the body's alone — a body that arrives newer
+// than the glance is judged again from scratch. So a cluster costs one
+// body read however many members it has, and none when skipped. A
+// storage read error (possible only on a paging backend) stops the walk
+// and is returned.
+//
+//entitylint:hotpath noobs
+func (h *Hub) clustersWalk(t *topoView, start node, skip int, fn func(n node, members []node) bool) error {
 	lens := make([]int, len(t.sources))
 	for i, s := range t.sources {
 		lens[i] = len(s.view.Load().tuples)
@@ -67,12 +86,19 @@ func (h *Hub) clustersWalk(t *topoView, start node, fn func(n node, members []no
 		}
 		for i := lo; i < lens[si]; i++ {
 			n := node{Src: si, Idx: i}
-			ms, err := h.clusters.Read(n)
-			if err != nil {
-				return err
+			first, ms, ok := h.clusters.Glance(n)
+			if ok && first != n && inCut(first) {
+				continue // emitted (or to be emitted) at first
 			}
-			var members []node
-			if ms != nil {
+			// A lead about to be counted past needs no body; any other
+			// record does, to be emitted or to have its in-cut lead found.
+			if ok && (first != n || skip == 0) {
+				if ms == nil {
+					var err error
+					if ms, err = h.clusters.Peek(n); err != nil {
+						return err
+					}
+				}
 				// Emit at the cluster's first in-cut member (n itself is
 				// in the cut, so one exists at or before n).
 				lead := n
@@ -83,11 +109,14 @@ func (h *Hub) clustersWalk(t *topoView, start node, fn func(n node, members []no
 					}
 				}
 				if lead != n {
-					continue // emitted (or to be emitted) at an earlier node
+					continue
 				}
-				members = ms
 			}
-			if !fn(n, members) {
+			if skip > 0 {
+				skip--
+				continue
+			}
+			if !fn(n, ms) {
 				return nil
 			}
 		}
@@ -114,23 +143,19 @@ func cursorFor(t *topoView, n node, members []node, c Cluster) string {
 // the beginning), passing each materialised cluster together with the
 // cursor that resumes the walk immediately after it; fn returns false
 // to stop. The first skip clusters are counted past without being
-// materialised — the offset form of pagination. It is the one
+// materialised or read from the store — the offset form of pagination. It is the one
 // enumeration primitive, what the HTTP front-end paginates with: the
 // resume cursor tracks the walk position, which stays monotone even when
 // concurrent merges move a cluster's ID.
 //
-//entitylint:hotpath noobs,noio
+//entitylint:hotpath noobs
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume string) bool) error {
 	t := h.topo.Load()
 	start, err := startFrom(t, cursor)
 	if err != nil {
 		return err
 	}
-	return h.clustersWalk(t, start, func(n node, members []node) bool {
-		if skip > 0 {
-			skip--
-			return true
-		}
+	return h.clustersWalk(t, start, skip, func(n node, members []node) bool {
 		if members == nil {
 			members = []node{n}
 		}

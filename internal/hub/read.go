@@ -139,10 +139,8 @@ func (h *Hub) SourceLen(source string) (int, error) {
 // cluster. It is a point read: the source's key lock shared for the key
 // probe, one shard lock shared for the cluster record — no hub-global
 // lock, so lookups scale with readers and proceed during ingest.
-// (noio is the mem backend's claim: the analyzer does not follow
-// store.Clusters.Read, and the disk backend's reads a cold record in.)
 //
-//entitylint:hotpath noobs,noio
+//entitylint:hotpath noobs
 func (h *Hub) Lookup(source string, key ...value.Value) (Cluster, error) {
 	t := h.topo.Load()
 	si, ok := t.byName[source]
@@ -160,9 +158,9 @@ func (h *Hub) Lookup(source string, key ...value.Value) (Cluster, error) {
 }
 
 // ClusterAt returns the cluster of the tuple at a source position — a
-// point read, like Lookup — its noio caveat included.
+// point read, like Lookup.
 //
-//entitylint:hotpath noobs,noio
+//entitylint:hotpath noobs
 func (h *Hub) ClusterAt(source string, idx int) (Cluster, error) {
 	t := h.topo.Load()
 	si, ok := t.byName[source]

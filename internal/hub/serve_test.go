@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"entityid/internal/datagen"
 	"entityid/internal/match"
 	"entityid/internal/obs"
 	"entityid/internal/relation"
@@ -193,6 +194,99 @@ func TestPageCursorTracksWalkPosition(t *testing.T) {
 	var after []string
 	if err := h.ClustersWalk("b/0", 0, func(c Cluster, _ string) bool { after = append(after, c.ID); return true }); err != nil || fmt.Sprint(after) != "[b/1]" {
 		t.Fatalf("walk after b/0: %v (%v)", after, err)
+	}
+}
+
+// coldWalkHub is a quiescent disk-backed hub whose hot tier holds at
+// most a sixth of the members of its multi-member clusters, which it
+// counts.
+func coldWalkHub(t *testing.T) (h *Hub, multi int) {
+	t.Helper()
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 3, Entities: 120, PresenceFrac: 0.7, HomonymRate: 0.2,
+		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
+	})
+	const budget = 24
+	h, _ = openMultiOpts(t, t.TempDir(), w, Options{Store: "disk", HotClusterEntries: budget, HotPairs: 1})
+	t.Cleanup(func() { h.Close() })
+	for _, res := range h.IngestBatch(MultiInserts(w)) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	entries := 0
+	for _, c := range h.Clusters() {
+		if len(c.Members) > 1 {
+			multi++
+			entries += len(c.Members)
+		}
+	}
+	if entries < 6*budget {
+		t.Fatalf("%d clustered members against a hot tier of %d (want >= 6x); grow the workload", entries, budget)
+	}
+	return h, multi
+}
+
+// TestWalkPagesEachColdClusterInOnce: a full walk of a quiescent hub
+// reads one body per cold multi-member cluster — not one per member —
+// and a walk that skips past every cluster reads none; neither moves a
+// record between the tiers. The two logged lines are what CI prints.
+func TestWalkPagesEachColdClusterInOnce(t *testing.T) {
+	h, multi := coldWalkHub(t)
+	before := h.clusters.Stats()
+	walked := 0
+	if err := h.ClustersWalk("", 0, func(Cluster, string) bool { walked++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	full := h.clusters.Stats()
+	pageIns := full.PageIns - before.PageIns
+	t.Logf("full walk: %d page-ins over %d multi-member clusters, %d of them cold: %.2f per multi-member cluster (bound 1)",
+		pageIns, multi, before.ColdRecords, float64(pageIns)/float64(multi))
+	if before.ColdRecords == 0 || pageIns != int64(before.ColdRecords) {
+		t.Fatalf("a full walk paged in %d bodies, want one per cold cluster: %d", pageIns, before.ColdRecords)
+	}
+	if err := h.ClustersWalk("", walked+1, func(c Cluster, _ string) bool {
+		t.Errorf("a walk skipping %d of %d clusters served %s", walked+1, walked, c.ID)
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	skipped := h.clusters.Stats()
+	t.Logf("skipped walk: %d page-ins over %d clusters counted past (bound 0)", skipped.PageIns-full.PageIns, walked)
+	if skipped.PageIns != full.PageIns {
+		t.Fatalf("a walk that only counts paged in %d bodies", skipped.PageIns-full.PageIns)
+	}
+	if skipped.HotRecords != before.HotRecords || skipped.HotEntries != before.HotEntries || skipped.ColdRecords != before.ColdRecords {
+		t.Fatalf("the walks moved records between the tiers: %+v, was %+v", skipped, before)
+	}
+}
+
+// TestWalkLeavesHotSetAlone: point reads that the hot tier serves before
+// a walk, it serves after it — a scan does not flush what the readers
+// were using.
+func TestWalkLeavesHotSetAlone(t *testing.T) {
+	h, _ := coldWalkHub(t)
+	name := h.SourceNames()[0]
+	pointReads := func() (hot, cold int64) {
+		before := h.clusters.Stats()
+		for i := 0; i < 8; i++ { // at most 8 x 3 members: they fit the tier together
+			if _, err := h.ClusterAt(name, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := h.clusters.Stats()
+		return after.Hits - before.Hits, after.Misses - before.Misses
+	}
+	pointReads() // page the set in
+	hot, cold := pointReads()
+	if hot == 0 || cold != 0 {
+		t.Fatalf("the warmed-up reads split %d hot, %d cold; want all hot", hot, cold)
+	}
+	if err := h.ClustersWalk("", 0, func(Cluster, string) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if hot2, cold2 := pointReads(); hot2 != hot || cold2 != cold {
+		t.Fatalf("after a walk the same reads split %d hot, %d cold; before it %d, %d", hot2, cold2, hot, cold)
 	}
 }
 

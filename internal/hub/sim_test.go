@@ -1095,6 +1095,7 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 	for i, n := range names {
 		ordinal[n] = i
 	}
+	fromWalks := 0
 	for i := 0; len(names) > 0; i++ {
 		select {
 		case <-stop:
@@ -1123,16 +1124,18 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 		if !found {
 			return nil, fmt.Errorf("cluster %s of %s/%d does not hold it", c.ID, name, idx)
 		}
-		if len(samples) < 256 {
+		if len(samples)-fromWalks < 256 {
 			samples = append(samples, keys)
 		}
 		if i%16 == 0 {
-			// One pass's clusters are pairwise disjoint.
+			// One pass's clusters are pairwise disjoint; the merged ones
+			// join the sample the caller holds to the final partition.
 			seen := map[string]string{}
 			werr := h.ClustersWalk("", 0, func(c Cluster, _ string) bool {
 				if err = shapeOf(c, ordinal); err != nil {
 					return false
 				}
+				var keys []string
 				for _, m := range c.Members {
 					k := m.Source + "/" + strconv.Itoa(m.Index)
 					if prev, dup := seen[k]; dup {
@@ -1140,6 +1143,10 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 						return false
 					}
 					seen[k] = c.ID
+					keys = append(keys, m.Source+"|"+m.Tuple.Key())
+				}
+				if len(keys) > 1 && fromWalks < 256 {
+					samples, fromWalks = append(samples, keys), fromWalks+1
 				}
 				return true
 			})

@@ -132,9 +132,55 @@ func universe() []store.Node {
 	return out
 }
 
+// residency is which nodes' records a glance finds resident, with the
+// occupancy and spill counters: the tier state a scan must not move.
+type residency struct {
+	resident                            map[store.Node]bool
+	hotRecords, hotEntries, coldRecords int
+	spills                              int64
+}
+
+func residencyOf(c store.Clusters) residency {
+	st := c.Stats()
+	r := residency{map[store.Node]bool{}, st.HotRecords, st.HotEntries, st.ColdRecords, st.Spills}
+	for _, x := range universe() {
+		if _, ms, _ := c.Glance(x); ms != nil {
+			r.resident[x] = true
+		}
+	}
+	return r
+}
+
+// checkScanReads holds the enumeration's pair to the model — the glance
+// of a node is absent for a singleton and names the set's first member
+// otherwise, a resident set it returns is the set, Peek is Read — and to
+// its promise: a full pass of both leaves the tier as it found it.
+func checkScanReads(t *testing.T, step string, c store.Clusters, want model) {
+	t.Helper()
+	before := residencyOf(c)
+	for _, x := range universe() {
+		first, resident, ok := c.Glance(x)
+		switch ms := want[x]; {
+		case ok != (ms != nil):
+			t.Fatalf("%s: Glance(%v) ok = %v, model set %v", step, x, ok, ms)
+		case ok && first != ms[0]:
+			t.Fatalf("%s: Glance(%v) first = %v, want %v", step, x, first, ms[0])
+		case resident != nil && !reflect.DeepEqual(resident, ms):
+			t.Fatalf("%s: Glance(%v) resident set = %v, want %v", step, x, resident, ms)
+		}
+		if got, err := c.Peek(x); err != nil || !reflect.DeepEqual(got, want[x]) {
+			t.Fatalf("%s: Peek(%v) = %v, %v, want %v", step, x, got, err, want[x])
+		}
+	}
+	if after := residencyOf(c); !reflect.DeepEqual(after, before) {
+		t.Fatalf("%s: a pass of glances and peeks moved the tier: %+v, was %+v", step, after, before)
+	}
+}
+
 // checkAgainst compares every read the contract offers with the model.
 func checkAgainst(t *testing.T, step string, c store.Clusters, want model) {
 	t.Helper()
+	checkScanReads(t, step, c, want)
 	for _, x := range universe() {
 		got, err := c.Read(x)
 		if err != nil {
@@ -222,6 +268,49 @@ func TestClustersConformance(t *testing.T) {
 				t.Fatalf("budget %d did not force the tier into use: %+v", budget, st)
 			}
 		})
+	}
+}
+
+// TestScanReadsKeepEvictionOrder: the next eviction victims are the same
+// records after a pass of glances and peeks as before it. With room for
+// two pair records, reading row 0 then row 1 makes row 0 the next victim
+// and row 1 the one after; peeking every row in between, last of all the
+// others, changes neither.
+func TestScanReadsKeepEvictionOrder(t *testing.T) {
+	b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4, HotPairs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c := b.Clusters()
+	const rows = 6
+	for i := 0; i < rows; i++ {
+		c.Publish(pairRecord(i))
+	}
+	hot := func(i int) bool { _, ms, _ := c.Glance(n(0, i)); return ms != nil }
+	for _, i := range []int{0, 1} {
+		if _, err := c.Read(n(0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := rows - 1; i >= 0; i-- {
+		for s := 0; s < 2; s++ {
+			if _, _, ok := c.Glance(n(s, i)); !ok {
+				t.Fatalf("Glance(%v) finds no record", n(s, i))
+			}
+			if ms, err := c.Peek(n(s, i)); err != nil || !reflect.DeepEqual(ms, pairRecord(i)) {
+				t.Fatalf("Peek(%v) = %v, %v", n(s, i), ms, err)
+			}
+		}
+	}
+	for k, victim := range []int{0, 1} {
+		if !hot(victim) {
+			t.Fatalf("row %d left the hot tier before publication %d evicted anything", victim, k)
+		}
+		c.Publish(pairRecord(rows + k))
+		if hot(victim) || (k == 0 && !hot(1)) {
+			t.Fatalf("publication %d did not evict row %d alone: rows 0, 1 hot = %v, %v", k, victim, hot(0), hot(1))
+		}
 	}
 }
 

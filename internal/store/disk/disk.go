@@ -1,20 +1,41 @@
 // Package disk is the tiered storage backend: cold cluster records
-// and cold pair tables spill to CRC-framed section files (the PR 4
-// WAL frame format) and page back in on demand, keeping resident
-// memory bounded by the configured hot-tier budget.
+// spill to one append-only file of CRC-checked binary records, cold
+// pair tables to CRC-framed section files (the PR 4 WAL frame format),
+// and both page back in on demand, keeping resident memory bounded by
+// the configured hot-tier budget.
 //
 // The spill tier is a CACHE, not a durability layer. Durability stays
 // with the WAL and snapshots; Open wipes any leftover spill files from
 // a previous process, because recovery rebuilds every record it needs
 // by replay. That makes crash-consistency trivial — there is no spill
-// state to fsck — and means spill writes never fsync.
+// state to fsck, and the record format carries no version — and means
+// spill writes never fsync.
 //
-// Tier discipline for cluster records:
+// A spilled cluster record is
 //
-//   - Reads page a cold record in, install it hot, and evict the
-//     least-recently-used records back down to budget. Evicting a
-//     record whose body is already on disk is free (the frame stays
-//     addressable); only never-spilled records pay a write.
+//	crc32c (4 bytes, little-endian, over the rest) | uvarint count | (uvarint src, uvarint idx)…
+//
+// written with one WriteAt and read back with one ReadAt by the one
+// decoder every read path shares (decodeRecord). The way back checks
+// the CRC, that every varint is minimal and fits an int, the count
+// against the index's, and that nothing trails the last member; a
+// failed check is an error naming the record's offset, never a member
+// set, and changes no tier state.
+//
+// Tier discipline for cluster records — who promotes, who does not:
+//
+//   - Point reads (Read) page a cold record in, install it hot, and
+//     evict the least-recently-used records back down to budget.
+//     Evicting a record whose body is already on disk is free (the
+//     record stays addressable); only never-spilled records pay a
+//     write.
+//
+//   - The enumeration's reads move nothing. Glance answers from the
+//     index (has a record, its first member, the set if resident);
+//     Peek serves a cold body through the tier — decoded and handed to
+//     the caller, not installed, nothing evicted, LRU order untouched —
+//     so a scan leaves the hot set the point reads built as it found
+//     it. Partition (the snapshot cut's scan) reads through likewise.
 //
 //   - Writer-side lookups (Members) page in WITHOUT evicting: the
 //     commit path must never lose a record between its uniqueness
@@ -29,19 +50,26 @@
 // record is evicted or superseded — eviction drops the store's
 // reference, not the caller's.
 //
-// Concurrency: one mutex serialises the whole tier. This is the
-// capacity tier, not the fast path — the hub's hot reads are served
-// from resident records under the same single lock, which profiles
-// fine next to the page-in I/O this backend exists to perform. The
-// always-hot mem backend keeps the sharded lock-striped layout for
-// read scalability.
+// Concurrency: one mutex serialises the tier's state — the index, the
+// LRU list, the append offset. Everything that mutates it does its I/O
+// under it: Read and Members must install what they load, and at 0.2
+// page-ins per point read a re-validation protocol would not pay.
+// Peek, which mutates nothing, copies the record's address (offset,
+// length, member count) under the mutex and preads and decodes after
+// releasing it, so scanners and point readers do not queue behind each
+// other's system calls. That is safe because a spilled record is
+// immutable — the file is append-only, written once per record at an
+// offset no other record shares, and never rewritten or truncated while
+// open — and the record's identity was fixed at the lookup, the same
+// linearisation point Read has: a Publish that supersedes it in
+// between leaves the old bytes where they were. The always-hot mem
+// backend keeps the sharded lock-striped layout for read scalability.
 package disk
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,13 +112,15 @@ var (
 )
 
 // rec is the index entry for one published cluster. members is nil
-// while the body lives only in the spill file; size, the member count,
-// is always known so merge accounting never pages in.
+// while the body lives only in the spill file; first and size, the
+// smallest member and the member count, are always known, so a glance
+// and merge accounting never page in.
 type rec struct {
 	members []store.Node
+	first   store.Node
 	size    int
-	off     int64 // spill frame offset; -1 when never spilled
-	flen    int64 // spill frame length
+	off     int64 // spill record offset; -1 when never spilled
+	flen    int   // spill record length
 	elem    *elem // LRU position while resident
 }
 
@@ -161,9 +191,9 @@ type clusters struct {
 	cold       int
 	budget     int // HotClusterEntries; 0 = unbounded
 
-	f     *os.File // append-only spill file
+	f     *os.File // append-only spill file; records are immutable once written
 	wsize int64    // logical end of f (append offset)
-	seq   uint64   // next spill frame ordinal
+	buf   []byte   // record scratch for spills and page-ins under mu
 
 	merged  atomic.Int64
 	hits    atomic.Int64
@@ -194,6 +224,43 @@ func (c *clusters) Read(n store.Node) ([]store.Node, error) {
 	c.install(r, ms)
 	c.evict()
 	return ms, nil
+}
+
+func (c *clusters) Glance(n store.Node) (store.Node, []store.Node, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := c.byNode[n]
+	if r == nil {
+		return store.Node{}, nil, false
+	}
+	return r.first, r.members, true
+}
+
+// peekBufs are Peek's record buffers: it reads outside the mutex, so it
+// cannot share c.buf.
+var peekBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func (c *clusters) Peek(n store.Node) ([]store.Node, error) {
+	c.mu.Lock()
+	r := c.byNode[n]
+	if r == nil {
+		c.mu.Unlock()
+		return nil, nil
+	}
+	if ms := r.members; ms != nil {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		tierHot.Inc()
+		return ms, nil
+	}
+	// The record is fixed here; its bytes cannot change (package comment).
+	off, flen, size := r.off, r.flen, r.size
+	c.mu.Unlock()
+	c.misses.Add(1)
+	tierCold.Inc()
+	buf := peekBufs.Get().(*[]byte)
+	defer peekBufs.Put(buf)
+	return c.readRecord(buf, off, flen, size)
 }
 
 func (c *clusters) Members(n store.Node) ([]store.Node, error) {
@@ -246,7 +313,7 @@ func (c *clusters) Publish(members []store.Node) {
 			}
 		}
 	}
-	nr := &rec{members: members, size: len(members), off: -1}
+	nr := &rec{members: members, first: members[0], size: len(members), off: -1}
 	nr.elem = c.lru.pushFront(nr)
 	c.hotEntries += nr.size
 	for _, m := range members {
@@ -343,21 +410,13 @@ func (c *clusters) evict() {
 // spill appends r's body to the spill file and records its address.
 // Caller holds c.mu.
 func (c *clusters) spill(r *rec) error {
-	payload, err := json.Marshal(nodePairs(r.members))
-	if err != nil {
-		return err
-	}
-	c.seq++
-	frame, err := wal.EncodeRecord(c.seq, payload)
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.WriteAt(frame, c.wsize); err != nil {
+	c.buf = appendRecord(c.buf[:0], r.members)
+	if _, err := c.f.WriteAt(c.buf, c.wsize); err != nil {
 		return err
 	}
 	r.off = c.wsize
-	r.flen = int64(len(frame))
-	c.wsize += int64(len(frame))
+	r.flen = len(c.buf)
+	c.wsize += int64(len(c.buf))
 	c.spills.Add(1)
 	spillCluster.Inc()
 	return nil
@@ -366,35 +425,30 @@ func (c *clusters) spill(r *rec) error {
 // load reads r's body back from the spill file without changing tier
 // state. Caller holds c.mu.
 func (c *clusters) load(r *rec) ([]store.Node, error) {
+	return c.readRecord(&c.buf, r.off, r.flen, r.size)
+}
+
+// readRecord is the one page-in: a single pread of the flen bytes at off
+// into *buf (grown when short) and the decode, against the size members
+// the index expects. It touches no tier state, so it runs with or
+// without c.mu held; *buf is the caller's alone meanwhile.
+func (c *clusters) readRecord(buf *[]byte, off int64, flen, size int) ([]store.Node, error) {
 	start := time.Now()
-	sc := wal.NewFrameScanner(io.NewSectionReader(c.f, r.off, r.flen))
-	frame, _, err := sc.Next()
+	if cap(*buf) < flen {
+		*buf = make([]byte, flen)
+	}
+	b := (*buf)[:flen]
+	if _, err := c.f.ReadAt(b, off); err != nil {
+		return nil, fmt.Errorf("disk: cluster record at %d: %w", off, err)
+	}
+	ms, err := decodeRecord(b, size)
 	if err != nil {
-		return nil, fmt.Errorf("disk: cluster page-in at %d: %w", r.off, err)
-	}
-	var ps [][2]int
-	if err := json.Unmarshal(frame.Payload, &ps); err != nil {
-		return nil, fmt.Errorf("disk: cluster page-in at %d: %w", r.off, err)
-	}
-	if len(ps) != r.size {
-		return nil, fmt.Errorf("disk: cluster page-in at %d: %d members on disk, index says %d", r.off, len(ps), r.size)
-	}
-	ms := make([]store.Node, len(ps))
-	for i, p := range ps {
-		ms[i] = store.Node{Src: p[0], Idx: p[1]}
+		return nil, fmt.Errorf("disk: cluster record at %d: %w", off, err)
 	}
 	c.pageIns.Add(1)
 	pageInCluster.Inc()
 	pageInClusterSec.Since(start)
 	return ms, nil
-}
-
-func nodePairs(ms []store.Node) [][2]int {
-	ps := make([][2]int, len(ms))
-	for i, m := range ms {
-		ps[i] = [2]int{m.Src, m.Idx}
-	}
-	return ps
 }
 
 func pairOf(pr [2]int) match.Pair {

@@ -94,6 +94,23 @@ func (c *clusters) Read(n store.Node) ([]store.Node, error) {
 	return r.members, nil
 }
 
+// Glance is the walk-side probe: the one shard lookup Read makes,
+// answering the first member beside the set (everything is resident).
+//
+//entitylint:hotpath noalloc,noobs,noio
+func (c *clusters) Glance(n store.Node) (first store.Node, resident []store.Node, ok bool) {
+	ms, _ := c.Read(n)
+	if ms == nil {
+		return first, nil, false
+	}
+	return ms[0], ms, true
+}
+
+// Peek is Read: there is no tier to leave undisturbed.
+//
+//entitylint:hotpath noalloc,noobs,noio
+func (c *clusters) Peek(n store.Node) ([]store.Node, error) { return c.Read(n) }
+
 // recOf is the writer-side lookup. Callers hold the hub's commit lock —
 // the store's single-mutator guarantee — so no shard lock is needed.
 //

@@ -8,17 +8,21 @@
 // talks to whatever that backend returns. store/mem is the default
 // and reproduces the pre-seam in-memory layout bit for bit. store/disk
 // bounds resident memory by spilling cold cluster records and cold
-// pair tables to CRC-framed section files and paging them back on
-// demand.
+// pair tables to CRC-checked files and paging them back on demand.
 //
-// Concurrency contract: Clusters readers (Read, Has, Merged, Stats)
-// may run concurrently with each other and with the single mutator.
-// Mutations (Publish, Apply) and writer-side reads (Members,
-// CheckMerge) are serialized by the hub's commit lock; backends may rely on
-// at most one of these running at a time. Slices returned by Read and
-// Members are immutable once returned — callers must not modify them,
-// and backends must never mutate a slice they have handed out, even
-// after the record is superseded or evicted.
+// Concurrency contract: Clusters readers (Read, Glance, Peek, Has,
+// Merged, Stats) may run concurrently with each other and with the
+// single mutator. Read is the point read and may move tier state (a
+// paging backend promotes what it serves); Glance and Peek are the
+// enumeration's pair and move none — Glance answers from the index
+// without reading a body, Peek reads a body through the tier and leaves
+// it where it was. Mutations (Publish, Apply) and writer-side reads
+// (Members, CheckMerge) are serialized by the hub's commit lock;
+// backends may rely on at most one of these running at a time. Slices
+// returned by Read, Glance, Peek and Members are immutable once
+// returned — callers must not modify them, and backends must never
+// mutate a slice they have handed out, even after the record is
+// superseded or evicted.
 package store
 
 import (
@@ -73,6 +77,18 @@ type Clusters interface {
 	// a singleton (or unknown). Safe for concurrent use; the returned
 	// slice must not be modified.
 	Read(n Node) ([]Node, error)
+
+	// Glance answers what the index knows of n without reading a body
+	// or moving tier state: whether n has a record (ok), the record's
+	// first member, and the member set when it is resident (nil when it
+	// would have to be paged in). All three describe one committed
+	// record. Safe for concurrent use.
+	Glance(n Node) (first Node, resident []Node, ok bool)
+
+	// Peek is Read for a caller passing through: the same answer, but a
+	// paging backend serves a cold record without promoting it or
+	// evicting anything. Safe for concurrent use.
+	Peek(n Node) ([]Node, error)
 
 	// Members is the writer-side Read: it returns {n} itself for a
 	// singleton instead of nil, and tiered backends keep the record
