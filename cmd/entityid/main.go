@@ -160,7 +160,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, res.RenderMT("matching table"))
 	}
 	if want["integtable"] {
-		tab, err := integrate.Build(res, integrate.Options{})
+		tab, err := integrate.Build(res)
 		if err != nil {
 			return err
 		}

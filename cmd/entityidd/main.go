@@ -110,7 +110,7 @@ func main() {
 		var err error
 		hub, err = entityid.OpenHub(*dataDir,
 			entityid.WithSnapshotEvery(*snapEvery), entityid.WithSyncEvery(*syncEvery),
-			entityid.WithStore(*storeName), entityid.WithStoreBudgets(*storeHotClus, 0))
+			entityid.WithStore(*storeName), entityid.WithStoreBudgets(*storeHotClus))
 		if err != nil {
 			log.Fatalf("entityidd: %v", err)
 		}

@@ -206,7 +206,7 @@ func (c *lateHeaders) WriteHeader(code int) {
 // 4xx on the same hub.
 func TestStorageFaultOnReadIs500(t *testing.T) {
 	dir := t.TempDir()
-	h, err := entityid.OpenHub(dir, entityid.WithStore("disk"), entityid.WithStoreBudgets(1, 0))
+	h, err := entityid.OpenHub(dir, entityid.WithStore("disk"), entityid.WithStoreBudgets(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func (sys *System) IdentifyUnchecked() (*Result, error) {
 		}
 	}
 	res := &Result{inner: inner, VerifyErr: inner.Verify()}
-	tab, err := integrate.Build(inner, integrate.Options{})
+	tab, err := integrate.Build(inner)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ type MergeConflict = resolve.Conflict
 // under the given strategy. It returns the merged relation plus any
 // conflicts (empty under MergeStrict, which fails instead).
 func (r *Result) Merged(strategy MergeStrategy) (*Relation, []MergeConflict, error) {
-	specs := resolve.AutoSpecs(r.integrated, "", "")
+	specs := resolve.AutoSpecs(r.integrated)
 	for i := range specs {
 		specs[i].Strategy = strategy
 	}

@@ -203,7 +203,6 @@ type hubOptions struct {
 	syncEvery     int
 	store         string
 	hotClusters   int
-	hotPairs      int
 }
 
 // WithSnapshotEvery sets how many committed inserts elapse between
@@ -238,15 +237,12 @@ func WithStore(name string) HubOption {
 	return func(o *hubOptions) { o.store = name }
 }
 
-// WithStoreBudgets bounds the disk backend's hot tiers:
+// WithStoreBudgets bounds the disk backend's hot cluster tier:
 // hotClusterEntries caps the total members across resident cluster
-// records, hotPairs caps the resident pairwise federations. Zero keeps
-// a value's built-in default. The memory backend ignores both.
-func WithStoreBudgets(hotClusterEntries, hotPairs int) HubOption {
-	return func(o *hubOptions) {
-		o.hotClusters = hotClusterEntries
-		o.hotPairs = hotPairs
-	}
+// records; zero keeps the built-in default. The resident pairwise
+// federations are a fixed eight. The memory backend ignores the budget.
+func WithStoreBudgets(hotClusterEntries int) HubOption {
+	return func(o *hubOptions) { o.hotClusters = hotClusterEntries }
 }
 
 // OpenHub opens (or creates) a durable hub rooted at dir. Every
@@ -267,7 +263,6 @@ func OpenHub(dir string, opts ...HubOption) (*Hub, error) {
 		SyncEvery:         o.syncEvery,
 		Store:             o.store,
 		HotClusterEntries: o.hotClusters,
-		HotPairs:          o.hotPairs,
 	})
 	if err != nil {
 		return nil, err

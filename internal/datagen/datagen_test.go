@@ -101,34 +101,49 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
-// TestEndToEndSoundness runs the paper's technique on a generated
-// workload and checks the headline claim: precision 1.0 (soundness),
-// recall bounded by ILFD coverage.
+// TestEndToEndSoundness runs the paper's technique on generated
+// workloads and checks the headline claim: precision 1.0 (soundness),
+// recall bounded by ILFD coverage. Beside the first case, the universe
+// sizes the scaling sweep ran (100 to 10,000 entities) and the homonym
+// rates the baseline comparison ran (0, 0.1, 0.3 — where name-based
+// matching accumulates false positives and this technique must keep
+// none).
 func TestEndToEndSoundness(t *testing.T) {
-	w := MustGenerate(Config{
-		Entities: 400, OverlapFrac: 0.5, HomonymRate: 0.2,
-		ILFDCoverage: 0.6, MissingPhone: 0.1, DirtyPhone: 0.3, Seed: 11,
-	})
-	res, err := match.Build(w.MatchConfig())
-	if err != nil {
-		t.Fatalf("match.Build: %v", err)
+	cases := []Config{
+		{Entities: 400, OverlapFrac: 0.5, HomonymRate: 0.2, ILFDCoverage: 0.6, MissingPhone: 0.1, DirtyPhone: 0.3, Seed: 11},
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	for _, n := range []int{100, 1000, 10000} {
+		cases = append(cases, Config{Entities: n, OverlapFrac: 0.5, HomonymRate: 0.1, ILFDCoverage: 0.7, Seed: int64(n)})
 	}
-	sc := quality.Evaluate(res.MT, w.Truth)
-	if !sc.Sound() {
-		t.Errorf("unsound result: %s", sc)
+	for _, rate := range []float64{0, 0.1, 0.3} {
+		cases = append(cases, Config{
+			Entities: 600, OverlapFrac: 0.5, HomonymRate: rate, ILFDCoverage: 0.7,
+			MissingPhone: 0.2, DirtyPhone: 0.3, Seed: int64(1000 + int(rate*100)),
+		})
 	}
-	// Recall equals the covered fraction of the truth exactly: every
-	// covered R tuple derives speciality, every S tuple derives cuisine
-	// (the family is total), and the extended key is a true key.
-	covered := w.CoveredTruth()
-	if sc.TruePos != covered {
-		t.Errorf("recall: matched %d pairs, coverage ceiling %d", sc.TruePos, covered)
-	}
-	if covered == 0 || covered == len(w.Truth) {
-		t.Logf("warning: degenerate coverage %d/%d", covered, len(w.Truth))
+	for _, cfg := range cases {
+		w := MustGenerate(cfg)
+		res, err := match.Build(w.MatchConfig())
+		if err != nil {
+			t.Fatalf("%+v: match.Build: %v", cfg, err)
+		}
+		if err := res.Verify(); err != nil {
+			t.Fatalf("%+v: Verify: %v", cfg, err)
+		}
+		sc := quality.Evaluate(res.MT, w.Truth)
+		if !sc.Sound() {
+			t.Errorf("%+v: unsound result: %s", cfg, sc)
+		}
+		// Recall equals the covered fraction of the truth exactly: every
+		// covered R tuple derives speciality, every S tuple derives cuisine
+		// (the family is total), and the extended key is a true key.
+		covered := w.CoveredTruth()
+		if sc.TruePos != covered {
+			t.Errorf("%+v: recall: matched %d pairs, coverage ceiling %d", cfg, sc.TruePos, covered)
+		}
+		if covered == 0 || covered == len(w.Truth) {
+			t.Logf("%+v: warning: degenerate coverage %d/%d", cfg, covered, len(w.Truth))
+		}
 	}
 }
 

@@ -76,9 +76,6 @@ type Options struct {
 	// Mode selects cut vs fixpoint semantics. The zero value is
 	// FirstMatch, the prototype's behaviour.
 	Mode Mode
-	// MaxRounds bounds chaining depth (0 means len(ILFDs)+1 rounds, which
-	// suffices for any terminating chain).
-	MaxRounds int
 }
 
 // Extend returns a copy of rel extended with the `extra` attributes
@@ -155,9 +152,9 @@ func (e *Extender) bound(extSch *schema.Schema) *program {
 // extended schema extSch (the tuple must already have extSch's arity,
 // with NULLs in underived positions). It returns the conflicts found
 // (Fixpoint mode), reported at tuple index 0. This is the per-tuple step
-// every extension runs: match.SideExtender.ExtendTuple pads a source
-// tuple into its side's extended schema and calls it, for one inserted
-// tuple (federate's prepare) and for each tuple of a batch build alike.
+// every extension runs: a match.SideExtender pads a source tuple into its
+// side's extended schema and calls it, for one admitted tuple (federate's
+// prepare) and for each tuple of a batch build alike.
 func (e *Extender) ExtendTuple(extSch *schema.Schema, ext relation.Tuple) ([]Conflict, error) {
 	return e.extendAt(extSch, ext, 0)
 }
@@ -232,7 +229,7 @@ func bind(fs ilfd.Set, sch *schema.Schema) *program {
 				break
 			}
 			r.ante = append(r.ante, boundCond{col: i, attr: c.Attr, val: c.Val})
-			if c.Key() < least.Key() {
+			if c.Compare(least) < 0 {
 				least = c
 			}
 		}
@@ -289,8 +286,17 @@ type derivation struct {
 	// antecedents.
 	cut []bool
 	// seen (Fixpoint) de-duplicates the conflicts reported.
-	seen      map[string]bool
+	seen      map[conflictKey]bool
 	conflicts []Conflict
+}
+
+// conflictKey is what makes two conflicts one: the tuple, the attribute
+// and the two values, each in canonical form (value.Canon), whose == is
+// identity of values.
+type conflictKey struct {
+	tuple    int
+	attr     string
+	old, new value.Value
 }
 
 // fire applies the rule's consequents to the tuple and reports whether
@@ -319,10 +325,10 @@ func (d *derivation) fire(r *boundRule) bool {
 			continue
 		}
 		if !value.Equal(cur, c.val) {
-			k := c.attr + "\x1f" + cur.Key() + "\x1f" + c.val.Key()
+			k := conflictKey{attr: c.attr, old: cur.Canon(), new: c.val.Canon()}
 			if !d.seen[k] {
 				if d.seen == nil {
-					d.seen = map[string]bool{}
+					d.seen = map[conflictKey]bool{}
 				}
 				d.seen[k] = true
 				d.conflicts = append(d.conflicts, Conflict{
@@ -352,12 +358,11 @@ func (p *program) derive(ext relation.Tuple, idx int, opts Options) ([]Conflict,
 	default:
 		return nil, fmt.Errorf("derive: unknown mode %v", opts.Mode)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(p.rules) + 1
-	}
+	// A round that changes nothing ends the chain, and a rule changes a
+	// tuple at most once — it only fills NULLs — so len(F)+1 rounds
+	// suffice for any chain.
 	var cand []int
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round <= len(p.rules); round++ {
 		changed := false
 		cand = p.candidates(ext, cand)
 		for k := 0; k < len(cand); {
@@ -456,14 +461,11 @@ func ExtendWithTables(rel *relation.Relation, name string, extra []schema.Attrib
 		}
 	}
 
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(tables) + 1
-	}
 	var conflicts []Conflict
-	seenConflict := map[string]bool{}
+	seenConflict := map[conflictKey]bool{}
 	start := make([]relation.Tuple, len(work))
-	for round := 0; round < maxRounds; round++ {
+	// As in Extend, len(tables)+1 rounds suffice for any chain.
+	for round := 0; round <= len(tables); round++ {
 		changed := false
 		// R ⋈_x̄ IM reads R as the round found it: a value one table
 		// derives feeds another table's antecedent in the next round, not
@@ -489,7 +491,7 @@ func ExtendWithTables(rel *relation.Relation, name string, extra []schema.Attrib
 					continue
 				}
 				if !value.Equal(curVal, derived) && opts.Mode == Fixpoint {
-					ck := fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s", i, b.tab.To(), curVal.Key(), derived.Key())
+					ck := conflictKey{tuple: i, attr: b.tab.To(), old: curVal.Canon(), new: derived.Canon()}
 					if !seenConflict[ck] {
 						seenConflict[ck] = true
 						conflicts = append(conflicts, Conflict{

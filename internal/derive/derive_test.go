@@ -1,6 +1,7 @@
 package derive
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -210,23 +211,6 @@ func TestChainingDepth(t *testing.T) {
 	}
 }
 
-func TestMaxRoundsBoundsChaining(t *testing.T) {
-	sch := schema.MustNew("T", strAttr("a", "b", "c"), []string{"a"})
-	r := relation.New(sch)
-	r.MustInsert(value.String("1"), value.Null, value.Null)
-	fs := ilfd.Set{
-		ilfd.MustParse("b=2 -> c=3"),
-		ilfd.MustParse("a=1 -> b=2"),
-	}
-	got, _, err := Extend(r, "T'", nil, fs, Options{Mode: FirstMatch, MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.MustValue(0, "c").IsNull() {
-		t.Error("MaxRounds=1 still chained two levels")
-	}
-}
-
 func TestUnknownModeError(t *testing.T) {
 	r := paperdata.Table5R()
 	_, _, err := Extend(r, "R'", nil, nil, Options{Mode: Mode(42)})
@@ -255,28 +239,48 @@ func TestDerivable(t *testing.T) {
 }
 
 // TestExtendWithTablesMatchesRules checks the §4.2 relational pipeline
-// derives exactly what rule-driven derivation derives on Example 3,
-// including the chained I7∘I8 values.
+// derives exactly what rule-driven derivation derives — cut and fixpoint
+// alike, with no conflict — on Example 3, including the chained I7∘I8
+// values, and in bulk: 3,000 tuples under a uniform speciality → cuisine
+// family that leaves some specialities underived.
 func TestExtendWithTablesMatchesRules(t *testing.T) {
-	fs := paperdata.Example3ILFDs()
 	kindOf := func(string) value.Kind { return value.KindString }
-	tables, rest, err := ilfd.FromSet(fs, kindOf)
-	if err != nil {
-		t.Fatalf("FromSet: %v", err)
+	bulk := relation.New(schema.MustNew("S", strAttr("name", "speciality"), []string{"name"}))
+	var uniform ilfd.Set
+	for k := 0; k < 40; k++ {
+		if k%5 != 0 {
+			uniform = append(uniform, ilfd.MustParse(fmt.Sprintf("speciality=spec%d -> cuisine=cuisine%d", k, k%7)))
+		}
 	}
-	if len(rest) != 0 {
-		t.Fatalf("unexpected non-uniform ILFDs: %v", rest)
+	for i := 0; i < 3000; i++ {
+		bulk.MustInsert(value.String(fmt.Sprintf("r%d", i)), value.String(fmt.Sprintf("spec%d", i%40)))
 	}
 	for _, fixture := range []struct {
 		rel   *relation.Relation
 		extra []schema.Attribute
+		fs    ilfd.Set
 	}{
-		{paperdata.Table5R(), strAttr("speciality", "county")},
-		{paperdata.Table5S(), strAttr("cuisine", "street")},
+		{paperdata.Table5R(), strAttr("speciality", "county"), paperdata.Example3ILFDs()},
+		{paperdata.Table5S(), strAttr("cuisine", "street"), paperdata.Example3ILFDs()},
+		{bulk, strAttr("cuisine"), uniform},
 	} {
-		byRules, _, err := Extend(fixture.rel, "X'", fixture.extra, fs, Options{})
+		tables, rest, err := ilfd.FromSet(fixture.fs, kindOf)
+		if err != nil {
+			t.Fatalf("FromSet: %v", err)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("unexpected non-uniform ILFDs: %v", rest)
+		}
+		byRules, _, err := Extend(fixture.rel, "X'", fixture.extra, fixture.fs, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		byFixpoint, conflicts, err := Extend(fixture.rel, "X'", fixture.extra, fixture.fs, Options{Mode: Fixpoint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(conflicts) != 0 {
+			t.Fatalf("fixpoint conflicts: %v", conflicts)
 		}
 		byTables, conflicts, err := ExtendWithTables(fixture.rel, "X'", fixture.extra, tables, Options{})
 		if err != nil {
@@ -285,8 +289,9 @@ func TestExtendWithTablesMatchesRules(t *testing.T) {
 		if len(conflicts) != 0 {
 			t.Fatalf("table conflicts: %v", conflicts)
 		}
-		if !byRules.Equal(byTables) {
-			t.Errorf("rule-driven and table-driven extensions differ:\n%s\nvs\n%s", byRules, byTables)
+		if !byRules.Equal(byFixpoint) || !byRules.Equal(byTables) {
+			t.Errorf("cut, fixpoint and table-driven extensions of %s differ:\n%s\nvs\n%s\nvs\n%s",
+				fixture.rel.Schema().Name(), byRules, byFixpoint, byTables)
 		}
 	}
 }

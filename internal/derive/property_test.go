@@ -229,7 +229,7 @@ func TestIndexedCandidatesMatchUnindexed(t *testing.T) {
 				}
 				min := f.Antecedent[0]
 				for _, c := range f.Antecedent[1:] {
-					if c.Key() < min.Key() {
+					if c.Compare(min) < 0 {
 						min = c
 					}
 				}

@@ -1,10 +1,10 @@
-// Package experiments contains one runner per artifact of the paper's
-// evaluation — Tables 1–8, Figures 1–4, the two §6 prototype sessions —
-// plus the added quantitative sweeps S1–S5 (see DESIGN.md §4). Each
-// runner returns a Report with the rendered artifact and a Check error
-// that is nil exactly when the reproduction matches the paper. The
-// cmd/benchreport binary prints all reports; integration tests assert
-// every Check.
+// Package experiments contains one runner per artifact the paper prints
+// — Tables 1–8, Figures 1–4, the two §6 prototype sessions — thirteen in
+// all. Each runner returns a Report with the rendered artifact and a
+// Check error that is nil exactly when the reproduction matches the
+// paper. The cmd/benchreport binary prints all reports; integration
+// tests assert every Check. Nothing here is timed: performance is
+// measured by bench/ and each layer's Benchmark functions.
 package experiments
 
 import (
@@ -24,7 +24,7 @@ import (
 
 // Report is the outcome of one experiment.
 type Report struct {
-	// ID is the DESIGN.md experiment id (T1…T8, F1…F4, P1, P2, S1…S5).
+	// ID names the artifact: T1…T8 (T2/T3 is one), F1…F4, P1, P2.
 	ID string
 	// Title names the paper artifact.
 	Title string
@@ -40,7 +40,7 @@ type Runner struct {
 	Run func() Report
 }
 
-// Registry lists every experiment in DESIGN.md order without running
+// Registry lists every experiment in the paper's order without running
 // any of them; callers can filter by ID before paying for a run.
 func Registry() []Runner {
 	return []Runner{
@@ -48,13 +48,10 @@ func Registry() []Runner {
 		{"T5", Table5}, {"T6", Table6}, {"T7", Table7}, {"T8", Table8},
 		{"F1", Figure1}, {"F2", Figure2}, {"F3", Figure3}, {"F4", Figure4},
 		{"P1", Prototype1}, {"P2", Prototype2},
-		{"S1", ScalingMatch}, {"S2", ClosureCost},
-		{"S3", BaselineQuality}, {"S4", DeriveAblation},
-		{"S5", IncrementalMaintenance},
 	}
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every experiment in the paper's order.
 func All() []Report {
 	reg := Registry()
 	out := make([]Report, 0, len(reg))
@@ -386,7 +383,7 @@ func integratedExample3() (*match.Result, *integrate.Table, error) {
 	if err := res.Verify(); err != nil {
 		return nil, nil, err
 	}
-	tab, err := integrate.Build(res, integrate.Options{})
+	tab, err := integrate.Build(res)
 	if err != nil {
 		return nil, nil, err
 	}

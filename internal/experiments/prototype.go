@@ -10,8 +10,7 @@ import (
 // Prototype1 reproduces the first §6.3 console session: selecting the
 // extended key {name, speciality, cuisine} verifies, and the matching
 // and integrated tables print. (The Prolog prototype lower-cases atoms;
-// we keep source casing — a formatting difference only, called out in
-// EXPERIMENTS.md.)
+// we keep source casing — a formatting difference only.)
 func Prototype1() Report {
 	rep := Report{ID: "P1", Title: "§6.3 session 1 — setup_extkey {name, spec, cui}: verified"}
 	var b strings.Builder

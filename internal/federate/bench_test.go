@@ -9,11 +9,13 @@ import (
 )
 
 // BenchmarkPrepareCommit is the hub's per-pair cost of one insert, the
-// two halves timed apart: PrepareR (validate, derive the tuple's R′
-// image, probe the extended-key index and the identity-rule blocks,
-// check uniqueness and consistency) and Commit (append to R′ and every
-// index). Between the two the tuple goes into the lent relation, off
-// both series, the way the hub's one canonical insert does. S is
+// two halves timed apart: the prepare — the lent relation's admission
+// (shape and keys) and PrepareAdmitted (derive the tuple's R′ image,
+// probe the extended-key index and the identity-rule blocks, check
+// uniqueness and consistency) — and Commit (append to R′ and every
+// index). Between the two the admitted tuple goes into the lent
+// relation, off both series, the way the hub's one canonical insert
+// does. S is
 // resident and R's tuples arrive one by one, so about half the prepares
 // find a match; the federation is rebuilt off the clock when R runs
 // out.
@@ -48,12 +50,16 @@ func BenchmarkPrepareCommit(b *testing.B) {
 			b.StartTimer()
 		}
 		t0 := time.Now()
-		p, err := f.PrepareR(arrivals[k].Clone())
+		a, err := lent.Admit(arrivals[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := f.PrepareAdmitted(true, a)
 		if err != nil {
 			b.Fatal(err)
 		}
 		prepare += time.Since(t0)
-		if err := lent.Insert(arrivals[k]); err != nil {
+		if err := lent.InsertAdmitted(a); err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()

@@ -13,11 +13,11 @@
 //     §3.2 uniqueness and consistency constraints enforced as insertion
 //     guards (a violating insert is rejected and rolled back, the way a
 //     database rejects a key violation);
-//   - PrepareR / PrepareS + Pending.Commit: the same identification
-//     split into a side-effect-free phase and an infallible apply phase,
-//     so multi-federation coordinators (the hub package) can prepare an
+//   - PrepareAdmitted + Pending.Commit: the same identification split
+//     into a side-effect-free phase and an infallible apply phase, so
+//     multi-federation coordinators (the hub package) can prepare an
 //     insert against several pairwise states and commit all of them or
-//     none;
+//     none — the one way in, which InsertR / InsertS run too;
 //   - AddILFD: monotone knowledge growth — the state is rebuilt and the
 //     §3.3 monotonicity property is asserted: every previously matched
 //     pair must survive;
@@ -27,7 +27,7 @@
 // Equivalence with batch identification (match.Build on the final
 // relations) is the package's central invariant, and it holds by
 // construction at both steps. Extension: the new tuple's R′/S′ image
-// comes from match.SideExtender.ExtendTuple, the function Build runs over
+// comes from match.Result.ExtendAdmitted — the step Build runs over
 // every tuple of a side, on the extenders Build resolved. Matching: its
 // partners come from match.Result.Probe — the extended-key chain and,
 // per extra identity rule, the hash block (or, for a rule with no usable
@@ -55,10 +55,10 @@
 // insert into the lent relation on the caller's behalf; a coordinator
 // that uses Prepare + Commit inserts the tuple into the lent relation
 // itself, exactly once, between the two (the hub does, under its own
-// locks), and Commit fails closed if it did not. Such a coordinator
-// admits the tuple first (relation.Admit: shape and keys, checked once)
-// and prepares from the admission — PrepareAdmitted — so no pair checks
-// the shape again.
+// locks), and Commit fails closed if it did not. Every prepare starts
+// from the lent relation's admission of the tuple (relation.Admit: shape
+// and keys, checked once), so no pair checks the shape again and a key
+// the lender refuses never reaches a federation.
 package federate
 
 import (
@@ -141,7 +141,7 @@ func (f *Federation) MT() *match.Table { return f.res.MT }
 
 // Integrated builds the current integrated table.
 func (f *Federation) Integrated() (*integrate.Table, error) {
-	return integrate.Build(f.res, integrate.Options{})
+	return integrate.Build(f.res)
 }
 
 // InsertR adds a tuple to the lent relation R, identifies it
@@ -189,8 +189,8 @@ func (f *Federation) base(left bool) *relation.Relation {
 // extended and its image — in the federation's scratch, until the next
 // prepare — identified against the current state without mutating
 // anything. The caller then inserts the tuple into the lent relation —
-// whose candidate keys, and under PrepareAdmitted whose shape check, are
-// the lender's — and Commit applies the federation's half. A Pending is invalidated by any
+// whose shape and candidate-key checks, made at admission, are the
+// lender's — and Commit applies the federation's half. A Pending is invalidated by any
 // intervening mutation of the federation; coordinators must serialise
 // prepare→commit windows per federation (Commit re-checks and fails on
 // a stale Pending rather than corrupting state).
@@ -212,38 +212,17 @@ type Pending struct {
 	done  bool
 }
 
-// PrepareR validates and identifies a tuple destined for relation R
-// without mutating the federation. The returned Pending reports the
-// pairs the insert will produce and commits the insert on demand.
-func (f *Federation) PrepareR(t relation.Tuple) (*Pending, error) {
-	return f.prepare(t, true)
-}
-
-// PrepareS is PrepareR for relation S.
-func (f *Federation) PrepareS(t relation.Tuple) (*Pending, error) {
-	return f.prepare(t, false)
-}
-
 // Pairs returns the matching pairs the commit will add — at most one, by
 // uniqueness; the new tuple's index is the side's pre-commit length.
 // The slice is shared with the Pending; callers must not mutate it.
 func (p *Pending) Pairs() []match.Pair { return p.pairs }
 
-// prepare extends the one tuple (its shape is checked first; the
-// candidate keys are the lender's to guard) and identifies the image.
-func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	f.prepares++
-	ext, _, err := f.res.ExtendTuple(left, t, &f.sc)
-	if err != nil {
-		return nil, fmt.Errorf("federate: %w", err)
-	}
-	return f.identify(ext, left)
-}
-
-// PrepareAdmitted is PrepareR (left) or PrepareS for a coordinator that
-// holds the lent relation's admission of the tuple: the shape the
-// relation checked is not checked again, here or in any other pair the
-// coordinator prepares the same admission against. An admission some
+// PrepareAdmitted identifies a tuple the lent relation R (left) or S has
+// admitted without mutating the federation: its image is extended and
+// probed, and the §3.2 guards run. The returned Pending reports the pairs
+// the insert will produce and commits the insert on demand. The shape
+// the relation checked is not checked again, here or in any other pair
+// the coordinator prepares the same admission against; an admission some
 // other relation gave is refused.
 func (f *Federation) PrepareAdmitted(left bool, a relation.Admission) (*Pending, error) {
 	if !a.By(f.base(left)) {

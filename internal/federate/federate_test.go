@@ -334,6 +334,17 @@ func mustILFD(t *testing.T, line string) ilfd.ILFD {
 	return parsed
 }
 
+// prepareR is a coordinator's insert into R up to the insert itself: the
+// lent R admits the tuple, the federation prepares from the admission.
+func prepareR(f *Federation, tup relation.Tuple) (*Pending, relation.Admission, error) {
+	a, err := f.cfg.R.Admit(tup)
+	if err != nil {
+		return nil, a, err
+	}
+	p, err := f.PrepareAdmitted(true, a)
+	return p, a, err
+}
+
 func TestPrepareCommitTwoPhase(t *testing.T) {
 	cfg := example3Config()
 	f, err := New(cfg)
@@ -342,16 +353,16 @@ func TestPrepareCommitTwoPhase(t *testing.T) {
 	}
 	before := f.MT().Len()
 	tup := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
-	p, err := f.PrepareR(tup)
+	p, a, err := prepareR(f, tup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prepare mutated nothing.
+	// Admission and prepare mutated nothing.
 	if f.MT().Len() != before || f.Result().RPrime.Len() != 5 || cfg.R.Len() != 5 {
 		t.Fatalf("prepare mutated state: %d pairs, %d R' tuples, %d R tuples", f.MT().Len(), f.Result().RPrime.Len(), cfg.R.Len())
 	}
 	// The coordinator's half: the tuple goes into the lent relation once.
-	if err := cfg.R.Insert(tup); err != nil {
+	if err := cfg.R.InsertAdmitted(a); err != nil {
 		t.Fatal(err)
 	}
 	pairs, err := p.Commit()
@@ -370,8 +381,9 @@ func TestPrepareCommitTwoPhase(t *testing.T) {
 
 // TestPrepareLeavesKeysToLender pins the guard half of the ownership
 // contract: the lent relation's candidate keys are the lender's to
-// check, so a duplicate key prepares and it is the lender's Insert —
-// the step between Prepare and Commit — that rejects it.
+// check, at admission — a duplicate key is refused there, and the only
+// way into a federation is the admission it did not get. The federation
+// guards §3.2, nothing else.
 func TestPrepareLeavesKeysToLender(t *testing.T) {
 	cfg := example3Config()
 	f, err := New(cfg)
@@ -380,14 +392,14 @@ func TestPrepareLeavesKeysToLender(t *testing.T) {
 	}
 	// Duplicate of R's key (name, cuisine).
 	dup := relation.Tuple{s("TwinCities"), s("Chinese"), s("Anywhere")}
-	if _, err := f.PrepareR(dup); err != nil {
-		t.Fatalf("prepare guarded the lent relation's key: %v", err)
+	if _, err := cfg.R.Admit(dup); err == nil || !strings.Contains(err.Error(), "key (name,cuisine) violation") {
+		t.Fatalf("lender admitted a duplicate key: %v", err)
 	}
-	if err := cfg.R.Insert(dup); err == nil {
-		t.Fatal("lender accepted a duplicate key")
+	if _, err := f.InsertR(dup); err == nil || !strings.Contains(err.Error(), "key (name,cuisine) violation") {
+		t.Fatalf("InsertR of a duplicate key = %v, want the lender's refusal", err)
 	}
-	if cfg.R.Len() != 5 || f.Result().RPrime.Len() != 5 {
-		t.Fatalf("rejected tuple left a trace: %d R tuples, %d R' tuples", cfg.R.Len(), f.Result().RPrime.Len())
+	if cfg.R.Len() != 5 || f.Result().RPrime.Len() != 5 || f.MT().Len() != 3 {
+		t.Fatalf("rejected tuple left a trace: %d R tuples, %d R' tuples, %d pairs", cfg.R.Len(), f.Result().RPrime.Len(), f.MT().Len())
 	}
 }
 
@@ -434,7 +446,7 @@ func TestCommitFailsClosedUnlessInsertedOnce(t *testing.T) {
 		}
 	}
 	tup := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
-	p, err := f.PrepareR(tup)
+	p, _, err := prepareR(f, tup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +476,7 @@ func TestCommitFailsOnAnyInterveningMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.PrepareR(relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")})
+	p, _, err := prepareR(f, relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +487,7 @@ func TestCommitFailsOnAnyInterveningMutation(t *testing.T) {
 		t.Fatalf("stale commit accepted after opposite-side insert: %v", err)
 	}
 	// An AddILFD rebuild (lengths unchanged) invalidates too.
-	p2, err := f.PrepareR(relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")})
+	p2, _, err := prepareR(f, relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +561,9 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 }
 
 // TestMisshapenTupleRejectedBeforeTouchingR: the tuple's shape is
-// checked before anything is derived from it or inserted anywhere — the
-// stand-alone InsertR leaves R, R′ and the matching table alone — with
+// checked before anything is derived from it or inserted anywhere — by
+// the lent relation's admission, which every prepare starts from — and
+// the stand-alone InsertR leaves R, R′ and the matching table alone, with
 // the text the relation itself gives.
 func TestMisshapenTupleRejectedBeforeTouchingR(t *testing.T) {
 	cfg := example3Config()
@@ -563,17 +576,17 @@ func TestMisshapenTupleRejectedBeforeTouchingR(t *testing.T) {
 		want string
 	}{
 		{relation.Tuple{s("NewPlace"), s("Greek")},
-			"federate: relation R: arity 2 tuple, schema wants 3"},
+			"relation R: arity 2 tuple, schema wants 3"},
 		{relation.Tuple{s("NewPlace"), s("Greek"), s("Elm St."), s("extra")},
-			"federate: relation R: arity 4 tuple, schema wants 3"},
+			"relation R: arity 4 tuple, schema wants 3"},
 		{relation.Tuple{s("NewPlace"), value.Int(7), s("Elm St.")},
-			`federate: relation R: attribute "cuisine": int value, schema wants string`},
+			`relation R: attribute "cuisine": int value, schema wants string`},
 	} {
-		if _, err := f.PrepareR(c.tup); err == nil || err.Error() != c.want {
-			t.Errorf("PrepareR(%v) = %v, want %q", c.tup, err, c.want)
+		if _, _, err := prepareR(f, c.tup); err == nil || err.Error() != c.want {
+			t.Errorf("admission of %v = %v, want %q", c.tup, err, c.want)
 		}
-		if _, err := f.InsertR(c.tup); err == nil || err.Error() != c.want {
-			t.Errorf("InsertR(%v) = %v, want %q", c.tup, err, c.want)
+		if _, err := f.InsertR(c.tup); err == nil || err.Error() != "federate: "+c.want {
+			t.Errorf("InsertR(%v) = %v, want %q", c.tup, err, "federate: "+c.want)
 		}
 	}
 	if cfg.R.Len() != 5 || f.Result().RPrime.Len() != 5 || f.MT().Len() != 3 {
@@ -582,10 +595,11 @@ func TestMisshapenTupleRejectedBeforeTouchingR(t *testing.T) {
 	}
 }
 
-// TestPrepareAllocs holds the allocation count of one prepare — the
-// tuple's extended image, its key projection and the Pending, plus the
-// pair when it matches — under a ceiling the relational pipeline it
-// replaced (three relations and two schemas per tuple) cannot meet.
+// TestPrepareAllocs holds the allocation count of one prepare — the lent
+// relation's admission of the tuple, its extended image, its key
+// projection and the Pending, plus the pair when it matches — under a
+// ceiling the relational pipeline it replaced (three relations and two
+// schemas per tuple) cannot meet.
 func TestPrepareAllocs(t *testing.T) {
 	w := datagen.MustGenerate(datagen.Config{
 		Entities: 400, OverlapFrac: 0.5, HomonymRate: 0.1, ILFDCoverage: 0.8, Seed: 505,
@@ -599,7 +613,7 @@ func TestPrepareAllocs(t *testing.T) {
 	arrivals := w.R.Tuples()
 	i, matched := 0, 0
 	avg := testing.AllocsPerRun(len(arrivals)-1, func() {
-		p, err := f.PrepareR(arrivals[i%len(arrivals)])
+		p, _, err := prepareR(f, arrivals[i%len(arrivals)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,9 +625,9 @@ func TestPrepareAllocs(t *testing.T) {
 	}
 	const ceiling = 20
 	if avg > ceiling {
-		t.Fatalf("PrepareR allocates %.1f times per tuple, ceiling %d", avg, ceiling)
+		t.Fatalf("admit + PrepareAdmitted allocate %.1f times per tuple, ceiling %d", avg, ceiling)
 	}
-	t.Logf("PrepareR: %.1f allocs per tuple (%d of %d matched)", avg, matched, i)
+	t.Logf("admit + PrepareAdmitted: %.1f allocs per tuple (%d of %d matched)", avg, matched, i)
 }
 
 // TestCommittedImageIsNotThePreparedScratch: R′ is an image relation over
@@ -653,7 +667,7 @@ func TestCommittedImageIsNotThePreparedScratch(t *testing.T) {
 		t.Fatalf("image %v does not begin with the source tuple %v", image, tup)
 	}
 	// The next prepare is built where the last one was.
-	next, err := f.PrepareR(relation.Tuple{s("Another"), s("Oak St."), s("Thai")})
+	next, nextAdm, err := prepareR(f, relation.Tuple{s("Another"), s("Oak St."), s("Thai")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,10 +678,10 @@ func TestCommittedImageIsNotThePreparedScratch(t *testing.T) {
 		t.Errorf("the committed image reads %v once the scratch is overwritten, it was %v", got, image)
 	}
 	// A third prepare takes the scratch from under the second.
-	if _, err := f.PrepareR(relation.Tuple{s("Third"), s("Ash St."), s("Thai")}); err != nil {
+	if _, _, err := prepareR(f, relation.Tuple{s("Third"), s("Ash St."), s("Thai")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.R.Insert(relation.Tuple{s("Another"), s("Oak St."), s("Thai")}); err != nil {
+	if err := cfg.R.InsertAdmitted(nextAdm); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := next.Commit(); err == nil || !strings.Contains(err.Error(), "stale") {

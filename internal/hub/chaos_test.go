@@ -230,7 +230,7 @@ func TestSnapshotFailsTheSameSyncOrBackground(t *testing.T) {
 	run := func(t *testing.T, rule errfs.Rule, background bool) outcome {
 		dir := t.TempDir()
 		fsys := errfs.New(wal.OS)
-		opts := Options{FS: fsys, ProbeBackoff: time.Hour} // one episode: no probe gets to end it
+		opts := Options{FS: fsys, probeBackoff: time.Hour} // one episode: no probe gets to end it
 		if background {
 			opts.SnapshotEvery = inserts
 		}

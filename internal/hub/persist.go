@@ -33,21 +33,11 @@ type Options struct {
 	// input runs empty and before its (or a batch's) results end.
 	// 0 leaves durability between snapshots to the OS page cache.
 	SyncEvery int
-	// ChunkBytes overrides the chunk payload budget of a snapshot run
-	// (0 means wal.DefaultChunkPayload). Also bounds the seed-tuple
-	// batches of chunked AddSource log records.
-	ChunkBytes int
 	// FS is the filesystem the durability stack performs every file
 	// operation through; nil means the real one (wal.OS). Tests inject
 	// internal/wal/errfs here to drive ENOSPC/EIO/fsync stalls into
 	// chosen call points.
 	FS wal.FS
-	// ProbeBackoff and ProbeBackoffMax shape the degraded-mode
-	// recovery probe loop: the first probe fires after ProbeBackoff,
-	// each failure doubles the delay, capped at ProbeBackoffMax.
-	// Zero values mean 500ms and 15s.
-	ProbeBackoff    time.Duration
-	ProbeBackoffMax time.Duration
 	// Store selects the storage backend by name: "mem" (the default)
 	// keeps every structure resident; "disk" spills cold cluster
 	// records and cold pair matching tables to a tier under the data
@@ -56,11 +46,18 @@ type Options struct {
 	// Backend, when non-nil, is used directly and overrides Store.
 	// The hub takes ownership and closes it with Close.
 	Backend store.Backend
-	// HotClusterEntries and HotPairs bound the disk backend's hot
-	// tiers (total resident cluster members across records, resident
-	// pair federations). Zero means the defaults.
+	// HotClusterEntries bounds the disk backend's hot cluster tier (total
+	// resident cluster members across records). Zero means the default.
 	HotClusterEntries int
-	HotPairs          int
+
+	// What only this package's tests vary, zero meaning the default
+	// constant: the chunk payload budget of a snapshot run and of a
+	// chunked AddSource's seed batches (wal.DefaultChunkPayload), the
+	// degraded-mode probe loop's first delay and cap, and the disk
+	// backend's resident pair federations.
+	chunkBytes                    int
+	probeBackoff, probeBackoffMax time.Duration
+	hotPairs                      int
 }
 
 // Default hot-tier budgets for the disk backend.
@@ -86,7 +83,7 @@ func backendFor(dir string, opts Options) (store.Backend, error) {
 	case "", "mem":
 		return nil, nil
 	case "disk":
-		caps := store.Caps{HotClusterEntries: opts.HotClusterEntries, HotPairs: opts.HotPairs}
+		caps := store.Caps{HotClusterEntries: opts.HotClusterEntries, HotPairs: opts.hotPairs}
 		if caps.HotClusterEntries <= 0 {
 			caps.HotClusterEntries = defaultHotClusterEntries
 		}
@@ -99,7 +96,9 @@ func backendFor(dir string, opts Options) (store.Backend, error) {
 	}
 }
 
-// Default recovery-probe backoff bounds.
+// Default recovery-probe backoff bounds: the first probe of the
+// degraded-mode loop fires after the first, each failure doubles the
+// delay, capped at the second.
 const (
 	defaultProbeBackoff    = 500 * time.Millisecond
 	defaultProbeBackoffMax = 15 * time.Second
@@ -208,16 +207,16 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	}
 	info.Replayed = n
 	info.LastSeq = l.LastSeq()
-	probe, probeMax := opts.ProbeBackoff, opts.ProbeBackoffMax
+	probe, probeMax := opts.probeBackoff, opts.probeBackoffMax
 	if probe <= 0 {
 		probe = defaultProbeBackoff
 	}
 	if probeMax <= 0 {
 		probeMax = defaultProbeBackoffMax
 	}
-	h.per = &walLogger{log: l, syncEvery: opts.SyncEvery, chunkBytes: opts.ChunkBytes, hub: h}
+	h.per = &walLogger{log: l, syncEvery: opts.SyncEvery, chunkBytes: opts.chunkBytes, hub: h}
 	h.snap = &snapshotter{
-		log: l, fs: fsys, dir: dir, every: opts.SnapshotEvery, chunkBytes: opts.ChunkBytes,
+		log: l, fs: fsys, dir: dir, every: opts.SnapshotEvery, chunkBytes: opts.chunkBytes,
 		runItems: snapRunItems, prevMan: prevMan, hub: h,
 	}
 	h.prober = &prober{log: l, fs: fsys, dir: dir, base: probe, max: probeMax, done: make(chan struct{})}

@@ -71,7 +71,7 @@ var (
 // name none themselves.
 func openOn(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	if opts.Store == "" && opts.Backend == nil {
-		opts.Store, opts.HotClusterEntries, opts.HotPairs = *hubStore, *hubHotClusters, *hubHotPairs
+		opts.Store, opts.HotClusterEntries, opts.hotPairs = *hubStore, *hubHotClusters, *hubHotPairs
 	}
 	return Open(dir, opts)
 }
@@ -656,9 +656,9 @@ type simRun struct {
 func (r *simRun) options() Options {
 	o := r.s.opts
 	return Options{
-		SnapshotEvery: o.snapEvery, SyncEvery: o.syncEvery, ChunkBytes: o.chunkBytes, FS: r.fs,
-		ProbeBackoff: time.Millisecond, ProbeBackoffMax: 8 * time.Millisecond,
-		Store: r.backend, HotClusterEntries: max(o.hotClusters, 1), HotPairs: max(o.hotPairs, 1),
+		SnapshotEvery: o.snapEvery, SyncEvery: o.syncEvery, chunkBytes: o.chunkBytes, FS: r.fs,
+		probeBackoff: time.Millisecond, probeBackoffMax: 8 * time.Millisecond,
+		Store: r.backend, HotClusterEntries: max(o.hotClusters, 1), hotPairs: max(o.hotPairs, 1),
 	}
 }
 

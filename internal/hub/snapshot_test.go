@@ -26,7 +26,7 @@ import (
 func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkBytes, runItems int) {
 	t.Helper()
 	w := datagen.MustMultiGenerate(cfg)
-	h, _ := openMultiOpts(t, dir, w, Options{ChunkBytes: chunkBytes})
+	h, _ := openMultiOpts(t, dir, w, Options{chunkBytes: chunkBytes})
 	sealAt(h, runItems)
 	for i, res := range h.IngestBatch(MultiInserts(w)) {
 		if res.Err != nil {

@@ -79,7 +79,7 @@ func diffWorkload(seed int64) *datagen.MultiWorkload {
 // page cold state back in.
 func openBackend(t *testing.T, dir, backend string, w *datagen.MultiWorkload) *Hub {
 	t.Helper()
-	h, _ := openMultiOpts(t, dir, w, Options{SnapshotEvery: 40, Store: backend, HotClusterEntries: 16, HotPairs: 1})
+	h, _ := openMultiOpts(t, dir, w, Options{SnapshotEvery: 40, Store: backend, HotClusterEntries: 16, hotPairs: 1})
 	return h
 }
 
@@ -199,7 +199,7 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
 	})
 	const budget = 24
-	hd, _ := openMultiOpts(t, t.TempDir(), w, Options{Store: "disk", HotClusterEntries: budget, HotPairs: 1})
+	hd, _ := openMultiOpts(t, t.TempDir(), w, Options{Store: "disk", HotClusterEntries: budget, hotPairs: 1})
 	defer hd.Close()
 	hr, err := NewFromMulti(w)
 	if err != nil {

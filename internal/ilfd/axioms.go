@@ -72,9 +72,9 @@ func Decomposition(f ILFD, z Conditions) (ILFD, error) {
 // |symbols| passes.
 func Closure(x Conditions, fs Set) Conditions {
 	closure := append(Conditions(nil), x...).Normalize()
-	inClosure := map[string]bool{}
+	inClosure := map[Condition]bool{}
 	for _, c := range closure {
-		inClosure[c.Key()] = true
+		inClosure[c.canon()] = true
 	}
 	used := make([]bool, len(fs))
 	for changed := true; changed; {
@@ -85,7 +85,7 @@ func Closure(x Conditions, fs Set) Conditions {
 			}
 			applicable := true
 			for _, c := range f.Antecedent {
-				if !inClosure[c.Key()] {
+				if !inClosure[c.canon()] {
 					applicable = false
 					break
 				}
@@ -95,8 +95,8 @@ func Closure(x Conditions, fs Set) Conditions {
 			}
 			used[i] = true
 			for _, c := range f.Consequent {
-				if !inClosure[c.Key()] {
-					inClosure[c.Key()] = true
+				if !inClosure[c.canon()] {
+					inClosure[c.canon()] = true
 					closure = append(closure, c)
 					changed = true
 				}
@@ -206,15 +206,15 @@ func EnumerateClosure(fs Set, universe Conditions) (Set, error) {
 	for xm := 1; xm < 1<<n; xm++ {
 		x := subset(xm)
 		clo := Closure(x, fs)
-		inClo := map[string]bool{}
+		inClo := map[Condition]bool{}
 		for _, c := range clo {
-			inClo[c.Key()] = true
+			inClo[c.canon()] = true
 		}
 		// Enumerate consequent subsets drawn from the derivable symbols
 		// of the universe.
 		var derivable []int
 		for i := 0; i < n; i++ {
-			if inClo[u[i].Key()] {
+			if inClo[u[i].canon()] {
 				derivable = append(derivable, i)
 			}
 		}

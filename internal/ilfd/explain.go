@@ -47,10 +47,10 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 		// premises are the antecedent symbols the rule consumed.
 		premises Conditions
 	}
-	inClosure := map[string]bool{}
-	producedBy := map[string]origin{}
+	inClosure := map[Condition]bool{}
+	producedBy := map[Condition]origin{}
 	for _, c := range f.Antecedent {
-		inClosure[c.Key()] = true
+		inClosure[c.canon()] = true
 	}
 	fired := make([]bool, len(fs))
 	for changed := true; changed; {
@@ -61,7 +61,7 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 			}
 			ok := true
 			for _, c := range g.Antecedent {
-				if !inClosure[c.Key()] {
+				if !inClosure[c.canon()] {
 					ok = false
 					break
 				}
@@ -71,16 +71,16 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 			}
 			fired[i] = true
 			for _, c := range g.Consequent {
-				if !inClosure[c.Key()] {
-					inClosure[c.Key()] = true
-					producedBy[c.Key()] = origin{ruleIdx: i, premises: g.Antecedent}
+				if !inClosure[c.canon()] {
+					inClosure[c.canon()] = true
+					producedBy[c.canon()] = origin{ruleIdx: i, premises: g.Antecedent}
 					changed = true
 				}
 			}
 		}
 	}
 	for _, c := range f.Consequent {
-		if !inClosure[c.Key()] {
+		if !inClosure[c.canon()] {
 			return Proof{}, false
 		}
 	}
@@ -88,9 +88,9 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 	// then emit them in firing (index-discovery) order.
 	needed := map[int]bool{}
 	var visit func(c Condition)
-	seen := map[string]bool{}
+	seen := map[Condition]bool{}
 	visit = func(c Condition) {
-		k := c.Key()
+		k := c.canon()
 		if seen[k] {
 			return
 		}
@@ -109,9 +109,9 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 	}
 	// Re-run the chaining restricted to needed rules to get firing order
 	// and per-step contributions.
-	inClosure = map[string]bool{}
+	inClosure = map[Condition]bool{}
 	for _, c := range f.Antecedent {
-		inClosure[c.Key()] = true
+		inClosure[c.canon()] = true
 	}
 	firedOnce := map[int]bool{}
 	for changed := true; changed; {
@@ -122,7 +122,7 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 			}
 			ok := true
 			for _, c := range g.Antecedent {
-				if !inClosure[c.Key()] {
+				if !inClosure[c.canon()] {
 					ok = false
 					break
 				}
@@ -133,8 +133,8 @@ func Explain(fs Set, f ILFD) (Proof, bool) {
 			firedOnce[i] = true
 			var added Conditions
 			for _, c := range g.Consequent {
-				if !inClosure[c.Key()] {
-					inClosure[c.Key()] = true
+				if !inClosure[c.canon()] {
+					inClosure[c.canon()] = true
 					added = append(added, c)
 				}
 			}

@@ -105,23 +105,18 @@ func TestExplainAgreesWithInfers(t *testing.T) {
 		}
 		// Replaying the proof steps from the antecedent must reach the
 		// consequent: the proof is self-contained.
-		have := map[string]bool{}
-		for _, c := range g.Antecedent {
-			have[c.Key()] = true
-		}
+		have := append(Conditions(nil), g.Antecedent...)
 		for _, s := range proof.Steps {
 			for _, c := range s.ILFD.Antecedent {
-				if !have[c.Key()] {
+				if !have.Contains(c) {
 					t.Errorf("proof for %v applies %v before its premise %v is available",
 						g, s.ILFD, c)
 				}
 			}
-			for _, c := range s.ILFD.Consequent {
-				have[c.Key()] = true
-			}
+			have = append(have, s.ILFD.Consequent...)
 		}
 		for _, c := range g.Consequent {
-			if !have[c.Key()] {
+			if !have.Contains(c) {
 				t.Errorf("proof for %v never derives %v", g, c)
 			}
 		}

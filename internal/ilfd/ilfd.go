@@ -21,6 +21,7 @@ package ilfd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,9 +40,36 @@ func C(attr, val string) Condition {
 	return Condition{Attr: attr, Val: value.String(val)}
 }
 
-// Key encodes the condition for set membership; two conditions are the
-// same proposition symbol iff their keys are equal.
-func (c Condition) Key() string { return c.Attr + "\x1e" + c.Val.Key() }
+// Compare orders proposition symbols: by attribute, then by value
+// (value.Compare, a NaN after every other float). It returns 0 exactly
+// when the two are one symbol — one attribute holding one value, where
+// the two float zeros are one value and so is every NaN (value.Canon).
+// Every set operation here tells symbols apart by it, never through a
+// string both are spelled into — whatever bytes a value holds, it cannot
+// pass for a second condition.
+func (c Condition) Compare(o Condition) int {
+	if n := strings.Compare(c.Attr, o.Attr); n != 0 {
+		return n
+	}
+	a, b := c.Val.Canon(), o.Val.Canon()
+	switch n := value.Compare(a, b); {
+	case a == b:
+		return 0
+	case n != 0:
+		return n
+	case value.Identical(b, b): // value.Compare holds a NaN level with every float
+		return 1
+	default:
+		return -1
+	}
+}
+
+// canon is the condition in the form whose == is Compare's 0: a map of
+// symbols is keyed by it.
+func (c Condition) canon() Condition {
+	c.Val = c.Val.Canon()
+	return c
+}
 
 // String renders the condition as attr=value.
 func (c Condition) String() string { return c.Attr + "=" + c.Val.String() }
@@ -58,32 +86,19 @@ func (c Condition) HoldsIn(r *relation.Relation, t relation.Tuple) bool {
 // deduplicated) order.
 type Conditions []Condition
 
-// Normalize sorts by key and removes duplicates, in place, returning the
-// result.
+// Normalize sorts by Compare and removes duplicates — keeping the first
+// of each symbol — in place, returning the result.
 func (cs Conditions) Normalize() Conditions {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Key() < cs[j].Key() })
-	out := cs[:0]
-	var last string
-	for i, c := range cs {
-		k := c.Key()
-		if i > 0 && k == last {
-			continue
-		}
-		out = append(out, c)
-		last = k
-	}
-	return out
+	slices.SortStableFunc(cs, Condition.Compare)
+	return slices.CompactFunc(cs, sameSymbol)
 }
+
+// sameSymbol reports whether a and b are one proposition symbol.
+func sameSymbol(a, b Condition) bool { return a.Compare(b) == 0 }
 
 // Contains reports whether the set contains the proposition symbol c.
 func (cs Conditions) Contains(c Condition) bool {
-	k := c.Key()
-	for _, x := range cs {
-		if x.Key() == k {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(cs, func(x Condition) bool { return sameSymbol(x, c) })
 }
 
 // ContainsAll reports whether every symbol of o is in cs.
@@ -108,15 +123,7 @@ func (cs Conditions) Union(o Conditions) Conditions {
 func (cs Conditions) Equal(o Conditions) bool {
 	a := append(Conditions(nil), cs...).Normalize()
 	b := append(Conditions(nil), o...).Normalize()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, sameSymbol)
 }
 
 // HoldIn reports whether every condition holds in tuple t.
@@ -173,19 +180,6 @@ func MustNew(ante, cons Conditions) ILFD {
 // String renders the ILFD as (A=a) ∧ … → (B=b).
 func (f ILFD) String() string {
 	return f.Antecedent.String() + " → " + f.Consequent.String()
-}
-
-// Key is a canonical encoding for deduplication.
-func (f ILFD) Key() string {
-	parts := make([]string, 0, len(f.Antecedent)+1+len(f.Consequent))
-	for _, c := range f.Antecedent {
-		parts = append(parts, c.Key())
-	}
-	parts = append(parts, "\x1d")
-	for _, c := range f.Consequent {
-		parts = append(parts, c.Key())
-	}
-	return strings.Join(parts, "\x1c")
 }
 
 // Equal reports whether two ILFDs have the same antecedent and consequent
@@ -257,18 +251,14 @@ func (f ILFD) Contradicts(r *relation.Relation, t relation.Tuple) bool {
 // first-match derivation mode, mirroring Prolog rule order).
 type Set []ILFD
 
-// Dedup returns the set with exact duplicates removed, preserving first
-// occurrences.
+// Dedup returns the set with exact duplicates removed: of ILFDs that are
+// Equal, the first is kept.
 func (fs Set) Dedup() Set {
-	seen := map[string]bool{}
 	out := make(Set, 0, len(fs))
 	for _, f := range fs {
-		k := f.Key()
-		if seen[k] {
-			continue
+		if !slices.ContainsFunc(out, f.Equal) {
+			out = append(out, f)
 		}
-		seen[k] = true
-		out = append(out, f)
 	}
 	return out
 }
@@ -319,28 +309,16 @@ func (fs Set) Contradictions(r *relation.Relation) []Violation {
 // CombineByAntecedent merges ILFDs with identical antecedents into single
 // formulas with conjunctive consequents, the §5 normal form
 // ((P→Q1) ∧ (P→Q2) ≡ P→(Q1∧Q2)). Order follows first occurrence of each
-// antecedent.
+// antecedent; antecedents are compared as sets (Conditions.Equal).
 func (fs Set) CombineByAntecedent() Set {
-	type slot struct {
-		ante Conditions
-		cons Conditions
-	}
-	var order []string
-	byAnte := map[string]*slot{}
+	var out Set
 	for _, f := range fs {
-		k := f.Antecedent.String()
-		s, ok := byAnte[k]
-		if !ok {
-			s = &slot{ante: f.Antecedent}
-			byAnte[k] = s
-			order = append(order, k)
+		i := slices.IndexFunc(out, func(g ILFD) bool { return g.Antecedent.Equal(f.Antecedent) })
+		if i < 0 {
+			out = append(out, MustNew(f.Antecedent, f.Consequent))
+			continue
 		}
-		s.cons = s.cons.Union(f.Consequent)
-	}
-	out := make(Set, 0, len(order))
-	for _, k := range order {
-		s := byAnte[k]
-		out = append(out, MustNew(s.ante, s.cons))
+		out[i] = MustNew(out[i].Antecedent, out[i].Consequent.Union(f.Consequent))
 	}
 	return out
 }

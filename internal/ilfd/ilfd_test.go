@@ -3,6 +3,7 @@ package ilfd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,12 +37,12 @@ func TestConditionBasics(t *testing.T) {
 		t.Errorf("String = %q", c.String())
 	}
 	d := Condition{Attr: "cuisine", Val: value.String("chinese")}
-	if c.Key() != d.Key() {
-		t.Error("identical conditions have different keys")
+	if c.Compare(d) != 0 {
+		t.Error("identical conditions are two symbols")
 	}
 	e := Condition{Attr: "cuisine", Val: value.Int(1)}
-	if c.Key() == e.Key() {
-		t.Error("different-kind conditions share a key")
+	if c.Compare(e) == 0 || c.Compare(e) != -e.Compare(c) {
+		t.Error("different-kind conditions are one symbol, or are not ordered")
 	}
 }
 
@@ -116,7 +117,7 @@ func TestILFDStringKeyEqual(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 	g := MustParse("speciality=hunan -> cuisine=chinese")
-	if f.Key() != g.Key() || !f.Equal(g) {
+	if !f.Equal(g) {
 		t.Error("identical ILFDs not equal")
 	}
 	h := MustParse("speciality=hunan -> cuisine=greek")
@@ -641,5 +642,151 @@ func TestEquivalent(t *testing.T) {
 	c := Set{MustParse("a=1 -> b=2")}
 	if Equivalent(a, c) {
 		t.Error("weaker set reported equivalent")
+	}
+}
+
+// TestJoinedKeyCollision: (a="x\x1cc\x1es:y") → (b=1) and
+// (a=x) ∧ (c=y) → (b=1) are two ILFDs — one condition holding a value
+// with separator bytes in it, and two conditions — that a string joining
+// each condition's attribute and value, and the conditions, spelled the
+// same. Set operations compare symbols instead, so neither hides the
+// other: Dedup keeps both, the minimal cover implies both, and combining
+// by antecedent keeps apart an antecedent whose rendering another's
+// value imitates.
+func TestJoinedKeyCollision(t *testing.T) {
+	one := func(ante Conditions) ILFD { return MustNew(ante, Conditions{C("b", "1")}) }
+	fs := Set{
+		one(Conditions{C("a", "x\x1cc\x1es:y")}),
+		one(Conditions{C("a", "x"), C("c", "y")}),
+	}
+	if fs[0].Equal(fs[1]) {
+		t.Fatal("the two ILFDs are Equal")
+	}
+	if got := fs.Dedup(); len(got) != 2 {
+		t.Errorf("Dedup kept %v, want both", got)
+	}
+	cover := MinimalCover(fs)
+	if !Equivalent(cover, fs) {
+		t.Errorf("MinimalCover = %v, not equivalent to %v", cover, fs)
+	}
+	for _, f := range fs {
+		if !Infers(cover, f) {
+			t.Errorf("%v does not follow from the cover %v", f, cover)
+		}
+	}
+	imitation := Set{
+		MustNew(Conditions{C("a", "x) ∧ (c=y")}, Conditions{C("b", "1")}),
+		MustNew(Conditions{C("a", "x"), C("c", "y")}, Conditions{C("d", "2")}),
+	}
+	if imitation[0].Antecedent.String() != imitation[1].Antecedent.String() {
+		t.Fatal("test premise broken: the antecedents no longer render alike")
+	}
+	if got := imitation.CombineByAntecedent(); len(got) != 2 {
+		t.Errorf("CombineByAntecedent = %v, want the two ILFDs apart", got)
+	}
+}
+
+// TestSetOpsAgreeWithIdentical is the property behind the collision test:
+// over attributes and values holding the bytes a joined key would have
+// separated with, Normalize and Dedup agree with the definition — two
+// conditions are one symbol exactly when their attributes are equal and
+// their values Identical, two ILFDs one exactly when their antecedents
+// and consequents are one set of symbols each.
+func TestSetOpsAgreeWithIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	attrs := []string{"a", "c", "a\x1es:a"}
+	vals := []value.Value{
+		value.String(""), value.String("\x1c"), value.String("\x1d"), value.String("\x1e"),
+		value.String("s:"), value.String("a\x1es:b"), value.String("b"), value.String("x"),
+		value.String("y"), value.String("x\x1cc\x1es:y"), value.Int(1), value.String("1"),
+	}
+	same := func(a, b Condition) bool { return a.Attr == b.Attr && value.Identical(a.Val, b.Val) }
+	in := func(cs Conditions, c Condition) bool {
+		return slices.ContainsFunc(cs, func(x Condition) bool { return same(x, c) })
+	}
+	sameSet := func(a, b Conditions) bool {
+		for _, c := range a {
+			if !in(b, c) {
+				return false
+			}
+		}
+		for _, c := range b {
+			if !in(a, c) {
+				return false
+			}
+		}
+		return true
+	}
+	conds := func(n int) Conditions {
+		cs := make(Conditions, n)
+		for i := range cs {
+			cs[i] = Condition{Attr: attrs[rng.Intn(len(attrs))], Val: vals[rng.Intn(len(vals))]}
+		}
+		return cs
+	}
+	for trial := 0; trial < 2000; trial++ {
+		raw := conds(1 + rng.Intn(5))
+		norm := append(Conditions(nil), raw...).Normalize()
+		for i, c := range norm {
+			for _, d := range norm[i+1:] {
+				if same(c, d) || c.Compare(d) >= 0 {
+					t.Fatalf("Normalize(%q) = %q: %q and %q out of order or one symbol twice", raw, norm, c, d)
+				}
+			}
+		}
+		if !sameSet(raw, norm) {
+			t.Fatalf("Normalize(%q) = %q: not the same set", raw, norm)
+		}
+		var fs Set
+		for range 1 + rng.Intn(6) {
+			fs = append(fs, ILFD{Antecedent: conds(1 + rng.Intn(2)), Consequent: conds(1)})
+		}
+		equal := func(f, g ILFD) bool {
+			return sameSet(f.Antecedent, g.Antecedent) && sameSet(f.Consequent, g.Consequent)
+		}
+		var want Set
+		for _, f := range fs {
+			if !slices.ContainsFunc(want, func(g ILFD) bool { return equal(f, g) }) {
+				want = append(want, f)
+			}
+		}
+		got := fs.Dedup()
+		if len(got) != len(want) {
+			t.Fatalf("Dedup(%q) kept %d, want %d: %q", fs, len(got), len(want), want)
+		}
+		for i := range got {
+			if !equal(got[i], want[i]) || got[i].Equal(want[i]) != equal(got[i], want[i]) {
+				t.Fatalf("Dedup(%q)[%d] = %q, want %q", fs, i, got[i], want[i])
+			}
+			for j := range got {
+				if i != j && got[i].Equal(got[j]) {
+					t.Fatalf("Dedup(%q) kept %q twice", fs, got[i])
+				}
+			}
+		}
+	}
+}
+
+// TestClosureDepth8Chain: a chain of eight ILFDs, a0 → a1 → … → a8, hidden
+// among rules that never fire, closes a0 over all nine symbols however
+// many of those there are.
+func TestClosureDepth8Chain(t *testing.T) {
+	for _, size := range []int{16, 128, 1024} {
+		var fs Set
+		for i := 0; i < 8; i++ {
+			fs = append(fs, MustNew(Conditions{C(fmt.Sprintf("a%d", i), "1")}, Conditions{C(fmt.Sprintf("a%d", i+1), "1")}))
+		}
+		for i := len(fs); i < size; i++ {
+			fs = append(fs, MustNew(Conditions{C(fmt.Sprintf("p%d", i), "x")}, Conditions{C(fmt.Sprintf("q%d", i), "y")}))
+		}
+		clo := Closure(Conditions{C("a0", "1")}, fs)
+		if len(clo) != 9 {
+			t.Errorf("|F| = %d: closure %v, want a0..a8", size, clo)
+		}
+		for i := 0; i <= 8; i++ {
+			if !clo.Contains(C(fmt.Sprintf("a%d", i), "1")) {
+				t.Errorf("|F| = %d: closure lacks a%d", size, i)
+			}
+		}
 	}
 }

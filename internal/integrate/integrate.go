@@ -21,13 +21,12 @@ import (
 	"entityid/internal/value"
 )
 
-// Options controls column naming in the integrated table.
-type Options struct {
-	// RPrefix and SPrefix prefix the two sides' attribute names. The
-	// defaults "r_" and "s_" reproduce the prototype's column names
-	// (r_name, s_cui, …).
-	RPrefix, SPrefix string
-}
+// PrefixR and PrefixS prefix the two sides' attribute names in the
+// integrated table: the prototype's column names (r_name, s_cui, …).
+const (
+	PrefixR = "r_"
+	PrefixS = "s_"
+)
 
 // Row links an integrated tuple back to its sources: RIndex/SIndex are
 // positions in the extended relations, or -1 for the padded side.
@@ -46,24 +45,15 @@ type Table struct {
 }
 
 // Build constructs T_RS from a match result. Column order is R′'s
-// attributes then S′'s, each side prefixed per Options.
-func Build(res *match.Result, opts Options) (*Table, error) {
-	if opts.RPrefix == "" {
-		opts.RPrefix = "r_"
-	}
-	if opts.SPrefix == "" {
-		opts.SPrefix = "s_"
-	}
-	if opts.RPrefix == opts.SPrefix {
-		return nil, fmt.Errorf("integrate: prefixes must differ")
-	}
+// attributes then S′'s, each side prefixed (PrefixR, PrefixS).
+func Build(res *match.Result) (*Table, error) {
 	rp, sp := res.RPrime, res.SPrime
 	var attrs []schema.Attribute
 	for _, a := range rp.Schema().Attrs() {
-		attrs = append(attrs, schema.Attribute{Name: opts.RPrefix + a.Name, Kind: a.Kind})
+		attrs = append(attrs, schema.Attribute{Name: PrefixR + a.Name, Kind: a.Kind})
 	}
 	for _, a := range sp.Schema().Attrs() {
-		attrs = append(attrs, schema.Attribute{Name: opts.SPrefix + a.Name, Kind: a.Kind})
+		attrs = append(attrs, schema.Attribute{Name: PrefixS + a.Name, Kind: a.Kind})
 	}
 	sch, err := schema.New("T_RS", attrs)
 	if err != nil {
@@ -136,18 +126,12 @@ func (t *Table) Merged(i int) bool {
 // entity's identity under the extended key. A conflict (both sides
 // non-NULL and different) returns an error — it would mean the matching
 // table merged tuples the extended key distinguishes.
-func (t *Table) CoalescedKey(i int, rPrefix, sPrefix string) ([]value.Value, error) {
-	if rPrefix == "" {
-		rPrefix = "r_"
-	}
-	if sPrefix == "" {
-		sPrefix = "s_"
-	}
+func (t *Table) CoalescedKey(i int) ([]value.Value, error) {
 	row := t.Rel.Tuple(i)
 	out := make([]value.Value, len(t.extKey))
 	for n, a := range t.extKey {
-		ri := t.Rel.Schema().Index(rPrefix + a)
-		si := t.Rel.Schema().Index(sPrefix + a)
+		ri := t.Rel.Schema().Index(PrefixR + a)
+		si := t.Rel.Schema().Index(PrefixS + a)
 		var rv, sv value.Value
 		if ri >= 0 {
 			rv = row[ri]
@@ -178,7 +162,7 @@ func (t *Table) CoalescedKey(i int, rPrefix, sPrefix string) ([]value.Value, err
 func (t *Table) PossibleMatches() ([][2]int, error) {
 	keys := make([][]value.Value, t.Len())
 	for i := range keys {
-		k, err := t.CoalescedKey(i, "", "")
+		k, err := t.CoalescedKey(i)
 		if err != nil {
 			return nil, err
 		}

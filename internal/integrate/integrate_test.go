@@ -38,7 +38,7 @@ func example3Result(t *testing.T) *match.Result {
 // unmatched R rows + 1 unmatched S row = 6 rows.
 func TestIntegratedTableExample3(t *testing.T) {
 	res := example3Result(t)
-	tab, err := Build(res, Options{})
+	tab, err := Build(res)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -107,28 +107,14 @@ func TestIntegratedTableExample3(t *testing.T) {
 	}
 }
 
-func TestOptionsValidation(t *testing.T) {
-	res := example3Result(t)
-	if _, err := Build(res, Options{RPrefix: "x_", SPrefix: "x_"}); err == nil {
-		t.Error("equal prefixes accepted")
-	}
-	tab, err := Build(res, Options{RPrefix: "left.", SPrefix: "right."})
-	if err != nil {
-		t.Fatalf("custom prefixes: %v", err)
-	}
-	if !tab.Rel.Schema().Has("left.name") || !tab.Rel.Schema().Has("right.county") {
-		t.Errorf("custom prefixes not applied: %v", tab.Rel.Schema())
-	}
-}
-
 func TestCoalescedKey(t *testing.T) {
 	res := example3Result(t)
-	tab, err := Build(res, Options{})
+	tab, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tab.Len(); i++ {
-		key, err := tab.CoalescedKey(i, "", "")
+		key, err := tab.CoalescedKey(i)
 		if err != nil {
 			t.Fatalf("CoalescedKey(%d): %v", i, err)
 		}
@@ -153,7 +139,7 @@ func TestCoalescedKey(t *testing.T) {
 // possibly match when their non-NULL extended-key values agree.
 func TestPossibleMatches(t *testing.T) {
 	res := example3Result(t)
-	tab, err := Build(res, Options{})
+	tab, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +175,7 @@ func TestPossibleMatchesWithCompatibleNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Build(res, Options{})
+	tab, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +194,8 @@ func TestPossibleMatchesWithCompatibleNulls(t *testing.T) {
 		t.Errorf("possible matches = %d, want 6", len(pm))
 	}
 	for _, p := range pm {
-		a, _ := tab.CoalescedKey(p[0], "", "")
-		b, _ := tab.CoalescedKey(p[1], "", "")
+		a, _ := tab.CoalescedKey(p[0])
+		b, _ := tab.CoalescedKey(p[1])
 		if !value.Equal(a[0], b[0]) {
 			t.Errorf("possible match with different names: %v vs %v", a[0], b[0])
 		}
@@ -218,7 +204,7 @@ func TestPossibleMatchesWithCompatibleNulls(t *testing.T) {
 
 func TestRenderSorted(t *testing.T) {
 	res := example3Result(t)
-	tab, err := Build(res, Options{})
+	tab, err := Build(res)
 	if err != nil {
 		t.Fatal(err)
 	}

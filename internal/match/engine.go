@@ -322,27 +322,13 @@ chain:
 	return out
 }
 
-// ExtendTuple returns, in sc, the R′ (left) or S′ image of a source
-// tuple of that side: SideExtender.ExtendTuple on the extender Build
-// resolved.
-func (res *Result) ExtendTuple(left bool, t relation.Tuple, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
-	own, _ := sides(left)
-	if err := relation.CheckShape(res.px.ext[own].src, t); err != nil {
-		return nil, nil, err
-	}
-	return res.extendInto(own, t, sc)
-}
-
-// ExtendAdmitted is ExtendTuple for a tuple the side's source relation
-// has admitted (relation.Admit): the shape that relation has just
-// checked is not checked again.
+// ExtendAdmitted returns, in sc, the R′ (left) or S′ image of a tuple the
+// side's source relation has admitted (relation.Admit, which checked its
+// shape — nothing here checks it again), extended on the extender Build
+// resolved: the one way an arriving tuple gets its image.
 func (res *Result) ExtendAdmitted(left bool, a relation.Admission, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
 	own, _ := sides(left)
-	return res.extendInto(own, a.Tuple(), sc)
-}
-
-func (res *Result) extendInto(own int, t relation.Tuple, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
-	ext, conflicts, err := res.px.ext[own].extendInto(sc.ext, t)
+	ext, conflicts, err := res.px.ext[own].extendInto(sc.ext, a.Tuple())
 	if err == nil {
 		sc.ext = ext
 	}
@@ -419,7 +405,7 @@ func (res *Result) Opposite(left bool, j int, sc *Scratch) relation.Tuple {
 }
 
 // Append adds an extended tuple to its side: R′/S′ adopts the image
-// ExtendTuple built — keeping the cells in which it differs from the
+// ExtendAdmitted built — keeping the cells in which it differs from the
 // source tuple at its position, which the caller has inserted; ext stays
 // the caller's — after checking its shape (on failure everything is as it
 // was), then the index entries under the keys Probe returned for it, and

@@ -1,11 +1,11 @@
 package match_test
 
 // The per-tuple extension against the relational pipeline it replaced.
-// SideExtender.ExtendTuple pads one tuple into a schema resolved once;
-// the old path built a one-tuple relation, renamed it (ra.Rename: a
-// second schema and relation) and extended that (derive.Extend: a
-// third). The old path is assembled here from those public pieces and
-// must agree with the new one on every tuple, conflict and error.
+// A SideExtender pads one tuple into a schema resolved once; the old path
+// built a one-tuple relation, renamed it (rename below: a second schema
+// and relation) and extended that (derive.Extend: a third). The old path
+// is assembled here from those pieces and must agree with the new one on
+// every tuple and conflict.
 
 import (
 	"fmt"
@@ -16,11 +16,76 @@ import (
 	"entityid/internal/derive"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
-	"entityid/internal/ra"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
 	"entityid/internal/value"
 )
+
+// rename returns r with its relation renamed and attributes renamed
+// according to the mapping (attributes absent from the mapping keep their
+// names), candidate keys carried over under the new names: §4.2's one
+// relational operator the replaced pipeline needed beside derive.Extend.
+func rename(r *relation.Relation, name string, mapping map[string]string) (*relation.Relation, error) {
+	attrs, keys := r.Schema().Attrs(), r.Schema().Keys()
+	for i := range attrs {
+		if nn, ok := mapping[attrs[i].Name]; ok {
+			attrs[i].Name = nn
+		}
+	}
+	for _, k := range keys {
+		for i := range k {
+			if nn, ok := mapping[k[i]]; ok {
+				k[i] = nn
+			}
+		}
+	}
+	sch, err := schema.New(name, attrs, keys...)
+	if err != nil {
+		return nil, err
+	}
+	out := relation.New(sch)
+	if r.IsBag() {
+		out = relation.NewBag(sch)
+	}
+	for _, t := range r.Tuples() {
+		if err := out.Insert(t); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func TestRename(t *testing.T) {
+	sch := schema.MustNew("R", []schema.Attribute{
+		{Name: "name", Kind: value.KindString}, {Name: "cui", Kind: value.KindString},
+	}, []string{"name"})
+	r := relation.New(sch)
+	if err := r.InsertStrings("wok", "chinese"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rename(r, "R2", map[string]string{"cui": "cuisine"})
+	if err != nil {
+		t.Fatalf("rename: %v", err)
+	}
+	if !got.Schema().Has("cuisine") || got.Schema().Has("cui") {
+		t.Errorf("rename schema = %v", got.Schema())
+	}
+	if !got.Schema().IsKey([]string{"name"}) {
+		t.Error("rename dropped key")
+	}
+	// Renaming a key attribute renames it inside the key too.
+	got2, err := rename(r, "R3", map[string]string{"name": "id"})
+	if err != nil {
+		t.Fatalf("rename key attr: %v", err)
+	}
+	if !got2.Schema().IsKey([]string{"id"}) {
+		t.Error("key attr not renamed in key")
+	}
+	// Renaming into a collision fails.
+	if _, err := rename(r, "R4", map[string]string{"cui": "name"}); err == nil {
+		t.Error("rename collision accepted")
+	}
+}
 
 // relationalExtend is the replaced pipeline for one side of cfg over any
 // relation with that side's source schema.
@@ -29,7 +94,7 @@ func relationalExtend(cfg match.Config, left bool, rel *relation.Relation) (*rel
 	if !left {
 		name, other = "S'", cfg.R
 	}
-	rename := map[string]string{}
+	renames := map[string]string{}
 	var extra []schema.Attribute
 	for _, am := range cfg.Attrs {
 		from, otherFrom := am.R, am.S
@@ -38,7 +103,7 @@ func relationalExtend(cfg match.Config, left bool, rel *relation.Relation) (*rel
 		}
 		if from != "" {
 			if from != am.Name {
-				rename[from] = am.Name
+				renames[from] = am.Name
 			}
 			continue
 		}
@@ -59,8 +124,8 @@ func relationalExtend(cfg match.Config, left bool, rel *relation.Relation) (*rel
 		extra = append(extra, schema.Attribute{Name: am.Name, Kind: kind})
 	}
 	cur := rel
-	if len(rename) > 0 {
-		renamed, err := ra.Rename(rel, rel.Schema().Name(), rename)
+	if len(renames) > 0 {
+		renamed, err := rename(rel, rel.Schema().Name(), renames)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -104,7 +169,7 @@ func extendWorkload(t *testing.T, seed int64, renamed bool, mode derive.Mode) ma
 		for _, a := range rel.Schema().AttrNames() {
 			m[a] = p + a
 		}
-		out, err := ra.Rename(rel, rel.Schema().Name(), m)
+		out, err := rename(rel, rel.Schema().Name(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,6 +203,11 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
+					res, err := match.Build(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					var sc match.Scratch
 					// The whole relation: same schema (a renamed attribute
 					// keeps its column, the missing ones append), same
 					// tuples, same conflicts at the same tuple indexes.
@@ -156,14 +226,20 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 						t.Fatalf("%s: conflicts %v, relational pipeline %v", label, gotConf, wantConf)
 					}
 					sawConflict = sawConflict || len(gotConf) > 0
-					// Tuple by tuple, each through its own one-tuple
-					// relation the way the parent's prepare extended it.
+					// Tuple by tuple, each admitted by its own one-tuple
+					// relation and extended the way an arriving tuple is
+					// (Result.ExtendAdmitted), against the relational
+					// pipeline over that relation.
 					for i, tup := range rel.Tuples() {
 						if !got.Tuple(i).Identical(want.Tuple(i)) {
 							t.Fatalf("%s tuple %d: Extend %v, relational pipeline %v", label, i, got.Tuple(i), want.Tuple(i))
 						}
 						one := relation.New(rel.Schema())
-						if err := one.Insert(tup); err != nil {
+						a, err := one.Admit(tup)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := one.InsertAdmitted(a); err != nil {
 							t.Fatal(err)
 						}
 						wantOne, wantOneConf, err := relationalExtend(cfg, left, one)
@@ -171,16 +247,16 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 							t.Fatalf("%s tuple %d: relational pipeline: %v", label, i, err)
 						}
 						before := tup.Clone()
-						ext, conf, err := se.ExtendTuple(tup)
+						ext, conf, err := res.ExtendAdmitted(left, a, &sc)
 						if err != nil {
-							t.Fatalf("%s tuple %d: ExtendTuple: %v", label, i, err)
+							t.Fatalf("%s tuple %d: ExtendAdmitted: %v", label, i, err)
 						}
 						if !ext.Identical(wantOne.Tuple(0)) || !reflect.DeepEqual(conf, wantOneConf) {
-							t.Fatalf("%s tuple %d: ExtendTuple %v %v, relational pipeline %v %v",
+							t.Fatalf("%s tuple %d: ExtendAdmitted %v %v, relational pipeline %v %v",
 								label, i, ext, conf, wantOne.Tuple(0), wantOneConf)
 						}
 						if !tup.Identical(before) {
-							t.Fatalf("%s tuple %d: ExtendTuple changed its argument", label, i)
+							t.Fatalf("%s tuple %d: ExtendAdmitted changed its argument", label, i)
 						}
 						for c, v := range ext {
 							if c < len(tup) {
@@ -200,11 +276,12 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 }
 
 // TestSideExtenderRejectsMisshapenTuples: a tuple of the wrong arity or
-// with a value of the wrong kind fails before anything is derived, with
-// the text the one-tuple relation's Insert gave the parent's prepare.
+// with a value of the wrong kind never reaches an extender — the one way
+// to one is an admission, and the side's relation refuses to give it,
+// with the text its Insert gives — while a well-formed one is extended.
 func TestSideExtenderRejectsMisshapenTuples(t *testing.T) {
 	cfg := extendWorkload(t, 1, true, derive.FirstMatch)
-	se, err := match.NewSideExtender(cfg, true)
+	res, err := match.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +294,21 @@ func TestSideExtenderRejectsMisshapenTuples(t *testing.T) {
 		"empty":      nil,
 		"wrong kind": wrongKind,
 	} {
-		want := relation.New(cfg.R.Schema()).Insert(bad)
+		fresh := relation.New(cfg.R.Schema())
+		want := fresh.Insert(bad)
 		if want == nil {
 			t.Fatalf("%s: the reference accepted %v", name, bad)
 		}
-		ext, _, err := se.ExtendTuple(bad)
-		if err == nil || err.Error() != want.Error() || ext != nil {
-			t.Errorf("%s: ExtendTuple = %v, %v; want error %q", name, ext, err, want)
+		if _, err := fresh.Admit(bad); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Admit = %v; want error %q", name, err, want)
 		}
 	}
-	if _, _, err := se.ExtendTuple(good); err != nil {
-		t.Fatalf("well-formed tuple rejected: %v", err)
+	a, err := relation.New(cfg.R.Schema()).Admit(good)
+	if err != nil {
+		t.Fatalf("well-formed tuple refused: %v", err)
+	}
+	var sc match.Scratch
+	if ext, _, err := res.ExtendAdmitted(true, a, &sc); err != nil || len(ext) != res.RPrime.Schema().Arity() {
+		t.Fatalf("well-formed tuple extended to %v, %v", ext, err)
 	}
 }

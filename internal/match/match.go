@@ -10,11 +10,12 @@
 //     side is missing, NULL-initialised.
 //  2. Apply the available ILFDs to derive missing extended-key values
 //     (delegated to the derive package; cut or fixpoint semantics).
-//     Steps 1 and 2 are SideExtender.ExtendTuple, tuple by tuple: Build
-//     loops it over each side, incremental maintenance (federate) calls
-//     it on each arriving tuple, and nobody else extends anything. A
-//     tuple's shape is checked once, by the relation that holds or
-//     admits it, not again here.
+//     Steps 1 and 2 are one SideExtender step per tuple: Build loops it
+//     over each side (SideExtender.Extend), incremental maintenance
+//     (federate) runs it on each arriving tuple the side's relation has
+//     admitted (Result.ExtendAdmitted), and nobody else extends anything.
+//     A tuple's shape is checked once, by the relation that holds or
+//     admits it (relation.Admit), not again here.
 //  3. Join R′ and S′ on identical non-NULL extended-key values; project
 //     each matched pair onto (K_R, K_S) to form MT_RS. Step 3 is
 //     Result.Probe, tuple by tuple, over an index the Result keeps
@@ -51,7 +52,7 @@
 //     order is still the answer.
 //   - Image relations: R′ and S′ are relation.NewImage relations — views
 //     over the source relations: row i is the source's tuple i where it
-//     lies, plus the cells ExtendTuple derived for it, under no key index
+//     lies, plus the cells the ILFDs derived for it, under no key index
 //     of its own. The source relation guards the candidate keys R′/S′
 //     inherit. The commit path reads a row one cell at a time
 //     (relation.At) or, the 0–1 candidates per insert a rule must judge,
@@ -367,10 +368,11 @@ func Build(cfg Config) (*Result, error) {
 // image agrees with its source tuple, column for column, wherever that
 // tuple is not NULL (an ILFD fills NULLs, the source's own included, and
 // rewrites nothing), and offsets resolved against R′ or S′ (extended-key
-// positions, compiled rules) apply to any tuple this extender produces. ExtendTuple is the one extension path: Build runs it
-// over every tuple of a side, and incremental maintenance (the federate
-// package) holds the extenders across inserts and runs it on each
-// arriving tuple.
+// positions, compiled rules) apply to any tuple this extender produces.
+// extendInto is the one extension step: Extend runs it over every tuple
+// of a side, and incremental maintenance (the federate package) holds the
+// extenders across inserts and runs it, through Result.ExtendAdmitted, on
+// each arriving tuple.
 type SideExtender struct {
 	src *schema.Schema // the side's source schema
 	sch *schema.Schema // R′ or S′
@@ -434,20 +436,10 @@ func NewSideExtender(cfg Config, left bool) (*SideExtender, error) {
 	}, nil
 }
 
-// ExtendTuple returns the extended image of one tuple of the side's
-// source relation, and the derivation conflicts found (fixpoint mode),
-// reported at tuple index 0. The tuple's shape is checked against the
-// source schema before anything is derived; t itself is left alone.
-func (se *SideExtender) ExtendTuple(t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
-	if err := relation.CheckShape(se.src, t); err != nil {
-		return nil, nil, err
-	}
-	return se.extendInto(nil, t)
-}
-
-// extendInto is ExtendTuple, over the scratch dst, for a tuple the
-// side's source relation holds or has admitted: its shape is that
-// relation's to check, and was.
+// extendInto returns, over the scratch dst, the extended image of one
+// tuple the side's source relation holds or has admitted — its shape is
+// that relation's to check, and was — and the derivation conflicts found
+// (fixpoint mode), reported at tuple index 0; t itself is left alone.
 func (se *SideExtender) extendInto(dst, t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
 	ext := append(dst[:0], t...)
 	for n := se.sch.Arity(); len(ext) < n; {

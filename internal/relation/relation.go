@@ -184,7 +184,7 @@ func (r *Relation) Adopt(ext Tuple) error {
 	if i >= len(r.lender.tuples) {
 		return fmt.Errorf("relation %s: adopt: row %d has no tuple to extend: %s holds %d", r.schema.Name(), i, r.lender.schema.Name(), len(r.lender.tuples))
 	}
-	if err := CheckShape(r.schema, ext); err != nil {
+	if err := checkShape(r.schema, ext); err != nil {
 		return err
 	}
 	src, mark := r.lender.tuples[i], len(r.cellVal)
@@ -401,7 +401,7 @@ func (r *Relation) Admit(t Tuple) (Admission, error) {
 	if r.lender != nil {
 		return Admission{}, fmt.Errorf("relation %s: an image relation takes rows through Adopt", r.schema.Name())
 	}
-	if err := CheckShape(r.schema, t); err != nil {
+	if err := checkShape(r.schema, t); err != nil {
 		return Admission{}, err
 	}
 	a := Admission{r: r, t: t, at: len(r.tuples)}
@@ -452,9 +452,9 @@ func (r *Relation) keyViolation(ki int, t Tuple, at int) error {
 		r.schema.Name(), strings.Join(r.schema.Keys()[ki], ","), t, at)
 }
 
-// CheckShape reports whether t is a tuple over s: the schema's arity,
+// checkShape reports whether t is a tuple over s: the schema's arity,
 // and every non-NULL value of its column's kind.
-func CheckShape(s *schema.Schema, t Tuple) error {
+func checkShape(s *schema.Schema, t Tuple) error {
 	if len(t) != s.Arity() {
 		return fmt.Errorf("relation %s: arity %d tuple, schema wants %d",
 			s.Name(), len(t), s.Arity())

@@ -215,16 +215,12 @@ func Reduce(st Strategy, vals ...value.Value) (merged value.Value, conflicted bo
 }
 
 // AutoSpecs builds a Spec list from an integrated table's column
-// naming convention: columns r_X and s_X pair into X (Coalesce);
-// one-sided columns keep their suffix as the merged name. This covers
-// the common case where both sides used integrated attribute names.
-func AutoSpecs(tab *integrate.Table, rPrefix, sPrefix string) []Spec {
-	if rPrefix == "" {
-		rPrefix = "r_"
-	}
-	if sPrefix == "" {
-		sPrefix = "s_"
-	}
+// naming convention: columns r_X and s_X (integrate.PrefixR, PrefixS)
+// pair into X (Coalesce); one-sided columns keep their suffix as the
+// merged name. This covers the common case where both sides used
+// integrated attribute names.
+func AutoSpecs(tab *integrate.Table) []Spec {
+	const rPrefix, sPrefix = integrate.PrefixR, integrate.PrefixS
 	sch := tab.Rel.Schema()
 	var specs []Spec
 	seen := map[string]bool{}

@@ -28,7 +28,7 @@ func example3Table(t *testing.T) *integrate.Table {
 	if err != nil {
 		t.Fatalf("match.Build: %v", err)
 	}
-	tab, err := integrate.Build(res, integrate.Options{})
+	tab, err := integrate.Build(res)
 	if err != nil {
 		t.Fatalf("integrate.Build: %v", err)
 	}
@@ -40,7 +40,7 @@ func example3Table(t *testing.T) *integrate.Table {
 // single name/cuisine/speciality/street/county.
 func TestMergeExample3(t *testing.T) {
 	tab := example3Table(t)
-	merged, conflicts, err := Merge(tab, "Restaurant", AutoSpecs(tab, "", ""))
+	merged, conflicts, err := Merge(tab, "Restaurant", AutoSpecs(tab))
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestMergeValidation(t *testing.T) {
 
 func TestAutoSpecs(t *testing.T) {
 	tab := example3Table(t)
-	specs := AutoSpecs(tab, "", "")
+	specs := AutoSpecs(tab)
 	// Both sides carry all five integrated attributes after extension.
 	if len(specs) != 5 {
 		t.Fatalf("AutoSpecs = %d entries: %+v", len(specs), specs)
