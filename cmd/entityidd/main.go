@@ -114,10 +114,12 @@ func main() {
 		if err != nil {
 			log.Fatalf("entityidd: %v", err)
 		}
-		st := hub.Stats()
-		log.Printf("entityidd: recovered %d sources, %d links, %d tuples, %d clusters from %s (store: %s)",
-			st.Sources, st.Pairs, st.Tuples, st.Clusters, *dataDir, hub.StoreInfo().Backend)
-		if ri := hub.Recovery(); ri != nil && ri.TailDamage != "" {
+		st, ri := hub.Stats(), hub.Recovery()
+		log.Printf("entityidd: recovered %d sources, %d links, %d tuples, %d clusters from %s (store: %s) in run decode %v, pair restore %v, cluster fold %v, log replay %v",
+			st.Sources, st.Pairs, st.Tuples, st.Clusters, *dataDir, hub.StoreInfo().Backend,
+			ri.DecodeTime.Round(time.Microsecond), ri.RestoreTime.Round(time.Microsecond),
+			ri.FoldTime.Round(time.Microsecond), ri.ReplayTime.Round(time.Microsecond))
+		if ri.TailDamage != "" {
 			log.Printf("entityidd: WARNING: damaged log tail dropped during recovery (unacknowledged writes discarded): %s", ri.TailDamage)
 		}
 	}

@@ -183,7 +183,8 @@ type Hub struct {
 }
 
 // HubRecovery reports what OpenHub reconstructed: snapshot use, the
-// replayed log tail, and — critically — whether a torn or corrupt log
+// replayed log tail, the wall time of each recovery phase, and —
+// critically — whether a torn or corrupt log
 // tail was detected and dropped (TailDamage). Operators should surface
 // TailDamage: it means the last unacknowledged write(s) before a crash
 // were discarded.

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"entityid/internal/datagen"
 	"entityid/internal/relation"
@@ -170,6 +171,62 @@ func BenchmarkOpenReplay(b *testing.B) {
 		b.Fatal("nothing replayed")
 	}
 	b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+}
+
+// BenchmarkOpenSnapshot is recovery from a snapshot: the workload is
+// ingested, SnapshotNow writes it and a short tail of fresh singletons
+// is logged past it, then every iteration opens the directory — decode
+// the runs, re-verify the six pairwise federations, fold their tables
+// into the cluster store once, replay the tail — and closes it. The disk
+// leg's hot tier holds a small share of the clusters, so what the fold
+// publishes spills. fold-ns/op is RecoveryInfo's fold phase.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 4, Entities: 4000, PresenceFrac: 0.6,
+		HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 1004,
+	})
+	const tail = 64
+	for _, leg := range []struct {
+		name string
+		opts Options
+	}{
+		{"mem", Options{Store: "mem"}},
+		{"disk", Options{Store: "disk", HotClusterEntries: 256}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			dir := b.TempDir()
+			h, _ := openMultiOpts(b, dir, w, leg.opts)
+			mustIngest(b, h, MultiInserts(w))
+			if err := h.SnapshotNow(); err != nil {
+				b.Fatal(err)
+			}
+			for k := range tail {
+				if _, err := h.Insert(w.Names[k%len(w.Names)], freshTuple(k)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := h.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var fold time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, info, err := openOn(dir, leg.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !info.FromSnapshot || info.Replayed != tail {
+					b.Fatalf("opened %+v, want the snapshot and a tail of %d", info, tail)
+				}
+				fold += info.FoldTime
+				if err := h.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(fold.Nanoseconds())/float64(b.N), "fold-ns/op")
+		})
+	}
 }
 
 // BenchmarkSnapshotIncremental is SnapshotNow after about 1 % of the

@@ -96,7 +96,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// load runs the manifest through the loader; a hub that comes back
 	// passed full verification and must snapshot again.
 	load := func(t *testing.T, man *snapManifest) {
-		h, err := loadSnapshotSections(wal.OS, dir, man, nil)
+		h, err := loadSnapshotSections(wal.OS, dir, man, nil, &RecoveryInfo{})
 		if err != nil {
 			return
 		}

@@ -9,7 +9,7 @@
 // rules — pairwise knowledge stays pairwise, exactly as autonomous
 // administration implies. Every link has a live federate.Federation;
 // the hub folds the pairwise matching tables into global entity
-// clusters with a union-find (cluster.go), lifting the §3.2 uniqueness
+// clusters (cluster.go), lifting the §3.2 uniqueness
 // constraint transitively: a cluster may hold at most one tuple per
 // source, and an insert whose pairwise matches would merge two tuples
 // of one source is rejected with every pairwise state rolled back
@@ -352,62 +352,38 @@ func (h *Hub) resolveLinkLocked(spec PairSpec) (li, ri int, err error) {
 }
 
 // registerLinkLocked folds a validated link's initial matching table
-// into the clusters and commits the registration. Callers hold h.mu
+// over the stored clusters and commits the registration. The fold reads
+// the store only for the nodes the table touches, and all of it before
+// the WAL append — the registration cannot fail once logged; on a
+// uniqueness violation nothing is logged or published. Only the
+// components the table grew are published, each once. Callers hold h.mu
 // exclusively.
 //
 //entitylint:commitpath
 func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federation) error {
-	left, right := h.sources[li], h.sources[ri]
-	// Fold the initial matching table speculatively: seed a scratch
-	// union-find with the current clusters of every involved node,
-	// check-and-union each pair there, and only publish the merged
-	// clusters to the cluster store once every pair proved sound — on
-	// failure the store is untouched.
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	scratch := newClusterSet()
-	seeded := map[node]bool{}
-	// origLen records each seeded node's pre-link cluster size, so the
-	// publish loop below can skip unchanged components without touching
-	// the store again (store reads stay ahead of the WAL append — the
-	// registration cannot fail once logged).
-	origLen := map[node]int{}
-	seed := func(n node) error {
-		if seeded[n] {
-			return nil
-		}
-		ms, err := h.clusters.Members(n)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			seeded[m] = true
-			origLen[m] = len(ms)
-		}
-		for i := 1; i < len(ms); i++ {
-			scratch.union(ms[0], ms[i])
-		}
-		return nil
-	}
-	for _, pr := range fed.MT().Pairs {
-		a, b := node{Src: li, Idx: pr.RIndex}, node{Src: ri, Idx: pr.SIndex}
-		if err := seed(a); err != nil {
-			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
-		}
-		if err := seed(b); err != nil {
-			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
-		}
-		if _, err := store.CheckMerge(scratch, a, []node{b}, h.sourceName); err != nil {
-			return fmt.Errorf("hub: link %q-%q: initial pair (%d,%d): %w",
-				spec.Left, spec.Right, pr.RIndex, pr.SIndex, err)
-		}
-		scratch.union(a, b)
+	grown, err := foldTables(h.sourceLens(), []linkTable{{li, ri, fed.MT().Pairs}}, h.clusters, h.sourceName)
+	if err != nil {
+		return fmt.Errorf("hub: %w", err)
 	}
 	if h.per != nil {
 		if err := h.per.appendLink(spec); err != nil {
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, h.ingestFailed(err))
 		}
 	}
+	h.addPairLocked(spec, li, ri, fed)
+	for _, ms := range grown {
+		h.clusters.Publish(ms)
+	}
+	return nil
+}
+
+// addPairLocked registers a link whose table is already folded (or, on
+// a snapshot load, is about to be). Callers hold h.mu exclusively and
+// the commit lock.
+func (h *Hub) addPairLocked(spec PairSpec, li, ri int, fed *federate.Federation) {
+	left, right := h.sources[li], h.sources[ri]
 	p := &pairState{id: len(h.pairs), left: li, right: ri, spec: spec, mtLen: fed.MT().Len()}
 	p.fed.Store(fed)
 	p.lastUse.Store(h.pairClock.Add(1))
@@ -416,24 +392,16 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 	left.pairs = append(left.pairs, p)
 	right.pairs = append(right.pairs, p)
 	recordAttrNames(left, right, spec.Attrs)
-	// Publish every scratch component that grew past its pre-existing
-	// record (a component equal in size to its first member's record is
-	// that record — memberships only ever grow).
-	byRoot := map[node][]node{}
-	for n := range scratch.parent {
-		byRoot[scratch.find(n)] = append(byRoot[scratch.find(n)], n)
+}
+
+// sourceLens returns every source's tuple count. Callers hold h.mu and
+// the commit lock.
+func (h *Hub) sourceLens() []int {
+	lens := make([]int, len(h.sources))
+	for i, s := range h.sources {
+		lens[i] = s.rel.Len()
 	}
-	for _, ms := range byRoot {
-		if len(ms) < 2 {
-			continue
-		}
-		if origLen[ms[0]] == len(ms) {
-			continue
-		}
-		sortNodes(ms)
-		h.clusters.Publish(ms)
-	}
-	return nil
+	return lens
 }
 
 // checkAttrNames verifies a link's attribute map agrees with the

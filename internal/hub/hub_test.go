@@ -9,6 +9,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -21,6 +22,7 @@ import (
 	"entityid/internal/resolve"
 	"entityid/internal/schema"
 	"entityid/internal/store"
+	"entityid/internal/store/disk"
 	"entityid/internal/value"
 )
 
@@ -225,25 +227,83 @@ func TestHubPairwiseGuardRejections(t *testing.T) {
 	}
 }
 
-// TestHubLinkFoldsSeededSources: sources seeded before Link — the
-// initial matching table folds into clusters at link time.
-func TestHubLinkFoldsSeededSources(t *testing.T) {
-	h := New()
-	seedSource(t, h, "A", []string{"name"}, []string{"a0", "n1"}, []string{"a1", "n2"})
-	seedSource(t, h, "B", []string{"name"}, []string{"b0", "n2"})
-	if err := linkOn(h, "A", "B", "name"); err != nil {
-		t.Fatal(err)
+// onBothStores runs fn on a memory-only hub and on a hub over the disk
+// store with a hot tier of two cluster entries — one two-member record —
+// so that a link's fold reads the clusters it seeds from cold records.
+func onBothStores(t *testing.T, fn func(t *testing.T, h *Hub)) {
+	for _, name := range []string{"mem", "disk"} {
+		t.Run(name, func(t *testing.T) {
+			h := New()
+			if name == "disk" {
+				b, err := disk.Open(filepath.Join(t.TempDir(), storeTierDir), store.Caps{HotClusterEntries: 2, HotPairs: defaultHotPairs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h = NewWithBackend(b)
+			}
+			t.Cleanup(func() { h.Close() })
+			fn(t, h)
+		})
 	}
-	cl, err := h.Lookup("B", value.String("b0"))
+}
+
+// linkReadsCold links and reports the failure, demanding on the disk
+// store that the link's fold read a cluster from the spill tier.
+func linkReadsCold(t *testing.T, h *Hub, left, right, shared string) error {
+	t.Helper()
+	misses := h.StoreInfo().Clusters.Misses
+	err := linkOn(h, left, right, shared)
+	if si := h.StoreInfo(); si.Backend == "disk" && si.Clusters.Misses == misses {
+		t.Fatalf("link %s-%s read no cold cluster: %+v", left, right, si.Clusters)
+	}
+	return err
+}
+
+// partitionOf is the cluster store's partition, read under the commit
+// lock.
+func partitionOf(t *testing.T, h *Hub) [][]node {
+	t.Helper()
+	h.commitMu.Lock()
+	defer h.commitMu.Unlock()
+	part, err := h.clusters.Partition()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cl.Members) != 2 || cl.ID != "A/1" {
-		t.Fatalf("seeded link cluster = %+v", cl)
-	}
-	if st := h.Stats(); st.Clusters != 2 {
-		t.Fatalf("clusters = %d, want 2 ({a1,b0} and {a0})", st.Clusters)
-	}
+	return part
+}
+
+// TestHubLinkFoldsSeededSources: sources seeded before Link — the
+// initial matching table folds into clusters at link time, the second
+// link's over the two clusters the first made, which do not both fit a
+// hot tier of two entries.
+func TestHubLinkFoldsSeededSources(t *testing.T) {
+	onBothStores(t, func(t *testing.T, h *Hub) {
+		seedSource(t, h, "A", []string{"name"}, []string{"a0", "n1"}, []string{"a1", "n2"}, []string{"a2", "n3"})
+		seedSource(t, h, "B", []string{"name", "phone"}, []string{"b0", "n2", "p1"}, []string{"b1", "n3", "p2"})
+		seedSource(t, h, "C", []string{"phone"}, []string{"c0", "p1"}, []string{"c1", "p2"})
+		if err := linkOn(h, "A", "B", "name"); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := h.Lookup("B", value.String("b0"))
+		if err != nil || len(cl.Members) != 2 || cl.ID != "A/1" {
+			t.Fatalf("seeded link cluster = %+v (%v)", cl, err)
+		}
+		if err := linkReadsCold(t, h, "B", "C", "phone"); err != nil {
+			t.Fatal(err)
+		}
+		for key, id := range map[string]string{"c0": "A/1", "c1": "A/2"} {
+			cl, err := h.Lookup("C", value.String(key))
+			if err != nil || len(cl.Members) != 3 || cl.ID != id {
+				t.Fatalf("%s's cluster = %+v (%v), want %s with three members", key, cl, err, id)
+			}
+		}
+		if st := h.Stats(); st.Clusters != 3 {
+			t.Fatalf("clusters = %d, want 3 ({a1,b0,c0}, {a2,b1,c1} and {a0})", st.Clusters)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestHubMergedView(t *testing.T) {
@@ -306,28 +366,60 @@ func TestHubPairwiseStateEqualsBatchBuild(t *testing.T) {
 // and the third's initial table pairs b0 with c1, which would put c0
 // and c1 of source C into one cluster.
 func TestHubLinkRejectsTransitiveViolationFromSeededSources(t *testing.T) {
+	onBothStores(t, func(t *testing.T, h *Hub) {
+		seedSource(t, h, "A", []string{"name", "code"}, []string{"a0", "n1", "k1"})
+		seedSource(t, h, "B", []string{"name", "phone"}, []string{"b0", "n1", "p1"})
+		seedSource(t, h, "C", []string{"code", "phone"}, []string{"c0", "k1", "p9"}, []string{"c1", "k9", "p1"})
+		if err := linkOn(h, "A", "B", "name"); err != nil {
+			t.Fatal(err)
+		}
+		if err := linkOn(h, "A", "C", "code"); err != nil {
+			t.Fatal(err)
+		}
+		stats, part := h.Stats(), partitionOf(t, h)
+		records := func() int { c := h.StoreInfo().Clusters; return c.HotRecords + c.ColdRecords }
+		recs := records()
+		// Typed like an insert rejected for the same reason: one function
+		// (store.CheckMerge) decides both.
+		err := linkReadsCold(t, h, "B", "C", "phone")
+		if !errors.Is(err, store.ErrUniqueness) || !strings.Contains(err.Error(), `tuples 0 and 1 of source "C"`) {
+			t.Fatalf("seeded link folding missed the violation, or left it untyped: %v", err)
+		}
+		if h.Stats() != stats || records() != recs || !reflect.DeepEqual(partitionOf(t, h), part) {
+			t.Fatalf("rejected link changed state: %+v over %d records -> %+v over %d", stats, recs, h.Stats(), records())
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFoldRejectsAChainThroughOneSource folds the three-source shape of
+// the test above the way a snapshot load does — every table at once, no
+// store beneath: each table is sound pairwise, but a0-b0, a0-c0 and
+// b0-c1 chain c0 and c1 of source C into one component. The fold names
+// them, and nothing reaches the store.
+func TestFoldRejectsAChainThroughOneSource(t *testing.T) {
 	h := New()
-	seedSource(t, h, "A", []string{"name", "code"}, []string{"a0", "n1", "k1"})
-	seedSource(t, h, "B", []string{"name", "phone"}, []string{"b0", "n1", "p1"})
-	seedSource(t, h, "C", []string{"code", "phone"}, []string{"c0", "k1", "p9"}, []string{"c1", "k9", "p1"})
-	if err := linkOn(h, "A", "B", "name"); err != nil {
-		t.Fatal(err)
+	seedSource(t, h, "A", nil, []string{"a0"})
+	seedSource(t, h, "B", nil, []string{"b0"})
+	seedSource(t, h, "C", nil, []string{"c0"}, []string{"c1"})
+	tables := []linkTable{
+		{0, 1, []match.Pair{{RIndex: 0, SIndex: 0}}},
+		{0, 2, []match.Pair{{RIndex: 0, SIndex: 0}}},
+		{1, 2, []match.Pair{{RIndex: 0, SIndex: 1}}},
 	}
-	if err := linkOn(h, "A", "C", "code"); err != nil {
-		t.Fatal(err)
+	folded, err := foldTables(h.sourceLens(), tables[:2], nil, h.sourceName)
+	if want := [][]node{{{Src: 0, Idx: 0}, {Src: 1, Idx: 0}, {Src: 2, Idx: 0}}}; err != nil || !reflect.DeepEqual(folded, want) {
+		t.Fatalf("fold of the two sound tables = %v (%v), want %v", folded, err, want)
 	}
-	before := h.Stats()
-	// Typed like an insert rejected for the same reason: one function
-	// (store.CheckMerge) decides both.
-	err := linkOn(h, "B", "C", "phone")
-	if !errors.Is(err, store.ErrUniqueness) || !strings.Contains(err.Error(), "transitive uniqueness") {
-		t.Fatalf("seeded link folding missed the violation, or left it untyped: %v", err)
+	_, err = foldTables(h.sourceLens(), tables, nil, h.sourceName)
+	if !errors.Is(err, store.ErrUniqueness) || !strings.Contains(err.Error(), `link "B"-"C": pair (0,1)`) ||
+		!strings.Contains(err.Error(), `tuples 0 and 1 of source "C"`) {
+		t.Fatalf("fold of a chain through two tuples of C = %v, want a uniqueness violation naming both", err)
 	}
-	if after := h.Stats(); before != after {
-		t.Fatalf("rejected link changed state: %+v -> %+v", before, after)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if part := partitionOf(t, h); len(part) != 0 || h.clusters.Merged() != 0 {
+		t.Fatalf("a rejected fold published %v", part)
 	}
 }
 

@@ -44,7 +44,7 @@ func (h *Hub) CheckInvariants() error {
 	h.mu.RLock()
 	h.commitMu.Lock()
 	cut := h.cutLocked(0)
-	part, err := h.partitionLocked()
+	part, err := h.clusters.Partition()
 	if err == nil {
 		err = h.checkCopiesLocked(cut)
 	}
@@ -56,14 +56,14 @@ func (h *Hub) CheckInvariants() error {
 	for _, c := range part {
 		seen := map[int]int{}
 		for _, m := range c {
-			if m[0] >= len(cut.sources) || m[1] >= cut.sources[m[0]].n {
-				return fmt.Errorf("hub: invariant: cluster member %d/%d lies outside its source's view", m[0], m[1])
+			if m.Src >= len(cut.sources) || m.Idx >= cut.sources[m.Src].n {
+				return fmt.Errorf("hub: invariant: cluster member %d/%d lies outside its source's view", m.Src, m.Idx)
 			}
-			if prev, dup := seen[m[0]]; dup {
+			if prev, dup := seen[m.Src]; dup {
 				return fmt.Errorf("hub: invariant: transitive uniqueness: tuples %d and %d of source %q share a cluster",
-					prev, m[1], cut.sources[m[0]].s.name)
+					prev, m.Idx, cut.sources[m.Src].s.name)
 			}
-			seen[m[0]] = m[1]
+			seen[m.Src] = m.Idx
 		}
 	}
 	mts := make([][]match.Pair, len(cut.pairs))
@@ -84,7 +84,11 @@ func (h *Hub) CheckInvariants() error {
 			seenR[pr.RIndex], seenS[pr.SIndex] = true, true
 		}
 	}
-	if !partitionsEqual(part, foldPartition(cut, mts)) {
+	folded, err := foldCut(cut, mts)
+	if err != nil {
+		return fmt.Errorf("hub: invariant: %w", err)
+	}
+	if !partitionsEqual(part, folded) {
 		return fmt.Errorf("hub: invariant: served partition is not the transitive closure of the pairwise matching tables")
 	}
 	return nil

@@ -118,6 +118,12 @@ type RecoveryInfo struct {
 	// detected (CRC/length/sequence check) and recovery stopped at the
 	// last good record.
 	TailDamage string
+	// The wall time of each phase of Open: reading and decoding the
+	// snapshot's run files; rebuilding the relations and re-verifying the
+	// pairwise federations; folding the restored matching tables into
+	// the cluster store and reading it back; replaying the log tail. The
+	// first three are zero when no snapshot was loaded.
+	DecodeTime, RestoreTime, FoldTime, ReplayTime time.Duration
 }
 
 // Open opens (or creates) a durable hub rooted at dir: it loads the
@@ -164,7 +170,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	var prevMan *snapManifest
 	switch man, err := readManifest(fsys, dir); {
 	case err == nil:
-		h, err = loadSnapshotSections(fsys, dir, man, b)
+		h, err = loadSnapshotSections(fsys, dir, man, b, info)
 		if err != nil {
 			return fail(fmt.Errorf("hub: open %s: %w", dir, err))
 		}
@@ -201,11 +207,12 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 		return fail(fmt.Errorf("hub: open %s: write-ahead log starts at record %d with no snapshot covering the truncated prefix",
 			dir, l.OldestSeq()))
 	}
+	start := time.Now()
 	n, err := h.Replay(l, info.Watermark)
 	if err != nil {
 		return fail(fmt.Errorf("hub: open %s: %w", dir, err))
 	}
-	info.Replayed = n
+	info.Replayed, info.ReplayTime = n, time.Since(start)
 	info.LastSeq = l.LastSeq()
 	probe, probeMax := opts.probeBackoff, opts.probeBackoffMax
 	if probe <= 0 {

@@ -113,10 +113,10 @@ func TestBackgroundSnapshotTruncatesLog(t *testing.T) {
 // re-verifications of assembleHub, which no frame CRC, run hash or
 // manifest count stands in for: a matching table re-encoded with a pair
 // dropped (every checksum self-consistent) is caught by
-// federate.Restore, and a cluster store whose fold of the registered
-// links lost a cluster is caught by the comparison with foldPartition of
-// the loaded tables — the check that stood against the stored partition
-// section while snapshots had one.
+// federate.Restore, and a cluster store that lost a cluster the fold of
+// the loaded tables published is caught when it is read back and
+// compared with that fold — the check that stood against the stored
+// partition section while snapshots had one.
 func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -128,7 +128,7 @@ func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	lossy := lossyBackend{mem.New()}
-	if _, err := loadSnapshotSections(wal.OS, dir, man, lossy); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
+	if _, err := loadSnapshotSections(wal.OS, dir, man, lossy, &RecoveryInfo{}); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
 		t.Fatalf("cluster store that lost a cluster: want a partition refold rejection, got %v", err)
 	}
 	editManifest(t, dir, func(m *snapManifest) {

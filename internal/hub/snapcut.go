@@ -96,78 +96,20 @@ func (h *Hub) copyPairMT(cp cutPair) ([]match.Pair, error) {
 	return ps, err
 }
 
-// foldPartition refolds the cut's matching tables into the canonical
-// non-singleton cluster partition — members sorted by (source, index),
-// clusters by first member — pure off-lock work that reproduces exactly
-// what partitionLocked would have returned at the cut, by the invariant
-// (verified on every load, which is where a snapshot's partition comes
-// from) that the live cluster store equals the transitive closure of
-// the pairwise tables. Tuples are numbered densely in (source, index)
-// order and every union keeps the smaller root, so a cluster's root is
-// its first member and one ascending pass emits the canonical form
-// with no map and no sort.
-func foldPartition(cut *snapshotCut, mts [][]match.Pair) [][][2]int {
-	base := make([]int32, len(cut.sources)+1)
+// foldCut folds the cut's matching tables, mts[i] the table of
+// cut.pairs[i], with no store beneath: the partition the live cluster
+// store must equal, by the invariant (verified on every load) that it is
+// the transitive closure of the pairwise tables.
+func foldCut(cut *snapshotCut, mts [][]match.Pair) ([][]node, error) {
+	lens := make([]int, len(cut.sources))
 	for i, cs := range cut.sources {
-		base[i+1] = base[i] + int32(cs.n)
+		lens[i] = cs.n
 	}
-	parent := make([]int32, base[len(cut.sources)])
-	for x := range parent {
-		parent[x] = int32(x)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	tables := make([]linkTable, len(cut.pairs))
 	for i, cp := range cut.pairs {
-		for _, pr := range mts[i] {
-			a, b := find(base[cp.p.left]+int32(pr.RIndex)), find(base[cp.p.right]+int32(pr.SIndex))
-			parent[max(a, b)] = min(a, b)
-		}
+		tables[i] = linkTable{cp.p.left, cp.p.right, mts[i]}
 	}
-	size := make([]int32, len(parent))
-	for x := range parent {
-		size[find(int32(x))]++
-	}
-	var out [][][2]int
-	at := make([]int32, len(parent)) // a root's position in out
-	for src, cs := range cut.sources {
-		for idx := 0; idx < cs.n; idx++ {
-			x := base[src] + int32(idx)
-			root := find(x)
-			if size[root] < 2 {
-				continue
-			}
-			if root == x {
-				at[root] = int32(len(out))
-				out = append(out, make([][2]int, 0, size[root]))
-			}
-			out[at[root]] = append(out[at[root]], [2]int{src, idx})
-		}
-	}
-	return out
-}
-
-// partitionLocked returns the canonical non-singleton cluster
-// partition of the live store. Callers hold h.commitMu (and h.mu at
-// least shared).
-func (h *Hub) partitionLocked() ([][][2]int, error) {
-	part, err := h.clusters.Partition()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][2]int, len(part))
-	for i, ms := range part {
-		c := make([][2]int, len(ms))
-		for j, m := range ms {
-			c[j] = [2]int{m.Src, m.Idx}
-		}
-		out[i] = c
-	}
-	return out, nil
+	return foldTables(lens, tables, nil, func(si int) string { return cut.sources[si].s.name })
 }
 
 // writeSnapshotSections drives a snapshot at the given cut through the

@@ -2,28 +2,33 @@
 // directory holds a manifest file plus one content-addressed file per
 // run of each source's tuples and each pair's matching table under
 // snapsecs/ (written by snapwriter.go, in the format of snapshot.go).
-// Loading parallelises — run files are read and decoded on a fixed set
-// of workers, the relations are rebuilt one source per worker, and the
-// pairwise federations are re-verified concurrently before the
-// sequential cluster fold — and fails closed: frame CRCs, per-run
+// Loading runs in four phases, each timed in RecoveryInfo: run decode
+// (files read and decoded on a fixed set of workers), pair restore (the
+// relations rebuilt one source per worker, the pairwise federations
+// re-verified concurrently), cluster fold, and — in Open — log replay.
+// The partition is not stored; the loader computes it once: every
+// restored link is registered without folding, then one pass of the
+// cluster fold (cluster.go) over all the verified tables, each union
+// decided by store.CheckMerge, publishes each component to the empty
+// cluster store exactly once. Loading fails closed: frame CRCs, per-run
 // content hashes, chunk and item counts, and each run's declared
 // sequence and position are verified against the manifest, whose run
 // directories must be dense and full but for each sequence's last run;
 // every schema, ILFD and rule is re-validated by its domain
 // constructor; every pairwise federation is rebuilt through
 // federate.Restore (which verifies the rebuilt matching table equals
-// the saved one); and the partition the cluster store folded while the
-// links registered must equal foldPartition of the loaded tables — the
-// function that cut the partition section when snapshots still stored
-// one.
+// the saved one); and the cluster store, read back, must hold exactly
+// the components the fold published.
 package hub
 
 import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"entityid/internal/federate"
 	"entityid/internal/match"
@@ -62,8 +67,9 @@ func secPath(dir, hash string) string {
 // decoding them in parallel and verifying each file's content hash,
 // chunk count, item count and declared position against the manifest.
 // The hub is assembled onto the given storage backend (nil means
-// memory).
-func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Backend) (*Hub, error) {
+// memory); info receives the wall time of each phase.
+func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Backend, info *RecoveryInfo) (*Hub, error) {
+	start := time.Now()
 	if man.RunItems < 1 {
 		return nil, fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
 	}
@@ -109,7 +115,8 @@ func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Ba
 	if err != nil {
 		return nil, err
 	}
-	return assembleHub(man, schemas, seqs[:len(man.Sources)], seqs[len(man.Sources):], b)
+	info.DecodeTime = time.Since(start)
+	return assembleHub(man, schemas, seqs[:len(man.Sources)], seqs[len(man.Sources):], b, info)
 }
 
 // readRunFile decodes one run file (a source's against sch) and verifies
@@ -139,10 +146,10 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Sc
 // re-verified in parallel through federate.Restore — each over the
 // loaded relations themselves, which the federations only read, so
 // concurrent restores share them without a copy, and each adopting its
-// table's saved commit order, which later commits continue; links
-// folded sequentially; and the partition that fold left in the cluster
-// store checked against foldPartition of the loaded tables.
-func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns [][]*decRun, b store.Backend) (*Hub, error) {
+// table's saved commit order, which later commits continue; and the
+// links registered and folded once (foldRestored).
+func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns [][]*decRun, b store.Backend, info *RecoveryInfo) (*Hub, error) {
+	start := time.Now()
 	mts := make([][]match.Pair, len(man.Pairs))
 	for i, runs := range pairRuns {
 		for _, r := range runs {
@@ -202,30 +209,47 @@ func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns 
 	if err != nil {
 		return nil, err
 	}
-	for i := range specs {
-		h.mu.Lock()
-		li, ri, err := h.resolveLinkLocked(specs[i])
-		if err == nil {
-			err = h.registerLinkLocked(specs[i], li, ri, feds[i])
-		}
-		h.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("hub: load snapshot: %w", err)
-		}
-	}
-	h.mu.RLock()
-	h.commitMu.Lock()
-	cut := h.cutLocked(0)
-	folded, perr := h.partitionLocked()
-	h.commitMu.Unlock()
-	h.mu.RUnlock()
-	if perr != nil {
-		return nil, fmt.Errorf("hub: load snapshot: %w", perr)
-	}
-	if !partitionsEqual(folded, foldPartition(cut, mts)) {
-		return nil, fmt.Errorf("hub: load snapshot: cluster store does not match the refolded pairwise matching tables")
+	info.RestoreTime = time.Since(start)
+	start = time.Now()
+	err = h.foldRestored(specs, feds, mts)
+	info.FoldTime = time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("hub: load snapshot: %w", err)
 	}
 	return h, nil
+}
+
+// foldRestored registers the restored links without folding them, then
+// folds every table in one pass onto the still empty cluster store,
+// publishes each component once and reads the store back: it must hold
+// exactly the fold.
+func (h *Hub) foldRestored(specs []PairSpec, feds []*federate.Federation, mts [][]match.Pair) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.commitMu.Lock()
+	defer h.commitMu.Unlock()
+	for i, spec := range specs {
+		li, ri, err := h.resolveLinkLocked(spec)
+		if err != nil {
+			return err
+		}
+		h.addPairLocked(spec, li, ri, feds[i])
+	}
+	folded, err := foldCut(h.cutLocked(0), mts)
+	if err != nil {
+		return err
+	}
+	for _, ms := range folded {
+		h.clusters.Publish(ms)
+	}
+	part, err := h.clusters.Partition()
+	if err != nil {
+		return err
+	}
+	if !partitionsEqual(part, folded) {
+		return fmt.Errorf("cluster store does not match the refolded pairwise matching tables")
+	}
+	return nil
 }
 
 // inParallel runs fn(0..n-1) on at most GOMAXPROCS (and at least two)
@@ -253,19 +277,6 @@ func inParallel(n int, fn func(i int) error) error {
 	return nil
 }
 
-func partitionsEqual(a, b [][][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+func partitionsEqual(a, b [][]node) bool {
+	return slices.EqualFunc(a, b, slices.Equal[[]node])
 }

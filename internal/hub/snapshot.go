@@ -17,9 +17,9 @@
 // manifest carries each run's SHA-256 content address, chunk count and
 // item count, and — so that nothing that changes ever sits inside a
 // sealed run — each source's schema, each pair's link spec and the
-// cut's side lengths. The cluster partition is not stored: it is
-// foldPartition of the very pair tables the manifest hash-verifies, so
-// the loader computes it from them (snapload.go).
+// cut's side lengths. The cluster partition is not stored: it is the
+// fold of the very pair tables the manifest hash-verifies, so the loader
+// computes it from them (snapload.go).
 package hub
 
 import (

@@ -488,7 +488,7 @@ func TestSnapshotDuringIngest(t *testing.T) {
 			t.Errorf("concurrent snapshot %d: %v", i, err)
 			continue
 		}
-		h2, err := loadSnapshotSections(wal.OS, dir, man, nil)
+		h2, err := loadSnapshotSections(wal.OS, dir, man, nil, &RecoveryInfo{})
 		if err != nil {
 			t.Errorf("concurrent snapshot %d failed verification: %v", i, err)
 			continue

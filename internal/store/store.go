@@ -175,8 +175,10 @@ type Backend interface {
 // of the given partner nodes cannot place two tuples of one source
 // into the same cluster — the one place the transitive §3.2 check
 // lives, for live inserts (c is the cluster store, n a fresh tuple)
-// and for a link's speculative fold (c is the scratch union-find, n may
-// already be clustered) — and returns the merged cluster it assembled
+// and for every union of the hub's cluster fold, the dense union-find a
+// link's initial table, a snapshot load and the invariant check fold
+// matching tables through (c is the fold, n may already be clustered)
+// — and returns the merged cluster it assembled
 // on the way: the sorted union of the member sets, which is what Apply
 // publishes. Without partners nothing merges and it returns nil. It
 // needs only Members, and only that every node of one cluster gets the
