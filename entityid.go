@@ -313,7 +313,7 @@ func (sys *System) IdentifyUnchecked() (*Result, error) {
 
 // MatchingPairs returns the matching table as tuple-position pairs.
 func (r *Result) MatchingPairs() []Pair {
-	return append([]Pair(nil), r.inner.MT.Pairs...)
+	return r.inner.MT.Pairs(0, r.inner.MT.Len())
 }
 
 // Classify returns the three-valued verdict for R tuple i vs S tuple j.

@@ -1,10 +1,13 @@
 package entityid
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"entityid/internal/match"
 	"entityid/internal/paperdata"
+	"entityid/internal/quality"
 	"entityid/internal/rules"
 	"entityid/internal/value"
 )
@@ -182,6 +185,55 @@ func TestAssertMatchConflictsWithDistinctness(t *testing.T) {
 	_, err := sys.Identify()
 	if err == nil || !strings.Contains(err.Error(), "unsound") {
 		t.Fatalf("Identify = %v, want consistency failure", err)
+	}
+}
+
+// TestAssertMatchBreakingUniquenessMatchesReference: an asserted pair
+// whose R tuple the extended key already matched makes the table
+// unsound. The pair goes into the table's overflow, off its partner
+// arrays, and every answer — the classifier, the Figure 3 tally and the
+// violation Verify names — is still the naive reference's, which scans
+// the table's log.
+func TestAssertMatchBreakingUniquenessMatchesReference(t *testing.T) {
+	sys := example3System()
+	rKey := []Value{String("TwinCities"), String("Chinese")}
+	sys.AssertMatch(rKey, []Value{String("TwinCities"), String("Sichuan")})
+	res, err := sys.IdentifyUnchecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := sys.r.LookupKey(rKey...)
+	j := sys.s.LookupKey(String("TwinCities"), String("Sichuan"))
+	was := sys.s.LookupKey(String("TwinCities"), String("Hunan"))
+	want := fmt.Sprintf("match: uniqueness violation: R tuple %d matches S tuples %d and %d", i, was, j)
+	if res.VerifyErr == nil || res.VerifyErr.Error() != want {
+		t.Fatalf("VerifyErr = %v, want %q", res.VerifyErr, want)
+	}
+	ref, err := match.Build(match.Config{
+		R: sys.r, S: sys.s, Attrs: sys.attrs, ExtKey: sys.extKey, ILFDs: sys.ilfds,
+		Identity: sys.identity, Distinct: sys.distinct, DeriveMode: sys.mode, DisableProp1: sys.prop1Off,
+		Naive: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.MT.Add(match.Pair{RIndex: i, SIndex: j})
+	if got := ref.Verify(); got == nil || got.Error() != want {
+		t.Fatalf("reference Verify = %v, want %q", got, want)
+	}
+	for r := range sys.r.Len() {
+		for s := range sys.s.Len() {
+			if got, want := res.Classify(r, s), ref.Classify(r, s); got != want {
+				t.Errorf("Classify(%d,%d) = %v, reference %v", r, s, got, want)
+			}
+		}
+	}
+	m, n, u := ref.Counts()
+	if got, want := res.Partition(), (quality.Partition{Matching: m, NotMatching: n, Undetermined: u}); got != want {
+		t.Errorf("Partition = %v, reference %v", got, want)
+	}
+	if res.Classify(i, j) != Matching || res.Classify(i, was) != Matching {
+		t.Errorf("the asserted pair or the one it breaks is not matching")
 	}
 }
 

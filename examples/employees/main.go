@@ -82,7 +82,7 @@ func demo(w io.Writer) error {
 	sc := quality.Evaluate(mt, truth)
 	fmt.Fprintf(w, "matches: %d, score: %s\n", mt.Len(), sc)
 	wrong := 0
-	for _, p := range mt.Pairs {
+	for p := range mt.All() {
 		if !truth[[2]int{p.RIndex, p.SIndex}] {
 			wrong++
 			fmt.Fprintf(w, "  WRONGLY matched HR row %d (%s@%s) to performance row %d — someone gets fired by mistake\n",
@@ -116,7 +116,7 @@ func demo(w io.Writer) error {
 		return err
 	}
 	fmt.Fprint(w, res.RenderMatchingTable())
-	ours := quality.Evaluate(&match.Table{Pairs: res.MatchingPairs()}, truth)
+	ours := quality.Evaluate(match.NewTable(nil, nil, res.MatchingPairs()...), truth)
 	fmt.Fprintf(w, "score: %s\n", ours)
 	if !ours.Sound() {
 		return fmt.Errorf("our matching is unsound: %s", ours)

@@ -66,11 +66,7 @@ func mkTable(r, s *relation.Relation, pairs []match.Pair) *match.Table {
 		}
 		return pairs[a].SIndex < pairs[b].SIndex
 	})
-	return &match.Table{
-		RKey:  r.Schema().PrimaryKey(),
-		SKey:  s.Schema().PrimaryKey(),
-		Pairs: pairs,
-	}
+	return match.NewTable(r.Schema().PrimaryKey(), s.Schema().PrimaryKey(), pairs...)
 }
 
 // KeyEquivalence matches tuples that agree (non-NULL) on every listed

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,12 +49,8 @@ func TestKeyEquivalenceAmbiguityExample1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Match after insert: %v", err)
 	}
-	perS := map[int]int{}
-	for _, p := range mt.Pairs {
-		perS[p.SIndex]++
-	}
-	if perS[0] != 2 {
-		t.Errorf("S tuple 0 matched %d times, want the ambiguous 2", perS[0])
+	if got := len(mt.MatchesOfS(nil, 0)); got != 2 {
+		t.Errorf("S tuple 0 matched %d times, want the ambiguous 2", got)
 	}
 }
 
@@ -101,7 +98,7 @@ func TestUserSpecified(t *testing.T) {
 		t.Errorf("pairs = %d, want 2", mt.Len())
 	}
 	if !mt.Contains(0, 0) || !mt.Contains(2, 1) {
-		t.Errorf("pairs = %v", mt.Pairs)
+		t.Errorf("pairs = %v", slices.Collect(mt.All()))
 	}
 	if m.Name() != "user-specified" {
 		t.Errorf("Name = %q", m.Name())
@@ -161,7 +158,7 @@ func TestProbabilisticKey(t *testing.T) {
 		t.Fatalf("Match: %v", err)
 	}
 	if mt.Len() != 1 || !mt.Contains(0, 0) {
-		t.Errorf("pairs = %v, want [(0,0)]", mt.Pairs)
+		t.Errorf("pairs = %v, want [(0,0)]", slices.Collect(mt.All()))
 	}
 	// Raising the threshold kills the partial match.
 	m.Threshold = 0.9
@@ -170,7 +167,7 @@ func TestProbabilisticKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mt.Len() != 0 {
-		t.Errorf("pairs = %v at threshold 0.9", mt.Pairs)
+		t.Errorf("pairs = %v at threshold 0.9", slices.Collect(mt.All()))
 	}
 	if m.Name() != "probabilistic-key" {
 		t.Errorf("Name = %q", m.Name())
@@ -328,7 +325,7 @@ func TestHeuristic(t *testing.T) {
 	if mt.Len() != 2 {
 		t.Errorf("pairs = %d, want 2", mt.Len())
 	}
-	for _, p := range mt.Pairs {
+	for p := range mt.All() {
 		if r.MustValue(p.RIndex, "name").Str() == "It'sGreek" {
 			t.Error("It'sGreek matched despite wrong heuristic rule")
 		}

@@ -117,16 +117,13 @@ func Table1() Report {
 		rep.Check = err
 		return rep
 	}
-	perS := map[int]int{}
-	for _, p := range after.Pairs {
-		perS[p.SIndex]++
-	}
+	perS := len(after.MatchesOfS(nil, 0))
 	fmt.Fprintf(&b, "name-equality pairs before VillageWok/Penn.Ave. insertion: %d\n", before.Len())
 	fmt.Fprintf(&b, "after insertion: %d pairs; S tuple \"VillageWok\" now matches %d R tuples (ambiguous)\n",
-		after.Len(), perS[0])
+		after.Len(), perS)
 	b.WriteString("paper: \"one tuple in S can be matched with two tuples in R. It is not clear which of them is the correct one.\"\n")
-	if perS[0] != 2 {
-		rep.Check = fmt.Errorf("expected the ambiguity (2 R tuples per S VillageWok), got %d", perS[0])
+	if perS != 2 {
+		rep.Check = fmt.Errorf("expected the ambiguity (2 R tuples per S VillageWok), got %d", perS)
 	}
 	rep.Text = b.String()
 	return rep
@@ -171,7 +168,7 @@ func Table2and3() Report {
 		rep.Text = b.String()
 		return rep
 	}
-	p := res.MT.Pairs[0]
+	p := res.MT.At(0)
 	if got := res.RPrime.MustValue(p.RIndex, "cuisine").Str(); got != "Indian" {
 		rep.Check = fmt.Errorf("matched R cuisine = %q, want Indian", got)
 	}
@@ -320,7 +317,7 @@ func Table7() Report {
 	}
 	for _, w := range paperdata.Table7Expected() {
 		found := false
-		for _, p := range res.MT.Pairs {
+		for p := range res.MT.All() {
 			if res.RPrime.MustValue(p.RIndex, "name").Str() == w[0] &&
 				res.RPrime.MustValue(p.RIndex, "cuisine").Str() == w[1] &&
 				res.SPrime.MustValue(p.SIndex, "name").Str() == w[2] &&

@@ -257,11 +257,12 @@ func (f *Federation) identify(ext relation.Tuple, left bool) (*Pending, error) {
 	j := partners[0]
 	rt, st := f.res.Opposite(left, j, &f.sc), ext
 	pair := match.Pair{RIndex: j, SIndex: own.Len()}
-	prev, side, otherSide := f.res.MT.MatchesOfR(j), "R", "S"
+	var buf [1]int
+	prev, side, otherSide := f.res.MT.MatchesOfR(buf[:0], j), "R", "S"
 	if left {
 		rt, st = st, rt
 		pair = match.Pair{RIndex: own.Len(), SIndex: j}
-		prev, side, otherSide = f.res.MT.MatchesOfS(j), "S", "R"
+		prev, side, otherSide = f.res.MT.MatchesOfS(buf[:0], j), "S", "R"
 	}
 	if len(prev) > 0 {
 		return nil, guardError{fmt.Errorf("federate: uniqueness violation: %s tuple %d already matched to %s tuple %d", side, j, otherSide, prev[0]), ErrUniqueness}
@@ -319,7 +320,7 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 // the new ILFD contradicts data or prior knowledge — is reported and
 // the federation keeps its previous state.
 func (f *Federation) AddILFD(fd ilfd.ILFD) error {
-	prevPairs := append([]match.Pair(nil), f.res.MT.Pairs...)
+	prevMT := f.res.MT // a rebuild makes a new table and leaves this one be
 	prev := f.cfg.ILFDs
 	next := make(ilfd.Set, 0, len(prev)+1)
 	next = append(next, prev...)
@@ -332,7 +333,7 @@ func (f *Federation) AddILFD(fd ilfd.ILFD) error {
 		}
 		return err
 	}
-	for _, p := range prevPairs {
+	for p := range prevMT.All() {
 		if !f.res.MT.Contains(p.RIndex, p.SIndex) {
 			err := fmt.Errorf("federate: ILFD %v breaks monotonicity: pair (%d,%d) lost", fd, p.RIndex, p.SIndex)
 			f.cfg.ILFDs = prev
@@ -347,7 +348,7 @@ func (f *Federation) AddILFD(fd ilfd.ILFD) error {
 
 // Pairs returns the current matching pairs.
 func (f *Federation) Pairs() []match.Pair {
-	return append([]match.Pair(nil), f.res.MT.Pairs...)
+	return f.res.MT.Pairs(0, f.res.MT.Len())
 }
 
 // State is a federation's exported mutable state — the matching table
@@ -361,13 +362,6 @@ type State struct {
 	RLen, SLen int
 }
 
-// sortedPairs returns a (RIndex, SIndex)-sorted copy.
-func sortedPairs(ps []match.Pair) []match.Pair {
-	out := append([]match.Pair(nil), ps...)
-	SortPairs(out)
-	return out
-}
-
 // PairsRange returns a copy of matching pairs [lo, hi) in commit
 // order. The matching table is append-only under the hub's commit lock,
 // so what a consistent cut of length hi saw is exactly the table's first
@@ -375,7 +369,7 @@ func sortedPairs(ps []match.Pair) []match.Pair {
 // snapshot capture under briefly-held locks and of runs that never
 // change once full.
 func (f *Federation) PairsRange(lo, hi int) []match.Pair {
-	return append([]match.Pair(nil), f.res.MT.Pairs[lo:hi]...)
+	return f.res.MT.Pairs(lo, hi)
 }
 
 // SortPairs sorts a pair slice into the canonical (RIndex, SIndex)
@@ -394,11 +388,11 @@ func SortPairs(ps []match.Pair) {
 // hub's storage layer spills this form: the table is
 // append-only under the commit lock, so the length-n prefix of a
 // commit-order export reproduces any cut taken at length n — even a
-// cut taken before the export. Restore accepts either form (it sorts
-// before comparing).
+// cut taken before the export. Restore accepts any order of the same
+// pairs.
 func (f *Federation) ExportOrdered() State {
 	return State{
-		Pairs: append([]match.Pair(nil), f.res.MT.Pairs...),
+		Pairs: f.Pairs(),
 		RLen:  f.cfg.R.Len(),
 		SLen:  f.cfg.S.Len(),
 	}
@@ -411,7 +405,10 @@ func (f *Federation) ExportOrdered() State {
 // incremental inserts that produced the state (the package invariant),
 // so any mismatch means the snapshot does not describe these relations
 // — recovery fails closed instead of serving a silently different
-// matching table.
+// matching table. The pairs are compared through the rebuilt table's
+// partner arrays (match.Table.Reorder), with no sorted copy of either:
+// the rebuilt table is sound, so as many saved pairs, each one it
+// contains and no R tuple twice, are the same set.
 func Restore(cfg match.Config, st State) (*Federation, error) {
 	f, err := New(cfg)
 	if err != nil {
@@ -423,23 +420,13 @@ func Restore(cfg match.Config, st State) (*Federation, error) {
 	if got, want := f.cfg.S.Len(), st.SLen; got != want {
 		return nil, fmt.Errorf("federate: restore: S has %d tuples, state expects %d", got, want)
 	}
-	got := sortedPairs(f.res.MT.Pairs)
-	want := sortedPairs(st.Pairs)
-	if len(got) != len(want) {
-		return nil, fmt.Errorf("federate: restore: rebuilt matching table has %d pairs, state expects %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return nil, fmt.Errorf("federate: restore: matching table diverges at pair %d: rebuilt (%d,%d), state (%d,%d)",
-				i, got[i].RIndex, got[i].SIndex, want[i].RIndex, want[i].SIndex)
-		}
-	}
 	// Adopt the state's pair order, not the batch rebuild's: callers
 	// that spill and re-load live federations (the hub's storage tier)
 	// record the table in commit order and read snapshot cuts as
 	// prefixes of it, so the restored table must continue the recorded
-	// order. The two orders hold the same set (just verified), so the
-	// table's indexes are unaffected.
-	f.res.MT.Pairs = append([]match.Pair(nil), st.Pairs...)
+	// order.
+	if err := f.res.MT.Reorder(st.Pairs); err != nil {
+		return nil, fmt.Errorf("federate: restore: %w", err)
+	}
 	return f, nil
 }

@@ -3,6 +3,7 @@ package federate
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -241,7 +242,7 @@ func TestIncrementalEqualsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := f.Pairs()
-	want := batch.MT.Pairs
+	want := slices.Collect(batch.MT.All())
 	sortPairs(got)
 	sortPairs(want)
 	if len(got) != len(want) {
@@ -557,6 +558,63 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	bad.Pairs[0].SIndex = (bad.Pairs[0].SIndex + 1) % cfg.S.Len()
 	if _, err := Restore(cfg, bad); err == nil {
 		t.Fatal("doctored-pair state restored")
+	}
+}
+
+// TestRestoreRefusesAStateThatIsNotTheTable: Restore compares a saved
+// state with the rebuilt table through its partner arrays — as many
+// pairs, each one the table holds, no R tuple twice — so every way a
+// saved table can differ from the rebuilt one is refused: a pair
+// repeated in place of another (same length, every pair held), two
+// pairs with their partners swapped, a pair dropped, a pair added. Any
+// order of the true pairs is accepted and kept.
+func TestRestoreRefusesAStateThatIsNotTheTable(t *testing.T) {
+	f, err := New(example3Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.InsertS(relation.Tuple{s("dragon inn"), s("hunan"), s("hennepin")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.InsertR(relation.Tuple{s("dragon inn"), s("chinese"), s("lake st")}); err != nil {
+		t.Fatal(err)
+	}
+	st := f.ExportOrdered()
+	if len(st.Pairs) < 2 {
+		t.Fatalf("state of %d pairs: too few to doctor", len(st.Pairs))
+	}
+	cfg := example3Config()
+	cfg.R, cfg.S = f.cfg.R.Clone(), f.cfg.S.Clone()
+	slices.Reverse(st.Pairs)
+	g, err := Restore(cfg, st)
+	if err != nil || !slices.Equal(g.Pairs(), st.Pairs) {
+		t.Fatalf("restore of the pairs reversed = %v, %v; want them in that order", err, g.Pairs())
+	}
+	free := match.Pair{RIndex: -1, SIndex: -1} // a pair of tuples neither matched
+	for i := range st.RLen {
+		for j := range st.SLen {
+			if len(g.MT().MatchesOfR(nil, i)) == 0 && len(g.MT().MatchesOfS(nil, j)) == 0 {
+				free = match.Pair{RIndex: i, SIndex: j}
+			}
+		}
+	}
+	if free.RIndex < 0 {
+		t.Fatal("every tuple is matched: no pair to add")
+	}
+	for name, doctor := range map[string]func([]match.Pair) []match.Pair{
+		"repeated in place of another": func(ps []match.Pair) []match.Pair { ps[1] = ps[0]; return ps },
+		"partners swapped": func(ps []match.Pair) []match.Pair {
+			ps[0].SIndex, ps[1].SIndex = ps[1].SIndex, ps[0].SIndex
+			return ps
+		},
+		"dropped": func(ps []match.Pair) []match.Pair { return ps[1:] },
+		"added":   func(ps []match.Pair) []match.Pair { return append(ps, free) },
+	} {
+		bad := st
+		bad.Pairs = doctor(slices.Clone(st.Pairs))
+		if _, err := Restore(cfg, bad); err == nil || !strings.Contains(err.Error(), "federate: restore") {
+			t.Errorf("a saved table with a pair %s: Restore = %v, want a refusal", name, err)
+		}
 	}
 }
 

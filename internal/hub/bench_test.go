@@ -179,7 +179,8 @@ func BenchmarkOpenReplay(b *testing.B) {
 // the runs, re-verify the six pairwise federations, fold their tables
 // into the cluster store once, replay the tail — and closes it. The disk
 // leg's hot tier holds a small share of the clusters, so what the fold
-// publishes spills. fold-ns/op is RecoveryInfo's fold phase.
+// publishes spills. restore-ns/op and fold-ns/op are RecoveryInfo's
+// restore and fold phases.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 4, Entities: 4000, PresenceFrac: 0.6,
@@ -208,7 +209,7 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 			if err := h.Close(); err != nil {
 				b.Fatal(err)
 			}
-			var fold time.Duration
+			var restore, fold time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -219,11 +220,13 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 				if !info.FromSnapshot || info.Replayed != tail {
 					b.Fatalf("opened %+v, want the snapshot and a tail of %d", info, tail)
 				}
+				restore += info.RestoreTime
 				fold += info.FoldTime
 				if err := h.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(restore.Nanoseconds())/float64(b.N), "restore-ns/op")
 			b.ReportMetric(float64(fold.Nanoseconds())/float64(b.N), "fold-ns/op")
 		})
 	}

@@ -33,10 +33,10 @@ import (
 type node = store.Node
 
 // linkTable is one pair's matching table to fold: the ordinals of its
-// left and right sources and its entries.
+// left and right sources and the table, folded in log order.
 type linkTable struct {
 	left, right int
-	pairs       []match.Pair
+	mt          *match.Table
 }
 
 // foldTables folds matching tables into the clusters of sources of the
@@ -52,7 +52,7 @@ type linkTable struct {
 func foldTables(lens []int, tables []linkTable, stored store.Clusters, srcName func(int) string) ([][]node, error) {
 	f := newClusterFold(lens)
 	for _, t := range tables {
-		for _, pr := range t.pairs {
+		for pr := range t.mt.All() {
 			a, b := node{Src: t.left, Idx: pr.RIndex}, node{Src: t.right, Idx: pr.SIndex}
 			var err error
 			if stored != nil {

@@ -9,17 +9,17 @@ import (
 
 // residentCeiling is the live heap a committed tuple may cost a
 // memory-store hub of four fully linked sources, in bytes. On this
-// workload: 600 with each extended image a view over its source tuple
-// that keeps only the derived cells, and every key index positions under
-// a hash; 1,500 with the images whole rows and each index keyed by a
-// joined string; 2,111
-// with each image a second copy filed under its own copy of the source's
-// key strings; 3,101 with every pair holding clones of its two sides.
-// The ceiling sits under the second figure, so either saving leaking
-// back — on any path: Link, insert, page-in — fails here. It is the
-// first row of the README's per-tuple byte budget; lower it when the
-// next owner is cut.
-const residentCeiling = 800
+// workload: 466 with each matching table a partial bijection — an int32
+// pair log and a dense int32 partner array per side; 600 with each table
+// a pair slice beside a pair set and two postings maps; 1,500 with the
+// images whole rows and each index keyed by a joined string; 2,111 with
+// each image a second copy filed under its own copy of the source's key
+// strings; 3,101 with every pair holding clones of its two sides. The
+// ceiling sits at the second figure, so whole-row images or joined key
+// strings coming back — on any path: Link, insert, page-in —
+// fail here. It is the first row of the README's per-tuple byte budget;
+// lower it when the next owner is cut.
+const residentCeiling = 600
 
 // TestResidentBytesPerTuple streams a fixed 4-source workload into a
 // resident hub and divides what the heap then holds by the tuples

@@ -152,7 +152,7 @@ func TestSimHostile(t *testing.T) {
 				filled++
 			}
 		}
-		for _, p := range res.MT.Pairs {
+		for p := range res.MT.All() {
 			if name := res.RPrime.MustValue(p.RIndex, "name"); strings.Contains(name.Str(), joinedSep) {
 				hostile++
 			}

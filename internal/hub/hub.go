@@ -363,7 +363,7 @@ func (h *Hub) resolveLinkLocked(spec PairSpec) (li, ri int, err error) {
 func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federation) error {
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	grown, err := foldTables(h.sourceLens(), []linkTable{{li, ri, fed.MT().Pairs}}, h.clusters, h.sourceName)
+	grown, err := foldTables(h.sourceLens(), []linkTable{{li, ri, fed.MT()}}, h.clusters, h.sourceName)
 	if err != nil {
 		return fmt.Errorf("hub: %w", err)
 	}

@@ -405,9 +405,9 @@ func TestFoldRejectsAChainThroughOneSource(t *testing.T) {
 	seedSource(t, h, "B", nil, []string{"b0"})
 	seedSource(t, h, "C", nil, []string{"c0"}, []string{"c1"})
 	tables := []linkTable{
-		{0, 1, []match.Pair{{RIndex: 0, SIndex: 0}}},
-		{0, 2, []match.Pair{{RIndex: 0, SIndex: 0}}},
-		{1, 2, []match.Pair{{RIndex: 0, SIndex: 1}}},
+		{0, 1, match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 0})},
+		{0, 2, match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 0})},
+		{1, 2, match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 1})},
 	}
 	folded, err := foldTables(h.sourceLens(), tables[:2], nil, h.sourceName)
 	if want := [][]node{{{Src: 0, Idx: 0}, {Src: 1, Idx: 0}, {Src: 2, Idx: 0}}}; err != nil || !reflect.DeepEqual(folded, want) {

@@ -66,22 +66,21 @@ func (h *Hub) CheckInvariants() error {
 			seen[m.Src] = m.Idx
 		}
 	}
-	mts := make([][]match.Pair, len(cut.pairs))
+	mts := make([]*match.Table, len(cut.pairs))
 	for i, cp := range cut.pairs {
-		if mts[i], err = h.copyPairMT(cp); err != nil {
+		ps, err := h.copyPairMT(cp)
+		if err != nil {
 			return fmt.Errorf("hub: invariant: %w", err)
 		}
-		seenR, seenS := map[int]bool{}, map[int]bool{}
-		for _, pr := range mts[i] {
-			if pr.RIndex >= cp.rlen || pr.SIndex >= cp.slen {
+		for _, pr := range ps {
+			if pr.RIndex < 0 || pr.SIndex < 0 || pr.RIndex >= cp.rlen || pr.SIndex >= cp.slen {
 				return fmt.Errorf("hub: invariant: pair %q-%q: entry (%d,%d) lies outside sides of %d and %d tuples",
 					cp.p.spec.Left, cp.p.spec.Right, pr.RIndex, pr.SIndex, cp.rlen, cp.slen)
 			}
-			if seenR[pr.RIndex] || seenS[pr.SIndex] {
-				return fmt.Errorf("hub: invariant: pair %q-%q: uniqueness: entry (%d,%d) matches a tuple already matched",
-					cp.p.spec.Left, cp.p.spec.Right, pr.RIndex, pr.SIndex)
-			}
-			seenR[pr.RIndex], seenS[pr.SIndex] = true, true
+		}
+		// The copy's own table checks uniqueness as it is filled.
+		if mts[i] = match.NewTable(nil, nil, ps...); mts[i].Uniqueness() != nil {
+			return fmt.Errorf("hub: invariant: pair %q-%q: %w", cp.p.spec.Left, cp.p.spec.Right, mts[i].Uniqueness())
 		}
 	}
 	folded, err := foldCut(cut, mts)

@@ -18,6 +18,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"entityid/internal/match"
@@ -200,7 +201,7 @@ func closure(rels []*relation.Relation, links []modelLink) ([][]modelNode, error
 		return parent[x]
 	}
 	for _, l := range links {
-		for _, p := range l.res.MT.Pairs {
+		for p := range l.res.MT.All() {
 			parent[find(base[l.li]+p.RIndex)] = find(base[l.ri] + p.SIndex)
 		}
 	}
@@ -247,7 +248,7 @@ func (m *model) clusters() []Cluster {
 
 // table is a link's matching table, sorted.
 func (l modelLink) table() []match.Pair {
-	return append([]match.Pair(nil), l.res.MT.Pairs...) // Build sorts
+	return slices.Collect(l.res.MT.All()) // Build sorts
 }
 
 // merged is §2's attribute-value-conflict resolution over a cluster: per

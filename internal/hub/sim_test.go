@@ -720,7 +720,7 @@ func (r *simRun) insertItem(it Insert, rec *Receipt, hubErr error) error {
 	at := modelNode{si, r.m.rels[si].Len() - 1}
 	var matched []Member
 	for _, l := range r.m.links {
-		for _, p := range l.res.MT.Pairs {
+		for p := range l.res.MT.All() {
 			switch {
 			case l.li == si && p.RIndex == at[1]:
 				matched = append(matched, Member{Source: r.m.names[l.ri], Index: p.SIndex, Tuple: r.m.rels[l.ri].Tuple(p.SIndex)})

@@ -100,7 +100,7 @@ func (h *Hub) copyPairMT(cp cutPair) ([]match.Pair, error) {
 // cut.pairs[i], with no store beneath: the partition the live cluster
 // store must equal, by the invariant (verified on every load) that it is
 // the transitive closure of the pairwise tables.
-func foldCut(cut *snapshotCut, mts [][]match.Pair) ([][]node, error) {
+func foldCut(cut *snapshotCut, mts []*match.Table) ([][]node, error) {
 	lens := make([]int, len(cut.sources))
 	for i, cs := range cut.sources {
 		lens[i] = cs.n

@@ -150,12 +150,6 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Sc
 // links registered and folded once (foldRestored).
 func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns [][]*decRun, b store.Backend, info *RecoveryInfo) (*Hub, error) {
 	start := time.Now()
-	mts := make([][]match.Pair, len(man.Pairs))
-	for i, runs := range pairRuns {
-		for _, r := range runs {
-			mts[i] = append(mts[i], r.mt...)
-		}
-	}
 	rels := make([]*relation.Relation, len(man.Sources))
 	err := inParallel(len(rels), func(i int) error {
 		src := man.Sources[i]
@@ -198,7 +192,11 @@ func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns 
 		if !ok {
 			return fmt.Errorf("hub: load snapshot: link references unknown source %q", spec.Right)
 		}
-		st := federate.State{RLen: dp.RLen, SLen: dp.SLen, Pairs: mts[i]}
+		st := federate.State{RLen: dp.RLen, SLen: dp.SLen}
+		for _, r := range pairRuns[i] {
+			st.Pairs = append(st.Pairs, r.mt...)
+			r.mt = nil // the federation keeps its own log
+		}
 		fed, err := federate.Restore(h.matchConfig(li, ri, spec), st)
 		if err != nil {
 			return fmt.Errorf("hub: load snapshot: link %q-%q: %w", spec.Left, spec.Right, err)
@@ -211,7 +209,7 @@ func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns 
 	}
 	info.RestoreTime = time.Since(start)
 	start = time.Now()
-	err = h.foldRestored(specs, feds, mts)
+	err = h.foldRestored(specs, feds)
 	info.FoldTime = time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("hub: load snapshot: %w", err)
@@ -220,20 +218,23 @@ func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns 
 }
 
 // foldRestored registers the restored links without folding them, then
-// folds every table in one pass onto the still empty cluster store,
-// publishes each component once and reads the store back: it must hold
-// exactly the fold.
-func (h *Hub) foldRestored(specs []PairSpec, feds []*federate.Federation, mts [][]match.Pair) error {
+// folds every table — each in the saved order its federation adopted —
+// in one pass onto the still empty cluster store, publishes each
+// component once and reads the store back: it must hold exactly the
+// fold.
+func (h *Hub) foldRestored(specs []PairSpec, feds []*federate.Federation) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
+	mts := make([]*match.Table, len(specs))
 	for i, spec := range specs {
 		li, ri, err := h.resolveLinkLocked(spec)
 		if err != nil {
 			return err
 		}
 		h.addPairLocked(spec, li, ri, feds[i])
+		mts[i] = feds[i].MT()
 	}
 	folded, err := foldCut(h.cutLocked(0), mts)
 	if err != nil {

@@ -195,6 +195,9 @@ type dirSink struct {
 	// (a runID at run 0), so planning a snapshot is O(sources+pairs).
 	prev  map[runID][]snapRun
 	stats SnapshotStats
+	// made says snapsecs/ exists: the first run written makes it, once
+	// per snapshot rather than once per run.
+	made bool
 }
 
 // newDirSink indexes the previous manifest (nil for a full write; one
@@ -241,8 +244,11 @@ func (s *dirSink) runs(id runID, n, budget int, from func(lo int) (chunkItems, e
 // write encodes one run into its content-addressed file.
 func (s *dirSink) write(id runID, items chunkItems, budget int) (snapRun, error) {
 	secdir := filepath.Join(s.dir, snapSecDir)
-	if err := s.fs.MkdirAll(secdir, 0o755); err != nil {
-		return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
+	if !s.made {
+		if err := s.fs.MkdirAll(secdir, 0o755); err != nil {
+			return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
+		}
+		s.made = true
 	}
 	tmp, err := s.fs.CreateTemp(secdir, "sec-*.tmp")
 	if err != nil {

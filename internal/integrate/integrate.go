@@ -64,7 +64,7 @@ func Build(res *match.Result) (*Table, error) {
 
 	matchedR := make(map[int]int, res.MT.Len()) // RIndex -> SIndex
 	matchedS := make(map[int]bool, res.MT.Len())
-	for _, p := range res.MT.Pairs {
+	for p := range res.MT.All() {
 		matchedR[p.RIndex] = p.SIndex
 		matchedS[p.SIndex] = true
 	}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"entityid/internal/datagen"
@@ -185,7 +186,7 @@ func TestEngineMatchesReferenceDifferentially(t *testing.T) {
 					shared = shared || nan(res.SPrime)[name]
 				}
 				zeros := 0
-				for _, p := range res.MT.Pairs {
+				for p := range res.MT.All() {
 					switch score := res.RPrime.MustValue(p.RIndex, "score").FloatVal(); {
 					case math.IsNaN(score):
 						t.Fatalf("pair %v matched on a NaN key value", p)
@@ -225,8 +226,8 @@ func TestEngineMatchesReferenceDifferentially(t *testing.T) {
 					t.Fatalf("reference Build: %v", err)
 				}
 
-				if !reflect.DeepEqual(eng.MT.Pairs, ref.MT.Pairs) {
-					t.Fatalf("MT mismatch:\nengine    %v\nreference %v", eng.MT.Pairs, ref.MT.Pairs)
+				if e, r := slices.Collect(eng.MT.All()), slices.Collect(ref.MT.All()); !reflect.DeepEqual(e, r) {
+					t.Fatalf("MT mismatch:\nengine    %v\nreference %v", e, r)
 				}
 				if tc.check != nil {
 					tc.check(t, eng)
@@ -410,10 +411,10 @@ func TestFederationStreamingEqualsBatchWithIdentityRules(t *testing.T) {
 				}
 			}
 
-			got := append([]match.Pair(nil), fed.MT().Pairs...)
+			got, want := fed.Pairs(), slices.Collect(batch.MT.All())
 			federate.SortPairs(got)
-			if !reflect.DeepEqual(got, batch.MT.Pairs) {
-				t.Fatalf("streamed MT != batch MT:\nstreamed %v\nbatch    %v", got, batch.MT.Pairs)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("streamed MT != batch MT:\nstreamed %v\nbatch    %v", got, want)
 			}
 			if err := fed.Result().Verify(); err != nil {
 				t.Fatalf("streamed state unsound: %v", err)

@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -236,22 +235,25 @@ func offsets(sch *schema.Schema, attrs []string) (pos []int, ok bool) {
 	return pos, true
 }
 
-// newProbe resolves the empty index for res: extended-key offsets, and
-// per identity rule its classification, equality offsets and compiled
-// forms.
-func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityRule) error {
+// newProbe resolves the empty index for res over the extended schemas
+// the two extenders produce: extended-key offsets, and per identity rule
+// its classification, equality offsets and compiled forms; each side's
+// indexes have room for the rows Build is about to file (rows). The
+// extended relations themselves (rel) are Build's to fill in as it makes
+// them.
+func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityRule, rows [2]int) error {
 	px := &res.px
 	px.ext = [2]*SideExtender{rExt, sExt}
-	px.rel = [2]*relation.Relation{res.RPrime, res.SPrime}
 	px.rules = make([]probeRule, len(identity))
-	for side, rel := range px.rel {
-		pos, ok := offsets(rel.Schema(), res.extKey)
+	for side, se := range px.ext {
+		pos, ok := offsets(se.sch, res.extKey)
 		if !ok {
-			return fmt.Errorf("match: extended relation %s lacks an attribute of the extended key %v", rel.Schema().Name(), res.extKey)
+			return fmt.Errorf("match: extended relation %s lacks an attribute of the extended key %v", se.sch.Name(), res.extKey)
 		}
 		px.keyPos[side], px.byKey[side] = pos, relation.NewPosIndex()
+		px.byKey[side].Reserve(rows[side])
 	}
-	rs, ss := res.RPrime.Schema(), res.SPrime.Schema()
+	rs, ss := rExt.sch, sExt.sch
 	for n, rule := range identity {
 		pr := &px.rules[n]
 		pr.fwd, pr.rev = rule.Compile(rs, ss), rule.Compile(ss, rs)
@@ -261,6 +263,8 @@ func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityR
 		if pr.scan = len(eq) == 0; !pr.scan && rOK && sOK {
 			pr.pos = [2][]int{rPos, sPos}
 			pr.blocks = [2]*relation.PosIndex{relation.NewPosIndex(), relation.NewPosIndex()}
+			pr.blocks[0].Reserve(rows[0])
+			pr.blocks[1].Reserve(rows[1])
 		}
 	}
 	return nil
@@ -408,9 +412,10 @@ func (res *Result) Opposite(left bool, j int, sc *Scratch) relation.Tuple {
 // ExtendAdmitted built — keeping the cells in which it differs from the
 // source tuple at its position, which the caller has inserted; ext stays
 // the caller's — after checking its shape (on failure everything is as it
-// was), then the index entries under the keys Probe returned for it, and
-// its matching pairs. The side's candidate keys are not looked at: they
-// are the source relation's, which admits the tuple before its image is
+// was), then the index entries under the keys Probe returned for it, its
+// (unmatched) slot in the matching table's partner array, and its
+// matching pairs. The side's candidate keys are not looked at: they are
+// the source relation's, which admits the tuple before its image is
 // appended here.
 func (res *Result) Append(left bool, ext relation.Tuple, keys Keys, pairs []Pair) error {
 	own, _ := sides(left)
@@ -418,6 +423,7 @@ func (res *Result) Append(left bool, ext relation.Tuple, keys Keys, pairs []Pair
 		return err
 	}
 	res.index(own, keys)
+	res.MT.grow(res.RPrime.Len(), res.SPrime.Len())
 	for _, p := range pairs {
 		res.MT.Add(p)
 	}
@@ -561,30 +567,14 @@ func (p *sweepPlan) fires(res *Result, i, j int, rows *sweepRows) bool {
 	return false
 }
 
-// rowMatches returns the sorted matched columns of row i, so the sweep
-// can walk them in step with j instead of hashing every cell.
-func (res *Result) rowMatches(i int) []int {
-	js := res.MT.byR[i]
-	if len(js) == 0 {
-		return nil
-	}
-	out := append([]int(nil), js...)
-	sort.Ints(out)
-	return out
-}
-
 // sweepRow classifies every cell of row i in column order, invoking
-// visit per cell until it returns false.
+// visit per cell until it returns false. Membership is the matching
+// table's partner array: one comparison per cell.
 func (res *Result) sweepRow(plan *sweepPlan, rows *sweepRows, i, cols int, visit func(j int, v Verdict) bool) {
-	mcols := res.rowMatches(i)
-	ptr := 0
 	for j := 0; j < cols; j++ {
-		for ptr < len(mcols) && mcols[ptr] < j {
-			ptr++
-		}
 		var v Verdict
 		switch {
-		case ptr < len(mcols) && mcols[ptr] == j:
+		case res.MT.Contains(i, j):
 			v = Matching
 		case plan.fires(res, i, j, rows):
 			v = NotMatching
@@ -618,7 +608,6 @@ func workerCount(rows int) int {
 // sharded across a worker pool. Tallies are additive, so the merge
 // order cannot affect the result.
 func (res *Result) parallelCounts() (matching, notMatching, undetermined int) {
-	res.MT.index() // freeze the pair index before fan-out
 	rows, cols := res.RPrime.Len(), res.SPrime.Len()
 	if rows == 0 || cols == 0 {
 		return 0, 0, 0
@@ -674,7 +663,6 @@ func (res *Result) parallelCounts() (matching, notMatching, undetermined int) {
 // exit instead — still through the sweep plan, but without
 // classifying cells past the limit the way full-grid sharding would.
 func (res *Result) parallelSweep(want Verdict, limit int) []Pair {
-	res.MT.index()
 	rows, cols := res.RPrime.Len(), res.SPrime.Len()
 	if rows == 0 || cols == 0 {
 		return nil

@@ -215,9 +215,19 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: relational pipeline: %v", label, err)
 					}
-					got, gotConf, err := se.Extend(rel)
+					// Each image Extend hands on is the row it adopts.
+					handed := 0
+					got, gotConf, err := se.Extend(rel, func(i int, ext relation.Tuple) {
+						if i != handed || !ext.Identical(want.Tuple(i)) {
+							t.Fatalf("%s: Extend handed tuple %d as %d: %v, relational pipeline %v", label, handed, i, ext, want.Tuple(i))
+						}
+						handed++
+					})
 					if err != nil {
 						t.Fatalf("%s: Extend: %v", label, err)
+					}
+					if handed != rel.Len() {
+						t.Fatalf("%s: Extend handed on %d images of %d", label, handed, rel.Len())
 					}
 					if !got.Schema().Equal(want.Schema()) {
 						t.Fatalf("%s: extended schema %v, relational pipeline %v", label, got.Schema(), want.Schema())

@@ -36,10 +36,13 @@
 // in reference.go (Config.Naive selects it, and differential tests pin
 // the two paths to identical results).
 //
-//   - Pair index: Table backs its pair list with a hash set plus per-row
-//     and per-column postings, so Contains is O(1) and the uniqueness
-//     half of Verify is a single O(|MT|) pass. The index extends itself
-//     lazily, so append-only mutation of Pairs stays supported.
+//   - Partial bijection: under §3.2 uniqueness a sound matching table
+//     pairs each tuple with at most one partner, so Table keeps its pairs
+//     as an int32 log in the order added and, per side, a dense int32
+//     partner array (-1 for none): Contains is one comparison, a tuple's
+//     partner one read, and the uniqueness half of Verify is checked by
+//     Add as each pair arrives. The few pairs an unchecked table holds in
+//     breach of uniqueness sit in an overflow list beside the arrays.
 //   - Compiled rules: every identity and distinctness rule is compiled
 //     (rules.Compile) against the R′/S′ schemas once per Result, turning
 //     each predicate evaluation into direct tuple-slice indexing instead
@@ -75,6 +78,8 @@ package match
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"sync"
 
@@ -135,72 +140,181 @@ type Pair struct {
 	RIndex, SIndex int
 }
 
-// Table is a matching table (or negative matching table): a set of
-// tuple pairs with the key attributes used to display them.
+// Table is a matching table: the pairs in the order they were added,
+// with the key attributes used to display them. Under §3.2 uniqueness a
+// sound table is a partial bijection between R and S, and it is stored as
+// one: the log of pairs is two int32 columns, and beside it each side has
+// a dense partner array, so membership is one comparison. A pair that
+// finds its R or S tuple already matched breaks uniqueness: it is logged
+// like any other, recorded as the table's violation if it is the first,
+// and kept in a small overflow list instead of the partner arrays. Only
+// an unchecked table — the batch path before Verify, a user assertion —
+// ever holds one; a federation refuses such a pair before adding it.
+// The zero Table is empty and ready to use. Not safe for concurrent
+// mutation; concurrent reads are.
 type Table struct {
 	// RKey and SKey are the source relations' primary keys, whose values
 	// identify the pair (the paper: "a matching table entry consists of
 	// the key values of the pair of tuples").
 	RKey, SKey []string
-	Pairs      []Pair
 
-	// Pair index: a hash set for O(1) Contains plus per-row and
-	// per-column postings for the O(|MT|) uniqueness pass of Verify.
-	// Built lazily and extended incrementally, so code that appends to
-	// Pairs directly (a supported, pre-index idiom) stays correct; idxLen
-	// is how many Pairs entries have been absorbed. Not safe for
-	// concurrent mutation; concurrent reads after an index() call are.
-	set    map[Pair]struct{}
-	byR    map[int][]int
-	byS    map[int][]int
-	idxLen int
+	// r and s are the log: pair k is (r[k], s[k]).
+	r, s []int32
+	// rOf[i] is the S position matched to R tuple i and sOf[j] the R
+	// position matched to S tuple j, -1 for none.
+	rOf, sOf []int32
+	// over holds, in log order, the pairs that found a slot taken, and
+	// unique describes the first of them; both are nil on a sound table.
+	over   []Pair
+	unique error
+}
+
+// NewTable returns a table of the given key attributes holding pairs,
+// added in order.
+func NewTable(rKey, sKey []string, pairs ...Pair) *Table {
+	t := &Table{RKey: rKey, SKey: sKey}
+	for _, p := range pairs {
+		t.Add(p)
+	}
+	return t
 }
 
 // Len returns the number of pairs.
-func (t *Table) Len() int { return len(t.Pairs) }
+func (t *Table) Len() int { return len(t.r) }
 
-// index brings the pair index up to date with Pairs.
-func (t *Table) index() {
-	if t.set == nil {
-		t.set = make(map[Pair]struct{}, len(t.Pairs))
-		t.byR = make(map[int][]int, len(t.Pairs))
-		t.byS = make(map[int][]int, len(t.Pairs))
-	}
-	for ; t.idxLen < len(t.Pairs); t.idxLen++ {
-		p := t.Pairs[t.idxLen]
-		t.set[p] = struct{}{}
-		t.byR[p.RIndex] = append(t.byR[p.RIndex], p.SIndex)
-		t.byS[p.SIndex] = append(t.byS[p.SIndex], p.RIndex)
+// At returns pair k of the log.
+func (t *Table) At(k int) Pair { return Pair{RIndex: int(t.r[k]), SIndex: int(t.s[k])} }
+
+// All yields the pairs in log order.
+func (t *Table) All() iter.Seq[Pair] {
+	return func(yield func(Pair) bool) {
+		for k := range t.r {
+			if !yield(t.At(k)) {
+				return
+			}
+		}
 	}
 }
+
+// Pairs returns a copy of pairs [lo, hi) of the log, nil if that is
+// empty.
+func (t *Table) Pairs(lo, hi int) []Pair {
+	if lo == hi {
+		return nil
+	}
+	out := make([]Pair, hi-lo)
+	for k := range out {
+		out[k] = t.At(lo + k)
+	}
+	return out
+}
+
+// grow extends the partner arrays, unmatched, to cover rLen R tuples and
+// sLen S tuples.
+func (t *Table) grow(rLen, sLen int) {
+	t.rOf = growPartners(t.rOf, rLen)
+	t.sOf = growPartners(t.sOf, sLen)
+}
+
+func growPartners(of []int32, n int) []int32 {
+	if n <= len(of) {
+		return of
+	}
+	of = slices.Grow(of, n-len(of))
+	for len(of) < n {
+		of = append(of, -1)
+	}
+	return of
+}
+
+// Add appends a pair to the log. If its R or S tuple is already matched
+// the table stops being sound: Uniqueness reports the first such pair.
+func (t *Table) Add(p Pair) {
+	t.grow(p.RIndex+1, p.SIndex+1)
+	t.r, t.s = append(t.r, int32(p.RIndex)), append(t.s, int32(p.SIndex))
+	j, i := t.rOf[p.RIndex], t.sOf[p.SIndex]
+	switch {
+	case j < 0 && i < 0:
+		t.rOf[p.RIndex], t.sOf[p.SIndex] = int32(p.SIndex), int32(p.RIndex)
+		return
+	case t.unique != nil:
+	case j >= 0:
+		t.unique = fmt.Errorf("match: %w: R tuple %d matches S tuples %d and %d", ErrUniqueness, p.RIndex, j, p.SIndex)
+	default:
+		t.unique = fmt.Errorf("match: %w: S tuple %d matches R tuples %d and %d", ErrUniqueness, p.SIndex, i, p.RIndex)
+	}
+	t.over = append(t.over, p)
+}
+
+// Uniqueness returns the table's first §3.2 uniqueness violation — the
+// first pair, in log order, whose R or S tuple an earlier pair had
+// matched — or nil if it has none.
+func (t *Table) Uniqueness() error { return t.unique }
 
 // Contains reports whether the pair (i, j) is in the table.
 func (t *Table) Contains(i, j int) bool {
-	t.index()
-	_, ok := t.set[Pair{RIndex: i, SIndex: j}]
-	return ok
-}
-
-// Add appends a pair, keeping the index current.
-func (t *Table) Add(p Pair) {
-	t.Pairs = append(t.Pairs, p)
-	if t.set != nil {
-		t.index()
+	if uint(i) < uint(len(t.rOf)) && int(t.rOf[i]) == j && j >= 0 {
+		return true
 	}
+	return t.over != nil && slices.Contains(t.over, Pair{RIndex: i, SIndex: j})
 }
 
-// MatchesOfR returns the S positions matched to R tuple i (shared; do
-// not mutate).
-func (t *Table) MatchesOfR(i int) []int {
-	t.index()
-	return t.byR[i]
+// MatchesOfR appends to dst the S positions matched to R tuple i, in log
+// order: at most one on a sound table.
+func (t *Table) MatchesOfR(dst []int, i int) []int {
+	return t.matchesOf(dst, i, t.rOf, t.r, t.s)
 }
 
-// MatchesOfS returns the R positions matched to S tuple j (shared; do
-// not mutate).
-func (t *Table) MatchesOfS(j int) []int {
-	t.index()
-	return t.byS[j]
+// MatchesOfS appends to dst the R positions matched to S tuple j, in log
+// order: at most one on a sound table.
+func (t *Table) MatchesOfS(dst []int, j int) []int {
+	return t.matchesOf(dst, j, t.sOf, t.s, t.r)
+}
+
+// matchesOf reads one side's partner array, or — on an unsound table,
+// where a tuple may have several partners — scans the log.
+func (t *Table) matchesOf(dst []int, i int, of, own, other []int32) []int {
+	if t.over == nil {
+		if uint(i) < uint(len(of)) && of[i] >= 0 {
+			dst = append(dst, int(of[i]))
+		}
+		return dst
+	}
+	for k, x := range own {
+		if int(x) == i {
+			dst = append(dst, int(other[k]))
+		}
+	}
+	return dst
+}
+
+// Reorder rewrites the log into the order of ps, provided ps holds the
+// table's pairs: as many, each one the table contains, and no R position
+// twice. On a sound table those are the same set, so the partner arrays
+// stand as they are. Otherwise the table is left unchanged and the first
+// discrepancy is returned.
+func (t *Table) Reorder(ps []Pair) error {
+	if t.unique != nil {
+		return t.unique
+	}
+	if len(ps) != t.Len() {
+		return fmt.Errorf("match: reorder: %d pairs given, the table holds %d", len(ps), t.Len())
+	}
+	seen := make([]uint64, (len(t.rOf)+63)/64)
+	for k, p := range ps {
+		if !t.Contains(p.RIndex, p.SIndex) {
+			return fmt.Errorf("match: reorder: pair %d (%d,%d) is not in the table", k, p.RIndex, p.SIndex)
+		}
+		w, bit := p.RIndex/64, uint64(1)<<(p.RIndex%64)
+		if seen[w]&bit != 0 {
+			return fmt.Errorf("match: reorder: pair %d (%d,%d) repeats R tuple %d", k, p.RIndex, p.SIndex, p.RIndex)
+		}
+		seen[w] |= bit
+	}
+	for k, p := range ps {
+		t.r[k], t.s[k] = int32(p.RIndex), int32(p.SIndex)
+	}
+	return nil
 }
 
 // Verdict is the three-valued outcome of the identification function
@@ -294,23 +408,20 @@ func Build(cfg Config) (*Result, error) {
 		}
 	}
 
-	rExt, rPrime, rConf, err := extendSide(cfg, true)
+	rExt, err := NewSideExtender(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sExt, sPrime, sConf, err := extendSide(cfg, false)
+	sExt, err := NewSideExtender(cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		RPrime: rPrime,
-		SPrime: sPrime,
-		// Key attribute names are taken from the extended relations, so
-		// they reflect integrated names after renaming.
-		MT:        &Table{RKey: rPrime.Schema().PrimaryKey(), SKey: sPrime.Schema().PrimaryKey()},
-		Conflicts: append(rConf, sConf...),
-		extKey:    append([]string(nil), cfg.ExtKey...),
-		naive:     cfg.Naive,
+		// Key attribute names are taken from the extended schemas, so they
+		// reflect integrated names after renaming.
+		MT:     &Table{RKey: rExt.sch.PrimaryKey(), SKey: sExt.sch.PrimaryKey()},
+		extKey: append([]string(nil), cfg.ExtKey...),
+		naive:  cfg.Naive,
 	}
 	res.distinct = append(res.distinct, cfg.Distinct...)
 	if !cfg.DisableProp1 {
@@ -318,44 +429,47 @@ func Build(cfg Config) (*Result, error) {
 			res.distinct = append(res.distinct, rules.ToDistinctness(f)...)
 		}
 	}
-	if err := res.newProbe(rExt, sExt, cfg.Identity); err != nil {
+	if err := res.newProbe(rExt, sExt, cfg.Identity, [2]int{cfg.R.Len(), cfg.S.Len()}); err != nil {
 		return nil, err
 	}
 
-	// The matching step. Index S′, then give each R′ tuple the probe an
-	// arriving tuple gets (engine.go) and index it too; the reference
-	// path fills the same index, for the inserts that may follow, but
-	// reads its pairs off nested loops (reference.go). Rows are read
-	// through one scratch row.
-	var row relation.Tuple
-	var sc Scratch
-	for j := 0; j < sPrime.Len(); j++ {
-		row = sPrime.TupleInto(row, j)
-		res.index(1, res.keys(1, row))
-	}
-	var pairs []Pair
-	for i := 0; i < rPrime.Len(); i++ {
-		row = rPrime.TupleInto(row, i)
-		if cfg.Naive {
-			res.index(0, res.keys(0, row))
-			continue
-		}
-		partners, keys := res.Probe(true, row, &sc)
-		res.index(0, keys)
-		for _, j := range partners {
-			pairs = append(pairs, Pair{RIndex: i, SIndex: j})
-		}
-	}
-	if cfg.Naive {
-		pairs = referencePairs(rPrime, sPrime, cfg.ExtKey, cfg.Identity)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].RIndex != pairs[b].RIndex {
-			return pairs[a].RIndex < pairs[b].RIndex
-		}
-		return pairs[a].SIndex < pairs[b].SIndex
+	// The matching step, run on each image while Extend still holds it.
+	// Index S′, then give each R′ tuple the probe an arriving tuple gets
+	// (engine.go) and index it too; the reference path fills the same
+	// index, for the inserts that may follow, but reads its pairs off
+	// nested loops (reference.go).
+	var sConf, rConf []derive.Conflict
+	res.SPrime, sConf, err = sExt.Extend(cfg.S, func(_ int, ext relation.Tuple) {
+		res.index(1, res.keys(1, ext))
 	})
-	res.MT.Pairs = pairs
+	if err != nil {
+		return nil, err
+	}
+	res.px.rel[1] = res.SPrime
+	res.MT.grow(cfg.R.Len(), res.SPrime.Len())
+	var sc Scratch
+	res.RPrime, rConf, err = rExt.Extend(cfg.R, func(i int, ext relation.Tuple) {
+		if cfg.Naive {
+			res.index(0, res.keys(0, ext))
+			return
+		}
+		partners, keys := res.Probe(true, ext, &sc)
+		res.index(0, keys)
+		slices.Sort(partners) // rows are added in order: the table is sorted
+		for _, j := range partners {
+			res.MT.Add(Pair{RIndex: i, SIndex: j})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.px.rel[0] = res.RPrime
+	res.Conflicts = append(rConf, sConf...)
+	if cfg.Naive {
+		for _, p := range referencePairs(res.RPrime, res.SPrime, cfg.ExtKey, cfg.Identity) {
+			res.MT.Add(p)
+		}
+	}
 	return res, nil
 }
 
@@ -456,8 +570,10 @@ func (se *SideExtender) extendInto(dst, t relation.Tuple) (relation.Tuple, []der
 // the side's source schema: an image relation (relation.NewImage) over
 // rel, whose row i keeps what the image of rel's tuple i adds to it. rel
 // has admitted its tuples — shape and keys — and goes on guarding them;
-// conflicts carry the position of the tuple they arose in.
-func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []derive.Conflict, error) {
+// conflicts carry the position of the tuple they arose in. each is handed
+// every image, whole, as its row is adopted — Build probes and indexes it
+// there rather than read the row back — and must not keep it.
+func (se *SideExtender) Extend(rel *relation.Relation, each func(i int, ext relation.Tuple)) (*relation.Relation, []derive.Conflict, error) {
 	if !rel.Schema().Equal(se.src) {
 		return nil, nil, fmt.Errorf("match: extend: relation %s does not have the side's source schema %s", rel.Schema(), se.src)
 	}
@@ -479,23 +595,9 @@ func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []de
 		if err := out.Adopt(ext); err != nil {
 			return nil, nil, fmt.Errorf("match: extend: %w", err)
 		}
+		each(i, ext)
 	}
 	return out, conflicts, nil
-}
-
-// extendSide resolves one side's extender and builds its extended
-// relation.
-func extendSide(cfg Config, left bool) (*SideExtender, *relation.Relation, []derive.Conflict, error) {
-	se, err := NewSideExtender(cfg, left)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rel := cfg.S
-	if left {
-		rel = cfg.R
-	}
-	ext, conflicts, err := se.Extend(rel)
-	return se, ext, conflicts, err
 }
 
 // consequentKind infers an attribute's kind from ILFD consequents.
@@ -529,31 +631,19 @@ var (
 // describes the first violation (the prototype's "unsound matching
 // result" warning).
 //
-// Both halves are a single pass over the matching table: uniqueness via
-// O(1) seen-maps, consistency via the compiled distinctness rules
-// (interpreted rules under Config.Naive).
+// Uniqueness was checked as each pair was added (Table.Add), so what is
+// left is one pass over the matching table with the compiled
+// distinctness rules (interpreted rules under Config.Naive).
 func (res *Result) Verify() error {
-	res.MT.index()
-	seenR := make(map[int]int, len(res.MT.Pairs))
-	seenS := make(map[int]int, len(res.MT.Pairs))
-	for _, p := range res.MT.Pairs {
-		if j, dup := seenR[p.RIndex]; dup {
-			return fmt.Errorf("match: %w: R tuple %d matches S tuples %d and %d",
-				ErrUniqueness, p.RIndex, j, p.SIndex)
-		}
-		seenR[p.RIndex] = p.SIndex
-		if i, dup := seenS[p.SIndex]; dup {
-			return fmt.Errorf("match: %w: S tuple %d matches R tuples %d and %d",
-				ErrUniqueness, p.SIndex, i, p.RIndex)
-		}
-		seenS[p.SIndex] = p.RIndex
+	if err := res.MT.Uniqueness(); err != nil {
+		return err
 	}
 	if res.naive {
 		return res.referenceVerifyConsistency()
 	}
 	eng := res.engine()
 	var rt, st relation.Tuple
-	for _, p := range res.MT.Pairs {
+	for p := range res.MT.All() {
 		rt, st = res.RPrime.TupleInto(rt, p.RIndex), res.SPrime.TupleInto(st, p.SIndex)
 		if name, fires := eng.distinctFiresNamed(rt, st); fires {
 			return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
@@ -641,7 +731,7 @@ func (res *Result) RenderMT(title string) string {
 		header = append(header, "s_"+a)
 	}
 	var rows []relation.Tuple
-	for _, p := range res.MT.Pairs {
+	for p := range res.MT.All() {
 		row := make(relation.Tuple, 0, len(header))
 		for _, a := range res.MT.RKey {
 			row = append(row, res.RPrime.MustValue(p.RIndex, a))

@@ -49,7 +49,7 @@ func TestBuildTable7(t *testing.T) {
 	want := paperdata.Table7Expected()
 	for _, w := range want {
 		found := false
-		for _, p := range res.MT.Pairs {
+		for p := range res.MT.All() {
 			rName := res.RPrime.MustValue(p.RIndex, "name").Str()
 			rCui := res.RPrime.MustValue(p.RIndex, "cuisine").Str()
 			sName := res.SPrime.MustValue(p.SIndex, "name").Str()
@@ -149,7 +149,7 @@ func TestExample2Table3(t *testing.T) {
 	if res.MT.Len() != 1 {
 		t.Fatalf("MT has %d pairs, want 1", res.MT.Len())
 	}
-	p := res.MT.Pairs[0]
+	p := res.MT.At(0)
 	if got := res.RPrime.MustValue(p.RIndex, "cuisine").Str(); got != "Indian" {
 		t.Errorf("matched R cuisine = %q, want Indian (Table 3)", got)
 	}
@@ -469,7 +469,7 @@ func TestExtraIdentityRule(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	if res.MT.Len() != 1 || !res.MT.Contains(0, 0) {
-		t.Errorf("MT = %v, want the r1 pair (0,0)", res.MT.Pairs)
+		t.Errorf("MT = %v, want the r1 pair (0,0)", res.MT.Pairs(0, res.MT.Len()))
 	}
 
 	// Negative case: Example 3's R holds two Chinese restaurants, so r1
@@ -518,7 +518,7 @@ func TestRenderMT(t *testing.T) {
 }
 
 func TestTableContains(t *testing.T) {
-	tab := &Table{Pairs: []Pair{{RIndex: 1, SIndex: 2}}}
+	tab := NewTable(nil, nil, Pair{RIndex: 1, SIndex: 2})
 	if !tab.Contains(1, 2) || tab.Contains(2, 1) {
 		t.Error("Contains wrong")
 	}

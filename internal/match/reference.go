@@ -45,10 +45,11 @@ func referencePairs(rp, sp *relation.Relation, extKey []string, identity []rules
 	return out
 }
 
-// referenceContains is the linear-scan table membership test.
+// referenceContains is the linear-scan table membership test: it reads
+// the table's log, never its partner arrays.
 func (res *Result) referenceContains(i, j int) bool {
-	for _, p := range res.MT.Pairs {
-		if p.RIndex == i && p.SIndex == j {
+	for p := range res.MT.All() {
+		if p == (Pair{RIndex: i, SIndex: j}) {
 			return true
 		}
 	}
@@ -127,7 +128,7 @@ func (res *Result) referenceSweep(want Verdict, limit int) []Pair {
 // Verify.
 func (res *Result) referenceVerifyConsistency() error {
 	rows := res.referenceRows()
-	for _, p := range res.MT.Pairs {
+	for p := range res.MT.All() {
 		for _, d := range res.distinct {
 			if res.distinctHolds(d, rows.r[p.RIndex], rows.s[p.SIndex]) {
 				return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",

@@ -29,7 +29,7 @@ type Score struct {
 func Evaluate(mt *match.Table, truth TruthSet) Score {
 	var sc Score
 	seen := map[[2]int]bool{}
-	for _, p := range mt.Pairs {
+	for p := range mt.All() {
 		k := [2]int{p.RIndex, p.SIndex}
 		if seen[k] {
 			continue

@@ -12,7 +12,7 @@ import (
 func mt(pairs ...[2]int) *match.Table {
 	t := &match.Table{}
 	for _, p := range pairs {
-		t.Pairs = append(t.Pairs, match.Pair{RIndex: p[0], SIndex: p[1]})
+		t.Add(match.Pair{RIndex: p[0], SIndex: p[1]})
 	}
 	return t
 }

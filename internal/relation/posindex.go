@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 
 	"entityid/internal/value"
 )
@@ -68,6 +69,16 @@ func (ix *PosIndex) Hash(t Tuple, cols []int) uint64 {
 		h = ix.mix(h, t[c])
 	}
 	return h
+}
+
+// Reserve makes room for n more positions, so an index about to file a
+// known number of rows does not grow on the way; an index already
+// holding filed positions keeps its map as it is.
+func (ix *PosIndex) Reserve(n int) {
+	if len(ix.last) == 0 {
+		ix.last = make(map[uint64]int32, n)
+	}
+	ix.prev = slices.Grow(ix.prev, n)
 }
 
 // Add gives the next position to a row whose projection hashed to h:
