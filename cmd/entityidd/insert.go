@@ -107,17 +107,6 @@ func soleLine(body []byte) (line []byte, lineNo int, ok bool) {
 	return line, lineNo, ok
 }
 
-// appendErrorLine renders the result line of a failed insert line: in
-// place ({"error":…,"ok":false}) or, when terminal, ending the response.
-func appendErrorLine(b []byte, err error, terminal bool) []byte {
-	m := map[string]any{"ok": false, "error": err.Error()}
-	if terminal {
-		m["terminal"] = true
-	}
-	j, _ := json.Marshal(m) // a map of strings and bools always marshals
-	return append(append(b, j...), '\n')
-}
-
 // insertLineMeta carries one body line's fate from the decoder to the
 // writer, in line order: a parse error reported in place, a terminal
 // stream failure (malformed framing, body cap), or a line that went to

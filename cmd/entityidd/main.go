@@ -223,9 +223,11 @@ const (
 	// defaultMaxInsertBody caps /v1/insert bodies unless -max-insert-body
 	// overrides it.
 	defaultMaxInsertBody = 64 << 20
-	// clustersFlushEvery bounds how many NDJSON cluster lines buffer
-	// before an explicit flush, so long enumerations stream progressively.
-	clustersFlushEvery = 64
+	// clustersWriteBytes is how much of a /v1/clusters stream is rendered
+	// before it is written and flushed: enough lines that a write costs
+	// next to nothing per cluster, few enough that a long enumeration
+	// still streams.
+	clustersWriteBytes = 32 << 10
 	// insertFlushEvery bounds how many /v1/insert ack lines buffer
 	// before an explicit flush during a sustained bulk load; when the
 	// request body trickles, acks flush as soon as the decoder idles.

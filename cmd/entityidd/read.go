@@ -4,8 +4,10 @@
 // answers 500 — or, once a stream's 200 is out, ends it with a terminal line.
 //
 // /v1/clusters streams one cluster per NDJSON line with bounded memory
-// — the enumeration never materialises the hub — flushes periodically,
-// stops as soon as the client disconnects, and paginates: pass limit=N
+// — the enumeration never materialises the hub, and lends each cluster
+// to the handler only while it renders the line — writes and flushes
+// once per clustersWriteBytes of lines, stops as soon as the client
+// disconnects, and paginates: pass limit=N
 // for one page and resume with the returned next_cursor (the ID of the
 // last cluster seen); offset=N skips N clusters first. Under
 // concurrent ingest the enumeration is weakly consistent (each line is
@@ -14,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -67,10 +68,13 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusters streams the cluster enumeration as NDJSON with
-// bounded memory: one cluster is materialised at a time, the response
-// is flushed periodically, and the scan stops as soon as the client
-// disconnects or a write fails. limit/cursor paginate (a final
-// next_cursor line marks a truncated page); offset skips clusters.
+// bounded memory: one cluster is materialised at a time and rendered
+// into the pooled buffer, which is written and flushed whenever it
+// passes clustersWriteBytes and once at the end, and the scan stops as
+// soon as the client disconnects or a write fails. limit/cursor paginate
+// (a final next_cursor line marks a truncated page); offset skips
+// clusters. Whatever ends the stream — the last line, a next_cursor line
+// or a terminal one — goes out after every line rendered before it.
 func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	merge := q.Get("merge")
@@ -88,6 +92,16 @@ func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	sc.out = sc.out[:0]
+	// send writes and flushes the rendered lines; false: the client is gone.
+	send := func() bool {
+		_, err := w.Write(sc.out)
+		sc.out = sc.out[:0]
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return err == nil
+	}
 	emitted, truncated, aborted := 0, false, false
 	var last string
 	walkErr := s.hub.ClustersWalk(q.Get("cursor"), offset, func(cl entityid.EntityCluster, resume string) bool {
@@ -104,15 +118,12 @@ func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		if emitted == 0 {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
-		sc.out = append(s.appendCluster(sc.out[:0], cl, merge), '\n')
-		if _, err := w.Write(sc.out); err != nil {
-			aborted = true // write failed (client disconnected)
-			return false
-		}
+		sc.out = append(s.appendCluster(sc.out, cl, merge), '\n')
 		emitted++
 		last = resume
-		if flusher != nil && emitted%clustersFlushEvery == 0 {
-			flusher.Flush()
+		if len(sc.out) >= clustersWriteBytes && !send() {
+			aborted = true // write failed (client disconnected)
+			return false
 		}
 		return true
 	})
@@ -122,22 +133,24 @@ func (s *server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		httpHubError(w, http.StatusInternalServerError, walkErr)
 		return
 	default:
-		// The 200 and emitted lines are out: a read that fails now (the
+		// The 200 and a first line are committed: a read that fails now (the
 		// store could not page a record in) ends the stream the way
 		// /v1/insert ends a torn one, with one terminal line.
-		json.NewEncoder(w).Encode(map[string]any{"error": walkErr.Error(), "terminal": true})
+		sc.out = appendScanError(sc.out, walkErr)
+		send()
 		return
 	}
-	if aborted {
+	switch {
+	case aborted:
 		return
-	}
-	if truncated {
-		json.NewEncoder(w).Encode(map[string]any{"next_cursor": last})
-		return
-	}
-	// An empty enumeration still answers as NDJSON.
-	if emitted == 0 {
+	case truncated:
+		sc.out = appendNextCursor(sc.out, last)
+	case emitted == 0:
+		// An empty enumeration still answers as NDJSON.
 		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
+	if len(sc.out) > 0 {
+		w.Write(sc.out) // a failed write means the client is gone
 	}
 }
 

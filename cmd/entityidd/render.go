@@ -1,16 +1,18 @@
-// The one renderer of everything that shows a cluster: insert acks,
-// GET /v1/cluster and each /v1/clusters line are appended into a
-// caller-owned []byte, with no intermediate map and no reflection. A
-// member's tuple is the tuple codec's bytes (relation.AppendTupleJSON —
-// what the log and the snapshots hold too); this file is the objects
-// around them. The output is byte for byte what encoding/json writes for
-// the sorted-key map form of the same cluster (kept in render_test.go as
-// the reference the property test and FuzzClusterJSON hold this file and
-// the codec's appenders against) — string escaping and float form
-// included.
+// The one renderer of every line the daemon answers with past its
+// control plane: insert acks and refused insert lines, GET /v1/cluster,
+// and each /v1/clusters line with the next_cursor or terminal line that
+// ends a stream, are appended into a caller-owned []byte, with no
+// intermediate map and no reflection. A member's tuple is the tuple
+// codec's bytes (relation.AppendTupleJSON — what the log and the
+// snapshots hold too); this file is the objects around them. The output
+// is byte for byte what encoding/json writes for the sorted-key map form
+// of the same line (kept in render_test.go as the reference the property
+// test and FuzzClusterJSON hold this file and the codec's appenders
+// against) — string escaping and float form included.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -20,9 +22,45 @@ import (
 	"entityid/internal/value"
 )
 
+// srcJSON is a source name and the JSON string it renders as.
+type srcJSON struct {
+	name string
+	json []byte
+}
+
+// maxSrcJSON bounds the source names a server keeps rendered: a hub's
+// sources with room to spare. A name past it is escaped each time.
+const maxSrcJSON = 64
+
+// appendSource appends a member's source name as a JSON string, copying
+// the bytes the server escaped the first time it rendered that name. The
+// list only grows, copy-on-write, so readers need no lock; two renders
+// racing to add one name may escape it once more.
+func (s *server) appendSource(b []byte, name string) []byte {
+	known := s.srcNames.Load()
+	if known != nil {
+		for _, e := range *known {
+			if e.name == name {
+				return append(b, e.json...)
+			}
+		}
+	}
+	start := len(b)
+	b = value.AppendJSONString(b, name)
+	if known == nil || len(*known) < maxSrcJSON {
+		var grown []srcJSON
+		if known != nil {
+			grown = slices.Clip(*known)
+		}
+		grown = append(grown, srcJSON{name: name, json: bytes.Clone(b[start:])})
+		s.srcNames.CompareAndSwap(known, &grown)
+	}
+	return b
+}
+
 // appendMembers renders a member list as an array of
 // {"index":…,"source":…,"tuple":[…]} objects.
-func appendMembers(b []byte, ms []entityid.ClusterMember) []byte {
+func (s *server) appendMembers(b []byte, ms []entityid.ClusterMember) []byte {
 	b = append(b, '[')
 	for i, m := range ms {
 		if i > 0 {
@@ -31,7 +69,7 @@ func appendMembers(b []byte, ms []entityid.ClusterMember) []byte {
 		b = append(b, `{"index":`...)
 		b = strconv.AppendInt(b, int64(m.Index), 10)
 		b = append(b, `,"source":`...)
-		b = value.AppendJSONString(b, m.Source)
+		b = s.appendSource(b, m.Source)
 		b = append(b, `,"tuple":`...)
 		b = relation.AppendTupleJSON(b, m.Tuple)
 		b = append(b, '}')
@@ -69,7 +107,7 @@ func (s *server) appendCluster(b []byte, cl entityid.EntityCluster, merge string
 	b = append(b, `"id":`...)
 	b = value.AppendJSONString(b, cl.ID)
 	b = append(b, `,"members":`...)
-	b = appendMembers(b, cl.Members)
+	b = s.appendMembers(b, cl.Members)
 	if mergeErr != "" {
 		b = append(b, `,"merge_error":`...)
 		b = value.AppendJSONString(b, mergeErr)
@@ -101,6 +139,34 @@ func (s *server) appendAck(b []byte, rec *entityid.HubReceipt) []byte {
 	b = append(b, `,"index":`...)
 	b = strconv.AppendInt(b, int64(rec.Index), 10)
 	b = append(b, `,"matched":`...)
-	b = appendMembers(b, rec.Matched)
+	b = s.appendMembers(b, rec.Matched)
 	return append(b, `,"ok":true}`+"\n"...)
+}
+
+// appendErrorLine renders the result line of a refused insert line: in
+// place ({"error":…,"ok":false}) or, when terminal, ending the response.
+func appendErrorLine(b []byte, err error, terminal bool) []byte {
+	b = append(b, `{"error":`...)
+	b = value.AppendJSONString(b, err.Error())
+	b = append(b, `,"ok":false`...)
+	if terminal {
+		b = append(b, `,"terminal":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendNextCursor renders the line that ends a truncated /v1/clusters
+// page: {"next_cursor":…}.
+func appendNextCursor(b []byte, cursor string) []byte {
+	b = append(b, `{"next_cursor":`...)
+	b = value.AppendJSONString(b, cursor)
+	return append(b, "}\n"...)
+}
+
+// appendScanError renders the terminal line of a /v1/clusters stream a
+// storage read broke off: {"error":…,"terminal":true}.
+func appendScanError(b []byte, err error) []byte {
+	b = append(b, `{"error":`...)
+	b = value.AppendJSONString(b, err.Error())
+	return append(b, `,"terminal":true}`+"\n"...)
 }

@@ -2,12 +2,14 @@ package main
 
 // The renderer (render.go) is held to the form it replaced: the
 // sorted-key map rendering below, encoded by encoding/json, is the
-// reference, and every line the new writer produces — acks, point reads,
-// enumeration lines — must equal it byte for byte.
+// reference, and every line the new writer produces — acks, refused
+// insert lines, point reads, enumeration lines and the next_cursor and
+// terminal lines that end a stream — must equal it byte for byte.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -222,11 +224,34 @@ func checkRender(t *testing.T, srv *server, cl entityid.EntityCluster, matched [
 	}
 }
 
+// checkMessageLines compares the three lines that carry one message —
+// a refused insert line in place and terminal, a page's next_cursor, a
+// broken scan's terminal line — with the reference maps the handlers
+// used to encode.
+func checkMessageLines(t *testing.T, msg string) {
+	t.Helper()
+	err := errors.New(msg)
+	for _, c := range []struct {
+		name string
+		got  []byte
+		ref  map[string]any
+	}{
+		{"refused insert line", appendErrorLine(nil, err, false), map[string]any{"ok": false, "error": msg}},
+		{"terminal insert line", appendErrorLine(nil, err, true), map[string]any{"ok": false, "error": msg, "terminal": true}},
+		{"next_cursor line", appendNextCursor(nil, msg), map[string]any{"next_cursor": msg}},
+		{"terminal scan line", appendScanError(nil, err), map[string]any{"error": msg, "terminal": true}},
+	} {
+		if want := refLine(t, c.ref); !bytes.Equal(c.got, want) {
+			t.Fatalf("%s differs from the reference:\n got %s\nwant %s", c.name, c.got, want)
+		}
+	}
+}
+
 // TestRenderMatchesReference is the property test: random clusters and
 // receipts over every value kind, every string an escaper can get wrong,
 // the float forms encoding/json switches between, int64 extremes, NULL,
 // an empty matched list, every merge strategy, conflicts and
-// merge_error.
+// merge_error; and the message lines over the same strings.
 func TestRenderMatchesReference(t *testing.T) {
 	srv := renderHub(t)
 	r := rand.New(rand.NewSource(20))
@@ -238,6 +263,7 @@ func TestRenderMatchesReference(t *testing.T) {
 			matched = append(matched, randMember(r, r.Intn(2) == 0))
 		}
 		checkRender(t, srv, cl, matched)
+		checkMessageLines(t, randString(r))
 		for _, merge := range []string{"coalesce", "strict"} {
 			for k := range srv.clusterJSON(cl, merge) {
 				seen[k] = true
@@ -324,5 +350,6 @@ func FuzzClusterJSON(f *testing.F) {
 			cl.Members = append(cl.Members, entityid.ClusterMember{Source: "?" + s2, Index: int(shape), Tuple: other[:int(shape>>4)%6]})
 		}
 		checkRender(t, srv, cl, cl.Members[1:])
+		checkMessageLines(t, s1)
 	})
 }

@@ -67,6 +67,9 @@ type server struct {
 	// logf writes the access log and panic reports; a seam so tests can
 	// capture log output.
 	logf func(format string, args ...any)
+	// srcNames holds the source names members have rendered with, each
+	// escaped once (appendSource).
+	srcNames atomic.Pointer[[]srcJSON]
 }
 
 func newServer() *server { return newServerFor(entityid.NewHub()) }

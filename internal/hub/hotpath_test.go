@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"runtime"
 	"testing"
 
 	"entityid/internal/match"
@@ -51,7 +52,7 @@ func twoSourceHub(t *testing.T) *Hub {
 // topo snapshot, published view, cluster-record read — at zero
 // allocations per probe. This is the machine check behind the
 // //entitylint:hotpath annotations on the read path: the snapshot
-// load, the view load and the mem backend's shard read must stay
+// load, the view load and the mem backend's index probe must stay
 // alloc-free so point reads never pressure the GC under load.
 func TestPointReadPathZeroAlloc(t *testing.T) {
 	h := twoSourceHub(t)
@@ -110,12 +111,14 @@ func TestKeyedLookupAllocBound(t *testing.T) {
 
 // TestReadSideAllocBound holds the served read side — what a point
 // read and an enumeration line cost before rendering — to the
-// allocations their results need: a Lookup builds the cluster ID and the
-// member slice (its key probe hashes, and builds nothing), and a walk
-// builds ID and members
-// per cluster (the resume cursor is the ID when the visit node leads)
-// plus its cut and closures once. Formatting an ID with fmt, growing Members
-// by append or rendering a cursor of its own per cluster breaks these.
+// allocations their results need. A Lookup owns its cluster: it builds
+// the ID and the member slice (its key probe hashes, and builds
+// nothing). A walk lends its clusters: per cluster it builds the ID
+// alone, in one allocation, and the resume cursor is that ID when the
+// visit node leads; the cut, the closures and the one Members buffer the
+// walk reuses are paid once. A fresh Members slice per cluster, an ID
+// built from strconv.Itoa and a concatenation, or a cursor rendered
+// apart from the ID breaks the bound.
 func TestReadSideAllocBound(t *testing.T) {
 	h := twoSourceHub(t)
 	for _, id := range []string{"a1", "a2", "a3"} {
@@ -155,7 +158,7 @@ func TestReadSideAllocBound(t *testing.T) {
 	if bad {
 		t.Fatal("walk did not visit the four clusters with ID cursors")
 	}
-	ceiling := float64(2*clusters + 4)
+	ceiling := float64(clusters + 4)
 	if avg > ceiling {
 		t.Fatalf("ClustersWalk allocates %.1f times over %d clusters, want <= %.0f", avg, clusters, ceiling)
 	}
@@ -164,12 +167,16 @@ func TestReadSideAllocBound(t *testing.T) {
 
 // TestInsertAllocBound holds one commit — a tuple prepared against
 // three linked pairs, the canonical insert, three pair commits, the
-// cluster fold and the receipt — under an allocation ceiling (22
-// measured) that a commit which files its pair in two []int postings
-// lists (24), builds a full-arity image per pair and a key string per
-// index (48), or copies each image into R′/S′ under a second set of key
-// strings and folds the cluster twice (73), cannot meet. Memory hub, 4
-// sources fully linked, the benchmarks' workload.
+// cluster fold and the receipt — under an allocation ceiling of 22.5 on
+// the exact mean (22.25 measured) that a commit which counts the records
+// it supersedes in a map per Publish (22.94), files its pair in two []int
+// postings lists (24), builds a full-arity image per pair and a key
+// string per index (48), or copies each image into R′/S′ under a second
+// set of key strings and folds the cluster twice (73), cannot meet. The
+// mean is taken from the allocation counter, not testing.AllocsPerRun,
+// whose whole-number average would read 22 for both of the first two.
+// Memory hub, 4 sources fully linked, the benchmarks' workload; the first
+// insert, which sizes the hub's indexes, is left out.
 func TestInsertAllocBound(t *testing.T) {
 	w := benchMulti(4)
 	h, err := NewFromMulti(w)
@@ -177,16 +184,21 @@ func TestInsertAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := MultiInserts(w)
-	i := 0
-	avg := testing.AllocsPerRun(len(items)-1, func() {
-		if _, err := h.Insert(items[i].Source, items[i].Tuple); err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for i, it := range items {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if _, err := h.Insert(it.Source, it.Tuple); err != nil {
 			t.Fatal(err)
 		}
-		i++
-	})
-	const ceiling = 23
-	if avg > ceiling {
-		t.Fatalf("Insert allocates %.1f times per tuple, ceiling %d", avg, ceiling)
 	}
-	t.Logf("Insert: %.1f allocs per tuple over %d tuples (ceiling %d)", avg, i, ceiling)
+	runtime.ReadMemStats(&after)
+	avg := float64(after.Mallocs-before.Mallocs) / float64(len(items)-1)
+	const ceiling = 22.5
+	if avg > ceiling {
+		t.Fatalf("Insert allocates %.2f times per tuple, ceiling %.1f", avg, ceiling)
+	}
+	t.Logf("Insert: %.2f allocs per tuple over %d tuples (ceiling %.1f)", avg, len(items)-1, ceiling)
 }

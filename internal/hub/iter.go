@@ -5,15 +5,18 @@
 // smallest member *inside the iteration cut* — the committed lengths
 // when the walk started. On a quiescent hub that is simply the
 // smallest member, reproducing the classic enumeration order (by
-// smallest member, singletons included) while holding only one store
-// lock at a time and materialising one cluster at a time, so
+// smallest member, singletons included) while holding at most one store
+// lock at a time (none on the resident store) and materialising one
+// cluster at a time, so
 // enumeration memory is O(largest cluster), not O(hub). The walk reads
 // through the store, never into it: one index probe per node
 // (store.Clusters.Glance), one body per emitted cluster and none per
 // skipped one (Peek), and no record promoted — on the resident store
-// that is the one shard probe per node a walk always cost, on the disk
-// store it is one pread per cold cluster, outside the tier's lock, that
-// leaves the hot set as the point reads built it. Anchoring
+// that is two atomic loads per node (the positional index of
+// store.Index), on the disk store one pread per cold cluster, outside
+// the tier's lock, that leaves the hot set as the point reads built it.
+// What the walk hands out it builds in one reused buffer: a walked
+// cluster allocates its ID and nothing else. Anchoring
 // emission inside the cut matters under concurrent ingest: a cluster
 // whose absolute lead was committed after the cut is still emitted at
 // its oldest in-cut member instead of being skipped toward a node the
@@ -43,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -148,6 +152,13 @@ func cursorFor(t *topoView, n node, members []node, c Cluster) string {
 // resume cursor tracks the walk position, which stays monotone even when
 // concurrent merges move a cluster's ID.
 //
+// The Cluster handed to fn is borrowed, as bufio.Scanner.Bytes is: its
+// Members slice is the walk's one buffer, overwritten by the next
+// cluster, and valid only until fn returns. A caller that keeps a
+// cluster keeps a copy of its Members (slices.Clone). Its ID, the
+// resume cursor and the members' tuples are the caller's to keep. So a
+// walked cluster costs one allocation, its ID.
+//
 //entitylint:hotpath noobs
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume string) bool) error {
 	t := h.topo.Load()
@@ -155,24 +166,28 @@ func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume st
 	if err != nil {
 		return err
 	}
+	var c Cluster
+	var single [1]node
 	return h.clustersWalk(t, start, skip, func(n node, members []node) bool {
 		if members == nil {
-			members = []node{n}
+			single[0] = n
+			members = single[:]
 		}
-		c := h.materialize(t, members)
+		c = h.materializeInto(c.Members, t, members)
 		return fn(c, cursorFor(t, n, members, c))
 	})
 }
 
 // Clusters enumerates every global entity cluster into one slice — the
-// materialised form of a whole ClustersWalk, deterministic for a given
-// partition regardless of insert order. Prefer ClustersWalk when the
-// hub is large.
+// materialised form of a whole ClustersWalk, each cluster copied out of
+// the walk's buffer, deterministic for a given partition regardless of
+// insert order. Prefer ClustersWalk when the hub is large.
 func (h *Hub) Clusters() []Cluster {
 	var out []Cluster
 	// A storage read error ends the enumeration early; callers needing
 	// the error use ClustersWalk.
 	_ = h.ClustersWalk("", 0, func(c Cluster, _ string) bool {
+		c.Members = slices.Clone(c.Members)
 		out = append(out, c)
 		return true
 	})

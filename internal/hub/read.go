@@ -65,24 +65,35 @@ func (t *topoView) member(n node) Member {
 // taken (the topology only grows, and the record was published after
 // the source), so the snapshot is upgraded on demand — the current
 // topo is always at least as new as any record already read. Lock-free.
+// The cluster owns its Members.
 func (h *Hub) materialize(t *topoView, members []node) Cluster {
+	return h.materializeInto(make([]Member, 0, len(members)), t, members)
+}
+
+// materializeInto is materialize over the caller's member buffer, which
+// it reuses from the start: the walk's one Members slice for all the
+// clusters it hands out.
+func (h *Hub) materializeInto(buf []Member, t *topoView, members []node) Cluster {
 	for _, m := range members {
 		if m.Src >= len(t.sources) {
 			t = h.topo.Load()
 			break
 		}
 	}
-	c := Cluster{ID: nodeID(t, members[0]), Members: make([]Member, len(members))}
-	for i, m := range members {
-		c.Members[i] = t.member(m)
+	c := Cluster{ID: nodeID(t, members[0]), Members: buf[:0]}
+	for _, m := range members {
+		c.Members = append(c.Members, t.member(m))
 	}
 	return c
 }
 
 // nodeID renders a node as "source/index" — the ID of the cluster it
-// leads and the cursor that resumes a walk after it.
+// leads and the cursor that resumes a walk after it — in one
+// allocation: the digits go to the stack, and a conversion that only
+// feeds a concatenation copies nothing.
 func nodeID(t *topoView, n node) string {
-	return t.sources[n.Src].name + "/" + strconv.Itoa(n.Idx)
+	var digits [20]byte
+	return t.sources[n.Src].name + "/" + string(strconv.AppendInt(digits[:0], int64(n.Idx), 10))
 }
 
 // clusterRead resolves and materialises node n's cluster on the read
@@ -137,8 +148,9 @@ func (h *Hub) SourceLen(source string) (int, error) {
 
 // Lookup finds a source tuple by its primary-key values and returns its
 // cluster. It is a point read: the source's key lock shared for the key
-// probe, one shard lock shared for the cluster record — no hub-global
-// lock, so lookups scale with readers and proceed during ingest.
+// probe, one index probe for the cluster record (lock-free on the
+// resident store) — no hub-global lock, so lookups scale with readers
+// and proceed during ingest.
 //
 //entitylint:hotpath noobs
 func (h *Hub) Lookup(source string, key ...value.Value) (Cluster, error) {

@@ -12,6 +12,7 @@ package hub
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,6 +158,7 @@ func TestReadsSurviveTopologyGrowth(t *testing.T) {
 			mustInsert(t, h, "c", "c0", "y")
 		}
 		second = c
+		second.Members = slices.Clone(c.Members) // kept past the callback
 		return true
 	})
 	if err != nil || second.ID != "a/1" || len(second.Members) != 2 || second.Members[1].Source != "c" {

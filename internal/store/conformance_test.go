@@ -10,8 +10,10 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -373,13 +375,62 @@ func TestBackendIdentityAndLifecycle(t *testing.T) {
 	}
 }
 
+// lookAt reads x's record one of three ways — Read, Peek, Glance by way
+// mod 3 — and holds the answer to what a reader racing Publish may see:
+// no record, or the committed record want, holding x. A Glance of a cold
+// record knows only the first member, which must be want's. It reports
+// whether a record was found.
+func lookAt(c store.Clusters, way int, x store.Node, want []store.Node) (bool, error) {
+	var ms []store.Node
+	var err error
+	switch way % 3 {
+	case 0:
+		ms, err = c.Read(x)
+	case 1:
+		ms, err = c.Peek(x)
+	default:
+		first, resident, ok := c.Glance(x)
+		if ok && first != want[0] {
+			return true, fmt.Errorf("Glance(%v) names first member %v, want %v", x, first, want[0])
+		}
+		if ok && resident == nil {
+			return true, nil
+		}
+		ms = resident
+	}
+	switch {
+	case err != nil:
+		return false, err
+	case ms == nil:
+		return false, nil
+	case !slices.Contains(ms, x) || !reflect.DeepEqual(ms, want):
+		return true, fmt.Errorf("read %v at %v, want %v", ms, x, want)
+	}
+	return true, nil
+}
+
 // TestPublishReachesLaterMembersFirst: a reader that finds a new record
 // at one member finds it at every later member too — a walk in node
 // order never meets the merged cluster and then, further on, the state
 // it superseded. The reader spins on each row's first member while the
 // writer publishes the row, so it reads the rest inside the publication.
+// The rows cross three chunk boundaries of the index, and from the middle
+// row on each row's last member is of a source ordinal no record held
+// before, so the index grows under its readers. Beside the ordered
+// reader a second one reads nodes at random, the unpublished among them;
+// both read by Read, Peek and Glance in turn.
 func TestPublishReachesLaterMembersFirst(t *testing.T) {
-	const rows, width = 4000, 8
+	const rows, width, late = 4000, 8, 10
+	row := func(i int) []store.Node {
+		ms := make([]store.Node, width)
+		for s := range ms {
+			ms[s] = n(s, i)
+		}
+		if i >= rows/2 {
+			ms[width-1] = n(late, i)
+		}
+		return ms
+	}
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
 			b := bk.open(t)
@@ -387,23 +438,43 @@ func TestPublishReachesLaterMembersFirst(t *testing.T) {
 			c := b.Clusters()
 			var watching atomic.Int64
 			watching.Store(-1)
-			done := make(chan error, 1)
+			var published atomic.Bool
+			done := make(chan error, 2)
 			go func() {
 				for i := 0; i < rows; i++ {
 					watching.Store(int64(i))
+					want := row(i)
 					for {
-						if ms, err := c.Read(n(0, i)); err != nil || ms != nil {
+						found, err := lookAt(c, i, want[0], want)
+						if err != nil {
+							watching.Store(rows) // let the writer run out
+							done <- fmt.Errorf("row %d: %w", i, err)
+							return
+						}
+						if found {
 							break
 						}
 						runtime.Gosched()
 					}
-					for s := 1; s < width; s++ {
-						if ms, err := c.Read(n(s, i)); err != nil || len(ms) != width {
-							watching.Store(rows) // let the writer run out
-							done <- fmt.Errorf("row %d: the record stood at %v and not yet at %v (read %v, %v)", i, n(0, i), n(s, i), ms, err)
+					for s, x := range want[1:] {
+						if found, err := lookAt(c, i+s+1, x, want); err != nil || !found {
+							watching.Store(rows)
+							done <- fmt.Errorf("row %d: the record stood at %v and not yet at %v (%v)", i, want[0], x, err)
 							return
 						}
 					}
+				}
+				done <- nil
+			}()
+			go func() {
+				r := rand.New(rand.NewSource(1))
+				for k := 0; !published.Load(); k++ {
+					i, src := r.Intn(rows), r.Intn(late+1)
+					if _, err := lookAt(c, k, n(src, i), row(i)); err != nil {
+						done <- fmt.Errorf("random read: %w", err)
+						return
+					}
+					runtime.Gosched()
 				}
 				done <- nil
 			}()
@@ -411,14 +482,51 @@ func TestPublishReachesLaterMembersFirst(t *testing.T) {
 				for watching.Load() < int64(i) {
 					runtime.Gosched()
 				}
-				members := make([]store.Node, width)
-				for s := range members {
-					members[s] = n(s, i)
-				}
-				c.Publish(members)
+				c.Publish(row(i))
 			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
+			published.Store(true)
+			for range 2 {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestPartitionInNodeOrder: Partition returns the records in order of
+// first member however they were published — here in random order,
+// across several chunks of the index and sources with a gap between
+// them, some superseded by the union of two — which the backends get by
+// walking the index in node order, with no sort.
+func TestPartitionInNodeOrder(t *testing.T) {
+	const rows = 3000
+	r := rand.New(rand.NewSource(7))
+	var steps []merge
+	for _, i := range r.Perm(rows) {
+		steps = append(steps, merge{n: n(i%3, i), partners: []store.Node{n(5+i%2, rows-1-i)}})
+	}
+	for _, i := range r.Perm(rows - 1) {
+		if i%7 == 0 {
+			steps = append(steps, merge{n: n(i%3, i), partners: []store.Node{n((i+1)%3, i+1)}})
+		}
+	}
+	for _, bk := range backends {
+		t.Run(bk.name, func(t *testing.T) {
+			b := bk.open(t)
+			defer b.Close()
+			c := b.Clusters()
+			want := model{}
+			for _, s := range steps {
+				want.apply(s)
+				c.Publish(want[s.n])
+			}
+			wantPart, wantMerged := want.partition()
+			if got, err := c.Partition(); err != nil || !reflect.DeepEqual(got, wantPart) {
+				t.Fatalf("Partition() = %d records, %v; want %d in order of first member", len(got), err, len(wantPart))
+			}
+			if got := c.Merged(); got != wantMerged {
+				t.Fatalf("Merged() = %d, want %d", got, wantMerged)
 			}
 		})
 	}

@@ -22,6 +22,13 @@
 // failed check is an error naming the record's offset, never a member
 // set, and changes no tier state.
 //
+// The index is the resident store's: a store.Index, one record-pointer
+// slot per tuple position. An index entry (rec) always knows its
+// record's first member, size and spill address; only the member set
+// comes and goes with the tier. Partition walks the index in node order
+// and takes each record at its first member, which is the snapshot's
+// canonical order with nothing to sort.
+//
 // Tier discipline for cluster records — who promotes, who does not:
 //
 //   - Point reads (Read) page a cold record in, install it hot, and
@@ -63,7 +70,9 @@
 // open — and the record's identity was fixed at the lookup, the same
 // linearisation point Read has: a Publish that supersedes it in
 // between leaves the old bytes where they were. The always-hot mem
-// backend keeps the sharded lock-striped layout for read scalability.
+// backend reads the same index with no lock at all; here what a read
+// finds in an entry — resident set, LRU position, spill address — only
+// the mutex keeps consistent.
 package disk
 
 import (
@@ -72,7 +81,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,7 +193,7 @@ func (l *lruList) moveToFront(e *elem) {
 type clusters struct {
 	//entitylint:lock rank=100
 	mu         sync.Mutex
-	byNode     map[store.Node]*rec
+	idx        store.Index[rec]
 	lru        lruList
 	hotEntries int
 	cold       int
@@ -205,7 +213,7 @@ type clusters struct {
 func (c *clusters) Read(n store.Node) ([]store.Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.byNode[n]
+	r := c.idx.Get(n)
 	if r == nil {
 		return nil, nil
 	}
@@ -229,7 +237,7 @@ func (c *clusters) Read(n store.Node) ([]store.Node, error) {
 func (c *clusters) Glance(n store.Node) (store.Node, []store.Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.byNode[n]
+	r := c.idx.Get(n)
 	if r == nil {
 		return store.Node{}, nil, false
 	}
@@ -242,7 +250,7 @@ var peekBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (c *clusters) Peek(n store.Node) ([]store.Node, error) {
 	c.mu.Lock()
-	r := c.byNode[n]
+	r := c.idx.Get(n)
 	if r == nil {
 		c.mu.Unlock()
 		return nil, nil
@@ -266,7 +274,7 @@ func (c *clusters) Peek(n store.Node) ([]store.Node, error) {
 func (c *clusters) Members(n store.Node) ([]store.Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.byNode[n]
+	r := c.idx.Get(n)
 	if r == nil {
 		return []store.Node{n}, nil
 	}
@@ -289,20 +297,19 @@ func (c *clusters) Members(n store.Node) ([]store.Node, error) {
 func (c *clusters) Has(n store.Node) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.byNode[n] != nil
+	return c.idx.Get(n) != nil
 }
 
 func (c *clusters) Publish(members []store.Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	prev := 0
-	seen := map[*rec]bool{}
 	for _, m := range members {
-		if r := c.byNode[m]; r != nil && !seen[r] {
-			seen[r] = true
+		// The new set is a superset of every record it supersedes, so each
+		// of them is met once at its first member, and every index slot
+		// pointing at it is overwritten below.
+		if r := c.idx.Get(m); r != nil && r.first == m {
 			prev += r.size - 1
-			// Supersede: the new member set is a superset, so every
-			// byNode entry pointing at r is overwritten below.
 			if r.members != nil {
 				c.lru.remove(r.elem)
 				r.elem = nil
@@ -316,8 +323,8 @@ func (c *clusters) Publish(members []store.Node) {
 	nr := &rec{members: members, first: members[0], size: len(members), off: -1}
 	nr.elem = c.lru.pushFront(nr)
 	c.hotEntries += nr.size
-	for _, m := range members {
-		c.byNode[m] = nr
+	for i := len(members) - 1; i >= 0; i-- {
+		c.idx.Set(members[i], nr)
 	}
 	c.merged.Add(int64(len(members) - 1 - prev))
 	c.evict()
@@ -327,17 +334,17 @@ func (c *clusters) Publish(members []store.Node) {
 func (c *clusters) Merged() int64 { return c.merged.Load() }
 
 // Partition reads every record — paging cold bodies without installing
-// them, so a snapshot scan does not thrash the hot tier.
+// them, so a snapshot scan does not thrash the hot tier. The index walks
+// in node order and each record is taken at its first member: once, in
+// order of first member.
 func (c *clusters) Partition() ([][]store.Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seen := map[*rec]bool{}
 	var out [][]store.Node
-	for _, r := range c.byNode {
-		if seen[r] {
+	for n, r := range c.idx.All {
+		if r.first != n {
 			continue
 		}
-		seen[r] = true
 		ms := r.members
 		if ms == nil {
 			var err error
@@ -348,12 +355,6 @@ func (c *clusters) Partition() ([][]store.Node, error) {
 		}
 		out = append(out, ms)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0].Src != out[b][0].Src {
-			return out[a][0].Src < out[b][0].Src
-		}
-		return out[a][0].Idx < out[b][0].Idx
-	})
 	return out, nil
 }
 
@@ -614,7 +615,7 @@ func Open(dir string, caps store.Caps) (*Backend, error) {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
 	b := &Backend{dir: dir, caps: caps}
-	b.c = clusters{byNode: map[store.Node]*rec{}, budget: caps.HotClusterEntries, f: f}
+	b.c = clusters{budget: caps.HotClusterEntries, f: f}
 	b.p = pairs{dir: pairDir, files: map[int]string{}}
 	return b, nil
 }

@@ -23,22 +23,28 @@ import (
 // maxSize is the largest record the round trips try.
 const maxSize = 40
 
+// tierTop bounds the positions records take through the tier. The
+// cluster index holds a slot per position up to the largest it has seen,
+// as a hub's densely numbered tuples need, so positions near the largest
+// a 32-bit int reaches would cost it megabytes a source; 1<<20 still
+// spells an index in three varint bytes.
+const tierTop = 1 << 20
+
 // record is a sound cluster of k members — one per source, ascending —
-// disjoint from every other size's, its indexes spread up to the largest
-// a 32-bit position reaches.
-func record(k int) []store.Node {
+// disjoint from every other size's, its indexes spread up to top.
+func record(k, top int) []store.Node {
 	ms := make([]store.Node, k)
 	for i := range ms {
-		ms[i] = store.Node{Src: i, Idx: k + i*(math.MaxInt32/maxSize)}
+		ms[i] = store.Node{Src: i, Idx: k + i*(top/maxSize)}
 	}
-	ms[k-1].Idx = math.MaxInt32 - (k - 2)
+	ms[k-1].Idx = top - (k - 2)
 	return ms
 }
 
 func TestSpillRecordRoundTrip(t *testing.T) {
 	var buf []byte
 	for k := 2; k <= maxSize; k++ {
-		ms := record(k)
+		ms := record(k, math.MaxInt32)
 		buf = appendRecord(buf[:0], ms)
 		got, err := decodeRecord(buf, k)
 		if err != nil || !reflect.DeepEqual(got, ms) {
@@ -54,10 +60,10 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	defer be.Close()
 	c := &be.c
 	for k := 2; k <= maxSize; k++ {
-		c.Publish(record(k))
+		c.Publish(record(k, tierTop))
 	}
 	for k := 2; k <= maxSize; k++ {
-		want := record(k)
+		want := record(k, tierTop)
 		for name, read := range readPaths(c) {
 			if got, err := read(want[k/2]); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("size %d: %s = %v, %v, want %v", k, name, got, err, want)
@@ -113,12 +119,12 @@ func TestDamagedSpillRecordFailsClosed(t *testing.T) {
 	c := &be.c
 	const rows = 8
 	for i := 0; i < rows; i++ {
-		c.Publish([]store.Node{{Src: 0, Idx: i}, {Src: 1, Idx: 300 + i}, {Src: 2, Idx: math.MaxInt32 - i}})
+		c.Publish([]store.Node{{Src: 0, Idx: i}, {Src: 1, Idx: 300 + i}, {Src: 2, Idx: tierTop - i}})
 	}
 	// The victim is the last record written, so the file can be cut
 	// inside it.
 	var victim *rec
-	for _, r := range c.byNode {
+	for _, r := range c.idx.All {
 		if r.off >= 0 && r.off+int64(r.flen) == c.wsize {
 			victim = r
 		}
@@ -228,8 +234,8 @@ func TestDecodeRefusesMalformedBodies(t *testing.T) {
 // no input panics the decoder or decodes to a set whose encoding is not
 // the input — a record has one spelling.
 func FuzzSpillRecord(f *testing.F) {
-	f.Add(appendRecord(nil, record(2)))
-	f.Add(appendRecord(nil, record(9)))
+	f.Add(appendRecord(nil, record(2, math.MaxInt32)))
+	f.Add(appendRecord(nil, record(9, math.MaxInt32)))
 	f.Add([]byte{2, 0, 5, 1, 0x80, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,9 +1,10 @@
-// Package mem is the default, always-resident storage backend: the
-// pre-seam in-memory layout of the hub, verbatim. Cluster records live
-// in a node→record map striped across lock shards; pair tables are
-// held as plain exported states (the hub only spills pairs when a
-// backend advertises a hot-pair budget, which mem does not, so the
-// pair store here exists for interface completeness and tests).
+// Package mem is the default, always-resident storage backend. Cluster
+// records live in a store.Index — tuples are numbered, so each node's
+// record sits at its position in a per-source list of fixed-size chunks
+// — and pair tables are held as plain exported states (the hub only
+// spills pairs when a backend advertises a hot-pair budget, which mem
+// does not, so the pair store here exists for interface completeness and
+// tests).
 //
 // The design splits the cluster store along the reader/writer
 // asymmetry:
@@ -14,33 +15,26 @@
 //     record therefore holds a committed member set with no further
 //     locking — there is nothing it could observe half-updated.
 //
-//   - Readers take only one shard's read lock, and only around the map
-//     lookup itself. Point reads on different shards share nothing; no
-//     read path takes a hub-global lock.
+//   - Readers take no lock at all: a read is two atomic loads, the
+//     index's directory and the node's slot. Point reads share nothing
+//     with each other or with the writer but the cache lines they read.
 //
-//   - Writers are already serialised by the hub's commit lock, so
-//     writer-side lookups need no shard lock at all, and shard write
-//     locks are held only for the map stores that publish a record.
+//   - Writers are already serialised by the hub's commit lock, which is
+//     all the index's copy-on-write growth and its slot stores need.
 //
 // Readers racing a merge see either the old record or the new one for
 // any given node — never a torn member set. Singletons are implicit: a
 // node with no record is its own cluster, so unmatched inserts publish
-// nothing and touch no shard lock.
+// nothing.
 package mem
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"entityid/internal/store"
 )
-
-// shardCount stripes the node→record map; a power of two so shardOf
-// reduces to a mask. 32 shards keep per-shard reader locks uncontended
-// well past the core counts one process serves.
-const shardCount = 32
 
 // rec is one published cluster: its members sorted by (source ordinal,
 // tuple index). Immutable after publication.
@@ -48,22 +42,10 @@ type rec struct {
 	members []store.Node
 }
 
-// shard is one lock stripe of the store.
-type shard struct {
-	// Shard locks are never nested (Publish locks one shard at a time),
-	// so one rank covers all stripes.
-	//entitylint:lock rank=100
-	mu  sync.RWMutex
-	rec map[store.Node]*rec
-	// pad spaces shards onto distinct cache lines so reader locks on
-	// neighbouring shards do not false-share.
-	_ [64]byte
-}
-
-// clusters is the sharded node → cluster map plus the running merge
-// count that makes Stats O(sources) instead of O(hub).
+// clusters is the node → cluster index plus the running merge count
+// that makes Stats O(sources) instead of O(hub).
 type clusters struct {
-	shards [shardCount]shard
+	idx store.Index[rec]
 	// merged is Σ (cluster size − 1) over all non-singleton clusters:
 	// the number of tuples clustering has folded away. Updated at
 	// publish time under the commit lock; read atomically.
@@ -74,36 +56,24 @@ type clusters struct {
 	entries atomic.Int64
 }
 
-// shardOf maps a node onto its lock stripe.
-//
-//entitylint:hotpath
-func shardOf(n store.Node) int {
-	h := uint64(uint32(n.Src))*0x9e3779b1 ^ uint64(uint32(n.Idx))*0x85ebca77
-	return int((h ^ h>>16) & (shardCount - 1))
-}
-
 //entitylint:hotpath noalloc,noobs,noio
 func (c *clusters) Read(n store.Node) ([]store.Node, error) {
-	sh := &c.shards[shardOf(n)]
-	sh.mu.RLock()
-	r := sh.rec[n]
-	sh.mu.RUnlock()
-	if r == nil {
-		return nil, nil
+	if r := c.idx.Get(n); r != nil {
+		return r.members, nil
 	}
-	return r.members, nil
+	return nil, nil
 }
 
-// Glance is the walk-side probe: the one shard lookup Read makes,
+// Glance is the walk-side probe: the one index load Read makes,
 // answering the first member beside the set (everything is resident).
 //
 //entitylint:hotpath noalloc,noobs,noio
 func (c *clusters) Glance(n store.Node) (first store.Node, resident []store.Node, ok bool) {
-	ms, _ := c.Read(n)
-	if ms == nil {
+	r := c.idx.Get(n)
+	if r == nil {
 		return first, nil, false
 	}
-	return ms[0], ms, true
+	return r.members[0], r.members, true
 }
 
 // Peek is Read: there is no tier to leave undisturbed.
@@ -111,16 +81,8 @@ func (c *clusters) Glance(n store.Node) (first store.Node, resident []store.Node
 //entitylint:hotpath noalloc,noobs,noio
 func (c *clusters) Peek(n store.Node) ([]store.Node, error) { return c.Read(n) }
 
-// recOf is the writer-side lookup. Callers hold the hub's commit lock —
-// the store's single-mutator guarantee — so no shard lock is needed.
-//
-//entitylint:hotpath
-func (c *clusters) recOf(n store.Node) *rec {
-	return c.shards[shardOf(n)].rec[n]
-}
-
 func (c *clusters) Members(n store.Node) ([]store.Node, error) {
-	if r := c.recOf(n); r != nil {
+	if r := c.idx.Get(n); r != nil {
 		return r.members, nil
 	}
 	return []store.Node{n}, nil
@@ -128,34 +90,28 @@ func (c *clusters) Members(n store.Node) ([]store.Node, error) {
 
 //entitylint:hotpath
 func (c *clusters) Has(n store.Node) bool {
-	return c.recOf(n) != nil
+	return c.idx.Get(n) != nil
 }
 
 // Publish installs one cluster: a fresh immutable record stored for
-// every member, from the last member to the first, one shard lock at a
-// time (shard write locks are never nested). A reader of any member
-// sees either its old record or the new one — both committed states —
-// and one that has seen the new record at a member sees it at every
-// later member, so a walk in node order never serves a merged cluster
-// and then, further on, a state it superseded. Writer-side; the only
-// place shard write locks are taken.
+// every member, from the last member to the first. A reader of any
+// member sees either its old record or the new one — both committed
+// states — and one that has seen the new record at a member sees it at
+// every later member, so a walk in node order never serves a merged
+// cluster and then, further on, a state it superseded. Writer-side.
 func (c *clusters) Publish(members []store.Node) {
-	prev := 0
-	prevRecs := 0
-	seen := map[*rec]bool{}
+	prev, prevRecs := 0, 0
 	for _, m := range members {
-		if r := c.recOf(m); r != nil && !seen[r] {
-			seen[r] = true
+		// The new set is a superset of every record it supersedes, so each
+		// of them is counted once, at its first member.
+		if r := c.idx.Get(m); r != nil && r.members[0] == m {
 			prev += len(r.members) - 1
 			prevRecs++
 		}
 	}
 	nr := &rec{members: members}
 	for i := len(members) - 1; i >= 0; i-- {
-		sh := &c.shards[shardOf(members[i])]
-		sh.mu.Lock()
-		sh.rec[members[i]] = nr
-		sh.mu.Unlock()
+		c.idx.Set(members[i], nr)
 	}
 	c.merged.Add(int64(len(members) - 1 - prev))
 	c.recs.Add(int64(1 - prevRecs))
@@ -167,26 +123,16 @@ func (c *clusters) Merged() int64 { return c.merged.Load() }
 // Partition returns the canonical non-singleton cluster partition:
 // members sorted by (source, index), clusters sorted by first member —
 // the snapshot/verification form. Every record holds ≥ 2 members by
-// construction, so the records themselves are the partition.
-// Writer-side.
+// construction, so the records themselves are the partition; the index
+// walks in node order, and taking each record at its first member keeps
+// it once, in that order. Writer-side.
 func (c *clusters) Partition() ([][]store.Node, error) {
-	seen := map[*rec]bool{}
 	var out [][]store.Node
-	for i := range c.shards {
-		for _, r := range c.shards[i].rec {
-			if seen[r] {
-				continue
-			}
-			seen[r] = true
+	for n, r := range c.idx.All {
+		if r.members[0] == n {
 			out = append(out, r.members)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0].Src != out[b][0].Src {
-			return out[a][0].Src < out[b][0].Src
-		}
-		return out[a][0].Idx < out[b][0].Idx
-	})
 	return out, nil
 }
 
@@ -244,9 +190,6 @@ type Backend struct {
 // New returns a fresh, empty in-memory backend.
 func New() *Backend {
 	b := &Backend{}
-	for i := range b.c.shards {
-		b.c.shards[i].rec = map[store.Node]*rec{}
-	}
 	b.p.tabs = map[int]store.PairTab{}
 	return b
 }

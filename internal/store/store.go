@@ -6,9 +6,11 @@
 //
 // The hub never reaches into concrete maps; it holds a Backend and
 // talks to whatever that backend returns. store/mem is the default
-// and reproduces the pre-seam in-memory layout bit for bit. store/disk
-// bounds resident memory by spilling cold cluster records and cold
-// pair tables to CRC-checked files and paging them back on demand.
+// and keeps every record resident. store/disk bounds resident memory by
+// spilling cold cluster records and cold pair tables to CRC-checked
+// files and paging them back on demand. Both find a node's record
+// through the one positional Index (index.go): tuples are numbered, so
+// a record sits at its members' positions, not under a hash.
 //
 // Concurrency contract: Clusters readers (Read, Glance, Peek, Has,
 // Merged, Stats) may run concurrently with each other and with the
