@@ -425,8 +425,20 @@ func Restore(cfg match.Config, st State) (*Federation, error) {
 	// record the table in commit order and read snapshot cuts as
 	// prefixes of it, so the restored table must continue the recorded
 	// order.
-	if err := f.res.MT.Reorder(st.Pairs); err != nil {
-		return nil, fmt.Errorf("federate: restore: %w", err)
+	if err := f.Reorder(st.Pairs); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// Reorder has the matching table adopt a recorded commit order, which
+// must hold exactly the table's pairs (match.Table.Reorder): the step of
+// Restore that a caller rebuilding a federation over relations grown
+// past its saved state takes on its own, once it has worked out the
+// order the grown table was committed in.
+func (f *Federation) Reorder(ps []match.Pair) error {
+	if err := f.res.MT.Reorder(ps); err != nil {
+		return fmt.Errorf("federate: restore: %w", err)
+	}
+	return nil
 }

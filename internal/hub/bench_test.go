@@ -142,12 +142,43 @@ func BenchmarkIngestStream(b *testing.B) {
 	})
 }
 
+// openWorkload is what the recovery benchmarks log: four sources, six
+// links, about 9,600 tuples.
+func openWorkload() *datagen.MultiWorkload {
+	return datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 4, Entities: 4000, PresenceFrac: 0.6,
+		HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 1004,
+	})
+}
+
+// openPhases sums RecoveryInfo's phases over a benchmark's opens.
+type openPhases struct{ decode, replay, restore, fold time.Duration }
+
+func (p *openPhases) add(info *RecoveryInfo) {
+	p.decode += info.DecodeTime
+	p.replay += info.ReplayTime
+	p.restore += info.RestoreTime
+	p.fold += info.FoldTime
+}
+
+// report reports each phase per op: decode-ns/op, replay-ns/op,
+// restore-ns/op, fold-ns/op.
+func (p *openPhases) report(b *testing.B) {
+	for _, ph := range []struct {
+		unit string
+		d    time.Duration
+	}{{"decode-ns/op", p.decode}, {"replay-ns/op", p.replay}, {"restore-ns/op", p.restore}, {"fold-ns/op", p.fold}} {
+		b.ReportMetric(float64(ph.d.Nanoseconds())/float64(b.N), ph.unit)
+	}
+}
+
 // BenchmarkOpenReplay is recovery from the write-ahead log alone: the
-// workload is logged once with snapshots off, then every iteration
-// opens the directory (replaying each record through the commit path)
-// and closes it.
+// workload is logged once, registrations and links first, with
+// snapshots off, then every iteration opens the directory — read the log
+// into the relations, build the six pairs, fold their tables — and closes
+// it. The phases are RecoveryInfo's.
 func BenchmarkOpenReplay(b *testing.B) {
-	w := benchMulti(4)
+	w := openWorkload()
 	dir := b.TempDir()
 	h, _ := openMultiOpts(b, dir, w, Options{})
 	mustIngest(b, h, MultiInserts(w))
@@ -155,6 +186,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	replayed := 0
+	var phases openPhases
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -163,6 +195,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		replayed = info.Replayed
+		phases.add(info)
 		if err := h.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -171,21 +204,19 @@ func BenchmarkOpenReplay(b *testing.B) {
 		b.Fatal("nothing replayed")
 	}
 	b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+	phases.report(b)
 }
 
 // BenchmarkOpenSnapshot is recovery from a snapshot: the workload is
 // ingested, SnapshotNow writes it and a short tail of fresh singletons
 // is logged past it, then every iteration opens the directory — decode
-// the runs, re-verify the six pairwise federations, fold their tables
-// into the cluster store once, replay the tail — and closes it. The disk
-// leg's hot tier holds a small share of the clusters, so what the fold
-// publishes spills. restore-ns/op and fold-ns/op are RecoveryInfo's
-// restore and fold phases.
+// the runs, read the tail, build and verify the six pairwise
+// federations, fold their tables into the cluster store once — and
+// closes it. The disk leg's hot tier holds a small share of the
+// clusters, so what the fold publishes spills. The phases are
+// RecoveryInfo's.
 func BenchmarkOpenSnapshot(b *testing.B) {
-	w := datagen.MustMultiGenerate(datagen.MultiConfig{
-		Sources: 4, Entities: 4000, PresenceFrac: 0.6,
-		HomonymRate: 0.1, MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 1004,
-	})
+	w := openWorkload()
 	const tail = 64
 	for _, leg := range []struct {
 		name string
@@ -209,7 +240,7 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 			if err := h.Close(); err != nil {
 				b.Fatal(err)
 			}
-			var restore, fold time.Duration
+			var phases openPhases
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -220,14 +251,12 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 				if !info.FromSnapshot || info.Replayed != tail {
 					b.Fatalf("opened %+v, want the snapshot and a tail of %d", info, tail)
 				}
-				restore += info.RestoreTime
-				fold += info.FoldTime
+				phases.add(info)
 				if err := h.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(restore.Nanoseconds())/float64(b.N), "restore-ns/op")
-			b.ReportMetric(float64(fold.Nanoseconds())/float64(b.N), "fold-ns/op")
+			phases.report(b)
 		})
 	}
 }

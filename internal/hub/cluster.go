@@ -33,42 +33,76 @@ import (
 type node = store.Node
 
 // linkTable is one pair's matching table to fold: the ordinals of its
-// left and right sources and the table, folded in log order.
+// left and right sources and the table, folded in log order. keys, when
+// the fold follows the log across tables (Open's), holds the record that
+// made each entry, non-decreasing along the table, and only the entries
+// it covers are folded; without keys the whole table is, after the
+// tables before it.
 type linkTable struct {
 	left, right int
 	mt          *match.Table
+	keys        []uint64
+}
+
+// entries returns how many of the table's entries the fold takes.
+func (t linkTable) entries() int {
+	if t.keys != nil {
+		return len(t.keys)
+	}
+	return t.mt.Len()
+}
+
+// key returns the record that made entry k, 0 without keys.
+func (t linkTable) key(k int) uint64 {
+	if t.keys != nil {
+		return t.keys[k]
+	}
+	return 0
 }
 
 // foldTables folds matching tables into the clusters of sources of the
 // given lengths and returns, in order of first member, every component
 // a union made, its members sorted — what the caller publishes once it
-// has accepted the fold, or compares with the store. Every union is
-// decided by store.CheckMerge; the first violation is returned wrapping
-// store.ErrUniqueness, naming the link and pair. When stored is
-// non-nil, each node a table touches first brings in its stored
-// cluster, read once, so a union counts every member the store already
-// gave that node; a stored cluster no union grew is not returned.
-// Nothing is published here.
-func foldTables(lens []int, tables []linkTable, stored store.Clusters, srcName func(int) string) ([][]node, error) {
+// has accepted the fold, or compares with the store. The entries fold in
+// the order of their keys, across tables, ties in table order. Every
+// union is decided by store.CheckMerge; the first violation is returned
+// wrapping store.ErrUniqueness, naming the link and pair, with the key of
+// the entry it broke at. When stored is non-nil, each node a table
+// touches first brings in its stored cluster, read once, so a union
+// counts every member the store already gave that node; a stored cluster
+// no union grew is not returned. Nothing is published here.
+func foldTables(lens []int, tables []linkTable, stored store.Clusters, srcName func(int) string) ([][]node, uint64, error) {
 	f := newClusterFold(lens)
-	for _, t := range tables {
-		for pr := range t.mt.All() {
-			a, b := node{Src: t.left, Idx: pr.RIndex}, node{Src: t.right, Idx: pr.SIndex}
-			var err error
-			if stored != nil {
-				if err = f.seed(stored, a); err == nil {
-					err = f.seed(stored, b)
-				}
-			}
-			if err == nil {
-				err = f.merge(a, b, srcName)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("link %q-%q: pair (%d,%d): %w", srcName(t.left), srcName(t.right), pr.RIndex, pr.SIndex, err)
+	next := make([]int, len(tables))
+	for {
+		// The table whose next entry has the least key: with two tables or
+		// a handful, a scan is cheaper than a heap.
+		ti := -1
+		for i, t := range tables {
+			if next[i] < t.entries() && (ti < 0 || t.key(next[i]) < tables[ti].key(next[ti])) {
+				ti = i
 			}
 		}
+		if ti < 0 {
+			return f.components(), 0, nil
+		}
+		t, k := tables[ti], next[ti]
+		next[ti]++
+		pr := t.mt.At(k)
+		a, b := node{Src: t.left, Idx: pr.RIndex}, node{Src: t.right, Idx: pr.SIndex}
+		var err error
+		if stored != nil {
+			if err = f.seed(stored, a); err == nil {
+				err = f.seed(stored, b)
+			}
+		}
+		if err == nil {
+			err = f.merge(a, b, srcName)
+		}
+		if err != nil {
+			return nil, t.key(k), fmt.Errorf("link %q-%q: pair (%d,%d): %w", srcName(t.left), srcName(t.right), pr.RIndex, pr.SIndex, err)
+		}
 	}
-	return f.components(), nil
 }
 
 // clusterFold is a union-find over the hub's tuples numbered densely in

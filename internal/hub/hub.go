@@ -243,9 +243,9 @@ func (h *Hub) publishTopo() {
 // AddSource registers an autonomous source under a unique name. The
 // hub takes ownership of rel, which becomes the source's canonical
 // relation (pass an empty one to start blank): the caller must not use
-// it afterwards. Replay and the snapshot loader register through here
-// too, with no logger attached — the relation they hand over was just
-// built from persisted records and lives nowhere else.
+// it afterwards. Open registers through here too, with no logger
+// attached — the relation it hands over was just built from persisted
+// records and lives nowhere else.
 //
 //entitylint:commitpath
 func (h *Hub) AddSource(name string, rel *relation.Relation) error {
@@ -363,7 +363,7 @@ func (h *Hub) resolveLinkLocked(spec PairSpec) (li, ri int, err error) {
 func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federation) error {
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	grown, err := foldTables(h.sourceLens(), []linkTable{{li, ri, fed.MT()}}, h.clusters, h.sourceName)
+	grown, _, err := foldTables(h.sourceLens(), []linkTable{{left: li, right: ri, mt: fed.MT()}}, h.clusters, h.sourceName)
 	if err != nil {
 		return fmt.Errorf("hub: %w", err)
 	}
@@ -372,26 +372,33 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, h.ingestFailed(err))
 		}
 	}
-	h.addPairLocked(spec, li, ri, fed)
+	h.holdFed(h.addPairLocked(spec, li, ri), fed)
 	for _, ms := range grown {
 		h.clusters.Publish(ms)
 	}
 	return nil
 }
 
-// addPairLocked registers a link whose table is already folded (or, on
-// a snapshot load, is about to be). Callers hold h.mu exclusively and
-// the commit lock.
-func (h *Hub) addPairLocked(spec PairSpec, li, ri int, fed *federate.Federation) {
+// addPairLocked registers a validated link with no federation yet: Link
+// hands it the one whose table it just folded, Open the one it builds
+// once the log is read. Callers hold h.mu exclusively.
+func (h *Hub) addPairLocked(spec PairSpec, li, ri int) *pairState {
 	left, right := h.sources[li], h.sources[ri]
-	p := &pairState{id: len(h.pairs), left: li, right: ri, spec: spec, mtLen: fed.MT().Len()}
-	p.fed.Store(fed)
-	p.lastUse.Store(h.pairClock.Add(1))
-	h.hotPairs.Add(1)
+	p := &pairState{id: len(h.pairs), left: li, right: ri, spec: spec}
 	h.pairs = append(h.pairs, p)
 	left.pairs = append(left.pairs, p)
 	right.pairs = append(right.pairs, p)
 	recordAttrNames(left, right, spec.Attrs)
+	return p
+}
+
+// holdFed makes fed the resident federation of a pair that has none.
+// Callers hold h.mu exclusively and the commit lock.
+func (h *Hub) holdFed(p *pairState, fed *federate.Federation) {
+	p.mtLen = fed.MT().Len()
+	p.fed.Store(fed)
+	p.lastUse.Store(h.pairClock.Add(1))
+	h.hotPairs.Add(1)
 }
 
 // sourceLens returns every source's tuple count. Callers hold h.mu and

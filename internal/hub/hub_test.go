@@ -405,15 +405,15 @@ func TestFoldRejectsAChainThroughOneSource(t *testing.T) {
 	seedSource(t, h, "B", nil, []string{"b0"})
 	seedSource(t, h, "C", nil, []string{"c0"}, []string{"c1"})
 	tables := []linkTable{
-		{0, 1, match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 0})},
-		{0, 2, match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 0})},
-		{1, 2, match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 1})},
+		{left: 0, right: 1, mt: match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 0})},
+		{left: 0, right: 2, mt: match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 0})},
+		{left: 1, right: 2, mt: match.NewTable(nil, nil, match.Pair{RIndex: 0, SIndex: 1})},
 	}
-	folded, err := foldTables(h.sourceLens(), tables[:2], nil, h.sourceName)
+	folded, _, err := foldTables(h.sourceLens(), tables[:2], nil, h.sourceName)
 	if want := [][]node{{{Src: 0, Idx: 0}, {Src: 1, Idx: 0}, {Src: 2, Idx: 0}}}; err != nil || !reflect.DeepEqual(folded, want) {
 		t.Fatalf("fold of the two sound tables = %v (%v), want %v", folded, err, want)
 	}
-	_, err = foldTables(h.sourceLens(), tables, nil, h.sourceName)
+	_, _, err = foldTables(h.sourceLens(), tables, nil, h.sourceName)
 	if !errors.Is(err, store.ErrUniqueness) || !strings.Contains(err.Error(), `link "B"-"C": pair (0,1)`) ||
 		!strings.Contains(err.Error(), `tuples 0 and 1 of source "C"`) {
 		t.Fatalf("fold of a chain through two tuples of C = %v, want a uniqueness violation naming both", err)

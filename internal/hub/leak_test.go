@@ -14,7 +14,7 @@ import (
 
 // TestLoadSnapshotNoGoroutineLeak hammers Open with directories whose
 // run files are bit-rotted (the fuzz workload in miniature) and checks
-// the parallel run readers of loadSnapshotSections are always reaped, on
+// the parallel run readers of the snapshot load are always reaped, on
 // failure paths included.
 func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 	dir := t.TempDir()

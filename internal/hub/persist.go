@@ -1,7 +1,8 @@
-// Opening a durable hub: Options, Open, and replay. What Open loads is
-// snapload.go's; what it attaches once the log tail is replayed — the
-// log writer, the snapshot producer, the degraded-mode probe loop — are
-// wallog.go, snapwriter.go and degraded.go.
+// Opening a durable hub: Options, Open, and the read of the log tail
+// into the relations. How Open loads a snapshot, builds the pairs and
+// folds the clusters is snapload.go's; what it attaches once the hub is
+// rebuilt — the log writer, the snapshot producer, the degraded-mode
+// probe loop — are wallog.go, snapwriter.go and degraded.go.
 package hub
 
 import (
@@ -118,18 +119,21 @@ type RecoveryInfo struct {
 	// detected (CRC/length/sequence check) and recovery stopped at the
 	// last good record.
 	TailDamage string
-	// The wall time of each phase of Open: reading and decoding the
-	// snapshot's run files; rebuilding the relations and re-verifying the
-	// pairwise federations; folding the restored matching tables into
-	// the cluster store and reading it back; replaying the log tail. The
-	// first three are zero when no snapshot was loaded.
-	DecodeTime, RestoreTime, FoldTime, ReplayTime time.Duration
+	// The wall time of each phase of Open, in the order they run: reading
+	// and decoding the snapshot's run files into the relations (zero with
+	// no snapshot); reading the log tail into the relations; building and
+	// verifying every pairwise federation, the snapshot's and the tail's
+	// links alike; folding the built matching tables into the cluster
+	// store and reading it back.
+	DecodeTime, ReplayTime, RestoreTime, FoldTime time.Duration
 }
 
 // Open opens (or creates) a durable hub rooted at dir: it loads the
-// snapshot the manifest names if one exists, replays the write-ahead
-// log tail past the snapshot watermark, and attaches the logger so
-// subsequent mutations are persisted. The returned hub must be Closed.
+// snapshot the manifest names if one exists, reads the write-ahead log
+// tail past the snapshot watermark into the same relations, builds every
+// pairwise federation once and folds the clusters once (snapload.go), and
+// attaches the logger so subsequent mutations are persisted. The
+// returned hub must be Closed.
 func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -162,31 +166,28 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 			b.Close()
 		}
 		l.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("hub: open %s: %w", dir, err)
 	}
 
 	info := &RecoveryInfo{}
-	var h *Hub
+	r := &recovery{h: NewWithBackend(b)}
 	var prevMan *snapManifest
 	switch man, err := readManifest(fsys, dir); {
 	case err == nil:
-		h, err = loadSnapshotSections(fsys, dir, man, b, info)
-		if err != nil {
-			return fail(fmt.Errorf("hub: open %s: %w", dir, err))
+		if err := r.loadSnapshot(fsys, dir, man, info); err != nil {
+			return fail(err)
 		}
 		prevMan = man
 		info.FromSnapshot = true
 		info.Watermark = man.Watermark
-	case os.IsNotExist(err):
-		h = NewWithBackend(b)
-	default:
-		return fail(fmt.Errorf("hub: open %s: %w", dir, err))
+	case !os.IsNotExist(err):
+		return fail(err)
 	}
 	// Sweep run files no committed manifest references — debris of
 	// snapshot attempts a crash interrupted before their manifest
 	// rename.
 	if err := sweepSections(fsys, dir, prevMan); err != nil {
-		return fail(fmt.Errorf("hub: open %s: %w", dir, err))
+		return fail(err)
 	}
 
 	if d := l.Damage(); d != nil {
@@ -198,22 +199,26 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	// numbers a later replay skips. Fail closed instead.
 	switch {
 	case info.FromSnapshot && l.LastSeq() < info.Watermark:
-		return fail(fmt.Errorf("hub: open %s: write-ahead log ends at record %d but the snapshot covers through %d: log records are missing",
-			dir, l.LastSeq(), info.Watermark))
+		return fail(fmt.Errorf("write-ahead log ends at record %d but the snapshot covers through %d: log records are missing",
+			l.LastSeq(), info.Watermark))
 	case info.FromSnapshot && l.OldestSeq() > info.Watermark+1:
-		return fail(fmt.Errorf("hub: open %s: write-ahead log starts at record %d but the snapshot covers only through %d: log records are missing",
-			dir, l.OldestSeq(), info.Watermark))
+		return fail(fmt.Errorf("write-ahead log starts at record %d but the snapshot covers only through %d: log records are missing",
+			l.OldestSeq(), info.Watermark))
 	case !info.FromSnapshot && l.LastSeq() > 0 && l.OldestSeq() > 1:
-		return fail(fmt.Errorf("hub: open %s: write-ahead log starts at record %d with no snapshot covering the truncated prefix",
-			dir, l.OldestSeq()))
+		return fail(fmt.Errorf("write-ahead log starts at record %d with no snapshot covering the truncated prefix",
+			l.OldestSeq()))
 	}
 	start := time.Now()
-	n, err := h.Replay(l, info.Watermark)
-	if err != nil {
-		return fail(fmt.Errorf("hub: open %s: %w", dir, err))
-	}
+	n, readErr := r.readTail(l, info.Watermark)
 	info.Replayed, info.ReplayTime = n, time.Since(start)
+	if err := r.finish(info, readErr); err != nil {
+		return fail(err)
+	}
 	info.LastSeq = l.LastSeq()
+	h := r.h
+	// Every pair was built resident; the disk backend's pair tier goes
+	// back within its budget now, not at the first insert.
+	h.maybeSpillPairs()
 	probe, probeMax := opts.probeBackoff, opts.probeBackoffMax
 	if probe <= 0 {
 		probe = defaultProbeBackoff
@@ -239,78 +244,92 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	return h, info, nil
 }
 
-// Replay re-applies the log tail after the snapshot watermark: every
-// record with a later sequence number is decoded and re-applied through
-// the normal mutation paths (records the snapshot already covers are
-// skipped). It returns the number of records applied. Replay must run
-// before the logger is attached, so replayed mutations are not
-// re-logged.
+// readTail reads the log records past the watermark into the hub, in log
+// order, before the logger is attached:
+//   - add_source, and a source_begin/source_chunk group at its final
+//     chunk, register the source with its seed tuples. A group the log
+//     abandons mid-way — its writer crashed or its append failed between
+//     chunks, so the registration was never acknowledged — is discarded,
+//     exactly like a torn single record;
+//   - link resolves and validates its spec where it stands and registers
+//     the pair with no table yet, its cut at the two sides' lengths there;
+//   - insert has its source admit the tuple (shape, candidate keys) and
+//     take it, and notes the record as the tuple's arrival.
 //
-// A chunked source registration (source_begin + source_chunk records)
-// commits only at its final chunk; a group the log abandons mid-way —
-// the writer crashed or its append failed between chunks, so the
-// registration was never acknowledged — is discarded, exactly like a
-// torn single record.
+// Nothing is matched or folded here: finish builds each pair once over
+// the relations as read. It returns the number of records applied — a
+// group's at its final chunk — and the first that failed, as "record k:
+// why"; the records before it are in the hub.
 //
-// Replay decodes ahead the way a stream encodes ahead: the log read, the
-// frame checks and the decoding of each record — the envelope, a schema,
-// the tuples — run on a second goroutine (inside the log's replay
-// callback), the mutations on the caller's, in log order. A tuple is read
-// against its source's schema, so the decoder carries the schemas it has
-// seen: the hub's own when Replay starts, then each add_source and
-// source_begin record's as it passes — a source is always logged before
-// its tuples. A record that fails to decode travels down the same channel
-// as the good ones before it, so the error returned, the count and the
-// hub's state on failure are those of a serial replay.
-func (h *Hub) Replay(l *wal.Log, after uint64) (int, error) {
-	if h.per != nil {
-		return 0, fmt.Errorf("hub: replay into a hub that is already logging")
-	}
+// The read decodes ahead the way a stream encodes ahead: the log read,
+// the frame checks and the decoding of each record — the envelope, a
+// schema, the tuples — run on a second goroutine (inside the log's replay
+// callback), the application on the caller's, in log order, a batch of
+// records at a time. A tuple is read against its source's schema, so the
+// decoder carries the schemas it has seen: the hub's own when the read
+// starts, then each add_source and source_begin record's as it passes — a
+// source is always logged before its tuples. A record that fails to
+// decode travels down the same channel as the good ones before it, so the
+// failure and the hub's state are those of a read one record at a time.
+func (r *recovery) readTail(l *wal.Log, after uint64) (int, error) {
 	schemas := map[string]*schema.Schema{}
-	h.mu.RLock()
-	for _, s := range h.sources {
+	for _, s := range r.h.sources {
 		schemas[s.name] = s.rel.Schema()
 	}
-	h.mu.RUnlock()
-	// recs is as deep as a stream's channels, for the same reason: enough
-	// for the decoder to run ahead of a slow apply, bounded in memory.
-	recs := make(chan replayRecord, defaultStreamWindow)
+	// The records travel in batches of a stream's window, two batches
+	// deep: enough for the decoder to run ahead of the application,
+	// bounded in memory, one channel operation per batch.
+	recs := make(chan []replayRecord, 2)
 	stop := make(chan struct{})
 	var readErr error
 	go func() {
 		defer close(recs)
-		readErr = l.Replay(after, func(rec wal.Record) error {
-			d := decodeReplayRecord(rec, schemas)
+		batch := make([]replayRecord, 0, defaultStreamWindow)
+		send := func() error {
 			select {
-			case recs <- d:
+			case recs <- batch:
 			case <-stop:
 				return errReplayStopped
 			}
-			if d.err != nil {
-				return errReplayStopped // the applier fails here; read no further
-			}
+			batch = make([]replayRecord, 0, defaultStreamWindow)
 			return nil
+		}
+		readErr = l.Replay(after, func(rec wal.Record) error {
+			d := decodeReplayRecord(rec, schemas)
+			batch = append(batch, d)
+			if d.err == nil && len(batch) < cap(batch) {
+				return nil
+			}
+			if err := send(); err != nil || d.err == nil {
+				return err
+			}
+			return errReplayStopped // the application fails here; read no further
 		})
+		if len(batch) > 0 {
+			send()
+		}
 	}()
 	n := 0
 	var open *pendingSource
 	var err error
 	// The range ends only when the reader has returned, so no goroutine
-	// (and no log read) outlives Replay, failed or not.
-	for d := range recs {
-		if err != nil {
-			continue // failed: drain what the reader had in flight
+	// (and no log read) outlives the read, failed or not.
+	for batch := range recs {
+		for _, d := range batch {
+			if err != nil {
+				break // failed: drain what the reader had in flight
+			}
+			applied := 0
+			if d.err == nil {
+				applied, d.err = r.apply(d, &open)
+			}
+			if d.err != nil {
+				err = fmt.Errorf("record %d: %w", d.seq, d.err)
+				close(stop)
+				break
+			}
+			n += applied
 		}
-		applied := 0
-		if d.err == nil {
-			applied, d.err = h.applyRecord(d, &open)
-		}
-		if d.err != nil {
-			err = fmt.Errorf("record %d: %w", d.seq, d.err)
-			close(stop)
-			continue
-		}
-		n += applied
 	}
 	if err == nil {
 		err = readErr
@@ -322,64 +341,80 @@ func (h *Hub) Replay(l *wal.Log, after uint64) (int, error) {
 }
 
 // errReplayStopped ends the log read once the applying side has failed;
-// the failure itself is what Replay returns.
+// the failure itself is what readTail returns.
 var errReplayStopped = errors.New("hub: replay stopped")
 
-// replayRecord is one log record decoded ahead of its application: the
-// envelope, the schema it registers, the tuples it carries (an insert's
-// one), or the error decoding any of them gave.
+// replayRecord is one log record decoded ahead of its application: its
+// type, the source it names, the schema it registers, the tuples it
+// carries (an insert's one in tuple), the link it makes, or the error
+// decoding any of them gave.
 type replayRecord struct {
 	seq    uint64
-	env    wal.Envelope
+	typ    string
+	name   string
 	schema *schema.Schema
 	tuples []relation.Tuple
+	tuple  relation.Tuple
+	final  bool
+	link   *wal.LinkRec
 	err    error
 }
 
 // decodeReplayRecord decodes one record against the schemas logged so
-// far, adding the one it registers.
+// far, adding the one it registers. An insert spelled the way the commit
+// path spells it is read without reflection (wal.ParseInsert); every
+// other record, and an insert that way does not read whole, goes through
+// the envelope decoder, whose failures are the ones reported.
 func decodeReplayRecord(rec wal.Record, schemas map[string]*schema.Schema) replayRecord {
 	d := replayRecord{seq: rec.Seq}
-	if d.env, d.err = wal.DecodeEnvelope(rec.Payload); d.err != nil {
+	if src, tup, ok := wal.ParseInsert(rec.Payload); ok {
+		if sch := schemas[src]; sch != nil {
+			if t, err := relation.ParseTupleJSON(sch, tup); err == nil {
+				d.typ, d.name, d.tuple = wal.TypeInsert, src, t
+				return d
+			}
+		}
+	}
+	env, err := wal.DecodeEnvelope(rec.Payload)
+	if d.typ, d.err = env.Type, err; err != nil {
 		return d
 	}
-	var name string
 	var tuples json.RawMessage
-	switch env := d.env; env.Type {
+	switch env.Type {
 	case wal.TypeAddSource:
-		name, tuples = env.AddSource.Name, env.AddSource.Tuples
+		d.name, tuples = env.AddSource.Name, env.AddSource.Tuples
 		d.schema, d.err = wal.DecodeSchema(env.AddSource.Schema)
 	case wal.TypeSourceBegin:
-		name = env.SourceBegin.Name
+		d.name = env.SourceBegin.Name
 		d.schema, d.err = wal.DecodeSchema(env.SourceBegin.Schema)
 	case wal.TypeSourceChunk:
-		name, tuples = env.SourceChunk.Name, env.SourceChunk.Tuples
+		d.name, tuples, d.final = env.SourceChunk.Name, env.SourceChunk.Tuples, env.SourceChunk.Final
 	case wal.TypeInsert:
-		name = env.Insert.Source
+		d.name = env.Insert.Source
 	default:
+		d.link = env.Link
 		return d
 	}
 	if d.schema != nil {
-		schemas[name] = d.schema
+		schemas[d.name] = d.schema
 	}
-	switch sch := schemas[name]; {
+	switch sch := schemas[d.name]; {
 	case d.err != nil:
 	case sch == nil:
 		d.err = fmt.Errorf("no earlier record registers it")
-	case d.env.Type == wal.TypeInsert:
-		d.tuples = make([]relation.Tuple, 1)
-		d.tuples[0], d.err = relation.ParseTupleJSON(sch, d.env.Insert.Tuple)
+	case d.typ == wal.TypeInsert:
+		d.tuple, d.err = relation.ParseTupleJSON(sch, env.Insert.Tuple)
 	case tuples != nil:
 		d.tuples, d.err = relation.ParseTuplesJSON(sch, tuples)
 	}
 	if d.err != nil {
-		d.err = fmt.Errorf("hub: %s record for source %q: %w", d.env.Type, name, d.err)
+		d.err = fmt.Errorf("hub: %s record for source %q: %w", d.typ, d.name, d.err)
 	}
 	return d
 }
 
 // pendingSource buffers an in-flight chunked source registration during
-// replay. records counts the group's log records, applied to the total
+// the read. records counts the group's log records, applied to the total
 // only when the group commits.
 type pendingSource struct {
 	name    string
@@ -387,56 +422,77 @@ type pendingSource struct {
 	records int
 }
 
-// applyRecord re-applies one decoded WAL record, returning how many log
+// apply reads one decoded record into the hub, returning how many log
 // records it committed (group records count at the final chunk). open
 // threads the chunked-registration state machine between records.
-func (h *Hub) applyRecord(d replayRecord, open **pendingSource) (int, error) {
-	env := d.env
-	if env.Type != wal.TypeSourceChunk && *open != nil {
+func (r *recovery) apply(d replayRecord, open **pendingSource) (int, error) {
+	if d.typ != wal.TypeSourceChunk && *open != nil {
 		// Any non-continuation record aborts an open group: the group's
 		// writer saw an append fail and the registration was rejected.
 		// Forget the partial source; nothing of it was committed.
 		*open = nil
 	}
-	switch env.Type {
+	switch d.typ {
 	case wal.TypeAddSource:
 		rel := relation.New(d.schema)
 		if err := seedTuples(rel, d.tuples); err != nil {
 			return 0, err
 		}
-		return 1, h.AddSource(env.AddSource.Name, rel)
+		return 1, r.addSource(d.name, rel)
 	case wal.TypeSourceBegin:
-		*open = &pendingSource{name: env.SourceBegin.Name, rel: relation.New(d.schema), records: 1}
+		*open = &pendingSource{name: d.name, rel: relation.New(d.schema), records: 1}
 		return 0, nil
 	case wal.TypeSourceChunk:
 		p := *open
-		if p == nil || p.name != env.SourceChunk.Name {
-			return 0, fmt.Errorf("hub: source_chunk for %q without matching source_begin", env.SourceChunk.Name)
+		if p == nil || p.name != d.name {
+			return 0, fmt.Errorf("hub: source_chunk for %q without matching source_begin", d.name)
 		}
 		if err := seedTuples(p.rel, d.tuples); err != nil {
 			return 0, err
 		}
 		p.records++
-		if !env.SourceChunk.Final {
+		if !d.final {
 			return 0, nil
 		}
 		*open = nil
-		return p.records, h.AddSource(p.name, p.rel)
+		return p.records, r.addSource(p.name, p.rel)
 	case wal.TypeLink:
-		spec, err := specFromLinkRec(*env.Link)
+		spec, err := specFromLinkRec(*d.link)
 		if err != nil {
 			return 0, err
 		}
-		return 1, h.Link(spec)
+		return 1, r.link(spec, linkCut{seq: d.seq})
 	case wal.TypeInsert:
-		_, err := h.Insert(env.Insert.Source, d.tuples[0])
-		return 1, err
+		return 1, r.insert(d.name, d.tuple, d.seq)
 	default:
-		return 0, fmt.Errorf("hub: unknown record type %q", env.Type)
+		return 0, fmt.Errorf("hub: unknown record type %q", d.typ)
 	}
 }
 
-// seedTuples inserts a registration record's seed tuples into rel.
+// insert has a source admit a logged tuple and take it, the checks and
+// the errors of a live insert's admission, and notes the record as the
+// tuple's arrival.
+func (r *recovery) insert(source string, t relation.Tuple, seq uint64) error {
+	si, ok := r.h.byName[source]
+	if !ok {
+		return fmt.Errorf("hub: unknown source %q", source)
+	}
+	rel := r.h.sources[si].rel
+	adm, err := rel.Admit(t)
+	if err == nil {
+		err = checkUTF8(rel.Schema(), t)
+	}
+	if err == nil {
+		err = rel.InsertAdmitted(adm)
+	}
+	if err != nil {
+		return fmt.Errorf("hub: source %q: %w", source, err)
+	}
+	r.arrived[si].seqs = append(r.arrived[si].seqs, seq)
+	return nil
+}
+
+// seedTuples appends a registration record's seed tuples to rel.
 func seedTuples(rel *relation.Relation, ts []relation.Tuple) error {
 	for i, t := range ts {
 		if err := rel.Insert(t); err != nil {

@@ -110,7 +110,7 @@ func TestBackgroundSnapshotTruncatesLog(t *testing.T) {
 }
 
 // TestSnapshotRoundTripAndTamperDetection holds the two semantic
-// re-verifications of assembleHub, which no frame CRC, run hash or
+// re-verifications of a snapshot load, which no frame CRC, run hash or
 // manifest count stands in for: a matching table re-encoded with a pair
 // dropped (every checksum self-consistent) is caught by
 // federate.Restore, and a cluster store that lost a cluster the fold of

@@ -107,9 +107,10 @@ func foldCut(cut *snapshotCut, mts []*match.Table) ([][]node, error) {
 	}
 	tables := make([]linkTable, len(cut.pairs))
 	for i, cp := range cut.pairs {
-		tables[i] = linkTable{cp.p.left, cp.p.right, mts[i]}
+		tables[i] = linkTable{left: cp.p.left, right: cp.p.right, mt: mts[i]}
 	}
-	return foldTables(lens, tables, nil, func(si int) string { return cut.sources[si].s.name })
+	folded, _, err := foldTables(lens, tables, nil, func(si int) string { return cut.sources[si].s.name })
+	return folded, err
 }
 
 // writeSnapshotSections drives a snapshot at the given cut through the

@@ -1,27 +1,37 @@
-// The snapshot loader: the directory store read back. The data
-// directory holds a manifest file plus one content-addressed file per
-// run of each source's tuples and each pair's matching table under
-// snapsecs/ (written by snapwriter.go, in the format of snapshot.go).
-// Loading runs in four phases, each timed in RecoveryInfo: run decode
-// (files read and decoded on a fixed set of workers), pair restore (the
-// relations rebuilt one source per worker, the pairwise federations
-// re-verified concurrently), cluster fold, and — in Open — log replay.
-// The partition is not stored; the loader computes it once: every
-// restored link is registered without folding, then one pass of the
-// cluster fold (cluster.go) over all the verified tables, each union
-// decided by store.CheckMerge, publishes each component to the empty
-// cluster store exactly once. Loading fails closed: frame CRCs, per-run
-// content hashes, chunk and item counts, and each run's declared
-// sequence and position are verified against the manifest, whose run
-// directories must be dense and full but for each sequence's last run;
-// every schema, ILFD and rule is re-validated by its domain
-// constructor; every pairwise federation is rebuilt through
-// federate.Restore (which verifies the rebuilt matching table equals
-// the saved one); and the cluster store, read back, must hold exactly
-// the components the fold published.
+// Rebuilding a hub from its data directory: the snapshot loader, and
+// the one path Open takes from the snapshot and the log tail to a hub.
+// The data directory holds the write-ahead log, a manifest file and one
+// content-addressed file per run of each source's tuples and each pair's
+// matching table under snapsecs/ (written by snapwriter.go, in the
+// format of snapshot.go). Recovery runs in four phases, each timed in
+// RecoveryInfo: run decode (the files read and decoded on a fixed set of
+// workers, each source's runs appended into its relation), log replay
+// (the tail read into the same relations, persist.go), pair restore
+// (every pairwise federation built once over the final relations and
+// verified, on parallel workers) and cluster fold. Neither the partition
+// nor the tail's matches are stored: a matching table is a function of
+// the two relations (§4.2, and federate's batch ≡ incremental), so one
+// build per pair stands for every insert the log holds, and the order the
+// live hub committed each table in is rebuilt exactly from the records
+// the tuples arrived by (commitOrder). One pass of the cluster fold
+// (cluster.go) over all the tables, in log order, each union decided by
+// store.CheckMerge, then publishes each component to the empty cluster
+// store exactly once. Recovery fails closed: frame CRCs, per-run content
+// hashes, chunk and item counts, and each run's declared sequence and
+// position are verified against the manifest, whose run directories must
+// be dense and full but for each sequence's last run; every schema, ILFD
+// and rule is re-validated by its domain constructor; every rebuilt table
+// must hold exactly the snapshot's pairs inside the snapshot's cut
+// (federate's Reorder); a log whose tuples break §3.2 is refused at the
+// record that completes the violation — a pairwise break with the pair
+// build's error, at the latest record among the tuples it names and the
+// link, a break across sources with the fold's, naming the link and pair;
+// and the cluster store, read back, must hold exactly the components the
+// fold published.
 package hub
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -34,7 +44,6 @@ import (
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
-	"entityid/internal/store"
 	"entityid/internal/wal"
 )
 
@@ -63,15 +72,85 @@ func secPath(dir, hash string) string {
 	return filepath.Join(dir, snapSecDir, hash+snapSecSuffix)
 }
 
-// loadSnapshotSections rebuilds a hub from a manifest's run files,
-// decoding them in parallel and verifying each file's content hash,
-// chunk count, item count and declared position against the manifest.
-// The hub is assembled onto the given storage backend (nil means
-// memory); info receives the wall time of each phase.
-func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Backend, info *RecoveryInfo) (*Hub, error) {
+// recovery is a hub Open is rebuilding: its sources and links
+// registered in log order and its relations filled, its pairs not yet
+// built.
+type recovery struct {
+	h *Hub
+	// arrived[s] is when source s's tuples came; cuts[i] is where pair i's
+	// table starts.
+	arrived []arrivals
+	cuts    []linkCut
+}
+
+// arrivals holds the log record each tuple of a source was inserted by,
+// from position first on; the tuples before it came with the snapshot or
+// with the source's registration.
+type arrivals struct {
+	first int
+	seqs  []uint64
+}
+
+// at returns the record tuple i arrived by, 0 for one older than the log
+// tail.
+func (a *arrivals) at(i int) uint64 {
+	if i < a.first {
+		return 0
+	}
+	return a.seqs[i-a.first]
+}
+
+// linkCut is where a pair's table starts: the two sides' lengths when the
+// link was made, at its record seq — or, for a link the snapshot holds
+// (seq 0), at the snapshot, with the pairs the snapshot saved, in commit
+// order.
+type linkCut struct {
+	rlen, slen int
+	seq        uint64
+	saved      []match.Pair
+}
+
+// addSource registers a source whose relation holds its tuples so far.
+func (r *recovery) addSource(name string, rel *relation.Relation) error {
+	if err := r.h.AddSource(name, rel); err != nil {
+		return err
+	}
+	r.arrived = append(r.arrived, arrivals{first: rel.Len()})
+	return nil
+}
+
+// link validates a link where it stands and registers it with no table
+// yet, cut at the two sides' lengths now — which, for a link the snapshot
+// holds, must be where the snapshot cut it.
+func (r *recovery) link(spec PairSpec, cut linkCut) error {
+	h := r.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	li, ri, err := h.resolveLinkLocked(spec)
+	if err != nil {
+		return err
+	}
+	rlen, slen := h.sources[li].rel.Len(), h.sources[ri].rel.Len()
+	if cut.seq == 0 && (cut.rlen != rlen || cut.slen != slen) {
+		return fmt.Errorf("link %q-%q: the snapshot cut it at %d and %d tuples, its sources hold %d and %d",
+			spec.Left, spec.Right, cut.rlen, cut.slen, rlen, slen)
+	}
+	cut.rlen, cut.slen = rlen, slen
+	h.addPairLocked(spec, li, ri)
+	r.cuts = append(r.cuts, cut)
+	return nil
+}
+
+// loadSnapshot reads a manifest's run files into the hub, decoding them
+// in parallel and verifying each file's content hash, chunk count, item
+// count and declared position against the manifest: each source's runs
+// are concatenated into its relation, one source per worker, and the
+// sources registered in manifest order, then the links, each cut where
+// the snapshot cut it and holding the pairs it saved.
+func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info *RecoveryInfo) error {
 	start := time.Now()
 	if man.RunItems < 1 {
-		return nil, fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
+		return fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
 	}
 	// One job per run file; seqs[i] collects sequence i's decoded runs,
 	// sources then pairs. A source's runs are read against the schema of
@@ -97,15 +176,15 @@ func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Ba
 	for i, s := range man.Sources {
 		var err error
 		if schemas[i], err = wal.DecodeSchema(s.Schema); err != nil {
-			return nil, fmt.Errorf("hub: snapshot source %q: %w", s.Name, err)
+			return fmt.Errorf("hub: snapshot source %q: %w", s.Name, err)
 		}
 		if err := add(s.id(), s.Runs, schemas[i]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, p := range man.Pairs {
 		if err := add(p.id(), p.Runs, nil); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	err := inParallel(len(jobs), func(i int) (err error) {
@@ -113,10 +192,48 @@ func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Ba
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
+	}
+	srcRuns, pairRuns := seqs[:len(man.Sources)], seqs[len(man.Sources):]
+	rels := make([]*relation.Relation, len(man.Sources))
+	err = inParallel(len(rels), func(i int) error {
+		rels[i] = relation.New(schemas[i])
+		for _, run := range srcRuns[i] {
+			for _, t := range run.tuples {
+				if err := rels[i].Insert(t); err != nil {
+					return fmt.Errorf("hub: snapshot source %q tuple %d: %w", man.Sources[i].Name, rels[i].Len(), err)
+				}
+			}
+			run.tuples = nil // the relation holds its own copy
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, src := range man.Sources {
+		if err := r.addSource(src.Name, rels[i]); err != nil {
+			return fmt.Errorf("hub: load snapshot: %w", err)
+		}
+	}
+	for i, dp := range man.Pairs {
+		cut := linkCut{rlen: dp.RLen, slen: dp.SLen}
+		for _, run := range pairRuns[i] {
+			cut.saved = append(cut.saved, run.mt...)
+			run.mt = nil // the cut keeps its own log
+		}
+		spec, err := specFromLinkRec(dp.Link)
+		if err == nil {
+			err = r.link(spec, cut)
+		} else {
+			err = fmt.Errorf("link %q-%q: %w", dp.Link.Left, dp.Link.Right, err)
+		}
+		if err != nil {
+			return fmt.Errorf("hub: load snapshot: %w", err)
+		}
 	}
 	info.DecodeTime = time.Since(start)
-	return assembleHub(man, schemas, seqs[:len(man.Sources)], seqs[len(man.Sources):], b, info)
+	return nil
 }
 
 // readRunFile decodes one run file (a source's against sch) and verifies
@@ -138,117 +255,155 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Sc
 	return d, nil
 }
 
-// assembleHub builds a hub from a manifest, its sources' decoded schemas
-// and its decoded runs, one slice per source and per pair, onto the given
-// storage backend (nil means in-memory):
-// each source's runs concatenated into its relation, one source per
-// worker, and registered in manifest order; pairwise federations
-// re-verified in parallel through federate.Restore — each over the
-// loaded relations themselves, which the federations only read, so
-// concurrent restores share them without a copy, and each adopting its
-// table's saved commit order, which later commits continue; and the
-// links registered and folded once (foldRestored).
-func assembleHub(man *snapManifest, schemas []*schema.Schema, srcRuns, pairRuns [][]*decRun, b store.Backend, info *RecoveryInfo) (*Hub, error) {
+// finish builds every pair once over the relations as read, on parallel
+// workers — each over the relations themselves, which the federations
+// only read, so concurrent builds share them without a copy — and folds
+// the clusters once (foldRestored). readErr is where the read stopped:
+// the builds and the fold cover the records before it, and a violation
+// they find there, at an earlier record, is the failure reported.
+func (r *recovery) finish(info *RecoveryInfo, readErr error) error {
 	start := time.Now()
-	rels := make([]*relation.Relation, len(man.Sources))
-	err := inParallel(len(rels), func(i int) error {
-		src := man.Sources[i]
-		rels[i] = relation.New(schemas[i])
-		for _, r := range srcRuns[i] {
-			for _, t := range r.tuples {
-				if err := rels[i].Insert(t); err != nil {
-					return fmt.Errorf("hub: snapshot source %q tuple %d: %w", src.Name, rels[i].Len(), err)
-				}
-			}
-			r.tuples = nil // the relation holds its own copy
-		}
-		return nil
+	builds := make([]pairBuild, len(r.cuts))
+	err := inParallel(len(builds), func(i int) (err error) {
+		builds[i], err = r.build(i)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	h := NewWithBackend(b)
-	for i, src := range man.Sources {
-		if err := h.AddSource(src.Name, rels[i]); err != nil {
-			return nil, fmt.Errorf("hub: load snapshot: %w", err)
-		}
-	}
-	// Re-verify every pairwise federation concurrently: Restore rebuilds
-	// the matching table from the loaded relations and proves it equals
-	// the saved one — the expensive, independent step.
-	specs := make([]PairSpec, len(man.Pairs))
-	feds := make([]*federate.Federation, len(man.Pairs))
-	err = inParallel(len(man.Pairs), func(i int) error {
-		dp := man.Pairs[i]
-		spec, err := specFromLinkRec(dp.Link)
-		if err != nil {
-			return fmt.Errorf("hub: load snapshot: link %q-%q: %w", dp.Link.Left, dp.Link.Right, err)
-		}
-		li, ok := h.byName[spec.Left]
-		if !ok {
-			return fmt.Errorf("hub: load snapshot: link references unknown source %q", spec.Left)
-		}
-		ri, ok := h.byName[spec.Right]
-		if !ok {
-			return fmt.Errorf("hub: load snapshot: link references unknown source %q", spec.Right)
-		}
-		st := federate.State{RLen: dp.RLen, SLen: dp.SLen}
-		for _, r := range pairRuns[i] {
-			st.Pairs = append(st.Pairs, r.mt...)
-			r.mt = nil // the federation keeps its own log
-		}
-		fed, err := federate.Restore(h.matchConfig(li, ri, spec), st)
-		if err != nil {
-			return fmt.Errorf("hub: load snapshot: link %q-%q: %w", spec.Left, spec.Right, err)
-		}
-		specs[i], feds[i] = spec, fed
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	info.RestoreTime = time.Since(start)
-	start = time.Now()
-	err = h.foldRestored(specs, feds)
-	info.FoldTime = time.Since(start)
 	if err != nil {
-		return nil, fmt.Errorf("hub: load snapshot: %w", err)
+		return err
 	}
-	return h, nil
+	start = time.Now()
+	err = r.h.foldRestored(builds)
+	info.FoldTime = time.Since(start)
+	if err == nil {
+		err = readErr
+	}
+	return err
 }
 
-// foldRestored registers the restored links without folding them, then
-// folds every table — each in the saved order its federation adopted —
-// in one pass onto the still empty cluster store, publishes each
-// component once and reads the store back: it must hold exactly the
-// fold.
-func (h *Hub) foldRestored(specs []PairSpec, feds []*federate.Federation) error {
+// pairBuild is one pair built over the relations as read: its federation
+// and, per entry of its table, the record that made the pair — 0 for the
+// snapshot's pairs, the link record for those Link made, the later
+// tuple's insert for the rest — which is the log's order.
+type pairBuild struct {
+	fed  *federate.Federation
+	keys []uint64
+}
+
+// build builds pair i over the final relations and has its table adopt
+// the order the live hub committed it in.
+func (r *recovery) build(i int) (pairBuild, error) {
+	p := r.h.pairs[i]
+	fed, err := federate.New(r.h.matchConfig(p.left, p.right, p.spec))
+	if err == nil {
+		order, keys := r.commitOrder(i, fed.MT())
+		if err = fed.Reorder(order); err == nil {
+			return pairBuild{fed: fed, keys: keys}, nil
+		}
+	}
+	return pairBuild{}, r.refused(i, err)
+}
+
+// refused reports why pair i did not build, at the record that broke it:
+// for a §3.2 violation (match.Violation) the latest of its tuples'
+// records and the link's, else the link's — or, at record 0, the
+// snapshot.
+func (r *recovery) refused(i int, err error) error {
+	p, seq := r.h.pairs[i], r.cuts[i].seq
+	if v := (*match.Violation)(nil); errors.As(err, &v) {
+		for _, ri := range v.R {
+			seq = max(seq, r.arrived[p.left].at(ri))
+		}
+		for _, si := range v.S {
+			seq = max(seq, r.arrived[p.right].at(si))
+		}
+	}
+	if seq == 0 {
+		return fmt.Errorf("hub: load snapshot: link %q-%q: %w", p.spec.Left, p.spec.Right, err)
+	}
+	return fmt.Errorf("record %d: hub: link %q-%q: %w", seq, p.spec.Left, p.spec.Right, err)
+}
+
+// commitOrder lists pair i's rebuilt table in the order the live hub
+// committed it, with each entry's record. First come the pairs inside the
+// cut: the snapshot's, as it saved them, or the ones Link made, in
+// Build's (R, S) order — the table Link made. Every other pair was made by
+// the insert of its later tuple, and an insert adds at most one pair to a
+// table; so a walk over both sides' tuples past the cut, merged in log
+// order, that takes each pair at its later tuple lists the rest in commit
+// order, with no sort. Reorder checks that the list covers the table
+// exactly.
+func (r *recovery) commitOrder(i int, mt *match.Table) ([]match.Pair, []uint64) {
+	p, cut := r.h.pairs[i], &r.cuts[i]
+	order, keys := make([]match.Pair, 0, mt.Len()), make([]uint64, 0, mt.Len())
+	if cut.seq == 0 {
+		order = append(order, cut.saved...)
+	} else {
+		for pr := range mt.All() {
+			if pr.RIndex < cut.rlen && pr.SIndex < cut.slen {
+				order = append(order, pr)
+			}
+		}
+	}
+	for range order {
+		keys = append(keys, cut.seq)
+	}
+	ra, sa := &r.arrived[p.left], &r.arrived[p.right]
+	rn, sn := r.h.sources[p.left].rel.Len(), r.h.sources[p.right].rel.Len()
+	var buf [1]int
+	for ri, si := cut.rlen, cut.slen; ri < rn || si < sn; {
+		if si == sn || ri < rn && ra.at(ri) < sa.at(si) {
+			if m := mt.MatchesOfR(buf[:0], ri); len(m) > 0 && sa.at(m[0]) < ra.at(ri) {
+				order, keys = append(order, match.Pair{RIndex: ri, SIndex: m[0]}), append(keys, ra.at(ri))
+			}
+			ri++
+		} else {
+			if m := mt.MatchesOfS(buf[:0], si); len(m) > 0 && ra.at(m[0]) < sa.at(si) {
+				order, keys = append(order, match.Pair{RIndex: m[0], SIndex: si}), append(keys, sa.at(si))
+			}
+			si++
+		}
+	}
+	return order, keys
+}
+
+// foldRestored hands every registered pair its built federation and folds
+// all their tables in one pass onto the still empty cluster store — in
+// log order, each entry at its record, so a union the log breaks (§3.2
+// lifted across sources) is refused at the record that made it — then
+// republishes every source's view, publishes each component once and
+// reads the store back: it must hold exactly the fold.
+func (h *Hub) foldRestored(builds []pairBuild) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	mts := make([]*match.Table, len(specs))
-	for i, spec := range specs {
-		li, ri, err := h.resolveLinkLocked(spec)
-		if err != nil {
-			return err
-		}
-		h.addPairLocked(spec, li, ri, feds[i])
-		mts[i] = feds[i].MT()
+	tables := make([]linkTable, len(builds))
+	for i, b := range builds {
+		tables[i] = linkTable{left: h.pairs[i].left, right: h.pairs[i].right, mt: b.fed.MT(), keys: b.keys}
 	}
-	folded, err := foldCut(h.cutLocked(0), mts)
-	if err != nil {
-		return err
+	folded, at, err := foldTables(h.sourceLens(), tables, nil, h.sourceName)
+	switch {
+	case err != nil && at > 0:
+		return fmt.Errorf("record %d: hub: %w", at, err)
+	case err != nil:
+		return fmt.Errorf("hub: load snapshot: %w", err)
+	}
+	for i, b := range builds {
+		h.holdFed(h.pairs[i], b.fed)
+	}
+	for _, s := range h.sources {
+		s.publishView()
 	}
 	for _, ms := range folded {
 		h.clusters.Publish(ms)
 	}
 	part, err := h.clusters.Partition()
 	if err != nil {
-		return err
+		return fmt.Errorf("hub: %w", err)
 	}
 	if !partitionsEqual(part, folded) {
-		return fmt.Errorf("cluster store does not match the refolded pairwise matching tables")
+		return fmt.Errorf("hub: cluster store does not match the refolded pairwise matching tables")
 	}
 	return nil
 }

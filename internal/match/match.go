@@ -239,9 +239,11 @@ func (t *Table) Add(p Pair) {
 		return
 	case t.unique != nil:
 	case j >= 0:
-		t.unique = fmt.Errorf("match: %w: R tuple %d matches S tuples %d and %d", ErrUniqueness, p.RIndex, j, p.SIndex)
+		t.unique = &Violation{R: []int{p.RIndex}, S: []int{int(j), p.SIndex},
+			err: fmt.Errorf("match: %w: R tuple %d matches S tuples %d and %d", ErrUniqueness, p.RIndex, j, p.SIndex)}
 	default:
-		t.unique = fmt.Errorf("match: %w: S tuple %d matches R tuples %d and %d", ErrUniqueness, p.SIndex, i, p.RIndex)
+		t.unique = &Violation{R: []int{int(i), p.RIndex}, S: []int{p.SIndex},
+			err: fmt.Errorf("match: %w: S tuple %d matches R tuples %d and %d", ErrUniqueness, p.SIndex, i, p.RIndex)}
 	}
 	t.over = append(t.over, p)
 }
@@ -619,6 +621,19 @@ var (
 	ErrConsistency = errors.New("consistency violation")
 )
 
+// A Violation is an unsound table's first violation, what Uniqueness and
+// Verify return: the R and S positions of the tuples it involves — a
+// tuple and the two it matches, or a matched pair a distinctness rule
+// declares distinct — and the error, which wraps ErrUniqueness or
+// ErrConsistency.
+type Violation struct {
+	R, S []int
+	err  error
+}
+
+func (v *Violation) Error() string { return v.err.Error() }
+func (v *Violation) Unwrap() error { return v.err }
+
 // Verify checks the §3.2 constraints on the matching table:
 //
 //   - uniqueness: no tuple of either relation matches more than one
@@ -646,8 +661,9 @@ func (res *Result) Verify() error {
 	for p := range res.MT.All() {
 		rt, st = res.RPrime.TupleInto(rt, p.RIndex), res.SPrime.TupleInto(st, p.SIndex)
 		if name, fires := eng.distinctFiresNamed(rt, st); fires {
-			return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
-				ErrConsistency, p.RIndex, p.SIndex, name)
+			return &Violation{R: []int{p.RIndex}, S: []int{p.SIndex},
+				err: fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
+					ErrConsistency, p.RIndex, p.SIndex, name)}
 		}
 	}
 	return nil

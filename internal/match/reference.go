@@ -131,8 +131,9 @@ func (res *Result) referenceVerifyConsistency() error {
 	for p := range res.MT.All() {
 		for _, d := range res.distinct {
 			if res.distinctHolds(d, rows.r[p.RIndex], rows.s[p.SIndex]) {
-				return fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
-					ErrConsistency, p.RIndex, p.SIndex, d.Name)
+				return &Violation{R: []int{p.RIndex}, S: []int{p.SIndex},
+					err: fmt.Errorf("match: %w: pair (%d,%d) matched but distinctness rule %q fires",
+						ErrConsistency, p.RIndex, p.SIndex, d.Name)}
 			}
 		}
 	}

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"entityid/internal/relation"
+	"entityid/internal/schema"
+	"entityid/internal/value"
 )
 
 // FuzzWALDecode throws arbitrary bytes at the frame scanner, at the
@@ -84,6 +88,62 @@ func FuzzWALDecode(f *testing.F) {
 		if err != nil || last != contiguous || off != int64(prefix) || (dmg == nil) != (prefix == len(data)) || dmg != nil && dmg.Offset != off {
 			t.Fatalf("segment scan = seq %d, offset %d, damage %v, error %v; the first %d of %d bytes hold %d contiguous records",
 				last, off, dmg, err, prefix, len(data), contiguous)
+		}
+	})
+}
+
+// FuzzParseInsert holds the hand-rolled insert reader to the envelope
+// decoder it stands in for. Whatever payload ParseInsert cuts, and whose
+// tuple bytes relation.ParseTupleJSON reads whole, DecodeEnvelope decodes
+// to the same source and a tuple that parses to the same values. And
+// AppendInsert's output, for any source name and any tuple — quotes,
+// backslashes, control bytes and invalid UTF-8 included — reads back by
+// DecodeEnvelope as the source JSON can spell (U+FFFD for each byte that
+// is not UTF-8) and the tuple's own bytes, and by ParseInsert, which must
+// read it when the source is written unescaped, as the same.
+func FuzzParseInsert(f *testing.F) {
+	sch := schema.MustNew("zagat", []schema.Attribute{
+		{Name: "name", Kind: value.KindString}, {Name: "n", Kind: value.KindInt},
+		{Name: "note", Kind: value.KindString}, {Name: "x", Kind: value.KindFloat},
+		{Name: "ok", Kind: value.KindBool},
+	})
+	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["wok",3,null,-0.5e3,true]}}`), "zagat", "wok", int64(3))
+	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["w\u00e9\"k\\\n",1,"`+"\xff"+`",2,false]}}`), "z\"a\\g", "\x1f\x00", int64(-1<<63))
+	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"z\u0061","tuple":[]}}`), "caf\xe9", "\xff\xfe<&>", int64(0))
+	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":[ "x" ,1e2, "3" ,1, null ] }}`), "\u2028", "", int64(7))
+	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["a",1,null,2,true]},"x":1}}`), "", "null", int64(1))
+	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["\x41",01,1.,2e,-]}}`), "zagat", "\"", int64(-7))
+	f.Fuzz(func(t *testing.T, payload []byte, source, s string, n int64) {
+		if src, tup, ok := ParseInsert(payload); ok {
+			if fast, err := relation.ParseTupleJSON(sch, tup); err == nil {
+				env, err := DecodeEnvelope(payload)
+				if err != nil || env.Type != TypeInsert || env.Insert.Source != src {
+					t.Fatalf("ParseInsert read %q as (%q, %v); DecodeEnvelope: %+v %v", payload, src, fast, env.Insert, err)
+				}
+				if slow, err := relation.ParseTupleJSON(sch, env.Insert.Tuple); err != nil || !slow.Identical(fast) {
+					t.Fatalf("ParseInsert read %q's tuple as %v, DecodeEnvelope's reads as %v, %v", payload, fast, slow, err)
+				}
+			}
+		}
+		tuple := relation.Tuple{value.String(s), value.Int(n), value.Null, value.Float(float64(n) / 7), value.Bool(n%2 == 0)}
+		p := AppendInsert(nil, source, tuple)
+		want := string([]rune(source))
+		env, err := DecodeEnvelope(p)
+		if err != nil || env.Insert.Source != want || !bytes.Equal(env.Insert.Tuple, relation.AppendTupleJSON(nil, tuple)) {
+			t.Fatalf("DecodeEnvelope read %q as %+v, %v", p, env.Insert, err)
+		}
+		slow, err := relation.ParseTupleJSON(sch, env.Insert.Tuple)
+		if err != nil {
+			t.Fatalf("tuple of %q: %v", p, err)
+		}
+		src, tup, ok := ParseInsert(p)
+		if ok {
+			if fast, err := relation.ParseTupleJSON(sch, tup); src != want || err != nil || !fast.Identical(slow) {
+				t.Fatalf("ParseInsert read %q as (%q, %v), %v", p, src, fast, err)
+			}
+		}
+		if plain := `"` + source + `"`; !ok && string(value.AppendJSONString(nil, source)) == plain {
+			t.Fatalf("ParseInsert refused %q, whose source is written unescaped", p)
 		}
 	})
 }

@@ -18,9 +18,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
@@ -115,6 +117,46 @@ func AppendInsert(b []byte, source string, t relation.Tuple) []byte {
 	b = append(b, `,"tuple":`...)
 	b = relation.AppendTupleJSON(b, t)
 	return append(b, "}}"...)
+}
+
+// ParseInsert is AppendInsert's inverse, read by slicing alone: it cuts
+// a payload spelled as AppendInsert spells it into its source — one that
+// needs no escape and is UTF-8 — and the bytes between `"tuple":` and the
+// closing "}}". Those bytes are not checked here: the caller reads them
+// with relation.ParseTupleJSON, which takes a JSON array of scalars and
+// nothing after it, and only then is the payload the insert
+// DecodeEnvelope reads, with the same source and a tuple that parses the
+// same. Any other payload — an escaped or non-UTF-8 source, any other
+// shape, a tuple that does not parse — is DecodeEnvelope's to read or
+// refuse.
+func ParseInsert(payload []byte) (source string, tuple []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(payload, []byte(`{"type":"insert","v":2,"insert":{"source":"`))
+	if !ok {
+		return "", nil, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || !plainJSON(rest[:end]) || !utf8.Valid(rest[:end]) {
+		return "", nil, false
+	}
+	name := rest[:end]
+	if rest, ok = bytes.CutPrefix(rest[end+1:], []byte(`,"tuple":`)); ok {
+		tuple, ok = bytes.CutSuffix(rest, []byte("}}"))
+	}
+	if !ok {
+		return "", nil, false
+	}
+	return string(name), tuple, true
+}
+
+// plainJSON reports whether s may stand inside a JSON string as itself:
+// no escape and no control character.
+func plainJSON(s []byte) bool {
+	for _, c := range s {
+		if c < ' ' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeEnvelope unmarshals a record payload and checks the body.
