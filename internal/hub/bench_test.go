@@ -11,13 +11,17 @@ package hub
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"entityid/internal/datagen"
+	"entityid/internal/match"
 	"entityid/internal/relation"
+	"entityid/internal/schema"
 	"entityid/internal/value"
+	"entityid/internal/wal"
 )
 
 // benchMulti is the K-source workload the hub benchmarks share: every
@@ -257,6 +261,52 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 				}
 			}
 			phases.report(b)
+		})
+	}
+}
+
+// BenchmarkDecodeRun is the run decode phase for one run file, as the
+// snapshot loader reads it (readRunFile): the file read, its frames cut,
+// its chunks read and its content hash checked against the manifest
+// entry — a source run of 1,024 of openWorkload's tuples, read against
+// the source's schema, and a pair run of 1,024 pairs, each written once by
+// the snapshot writer. ns, B and allocs are per item.
+func BenchmarkDecodeRun(b *testing.B) {
+	w := openWorkload()
+	rel := w.Relations[0]
+	pairs := make(mtItems, snapRunItems)
+	for i := range pairs {
+		pairs[i] = match.Pair{RIndex: i, SIndex: 2 * i}
+	}
+	dir := b.TempDir()
+	for _, leg := range []struct {
+		name  string
+		id    runID
+		items chunkItems
+		sch   *schema.Schema
+	}{
+		{"source", runID{kind: secSource, name: w.Names[0]}, tupleItems(rel.Tuples()[:snapRunItems]), rel.Schema()},
+		{"pair", runID{kind: secPair, left: w.Names[0], right: w.Names[1]}, pairs, nil},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			entry, err := newDirSink(wal.OS, dir, nil, snapRunItems).write(leg.id, leg.items, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := readRunFile(wal.OS, dir, leg.id, entry, leg.sch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			items := float64(b.N * leg.items.len())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/item")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/items, "B/item")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
 		})
 	}
 }

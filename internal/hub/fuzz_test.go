@@ -19,13 +19,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/match"
+	"entityid/internal/relation"
+	"entityid/internal/schema"
+	"entityid/internal/value"
 	"entityid/internal/wal"
 )
 
@@ -46,8 +53,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	committed := map[string]bool{}
-	var first []byte
-	base.eachRun(func(_ runID, r snapRun) {
+	var first, firstPair []byte
+	base.eachRun(func(id runID, r snapRun) {
 		committed[r.Hash] = true
 		data, err := os.ReadFile(secPath(dir, r.Hash))
 		if err != nil {
@@ -55,6 +62,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if first == nil {
 			first = data
+		}
+		if firstPair == nil && id.kind == secPair {
+			firstPair = data
 		}
 		// Every committed run, framed and as bare chunk payloads.
 		f.Add(data)
@@ -66,14 +76,35 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// Sequence jump between chunks: drop a middle frame.
 		f.Add(append(append([]byte(nil), frames[0]...), bytes.Join(frames[2:], nil)...))
 	}
-	// The committed manifest, one with a sealed run gone, one cut at a
-	// run length its runs do not have, one with no sequences, one of the
-	// retired format, and garbage.
+	// Runs whose first chunk is spelled otherwise than this format writes
+	// it, every frame CRC intact: a space, reordered keys, a repeated key,
+	// an empty name, a signed and a zero-led pair index.
+	for _, r := range []struct {
+		run      []byte
+		old, new string
+	}{
+		{first, `"run":0`, `"run": 0`},
+		{first, `"run":0,"chunk":1`, `"chunk":1,"run":0`},
+		{first, `"chunk":1`, `"chunk":1,"chunk":1`},
+		{first, `"name":"` + base.Sources[0].Name + `"`, `"name":""`},
+		{firstPair, `"mt":[[`, `"mt":[[-`},
+		{firstPair, `"mt":[[`, `"mt":[[0`},
+	} {
+		f.Add(respell(f, r.run, func(p string) string { return strings.Replace(p, r.old, r.new, 1) }))
+	}
+	// The committed manifest, one with a sealed run gone, one whose run
+	// entry gives another size than its file's, one cut at a run length
+	// its runs do not have, one with no sequences, one of the retired
+	// format, and garbage.
 	if frame, err := os.ReadFile(filepath.Join(dir, snapshotManifest)); err == nil {
 		f.Add(frame)
 	}
 	for _, doctor := range []func(*snapManifest){
 		func(m *snapManifest) { m.Sources[0].Runs = m.Sources[0].Runs[1:] },
+		func(m *snapManifest) {
+			m.Sources[0].Runs = append([]snapRun(nil), m.Sources[0].Runs...)
+			m.Sources[0].Runs[0].Bytes--
+		},
 		func(m *snapManifest) { m.RunItems = 3 },
 		func(m *snapManifest) { m.Sources, m.Pairs = nil, nil },
 		func(m *snapManifest) { m.Format = 2 },
@@ -126,7 +157,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		return append(runs, r)
 	}
 	run := func(t *testing.T, data []byte) {
-		d, err := decodeRun(bytes.NewReader(data), sch)
+		d, err := decodeRun(data, sch)
 		if err != nil {
 			return
 		}
@@ -206,6 +237,171 @@ func chunkPayloads(run []byte) []byte {
 		}
 		out = append(out, rec.Payload)
 	}
+}
+
+// refChunk is the chunk struct format 4 began with: what encoding/json
+// wrote and read for a run chunk before appendChunk and addChunk spelled
+// it by hand, kept as the reference both halves are held to.
+type refChunk struct {
+	V2     string          `json:"v2"`
+	Run    int             `json:"run"`
+	Chunk  int             `json:"chunk"`
+	Last   bool            `json:"last,omitempty"`
+	Name   string          `json:"name,omitempty"`
+	Tuples json.RawMessage `json:"tuples,omitempty"`
+	Left   string          `json:"left,omitempty"`
+	Right  string          `json:"right,omitempty"`
+	MT     [][2]int        `json:"mt,omitempty"`
+}
+
+// refAddChunk is the reflective chunk reader addChunk replaced, as it
+// read a chunk into d.
+func refAddChunk(d *decRun, rec wal.Record, sch *schema.Schema) (last bool, err error) {
+	var c refChunk
+	if err := json.Unmarshal(rec.Payload, &c); err != nil {
+		return false, err
+	}
+	d.meta.Chunks++
+	if d.meta.Chunks == 1 {
+		if c.V2 != secSource && c.V2 != secPair {
+			return false, fmt.Errorf("unknown kind %q", c.V2)
+		}
+		d.id = runID{kind: c.V2, name: c.Name, left: c.Left, right: c.Right, run: c.Run}
+	}
+	if c.V2 != d.id.kind || c.Run != d.id.run || c.Chunk != d.meta.Chunks || uint64(c.Chunk) != rec.Seq {
+		return false, fmt.Errorf("chunk out of sequence")
+	}
+	if (d.id.kind == secSource && (len(c.MT) > 0 || sch == nil)) || (d.id.kind == secPair && len(c.Tuples) > 0) {
+		return false, fmt.Errorf("chunk %d holds items of the other kind", c.Chunk)
+	}
+	if len(c.Tuples) > 0 {
+		ts, err := relation.ParseTuplesJSON(sch, c.Tuples)
+		if err != nil {
+			return false, err
+		}
+		d.tuples = append(d.tuples, ts...)
+	}
+	for _, pr := range c.MT {
+		d.mt = append(d.mt, match.Pair{RIndex: pr[0], SIndex: pr[1]})
+	}
+	return c.Last, nil
+}
+
+// FuzzRunChunk holds the hand-written chunk codec to the reflective one
+// it replaced. appendChunk writes byte for byte what encoding/json wrote
+// for the same chunk — source and link names with quotes, backslashes,
+// control bytes, <>&, U+2028/2029, non-ASCII and invalid UTF-8; tuples of
+// every kind; pair lists — and addChunk reads back what the bytes say:
+// the names as JSON spells them (U+FFFD for each byte that is not UTF-8),
+// the tuples and pairs written. On an arbitrary payload, read as a run's
+// first chunk and as the second after a well-spelled first, addChunk
+// either refuses or reads what the reference reads; neither panics.
+func FuzzRunChunk(f *testing.F) {
+	sch := schema.MustNew("zagat", []schema.Attribute{
+		{Name: "name", Kind: value.KindString}, {Name: "n", Kind: value.KindInt},
+		{Name: "x", Kind: value.KindFloat}, {Name: "ok", Kind: value.KindBool},
+		{Name: "note", Kind: value.KindString},
+	})
+	for _, p := range []string{
+		`{"v2":"source","run":0,"chunk":1,"last":true,"name":"zagat","tuples":[["wok",3,0.5,true,null]]}`,
+		`{"v2":"source","run":12,"chunk":2,"tuples":[["w<ok\"",-9223372036854775808,-0,false,"NaN"]]}`,
+		`{"v2":"pair","run":3,"chunk":1,"last":true,"left":"a\\b","right":"café","mt":[[0,1],[2,3]]}`,
+		`{"v2":"pair","run":0,"chunk":2,"last":true,"mt":[[10,0]]}`,
+		`{"v2":"source","run":0,"chunk":1,"name":"","tuples":[["a",1,1,true,null]]}`,
+		`{"v2":"source","run":0,"chunk":1,"name":"A","tuples":[]}`,
+		`{"v2": "pair","run":0,"chunk":1,"left":"a","right":"b","mt":[[01,-1]]}`,
+		`{"run":0,"v2":"pair","chunk":1,"chunk":1,"left":"a","right":"b","mt":[[1]],"x":1}`,
+	} {
+		f.Add([]byte(p), "src\x00<&>\u2028\u2029\xff", "caf\xe9\"", "wok\\", int64(-7), uint32(5), uint8(2), true)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, name, other, s string, n int64, r uint32, k uint8, last bool) {
+		// An arbitrary payload, read by both halves as a run's first chunk
+		// and as the second chunk of a source run.
+		prev := appendChunk(nil, runID{kind: secSource, name: "zagat"}, 1, true, false, tupleItems{{value.String("a"), value.Int(1), value.Null, value.Null, value.Null}}, 0, 1)
+		for _, chunk := range [][]byte{nil, prev} {
+			var got, want decRun
+			if chunk != nil {
+				if _, err := got.addChunk(wal.Record{Seq: 1, Payload: chunk}, sch); err != nil {
+					t.Fatalf("addChunk refused %s: %v", chunk, err)
+				}
+				if _, err := refAddChunk(&want, wal.Record{Seq: 1, Payload: chunk}, sch); err != nil {
+					t.Fatalf("the reference refused %s: %v", chunk, err)
+				}
+			}
+			rec := wal.Record{Seq: uint64(got.meta.Chunks + 1), Payload: payload}
+			gotLast, err := got.addChunk(rec, sch)
+			if err != nil {
+				continue
+			}
+			wantLast, werr := refAddChunk(&want, rec, sch)
+			if werr != nil || gotLast != wantLast || !sameRun(&got, &want) {
+				t.Fatalf("addChunk read %s as %+v (last %v), the reference as %+v (last %v, %v)", payload, got, gotLast, want, wantLast, werr)
+			}
+		}
+
+		// Written chunks: equal to the reference's, read back as written —
+		// ts's strings as JSON spells them (spelled), in read.
+		spelled := func(s string) string { return string([]rune(s)) }
+		ts, read := make(tupleItems, int(k%4)), make([]relation.Tuple, int(k%4))
+		pairs := make(mtItems, int(k%4))
+		for i := range ts {
+			m := n + int64(i)
+			ts[i] = relation.Tuple{value.String(s + strconv.Itoa(i)), value.Int(m), value.Float(float64(m) / 7), value.Bool(m%2 == 0), value.Null}
+			read[i] = append(relation.Tuple{value.String(spelled(s) + strconv.Itoa(i))}, ts[i][1:]...)
+			pairs[i] = match.Pair{RIndex: int(r) + i, SIndex: int(r) * i}
+		}
+		for _, c := range []struct {
+			id    runID
+			items chunkItems
+			ref   refChunk
+		}{
+			{runID{kind: secSource, name: name, run: int(r)}, ts, refChunk{Name: name}},
+			{runID{kind: secPair, left: name, right: other, run: int(r)}, pairs, refChunk{Left: name, Right: other}},
+		} {
+			ref := c.ref
+			ref.V2, ref.Run, ref.Chunk, ref.Last = c.id.kind, c.id.run, 1, last
+			if len(ts) > 0 && c.id.kind == secSource {
+				ref.Tuples = relation.AppendTuplesJSON(nil, ts)
+			}
+			for _, p := range pairs {
+				if c.id.kind == secPair {
+					ref.MT = append(ref.MT, [2]int{p.RIndex, p.SIndex})
+				}
+			}
+			want, err := json.Marshal(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := appendChunk(nil, c.id, 1, true, last, c.items, 0, c.items.len())
+			if !bytes.Equal(p, want) {
+				t.Fatalf("appendChunk wrote %s, encoding/json %s", p, want)
+			}
+			var d decRun
+			gotLast, err := d.addChunk(wal.Record{Seq: 1, Payload: p}, sch)
+			named := name != "" && (c.id.kind == secSource || other != "")
+			if (err == nil) != named {
+				t.Fatalf("addChunk read %s: %v", p, err)
+			}
+			if !named {
+				continue
+			}
+			id := c.id
+			id.name, id.left, id.right = spelled(id.name), spelled(id.left), spelled(id.right)
+			written := decRun{id: id, mt: pairs}
+			if c.id.kind == secSource {
+				written.tuples, written.mt = read, nil
+			}
+			if gotLast != last || !sameRun(&d, &written) {
+				t.Fatalf("addChunk read %s as %+v, want %+v", p, d, written)
+			}
+		}
+	})
+}
+
+// sameRun reports whether two decoded runs hold the same identity, tuples
+// and pairs.
+func sameRun(a, b *decRun) bool {
+	return a.id == b.id && slices.EqualFunc(a.tuples, b.tuples, relation.Tuple.Identical) && slices.Equal(a.mt, b.mt)
 }
 
 // FuzzCursor throws arbitrary strings at the cluster cursor parser

@@ -202,3 +202,46 @@ func TestInsertAllocBound(t *testing.T) {
 	}
 	t.Logf("Insert: %.2f allocs per tuple over %d tuples (ceiling %.1f)", avg, len(items)-1, ceiling)
 }
+
+// TestOpenAllocBound holds one Open of openWorkload's snapshot directory
+// — every run read and decoded, the relations filled, six pairs built, the
+// clusters folded, on the memory store — under ceilings of 1,400 bytes
+// and 11.5 allocations per restored tuple (1,169 and 10.85 measured; 1,246
+// and 10.86 under -race), from the allocation counters. A loader that
+// decodes each chunk through encoding/json and copies every decoded tuple
+// into its relation (1,651 and 12.89) cannot meet them.
+func TestOpenAllocBound(t *testing.T) {
+	w := openWorkload()
+	dir := t.TempDir()
+	opts := Options{Store: "mem"}
+	h, _ := openMultiOpts(t, dir, w, opts)
+	for _, res := range h.IngestBatch(MultiInserts(w)) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if err := h.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, info, err := openOn(dir, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if !info.FromSnapshot || info.Replayed != 0 {
+		t.Fatalf("opened %+v, want the snapshot alone", info)
+	}
+	tuples := float64(h.Stats().Tuples)
+	bytes, allocs := float64(after.TotalAlloc-before.TotalAlloc)/tuples, float64(after.Mallocs-before.Mallocs)/tuples
+	const bytesCeiling, allocsCeiling = 1400, 11.5
+	if bytes > bytesCeiling || allocs > allocsCeiling {
+		t.Fatalf("Open allocates %.0f B in %.2f allocations per restored tuple, ceilings %d B and %.1f", bytes, allocs, bytesCeiling, allocsCeiling)
+	}
+	t.Logf("Open: %.0f B in %.2f allocs per restored tuple over %.0f tuples (ceilings %d B, %.1f)", bytes, allocs, tuples, bytesCeiling, allocsCeiling)
+}

@@ -4,30 +4,31 @@
 // content-addressed file per run of each source's tuples and each pair's
 // matching table under snapsecs/ (written by snapwriter.go, in the
 // format of snapshot.go). Recovery runs in four phases, each timed in
-// RecoveryInfo: run decode (the files read and decoded on a fixed set of
-// workers, each source's runs appended into its relation), log replay
-// (the tail read into the same relations, persist.go), pair restore
-// (every pairwise federation built once over the final relations and
-// verified, on parallel workers) and cluster fold. Neither the partition
-// nor the tail's matches are stored: a matching table is a function of
-// the two relations (§4.2, and federate's batch ≡ incremental), so one
-// build per pair stands for every insert the log holds, and the order the
-// live hub committed each table in is rebuilt exactly from the records
-// the tuples arrived by (commitOrder). One pass of the cluster fold
-// (cluster.go) over all the tables, in log order, each union decided by
-// store.CheckMerge, then publishes each component to the empty cluster
-// store exactly once. Recovery fails closed: frame CRCs, per-run content
-// hashes, chunk and item counts, and each run's declared sequence and
-// position are verified against the manifest, whose run directories must
-// be dense and full but for each sequence's last run; every schema, ILFD
-// and rule is re-validated by its domain constructor; every rebuilt table
-// must hold exactly the snapshot's pairs inside the snapshot's cut
-// (federate's Reorder); a log whose tuples break §3.2 is refused at the
-// record that completes the violation — a pairwise break with the pair
-// build's error, at the latest record among the tuples it names and the
-// link, a break across sources with the fold's, naming the link and pair;
-// and the cluster store, read back, must hold exactly the components the
-// fold published.
+// RecoveryInfo: run decode (each file read whole and its chunks decoded
+// on a fixed set of workers, then each source's decoded tuples admitted
+// into its relation, not copied), log replay (the tail read into the
+// same relations, persist.go), pair restore (every pairwise federation
+// built once over the final relations and verified, on parallel workers)
+// and cluster fold. Neither the partition nor the tail's matches are
+// stored: a matching table is a function of the two relations (§4.2, and
+// federate's batch ≡ incremental), so one build per pair stands for every
+// insert the log holds, and the order the live hub committed each table
+// in is rebuilt exactly from the records the tuples arrived by
+// (commitOrder). One pass of the cluster fold (cluster.go) over all the
+// tables, in log order, each union decided by store.CheckMerge, then
+// publishes each component to the empty cluster store exactly once.
+// Recovery fails closed: run file sizes, frame CRCs, each chunk's one
+// spelling, per-run content hashes, chunk and item counts, and each run's
+// declared sequence and position are verified against the manifest, whose
+// run directories must be dense and full but for each sequence's last
+// run; every schema, ILFD and rule is re-validated by its domain
+// constructor; every rebuilt table must hold exactly the snapshot's pairs
+// inside the snapshot's cut (federate's Reorder); a log whose tuples break
+// §3.2 is refused at the record that completes the violation — a pairwise
+// break with the pair build's error, at the latest record among the
+// tuples it names and the link, a break across sources with the fold's,
+// naming the link and pair; and the cluster store, read back, must hold
+// exactly the components the fold published.
 package hub
 
 import (
@@ -143,10 +144,10 @@ func (r *recovery) link(spec PairSpec, cut linkCut) error {
 
 // loadSnapshot reads a manifest's run files into the hub, decoding them
 // in parallel and verifying each file's content hash, chunk count, item
-// count and declared position against the manifest: each source's runs
-// are concatenated into its relation, one source per worker, and the
-// sources registered in manifest order, then the links, each cut where
-// the snapshot cut it and holding the pairs it saved.
+// count and declared position against the manifest: each source's
+// decoded tuples are admitted into its relation, one source per worker,
+// and the sources registered in manifest order, then the links, each cut
+// where the snapshot cut it and holding the pairs it saved.
 func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info *RecoveryInfo) error {
 	start := time.Now()
 	if man.RunItems < 1 {
@@ -194,17 +195,19 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 	if err != nil {
 		return err
 	}
+	// Every run now holds the items its manifest entry counts, so each
+	// sequence's whole is sized from the manifest, and a source's decoded
+	// tuples are its relation's: admitted, not copied.
 	srcRuns, pairRuns := seqs[:len(man.Sources)], seqs[len(man.Sources):]
 	rels := make([]*relation.Relation, len(man.Sources))
 	err = inParallel(len(rels), func(i int) error {
-		rels[i] = relation.New(schemas[i])
+		ts := make([]relation.Tuple, 0, itemCount(man.Sources[i].Runs))
 		for _, run := range srcRuns[i] {
-			for _, t := range run.tuples {
-				if err := rels[i].Insert(t); err != nil {
-					return fmt.Errorf("hub: snapshot source %q tuple %d: %w", man.Sources[i].Name, rels[i].Len(), err)
-				}
-			}
-			run.tuples = nil // the relation holds its own copy
+			ts = append(ts, run.tuples...)
+		}
+		rels[i] = relation.New(schemas[i])
+		if err := rels[i].InsertAll(ts); err != nil {
+			return fmt.Errorf("hub: snapshot source %q tuple %d: %w", man.Sources[i].Name, rels[i].Len(), err)
 		}
 		return nil
 	})
@@ -217,10 +220,9 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 		}
 	}
 	for i, dp := range man.Pairs {
-		cut := linkCut{rlen: dp.RLen, slen: dp.SLen}
+		cut := linkCut{rlen: dp.RLen, slen: dp.SLen, saved: make([]match.Pair, 0, itemCount(dp.Runs))}
 		for _, run := range pairRuns[i] {
 			cut.saved = append(cut.saved, run.mt...)
-			run.mt = nil // the cut keeps its own log
 		}
 		spec, err := specFromLinkRec(dp.Link)
 		if err == nil {
@@ -236,18 +238,35 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 	return nil
 }
 
-// readRunFile decodes one run file (a source's against sch) and verifies
-// the result — sequence, position, counts, content hash — against its
-// manifest entry.
-func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema) (*decRun, error) {
-	f, err := fsys.Open(secPath(dir, want.Hash))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %v: %w", id, err)
+// itemCount is how many items runs hold.
+func itemCount(runs []snapRun) int {
+	n := 0
+	for _, r := range runs {
+		n += r.Items
 	}
-	defer f.Close()
-	d, err := decodeRun(f, sch)
+	return n
+}
+
+// readRunFile reads one run file whole, once its size is the framed byte
+// count its manifest entry records, decodes it (a source's against sch)
+// and verifies the result — sequence, position, counts, content hash —
+// against that entry.
+func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema) (*decRun, error) {
+	path := secPath(dir, want.Hash)
+	fi, err := fsys.Stat(path)
+	if err == nil && fi.Size() != want.Bytes {
+		err = fmt.Errorf("the run file holds %d bytes, its manifest entry %d", fi.Size(), want.Bytes)
+	}
+	var data []byte
+	if err == nil {
+		data, err = fsys.ReadFile(path)
+	}
+	var d *decRun
+	if err == nil {
+		d, err = decodeRun(data, sch)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hub: snapshot %v: %w", id, err)
 	}
 	if err := d.matches(id, want); err != nil {
 		return nil, err

@@ -14,12 +14,17 @@
 // source run's tuples as the tuple codec's bytes
 // (internal/relation/json.go; kinds come from the schema in the run's
 // manifest slot, which is what the loader reads them against); the
-// manifest carries each run's SHA-256 content address, chunk count and
-// item count, and — so that nothing that changes ever sits inside a
-// sealed run — each source's schema, each pair's link spec and the
-// cut's side lengths. The cluster partition is not stored: it is the
+// manifest carries each run's SHA-256 content address, chunk count, byte
+// count and item count, and — so that nothing that changes ever sits
+// inside a sealed run — each source's schema, each pair's link spec and
+// the cut's side lengths. The cluster partition is not stored: it is the
 // fold of the very pair tables the manifest hash-verifies, so the loader
 // computes it from them (snapload.go).
+//
+// A chunk has one spelling, and two hand-written halves: appendChunk
+// writes it, decRun.addChunk reads it by slicing, and a chunk spelled any
+// other way was not written by this format and is refused. The manifest,
+// read once per open, stays encoding/json's.
 package hub
 
 import (
@@ -28,15 +33,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
+	"entityid/internal/value"
 	"entityid/internal/wal"
 )
-
-// matchPair converts the snapshot's compact pair form.
-func matchPair(p [2]int) match.Pair { return match.Pair{RIndex: p[0], SIndex: p[1]} }
 
 // The run kinds (and the marker of manifest records).
 const (
@@ -144,29 +149,21 @@ func (m *snapManifest) eachRun(fn func(id runID, r snapRun)) {
 	})
 }
 
-// snapChunk is one run frame's payload. Every chunk carries a slice of
-// the run's items; the first also carries the run's identity, the final
-// one is marked Last.
-type snapChunk struct {
-	V2    string `json:"v2"` // run kind
-	Run   int    `json:"run"`
-	Chunk int    `json:"chunk"` // 1-based; equals the frame sequence number
-	Last  bool   `json:"last,omitempty"`
-
-	// A source run's sequence and items (relation.AppendTuplesJSON's
-	// array).
-	Name   string          `json:"name,omitempty"`
-	Tuples json.RawMessage `json:"tuples,omitempty"`
-
-	// A pair run's sequence and items.
-	Left  string   `json:"left,omitempty"`
-	Right string   `json:"right,omitempty"`
-	MT    [][2]int `json:"mt,omitempty"`
-}
-
 // ---------------------------------------------------------------------
-// Run encoding
+// Run chunks: one spelling
 // ---------------------------------------------------------------------
+//
+// A run frame's payload is one chunk: a slice of the run's items, the
+// first chunk also naming the run's sequence, the final one marked, the
+// chunk number 1-based and equal to the frame's sequence number. Its
+// spelling is what encoding/json made of the chunk struct format 4 began
+// with — its fields in this order, each bracketed one only when set —
+// and what every format-4 writer has written:
+//
+//	{"v2":K,"run":N,"chunk":N[,"last":true][,"name":S][,"tuples":[…]][,"left":S][,"right":S][,"mt":[[r,s],…]]}
+//
+// K is the run kind; a source run carries its name and tuples (the tuple
+// codec's array), a pair run its sides and matching pairs.
 
 // chunkItems abstracts the two run bodies for size-budgeted chunking:
 // tuple lists and matching-pair lists.
@@ -175,8 +172,8 @@ type chunkItems interface {
 	// estimate approximates item i's encoded size; it only needs to be
 	// deterministic and roughly proportional.
 	estimate(i int) int
-	// put encodes items [lo, hi) into the chunk.
-	put(c *snapChunk, lo, hi int)
+	// appendJSON appends items [lo, hi) as a JSON array.
+	appendJSON(b []byte, lo, hi int) []byte
 	// slice is items [lo, hi) as a body of their own.
 	slice(lo, hi int) chunkItems
 }
@@ -191,8 +188,8 @@ func (t tupleItems) estimate(i int) int {
 	}
 	return n
 }
-func (t tupleItems) put(c *snapChunk, lo, hi int) {
-	c.Tuples = relation.AppendTuplesJSON(nil, t[lo:hi])
+func (t tupleItems) appendJSON(b []byte, lo, hi int) []byte {
+	return relation.AppendTuplesJSON(b, t[lo:hi])
 }
 func (t tupleItems) slice(lo, hi int) chunkItems { return t[lo:hi] }
 
@@ -200,13 +197,55 @@ type mtItems []match.Pair
 
 func (m mtItems) len() int         { return len(m) }
 func (m mtItems) estimate(int) int { return 24 }
-func (m mtItems) put(c *snapChunk, lo, hi int) {
-	c.MT = make([][2]int, hi-lo)
-	for i := lo; i < hi; i++ {
-		c.MT[i-lo] = [2]int{m[i].RIndex, m[i].SIndex}
+func (m mtItems) appendJSON(b []byte, lo, hi int) []byte {
+	b = append(b, '[')
+	for i, p := range m[lo:hi] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(p.RIndex), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.SIndex), 10)
+		b = append(b, ']')
 	}
+	return append(b, ']')
 }
 func (m mtItems) slice(lo, hi int) chunkItems { return m[lo:hi] }
+
+// appendChunk appends chunk n of run id, holding items [lo, hi) — the
+// run's tuples or pairs, by its kind — and, when first, the sequence's
+// names.
+func appendChunk(b []byte, id runID, n int, first, last bool, items chunkItems, lo, hi int) []byte {
+	b = append(b, `{"v2":"`...)
+	b = append(b, id.kind...)
+	b = append(b, `","run":`...)
+	b = strconv.AppendInt(b, int64(id.run), 10)
+	b = append(b, `,"chunk":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	if last {
+		b = append(b, `,"last":true`...)
+	}
+	b = appendName(b, first, `,"name":`, id.name)
+	if id.kind == secSource && hi > lo {
+		b = items.appendJSON(append(b, `,"tuples":`...), lo, hi)
+	}
+	b = appendName(b, first, `,"left":`, id.left)
+	b = appendName(b, first, `,"right":`, id.right)
+	if id.kind == secPair && hi > lo {
+		b = items.appendJSON(append(b, `,"mt":`...), lo, hi)
+	}
+	return append(b, '}')
+}
+
+// appendName appends key and name, a sequence's name the first chunk
+// carries, when it does and the name is set.
+func appendName(b []byte, first bool, key, name string) []byte {
+	if !first || name == "" {
+		return b
+	}
+	return value.AppendJSONString(append(b, key...), name)
+}
 
 // writeChunked splits items into budget-sized runs, encoding each via
 // encode and handing the payload to emit. The estimator is
@@ -258,15 +297,10 @@ func writeChunked(items chunkItems, budget int, encode func(lo, hi int, first, l
 // writeRunChunks encodes run id's items as budget-sized chunks through
 // the section writer.
 func writeRunChunks(sw *wal.SectionWriter, id runID, items chunkItems, budget int) error {
+	var buf []byte // the frame encoder copies each payload out
 	encode := func(lo, hi int, first, last bool) ([]byte, error) {
-		c := snapChunk{V2: id.kind, Run: id.run, Chunk: sw.Chunks() + 1, Last: last}
-		if first {
-			c.Name, c.Left, c.Right = id.name, id.left, id.right
-		}
-		if hi > lo {
-			items.put(&c, lo, hi)
-		}
-		return json.Marshal(c)
+		buf = appendChunk(buf[:0], id, sw.Chunks()+1, first, last, items, lo, hi)
+		return buf, nil
 	}
 	return writeChunked(items, budget, encode, sw.WriteChunk)
 }
@@ -327,69 +361,183 @@ type decRun struct {
 	mt     []match.Pair
 }
 
-// decodeRun streams one run's bytes through the chunk decoder, reading
-// a source run's tuples against sch — the schema of the manifest slot
-// the run is read for (nil for a pair's). The run's content address —
-// the SHA-256 of the raw frame bytes exactly as read — accumulates as it
-// goes.
-func decodeRun(r io.Reader, sch *schema.Schema) (*decRun, error) {
-	d := &decRun{}
-	sum := sha256.New()
-	scanner := wal.NewFrameScanner(r)
+// decodeRun decodes one run file's bytes, data, reading a source run's
+// tuples against sch — the schema of the manifest slot the run is read
+// for (nil for a pair's) — and takes the run's content address: the
+// SHA-256 of data.
+func decodeRun(data []byte, sch *schema.Schema) (*decRun, error) {
+	sum := sha256.Sum256(data)
+	d := &decRun{meta: snapRun{Bytes: int64(len(data)), Hash: hex.EncodeToString(sum[:])}}
+	frames := wal.NewFrameCutter(data)
 	for last := false; !last; {
-		rec, raw, err := scanner.Next()
+		rec, _, err := frames.Next()
 		if err == io.EOF {
-			return nil, fmt.Errorf("hub: snapshot run: truncated (no final chunk)")
+			return nil, fmt.Errorf("truncated (no final chunk)")
 		}
 		if err != nil {
-			return nil, fmt.Errorf("hub: snapshot run: %w", err)
+			return nil, err
 		}
 		if last, err = d.addChunk(rec, sch); err != nil {
 			return nil, err
 		}
-		sum.Write(raw)
-		d.meta.Bytes += int64(len(raw))
 	}
-	if _, _, err := scanner.Next(); err != io.EOF {
-		return nil, fmt.Errorf("hub: snapshot %v: trailing frames after final chunk", d.id)
+	if _, _, err := frames.Next(); err != io.EOF {
+		return nil, fmt.Errorf("trailing frames after final chunk")
 	}
-	d.meta.Hash = hex.EncodeToString(sum.Sum(nil))
+	d.meta.Items = len(d.tuples) + len(d.mt)
 	return d, nil
 }
 
-// addChunk applies one chunk and reports whether it was the final one.
+// addChunk reads the run's next chunk, in the one spelling appendChunk
+// writes, and reports whether it was the final one.
 func (d *decRun) addChunk(rec wal.Record, sch *schema.Schema) (last bool, err error) {
-	var c snapChunk
-	if err := json.Unmarshal(rec.Payload, &c); err != nil {
-		return false, fmt.Errorf("hub: snapshot run: %w", err)
-	}
 	d.meta.Chunks++
-	if d.meta.Chunks == 1 {
-		if c.V2 != secSource && c.V2 != secPair {
-			return false, fmt.Errorf("hub: snapshot run: unknown kind %q", c.V2)
+	n := d.meta.Chunks
+	c := chunkReader{p: rec.Payload}
+	var kind string
+	switch {
+	case c.lit(`{"v2":"source"`):
+		kind = secSource
+	case c.lit(`{"v2":"pair"`):
+		kind = secPair
+	}
+	run, okRun := c.num(`,"run":`)
+	chunk, okChunk := c.num(`,"chunk":`)
+	if kind == "" || !okRun || !okChunk {
+		return false, c.refuse(n, rec.Payload)
+	}
+	last = c.lit(`,"last":true`)
+	if n == 1 {
+		d.id = runID{kind: kind, run: run}
+	}
+	if kind != d.id.kind || run != d.id.run || chunk != n || uint64(chunk) != rec.Seq {
+		return false, fmt.Errorf("chunk %d out of sequence (%s run %d chunk %d, frame %d)", n, kind, run, chunk, rec.Seq)
+	}
+	ok := true
+	switch kind {
+	case secSource:
+		if sch == nil {
+			return false, fmt.Errorf("chunk %d is a source run's, read for a pair", n)
 		}
-		d.id = runID{kind: c.V2, name: c.Name, left: c.Left, right: c.Right, run: c.Run}
-	}
-	if c.V2 != d.id.kind || c.Run != d.id.run || c.Chunk != d.meta.Chunks || uint64(c.Chunk) != rec.Seq {
-		return false, fmt.Errorf("hub: snapshot %v: chunk out of sequence (%s run %d chunk %d, frame %d, want chunk %d)",
-			d.id, c.V2, c.Run, c.Chunk, rec.Seq, d.meta.Chunks)
-	}
-	if (d.id.kind == secSource && (len(c.MT) > 0 || sch == nil)) || (d.id.kind == secPair && len(c.Tuples) > 0) {
-		return false, fmt.Errorf("hub: snapshot %v: chunk %d holds items of the other kind", d.id, c.Chunk)
-	}
-	if len(c.Tuples) > 0 {
-		ts, err := relation.ParseTuplesJSON(sch, c.Tuples)
-		if err != nil {
-			return false, fmt.Errorf("hub: snapshot %v after tuple %d: %w", d.id, d.meta.Items, err)
+		if n == 1 {
+			d.id.name, ok = c.name(`,"name":`)
 		}
-		d.tuples = append(d.tuples, ts...)
-		d.meta.Items += len(ts)
+		// The tuples are the source chunk's last field, an array from the
+		// colon to the closing brace; what is inside it is the tuple
+		// codec's to read.
+		if ok && c.lit(`,"tuples":`) {
+			end := len(c.p) - 1
+			if ok = end > 0 && c.p[0] == '[' && c.p[end-1] == ']' && c.p[end] == '}'; ok {
+				ts, err := relation.ParseTuplesJSON(sch, c.p[:end])
+				if err != nil {
+					return false, fmt.Errorf("chunk %d after tuple %d: %w", n, len(d.tuples), err)
+				}
+				if ok = len(ts) > 0; ok {
+					d.tuples, c.p = append(d.tuples, ts...), c.p[end:]
+				}
+			}
+		}
+	case secPair:
+		if n == 1 {
+			if d.id.left, ok = c.name(`,"left":`); ok {
+				d.id.right, ok = c.name(`,"right":`)
+			}
+		}
+		if ok && c.lit(`,"mt":`) {
+			d.mt, ok = c.pairs(d.mt)
+		}
 	}
-	for _, pr := range c.MT {
-		d.mt = append(d.mt, matchPair(pr))
+	if !ok || !c.lit("}") || len(c.p) > 0 {
+		return false, c.refuse(n, rec.Payload)
 	}
-	d.meta.Items += len(c.MT)
-	return c.Last, nil
+	return last, nil
+}
+
+// chunkReader reads a chunk payload front to back by slicing: each read
+// takes what the one spelling puts next, or takes nothing and says so,
+// leaving p where the payload left the spelling.
+type chunkReader struct{ p []byte }
+
+// refuse is the error of chunk n, whose payload is not in the one
+// spelling from where the reader stopped.
+func (c *chunkReader) refuse(n int, payload []byte) error {
+	return fmt.Errorf("chunk %d is not spelled as this format writes it (byte %d)", n, len(payload)-len(c.p))
+}
+
+// lit reads s.
+func (c *chunkReader) lit(s string) bool {
+	if len(c.p) < len(s) || string(c.p[:len(s)]) != s {
+		return false
+	}
+	c.p = c.p[len(s):]
+	return true
+}
+
+// num reads key and the number after it.
+func (c *chunkReader) num(key string) (int, bool) {
+	if !c.lit(key) {
+		return 0, false
+	}
+	return c.index()
+}
+
+// index reads a non-negative int as strconv writes it: digits, no sign,
+// no leading zero.
+func (c *chunkReader) index() (int, bool) {
+	n, i := 0, 0
+	for ; i < len(c.p) && '0' <= c.p[i] && c.p[i] <= '9'; i++ {
+		d := int(c.p[i] - '0')
+		if n > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if i == 0 || (i > 1 && c.p[0] == '0') {
+		return 0, false
+	}
+	c.p = c.p[i:]
+	return n, true
+}
+
+// name reads key and the name after it: a JSON string, read by the tuple
+// codec's string reader, that is not empty (the writer leaves an empty
+// name out).
+func (c *chunkReader) name(key string) (string, bool) {
+	if !c.lit(key) || len(c.p) == 0 || c.p[0] != '"' {
+		return "", false
+	}
+	v, rest, err := value.ParseJSON(c.p, value.KindString)
+	if err != nil || v.Str() == "" {
+		return "", false
+	}
+	c.p = rest
+	return v.Str(), true
+}
+
+// pairs reads a non-empty array of [r,s] pairs onto mt.
+func (c *chunkReader) pairs(mt []match.Pair) ([]match.Pair, bool) {
+	if !c.lit("[") {
+		return mt, false
+	}
+	for {
+		var p match.Pair
+		var ok bool
+		if !c.lit("[") {
+			return mt, false
+		}
+		if p.RIndex, ok = c.index(); !ok || !c.lit(",") {
+			return mt, false
+		}
+		if p.SIndex, ok = c.index(); !ok || !c.lit("]") {
+			return mt, false
+		}
+		if mt = append(mt, p); c.lit("]") {
+			return mt, true
+		}
+		if !c.lit(",") {
+			return mt, false
+		}
+	}
 }
 
 // matches verifies a decoded run against the manifest position it was

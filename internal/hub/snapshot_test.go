@@ -10,6 +10,8 @@ package hub
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +21,7 @@ import (
 	"entityid/internal/datagen"
 	"entityid/internal/schema"
 	"entityid/internal/store"
+	"entityid/internal/value"
 	"entityid/internal/wal"
 )
 
@@ -111,6 +114,48 @@ func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*d
 		items = mtItems(d.mt)
 	}
 	if *entry, err = newDirSink(wal.OS, dir, nil, 0).write(id, items, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// respell re-frames run, a run file's bytes, with chunk 1's payload as
+// edit leaves it, under fresh CRCs.
+func respell(t testing.TB, run []byte, edit func(string) string) []byte {
+	t.Helper()
+	var out []byte
+	frames := wal.NewFrameCutter(run)
+	for {
+		rec, _, err := frames.Next()
+		if err != nil {
+			return out
+		}
+		payload := string(rec.Payload)
+		if rec.Seq == 1 {
+			if payload = edit(payload); payload == string(rec.Payload) {
+				t.Fatalf("respelling left %s as it was", payload)
+			}
+		}
+		frame, err := wal.EncodeRecord(rec.Seq, []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame...)
+	}
+}
+
+// respellRun writes the run entry names again, with chunk 1 respelled,
+// as a file of its own content address, and points entry at it: every
+// frame CRC, the run hash and the byte count agree.
+func respellRun(t testing.TB, dir string, entry *snapRun, edit func(string) string) {
+	t.Helper()
+	data, err := os.ReadFile(secPath(dir, entry.Hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = respell(t, data, edit)
+	sum := sha256.Sum256(data)
+	entry.Hash, entry.Bytes = hex.EncodeToString(sum[:]), int64(len(data))
+	if err := os.WriteFile(secPath(dir, entry.Hash), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -393,8 +438,11 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 // whose every frame, hash and count is self-consistent but whose run
 // directory is not the cut's — a run removed, two sealed runs swapped, a
 // short run that is not its sequence's last, a run of another source in
-// place of one — all of which must fail the open. A directory of a
-// retired format is refused by name, never misread.
+// place of one — or whose run is not what this format writes: a file of
+// another size than its entry, a chunk spelled otherwise (a space,
+// reordered keys, a repeated key, a signed or zero-led pair index, an
+// empty name). All of them must fail the open, naming the run. A
+// directory of a retired format is refused by name, never misread.
 func TestSnapshotV3TamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -422,6 +470,35 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	man, err := readManifest(wal.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, pair := man.Sources[0], man.Pairs[0]
+	for _, p := range man.Pairs {
+		if len(pair.Runs) == 0 {
+			pair = p
+		}
+	}
+	// respelled is a manifest edit: chunk 1 of the first run of the
+	// source (or of the pair) written as edit leaves it, old replaced by
+	// new once.
+	respelled := func(ofPair bool, old, new string) func(*snapManifest) {
+		return func(m *snapManifest) {
+			entry := &m.Sources[0].Runs[0]
+			if ofPair {
+				for i := range m.Pairs {
+					if m.Pairs[i].id() == pair.id() {
+						entry = &m.Pairs[i].Runs[0]
+					}
+				}
+			}
+			respellRun(t, dir, entry, func(p string) string { return strings.Replace(p, old, new, 1) })
+		}
+	}
+	unspelled := func(id runID) string {
+		return fmt.Sprintf("hub: snapshot %v: chunk 1 is not spelled as this format writes it", id)
+	}
 	for name, c := range map[string]struct {
 		edit func(*snapManifest)
 		want string
@@ -438,6 +515,14 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 			rewriteRun(t, dir, m.Sources[0].id(), &m.Sources[0].Runs[0], func(d *decRun) { d.tuples = d.tuples[:len(d.tuples)-1] })
 		}, "every run but a sequence's last holds 4"},
 		"another source's run": {func(m *snapManifest) { m.Sources[0].Runs[0] = m.Sources[1].Runs[0] }, "does not match its manifest entry"},
+		// Runs this format did not write, every frame CRC intact.
+		"a run file of another size than its entry": {func(m *snapManifest) { m.Sources[0].Runs[0].Bytes++ }, fmt.Sprintf("hub: snapshot %v: the run file holds", src.id())},
+		"a chunk spelled with a space":              {respelled(false, `"run":0`, `"run": 0`), unspelled(src.id())},
+		"a chunk with its keys reordered":           {respelled(false, `"run":0,"chunk":1`, `"chunk":1,"run":0`), unspelled(src.id())},
+		"a chunk with a key repeated":               {respelled(false, `"chunk":1`, `"chunk":1,"chunk":1`), unspelled(src.id())},
+		"a source run with an empty name":           {respelled(false, `"name":`+string(value.AppendJSONString(nil, src.Name)), `"name":""`), unspelled(src.id())},
+		"a pair index with a sign":                  {respelled(true, `"mt":[[`, `"mt":[[-`), unspelled(pair.id())},
+		"a pair index with a leading zero":          {respelled(true, `"mt":[[`, `"mt":[[0`), unspelled(pair.id())},
 	} {
 		committed, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
 		if err != nil {

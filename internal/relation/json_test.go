@@ -111,6 +111,11 @@ func TestTupleJSONRoundTrip(t *testing.T) {
 		if err != nil || len(ts) != 2 || !sameTuple(ts[0], tup) || !sameTuple(ts[1], tup) {
 			t.Fatalf("%s read back as %v (%v)", list, ts, err)
 		}
+		// The two share a block of values, each capped at its arity: an
+		// append to the first leaves the second as it was.
+		if _ = append(ts[0], value.Null); cap(ts[0]) != len(tup) || !sameTuple(ts[1], tup) {
+			t.Fatalf("%s read back with capacity %d, the second as %v after an append to the first", list, cap(ts[0]), ts[1])
+		}
 	}
 	null := Tuple{value.Null, value.Null, value.Null, value.Null}
 	check(allKinds, null)

@@ -26,6 +26,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -431,10 +432,40 @@ func (r *Relation) InsertAdmitted(a Admission) error {
 	if a.r != r || a.at != len(r.tuples) {
 		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, len(r.tuples))
 	}
-	r.tuples = append(r.tuples, a.t.Clone())
+	r.file(a, a.t.Clone())
+	return nil
+}
+
+// file appends t, the tuple of admission a or its copy, under a's key
+// hashes.
+func (r *Relation) file(a Admission, t Tuple) {
+	r.tuples = append(r.tuples, t)
 	for ki, ix := range r.keyIdx {
 		kh := a.key(ki)
 		ix.Add(kh.h, kh.full)
+	}
+}
+
+// InsertAll inserts ts in order, each tuple admitted as Insert admits it
+// — shape and every candidate key — but kept itself, not copied: the
+// caller hands the tuples over, and into an empty relation the slice
+// too. The relation and its key indexes are sized for all of ts first. On
+// a refusal the tuples before the refused one stay inserted.
+func (r *Relation) InsertAll(ts []Tuple) error {
+	if len(r.tuples) == 0 {
+		r.tuples = ts[:0]
+	} else {
+		r.tuples = slices.Grow(r.tuples, len(ts))
+	}
+	for _, ix := range r.keyIdx {
+		ix.Reserve(len(ts))
+	}
+	for _, t := range ts {
+		a, err := r.Admit(t)
+		if err != nil {
+			return err
+		}
+		r.file(a, t)
 	}
 	return nil
 }

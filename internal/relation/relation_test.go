@@ -107,6 +107,43 @@ func TestMultipleCandidateKeys(t *testing.T) {
 	}
 }
 
+// TestInsertAll holds the bulk entry point to Insert: the same tuples
+// admitted, the same refusal at the same tuple, every candidate key
+// indexed — but each tuple kept, not copied.
+func TestInsertAll(t *testing.T) {
+	s := schema.MustNew("E",
+		[]schema.Attribute{{Name: "empno", Kind: value.KindInt}, {Name: "ssn", Kind: value.KindString}},
+		[]string{"empno"}, []string{"ssn"},
+	)
+	row := func(n int64, ssn string) Tuple { return Tuple{value.Int(n), value.String(ssn)} }
+	ts := []Tuple{row(1, "111"), row(2, "222"), row(3, "111"), row(4, "444")}
+	bulk, one := New(s), New(s)
+	err := bulk.InsertAll(ts)
+	var want error
+	for _, tu := range ts {
+		if want = one.Insert(tu); want != nil {
+			break
+		}
+	}
+	if err == nil || err.Error() != want.Error() || bulk.Len() != 2 || one.Len() != 2 {
+		t.Fatalf("InsertAll: %v holding %d tuples; Insert one at a time: %v holding %d", err, bulk.Len(), want, one.Len())
+	}
+	if &bulk.Tuple(1)[0] != &ts[1][0] {
+		t.Error("InsertAll copied a tuple it was handed")
+	}
+	if err := bulk.InsertAll([]Tuple{row(5, "555")}); err != nil || bulk.Len() != 3 {
+		t.Fatalf("InsertAll onto a non-empty relation: %v, %d tuples", err, bulk.Len())
+	}
+	for i, key := range []value.Value{value.Int(1), value.Int(2), value.Int(5)} {
+		if got := bulk.LookupKey(key); got != i {
+			t.Errorf("LookupKey(%v) = %d, want %d", key, got, i)
+		}
+	}
+	if err := bulk.InsertAll([]Tuple{row(6, "555")}); err == nil {
+		t.Error("InsertAll took a tuple duplicating the second candidate key of one it inserted")
+	}
+}
+
 func TestLookupKey(t *testing.T) {
 	r := mkTable1R(t)
 	if got := r.LookupKey(value.String("Ching"), value.String("Co.B Rd.")); got != 1 {

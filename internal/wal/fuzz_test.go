@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -18,7 +19,8 @@ import (
 // terminates in io.EOF or a *CorruptError, and every accepted frame
 // re-encodes to exactly the bytes consumed — so the scanner can never
 // "repair" a frame into something the writer would not have produced.
-// The segment scan stops after the last frame that continues the
+// The frame cutter, over the same bytes as one buffer, cuts the same
+// frames and ends with the same error. The segment scan stops after the last frame that continues the
 // sequence, with damage exactly when bytes are left, so the offset Open
 // truncates to is always a valid re-append point.
 func FuzzWALDecode(f *testing.F) {
@@ -51,11 +53,13 @@ func FuzzWALDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewFrameScanner(bytes.NewReader(data))
 		var reencoded bytes.Buffer
+		var frames []string
 		// The frames that continue the sequence from 1, and their bytes.
 		contiguous, prefix, inSeq := uint64(0), 0, true
+		var end error
 		for {
 			rec, raw, err := sc.Next()
-			if err == io.EOF {
+			if end = err; err == io.EOF {
 				break
 			}
 			if err != nil {
@@ -64,6 +68,7 @@ func FuzzWALDecode(f *testing.F) {
 				}
 				break
 			}
+			frames = append(frames, string(raw))
 			if env, err := DecodeEnvelope(rec.Payload); err == nil && !env.bodyOK() {
 				t.Fatalf("accepted envelope %s has no body matching its type", rec.Payload)
 			}
@@ -82,6 +87,21 @@ func FuzzWALDecode(f *testing.F) {
 		consumed := data[:sc.Offset()]
 		if !bytes.Equal(reencoded.Bytes(), consumed) {
 			t.Fatalf("re-encoded records differ from the %d consumed bytes", sc.Offset())
+		}
+		// The cutter reads the buffer as the scanner read the stream: the
+		// same frames, then the same end.
+		cut := NewFrameCutter(data)
+		for i := 0; ; i++ {
+			rec, raw, err := cut.Next()
+			if err != nil {
+				if i != len(frames) || fmt.Sprint(err) != fmt.Sprint(end) {
+					t.Fatalf("cutter ended after %d frames with %v, the scanner after %d with %v", i, err, len(frames), end)
+				}
+				break
+			}
+			if i == len(frames) || string(raw) != frames[i] || !bytes.HasSuffix(raw[:len(raw)-1], rec.Payload) {
+				t.Fatalf("cutter's frame %d is %q, not the scanner's", i, raw)
+			}
 		}
 
 		last, off, dmg, err := scanFrames(bytes.NewReader(data), 0)

@@ -12,21 +12,37 @@
 // what lets an incremental snapshot carry unchanged sections forward by
 // reference instead of rewriting them.
 //
-// FrameScanner is the matching reader: it decodes consecutive frames
+// FrameScanner is the matching reader of a stream, FrameCutter of a
+// buffer holding the frames whole — a run file read in one call. Both
+// decode consecutive frames by the one frame grammar (parseFrame)
 // without enforcing cross-frame sequence contiguity (sections restart
 // at 1; the caller checks section-local ordering against the chunk
-// counters embedded in its payloads) and hands back the raw frame bytes
+// counters embedded in its payloads) and hand back the raw frame bytes
 // so the caller can re-hash exactly what is on disk.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"io"
 )
+
+// truncatedFrame is the corruption reason of bytes that end before a
+// frame's newline.
+const truncatedFrame = "truncated frame (no trailing newline)"
+
+// cutFrame decodes line, one frame with its newline, found at offset off.
+func cutFrame(line []byte, off int64) (Record, error) {
+	rec, reason := parseFrame(line[:len(line)-1])
+	if reason != "" {
+		return Record{}, &CorruptError{Offset: off, Reason: reason}
+	}
+	return rec, nil
+}
 
 // FrameScanner reads consecutive CRC frames from a stream. It imposes
 // no sequence contiguity across frames: the log's segment scan and
@@ -62,16 +78,46 @@ func (s *FrameScanner) Next() (Record, []byte, error) {
 		if len(line) == 0 {
 			return Record{}, nil, io.EOF
 		}
-		return Record{}, nil, &CorruptError{Offset: s.off, Reason: "truncated frame (no trailing newline)"}
+		return Record{}, nil, &CorruptError{Offset: s.off, Reason: truncatedFrame}
 	}
 	if err != nil {
 		return Record{}, nil, err
 	}
-	rec, reason := parseFrame(line[:len(line)-1])
-	if reason != "" {
-		return Record{}, nil, &CorruptError{Offset: s.off, Reason: reason}
+	rec, err := cutFrame(line, s.off)
+	if err != nil {
+		return Record{}, nil, err
 	}
 	s.off += int64(len(line))
+	return rec, line, nil
+}
+
+// FrameCutter is FrameScanner over a buffer that holds the frames whole:
+// the same frames and errors, cut in place — each record's payload and
+// each raw frame aliases the buffer, nothing is copied.
+type FrameCutter struct {
+	buf []byte
+	off int
+}
+
+// NewFrameCutter cuts the frames of b.
+func NewFrameCutter(b []byte) *FrameCutter { return &FrameCutter{buf: b} }
+
+// Next cuts the next frame, with FrameScanner.Next's results.
+func (c *FrameCutter) Next() (Record, []byte, error) {
+	rest := c.buf[c.off:]
+	if len(rest) == 0 {
+		return Record{}, nil, io.EOF
+	}
+	n := bytes.IndexByte(rest, '\n') + 1
+	if n == 0 {
+		return Record{}, nil, &CorruptError{Offset: int64(c.off), Reason: truncatedFrame}
+	}
+	line := rest[:n:n]
+	rec, err := cutFrame(line, int64(c.off))
+	if err != nil {
+		return Record{}, nil, err
+	}
+	c.off += n
 	return rec, line, nil
 }
 

@@ -128,9 +128,10 @@ func EncodeRecord(seq uint64, payload []byte) ([]byte, error) {
 }
 
 // DecodeRecord decodes data holding exactly one framed record (the
-// snapshot file reuses the WAL frame for its checksum).
+// snapshot file reuses the WAL frame for its checksum); the record's
+// payload aliases data.
 func DecodeRecord(data []byte) (Record, error) {
-	sc := NewFrameScanner(bytes.NewReader(data))
+	sc := NewFrameCutter(data)
 	rec, _, err := sc.Next()
 	if err != nil {
 		return Record{}, err
