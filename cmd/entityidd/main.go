@@ -97,7 +97,7 @@ func main() {
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
 		debugAddr     = flag.String("debug-addr", "", "operator-only listen address serving /metrics, /debug/slow, /debug/check and /debug/pprof (empty: disabled; pprof is never on the main port)")
-		storeName     = flag.String("store", "", "storage backend, with -data-dir: mem keeps everything resident, disk spills cold cluster records and pair tables under the data dir (empty: mem)")
+		storeName     = flag.String("store", "", "storage backend, with -data-dir: mem keeps every cluster record resident, disk spills cold cluster records under the data dir; pair tables stay resident on both (empty: mem)")
 		storeHotClus  = flag.Int("store-hot-clusters", 0, "with -store disk: max resident cluster members before cold records spill (0: the default)")
 	)
 	flag.Parse()

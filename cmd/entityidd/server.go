@@ -176,9 +176,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			"hot_cluster_entries":  st.Clusters.HotEntries,
 			"cold_cluster_records": st.Clusters.ColdRecords,
 			"cluster_entry_budget": st.Clusters.Budget,
-			"hot_pairs":            st.HotPairs,
-			"spilled_pairs":        st.Pairs.Spilled,
-			"pair_budget":          st.PairBudget,
 		},
 	}
 	if snap := s.lastSnapshot(); !snap.Taken.IsZero() {

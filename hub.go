@@ -228,20 +228,21 @@ func WithSyncEvery(n int) HubOption {
 }
 
 // WithStore selects the storage backend by name. "mem" (the default)
-// keeps every structure resident; "disk" bounds resident memory by
-// spilling cold cluster records and cold pair matching tables to a
-// tier under the data directory and paging them back on demand. The
-// empty string means "mem". Durability is identical either way — the
-// write-ahead log and snapshots — and the served state is bit-for-bit
-// the same; the backend only decides what stays resident.
+// keeps every cluster record resident; "disk" bounds the cluster
+// records' resident memory by spilling cold ones to a tier under the
+// data directory and paging them back on demand. Pairwise federations
+// and their matching tables stay resident on both. The empty string
+// means "mem". Durability is identical either way — the write-ahead log
+// and snapshots — and the served state is bit-for-bit the same; the
+// backend only decides which cluster records stay resident.
 func WithStore(name string) HubOption {
 	return func(o *hubOptions) { o.store = name }
 }
 
 // WithStoreBudgets bounds the disk backend's hot cluster tier:
 // hotClusterEntries caps the total members across resident cluster
-// records; zero keeps the built-in default. The resident pairwise
-// federations are a fixed eight. The memory backend ignores the budget.
+// records; zero keeps the built-in default. The memory backend ignores
+// the budget.
 func WithStoreBudgets(hotClusterEntries int) HubOption {
 	return func(o *hubOptions) { o.hotClusters = hotClusterEntries }
 }
@@ -377,12 +378,12 @@ func (h *Hub) Stats() HubStats {
 }
 
 // HubStoreInfo describes the active storage backend and its hot/cold
-// tier occupancy.
+// cluster tier occupancy.
 type HubStoreInfo = hub.StoreInfo
 
 // StoreInfo reports which storage backend serves the hub and how its
-// tiers stand: resident vs spilled cluster records and pair matching
-// tables, hit/miss and page-in counts. Lock-free.
+// cluster tier stands: resident vs spilled cluster records, hit/miss and
+// page-in counts. Lock-free.
 func (h *Hub) StoreInfo() HubStoreInfo {
 	return h.inner.StoreInfo()
 }

@@ -72,8 +72,8 @@ func BenchmarkPrepareCommit(b *testing.B) {
 	b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "commit-ns/op")
 }
 
-// BenchmarkNew is what a Link, a snapshot restore, a pair page-in and
-// every AddILFD rebuild pay: batch identification of two resident
+// BenchmarkNew is what a Link, a pair's rebuild at recovery and every
+// AddILFD rebuild pay: batch identification of two resident
 // relations (the ~2k×2k scale workload, one blocked identity rule)
 // into a verified federation ready to take inserts.
 func BenchmarkNew(b *testing.B) {

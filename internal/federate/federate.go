@@ -37,8 +37,8 @@
 // match.Result.Append. The federation builds no relation, no schema and
 // no index, and compiles no rule. What is its own: the §3.2 insertion
 // guards, the two-phase protocol with its generation and one-ahead
-// checks, monotone rebuild (AddILFD) and the state round-trip (State,
-// Restore).
+// checks, monotone rebuild (AddILFD) and the adoption of a recorded
+// commit order by a rebuilt table (Reorder).
 //
 // Ownership: a Federation is a view over two relations it is lent
 // (Config.R and Config.S), not an owner of copies. The lender owns the
@@ -351,12 +351,9 @@ func (f *Federation) Pairs() []match.Pair {
 	return f.res.MT.Pairs(0, f.res.MT.Len())
 }
 
-// State is a federation's exported mutable state — the matching table
-// plus the side lengths it was computed over. Snapshots and the storage
-// layer both store it with the pairs in commit order (ExportOrdered,
-// PairsRange), so recovery and page-in can verify that a rebuilt
-// federation reproduces exactly the state that was saved, and continue
-// its order.
+// State is a federation's mutable state in portable form — the matching
+// table, its pairs in commit order (PairsRange), plus the side lengths it
+// was computed over; the storage layer's pair table (store.PairTab).
 type State struct {
 	Pairs      []match.Pair
 	RLen, SLen int
@@ -383,59 +380,11 @@ func SortPairs(ps []match.Pair) {
 	})
 }
 
-// ExportOrdered captures the federation's mutable state with the
-// matching table in COMMIT ORDER, not the canonical sorted order. The
-// hub's storage layer spills this form: the table is
-// append-only under the commit lock, so the length-n prefix of a
-// commit-order export reproduces any cut taken at length n — even a
-// cut taken before the export. Restore accepts any order of the same
-// pairs.
-func (f *Federation) ExportOrdered() State {
-	return State{
-		Pairs: f.Pairs(),
-		RLen:  f.cfg.R.Len(),
-		SLen:  f.cfg.S.Len(),
-	}
-}
-
-// Restore rebuilds a federation from a configuration (whose relations
-// hold the snapshot-time tuples) and verifies it reproduces the
-// exported state bit-for-bit: same side lengths, same matching pairs.
-// Batch identification over the final relations is equivalent to the
-// incremental inserts that produced the state (the package invariant),
-// so any mismatch means the snapshot does not describe these relations
-// — recovery fails closed instead of serving a silently different
-// matching table. The pairs are compared through the rebuilt table's
-// partner arrays (match.Table.Reorder), with no sorted copy of either:
-// the rebuilt table is sound, so as many saved pairs, each one it
-// contains and no R tuple twice, are the same set.
-func Restore(cfg match.Config, st State) (*Federation, error) {
-	f, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if got, want := f.cfg.R.Len(), st.RLen; got != want {
-		return nil, fmt.Errorf("federate: restore: R has %d tuples, state expects %d", got, want)
-	}
-	if got, want := f.cfg.S.Len(), st.SLen; got != want {
-		return nil, fmt.Errorf("federate: restore: S has %d tuples, state expects %d", got, want)
-	}
-	// Adopt the state's pair order, not the batch rebuild's: callers
-	// that spill and re-load live federations (the hub's storage tier)
-	// record the table in commit order and read snapshot cuts as
-	// prefixes of it, so the restored table must continue the recorded
-	// order.
-	if err := f.Reorder(st.Pairs); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Reorder has the matching table adopt a recorded commit order, which
-// must hold exactly the table's pairs (match.Table.Reorder): the step of
-// Restore that a caller rebuilding a federation over relations grown
-// past its saved state takes on its own, once it has worked out the
-// order the grown table was committed in.
+// must hold exactly the table's pairs (match.Table.Reorder): what a
+// caller rebuilding a federation over the relations a snapshot and a log
+// hold takes, once it has worked out the order the table was committed
+// in, so the rebuilt table continues that order.
 func (f *Federation) Reorder(ps []match.Pair) error {
 	if err := f.res.MT.Reorder(ps); err != nil {
 		return fmt.Errorf("federate: restore: %w", err)

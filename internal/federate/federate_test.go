@@ -371,9 +371,8 @@ func TestPrepareCommitTwoPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly the coordinator's one insert: Commit added nothing to R.
-	if len(pairs) != 0 || f.Result().RPrime.Len() != 6 || cfg.R.Len() != 6 || f.ExportOrdered().RLen != 6 {
-		t.Fatalf("commit: %d pairs, %d R' tuples, %d R tuples, exported RLen %d",
-			len(pairs), f.Result().RPrime.Len(), cfg.R.Len(), f.ExportOrdered().RLen)
+	if len(pairs) != 0 || f.Result().RPrime.Len() != 6 || cfg.R.Len() != 6 {
+		t.Fatalf("commit: %d pairs, %d R' tuples, %d R tuples", len(pairs), f.Result().RPrime.Len(), cfg.R.Len())
 	}
 	if _, err := p.Commit(); err == nil {
 		t.Fatal("double commit accepted")
@@ -504,95 +503,73 @@ func TestCommitFailsOnAnyInterveningMutation(t *testing.T) {
 	}
 }
 
-func TestExportRestoreRoundTrip(t *testing.T) {
-	f, err := New(example3Config())
+// grownExample3 is Example 3's federation grown by one insert on each
+// side, and a batch build of the same pair over copies of the grown
+// relations: the state a recovery rebuilds, and what it rebuilds it from.
+func grownExample3(t *testing.T) (live, rebuilt *Federation) {
+	t.Helper()
+	live, err := New(example3Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grow the state incrementally so the export captures more than the
-	// initial batch build.
-	if _, err := f.InsertS(relation.Tuple{s("dragon inn"), s("hunan"), s("hennepin")}); err != nil {
+	if _, err := live.InsertS(relation.Tuple{s("dragon inn"), s("hunan"), s("hennepin")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.InsertR(relation.Tuple{s("dragon inn"), s("chinese"), s("lake st")}); err != nil {
+	if _, err := live.InsertR(relation.Tuple{s("dragon inn"), s("chinese"), s("lake st")}); err != nil {
 		t.Fatal(err)
 	}
-	st := f.ExportOrdered()
-	if st.RLen != f.cfg.R.Len() || st.SLen != f.cfg.S.Len() {
-		t.Fatalf("export lens (%d,%d)", st.RLen, st.SLen)
-	}
-
-	// Restore over the same relations reproduces the matching table.
 	cfg := example3Config()
-	cfg.R, cfg.S = f.cfg.R.Clone(), f.cfg.S.Clone()
-	g, err := Restore(cfg, st)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
+	cfg.R, cfg.S = live.cfg.R.Clone(), live.cfg.S.Clone()
+	if rebuilt, err = New(cfg); err != nil {
+		t.Fatal(err)
 	}
-	// Restore rebuilds by batch, so compare in the canonical order.
-	got := g.ExportOrdered()
-	SortPairs(got.Pairs)
-	SortPairs(st.Pairs)
-	if len(got.Pairs) != len(st.Pairs) {
-		t.Fatalf("restored %d pairs, want %d", len(got.Pairs), len(st.Pairs))
-	}
-	for i := range got.Pairs {
-		if got.Pairs[i] != st.Pairs[i] {
-			t.Fatalf("restored pair %d = %v, want %v", i, got.Pairs[i], st.Pairs[i])
-		}
-	}
+	return live, rebuilt
+}
 
-	// A state that does not describe these relations fails closed.
-	bad := st
-	bad.Pairs = st.Pairs[:len(st.Pairs)-1]
-	if _, err := Restore(cfg, bad); err == nil {
-		t.Fatal("missing-pair state restored")
+// TestReorderRoundTrip: a batch build over the relations an incremental
+// federation grew holds the same pairs (batch ≡ incremental), and adopting
+// the incremental one's commit order makes the two tables equal entry by
+// entry; an order missing a pair, or naming one the table lacks, is
+// refused.
+func TestReorderRoundTrip(t *testing.T) {
+	f, g := grownExample3(t)
+	order := f.Pairs()
+	if err := g.Reorder(order); err != nil {
+		t.Fatalf("reorder: %v", err)
 	}
-	bad = st
-	bad.RLen++
-	if _, err := Restore(cfg, bad); err == nil {
-		t.Fatal("wrong-length state restored")
+	if !slices.Equal(g.Pairs(), order) {
+		t.Fatalf("reordered table = %v, want %v", g.Pairs(), order)
 	}
-	bad = st
-	bad.Pairs = append([]match.Pair(nil), st.Pairs...)
-	bad.Pairs[0].SIndex = (bad.Pairs[0].SIndex + 1) % cfg.S.Len()
-	if _, err := Restore(cfg, bad); err == nil {
-		t.Fatal("doctored-pair state restored")
+	if err := g.Reorder(order[:len(order)-1]); err == nil {
+		t.Fatal("an order missing a pair was adopted")
+	}
+	doctored := slices.Clone(order)
+	doctored[0].SIndex = (doctored[0].SIndex + 1) % g.cfg.S.Len()
+	if err := g.Reorder(doctored); err == nil {
+		t.Fatal("an order naming a pair the table lacks was adopted")
 	}
 }
 
-// TestRestoreRefusesAStateThatIsNotTheTable: Restore compares a saved
-// state with the rebuilt table through its partner arrays — as many
+// TestReorderRefusesAnOrderThatIsNotTheTable: Reorder compares a recorded
+// order with the rebuilt table through its partner arrays — as many
 // pairs, each one the table holds, no R tuple twice — so every way a
-// saved table can differ from the rebuilt one is refused: a pair
-// repeated in place of another (same length, every pair held), two
-// pairs with their partners swapped, a pair dropped, a pair added. Any
-// order of the true pairs is accepted and kept.
-func TestRestoreRefusesAStateThatIsNotTheTable(t *testing.T) {
-	f, err := New(example3Config())
-	if err != nil {
-		t.Fatal(err)
+// recorded table can differ from the rebuilt one is refused: a pair
+// repeated in place of another (same length, every pair held), two pairs
+// with their partners swapped, a pair dropped, a pair added. Any order of
+// the true pairs is accepted and kept.
+func TestReorderRefusesAnOrderThatIsNotTheTable(t *testing.T) {
+	f, g := grownExample3(t)
+	order := f.Pairs()
+	if len(order) < 2 {
+		t.Fatalf("table of %d pairs: too few to doctor", len(order))
 	}
-	if _, err := f.InsertS(relation.Tuple{s("dragon inn"), s("hunan"), s("hennepin")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.InsertR(relation.Tuple{s("dragon inn"), s("chinese"), s("lake st")}); err != nil {
-		t.Fatal(err)
-	}
-	st := f.ExportOrdered()
-	if len(st.Pairs) < 2 {
-		t.Fatalf("state of %d pairs: too few to doctor", len(st.Pairs))
-	}
-	cfg := example3Config()
-	cfg.R, cfg.S = f.cfg.R.Clone(), f.cfg.S.Clone()
-	slices.Reverse(st.Pairs)
-	g, err := Restore(cfg, st)
-	if err != nil || !slices.Equal(g.Pairs(), st.Pairs) {
-		t.Fatalf("restore of the pairs reversed = %v, %v; want them in that order", err, g.Pairs())
+	slices.Reverse(order)
+	if err := g.Reorder(order); err != nil || !slices.Equal(g.Pairs(), order) {
+		t.Fatalf("reorder to the pairs reversed = %v, %v; want them in that order", err, g.Pairs())
 	}
 	free := match.Pair{RIndex: -1, SIndex: -1} // a pair of tuples neither matched
-	for i := range st.RLen {
-		for j := range st.SLen {
+	for i := range g.cfg.R.Len() {
+		for j := range g.cfg.S.Len() {
 			if len(g.MT().MatchesOfR(nil, i)) == 0 && len(g.MT().MatchesOfS(nil, j)) == 0 {
 				free = match.Pair{RIndex: i, SIndex: j}
 			}
@@ -610,10 +587,11 @@ func TestRestoreRefusesAStateThatIsNotTheTable(t *testing.T) {
 		"dropped": func(ps []match.Pair) []match.Pair { return ps[1:] },
 		"added":   func(ps []match.Pair) []match.Pair { return append(ps, free) },
 	} {
-		bad := st
-		bad.Pairs = doctor(slices.Clone(st.Pairs))
-		if _, err := Restore(cfg, bad); err == nil || !strings.Contains(err.Error(), "federate: restore") {
-			t.Errorf("a saved table with a pair %s: Restore = %v, want a refusal", name, err)
+		if err := g.Reorder(doctor(slices.Clone(order))); err == nil || !strings.Contains(err.Error(), "federate: restore") {
+			t.Errorf("a recorded table with a pair %s: Reorder = %v, want a refusal", name, err)
+		}
+		if !slices.Equal(g.Pairs(), order) {
+			t.Fatalf("a refused order with a pair %s moved the table to %v", name, g.Pairs())
 		}
 	}
 }

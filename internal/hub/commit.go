@@ -85,10 +85,6 @@ func (h *Hub) insertTraced(source string, t relation.Tuple, payload []byte) (*Re
 	op := obs.StartOp("insert", source)
 	rec, err := h.insert(source, t, payload, &op)
 	total := op.Finish(SlowOps)
-	// Rebalance the resident-pair budget outside every insert lock —
-	// a no-op unless the backend caps hot pairs and an insert paged
-	// some in.
-	h.maybeSpillPairs()
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrDegraded), errors.Is(err, ErrPoisoned):
@@ -135,23 +131,12 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	if err := checkUTF8(src.rel.Schema(), t); err != nil {
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
 	}
-	// Page any spilled pairwise federation back in before preparing.
-	// Under the pair locks both side relations are frozen, so the
-	// restored federation verifies against exactly the lengths it was
-	// spilled at (a cold pair implies frozen sides — every mutation of
-	// either side pages the pair in first, through this very path).
-	for _, p := range src.pairs {
-		if _, err := h.pairFedLocked(p); err != nil {
-			return nil, fmt.Errorf("hub: source %q: %w", source, err)
-		}
-		p.lastUse.Store(h.pairClock.Add(1))
-	}
 	// Phase 1: prepare against every pairwise federation, mutating
 	// nothing, collecting the partner tuples the insert would match.
 	pendings := make([]*federate.Pending, 0, len(src.pairs))
 	var partners []node
 	for _, p := range src.pairs {
-		pd, err := p.fed.Load().PrepareAdmitted(p.left == si, adm)
+		pd, err := p.fed.PrepareAdmitted(p.left == si, adm)
 		if err != nil {
 			if errors.Is(err, federate.ErrUniqueness) {
 				mUniqueness.Inc()
@@ -217,14 +202,12 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	// relation it borrows is now exactly one tuple ahead of its extended
 	// image.
 	for i, pd := range pendings {
-		prs, err := pd.Commit()
-		if err != nil {
+		if _, err := pd.Commit(); err != nil {
 			// Same invariant class as above, with in-memory pairwise
 			// state torn mid-commit: poison.
 			return nil, fmt.Errorf("hub: source %q: %w", source,
 				h.poison(fmt.Errorf("pair %d commit after successful prepare: %v", src.pairs[i].id, err)))
 		}
-		src.pairs[i].mtLen += len(prs)
 	}
 	stageApply.Observe(op.Stage("apply"))
 	// The fold was done by the check; what is left cannot fail.

@@ -16,7 +16,7 @@ import (
 // each image a second copy filed under its own copy of the source's key
 // strings; 3,101 with every pair holding clones of its two sides. The
 // ceiling sits at the second figure, so whole-row images or joined key
-// strings coming back — on any path: Link, insert, page-in —
+// strings coming back — on any path: Link, insert, recovery —
 // fail here. It is the first row of the README's per-tuple byte budget;
 // lower it when the next owner is cut.
 const residentCeiling = 600

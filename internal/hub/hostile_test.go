@@ -128,7 +128,7 @@ func TestSimHostile(t *testing.T) {
 	ops := append(setup(w), seq(0, n/4)...)
 	ops = append(ops, snap(), batch(span(n/4, n/2)...), reopen(reopenClose))
 	ops = append(ops, streams(2, 0, 1, span(n/2, 3*n/4), span(3*n/4, n)), snap(), reopen(reopenKill))
-	for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{syncEvery: 3, chunkBytes: 256, hotClusters: 8, hotPairs: 1, runItems: 4}, ops: ops}) {
+	for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{syncEvery: 3, chunkBytes: 256, hotClusters: 8, runItems: 4}, ops: ops}) {
 		a, err := r.h.SourceRelation("A")
 		if err != nil {
 			t.Fatal(err)

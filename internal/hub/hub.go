@@ -18,8 +18,8 @@
 //
 // Ownership: a source's tuples live once, in the hub's canonical
 // relation (sourceState.rel). Every pairwise federation of the source
-// borrows that relation — it is never cloned on Link, insert, page-in
-// or snapshot load — and keeps only what it derives from it: per tuple,
+// borrows that relation — it is never cloned on Link, insert or
+// snapshot load — and keeps only what it derives from it: per tuple,
 // the cells the pair's ILFDs derived, two index entries and its
 // matching-table entry. The source's candidate keys are guarded here and
 // nowhere else, once: the relation admits the tuple before the WAL
@@ -40,11 +40,12 @@
 // themselves where they live; this file is the topology.
 //
 // Storage is a seam (internal/store): the hub talks to a pluggable
-// Backend for cluster records and spilled pair tables. The default mem
-// backend keeps everything resident; the disk backend bounds resident
-// memory by spilling cold cluster records and cold pairwise federations
-// and paging them back on demand (storetier.go is the pair lifecycle
-// the hub drives).
+// Backend for cluster records. The default mem backend keeps every
+// record resident; the disk backend bounds resident memory by spilling
+// cold cluster records and paging them back on demand. A pair's
+// federation is resident for the pair's life on either backend: every
+// insert prepares against every pair of its source, so uniform ingest
+// keeps every pair hot and a pair tier would rebuild one per insert.
 package hub
 
 import (
@@ -130,12 +131,11 @@ type topoView struct {
 	byName  map[string]int
 }
 
-// pairState is one link. The live pairwise federation is held through
-// an atomic pointer that is nil while the pair is spilled to the
-// backend's pair store: mutators page it back in under mu before
-// preparing against it, and snapshot capture reads the pointer
-// lock-free (a spilled pair's table is served from the store — see
-// copyPairMT). The spec is retained for snapshots and the WAL.
+// pairState is one link: its live pairwise federation and the spec,
+// retained for snapshots and the WAL. fed is set once, under h.mu
+// exclusively — by Link, or by Open once the log is read — and the
+// federation's matching table grows under mu and the commit lock, so
+// either lock reads its length.
 type pairState struct {
 	id          int
 	left, right int
@@ -143,16 +143,8 @@ type pairState struct {
 	// the source lock, hence multi.
 	//entitylint:lock rank=40 multi
 	mu   sync.Mutex
-	fed  atomic.Pointer[federate.Federation]
+	fed  *federate.Federation
 	spec PairSpec
-	// mtLen mirrors the federation's matching-table length. It is
-	// written under mu + the commit lock (registration and the commit
-	// loop) and read under either, so snapshot cuts and Stats see it
-	// without paging a cold pair in.
-	//entitylint:published
-	mtLen int
-	// lastUse orders pairs for spill eviction (hub.pairClock ticks).
-	lastUse atomic.Int64
 }
 
 // Hub is the multi-source federation coordinator.
@@ -185,15 +177,6 @@ type Hub struct {
 	backend store.Backend
 	//entitylint:published
 	clusters store.Clusters
-	// caps is the backend's residency budget. HotPairs > 0 turns on
-	// the pair spill lifecycle below.
-	caps store.Caps
-	// pairClock ticks lastUse stamps; hotPairs counts resident
-	// federations; spillMu serialises spill passes.
-	pairClock atomic.Int64
-	hotPairs  atomic.Int64
-	//entitylint:lock rank=10
-	spillMu sync.Mutex
 	// per is the log writer (wallog.go); nil for a memory-only hub.
 	// Mutators append to the write-ahead log before committing, so a
 	// crash can lose an unacknowledged insert but never resurrect a
@@ -220,7 +203,7 @@ func NewWithBackend(b store.Backend) *Hub {
 	if b == nil {
 		b = mem.New()
 	}
-	h := &Hub{byName: map[string]int{}, backend: b, clusters: b.Clusters(), caps: b.Caps()}
+	h := &Hub{byName: map[string]int{}, backend: b, clusters: b.Clusters()}
 	h.topo.Store(&topoView{byName: map[string]int{}})
 	return h
 }
@@ -305,10 +288,10 @@ func (h *Hub) Link(spec PairSpec) error {
 
 // matchConfig builds a pair's matching configuration over the hub's
 // canonical relations — the single place the PairSpec→match.Config
-// mapping lives, shared by live linking, page-in and snapshot
-// restoration so they can never diverge on a knob. The relations are
-// lent, not copied: every pair of a source reads the one canonical
-// relation, and Prepare/Commit never write it.
+// mapping lives, shared by live linking and recovery so they can never
+// diverge on a knob. The relations are lent, not copied: every pair of a
+// source reads the one canonical relation, and Prepare/Commit never
+// write it.
 func (h *Hub) matchConfig(li, ri int, spec PairSpec) match.Config {
 	return match.Config{
 		R:            h.sources[li].rel,
@@ -372,33 +355,23 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, h.ingestFailed(err))
 		}
 	}
-	h.holdFed(h.addPairLocked(spec, li, ri), fed)
+	h.addPairLocked(spec, li, ri, fed)
 	for _, ms := range grown {
 		h.clusters.Publish(ms)
 	}
 	return nil
 }
 
-// addPairLocked registers a validated link with no federation yet: Link
-// hands it the one whose table it just folded, Open the one it builds
-// once the log is read. Callers hold h.mu exclusively.
-func (h *Hub) addPairLocked(spec PairSpec, li, ri int) *pairState {
+// addPairLocked registers a validated link: Link hands it the federation
+// whose table it just folded, Open nil — it builds the federation once
+// the log is read. Callers hold h.mu exclusively.
+func (h *Hub) addPairLocked(spec PairSpec, li, ri int, fed *federate.Federation) {
 	left, right := h.sources[li], h.sources[ri]
-	p := &pairState{id: len(h.pairs), left: li, right: ri, spec: spec}
+	p := &pairState{id: len(h.pairs), left: li, right: ri, fed: fed, spec: spec}
 	h.pairs = append(h.pairs, p)
 	left.pairs = append(left.pairs, p)
 	right.pairs = append(right.pairs, p)
 	recordAttrNames(left, right, spec.Attrs)
-	return p
-}
-
-// holdFed makes fed the resident federation of a pair that has none.
-// Callers hold h.mu exclusively and the commit lock.
-func (h *Hub) holdFed(p *pairState, fed *federate.Federation) {
-	p.mtLen = fed.MT().Len()
-	p.fed.Store(fed)
-	p.lastUse.Store(h.pairClock.Add(1))
-	h.hotPairs.Add(1)
 }
 
 // sourceLens returns every source's tuple count. Callers hold h.mu and

@@ -20,8 +20,7 @@ import (
 //     source, and every member lies inside its source's published view;
 //   - the served partition is the transitive closure of the pairwise
 //     matching tables;
-//   - each pair's mtLen is its table's length, each resident
-//     federation's extended images are as long as the relations it
+//   - each pair's extended images are as long as the relations it
 //     borrows, and each source's published view is as long as its
 //     canonical relation.
 //
@@ -39,7 +38,7 @@ import (
 // commit lock while it takes the cut and reads the whole partition —
 // commits wait that long — then releases both and copies each pair's
 // table prefix the way a snapshot does (the commit lock again, briefly,
-// per resident pair; a spilled pair is read from the pair store).
+// per pair).
 func (h *Hub) CheckInvariants() error {
 	h.mu.RLock()
 	h.commitMu.Lock()
@@ -68,10 +67,7 @@ func (h *Hub) CheckInvariants() error {
 	}
 	mts := make([]*match.Table, len(cut.pairs))
 	for i, cp := range cut.pairs {
-		ps, err := h.copyPairMT(cp)
-		if err != nil {
-			return fmt.Errorf("hub: invariant: %w", err)
-		}
+		ps := h.copyPairMT(cp)
 		for _, pr := range ps {
 			if pr.RIndex < 0 || pr.SIndex < 0 || pr.RIndex >= cp.rlen || pr.SIndex >= cp.slen {
 				return fmt.Errorf("hub: invariant: pair %q-%q: entry (%d,%d) lies outside sides of %d and %d tuples",
@@ -102,14 +98,10 @@ func (h *Hub) checkCopiesLocked(cut *snapshotCut) error {
 		}
 	}
 	for _, cp := range cut.pairs {
-		fed := cp.p.fed.Load()
-		if fed == nil {
-			continue // spilled: copyPairMT holds the stored table to mtLen
-		}
-		res := fed.Result()
-		if res.MT.Len() != cp.n || res.RPrime.Len() != cp.rlen || res.SPrime.Len() != cp.slen {
-			return fmt.Errorf("pair %q-%q: table of %d over images of %d and %d tuples, hub records %d over %d and %d",
-				cp.p.spec.Left, cp.p.spec.Right, res.MT.Len(), res.RPrime.Len(), res.SPrime.Len(), cp.n, cp.rlen, cp.slen)
+		res := cp.p.fed.Result()
+		if res.RPrime.Len() != cp.rlen || res.SPrime.Len() != cp.slen {
+			return fmt.Errorf("pair %q-%q: images of %d and %d tuples over relations of %d and %d",
+				cp.p.spec.Left, cp.p.spec.Right, res.RPrime.Len(), res.SPrime.Len(), cp.rlen, cp.slen)
 		}
 	}
 	return nil

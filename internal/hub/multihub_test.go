@@ -107,13 +107,7 @@ func (h *Hub) PairResult(left, right string) (*match.Result, error) {
 	}
 	for _, p := range h.pairs {
 		if p.left == li && p.right == ri {
-			p.mu.Lock()
-			fed, err := h.pairFedLocked(p)
-			p.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return fed.Result(), nil
+			return p.fed.Result(), nil
 		}
 	}
 	return nil, fmt.Errorf("hub: sources %q and %q not linked", left, right)

@@ -40,9 +40,10 @@ type Options struct {
 	// chosen call points.
 	FS wal.FS
 	// Store selects the storage backend by name: "mem" (the default)
-	// keeps every structure resident; "disk" spills cold cluster
-	// records and cold pair matching tables to a tier under the data
-	// directory, paging them back on demand. Empty means "mem".
+	// keeps every cluster record resident; "disk" spills cold cluster
+	// records to a tier under the data directory, paging them back on
+	// demand. Pairwise federations stay resident on both. Empty means
+	// "mem".
 	Store string
 	// Backend, when non-nil, is used directly and overrides Store.
 	// The hub takes ownership and closes it with Close.
@@ -53,19 +54,14 @@ type Options struct {
 
 	// What only this package's tests vary, zero meaning the default
 	// constant: the chunk payload budget of a snapshot run and of a
-	// chunked AddSource's seed batches (wal.DefaultChunkPayload), the
-	// degraded-mode probe loop's first delay and cap, and the disk
-	// backend's resident pair federations.
+	// chunked AddSource's seed batches (wal.DefaultChunkPayload), and the
+	// degraded-mode probe loop's first delay and cap.
 	chunkBytes                    int
 	probeBackoff, probeBackoffMax time.Duration
-	hotPairs                      int
 }
 
-// Default hot-tier budgets for the disk backend.
-const (
-	defaultHotClusterEntries = 1 << 16
-	defaultHotPairs          = 8
-)
+// defaultHotClusterEntries is the disk backend's default hot-tier budget.
+const defaultHotClusterEntries = 1 << 16
 
 // storeTierDir is the data-directory subdirectory the disk backend
 // roots its spill tier in. The tier is an ephemeral cache — wiped on
@@ -84,12 +80,9 @@ func backendFor(dir string, opts Options) (store.Backend, error) {
 	case "", "mem":
 		return nil, nil
 	case "disk":
-		caps := store.Caps{HotClusterEntries: opts.HotClusterEntries, HotPairs: opts.hotPairs}
+		caps := store.Caps{HotClusterEntries: opts.HotClusterEntries}
 		if caps.HotClusterEntries <= 0 {
 			caps.HotClusterEntries = defaultHotClusterEntries
-		}
-		if caps.HotPairs <= 0 {
-			caps.HotPairs = defaultHotPairs
 		}
 		return disk.Open(filepath.Join(dir, storeTierDir), caps)
 	default:
@@ -216,9 +209,6 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	}
 	info.LastSeq = l.LastSeq()
 	h := r.h
-	// Every pair was built resident; the disk backend's pair tier goes
-	// back within its budget now, not at the first insert.
-	h.maybeSpillPairs()
 	probe, probeMax := opts.probeBackoff, opts.probeBackoffMax
 	if probe <= 0 {
 		probe = defaultProbeBackoff

@@ -16,6 +16,7 @@ import (
 	"entityid/internal/relation"
 	"entityid/internal/resolve"
 	"entityid/internal/schema"
+	"entityid/internal/store"
 	"entityid/internal/value"
 )
 
@@ -263,7 +264,7 @@ func (h *Hub) Stats() Stats {
 	st := Stats{Sources: len(h.sources), Pairs: len(h.pairs)}
 	for _, p := range h.pairs {
 		p.mu.Lock()
-		st.Matches += p.mtLen
+		st.Matches += p.fed.MT().Len()
 		p.mu.Unlock()
 	}
 	h.mu.RUnlock()
@@ -276,4 +277,16 @@ func (h *Hub) Stats() Stats {
 	}
 	st.Clusters = st.Tuples - int(merged)
 	return st
+}
+
+// StoreInfo describes the active storage backend and its cluster tier,
+// for /readyz and benchmark reporting.
+type StoreInfo struct {
+	Backend  string
+	Clusters store.ClusterStats
+}
+
+// StoreInfo snapshots the backend's tier state. Lock-free.
+func (h *Hub) StoreInfo() StoreInfo {
+	return StoreInfo{Backend: h.backend.Name(), Clusters: h.clusters.Stats()}
 }

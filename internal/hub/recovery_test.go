@@ -112,8 +112,8 @@ func TestBackgroundSnapshotTruncatesLog(t *testing.T) {
 // TestSnapshotRoundTripAndTamperDetection holds the two semantic
 // re-verifications of a snapshot load, which no frame CRC, run hash or
 // manifest count stands in for: a matching table re-encoded with a pair
-// dropped (every checksum self-consistent) is caught by
-// federate.Restore, and a cluster store that lost a cluster the fold of
+// dropped (every checksum self-consistent) is caught by the rebuilt
+// pair's Federation.Reorder, and a cluster store that lost a cluster the fold of
 // the loaded tables published is caught when it is read back and
 // compared with that fold — the check that stood against the stored
 // partition section while snapshots had one.
@@ -142,7 +142,7 @@ func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
 		}
 	})
 	if _, _, err := openOn(dir, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
-		t.Fatalf("doctored matching table: want a federate.Restore rejection, got %v", err)
+		t.Fatalf("doctored matching table: want a Reorder rejection, got %v", err)
 	}
 }
 

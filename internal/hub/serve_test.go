@@ -209,7 +209,7 @@ func coldWalkHub(t *testing.T) (h *Hub, multi int) {
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
 	})
 	const budget = 24
-	h, _ = openMultiOpts(t, t.TempDir(), w, Options{Store: "disk", HotClusterEntries: budget, hotPairs: 1})
+	h, _ = openMultiOpts(t, t.TempDir(), w, Options{Store: "disk", HotClusterEntries: budget})
 	t.Cleanup(func() { h.Close() })
 	for _, res := range h.IngestBatch(MultiInserts(w)) {
 		if res.Err != nil {

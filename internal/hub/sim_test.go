@@ -60,18 +60,17 @@ var (
 	simUpdate = flag.Bool("update", false, "TestSimBytes: rewrite testdata/simbytes.golden (format changes only)")
 	// The store a test's durable hub opens on when the test does not
 	// care (openOn), and the one backend the simulator is restricted to:
-	// CI's squeezed-tier leg is -hub.store=disk -hub.hot-clusters=256
-	// -hub.hot-pairs=2. Flags of this test binary, not product options.
+	// CI's squeezed-tier leg is -hub.store=disk -hub.hot-clusters=256.
+	// Flags of this test binary, not product options.
 	hubStore       = flag.String("hub.store", "", "backend of durable test hubs that name none, and the simulator's only one: mem or disk (default: mem, and the simulator runs both)")
 	hubHotClusters = flag.Int("hub.hot-clusters", 0, "disk backend of such hubs: hot cluster-entry budget (0: the default)")
-	hubHotPairs    = flag.Int("hub.hot-pairs", 0, "disk backend of such hubs: hot pair budget (0: the default)")
 )
 
 // openOn is Open on the store the -hub.* flags name, for tests that
 // name none themselves.
 func openOn(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	if opts.Store == "" && opts.Backend == nil {
-		opts.Store, opts.HotClusterEntries, opts.hotPairs = *hubStore, *hubHotClusters, *hubHotPairs
+		opts.Store, opts.HotClusterEntries = *hubStore, *hubHotClusters
 	}
 	return Open(dir, opts)
 }
@@ -440,7 +439,7 @@ func (o op) String() string {
 // simOpts are the Options a schedule opens its hub under.
 type simOpts struct {
 	snapEvery, syncEvery, chunkBytes int
-	hotClusters, hotPairs            int // the disk backend's budgets
+	hotClusters                      int // the disk backend's budget
 	// runItems is the snapshot writer's run length (0: snapRunItems, which
 	// no sequence of a simulated workload reaches — nothing ever seals).
 	runItems int
@@ -479,9 +478,10 @@ func genSchedule(seed int64) schedule {
 	pick := func(ns ...int) int { return ns[rng.Intn(len(ns))] }
 	s := schedule{opts: simOpts{
 		snapEvery: pick(0, 0, 3, 5, 9), syncEvery: pick(0, 0, 1, 4), chunkBytes: pick(0, 0, 200, 1<<10),
-		hotClusters: 4 + rng.Intn(24), hotPairs: 1 + rng.Intn(2),
-		runItems: []int{0, 2, 3, 8}[seed&3], // off the seed, not the stream: the draws below stay where they were
+		hotClusters: 4 + rng.Intn(24),
+		runItems:    []int{0, 2, 3, 8}[seed&3], // off the seed, not the stream: the draws below stay where they were
 	}}
+	rng.Intn(2) // what was the pair budget's draw: every draw below stays where it was
 	s.work = workSpec{shuffle: seed, mutants: rng.Intn(5), seeded: pick(0, 0, 3, 12)}
 	switch rng.Intn(5) {
 	case 0, 1:
@@ -658,7 +658,7 @@ func (r *simRun) options() Options {
 	return Options{
 		SnapshotEvery: o.snapEvery, SyncEvery: o.syncEvery, chunkBytes: o.chunkBytes, FS: r.fs,
 		probeBackoff: time.Millisecond, probeBackoffMax: 8 * time.Millisecond,
-		Store: r.backend, HotClusterEntries: max(o.hotClusters, 1), hotPairs: max(o.hotPairs, 1),
+		Store: r.backend, HotClusterEntries: max(o.hotClusters, 1),
 	}
 }
 
@@ -1185,7 +1185,7 @@ func walkPages(h *Hub, limit int) ([]Cluster, error) {
 }
 
 // check compares every served surface with the model. full adds the
-// §4 trichotomy of every small linked pair (it pages every pair in).
+// §4 trichotomy of every small linked pair.
 func (r *simRun) check(full bool) error {
 	h, m := r.h, r.m
 	if err := h.CheckInvariants(); err != nil {
@@ -1250,17 +1250,14 @@ func (r *simRun) check(full bool) error {
 	for i, p := range h.pairs {
 		l := m.links[i]
 		id := l.spec.Left + "-" + l.spec.Right
-		mt, err := h.copyPairMT(cutPair{p: p, n: p.mtLen})
-		if err != nil {
-			return err
-		}
+		mt := h.pairTable(p)
 		if p.spec.Left != l.spec.Left || p.spec.Right != l.spec.Right || (len(mt)+l.res.MT.Len() > 0 && !reflect.DeepEqual(mt, l.table())) {
 			return fmt.Errorf("matching table %s-%s %v, §4.2 builds %s %v", p.spec.Left, p.spec.Right, mt, id, l.table())
 		}
 		// §3.3, in the form a snapshot cut relies on: the table only grows,
 		// and in commit order — what it held at the last step is a prefix.
-		if was, err := h.copyPairMT(cutPair{p: p, n: len(r.prev[id])}); err != nil || (len(was) > 0 && !reflect.DeepEqual(was, r.prev[id])) {
-			return fmt.Errorf("matching table %s: its first %d commits are %v, at the last step it held %v (§3.3 monotonicity; %v)", id, len(was), was, r.prev[id], err)
+		if was := h.copyPairMT(cutPair{p: p, n: len(r.prev[id])}); len(was) > 0 && !reflect.DeepEqual(was, r.prev[id]) {
+			return fmt.Errorf("matching table %s: its first %d commits are %v, at the last step it held %v (§3.3 monotonicity)", id, len(was), was, r.prev[id])
 		}
 		tables[id], matches = mt, matches+len(mt)
 		if rl, sl := m.rels[l.li].Len(), m.rels[l.ri].Len(); full && rl <= 40 && sl <= 40 {
@@ -1435,7 +1432,7 @@ func bytesSchedules() map[string]schedule {
 		ops = append(ops, snap())
 		ops = append(ops, seq(n/3, n/2)...)
 		ops = append(ops, reopen(reopenClose), batch(span(n/2, n)...), snap(), ins(0), reopen(reopenKill), snap())
-		out[name] = schedule{work: ws, opts: simOpts{syncEvery: 4, chunkBytes: 512, hotClusters: 8, hotPairs: 1, runItems: 4}, ops: ops}
+		out[name] = schedule{work: ws, opts: simOpts{syncEvery: 4, chunkBytes: 512, hotClusters: 8, runItems: 4}, ops: ops}
 	}
 	return out
 }

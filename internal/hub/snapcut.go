@@ -9,8 +9,6 @@
 package hub
 
 import (
-	"fmt"
-
 	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/wal"
@@ -50,50 +48,30 @@ func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
 		cut.sources = append(cut.sources, cutSource{s: s, n: s.rel.Len()})
 	}
 	for _, p := range h.pairs {
-		// p.mtLen is written under the commit lock (held here), so this
-		// read is consistent without paging a cold pair in.
 		cut.pairs = append(cut.pairs, cutPair{
-			p: p, n: p.mtLen, rlen: h.sources[p.left].rel.Len(), slen: h.sources[p.right].rel.Len(),
+			p: p, n: p.fed.MT().Len(), rlen: h.sources[p.left].rel.Len(), slen: h.sources[p.right].rel.Len(),
 		})
 	}
 	return cut
 }
 
 // copyPairRange copies entries [lo, cp.n) of one pair's matching table
-// in commit order — the order the runs are cut in. A hot pair's range is
-// read under a briefly-held commit lock; a cold pair's is read from the
-// backend's pair store, whose spilled table is stored in commit order
-// at a length ≥ the cut (the pair can only have been spilled at or after
-// the cut was taken, and spilling requires the commit lock's ordering
-// of mutations), so its first n entries are exactly the cut's table.
-// The federation pointer loaded here may be spilled concurrently — the
-// object itself is never mutated after the spill, so reading its
-// frozen (≥ cut) state remains correct.
-func (h *Hub) copyPairRange(cp cutPair, lo int) ([]match.Pair, error) {
-	if fed := cp.p.fed.Load(); fed != nil {
-		h.commitMu.Lock()
-		ps := fed.PairsRange(lo, cp.n)
-		h.commitMu.Unlock()
-		return ps, nil
-	}
-	tab, err := h.backend.Pairs().Load(cp.p.id)
-	if err != nil {
-		return nil, fmt.Errorf("hub: snapshot pair %q-%q: %w", cp.p.spec.Left, cp.p.spec.Right, err)
-	}
-	if len(tab.Pairs) < cp.n {
-		return nil, fmt.Errorf("hub: snapshot pair %q-%q: spilled table has %d pairs, cut expects %d",
-			cp.p.spec.Left, cp.p.spec.Right, len(tab.Pairs), cp.n)
-	}
-	return append([]match.Pair(nil), tab.Pairs[lo:cp.n]...), nil
+// in commit order — the order the runs are cut in — under a briefly-held
+// commit lock: the table only grows, so its first n entries are exactly
+// the cut's table.
+func (h *Hub) copyPairRange(cp cutPair, lo int) []match.Pair {
+	h.commitMu.Lock()
+	defer h.commitMu.Unlock()
+	return cp.p.fed.PairsRange(lo, cp.n)
 }
 
 // copyPairMT is the pair's whole table at the cut in the canonical
 // sorted order — what CheckInvariants and the tests compare; a snapshot
 // never pays for it.
-func (h *Hub) copyPairMT(cp cutPair) ([]match.Pair, error) {
-	ps, err := h.copyPairRange(cp, 0)
+func (h *Hub) copyPairMT(cp cutPair) []match.Pair {
+	ps := h.copyPairRange(cp, 0)
 	federate.SortPairs(ps)
-	return ps, err
+	return ps
 }
 
 // foldCut folds the cut's matching tables, mts[i] the table of
@@ -137,8 +115,7 @@ func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int)
 		pair := snapPair{Link: linkRecFromSpec(cp.p.spec), RLen: cp.rlen, SLen: cp.slen}
 		var err error
 		pair.Runs, err = sink.runs(pair.id(), cp.n, budget, func(lo int) (chunkItems, error) {
-			ps, err := h.copyPairRange(cp, lo)
-			return mtItems(ps), err
+			return mtItems(h.copyPairRange(cp, lo)), nil
 		})
 		if err != nil {
 			return nil, err

@@ -137,7 +137,7 @@ func (r *recovery) link(spec PairSpec, cut linkCut) error {
 			spec.Left, spec.Right, cut.rlen, cut.slen, rlen, slen)
 	}
 	cut.rlen, cut.slen = rlen, slen
-	h.addPairLocked(spec, li, ri)
+	h.addPairLocked(spec, li, ri, nil)
 	r.cuts = append(r.cuts, cut)
 	return nil
 }
@@ -409,7 +409,7 @@ func (h *Hub) foldRestored(builds []pairBuild) error {
 		return fmt.Errorf("hub: load snapshot: %w", err)
 	}
 	for i, b := range builds {
-		h.holdFed(h.pairs[i], b.fed)
+		h.pairs[i].fed = b.fed
 	}
 	for _, s := range h.sources {
 		s.publishView()

@@ -25,7 +25,7 @@ const (
 )
 
 func openDisk(b *testing.B, hotEntries int) store.Backend {
-	be, err := disk.Open(b.TempDir(), store.Caps{HotClusterEntries: hotEntries, HotPairs: 1})
+	be, err := disk.Open(b.TempDir(), store.Caps{HotClusterEntries: hotEntries})
 	if err != nil {
 		b.Fatal(err)
 	}

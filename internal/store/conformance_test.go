@@ -25,15 +25,16 @@ import (
 )
 
 // backends are the implementations under the contract. The disk
-// budgets (4 resident cluster members, 1 resident pair) sit far below
-// the script's working set.
+// budget (4 resident cluster members) sits far below the script's
+// working set.
 var backends = []struct {
-	name string
-	open func(t *testing.T) store.Backend
+	name   string
+	budget int // the hot cluster-entry budget open gives it; 0: unbounded
+	open   func(t *testing.T) store.Backend
 }{
-	{"mem", func(*testing.T) store.Backend { return mem.New() }},
-	{"disk", func(t *testing.T) store.Backend {
-		b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4, HotPairs: 1})
+	{"mem", 0, func(*testing.T) store.Backend { return mem.New() }},
+	{"disk", 4, func(t *testing.T) store.Backend {
+		b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func TestClustersConformance(t *testing.T) {
 				}
 			}
 			st := c.Stats()
-			if budget := b.Caps().HotClusterEntries; budget == 0 {
+			if budget := bk.budget; budget == 0 {
 				if st.ColdRecords != 0 || st.Spills != 0 || st.PageIns != 0 || st.Budget != 0 {
 					t.Fatalf("unbounded backend reports tier traffic: %+v", st)
 				}
@@ -279,7 +280,7 @@ func TestClustersConformance(t *testing.T) {
 // and row 1 the one after; peeking every row in between, last of all the
 // others, changes neither.
 func TestScanReadsKeepEvictionOrder(t *testing.T) {
-	b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4, HotPairs: 1})
+	b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

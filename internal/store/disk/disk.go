@@ -1,8 +1,9 @@
 // Package disk is the tiered storage backend: cold cluster records
-// spill to one append-only file of CRC-checked binary records, cold
-// pair tables to CRC-framed section files (the PR 4 WAL frame format),
-// and both page back in on demand, keeping resident memory bounded by
-// the configured hot-tier budget.
+// spill to one append-only file of CRC-checked binary records and page
+// back in on demand, keeping resident memory bounded by the configured
+// hot-tier budget. Its pair store writes tables to CRC-framed section
+// files (the WAL frame format), but the hub keeps every pairwise
+// federation resident and never saves one (store's package comment).
 //
 // The spill tier is a CACHE, not a durability layer. Durability stays
 // with the WAL and snapshots; Open wipes any leftover spill files from
@@ -591,7 +592,6 @@ func (f *fileBuf) Write(p []byte) (int, error) {
 // Backend is the disk-tiered storage backend.
 type Backend struct {
 	dir       string
-	caps      store.Caps
 	c         clusters
 	p         pairs
 	closeOnce sync.Once
@@ -614,14 +614,13 @@ func Open(dir string, caps store.Caps) (*Backend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
-	b := &Backend{dir: dir, caps: caps}
+	b := &Backend{dir: dir}
 	b.c = clusters{budget: caps.HotClusterEntries, f: f}
 	b.p = pairs{dir: pairDir, files: map[int]string{}}
 	return b, nil
 }
 
 func (b *Backend) Name() string             { return "disk" }
-func (b *Backend) Caps() store.Caps         { return b.caps }
 func (b *Backend) Clusters() store.Clusters { return &b.c }
 func (b *Backend) Pairs() store.Pairs       { return &b.p }
 

@@ -53,7 +53,7 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	}
 	// The same records through the tier: published, spilled by a budget
 	// of one record, and read back by each path.
-	be, err := Open(t.TempDir(), store.Caps{HotClusterEntries: maxSize, HotPairs: 1})
+	be, err := Open(t.TempDir(), store.Caps{HotClusterEntries: maxSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func tierState(c *clusters, path string) [5]int64 {
 
 func TestDamagedSpillRecordFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	be, err := Open(dir, store.Caps{HotClusterEntries: 4, HotPairs: 1})
+	be, err := Open(dir, store.Caps{HotClusterEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 // Package mem is the default, always-resident storage backend. Cluster
 // records live in a store.Index — tuples are numbered, so each node's
 // record sits at its position in a per-source list of fixed-size chunks
-// — and pair tables are held as plain exported states (the hub only
-// spills pairs when a backend advertises a hot-pair budget, which mem
-// does not, so the pair store here exists for interface completeness and
-// tests).
+// — and the pair store holds plain states for interface completeness and
+// tests: the hub never saves a pair (store's package comment).
 //
 // The design splits the cluster store along the reader/writer
 // asymmetry:
@@ -143,9 +141,8 @@ func (c *clusters) Stats() store.ClusterStats {
 	}
 }
 
-// pairs holds saved pair tables resident. The hub never spills pairs
-// to an unbounded backend, so in production this map stays empty; it
-// behaves correctly regardless.
+// pairs holds saved pair tables resident. The hub never saves one, so
+// in production this map stays empty; it behaves correctly regardless.
 type pairs struct {
 	//entitylint:lock rank=110
 	mu   sync.Mutex
@@ -195,7 +192,6 @@ func New() *Backend {
 }
 
 func (b *Backend) Name() string             { return "mem" }
-func (b *Backend) Caps() store.Caps         { return store.Caps{} }
 func (b *Backend) Clusters() store.Clusters { return &b.c }
 func (b *Backend) Pairs() store.Pairs       { return &b.p }
 func (b *Backend) Close() error             { return nil }

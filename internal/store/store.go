@@ -1,16 +1,22 @@
-// Package store is the hub's storage seam: narrow interfaces for the
-// two kinds of committed state a backend may tier — per-pair matching
-// tables and cluster records — plus the generic merge logic that is
-// identical across backends. Source tuples stay with the hub: the live
-// pairwise matchers require resident attribute access.
+// Package store is the hub's storage seam: a narrow interface for the
+// committed state a backend may tier — cluster records — plus the
+// generic merge logic that is identical across backends. Source tuples
+// and pairwise federations stay with the hub: every insert prepares
+// against every pair of its source, and the live pairwise matchers
+// require resident attribute access.
 //
 // The hub never reaches into concrete maps; it holds a Backend and
 // talks to whatever that backend returns. store/mem is the default
 // and keeps every record resident. store/disk bounds resident memory by
-// spilling cold cluster records and cold pair tables to CRC-checked
-// files and paging them back on demand. Both find a node's record
-// through the one positional Index (index.go): tuples are numbered, so
-// a record sits at its members' positions, not under a hash.
+// spilling cold cluster records to CRC-checked files and paging them
+// back on demand. Both find a node's record through the one positional
+// Index (index.go): tuples are numbered, so a record sits at its
+// members' positions, not under a hash.
+//
+// Both backends still carry a pair-table store (Pairs, PairTab,
+// PairStats, Caps.HotPairs) that the hub no longer calls: the
+// benchmark's tracer decorates it, and it goes with that decorator
+// (ROADMAP item 5).
 //
 // Concurrency contract: Clusters readers (Read, Glance, Peek, Has,
 // Merged, Stats) may run concurrently with each other and with the
@@ -125,10 +131,9 @@ type Clusters interface {
 	Stats() ClusterStats
 }
 
-// PairTab is the portable state of one pairwise federation. The hub
-// stores it with Pairs in COMMIT ORDER (federate.ExportOrdered), not
-// sorted: snapshot cuts reconstruct "the first n commits" as a plain
-// prefix, so a spill that happens after a cut still serves the cut.
+// PairTab is the portable state of one pairwise federation, its pairs
+// in commit order. The hub keeps every federation resident and saves
+// none here; see the package comment.
 type PairTab = federate.State
 
 // PairStats describes the pair store's spill tier.
@@ -138,10 +143,8 @@ type PairStats struct {
 	PageIns int64 // Load calls (table bodies read back)
 }
 
-// Pairs is the per-pair matching-table store. The hub spills a pair's
-// exported federation state here when the pair falls out of the hot
-// budget, and loads it back before the pair's next mutation or when a
-// snapshot needs a cold pair's table.
+// Pairs is the per-pair matching-table store, kept only for the
+// benchmark's tracer (ROADMAP item 5): the hub never calls it.
 type Pairs interface {
 	// Save stores the pair table for link ordinal id, replacing any
 	// previous save.
@@ -155,17 +158,17 @@ type Pairs interface {
 	Stats() PairStats
 }
 
-// Caps is a backend's residency budget. Zero means unbounded (the mem
-// backend); the disk backend evicts past these.
+// Caps is the disk backend's residency budget: it evicts cluster
+// records past HotClusterEntries. HotPairs is read by nothing; it goes
+// with the pair store (ROADMAP item 5).
 type Caps struct {
 	HotClusterEntries int // Σ members of resident cluster records
-	HotPairs          int // live federations the hub keeps resident
+	HotPairs          int
 }
 
 // Backend bundles the two stores plus identity and lifecycle.
 type Backend interface {
 	Name() string
-	Caps() Caps
 	Clusters() Clusters
 	Pairs() Pairs
 
