@@ -12,7 +12,7 @@
 // directives (see Directive). The grammar, one directive per comment
 // line:
 //
-//	//entitylint:lock rank=N [multi]    on a mutex field: declares its
+//	//entitylint:lock rank=N            on a mutex field: declares its
 //	                                    place in the global acquisition
 //	                                    order (lockorder)
 //	//entitylint:commitpath             on a function: it mutates

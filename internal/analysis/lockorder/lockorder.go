@@ -1,14 +1,13 @@
 // Package lockorder checks mutex acquisitions against a declared
 // partial order. Mutex struct fields annotated
 //
-//	//entitylint:lock rank=N [multi]
+//	//entitylint:lock rank=N
 //
 // form lock classes; within any function (and transitively through
 // same-package calls) an acquisition must have a rank strictly greater
-// than every lock already held. Re-acquiring a held class is flagged as
-// re-entrant unless the class is declared multi (several instances
-// acquired in a deliberate sequence, e.g. per-pair locks in a commit
-// loop). TryLock/TryRLock never block, so they are exempt.
+// than every lock already held. Re-acquiring a held class — the same
+// instance or another of the same type — is flagged as re-entrant.
+// TryLock/TryRLock never block, so they are exempt.
 //
 // The checker evaluates each function body in rough execution order:
 // straight-line statements thread a held-lock multiset through; loop
@@ -40,10 +39,9 @@ var Analyzer = &analysis.Analyzer{
 
 // lockClass is one declared lock: a mutex field and its global rank.
 type lockClass struct {
-	obj   *types.Var
-	name  string
-	rank  int
-	multi bool
+	obj  *types.Var
+	name string
+	rank int
 }
 
 // acquireKind distinguishes blocking acquisitions from releases.
@@ -111,7 +109,7 @@ func (c *checker) collectClasses() {
 				if !ok {
 					continue
 				}
-				rank, multi, err := parseLockArgs(d.Args)
+				rank, err := parseLockArgs(d.Args)
 				if err != nil {
 					c.pass.Reportf(d.Pos, "bad //entitylint:lock directive: %v", err)
 					continue
@@ -121,7 +119,7 @@ func (c *checker) collectClasses() {
 					if !ok {
 						continue
 					}
-					c.classes[v] = &lockClass{obj: v, name: className(v), rank: rank, multi: multi}
+					c.classes[v] = &lockClass{obj: v, name: className(v), rank: rank}
 				}
 			}
 			return true
@@ -129,26 +127,22 @@ func (c *checker) collectClasses() {
 	}
 }
 
-// parseLockArgs parses "rank=N [multi]".
-func parseLockArgs(args string) (rank int, multi bool, err error) {
+// parseLockArgs parses "rank=N".
+func parseLockArgs(args string) (rank int, err error) {
 	rank = -1
 	for _, tok := range strings.Fields(args) {
-		switch {
-		case strings.HasPrefix(tok, "rank="):
-			rank, err = strconv.Atoi(strings.TrimPrefix(tok, "rank="))
-			if err != nil || rank < 0 {
-				return 0, false, fmt.Errorf("rank must be a non-negative integer, got %q", tok)
-			}
-		case tok == "multi":
-			multi = true
-		default:
-			return 0, false, fmt.Errorf("unknown argument %q (want rank=N and optional multi)", tok)
+		if !strings.HasPrefix(tok, "rank=") {
+			return 0, fmt.Errorf("unknown argument %q (want rank=N)", tok)
+		}
+		rank, err = strconv.Atoi(strings.TrimPrefix(tok, "rank="))
+		if err != nil || rank < 0 {
+			return 0, fmt.Errorf("rank must be a non-negative integer, got %q", tok)
 		}
 	}
 	if rank < 0 {
-		return 0, false, fmt.Errorf("missing rank=N")
+		return 0, fmt.Errorf("missing rank=N")
 	}
-	return rank, multi, nil
+	return rank, nil
 }
 
 // className renders a lock class as Owner.field for diagnostics.
@@ -483,15 +477,12 @@ func sortedClasses(set map[*lockClass]bool) []*lockClass {
 // via names the called function when the acquisition is indirect.
 func (c *checker) checkAcquire(call *ast.CallExpr, cls *lockClass, h *held, via string) {
 	if h.count[cls] > 0 {
-		if cls.multi || via != "" {
-			// Multiple instances of a multi class in sequence are the
-			// declared idiom; an indirect re-acquire through a callee is
-			// usually a different instance — do not second-guess it.
+		if via != "" {
+			// An indirect re-acquire through a callee is usually a
+			// different instance — do not second-guess it.
 			return
 		}
-		c.pass.Reportf(call.Pos(),
-			"re-entrant acquisition of %s (rank %d): already held; declare the field "+
-				"`multi` if distinct instances are acquired in sequence", cls.name, cls.rank)
+		c.pass.Reportf(call.Pos(), "re-entrant acquisition of %s (rank %d): already held", cls.name, cls.rank)
 		return
 	}
 	top := h.maxRankHeld()

@@ -1,6 +1,5 @@
 // Fixture for the lockorder analyzer: a hub-shaped lock hierarchy with
-// in-order, out-of-order, re-entrant, multi-instance and transitive
-// acquisitions.
+// in-order, out-of-order, re-entrant and transitive acquisitions.
 package lockorder_a
 
 import "sync"
@@ -15,7 +14,7 @@ type Hub struct {
 }
 
 type Pair struct {
-	//entitylint:lock rank=30 multi
+	//entitylint:lock rank=30
 	mu sync.Mutex
 }
 
@@ -42,17 +41,13 @@ func badReentrant(h *Hub) {
 	h.mu.RUnlock()
 }
 
-// multiInstances mirrors the commit loop: per-pair locks (one class,
-// many instances) acquired in sequence under the hub lock.
-func multiInstances(h *Hub, pairs []*Pair) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for _, p := range pairs {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	h.commitMu.Lock()
-	h.commitMu.Unlock()
+// twoInstances holds one class on two instances: a lock class has one
+// rank, so the second is re-entrant whichever instance it is.
+func twoInstances(a, b *Pair) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.Lock() // want `re-entrant acquisition of mu \(field of Pair\)`
+	b.mu.Unlock()
 }
 
 // releaseResets shows that an explicit unlock reopens the lower ranks.

@@ -1,10 +1,10 @@
 // The commit path: the one way a tuple enters the hub. Insert prepares
 // the new tuple against every pairwise federation of its source
 // (federate's side-effect-free Prepare), checks the transitive
-// constraint, and only then commits everywhere. Locking is per source,
-// per pair and one commit lock, acquired in a fixed order (source →
-// pairs by ordinal → commit), so inserts into disjoint regions of the
-// topology proceed in parallel. There is one ingest path: Insert is the
+// constraint, and only then commits everywhere, all under the one commit
+// lock: whether an insert is accepted depends on clusters every pair
+// feeds (§3.2 lifted across sources), so commits are serial and one lock
+// says so. There is one ingest path: Insert is the
 // commit path, IngestStream (pipeline.go) runs it over a channel — two
 // goroutines per stream, one WAL-encoding ahead of the one that commits,
 // with backpressure — and IngestBatch is a slice-in/slice-out wrapper
@@ -112,14 +112,10 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		return nil, fmt.Errorf("hub: unknown source %q", source)
 	}
 	src := h.sources[si]
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	// Pair locks in ordinal order (source.pairs is ordinal-sorted by
-	// construction): fixed acquisition order across all inserts.
-	for _, p := range src.pairs {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
+	// One commit at a time, from admission to receipt: what was admitted
+	// and prepared is still true when it is applied.
+	h.commitMu.Lock()
+	defer h.commitMu.Unlock()
 	// The source admits the tuple — shape and candidate keys, the one time
 	// either is checked: every pair prepares from the admission, and the
 	// canonical insert below files the tuple under the key hashes taken
@@ -155,9 +151,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	n := node{Src: si, Idx: src.rel.Len()}
 	// Phase 2: transitive uniqueness, then commit everywhere. The check
 	// precedes every mutation, so rejection needs no undo; commits
-	// cannot fail under the locks held here.
-	h.commitMu.Lock()
-	defer h.commitMu.Unlock()
+	// cannot fail under the commit lock.
 	merged, err := store.CheckMerge(h.clusters, n, partners, h.sourceName)
 	if err != nil {
 		if errors.Is(err, store.ErrUniqueness) {
@@ -189,7 +183,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	}
 	src.keyMu.Unlock()
 	if insErr != nil {
-		// Unreachable under the locking discipline: the canonical
+		// Unreachable under the commit lock: the canonical
 		// relation changed between admitting the tuple and taking it. The
 		// WAL already holds the record, so poison the hub instead of
 		// panicking — fail-closed ingest, reads keep serving the published

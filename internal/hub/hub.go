@@ -86,11 +86,6 @@ type sourceState struct {
 	name string
 	//entitylint:published
 	rel *relation.Relation
-	// mu serialises inserts into this source, which keeps tuple
-	// positions identical across the canonical relation and the
-	// extended image in every pairwise federation of the source.
-	//entitylint:lock rank=30
-	mu sync.Mutex
 	//entitylint:published
 	pairs []*pairState
 	// attrOf maps integrated attribute names (from the pair specs) to
@@ -134,17 +129,13 @@ type topoView struct {
 // pairState is one link: its live pairwise federation and the spec,
 // retained for snapshots and the WAL. fed is set once, under h.mu
 // exclusively — by Link, or by Open once the log is read — and the
-// federation's matching table grows under mu and the commit lock, so
-// either lock reads its length.
+// federation is prepared against and grows only under the commit lock,
+// which is what reads its matching table.
 type pairState struct {
 	id          int
 	left, right int
-	// The commit loop acquires several pairs' locks in sequence under
-	// the source lock, hence multi.
-	//entitylint:lock rank=40 multi
-	mu   sync.Mutex
-	fed  *federate.Federation
-	spec PairSpec
+	fed         *federate.Federation
+	spec        PairSpec
 }
 
 // Hub is the multi-source federation coordinator.
@@ -164,10 +155,10 @@ type Hub struct {
 	// resolve source names through. Republished by AddSource.
 	//entitylint:published
 	topo atomic.Pointer[topoView]
-	// commitMu serialises commits: every canonical-relation mutation and
-	// every cluster-store publication happens under it, so the cluster
-	// store has exactly one mutator at a time. Readers never take it —
-	// they go through the per-source views and the store's Read path.
+	// commitMu serialises commits: an insert admits, prepares, checks and
+	// applies under it, so the hub has exactly one mutator at a time.
+	// Point reads and walks never take it — they go through the
+	// per-source views and the store's Read path.
 	//entitylint:lock rank=50
 	commitMu sync.Mutex
 	// backend is the storage layer (internal/store); clusters is its

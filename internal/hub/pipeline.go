@@ -3,16 +3,16 @@
 //
 //	in → [encode-ahead] → jobs (Window deep) → [commit] → out (Window deep)
 //
-// and streams share nothing but the hub's locks. Encode-ahead reads the
+// and streams share nothing but the commit lock. Encode-ahead reads the
 // caller's channel, honours the stream context and — on durable hubs —
 // encodes the tuple's write-ahead-log payload, so the encoding of tuple
 // N+1 overlaps the commit of tuple N. Commit runs the Insert commit path
 // (health, source lookup, blocking, per-pair matching, WAL append, apply
-// and cluster fold, under the same per-source, per-pair and commit locks
-// as a direct Insert), so per-item semantics — WAL write-ahead, §3.2
-// uniqueness, all-or-nothing per insert — are Insert's, decided in one
-// place. It is one goroutine because a federate Pending is only valid
-// while the pair locks are held: what prepared a match must commit it.
+// and cluster fold, under the same commit lock as a direct Insert), so
+// per-item semantics — WAL write-ahead, §3.2 uniqueness, all-or-nothing
+// per insert — are Insert's, decided in one place. It is one goroutine
+// because a federate Pending is only valid while the commit lock is
+// held: what prepared a match must commit it.
 //
 // Backpressure: both channels are bounded, so a consumer that stops
 // reading stalls its own stream — commit blocks on out, encode-ahead on

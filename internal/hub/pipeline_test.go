@@ -254,7 +254,7 @@ func TestPipelineGoroutineLifecycle(t *testing.T) {
 // TestIngestStreamsIsolatedAndOrdered runs four streams over linked
 // sources, the first one's consumer reading nothing until the others
 // are done: they complete all the same, every stream's results arrive in
-// Seq order, and the interleaving the hub's locks chose is what its log
+// Seq order, and the interleaving the commit lock chose is what its log
 // recorded — a clean reopen, a sequential replay, lands on the state the
 // model adopted from the live hub.
 func TestIngestStreamsIsolatedAndOrdered(t *testing.T) {

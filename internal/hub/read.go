@@ -254,19 +254,20 @@ type Stats struct {
 }
 
 // Stats counts sources, links, tuples, pairwise matches and clusters.
-// It is O(sources+pairs): tuple counts come from the published views
-// and the cluster count from the store's running merge counter, so
-// Stats never scans the hub or blocks ingest. Under concurrent ingest
-// the counters are each individually accurate but may straddle a
-// commit; at quiescence they are exact.
+// It is O(sources+pairs) and never scans the hub: the matching-table
+// lengths are read under the commit lock, so Stats waits for at most one
+// commit and holds the lock for O(pairs); tuple counts come from the
+// published views and the cluster count from the store's running merge
+// counter. Under concurrent ingest the counters are each individually
+// accurate but may straddle a commit; at quiescence they are exact.
 func (h *Hub) Stats() Stats {
 	h.mu.RLock()
 	st := Stats{Sources: len(h.sources), Pairs: len(h.pairs)}
+	h.commitMu.Lock()
 	for _, p := range h.pairs {
-		p.mu.Lock()
 		st.Matches += p.fed.MT().Len()
-		p.mu.Unlock()
 	}
+	h.commitMu.Unlock()
 	h.mu.RUnlock()
 	// Load merged before the views: views only grow, so the difference
 	// can transiently overcount clusters but never go negative.

@@ -1085,9 +1085,10 @@ func shapeOf(c Cluster, ordinal map[string]int) error {
 	return nil
 }
 
-// readWhileIngesting point-reads and walks until stop closes, holding
-// each answer to shapeOf and each walk's clusters to pairwise disjoint;
-// it returns a sample of the member sets it saw.
+// readWhileIngesting point-reads, walks and takes Stats until stop
+// closes, holding each answer to shapeOf, each walk's clusters to
+// pairwise disjoint and each Stats to the one before it; it returns a
+// sample of the member sets it saw.
 func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]string, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	names := h.SourceNames()
@@ -1096,11 +1097,22 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 		ordinal[n] = i
 	}
 	fromWalks := 0
+	var last Stats
 	for i := 0; len(names) > 0; i++ {
 		select {
 		case <-stop:
 			return samples, nil
 		default:
+		}
+		if i%16 == 0 {
+			// Stats takes the commit lock between live commits. Views and
+			// matching tables only grow (§3.3), so neither count falls
+			// between one reader's calls, and no cluster is empty.
+			st := h.Stats()
+			if st.Tuples < last.Tuples || st.Matches < last.Matches || st.Clusters < 0 || st.Clusters > st.Tuples {
+				return nil, fmt.Errorf("Stats beside ingest: %+v after %+v", st, last)
+			}
+			last = st
 		}
 		name := names[rng.Intn(len(names))]
 		n, _ := h.SourceLen(name)

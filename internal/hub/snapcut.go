@@ -1,8 +1,8 @@
 // Snapshot capture: the consistent cut and the per-sequence copy.
 // A consistent cut is just the per-source tuple counts, per-pair
 // matching-table lengths and the WAL watermark, taken in
-// O(sources+pairs) under the commit locks; the relations and matching
-// tables are append-only under those locks, so each sequence's content
+// O(sources+pairs) under the commit lock; the relations and matching
+// tables are append-only under that lock, so each sequence's content
 // can be copied later, one sequence at a time, and only what lies past
 // its sealed runs: the commit lock is held for a copy the size of the
 // increment, never of the hub.
@@ -31,7 +31,7 @@ type cutPair struct {
 
 // snapshotCut is a consistent cut of the hub: O(sources+pairs) counts
 // plus the covered WAL watermark. Because every structure it points at
-// is append-only under the commit locks, the cut pins the exact state
+// is append-only under the commit lock, the cut pins the exact state
 // at the watermark without copying any content.
 type snapshotCut struct {
 	watermark uint64
@@ -40,8 +40,8 @@ type snapshotCut struct {
 }
 
 // cutLocked builds a cut. Callers hold h.mu (at least shared) and
-// h.commitMu — the commit locks — so the counts are mutually
-// consistent and consistent with the watermark.
+// h.commitMu, so the counts are mutually consistent and consistent with
+// the watermark.
 func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
 	cut := &snapshotCut{watermark: watermark}
 	for _, s := range h.sources {

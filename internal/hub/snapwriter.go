@@ -1,5 +1,5 @@
 // The snapshot producer and its directory store. It writes one run at a
-// time at a cut taken under the commit locks (snapcut.go), carrying the
+// time at a cut taken under the commit lock (snapcut.go), carrying the
 // runs the previous manifest already holds forward by reference: a run
 // at the same position of the same sequence with the same item count has
 // the same content, by append-onlyness within one directory's lineage,
@@ -111,7 +111,7 @@ func (h *Hub) LastSnapshot() SnapshotStats {
 }
 
 // noteCommit is called by Insert at its commit point, with the commit
-// locks held. When the snapshot interval elapses it takes the
+// lock held. When the snapshot interval elapses it takes the
 // O(sources+pairs) cut and the watermark — the only work done under
 // the lock — and hands everything slow (log rotation with its fsync,
 // per-run capture, encoding, writing, truncation) to a background

@@ -205,7 +205,7 @@ type projKey struct {
 // Scratch is the working memory of one identification at a time: the
 // image being prepared, the partners found for it and the one candidate
 // row materialised to run a rule on. Whoever serialises a Result's
-// identifications (a federation, under its coordinator's pair lock)
+// identifications (a federation, under its coordinator's commit lock)
 // owns one and hands it to each call; what a call returns in it stands
 // until the next call given the same Scratch.
 type Scratch struct {
