@@ -24,11 +24,12 @@
 // means the next start replays a longer log tail.
 //
 // Snapshots are chunked and incremental: the data directory holds a
-// manifest plus, per source and per linked pair, files of 1024 tuples
-// or matching-table entries in commit order; a full file never changes
-// and carries forward untouched, so a snapshot costs what was inserted
-// since the last one, not what the hub holds, and hubs of any size
-// snapshot without hitting a single-record ceiling. Against power loss (where
+// manifest — each source's schema, each link and the source lengths it
+// was cut at — plus, per source, files of 1024 tuples in commit order;
+// matching tables and clusters are rebuilt from the tuples on start. A
+// full file never changes and carries forward untouched, so a snapshot
+// costs what was inserted since the last one, not what the hub holds,
+// and hubs of any size snapshot without hitting a single-record ceiling. Against power loss (where
 // the page cache itself is forfeit), -sync-every N additionally fsyncs
 // the log every N appends, with every insert stream batching the
 // remainder into one sync per flush epoch (each time its input runs
@@ -40,7 +41,8 @@
 // arrive within a deadline (slowloris guard), bodies are size-capped
 // (-max-insert-body for ingest, a fixed 1MB for control requests), and
 // SIGINT/SIGTERM drain in-flight requests (refusing new connections)
-// before the hub is checkpointed and closed.
+// before the hub is closed — checkpointed first when -snapshot-every is
+// 0, so the next start replays nothing.
 //
 // API (all bodies JSON; /v1/insert and /v1/clusters stream NDJSON):
 //
@@ -101,7 +103,7 @@ func main() {
 		storeHotClus  = flag.Int("store-hot-clusters", 0, "with -store disk: max resident cluster members before cold records spill (0: the default)")
 	)
 	flag.Parse()
-	if err := checkFlags(*dataDir, *storeName, *storeHotClus, *maxInsertBody); err != nil {
+	if err := checkFlags(*dataDir, *storeName, *storeHotClus, *snapEvery, *syncEvery, *ingestConc, *maxInsertBody); err != nil {
 		log.Fatalf("entityidd: %v", err)
 	}
 	hub := entityid.NewHub()
@@ -198,12 +200,19 @@ func main() {
 // checkFlags refuses a flag set that would otherwise start and quietly
 // not do what it says: a flag the chosen configuration never looks at,
 // or a value that would be replaced by a default.
-func checkFlags(dataDir, storeName string, storeHotClusters int, maxInsertBody int64) error {
+func checkFlags(dataDir, storeName string, storeHotClusters, snapEvery, syncEvery, ingestConc int, maxInsertBody int64) error {
+	// Each of these has one way to say "off", 0; a negative value is a
+	// typo, not a request to drop snapshots, the power-loss fsync or the
+	// DoS guard.
 	switch {
 	case maxInsertBody < 0:
-		// Only 0 means unlimited; a negative value is a typo, not a
-		// request to drop the DoS guard.
 		return errors.New("-max-insert-body must be >= 0 (0 disables the cap)")
+	case snapEvery < 0:
+		return errors.New("-snapshot-every must be >= 0 (0 snapshots only on shutdown)")
+	case syncEvery < 0:
+		return errors.New("-sync-every must be >= 0 (0 leaves durability between snapshots to the page cache)")
+	case ingestConc < 0:
+		return errors.New("-ingest-concurrency must be >= 0 (0 disables the limit)")
 	case storeName != "" && storeName != "mem" && storeName != "disk":
 		return fmt.Errorf("-store must be mem or disk (got %q)", storeName)
 	case storeHotClusters < 0:

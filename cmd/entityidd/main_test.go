@@ -275,10 +275,10 @@ func TestInsertBodyCap(t *testing.T) {
 // with pass.
 func TestFlagsRefusedAtStartup(t *testing.T) {
 	for _, tc := range []struct {
-		name, dataDir, store string
-		hot                  int
-		body                 int64
-		refusal              string // "" = starts
+		name, dataDir, store  string
+		hot, snap, sync, conc int
+		body                  int64
+		refusal               string // "" = starts
 	}{
 		{name: "defaults"},
 		{name: "durable, default store", dataDir: "d"},
@@ -286,6 +286,10 @@ func TestFlagsRefusedAtStartup(t *testing.T) {
 		{name: "benchmark read_cold", dataDir: "d", store: "disk", hot: 4096},
 		{name: "disk at its default budget", dataDir: "d", store: "disk"},
 		{name: "negative insert body", body: -1, refusal: "-max-insert-body"},
+		{name: "0 for off, fsync every append", dataDir: "d", sync: 1},
+		{name: "negative snapshot interval", dataDir: "d", snap: -1, refusal: "-snapshot-every must be >= 0"},
+		{name: "negative sync interval", dataDir: "d", sync: -1, refusal: "-sync-every must be >= 0"},
+		{name: "negative ingest concurrency", conc: -1, refusal: "-ingest-concurrency must be >= 0"},
 		{name: "store without a data dir", store: "disk", refusal: "-data-dir"},
 		{name: "resident store without a data dir", store: "mem", refusal: "-data-dir"},
 		{name: "budget without a data dir", hot: 8, refusal: "-data-dir"},
@@ -295,7 +299,7 @@ func TestFlagsRefusedAtStartup(t *testing.T) {
 		{name: "budget for the resident store", dataDir: "d", store: "mem", hot: 8, refusal: "-store-hot-clusters needs -store disk"},
 		{name: "budget for the default store", dataDir: "d", hot: 8, refusal: "-store-hot-clusters needs -store disk"},
 	} {
-		err := checkFlags(tc.dataDir, tc.store, tc.hot, tc.body)
+		err := checkFlags(tc.dataDir, tc.store, tc.hot, tc.snap, tc.sync, tc.conc, tc.body)
 		switch {
 		case tc.refusal == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)

@@ -352,21 +352,11 @@ func (f *Federation) Pairs() []match.Pair {
 }
 
 // State is a federation's mutable state in portable form — the matching
-// table, its pairs in commit order (PairsRange), plus the side lengths it
-// was computed over; the storage layer's pair table (store.PairTab).
+// table, its pairs in commit order, plus the side lengths it was computed
+// over; the storage layer's pair table (store.PairTab).
 type State struct {
 	Pairs      []match.Pair
 	RLen, SLen int
-}
-
-// PairsRange returns a copy of matching pairs [lo, hi) in commit
-// order. The matching table is append-only under the hub's commit lock,
-// so what a consistent cut of length hi saw is exactly the table's first
-// hi entries, and what an earlier cut saw a prefix of them — the basis of
-// snapshot capture under briefly-held locks and of runs that never
-// change once full.
-func (f *Federation) PairsRange(lo, hi int) []match.Pair {
-	return f.res.MT.Pairs(lo, hi)
 }
 
 // SortPairs sorts a pair slice into the canonical (RIndex, SIndex)

@@ -6,7 +6,7 @@
 // dense union-find over every tuple of the hub; the *served* partition
 // lives in the backend's cluster-record store (internal/store). Three
 // callers fold: Link folds its one initial table over the clusters
-// already stored, the snapshot loader folds every restored table once
+// already stored, the snapshot loader folds every rebuilt table once
 // onto the empty store, and CheckInvariants folds the tables at a cut to
 // compare with the store. Each publishes (or compares) every component
 // a union made, once.

@@ -7,7 +7,7 @@ package hub
 // decoder instead of dying at the frame check. Bytes that decode as a
 // run get a manifest entry built around them (the content hash the
 // loader verifies is computed here, independently) and are spliced into
-// a committed snapshot directory at the position of the sequence they
+// a committed snapshot directory at the position of the source they
 // claim, then loaded through loadSnapshotSections: hash check, chunk
 // decoding, run contiguity, assembly. The properties: the loader never
 // panics and never hangs — every input either yields a hub that passed
@@ -29,7 +29,6 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
 	"entityid/internal/value"
@@ -53,8 +52,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	committed := map[string]bool{}
-	var first, firstPair []byte
-	base.eachRun(func(id runID, r snapRun) {
+	var first []byte
+	base.eachRun(func(_ runID, r snapRun) {
 		committed[r.Hash] = true
 		data, err := os.ReadFile(secPath(dir, r.Hash))
 		if err != nil {
@@ -62,9 +61,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if first == nil {
 			first = data
-		}
-		if firstPair == nil && id.kind == secPair {
-			firstPair = data
 		}
 		// Every committed run, framed and as bare chunk payloads.
 		f.Add(data)
@@ -78,24 +74,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	// Runs whose first chunk is spelled otherwise than this format writes
 	// it, every frame CRC intact: a space, reordered keys, a repeated key,
-	// an empty name, a signed and a zero-led pair index.
-	for _, r := range []struct {
-		run      []byte
-		old, new string
-	}{
-		{first, `"run":0`, `"run": 0`},
-		{first, `"run":0,"chunk":1`, `"chunk":1,"run":0`},
-		{first, `"chunk":1`, `"chunk":1,"chunk":1`},
-		{first, `"name":"` + base.Sources[0].Name + `"`, `"name":""`},
-		{firstPair, `"mt":[[`, `"mt":[[-`},
-		{firstPair, `"mt":[[`, `"mt":[[0`},
+	// an empty name, a signed and a zero-led number.
+	for _, r := range [][2]string{
+		{`"run":0`, `"run": 0`},
+		{`"run":0,"chunk":1`, `"chunk":1,"run":0`},
+		{`"chunk":1`, `"chunk":1,"chunk":1`},
+		{`"name":"` + base.Sources[0].Name + `"`, `"name":""`},
+		{`"run":0`, `"run":-0`},
+		{`"chunk":1`, `"chunk":01`},
 	} {
-		f.Add(respell(f, r.run, func(p string) string { return strings.Replace(p, r.old, r.new, 1) }))
+		f.Add(respell(f, first, func(p string) string { return strings.Replace(p, r[0], r[1], 1) }))
 	}
 	// The committed manifest, one with a sealed run gone, one whose run
 	// entry gives another size than its file's, one cut at a run length
-	// its runs do not have, one with no sequences, one of the retired
-	// format, and garbage.
+	// its runs do not have, one with no sources or links, ones of the
+	// retired formats, and garbage.
 	if frame, err := os.ReadFile(filepath.Join(dir, snapshotManifest)); err == nil {
 		f.Add(frame)
 	}
@@ -109,6 +102,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		func(m *snapManifest) { m.Sources, m.Pairs = nil, nil },
 		func(m *snapManifest) { m.Format = 2 },
 		func(m *snapManifest) { m.Format = 3 },
+		func(m *snapManifest) { m.Format = 4 },
 	} {
 		man := *base
 		man.Sources = append([]snapSource(nil), base.Sources...)
@@ -123,6 +117,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// A source run of the retired format (3): a {"k","v"} object per
 	// value. Like the corpus files under testdata/fuzz, refused.
 	f.Add([]byte(`{"v2":"source","run":0,"chunk":1,"last":true,"name":"src0","tuples":[[{"k":"string","v":"a"},{"k":"string","v":"b"},{"k":"null"},{"k":"string","v":"c"}]]}`))
+	// The format-4 directory's manifest and run files: a manifest that
+	// names pair runs, and a matching-table run, which this format has no
+	// kind for, beside source runs of another schema.
+	old := filepath.Join("testdata", "snapshot-format4")
+	oldRuns, err := filepath.Glob(filepath.Join(old, snapSecDir, "*"+snapSecSuffix))
+	if err != nil || len(oldRuns) != 3 {
+		f.Fatalf("format-4 runs: %v %v", oldRuns, err)
+	}
+	for _, path := range append(oldRuns, filepath.Join(old, snapshotManifest)) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	// load runs the manifest through the loader; a hub that comes back
 	// passed full verification and must snapshot again.
@@ -174,35 +183,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 			defer os.Remove(path)
 		}
 		// Splice the run in where it says it goes: into the committed
-		// sequence of the same identity, or as a new sequence's first run
-		// under a committed schema or link.
+		// source of the same name, or as a new source's first run under a
+		// committed schema.
 		man := *base
 		man.Sources = append([]snapSource(nil), base.Sources...)
-		man.Pairs = append([]snapPair(nil), base.Pairs...)
-		at := -1
-		if d.id.kind == secSource {
-			for i, s := range man.Sources {
-				if s.Name == d.id.name {
-					at = i
-				}
-			}
-			if at < 0 {
-				at, man.Sources = len(man.Sources), append(man.Sources, snapSource{Name: d.id.name, Schema: base.Sources[0].Schema})
-			}
-			man.Sources[at].Runs = put(man.Sources[at].Runs, d.id.run, d.meta)
-		} else {
-			for i, p := range man.Pairs {
-				if p.Link.Left == d.id.left && p.Link.Right == d.id.right {
-					at = i
-				}
-			}
-			if at < 0 {
-				p := base.Pairs[0]
-				p.Link.Left, p.Link.Right, p.Runs = d.id.left, d.id.right, nil
-				at, man.Pairs = len(man.Pairs), append(man.Pairs, p)
-			}
-			man.Pairs[at].Runs = put(man.Pairs[at].Runs, d.id.run, d.meta)
+		at := slices.IndexFunc(man.Sources, func(s snapSource) bool { return s.Name == d.id.name })
+		if at < 0 {
+			at, man.Sources = len(man.Sources), append(man.Sources, snapSource{Name: d.id.name, Schema: base.Sources[0].Schema})
 		}
+		man.Sources[at].Runs = put(man.Sources[at].Runs, d.id.run, d.meta)
 		load(t, &man)
 	}
 
@@ -239,9 +228,10 @@ func chunkPayloads(run []byte) []byte {
 	}
 }
 
-// refChunk is the chunk struct format 4 began with: what encoding/json
-// wrote and read for a run chunk before appendChunk and addChunk spelled
-// it by hand, kept as the reference both halves are held to.
+// refChunk is the source chunk struct format 4 began with: what
+// encoding/json wrote and read for a run chunk before appendChunk and
+// addChunk spelled it by hand, kept as the reference both halves are held
+// to.
 type refChunk struct {
 	V2     string          `json:"v2"`
 	Run    int             `json:"run"`
@@ -249,9 +239,6 @@ type refChunk struct {
 	Last   bool            `json:"last,omitempty"`
 	Name   string          `json:"name,omitempty"`
 	Tuples json.RawMessage `json:"tuples,omitempty"`
-	Left   string          `json:"left,omitempty"`
-	Right  string          `json:"right,omitempty"`
-	MT     [][2]int        `json:"mt,omitempty"`
 }
 
 // refAddChunk is the reflective chunk reader addChunk replaced, as it
@@ -263,16 +250,13 @@ func refAddChunk(d *decRun, rec wal.Record, sch *schema.Schema) (last bool, err 
 	}
 	d.meta.Chunks++
 	if d.meta.Chunks == 1 {
-		if c.V2 != secSource && c.V2 != secPair {
+		if c.V2 != secSource {
 			return false, fmt.Errorf("unknown kind %q", c.V2)
 		}
-		d.id = runID{kind: c.V2, name: c.Name, left: c.Left, right: c.Right, run: c.Run}
+		d.id = runID{name: c.Name, run: c.Run}
 	}
-	if c.V2 != d.id.kind || c.Run != d.id.run || c.Chunk != d.meta.Chunks || uint64(c.Chunk) != rec.Seq {
+	if c.V2 != secSource || c.Run != d.id.run || c.Chunk != d.meta.Chunks || uint64(c.Chunk) != rec.Seq {
 		return false, fmt.Errorf("chunk out of sequence")
-	}
-	if (d.id.kind == secSource && (len(c.MT) > 0 || sch == nil)) || (d.id.kind == secPair && len(c.Tuples) > 0) {
-		return false, fmt.Errorf("chunk %d holds items of the other kind", c.Chunk)
 	}
 	if len(c.Tuples) > 0 {
 		ts, err := relation.ParseTuplesJSON(sch, c.Tuples)
@@ -281,21 +265,19 @@ func refAddChunk(d *decRun, rec wal.Record, sch *schema.Schema) (last bool, err 
 		}
 		d.tuples = append(d.tuples, ts...)
 	}
-	for _, pr := range c.MT {
-		d.mt = append(d.mt, match.Pair{RIndex: pr[0], SIndex: pr[1]})
-	}
 	return c.Last, nil
 }
 
 // FuzzRunChunk holds the hand-written chunk codec to the reflective one
 // it replaced. appendChunk writes byte for byte what encoding/json wrote
-// for the same chunk — source and link names with quotes, backslashes,
-// control bytes, <>&, U+2028/2029, non-ASCII and invalid UTF-8; tuples of
-// every kind; pair lists — and addChunk reads back what the bytes say:
-// the names as JSON spells them (U+FFFD for each byte that is not UTF-8),
-// the tuples and pairs written. On an arbitrary payload, read as a run's
-// first chunk and as the second after a well-spelled first, addChunk
-// either refuses or reads what the reference reads; neither panics.
+// for the same chunk — source names with quotes, backslashes, control
+// bytes, <>&, U+2028/2029, non-ASCII and invalid UTF-8; tuples of every
+// kind — and addChunk reads back what the bytes say: the name as JSON
+// spells it (U+FFFD for each byte that is not UTF-8) and the tuples
+// written. On an arbitrary payload, read as a run's first chunk and as the
+// second after a well-spelled first, addChunk either refuses or reads what
+// the reference reads; neither panics. A chunk of format 4's pair runs is
+// one such payload, and is refused.
 func FuzzRunChunk(f *testing.F) {
 	sch := schema.MustNew("zagat", []schema.Attribute{
 		{Name: "name", Kind: value.KindString}, {Name: "n", Kind: value.KindInt},
@@ -312,12 +294,12 @@ func FuzzRunChunk(f *testing.F) {
 		`{"v2": "pair","run":0,"chunk":1,"left":"a","right":"b","mt":[[01,-1]]}`,
 		`{"run":0,"v2":"pair","chunk":1,"chunk":1,"left":"a","right":"b","mt":[[1]],"x":1}`,
 	} {
-		f.Add([]byte(p), "src\x00<&>\u2028\u2029\xff", "caf\xe9\"", "wok\\", int64(-7), uint32(5), uint8(2), true)
+		f.Add([]byte(p), "src\x00<&>\u2028\u2029\xff\"", "wok\\", int64(-7), uint32(5), uint8(2), true)
 	}
-	f.Fuzz(func(t *testing.T, payload []byte, name, other, s string, n int64, r uint32, k uint8, last bool) {
+	f.Fuzz(func(t *testing.T, payload []byte, name, s string, n int64, r uint32, k uint8, last bool) {
 		// An arbitrary payload, read by both halves as a run's first chunk
-		// and as the second chunk of a source run.
-		prev := appendChunk(nil, runID{kind: secSource, name: "zagat"}, 1, true, false, tupleItems{{value.String("a"), value.Int(1), value.Null, value.Null, value.Null}}, 0, 1)
+		// and as the second chunk of a run.
+		prev := appendChunk(nil, runID{name: "zagat"}, 1, true, false, []relation.Tuple{{value.String("a"), value.Int(1), value.Null, value.Null, value.Null}})
 		for _, chunk := range [][]byte{nil, prev} {
 			var got, want decRun
 			if chunk != nil {
@@ -339,69 +321,47 @@ func FuzzRunChunk(f *testing.F) {
 			}
 		}
 
-		// Written chunks: equal to the reference's, read back as written —
+		// A written chunk: equal to the reference's, read back as written —
 		// ts's strings as JSON spells them (spelled), in read.
 		spelled := func(s string) string { return string([]rune(s)) }
-		ts, read := make(tupleItems, int(k%4)), make([]relation.Tuple, int(k%4))
-		pairs := make(mtItems, int(k%4))
+		ts, read := make([]relation.Tuple, int(k%4)), make([]relation.Tuple, int(k%4))
 		for i := range ts {
 			m := n + int64(i)
 			ts[i] = relation.Tuple{value.String(s + strconv.Itoa(i)), value.Int(m), value.Float(float64(m) / 7), value.Bool(m%2 == 0), value.Null}
 			read[i] = append(relation.Tuple{value.String(spelled(s) + strconv.Itoa(i))}, ts[i][1:]...)
-			pairs[i] = match.Pair{RIndex: int(r) + i, SIndex: int(r) * i}
 		}
-		for _, c := range []struct {
-			id    runID
-			items chunkItems
-			ref   refChunk
-		}{
-			{runID{kind: secSource, name: name, run: int(r)}, ts, refChunk{Name: name}},
-			{runID{kind: secPair, left: name, right: other, run: int(r)}, pairs, refChunk{Left: name, Right: other}},
-		} {
-			ref := c.ref
-			ref.V2, ref.Run, ref.Chunk, ref.Last = c.id.kind, c.id.run, 1, last
-			if len(ts) > 0 && c.id.kind == secSource {
-				ref.Tuples = relation.AppendTuplesJSON(nil, ts)
-			}
-			for _, p := range pairs {
-				if c.id.kind == secPair {
-					ref.MT = append(ref.MT, [2]int{p.RIndex, p.SIndex})
-				}
-			}
-			want, err := json.Marshal(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := appendChunk(nil, c.id, 1, true, last, c.items, 0, c.items.len())
-			if !bytes.Equal(p, want) {
-				t.Fatalf("appendChunk wrote %s, encoding/json %s", p, want)
-			}
-			var d decRun
-			gotLast, err := d.addChunk(wal.Record{Seq: 1, Payload: p}, sch)
-			named := name != "" && (c.id.kind == secSource || other != "")
-			if (err == nil) != named {
-				t.Fatalf("addChunk read %s: %v", p, err)
-			}
-			if !named {
-				continue
-			}
-			id := c.id
-			id.name, id.left, id.right = spelled(id.name), spelled(id.left), spelled(id.right)
-			written := decRun{id: id, mt: pairs}
-			if c.id.kind == secSource {
-				written.tuples, written.mt = read, nil
-			}
-			if gotLast != last || !sameRun(&d, &written) {
-				t.Fatalf("addChunk read %s as %+v, want %+v", p, d, written)
-			}
+		id := runID{name: name, run: int(r)}
+		ref := refChunk{V2: secSource, Run: id.run, Chunk: 1, Last: last, Name: name}
+		if len(ts) > 0 {
+			ref.Tuples = relation.AppendTuplesJSON(nil, ts)
+		}
+		want, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := appendChunk(nil, id, 1, true, last, ts)
+		if !bytes.Equal(p, want) {
+			t.Fatalf("appendChunk wrote %s, encoding/json %s", p, want)
+		}
+		var d decRun
+		gotLast, err := d.addChunk(wal.Record{Seq: 1, Payload: p}, sch)
+		if (err == nil) != (name != "") {
+			t.Fatalf("addChunk read %s: %v", p, err)
+		}
+		if name == "" {
+			return
+		}
+		written := decRun{id: runID{name: spelled(name), run: id.run}, tuples: read}
+		if gotLast != last || !sameRun(&d, &written) {
+			t.Fatalf("addChunk read %s as %+v, want %+v", p, d, written)
 		}
 	})
 }
 
-// sameRun reports whether two decoded runs hold the same identity, tuples
-// and pairs.
+// sameRun reports whether two decoded runs hold the same identity and
+// tuples.
 func sameRun(a, b *decRun) bool {
-	return a.id == b.id && slices.EqualFunc(a.tuples, b.tuples, relation.Tuple.Identical) && slices.Equal(a.mt, b.mt)
+	return a.id == b.id && slices.EqualFunc(a.tuples, b.tuples, relation.Tuple.Identical)
 }
 
 // FuzzCursor throws arbitrary strings at the cluster cursor parser

@@ -37,8 +37,7 @@ import (
 // on no request path but /debug/check: it holds h.mu shared and the
 // commit lock while it takes the cut and reads the whole partition —
 // commits wait that long — then releases both and copies each pair's
-// table prefix the way a snapshot does (the commit lock again, briefly,
-// per pair).
+// table at the cut (the commit lock again, briefly, per pair).
 func (h *Hub) CheckInvariants() error {
 	h.mu.RLock()
 	h.commitMu.Lock()

@@ -9,8 +9,10 @@ package hub
 // mid-stream after inserts on both sides, seeded registrations, chunked
 // ones and one the log abandons, and a snapshot whose tail registers a
 // new source and links it. Open and the reference must agree on every
-// pair's table in commit order, the partition, Stats and the count of
-// records replayed, and then write byte-identical snapshot runs.
+// pair's table — in commit order past the snapshot's cut, as a set inside
+// it, where Open rebuilds the table in Build's order — the partition,
+// Stats and the count of records replayed, and then write byte-identical
+// snapshot runs.
 
 import (
 	"bytes"
@@ -22,6 +24,7 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
@@ -222,7 +225,13 @@ func agreeWithNaive(t *testing.T, label string, dir string, opts Options, payloa
 	if info.Replayed != replayed || info.FromSnapshot != (watermark > 0) {
 		t.Fatalf("%s: Open replayed %d records (snapshot %v), the reference %d past record %d", label, info.Replayed, info.FromSnapshot, replayed, watermark)
 	}
-	if g, w := pairLogs(t, got), pairLogs(t, ref); !reflect.DeepEqual(g, w) {
+	var man *snapManifest
+	if watermark > 0 {
+		if man, err = readManifest(wal.OS, dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, w := pairLogs(t, got, man), pairLogs(t, ref, man); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: pair tables in commit order differ:\nOpen      %v\nreference %v", label, g, w)
 	}
 	if g, w := partitionOf(t, got), partitionOf(t, ref); !reflect.DeepEqual(g, w) {
@@ -236,8 +245,12 @@ func agreeWithNaive(t *testing.T, label string, dir string, opts Options, payloa
 	}
 }
 
-// pairLogs returns every pair's matching table in commit order.
-func pairLogs(t *testing.T, h *Hub) [][]match.Pair {
+// pairLogs returns every pair's matching table in commit order, but with
+// the entries inside the cut of each link the snapshot man holds (nil:
+// none) sorted: a snapshot stores no table, so a load rebuilds those in
+// Build's order. They lead the table, and every later entry keeps its
+// place, so commitOrder is still held for the tail.
+func pairLogs(t *testing.T, h *Hub, man *snapManifest) [][]match.Pair {
 	t.Helper()
 	h.mu.RLock()
 	h.commitMu.Lock()
@@ -246,7 +259,15 @@ func pairLogs(t *testing.T, h *Hub) [][]match.Pair {
 	h.mu.RUnlock()
 	out := make([][]match.Pair, len(cut.pairs))
 	for i, cp := range cut.pairs {
-		out[i] = h.copyPairRange(cp, 0)
+		out[i] = h.copyPairRange(cp)
+		if man != nil && i < len(man.Pairs) {
+			held := man.Pairs[i]
+			k := 0
+			for k < len(out[i]) && out[i][k].RIndex < held.RLen && out[i][k].SIndex < held.SLen {
+				k++
+			}
+			federate.SortPairs(out[i][:k])
+		}
 	}
 	return out
 }

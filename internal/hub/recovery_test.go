@@ -109,12 +109,10 @@ func TestBackgroundSnapshotTruncatesLog(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripAndTamperDetection holds the two semantic
-// re-verifications of a snapshot load, which no frame CRC, run hash or
-// manifest count stands in for: a matching table re-encoded with a pair
-// dropped (every checksum self-consistent) is caught by the rebuilt
-// pair's Federation.Reorder, and a cluster store that lost a cluster the fold of
-// the loaded tables published is caught when it is read back and
+// TestSnapshotRoundTripAndTamperDetection holds the semantic
+// re-verification of a snapshot load that no frame CRC, run hash or
+// manifest count stands in for: a cluster store that lost a cluster the
+// fold of the rebuilt tables published is caught when it is read back and
 // compared with that fold — the check that stood against the stored
 // partition section while snapshots had one.
 func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
@@ -130,19 +128,6 @@ func TestSnapshotRoundTripAndTamperDetection(t *testing.T) {
 	lossy := lossyBackend{mem.New()}
 	if _, err := loadSnapshotSections(wal.OS, dir, man, lossy, &RecoveryInfo{}); err == nil || !strings.Contains(err.Error(), "refolded pairwise matching tables") {
 		t.Fatalf("cluster store that lost a cluster: want a partition refold rejection, got %v", err)
-	}
-	editManifest(t, dir, func(m *snapManifest) {
-		p := &m.Pairs[0]
-		last := len(p.Runs) - 1
-		id := p.id()
-		id.run = last
-		rewriteRun(t, dir, id, &p.Runs[last], func(d *decRun) { d.mt = d.mt[:len(d.mt)-1] })
-		if p.Runs[last].Items == 0 {
-			p.Runs = p.Runs[:last]
-		}
-	})
-	if _, _, err := openOn(dir, Options{}); err == nil || !strings.Contains(err.Error(), "federate: restore") {
-		t.Fatalf("doctored matching table: want a Reorder rejection, got %v", err)
 	}
 }
 

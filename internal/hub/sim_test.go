@@ -561,9 +561,9 @@ func (s schedule) with(ops []op) schedule { s.ops = ops; return s }
 func genControl(rng *rand.Rand, concurrent bool) []op {
 	switch n := rng.Intn(10); {
 	case n < 2:
-		// Half the time the hub restarts on what it just wrote: its tables
-		// come back in the saved commit order, which the inserts that follow
-		// continue into the runs later snapshots seal.
+		// Half the time the hub restarts on what it just wrote: its sources
+		// come back from their runs and its tables rebuilt over them, and
+		// the inserts that follow continue the runs later snapshots seal.
 		if rng.Intn(2) == 0 {
 			return []op{snap(), reopen(reopenClose)}
 		}

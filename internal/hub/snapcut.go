@@ -1,11 +1,11 @@
-// Snapshot capture: the consistent cut and the per-sequence copy.
-// A consistent cut is just the per-source tuple counts, per-pair
-// matching-table lengths and the WAL watermark, taken in
-// O(sources+pairs) under the commit lock; the relations and matching
-// tables are append-only under that lock, so each sequence's content
-// can be copied later, one sequence at a time, and only what lies past
-// its sealed runs: the commit lock is held for a copy the size of the
-// increment, never of the hub.
+// Snapshot capture: the consistent cut. A cut is just the per-source
+// tuple counts, per-pair matching-table and side lengths and the WAL
+// watermark, taken in O(sources+pairs) under the commit lock. A snapshot
+// stores the sources alone — each pair by its link and the side lengths
+// the cut saw — and the relations are append-only, so the writer encodes
+// each source's prefix from its published view after the cut with no
+// lock at all. The tables are read under the commit lock only by
+// CheckInvariants, which compares them.
 package hub
 
 import (
@@ -55,21 +55,19 @@ func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
 	return cut
 }
 
-// copyPairRange copies entries [lo, cp.n) of one pair's matching table
-// in commit order — the order the runs are cut in — under a briefly-held
-// commit lock: the table only grows, so its first n entries are exactly
-// the cut's table.
-func (h *Hub) copyPairRange(cp cutPair, lo int) []match.Pair {
+// copyPairRange copies one pair's matching table at the cut in commit
+// order under a briefly-held commit lock: the table only grows, so its
+// first n entries are exactly the cut's table.
+func (h *Hub) copyPairRange(cp cutPair) []match.Pair {
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	return cp.p.fed.PairsRange(lo, cp.n)
+	return cp.p.fed.MT().Pairs(0, cp.n)
 }
 
-// copyPairMT is the pair's whole table at the cut in the canonical
-// sorted order — what CheckInvariants and the tests compare; a snapshot
-// never pays for it.
+// copyPairMT is the pair's table at the cut in the canonical sorted order
+// — what CheckInvariants and the tests compare.
 func (h *Hub) copyPairMT(cp cutPair) []match.Pair {
-	ps := h.copyPairRange(cp, 0)
+	ps := h.copyPairRange(cp)
 	federate.SortPairs(ps)
 	return ps
 }
@@ -92,8 +90,8 @@ func foldCut(cut *snapshotCut, mts []*match.Table) ([][]node, error) {
 }
 
 // writeSnapshotSections drives a snapshot at the given cut through the
-// directory sink: per sequence, carry the sealed runs forward, capture
-// what is past them under briefly-held locks, encode and write it, then
+// directory sink: per source, carry the sealed runs forward and write
+// what is past them, then record each pair's link and side lengths and
 // commit the manifest. A source's tuples come from the published view —
 // the view at the cut already covers cs.n and its prefix is immutable,
 // so they are sliced, not copied, and take no lock at all.
@@ -101,26 +99,14 @@ func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int)
 	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark, RunItems: sink.runItems}
 	for _, cs := range cut.sources {
 		src := snapSource{Name: cs.s.name, Schema: wal.EncodeSchema(cs.s.rel.Schema())}
-		tuples := tupleItems(cs.s.view.Load().tuples)
 		var err error
-		src.Runs, err = sink.runs(src.id(), cs.n, budget, func(lo int) (chunkItems, error) {
-			return tuples[lo:cs.n], nil
-		})
-		if err != nil {
+		if src.Runs, err = sink.runs(src.id(), cs.s.view.Load().tuples[:cs.n], budget); err != nil {
 			return nil, err
 		}
 		man.Sources = append(man.Sources, src)
 	}
 	for _, cp := range cut.pairs {
-		pair := snapPair{Link: linkRecFromSpec(cp.p.spec), RLen: cp.rlen, SLen: cp.slen}
-		var err error
-		pair.Runs, err = sink.runs(pair.id(), cp.n, budget, func(lo int) (chunkItems, error) {
-			return mtItems(h.copyPairRange(cp, lo)), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		man.Pairs = append(man.Pairs, pair)
+		man.Pairs = append(man.Pairs, snapPair{Link: linkRecFromSpec(cp.p.spec), RLen: cp.rlen, SLen: cp.slen})
 	}
 	if err := sink.finish(man); err != nil {
 		return nil, err

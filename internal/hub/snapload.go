@@ -1,34 +1,36 @@
 // Rebuilding a hub from its data directory: the snapshot loader, and
 // the one path Open takes from the snapshot and the log tail to a hub.
 // The data directory holds the write-ahead log, a manifest file and one
-// content-addressed file per run of each source's tuples and each pair's
-// matching table under snapsecs/ (written by snapwriter.go, in the
-// format of snapshot.go). Recovery runs in four phases, each timed in
-// RecoveryInfo: run decode (each file read whole and its chunks decoded
-// on a fixed set of workers, then each source's decoded tuples admitted
-// into its relation, not copied), log replay (the tail read into the
-// same relations, persist.go), pair restore (every pairwise federation
-// built once over the final relations and verified, on parallel workers)
-// and cluster fold. Neither the partition nor the tail's matches are
-// stored: a matching table is a function of the two relations (§4.2, and
-// federate's batch ≡ incremental), so one build per pair stands for every
-// insert the log holds, and the order the live hub committed each table
-// in is rebuilt exactly from the records the tuples arrived by
-// (commitOrder). One pass of the cluster fold (cluster.go) over all the
-// tables, in log order, each union decided by store.CheckMerge, then
-// publishes each component to the empty cluster store exactly once.
-// Recovery fails closed: run file sizes, frame CRCs, each chunk's one
-// spelling, per-run content hashes, chunk and item counts, and each run's
-// declared sequence and position are verified against the manifest, whose
-// run directories must be dense and full but for each sequence's last
-// run; every schema, ILFD and rule is re-validated by its domain
-// constructor; every rebuilt table must hold exactly the snapshot's pairs
-// inside the snapshot's cut (federate's Reorder); a log whose tuples break
-// §3.2 is refused at the record that completes the violation — a pairwise
-// break with the pair build's error, at the latest record among the
-// tuples it names and the link, a break across sources with the fold's,
-// naming the link and pair; and the cluster store, read back, must hold
-// exactly the components the fold published.
+// content-addressed file per run of each source's tuples under snapsecs/
+// (written by snapwriter.go, in the format of snapshot.go). Recovery runs
+// in four phases, each timed in RecoveryInfo: run decode (each file read
+// whole and its chunks decoded on a fixed set of workers, then each
+// source's decoded tuples admitted into its relation, not copied), log
+// replay (the tail read into the same relations, persist.go), pair
+// restore (every pairwise federation built once over the final relations
+// and verified, on parallel workers) and cluster fold. No matching table,
+// no tail match and no partition is stored: a matching table is a
+// function of the two relations (§4.2, and federate's batch ≡
+// incremental), so one build per pair stands for every insert the
+// snapshot and the log hold. Inside a link's cut — the snapshot's, or the
+// one its link record made — the table comes back in Build's (R, S)
+// order; past it, in the order the live hub committed it, rebuilt exactly
+// from the records the tuples arrived by (commitOrder). One pass of the
+// cluster fold (cluster.go) over all the tables, in log order, each union
+// decided by store.CheckMerge, then publishes each component to the empty
+// cluster store exactly once. Recovery fails closed: run file sizes,
+// frame CRCs, each chunk's one spelling, per-run content hashes, chunk
+// and item counts, and each run's declared source and position are
+// verified against the manifest, whose run directories must be dense and
+// full but for each source's last run; every link must stand where the
+// snapshot cut it; every schema, ILFD and rule is re-validated by its
+// domain constructor; every rebuilt table must be covered exactly by the
+// order recovery lists it in (federate's Reorder); a log whose tuples
+// break §3.2 is refused at the record that completes the violation — a
+// pairwise break with the pair build's error, at the latest record among
+// the tuples it names and the link, a break across sources with the
+// fold's, naming the link and pair; and the cluster store, read back,
+// must hold exactly the components the fold published.
 package hub
 
 import (
@@ -103,12 +105,10 @@ func (a *arrivals) at(i int) uint64 {
 
 // linkCut is where a pair's table starts: the two sides' lengths when the
 // link was made, at its record seq — or, for a link the snapshot holds
-// (seq 0), at the snapshot, with the pairs the snapshot saved, in commit
-// order.
+// (seq 0), at the snapshot.
 type linkCut struct {
 	rlen, slen int
 	seq        uint64
-	saved      []match.Pair
 }
 
 // addSource registers a source whose relation holds its tuples so far.
@@ -146,16 +146,15 @@ func (r *recovery) link(spec PairSpec, cut linkCut) error {
 // in parallel and verifying each file's content hash, chunk count, item
 // count and declared position against the manifest: each source's
 // decoded tuples are admitted into its relation, one source per worker,
-// and the sources registered in manifest order, then the links, each cut
-// where the snapshot cut it and holding the pairs it saved.
+// and the sources registered in manifest order, then the links, each
+// where the snapshot cut it.
 func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info *RecoveryInfo) error {
 	start := time.Now()
 	if man.RunItems < 1 {
 		return fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
 	}
-	// One job per run file; seqs[i] collects sequence i's decoded runs,
-	// sources then pairs. A source's runs are read against the schema of
-	// its manifest slot.
+	// One job per run file; seqs[i] collects source i's decoded runs, each
+	// read against the schema of its manifest slot.
 	type job struct {
 		id   runID
 		want snapRun
@@ -163,29 +162,21 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 		into **decRun
 	}
 	var jobs []job
-	var seqs [][]*decRun
-	add := func(id runID, runs []snapRun, sch *schema.Schema) error {
-		dec := make([]*decRun, len(runs))
-		for k, r := range runs {
-			id.run = k
-			jobs = append(jobs, job{id, r, sch, &dec[k]})
-		}
-		seqs = append(seqs, dec)
-		return checkRuns(id, runs, man.RunItems)
-	}
+	seqs := make([][]*decRun, len(man.Sources))
 	schemas := make([]*schema.Schema, len(man.Sources))
 	for i, s := range man.Sources {
 		var err error
 		if schemas[i], err = wal.DecodeSchema(s.Schema); err != nil {
 			return fmt.Errorf("hub: snapshot source %q: %w", s.Name, err)
 		}
-		if err := add(s.id(), s.Runs, schemas[i]); err != nil {
+		id := s.id()
+		if err := checkRuns(id, s.Runs, man.RunItems); err != nil {
 			return err
 		}
-	}
-	for _, p := range man.Pairs {
-		if err := add(p.id(), p.Runs, nil); err != nil {
-			return err
+		seqs[i] = make([]*decRun, len(s.Runs))
+		for k, r := range s.Runs {
+			id.run = k
+			jobs = append(jobs, job{id, r, schemas[i], &seqs[i][k]})
 		}
 	}
 	err := inParallel(len(jobs), func(i int) (err error) {
@@ -196,13 +187,12 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 		return err
 	}
 	// Every run now holds the items its manifest entry counts, so each
-	// sequence's whole is sized from the manifest, and a source's decoded
-	// tuples are its relation's: admitted, not copied.
-	srcRuns, pairRuns := seqs[:len(man.Sources)], seqs[len(man.Sources):]
+	// source's whole is sized from the manifest, and its decoded tuples
+	// are its relation's: admitted, not copied.
 	rels := make([]*relation.Relation, len(man.Sources))
 	err = inParallel(len(rels), func(i int) error {
 		ts := make([]relation.Tuple, 0, itemCount(man.Sources[i].Runs))
-		for _, run := range srcRuns[i] {
+		for _, run := range seqs[i] {
 			ts = append(ts, run.tuples...)
 		}
 		rels[i] = relation.New(schemas[i])
@@ -219,14 +209,10 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 			return fmt.Errorf("hub: load snapshot: %w", err)
 		}
 	}
-	for i, dp := range man.Pairs {
-		cut := linkCut{rlen: dp.RLen, slen: dp.SLen, saved: make([]match.Pair, 0, itemCount(dp.Runs))}
-		for _, run := range pairRuns[i] {
-			cut.saved = append(cut.saved, run.mt...)
-		}
+	for _, dp := range man.Pairs {
 		spec, err := specFromLinkRec(dp.Link)
 		if err == nil {
-			err = r.link(spec, cut)
+			err = r.link(spec, linkCut{rlen: dp.RLen, slen: dp.SLen})
 		} else {
 			err = fmt.Errorf("link %q-%q: %w", dp.Link.Left, dp.Link.Right, err)
 		}
@@ -248,9 +234,9 @@ func itemCount(runs []snapRun) int {
 }
 
 // readRunFile reads one run file whole, once its size is the framed byte
-// count its manifest entry records, decodes it (a source's against sch)
-// and verifies the result — sequence, position, counts, content hash —
-// against that entry.
+// count its manifest entry records, decodes it against sch and verifies
+// the result — source, position, counts, content hash — against that
+// entry.
 func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema) (*decRun, error) {
 	path := secPath(dir, want.Hash)
 	fi, err := fsys.Stat(path)
@@ -302,15 +288,15 @@ func (r *recovery) finish(info *RecoveryInfo, readErr error) error {
 
 // pairBuild is one pair built over the relations as read: its federation
 // and, per entry of its table, the record that made the pair — 0 for the
-// snapshot's pairs, the link record for those Link made, the later
-// tuple's insert for the rest — which is the log's order.
+// pairs inside the snapshot's cut, the link record for those Link made,
+// the later tuple's insert for the rest — which is the log's order.
 type pairBuild struct {
 	fed  *federate.Federation
 	keys []uint64
 }
 
 // build builds pair i over the final relations and has its table adopt
-// the order the live hub committed it in.
+// the order commitOrder lists it in.
 func (r *recovery) build(i int) (pairBuild, error) {
 	p := r.h.pairs[i]
 	fed, err := federate.New(r.h.matchConfig(p.left, p.right, p.spec))
@@ -343,25 +329,20 @@ func (r *recovery) refused(i int, err error) error {
 	return fmt.Errorf("record %d: hub: link %q-%q: %w", seq, p.spec.Left, p.spec.Right, err)
 }
 
-// commitOrder lists pair i's rebuilt table in the order the live hub
-// committed it, with each entry's record. First come the pairs inside the
-// cut: the snapshot's, as it saved them, or the ones Link made, in
-// Build's (R, S) order — the table Link made. Every other pair was made by
-// the insert of its later tuple, and an insert adds at most one pair to a
-// table; so a walk over both sides' tuples past the cut, merged in log
-// order, that takes each pair at its later tuple lists the rest in commit
-// order, with no sort. Reorder checks that the list covers the table
-// exactly.
+// commitOrder lists pair i's rebuilt table with each entry's record.
+// First come the pairs inside the cut — the snapshot's, or the table Link
+// made — in Build's (R, S) order. Every other pair was made by the insert
+// of its later tuple, and an insert adds at most one pair to a table; so
+// a walk over both sides' tuples past the cut, merged in log order, that
+// takes each pair at its later tuple lists the rest in the order the live
+// hub committed them, with no sort. Reorder checks that the list covers
+// the table exactly.
 func (r *recovery) commitOrder(i int, mt *match.Table) ([]match.Pair, []uint64) {
 	p, cut := r.h.pairs[i], &r.cuts[i]
 	order, keys := make([]match.Pair, 0, mt.Len()), make([]uint64, 0, mt.Len())
-	if cut.seq == 0 {
-		order = append(order, cut.saved...)
-	} else {
-		for pr := range mt.All() {
-			if pr.RIndex < cut.rlen && pr.SIndex < cut.slen {
-				order = append(order, pr)
-			}
+	for pr := range mt.All() {
+		if pr.RIndex < cut.rlen && pr.SIndex < cut.slen {
+			order = append(order, pr)
 		}
 	}
 	for range order {

@@ -91,14 +91,14 @@ func editManifest(t testing.TB, dir string, edit func(*snapManifest)) {
 // so every frame CRC, run hash and count stays self-consistent.
 func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*decRun)) {
 	t.Helper()
-	// A source's run is read against its manifest slot's schema.
+	// A run is read against its manifest slot's schema.
 	var sch *schema.Schema
 	man, err := readManifest(wal.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range man.Sources {
-		if id.kind == secSource && s.Name == id.name {
+		if s.Name == id.name {
 			if sch, err = wal.DecodeSchema(s.Schema); err != nil {
 				t.Fatal(err)
 			}
@@ -109,11 +109,7 @@ func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*d
 		t.Fatal(err)
 	}
 	edit(d)
-	items := chunkItems(tupleItems(d.tuples))
-	if id.kind == secPair {
-		items = mtItems(d.mt)
-	}
-	if *entry, err = newDirSink(wal.OS, dir, nil, 0).write(id, items, 0); err != nil {
+	if *entry, err = newDirSink(wal.OS, dir, nil, 0).write(id, d.tuples, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,10 +157,10 @@ func respellRun(t testing.TB, dir string, entry *snapRun, edit func(string) stri
 }
 
 // TestSnapshotDeterministicRoundTrip pins snapshot→reopen→snapshot
-// identity: a hub recovered from a snapshot re-encodes every run to
+// identity: a hub recovered from a snapshot re-encodes every source run to
 // exactly the bytes it was loaded from — same run and chunk boundaries,
-// same content hashes, each restored matching table in the commit order
-// it was saved in — and commits a byte-identical manifest.
+// same content hashes — and, each pair rebuilt over the relations the
+// runs hold, commits a byte-identical manifest.
 func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -345,12 +341,12 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 // spread over every source between them, at two hub sizes: a run that
 // was full in one manifest has the same content address in every later
 // one, and what a snapshot writes after Δ inserts is bounded by
-// Δ + R·(sources + pairs) items — the increment plus each sequence's
-// partial run — however large the hub already is.
+// Δ + R·sources tuples — the increment plus each source's partial run —
+// however large the hub already is.
 func TestSnapshotSealedMeansSealed(t *testing.T) {
 	const runItems, delta, snapshots = 16, 12, 20
-	// No framed tuple or table entry of this workload is larger, and no
-	// manifest entry of a run.
+	// No framed tuple of this workload is larger, and no manifest entry of
+	// a run.
 	const itemBytes, entryBytes = 200, 140
 	var steady [2]int64
 	for leg, entities := range []int{150, 600} {
@@ -383,7 +379,7 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 		if err := h.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		sequences := len(h.sources) + len(h.pairs)
+		sequences := len(h.sources)
 		sealed := map[runID]string{}
 		for i := 0; i < snapshots; i++ {
 			for _, it := range tail[i*delta : (i+1)*delta] {
@@ -409,9 +405,7 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 				}
 			})
 			st := h.LastSnapshot()
-			// A tuple adds itself and at most one entry to each table of its
-			// source's pairs (§3.2), two here.
-			if limit := int64(itemBytes*(3*delta+runItems*sequences) + entryBytes*total + 1024); st.BytesWritten > limit {
+			if limit := int64(itemBytes*(delta+runItems*sequences) + entryBytes*total + 1024); st.BytesWritten > limit {
 				t.Fatalf("snapshot %d of a %d-tuple hub wrote %d bytes after %d inserts, limit %d: %+v", i, len(head)+len(tail), st.BytesWritten, delta, limit, st)
 			}
 			if st.SectionsReused < total-3*sequences {
@@ -437,12 +431,12 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 // still parse) and in the manifest (its own frame CRC), and manifests
 // whose every frame, hash and count is self-consistent but whose run
 // directory is not the cut's — a run removed, two sealed runs swapped, a
-// short run that is not its sequence's last, a run of another source in
+// short run that is not its source's last, a run of another source in
 // place of one — or whose run is not what this format writes: a file of
 // another size than its entry, a chunk spelled otherwise (a space,
-// reordered keys, a repeated key, a signed or zero-led pair index, an
-// empty name). All of them must fail the open, naming the run. A
-// directory of a retired format is refused by name, never misread.
+// reordered keys, a repeated key, an empty name). All of them must fail
+// the open, naming the run. A directory of a retired format is refused by
+// name, never misread.
 func TestSnapshotV3TamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -474,26 +468,12 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, pair := man.Sources[0], man.Pairs[0]
-	for _, p := range man.Pairs {
-		if len(pair.Runs) == 0 {
-			pair = p
-		}
-	}
-	// respelled is a manifest edit: chunk 1 of the first run of the
-	// source (or of the pair) written as edit leaves it, old replaced by
-	// new once.
-	respelled := func(ofPair bool, old, new string) func(*snapManifest) {
+	src := man.Sources[0]
+	// respelled is a manifest edit: chunk 1 of the source's first run
+	// written as edit leaves it, old replaced by new once.
+	respelled := func(old, new string) func(*snapManifest) {
 		return func(m *snapManifest) {
-			entry := &m.Sources[0].Runs[0]
-			if ofPair {
-				for i := range m.Pairs {
-					if m.Pairs[i].id() == pair.id() {
-						entry = &m.Pairs[i].Runs[0]
-					}
-				}
-			}
-			respellRun(t, dir, entry, func(p string) string { return strings.Replace(p, old, new, 1) })
+			respellRun(t, dir, &m.Sources[0].Runs[0], func(p string) string { return strings.Replace(p, old, new, 1) })
 		}
 	}
 	unspelled := func(id runID) string {
@@ -517,12 +497,10 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 		"another source's run": {func(m *snapManifest) { m.Sources[0].Runs[0] = m.Sources[1].Runs[0] }, "does not match its manifest entry"},
 		// Runs this format did not write, every frame CRC intact.
 		"a run file of another size than its entry": {func(m *snapManifest) { m.Sources[0].Runs[0].Bytes++ }, fmt.Sprintf("hub: snapshot %v: the run file holds", src.id())},
-		"a chunk spelled with a space":              {respelled(false, `"run":0`, `"run": 0`), unspelled(src.id())},
-		"a chunk with its keys reordered":           {respelled(false, `"run":0,"chunk":1`, `"chunk":1,"run":0`), unspelled(src.id())},
-		"a chunk with a key repeated":               {respelled(false, `"chunk":1`, `"chunk":1,"chunk":1`), unspelled(src.id())},
-		"a source run with an empty name":           {respelled(false, `"name":`+string(value.AppendJSONString(nil, src.Name)), `"name":""`), unspelled(src.id())},
-		"a pair index with a sign":                  {respelled(true, `"mt":[[`, `"mt":[[-`), unspelled(pair.id())},
-		"a pair index with a leading zero":          {respelled(true, `"mt":[[`, `"mt":[[0`), unspelled(pair.id())},
+		"a chunk spelled with a space":              {respelled(`"run":0`, `"run": 0`), unspelled(src.id())},
+		"a chunk with its keys reordered":           {respelled(`"run":0,"chunk":1`, `"chunk":1,"run":0`), unspelled(src.id())},
+		"a chunk with a key repeated":               {respelled(`"chunk":1`, `"chunk":1,"chunk":1`), unspelled(src.id())},
+		"a source run with an empty name":           {respelled(`"name":`+string(value.AppendJSONString(nil, src.Name)), `"name":""`), unspelled(src.id())},
 	} {
 		committed, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
 		if err != nil {
@@ -545,12 +523,15 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	h.Close()
 
 	// Directories written by earlier builds, checked in as they wrote
-	// them: format 2 (PR 22's), and the parent of the one tuple codec's —
-	// a format-3 snapshot with a log tail, and a log alone whose records
-	// spell a tuple value by value. Each is refused by both numbers.
+	// them: format 2 (whole-sequence sections); the build before the one
+	// tuple codec — a format-3 snapshot with a log tail, and a log alone
+	// whose records spell a tuple value by value; and format 4, whose
+	// snapshot also stored each pair's matching table, with a log tail.
+	// Each is refused by both numbers.
 	for fixture, want := range map[string]string{
-		"snapshot-format2": "snapshot manifest: format 2, this build reads 4",
-		"snapshot-format3": "snapshot manifest: format 3, this build reads 4",
+		"snapshot-format2": "snapshot manifest: format 2, this build reads 5",
+		"snapshot-format3": "snapshot manifest: format 3, this build reads 5",
+		"snapshot-format4": "snapshot manifest: format 4, this build reads 5",
 		"wal-format1":      "record 1: wal: add_source record of format 1, this build reads 2",
 	} {
 		old := t.TempDir()

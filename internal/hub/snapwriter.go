@@ -1,16 +1,18 @@
 // The snapshot producer and its directory store. It writes one run at a
 // time at a cut taken under the commit lock (snapcut.go), carrying the
 // runs the previous manifest already holds forward by reference: a run
-// at the same position of the same sequence with the same item count has
+// at the same position of the same source with the same item count has
 // the same content, by append-onlyness within one directory's lineage,
-// and a full run never gains an item — so a writer that remembers the
-// previous manifest re-encodes each sequence's last, partial run plus
+// and a full run never gains a tuple — so a writer that remembers the
+// previous manifest re-encodes each source's last, partial run plus
 // whatever arrived since, and a snapshot costs what the increment costs
-// (plus at most R items per sequence and one manifest entry per run),
-// not what the hub holds. The manifest rename is the commit point: a
-// crash at any moment leaves either the old manifest with a longer log
-// or the new manifest with a shorter one, and orphaned run files are
-// swept on the next open or snapshot.
+// (plus at most R tuples per source and one manifest entry per run), not
+// what the hub holds. After the cut it takes no lock: the tuples it
+// encodes are prefixes of the sources' published views, which never
+// change. The manifest rename is the commit point: a crash at any moment
+// leaves either the old manifest with a longer log or the new manifest
+// with a shorter one, and orphaned run files are swept on the next open
+// or snapshot.
 package hub
 
 import (
@@ -22,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"entityid/internal/relation"
 	"entityid/internal/wal"
 )
 
@@ -80,8 +83,8 @@ type snapshotter struct {
 	stats   SnapshotStats
 }
 
-// SnapshotNow forces a synchronous snapshot: cut, per-run capture
-// and write, manifest rename, log truncation. It fails on a memory-only
+// SnapshotNow forces a synchronous snapshot: cut, run writes,
+// manifest rename, log truncation. It fails on a memory-only
 // hub.
 func (h *Hub) SnapshotNow() error {
 	s := h.snap
@@ -114,7 +117,7 @@ func (h *Hub) LastSnapshot() SnapshotStats {
 // lock held. When the snapshot interval elapses it takes the
 // O(sources+pairs) cut and the watermark — the only work done under
 // the lock — and hands everything slow (log rotation with its fsync,
-// per-run capture, encoding, writing, truncation) to a background
+// encoding, writing, truncation) to a background
 // goroutine, so ingest never waits on snapshot I/O. Because rotation
 // happens off-lock, the segment boundary may land past the watermark;
 // that only means the boundary segment survives until a later snapshot
@@ -138,8 +141,7 @@ func (s *snapshotter) noteCommit() {
 }
 
 // run produces the snapshot at cut, for the trigger and SnapshotNow
-// alike: log rotation, per-run capture under briefly-held locks,
-// an incremental write against the previous manifest, a sweep of the
+// alike: log rotation, an incremental write against the previous manifest, a sweep of the
 // files it made stale and truncation of the log segments it covers. It
 // is the one place a snapshot failure is counted, recorded for Close
 // and — when it looks persistent — turned into degradation. A failure
@@ -191,9 +193,9 @@ type dirSink struct {
 	fs       wal.FS
 	dir      string
 	runItems int
-	// prev indexes the previous manifest's run directories by sequence
-	// (a runID at run 0), so planning a snapshot is O(sources+pairs).
-	prev  map[runID][]snapRun
+	// prev indexes the previous manifest's run directories by source
+	// name, so planning a snapshot is O(sources).
+	prev  map[string][]snapRun
 	stats SnapshotStats
 	// made says snapsecs/ exists: the first run written makes it, once
 	// per snapshot rather than once per run.
@@ -203,36 +205,30 @@ type dirSink struct {
 // newDirSink indexes the previous manifest (nil for a full write; one
 // cut at another run length shares no run with this one).
 func newDirSink(fsys wal.FS, dir string, prev *snapManifest, runItems int) *dirSink {
-	s := &dirSink{fs: fsys, dir: dir, runItems: runItems, prev: map[runID][]snapRun{}}
+	s := &dirSink{fs: fsys, dir: dir, runItems: runItems, prev: map[string][]snapRun{}}
 	if prev != nil && prev.RunItems == runItems {
-		prev.eachSeq(func(id runID, runs []snapRun) { s.prev[id] = runs })
+		for _, src := range prev.Sources {
+			s.prev[src.Name] = src.Runs
+		}
 	}
 	return s
 }
 
-// runs returns the run directory of sequence id at n items: the leading
-// runs the previous manifest holds at the same length are carried
-// forward — every sealed one is — and the rest are cut from from(lo),
-// the sequence's items [lo, n), and written. from is not called when
-// nothing was added.
-func (s *dirSink) runs(id runID, n, budget int, from func(lo int) (chunkItems, error)) ([]snapRun, error) {
-	prev := s.prev[id]
+// runs returns the run directory of source id holding tuples: the
+// leading runs the previous manifest holds at the same length are carried
+// forward — every sealed one is — and the rest are cut from tuples and
+// written.
+func (s *dirSink) runs(id runID, tuples []relation.Tuple, budget int) ([]snapRun, error) {
+	prev, n := s.prev[id.name], len(tuples)
 	k := 0
 	for k < len(prev) && prev[k].Items == min(s.runItems, n-k*s.runItems) {
 		k++
 	}
 	s.stats.SectionsReused += k
 	runs, lo := prev[:k:k], k*s.runItems
-	if lo >= n {
-		return runs, nil
-	}
-	items, err := from(lo)
-	if err != nil {
-		return nil, err
-	}
 	for at := lo; at < n; at += s.runItems {
 		id.run = len(runs)
-		meta, err := s.write(id, items.slice(at-lo, min(at+s.runItems, n)-lo), budget)
+		meta, err := s.write(id, tuples[at:min(at+s.runItems, n)], budget)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +238,7 @@ func (s *dirSink) runs(id runID, n, budget int, from func(lo int) (chunkItems, e
 }
 
 // write encodes one run into its content-addressed file.
-func (s *dirSink) write(id runID, items chunkItems, budget int) (snapRun, error) {
+func (s *dirSink) write(id runID, tuples []relation.Tuple, budget int) (snapRun, error) {
 	secdir := filepath.Join(s.dir, snapSecDir)
 	if !s.made {
 		if err := s.fs.MkdirAll(secdir, 0o755); err != nil {
@@ -255,8 +251,8 @@ func (s *dirSink) write(id runID, items chunkItems, budget int) (snapRun, error)
 		return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
 	}
 	sw := wal.NewSectionWriter(tmp)
-	meta := snapRun{Items: items.len()}
-	err = commitFile(s.fs, tmp, func() error { return writeRunChunks(sw, id, items, budget) }, func() string {
+	meta := snapRun{Items: len(tuples)}
+	err = commitFile(s.fs, tmp, func() error { return writeRunChunks(sw, id, tuples, budget) }, func() string {
 		meta.Chunks, meta.Bytes, meta.Hash = sw.Chunks(), sw.Bytes(), sw.Sum()
 		return secPath(s.dir, meta.Hash)
 	})

@@ -110,10 +110,9 @@ func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
 		budget = wal.DefaultChunkPayload
 	}
 	tuples := rel.Tuples()
-	items := tupleItems(tuples)
 	total := 0
-	for i := range tuples {
-		total += items.estimate(i)
+	for _, t := range tuples {
+		total += estimateTuple(t)
 	}
 	if total < budget {
 		return p.append(wal.Envelope{Type: wal.TypeAddSource, AddSource: &wal.AddSourceRec{
@@ -136,7 +135,7 @@ func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
 		}}
 		return env.Encode()
 	}
-	return writeChunked(items, p.chunkBytes, encode, p.appendPayload)
+	return writeChunked(tuples, p.chunkBytes, encode, p.appendPayload)
 }
 
 //entitylint:walappend
