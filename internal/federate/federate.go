@@ -26,36 +26,41 @@
 //
 // Equivalence with batch identification (match.Build on the final
 // relations) is the package's central invariant, and it holds by
-// construction at both steps. Extension: the new tuple's R′/S′ image
-// comes from match.Result.ExtendAdmitted — the step Build runs over
-// every tuple of a side, on the extenders Build resolved. Matching: its
-// partners come from match.Result.Probe — the extended-key chain and,
-// per extra identity rule, the hash block (or, for a rule with no usable
-// equality, the scan), every candidate verified by comparison — which is
-// the function Build gives every R′ tuple,
-// over the index Build filled; Commit grows that index through
-// match.Result.Append. The federation builds no relation, no schema and
-// no index, and compiles no rule. What is its own: the §3.2 insertion
-// guards, the two-phase protocol with its generation and one-ahead
-// checks, monotone rebuild (AddILFD) and the adoption of a recorded
-// commit order by a rebuilt table (Reorder).
+// construction at both steps. Extension: the new tuple's image comes
+// from match.Image.Extend — the step Build runs over every tuple of a
+// side, on the image Build made of it — and R′/S′ are views of the
+// images. Matching: its partners come from match.Result.Probe — the
+// extended-key chain and, per extra identity rule, the hash block (or,
+// for a rule with no usable equality, the scan), every candidate
+// verified by comparison — which is the function Build gives every R′
+// tuple, over the indexes the images keep; Commit has the image adopt the
+// tuple through match.Result.Append. The federation builds no relation,
+// no schema and no index, and compiles no rule. What is its own: the
+// §3.2 insertion guards, the two-phase protocol with its generation and
+// one-ahead checks, monotone rebuild (AddILFD) and the adoption of a
+// recorded commit order by a rebuilt table (Reorder). A coordinator
+// whose pairs of a source agree on what fills it builds them on one
+// image (NewOn), extends an arriving tuple once and prepares each pair
+// from that one extension (PrepareExtended); the first pair to commit
+// has the image adopt it.
 //
 // Ownership: a Federation is a view over two relations it is lent
 // (Config.R and Config.S), not an owner of copies. The lender owns the
 // tuples and guards their candidate keys; the federation owns only what
-// it derives from them — the match.Result: extended images R′/S′, probe
-// index and matching table. R′ and S′ are image relations over the lent
-// ones: row i is the lent relation's tuple i, read where it lies, plus
-// the cells the ILFDs derived for it — all a commit keeps of the image
-// its prepare built — under no key index of its own: the lent relation's
-// index is the only one, its Admit the only key guard. The image a
-// prepare builds, the partners it finds and the one partner row it reads
-// whole live in scratch the federation owns: one prepared insert at a
-// time, and a later prepare voids an earlier Pending. InsertR/InsertS
-// insert into the lent relation on the caller's behalf; a coordinator
-// that uses Prepare + Commit inserts the tuple into the lent relation
-// itself, exactly once, between the two (the hub does, under its own
-// locks), and Commit fails closed if it did not. Every prepare starts
+// it derives from them — the match.Result: the two images with their
+// probe indexes (shared, under NewOn, with the coordinator's other pairs)
+// and the matching table. An image is an image relation over the lent
+// one: row i is the lent relation's tuple i, read where it lies, plus the
+// cells the ILFDs derived for it — all a commit keeps of the extension
+// its prepare made — under no key index of its own: the lent relation's
+// index is the only one, its Admit the only key guard. The extension
+// PrepareAdmitted makes, the partners a prepare finds and the one partner
+// row it reads whole live in scratch the federation owns: one prepared
+// insert at a time, and a later prepare voids an earlier Pending.
+// InsertR/InsertS insert into the lent relation on the caller's behalf; a
+// coordinator that uses Prepare + Commit inserts the tuple into the lent
+// relation itself, exactly once, between the two (the hub does, under its
+// own locks), and Commit fails closed if it did not. Every prepare starts
 // from the lent relation's admission of the tuple (relation.Admit: shape
 // and keys, checked once), so no pair checks the shape again and a key
 // the lender refuses never reaches a federation.
@@ -80,10 +85,12 @@ type Federation struct {
 	// gen counts state mutations (commits and rebuilds); a Pending
 	// prepared at one generation refuses to commit at another.
 	gen uint64
-	// sc is what the one prepared insert at a time works in, and prepares
-	// counts them: a Pending whose image a later prepare has overwritten
-	// refuses to commit.
+	// sc and ext are what the one prepared insert at a time works in —
+	// ext[0] an arrival at R, ext[1] one at S, extended by its side's
+	// image — and prepares counts them: a Pending whose scratch a later
+	// prepare has taken refuses to commit.
 	sc       match.Scratch
+	ext      [2]match.Extended
 	prepares uint64
 }
 
@@ -112,21 +119,48 @@ func (e guardError) Unwrap() error { return e.guard }
 // rebuild, and a caller that wants them left alone by InsertR/InsertS
 // passes clones.
 func New(cfg match.Config) (*Federation, error) {
-	f := &Federation{cfg: cfg}
-	if err := f.rebuild(); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return NewOn(cfg, nil, nil)
 }
 
-// rebuild runs batch identification.
-func (f *Federation) rebuild() error {
-	res, err := match.Build(f.cfg)
+// NewOn is New over images a coordinator shares between the pairs of a
+// source (match.BuildOn): r of cfg's R and s of its S, each under the
+// knowledge cfg gives its side; nil images make New's own. The
+// coordinator extends an arriving tuple once per image and prepares every
+// pair over it from the one extension (PrepareExtended). On a failure
+// the indexes the build made on the images are given back.
+func NewOn(cfg match.Config, r, s *match.Image) (*Federation, error) {
+	res, err := build(cfg, r, s)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	return &Federation{cfg: cfg, res: res, gen: 1}, nil
+}
+
+// build runs batch identification, on r and s if given, and verifies it.
+func build(cfg match.Config, r, s *match.Image) (*match.Result, error) {
+	var res *match.Result
+	var err error
+	if r != nil && s != nil {
+		res, err = match.BuildOn(cfg, r, s)
+	} else {
+		res, err = match.Build(cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := res.Verify(); err != nil {
-		return fmt.Errorf("federate: %w", err)
+		res.Release()
+		return nil, fmt.Errorf("federate: %w", err)
+	}
+	return res, nil
+}
+
+// rebuild runs batch identification on images of its own: knowledge
+// that grew is a side's own.
+func (f *Federation) rebuild() error {
+	res, err := build(f.cfg, nil, nil)
+	if err != nil {
+		return err
 	}
 	f.res = res
 	f.gen++
@@ -186,21 +220,21 @@ func (f *Federation) base(left bool) *relation.Relation {
 }
 
 // Pending is a prepared, not yet applied insert: the new tuple has been
-// extended and its image — in the federation's scratch, until the next
-// prepare — identified against the current state without mutating
-// anything. The caller then inserts the tuple into the lent relation —
-// whose shape and candidate-key checks, made at admission, are the
-// lender's — and Commit applies the federation's half. A Pending is invalidated by any
-// intervening mutation of the federation; coordinators must serialise
-// prepare→commit windows per federation (Commit re-checks and fails on
-// a stale Pending rather than corrupting state).
+// extended by its side's image — into an Extended the preparer owns,
+// until its next extension — and identified against the current state
+// without mutating anything. The caller then inserts the tuple into the
+// lent relation — whose shape and candidate-key checks, made at
+// admission, are the lender's — and Commit applies the federation's
+// half. A Pending is invalidated by any intervening mutation of the
+// federation; coordinators must serialise prepare→commit windows per
+// federation (Commit re-checks and fails on a stale Pending rather than
+// corrupting state).
 type Pending struct {
 	f    *Federation
 	left bool
-	ext  relation.Tuple
-	// keys are ext's projection keys, the ones the probe looked up and the
-	// commit indexes it under.
-	keys match.Keys
+	// x is the extended tuple, xseq the extension it held at prepare.
+	x    *match.Extended
+	xseq uint64
 	// pairs are the matching pairs the commit will add — none, or the one
 	// held in `one`; the new tuple's index is its side's pre-commit
 	// length. atGen is the federation generation the prepare ran against,
@@ -218,44 +252,59 @@ type Pending struct {
 func (p *Pending) Pairs() []match.Pair { return p.pairs }
 
 // PrepareAdmitted identifies a tuple the lent relation R (left) or S has
-// admitted without mutating the federation: its image is extended and
-// probed, and the §3.2 guards run. The returned Pending reports the pairs
-// the insert will produce and commits the insert on demand. The shape
-// the relation checked is not checked again, here or in any other pair
-// the coordinator prepares the same admission against; an admission some
-// other relation gave is refused.
+// admitted without mutating the federation: its side's image extends it
+// and the pairing probes it, and the §3.2 guards run. The returned
+// Pending reports the pairs the insert will produce and commits the
+// insert on demand. The shape the relation checked is not checked again,
+// here or in any other pair the coordinator prepares the same admission
+// against; an admission some other relation gave is refused.
 func (f *Federation) PrepareAdmitted(left bool, a relation.Admission) (*Pending, error) {
 	if !a.By(f.base(left)) {
 		return nil, fmt.Errorf("federate: prepare: the admission is not the lent relation's")
 	}
-	f.prepares++
-	ext, _, err := f.res.ExtendAdmitted(left, a, &f.sc)
-	if err != nil {
+	x := &f.ext[1]
+	if left {
+		x = &f.ext[0]
+	}
+	if _, err := f.res.Image(left).Extend(a, x); err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
-	return f.identify(ext, left)
+	return f.PrepareExtended(left, x)
 }
 
-// identify gives an extended image the probe Build gave every tuple —
+// PrepareExtended is PrepareAdmitted for a tuple the side's image has
+// extended already (match.Image.Extend): a coordinator whose pairs share
+// the image extends an arriving tuple once and prepares each pair from
+// the one extension, which must stand until every pair has committed.
+func (f *Federation) PrepareExtended(left bool, x *match.Extended) (*Pending, error) {
+	if x.Image() != f.res.Image(left) {
+		return nil, fmt.Errorf("federate: prepare: the tuple was not extended by the side's image")
+	}
+	f.prepares++
+	return f.identify(x, left)
+}
+
+// identify gives an extended tuple the probe Build gave every tuple —
 // the opposite side's extended-key chain and identity-rule blocks —
 // and the §3.2 guards.
-func (f *Federation) identify(ext relation.Tuple, left bool) (*Pending, error) {
-	partners, keys := f.res.Probe(left, ext, &f.sc)
+func (f *Federation) identify(x *match.Extended, left bool) (*Pending, error) {
+	partners := f.res.Probe(left, x, &f.sc)
 	if len(partners) > 1 {
 		return nil, guardError{fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners)), ErrUniqueness}
 	}
-	p := &Pending{f: f, left: left, ext: ext, keys: keys, atGen: f.gen, nth: f.prepares}
+	p := &Pending{f: f, left: left, x: x, xseq: x.Seq(), atGen: f.gen, nth: f.prepares}
 	if len(partners) == 0 {
 		return p, nil
 	}
 	// own is the side the tuple joins; the partner is read whole, into the
-	// scratch, for the rules that judge the pair.
+	// scratch, beside the tuple laid out as its side's, for the rules that
+	// judge the pair.
 	own := f.res.SPrime
 	if left {
 		own = f.res.RPrime
 	}
 	j := partners[0]
-	rt, st := f.res.Opposite(left, j, &f.sc), ext
+	rt, st := f.res.Opposite(left, j, &f.sc), f.res.Layout(left, x, &f.sc)
 	pair := match.Pair{RIndex: j, SIndex: own.Len()}
 	var buf [1]int
 	prev, side, otherSide := f.res.MT.MatchesOfR(buf[:0], j), "R", "S"
@@ -279,23 +328,20 @@ func (f *Federation) identify(ext relation.Tuple, left bool) (*Pending, error) {
 }
 
 // Commit applies a prepared insert whose tuple the caller has inserted
-// into the lent relation: match.Result.Append has R′/S′ adopt the image
-// the prepare built — keeping what it adds to that tuple — indexes it and
-// adds its pairs. It fails — with the state untouched — on a stale
-// Pending (any federation mutation since prepare: an insert on either
-// side, or an AddILFD rebuild; or a later prepare, which took the scratch
-// the image was in) or when the lent relation is not exactly one tuple
-// ahead of its extended image (the prepared tuple was not inserted, or
-// more than it was); under the documented serialise-per-federation
-// discipline it cannot fail.
+// into the lent relation: match.Result.Append has the side's image adopt
+// the extended tuple — keeping what it adds to that tuple — unless
+// another pair over the image did, and adds its pairs. It fails — with
+// the state untouched — on a stale Pending (any federation mutation
+// since prepare: an insert on either side, or an AddILFD rebuild; or a
+// later prepare, which took the scratch; or a later extension of the
+// tuple's Extended) or when the lent relation is not exactly one tuple
+// ahead of the image (the prepared tuple was not inserted, or more than
+// it was); under the documented serialise-per-federation discipline it
+// cannot fail.
 func (p *Pending) Commit() ([]match.Pair, error) {
 	f := p.f
 	if p.done {
 		return nil, fmt.Errorf("federate: commit of an already committed insert")
-	}
-	side := f.res.SPrime
-	if p.left {
-		side = f.res.RPrime
 	}
 	if f.gen != p.atGen {
 		return nil, fmt.Errorf("federate: stale prepared insert: federation mutated since prepare (generation %d, now %d)", p.atGen, f.gen)
@@ -303,11 +349,11 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	if f.prepares != p.nth {
 		return nil, fmt.Errorf("federate: stale prepared insert: %d later prepares have reused the federation's scratch", f.prepares-p.nth)
 	}
-	if got, want := f.base(p.left).Len(), side.Len()+1; got != want {
-		return nil, fmt.Errorf("federate: commit: lent relation holds %d tuples, the prepared insert makes it %d", got, want)
+	if p.x.Seq() != p.xseq {
+		return nil, fmt.Errorf("federate: stale prepared insert: the tuple's extension was reused %d times since", p.x.Seq()-p.xseq)
 	}
-	if err := f.res.Append(p.left, p.ext, p.keys, p.pairs); err != nil {
-		return nil, fmt.Errorf("federate: extended insert: %w", err)
+	if err := f.res.Append(p.left, p.x, p.pairs); err != nil {
+		return nil, fmt.Errorf("federate: commit: %w", err)
 	}
 	p.done = true
 	f.gen++

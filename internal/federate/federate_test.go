@@ -698,7 +698,7 @@ func TestCommittedImageIsNotThePreparedScratch(t *testing.T) {
 	if _, err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	image := p.ext.Clone()
+	image, scratch := f.Result().RPrime.LayOut(nil, p.x.Row()), &p.x.Row()[0]
 	if !image[:len(tup)].Identical(tup) {
 		t.Fatalf("image %v does not begin with the source tuple %v", image, tup)
 	}
@@ -707,7 +707,7 @@ func TestCommittedImageIsNotThePreparedScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &next.ext[0] != &p.ext[0] {
+	if next.x != p.x || &next.x.Row()[0] != scratch {
 		t.Error("the second prepare did not reuse the federation's scratch")
 	}
 	if got := f.Result().RPrime.Tuple(5); !got.Identical(image) {

@@ -127,12 +127,23 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	if err := checkUTF8(src.rel.Schema(), t); err != nil {
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
 	}
-	// Phase 1: prepare against every pairwise federation, mutating
-	// nothing, collecting the partner tuples the insert would match.
+	// Phase 1: extend the tuple once per image of its source, then prepare
+	// against every pairwise federation from its side's extension,
+	// mutating nothing, collecting the partner tuples the insert would
+	// match.
+	for k, im := range src.images {
+		if _, err := im.Extend(adm, &src.ext[k]); err != nil {
+			return nil, fmt.Errorf("hub: source %q: %w", source, err)
+		}
+	}
 	pendings := make([]*federate.Pending, 0, len(src.pairs))
 	var partners []node
 	for _, p := range src.pairs {
-		pd, err := p.fed.PrepareAdmitted(p.left == si, adm)
+		left, k := p.left == si, p.img[1]
+		if left {
+			k = p.img[0]
+		}
+		pd, err := p.fed.PrepareExtended(left, &src.ext[k])
 		if err != nil {
 			if errors.Is(err, federate.ErrUniqueness) {
 				mUniqueness.Inc()
@@ -140,7 +151,7 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 			return nil, fmt.Errorf("hub: source %q vs %q: %w", source, h.sources[p.other(si)].name, err)
 		}
 		for _, pr := range pd.Pairs() {
-			if p.left == si {
+			if left {
 				partners = append(partners, node{Src: p.right, Idx: pr.SIndex})
 			} else {
 				partners = append(partners, node{Src: p.left, Idx: pr.RIndex})
@@ -191,10 +202,10 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		return nil, fmt.Errorf("hub: source %q: %w", source,
 			h.poison(fmt.Errorf("canonical insert after its admission: %v", insErr)))
 	}
-	// Every pair commits beside it — its R′/S′ keeps what the image its
-	// prepare built adds to the tuple just inserted — each checking the
-	// relation it borrows is now exactly one tuple ahead of its extended
-	// image.
+	// Every pair commits beside it — the first over each image has the
+	// image keep what the extension adds to the tuple just inserted, the
+	// relation it borrows checked to be exactly one tuple ahead of it —
+	// and grows its matching table.
 	for i, pd := range pendings {
 		if _, err := pd.Commit(); err != nil {
 			// Same invariant class as above, with in-memory pairwise

@@ -9,17 +9,19 @@ import (
 
 // residentCeiling is the live heap a committed tuple may cost a
 // memory-store hub of four fully linked sources, in bytes. On this
-// workload: 466 with each matching table a partial bijection — an int32
-// pair log and a dense int32 partner array per side; 600 with each table
-// a pair slice beside a pair set and two postings maps; 1,500 with the
-// images whole rows and each index keyed by a joined string; 2,111 with
-// each image a second copy filed under its own copy of the source's key
-// strings; 3,101 with every pair holding clones of its two sides. The
-// ceiling sits at the second figure, so whole-row images or joined key
-// strings coming back — on any path: Link, insert, recovery —
-// fail here. It is the first row of the README's per-tuple byte budget;
+// workload: 322 with one image — derived cells and probe index — per
+// source and knowledge, which the source's three links share; 436 with
+// an image and a probe index per pair side, three per tuple; 466 before
+// a scan read cluster records by tuple position; 600 with each matching
+// table a pair slice beside a pair set and two postings maps; 1,500 with
+// the images whole rows and each index keyed by a joined string; 2,111
+// with each image a second copy filed under its own copy of the source's
+// key strings; 3,101 with every pair holding clones of its two sides.
+// The ceiling sits between the first two figures, so an image or an
+// index per pair coming back — on any path: Link, insert, recovery —
+// fails here. It is the first row of the README's per-tuple byte budget;
 // lower it when the next owner is cut.
-const residentCeiling = 600
+const residentCeiling = 400
 
 // TestResidentBytesPerTuple streams a fixed 4-source workload into a
 // resident hub and divides what the heap then holds by the tuples
@@ -56,6 +58,6 @@ func TestResidentBytesPerTuple(t *testing.T) {
 	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(st.Tuples)
 	t.Logf("%d tuples, %d pairwise matches: %.0f B live heap per tuple (ceiling %d)", st.Tuples, st.Matches, per, residentCeiling)
 	if per > residentCeiling {
-		t.Fatalf("%.0f B resident per tuple, ceiling %d: something holds a second copy of the sources' tuples, or a key string per index, or the value cell grew", per, residentCeiling)
+		t.Fatalf("%.0f B resident per tuple, ceiling %d: something holds a second copy of the sources' tuples, an image or an index per pair, or a key string per index, or the value cell grew", per, residentCeiling)
 	}
 }

@@ -166,29 +166,31 @@ func TestReadSideAllocBound(t *testing.T) {
 	t.Logf("ClustersWalk: %.1f allocs over %d clusters (bound %.0f)", avg, clusters, ceiling)
 }
 
-// TestInsertAllocBound holds one commit — a tuple prepared against
-// three linked pairs, the canonical insert, three pair commits, the
-// cluster fold and the receipt — under an allocation ceiling of 19.5 on
-// the exact mean (19.25 measured, 19.39 under -race) that a commit which
-// locked each linked pair with a defer inside a loop (22.25: such a
-// defer is never open-coded, so each pair lock cost one heap defer
-// record per insert), counts the records it supersedes in a map per
-// Publish, files its pair in two []int postings lists, builds a
-// full-arity image per pair and a key string per index, or copies each
-// image into R′/S′ under a second set of key strings and folds the
-// cluster twice, cannot meet. The mean is taken from the allocation
-// counter, not testing.AllocsPerRun, whose whole-number average rounds
-// away a fraction. Memory hub, 4 sources fully linked, the benchmarks'
-// workload; the first insert, which sizes the hub's indexes, is left
-// out.
+// TestInsertAllocBound holds one commit — a tuple extended once per
+// image of its source and prepared against three linked pairs, the
+// canonical insert, three pair commits, the cluster fold and the receipt
+// — under an allocation ceiling of 15.25 on the exact mean (14.90
+// measured, 15.03 under -race) that a commit which extended the tuple
+// once per linked pair into each pair's own image (19.25), locked each
+// linked pair with a defer inside a loop (22.25: such a defer is never
+// open-coded, so each pair lock cost one heap defer record per insert),
+// counts the records it supersedes in a map per Publish, files its pair
+// in two []int postings lists, builds a full-arity image per pair and a
+// key string per index, or copies each image into R′/S′ under a second
+// set of key strings and folds the cluster twice, cannot meet. The mean
+// is taken from the allocation counter, not testing.AllocsPerRun, whose
+// whole-number average rounds away a fraction. Memory hub, 4 sources
+// fully linked, the benchmarks' workload; the first insert, which sizes
+// the hub's indexes, is left out.
 //
 // Then five sources, shuffled, on a durable hub over the disk store with
 // its default budgets: ten pairs, each resident for its life, under a
-// ceiling of 25.5 (24.82 measured, 25.00 under -race; 28.83 with the
-// four pair locks' defer records). A hub that kept eight pairs resident
-// and rebuilt a spilled federation — §4.2 over both relations — to page
-// it back in before an insert could prepare against it read 553.0:
-// uniform ingest touches every pair, so nearly every insert paged one in.
+// ceiling of 19.5 (18.81 measured, 18.99 under -race; 24.82 with an
+// image per pair side, 28.83 with the four pair locks' defer records). A
+// hub that kept eight pairs resident and rebuilt a spilled federation —
+// §4.2 over both relations — to page it back in before an insert could
+// prepare against it read 553.0: uniform ingest touches every pair, so
+// nearly every insert paged one in.
 func TestInsertAllocBound(t *testing.T) {
 	w := benchMulti(4)
 	h, err := NewFromMulti(w)
@@ -196,11 +198,11 @@ func TestInsertAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := insertAllocs(t, h, MultiInserts(w))
-	const ceiling = 19.5
+	const ceiling = 15.25
 	if avg > ceiling {
-		t.Fatalf("Insert allocates %.2f times per tuple, ceiling %.1f", avg, ceiling)
+		t.Fatalf("Insert allocates %.2f times per tuple, ceiling %.2f", avg, ceiling)
 	}
-	t.Logf("Insert: %.2f allocs per tuple over 4 sources (ceiling %.1f)", avg, ceiling)
+	t.Logf("Insert: %.2f allocs per tuple over 4 sources (ceiling %.2f)", avg, ceiling)
 
 	w = benchMulti(5)
 	hd, _ := openMultiOpts(t, t.TempDir(), w, Options{Store: "disk"})
@@ -208,7 +210,7 @@ func TestInsertAllocBound(t *testing.T) {
 	items := MultiInserts(w)
 	rand.New(rand.NewSource(5)).Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 	avg = insertAllocs(t, hd, items)
-	const diskCeiling = 25.5
+	const diskCeiling = 19.5
 	if avg > diskCeiling {
 		t.Fatalf("Insert on the disk store allocates %.2f times per tuple over 5 sources, ceiling %.1f", avg, diskCeiling)
 	}
@@ -234,12 +236,14 @@ func insertAllocs(t *testing.T, h *Hub, items []Insert) float64 {
 }
 
 // TestOpenAllocBound holds one Open of openWorkload's snapshot directory
-// — every run read and decoded, the relations filled, six pairs built, the
-// clusters folded, on the memory store — under ceilings of 1,400 bytes
-// and 11.5 allocations per restored tuple (1,169 and 10.85 measured; 1,246
-// and 10.86 under -race), from the allocation counters. A loader that
-// decodes each chunk through encoding/json and copies every decoded tuple
-// into its relation (1,651 and 12.89) cannot meet them.
+// — every run read and decoded, the relations filled, four images and six
+// pairings built, the clusters folded, on the memory store — under
+// ceilings of 1,150 bytes and 8.0 allocations per restored tuple (835
+// and 7.28 measured; 875 and 7.29 under -race), from the allocation
+// counters. A loader that extends and indexes each source once per pair
+// it sits in (1,097 and 10.81), or decodes each chunk through
+// encoding/json and copies every decoded tuple into its relation (1,651
+// and 12.89), cannot meet them.
 func TestOpenAllocBound(t *testing.T) {
 	w := openWorkload()
 	dir := t.TempDir()
@@ -269,7 +273,7 @@ func TestOpenAllocBound(t *testing.T) {
 	}
 	tuples := float64(h.Stats().Tuples)
 	bytes, allocs := float64(after.TotalAlloc-before.TotalAlloc)/tuples, float64(after.Mallocs-before.Mallocs)/tuples
-	const bytesCeiling, allocsCeiling = 1400, 11.5
+	const bytesCeiling, allocsCeiling = 1150, 8.0
 	if bytes > bytesCeiling || allocs > allocsCeiling {
 		t.Fatalf("Open allocates %.0f B in %.2f allocations per restored tuple, ceilings %d B and %.1f", bytes, allocs, bytesCeiling, allocsCeiling)
 	}

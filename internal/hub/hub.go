@@ -19,16 +19,22 @@
 // Ownership: a source's tuples live once, in the hub's canonical
 // relation (sourceState.rel). Every pairwise federation of the source
 // borrows that relation — it is never cloned on Link, insert or
-// snapshot load — and keeps only what it derives from it: per tuple,
-// the cells the pair's ILFDs derived, two index entries and its
-// matching-table entry. The source's candidate keys are guarded here and
-// nowhere else, once: the relation admits the tuple before the WAL
-// append (relation.Admit — shape, keys), and the canonical insert after
-// it files the tuple under the key hashes the admission was reached on,
-// however many sources are linked. The extended images R′/S′ of every
-// pair are image relations over the canonical ones (relation.NewImage):
-// views, indexed under no key of their own, whose row i is tuple i of the
-// source where it lies plus what was derived for it. That an image
+// snapshot load. What is derived from it is kept once per knowledge, not
+// once per pair: the source keeps one image (match.Image) for each
+// distinct way its links fill it — its renames, the ILFDs that can fire
+// on it, the derive mode — holding per tuple the cells those ILFDs
+// derived and an entry in each probe index some pairing joins on, and
+// every pair whose side agrees reads that image (on a full mesh of K
+// sources over one ILFD family, one image per source, not K − 1). A pair
+// keeps its matching-table entries. The source's candidate keys are
+// guarded here and nowhere else, once: the relation admits the tuple
+// before the WAL append (relation.Admit — shape, keys), and the
+// canonical insert after it files the tuple under the key hashes the
+// admission was reached on, however many sources are linked. An image is
+// an image relation over the canonical one (relation.NewImage), and a
+// pair's R′/S′ a view of it in the pair's columns (relation.NewView):
+// indexed under no key of their own, row i is tuple i of the source
+// where it lies plus what was derived for it. That an image
 // agrees with its source tuple wherever that tuple is not NULL — all
 // §4.2 asks of R′ — holds by construction (relation.Adopt refuses
 // anything else); what CheckInvariants holds is that the two are equally
@@ -50,6 +56,7 @@ package hub
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,6 +95,14 @@ type sourceState struct {
 	rel *relation.Relation
 	//entitylint:published
 	pairs []*pairState
+	// images are the source's images (match.Image), one per knowledge its
+	// links give it: a pair whose side agrees with another pair's on what
+	// fills it reads the image that pair reads. ext[k] is the arriving
+	// tuple as images[k] extends it, once per insert for every pair over
+	// the image.
+	//entitylint:published
+	images []*match.Image
+	ext    []match.Extended
 	// attrOf maps integrated attribute names (from the pair specs) to
 	// this source's attribute names, for the merged cross-source view.
 	attrOf map[string]string
@@ -128,13 +143,15 @@ type topoView struct {
 
 // pairState is one link: its live pairwise federation and the spec,
 // retained for snapshots and the WAL. fed is set once, under h.mu
-// exclusively — by Link, or by Open once the log is read — and the
-// federation is prepared against and grows only under the commit lock,
-// which is what reads its matching table.
+// exclusively — by Link, or by Open once the log is read — with img,
+// where the left and the right source keep the federation's two images;
+// the federation is prepared against and grows only under the commit
+// lock, which is what reads its matching table.
 type pairState struct {
 	id          int
 	left, right int
 	fed         *federate.Federation
+	img         [2]int
 	spec        PairSpec
 }
 
@@ -270,11 +287,47 @@ func (h *Hub) Link(spec PairSpec) error {
 	if err != nil {
 		return err
 	}
-	fed, err := federate.New(h.matchConfig(li, ri, spec))
+	cfg := h.matchConfig(li, ri, spec)
+	var imgs [2]*match.Image
+	var fresh [2]bool
+	for n, si := range []int{li, ri} {
+		if imgs[n], fresh[n], err = imageFor(h.sources[si].images, cfg, n == 0); err != nil {
+			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
+		}
+	}
+	for n := 1; n >= 0; n-- { // S′ first, as Build extends
+		if !fresh[n] {
+			continue
+		}
+		if _, err := imgs[n].Grow(); err != nil {
+			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
+		}
+	}
+	fed, err := federate.NewOn(cfg, imgs[0], imgs[1])
 	if err != nil {
 		return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
 	}
-	return h.registerLinkLocked(spec, li, ri, fed)
+	if err := h.registerLinkLocked(spec, li, ri, fed); err != nil {
+		fed.Result().Release()
+		return err
+	}
+	return nil
+}
+
+// imageFor returns the image that serves the left or right side of cfg:
+// one of have, the images the side's source keeps, if one agrees with the
+// side on its knowledge, else a new one — fresh, not extended yet, kept
+// nowhere.
+func imageFor(have []*match.Image, cfg match.Config, left bool) (im *match.Image, fresh bool, err error) {
+	if im, err = match.NewImage(cfg, left); err != nil {
+		return nil, false, err
+	}
+	for _, h := range have {
+		if h.Same(im) {
+			return h, false, nil
+		}
+	}
+	return im, true, nil
 }
 
 // matchConfig builds a pair's matching configuration over the hub's
@@ -355,14 +408,33 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 
 // addPairLocked registers a validated link: Link hands it the federation
 // whose table it just folded, Open nil — it builds the federation once
-// the log is read. Callers hold h.mu exclusively.
+// the log is read (setFed). Callers hold h.mu exclusively.
 func (h *Hub) addPairLocked(spec PairSpec, li, ri int, fed *federate.Federation) {
 	left, right := h.sources[li], h.sources[ri]
-	p := &pairState{id: len(h.pairs), left: li, right: ri, fed: fed, spec: spec}
+	p := &pairState{id: len(h.pairs), left: li, right: ri, spec: spec}
 	h.pairs = append(h.pairs, p)
 	left.pairs = append(left.pairs, p)
 	right.pairs = append(right.pairs, p)
 	recordAttrNames(left, right, spec.Attrs)
+	if fed != nil {
+		h.setFed(p, fed)
+	}
+}
+
+// setFed hands a pair its federation and has each of the pair's sources
+// keep the federation's image of it — once, however many pairs read it.
+// Callers hold h.mu exclusively.
+func (h *Hub) setFed(p *pairState, fed *federate.Federation) {
+	p.fed = fed
+	for n, si := range []int{p.left, p.right} {
+		s, im := h.sources[si], fed.Result().Image(n == 0)
+		k := slices.Index(s.images, im)
+		if k < 0 {
+			k = len(s.images)
+			s.images, s.ext = append(s.images, im), append(s.ext, match.Extended{})
+		}
+		p.img[n] = k
+	}
 }
 
 // sourceLens returns every source's tuple count. Callers hold h.mu and

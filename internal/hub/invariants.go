@@ -20,9 +20,9 @@ import (
 //     source, and every member lies inside its source's published view;
 //   - the served partition is the transitive closure of the pairwise
 //     matching tables;
-//   - each pair's extended images are as long as the relations it
-//     borrows, and each source's published view is as long as its
-//     canonical relation.
+//   - each source's images, and so each pair's R′ and S′, are as long as
+//     the relation they extend, and each source's published view is as
+//     long as its canonical relation.
 //
 // What it does not compare is an extended image with its source tuple:
 // R′ and S′ are views over the canonical relations (relation.NewImage) —
@@ -94,6 +94,11 @@ func (h *Hub) checkCopiesLocked(cut *snapshotCut) error {
 	for _, cs := range cut.sources {
 		if got := len(cs.s.view.Load().tuples); got != cs.n {
 			return fmt.Errorf("source %q publishes %d tuples, its relation holds %d", cs.s.name, got, cs.n)
+		}
+		for k, im := range cs.s.images {
+			if got := im.Relation().Len(); got != cs.n {
+				return fmt.Errorf("source %q: image %d of %d tuples over a relation of %d", cs.s.name, k, got, cs.n)
+			}
 		}
 	}
 	for _, cp := range cut.pairs {

@@ -119,6 +119,10 @@ type RecoveryInfo struct {
 	// links alike; folding the built matching tables into the cluster
 	// store and reading it back.
 	DecodeTime, ReplayTime, RestoreTime, FoldTime time.Duration
+	// Images and Pairings count what the pair build built: one image per
+	// source and knowledge its links give it, then one pairing per link
+	// over two of them.
+	Images, Pairings int
 }
 
 // Open opens (or creates) a durable hub rooted at dir: it loads the

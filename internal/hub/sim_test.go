@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"entityid/internal/datagen"
+	"entityid/internal/derive"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
@@ -104,10 +105,14 @@ const defaultSeeds = 120
 // the ring under two-column keys — each source's own, and A–B's extended
 // key {name, cuisine} — over values that hold what a joined key would
 // put between two columns, with A's cuisine a column of its own that an
-// ILFD fills where A left it NULL.
+// ILFD fills where A left it NULL — and "mixed" the multi world with
+// every third link on the name+phone identity rule, the first of the
+// others that has ILFDs in fixpoint mode and the rest on the ILFDs as
+// ever: some sides of a source agree on what fills them and share an
+// image, some do not.
 type workSpec struct {
 	kind string
-	cfg  datagen.MultiConfig // multi, rule; ring and hostile read Entities (tuples per source) and Seed
+	cfg  datagen.MultiConfig // multi, rule, mixed; ring and hostile read Entities (tuples per source) and Seed
 	// shuffle orders the items; mutants plants that many extra tuples —
 	// an accepted tuple again under a fresh key (a second model of one
 	// entity in one source) or verbatim (a candidate-key violation);
@@ -142,18 +147,22 @@ func (ws workSpec) build() *workload {
 	default:
 		mw := datagen.MustMultiGenerate(ws.cfg)
 		w.truth, w.names = mw, mw.Names
+		fixpoint := false
 		for _, rel := range mw.Relations {
 			w.seeds = append(w.seeds, relation.New(rel.Schema()))
 		}
 		for i := range mw.Names {
 			for j := i + 1; j < len(mw.Names); j++ {
 				spec := SpecFromMultiPair(mw.Pair(i, j))
-				if ws.kind == "rule" {
+				switch k := len(w.links); {
+				case ws.kind == "rule", ws.kind == "mixed" && k%3 == 1:
 					namePhone, err := rules.KeyEquivalence("name-phone", []string{"name", "phone"})
 					if err != nil {
 						panic(err)
 					}
 					spec.ILFDs, spec.Identity = nil, []rules.IdentityRule{namePhone}
+				case ws.kind == "mixed" && spec.ILFDs != nil && !fixpoint:
+					spec.DeriveMode, fixpoint = derive.Fixpoint, true
 				}
 				w.links = append(w.links, spec)
 			}
@@ -493,6 +502,8 @@ func genSchedule(seed int64) schedule {
 		s.work.kind = "multi"
 		if rng.Intn(3) == 0 {
 			s.work.kind = "rule"
+		} else if seed%4 == 1 { // off the seed, as hostile is
+			s.work.kind = "mixed"
 		}
 		s.work.cfg = datagen.MultiConfig{
 			Sources: pick(1, 2, 3, 3, 4), Entities: pick(0, 6, 12, 18, 24), PresenceFrac: 0.4 + 0.5*rng.Float64(),

@@ -1,36 +1,37 @@
-// Rebuilding a hub from its data directory: the snapshot loader, and
-// the one path Open takes from the snapshot and the log tail to a hub.
-// The data directory holds the write-ahead log, a manifest file and one
+// Rebuilding a hub from its data directory: the snapshot loader, and the
+// one path Open takes from the snapshot and the log tail to a hub. The
+// data directory holds the write-ahead log, a manifest file and one
 // content-addressed file per run of each source's tuples under snapsecs/
 // (written by snapwriter.go, in the format of snapshot.go). Recovery runs
 // in four phases, each timed in RecoveryInfo: run decode (each file read
 // whole and its chunks decoded on a fixed set of workers, then each
 // source's decoded tuples admitted into its relation, not copied), log
-// replay (the tail read into the same relations, persist.go), pair
-// restore (every pairwise federation built once over the final relations
-// and verified, on parallel workers) and cluster fold. No matching table,
-// no tail match and no partition is stored: a matching table is a
-// function of the two relations (§4.2, and federate's batch ≡
-// incremental), so one build per pair stands for every insert the
-// snapshot and the log hold. Inside a link's cut — the snapshot's, or the
-// one its link record made — the table comes back in Build's (R, S)
-// order; past it, in the order the live hub committed it, rebuilt exactly
-// from the records the tuples arrived by (commitOrder). One pass of the
-// cluster fold (cluster.go) over all the tables, in log order, each union
-// decided by store.CheckMerge, then publishes each component to the empty
-// cluster store exactly once. Recovery fails closed: run file sizes,
-// frame CRCs, each chunk's one spelling, per-run content hashes, chunk
-// and item counts, and each run's declared source and position are
-// verified against the manifest, whose run directories must be dense and
-// full but for each source's last run; every link must stand where the
-// snapshot cut it; every schema, ILFD and rule is re-validated by its
-// domain constructor; every rebuilt table must be covered exactly by the
-// order recovery lists it in (federate's Reorder); a log whose tuples
-// break §3.2 is refused at the record that completes the violation — a
-// pairwise break with the pair build's error, at the latest record among
-// the tuples it names and the link, a break across sources with the
-// fold's, naming the link and pair; and the cluster store, read back,
-// must hold exactly the components the fold published.
+// replay (the tail read into the same relations, persist.go), pair build
+// (each source's images — one per knowledge its links give it — extended
+// once over the final relations, then every pairwise federation built
+// once on two of them and verified, each step on parallel workers) and
+// cluster fold. No matching table, no tail match and no partition is
+// stored: a matching table is a function of the two relations (§4.2, and
+// federate's batch ≡ incremental), so one build per pair stands for every
+// insert the snapshot and the log hold. Inside a link's cut — the
+// snapshot's, or the one its link record made — the table comes back in
+// Build's (R, S) order; past it, in the order the live hub committed it,
+// rebuilt exactly from the records the tuples arrived by (commitOrder).
+// One pass of the cluster fold (cluster.go) over all the tables, in log
+// order, each union decided by store.CheckMerge, then publishes each
+// component to the empty cluster store exactly once. Recovery fails
+// closed: run file sizes, frame CRCs, each chunk's one spelling, per-run
+// content hashes, chunk and item counts, and each run's declared source
+// and position are verified against the manifest, whose run directories
+// must be dense and full but for each source's last run; every link must
+// stand where the snapshot cut it; every schema, ILFD and rule is
+// re-validated by its domain constructor; every rebuilt table must be
+// covered exactly by the order recovery lists it in (federate's Reorder);
+// a log whose tuples break §3.2 is refused at the record that completes
+// the violation — a pairwise break with the pair build's error, at the
+// latest record among the tuples it names and the link, a break across
+// sources with the fold's, naming the link and pair; and the cluster
+// store, read back, must hold exactly the components the fold published.
 package hub
 
 import (
@@ -260,25 +261,70 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Sc
 	return d, nil
 }
 
-// finish builds every pair once over the relations as read, on parallel
-// workers — each over the relations themselves, which the federations
-// only read, so concurrent builds share them without a copy — and folds
-// the clusters once (foldRestored). readErr is where the read stopped:
-// the builds and the fold cover the records before it, and a violation
-// they find there, at an earlier record, is the failure reported.
+// finish builds every image once and then every pair once over the
+// relations as read, each phase on parallel workers — over the relations
+// themselves, which the images only read, so concurrent builds share them
+// without a copy — and folds the clusters once (foldRestored). A pair
+// reads the image another pair of its source already reads when the two
+// agree on what fills it (imageFor), as Link would have it. readErr is
+// where the read stopped: the builds and the fold cover the records
+// before it, and a violation they find there, at an earlier record, is
+// the failure reported.
 func (r *recovery) finish(info *RecoveryInfo, readErr error) error {
 	start := time.Now()
-	builds := make([]pairBuild, len(r.cuts))
+	h := r.h
+	// Each pair's two images, and the images to extend: the first pair
+	// that needs one makes it. A pair whose side does not resolve, or
+	// whose image does not extend, fails with that error, as its Build
+	// would.
+	type pairImages struct {
+		cfg  match.Config
+		img  [2]int // into fresh
+		fail error
+	}
+	var fresh []*match.Image
+	kept := make([][]*match.Image, len(h.sources))
+	pairs := make([]pairImages, len(h.pairs))
+	for i, p := range h.pairs {
+		pi := &pairs[i]
+		pi.cfg = h.matchConfig(p.left, p.right, p.spec)
+		for n, si := range []int{p.left, p.right} {
+			im, isNew, err := imageFor(kept[si], pi.cfg, n == 0)
+			if err != nil {
+				pi.fail = err
+				break
+			}
+			if isNew {
+				kept[si], fresh = append(kept[si], im), append(fresh, im)
+			}
+			pi.img[n] = slices.Index(fresh, im)
+		}
+	}
+	grown := make([]error, len(fresh))
+	_ = inParallel(len(fresh), func(k int) error {
+		_, grown[k] = fresh[k].Grow()
+		return nil
+	})
+	builds := make([]pairBuild, len(h.pairs))
 	err := inParallel(len(builds), func(i int) (err error) {
-		builds[i], err = r.build(i)
+		pi := &pairs[i]
+		if err = pi.fail; err == nil {
+			if err = grown[pi.img[1]]; err == nil { // S′ first, as Build extends
+				err = grown[pi.img[0]]
+			}
+		}
+		if err != nil {
+			return r.refused(i, err)
+		}
+		builds[i], err = r.build(i, pi.cfg, fresh[pi.img[0]], fresh[pi.img[1]])
 		return err
 	})
-	info.RestoreTime = time.Since(start)
+	info.RestoreTime, info.Images, info.Pairings = time.Since(start), len(fresh), len(builds)
 	if err != nil {
 		return err
 	}
 	start = time.Now()
-	err = r.h.foldRestored(builds)
+	err = h.foldRestored(builds)
 	info.FoldTime = time.Since(start)
 	if err == nil {
 		err = readErr
@@ -295,11 +341,10 @@ type pairBuild struct {
 	keys []uint64
 }
 
-// build builds pair i over the final relations and has its table adopt
-// the order commitOrder lists it in.
-func (r *recovery) build(i int) (pairBuild, error) {
-	p := r.h.pairs[i]
-	fed, err := federate.New(r.h.matchConfig(p.left, p.right, p.spec))
+// build builds pair i of cfg on its images r and s and has its table
+// adopt the order commitOrder lists it in.
+func (r *recovery) build(i int, cfg match.Config, rim, sim *match.Image) (pairBuild, error) {
+	fed, err := federate.NewOn(cfg, rim, sim)
 	if err == nil {
 		order, keys := r.commitOrder(i, fed.MT())
 		if err = fed.Reorder(order); err == nil {
@@ -390,7 +435,7 @@ func (h *Hub) foldRestored(builds []pairBuild) error {
 		return fmt.Errorf("hub: load snapshot: %w", err)
 	}
 	for i, b := range builds {
-		h.pairs[i].fed = b.fed
+		h.setFed(h.pairs[i], b.fed)
 	}
 	for _, s := range h.sources {
 		s.publishView()

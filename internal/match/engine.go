@@ -11,14 +11,12 @@
 package match
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"entityid/internal/derive"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
 	"entityid/internal/schema"
@@ -142,26 +140,28 @@ func (e *engine) distinctFiresNamed(rt, st relation.Tuple) (string, bool) {
 }
 
 // probe is the matching step — §4.2's join of R′ and S′ on identical
-// non-NULL extended-key values, plus §3.2's extra identity rules — as an
-// index the Result keeps. Build fills it and reads the matching table
-// off it; incremental maintenance (the federate package) probes and
-// grows the same index one arriving tuple at a time, so batch and
-// incremental identification agree because they are one function over
-// one set of chains. Everything is resolved once, in Build. The
-// two-element arrays are indexed by side: 0 is R′, 1 is S′.
+// non-NULL extended-key values, plus §3.2's extra identity rules — over
+// indexes the two images keep. BuildOn probes every R′ tuple with it and
+// incremental maintenance (the federate package) each arriving tuple,
+// and an image files each row it adopts under every index it keeps, so
+// batch and incremental identification agree because they are one
+// function over one set of chains. Everything is resolved once, in
+// BuildOn. The two-element arrays are indexed by side: 0 is R′, 1 is S′.
 //
-// An index here is a relation.PosIndex: positions filed under a hash of
-// the projection, no key kept. Filing under one hash stands for nothing;
-// the probe verifies every position a chain hands out with value.Equal
-// on every column, read from the image in place (relation.At), so a
-// partner is a partner by comparison — a NULL or a NaN equals nothing,
-// itself included, and is neither filed nor looked up.
+// An index here is a relation.PosIndex over an image: positions filed
+// under a hash of the projection, no key kept. Filing under one hash
+// stands for nothing; the probe verifies every position a chain hands
+// out with value.Equal on every column, read from the image in place
+// (relation.At), so a partner is a partner by comparison — a NULL or a
+// NaN equals nothing, itself included, and is neither filed nor looked
+// up.
 type probe struct {
-	ext    [2]*SideExtender
-	rel    [2]*relation.Relation // RPrime, SPrime
-	keyPos [2][]int              // extended-key column offsets
-	byKey  [2]*relation.PosIndex // tuple positions by extended-key projection
-	rules  []probeRule
+	img [2]*Image
+	// byKey are the indexes by extended-key projection; both nil when a
+	// side's image lacks an attribute of the key — the side holds NULL
+	// there in every tuple, and nothing joins.
+	byKey [2]*imageIndex
+	rules []probeRule
 }
 
 // probeRule is one extra identity rule prepared for probing. Its
@@ -174,40 +174,30 @@ type probeRule struct {
 	// scan marks a rule with no cross equality (every attribute is pinned
 	// by constants): its candidates are the whole opposite side.
 	scan bool
-	// pos are the equality-attribute offsets and blocks the tuple
-	// positions by non-NULL equality projection. Both are nil under scan,
-	// and for a rule with an equality attribute one extended schema
-	// lacks: that side resolves to NULL in both orientations, e1.a = e2.a
-	// cannot hold, and the rule has no candidates at all.
-	pos    [2][]int
-	blocks [2]*relation.PosIndex
+	// blocks are the indexes by equality projection, both nil under scan
+	// and for a rule with an equality attribute one side holds NULL in
+	// every tuple of — its R′ or S′ lacks the attribute, or nothing fills
+	// it in the image: e1.a = e2.a cannot hold, and the rule has no
+	// candidates at all.
+	blocks [2]*imageIndex
 	// fwd / rev are the rule compiled in both orientations (e1 ← R′,
 	// e2 ← S′ and the reverse).
 	fwd, rev rules.CompiledIdentityRule
 }
 
-// Keys are the projections of one extended tuple — onto the extended key
-// and onto each blocked identity rule's equality attributes — each
-// hashed once: Probe looks the opposite side up under them and Append
-// files the tuple's own side under the same ones.
-type Keys struct {
-	ext   projKey
-	rules []projKey // parallel to the identity rules; nil without any
-}
-
 // projKey is one projection's hash; joins is false when the projection
-// cannot join (it holds a NULL or a NaN, or the rule is not blocked).
+// cannot join (it holds a NULL or a NaN).
 type projKey struct {
 	h     uint64
 	joins bool
 }
 
 // Scratch is the working memory of one identification at a time: the
-// image being prepared, the partners found for it and the one candidate
-// row materialised to run a rule on. Whoever serialises a Result's
-// identifications (a federation, under its coordinator's commit lock)
-// owns one and hands it to each call; what a call returns in it stands
-// until the next call given the same Scratch.
+// arriving tuple laid out in its R′ or S′ columns, the partners found
+// for it and the one candidate row materialised to run a rule on.
+// Whoever serialises a Result's identifications (a federation, under its
+// coordinator's commit lock) owns one and hands it to each call; what a
+// call returns in it stands until the next call given the same Scratch.
 type Scratch struct {
 	ext      relation.Tuple
 	row      relation.Tuple
@@ -235,44 +225,42 @@ func offsets(sch *schema.Schema, attrs []string) (pos []int, ok bool) {
 	return pos, true
 }
 
-// newProbe resolves the empty index for res over the extended schemas
-// the two extenders produce: extended-key offsets, and per identity rule
-// its classification, equality offsets and compiled forms; each side's
-// indexes have room for the rows Build is about to file (rows). The
-// extended relations themselves (rel) are Build's to fill in as it makes
-// them.
-func (res *Result) newProbe(rExt, sExt *SideExtender, identity []rules.IdentityRule, rows [2]int) error {
-	px := &res.px
-	px.ext = [2]*SideExtender{rExt, sExt}
-	px.rules = make([]probeRule, len(identity))
-	for side, se := range px.ext {
-		pos, ok := offsets(se.sch, res.extKey)
-		if !ok {
-			return fmt.Errorf("match: extended relation %s lacks an attribute of the extended key %v", se.sch.Name(), res.extKey)
+// indexPair returns the two images' indexes over attrs, made or shared,
+// or nils when either image lacks one of attrs: that side's R′ or S′
+// lacks it, or holds NULL there in every row.
+func (res *Result) indexPair(attrs []string) [2]*imageIndex {
+	var cols [2][]int
+	for n, im := range res.px.img {
+		var ok bool
+		if cols[n], ok = offsets(im.sch, attrs); !ok {
+			return [2]*imageIndex{}
 		}
-		px.keyPos[side], px.byKey[side] = pos, relation.NewPosIndex()
-		px.byKey[side].Reserve(rows[side])
 	}
-	rs, ss := rExt.sch, sExt.sch
+	return [2]*imageIndex{res.px.img[0].index(cols[0]), res.px.img[1].index(cols[1])}
+}
+
+// newProbe resolves res's matching step over the images r and s:
+// the extended-key indexes, and per identity rule its classification,
+// blocks and compiled forms.
+func (res *Result) newProbe(r, s *Image, identity []rules.IdentityRule) {
+	px := &res.px
+	px.img = [2]*Image{r, s}
+	px.byKey = res.indexPair(res.extKey)
+	px.rules = make([]probeRule, len(identity))
+	rs, ss := res.RPrime.Schema(), res.SPrime.Schema()
 	for n, rule := range identity {
 		pr := &px.rules[n]
 		pr.fwd, pr.rev = rule.Compile(rs, ss), rule.Compile(ss, rs)
 		eq := rule.EqualityAttrs()
-		rPos, rOK := offsets(rs, eq)
-		sPos, sOK := offsets(ss, eq)
-		if pr.scan = len(eq) == 0; !pr.scan && rOK && sOK {
-			pr.pos = [2][]int{rPos, sPos}
-			pr.blocks = [2]*relation.PosIndex{relation.NewPosIndex(), relation.NewPosIndex()}
-			pr.blocks[0].Reserve(rows[0])
-			pr.blocks[1].Reserve(rows[1])
+		if pr.scan = len(eq) == 0; !pr.scan {
+			pr.blocks = res.indexPair(eq)
 		}
 	}
-	return nil
 }
 
 // projection hashes t's projection onto the column offsets idx (at least
 // one), unless it cannot join: a NULL or a NaN equals nothing, itself
-// included. Every index of a probe hashes alike, so ix is any of them.
+// included. Every index hashes alike, so ix is any of them.
 func projection(ix *relation.PosIndex, t relation.Tuple, idx []int) projKey {
 	for _, i := range idx {
 		if v := t[i]; !value.Equal(v, v) {
@@ -282,41 +270,15 @@ func projection(ix *relation.PosIndex, t relation.Tuple, idx []int) projKey {
 	return projKey{h: ix.Hash(t, idx), joins: true}
 }
 
-// keys projects an extended tuple of side own.
-func (res *Result) keys(own int, ext relation.Tuple) Keys {
-	px := &res.px
-	k := Keys{ext: projection(px.byKey[own], ext, px.keyPos[own])}
-	if len(px.rules) > 0 {
-		k.rules = make([]projKey, len(px.rules))
-		for n := range px.rules {
-			if pr := &px.rules[n]; pr.blocks[own] != nil {
-				k.rules[n] = projection(pr.blocks[own], ext, pr.pos[own])
-			}
-		}
-	}
-	return k
-}
-
-// index files the next tuple of side own under its keys.
-func (res *Result) index(own int, keys Keys) {
-	px := &res.px
-	px.byKey[own].Add(keys.ext.h, keys.ext.joins)
-	for n := range px.rules {
-		if blocks := px.rules[n].blocks[own]; blocks != nil {
-			blocks.Add(keys.rules[n].h, keys.rules[n].joins)
-		}
-	}
-}
-
-// joined appends to out, ascending, the positions ix files under h whose
-// projection onto theirs — columns of rel, the side ix indexes — is
-// Equal, column by column, to ext's onto ours.
-func joined(out []int, ix *relation.PosIndex, h uint64, rel *relation.Relation, theirs []int, ext relation.Tuple, ours []int) []int {
+// joined appends to out, ascending, the positions theirs — an index over
+// rel, the opposite image — files under h whose projection is Equal,
+// column by column, to row's onto ours.
+func joined(out []int, theirs *imageIndex, h uint64, rel *relation.Relation, row relation.Tuple, ours *imageIndex) []int {
 	base := len(out)
 chain:
-	for pos := ix.Last(h); pos >= 0; pos = ix.Prev(pos) {
-		for n, c := range theirs {
-			if !value.Equal(rel.At(pos, c), ext[ours[n]]) {
+	for pos := theirs.ix.Last(h); pos >= 0; pos = theirs.ix.Prev(pos) {
+		for n, c := range theirs.cols {
+			if !value.Equal(rel.At(pos, c), row[ours.cols[n]]) {
 				continue chain
 			}
 		}
@@ -326,56 +288,53 @@ chain:
 	return out
 }
 
-// ExtendAdmitted returns, in sc, the R′ (left) or S′ image of a tuple the
-// side's source relation has admitted (relation.Admit, which checked its
-// shape — nothing here checks it again), extended on the extender Build
-// resolved: the one way an arriving tuple gets its image.
-func (res *Result) ExtendAdmitted(left bool, a relation.Admission, sc *Scratch) (relation.Tuple, []derive.Conflict, error) {
-	own, _ := sides(left)
-	ext, conflicts, err := res.px.ext[own].extendInto(sc.ext, a.Tuple())
-	if err == nil {
-		sc.ext = ext
-	}
-	return ext, conflicts, err
-}
-
-// Probe identifies an extended tuple of one side (left: an R′ tuple)
+// Probe identifies a tuple its side's image (left: R′'s) has extended
 // against the opposite side as it stands: the positions there that share
 // its non-NULL extended-key projection, ascending, then those an extra
 // identity rule pairs it with, each position once. It changes nothing
-// but sc, and ext need not be in its relation (yet). The partners are
-// sc's; the keys are ext's, for Append.
-func (res *Result) Probe(left bool, ext relation.Tuple, sc *Scratch) ([]int, Keys) {
-	own, _ := sides(left)
-	keys := res.keys(own, ext)
-	return res.partners(left, ext, keys, sc), keys
-}
-
-// partners is Probe under ext's keys: each hash only says which chain to
-// walk, and every position on it is verified against ext.
-func (res *Result) partners(left bool, ext relation.Tuple, keys Keys, sc *Scratch) []int {
+// but sc, and the tuple need not be in its image (yet). The partners are
+// sc's.
+func (res *Result) Probe(left bool, x *Extended, sc *Scratch) []int {
 	px := &res.px
 	own, other := sides(left)
-	opposite := px.rel[other]
+	opposite := px.img[other].rel
 	partners := sc.partners[:0]
-	if keys.ext.joins {
-		partners = joined(partners, px.byKey[other], keys.ext.h, opposite, px.keyPos[other], ext, px.keyPos[own])
+	if ix := px.byKey; ix[own] != nil {
+		if k := x.key(ix[own]); k.joins {
+			partners = joined(partners, ix[other], k.h, opposite, x.row, ix[own])
+		}
 	}
+	laid := false
 	for n := range px.rules {
 		pr := &px.rules[n]
-		if pr.scan {
-			for j := 0; j < opposite.Len(); j++ {
-				partners = pr.admit(partners, left, ext, opposite, j, sc)
+		var cands []int
+		switch {
+		case pr.scan:
+		case pr.blocks[own] == nil:
+			continue
+		default:
+			k := x.key(pr.blocks[own])
+			if !k.joins {
+				continue
 			}
-		} else if k := keys.rules[n]; k.joins {
 			// The block's candidates are gathered past the partners and
 			// admitted back over themselves: one is read before the slot it
 			// may be admitted into is written.
 			found := len(partners)
-			cands := joined(partners, pr.blocks[other], k.h, opposite, pr.pos[other], ext, pr.pos[own])[found:]
-			for _, j := range cands {
-				partners = pr.admit(partners, left, ext, opposite, j, sc)
+			cands = joined(partners, pr.blocks[other], k.h, opposite, x.row, pr.blocks[own])[found:]
+		}
+		if !laid {
+			res.Layout(left, x, sc)
+			laid = true
+		}
+		if pr.scan {
+			for j := range opposite.Len() {
+				partners = res.admit(pr, partners, left, j, sc)
 			}
+			continue
+		}
+		for _, j := range cands {
+			partners = res.admit(pr, partners, left, j, sc)
 		}
 	}
 	sc.partners = partners
@@ -383,15 +342,15 @@ func (res *Result) partners(left bool, ext relation.Tuple, keys Keys, sc *Scratc
 }
 
 // admit adds candidate position j to partners if it is not there and the
-// rule pairs ext with the opposite side's tuple j, read into sc.
-func (pr *probeRule) admit(partners []int, left bool, ext relation.Tuple, opposite *relation.Relation, j int, sc *Scratch) []int {
+// rule pairs the arriving tuple, laid out in sc.ext, with the opposite
+// side's tuple j, read into sc.
+func (res *Result) admit(pr *probeRule, partners []int, left bool, j int, sc *Scratch) []int {
 	if slices.Contains(partners, j) {
 		return partners
 	}
-	sc.row = opposite.TupleInto(sc.row, j)
-	rt, st := sc.row, ext
+	rt, st := res.Opposite(left, j, sc), sc.ext
 	if left {
-		rt, st = ext, sc.row
+		rt, st = st, rt
 	}
 	if !(pr.fwd.Holds(rt, st) || pr.rev.Holds(st, rt)) {
 		return partners
@@ -399,30 +358,43 @@ func (pr *probeRule) admit(partners []int, left bool, ext relation.Tuple, opposi
 	return append(partners, j)
 }
 
+// Layout returns, in sc, a tuple its side's image (left: R′'s) has
+// extended laid out as an R′ (left) or S′ tuple: the row the rules that
+// judge a pair read.
+func (res *Result) Layout(left bool, x *Extended, sc *Scratch) relation.Tuple {
+	view := res.SPrime
+	if left {
+		view = res.RPrime
+	}
+	sc.ext = view.LayOut(sc.ext, x.row)
+	return sc.ext
+}
+
 // Opposite returns, in sc, tuple j of the side an extended tuple of the
 // other (left: an R′ tuple) is identified against — a partner Probe
 // found, read whole for the rules that judge the pair.
 func (res *Result) Opposite(left bool, j int, sc *Scratch) relation.Tuple {
-	_, other := sides(left)
-	sc.row = res.px.rel[other].TupleInto(sc.row, j)
+	view := res.RPrime
+	if left {
+		view = res.SPrime
+	}
+	sc.row = view.TupleInto(sc.row, j)
 	return sc.row
 }
 
-// Append adds an extended tuple to its side: R′/S′ adopts the image
-// ExtendAdmitted built — keeping the cells in which it differs from the
-// source tuple at its position, which the caller has inserted; ext stays
-// the caller's — after checking its shape (on failure everything is as it
-// was), then the index entries under the keys Probe returned for it, its
-// (unmatched) slot in the matching table's partner array, and its
-// matching pairs. The side's candidate keys are not looked at: they are
-// the source relation's, which admits the tuple before its image is
-// appended here.
-func (res *Result) Append(left bool, ext relation.Tuple, keys Keys, pairs []Pair) error {
+// Append adds an arriving tuple to its side once the side's relation
+// holds it: the image adopts it, unless another pairing over the image
+// did (Image.adopt, which refuses — with everything as it was — an
+// extension the image has outgrown and a relation not exactly one tuple
+// ahead), then the matching table grows its (unmatched) slot in the
+// partner array and takes its pairs. The side's candidate keys are not
+// looked at: they are the source relation's, which admits the tuple
+// before its image is appended here.
+func (res *Result) Append(left bool, x *Extended, pairs []Pair) error {
 	own, _ := sides(left)
-	if err := res.px.rel[own].Adopt(ext); err != nil {
+	if err := res.px.img[own].adopt(x); err != nil {
 		return err
 	}
-	res.index(own, keys)
 	res.MT.grow(res.RPrime.Len(), res.SPrime.Len())
 	for _, p := range pairs {
 		res.MT.Add(p)

@@ -199,7 +199,7 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 					if left {
 						rel = cfg.R
 					}
-					se, err := match.NewSideExtender(cfg, left)
+					im, err := match.NewImage(cfg, left)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -207,30 +207,25 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					var sc match.Scratch
+					view := res.SPrime
+					if left {
+						view = res.RPrime
+					}
 					// The whole relation: same schema (a renamed attribute
 					// keeps its column, the missing ones append), same
-					// tuples, same conflicts at the same tuple indexes.
+					// tuples, same conflicts at the same tuple indexes — the
+					// pair's view of Build's image, and of an image grown
+					// apart.
 					want, wantConf, err := relationalExtend(cfg, left, rel)
 					if err != nil {
 						t.Fatalf("%s: relational pipeline: %v", label, err)
 					}
-					// Each image Extend hands on is the row it adopts.
-					handed := 0
-					got, gotConf, err := se.Extend(rel, func(i int, ext relation.Tuple) {
-						if i != handed || !ext.Identical(want.Tuple(i)) {
-							t.Fatalf("%s: Extend handed tuple %d as %d: %v, relational pipeline %v", label, handed, i, ext, want.Tuple(i))
-						}
-						handed++
-					})
+					gotConf, err := im.Grow()
 					if err != nil {
-						t.Fatalf("%s: Extend: %v", label, err)
+						t.Fatalf("%s: Grow: %v", label, err)
 					}
-					if handed != rel.Len() {
-						t.Fatalf("%s: Extend handed on %d images of %d", label, handed, rel.Len())
-					}
-					if !got.Schema().Equal(want.Schema()) {
-						t.Fatalf("%s: extended schema %v, relational pipeline %v", label, got.Schema(), want.Schema())
+					if !view.Schema().Equal(want.Schema()) {
+						t.Fatalf("%s: extended schema %v, relational pipeline %v", label, view.Schema(), want.Schema())
 					}
 					if !reflect.DeepEqual(gotConf, wantConf) {
 						t.Fatalf("%s: conflicts %v, relational pipeline %v", label, gotConf, wantConf)
@@ -238,11 +233,12 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 					sawConflict = sawConflict || len(gotConf) > 0
 					// Tuple by tuple, each admitted by its own one-tuple
 					// relation and extended the way an arriving tuple is
-					// (Result.ExtendAdmitted), against the relational
-					// pipeline over that relation.
+					// (Image.Extend, by an image of that relation), against
+					// the relational pipeline over that relation.
+					var x match.Extended
 					for i, tup := range rel.Tuples() {
-						if !got.Tuple(i).Identical(want.Tuple(i)) {
-							t.Fatalf("%s tuple %d: Extend %v, relational pipeline %v", label, i, got.Tuple(i), want.Tuple(i))
+						if got := view.LayOut(nil, im.Relation().Tuple(i)); !view.Tuple(i).Identical(want.Tuple(i)) || !got.Identical(want.Tuple(i)) {
+							t.Fatalf("%s tuple %d: Build %v, Grow %v, relational pipeline %v", label, i, view.Tuple(i), got, want.Tuple(i))
 						}
 						one := relation.New(rel.Schema())
 						a, err := one.Admit(tup)
@@ -256,17 +252,28 @@ func TestSideExtenderMatchesRelationalPipeline(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s tuple %d: relational pipeline: %v", label, i, err)
 						}
-						before := tup.Clone()
-						ext, conf, err := res.ExtendAdmitted(left, a, &sc)
-						if err != nil {
-							t.Fatalf("%s tuple %d: ExtendAdmitted: %v", label, i, err)
+						oneCfg := cfg
+						if left {
+							oneCfg.R = one
+						} else {
+							oneCfg.S = one
 						}
+						oneImg, err := match.NewImage(oneCfg, left)
+						if err != nil {
+							t.Fatal(err)
+						}
+						before := tup.Clone()
+						conf, err := oneImg.Extend(a, &x)
+						if err != nil {
+							t.Fatalf("%s tuple %d: Extend: %v", label, i, err)
+						}
+						ext := view.LayOut(nil, x.Row())
 						if !ext.Identical(wantOne.Tuple(0)) || !reflect.DeepEqual(conf, wantOneConf) {
-							t.Fatalf("%s tuple %d: ExtendAdmitted %v %v, relational pipeline %v %v",
+							t.Fatalf("%s tuple %d: Extend %v %v, relational pipeline %v %v",
 								label, i, ext, conf, wantOne.Tuple(0), wantOneConf)
 						}
 						if !tup.Identical(before) {
-							t.Fatalf("%s tuple %d: ExtendAdmitted changed its argument", label, i)
+							t.Fatalf("%s tuple %d: Extend changed its argument", label, i)
 						}
 						for c, v := range ext {
 							if c < len(tup) {
@@ -313,12 +320,25 @@ func TestSideExtenderRejectsMisshapenTuples(t *testing.T) {
 			t.Errorf("%s: Admit = %v; want error %q", name, err, want)
 		}
 	}
-	a, err := relation.New(cfg.R.Schema()).Admit(good)
-	if err != nil {
+	a, err := cfg.R.Admit(good.Clone())
+	if err == nil {
+		t.Fatalf("a tuple R holds already admitted: %v", good)
+	}
+	fresh := relation.New(cfg.R.Schema())
+	if a, err = fresh.Admit(good); err != nil {
 		t.Fatalf("well-formed tuple refused: %v", err)
 	}
-	var sc match.Scratch
-	if ext, _, err := res.ExtendAdmitted(true, a, &sc); err != nil || len(ext) != res.RPrime.Schema().Arity() {
-		t.Fatalf("well-formed tuple extended to %v, %v", ext, err)
+	var x match.Extended
+	if _, err := res.Image(true).Extend(a, &x); err == nil {
+		t.Fatal("an image extended a tuple another relation admitted")
+	}
+	freshCfg := cfg
+	freshCfg.R = fresh
+	im, err := match.NewImage(freshCfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := im.Extend(a, &x); err != nil || len(res.RPrime.LayOut(nil, x.Row())) != res.RPrime.Schema().Arity() {
+		t.Fatalf("well-formed tuple extended to %v, %v", x.Row(), err)
 	}
 }

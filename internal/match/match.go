@@ -10,19 +10,23 @@
 //     side is missing, NULL-initialised.
 //  2. Apply the available ILFDs to derive missing extended-key values
 //     (delegated to the derive package; cut or fixpoint semantics).
-//     Steps 1 and 2 are one SideExtender step per tuple: Build loops it
-//     over each side (SideExtender.Extend), incremental maintenance
-//     (federate) runs it on each arriving tuple the side's relation has
-//     admitted (Result.ExtendAdmitted), and nobody else extends anything.
-//     A tuple's shape is checked once, by the relation that holds or
-//     admits it (relation.Admit), not again here.
+//     Steps 1 and 2 depend on one side alone, so they are an Image of
+//     the side's relation (image.go), keyed by the knowledge that fills
+//     it: Build makes one per side and grows it over the relation
+//     (Image.Grow), incremental maintenance (federate) extends each
+//     arriving tuple the relation has admitted (Image.Extend) and adopts
+//     it once the relation holds it (Result.Append), and nobody else
+//     extends anything. A tuple's shape is checked once, by the relation
+//     that holds or admits it (relation.Admit), not again here.
 //  3. Join R′ and S′ on identical non-NULL extended-key values; project
 //     each matched pair onto (K_R, K_S) to form MT_RS. Step 3 is
-//     Result.Probe, tuple by tuple, over an index the Result keeps
-//     (engine.go): Build indexes S′ and gives every R′ tuple the probe,
-//     federate gives it to each arriving tuple and grows the same index
-//     with Result.Append, and nobody else pairs anything up — except the
-//     reference path, whose nested loops the probe is held against.
+//     Result.Probe, tuple by tuple, over indexes the two images keep
+//     (engine.go): BuildOn pairs two images and gives every R′ tuple the
+//     probe, federate gives it to each arriving tuple, and each image
+//     files every row it adopts; nobody else pairs anything up — except
+//     the reference path, whose nested loops the probe is held against.
+//     A pairing is the matching table, the effective distinctness rules
+//     and that probe; the images under it may be other pairings' too.
 //
 // Negative information comes from distinctness rules: the user-supplied
 // ones plus — via Proposition 1 — one rule per ILFD consequent. The
@@ -53,10 +57,11 @@
 //     predicate and a pair's candidates are looked up by the values its
 //     two tuples hold (engine.go); the first firing rule in declaration
 //     order is still the answer.
-//   - Image relations: R′ and S′ are relation.NewImage relations — views
-//     over the source relations: row i is the source's tuple i where it
+//   - Image relations: an image is a relation.NewImage relation — a view
+//     over the source relation: row i is the source's tuple i where it
 //     lies, plus the cells the ILFDs derived for it, under no key index
-//     of its own. The source relation guards the candidate keys R′/S′
+//     of its own — and R′ and S′ are views of images in the pair's
+//     columns (relation.NewView). The source relation guards the candidate keys R′/S′
 //     inherit. The commit path reads a row one cell at a time
 //     (relation.At) or, the 0–1 candidates per insert a rule must judge,
 //     whole into scratch (TupleInto, Scratch); the sweeps walk with a
@@ -87,7 +92,6 @@ import (
 	"entityid/internal/ilfd"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
-	"entityid/internal/schema"
 	"entityid/internal/value"
 )
 
@@ -344,14 +348,17 @@ func (v Verdict) String() string {
 	}
 }
 
-// Result is the outcome of Build.
+// Result is the outcome of Build: one pairing of two images.
 type Result struct {
-	// RPrime and SPrime are the extended relations (Table 6). Attribute
+	// RPrime and SPrime are the extended relations (Table 6): views of
+	// the two images (relation.NewView) in the pair's columns. Attribute
 	// names are integrated names.
 	RPrime, SPrime *relation.Relation
 	// MT is the matching table (Table 7).
 	MT *Table
-	// Conflicts lists derivation conflicts (fixpoint mode only).
+	// Conflicts lists the derivation conflicts (fixpoint mode only) Build
+	// found extending R, then S; BuildOn, on images grown by their owner,
+	// leaves it nil — Image.Grow returned them.
 	Conflicts []derive.Conflict
 	// distinct holds the effective distinctness rules (user + Prop. 1).
 	distinct []rules.DistinctnessRule
@@ -359,8 +366,8 @@ type Result struct {
 	// naive routes Classify/Counts/sweeps through the reference
 	// implementation (set from Config.Naive).
 	naive bool
-	// px is the matching step's index (engine.go): filled by Build, probed
-	// and grown by Probe and Append.
+	// px is the matching step (engine.go): the two images and the indexes
+	// over them the pairing joins on, probed by Probe.
 	px probe
 	// eng is the lazily built compiled-rule engine (engine.go).
 	eng     *engine
@@ -372,58 +379,119 @@ type Result struct {
 	planMu sync.Mutex
 }
 
-// Build runs the §4.2 matching-table construction. It fails if the
-// configuration is inconsistent (unknown attributes, kind mismatches);
-// soundness verification is a separate step (Verify) so callers can
-// inspect an unsound table the way the prototype prints its warning.
-func Build(cfg Config) (*Result, error) {
+// validate checks cfg's relations, extended key and attribute map.
+func validate(cfg Config) error {
 	if cfg.R == nil || cfg.S == nil {
-		return nil, fmt.Errorf("match: R and S must both be set")
+		return fmt.Errorf("match: R and S must both be set")
 	}
 	if len(cfg.ExtKey) == 0 {
-		return nil, fmt.Errorf("match: empty extended key")
+		return fmt.Errorf("match: empty extended key")
 	}
 	byName := map[string]AttrMap{}
 	for _, am := range cfg.Attrs {
 		if am.Name == "" {
-			return nil, fmt.Errorf("match: attribute map entry with empty integrated name")
+			return fmt.Errorf("match: attribute map entry with empty integrated name")
 		}
 		if _, dup := byName[am.Name]; dup {
-			return nil, fmt.Errorf("match: duplicate attribute map entry %q", am.Name)
+			return fmt.Errorf("match: duplicate attribute map entry %q", am.Name)
 		}
 		if am.R != "" && !cfg.R.Schema().Has(am.R) {
-			return nil, fmt.Errorf("match: attribute %q: R has no attribute %q", am.Name, am.R)
+			return fmt.Errorf("match: attribute %q: R has no attribute %q", am.Name, am.R)
 		}
 		if am.S != "" && !cfg.S.Schema().Has(am.S) {
-			return nil, fmt.Errorf("match: attribute %q: S has no attribute %q", am.Name, am.S)
+			return fmt.Errorf("match: attribute %q: S has no attribute %q", am.Name, am.S)
 		}
 		if am.R != "" && am.S != "" {
 			if rk, sk := cfg.R.Schema().KindOf(am.R), cfg.S.Schema().KindOf(am.S); rk != sk {
-				return nil, fmt.Errorf("match: attribute %q: kind mismatch %s vs %s", am.Name, rk, sk)
+				return fmt.Errorf("match: attribute %q: kind mismatch %s vs %s", am.Name, rk, sk)
 			}
 		}
 		byName[am.Name] = am
 	}
 	for _, k := range cfg.ExtKey {
 		if _, ok := byName[k]; !ok {
-			return nil, fmt.Errorf("match: extended-key attribute %q not in attribute map", k)
+			return fmt.Errorf("match: extended-key attribute %q not in attribute map", k)
 		}
 	}
+	return nil
+}
 
-	rExt, err := NewSideExtender(cfg, true)
+// resolve validates cfg and resolves its two sides.
+func resolve(cfg Config) (r, s side, err error) {
+	if err = validate(cfg); err != nil {
+		return side{}, side{}, err
+	}
+	if r, err = resolveSide(cfg, true); err == nil {
+		s, err = resolveSide(cfg, false)
+	}
+	return r, s, err
+}
+
+// Build runs the §4.2 matching-table construction: it extends each side
+// into an image of its own (S first), then pairs the two (BuildOn). It
+// fails if the configuration is inconsistent (unknown attributes, kind
+// mismatches); soundness verification is a separate step (Verify) so
+// callers can inspect an unsound table the way the prototype prints its
+// warning.
+func Build(cfg Config) (*Result, error) {
+	rs, ss, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sExt, err := NewSideExtender(cfg, false)
+	var imgs [2]*Image
+	var found [2][]derive.Conflict
+	for n, sd := range []side{ss, rs} {
+		if imgs[n], err = newImage(sd); err != nil {
+			return nil, err
+		}
+		if found[n], err = imgs[n].Grow(); err != nil {
+			return nil, err
+		}
+	}
+	res, err := buildOn(cfg, rs, ss, imgs[1], imgs[0])
 	if err != nil {
 		return nil, err
+	}
+	res.Conflicts = append(found[1], found[0]...)
+	return res, nil
+}
+
+// BuildOn pairs two images — r of cfg's R under its R′ knowledge, s of
+// its S under its S′ knowledge, each extended to its relation's length —
+// into a Result: R′ and S′ as views of them, the probe indexes the pair
+// joins on (made on an image that lacks one, shared where another pairing
+// has made it), and the matching table, read off a probe of every R′
+// tuple. What it holds is what Build(cfg) holds. A Result that will not
+// be kept gives its indexes back (Release).
+func BuildOn(cfg Config, r, s *Image) (*Result, error) {
+	rs, ss, err := resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return buildOn(cfg, rs, ss, r, s)
+}
+
+func buildOn(cfg Config, rs, ss side, r, s *Image) (*Result, error) {
+	if !r.serves(&rs) || !s.serves(&ss) {
+		return nil, fmt.Errorf("match: build: an image is not of its side's relation under its side's knowledge")
+	}
+	if r.rel.Len() != r.base.Len() || s.rel.Len() != s.base.Len() {
+		return nil, fmt.Errorf("match: build: images of %d and %d rows over relations of %d and %d tuples",
+			r.rel.Len(), s.rel.Len(), r.base.Len(), s.base.Len())
 	}
 	res := &Result{
 		// Key attribute names are taken from the extended schemas, so they
 		// reflect integrated names after renaming.
-		MT:     &Table{RKey: rExt.sch.PrimaryKey(), SKey: sExt.sch.PrimaryKey()},
+		MT:     &Table{RKey: rs.sch.PrimaryKey(), SKey: ss.sch.PrimaryKey()},
 		extKey: append([]string(nil), cfg.ExtKey...),
 		naive:  cfg.Naive,
+	}
+	var err error
+	if res.RPrime, err = relation.NewView(rs.sch, r.rel); err == nil {
+		res.SPrime, err = relation.NewView(ss.sch, s.rel)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("match: build: %w", err)
 	}
 	res.distinct = append(res.distinct, cfg.Distinct...)
 	if !cfg.DisableProp1 {
@@ -431,187 +499,55 @@ func Build(cfg Config) (*Result, error) {
 			res.distinct = append(res.distinct, rules.ToDistinctness(f)...)
 		}
 	}
-	if err := res.newProbe(rExt, sExt, cfg.Identity, [2]int{cfg.R.Len(), cfg.S.Len()}); err != nil {
-		return nil, err
-	}
-
-	// The matching step, run on each image while Extend still holds it.
-	// Index S′, then give each R′ tuple the probe an arriving tuple gets
-	// (engine.go) and index it too; the reference path fills the same
-	// index, for the inserts that may follow, but reads its pairs off
-	// nested loops (reference.go).
-	var sConf, rConf []derive.Conflict
-	res.SPrime, sConf, err = sExt.Extend(cfg.S, func(_ int, ext relation.Tuple) {
-		res.index(1, res.keys(1, ext))
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.px.rel[1] = res.SPrime
-	res.MT.grow(cfg.R.Len(), res.SPrime.Len())
-	var sc Scratch
-	res.RPrime, rConf, err = rExt.Extend(cfg.R, func(i int, ext relation.Tuple) {
-		if cfg.Naive {
-			res.index(0, res.keys(0, ext))
-			return
-		}
-		partners, keys := res.Probe(true, ext, &sc)
-		res.index(0, keys)
-		slices.Sort(partners) // rows are added in order: the table is sorted
-		for _, j := range partners {
-			res.MT.Add(Pair{RIndex: i, SIndex: j})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.px.rel[0] = res.RPrime
-	res.Conflicts = append(rConf, sConf...)
+	res.newProbe(r, s, cfg.Identity)
+	res.MT.grow(res.RPrime.Len(), res.SPrime.Len())
 	if cfg.Naive {
+		// The reference path reads its pairs off nested loops
+		// (reference.go); the indexes stand for the inserts that may follow.
 		for _, p := range referencePairs(res.RPrime, res.SPrime, cfg.ExtKey, cfg.Identity) {
 			res.MT.Add(p)
+		}
+		return res, nil
+	}
+	// The matching step: each R′ tuple gets the probe an arriving one gets
+	// (engine.go), against the whole of S′.
+	var x Extended
+	var sc Scratch
+	x.img = r
+	for i := range r.rel.Len() {
+		x.row = r.rel.TupleInto(x.buf, i)
+		x.buf = x.row
+		partners := res.Probe(true, &x, &sc)
+		slices.Sort(partners) // rows are probed in order: the table is sorted
+		for _, j := range partners {
+			res.MT.Add(Pair{RIndex: i, SIndex: j})
 		}
 	}
 	return res, nil
 }
 
-// SideExtender turns tuples of one side's source relation into their
-// extended form: attributes renamed to integrated names, the integrated
-// attributes the side does not model appended as NULLs, then whatever
-// the ILFDs derive filled in. The extended schema is resolved once, here,
-// and its layout is fixed: a renamed attribute keeps its column and the
-// missing attributes append in attribute-map order — so an extended
-// image agrees with its source tuple, column for column, wherever that
-// tuple is not NULL (an ILFD fills NULLs, the source's own included, and
-// rewrites nothing), and offsets resolved against R′ or S′ (extended-key
-// positions, compiled rules) apply to any tuple this extender produces.
-// extendInto is the one extension step: Extend runs it over every tuple
-// of a side, and incremental maintenance (the federate package) holds the
-// extenders across inserts and runs it, through Result.ExtendAdmitted, on
-// each arriving tuple.
-type SideExtender struct {
-	src *schema.Schema // the side's source schema
-	sch *schema.Schema // R′ or S′
-	ext *derive.Extender
-}
-
-// NewSideExtender resolves the extended schema for the left (R′) or right
-// (S′) side of cfg. It fails if renaming or appending makes two
-// attributes collide; it assumes cfg's attribute map was otherwise
-// validated (Build does so).
-func NewSideExtender(cfg Config, left bool) (*SideExtender, error) {
-	name, rel, other := "R'", cfg.R, cfg.S
-	if !left {
-		name, rel, other = "S'", cfg.S, cfg.R
-	}
-	src := rel.Schema()
-	rename := map[string]string{}
-	var extra []schema.Attribute
-	for _, am := range cfg.Attrs {
-		from, otherFrom := am.R, am.S
-		if !left {
-			from, otherFrom = am.S, am.R
+// Release gives the result's probe indexes back to its images: an index
+// no other pairing uses is dropped. A released Result must not be probed
+// or grown again.
+func (res *Result) Release() {
+	px := &res.px
+	for n := range px.img {
+		if px.byKey[n] != nil {
+			px.img[n].release(px.byKey[n])
 		}
-		if from != "" {
-			if from != am.Name {
-				rename[from] = am.Name
-			}
-			continue
-		}
-		// The side is missing the attribute: append it, typed like the
-		// other side's column or, failing that, an ILFD consequent.
-		kind := value.KindString
-		if otherFrom != "" {
-			kind = other.Schema().KindOf(otherFrom)
-		} else if k, ok := consequentKind(cfg.ILFDs, am.Name); ok {
-			kind = k
-		}
-		extra = append(extra, schema.Attribute{Name: am.Name, Kind: kind})
-	}
-	attrs, keys := src.Attrs(), src.Keys()
-	for i := range attrs {
-		if nn, ok := rename[attrs[i].Name]; ok {
-			attrs[i].Name = nn
-		}
-	}
-	for _, k := range keys {
-		for i := range k {
-			if nn, ok := rename[k[i]]; ok {
-				k[i] = nn
+		for k := range px.rules {
+			if b := px.rules[k].blocks[n]; b != nil {
+				px.img[n].release(b)
 			}
 		}
 	}
-	sch, err := schema.New(name, append(attrs, extra...), keys...)
-	if err != nil {
-		return nil, fmt.Errorf("match: extend %s: %w", src.Name(), err)
-	}
-	return &SideExtender{
-		src: src,
-		sch: sch,
-		ext: derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode}),
-	}, nil
+	px.byKey, px.rules = [2]*imageIndex{}, nil
 }
 
-// extendInto returns, over the scratch dst, the extended image of one
-// tuple the side's source relation holds or has admitted — its shape is
-// that relation's to check, and was — and the derivation conflicts found
-// (fixpoint mode), reported at tuple index 0; t itself is left alone.
-func (se *SideExtender) extendInto(dst, t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
-	ext := append(dst[:0], t...)
-	for n := se.sch.Arity(); len(ext) < n; {
-		ext = append(ext, value.Null)
-	}
-	conflicts, err := se.ext.ExtendTuple(se.sch, ext)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ext, conflicts, nil
-}
-
-// Extend builds the side's extended relation over rel, a relation with
-// the side's source schema: an image relation (relation.NewImage) over
-// rel, whose row i keeps what the image of rel's tuple i adds to it. rel
-// has admitted its tuples — shape and keys — and goes on guarding them;
-// conflicts carry the position of the tuple they arose in. each is handed
-// every image, whole, as its row is adopted — Build probes and indexes it
-// there rather than read the row back — and must not keep it.
-func (se *SideExtender) Extend(rel *relation.Relation, each func(i int, ext relation.Tuple)) (*relation.Relation, []derive.Conflict, error) {
-	if !rel.Schema().Equal(se.src) {
-		return nil, nil, fmt.Errorf("match: extend: relation %s does not have the side's source schema %s", rel.Schema(), se.src)
-	}
-	out, err := relation.NewImage(se.sch, rel)
-	if err != nil {
-		return nil, nil, fmt.Errorf("match: extend: %w", err)
-	}
-	var conflicts []derive.Conflict
-	var ext relation.Tuple
-	for i, t := range rel.Tuples() {
-		var cs []derive.Conflict
-		if ext, cs, err = se.extendInto(ext, t); err != nil {
-			return nil, nil, fmt.Errorf("match: extend: %w", err)
-		}
-		for _, c := range cs {
-			c.TupleIndex = i
-			conflicts = append(conflicts, c)
-		}
-		if err := out.Adopt(ext); err != nil {
-			return nil, nil, fmt.Errorf("match: extend: %w", err)
-		}
-		each(i, ext)
-	}
-	return out, conflicts, nil
-}
-
-// consequentKind infers an attribute's kind from ILFD consequents.
-func consequentKind(fs ilfd.Set, attr string) (value.Kind, bool) {
-	for _, f := range fs {
-		for _, c := range f.Consequent {
-			if c.Attr == attr {
-				return c.Val.Kind(), true
-			}
-		}
-	}
-	return value.KindNull, false
+// Image returns the image R′ (left) or S′ is a view of.
+func (res *Result) Image(left bool) *Image {
+	own, _ := sides(left)
+	return res.px.img[own]
 }
 
 // ErrUniqueness and ErrConsistency are the two ways a matching table

@@ -124,25 +124,26 @@ func TestProbeEqualsItsReferences(t *testing.T) {
 			t.Fatal(err)
 		}
 		px := &res.px
+		// rows are R′ and S′, images the images' rows the probe reads.
 		rows := [2][]relation.Tuple{res.RPrime.Tuples(), res.SPrime.Tuples()}
-		var eqPos [2][]int
-		if len(px.rules) > 0 {
-			eqPos = px.rules[0].pos
+		images := [2][]relation.Tuple{px.img[0].rel.Tuples(), px.img[1].rel.Tuples()}
+		var keyPos, eqPos [2][]int
+		for side, view := range []*relation.Relation{res.RPrime, res.SPrime} {
+			keyPos[side], _ = offsets(view.Schema(), cfg.ExtKey)
+			if len(cfg.Identity) > 0 {
+				eqPos[side], _ = offsets(view.Schema(), cfg.Identity[0].EqualityAttrs())
+			}
 		}
-		refs := [2]refBuckets{newRefBuckets(rows[0], px.keyPos[0], eqPos[0]), newRefBuckets(rows[1], px.keyPos[1], eqPos[1])}
+		refs := [2]refBuckets{newRefBuckets(rows[0], keyPos[0], eqPos[0]), newRefBuckets(rows[1], keyPos[1], eqPos[1])}
 		if collide {
 			// File every position of every index under hash zero.
-			for side := range px.rel {
-				px.byKey[side] = relation.NewPosIndex()
-				for n := range px.rules {
-					px.rules[n].blocks[side] = relation.NewPosIndex()
-				}
-				for _, row := range rows[side] {
-					keys := res.keys(side, row)
-					px.byKey[side].Add(0, keys.ext.joins)
-					for n := range px.rules {
-						px.rules[n].blocks[side].Add(0, keys.rules[n].joins)
+			for side, im := range px.img {
+				for _, ix := range im.ixs {
+					one := relation.NewPosIndex()
+					for _, row := range images[side] {
+						one.Add(0, projection(ix.ix, row, ix.cols).joins)
 					}
+					ix.ix = one
 				}
 			}
 		}
@@ -170,8 +171,8 @@ func TestProbeEqualsItsReferences(t *testing.T) {
 						joins := pass == 1 && holds(rt, st)
 						if pass == 0 {
 							joins = true
-							for n := range px.keyPos[own] {
-								joins = joins && value.Equal(ext[px.keyPos[own][n]], cand[px.keyPos[other][n]])
+							for n := range keyPos[own] {
+								joins = joins && value.Equal(ext[keyPos[own][n]], cand[keyPos[other][n]])
 							}
 						}
 						if joins && !slices.Contains(want, j) {
@@ -180,7 +181,7 @@ func TestProbeEqualsItsReferences(t *testing.T) {
 					}
 				}
 				if !isHostile {
-					old := append([]int(nil), refs[other].byKey[oldProjectionKey(ext, px.keyPos[own])]...)
+					old := append([]int(nil), refs[other].byKey[oldProjectionKey(ext, keyPos[own])]...)
 					for _, j := range refs[other].blocks[oldProjectionKey(ext, eqPos[own])] {
 						rt, st := rows[other][j], ext
 						if left {
@@ -194,14 +195,13 @@ func TestProbeEqualsItsReferences(t *testing.T) {
 						t.Fatalf("seed %d: the references disagree on tuple %d of side %d: string-keyed buckets %v, nested loops %v", seed, i, own, old, want)
 					}
 				}
-				keys := res.keys(own, ext)
+				x := Extended{img: px.img[own], row: images[own][i]}
 				if collide {
-					keys.ext.h = 0
-					for n := range keys.rules {
-						keys.rules[n].h = 0
+					for _, ix := range x.img.ixs {
+						x.ixs, x.keys = append(x.ixs, ix), append(x.keys, projKey{joins: projection(ix.ix, x.row, ix.cols).joins})
 					}
 				}
-				got := res.partners(left, ext, keys, &sc)
+				got := res.Probe(left, &x, &sc)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("seed %d: tuple %d %v of side %d: Probe finds %v, want %v (hostile %v, one hash %v, extended key %v, rules %v)",
 						seed, i, ext, own, got, want, isHostile, collide, cfg.ExtKey, cfg.Identity)

@@ -21,7 +21,8 @@ import (
 // it, in either orientation, with interpreted predicate evaluation.
 // Row-major, which is the table's sorted order.
 func referencePairs(rp, sp *relation.Relation, extKey []string, identity []rules.IdentityRule) []Pair {
-	// Build has resolved both already (newProbe), so neither can fail.
+	// Every extended-key attribute is in the attribute map (validate), so
+	// both extended schemas have it and neither can fail.
 	rPos, _ := offsets(rp.Schema(), extKey)
 	sPos, _ := offsets(sp.Schema(), extKey)
 	var out []Pair

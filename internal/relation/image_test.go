@@ -62,8 +62,8 @@ func TestImageRelationAdoptsAndIndexesNoKey(t *testing.T) {
 	if got, want := r.Tuple(0), extended(first, value.String("Hunan"), value.Null); !got.Identical(want) {
 		t.Errorf("row 0 = %v after its image was overwritten, want %v", got, want)
 	}
-	if len(r.cellVal) != 1 || r.tuples != nil {
-		t.Errorf("row 0 keeps %d cells and %d whole rows, want the one derived cell", len(r.cellVal), len(r.tuples))
+	if len(r.cells.val) != 1 || r.tuples != nil {
+		t.Errorf("row 0 keeps %d cells and %d whole rows, want the one derived cell", len(r.cells.val), len(r.tuples))
 	}
 	// The same key again: an ordinary relation refuses, an image does not
 	// look.
@@ -130,7 +130,7 @@ func TestImageRowsAreTheFullImage(t *testing.T) {
 		}
 		full.MustInsert(images[i]...)
 	}
-	if got, want := len(r.cellVal), 0+3+1+2; got != want {
+	if got, want := len(r.cells.val), 0+3+1+2; got != want {
 		t.Errorf("%d cells kept, want %d: only what an image adds to its tuple", got, want)
 	}
 	var scratch Tuple
@@ -190,8 +190,8 @@ func TestAdoptRefusals(t *testing.T) {
 			t.Errorf("Adopt(%s) = %v, want it refused as disagreeing with the source tuple", name, err)
 		}
 	}
-	if r.Len() != 0 || len(r.cellVal) != 0 || len(r.cellCol) != 0 {
-		t.Fatalf("refused images left %d rows, %d cells", r.Len(), len(r.cellVal))
+	if r.Len() != 0 || len(r.cells.val) != 0 || len(r.cells.col) != 0 {
+		t.Fatalf("refused images left %d rows, %d cells", r.Len(), len(r.cells.val))
 	}
 	// An ILFD may fill the NULL the source left in its own column.
 	filled := Tuple{src[0], value.String("Elm St."), src[2], value.String("Hunan"), value.Null}
@@ -333,5 +333,62 @@ func TestAdmitRefusesThePositionNoBackLinkHolds(t *testing.T) {
 	}
 	if r.Len() != 4 || r.LookupKey(tup[0], tup[1]) != -1 || r.LookupKey(value.String("Fourth"), value.String("Elm St.")) != 3 {
 		t.Errorf("the refusal changed the relation: %d tuples", r.Len())
+	}
+}
+
+// TestViewLaysOutItsImagesCells: a view reads its image's rows in its own
+// columns — the lender's first, the image's derived ones wherever the
+// view puts them, NULL in the columns only the view has — and grows as
+// the image adopts, holding no cell of its own. What NewView refuses: a
+// view of a relation that is not an image, or of a view, and a schema
+// that moves, retypes or drops one of the image's columns.
+func TestViewLaysOutItsImagesCells(t *testing.T) {
+	lender := New(mkSchema(t))
+	img := mkImage(t, lender)
+	base := mkSchema(t).Attrs()
+	viewSchema := func(extra ...schema.Attribute) *schema.Schema {
+		return schema.MustNew("R'", append(append([]schema.Attribute(nil), base...), extra...), []string{"name", "street"})
+	}
+	str := func(n string) schema.Attribute { return schema.Attribute{Name: n, Kind: value.KindString} }
+	rating := schema.Attribute{Name: "rating", Kind: value.KindInt}
+	v, err := NewView(viewSchema(rating, str("loc_other"), str("speciality")), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.IsImage() {
+		t.Error("a view is not an image relation")
+	}
+	src := Tuple{value.String("Wok"), value.Null, value.String("Thai")}
+	lender.MustInsert(src...)
+	if err := img.Adopt(Tuple{src[0], value.String("Elm St."), src[2], value.String("Hunan"), value.Int(4)}); err != nil {
+		t.Fatal(err)
+	}
+	want := Tuple{src[0], value.String("Elm St."), src[2], value.Int(4), value.Null, value.String("Hunan")}
+	if got := v.Tuple(0); v.Len() != 1 || !got.Identical(want) {
+		t.Fatalf("view row 0 = %v of %d rows, want %v of 1", got, v.Len(), want)
+	}
+	for c, w := range want {
+		if got := v.At(0, c); !value.Identical(got, w) {
+			t.Errorf("At(0, %d) = %v, want %v", c, got, w)
+		}
+	}
+	if err := v.Adopt(want); err == nil {
+		t.Error("a view adopted a row")
+	}
+	for name, s := range map[string]*schema.Schema{
+		"a derived column dropped":  viewSchema(rating),
+		"a derived column retyped":  viewSchema(rating, schema.Attribute{Name: "speciality", Kind: value.KindInt}),
+		"a lender column moved":     schema.MustNew("R'", []schema.Attribute{base[1], base[0], base[2], str("speciality"), rating}, []string{"name", "street"}),
+		"a derived column in front": schema.MustNew("R'", []schema.Attribute{base[0], base[1], str("speciality"), base[2], rating}, []string{"name", "street"}),
+	} {
+		if _, err := NewView(s, img); err == nil {
+			t.Errorf("%s: view created", name)
+		}
+	}
+	if _, err := NewView(img.Schema(), v); err == nil {
+		t.Error("a view of a view was created")
+	}
+	if _, err := NewView(mkSchema(t), lender); err == nil {
+		t.Error("a view of an ordinary relation was created")
 	}
 }

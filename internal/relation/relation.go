@@ -14,13 +14,15 @@
 // every candidate verified value by value — no projection is ever joined
 // into a string, so no byte a value may hold can make two keys one.
 //
-// R′ and S′ themselves are image relations (NewImage): views over the
+// The extended relations are image relations (NewImage): views over the
 // relation they extend. Row i is that relation's tuple i — held there,
 // once — plus the cells in which the extended image differs from it: what
 // the ILFDs derived. An image keeps no key index of its own — the
 // extended relation's index is the one index, and its Admit the one key
 // guard — and reads go through At (one cell) or TupleInto (a row, into
-// the caller's scratch).
+// the caller's scratch). R′ and S′ are views of an image (NewView): the
+// image's rows laid out in a pair's columns, the derived cells shared, so
+// the pairs that agree on a source's knowledge hold its derivation once.
 package relation
 
 import (
@@ -92,14 +94,23 @@ type Relation struct {
 	// limit is how many tuples the relation admits: maxRows.
 	limit int
 
-	// lender marks an image relation (NewImage) and is the relation it
-	// extends: row i is lender.tuples[i] overlaid with the cells
-	// [rowEnd[i-1], rowEnd[i]) of one append-only arena, each a column
-	// and the value the image holds there.
-	lender  *Relation
-	cellCol []int32
-	cellVal []value.Value
-	rowEnd  []uint32
+	// lender marks an image relation (NewImage) or a view of one
+	// (NewView) and is the relation it extends: row i is lender.tuples[i]
+	// overlaid with the cells of row i in the image's arena. A view shares
+	// its image's arena and reads each cell's image column through remap,
+	// which is nil on the image itself.
+	lender *Relation
+	cells  *arena
+	remap  []int32
+}
+
+// arena is an image's derived cells: those of row i are [end[i-1],
+// end[i]), each an image column and the value the image holds there.
+// Append-only.
+type arena struct {
+	col []int32
+	val []value.Value
+	end []uint32
 }
 
 // New creates an empty relation with the given schema.
@@ -161,11 +172,38 @@ func NewImage(s *schema.Schema, lender *Relation) (*Relation, error) {
 		}
 	}
 	r := New(s)
-	r.lender, r.keyIdx = lender, nil
+	r.lender, r.keyIdx, r.cells = lender, nil, &arena{}
 	return r, nil
 }
 
-// IsImage reports whether the relation was created with NewImage.
+// NewView creates a view of the image relation img under the schema s:
+// row i is img's row i, each cell in the column of s that bears its
+// attribute's name, and NULL in every column of s that img lacks. s
+// begins with the columns of the relation img extends, named and kinded
+// as img names them, and holds every other column of img, kind for kind.
+// The view reads img's cells where they lie and grows as img adopts rows;
+// it adopts none itself. Like an image it keeps no key index.
+func NewView(s *schema.Schema, img *Relation) (*Relation, error) {
+	if img.lender == nil || img.remap != nil {
+		return nil, fmt.Errorf("relation %s: a view of %s, which is not an image relation", s.Name(), img.schema.Name())
+	}
+	is, base := img.schema, img.lender.schema.Arity()
+	remap := make([]int32, is.Arity())
+	for c := range remap {
+		a := is.Attr(c)
+		vc := s.Index(a.Name)
+		if vc < 0 || (vc < base) != (c < base) || (c < base && vc != c) || s.Attr(vc).Kind != a.Kind {
+			return nil, fmt.Errorf("relation %s: attribute %q %s of the image relation %s has no column of its own in the view", s.Name(), a.Name, a.Kind, is.Name())
+		}
+		remap[c] = int32(vc)
+	}
+	r := New(s)
+	r.lender, r.keyIdx, r.cells, r.remap = img.lender, nil, img.cells, remap
+	return r, nil
+}
+
+// IsImage reports whether the relation was created with NewImage or
+// NewView.
 func (r *Relation) IsImage() bool { return r.lender != nil }
 
 // Adopt appends a row to an image relation: ext is the extended image
@@ -178,17 +216,18 @@ func (r *Relation) IsImage() bool { return r.lender != nil }
 // rewrites nothing, so agreement wherever the source is not NULL holds
 // of every row by construction.
 func (r *Relation) Adopt(ext Tuple) error {
-	if r.lender == nil {
+	if r.lender == nil || r.remap != nil {
 		return fmt.Errorf("relation %s: Adopt on a relation that is not an image", r.schema.Name())
 	}
-	i := len(r.rowEnd)
+	a := r.cells
+	i := len(a.end)
 	if i >= len(r.lender.tuples) {
 		return fmt.Errorf("relation %s: adopt: row %d has no tuple to extend: %s holds %d", r.schema.Name(), i, r.lender.schema.Name(), len(r.lender.tuples))
 	}
 	if err := checkShape(r.schema, ext); err != nil {
 		return err
 	}
-	src, mark := r.lender.tuples[i], len(r.cellVal)
+	src, mark := r.lender.tuples[i], len(a.val)
 	for c, v := range ext {
 		var have value.Value // NULL past the lender's arity
 		if c < len(src) {
@@ -198,26 +237,34 @@ func (r *Relation) Adopt(ext Tuple) error {
 			continue
 		}
 		if !have.IsNull() {
-			r.cellCol, r.cellVal = r.cellCol[:mark], r.cellVal[:mark]
+			a.col, a.val = a.col[:mark], a.val[:mark]
 			return fmt.Errorf("relation %s: adopt: image %v of row %d holds %v for %q where tuple %v of %s holds %v",
 				r.schema.Name(), ext, i, v, r.schema.Attr(c).Name, src, r.lender.schema.Name(), have)
 		}
-		r.cellCol, r.cellVal = append(r.cellCol, int32(c)), append(r.cellVal, v)
+		a.col, a.val = append(a.col, int32(c)), append(a.val, v)
 	}
-	if uint64(len(r.cellVal)) > math.MaxUint32 {
-		r.cellCol, r.cellVal = r.cellCol[:mark], r.cellVal[:mark]
+	if uint64(len(a.val)) > math.MaxUint32 {
+		a.col, a.val = a.col[:mark], a.val[:mark]
 		return fmt.Errorf("relation %s: adopt: row %d: more derived cells than a row offset counts", r.schema.Name(), i)
 	}
-	r.rowEnd = append(r.rowEnd, uint32(len(r.cellVal)))
+	a.end = append(a.end, uint32(len(a.val)))
 	return nil
 }
 
-// cells returns the arena range of image row i.
-func (r *Relation) cells(i int) (lo, hi uint32) {
+// row returns the arena range of image row i.
+func (a *arena) row(i int) (lo, hi uint32) {
 	if i > 0 {
-		lo = r.rowEnd[i-1]
+		lo = a.end[i-1]
 	}
-	return lo, r.rowEnd[i]
+	return lo, a.end[i]
+}
+
+// col returns the column of r that arena cell k lies in.
+func (r *Relation) col(k uint32) int {
+	if r.remap != nil {
+		return int(r.remap[r.cells.col[k]])
+	}
+	return int(r.cells.col[k])
 }
 
 // Schema returns the relation's schema.
@@ -230,7 +277,7 @@ func (r *Relation) IsBag() bool { return r.bag }
 // Len returns the number of tuples.
 func (r *Relation) Len() int {
 	if r.lender != nil {
-		return len(r.rowEnd)
+		return len(r.cells.end)
 	}
 	return len(r.tuples)
 }
@@ -243,9 +290,9 @@ func (r *Relation) At(i, c int) value.Value {
 	if r.lender == nil {
 		return r.tuples[i][c]
 	}
-	for k, hi := r.cells(i); k < hi; k++ {
-		if int(r.cellCol[k]) == c {
-			return r.cellVal[k]
+	for k, hi := r.cells.row(i); k < hi; k++ {
+		if r.col(k) == c {
+			return r.cells.val[k]
 		}
 	}
 	if src := r.lender.tuples[i]; c < len(src) {
@@ -268,8 +315,27 @@ func (r *Relation) TupleInto(dst Tuple, i int) Tuple {
 	for n := r.schema.Arity(); len(dst) < n; {
 		dst = append(dst, value.Null)
 	}
-	for k, hi := r.cells(i); k < hi; k++ {
-		dst[r.cellCol[k]] = r.cellVal[k]
+	for k, hi := r.cells.row(i); k < hi; k++ {
+		dst[r.col(k)] = r.cells.val[k]
+	}
+	return dst
+}
+
+// LayOut writes over dst — scratch the caller owns — row, a row in the
+// columns of the image r is a view of, laid out in r's columns, and
+// returns it: what TupleInto would read for that row once the image held
+// it.
+func (r *Relation) LayOut(dst, row Tuple) Tuple {
+	if r.remap == nil {
+		return append(dst[:0], row...)
+	}
+	base := r.lender.schema.Arity()
+	dst = append(dst[:0], row[:base]...)
+	for n := r.schema.Arity(); len(dst) < n; {
+		dst = append(dst, value.Null)
+	}
+	for c := base; c < len(row); c++ {
+		dst[r.remap[c]] = row[c]
 	}
 	return dst
 }
