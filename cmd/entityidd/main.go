@@ -117,9 +117,9 @@ func main() {
 			log.Fatalf("entityidd: %v", err)
 		}
 		st, ri := hub.Stats(), hub.Recovery()
-		log.Printf("entityidd: recovered %d sources, %d links, %d tuples, %d clusters from %s (store: %s) in run decode %v, log read %v, pair build %v (%d images, %d pairings), cluster fold %v",
+		log.Printf("entityidd: recovered %d sources, %d links, %d tuples, %d clusters from %s (store: %s) in run decode %v, log read %v (%.1f MiB, %d records), pair build %v (%d images, %d pairings), cluster fold %v",
 			st.Sources, st.Pairs, st.Tuples, st.Clusters, *dataDir, hub.StoreInfo().Backend,
-			ri.DecodeTime.Round(time.Microsecond), ri.ReplayTime.Round(time.Microsecond),
+			ri.DecodeTime.Round(time.Microsecond), ri.ReplayTime.Round(time.Microsecond), float64(ri.LogBytes)/(1<<20), ri.Replayed,
 			ri.RestoreTime.Round(time.Microsecond), ri.Images, ri.Pairings, ri.FoldTime.Round(time.Microsecond))
 		if ri.TailDamage != "" {
 			log.Printf("entityidd: WARNING: damaged log tail dropped during recovery (unacknowledged writes discarded): %s", ri.TailDamage)

@@ -6,7 +6,7 @@
 // same-package functions that transitively call one). Mutations are:
 //
 //   - method calls with a store/publish verb name (Publish, Commit,
-//     Insert, InsertAdmitted, Attach, Store) whose receiver chain passes through a
+//     Insert, InsertAdmitted, KeepAdmitted, Attach, Store) whose receiver chain passes through a
 //     struct field annotated //entitylint:published — a Store on an
 //     unannotated field (an eviction clock, a page-in cache) is not a
 //     logical mutation;
@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 // mutatorMethods are method names that publish or store committed
 // state when invoked through a published field.
 var mutatorMethods = map[string]bool{
-	"Publish": true, "Commit": true, "Insert": true, "InsertAdmitted": true, "Attach": true, "Store": true,
+	"Publish": true, "Commit": true, "Insert": true, "InsertAdmitted": true, "KeepAdmitted": true, "Attach": true, "Store": true,
 }
 
 type checker struct {

@@ -218,7 +218,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // line — the form the fuzz target re-frames.
 func chunkPayloads(run []byte) []byte {
 	var out [][]byte
-	sc := wal.NewFrameScanner(bytes.NewReader(run))
+	sc := wal.NewFrameCutter(run)
 	for {
 		rec, _, err := sc.Next()
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"entityid/internal/relation"
@@ -108,13 +109,17 @@ type RecoveryInfo struct {
 	LastSeq uint64
 	// Replayed counts the log records applied after the watermark.
 	Replayed int
+	// LogBytes counts the log bytes the read verified: every good record
+	// of every segment, the watermark's included.
+	LogBytes int64
 	// TailDamage is non-empty when a torn or corrupt log tail was
 	// detected (CRC/length/sequence check) and recovery stopped at the
 	// last good record.
 	TailDamage string
 	// The wall time of each phase of Open, in the order they run: reading
 	// and decoding the snapshot's run files into the relations (zero with
-	// no snapshot); reading the log tail into the relations; building and
+	// no snapshot); reading the log — every frame cut and verified, the
+	// tail past the watermark decoded — into the relations; building and
 	// verifying every pairwise federation, the snapshot's and the tail's
 	// links alike; folding the built matching tables into the cluster
 	// store and reading it back.
@@ -141,7 +146,8 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	}
 	// The flock comes first: until it is held, a live writer may own
 	// this directory and every file in it — including an in-flight
-	// snapshot temp — so nothing may be read or removed yet.
+	// snapshot temp — so nothing may be read or removed yet. The log's
+	// open lists its segments and reads none of them: readTail does.
 	l, err := wal.OpenFS(dir, fsys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hub: open %s: %w", dir, err)
@@ -187,17 +193,13 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 		return fail(err)
 	}
 
-	if d := l.Damage(); d != nil {
-		info.TailDamage = d.Error()
-	}
 	// Cross-check the log against the snapshot before trusting either: a
 	// partially restored directory (lost segments, lost snapshot) would
 	// otherwise replay around a hole — or log new commits at sequence
-	// numbers a later replay skips. Fail closed instead.
+	// numbers a later replay skips. Fail closed instead. The segment names
+	// answer where the log starts before it is read; where it ends, the
+	// read answers.
 	switch {
-	case info.FromSnapshot && l.LastSeq() < info.Watermark:
-		return fail(fmt.Errorf("write-ahead log ends at record %d but the snapshot covers through %d: log records are missing",
-			l.LastSeq(), info.Watermark))
 	case info.FromSnapshot && l.OldestSeq() > info.Watermark+1:
 		return fail(fmt.Errorf("write-ahead log starts at record %d but the snapshot covers only through %d: log records are missing",
 			l.OldestSeq(), info.Watermark))
@@ -206,8 +208,15 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 			l.OldestSeq()))
 	}
 	start := time.Now()
-	n, readErr := r.readTail(l, info.Watermark)
-	info.Replayed, info.ReplayTime = n, time.Since(start)
+	n, logBytes, readErr := r.readTail(l, info.Watermark)
+	info.Replayed, info.LogBytes, info.ReplayTime = n, logBytes, time.Since(start)
+	if d := l.Damage(); d != nil {
+		info.TailDamage = d.Error()
+	}
+	if readErr == nil && info.FromSnapshot && l.LastSeq() < info.Watermark {
+		return fail(fmt.Errorf("write-ahead log ends at record %d but the snapshot covers through %d: log records are missing",
+			l.LastSeq(), info.Watermark))
+	}
 	if err := r.finish(info, readErr); err != nil {
 		return fail(err)
 	}
@@ -238,8 +247,9 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	return h, info, nil
 }
 
-// readTail reads the log records past the watermark into the hub, in log
-// order, before the logger is attached:
+// readTail reads the log — every record verified, wal.Log.Recover's one
+// pass — and the records past the watermark into the hub, in log order,
+// before the logger is attached:
 //   - add_source, and a source_begin/source_chunk group at its final
 //     chunk, register the source with its seed tuples. A group the log
 //     abandons mid-way — its writer crashed or its append failed between
@@ -248,70 +258,86 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 //   - link resolves and validates its spec where it stands and registers
 //     the pair with no table yet, its cut at the two sides' lengths there;
 //   - insert has its source admit the tuple (shape, candidate keys) and
-//     take it, and notes the record as the tuple's arrival.
+//     keep it, and notes the record as the tuple's arrival.
 //
 // Nothing is matched or folded here: finish builds each pair once over
 // the relations as read. It returns the number of records applied — a
-// group's at its final chunk — and the first that failed, as "record k:
-// why"; the records before it are in the hub.
+// group's at its final chunk — the log bytes verified, and the first
+// record that failed, as "record k: why"; the records before it are in
+// the hub.
 //
-// The read decodes ahead the way a stream encodes ahead: the log read,
-// the frame checks and the decoding of each record — the envelope, a
-// schema, the tuples — run on a second goroutine (inside the log's replay
-// callback), the application on the caller's, in log order, a batch of
-// records at a time. A tuple is read against its source's schema, so the
-// decoder carries the schemas it has seen: the hub's own when the read
-// starts, then each add_source and source_begin record's as it passes — a
-// source is always logged before its tuples. A record that fails to
-// decode travels down the same channel as the good ones before it, so the
-// failure and the hub's state are those of a read one record at a time.
-func (r *recovery) readTail(l *wal.Log, after uint64) (int, error) {
-	schemas := map[string]*schema.Schema{}
+// The read is a pipeline of three goroutines, each stage a batch of
+// records at a time, so that no stage waits on another's work: the log's
+// read cuts and verifies the frames of a window; the decoder decodes each
+// record — the envelope, a schema, the tuples, an insert's tuple into a
+// shared block (relation.TupleBlocks) — and the caller's goroutine
+// applies them, in log order. A tuple is read against its source's
+// schema, so the decoder carries the schemas it has seen: the hub's own
+// when the read starts, then each add_source and source_begin record's
+// as it passes — a source is always logged before its tuples. A record
+// that fails to decode travels down the same channel as the good ones
+// before it and ends the read, so the failure and the hub's state are
+// those of a read one record at a time.
+func (r *recovery) readTail(l *wal.Log, after uint64) (int, int64, error) {
+	dec := &tailDecoder{schemas: map[string]namedSchema{}}
 	for _, s := range r.h.sources {
-		schemas[s.name] = s.rel.Schema()
+		dec.schemas[s.name] = namedSchema{s.name, s.rel.Schema()}
 	}
-	// The records travel in batches of a stream's window, two batches
-	// deep: enough for the decoder to run ahead of the application,
-	// bounded in memory, one channel operation per batch.
-	recs := make(chan []replayRecord, 2)
+	// Each stage runs ahead of the next by a bounded number of batches, one
+	// channel operation per batch: the read two windows, the decoder
+	// sixteen batches of a stream's window — a thousand records, enough
+	// to ride out the stalls of three stages sharing the cores. Whichever
+	// stage fails first closes stop, and the stages before it end.
+	frames := make(chan []wal.Record, 2)
+	decoded := make(chan []replayRecord, 16)
 	stop := make(chan struct{})
+	var once sync.Once
+	halt := func() { once.Do(func() { close(stop) }) }
+	var logBytes int64
 	var readErr error
 	go func() {
-		defer close(recs)
-		batch := make([]replayRecord, 0, defaultStreamWindow)
-		send := func() error {
+		defer close(frames)
+		logBytes, readErr = l.Recover(after, func(recs []wal.Record) error {
 			select {
-			case recs <- batch:
+			case frames <- recs:
+				return nil
 			case <-stop:
 				return errReplayStopped
 			}
-			batch = make([]replayRecord, 0, defaultStreamWindow)
-			return nil
-		}
-		readErr = l.Replay(after, func(rec wal.Record) error {
-			d := decodeReplayRecord(rec, schemas)
-			batch = append(batch, d)
-			if d.err == nil && len(batch) < cap(batch) {
-				return nil
-			}
-			if err := send(); err != nil || d.err == nil {
-				return err
-			}
-			return errReplayStopped // the application fails here; read no further
 		})
-		if len(batch) > 0 {
-			send()
+	}()
+	go func() {
+		defer close(decoded)
+		// The range ends only when the read has returned.
+		for recs := range frames {
+			for len(recs) > 0 {
+				n := min(len(recs), defaultStreamWindow)
+				batch, ok := dec.decode(recs[:n])
+				recs = recs[n:]
+				select {
+				case decoded <- batch:
+				case <-stop:
+					ok = false
+				}
+				if !ok {
+					halt() // the application fails here; read no further
+					for range frames {
+					}
+					return
+				}
+			}
 		}
 	}()
 	n := 0
 	var open *pendingSource
 	var err error
-	// The range ends only when the reader has returned, so no goroutine
-	// (and no log read) outlives the read, failed or not.
-	for batch := range recs {
+	// The range ends only when the decoder has returned, and the decoder
+	// only when the read has, so no goroutine (and no log read) outlives
+	// the read, failed or not.
+	for batch := range decoded {
 		for _, d := range batch {
 			if err != nil {
-				break // failed: drain what the reader had in flight
+				break // failed: drain what the decoder had in flight
 			}
 			applied := 0
 			if d.err == nil {
@@ -319,7 +345,7 @@ func (r *recovery) readTail(l *wal.Log, after uint64) (int, error) {
 			}
 			if d.err != nil {
 				err = fmt.Errorf("record %d: %w", d.seq, d.err)
-				close(stop)
+				halt()
 				break
 			}
 			n += applied
@@ -331,11 +357,11 @@ func (r *recovery) readTail(l *wal.Log, after uint64) (int, error) {
 	// A group still open at the end of the log is an abandoned,
 	// unacknowledged registration; its records were never counted and
 	// nothing of it reached the hub.
-	return n, err
+	return n, logBytes, err
 }
 
-// errReplayStopped ends the log read once the applying side has failed;
-// the failure itself is what readTail returns.
+// errReplayStopped ends the log read once a later stage has failed; the
+// failure itself is what readTail returns.
 var errReplayStopped = errors.New("hub: replay stopped")
 
 // replayRecord is one log record decoded ahead of its application: its
@@ -354,17 +380,43 @@ type replayRecord struct {
 	err    error
 }
 
-// decodeReplayRecord decodes one record against the schemas logged so
-// far, adding the one it registers. An insert spelled the way the commit
-// path spells it is read without reflection (wal.ParseInsert); every
-// other record, and an insert that way does not read whole, goes through
-// the envelope decoder, whose failures are the ones reported.
-func decodeReplayRecord(rec wal.Record, schemas map[string]*schema.Schema) replayRecord {
+// namedSchema is a source's name and schema as the decoder knows them.
+type namedSchema struct {
+	name string
+	sch  *schema.Schema
+}
+
+// tailDecoder decodes records against the schemas logged so far, its
+// inserts' tuples cut from shared blocks.
+type tailDecoder struct {
+	schemas map[string]namedSchema
+	blocks  relation.TupleBlocks
+}
+
+// decode decodes a batch of records, and reports false when the last
+// failed: the batch ends there.
+func (dec *tailDecoder) decode(recs []wal.Record) ([]replayRecord, bool) {
+	batch := make([]replayRecord, 0, len(recs))
+	for _, rec := range recs {
+		d := dec.record(rec)
+		if batch = append(batch, d); d.err != nil {
+			return batch, false
+		}
+	}
+	return batch, true
+}
+
+// record decodes one record, adding the schema it registers. An insert
+// spelled the way the commit path spells it is read without reflection
+// (wal.ParseInsert); every other record, and an insert that way does not
+// read whole, goes through the envelope decoder, whose failures are the
+// ones reported.
+func (dec *tailDecoder) record(rec wal.Record) replayRecord {
 	d := replayRecord{seq: rec.Seq}
 	if src, tup, ok := wal.ParseInsert(rec.Payload); ok {
-		if sch := schemas[src]; sch != nil {
-			if t, err := relation.ParseTupleJSON(sch, tup); err == nil {
-				d.typ, d.name, d.tuple = wal.TypeInsert, src, t
+		if ns, ok := dec.schemas[string(src)]; ok {
+			if t, err := dec.blocks.ParseJSON(ns.sch, tup); err == nil {
+				d.typ, d.name, d.tuple = wal.TypeInsert, ns.name, t
 				return d
 			}
 		}
@@ -390,16 +442,16 @@ func decodeReplayRecord(rec wal.Record, schemas map[string]*schema.Schema) repla
 		return d
 	}
 	if d.schema != nil {
-		schemas[d.name] = d.schema
+		dec.schemas[d.name] = namedSchema{d.name, d.schema}
 	}
-	switch sch := schemas[d.name]; {
+	switch ns, ok := dec.schemas[d.name]; {
 	case d.err != nil:
-	case sch == nil:
+	case !ok:
 		d.err = fmt.Errorf("no earlier record registers it")
 	case d.typ == wal.TypeInsert:
-		d.tuple, d.err = relation.ParseTupleJSON(sch, env.Insert.Tuple)
+		d.tuple, d.err = dec.blocks.ParseJSON(ns.sch, env.Insert.Tuple)
 	case tuples != nil:
-		d.tuples, d.err = relation.ParseTuplesJSON(sch, tuples)
+		d.tuples, d.err = relation.ParseTuplesJSON(ns.sch, tuples)
 	}
 	if d.err != nil {
 		d.err = fmt.Errorf("hub: %s record for source %q: %w", d.typ, d.name, d.err)
@@ -463,9 +515,9 @@ func (r *recovery) apply(d replayRecord, open **pendingSource) (int, error) {
 	}
 }
 
-// insert has a source admit a logged tuple and take it, the checks and
-// the errors of a live insert's admission, and notes the record as the
-// tuple's arrival.
+// insert has a source admit a logged tuple and keep it — the decoder
+// hands it over — with the checks and the errors of a live insert's
+// admission, and notes the record as the tuple's arrival.
 func (r *recovery) insert(source string, t relation.Tuple, seq uint64) error {
 	si, ok := r.h.byName[source]
 	if !ok {
@@ -477,7 +529,7 @@ func (r *recovery) insert(source string, t relation.Tuple, seq uint64) error {
 		err = checkUTF8(rel.Schema(), t)
 	}
 	if err == nil {
-		err = rel.InsertAdmitted(adm)
+		err = rel.KeepAdmitted(adm)
 	}
 	if err != nil {
 		return fmt.Errorf("hub: source %q: %w", source, err)

@@ -167,8 +167,10 @@ func logPayloads(t *testing.T, dir string, after uint64) [][]byte {
 	}
 	defer l.Close()
 	var out [][]byte
-	if err := l.Replay(after, func(rec wal.Record) error {
-		out = append(out, rec.Payload)
+	if _, err := l.Recover(after, func(recs []wal.Record) error {
+		for _, rec := range recs {
+			out = append(out, rec.Payload)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -10,11 +10,16 @@ package hub
 // doctored by hand.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -343,4 +348,215 @@ func TestInvalidUTF8IsRefusedBeforeTheLog(t *testing.T) {
 	if info.Replayed != 2 || h.Stats().Tuples != 1 {
 		t.Fatalf("reopened with %+v, %+v; want the source and the one accepted tuple", info, h.Stats())
 	}
+}
+
+// countingFS is the real file system counting the bytes read from log
+// segments, by any route: opened for reading, opened for append, or read
+// whole. opened names the segments opened for reading.
+type countingFS struct {
+	wal.FS
+	read   atomic.Int64
+	mu     sync.Mutex
+	opened []string
+}
+
+func isSegment(name string) bool {
+	base := filepath.Base(name)
+	return strings.HasPrefix(base, "wal-") && strings.HasSuffix(base, ".log")
+}
+
+func (c *countingFS) Open(name string) (wal.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil || !isSegment(name) {
+		return f, err
+	}
+	c.mu.Lock()
+	c.opened = append(c.opened, filepath.Base(name))
+	c.mu.Unlock()
+	return countedFile{f, &c.read}, nil
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil || !isSegment(name) {
+		return f, err
+	}
+	return countedFile{f, &c.read}, nil
+}
+
+func (c *countingFS) ReadFile(name string) ([]byte, error) {
+	b, err := c.FS.ReadFile(name)
+	if isSegment(name) {
+		c.read.Add(int64(len(b)))
+	}
+	return b, err
+}
+
+type countedFile struct {
+	wal.File
+	n *atomic.Int64
+}
+
+func (f countedFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+// segmentBytes sums the sizes of dir's log segments.
+func segmentBytes(t *testing.T, dir string) (total int64, sizes map[string]int64) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes = map[string]int64{}
+	for _, e := range ents {
+		if isSegment(e.Name()) {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[e.Name()], total = fi.Size(), total+fi.Size()
+		}
+	}
+	return total, sizes
+}
+
+// TestOpenReadsEachLogByteOnce: Open reads every byte of the log exactly
+// once — verifying each frame and decoding the tail in the one pass — over
+// three segments, the first wholly under a snapshot's watermark (a crash
+// between the manifest's commit and the segment's removal leaves it), and
+// over a log with no snapshot; and over a log damaged in its middle
+// segment it reads up to the damage and stops, the segment after it
+// preserved as .dead and not read at all.
+func TestOpenReadsEachLogByteOnce(t *testing.T) {
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{Sources: 3, Entities: 60, PresenceFrac: 0.7, Seed: 5})
+	items := MultiInserts(w)
+	half := len(items) / 2
+	logged := func(t *testing.T, snapshot bool) string {
+		dir := t.TempDir()
+		h, _ := openMultiOpts(t, dir, w, Options{})
+		for _, it := range items[:half] {
+			if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		if snapshot {
+			var err error
+			if first, err = os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%020d.log", 1))); err != nil {
+				t.Fatal(err)
+			}
+			h, _ = openMultiOpts(t, dir, w, Options{})
+			if err := h.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Two more segments: the tail so far, and the rest after a rotation.
+		for i, items := range [][]Insert{items[half : half+10], items[half+10:]} {
+			if i > 0 {
+				l, err := wal.Open(dir)
+				if err == nil {
+					_, err = l.Recover(0, nil)
+				}
+				if err == nil {
+					_, err = l.Rotate()
+				}
+				if err == nil {
+					err = l.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, _ = openMultiOpts(t, dir, w, Options{})
+			for _, it := range items {
+				if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if first != nil {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%020d.log", 1)), first, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	open := func(t *testing.T, dir string) (*RecoveryInfo, *countingFS) {
+		fsys := &countingFS{FS: wal.OS}
+		h, info, err := Open(dir, Options{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return info, fsys
+	}
+	for _, c := range []struct {
+		name     string
+		snapshot bool
+		segments int
+	}{{"snapshot", true, 3}, {"log-only", false, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := logged(t, c.snapshot)
+			total, sizes := segmentBytes(t, dir)
+			if len(sizes) != c.segments {
+				t.Fatalf("the log has %d segments, want %d", len(sizes), c.segments)
+			}
+			info, fsys := open(t, dir)
+			if info.FromSnapshot != c.snapshot || info.TailDamage != "" || info.Replayed == 0 {
+				t.Fatalf("opened %+v", info)
+			}
+			if read := fsys.read.Load(); read != total || info.LogBytes != total {
+				t.Fatalf("Open read %d bytes of a %d-byte log and reports %d", read, total, info.LogBytes)
+			}
+			t.Logf("Open (%s): %.2f log bytes read per log byte, %d bytes in %d segments",
+				c.name, float64(fsys.read.Load())/float64(total), total, len(sizes))
+		})
+	}
+	t.Run("damaged", func(t *testing.T) {
+		dir := logged(t, true)
+		_, sizes := segmentBytes(t, dir)
+		names := slices.Sorted(maps.Keys(sizes))
+		// Flip a payload byte of the middle segment's fifth record.
+		mid := filepath.Join(dir, names[1])
+		data, err := os.ReadFile(mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		damageAt := int64(len(bytes.Join(lines[:4], nil)))
+		lines[4][len(lines[4])-3] ^= 0x01
+		if err := os.WriteFile(mid, bytes.Join(lines, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rest := names[len(names)-1]
+		info, fsys := open(t, dir)
+		if !strings.Contains(info.TailDamage, "checksum mismatch") {
+			t.Fatalf("opened %+v, want checksum damage", info)
+		}
+		if _, err := os.Stat(filepath.Join(dir, rest+".dead")); err != nil {
+			t.Fatalf("the segment past the damage is not preserved: %v", err)
+		}
+		read, least := fsys.read.Load(), sizes[names[0]]+damageAt
+		if read < least || read > sizes[names[0]]+sizes[names[1]] || slices.Contains(fsys.opened, rest) {
+			t.Fatalf("Open read %d bytes (segments %v opened), want %d to %d and none of %s",
+				read, fsys.opened, least, sizes[names[0]]+sizes[names[1]], rest)
+		}
+		if info.LogBytes != least {
+			t.Fatalf("Open reports %d log bytes verified, want %d", info.LogBytes, least)
+		}
+	})
 }

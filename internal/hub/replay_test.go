@@ -53,12 +53,11 @@ func replayLog(t *testing.T) (dir string, payloads [][]byte, items []Insert) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(segmentPath(dir))
+	data, err := os.ReadFile(segmentPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := wal.NewFrameScanner(f)
+	sc := wal.NewFrameCutter(data)
 	for {
 		rec, _, err := sc.Next()
 		if err != nil {
@@ -107,7 +106,7 @@ func with(payloads [][]byte, k int, p []byte) [][]byte {
 
 func TestReplayStopsAtTheFailingRecord(t *testing.T) {
 	dir, payloads, items := replayLog(t)
-	// The reader hands the records over in batches of defaultStreamWindow:
+	// The decoder hands the records over in batches of defaultStreamWindow:
 	// record k is the last of the first batch, or in the middle of the
 	// second, and more than a batch of good records follows it — the
 	// decoding side is well past k when the applying side reaches it, and
@@ -190,8 +189,8 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 			payloads: payloads,
 			mangle:   func(frame []byte) { frame[len(frame)-3] ^= 0x01 },
 			at:       k,
-			read: fmt.Sprintf("wal: replay %s: wal: corrupt record at offset %d: checksum mismatch",
-				filepath.Base(segmentPath(dir)), offK),
+			read: fmt.Sprintf("wal: corrupt record at offset %d: %s: checksum mismatch",
+				offK, filepath.Base(segmentPath(dir))),
 		},
 		{
 			name:     "undecodable envelope",
@@ -250,13 +249,11 @@ func (c replayCase) check(t *testing.T, dir string, k int) {
 	if stop == 0 {
 		stop = len(c.payloads) + 1
 	}
-	// The read itself, over a log that opened clean and whose segment
-	// is then replaced — every case, the corrupt frame included,
-	// reaches it: it stops at record `at` having taken records
-	// 1..at-1, exactly what reading those alone takes, and nothing of
-	// a record past them.
-	want, _ := readTailOf(t, dir, c.payloads[:stop-1], nil, 0, nil)
-	got, err := readTailOf(t, dir, c.payloads, c.payloads, k, c.mangle)
+	// The read itself, every case, the corrupt frame included: it stops
+	// at record `at` having taken records 1..at-1, exactly what reading
+	// those alone takes, and nothing of a record past them.
+	want, _ := readTailOf(t, dir, c.payloads[:stop-1], 0, nil)
+	got, err := readTailOf(t, dir, c.payloads, k, c.mangle)
 	if (err == nil) != (c.read == "") || err != nil && err.Error() != c.read {
 		t.Fatalf("read error = %v\nwant %s", err, c.read)
 	}
@@ -287,9 +284,8 @@ func (c replayCase) check(t *testing.T, dir string, k int) {
 		mustNotLeakGoroutines(t, before)
 		return
 	}
-	// A frame that fails its checks is caught by the log's own
-	// open-time scan, which drops the tail and reports it: the hub is
-	// records 1..k-1.
+	// A frame that fails its checks is caught by the log's read, which
+	// drops the tail and reports it: the hub is records 1..k-1.
 	if err != nil {
 		t.Fatalf("open over a corrupt tail: %v", err)
 	}
@@ -325,24 +321,23 @@ type tailRead struct {
 	cuts    []linkCut
 }
 
-// readTailOf reads dir's log into a fresh recovery. The log is opened over
-// the segment holding opened; the segment is then replaced by replaced
-// (opened again when nil), framed and mangled as writeSegment frames
-// them, before the read — so that a frame the log's open-time scan would
-// drop reaches the read. The read must leave no goroutine behind.
-func readTailOf(t *testing.T, dir string, opened, replaced [][]byte, k int, mangle func([]byte)) (tailRead, error) {
+// readTailOf reads dir's log, its one segment the payloads framed and
+// mangled as writeSegment frames them, into a fresh recovery. A read that
+// stops at damage — a frame that fails its checks — returns the damage as
+// its error. The read must leave no goroutine behind.
+func readTailOf(t *testing.T, dir string, payloads [][]byte, k int, mangle func([]byte)) (tailRead, error) {
 	t.Helper()
 	before := runtime.NumGoroutine()
-	writeSegment(t, dir, opened, 0, nil)
+	writeSegment(t, dir, payloads, k, mangle)
 	l, err := wal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replaced != nil {
-		writeSegment(t, dir, replaced, k, mangle)
-	}
 	r := &recovery{h: New()}
-	applied, err := r.readTail(l, 0)
+	applied, _, err := r.readTail(l, 0)
+	if d := l.Damage(); err == nil && d != nil {
+		err = d
+	}
 	if cerr := l.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}

@@ -6,7 +6,8 @@
 // in four phases, each timed in RecoveryInfo: run decode (each file read
 // whole and its chunks decoded on a fixed set of workers, then each
 // source's decoded tuples admitted into its relation, not copied), log
-// replay (the tail read into the same relations, persist.go), pair build
+// read (the whole log read and verified once, its tail decoded into the
+// same relations, each tuple kept uncopied, persist.go), pair build
 // (each source's images — one per knowledge its links give it — extended
 // once over the final relations, then every pairwise federation built
 // once on two of them and verified, each step on parallel workers) and

@@ -84,7 +84,7 @@ func element(b []byte, first bool) (rest []byte, ok bool, err error) {
 // tuple over sch: one scalar per attribute, each read as its attribute's
 // kind by value.ParseJSON.
 func ParseTupleJSON(sch *schema.Schema, b []byte) (Tuple, error) {
-	t, rest, err := parseTuple(make(Tuple, 0, sch.Arity()), sch, b)
+	t, rest, err := parseTuple(make(Tuple, 0, sch.Arity()), sch, b, nil)
 	if err == nil && len(skipSpace(rest)) > 0 {
 		return nil, fmt.Errorf("trailing bytes after the JSON array")
 	}
@@ -92,8 +92,9 @@ func ParseTupleJSON(sch *schema.Schema, b []byte) (Tuple, error) {
 }
 
 // parseTuple reads the tuple at the front of b into t, empty with room
-// for sch's arity, and returns what follows it.
-func parseTuple(t Tuple, sch *schema.Schema, b []byte) (Tuple, []byte, error) {
+// for sch's arity, and returns what follows it; its plain strings are cut
+// from strs, or allocated alone when strs is nil.
+func parseTuple(t Tuple, sch *schema.Schema, b []byte, strs *value.StringBlocks) (Tuple, []byte, error) {
 	for first := true; ; first = false {
 		var ok bool
 		var err error
@@ -107,7 +108,7 @@ func parseTuple(t Tuple, sch *schema.Schema, b []byte) (Tuple, []byte, error) {
 		}
 		a := sch.Attr(len(t))
 		var v value.Value
-		if v, b, err = value.ParseJSON(b, a.Kind); err != nil {
+		if v, b, err = strs.ParseJSON(b, a.Kind); err != nil {
 			return nil, b, fmt.Errorf("attribute %q: %w", a.Name, err)
 		}
 		t = append(t, v)
@@ -118,19 +119,51 @@ func parseTuple(t Tuple, sch *schema.Schema, b []byte) (Tuple, []byte, error) {
 	return t, b, nil
 }
 
-// tuplesPerBlock is how many tuples' values ParseTuplesJSON takes from
-// one allocation.
+// tuplesPerBlock is how many tuples' values ParseTuplesJSON and a
+// TupleBlocks take from one allocation.
 const tuplesPerBlock = 64
 
+// TupleBlocks reads tuples one at a time as ParseTupleJSON reads them,
+// cutting their values from blocks of tuplesPerBlock tuples — one
+// allocation for 64 tuples, not 64, and as many fewer objects for the
+// collector to mark — each tuple's capacity its arity, so an append to
+// one never reaches the next; and their strings from shared blocks too
+// (value.StringBlocks). The zero value is ready to use.
+type TupleBlocks struct {
+	block Tuple
+	strs  value.StringBlocks
+}
+
+// ParseJSON reads b, a JSON array of scalars and nothing else, as a tuple
+// over sch, with ParseTupleJSON's results.
+func (tb *TupleBlocks) ParseJSON(sch *schema.Schema, b []byte) (Tuple, error) {
+	t, rest, err := tb.parse(sch, b)
+	if err == nil && len(skipSpace(rest)) > 0 {
+		return nil, fmt.Errorf("trailing bytes after the JSON array")
+	}
+	return t, err
+}
+
+// parse reads the tuple at the front of b and returns what follows it.
+func (tb *TupleBlocks) parse(sch *schema.Schema, b []byte) (Tuple, []byte, error) {
+	n := sch.Arity()
+	if len(tb.block) < n {
+		tb.block = make(Tuple, tuplesPerBlock*n)
+	}
+	t, rest, err := parseTuple(tb.block[:0:n], sch, b, &tb.strs)
+	if err == nil {
+		tb.block = tb.block[n:]
+	}
+	return t, rest, err
+}
+
 // ParseTuplesJSON reads b, a JSON array of tuples over sch and nothing
-// else. The tuples' values are cut from blocks of tuplesPerBlock tuples —
-// a snapshot run's 1,024 are 16 allocations, not 1,024, and as many fewer
-// objects for the collector to mark — each tuple's capacity its arity, so
-// an append to one never reaches the next.
+// else, the tuples' values and strings cut from shared blocks
+// (TupleBlocks): a snapshot run's 1,024 tuples take 16 allocations for
+// their values, not 1,024.
 func ParseTuplesJSON(sch *schema.Schema, b []byte) ([]Tuple, error) {
 	var ts []Tuple
-	var block Tuple
-	n := sch.Arity()
+	var blocks TupleBlocks
 	for first := true; ; first = false {
 		var ok bool
 		var err error
@@ -139,14 +172,11 @@ func ParseTuplesJSON(sch *schema.Schema, b []byte) ([]Tuple, error) {
 		} else if !ok {
 			break
 		}
-		if len(block) < n {
-			block = make(Tuple, tuplesPerBlock*n)
-		}
 		var t Tuple
-		if t, b, err = parseTuple(block[:0:n], sch, b); err != nil {
+		if t, b, err = blocks.parse(sch, b); err != nil {
 			return nil, fmt.Errorf("tuple %d: %w", len(ts), err)
 		}
-		ts, block = append(ts, t), block[n:]
+		ts = append(ts, t)
 	}
 	if len(skipSpace(b)) > 0 {
 		return nil, fmt.Errorf("trailing bytes after the JSON array")

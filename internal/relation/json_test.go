@@ -297,6 +297,16 @@ func checkAgainstReference(t *testing.T, sch *schema.Schema, b []byte) {
 	if (err == nil) != (rerr == nil) {
 		t.Fatalf("%q over %v: the codec says %v (%v), encoding/json says %v (%v)", b, sch, got, err, want, rerr)
 	}
+	// Read twice through shared blocks of values and strings: the same
+	// tuple or the same error each time, the second read leaving the
+	// first tuple as it was.
+	var tb TupleBlocks
+	first, ferr := tb.ParseJSON(sch, b)
+	second, serr := tb.ParseJSON(sch, b)
+	if fmt.Sprint(ferr) != fmt.Sprint(err) || fmt.Sprint(serr) != fmt.Sprint(err) ||
+		err == nil && (!sameTuple(first, got) || !sameTuple(second, got) || cap(first) != len(got)) {
+		t.Fatalf("%q over %v: read as %v (%v), through blocks as %v (%v) and %v (%v)", b, sch, got, err, first, ferr, second, serr)
+	}
 	if err != nil {
 		return
 	}

@@ -495,10 +495,22 @@ func (r *Relation) Admit(t Tuple) (Admission, error) {
 // hashes it was admitted on. It fails, changing nothing, if the
 // admission is another relation's or the relation has changed since.
 func (r *Relation) InsertAdmitted(a Admission) error {
+	return r.fileAdmitted(a, a.t.Clone())
+}
+
+// KeepAdmitted is InsertAdmitted keeping the admitted tuple itself, not a
+// copy, under InsertAll's rule: the caller hands the tuple over.
+func (r *Relation) KeepAdmitted(a Admission) error {
+	return r.fileAdmitted(a, a.t)
+}
+
+// fileAdmitted files t, admission a's tuple or its copy, unless a is
+// stale.
+func (r *Relation) fileAdmitted(a Admission, t Tuple) error {
 	if a.r != r || a.at != len(r.tuples) {
 		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, len(r.tuples))
 	}
-	r.file(a, a.t.Clone())
+	r.file(a, t)
 	return nil
 }
 

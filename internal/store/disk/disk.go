@@ -77,7 +77,6 @@
 package disk
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -539,7 +538,7 @@ func (p *pairs) Load(id int) (store.PairTab, error) {
 	if err != nil {
 		return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %w", id, err)
 	}
-	sc := wal.NewFrameScanner(bytes.NewReader(data))
+	sc := wal.NewFrameCutter(data)
 	first, _, err := sc.Next()
 	if err != nil {
 		return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %w", id, err)

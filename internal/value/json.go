@@ -116,7 +116,39 @@ func AppendJSON(b []byte, v Value) []byte {
 // are read exactly, any other notation through float64) or a float;
 // true and false are bools. Anything else — an array, an object, a
 // scalar of another kind, malformed JSON — is an error.
-func ParseJSON(b []byte, k Kind) (Value, []byte, error) {
+func ParseJSON(b []byte, k Kind) (Value, []byte, error) { return parseJSON(b, k, nil) }
+
+// StringBlocks reads values as ParseJSON reads them, a string that is
+// its own bytes cut from a shared block of stringBlock bytes rather than
+// allocated alone: a decoded run or log tail allocates a block per few
+// hundred strings, not one per string. A block lives as long as any
+// string cut from it. The zero value is ready to use.
+type StringBlocks struct{ block strings.Builder }
+
+// stringBlock is the size of one StringBlocks block.
+const stringBlock = 4 << 10
+
+// ParseJSON is ParseJSON, its plain strings cut from the blocks — or, on
+// a nil StringBlocks, allocated alone.
+func (sb *StringBlocks) ParseJSON(b []byte, k Kind) (Value, []byte, error) {
+	return parseJSON(b, k, sb)
+}
+
+// cut copies b into the block, starting another when it does not fit. A
+// strings.Builder never writes over what it holds, so a string cut from
+// it stays as it was.
+func (sb *StringBlocks) cut(b []byte) string {
+	if sb.block.Cap()-sb.block.Len() < len(b) {
+		sb.block = strings.Builder{}
+		sb.block.Grow(max(stringBlock, len(b)))
+	}
+	n := sb.block.Len()
+	sb.block.Write(b)
+	return sb.block.String()[n:]
+}
+
+// parseJSON is ParseJSON, its plain strings cut from sb unless it is nil.
+func parseJSON(b []byte, k Kind, sb *StringBlocks) (Value, []byte, error) {
 	n, plain := scalarLen(b)
 	tok, rest := b[:n], b[n:]
 	switch {
@@ -126,7 +158,9 @@ func ParseJSON(b []byte, k Kind) (Value, []byte, error) {
 		// decode or refuse.
 		var s string
 		var err error
-		if plain {
+		if plain && sb != nil {
+			s = sb.cut(tok[1 : n-1])
+		} else if plain {
 			s = string(tok[1 : n-1])
 		} else if s, err = unquoteJSON(tok); err != nil {
 			return Null, b, err

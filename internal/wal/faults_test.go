@@ -18,26 +18,40 @@ import (
 	"entityid/internal/wal/errfs"
 )
 
-// collect replays the whole log into a payload list.
+// collect recovers a freshly opened log, reading the whole of it into a
+// payload list.
 func collect(t *testing.T, l *wal.Log) []string {
 	t.Helper()
 	var got []string
-	if err := l.Replay(0, func(rec wal.Record) error {
-		got = append(got, string(rec.Payload))
+	if _, err := l.Recover(0, func(recs []wal.Record) error {
+		for _, rec := range recs {
+			got = append(got, string(rec.Payload))
+		}
 		return nil
 	}); err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatalf("recover: %v", err)
 	}
 	return got
+}
+
+// open opens the log in dir over fsys and recovers it, handing nothing
+// over.
+func open(t *testing.T, dir string, fsys wal.FS) *wal.Log {
+	t.Helper()
+	l, err := wal.OpenFS(dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Recover(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func TestAppendENOSPCRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	fs := errfs.New(nil)
-	l, err := wal.OpenFS(dir, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir, fs)
 	for i := 0; i < 3; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -65,10 +79,10 @@ func TestAppendENOSPCRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	got := collect(t, l2)
 	if d := l2.Damage(); d != nil {
 		t.Fatalf("rollback left damage on disk: %v", d)
 	}
-	got := collect(t, l2)
 	want := []string{"rec-0", "rec-1", "rec-2", "after"}
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
@@ -88,10 +102,7 @@ func TestAppendENOSPCRollsBack(t *testing.T) {
 func TestInjectTornAppends(t *testing.T) {
 	dir := t.TempDir()
 	fs := errfs.New(nil)
-	l, err := wal.OpenFS(dir, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir, fs)
 	fs.Inject(
 		errfs.Rule{Op: errfs.OpWrite, PathContains: "wal-", After: 3, Err: syscall.EIO, Partial: 12},
 		errfs.Rule{Op: errfs.OpTruncate, PathContains: "wal-", Err: syscall.EIO},
@@ -108,10 +119,7 @@ func TestInjectTornAppends(t *testing.T) {
 		t.Fatalf("post-torn append: %v", err)
 	}
 	l.DropLock()
-	l2, err := wal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := open(t, dir, wal.OS)
 	defer l2.Close()
 	if l2.Damage() == nil {
 		t.Fatal("torn write left no detectable damage")
@@ -124,10 +132,7 @@ func TestInjectTornAppends(t *testing.T) {
 func TestAppendPoisonThenHeal(t *testing.T) {
 	dir := t.TempDir()
 	fs := errfs.New(nil)
-	l, err := wal.OpenFS(dir, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir, fs)
 	defer l.Close()
 	if _, err := l.Append([]byte("good")); err != nil {
 		t.Fatal(err)
@@ -162,7 +167,15 @@ func TestAppendPoisonThenHeal(t *testing.T) {
 	if seq != 2 {
 		t.Fatalf("append after heal got seq %d, want 2", seq)
 	}
-	got := collect(t, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := collect(t, l2)
 	if len(got) != 2 || got[0] != "good" || got[1] != "recovered" {
 		t.Fatalf("replay after heal = %q, want [good recovered]", got)
 	}
@@ -170,10 +183,7 @@ func TestAppendPoisonThenHeal(t *testing.T) {
 
 func TestRotateEmptySegmentIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	l, err := wal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir, wal.OS)
 	defer l.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := l.Append([]byte("x")); err != nil {
@@ -230,6 +240,9 @@ func TestOpenSurfacesDeadRenameFailure(t *testing.T) {
 	fs := errfs.New(nil)
 	fs.Inject(errfs.Rule{Op: errfs.OpRename, PathContains: walSegName(5), Err: syscall.EIO})
 	l, err := wal.OpenFS(dir, fs)
+	if err == nil {
+		_, err = l.Recover(0, nil)
+	}
 	if err != nil {
 		t.Fatalf("open with rename fault: %v", err)
 	}
@@ -273,10 +286,11 @@ func TestOpenSurfacesDeadRenameFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	got := collect(t, l2)
 	if d := l2.Damage(); d != nil {
 		t.Fatalf("clean reopen reported damage: %v", d)
 	}
-	if got := collect(t, l2); len(got) != 5 {
+	if len(got) != 5 {
 		t.Fatalf("replayed %d records, want 5 (%q)", len(got), got)
 	}
 }
@@ -290,10 +304,7 @@ func TestRotateStaleSegmentUnpreservable(t *testing.T) {
 	writeSegment(t, dir, 5, 2)
 	fs := errfs.New(nil)
 	fs.Inject(errfs.Rule{Op: errfs.OpRename, PathContains: walSegName(5), Err: syscall.EIO})
-	l, err := wal.OpenFS(dir, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir, fs)
 	defer l.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := l.Append([]byte("new")); err != nil {

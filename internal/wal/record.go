@@ -121,31 +121,32 @@ func AppendInsert(b []byte, source string, t relation.Tuple) []byte {
 
 // ParseInsert is AppendInsert's inverse, read by slicing alone: it cuts
 // a payload spelled as AppendInsert spells it into its source — one that
-// needs no escape and is UTF-8 — and the bytes between `"tuple":` and the
-// closing "}}". Those bytes are not checked here: the caller reads them
-// with relation.ParseTupleJSON, which takes a JSON array of scalars and
+// needs no escape and is UTF-8, so its bytes are its name — and the bytes
+// between `"tuple":` and the closing "}}", both aliasing the payload.
+// The tuple bytes are not checked here: the caller reads them with
+// relation.ParseTupleJSON, which takes a JSON array of scalars and
 // nothing after it, and only then is the payload the insert
 // DecodeEnvelope reads, with the same source and a tuple that parses the
 // same. Any other payload — an escaped or non-UTF-8 source, any other
 // shape, a tuple that does not parse — is DecodeEnvelope's to read or
 // refuse.
-func ParseInsert(payload []byte) (source string, tuple []byte, ok bool) {
+func ParseInsert(payload []byte) (source, tuple []byte, ok bool) {
 	rest, ok := bytes.CutPrefix(payload, []byte(`{"type":"insert","v":2,"insert":{"source":"`))
 	if !ok {
-		return "", nil, false
+		return nil, nil, false
 	}
 	end := bytes.IndexByte(rest, '"')
 	if end < 0 || !plainJSON(rest[:end]) || !utf8.Valid(rest[:end]) {
-		return "", nil, false
+		return nil, nil, false
 	}
 	name := rest[:end]
 	if rest, ok = bytes.CutPrefix(rest[end+1:], []byte(`,"tuple":`)); ok {
 		tuple, ok = bytes.CutSuffix(rest, []byte("}}"))
 	}
 	if !ok {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(name), tuple, true
+	return name, tuple, true
 }
 
 // plainJSON reports whether s may stand inside a JSON string as itself:

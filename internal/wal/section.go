@@ -11,17 +11,17 @@
 // what lets an incremental snapshot carry unchanged sections forward by
 // reference instead of rewriting them.
 //
-// FrameScanner is the matching reader of a stream, FrameCutter of a
-// buffer holding the frames whole — a run file read in one call. Both
-// decode consecutive frames by the one frame grammar (parseFrame)
-// without enforcing cross-frame sequence contiguity (sections restart
-// at 1; the caller checks section-local ordering against the chunk
-// counters embedded in its payloads) and hand back the raw frame bytes
-// so the caller can re-hash exactly what is on disk.
+// FrameCutter is the matching reader, of a buffer holding the frames
+// whole — a run file read in one call — or of a stream read a window at a
+// time, as the log's recovery reads a segment. It decodes consecutive
+// frames by the one frame grammar (parseFrame) without enforcing
+// cross-frame sequence contiguity (sections restart at 1; the caller
+// checks section-local ordering against the chunk counters embedded in
+// its payloads) and hands back the raw frame bytes so the caller can
+// re-hash exactly what is on disk.
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -34,90 +34,82 @@ import (
 // frame's newline.
 const truncatedFrame = "truncated frame (no trailing newline)"
 
-// cutFrame decodes line, one frame with its newline, found at offset off.
-func cutFrame(line []byte, off int64) (Record, error) {
-	rec, reason := parseFrame(line[:len(line)-1])
-	if reason != "" {
-		return Record{}, &CorruptError{Offset: off, Reason: reason}
-	}
-	return rec, nil
-}
-
-// FrameScanner reads consecutive CRC frames from a stream. It imposes
-// no sequence contiguity across frames: the log's segment scan and
-// replay track the last sequence number themselves, and callers that
-// interleave independent sections in one stream enforce their own
-// per-section ordering. Next returns the decoded record plus the raw
-// frame bytes (including the trailing newline).
-type FrameScanner struct {
-	br  *bufio.Reader
-	off int64
-}
-
-// NewFrameScanner wraps a reader. The read buffer is 64 KiB, or as much
-// as the reader says it holds when that is less (io.SectionReader,
-// bytes.Reader): a disk-tier page-in scans one ~100-byte frame, and
-// reads exactly that.
-func NewFrameScanner(r io.Reader) *FrameScanner {
-	size := 1 << 16
-	if sz, ok := r.(interface{ Size() int64 }); ok && sz.Size() < int64(size) {
-		size = int(sz.Size())
-	}
-	return &FrameScanner{br: bufio.NewReaderSize(r, size)}
-}
-
-// Offset returns the byte offset just past the last good frame.
-func (s *FrameScanner) Offset() int64 { return s.off }
-
-// Next decodes the next frame. It returns io.EOF at a clean end and a
-// *CorruptError when the remaining bytes are not a valid frame.
-func (s *FrameScanner) Next() (Record, []byte, error) {
-	line, err := s.br.ReadBytes('\n')
-	if err == io.EOF {
-		if len(line) == 0 {
-			return Record{}, nil, io.EOF
-		}
-		return Record{}, nil, &CorruptError{Offset: s.off, Reason: truncatedFrame}
-	}
-	if err != nil {
-		return Record{}, nil, err
-	}
-	rec, err := cutFrame(line, s.off)
-	if err != nil {
-		return Record{}, nil, err
-	}
-	s.off += int64(len(line))
-	return rec, line, nil
-}
-
-// FrameCutter is FrameScanner over a buffer that holds the frames whole:
-// the same frames and errors, cut in place — each record's payload and
-// each raw frame aliases the buffer, nothing is copied.
+// FrameCutter cuts consecutive CRC frames in place: each record's
+// payload and each raw frame aliases the bytes read, nothing is copied.
+// Over a stream (NewFrameReader) it reads a window at a time into a fresh
+// buffer, so a frame it handed back stays valid while later windows are
+// read; a frame that straddles two windows is carried into the next, and
+// one longer than the window grows that window to hold it.
 type FrameCutter struct {
-	buf []byte
-	off int
+	r      io.Reader // nil once every byte is in buf
+	window int
+	buf    []byte
+	off    int   // bytes of buf cut
+	seen   int   // bytes past off known to hold no newline
+	base   int64 // stream offset of buf[0]
+	reads  int   // windows read
 }
 
 // NewFrameCutter cuts the frames of b.
 func NewFrameCutter(b []byte) *FrameCutter { return &FrameCutter{buf: b} }
 
-// Next cuts the next frame, with FrameScanner.Next's results.
+// NewFrameReader cuts the frames of r, reading window bytes at a time.
+func NewFrameReader(r io.Reader, window int) *FrameCutter {
+	return &FrameCutter{r: r, window: max(window, 1)}
+}
+
+// Offset returns the byte offset just past the last good frame.
+func (c *FrameCutter) Offset() int64 { return c.base + int64(c.off) }
+
+// Next cuts the next frame, returning the decoded record plus the raw
+// frame bytes (including the trailing newline). It returns io.EOF at a
+// clean end, a *CorruptError when the remaining bytes are not a valid
+// frame, and a stream's read error as it is.
 func (c *FrameCutter) Next() (Record, []byte, error) {
+	for {
+		rest := c.buf[c.off:]
+		if i := bytes.IndexByte(rest[c.seen:], '\n'); i >= 0 {
+			n := c.seen + i + 1
+			line := rest[:n:n]
+			rec, reason := parseFrame(line[:n-1])
+			if reason != "" {
+				return Record{}, nil, &CorruptError{Offset: c.Offset(), Reason: reason}
+			}
+			c.off, c.seen = c.off+n, 0
+			return rec, line, nil
+		}
+		c.seen = len(rest)
+		if c.r == nil {
+			if len(rest) == 0 {
+				return Record{}, nil, io.EOF
+			}
+			return Record{}, nil, &CorruptError{Offset: c.Offset(), Reason: truncatedFrame}
+		}
+		if err := c.fill(); err != nil {
+			return Record{}, nil, err
+		}
+	}
+}
+
+// fill reads the next window into a fresh buffer behind the bytes not
+// yet cut: a window more than they hold, or, once they hold the start of
+// a frame longer than the window, as many again as they hold.
+func (c *FrameCutter) fill() error {
 	rest := c.buf[c.off:]
-	if len(rest) == 0 {
-		return Record{}, nil, io.EOF
+	buf := make([]byte, len(rest)+max(c.window, len(rest)))
+	copy(buf, rest)
+	n, err := io.ReadFull(c.r, buf[len(rest):])
+	c.base += int64(c.off)
+	c.buf, c.off = buf[:len(rest)+n], 0
+	c.reads++
+	switch err {
+	case nil:
+		return nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		c.r = nil
+		return nil
 	}
-	n := bytes.IndexByte(rest, '\n') + 1
-	if n == 0 {
-		return Record{}, nil, &CorruptError{Offset: int64(c.off), Reason: truncatedFrame}
-	}
-	line := rest[:n:n]
-	rec, err := cutFrame(line, int64(c.off))
-	if err != nil {
-		return Record{}, nil, err
-	}
-	c.off += n
-	return rec, line, nil
+	return err
 }
 
 // SectionWriter frames chunk payloads as one section: frames numbered

@@ -12,9 +12,9 @@ import (
 )
 
 // TestSectionWriterRoundTrip frames chunks through a SectionWriter and
-// reads them back with a FrameScanner: sequence numbers restart at 1,
-// raw bytes hash to the writer's content address, and the scanner hands
-// back exactly the bytes written.
+// reads them back with a FrameCutter over the stream, a few bytes at a
+// time: sequence numbers restart at 1, raw bytes hash to the writer's
+// content address, and the reader hands back exactly the bytes written.
 func TestSectionWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewSectionWriter(&buf)
@@ -35,13 +35,13 @@ func TestSectionWriterRoundTrip(t *testing.T) {
 		t.Fatalf("content address %s != sha256 of frame bytes", got)
 	}
 
-	sc := NewFrameScanner(bytes.NewReader(buf.Bytes()))
+	sc := NewFrameReader(bytes.NewReader(buf.Bytes()), 5)
 	var raws []byte
 	for i := 0; ; i++ {
 		rec, raw, err := sc.Next()
 		if err == io.EOF {
 			if i != len(payloads) {
-				t.Fatalf("scanner stopped after %d frames", i)
+				t.Fatalf("reader stopped after %d frames", i)
 			}
 			break
 		}
@@ -57,13 +57,13 @@ func TestSectionWriterRoundTrip(t *testing.T) {
 		raws = append(raws, raw...)
 	}
 	if !bytes.Equal(raws, buf.Bytes()) {
-		t.Fatal("scanner raw bytes differ from written bytes")
+		t.Fatal("reader raw bytes differ from written bytes")
 	}
 }
 
-// TestFrameScannerToleratesSeqRestarts: two sections back-to-back in
-// one stream scan cleanly (the Decoder would reject the restart).
-func TestFrameScannerToleratesSeqRestarts(t *testing.T) {
+// TestFrameCutterToleratesSeqRestarts: two sections back-to-back in
+// one stream read cleanly (a log segment's read rejects the restart).
+func TestFrameCutterToleratesSeqRestarts(t *testing.T) {
 	var buf bytes.Buffer
 	for range 2 {
 		sw := NewSectionWriter(&buf)
@@ -74,7 +74,7 @@ func TestFrameScannerToleratesSeqRestarts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc := NewFrameScanner(bytes.NewReader(buf.Bytes()))
+	sc := NewFrameReader(bytes.NewReader(buf.Bytes()), 16)
 	var seqs []uint64
 	for {
 		rec, _, err := sc.Next()
@@ -95,30 +95,26 @@ func TestFrameScannerToleratesSeqRestarts(t *testing.T) {
 			t.Fatalf("seqs = %v, want %v", seqs, want)
 		}
 	}
-	// A log segment's scan must reject the same stream at the restart.
-	path := filepath.Join(t.TempDir(), segName(1))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if last, _, dmg, err := scanSegment(OS, path, 0); err != nil || last != 2 || dmg == nil {
-		t.Fatalf("segment scan accepted a sequence restart: seq %d, damage %v, error %v", last, dmg, err)
+	// A log segment's read must reject the same stream at the restart.
+	if last, _, dmg, err := readFrames(NewFrameReader(bytes.NewReader(buf.Bytes()), 16), segName(1), 0, 0, nil); err != nil || last != 2 || dmg == nil {
+		t.Fatalf("segment read accepted a sequence restart: seq %d, damage %v, error %v", last, dmg, err)
 	}
 }
 
-// TestFrameScannerStopsAtCorruption: a damaged frame surfaces as a
+// TestFrameCutterStopsAtCorruption: a damaged frame surfaces as a
 // CorruptError with everything before it intact.
-func TestFrameScannerStopsAtCorruption(t *testing.T) {
+func TestFrameCutterStopsAtCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewSectionWriter(&buf)
 	sw.WriteChunk([]byte(`{"ok":true}`))
 	good := buf.Len()
 	buf.WriteString("w1 2 00000000 4 ruin\n")
-	sc := NewFrameScanner(bytes.NewReader(buf.Bytes()))
+	sc := NewFrameReader(bytes.NewReader(buf.Bytes()), 16)
 	if _, _, err := sc.Next(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sc.Next(); err == nil {
-		t.Fatal("scanner accepted a bad checksum")
+		t.Fatal("reader accepted a bad checksum")
 	} else if _, ok := err.(*CorruptError); !ok {
 		t.Fatalf("error is not CorruptError: %v", err)
 	}
@@ -153,10 +149,7 @@ func TestFrameCapHook(t *testing.T) {
 // harness builds on.
 func TestSyncedTracksFsyncBoundary(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir)
 	defer l.Close()
 	if _, err := l.Append([]byte(`{"n":1}`)); err != nil {
 		t.Fatal(err)
@@ -188,10 +181,7 @@ func TestSyncedTracksFsyncBoundary(t *testing.T) {
 	if err := os.Truncate(seg, off); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := open(t, dir)
 	defer l2.Close()
 	if l2.LastSeq() != 1 {
 		t.Fatalf("reopened log ends at %d, want the sync boundary 1", l2.LastSeq())

@@ -3,8 +3,8 @@
 // entity clusters intact. Every committed hub mutation — source
 // registration, pair link, tuple insert — is appended as one
 // length-delimited, CRC-guarded NDJSON record with a monotonically
-// increasing sequence number, and recovery replays the log tail on top
-// of the latest snapshot.
+// increasing sequence number, and recovery reads the log tail on top of
+// the latest snapshot.
 //
 // # Frame format
 //
@@ -26,15 +26,29 @@
 // Appends go to the newest segment; Rotate starts a fresh segment so a
 // snapshot at watermark W can later delete every segment whose records
 // are all ≤ W (RemoveThrough) without copying the live tail. Sequence
-// numbers are contiguous across segments, so replay detects lost
+// numbers are contiguous across segments, so recovery detects lost
 // records as sequence jumps.
+//
+// # Recovery
+//
+// Open takes the directory lock and lists the segments; it reads none of
+// them. Recover then reads the log once, a bounded window at a time
+// (FrameCutter), cutting each frame in place and verifying it — CRC,
+// canonical form, sequence contiguity — as it hands the records past a
+// watermark to its caller. At the first sign of damage it truncates that
+// segment to its last good record, renames any later segments out of the
+// way (suffix ".dead": unreachable records are preserved for forensics,
+// never silently deleted) and records the damage for Damage(). Only then
+// does the newest segment open for append.
 package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -157,21 +171,32 @@ func parseFrame(line []byte) (Record, string) {
 	if !ok {
 		return Record{}, "missing checksum field"
 	}
-	seq, err := strconv.ParseUint(string(seqF), 10, 64)
-	if err != nil || seq == 0 {
+	seq, ok := decimal(seqF)
+	if !ok || seq == 0 {
 		return Record{}, "bad sequence number"
 	}
 	crcF, rest, ok := bytes.Cut(rest, []byte{' '})
 	if !ok || len(crcF) != 8 {
 		return Record{}, "bad checksum field"
 	}
-	wantCRC, err := strconv.ParseUint(string(crcF), 16, 32)
-	if err != nil {
-		return Record{}, "bad checksum field"
+	var wantCRC uint32
+	upper := false
+	for _, c := range crcF {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c, upper = c-('A'-10), true
+		default:
+			return Record{}, "bad checksum field"
+		}
+		wantCRC = wantCRC<<4 | uint32(c)
 	}
 	lenF, payload, ok := bytes.Cut(rest, []byte{' '})
-	n, err := strconv.ParseUint(string(lenF), 10, 63)
-	if err != nil || n > uint64(maxPayload) {
+	n, nOK := decimal(lenF)
+	if !nOK || n > uint64(maxPayload) {
 		return Record{}, "bad length field"
 	}
 	if n > 0 && !ok {
@@ -180,16 +205,30 @@ func parseFrame(line []byte) (Record, string) {
 	if uint64(len(payload)) != n {
 		return Record{}, fmt.Sprintf("payload length %d, frame declares %d", len(payload), n)
 	}
-	if crc32.Checksum(payload, castagnoli) != uint32(wantCRC) {
+	if crc32.Checksum(payload, castagnoli) != wantCRC {
 		return Record{}, "checksum mismatch"
 	}
-	// ParseUint takes no sign and, in a fixed base, no prefix or
-	// underscore; what is left of canonical form is the leading zero, the
-	// case of the hex digits and the space an empty payload still follows.
-	if seqF[0] == '0' || (lenF[0] == '0' && len(lenF) > 1) || !ok || bytes.ContainsAny(crcF, "ABCDEF") {
+	// A decimal field takes no sign, prefix or underscore; what is left
+	// of canonical form is the leading zero, the case of the hex digits
+	// and the space an empty payload still follows.
+	if seqF[0] == '0' || (lenF[0] == '0' && len(lenF) > 1) || !ok || upper {
 		return Record{}, "non-canonical frame"
 	}
 	return Record{Seq: seq, Payload: payload}, ""
+}
+
+// decimal reads b as one or more ASCII digits and nothing else, and
+// reports whether they spell a number a uint64 holds.
+func decimal(b []byte) (uint64, bool) {
+	var v uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, len(b) > 0
 }
 
 // ErrLogUnusable marks the sticky append-poison state: a failed append
@@ -198,21 +237,26 @@ func parseFrame(line []byte) (Record, string) {
 // persistent storage failure by the hub's degraded-mode machinery.
 var ErrLogUnusable = fmt.Errorf("wal: log unusable until healed")
 
+// errNotRecovered refuses a write to a log Recover has not read.
+var errNotRecovered = errors.New("wal: the log takes no write before Recover")
+
 // Log is a segmented on-disk record log. All methods are safe for
-// concurrent use; Replay must run before the first Append of a session.
+// concurrent use; Recover must run, once, before the first Append of a
+// session.
 // A Log holds an exclusive flock on the directory for its lifetime, so
 // two writers can never interleave frames in one log.
 type Log struct {
 	//entitylint:lock rank=100
 	mu     sync.Mutex
 	dir    string
-	fs     FS     // file-system seam (OS in production, errfs in chaos tests)
-	f      File   // active segment
-	lock   File   // flock'd wal.lock
-	seq    uint64 // last durable sequence number
-	oldest uint64 // first sequence number still present in segments
-	first  uint64 // first sequence number of the active segment (its name)
-	off    int64  // byte length of the active segment's good prefix
+	fs     FS       // file-system seam (OS in production, errfs in chaos tests)
+	f      File     // active segment; nil until Recover
+	lock   File     // flock'd wal.lock
+	firsts []uint64 // the segments Open found, until Recover reads them
+	seq    uint64   // last durable sequence number
+	oldest uint64   // first sequence number still present in segments
+	first  uint64   // first sequence number of the active segment (its name)
+	off    int64    // byte length of the active segment's good prefix
 	// syncedSeq/syncedOff track the last record known forced to stable
 	// storage (updated by Sync, Rotate and Close): the prefix a
 	// power-loss crash model may assume survives. Records beyond them
@@ -282,12 +326,10 @@ func segments(fsys FS, dir string) ([]uint64, error) {
 // file system. OpenFS injects a different one (fault injection).
 func Open(dir string) (*Log, error) { return OpenFS(dir, OS) }
 
-// OpenFS opens the log in dir over an injectable file system. It scans
-// the segments in order, verifying every record; on the first sign of
-// damage it truncates that segment to its last good record, renames any
-// later segments out of the way (suffix ".dead" — unreachable records
-// are preserved for forensics, never silently deleted), and records the
-// damage for Damage(). The writer resumes after the last good record.
+// OpenFS opens the log in dir over an injectable file system: it takes
+// the directory lock and lists the segments, whose names fix the oldest
+// sequence number the log holds and the floor of its last. It reads no
+// record: Recover does, once, and only then does the log take appends.
 func OpenFS(dir string, fsys FS) (*Log, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -296,83 +338,25 @@ func OpenFS(dir string, fsys FS) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, fs: fsys, lock: lock}
 	firsts, err := segments(fsys, dir)
 	if err != nil {
 		lock.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			lock.Close()
-		}
-	}()
-	active := uint64(1)
-	var truncateTo int64 = -1
-	for i, first := range firsts {
-		// Only the FIRST remaining segment pins the sequence floor via
-		// its name (its predecessors were legitimately truncated away by
-		// a snapshot). A later segment that does not continue the
-		// previous one's last sequence number means committed records
-		// were lost — that is damage, never silently absorbed.
-		if i == 0 {
-			if first > 0 && first-1 > l.seq {
-				l.seq = first - 1
-			}
-		} else if first != l.seq+1 {
-			reason := fmt.Sprintf("%s: segment starts at sequence %d, expected %d (lost records)",
-				segName(first), first, l.seq+1)
-			l.damage = &CorruptError{Reason: reason + preserveSegments(fsys, dir, firsts[i:])}
-			break
-		}
-		active = first
-		path := filepath.Join(dir, segName(first))
-		last, off, dmg, err := scanSegment(fsys, path, l.seq)
-		if err != nil {
-			return nil, err
-		}
-		l.seq = last
-		if dmg != nil {
-			dmg.Reason += preserveSegments(fsys, dir, firsts[i+1:])
-			l.damage = dmg
-			truncateTo = off
-			break
-		}
-	}
-	l.oldest = active
+	l := &Log{dir: dir, fs: fsys, lock: lock, firsts: firsts, oldest: 1}
 	if len(firsts) > 0 {
+		// Only the FIRST remaining segment pins the sequence floor via its
+		// name (its predecessors were legitimately truncated away by a
+		// snapshot).
 		l.oldest = firsts[0]
+		l.seq = max(firsts[0], 1) - 1
 	}
-	l.first = active
-	path := filepath.Join(dir, segName(active))
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if truncateTo >= 0 {
-		if err := f.Truncate(truncateTo); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-		}
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l.off = fi.Size()
-	l.f = f
-	// Everything that survived the scan is on disk by definition; treat
-	// it as the synced baseline for this session.
-	l.syncedSeq, l.syncedOff = l.seq, l.off
-	ok = true
 	return l, nil
 }
 
-// preserveSegments renames segments that replay can no longer reach
+// preserveSegments renames segments that recovery can no longer reach
 // out of the way (suffix ".dead": preserved for forensics, never
-// silently deleted). A rename failure does not abort the open — the
+// silently deleted). A rename failure does not abort recovery — the
 // writer still resumes safely from the last good record — but it is
 // surfaced in the returned damage note, because the unreachable records
 // were NOT preserved out of the way: the stale file stays in place, is
@@ -388,59 +372,156 @@ func preserveSegments(fsys FS, dir string, firsts []uint64) (note string) {
 	return note
 }
 
-// scanSegment decodes one segment file with scanFrames, naming the file
-// in any damage found.
-func scanSegment(fsys FS, path string, prevSeq uint64) (uint64, int64, *CorruptError, error) {
-	f, err := fsys.Open(path)
+// recoverWindow is how many bytes Recover reads from a segment at a time,
+// unless the frame cap or the segment is smaller; a frame longer than the
+// window grows the one that holds it.
+const recoverWindow = 256 << 10
+
+// Recover reads the log once, segment by segment in order, verifying every
+// record and handing those with sequence number > after to fn, in order:
+// the records cut from each window read, which fn may keep: no window is
+// read into twice. An error from fn ends the read and is returned,
+// and the log takes no append. The read stops at the first sign of damage
+// — a frame that fails its checks, a record that does not continue the
+// one before it, a later segment that does not continue the one before
+// it — and, the records before it handed over, truncates that segment to
+// its last good record, renames any later segments out of the way (.dead)
+// and records the damage for Damage(). The writer then resumes after the
+// last good record. fn may be nil. Recover returns the bytes of the good
+// records it read.
+func (l *Log) Recover(after uint64, fn func([]Record) error) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || l.f != nil {
+		return 0, fmt.Errorf("wal: recover of a closed or recovered log")
+	}
+	active := l.oldest
+	var read, truncateTo int64 = 0, -1
+	for i, first := range l.firsts {
+		// A later segment that does not continue the previous one's last
+		// sequence number means committed records were lost — that is
+		// damage, never silently absorbed.
+		if i > 0 && first != l.seq+1 {
+			reason := fmt.Sprintf("%s: segment starts at sequence %d, expected %d (lost records)",
+				segName(first), first, l.seq+1)
+			l.damage = &CorruptError{Reason: reason + preserveSegments(l.fs, l.dir, l.firsts[i:])}
+			break
+		}
+		active = first
+		last, good, dmg, err := l.recoverSegment(first, after, fn)
+		if err != nil {
+			return read, err
+		}
+		l.seq, read = last, read+good
+		if dmg != nil {
+			dmg.Reason += preserveSegments(l.fs, l.dir, l.firsts[i+1:])
+			l.damage = dmg
+			truncateTo = good
+			break
+		}
+	}
+	l.first = active
+	path := filepath.Join(l.dir, segName(active))
+	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return read, fmt.Errorf("wal: %w", err)
+	}
+	if truncateTo >= 0 {
+		if err := f.Truncate(truncateTo); err != nil {
+			f.Close()
+			return read, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return read, fmt.Errorf("wal: %w", err)
+	}
+	l.off = fi.Size()
+	l.f, l.firsts = f, nil
+	// Everything that survived the read is on disk by definition; treat
+	// it as the synced baseline for this session.
+	l.syncedSeq, l.syncedOff = l.seq, l.off
+	return read, nil
+}
+
+// recoverSegment reads one segment with readFrames.
+func (l *Log) recoverSegment(first, after uint64, fn func([]Record) error) (uint64, int64, *CorruptError, error) {
+	f, err := l.fs.Open(filepath.Join(l.dir, segName(first)))
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	last, off, dmg, err := scanFrames(f, prevSeq)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("wal: read %s: %w", path, err)
+	// A segment smaller than the window is read whole, in one read that
+	// comes up short of its buffer.
+	window := min(recoverWindow, maxPayload)
+	if fi, err := f.Stat(); err == nil {
+		window = int(min(int64(window), fi.Size()+1))
 	}
-	if dmg != nil {
-		dmg.Reason = fmt.Sprintf("%s: %s", filepath.Base(path), dmg.Reason)
-	}
-	return last, off, dmg, nil
+	return readFrames(NewFrameReader(f, window), segName(first), l.seq, after, fn)
 }
 
-// scanFrames decodes a segment's bytes. prevSeq is the last sequence
-// number of the preceding segment; a record that does not continue the
-// one before it — the first one, prevSeq — is damage (lost records). It
+// readFrames reads the frames of the segment name. prevSeq is the last
+// sequence number of the preceding segment; a record that does not
+// continue the one before it — the first one, prevSeq — is damage (lost
+// records). The records past after go to fn a window at a time. It
 // returns the last good seq, the byte offset past the last good record,
-// and any damage found.
-func scanFrames(r io.Reader, prevSeq uint64) (uint64, int64, *CorruptError, error) {
-	sc := NewFrameScanner(r)
+// and any damage found, naming the segment; a read error, naming it too,
+// or fn's error as it is.
+func readFrames(c *FrameCutter, name string, prevSeq, after uint64, fn func([]Record) error) (uint64, int64, *CorruptError, error) {
+	var batch []Record
+	deliver := func() error {
+		if len(batch) == 0 || fn == nil {
+			return nil
+		}
+		err := fn(batch)
+		mReplayRecords.Add(uint64(len(batch)))
+		batch = make([]Record, 0, cap(batch))
+		return err
+	}
 	last := prevSeq
 	for {
-		good := sc.Offset()
-		rec, _, err := sc.Next()
-		if err == io.EOF {
-			return last, good, nil, nil
+		good, reads := c.Offset(), c.reads
+		rec, _, err := c.Next()
+		if c.reads != reads {
+			// A window was read: what the one before held goes first.
+			if err := deliver(); err != nil {
+				return 0, 0, nil, err
+			}
 		}
-		if ce, ok := err.(*CorruptError); ok {
-			return last, good, ce, nil
+		dmg, corrupt := err.(*CorruptError)
+		switch {
+		case err == io.EOF, corrupt:
+		case err != nil:
+			return 0, 0, nil, fmt.Errorf("wal: read %s: %w", name, err)
+		case rec.Seq != last+1:
+			dmg = &CorruptError{Offset: good, Reason: fmt.Sprintf("sequence jump: %d after %d", rec.Seq, last)}
+		default:
+			last = rec.Seq
+			if rec.Seq > after {
+				batch = append(batch, rec)
+			}
+			continue
 		}
-		if err != nil {
+		if err := deliver(); err != nil {
 			return 0, 0, nil, err
 		}
-		if rec.Seq != last+1 {
-			return last, good, &CorruptError{Offset: good, Reason: fmt.Sprintf("sequence jump: %d after %d", rec.Seq, last)}, nil
+		if dmg != nil {
+			dmg.Reason = name + ": " + dmg.Reason
 		}
-		last = rec.Seq
+		return last, good, dmg, nil
 	}
 }
 
-// Damage reports the torn/corrupt tail dropped during Open, if any.
+// Damage reports the torn/corrupt tail Recover dropped, if any.
 func (l *Log) Damage() *CorruptError {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.damage
 }
 
-// LastSeq returns the last durable sequence number.
+// LastSeq returns the last durable sequence number: before Recover, the
+// floor the oldest segment's name sets.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -448,7 +529,7 @@ func (l *Log) LastSeq() uint64 {
 }
 
 // OldestSeq returns the first sequence number the log's segments can
-// still replay (the name of the oldest segment found at Open). A
+// still hand back (the name of the oldest segment found at Open). A
 // recovery coordinator must check it against its snapshot watermark: a
 // floor beyond watermark+1 means records were lost with the segments
 // that held them.
@@ -456,52 +537,6 @@ func (l *Log) OldestSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.oldest
-}
-
-// Replay streams every record with sequence number > after to fn, in
-// order, across all segments. Call it before the session's first
-// Append. A fn error aborts the replay and is returned.
-func (l *Log) Replay(after uint64, fn func(Record) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	firsts, err := segments(l.fs, l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, first := range firsts {
-		f, err := l.fs.Open(filepath.Join(l.dir, segName(first)))
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		sc := NewFrameScanner(f)
-		// A segment is named after its first record, which Open held to
-		// continue the segment before it.
-		for last := first - 1; ; {
-			good := sc.Offset()
-			rec, _, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err == nil && rec.Seq != last+1 {
-				err = &CorruptError{Offset: good, Reason: fmt.Sprintf("sequence jump: %d after %d", rec.Seq, last)}
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("wal: replay %s: %w", segName(first), err)
-			}
-			last = rec.Seq
-			if rec.Seq <= after {
-				continue
-			}
-			if err := fn(rec); err != nil {
-				f.Close()
-				return err
-			}
-			mReplayRecords.Inc()
-		}
-		f.Close()
-	}
-	return nil
 }
 
 // Append frames the payload under the next sequence number and writes
@@ -512,6 +547,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, fmt.Errorf("wal: append to closed log")
+	}
+	if l.f == nil {
+		return 0, errNotRecovered
 	}
 	if l.fail != nil {
 		mAppendErrors.Inc()
@@ -558,6 +596,9 @@ func (l *Log) Rotate() (uint64, error) {
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, fmt.Errorf("wal: rotate closed log")
+	}
+	if l.f == nil {
+		return 0, errNotRecovered
 	}
 	if l.fail != nil {
 		return 0, l.fail
@@ -638,6 +679,9 @@ func (l *Log) Heal() error {
 	if l.closed {
 		return fmt.Errorf("wal: heal closed log")
 	}
+	if l.f == nil {
+		return errNotRecovered
+	}
 	if l.fail != nil {
 		if err := l.f.Truncate(l.off); err != nil {
 			return fmt.Errorf("wal: heal: %w", err)
@@ -656,7 +700,7 @@ func (l *Log) Heal() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed || l.f == nil {
 		return nil
 	}
 	start := time.Now()
@@ -690,6 +734,9 @@ func (l *Log) Close() error {
 	l.closed = true
 	if l.lock != nil {
 		defer l.lock.Close()
+	}
+	if l.f == nil {
+		return nil
 	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()

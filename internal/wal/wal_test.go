@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,25 +11,54 @@ import (
 	"testing"
 )
 
-// collect replays the whole log into memory.
+// collect recovers a freshly opened log, reading the records past after
+// into memory. It keeps the slices Recover hands over and reads them only
+// once the read is done, as a pipelined caller may.
 func collect(t *testing.T, l *Log, after uint64) []Record {
 	t.Helper()
-	var out []Record
-	if err := l.Replay(after, func(r Record) error {
-		out = append(out, r)
+	var batches [][]Record
+	if _, err := l.Recover(after, func(recs []Record) error {
+		batches = append(batches, recs)
 		return nil
 	}); err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatalf("recover: %v", err)
+	}
+	var out []Record
+	for _, recs := range batches {
+		out = append(out, recs...)
 	}
 	return out
 }
 
-func TestAppendReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+// open opens the log in dir and recovers it, handing nothing over.
+func open(t *testing.T, dir string) *Log {
+	t.Helper()
 	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := l.Recover(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// reopen closes l and opens the log in its directory again.
+func reopen(t *testing.T, l *Log) *Log {
+	t.Helper()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(l.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l2
+}
+
+func TestAppendReplayRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l := open(t, dir)
 	var want []string
 	for i := 0; i < 25; i++ {
 		p := fmt.Sprintf(`{"n":%d,"pad":"%s"}`, i, strings.Repeat("x", i*7))
@@ -51,14 +79,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
+	recs := collect(t, l2, 0)
 	if l2.Damage() != nil {
 		t.Fatalf("unexpected damage: %v", l2.Damage())
 	}
 	if l2.LastSeq() != 25 {
 		t.Fatalf("LastSeq = %d, want 25", l2.LastSeq())
 	}
-	recs := collect(t, l2, 0)
 	if len(recs) != 25 {
 		t.Fatalf("replayed %d records", len(recs))
 	}
@@ -67,13 +94,15 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: seq %d payload %q", i, r.Seq, r.Payload)
 		}
 	}
-	// Replay after a watermark skips the covered prefix.
-	tail := collect(t, l2, 20)
+	// Recovery after a watermark skips the covered prefix.
+	l3 := reopen(t, l2)
+	defer l3.Close()
+	tail := collect(t, l3, 20)
 	if len(tail) != 5 || tail[0].Seq != 21 {
 		t.Fatalf("tail replay: %d records, first seq %d", len(tail), tail[0].Seq)
 	}
 	// Appends continue the sequence.
-	seq, err := l2.Append([]byte(`{"more":true}`))
+	seq, err := l3.Append([]byte(`{"more":true}`))
 	if err != nil || seq != 26 {
 		t.Fatalf("append after reopen: seq %d err %v", seq, err)
 	}
@@ -81,10 +110,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestRotateAndRemoveThrough(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir)
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -99,6 +125,7 @@ func TestRotateAndRemoveThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	l = reopen(t, l)
 	if n := len(collect(t, l, 0)); n != 15 {
 		t.Fatalf("replay across segments: %d records", n)
 	}
@@ -109,6 +136,7 @@ func TestRotateAndRemoveThrough(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
 		t.Fatalf("segment 1 not removed: %v", err)
 	}
+	l = reopen(t, l)
 	recs := collect(t, l, wm)
 	if len(recs) != 5 || recs[0].Seq != 11 {
 		t.Fatalf("post-truncation replay: %d records, first %d", len(recs), recs[0].Seq)
@@ -118,10 +146,7 @@ func TestRotateAndRemoveThrough(t *testing.T) {
 	}
 	// Reopen after truncation: the sequence floor comes from the segment
 	// name even though earlier records are gone.
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := open(t, dir)
 	defer l2.Close()
 	if l2.LastSeq() != 15 {
 		t.Fatalf("LastSeq after truncation = %d, want 15", l2.LastSeq())
@@ -130,10 +155,7 @@ func TestRotateAndRemoveThrough(t *testing.T) {
 
 func TestEmptyRotatedSegmentKeepsSequenceFloor(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir)
 	for i := 0; i < 4; i++ {
 		if _, err := l.Append([]byte(`{}`)); err != nil {
 			t.Fatal(err)
@@ -150,10 +172,7 @@ func TestEmptyRotatedSegmentKeepsSequenceFloor(t *testing.T) {
 	}
 	// Only the empty rotated segment remains; a fresh Open must not
 	// restart sequence numbers below the truncated history.
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := open(t, dir)
 	defer l2.Close()
 	if l2.LastSeq() != 4 {
 		t.Fatalf("LastSeq = %d, want 4", l2.LastSeq())
@@ -165,10 +184,7 @@ func TestEmptyRotatedSegmentKeepsSequenceFloor(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir)
 	for i := 0; i < 8; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -195,13 +211,14 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	n := len(collect(t, l2, 0))
 	if l2.Damage() == nil {
 		t.Fatal("torn tail not reported")
 	}
 	if l2.LastSeq() != 8 {
 		t.Fatalf("LastSeq = %d, want 8 (stop at last good record)", l2.LastSeq())
 	}
-	if n := len(collect(t, l2, 0)); n != 8 {
+	if n != 8 {
 		t.Fatalf("replay: %d records", n)
 	}
 	// The torn bytes are gone; appends continue cleanly.
@@ -212,10 +229,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestCorruptMiddleStopsAtLastGoodRecord(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir)
 	for i := 0; i < 6; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -250,6 +264,7 @@ func TestCorruptMiddleStopsAtLastGoodRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	n := len(collect(t, l2, 0))
 	if l2.Damage() == nil {
 		t.Fatal("corruption not reported")
 	}
@@ -258,7 +273,7 @@ func TestCorruptMiddleStopsAtLastGoodRecord(t *testing.T) {
 	if l2.LastSeq() != 3 {
 		t.Fatalf("LastSeq = %d, want 3", l2.LastSeq())
 	}
-	if n := len(collect(t, l2, 0)); n != 3 {
+	if n != 3 {
 		t.Fatalf("replay: %d records", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, segName(7)+".dead")); err != nil {
@@ -309,15 +324,10 @@ func TestFrameCanonicalForm(t *testing.T) {
 }
 
 // TestSegmentScanDetectsSequenceJump: a record that does not continue
-// the one before it is damage at the end of the last good record — to
-// the scan Open runs, which truncates there, and to Replay on a handle
-// whose segment changed under it.
+// the one before it is damage at the end of the last good record — the
+// records before it handed over, the segment truncated there.
 func TestSegmentScanDetectsSequenceJump(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var data []byte
 	var good int64
 	for _, seq := range []uint64{1, 2, 5} {
@@ -335,32 +345,24 @@ func TestSegmentScanDetectsSequenceJump(t *testing.T) {
 		t.Fatal(err)
 	}
 	const reason = "sequence jump: 5 after 2"
-	n := 0
-	err = l.Replay(0, func(Record) error { n++; return nil })
-	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Offset != good || ce.Reason != reason || n != 2 {
-		t.Fatalf("replay over a sequence jump = %v after %d records, want %q at offset %d after 2", err, n, reason, good)
-	}
-	last, off, dmg, err := scanSegment(OS, path, 0)
-	if err != nil || last != 2 || off != good || dmg == nil || dmg.Offset != good || dmg.Reason != segName(1)+": "+reason {
-		t.Fatalf("scanSegment = seq %d, offset %d, damage %v, error %v; want seq 2, offset %d, %q", last, off, dmg, err, good, reason)
-	}
-	// The first record of a segment continues the segment before it.
-	if last, off, dmg, err := scanSegment(OS, path, 7); err != nil || last != 7 || off != 0 || dmg == nil ||
-		dmg.Reason != segName(1)+": sequence jump: 1 after 7" {
-		t.Fatalf("scanSegment after seq 7 = seq %d, offset %d, damage %v, error %v", last, off, dmg, err)
-	}
-	l.Close()
-	l2, err := Open(dir)
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if d := l2.Damage(); d == nil || d.Offset != good || l2.LastSeq() != 2 {
-		t.Fatalf("open over a sequence jump: damage %v, last seq %d", d, l2.LastSeq())
+	defer l.Close()
+	if n := len(collect(t, l, 0)); n != 2 {
+		t.Fatalf("recovery over a sequence jump handed over %d records, want 2", n)
+	}
+	if d := l.Damage(); d == nil || d.Offset != good || d.Reason != segName(1)+": "+reason || l.LastSeq() != 2 {
+		t.Fatalf("open over a sequence jump: damage %v, last seq %d; want %q at offset %d", d, l.LastSeq(), reason, good)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != good {
 		t.Fatalf("segment not truncated to its last good record: %v, %v", fi, err)
+	}
+	// The first record of a segment continues the segment before it.
+	if last, off, dmg, err := readFrames(NewFrameReader(bytes.NewReader(data), 8), segName(1), 7, 0, nil); err != nil || last != 7 || off != 0 || dmg == nil ||
+		dmg.Reason != segName(1)+": sequence jump: 1 after 7" {
+		t.Fatalf("segment read after seq 7 = seq %d, offset %d, damage %v, error %v", last, off, dmg, err)
 	}
 }
 
@@ -406,34 +408,36 @@ func TestReplayEmptyAndMissingDir(t *testing.T) {
 
 func TestReplayCallbackErrorAborts(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	l := open(t, dir)
 	for i := 0; i < 3; i++ {
 		if _, err := l.Append([]byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	l = reopen(t, l)
+	defer l.Close()
 	boom := fmt.Errorf("boom")
 	n := 0
-	err = l.Replay(0, func(Record) error {
-		n++
-		if n == 2 {
-			return boom
-		}
-		return nil
+	_, err := l.Recover(0, func(recs []Record) error {
+		n += len(recs)
+		return boom
 	})
-	if err != boom || n != 2 {
+	if err != boom || n != 3 {
 		t.Fatalf("abort: err %v after %d records", err, n)
+	}
+	// An aborted recovery leaves the log closed to appends.
+	if _, err := l.Append([]byte(`{}`)); err == nil {
+		t.Fatal("a log whose recovery was aborted took an append")
 	}
 }
 
-func TestFrameScannerCleanEOF(t *testing.T) {
-	sc := NewFrameScanner(bytes.NewReader(nil))
-	if _, _, err := sc.Next(); err != io.EOF || sc.Offset() != 0 {
-		t.Fatalf("empty stream: %v at offset %d", err, sc.Offset())
+// TestFrameCutterCleanEOF: no bytes, whether held or streamed, are a
+// clean end at offset 0.
+func TestFrameCutterCleanEOF(t *testing.T) {
+	for _, c := range []*FrameCutter{NewFrameCutter(nil), NewFrameReader(bytes.NewReader(nil), 1)} {
+		if _, _, err := c.Next(); err != io.EOF || c.Offset() != 0 {
+			t.Fatalf("empty input: %v at offset %d", err, c.Offset())
+		}
 	}
 }
 
@@ -443,10 +447,7 @@ func TestLostSegmentTailIsDamageNotSilence(t *testing.T) {
 	// betrays the lost records. Recovery must stop at the last good
 	// record and report damage, never replay around the hole.
 	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := open(t, dir)
 	for i := 0; i < 3; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -479,13 +480,13 @@ func TestLostSegmentTailIsDamageNotSilence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	recs := collect(t, l2, 0)
 	if l2.Damage() == nil {
 		t.Fatal("cross-segment sequence gap not reported as damage")
 	}
 	if l2.LastSeq() != 2 {
 		t.Fatalf("LastSeq = %d, want 2 (stop at last good record)", l2.LastSeq())
 	}
-	recs := collect(t, l2, 0)
 	if len(recs) != 2 || recs[len(recs)-1].Seq != 2 {
 		t.Fatalf("replayed %d records, last seq %d", len(recs), recs[len(recs)-1].Seq)
 	}
@@ -523,5 +524,93 @@ func TestDirectoryLockExcludesSecondWriter(t *testing.T) {
 	}
 	if err := l3.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverFrameLongerThanWindow: with the frame cap, and so the
+// recovery window, lowered to 64 bytes, every frame is longer than the
+// window that starts it; recovery grows the window to hold each and hands
+// every record over, in order, with no damage. A log not yet recovered
+// takes no append.
+func TestRecoverFrameLongerThanWindow(t *testing.T) {
+	defer SetFrameCapForTesting(64)()
+	dir := t.TempDir()
+	l := open(t, dir)
+	var want []string
+	for i := range 20 {
+		p := fmt.Sprintf(`{"n":%d,"pad":"%s"}`, i, strings.Repeat("x", 40+i%8))
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	l = reopen(t, l)
+	defer l.Close()
+	if _, err := l.Append([]byte(`{}`)); err == nil {
+		t.Fatal("a log not yet recovered took an append")
+	}
+	recs := collect(t, l, 0)
+	if l.Damage() != nil || len(recs) != len(want) {
+		t.Fatalf("recovered %d records, damage %v; want %d and none", len(recs), l.Damage(), len(want))
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) || string(r.Payload) != want[i] {
+			t.Fatalf("record %d: seq %d payload %q", i, r.Seq, r.Payload)
+		}
+	}
+}
+
+// TestRecoverTornFrameAcrossWindows: a torn last frame that starts in
+// one 64-byte window and ends in the next is the damage an unwindowed
+// read finds — truncated at the last good record, which the writer then
+// continues.
+func TestRecoverTornFrameAcrossWindows(t *testing.T) {
+	defer SetFrameCapForTesting(64)()
+	dir := t.TempDir()
+	l := open(t, dir)
+	for range 3 {
+		if _, err := l.Append([]byte(`{"pad":"0123456789"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	good, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeRecord(4, []byte(`{"pad":"0123456789"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three 38-byte frames end at 114: the torn fourth starts in the
+	// second 64-byte read and ends in the third.
+	if good.Size()%64 > 64-10 || good.Size()%64+int64(len(frame)-1) <= 64 {
+		t.Fatalf("the torn frame at %d does not straddle a window", good.Size())
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(frame[:len(frame)-1])
+	f.Close()
+
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	n := len(collect(t, l2, 0))
+	d := l2.Damage()
+	if n != 3 || l2.LastSeq() != 3 || d == nil || d.Offset != good.Size() || d.Reason != segName(1)+": "+truncatedFrame {
+		t.Fatalf("recovered %d records to seq %d, damage %v; want 3, a truncated frame at offset %d", n, l2.LastSeq(), d, good.Size())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != good.Size() {
+		t.Fatalf("torn frame not truncated away: %v, %v", fi, err)
+	}
+	if seq, err := l2.Append([]byte(`{}`)); err != nil || seq != 4 {
+		t.Fatalf("append after truncation: seq %d err %v", seq, err)
 	}
 }
