@@ -28,7 +28,6 @@ import (
 
 	"entityid/internal/derive"
 	"entityid/internal/ilfd"
-	"entityid/internal/integrate"
 	"entityid/internal/match"
 	"entityid/internal/paperdata"
 	"entityid/internal/relation"
@@ -160,11 +159,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, res.RenderMT("matching table"))
 	}
 	if want["integtable"] {
-		tab, err := integrate.Build(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, tab.Render("integrated table"))
+		fmt.Fprintln(w, res.RenderIntegrated("integrated table"))
 	}
 	return nil
 }

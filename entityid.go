@@ -43,11 +43,11 @@ package entityid
 
 import (
 	"fmt"
+	"strings"
 
 	"entityid/internal/derive"
 	"entityid/internal/federate"
 	"entityid/internal/ilfd"
-	"entityid/internal/integrate"
 	"entityid/internal/match"
 	"entityid/internal/quality"
 	"entityid/internal/relation"
@@ -244,7 +244,7 @@ func (sys *System) DisableProp1() *System {
 // Result is a completed, verified identification outcome.
 type Result struct {
 	inner      *match.Result
-	integrated *integrate.Table
+	integrated *relation.Relation
 	// VerifyErr is nil for a sound result. Identify only returns a
 	// Result with VerifyErr != nil when called via IdentifyUnchecked.
 	VerifyErr error
@@ -303,11 +303,9 @@ func (sys *System) IdentifyUnchecked() (*Result, error) {
 		}
 	}
 	res := &Result{inner: inner, VerifyErr: inner.Verify()}
-	tab, err := integrate.Build(inner)
-	if err != nil {
+	if res.integrated, err = inner.Integrated(); err != nil {
 		return nil, err
 	}
-	res.integrated = tab
 	return res, nil
 }
 
@@ -333,12 +331,12 @@ func (r *Result) ExtendedR() *Relation { return r.inner.RPrime }
 func (r *Result) ExtendedS() *Relation { return r.inner.SPrime }
 
 // IntegratedTable returns T_RS as a relation (columns r_*, s_*).
-func (r *Result) IntegratedTable() *Relation { return r.integrated.Rel }
+func (r *Result) IntegratedTable() *Relation { return r.integrated }
 
 // PossibleMatches returns pairs of integrated rows that could still
 // model the same entity (§4.1's residual relation).
 func (r *Result) PossibleMatches() ([][2]int, error) {
-	return r.integrated.PossibleMatches()
+	return r.inner.PossibleMatches()
 }
 
 // DerivationConflicts lists fixpoint-mode derivation conflicts.
@@ -398,11 +396,7 @@ func (f *Federation) Pairs() []Pair { return f.inner.Pairs() }
 
 // IntegratedTable returns the current integrated view.
 func (f *Federation) IntegratedTable() (*Relation, error) {
-	tab, err := f.inner.Integrated()
-	if err != nil {
-		return nil, err
-	}
-	return tab.Rel, nil
+	return f.inner.Result().Integrated()
 }
 
 // MergeStrategy selects how Merged resolves attribute-value conflicts
@@ -430,13 +424,65 @@ type MergeConflict = resolve.Conflict
 // Merged collapses the integrated table into a final relation with one
 // column per integrated attribute, resolving each paired r_*/s_* column
 // under the given strategy. It returns the merged relation plus any
-// conflicts (empty under MergeStrict, which fails instead).
+// conflicts (empty under MergeStrict, which fails with the first one
+// instead).
 func (r *Result) Merged(strategy MergeStrategy) (*Relation, []MergeConflict, error) {
-	specs := resolve.AutoSpecs(r.integrated)
-	for i := range specs {
-		specs[i].Strategy = strategy
+	// Integrated attribute X merges T_RS's columns r_X and s_X, either of
+	// which may be absent; R's columns come first, so X takes its place
+	// and kind from the first of them.
+	sch := r.integrated.Schema()
+	var attrs []Attribute
+	var cols [][2]int
+	for _, a := range sch.Attrs() {
+		name, fromR := strings.CutPrefix(a.Name, match.PrefixR)
+		if !fromR {
+			name = strings.TrimPrefix(a.Name, match.PrefixS)
+		}
+		ri, si := sch.Index(match.PrefixR+name), sch.Index(match.PrefixS+name)
+		switch {
+		case !fromR && ri >= 0: // merged at r_X
+			continue
+		case ri >= 0 && si >= 0 && sch.Attr(si).Kind != a.Kind:
+			return nil, nil, fmt.Errorf("entityid: merge %q: kind mismatch between %q and %q", name, a.Name, sch.Attr(si).Name)
+		}
+		attrs = append(attrs, Attribute{Name: name, Kind: a.Kind})
+		cols = append(cols, [2]int{ri, si})
 	}
-	return resolve.Merge(r.integrated, "integrated", specs)
+	outSch, err := schema.New("integrated", attrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A merged view is a bag: two entities may merge to the same values.
+	out := relation.NewBag(outSch)
+	var conflicts []MergeConflict
+	for row, t := range r.integrated.Tuples() {
+		merged := make(Tuple, len(cols))
+		for n, c := range cols {
+			rv, sv := cell(t, c[0]), cell(t, c[1])
+			v, conflicted, err := resolve.Reduce(strategy, rv, sv)
+			if conflicted {
+				c := MergeConflict{Row: row, Attr: attrs[n].Name, RV: rv, SV: sv, Resolved: v}
+				if err != nil { // MergeStrict fails where MergeCoalesce keeps R's value
+					c.Resolved = rv
+					return nil, nil, c
+				}
+				conflicts = append(conflicts, c)
+			}
+			merged[n] = v
+		}
+		if err := out.Insert(merged); err != nil {
+			return nil, nil, fmt.Errorf("entityid: merge: %w", err)
+		}
+	}
+	return out, conflicts, nil
+}
+
+// cell returns t[i], or NULL for a column T_RS lacks (i < 0).
+func cell(t Tuple, i int) Value {
+	if i < 0 {
+		return value.Null
+	}
+	return t[i]
 }
 
 // RenderMatchingTable prints the matching table in the prototype's
@@ -447,5 +493,5 @@ func (r *Result) RenderMatchingTable() string {
 
 // RenderIntegratedTable prints T_RS in the prototype's format.
 func (r *Result) RenderIntegratedTable() string {
-	return r.integrated.Render("integrated table")
+	return r.inner.RenderIntegrated("integrated table")
 }

@@ -1,7 +1,9 @@
 package entityid
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,6 +358,233 @@ func TestMergedPublicAPI(t *testing.T) {
 	}
 	if !found {
 		t.Error("Hunan row missing from merged relation")
+	}
+	// So does the matched It'sGreek entity: street from R, county from S.
+	found = false
+	for i := 0; i < merged.Len(); i++ {
+		if v := merged.MustValue(i, "name"); !v.IsNull() && v.Str() == "It'sGreek" {
+			found = true
+			if got := merged.MustValue(i, "street"); got.IsNull() || got.Str() != "FrontAve." {
+				t.Errorf("It'sGreek street = %v", got)
+			}
+			if got := merged.MustValue(i, "county"); got.IsNull() || got.Str() != "Ramsey" {
+				t.Errorf("It'sGreek county = %v", got)
+			}
+		}
+	}
+	if !found {
+		t.Error("It'sGreek row missing from merged relation")
+	}
+	// Both extended relations carry all five attributes, so each merged
+	// column pairs an r_ and an s_ column: five columns, not ten.
+	if sch.Arity() != 5 {
+		t.Errorf("merged schema %v, want five columns", sch)
+	}
+}
+
+// phoneSystem is a two-relation system whose one matched pair (name a)
+// disagrees on phone, an attribute both sides model.
+func phoneSystem(t *testing.T) *System {
+	t.Helper()
+	r, err := NewRelation("R", []Attribute{{Name: "name"}, {Name: "phone"}}, []string{"name"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewRelation("S", []Attribute{{Name: "nm"}, {Name: "tel"}}, []string{"nm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range []Tuple{{String("a"), String("111")}, {String("b"), Null}} {
+		if err := r.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tu := range []Tuple{{String("a"), String("222")}, {String("c"), String("333")}} {
+		if err := s.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys := New().SetRelations(r, s)
+	sys.MapAttr("name", "name", "nm").MapAttr("phone", "phone", "tel")
+	sys.SetExtendedKey("name")
+	return sys
+}
+
+// TestMergeStrategies drives every merge strategy through the public
+// surface on a pair that disagrees on phone (T_RS row 0).
+func TestMergeStrategies(t *testing.T) {
+	res, err := phoneSystem(t).Identify()
+	if err != nil {
+		t.Fatalf("Identify: %v", err)
+	}
+	want := MergeConflict{Row: 0, Attr: "phone", RV: String("111"), SV: String("222"), Resolved: String("111")}
+	sameConflict := func(got MergeConflict) bool {
+		return got.Row == want.Row && got.Attr == want.Attr && value.Identical(got.RV, want.RV) &&
+			value.Identical(got.SV, want.SV) && value.Identical(got.Resolved, want.Resolved)
+	}
+	for _, c := range []struct {
+		st        MergeStrategy
+		phone     string
+		conflicts int
+	}{
+		{MergeCoalesce, "111", 1},
+		{MergePreferR, "111", 0},
+		{MergePreferS, "222", 0},
+	} {
+		merged, conflicts, err := res.Merged(c.st)
+		if err != nil {
+			t.Fatalf("%v: %v", c.st, err)
+		}
+		if merged.Len() != 3 { // the a pair, b alone, c alone
+			t.Fatalf("%v: %d merged rows, want 3", c.st, merged.Len())
+		}
+		if got := merged.MustValue(0, "phone"); got.Str() != c.phone {
+			t.Errorf("%v: phone %v, want %s", c.st, got, c.phone)
+		}
+		if len(conflicts) != c.conflicts || (c.conflicts == 1 && !sameConflict(conflicts[0])) {
+			t.Errorf("%v: conflicts %+v, want %d like %+v", c.st, conflicts, c.conflicts, want)
+		}
+	}
+	_, _, err = res.Merged(MergeStrict)
+	var mc MergeConflict
+	if !errors.As(err, &mc) || !sameConflict(mc) {
+		t.Errorf("MergeStrict error = %v, want the MergeConflict %+v", err, want)
+	}
+}
+
+// TestMergedKindMismatch: an unmapped attribute both sources hold under
+// one name but different kinds cannot merge into one column.
+func TestMergedKindMismatch(t *testing.T) {
+	r, err := NewRelation("R", []Attribute{{Name: "name"}, {Name: "id", Kind: KindInt}}, []string{"name"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewRelation("S", []Attribute{{Name: "name"}, {Name: "id"}}, []string{"name"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := New().SetRelations(r, s).MapAttr("name", "name", "name").SetExtendedKey("name")
+	res, err := sys.Identify()
+	if err != nil {
+		t.Fatalf("Identify: %v", err)
+	}
+	if _, _, err := res.Merged(MergeCoalesce); err == nil || !strings.Contains(err.Error(), "kind mismatch") {
+		t.Errorf("Merged error = %v, want a kind mismatch", err)
+	}
+}
+
+// TestHubHoldsExample3 links Tables 5's R and S in a memory-only hub as
+// Example 3 does and finds T_RS in it: MT_RS's three pairs as the
+// two-member clusters, T_RS's three padded rows as the singletons, and
+// each cluster's merged record equal to the facade's merged row of the
+// same entity, except where an ILFD derived a cell (the hub serves
+// source values only).
+func TestHubHoldsExample3(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	for name, rel := range map[string]*Relation{"r": paperdata.Table5R(), "s": paperdata.Table5S()} {
+		if err := h.AddSource(name, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := NewPair("r", "s").
+		MapAttr("name", "name", "name").
+		MapAttr("cuisine", "cuisine", "").
+		MapAttr("speciality", "", "speciality").
+		MapAttr("street", "street", "").
+		MapAttr("county", "", "county").
+		SetExtendedKey(paperdata.Example3ExtendedKey()...)
+	for _, f := range paperdata.Example3ILFDs() {
+		pair.AddILFD(f)
+	}
+	if err := h.Link(pair); err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	res, err := example3System().Identify()
+	if err != nil {
+		t.Fatalf("Identify: %v", err)
+	}
+	tab := res.IntegratedTable()
+	merged, _, err := res.Merged(MergeCoalesce)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clusters := h.Clusters()
+	if len(clusters) != 6 || tab.Len() != 6 {
+		t.Fatalf("%d clusters, %d T_RS rows; want 6 and 6", len(clusters), tab.Len())
+	}
+	isPair := map[Pair]bool{}
+	for _, p := range res.MatchingPairs() {
+		isPair[p] = true
+	}
+	// A cluster's side is its member from that source, keyed as T_RS's
+	// r_/s_ key columns key it (R: name, cuisine; S: name, speciality).
+	side := func(cl EntityCluster, src string) (ClusterMember, bool) {
+		for _, m := range cl.Members {
+			if m.Source == src {
+				return m, true
+			}
+		}
+		return ClusterMember{}, false
+	}
+	sameSide := func(row int, prefix, keyAttr string, m ClusterMember, ok bool) bool {
+		name, key := tab.MustValue(row, prefix+"name"), tab.MustValue(row, prefix+keyAttr)
+		if !ok {
+			return name.IsNull()
+		}
+		return value.Identical(name, m.Tuple[0]) && value.Identical(key, m.Tuple[1])
+	}
+	pairs, singles, derived := 0, 0, []string{}
+	used := map[string]bool{}
+	for row := range tab.Len() {
+		var cl EntityCluster
+		found := 0
+		for _, c := range clusters {
+			rm, rok := side(c, "r")
+			sm, sok := side(c, "s")
+			if sameSide(row, "r_", "cuisine", rm, rok) && sameSide(row, "s_", "speciality", sm, sok) {
+				cl, found = c, found+1
+			}
+		}
+		if found != 1 || used[cl.ID] {
+			t.Fatalf("T_RS row %d matches %d clusters (reused %v)", row, found, used[cl.ID])
+		}
+		used[cl.ID] = true
+		rm, rok := side(cl, "r")
+		sm, sok := side(cl, "s")
+		switch {
+		case len(cl.Members) == 2 && rok && sok:
+			pairs++
+			if !isPair[Pair{RIndex: rm.Index, SIndex: sm.Index}] {
+				t.Errorf("cluster %v is no matching-table pair", cl.Members)
+			}
+		case len(cl.Members) == 1:
+			singles++
+		default:
+			t.Errorf("cluster %v", cl.Members)
+		}
+		rec, err := h.Merged(cl, MergeCoalesce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range merged.Schema().AttrNames() {
+			want := merged.MustValue(row, a)
+			switch got, ok := rec.Values[a]; {
+			case ok && value.Identical(got, want), !ok && want.IsNull():
+			case !ok:
+				derived = append(derived, fmt.Sprintf("%s/%s %s=%s",
+					merged.MustValue(row, "name"), merged.MustValue(row, "speciality"), a, want))
+			default:
+				t.Errorf("row %d %s: hub %v, facade %v", row, a, got, want)
+			}
+		}
+	}
+	if pairs != 3 || singles != 3 {
+		t.Errorf("%d pair clusters, %d singletons; want 3 and 3", pairs, singles)
+	}
+	if want := []string{"TwinCities/Sichuan cuisine=Chinese"}; !slices.Equal(derived, want) {
+		t.Errorf("cells only an ILFD derived: %v, want %v", derived, want)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"entityid/internal/baselines"
 	"entityid/internal/derive"
 	"entityid/internal/ilfd"
-	"entityid/internal/integrate"
 	"entityid/internal/match"
 	"entityid/internal/paperdata"
 	"entityid/internal/relation"
@@ -372,7 +371,7 @@ func Table8() Report {
 }
 
 // integratedExample3 builds the integrated table used by F4/P1.
-func integratedExample3() (*match.Result, *integrate.Table, error) {
+func integratedExample3() (*match.Result, *relation.Relation, error) {
 	res, err := match.Build(example3Config())
 	if err != nil {
 		return nil, nil, err
@@ -380,7 +379,7 @@ func integratedExample3() (*match.Result, *integrate.Table, error) {
 	if err := res.Verify(); err != nil {
 		return nil, nil, err
 	}
-	tab, err := integrate.Build(res)
+	tab, err := res.Integrated()
 	if err != nil {
 		return nil, nil, err
 	}

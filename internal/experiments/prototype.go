@@ -35,7 +35,7 @@ func Prototype1() Report {
 	b.WriteString(res.RenderMT("matching table"))
 	b.WriteByte('\n')
 	b.WriteString("| ?- print_integ_table.\n")
-	b.WriteString(tab.Render("integrated table"))
+	b.WriteString(res.RenderIntegrated("integrated table"))
 
 	// Structural pins against the paper's transcript: 3 matching rows,
 	// 6 integrated rows, the villagewok row all-NULL on the S side.

@@ -21,8 +21,8 @@
 //   - AddILFD: monotone knowledge growth — the state is rebuilt and the
 //     §3.3 monotonicity property is asserted: every previously matched
 //     pair must survive;
-//   - Integrated / Result: the current integrated view for query
-//     processing.
+//   - Result: the current match result, whose Integrated method is the
+//     integrated view for query processing.
 //
 // Equivalence with batch identification (match.Build on the final
 // relations) is the package's central invariant, and it holds by
@@ -71,7 +71,6 @@ import (
 	"sort"
 
 	"entityid/internal/ilfd"
-	"entityid/internal/integrate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 )
@@ -172,11 +171,6 @@ func (f *Federation) Result() *match.Result { return f.res }
 
 // MT returns the current matching table.
 func (f *Federation) MT() *match.Table { return f.res.MT }
-
-// Integrated builds the current integrated table.
-func (f *Federation) Integrated() (*integrate.Table, error) {
-	return integrate.Build(f.res)
-}
 
 // InsertR adds a tuple to the lent relation R, identifies it
 // incrementally, and returns the pairs it produced (at most one, by

@@ -43,7 +43,7 @@ func TestNewBuildsAndVerifies(t *testing.T) {
 	if f.MT().Len() != 3 {
 		t.Errorf("initial pairs = %d", f.MT().Len())
 	}
-	tab, err := f.Integrated()
+	tab, err := f.Result().Integrated()
 	if err != nil || tab.Len() != 6 {
 		t.Errorf("integrated = %d rows, %v", tab.Len(), err)
 	}

@@ -27,6 +27,9 @@
 //     the reference path, whose nested loops the probe is held against.
 //     A pairing is the matching table, the effective distinctness rules
 //     and that probe; the images under it may be other pairings' too.
+//  4. Integrate: T_RS = MT_RS ⋈ R′ ⟗ S′ and §4.1's residual "possible
+//     match" relation on it are read off R′, S′ and the table
+//     (Result.Integrated, PossibleMatches); nothing else lays T_RS out.
 //
 // Negative information comes from distinctness rules: the user-supplied
 // ones plus — via Proposition 1 — one rule per ILFD consequent. The
@@ -92,6 +95,7 @@ import (
 	"entityid/internal/ilfd"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
+	"entityid/internal/schema"
 	"entityid/internal/value"
 )
 
@@ -671,16 +675,24 @@ func (res *Result) Distinct() []rules.DistinctnessRule {
 	return append([]rules.DistinctnessRule(nil), res.distinct...)
 }
 
+// PrefixR and PrefixS prefix R′'s and S′'s attribute names in the
+// columns of the matching table and the integrated table: the
+// prototype's column names (r_name, s_speciality, …).
+const (
+	PrefixR = "r_"
+	PrefixS = "s_"
+)
+
 // RenderMT renders the matching table in the prototype's print format:
 // columns are R's key attributes then S's key attributes, one row per
 // pair, sorted lexicographically (the prototype's setof ordering).
 func (res *Result) RenderMT(title string) string {
 	header := make([]string, 0, len(res.MT.RKey)+len(res.MT.SKey))
 	for _, a := range res.MT.RKey {
-		header = append(header, "r_"+a)
+		header = append(header, PrefixR+a)
 	}
 	for _, a := range res.MT.SKey {
-		header = append(header, "s_"+a)
+		header = append(header, PrefixS+a)
 	}
 	var rows []relation.Tuple
 	for p := range res.MT.All() {
@@ -702,4 +714,139 @@ func (res *Result) RenderMT(title string) string {
 		return false
 	})
 	return relation.Format(title, header, rows)
+}
+
+// integratedRows lays out T_RS's rows as positions in R′ and S′, -1 for
+// a padded side: each R′ tuple in order, once per partner in log order
+// or once alone, then each unmatched S′ tuple in order.
+func (res *Result) integratedRows() []Pair {
+	rows := make([]Pair, 0, res.RPrime.Len()+res.SPrime.Len())
+	var partners []int
+	for i := range res.RPrime.Len() {
+		partners = res.MT.MatchesOfR(partners[:0], i)
+		if len(partners) == 0 {
+			rows = append(rows, Pair{RIndex: i, SIndex: -1})
+		}
+		for _, j := range partners {
+			rows = append(rows, Pair{RIndex: i, SIndex: j})
+		}
+	}
+	for j := range res.SPrime.Len() {
+		if len(res.MT.MatchesOfS(partners[:0], j)) == 0 {
+			rows = append(rows, Pair{RIndex: -1, SIndex: j})
+		}
+	}
+	return rows
+}
+
+// Integrated builds the integrated table T_RS = MT_RS ⋈ R′ ⟗ S′
+// (§4.1–4.2): one row per matching-table pair, holding its two tuples,
+// and one per unmatched tuple of either relation, padded with NULL on
+// the other side. Its columns are R′'s attributes prefixed PrefixR, then
+// S′'s prefixed PrefixS. The prototype prints this table (§6.3's
+// print_integ_table).
+func (res *Result) Integrated() (*relation.Relation, error) {
+	rs, ss := res.RPrime.Schema(), res.SPrime.Schema()
+	attrs := make([]schema.Attribute, 0, rs.Arity()+ss.Arity())
+	for _, a := range rs.Attrs() {
+		attrs = append(attrs, schema.Attribute{Name: PrefixR + a.Name, Kind: a.Kind})
+	}
+	for _, a := range ss.Attrs() {
+		attrs = append(attrs, schema.Attribute{Name: PrefixS + a.Name, Kind: a.Kind})
+	}
+	sch, err := schema.New("T_RS", attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := relation.New(sch)
+	nullR, nullS := make(relation.Tuple, rs.Arity()), make(relation.Tuple, ss.Arity()) // zero Values: NULL
+	for _, p := range res.integratedRows() {
+		rt, st := nullR, nullS
+		if p.RIndex >= 0 {
+			rt = res.RPrime.Tuple(p.RIndex)
+		}
+		if p.SIndex >= 0 {
+			st = res.SPrime.Tuple(p.SIndex)
+		}
+		if err := out.Insert(slices.Concat(rt, st)); err != nil {
+			return nil, fmt.Errorf("match: integrated table: %w", err)
+		}
+	}
+	return out, nil
+}
+
+// RenderIntegrated renders T_RS in the prototype's print format, sorted
+// by the whole row.
+func (res *Result) RenderIntegrated(title string) string {
+	tab, err := res.Integrated()
+	if err == nil {
+		err = tab.Sort()
+	}
+	if err != nil {
+		return err.Error()
+	}
+	return relation.Format(title, tab.Schema().AttrNames(), tab.Tuples())
+}
+
+// PossibleMatches returns the pairs of T_RS rows, numbered as Integrated
+// lays them out, that could still model the same real-world entity —
+// §4.1's residual relation: an unmatched R′ row and an unmatched S′ row
+// whose extended-key values hold no two conflicting non-NULL values. It
+// fails on a matched pair whose extended-key values conflict: the table
+// merged tuples the extended key distinguishes.
+func (res *Result) PossibleMatches() ([][2]int, error) {
+	type open struct {
+		row int
+		key []value.Value
+	}
+	var rOpen, sOpen []open
+	for n, p := range res.integratedRows() {
+		var rk, sk []value.Value
+		if p.RIndex >= 0 {
+			rk = res.extKeyOf(res.RPrime, p.RIndex)
+		}
+		if p.SIndex >= 0 {
+			sk = res.extKeyOf(res.SPrime, p.SIndex)
+		}
+		switch {
+		case sk == nil:
+			rOpen = append(rOpen, open{n, rk})
+		case rk == nil:
+			sOpen = append(sOpen, open{n, sk})
+		default:
+			if x := conflictAt(rk, sk); x >= 0 {
+				return nil, fmt.Errorf("integrate: row %d: conflicting extended-key values %s vs %s for %q",
+					n, rk[x], sk[x], res.extKey[x])
+			}
+		}
+	}
+	var out [][2]int
+	for _, r := range rOpen {
+		for _, s := range sOpen {
+			if conflictAt(r.key, s.key) < 0 {
+				out = append(out, [2]int{r.row, s.row})
+			}
+		}
+	}
+	return out, nil
+}
+
+// extKeyOf returns tuple i of rel projected on the extended key.
+func (res *Result) extKeyOf(rel *relation.Relation, i int) []value.Value {
+	key := make([]value.Value, len(res.extKey))
+	for x, a := range res.extKey {
+		key[x] = rel.MustValue(i, a)
+	}
+	return key
+}
+
+// conflictAt returns the first position where a and b hold two
+// different non-NULL values, or -1.
+func conflictAt(a, b []value.Value) int {
+	for x := range a {
+		if !a[x].IsNull() && !b[x].IsNull() && !value.Equal(a[x], b[x]) {
+			return x
+		}
+	}
+	return -1
 }

@@ -7,18 +7,16 @@
 //
 // The paper scopes this out ("attribute value conflict resolution can
 // be performed only after the entity-identification problem has been
-// resolved") but the integrated table's paired r_*/s_* columns are
-// exactly its input, so the package closes the loop: Merge collapses an
-// integrate.Table into a one-column-per-attribute relation under
-// per-attribute strategies.
+// resolved"); the package supplies the one rule both integrated views
+// merge by. Reduce folds an attribute's values — the two sides of a
+// matched pair in the facade's merged integrated table, a cluster's
+// members in the hub — into one under a Strategy, and reports whether
+// two of them disagreed.
 package resolve
 
 import (
 	"fmt"
 
-	"entityid/internal/integrate"
-	"entityid/internal/relation"
-	"entityid/internal/schema"
 	"entityid/internal/value"
 )
 
@@ -29,7 +27,7 @@ type Strategy int
 // The built-in strategies.
 const (
 	// Coalesce takes whichever side is non-NULL; if both are non-NULL
-	// they must agree (matching-level equality) or Merge reports a
+	// they must agree (matching-level equality) or the merge reports a
 	// Conflict and keeps the R side. The default.
 	Coalesce Strategy = iota
 	// PreferR takes R's value unless it is NULL.
@@ -72,96 +70,6 @@ func (c Conflict) Error() string {
 		c.Row, c.Attr, c.RV, c.SV, c.Resolved)
 }
 
-// Spec describes one output attribute of the merged relation.
-type Spec struct {
-	// Name is the merged attribute name.
-	Name string
-	// R and S are the column names inside the integrated table
-	// (including their r_/s_ prefixes); either may be empty for a
-	// one-sided attribute.
-	R, S string
-	// Strategy resolves two-sided values. Zero value is Coalesce.
-	Strategy Strategy
-}
-
-// Merge collapses the integrated table into a relation with one column
-// per Spec, resolving paired values by each Spec's strategy. The
-// returned conflicts list every disagreement (empty under Strict —
-// Strict fails instead).
-func Merge(tab *integrate.Table, name string, specs []Spec) (*relation.Relation, []Conflict, error) {
-	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("resolve: no output attributes")
-	}
-	sch := tab.Rel.Schema()
-	attrs := make([]schema.Attribute, 0, len(specs))
-	type colPair struct{ r, s int }
-	cols := make([]colPair, 0, len(specs))
-	for _, sp := range specs {
-		if sp.Name == "" {
-			return nil, nil, fmt.Errorf("resolve: empty output attribute name")
-		}
-		ri, si := -1, -1
-		var kind value.Kind = value.KindString
-		if sp.R != "" {
-			ri = sch.Index(sp.R)
-			if ri < 0 {
-				return nil, nil, fmt.Errorf("resolve: %q: integrated table has no column %q", sp.Name, sp.R)
-			}
-			kind = sch.Attr(ri).Kind
-		}
-		if sp.S != "" {
-			si = sch.Index(sp.S)
-			if si < 0 {
-				return nil, nil, fmt.Errorf("resolve: %q: integrated table has no column %q", sp.Name, sp.S)
-			}
-			if ri >= 0 && sch.Attr(si).Kind != kind {
-				return nil, nil, fmt.Errorf("resolve: %q: kind mismatch between %q and %q", sp.Name, sp.R, sp.S)
-			}
-			if ri < 0 {
-				kind = sch.Attr(si).Kind
-			}
-		}
-		if ri < 0 && si < 0 {
-			return nil, nil, fmt.Errorf("resolve: %q: neither side given", sp.Name)
-		}
-		attrs = append(attrs, schema.Attribute{Name: sp.Name, Kind: kind})
-		cols = append(cols, colPair{r: ri, s: si})
-	}
-	outSch, err := schema.New(name, attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Merged views are bags: a projection of the integrated table may
-	// legitimately repeat rows.
-	out := relation.NewBag(outSch)
-	var conflicts []Conflict
-	for rowIdx, row := range tab.Rel.Tuples() {
-		merged := make(relation.Tuple, len(specs))
-		for n, sp := range specs {
-			var rv, sv value.Value
-			if cols[n].r >= 0 {
-				rv = row[cols[n].r]
-			}
-			if cols[n].s >= 0 {
-				sv = row[cols[n].s]
-			}
-			v, conflict := resolveOne(sp.Strategy, rv, sv)
-			if conflict {
-				c := Conflict{Row: rowIdx, Attr: sp.Name, RV: rv, SV: sv, Resolved: v}
-				if sp.Strategy == Strict {
-					return nil, nil, c
-				}
-				conflicts = append(conflicts, c)
-			}
-			merged[n] = v
-		}
-		if err := out.Insert(merged); err != nil {
-			return nil, nil, fmt.Errorf("resolve: %w", err)
-		}
-	}
-	return out, conflicts, nil
-}
-
 // resolveOne merges one value pair; conflict reports a disagreement
 // between two non-NULL values.
 func resolveOne(st Strategy, rv, sv value.Value) (value.Value, bool) {
@@ -197,8 +105,9 @@ func resolveOne(st Strategy, rv, sv value.Value) (value.Value, bool) {
 // value, PreferR the first non-NULL, PreferS the last non-NULL;
 // conflicted reports whether any two non-NULL values disagreed along
 // the way. Strict fails on the first disagreement instead.
-// Cross-source views (the hub package) use it to merge one integrated
-// attribute across N matched tuples.
+// Every merge in the tree goes through it: the facade's merged
+// integrated table folds a matched pair's two sides, the hub one
+// integrated attribute across N matched tuples.
 func Reduce(st Strategy, vals ...value.Value) (merged value.Value, conflicted bool, err error) {
 	merged = value.Null
 	for _, v := range vals {
@@ -212,40 +121,4 @@ func Reduce(st Strategy, vals ...value.Value) (merged value.Value, conflicted bo
 		merged = next
 	}
 	return merged, conflicted, nil
-}
-
-// AutoSpecs builds a Spec list from an integrated table's column
-// naming convention: columns r_X and s_X (integrate.PrefixR, PrefixS)
-// pair into X (Coalesce); one-sided columns keep their suffix as the
-// merged name. This covers the common case where both sides used
-// integrated attribute names.
-func AutoSpecs(tab *integrate.Table) []Spec {
-	const rPrefix, sPrefix = integrate.PrefixR, integrate.PrefixS
-	sch := tab.Rel.Schema()
-	var specs []Spec
-	seen := map[string]bool{}
-	for _, a := range sch.AttrNames() {
-		var base string
-		switch {
-		case len(a) > len(rPrefix) && a[:len(rPrefix)] == rPrefix:
-			base = a[len(rPrefix):]
-		case len(a) > len(sPrefix) && a[:len(sPrefix)] == sPrefix:
-			base = a[len(sPrefix):]
-		default:
-			continue
-		}
-		if seen[base] {
-			continue
-		}
-		seen[base] = true
-		sp := Spec{Name: base}
-		if sch.Has(rPrefix + base) {
-			sp.R = rPrefix + base
-		}
-		if sch.Has(sPrefix + base) {
-			sp.S = sPrefix + base
-		}
-		specs = append(specs, sp)
-	}
-	return specs
 }
