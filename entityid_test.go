@@ -359,8 +359,35 @@ func TestMergedPublicAPI(t *testing.T) {
 	if !found {
 		t.Error("Hunan row missing from merged relation")
 	}
-	// So does the matched It'sGreek entity: street from R, county from S.
-	found = false
+}
+
+// TestMergeExample3 collapses the paper's integrated table into the
+// final one-column-per-attribute relation: 6 entities, each with a
+// single name/cuisine/speciality/street/county.
+func TestMergeExample3(t *testing.T) {
+	res, err := example3System().Identify()
+	if err != nil {
+		t.Fatalf("Identify: %v", err)
+	}
+	merged, conflicts, err := res.Merged(MergeCoalesce)
+	if err != nil {
+		t.Fatalf("Merged: %v", err)
+	}
+	if len(conflicts) != 0 {
+		t.Fatalf("conflicts: %v", conflicts)
+	}
+	if merged.Len() != 6 {
+		t.Fatalf("merged rows = %d, want 6", merged.Len())
+	}
+	sch := merged.Schema()
+	for _, a := range []string{"name", "cuisine", "speciality", "street", "county"} {
+		if !sch.Has(a) {
+			t.Errorf("merged schema missing %q: %v", a, sch)
+		}
+	}
+	// The matched It'sGreek row must carry attributes from BOTH sides:
+	// street (R only) and county (S only).
+	found := false
 	for i := 0; i < merged.Len(); i++ {
 		if v := merged.MustValue(i, "name"); !v.IsNull() && v.Str() == "It'sGreek" {
 			found = true
@@ -373,12 +400,31 @@ func TestMergedPublicAPI(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("It'sGreek row missing from merged relation")
+		t.Error("It'sGreek row missing")
 	}
-	// Both extended relations carry all five attributes, so each merged
-	// column pairs an r_ and an s_ column: five columns, not ten.
+}
+
+// TestMergedColumnsTwoSided checks that Merged reads its columns off
+// T_RS: both extended relations carry all five integrated attributes, so
+// every merged column X pairs T_RS's r_X with its s_X — five columns,
+// not ten.
+func TestMergedColumnsTwoSided(t *testing.T) {
+	res, err := example3System().Identify()
+	if err != nil {
+		t.Fatalf("Identify: %v", err)
+	}
+	merged, _, err := res.Merged(MergeCoalesce)
+	if err != nil {
+		t.Fatalf("Merged: %v", err)
+	}
+	sch, tsch := merged.Schema(), res.IntegratedTable().Schema()
 	if sch.Arity() != 5 {
-		t.Errorf("merged schema %v, want five columns", sch)
+		t.Fatalf("merged schema %v, want five columns", sch)
+	}
+	for _, a := range sch.AttrNames() {
+		if !tsch.Has("r_"+a) || !tsch.Has("s_"+a) {
+			t.Errorf("merged column %q not two-sided in T_RS %v", a, tsch)
+		}
 	}
 }
 

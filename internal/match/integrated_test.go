@@ -40,13 +40,6 @@ func TestIntegratedTableExample3(t *testing.T) {
 		switch {
 		case !rNull && !sNull:
 			merged++
-			// A merged row's extended key is non-NULL on both sides:
-			// that is what made the pair match.
-			for _, a := range res.ExtKey() {
-				if tab.MustValue(i, PrefixR+a).IsNull() || tab.MustValue(i, PrefixS+a).IsNull() {
-					t.Errorf("merged row %d: %s NULL on a side", i, a)
-				}
-			}
 		case !rNull:
 			unmatchedR++
 		default:
@@ -99,6 +92,38 @@ func TestIntegratedTableExample3(t *testing.T) {
 	}
 	if !found {
 		t.Error("Sichuan row missing")
+	}
+}
+
+// TestCoalescedKey reads each T_RS row's extended key, R′'s value where
+// it has one and S′'s otherwise: three values per row, and none NULL on a
+// merged row, where both sides are non-NULL — that is what made the pair
+// match.
+func TestCoalescedKey(t *testing.T) {
+	res := example3Result(t)
+	tab, err := res.Integrated()
+	if err != nil {
+		t.Fatalf("Integrated: %v", err)
+	}
+	for i := range tab.Len() {
+		merged := !tab.MustValue(i, "r_name").IsNull() && !tab.MustValue(i, "s_name").IsNull()
+		var key []value.Value
+		for _, a := range res.ExtKey() {
+			r, s := tab.MustValue(i, PrefixR+a), tab.MustValue(i, PrefixS+a)
+			if merged && (r.IsNull() || s.IsNull()) {
+				t.Errorf("merged row %d: %s NULL on a side", i, a)
+			}
+			if r.IsNull() {
+				r = s
+			}
+			key = append(key, r)
+		}
+		if len(key) != 3 {
+			t.Fatalf("row %d: key len = %d, want 3", i, len(key))
+		}
+		if merged && slices.ContainsFunc(key, value.Value.IsNull) {
+			t.Errorf("merged row %d: coalesced key %v has a NULL", i, key)
+		}
 	}
 }
 
