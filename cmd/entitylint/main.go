@@ -1,6 +1,6 @@
 // Command entitylint is the hub's multichecker: it runs the
-// internal/analysis suite (lockorder, walfirst, hotpath)
-// over Go packages.
+// internal/analysis suite (forbid, hotpath, lockorder, walfirst) over
+// Go packages; TestRepoClean runs it over the module in `go test ./...`.
 //
 //	entitylint ./...                 # analyze package patterns
 //	entitylint -disable hotpath ./...
@@ -20,6 +20,7 @@ import (
 
 	"entityid/internal/analysis"
 	"entityid/internal/analysis/analysistest"
+	"entityid/internal/analysis/forbid"
 	"entityid/internal/analysis/hotpath"
 	"entityid/internal/analysis/load"
 	"entityid/internal/analysis/lockorder"
@@ -28,6 +29,7 @@ import (
 
 // suite is every analyzer the multichecker runs, in report order.
 var suite = []*analysis.Analyzer{
+	forbid.Analyzer,
 	hotpath.Analyzer,
 	lockorder.Analyzer,
 	walfirst.Analyzer,

@@ -8,9 +8,10 @@
 // package is a one-line port away from the upstream API if x/tools
 // ever becomes available.
 //
-// Analyzers communicate with the checked code through //entitylint:
-// directives (see Directive). The grammar, one directive per comment
-// line:
+// forbid reads its rules from a Go table (forbid/rules.go); lockorder,
+// walfirst and hotpath read //entitylint: directives (see Directive);
+// cmd/entitylint's TestRepoClean runs all four over the module. The
+// grammar, one directive per comment line:
 //
 //	//entitylint:lock rank=N            on a mutex field: declares its
 //	                                    place in the global acquisition
@@ -102,46 +103,20 @@ func parseDirective(c *ast.Comment) (Directive, bool) {
 	return Directive{Pos: c.Pos(), Verb: verb, Args: strings.TrimSpace(args)}, true
 }
 
-// Directives extracts every entitylint directive from a comment group.
-func Directives(groups ...*ast.CommentGroup) []Directive {
-	var out []Directive
+// FindDirective returns the first directive with the given verb among
+// the comment groups (a declaration's Doc and trailing Comment, say).
+func FindDirective(verb string, groups ...*ast.CommentGroup) (Directive, bool) {
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.List {
-			if d, ok := parseDirective(c); ok {
-				out = append(out, d)
+			if d, ok := parseDirective(c); ok && d.Verb == verb {
+				return d, true
 			}
-		}
-	}
-	return out
-}
-
-// FindDirective returns the first directive with the given verb among
-// the comment groups (a declaration's Doc and trailing Comment, say).
-func FindDirective(verb string, groups ...*ast.CommentGroup) (Directive, bool) {
-	for _, d := range Directives(groups...) {
-		if d.Verb == verb {
-			return d, true
 		}
 	}
 	return Directive{}, false
-}
-
-// LineDirectives indexes every directive in a file by the source line
-// its comment starts on — the shape suppression lookups need.
-func LineDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
-	out := map[int][]Directive{}
-	for _, g := range f.Comments {
-		for _, c := range g.List {
-			if d, ok := parseDirective(c); ok {
-				line := fset.Position(c.Pos()).Line
-				out[line] = append(out[line], d)
-			}
-		}
-	}
-	return out
 }
 
 // Suppressor answers "is this diagnostic suppressed?" for one package:
@@ -154,12 +129,21 @@ type Suppressor struct {
 	lines map[string]map[int][]Directive
 }
 
-// NewSuppressor indexes the ignore directives of a package.
+// NewSuppressor indexes the directives of a package by file and by the
+// source line each comment starts on.
 func NewSuppressor(fset *token.FileSet, files []*ast.File) *Suppressor {
 	s := &Suppressor{fset: fset, lines: map[string]map[int][]Directive{}}
 	for _, f := range files {
-		name := fset.Position(f.Pos()).Filename
-		s.lines[name] = LineDirectives(fset, f)
+		lines := map[int][]Directive{}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if d, ok := parseDirective(c); ok {
+					line := fset.Position(c.Pos()).Line
+					lines[line] = append(lines[line], d)
+				}
+			}
+		}
+		s.lines[fset.Position(f.Pos()).Filename] = lines
 	}
 	return s
 }
@@ -181,16 +165,6 @@ func (s *Suppressor) Suppressed(analyzer string, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// IsMethodNamed reports whether fn is a method with the given name on
-// some receiver, matching on the types.Func.
-func IsMethodNamed(fn *types.Func, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
 }
 
 // PkgPathOf returns the package path a function object is declared in

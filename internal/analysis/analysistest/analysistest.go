@@ -114,6 +114,25 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 // surviving (non-suppressed) diagnostics sorted by position.
 func RunPass(t *testing.T, a *analysis.Analyzer, p *load.Package) []analysis.Diagnostic {
 	t.Helper()
+	diags, err := diagnose(a, p)
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	return diags
+}
+
+// Diagnose is RunPass without a testing.T, for the driver: it returns
+// formatted findings ("file:line:col: message [analyzer]").
+func Diagnose(a *analysis.Analyzer, p *load.Package) ([]string, error) {
+	diags, err := diagnose(a, p)
+	out := make([]string, len(diags))
+	for i, d := range diags {
+		out[i] = fmt.Sprintf("%s: %s [%s]", p.Fset.Position(d.Pos), d.Message, a.Name)
+	}
+	return out, err
+}
+
+func diagnose(a *analysis.Analyzer, p *load.Package) ([]analysis.Diagnostic, error) {
 	sup := analysis.NewSuppressor(p.Fset, p.Files)
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
@@ -129,32 +148,8 @@ func RunPass(t *testing.T, a *analysis.Analyzer, p *load.Package) []analysis.Dia
 		},
 	}
 	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags
-}
-
-// Diagnose is RunPass without a testing.T, for the driver: it returns
-// formatted findings ("file:line:col: message [analyzer]").
-func Diagnose(a *analysis.Analyzer, p *load.Package) ([]string, error) {
-	sup := analysis.NewSuppressor(p.Fset, p.Files)
-	var out []string
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      p.Fset,
-		Files:     p.Files,
-		Pkg:       p.Types,
-		TypesInfo: p.Info,
-		Report: func(d analysis.Diagnostic) {
-			if !sup.Suppressed(a.Name, d.Pos) {
-				out = append(out, fmt.Sprintf("%s: %s [%s]", p.Fset.Position(d.Pos), d.Message, a.Name))
-			}
-		},
-	}
-	if _, err := a.Run(pass); err != nil {
 		return nil, err
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags, nil
 }

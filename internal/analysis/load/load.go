@@ -32,7 +32,6 @@ type Package struct {
 	// PkgPath is the import path; test variants keep the go list
 	// bracket form ("p [p.test]") so diagnostics disambiguate.
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -52,9 +51,10 @@ type listedPkg struct {
 	DepOnly    bool
 	ForTest    string
 	ImportMap  map[string]string
+	Imports    []string
 }
 
-const listFields = "ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ForTest,ImportMap"
+const listFields = "ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ForTest,ImportMap,Imports"
 
 // goList runs `go list -export -json` with the given extra arguments
 // in dir and decodes the package stream.
@@ -95,17 +95,16 @@ func newInfo() *types.Info {
 }
 
 // exportLookup builds the go/importer gc-mode lookup function over a
-// package's import map and the global export index.
-func exportLookup(importMap map[string]string, exports map[string]string) func(string) (io.ReadCloser, error) {
+// package's import map and the listed packages' export data.
+func exportLookup(importMap map[string]string, listed map[string]*listedPkg) func(string) (io.ReadCloser, error) {
 	return func(path string) (io.ReadCloser, error) {
 		if mapped, ok := importMap[path]; ok {
 			path = mapped
 		}
-		file, ok := exports[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
+		if lp := listed[path]; lp != nil && lp.Export != "" {
+			return os.Open(lp.Export)
 		}
-		return os.Open(file)
+		return nil, fmt.Errorf("no export data for %q", path)
 	}
 }
 
@@ -147,11 +146,9 @@ func Module(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
+	byPath := map[string]*listedPkg{}
 	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
+		byPath[p.ImportPath] = p
 	}
 	// The analyze set: matched, non-standard packages, skipping the
 	// synthesized test mains and — when an in-package test variant
@@ -182,15 +179,15 @@ func Module(dir string, patterns ...string) ([]*Package, error) {
 		// The importer is per-package: the same import path can map to
 		// different compilations (test variants) in different packages,
 		// so the importer's cache must not leak across them.
-		imp := importer.ForCompiler(fset, "gc", exportLookup(p.ImportMap, exports))
+		imp := importer.ForCompiler(fset, "gc", exportLookup(p.ImportMap, byPath))
 		typesPath := p.ImportPath
 		if i := strings.IndexByte(typesPath, ' '); i >= 0 {
 			typesPath = typesPath[:i] // "p [p.test]" type-checks as "p"
 		}
 		tpkg, info, terrs := check(typesPath, fset, files, imp)
+		linkImports(tpkg, imp, byPath)
 		out = append(out, &Package{
 			PkgPath:    p.ImportPath,
-			Dir:        p.Dir,
 			Fset:       fset,
 			Files:      files,
 			Types:      tpkg,
@@ -200,6 +197,30 @@ func Module(dir string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
+}
+
+// linkImports sets the imports of each module package reachable from
+// pkg to what go list reports: export data names only the packages a
+// dependency's exported objects reference, which would stop a
+// transitive walk of Imports (forbid's Links rules) short.
+func linkImports(pkg *types.Package, imp types.Importer, listed map[string]*listedPkg) {
+	seen := map[*types.Package]bool{}
+	for work := pkg.Imports(); len(work) > 0; {
+		p, lp := work[0], listed[work[0].Path()]
+		work = work[1:]
+		if seen[p] || lp == nil || lp.Standard {
+			continue
+		}
+		seen[p] = true
+		var imps []*types.Package
+		for _, path := range lp.Imports {
+			if q, err := imp.Import(path); err == nil {
+				imps = append(imps, q)
+			}
+		}
+		p.SetImports(imps)
+		work = append(work, imps...)
+	}
 }
 
 // stdExports caches stdlib export-data locations across fixture loads
@@ -292,7 +313,6 @@ func loadFixturePkg(fi *fixtureImporter, path, dir string) (*Package, error) {
 	tpkg, info, terrs := check(path, fi.fset, files, fi)
 	return &Package{
 		PkgPath:    path,
-		Dir:        dir,
 		Fset:       fi.fset,
 		Files:      files,
 		Types:      tpkg,
