@@ -28,25 +28,25 @@
 // Beyond the paper's two-relation scope, the package federates N
 // autonomous sources: a Hub (see NewHub and hub.go's example) registers
 // named sources, links pairs with per-pair correspondences, extended
-// keys, ILFDs and rules, streams inserts concurrently through one live
-// Federation per link, and folds the pairwise matching tables into
-// global entity clusters — with the §3.2 uniqueness constraint enforced
-// transitively across sources and a merged cross-source record per
-// entity. See examples/hub for a three-source walkthrough and
-// cmd/entityidd for the JSON/NDJSON serving front-end.
+// keys, ILFDs and rules, streams inserts concurrently, identifying each
+// against every link of its source, and folds the pairwise matching
+// tables into global entity clusters — with the §3.2 uniqueness
+// constraint enforced transitively across sources and a merged
+// cross-source record per entity. See examples/hub for a three-source
+// walkthrough and cmd/entityidd for the JSON/NDJSON serving front-end.
 //
 // The underlying machinery lives in internal packages (relation model,
 // relational algebra, ILFD theory with Armstrong-style axioms, rule
-// language, derivation engine, matching, integration, §2.2 baselines,
-// synthetic workloads); this package is the stable public surface.
+// language, derivation engine, matching, §2.2 baselines, synthetic
+// workloads); this package is the stable public surface.
 package entityid
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"entityid/internal/derive"
-	"entityid/internal/federate"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/quality"
@@ -349,7 +349,13 @@ func (r *Result) DerivationConflicts() []derive.Conflict {
 // incrementally; knowledge grows monotonically. Obtain one with
 // System.Federate.
 type Federation struct {
-	inner *federate.Federation
+	// cfg is the pair over the federation's own copies of the system's
+	// relations, res its verified matching result, grown by every insert;
+	// sc and x are what the one insert at a time works in.
+	cfg match.Config
+	res *match.Result
+	sc  match.Scratch
+	x   match.Extended
 }
 
 // Federate snapshots the system into a live federation. The system's
@@ -362,7 +368,7 @@ func (sys *System) Federate() (*Federation, error) {
 	if len(sys.extKey) == 0 {
 		return nil, fmt.Errorf("entityid: call SetExtendedKey first")
 	}
-	inner, err := federate.New(match.Config{
+	f := &Federation{cfg: match.Config{
 		R:            sys.r.Clone(),
 		S:            sys.s.Clone(),
 		Attrs:        sys.attrs,
@@ -372,31 +378,94 @@ func (sys *System) Federate() (*Federation, error) {
 		Distinct:     sys.distinct,
 		DeriveMode:   sys.mode,
 		DisableProp1: sys.prop1Off,
-	})
-	if err != nil {
+	}}
+	if err := f.rebuild(); err != nil {
 		return nil, err
 	}
-	return &Federation{inner: inner}, nil
+	return f, nil
+}
+
+// rebuild runs batch identification over the federation's relations and
+// verifies it, fail-closed like System.Identify.
+func (f *Federation) rebuild() error {
+	res, err := match.Build(f.cfg)
+	if err != nil {
+		return err
+	}
+	if err := res.Verify(); err != nil {
+		return err
+	}
+	f.res = res
+	return nil
 }
 
 // InsertR streams a tuple into relation R, identifying it immediately;
 // it returns the new matching pairs (at most one). Inserts that would
 // break the §3.2 constraints are rejected with the state unchanged.
-func (f *Federation) InsertR(t Tuple) ([]Pair, error) { return f.inner.InsertR(t) }
+func (f *Federation) InsertR(t Tuple) ([]Pair, error) { return f.insert(true, t) }
 
 // InsertS streams a tuple into relation S.
-func (f *Federation) InsertS(t Tuple) ([]Pair, error) { return f.inner.InsertS(t) }
+func (f *Federation) InsertS(t Tuple) ([]Pair, error) { return f.insert(false, t) }
+
+// insert is the hub's commit path on one pair: the side's relation admits
+// the tuple (shape and candidate keys), its image extends it, Identify
+// runs §3.2's insertion guard, the relation takes the tuple and Append
+// has the image adopt it and the table grow. Every refusal comes before
+// the relation takes the tuple, with nothing changed.
+func (f *Federation) insert(left bool, t Tuple) ([]Pair, error) {
+	rel := f.cfg.S
+	if left {
+		rel = f.cfg.R
+	}
+	a, err := rel.Admit(t)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.res.Image(left).Extend(a, &f.x); err != nil {
+		return nil, err
+	}
+	pairs, err := f.res.Identify(left, &f.x, &f.sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := rel.InsertAdmitted(a); err != nil {
+		return nil, err
+	}
+	if err := f.res.Append(left, &f.x, pairs); err != nil {
+		return nil, err
+	}
+	return slices.Clone(pairs), nil // pairs is f.sc's, until the next insert
+}
 
 // AddILFD grows the knowledge base; non-monotone or inconsistent
 // knowledge is rejected and rolled back.
-func (f *Federation) AddILFD(fd ILFD) error { return f.inner.AddILFD(fd) }
+func (f *Federation) AddILFD(fd ILFD) error {
+	// Rebuild under the grown knowledge and assert §3.3 monotonicity by
+	// position: every pair matched before must still be. A refusal puts
+	// back the previous knowledge and result, which the rebuild left be.
+	prevILFDs, prev := f.cfg.ILFDs, f.res
+	f.cfg.ILFDs = append(slices.Clip(prevILFDs), fd)
+	err := f.rebuild()
+	if err == nil {
+		for p := range prev.MT.All() {
+			if !f.res.MT.Contains(p.RIndex, p.SIndex) {
+				err = fmt.Errorf("entityid: ILFD %v breaks monotonicity: pair (%d,%d) lost", fd, p.RIndex, p.SIndex)
+				break
+			}
+		}
+	}
+	if err != nil {
+		f.cfg.ILFDs, f.res = prevILFDs, prev
+	}
+	return err
+}
 
 // Pairs returns the current matching pairs.
-func (f *Federation) Pairs() []Pair { return f.inner.Pairs() }
+func (f *Federation) Pairs() []Pair { return f.res.MT.Pairs(0, f.res.MT.Len()) }
 
 // IntegratedTable returns the current integrated view.
 func (f *Federation) IntegratedTable() (*Relation, error) {
-	return f.inner.Result().Integrated()
+	return f.res.Integrated()
 }
 
 // MergeStrategy selects how Merged resolves attribute-value conflicts

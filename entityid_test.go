@@ -692,6 +692,199 @@ func TestFederatePreconditions(t *testing.T) {
 	}
 }
 
+// TestFederateBuildsAndVerifies: Federate builds the initial table and
+// verifies it.
+func TestFederateBuildsAndVerifies(t *testing.T) {
+	fed, err := example3System().Federate()
+	if err != nil {
+		t.Fatalf("Federate: %v", err)
+	}
+	if got := len(fed.Pairs()); got != 3 {
+		t.Errorf("initial pairs = %d, want 3", got)
+	}
+	if it, err := fed.IntegratedTable(); err != nil || it.Len() != 6 {
+		t.Errorf("integrated table: %v, %v; want 6 rows", it, err)
+	}
+}
+
+// TestFederateFailsClosedOnUnsoundKey: Federate refuses an extended key
+// under which the initial table breaks uniqueness.
+func TestFederateFailsClosedOnUnsoundKey(t *testing.T) {
+	sys := example3System()
+	sys.SetExtendedKey("name")
+	if _, err := sys.Federate(); !errors.Is(err, match.ErrUniqueness) {
+		t.Fatalf("Federate over an unsound key = %v, want a uniqueness violation", err)
+	}
+}
+
+// TestFederationInsertRMatchesIncrementally: an R tuple with no
+// derivable speciality matches nothing; once two ILFDs say what
+// VillageWok serves, the S tuple that completes R's unmatched VillageWok
+// row pairs with it, and the grown table still verifies.
+func TestFederationInsertRMatchesIncrementally(t *testing.T) {
+	fed, err := example3System().Federate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := fed.InsertR(Tuple{String("NewPlace"), String("Thai"), String("Main St")})
+	if err != nil {
+		t.Fatalf("InsertR: %v", err)
+	}
+	if len(pairs) != 0 {
+		t.Fatalf("unexpected pairs %v", pairs)
+	}
+	for _, line := range []string{
+		"speciality=Cantonese -> cuisine=Chinese",
+		"name=VillageWok & street=Wash.Ave. -> speciality=Cantonese",
+	} {
+		f, err := ParseILFD(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fed.AddILFD(f); err != nil {
+			t.Fatalf("AddILFD: %v", err)
+		}
+	}
+	pairs, err = fed.InsertS(Tuple{String("VillageWok"), String("Cantonese"), String("Hennepin")})
+	if err != nil {
+		t.Fatalf("InsertS: %v", err)
+	}
+	if len(pairs) != 1 {
+		t.Fatalf("pairs = %v, want 1", pairs)
+	}
+	if name := fed.res.RPrime.MustValue(pairs[0].RIndex, "name"); name.Str() != "VillageWok" {
+		t.Errorf("matched R row = %v", name)
+	}
+	if got := len(fed.Pairs()); got != 4 {
+		t.Errorf("total pairs = %d, want 4", got)
+	}
+	if err := fed.res.Verify(); err != nil {
+		t.Fatalf("state unsound: %v", err)
+	}
+}
+
+// TestFederationInsertRejectsKeyViolation: a tuple repeating R's key
+// (name, cuisine) is refused and leaves the pairs as they were.
+func TestFederationInsertRejectsKeyViolation(t *testing.T) {
+	fed, err := example3System().Federate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fed.Pairs()
+	_, err = fed.InsertR(Tuple{String("TwinCities"), String("Chinese"), String("Anywhere")})
+	if err == nil || !strings.Contains(err.Error(), "key") {
+		t.Fatalf("key violation not refused: %v", err)
+	}
+	if !slices.Equal(fed.Pairs(), before) || fed.cfg.R.Len() != 5 || fed.res.RPrime.Len() != 5 {
+		t.Errorf("refused insert left a trace: pairs %v, %d R tuples, %d R' tuples", fed.Pairs(), fed.cfg.R.Len(), fed.res.RPrime.Len())
+	}
+}
+
+// TestFederationRefusalLeavesStateUnchanged: an insert the federation's
+// relation refuses (a misshapen tuple, a duplicate key) or §3.2's
+// insertion guard refuses (a tuple whose partner is matched already, or
+// that matches two at once) leaves the relation, R′ and the pairs as
+// they were, and the next insert lands where it would have.
+func TestFederationRefusalLeavesStateUnchanged(t *testing.T) {
+	idName := func(name string) *Relation {
+		r, err := NewRelation(name, []Attribute{{Name: "id"}, {Name: "name"}}, []string{"id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	sys := New().SetRelations(idName("R"), idName("S")).
+		MapAttr("name", "name", "name").MapAttr("rid", "id", "").MapAttr("sid", "", "id").
+		SetExtendedKey("name")
+	fed, err := sys.Federate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := func(vals ...string) Tuple { return Tuple{String(vals[0]), String(vals[1])} }
+	for _, st := range []Tuple{tup("s1", "A"), tup("s2", "B"), tup("s3", "B")} {
+		if _, err := fed.InsertS(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := fed.InsertR(tup("r1", "A"))
+	if err != nil || !slices.Equal(first, []Pair{{RIndex: 0, SIndex: 0}}) {
+		t.Fatalf("InsertR r1 = %v, %v; want the pair (0,0)", first, err)
+	}
+	for _, c := range []struct {
+		t     Tuple
+		guard error
+		text  string
+	}{
+		{Tuple{String("r2")}, nil, "relation R: arity 1 tuple, schema wants 2"},
+		{tup("r1", "C"), nil, "key (id) violation"},
+		{tup("r2", "A"), match.ErrUniqueness, "match: uniqueness violation: S tuple 0 already matched to R tuple 0"},
+		{tup("r2", "B"), match.ErrUniqueness, "match: uniqueness violation: insert would match 2 tuples at once (unsound)"},
+	} {
+		_, err := fed.InsertR(c.t)
+		if err == nil || !strings.Contains(err.Error(), c.text) || c.guard != nil && !errors.Is(err, c.guard) {
+			t.Fatalf("InsertR %v = %v, want %q", c.t, err, c.text)
+		}
+		if fed.cfg.R.Len() != 1 || fed.res.RPrime.Len() != 1 || len(fed.Pairs()) != 1 {
+			t.Fatalf("refused %v left a trace: %d R tuples, %d R' tuples, pairs %v", c.t, fed.cfg.R.Len(), fed.res.RPrime.Len(), fed.Pairs())
+		}
+	}
+	if pairs, err := fed.InsertR(tup("r2", "C")); err != nil || len(pairs) != 0 {
+		t.Fatalf("InsertR r2 = %v, %v", pairs, err)
+	}
+	if pairs, err := fed.InsertS(tup("s4", "C")); err != nil || !slices.Equal(pairs, []Pair{{RIndex: 1, SIndex: 3}}) {
+		t.Fatalf("InsertS s4 = %v, %v; want the pair (1,3)", pairs, err)
+	}
+	if !slices.Equal(first, []Pair{{RIndex: 0, SIndex: 0}}) {
+		t.Fatalf("a later insert rewrote the pairs an earlier one returned: %v", first)
+	}
+}
+
+// TestFederationAddILFDMonotone: knowledge that completes a pair grows
+// the table by it.
+func TestFederationAddILFDMonotone(t *testing.T) {
+	fds := paperdata.Example3ILFDs()
+	sys := example3System()
+	sys.ilfds = fds[:4] // only the uniform family
+	fed, err := sys.Federate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(fed.Pairs())
+	if err := fed.AddILFD(fds[4]); err != nil { // I5 unlocks the TwinCities/Hunan pair
+		t.Fatalf("AddILFD: %v", err)
+	}
+	if got := len(fed.Pairs()); got != before+1 {
+		t.Errorf("pairs = %d, want %d", got, before+1)
+	}
+}
+
+// TestFederationAddILFDRollback: knowledge that would break a matched
+// pair is refused, and the federation keeps its knowledge and table.
+func TestFederationAddILFDRollback(t *testing.T) {
+	fed, err := example3System().Federate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, knowledge := fed.Pairs(), len(fed.cfg.ILFDs)
+	// Its Prop.-1 distinctness rule declares the matched Gyros pair
+	// distinct.
+	breaker, err := ParseILFD("speciality=Gyros -> cuisine=Turkish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fed.AddILFD(breaker)
+	if !errors.Is(err, match.ErrConsistency) && (err == nil || !strings.Contains(err.Error(), "monotonicity")) {
+		t.Fatalf("AddILFD of a breaker = %v, want a consistency or monotonicity refusal", err)
+	}
+	if !slices.Equal(fed.Pairs(), before) || len(fed.cfg.ILFDs) != knowledge {
+		t.Fatalf("rollback failed: pairs %v, %d ILFDs; want %v, %d", fed.Pairs(), len(fed.cfg.ILFDs), before, knowledge)
+	}
+	// The rolled-back federation still takes inserts.
+	if _, err := fed.InsertS(Tuple{String("VillageWok"), String("Cantonese"), String("Hennepin")}); err != nil {
+		t.Fatalf("InsertS after a rollback: %v", err)
+	}
+}
+
 func TestPossibleMatchesPublicAPI(t *testing.T) {
 	sys := New()
 	sys.SetRelations(paperdata.Table5R(), paperdata.Table5S())

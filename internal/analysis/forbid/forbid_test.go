@@ -17,7 +17,6 @@ var fixtures = []string{
 	"entityid/cmd/entityidd",
 	"entityid/examples/report",
 	"entityid/internal/experiments",
-	"entityid/internal/federate",
 	"entityid/internal/hub",
 	"entityid/internal/match",
 	"entityid/internal/obs",

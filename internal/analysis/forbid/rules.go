@@ -17,7 +17,7 @@ var Rules = []Rule{{
 	Reason: "the hub folds clusters through one dense union-find and a store finds a node's record by position: a node-keyed map is a second, slower fold",
 	PR:     32,
 }, {
-	Scope:  Scope{Pkgs: []string{"entityid/internal/match", "entityid/internal/federate", "entityid/internal/hub"}},
+	Scope:  Scope{Pkgs: []string{"entityid/internal/match", "entityid/internal/hub"}},
 	Shape:  Shape{Types: []string{"map[entityid/internal/match.Pair]*", "map[int][]int"}},
 	Reason: "a matching table is a partial bijection over numbered tuples, dense int32 partner arrays: no pair set, no postings map",
 	PR:     31,
@@ -30,7 +30,7 @@ var Rules = []Rule{{
 	Scope: Scope{Pkgs: []string{"entityid/internal/hub"}},
 	Shape: Shape{Calls: []string{"(entityid/internal/store.Backend).Pairs", "(*entityid/internal/store/mem.Backend).Pairs",
 		"(*entityid/internal/store/disk.Backend).Pairs", "(entityid/internal/store.Pairs).Save", "(entityid/internal/store.Pairs).Load"}},
-	Reason: "a pair's federation is resident for its life, since every insert prepares against every pair of its source: no pair tier",
+	Reason: "a pair's matching result is resident for its life, since every insert is identified against every pair of its source: no pair tier",
 	PR:     35,
 }, {
 	Scope:  Scope{Pkgs: []string{"entityid/internal/hub"}, Files: []string{"snapshot.go", "snapwriter.go"}},
@@ -42,6 +42,11 @@ var Rules = []Rule{{
 	Shape:  Shape{Import: "entityid/internal/integrate"},
 	Reason: "T_RS is laid out in one place, match.Result.Integrated",
 	PR:     40,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/..."}},
+	Shape:  Shape{Import: "entityid/internal/federate"},
+	Reason: "§3.2's insertion guard is one method beside Verify, match.Result.Identify: no second object per pair",
+	PR:     43,
 }, {
 	Scope:  Scope{Pkgs: []string{"entityid/internal/resolve"}},
 	Shape:  Shape{Funcs: []string{"Merge", "AutoSpecs"}},

@@ -1,3 +1,6 @@
 package report
 
-import _ "entityid/internal/integrate"
+import (
+	_ "entityid/internal/federate"
+	_ "entityid/internal/integrate"
+)

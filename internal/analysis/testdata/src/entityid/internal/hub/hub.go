@@ -30,7 +30,7 @@ var clusterOf map[node]int // want `map\[entityid/internal/store\.Node\]int: the
 var pairSet map[match.Pair]bool // want `map\[entityid/internal/match\.Pair\]bool: a matching table`
 
 func (h *Hub) tier() {
-	_ = h.backend.Pairs()         // want `call to \(entityid/internal/store\.Backend\)\.Pairs: a pair's federation is resident .*\(PR 35\)`
+	_ = h.backend.Pairs()         // want `call to \(entityid/internal/store\.Backend\)\.Pairs: a pair's matching result is resident .*\(PR 35\)`
 	_ = h.backend.Pairs().Save(1) // want `call to \(entityid/internal/store\.Pairs\)\.Save` `call to \(entityid/internal/store\.Backend\)\.Pairs`
 	_ = h.pending.Pairs()
 	// Outside recovery's files the commit path is the commit path.

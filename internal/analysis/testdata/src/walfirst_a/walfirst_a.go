@@ -3,6 +3,7 @@
 package walfirst_a
 
 import (
+	"match"
 	"relation"
 	"sync/atomic"
 )
@@ -13,6 +14,15 @@ type logger struct{ n int }
 func (l *logger) appendRecord(b []byte) error {
 	l.n += len(b)
 	return nil
+}
+
+// pair is one link; only its published result is state.
+type pair struct {
+	//entitylint:published
+	res *match.Result
+	// spare is not published: an Append through it is not a logical
+	// mutation.
+	spare *match.Result
 }
 
 type Hub struct {
@@ -26,6 +36,7 @@ type Hub struct {
 	clock atomic.Value
 	//entitylint:published
 	sources []int
+	pairs   []*pair
 }
 
 //entitylint:publishes
@@ -138,4 +149,43 @@ func (h *Hub) goodBothBranches(b []byte, ok bool) {
 func (h *Hub) restore(members []int) {
 	h.sources = members
 	h.view.Store(len(members))
+}
+
+// goodPairAppend: each pair's result is identified against before the
+// append — a check, nothing is mutated — and grows after it, reached
+// through a loop variable as the hub's commit path reaches it.
+//
+//entitylint:commitpath
+func (h *Hub) goodPairAppend(b []byte) error {
+	for _, p := range h.pairs {
+		if _, err := p.res.Identify(len(b)); err != nil {
+			return err
+		}
+		_ = p.spare.Append(nil) // not published: not flagged
+	}
+	if h.per != nil {
+		if err := h.per.appendRecord(b); err != nil {
+			return err
+		}
+	}
+	for _, p := range h.pairs {
+		if err := p.res.Append(nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+//entitylint:commitpath
+func (h *Hub) badPairAppend(b []byte) error {
+	for i, p := range h.pairs {
+		_ = p.res.Append(nil)          // want `call to Append through published field res before the write-ahead append`
+		_ = h.pairs[i].res.Append(nil) // want `call to Append through published field res before the write-ahead append`
+	}
+	if h.per != nil {
+		if err := h.per.appendRecord(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -6,10 +6,10 @@
 // same-package functions that transitively call one). Mutations are:
 //
 //   - method calls with a store/publish verb name (Publish, Commit,
-//     Insert, InsertAdmitted, KeepAdmitted, Attach, Store) whose receiver chain passes through a
-//     struct field annotated //entitylint:published — a Store on an
-//     unannotated field (an eviction clock, a page-in cache) is not a
-//     logical mutation;
+//     Insert, InsertAdmitted, KeepAdmitted, Append, Attach, Store) whose
+//     receiver chain passes through a struct field annotated
+//     //entitylint:published — a Store on an unannotated field (an
+//     eviction clock, a page-in cache) is not a logical mutation;
 //   - same-package calls to functions annotated //entitylint:publishes
 //     (or transitively reaching one);
 //   - assignments (including compound and inc/dec) whose target is a
@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 // mutatorMethods are method names that publish or store committed
 // state when invoked through a published field.
 var mutatorMethods = map[string]bool{
-	"Publish": true, "Commit": true, "Insert": true, "InsertAdmitted": true, "KeepAdmitted": true, "Attach": true, "Store": true,
+	"Publish": true, "Commit": true, "Insert": true, "InsertAdmitted": true, "KeepAdmitted": true, "Append": true, "Attach": true, "Store": true,
 }
 
 type checker struct {
@@ -218,7 +218,7 @@ func (c *checker) publishedMutator(call *ast.CallExpr) (*types.Var, bool) {
 }
 
 // publishedInChain walks a receiver chain (h.clusters, s.view,
-// h.backend.Clusters(), src.pairs[i].fed ...) looking for a published
+// h.backend.Clusters(), src.pairs[i].res ...) looking for a published
 // field.
 func (c *checker) publishedInChain(e ast.Expr) (*types.Var, bool) {
 	for {

@@ -210,8 +210,8 @@ func MustMultiGenerate(cfg MultiConfig) *MultiWorkload {
 }
 
 // MultiPair is the identification knowledge for one source pair,
-// expressed over match types so the hub layer (or a direct
-// federate/match caller) can assemble it into its own configuration.
+// expressed over match types so the hub layer (or a direct match
+// caller) can assemble it into its own configuration.
 type MultiPair struct {
 	Left, Right string
 	Attrs       []match.AttrMap

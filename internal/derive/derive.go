@@ -124,7 +124,7 @@ func Extend(rel *relation.Relation, name string, extra []schema.Attribute, fs il
 // rules indexed by column and value — once per schema, not per tuple:
 // ExtendTuple keeps the binding of the schema it was last given, so a
 // caller that holds one extended schema across tuples (Extend,
-// match.SideExtender) pays for it once.
+// match.Image) pays for it once.
 type Extender struct {
 	fs   ilfd.Set
 	opts Options
@@ -152,9 +152,9 @@ func (e *Extender) bound(extSch *schema.Schema) *program {
 // extended schema extSch (the tuple must already have extSch's arity,
 // with NULLs in underived positions). It returns the conflicts found
 // (Fixpoint mode), reported at tuple index 0. This is the per-tuple step
-// every extension runs: a match.SideExtender pads a source tuple into its
-// side's extended schema and calls it, for one admitted tuple (federate's
-// prepare) and for each tuple of a batch build alike.
+// every extension runs: a match.Image pads a source tuple into its
+// side's extended schema and calls it, for one admitted tuple
+// (Image.Extend) and for each tuple of a batch build (Image.Grow) alike.
 func (e *Extender) ExtendTuple(extSch *schema.Schema, ext relation.Tuple) ([]Conflict, error) {
 	return e.extendAt(extSch, ext, 0)
 }

@@ -1,6 +1,6 @@
-// The commit path: the one way a tuple enters the hub. Insert prepares
-// the new tuple against every pairwise federation of its source
-// (federate's side-effect-free Prepare), checks the transitive
+// The commit path: the one way a tuple enters the hub. Insert identifies
+// the new tuple against every pair of its source (match.Result.Identify,
+// §3.2's insertion guard, which changes nothing), checks the transitive
 // constraint, and only then commits everywhere, all under the one commit
 // lock: whether an insert is accepted depends on clusters every pair
 // feeds (§3.2 lifted across sources), so commits are serial and one lock
@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 
-	"entityid/internal/federate"
+	"entityid/internal/match"
 	"entityid/internal/obs"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
@@ -52,7 +52,7 @@ type Receipt struct {
 
 // Insert streams one tuple into a source: it is identified against
 // every linked source concurrently-safely, and either committed
-// everywhere — canonical relation, every pairwise federation, global
+// everywhere — canonical relation, every pair's matching result, global
 // clusters — or rejected everywhere. Rejections (source key violation,
 // pairwise §3.2 uniqueness or consistency violation, transitive
 // cluster-uniqueness violation) leave the hub exactly as it was.
@@ -113,11 +113,11 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	}
 	src := h.sources[si]
 	// One commit at a time, from admission to receipt: what was admitted
-	// and prepared is still true when it is applied.
+	// and identified is still true when it is applied.
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
 	// The source admits the tuple — shape and candidate keys, the one time
-	// either is checked: every pair prepares from the admission, and the
+	// either is checked: every pair identifies from the admission, and the
 	// canonical insert below files the tuple under the key hashes taken
 	// here.
 	adm, err := src.rel.Admit(t)
@@ -127,41 +127,38 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 	if err := checkUTF8(src.rel.Schema(), t); err != nil {
 		return nil, fmt.Errorf("hub: source %q: %w", source, err)
 	}
-	// Phase 1: extend the tuple once per image of its source, then prepare
-	// against every pairwise federation from its side's extension,
-	// mutating nothing, collecting the partner tuples the insert would
-	// match.
+	// Phase 1: extend the tuple once per image of its source, then
+	// identify it against every pair from its side's extension, mutating
+	// nothing, collecting each pair's matches and the partner tuples the
+	// insert would match.
 	for k, im := range src.images {
 		if _, err := im.Extend(adm, &src.ext[k]); err != nil {
 			return nil, fmt.Errorf("hub: source %q: %w", source, err)
 		}
 	}
-	pendings := make([]*federate.Pending, 0, len(src.pairs))
+	matched := make([][]match.Pair, len(src.pairs))
 	var partners []node
-	for _, p := range src.pairs {
-		left, k := p.left == si, p.img[1]
-		if left {
-			k = p.img[0]
-		}
-		pd, err := p.fed.PrepareExtended(left, &src.ext[k])
+	for i, p := range src.pairs {
+		left := p.left == si
+		pairs, err := p.res.Identify(left, src.extOf(p, left), &p.sc)
 		if err != nil {
-			if errors.Is(err, federate.ErrUniqueness) {
+			if errors.Is(err, match.ErrUniqueness) {
 				mUniqueness.Inc()
 			}
 			return nil, fmt.Errorf("hub: source %q vs %q: %w", source, h.sources[p.other(si)].name, err)
 		}
-		for _, pr := range pd.Pairs() {
+		for _, pr := range pairs {
 			if left {
 				partners = append(partners, node{Src: p.right, Idx: pr.SIndex})
 			} else {
 				partners = append(partners, node{Src: p.left, Idx: pr.RIndex})
 			}
 		}
-		pendings = append(pendings, pd)
+		matched[i] = pairs
 	}
 	n := node{Src: si, Idx: src.rel.Len()}
 	// Phase 2: transitive uniqueness, then commit everywhere. The check
-	// precedes every mutation, so rejection needs no undo; commits
+	// precedes every mutation, so rejection needs no undo; appends
 	// cannot fail under the commit lock.
 	merged, err := store.CheckMerge(h.clusters, n, partners, h.sourceName)
 	if err != nil {
@@ -202,21 +199,25 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		return nil, fmt.Errorf("hub: source %q: %w", source,
 			h.poison(fmt.Errorf("canonical insert after its admission: %v", insErr)))
 	}
-	// Every pair commits beside it — the first over each image has the
+	// Every pair appends beside it — the first over each image has the
 	// image keep what the extension adds to the tuple just inserted, the
 	// relation it borrows checked to be exactly one tuple ahead of it —
 	// and grows its matching table.
-	for i, pd := range pendings {
-		if _, err := pd.Commit(); err != nil {
+	for i, p := range src.pairs {
+		left := p.left == si
+		if err := p.res.Append(left, src.extOf(p, left), matched[i]); err != nil {
 			// Same invariant class as above, with in-memory pairwise
 			// state torn mid-commit: poison.
 			return nil, fmt.Errorf("hub: source %q: %w", source,
-				h.poison(fmt.Errorf("pair %d commit after successful prepare: %v", src.pairs[i].id, err)))
+				h.poison(fmt.Errorf("pair %d append after its identification: %v", p.id, err)))
 		}
 	}
 	stageApply.Observe(op.Stage("apply"))
-	// The fold was done by the check; what is left cannot fail.
-	store.Apply(h.clusters, merged)
+	// The fold was done by the check (everything a merge reads,
+	// CheckMerge has read); what is left cannot fail.
+	if merged != nil {
+		h.clusters.Publish(merged)
+	}
 	if len(partners) > 0 {
 		mClusterMerges.Inc()
 	}

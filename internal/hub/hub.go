@@ -1,4 +1,4 @@
-// Package hub generalizes the pairwise federation (federate) to N
+// Package hub generalizes pairwise identification (match) to N
 // autonomous sources: the multi-database integration the paper frames
 // in §1, where "a federated system" integrates "a number of autonomous
 // databases" and entity identification is the prerequisite for every
@@ -7,9 +7,10 @@
 // A Hub registers named sources and links source pairs, each link
 // carrying its own attribute correspondences, extended key, ILFDs and
 // rules — pairwise knowledge stays pairwise, exactly as autonomous
-// administration implies. Every link has a live federate.Federation;
-// the hub folds the pairwise matching tables into global entity
-// clusters (cluster.go), lifting the §3.2 uniqueness
+// administration implies. Every link has a live match.Result, built and
+// verified on Link and grown by every insert past §3.2's insertion guard
+// (match.Result.Identify); the hub folds the pairwise matching tables
+// into global entity clusters (cluster.go), lifting the §3.2 uniqueness
 // constraint transitively: a cluster may hold at most one tuple per
 // source, and an insert whose pairwise matches would merge two tuples
 // of one source is rejected with every pairwise state rolled back
@@ -17,13 +18,13 @@
 // only ever grow or merge.
 //
 // Ownership: a source's tuples live once, in the hub's canonical
-// relation (sourceState.rel). Every pairwise federation of the source
-// borrows that relation — it is never cloned on Link, insert or
-// snapshot load. What is derived from it is kept once per knowledge, not
-// once per pair: the source keeps one image (match.Image) for each
-// distinct way its links fill it — its renames, the ILFDs that can fire
-// on it, the derive mode — holding per tuple the cells those ILFDs
-// derived and an entry in each probe index some pairing joins on, and
+// relation (sourceState.rel). Every pair of the source borrows that
+// relation — it is never cloned on Link, insert or snapshot load. What
+// is derived from it is kept once per knowledge, not once per pair: the
+// source keeps one image (match.Image) for each distinct way its links
+// fill it — its renames, the ILFDs that can fire on it, the derive mode
+// — holding per tuple the cells those ILFDs derived and an entry in each
+// probe index some pairing joins on, and
 // every pair whose side agrees reads that image (on a full mesh of K
 // sources over one ILFD family, one image per source, not K − 1). A pair
 // keeps its matching-table entries. The source's candidate keys are
@@ -48,9 +49,9 @@
 // Storage is a seam (internal/store): the hub talks to a pluggable
 // Backend for cluster records. The default mem backend keeps every
 // record resident; the disk backend bounds resident memory by spilling
-// cold cluster records and paging them back on demand. A pair's
-// federation is resident for the pair's life on either backend: every
-// insert prepares against every pair of its source, so uniform ingest
+// cold cluster records and paging them back on demand. A pair's matching
+// result is resident for the pair's life on either backend: every insert
+// is identified against every pair of its source, so uniform ingest
 // keeps every pair hot and a pair tier would rebuild one per insert.
 package hub
 
@@ -61,7 +62,6 @@ import (
 	"sync/atomic"
 
 	"entityid/internal/derive"
-	"entityid/internal/federate"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
@@ -86,8 +86,8 @@ type PairSpec struct {
 }
 
 // sourceState is one registered source: the hub-owned canonical
-// relation — the only copy of the source's tuples, lent to every
-// pairwise federation of the source — plus the links that involve it.
+// relation — the only copy of the source's tuples, lent to every pair
+// of the source — plus the links that involve it.
 type sourceState struct {
 	id   int
 	name string
@@ -133,6 +133,15 @@ func (s *sourceState) publishView() {
 	s.view.Store(&tupleView{tuples: s.rel.Tuples()})
 }
 
+// extOf returns the arriving tuple as extended by the image pair p reads
+// of the source, its left side or its right.
+func (s *sourceState) extOf(p *pairState, left bool) *match.Extended {
+	if left {
+		return &s.ext[p.img[0]]
+	}
+	return &s.ext[p.img[1]]
+}
+
 // topoView is the read-path snapshot of the source topology, published
 // atomically by AddSource so point reads resolve source names without
 // touching the topology lock.
@@ -141,18 +150,20 @@ type topoView struct {
 	byName  map[string]int
 }
 
-// pairState is one link: its live pairwise federation and the spec,
-// retained for snapshots and the WAL. fed is set once, under h.mu
+// pairState is one link: its live matching result and the spec,
+// retained for snapshots and the WAL. res is set once, under h.mu
 // exclusively — by Link, or by Open once the log is read — with img,
-// where the left and the right source keep the federation's two images;
-// the federation is prepared against and grows only under the commit
+// where the left and the right source keep the result's two images; the
+// result is identified against (in sc) and grows only under the commit
 // lock, which is what reads its matching table.
 type pairState struct {
 	id          int
 	left, right int
-	fed         *federate.Federation
-	img         [2]int
-	spec        PairSpec
+	//entitylint:published
+	res  *match.Result
+	sc   match.Scratch
+	img  [2]int
+	spec PairSpec
 }
 
 // Hub is the multi-source federation coordinator.
@@ -172,8 +183,8 @@ type Hub struct {
 	// resolve source names through. Republished by AddSource.
 	//entitylint:published
 	topo atomic.Pointer[topoView]
-	// commitMu serialises commits: an insert admits, prepares, checks and
-	// applies under it, so the hub has exactly one mutator at a time.
+	// commitMu serialises commits: an insert admits, identifies, checks
+	// and applies under it, so the hub has exactly one mutator at a time.
 	// Point reads and walks never take it — they go through the
 	// per-source views and the store's Read path.
 	//entitylint:lock rank=50
@@ -273,10 +284,10 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 }
 
 // Link registers the identification link between two sources and
-// builds its pairwise federation from the sources' current contents.
-// The initial matching table must verify pairwise (federate.New fails
-// closed) and fold into the global clusters without a transitive
-// uniqueness violation; on any failure the hub is unchanged.
+// builds its matching result from the sources' current contents. The
+// initial matching table must verify pairwise (buildPair fails closed)
+// and fold into the global clusters without a transitive uniqueness
+// violation; on any failure the hub is unchanged.
 func (h *Hub) Link(spec PairSpec) error {
 	if err := h.healthErr(); err != nil {
 		return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
@@ -303,15 +314,31 @@ func (h *Hub) Link(spec PairSpec) error {
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
 		}
 	}
-	fed, err := federate.NewOn(cfg, imgs[0], imgs[1])
+	res, err := buildPair(cfg, imgs[0], imgs[1])
 	if err != nil {
 		return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, err)
 	}
-	if err := h.registerLinkLocked(spec, li, ri, fed); err != nil {
-		fed.Result().Release()
+	if err := h.registerLinkLocked(spec, li, ri, res); err != nil {
+		res.Release()
 		return err
 	}
 	return nil
+}
+
+// buildPair is a pair's batch identification on the images r and s —
+// Link's and recovery's — and the §3.2 check of its table: a table that
+// does not verify is refused, and the indexes the build made on the
+// images are given back.
+func buildPair(cfg match.Config, r, s *match.Image) (*match.Result, error) {
+	res, err := match.BuildOn(cfg, r, s)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.Verify(); err != nil {
+		res.Release()
+		return nil, err
+	}
+	return res, nil
 }
 
 // imageFor returns the image that serves the left or right side of cfg:
@@ -334,7 +361,7 @@ func imageFor(have []*match.Image, cfg match.Config, left bool) (im *match.Image
 // canonical relations — the single place the PairSpec→match.Config
 // mapping lives, shared by live linking and recovery so they can never
 // diverge on a knob. The relations are lent, not copied: every pair of a
-// source reads the one canonical relation, and Prepare/Commit never
+// source reads the one canonical relation, and Identify/Append never
 // write it.
 func (h *Hub) matchConfig(li, ri int, spec PairSpec) match.Config {
 	return match.Config{
@@ -387,10 +414,10 @@ func (h *Hub) resolveLinkLocked(spec PairSpec) (li, ri int, err error) {
 // exclusively.
 //
 //entitylint:commitpath
-func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federation) error {
+func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, res *match.Result) error {
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	grown, _, err := foldTables(h.sourceLens(), []linkTable{{left: li, right: ri, mt: fed.MT()}}, h.clusters, h.sourceName)
+	grown, _, err := foldTables(h.sourceLens(), []linkTable{{left: li, right: ri, mt: res.MT}}, h.clusters, h.sourceName)
 	if err != nil {
 		return fmt.Errorf("hub: %w", err)
 	}
@@ -399,35 +426,35 @@ func (h *Hub) registerLinkLocked(spec PairSpec, li, ri int, fed *federate.Federa
 			return fmt.Errorf("hub: link %q-%q: %w", spec.Left, spec.Right, h.ingestFailed(err))
 		}
 	}
-	h.addPairLocked(spec, li, ri, fed)
+	h.addPairLocked(spec, li, ri, res)
 	for _, ms := range grown {
 		h.clusters.Publish(ms)
 	}
 	return nil
 }
 
-// addPairLocked registers a validated link: Link hands it the federation
-// whose table it just folded, Open nil — it builds the federation once
-// the log is read (setFed). Callers hold h.mu exclusively.
-func (h *Hub) addPairLocked(spec PairSpec, li, ri int, fed *federate.Federation) {
+// addPairLocked registers a validated link: Link hands it the result
+// whose table it just folded, Open nil — it builds the result once the
+// log is read (setResult). Callers hold h.mu exclusively.
+func (h *Hub) addPairLocked(spec PairSpec, li, ri int, res *match.Result) {
 	left, right := h.sources[li], h.sources[ri]
 	p := &pairState{id: len(h.pairs), left: li, right: ri, spec: spec}
 	h.pairs = append(h.pairs, p)
 	left.pairs = append(left.pairs, p)
 	right.pairs = append(right.pairs, p)
 	recordAttrNames(left, right, spec.Attrs)
-	if fed != nil {
-		h.setFed(p, fed)
+	if res != nil {
+		h.setResult(p, res)
 	}
 }
 
-// setFed hands a pair its federation and has each of the pair's sources
-// keep the federation's image of it — once, however many pairs read it.
-// Callers hold h.mu exclusively.
-func (h *Hub) setFed(p *pairState, fed *federate.Federation) {
-	p.fed = fed
+// setResult hands a pair its matching result and has each of the pair's
+// sources keep the result's image of it — once, however many pairs read
+// it. Callers hold h.mu exclusively.
+func (h *Hub) setResult(p *pairState, res *match.Result) {
+	p.res = res
 	for n, si := range []int{p.left, p.right} {
-		s, im := h.sources[si], fed.Result().Image(n == 0)
+		s, im := h.sources[si], res.Image(n == 0)
 		k := slices.Index(s.images, im)
 		if k < 0 {
 			k = len(s.images)

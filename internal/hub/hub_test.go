@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/obs"
 	"entityid/internal/relation"
@@ -199,11 +198,11 @@ func TestHubPairwiseGuardRejections(t *testing.T) {
 		text    string
 		counted int
 	}{
-		{[]string{"b1", "n1", "p2"}, federate.ErrUniqueness, "uniqueness violation: R tuple 0 already matched to S tuple 0", 1},
-		{[]string{"b1", "n2", "p2"}, federate.ErrUniqueness, "insert would match 2 tuples at once (unsound)", 1},
-		{[]string{"b1", "n3", "px"}, federate.ErrConsistency, `distinctness rule "kx-px" forbids`, 0},
+		{[]string{"b1", "n1", "p2"}, match.ErrUniqueness, "uniqueness violation: R tuple 0 already matched to S tuple 0", 1},
+		{[]string{"b1", "n2", "p2"}, match.ErrUniqueness, "insert would match 2 tuples at once (unsound)", 1},
+		{[]string{"b1", "n3", "px"}, match.ErrConsistency, `distinctness rule "kx-px" forbids`, 0},
 		// A-B prepares first and finds a4; B-D, prepared after it, rejects.
-		{[]string{"b1", "n4", "p4"}, federate.ErrUniqueness, `source "B" vs "D": federate: insert would match 2 tuples at once (unsound)`, 1},
+		{[]string{"b1", "n4", "p4"}, match.ErrUniqueness, `source "B" vs "D": match: uniqueness violation: insert would match 2 tuples at once (unsound)`, 1},
 	} {
 		stats, state := h.Stats(), stateOf(h)
 		counter := uniquenessRejections(t)

@@ -6,7 +6,6 @@ import (
 
 	"entityid/internal/datagen"
 	"entityid/internal/derive"
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 )
@@ -42,11 +41,11 @@ func pairsEqualBuild(t *testing.T, h *Hub) {
 	}
 	sorted := func(mt *match.Table) []match.Pair {
 		ps := mt.Pairs(0, mt.Len())
-		federate.SortPairs(ps)
+		match.SortPairs(ps)
 		return ps
 	}
 	for _, p := range h.pairs {
-		live := p.fed.Result()
+		live := p.res
 		want, err := match.Build(h.matchConfig(p.left, p.right, p.spec))
 		if err != nil {
 			t.Fatal(err)

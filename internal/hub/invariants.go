@@ -102,7 +102,7 @@ func (h *Hub) checkCopiesLocked(cut *snapshotCut) error {
 		}
 	}
 	for _, cp := range cut.pairs {
-		res := cp.p.fed.Result()
+		res := cp.p.res
 		if res.RPrime.Len() != cp.rlen || res.SPrime.Len() != cp.slen {
 			return fmt.Errorf("pair %q-%q: images of %d and %d tuples over relations of %d and %d",
 				cp.p.spec.Left, cp.p.spec.Right, res.RPrime.Len(), res.SPrime.Len(), cp.rlen, cp.slen)

@@ -107,7 +107,7 @@ func (h *Hub) PairResult(left, right string) (*match.Result, error) {
 	}
 	for _, p := range h.pairs {
 		if p.left == li && p.right == ri {
-			return p.fed.Result(), nil
+			return p.res, nil
 		}
 	}
 	return nil, fmt.Errorf("hub: sources %q and %q not linked", left, right)

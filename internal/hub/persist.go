@@ -43,7 +43,7 @@ type Options struct {
 	// Store selects the storage backend by name: "mem" (the default)
 	// keeps every cluster record resident; "disk" spills cold cluster
 	// records to a tier under the data directory, paging them back on
-	// demand. Pairwise federations stay resident on both. Empty means
+	// demand. Pairs' matching results stay resident on both. Empty means
 	// "mem".
 	Store string
 	// Backend, when non-nil, is used directly and overrides Store.
@@ -120,7 +120,7 @@ type RecoveryInfo struct {
 	// and decoding the snapshot's run files into the relations (zero with
 	// no snapshot); reading the log — every frame cut and verified, the
 	// tail past the watermark decoded — into the relations; building and
-	// verifying every pairwise federation, the snapshot's and the tail's
+	// verifying every pair's matching result, the snapshot's and the tail's
 	// links alike; folding the built matching tables into the cluster
 	// store and reading it back.
 	DecodeTime, ReplayTime, RestoreTime, FoldTime time.Duration
@@ -133,7 +133,7 @@ type RecoveryInfo struct {
 // Open opens (or creates) a durable hub rooted at dir: it loads the
 // snapshot the manifest names if one exists, reads the write-ahead log
 // tail past the snapshot watermark into the same relations, builds every
-// pairwise federation once and folds the clusters once (snapload.go), and
+// pair's matching result once and folds the clusters once (snapload.go), and
 // attaches the logger so subsequent mutations are persisted. The
 // returned hub must be Closed.
 func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {

@@ -11,8 +11,8 @@
 // and cluster fold, under the same commit lock as a direct Insert), so
 // per-item semantics — WAL write-ahead, §3.2 uniqueness, all-or-nothing
 // per insert — are Insert's, decided in one place. It is one goroutine
-// because a federate Pending is only valid while the commit lock is
-// held: what prepared a match must commit it.
+// because a pair's identification is only valid while the commit lock is
+// held: what identified a match must append it.
 //
 // Backpressure: both channels are bounded, so a consumer that stops
 // reading stalls its own stream — commit blocks on out, encode-ahead on

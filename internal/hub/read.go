@@ -265,7 +265,7 @@ func (h *Hub) Stats() Stats {
 	st := Stats{Sources: len(h.sources), Pairs: len(h.pairs)}
 	h.commitMu.Lock()
 	for _, p := range h.pairs {
-		st.Matches += p.fed.MT().Len()
+		st.Matches += p.res.MT.Len()
 	}
 	h.commitMu.Unlock()
 	h.mu.RUnlock()

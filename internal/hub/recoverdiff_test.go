@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
@@ -268,7 +267,7 @@ func pairLogs(t *testing.T, h *Hub, man *snapManifest) [][]match.Pair {
 			for k < len(out[i]) && out[i][k].RIndex < held.RLen && out[i][k].SIndex < held.SLen {
 				k++
 			}
-			federate.SortPairs(out[i][:k])
+			match.SortPairs(out[i][:k])
 		}
 	}
 	return out

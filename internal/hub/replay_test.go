@@ -181,7 +181,7 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 	// completes the violation is that one.
 	writeSegment(t, dir, payloads, 0, nil)
 	tw := twinOf(t, dir, items, k)
-	unsound := fmt.Sprintf(`record %d: hub: link %q-%q: federate: match: uniqueness violation: S tuple %d matches R tuples %d and %d`,
+	unsound := fmt.Sprintf(`record %d: hub: link %q-%q: match: uniqueness violation: S tuple %d matches R tuples %d and %d`,
 		tw.partnerRecord, src, tw.other, tw.partner, tw.of, k-4)
 	return []replayCase{
 		{

@@ -9,7 +9,6 @@
 package hub
 
 import (
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/wal"
 )
@@ -49,7 +48,7 @@ func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
 	}
 	for _, p := range h.pairs {
 		cut.pairs = append(cut.pairs, cutPair{
-			p: p, n: p.fed.MT().Len(), rlen: h.sources[p.left].rel.Len(), slen: h.sources[p.right].rel.Len(),
+			p: p, n: p.res.MT.Len(), rlen: h.sources[p.left].rel.Len(), slen: h.sources[p.right].rel.Len(),
 		})
 	}
 	return cut
@@ -61,14 +60,14 @@ func (h *Hub) cutLocked(watermark uint64) *snapshotCut {
 func (h *Hub) copyPairRange(cp cutPair) []match.Pair {
 	h.commitMu.Lock()
 	defer h.commitMu.Unlock()
-	return cp.p.fed.MT().Pairs(0, cp.n)
+	return cp.p.res.MT.Pairs(0, cp.n)
 }
 
 // copyPairMT is the pair's table at the cut in the canonical sorted order
 // — what CheckInvariants and the tests compare.
 func (h *Hub) copyPairMT(cp cutPair) []match.Pair {
 	ps := h.copyPairRange(cp)
-	federate.SortPairs(ps)
+	match.SortPairs(ps)
 	return ps
 }
 

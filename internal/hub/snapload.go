@@ -9,11 +9,11 @@
 // read (the whole log read and verified once, its tail decoded into the
 // same relations, each tuple kept uncopied, persist.go), pair build
 // (each source's images — one per knowledge its links give it — extended
-// once over the final relations, then every pairwise federation built
+// once over the final relations, then every pair's matching result built
 // once on two of them and verified, each step on parallel workers) and
 // cluster fold. No matching table, no tail match and no partition is
 // stored: a matching table is a function of the two relations (§4.2, and
-// federate's batch ≡ incremental), so one build per pair stands for every
+// match's batch ≡ incremental), so one build per pair stands for every
 // insert the snapshot and the log hold. Inside a link's cut — the
 // snapshot's, or the one its link record made — the table comes back in
 // Build's (R, S) order; past it, in the order the live hub committed it,
@@ -27,7 +27,7 @@
 // must be dense and full but for each source's last run; every link must
 // stand where the snapshot cut it; every schema, ILFD and rule is
 // re-validated by its domain constructor; every rebuilt table must be
-// covered exactly by the order recovery lists it in (federate's Reorder);
+// covered exactly by the order recovery lists it in (match.Table.Reorder);
 // a log whose tuples break §3.2 is refused at the record that completes
 // the violation — a pairwise break with the pair build's error, at the
 // latest record among the tuples it names and the link, a break across
@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
@@ -333,23 +332,23 @@ func (r *recovery) finish(info *RecoveryInfo, readErr error) error {
 	return err
 }
 
-// pairBuild is one pair built over the relations as read: its federation
-// and, per entry of its table, the record that made the pair — 0 for the
+// pairBuild is one pair built over the relations as read: its matching
+// result and, per entry of its table, the record that made the pair — 0 for the
 // pairs inside the snapshot's cut, the link record for those Link made,
 // the later tuple's insert for the rest — which is the log's order.
 type pairBuild struct {
-	fed  *federate.Federation
+	res  *match.Result
 	keys []uint64
 }
 
 // build builds pair i of cfg on its images r and s and has its table
 // adopt the order commitOrder lists it in.
 func (r *recovery) build(i int, cfg match.Config, rim, sim *match.Image) (pairBuild, error) {
-	fed, err := federate.NewOn(cfg, rim, sim)
+	res, err := buildPair(cfg, rim, sim)
 	if err == nil {
-		order, keys := r.commitOrder(i, fed.MT())
-		if err = fed.Reorder(order); err == nil {
-			return pairBuild{fed: fed, keys: keys}, nil
+		order, keys := r.commitOrder(i, res.MT)
+		if err = res.MT.Reorder(order); err == nil {
+			return pairBuild{res: res, keys: keys}, nil
 		}
 	}
 	return pairBuild{}, r.refused(i, err)
@@ -413,7 +412,7 @@ func (r *recovery) commitOrder(i int, mt *match.Table) ([]match.Pair, []uint64) 
 	return order, keys
 }
 
-// foldRestored hands every registered pair its built federation and folds
+// foldRestored hands every registered pair its built result and folds
 // all their tables in one pass onto the still empty cluster store — in
 // log order, each entry at its record, so a union the log breaks (§3.2
 // lifted across sources) is refused at the record that made it — then
@@ -426,7 +425,7 @@ func (h *Hub) foldRestored(builds []pairBuild) error {
 	defer h.commitMu.Unlock()
 	tables := make([]linkTable, len(builds))
 	for i, b := range builds {
-		tables[i] = linkTable{left: h.pairs[i].left, right: h.pairs[i].right, mt: b.fed.MT(), keys: b.keys}
+		tables[i] = linkTable{left: h.pairs[i].left, right: h.pairs[i].right, mt: b.res.MT, keys: b.keys}
 	}
 	folded, at, err := foldTables(h.sourceLens(), tables, nil, h.sourceName)
 	switch {
@@ -436,7 +435,7 @@ func (h *Hub) foldRestored(builds []pairBuild) error {
 		return fmt.Errorf("hub: load snapshot: %w", err)
 	}
 	for i, b := range builds {
-		h.setFed(h.pairs[i], b.fed)
+		h.setResult(h.pairs[i], b.res)
 	}
 	for _, s := range h.sources {
 		s.publishView()

@@ -47,7 +47,7 @@ func stateOf(h *Hub) hubState {
 // its length read under the commit lock.
 func (h *Hub) pairTable(p *pairState) []match.Pair {
 	h.commitMu.Lock()
-	n := p.fed.MT().Len()
+	n := p.res.MT.Len()
 	h.commitMu.Unlock()
 	return h.copyPairMT(cutPair{p: p, n: n})
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/federate"
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
@@ -300,9 +299,10 @@ func pinnedNameRule(t testing.TB, w *datagen.Workload, byKey *match.Result) rule
 // TestFederationStreamingEqualsBatchWithIdentityRules pins the
 // batch ≡ incremental invariant for workloads whose matches come
 // through an extra identity rule, in every shape the probe classifies: a
-// federation seeded with half of each relation and streamed the rest in
-// a seeded random interleaving must end bit-for-bit at match.Build on
-// the final relations. Before incremental inserts probed the
+// pairing seeded with half of each relation and streamed the rest in a
+// seeded random interleaving (Identify, then Append: the calls the hub
+// and the root facade's Federation make) must end bit-for-bit at
+// match.Build on the final relations. Before incremental inserts probed the
 // identity-rule hash blocks, a tuple matching solely via the rule (its
 // extended-key projection NULL because no ILFD covers it) was silently
 // missed here.
@@ -373,7 +373,7 @@ func TestFederationStreamingEqualsBatchWithIdentityRules(t *testing.T) {
 				t.Fatalf("workload has no identity-rule-only matches (%d vs %d)", batch.MT.Len(), byKey.MT.Len())
 			}
 
-			// Seed the federation with the first half of each relation.
+			// Seed the pairing with the first half of each relation.
 			half := func(rel *relation.Relation, n int) *relation.Relation {
 				out := relation.New(rel.Schema())
 				for i := 0; i < n; i++ {
@@ -387,39 +387,36 @@ func TestFederationStreamingEqualsBatchWithIdentityRules(t *testing.T) {
 			fedCfg := cfg
 			fedCfg.R = half(w.R, i)
 			fedCfg.S = half(w.S, j)
-			fed, err := federate.New(fedCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fed := newPairing(t, fedCfg)
 			// Sweep once now so the cached sweep plan must extend, not
 			// rebuild, across the inserts below.
-			fed.Result().Counts()
+			fed.res.Counts()
 
 			// Stream the remainder, sides interleaved at random.
 			rng := rand.New(rand.NewSource(int64(n)))
 			for i < w.R.Len() || j < w.S.Len() {
 				if j == w.S.Len() || i < w.R.Len() && rng.Intn(2) == 0 {
-					if _, err := fed.InsertR(w.R.Tuple(i).Clone()); err != nil {
-						t.Fatalf("InsertR %d: %v", i, err)
+					if _, err := fed.insert(true, w.R.Tuple(i).Clone()); err != nil {
+						t.Fatalf("insert R %d: %v", i, err)
 					}
 					i++
 				} else {
-					if _, err := fed.InsertS(w.S.Tuple(j).Clone()); err != nil {
-						t.Fatalf("InsertS %d: %v", j, err)
+					if _, err := fed.insert(false, w.S.Tuple(j).Clone()); err != nil {
+						t.Fatalf("insert S %d: %v", j, err)
 					}
 					j++
 				}
 			}
 
-			got, want := fed.Pairs(), slices.Collect(batch.MT.All())
-			federate.SortPairs(got)
+			got, want := fed.pairs(), slices.Collect(batch.MT.All())
+			match.SortPairs(got)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("streamed MT != batch MT:\nstreamed %v\nbatch    %v", got, want)
 			}
-			if err := fed.Result().Verify(); err != nil {
+			if err := fed.res.Verify(); err != nil {
 				t.Fatalf("streamed state unsound: %v", err)
 			}
-			fm, fn, fu := fed.Result().Counts()
+			fm, fn, fu := fed.res.Counts()
 			bm, bn, bu := batch.Counts()
 			if fm != bm || fn != bn || fu != bu {
 				t.Fatalf("Counts mismatch: streamed (%d,%d,%d), batch (%d,%d,%d)", fm, fn, fu, bm, bn, bu)

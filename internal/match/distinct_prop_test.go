@@ -1,7 +1,8 @@
-package match_test
+package match
 
-// Property test for Result.DistinctFires: the lookup the engine answers
-// from must give the verdict and the rule name of the linear walk it
+// Property test for the engine's distinctFiresNamed, the consistency
+// half of Identify and Verify: the lookup the engine answers from must
+// give the verdict and the rule name of the linear walk it
 // replaced — every effective rule (user + Prop. 1), in declaration
 // order, in both orientations, first firing rule wins. The walk is kept
 // here, over the exported compiled rules, as the reference.
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"entityid/internal/ilfd"
-	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
 	"entityid/internal/schema"
@@ -21,7 +21,7 @@ import (
 )
 
 // linearDistinctFires is the parent's engine.distinctFiresNamed.
-func linearDistinctFires(res *match.Result, rt, st relation.Tuple) (string, bool) {
+func linearDistinctFires(res *Result, rt, st relation.Tuple) (string, bool) {
 	rs, ss := res.RPrime.Schema(), res.SPrime.Schema()
 	for _, d := range res.Distinct() {
 		if d.Compile(rs, ss).Holds(rt, st) || d.Compile(ss, rs).Holds(st, rt) {
@@ -74,9 +74,9 @@ func TestDistinctFiresIndexedEqualsLinearWalk(t *testing.T) {
 			}
 			return rules.Attr2(a), kindOf[a]
 		}
-		cfg := match.Config{
+		cfg := Config{
 			R: relation.New(rSch), S: relation.New(sSch),
-			Attrs: []match.AttrMap{{Name: "k", R: "k", S: "k"}, {Name: "a", R: "a", S: "a"}, {Name: "n", R: "n", S: "n"},
+			Attrs: []AttrMap{{Name: "k", R: "k", S: "k"}, {Name: "a", R: "a", S: "a"}, {Name: "n", R: "n", S: "n"},
 				{Name: "f", R: "f", S: "f"}, {Name: "b", R: "b", S: "b"}, {Name: "d"}},
 			ExtKey: []string{"k"},
 		}
@@ -111,7 +111,7 @@ func TestDistinctFiresIndexedEqualsLinearWalk(t *testing.T) {
 				cfg.Distinct = append(cfg.Distinct, rules.DistinctnessRule{Name: d.Name + "dup", Preds: d.Preds})
 			}
 		}
-		res, err := match.Build(cfg)
+		res, err := Build(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -125,9 +125,9 @@ func TestDistinctFiresIndexedEqualsLinearWalk(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			rt, st := tuple(res.RPrime.Schema()), tuple(res.SPrime.Schema())
 			wantName, want := linearDistinctFires(res, rt, st)
-			gotName, got := res.DistinctFires(rt, st)
+			gotName, got := res.engine().distinctFiresNamed(rt, st)
 			if got != want || gotName != wantName {
-				t.Fatalf("seed %d: DistinctFires(%v, %v) = %q, %v; the linear walk says %q, %v\nrules: %v",
+				t.Fatalf("seed %d: distinctFiresNamed(%v, %v) = %q, %v; the linear walk says %q, %v\nrules: %v",
 					seed, rt, st, gotName, got, wantName, want, res.Distinct())
 			}
 			if got {

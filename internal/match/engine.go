@@ -142,11 +142,11 @@ func (e *engine) distinctFiresNamed(rt, st relation.Tuple) (string, bool) {
 // probe is the matching step — §4.2's join of R′ and S′ on identical
 // non-NULL extended-key values, plus §3.2's extra identity rules — over
 // indexes the two images keep. BuildOn probes every R′ tuple with it and
-// incremental maintenance (the federate package) each arriving tuple,
-// and an image files each row it adopts under every index it keeps, so
-// batch and incremental identification agree because they are one
-// function over one set of chains. Everything is resolved once, in
-// BuildOn. The two-element arrays are indexed by side: 0 is R′, 1 is S′.
+// Identify each arriving tuple, and an image files each row it adopts
+// under every index it keeps, so batch and incremental identification
+// agree because they are one function over one set of chains.
+// Everything is resolved once, in BuildOn. The two-element arrays are
+// indexed by side: 0 is R′, 1 is S′.
 //
 // An index here is a relation.PosIndex over an image: positions filed
 // under a hash of the projection, no key kept. Filing under one hash
@@ -194,14 +194,16 @@ type projKey struct {
 
 // Scratch is the working memory of one identification at a time: the
 // arriving tuple laid out in its R′ or S′ columns, the partners found
-// for it and the one candidate row materialised to run a rule on.
-// Whoever serialises a Result's identifications (a federation, under its
-// coordinator's commit lock) owns one and hands it to each call; what a
-// call returns in it stands until the next call given the same Scratch.
+// for it, the one candidate row materialised to run a rule on and the
+// pair Identify returns. Whoever serialises a Result's identifications
+// (the hub, per pair under its commit lock; the root facade's
+// Federation) owns one and hands it to each call; what a call returns in
+// it stands until the next call given the same Scratch.
 type Scratch struct {
 	ext      relation.Tuple
 	row      relation.Tuple
 	partners []int
+	pair     [1]Pair
 }
 
 // sides maps a tuple's side to the probe's array indexes: the side it
@@ -288,13 +290,13 @@ chain:
 	return out
 }
 
-// Probe identifies a tuple its side's image (left: R′'s) has extended
+// probe identifies a tuple its side's image (left: R′'s) has extended
 // against the opposite side as it stands: the positions there that share
 // its non-NULL extended-key projection, ascending, then those an extra
 // identity rule pairs it with, each position once. It changes nothing
 // but sc, and the tuple need not be in its image (yet). The partners are
 // sc's.
-func (res *Result) Probe(left bool, x *Extended, sc *Scratch) []int {
+func (res *Result) probe(left bool, x *Extended, sc *Scratch) []int {
 	px := &res.px
 	own, other := sides(left)
 	opposite := px.img[other].rel
@@ -324,7 +326,7 @@ func (res *Result) Probe(left bool, x *Extended, sc *Scratch) []int {
 			cands = joined(partners, pr.blocks[other], k.h, opposite, x.row, pr.blocks[own])[found:]
 		}
 		if !laid {
-			res.Layout(left, x, sc)
+			res.layout(left, x, sc)
 			laid = true
 		}
 		if pr.scan {
@@ -348,7 +350,7 @@ func (res *Result) admit(pr *probeRule, partners []int, left bool, j int, sc *Sc
 	if slices.Contains(partners, j) {
 		return partners
 	}
-	rt, st := res.Opposite(left, j, sc), sc.ext
+	rt, st := res.opposite(left, j, sc), sc.ext
 	if left {
 		rt, st = st, rt
 	}
@@ -358,10 +360,10 @@ func (res *Result) admit(pr *probeRule, partners []int, left bool, j int, sc *Sc
 	return append(partners, j)
 }
 
-// Layout returns, in sc, a tuple its side's image (left: R′'s) has
+// layout returns, in sc, a tuple its side's image (left: R′'s) has
 // extended laid out as an R′ (left) or S′ tuple: the row the rules that
 // judge a pair read.
-func (res *Result) Layout(left bool, x *Extended, sc *Scratch) relation.Tuple {
+func (res *Result) layout(left bool, x *Extended, sc *Scratch) relation.Tuple {
 	view := res.SPrime
 	if left {
 		view = res.RPrime
@@ -370,10 +372,10 @@ func (res *Result) Layout(left bool, x *Extended, sc *Scratch) relation.Tuple {
 	return sc.ext
 }
 
-// Opposite returns, in sc, tuple j of the side an extended tuple of the
-// other (left: an R′ tuple) is identified against — a partner Probe
+// opposite returns, in sc, tuple j of the side an extended tuple of the
+// other (left: an R′ tuple) is identified against — a partner probe
 // found, read whole for the rules that judge the pair.
-func (res *Result) Opposite(left bool, j int, sc *Scratch) relation.Tuple {
+func (res *Result) opposite(left bool, j int, sc *Scratch) relation.Tuple {
 	view := res.RPrime
 	if left {
 		view = res.SPrime
@@ -413,7 +415,7 @@ func (res *Result) Append(left bool, x *Extended, pairs []Pair) error {
 // The plan is cached on the Result and extended incrementally: the
 // rule-level structure (words, axis predicates, cross predicates) is
 // fixed per Result, and only the per-tuple survival bitsets grow as the
-// relations grow between sweeps (federate inserts). Extension appends
+// relations grow between sweeps (Append). Extension appends
 // bitsets for the new tuples under Result.planMu; sweeps work on a
 // value snapshot of the plan, so a concurrent later extension cannot
 // touch the rows a running sweep reads.

@@ -320,21 +320,13 @@ type Extended struct {
 	// it was extended.
 	ixs  []*imageIndex
 	keys []projKey
-	// at is the row the tuple takes, seq counts the extensions made in x.
+	// at is the row the tuple takes.
 	at      int
-	seq     uint64
 	adopted bool
 }
 
 // Row returns the extended tuple, in the image's columns.
 func (x *Extended) Row() relation.Tuple { return x.row }
-
-// Seq counts the extensions made in x: one a holder took differs from
-// the one it holds now if Seq moved.
-func (x *Extended) Seq() uint64 { return x.seq }
-
-// Image returns the image that extended x.
-func (x *Extended) Image() *Image { return x.img }
 
 // Extend extends a tuple the image's relation has admitted
 // (relation.Admit, which checked its shape) into x, and returns the
@@ -352,7 +344,6 @@ func (im *Image) Extend(a relation.Admission, x *Extended) ([]derive.Conflict, e
 		x.buf = row
 	}
 	x.img, x.row, x.at, x.adopted = im, row, im.rel.Len(), false
-	x.seq++
 	x.ixs, x.keys = append(x.ixs[:0], im.ixs...), x.keys[:0]
 	for _, ix := range im.ixs {
 		x.keys = append(x.keys, projection(ix.ix, row, ix.cols))
@@ -384,7 +375,7 @@ func (im *Image) adopt(x *Extended) error {
 		return fmt.Errorf("match: adopt: stale extension: extended at row %d, the image holds %d", x.at, im.rel.Len())
 	}
 	if n := im.base.Len(); n != x.at+1 {
-		return fmt.Errorf("match: adopt: lent relation holds %d tuples, the prepared insert makes it %d", n, x.at+1)
+		return fmt.Errorf("match: adopt: lent relation holds %d tuples, the extended tuple makes it %d", n, x.at+1)
 	}
 	if err := im.rel.Adopt(x.row); err != nil {
 		return err

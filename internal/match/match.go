@@ -13,18 +13,22 @@
 //     Steps 1 and 2 depend on one side alone, so they are an Image of
 //     the side's relation (image.go), keyed by the knowledge that fills
 //     it: Build makes one per side and grows it over the relation
-//     (Image.Grow), incremental maintenance (federate) extends each
-//     arriving tuple the relation has admitted (Image.Extend) and adopts
-//     it once the relation holds it (Result.Append), and nobody else
-//     extends anything. A tuple's shape is checked once, by the relation
-//     that holds or admits it (relation.Admit), not again here.
+//     (Image.Grow), incremental maintenance (the hub's commit path, the
+//     root facade's Federation) extends each arriving tuple the relation
+//     has admitted (Image.Extend) and adopts it once the relation holds
+//     it (Result.Append), and nobody else extends anything. A tuple's
+//     shape is checked once, by the relation that holds or admits it
+//     (relation.Admit), not again here.
 //  3. Join R′ and S′ on identical non-NULL extended-key values; project
-//     each matched pair onto (K_R, K_S) to form MT_RS. Step 3 is
-//     Result.Probe, tuple by tuple, over indexes the two images keep
+//     each matched pair onto (K_R, K_S) to form MT_RS. Step 3 is the
+//     probe, tuple by tuple, over indexes the two images keep
 //     (engine.go): BuildOn pairs two images and gives every R′ tuple the
-//     probe, federate gives it to each arriving tuple, and each image
-//     files every row it adopts; nobody else pairs anything up — except
-//     the reference path, whose nested loops the probe is held against.
+//     probe, Result.Identify gives it to each arriving tuple, and each
+//     image files every row it adopts; nobody else pairs anything up —
+//     except the reference path, whose nested loops the probe is held
+//     against. §3.2's constraints are checked in one place for a whole
+//     table (Result.Verify) and in one for an arriving tuple
+//     (Result.Identify, the insertion guard).
 //     A pairing is the matching table, the effective distinctness rules
 //     and that probe; the images under it may be other pairings' too.
 //  4. Integrate: T_RS = MT_RS ⋈ R′ ⟗ S′ and §4.1's residual "possible
@@ -55,7 +59,7 @@
 //     each predicate evaluation into direct tuple-slice indexing instead
 //     of per-evaluation Schema().Index lookups.
 //   - Pinned distinctness rules: one pair's consistency check (every
-//     incremental prepare, every matched pair of Verify) does not walk the
+//     Identify, every matched pair of Verify) does not walk the
 //     rules: each is filed under its first "attribute = constant"
 //     predicate and a pair's candidates are looked up by the values its
 //     two tuples hold (engine.go); the first firing rule in declaration
@@ -84,6 +88,7 @@
 package match
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
@@ -148,6 +153,14 @@ type Pair struct {
 	RIndex, SIndex int
 }
 
+// SortPairs sorts pairs into the canonical (RIndex, SIndex) order two
+// tables are compared in.
+func SortPairs(ps []Pair) {
+	slices.SortFunc(ps, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.RIndex, b.RIndex), cmp.Compare(a.SIndex, b.SIndex))
+	})
+}
+
 // Table is a matching table: the pairs in the order they were added,
 // with the key attributes used to display them. Under §3.2 uniqueness a
 // sound table is a partial bijection between R and S, and it is stored as
@@ -157,7 +170,7 @@ type Pair struct {
 // like any other, recorded as the table's violation if it is the first,
 // and kept in a small overflow list instead of the partner arrays. Only
 // an unchecked table — the batch path before Verify, a user assertion —
-// ever holds one; a federation refuses such a pair before adding it.
+// ever holds one; Identify refuses such a pair before it is added.
 // The zero Table is empty and ready to use. Not safe for concurrent
 // mutation; concurrent reads are.
 type Table struct {
@@ -371,14 +384,14 @@ type Result struct {
 	// implementation (set from Config.Naive).
 	naive bool
 	// px is the matching step (engine.go): the two images and the indexes
-	// over them the pairing joins on, probed by Probe.
+	// over them the pairing joins on.
 	px probe
 	// eng is the lazily built compiled-rule engine (engine.go).
 	eng     *engine
 	engOnce sync.Once
 	// plan is the cached sweep plan (engine.go): built once, its
 	// per-tuple survival bitsets extended under planMu as the extended
-	// relations grow (federate inserts), instead of rebuilt per sweep.
+	// relations grow (Append), instead of rebuilt per sweep.
 	plan   *sweepPlan
 	planMu sync.Mutex
 }
@@ -521,7 +534,7 @@ func buildOn(cfg Config, rs, ss side, r, s *Image) (*Result, error) {
 	for i := range r.rel.Len() {
 		x.row = r.rel.TupleInto(x.buf, i)
 		x.buf = x.row
-		partners := res.Probe(true, &x, &sc)
+		partners := res.probe(true, &x, &sc)
 		slices.Sort(partners) // rows are probed in order: the table is sorted
 		for _, j := range partners {
 			res.MT.Add(Pair{RIndex: i, SIndex: j})
@@ -609,6 +622,47 @@ func (res *Result) Verify() error {
 	return nil
 }
 
+// Identify is Verify for one arriving tuple, before it joins the table:
+// §3.2's insertion guard. A tuple its side's image (left: R′'s) has
+// extended gets the probe Build gave every R′ tuple, and is refused if
+// the pair it would form breaks uniqueness — it matches several tuples
+// at once, or one already matched — or consistency — a distinctness rule
+// declares the pair distinct (the compiled rules, on the tuple laid out
+// in its side's columns beside the partner read whole). The error wraps
+// ErrUniqueness or ErrConsistency. Nothing changes but sc, and the pairs
+// returned — none, or the one held in sc until its next use — are what
+// Append is to add once the side's relation holds the tuple.
+func (res *Result) Identify(left bool, x *Extended, sc *Scratch) ([]Pair, error) {
+	if x.img != res.Image(left) {
+		return nil, fmt.Errorf("match: identify: the tuple was not extended by the side's image")
+	}
+	partners := res.probe(left, x, sc)
+	switch {
+	case len(partners) > 1:
+		return nil, fmt.Errorf("match: %w: insert would match %d tuples at once (unsound)", ErrUniqueness, len(partners))
+	case len(partners) == 0:
+		return nil, nil
+	}
+	j := partners[0]
+	rt, st := res.opposite(left, j, sc), res.layout(left, x, sc)
+	pair := Pair{RIndex: j, SIndex: res.SPrime.Len()}
+	var buf [1]int
+	prev, side, otherSide := res.MT.MatchesOfR(buf[:0], j), "R", "S"
+	if left {
+		rt, st = st, rt
+		pair = Pair{RIndex: res.RPrime.Len(), SIndex: j}
+		prev, side, otherSide = res.MT.MatchesOfS(buf[:0], j), "S", "R"
+	}
+	if len(prev) > 0 {
+		return nil, fmt.Errorf("match: %w: %s tuple %d already matched to %s tuple %d", ErrUniqueness, side, j, otherSide, prev[0])
+	}
+	if name, fires := res.engine().distinctFiresNamed(rt, st); fires {
+		return nil, fmt.Errorf("match: %w: new tuple matches a pair distinctness rule %q forbids", ErrConsistency, name)
+	}
+	sc.pair[0] = pair
+	return sc.pair[:], nil
+}
+
 // Classify returns the three-valued verdict for the pair (i, j): in the
 // matching table ⇒ Matching; some distinctness rule fires ⇒ NotMatching;
 // otherwise Undetermined (§3.2, Figure 3).
@@ -623,16 +677,6 @@ func (res *Result) Classify(i, j int) Verdict {
 		return NotMatching
 	}
 	return Undetermined
-}
-
-// DistinctFires reports whether any effective distinctness rule (user +
-// Prop. 1) declares the pair of tuples distinct, in either orientation,
-// along with the first firing rule's name. The tuples must be laid out
-// like R′ and S′ tuples respectively; incremental pipelines (federate)
-// use it to test candidate tuples that are not yet part of the extended
-// relations, reusing the result's compiled rules.
-func (res *Result) DistinctFires(rt, st relation.Tuple) (string, bool) {
-	return res.engine().distinctFiresNamed(rt, st)
 }
 
 // Counts enumerates all |R|×|S| pairs and tallies the three verdicts —

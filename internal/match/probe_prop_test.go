@@ -201,7 +201,7 @@ func TestProbeEqualsItsReferences(t *testing.T) {
 						x.ixs, x.keys = append(x.ixs, ix), append(x.keys, projKey{joins: projection(ix.ix, x.row, ix.cols).joins})
 					}
 				}
-				got := res.Probe(left, &x, &sc)
+				got := res.probe(left, &x, &sc)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("seed %d: tuple %d %v of side %d: Probe finds %v, want %v (hostile %v, one hash %v, extended key %v, rules %v)",
 						seed, i, ext, own, got, want, isHostile, collide, cfg.ExtKey, cfg.Identity)

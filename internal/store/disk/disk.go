@@ -2,8 +2,8 @@
 // spill to one append-only file of CRC-checked binary records and page
 // back in on demand, keeping resident memory bounded by the configured
 // hot-tier budget. Its pair store writes tables to CRC-framed section
-// files (the WAL frame format), but the hub keeps every pairwise
-// federation resident and never saves one (store's package comment).
+// files (the WAL frame format), but the hub keeps every pair's matching
+// table resident and never saves one (store's package comment).
 //
 // The spill tier is a CACHE, not a durability layer. Durability stays
 // with the WAL and snapshots; Open wipes any leftover spill files from

@@ -1,9 +1,9 @@
 // Package store is the hub's storage seam: a narrow interface for the
 // committed state a backend may tier — cluster records — plus the
 // generic merge logic that is identical across backends. Source tuples
-// and pairwise federations stay with the hub: every insert prepares
-// against every pair of its source, and the live pairwise matchers
-// require resident attribute access.
+// and pairs' matching results stay with the hub: every insert is
+// identified against every pair of its source, and the live pairwise
+// matchers require resident attribute access.
 //
 // The hub never reaches into concrete maps; it holds a Backend and
 // talks to whatever that backend returns. store/mem is the default
@@ -16,7 +16,7 @@
 // Both backends still carry a pair-table store (Pairs, PairTab,
 // PairStats, Caps.HotPairs) that the hub no longer calls: the
 // benchmark's tracer decorates it, and it goes with that decorator
-// (ROADMAP item 5).
+// (ROADMAP item 11).
 //
 // Concurrency contract: Clusters readers (Read, Glance, Peek, Has,
 // Merged, Stats) may run concurrently with each other and with the
@@ -24,7 +24,7 @@
 // paging backend promotes what it serves); Glance and Peek are the
 // enumeration's pair and move none — Glance answers from the index
 // without reading a body, Peek reads a body through the tier and leaves
-// it where it was. Mutations (Publish, Apply) and writer-side reads
+// it where it was. Mutations (Publish) and writer-side reads
 // (Members, CheckMerge) are serialized by the hub's commit lock;
 // backends may rely on at most one of these running at a time. Slices
 // returned by Read, Glance, Peek and Members are immutable once
@@ -39,7 +39,7 @@ import (
 	"fmt"
 	"slices"
 
-	"entityid/internal/federate"
+	"entityid/internal/match"
 )
 
 // Node identifies one tuple: source ordinal and tuple index within
@@ -131,10 +131,14 @@ type Clusters interface {
 	Stats() ClusterStats
 }
 
-// PairTab is the portable state of one pairwise federation, its pairs
-// in commit order. The hub keeps every federation resident and saves
-// none here; see the package comment.
-type PairTab = federate.State
+// PairTab is the portable state of one pair's matching table: its pairs
+// in commit order and the side lengths it was computed over. The hub
+// keeps every table resident and saves none here; see the package
+// comment.
+type PairTab struct {
+	Pairs      []match.Pair
+	RLen, SLen int
+}
 
 // PairStats describes the pair store's spill tier.
 type PairStats struct {
@@ -144,7 +148,7 @@ type PairStats struct {
 }
 
 // Pairs is the per-pair matching-table store, kept only for the
-// benchmark's tracer (ROADMAP item 5): the hub never calls it.
+// benchmark's tracer (ROADMAP item 11): the hub never calls it.
 type Pairs interface {
 	// Save stores the pair table for link ordinal id, replacing any
 	// previous save.
@@ -160,7 +164,7 @@ type Pairs interface {
 
 // Caps is the disk backend's residency budget: it evicts cluster
 // records past HotClusterEntries. HotPairs is read by nothing; it goes
-// with the pair store (ROADMAP item 5).
+// with the pair store (ROADMAP item 11).
 type Caps struct {
 	HotClusterEntries int // Σ members of resident cluster records
 	HotPairs          int
@@ -184,8 +188,8 @@ type Backend interface {
 // link's initial table, a snapshot load and the invariant check fold
 // matching tables through (c is the fold, n may already be clustered)
 // — and returns the merged cluster it assembled
-// on the way: the sorted union of the member sets, which is what Apply
-// publishes. Without partners nothing merges and it returns nil. It
+// on the way: the sorted union of the member sets, which is what the
+// caller publishes (Clusters.Publish). Without partners nothing merges and it returns nil. It
 // needs only Members, and only that every node of one cluster gets the
 // same slice back. srcName renders a source ordinal for the rejection
 // message. Serialized by the commit lock.
@@ -220,15 +224,4 @@ func CheckMerge(c interface{ Members(Node) ([]Node, error) }, n Node, partners [
 	}
 	SortNodes(merged)
 	return merged, nil
-}
-
-// Apply publishes the merged cluster a successful CheckMerge returned,
-// under the same commit-lock critical section (nil: nothing merged,
-// nothing to publish). It cannot fail — which is what a step after the
-// merge has been logged must be: everything a merge reads, CheckMerge
-// has read.
-func Apply(c Clusters, merged []Node) {
-	if merged != nil {
-		c.Publish(merged)
-	}
 }
