@@ -18,19 +18,39 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// plainByte is 1 for each byte AppendJSONString copies unchanged: ASCII
+// from the space up, except ", \, <, > and &. AppendJSONString asks it
+// about four bytes a step up to the first byte outside it, so a string
+// with nothing to escape costs one walk over the table and one append of
+// the whole string; from there the escape loop keeps the plain run in
+// front and asks the table about every later byte.
+var plainByte = func() (t [256]uint8) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		if !strings.ContainsRune(`"\<>&`, c) {
+			t[c] = 1
+		}
+	}
+	return t
+}()
+
 // AppendJSONString appends s as a JSON string the way encoding/json does
 // with HTML escaping on (its default): ", \ and control characters
 // escaped, <, > and & as \u00XX, U+2028/2029 as \u202X, invalid UTF-8
 // as \ufffd.
 func AppendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
+	i := 0
+	for i+4 <= len(s) && plainByte[s[i]]&plainByte[s[i+1]]&plainByte[s[i+2]]&plainByte[s[i+3]] != 0 {
+		i += 4
+	}
 	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
+	for i < len(s) {
+		c := s[i]
+		if plainByte[c] != 0 {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
 			b = append(b, s[start:i]...)
 			switch c {
 			case '\\', '"':
