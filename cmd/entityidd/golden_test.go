@@ -17,8 +17,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"entityid"
 )
@@ -215,5 +218,21 @@ func TestServerDurableRecovery(t *testing.T) {
 	code, stats := do(t, srv2, "GET", "/v1/stats", "")
 	if code != 200 || stats["tuples"].(float64) != 5 || stats["matches"].(float64) != 2 {
 		t.Fatalf("post-recovery stats: %d %v", code, stats)
+	}
+	// The restart's phase split is served: each child of
+	// hub_recovery_phase_seconds is the reopen's RecoveryInfo phase.
+	rw := httptest.NewRecorder()
+	srv2.ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
+	info := srv2.hub.Recovery()
+	for phase, d := range map[string]time.Duration{
+		"decode": info.DecodeTime, "replay": info.ReplayTime, "restore": info.RestoreTime, "fold": info.FoldTime,
+	} {
+		m := regexp.MustCompile(`(?m)^hub_recovery_phase_seconds\{phase="` + phase + `"\} (\S+)$`).FindStringSubmatch(rw.Body.String())
+		if m == nil {
+			t.Fatalf("/metrics serves no %s phase", phase)
+		}
+		if got, err := strconv.ParseFloat(m[1], 64); err != nil || got != float64(d)/1e9 || (phase != "decode" && got <= 0) {
+			t.Errorf("phase %s served as %s, RecoveryInfo says %v", phase, m[1], d)
+		}
 	}
 }

@@ -197,13 +197,15 @@ func (c *lateHeaders) WriteHeader(code int) {
 
 // TestStorageFaultOnReadIs500: a read that fails because the store could
 // not page a record in is the server's fault, not the client's. On the
-// disk store with a one-entry hot tier every cluster record is cold; with
-// the spill file truncated underneath it, /v1/cluster on such a record
-// answers 500 (not 404), and /v1/clusters — whose 200 and first lines,
-// the record-less singletons, are already out when the walk reaches it —
-// ends with one terminal line instead of a second status and an error
-// object spliced into the stream. The client's own mistakes keep their
-// 4xx on the same hub.
+// disk store with a one-entry hot tier every cluster record is cold, and
+// ballast clusters after the fixture's fill the tier's 64 KiB write
+// batch, so the fixture's records are in the spill file, not in the tail
+// the tier serves from memory; with the file truncated underneath it,
+// /v1/cluster on such a record answers 500 (not 404), and /v1/clusters —
+// whose 200 and first lines, the record-less singletons, are already out
+// when the walk reaches it — ends with one terminal line instead of a
+// second status and an error object spliced into the stream. The
+// client's own mistakes keep their 4xx on the same hub.
 func TestStorageFaultOnReadIs500(t *testing.T) {
 	dir := t.TempDir()
 	h, err := entityid.OpenHub(dir, entityid.WithStore("disk"), entityid.WithStoreBudgets(1))
@@ -229,13 +231,20 @@ func TestStorageFaultOnReadIs500(t *testing.T) {
 		`{"source":"a","tuple":["a3","n3"]}`, `{"source":"b","tuple":["b3","n3"]}`,
 		`{"source":"a","tuple":["a4","n4"]}`, `{"source":"b","tuple":["b4","n4"]}`,
 	}, "\n"))
-	for i, a := range acks {
+	// Ballast: 6,000 more pairs, each spill record about 11 bytes.
+	const ballast = 6000
+	var ballastLines []string
+	for k := range ballast {
+		ballastLines = append(ballastLines, fmt.Sprintf(`{"source":"a","tuple":["x%d","m%d"]}`, k, k), fmt.Sprintf(`{"source":"b","tuple":["y%d","m%d"]}`, k, k))
+	}
+	_, more := ndjson(t, srv, "POST", "/v1/insert", strings.Join(ballastLines, "\n"))
+	for i, a := range append(acks, more...) {
 		if a["ok"] != true {
 			t.Fatalf("insert %d: %v", i, a)
 		}
 	}
-	if st := h.StoreInfo(); st.Clusters.ColdRecords != 3 {
-		t.Fatalf("fixture: %d cold cluster records, want 3 (%+v)", st.Clusters.ColdRecords, st.Clusters)
+	if st := h.StoreInfo(); st.Clusters.ColdRecords != 3+ballast {
+		t.Fatalf("fixture: %d cold cluster records, want %d (%+v)", st.Clusters.ColdRecords, 3+ballast, st.Clusters)
 	}
 	if code, out := do(t, srv, "GET", "/v1/cluster?source=a&key=a3", ""); code != 200 || len(out["members"].([]any)) != 2 {
 		t.Fatalf("healthy cold read: %d %v", code, out)

@@ -71,6 +71,13 @@ var (
 
 	mHealthState = obs.Default.Gauge("hub_health_state",
 		"Hub health: 0 ready, 1 degraded, 2 poisoned (last hub to transition wins)")
+	mRecoveryPhase = obs.Default.SecondsGaugeVec("hub_recovery_phase_seconds",
+		"Wall time of each phase of the last Open (RecoveryInfo): run decode, log read, pair build, cluster fold", "phase")
+	phaseDecode  = mRecoveryPhase.With("decode")
+	phaseReplay  = mRecoveryPhase.With("replay")
+	phaseRestore = mRecoveryPhase.With("restore")
+	phaseFold    = mRecoveryPhase.With("fold")
+
 	mProbes = obs.Default.Counter("hub_recovery_probes_total",
 		"Degraded-mode recovery probe attempts")
 	mRecoveries = obs.Default.Counter("hub_recoveries_total",

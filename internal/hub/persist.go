@@ -221,6 +221,10 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 		return fail(err)
 	}
 	info.LastSeq = l.LastSeq()
+	phaseDecode.Set(int64(info.DecodeTime))
+	phaseReplay.Set(int64(info.ReplayTime))
+	phaseRestore.Set(int64(info.RestoreTime))
+	phaseFold.Set(int64(info.FoldTime))
 	h := r.h
 	probe, probeMax := opts.probeBackoff, opts.probeBackoffMax
 	if probe <= 0 {

@@ -119,7 +119,11 @@ func (v *GaugeVec) render(w *bufio.Writer) {
 	header(w, v.name, v.help, "gauge")
 	for _, c := range v.sortedChildren() {
 		ch := c.(*gaugeChild)
-		sample(w, v.name, ch.labelStr, strconv.FormatInt(ch.Value(), 10))
+		val := strconv.FormatInt(ch.Value(), 10)
+		if v.seconds {
+			val = fmtFloat(float64(ch.Value()) / 1e9)
+		}
+		sample(w, v.name, ch.labelStr, val)
 	}
 }
 

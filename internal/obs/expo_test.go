@@ -158,6 +158,8 @@ func TestPrometheusConformance(t *testing.T) {
 	hv := r.LatencyHistogramVec("app_stage_seconds", "stage latency", "stage")
 	hv.With("apply").Observe(time.Millisecond)
 	hv.With("fold").Observe(2 * time.Millisecond)
+	gv := r.SecondsGaugeVec("app_phase_seconds", "phase wall time", "phase")
+	gv.With("fold").Set(int64(1500 * time.Microsecond))
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -173,6 +175,7 @@ func TestPrometheusConformance(t *testing.T) {
 		"app_batch_size":      "histogram",
 		"app_requests_total":  "counter",
 		"app_stage_seconds":   "histogram",
+		"app_phase_seconds":   "gauge",
 	}
 	for fam, typ := range want {
 		if types[fam] != typ {
@@ -188,6 +191,7 @@ func TestPrometheusConformance(t *testing.T) {
 		`app_latency_seconds_count 3`,
 		`app_batch_size_sum 17`,
 		`app_stage_seconds_bucket{stage="apply",le="+Inf"} 1`,
+		`app_phase_seconds{phase="fold"} 0.0015`,
 	} {
 		if !strings.Contains(text, needle+"\n") {
 			t.Errorf("exposition missing %q\n%s", needle, text)

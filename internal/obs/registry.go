@@ -126,6 +126,14 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return v
 }
 
+// SecondsGaugeVec registers a labeled gauge family of durations: each
+// child is Set in nanoseconds and renders in seconds.
+func (r *Registry) SecondsGaugeVec(name, help string, labels ...string) *GaugeVec {
+	v := &GaugeVec{family: newFamily(name, help, labels), seconds: true}
+	r.register(name, v)
+	return v
+}
+
 // LatencyHistogramVec registers a labeled latency-histogram family.
 func (r *Registry) LatencyHistogramVec(name, help string, labels ...string) *HistogramVec {
 	v := &HistogramVec{family: newFamily(name, help, labels), base: 1000, seconds: true}
@@ -233,8 +241,12 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &c.(*counterChild).Counter
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ family }
+// GaugeVec is a labeled gauge family; seconds marks one whose children
+// hold nanoseconds and render in seconds.
+type GaugeVec struct {
+	family
+	seconds bool
+}
 
 type gaugeChild struct {
 	Gauge

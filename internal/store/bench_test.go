@@ -4,8 +4,10 @@ package store_test
 // cluster read served from resident memory (mem, and disk's hot tier),
 // a read that pages its record back from the spill file (disk, hot
 // budget far under the working set) — into the tier as a point read
-// does, or through it as a scan does — and the publication of a new
-// record (which, on disk over budget, pays one spill write).
+// does, or through it as a scan does — the publication of a new record
+// (which, on disk over budget, appends one spill record to the tail the
+// tier writes a batch at a time), and the read of the whole partition
+// that a recovery's fold ends with.
 //
 //	go test -run=NONE -bench=. -count=10 ./internal/store
 
@@ -19,9 +21,14 @@ import (
 
 // benchRecords two-member records are the working set; coldBudget
 // resident members is what the squeezed disk tier may keep of them.
+// fillerRecords more records, published after the working set, are more
+// than one of the disk tier's 64 KiB spill batches, so the working set's
+// records (about 45 KiB) are all written to the file, not left in the
+// tail the tier serves from memory.
 const (
-	benchRecords = 4096
-	coldBudget   = 64
+	benchRecords  = 4096
+	coldBudget    = 64
+	fillerRecords = 2 * benchRecords
 )
 
 func openDisk(b *testing.B, hotEntries int) store.Backend {
@@ -38,10 +45,10 @@ func pairRecord(i int) []store.Node { return []store.Node{n(0, i), n(1, i)} }
 // BenchmarkRead cycles through the records in publication order, which
 // against an LRU tier smaller than the cycle makes every cold read a
 // page-in and every hot read a hit; the tier's own counters check it.
-// disk-peek reads the same cold records through the tier: the resident
-// tail of the publication order stays resident, so the cycle stops short
-// of it, and the tier must end as it began. B/op on the cold legs is
-// what one page-in allocates.
+// On the cold legs filler records follow the working set, so each of
+// their page-ins is a read of the spill file. disk-peek reads the same
+// cold records through the tier, which must end as it began. B/op on the
+// cold legs is what one page-in allocates.
 func BenchmarkRead(b *testing.B) {
 	for _, tier := range []struct {
 		name       string
@@ -58,15 +65,20 @@ func BenchmarkRead(b *testing.B) {
 			for i := 0; i < benchRecords; i++ {
 				c.Publish(pairRecord(i))
 			}
-			read, cycle := c.Read, benchRecords
+			if tier.cold {
+				for i := 0; i < fillerRecords; i++ {
+					c.Publish([]store.Node{n(2, i), n(3, i)})
+				}
+			}
+			read := c.Read
 			if tier.peek {
-				read, cycle = c.Peek, benchRecords-coldBudget/2
+				read = c.Peek
 			}
 			before := c.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ms, err := read(n(0, i%cycle))
+				ms, err := read(n(0, i%benchRecords))
 				if err != nil || len(ms) != 2 {
 					b.Fatalf("read %d = %v, %v", i, ms, err)
 				}
@@ -87,7 +99,8 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
-// BenchmarkPublish installs one fresh record per operation.
+// BenchmarkPublish installs one fresh record per operation; on disk each
+// evicts one, whose record joins the spill tail.
 func BenchmarkPublish(b *testing.B) {
 	for _, tier := range []struct {
 		name string
@@ -102,6 +115,38 @@ func BenchmarkPublish(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.Publish(pairRecord(i))
 			}
+		})
+	}
+}
+
+// BenchmarkPartition reads the whole partition of a mostly cold tier,
+// its records published in canonical order as a recovery's fold
+// publishes them: eight working sets, so several spill batches are in
+// the file and the rest in the tail. Each operation is one Partition;
+// records/op is the partition's size.
+func BenchmarkPartition(b *testing.B) {
+	const records = 8 * benchRecords
+	for _, tier := range []struct {
+		name string
+		open func(b *testing.B) store.Backend
+	}{
+		{"mem", func(*testing.B) store.Backend { return mem.New() }},
+		{"disk", func(b *testing.B) store.Backend { return openDisk(b, coldBudget) }},
+	} {
+		b.Run(tier.name, func(b *testing.B) {
+			c := tier.open(b).Clusters()
+			for i := 0; i < records; i++ {
+				c.Publish(pairRecord(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				part, err := c.Partition()
+				if err != nil || len(part) != records {
+					b.Fatalf("Partition = %d records, %v", len(part), err)
+				}
+			}
+			b.ReportMetric(records, "records/op")
 		})
 	}
 }

@@ -5,12 +5,16 @@ package store_test
 // against store/disk at a hot budget so small that nearly every record
 // spills, and after every step every read of every node is compared
 // with a plain map-based model of the partition — so each backend meets
-// the contract on its own, and disk ≡ mem on every read follows.
+// the contract on its own, and disk ≡ mem on every read follows. Ballast
+// between the steps fills the disk tier's spill batches, so its reads
+// come both from the spill file and from the tail not yet written.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -26,20 +30,21 @@ import (
 
 // backends are the implementations under the contract. The disk
 // budget (4 resident cluster members) sits far below the script's
-// working set.
+// working set; spillFile names the file its cold records go to.
 var backends = []struct {
-	name   string
-	budget int // the hot cluster-entry budget open gives it; 0: unbounded
-	open   func(t *testing.T) store.Backend
+	name      string
+	budget    int // the hot cluster-entry budget open gives it; 0: unbounded
+	open      func(t *testing.T, dir string) store.Backend
+	spillFile string
 }{
-	{"mem", 0, func(*testing.T) store.Backend { return mem.New() }},
-	{"disk", 4, func(t *testing.T) store.Backend {
-		b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4})
+	{"mem", 0, func(*testing.T, string) store.Backend { return mem.New() }, ""},
+	{"disk", 4, func(t *testing.T, dir string) store.Backend {
+		b, err := disk.Open(dir, store.Caps{HotClusterEntries: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
-	}},
+	}, "clusters.spill"},
 }
 
 func n(src, idx int) store.Node { return store.Node{Src: src, Idx: idx} }
@@ -77,6 +82,24 @@ func script() []merge {
 		// Two records ({0/4,1/4} and {2/6,3/6}) superseded by their union.
 		merge{n: n(4, 0), partners: []store.Node{n(0, 4), n(3, 6)}},
 	)
+}
+
+// ballastRows is how many two-member records of sources 5 and 6, which
+// no step names, are published after each accepted step: about 11 KiB of
+// spill records, a sixth of the disk tier's 64 KiB write batch. Over the
+// script the batches go out twice, so a step reads the records spilled
+// since the last batch from the tail and the older ones from the file,
+// and Partition's runs end where the file does. The universe leaves the
+// ballast out; Partition and Merged count it.
+const ballastRows = 1000
+
+func ballast(step int) []merge {
+	s := make([]merge, ballastRows)
+	for i := range s {
+		k := step*ballastRows + i
+		s[i] = merge{n: n(6, k), partners: []store.Node{n(5, k)}}
+	}
+	return s
 }
 
 // model is the reference partition: every node of a multi-member
@@ -220,7 +243,8 @@ func TestClustersConformance(t *testing.T) {
 	srcName := func(si int) string { return fmt.Sprintf("src%d", si) }
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
+			dir := t.TempDir()
+			b := bk.open(t, dir)
 			defer b.Close()
 			c := b.Clusters()
 			want := model{}
@@ -250,6 +274,10 @@ func TestClustersConformance(t *testing.T) {
 				if !reflect.DeepEqual(members, want[s.n]) {
 					t.Fatalf("%s: CheckMerge returned %v, want %v", step, members, want[s.n])
 				}
+				for _, m := range ballast(i) {
+					c.Publish([]store.Node{m.partners[0], m.n})
+					want.apply(m)
+				}
 				checkAgainst(t, step, c, want)
 				for _, x := range universe() {
 					if got, _ := c.Read(x); got != nil {
@@ -271,6 +299,11 @@ func TestClustersConformance(t *testing.T) {
 				// Every comparison above ran against records that had been
 				// spilled and paged back: the tier really was exercised.
 				t.Fatalf("budget %d did not force the tier into use: %+v", budget, st)
+			}
+			if bk.spillFile != "" {
+				if fi, err := os.Stat(filepath.Join(dir, bk.spillFile)); err != nil || fi.Size() < 2*64<<10 {
+					t.Fatalf("the spill file holds fewer than two batches: %v, %v", fi, err)
+				}
 			}
 		})
 	}
@@ -325,7 +358,7 @@ func TestPairsConformance(t *testing.T) {
 	tab := store.PairTab{RLen: 5, SLen: 7, Pairs: []match.Pair{{RIndex: 3, SIndex: 1}, {RIndex: 0, SIndex: 6}, {RIndex: 4, SIndex: 0}}}
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
+			b := bk.open(t, t.TempDir())
 			defer b.Close()
 			p := b.Pairs()
 			if _, err := p.Load(0); err == nil {
@@ -364,7 +397,7 @@ func TestPairsConformance(t *testing.T) {
 func TestBackendIdentityAndLifecycle(t *testing.T) {
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
+			b := bk.open(t, t.TempDir())
 			if b.Name() != bk.name {
 				t.Fatalf("Name() = %q, want %q", b.Name(), bk.name)
 			}
@@ -436,7 +469,7 @@ func TestPublishReachesLaterMembersFirst(t *testing.T) {
 	}
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
+			b := bk.open(t, t.TempDir())
 			defer b.Close()
 			c := b.Clusters()
 			var watching atomic.Int64
@@ -516,7 +549,7 @@ func TestPartitionInNodeOrder(t *testing.T) {
 	}
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			b := bk.open(t)
+			b := bk.open(t, t.TempDir())
 			defer b.Close()
 			c := b.Clusters()
 			want := model{}

@@ -16,12 +16,22 @@
 //
 //	crc32c (4 bytes, little-endian, over the rest) | uvarint count | (uvarint src, uvarint idx)…
 //
-// written with one WriteAt and read back with one ReadAt by the one
-// decoder every read path shares (decodeRecord). The way back checks
-// the CRC, that every varint is minimal and fits an int, the count
-// against the index's, and that nothing trails the last member; a
+// and the one decoder every read path shares (decodeRecord) checks the
+// way back: the CRC, that every varint is minimal and fits an int, the
+// count against the index's, and that nothing trails the last member; a
 // failed check is an error naming the record's offset, never a member
 // set, and changes no tier state.
+//
+// The file is written behind and read in runs. A spill appends its
+// record to a pending tail at the offset it will occupy in the file, and
+// the tail goes out in one WriteAt once it holds batchBytes, so a run of
+// evictions — a recovery's fold publishing every component in canonical
+// order, a stream's commits — costs a few sequential writes, not one a
+// record. A record still in the tail is served from memory, and that
+// read counts as a page-in as a file read does. Partition sorts its cold
+// records by offset and reads each run of nearby ones with one ReadAt
+// (readRuns). Where a record lies and which bytes it holds do not depend
+// on when the tail is written.
 //
 // The index is the resident store's: a store.Index, one record-pointer
 // slot per tuple position. An index entry (rec) always knows its
@@ -35,8 +45,8 @@
 //   - Point reads (Read) page a cold record in, install it hot, and
 //     evict the least-recently-used records back down to budget.
 //     Evicting a record whose body is already on disk is free (the
-//     record stays addressable); only never-spilled records pay a
-//     write.
+//     record stays addressable); only never-spilled records pay an
+//     append to the tail.
 //
 //   - The enumeration's reads move nothing. Glance answers from the
 //     index (has a record, its first member, the set if resident);
@@ -50,37 +60,43 @@
 //     check and its merge publication. Publish rebalances at the end
 //     of the commit instead.
 //
-//   - If a spill write fails, the victim simply stays resident and the
-//     eviction pass stops: the tier runs over budget rather than
-//     losing data. Publish therefore never fails.
+//   - If a batch write fails, the tail stays in memory and goes out
+//     again with the next batch: every record stays readable, the
+//     memory it holds grows past the batch until a write succeeds, and
+//     Publish therefore never fails.
 //
 // Returned member slices are immutable and remain valid after the
 // record is evicted or superseded — eviction drops the store's
 // reference, not the caller's.
 //
 // Concurrency: one mutex serialises the tier's state — the index, the
-// LRU list, the append offset. Everything that mutates it does its I/O
-// under it: Read and Members must install what they load, and at 0.2
-// page-ins per point read a re-validation protocol would not pay.
+// LRU list, the tail and the append offset. Everything that mutates it
+// does its I/O under it: Read and Members must install what they load,
+// and at 0.2 page-ins per point read a re-validation protocol would not
+// pay.
 // Peek, which mutates nothing, copies the record's address (offset,
-// length, member count) under the mutex and preads and decodes after
-// releasing it, so scanners and point readers do not queue behind each
-// other's system calls. That is safe because a spilled record is
-// immutable — the file is append-only, written once per record at an
-// offset no other record shares, and never rewritten or truncated while
-// open — and the record's identity was fixed at the lookup, the same
-// linearisation point Read has: a Publish that supersedes it in
-// between leaves the old bytes where they were. The always-hot mem
-// backend reads the same index with no lock at all; here what a read
-// finds in an entry — resident set, LRU position, spill address — only
-// the mutex keeps consistent.
+// length, member count) under the mutex — and, for a record still in the
+// tail, its bytes — and preads and decodes after releasing it, so
+// scanners and point readers do not queue behind each other's system
+// calls. That is safe because a record in the file is immutable — the
+// file is append-only, written once per record at an offset no other
+// record shares, and never rewritten or truncated while open (a batch
+// written again after a failure writes the same bytes at the same
+// offsets) — and the record's identity was fixed at the lookup, the same
+// linearisation point Read has: a Publish that supersedes it in between
+// leaves the old bytes where they were. The always-hot mem backend reads
+// the same index with no lock at all; here what a read finds in an entry
+// — resident set, LRU position, spill address — only the mutex keeps
+// consistent.
 package disk
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +129,7 @@ var (
 	pageInPairSec    = mPageInSeconds.With("pair")
 
 	mSpillErrors = obs.Default.Counter("store_tier_spill_errors_total",
-		"Failed spill writes (the victim stays resident)")
+		"Failed spill batch writes (the batch stays in memory and is written again with the next)")
 
 	mHotEntries = obs.Default.Gauge("store_hot_cluster_entries",
 		"Members across resident cluster records (disk backend; last backend to update wins)")
@@ -200,8 +216,11 @@ type clusters struct {
 	budget     int // HotClusterEntries; 0 = unbounded
 
 	f     *os.File // append-only spill file; records are immutable once written
-	wsize int64    // logical end of f (append offset)
-	buf   []byte   // record scratch for spills and page-ins under mu
+	fsize int64    // bytes written to f: a record at a lower offset is in the file
+	wsize int64    // logical end of f, the tail included (append offset)
+	tail  []byte   // the records at fsize..wsize, not yet written
+	due   int      // tail length at which it is next written
+	buf   []byte   // run scratch for page-ins under mu
 
 	merged  atomic.Int64
 	hits    atomic.Int64
@@ -263,11 +282,19 @@ func (c *clusters) Peek(n store.Node) ([]store.Node, error) {
 	}
 	// The record is fixed here; its bytes cannot change (package comment).
 	off, flen, size := r.off, r.flen, r.size
+	buf := peekBufs.Get().(*[]byte)
+	defer peekBufs.Put(buf)
+	inTail := off >= c.fsize
+	if inTail {
+		// The tail is written and reused under the mutex: copy the bytes.
+		*buf = append((*buf)[:0], c.tailBytes(off, flen)...)
+	}
 	c.mu.Unlock()
 	c.misses.Add(1)
 	tierCold.Inc()
-	buf := peekBufs.Get().(*[]byte)
-	defer peekBufs.Put(buf)
+	if inTail {
+		return c.pagedIn(time.Now(), off, *buf, size)
+	}
 	return c.readRecord(buf, off, flen, size)
 }
 
@@ -336,26 +363,86 @@ func (c *clusters) Merged() int64 { return c.merged.Load() }
 // Partition reads every record — paging cold bodies without installing
 // them, so a snapshot scan does not thrash the hot tier. The index walks
 // in node order and each record is taken at its first member: once, in
-// order of first member.
+// order of first member. The cold ones are then read in offset order,
+// in runs (readRuns).
 func (c *clusters) Partition() ([][]store.Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out [][]store.Node
+	out := slices.Grow([][]store.Node(nil), c.lru.n+c.cold) // nil for an empty tier
+	cold := slices.Grow([]coldRec(nil), c.cold)
 	for n, r := range c.idx.All {
 		if r.first != n {
 			continue
 		}
-		ms := r.members
-		if ms == nil {
-			var err error
-			ms, err = c.load(r)
-			if err != nil {
-				return nil, err
-			}
+		if r.members == nil {
+			cold = append(cold, coldRec{at: len(out), r: r})
 		}
-		out = append(out, ms)
+		out = append(out, r.members)
+	}
+	if err := c.readRuns(cold, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// coldRec is a cold record Partition reads, and its place in the output.
+type coldRec struct {
+	at int
+	r  *rec
+}
+
+// readRuns pages in every record of cold to out[at], in offset order: a
+// record still in the tail from memory, and each run of records in the
+// file whose gaps are at most runGap bytes, up to runBytes, with one
+// ReadAt. Each record is decoded and counted as its own page-in, timed
+// as its decode plus an even share of its run's read; a read that comes
+// back short fails at the first record it did not cover. Caller holds
+// c.mu.
+func (c *clusters) readRuns(cold []coldRec, out [][]store.Node) error {
+	slices.SortFunc(cold, func(a, b coldRec) int { return cmp.Compare(a.r.off, b.r.off) })
+	for len(cold) > 0 {
+		start := time.Now()
+		lo := cold[0].r.off
+		if lo >= c.fsize {
+			for _, cr := range cold {
+				ms, err := c.pagedIn(time.Now(), cr.r.off, c.tailBytes(cr.r.off, cr.r.flen), cr.r.size)
+				if err != nil {
+					return err
+				}
+				out[cr.at] = ms
+			}
+			return nil
+		}
+		hi, k := lo+int64(cold[0].r.flen), 1
+		for ; k < len(cold); k++ {
+			r := cold[k].r
+			end := r.off + int64(r.flen)
+			if r.off >= c.fsize || r.off-hi > runGap || end-lo > runBytes {
+				break
+			}
+			hi = max(hi, end)
+		}
+		if int64(cap(c.buf)) < hi-lo {
+			c.buf = make([]byte, hi-lo)
+		}
+		b := c.buf[:hi-lo]
+		n, rerr := c.f.ReadAt(b, lo)
+		share := time.Since(start) / time.Duration(k)
+		for _, cr := range cold[:k] {
+			r := cr.r
+			at := int(r.off - lo)
+			if at+r.flen > n {
+				return fmt.Errorf("disk: cluster record at %d: %w", r.off, rerr)
+			}
+			ms, err := c.pagedIn(time.Now().Add(-share), r.off, b[at:at+r.flen], r.size)
+			if err != nil {
+				return err
+			}
+			out[cr.at] = ms
+		}
+		cold = cold[k:]
+	}
+	return nil
 }
 
 func (c *clusters) Stats() store.ClusterStats {
@@ -383,9 +470,7 @@ func (c *clusters) install(r *rec, ms []store.Node) {
 }
 
 // evict spills least-recently-used records until the hot tier fits its
-// budget. A record already on disk evicts for free; a spill-write
-// failure keeps the victim resident and stops the pass. Caller holds
-// c.mu.
+// budget. A record already spilled evicts for free. Caller holds c.mu.
 func (c *clusters) evict() {
 	if c.budget <= 0 {
 		return
@@ -394,10 +479,7 @@ func (c *clusters) evict() {
 		e := c.lru.back
 		r := e.r
 		if r.off < 0 {
-			if err := c.spill(r); err != nil {
-				mSpillErrors.Inc()
-				return
-			}
+			c.spill(r)
 		}
 		c.lru.remove(e)
 		r.elem = nil
@@ -408,31 +490,67 @@ func (c *clusters) evict() {
 	mHotEntries.Set(int64(c.hotEntries))
 }
 
-// spill appends r's body to the spill file and records its address.
+// The spill file's batch and run sizes (package comment): the tail is
+// written once it holds batchBytes, and Partition reads records whose
+// gap is at most runGap bytes with one ReadAt of at most runBytes.
+const (
+	batchBytes = 64 << 10
+	runGap     = 4 << 10
+	runBytes   = 256 << 10
+)
+
+// spill appends r's body to the tail at the offset it will occupy in
+// the file, records that address, and writes the tail once it is due.
 // Caller holds c.mu.
-func (c *clusters) spill(r *rec) error {
-	c.buf = appendRecord(c.buf[:0], r.members)
-	if _, err := c.f.WriteAt(c.buf, c.wsize); err != nil {
-		return err
+func (c *clusters) spill(r *rec) {
+	if c.tail == nil {
+		c.tail = make([]byte, 0, batchBytes+batchBytes/16) // a batch and the record that fills it
 	}
+	at := len(c.tail)
+	c.tail = appendRecord(c.tail, r.members)
 	r.off = c.wsize
-	r.flen = len(c.buf)
-	c.wsize += int64(len(c.buf))
+	r.flen = len(c.tail) - at
+	c.wsize += int64(r.flen)
 	c.spills.Add(1)
 	spillCluster.Inc()
-	return nil
+	if len(c.tail) >= c.due {
+		c.writeTail()
+	}
 }
 
-// load reads r's body back from the spill file without changing tier
-// state. Caller holds c.mu.
+// writeTail writes the tail at its offset with one WriteAt. On failure
+// the tail stays, and is written again, whole, once it has grown by
+// another batch; the bytes at each offset are the same either time.
+// Caller holds c.mu.
+func (c *clusters) writeTail() {
+	if _, err := c.f.WriteAt(c.tail, c.fsize); err != nil {
+		mSpillErrors.Inc()
+		c.due = len(c.tail) + batchBytes
+		return
+	}
+	c.fsize, c.tail, c.due = c.wsize, c.tail[:0], batchBytes
+}
+
+// tailBytes is the record of flen bytes at off, which is in the tail.
+// Caller holds c.mu; the slice is valid until it is released.
+func (c *clusters) tailBytes(off int64, flen int) []byte {
+	at := int(off - c.fsize)
+	return c.tail[at : at+flen]
+}
+
+// load reads r's body back, from the tail or the file, without changing
+// tier state. Caller holds c.mu.
 func (c *clusters) load(r *rec) ([]store.Node, error) {
+	if r.off >= c.fsize {
+		return c.pagedIn(time.Now(), r.off, c.tailBytes(r.off, r.flen), r.size)
+	}
 	return c.readRecord(&c.buf, r.off, r.flen, r.size)
 }
 
-// readRecord is the one page-in: a single pread of the flen bytes at off
-// into *buf (grown when short) and the decode, against the size members
-// the index expects. It touches no tier state, so it runs with or
-// without c.mu held; *buf is the caller's alone meanwhile.
+// readRecord pages in one record from the file: a single pread of the
+// flen bytes at off into *buf (grown when short) and the decode, against
+// the size members the index expects. It touches no tier state, so it
+// runs with or without c.mu held; *buf is the caller's alone meanwhile.
 func (c *clusters) readRecord(buf *[]byte, off int64, flen, size int) ([]store.Node, error) {
 	start := time.Now()
 	if cap(*buf) < flen {
@@ -442,6 +560,12 @@ func (c *clusters) readRecord(buf *[]byte, off int64, flen, size int) ([]store.N
 	if _, err := c.f.ReadAt(b, off); err != nil {
 		return nil, fmt.Errorf("disk: cluster record at %d: %w", off, err)
 	}
+	return c.pagedIn(start, off, b, size)
+}
+
+// pagedIn decodes the record at off from its bytes b and counts the
+// page-in, timed from start.
+func (c *clusters) pagedIn(start time.Time, off int64, b []byte, size int) ([]store.Node, error) {
 	ms, err := decodeRecord(b, size)
 	if err != nil {
 		return nil, fmt.Errorf("disk: cluster record at %d: %w", off, err)
@@ -614,7 +738,7 @@ func Open(dir string, caps store.Caps) (*Backend, error) {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
 	b := &Backend{dir: dir}
-	b.c = clusters{budget: caps.HotClusterEntries, f: f}
+	b.c = clusters{budget: caps.HotClusterEntries, f: f, due: batchBytes}
 	b.p = pairs{dir: pairDir, files: map[int]string{}}
 	return b, nil
 }

@@ -52,7 +52,8 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 		}
 	}
 	// The same records through the tier: published, spilled by a budget
-	// of one record, and read back by each path.
+	// of one record, the first half written to the file and the rest left
+	// in the tail, and read back by each path.
 	be, err := Open(t.TempDir(), store.Caps{HotClusterEntries: maxSize})
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +62,12 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	c := &be.c
 	for k := 2; k <= maxSize; k++ {
 		c.Publish(record(k, tierTop))
+		if k == maxSize/2 {
+			writeTail(c)
+		}
+	}
+	if c.fsize == 0 || c.fsize == c.wsize {
+		t.Fatalf("the records are not split between the file and the tail: %d of %d bytes written", c.fsize, c.wsize)
 	}
 	for k := 2; k <= maxSize; k++ {
 		want := record(k, tierTop)
@@ -73,6 +80,13 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	if st := c.Stats(); st.Spills < maxSize-2 || st.PageIns == 0 {
 		t.Fatalf("the sizes never went through the spill file: %+v", st)
 	}
+}
+
+// writeTail writes the tail now, as a full one would be.
+func writeTail(c *clusters) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writeTail()
 }
 
 // readPaths are the four ways a body comes back, each reduced to "the
@@ -122,7 +136,12 @@ func TestDamagedSpillRecordFailsClosed(t *testing.T) {
 		c.Publish([]store.Node{{Src: 0, Idx: i}, {Src: 1, Idx: 300 + i}, {Src: 2, Idx: tierTop - i}})
 	}
 	// The victim is the last record written, so the file can be cut
-	// inside it.
+	// inside it; the tail goes to the file first, so every read of it is
+	// a file read.
+	writeTail(c)
+	if c.fsize != c.wsize {
+		t.Fatalf("the tail was not written: %d of %d bytes in the file", c.fsize, c.wsize)
+	}
 	var victim *rec
 	for _, r := range c.idx.All {
 		if r.off >= 0 && r.off+int64(r.flen) == c.wsize {

@@ -114,8 +114,8 @@ type Clusters interface {
 	// that has read the new record at one member reads it at every
 	// later member: that is what keeps the clusters of one walk in node
 	// order pairwise disjoint. Publish is infallible: a tiered backend
-	// that cannot spill keeps records resident (over budget) rather
-	// than losing them.
+	// that cannot write its spill file keeps what it could not write in
+	// memory (over budget) rather than losing it.
 	Publish(members []Node)
 
 	// Merged returns the total merge count: for each record,
