@@ -11,6 +11,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"unicode/utf8"
 
 	"entityid/internal/schema"
@@ -120,18 +121,67 @@ func parseTuple(t Tuple, sch *schema.Schema, b []byte, strs *value.StringBlocks)
 }
 
 // tuplesPerBlock is how many tuples' values ParseTuplesJSON and a
-// TupleBlocks take from one allocation.
+// decoder's TupleBlocks ask one allocation for, and the most a
+// relation's blocks ask for.
 const tuplesPerBlock = 64
 
-// TupleBlocks reads tuples one at a time as ParseTupleJSON reads them,
-// cutting their values from blocks of tuplesPerBlock tuples — one
-// allocation for 64 tuples, not 64, and as many fewer objects for the
-// collector to mark — each tuple's capacity its arity, so an append to
-// one never reaches the next; and their strings from shared blocks too
-// (value.StringBlocks). The zero value is ready to use.
+// TupleBlocks holds tuples in shared blocks: their values in blocks of
+// tuplesPerBlock tuples or so — one allocation for 64 tuples, not 64,
+// and as many fewer objects for the collector to mark — each tuple's
+// capacity its arity, so an append to one never reaches the next; and
+// their strings in shared blocks too (value.StringBlocks). It is where
+// every tuple a relation holds lies. A decoder reads tuples into blocks
+// of its own (ParseJSON, whole blocks at a time) and hands them over to
+// a relation uncopied (InsertAll, KeepAdmitted); a relation files a copy
+// of any other tuple into its own (InsertAdmitted), which start at one
+// tuple's worth and double. The zero value is ready to use.
 type TupleBlocks struct {
 	block Tuple
 	strs  value.StringBlocks
+	// tuples is how many tuples the last block keep started asked for.
+	tuples int
+}
+
+// room makes sure the value block has n cells left, starting a block
+// for tuples tuples of arity n when it does not. The block is as long as
+// the allocation the runtime rounds it up to: a block of pointer-holding
+// cells carries an 8-byte header past 512 bytes, so 64 tuples of 128
+// bytes take a 9,472-byte size class, and what would be slack holds 9
+// tuples more.
+func (tb *TupleBlocks) room(n, tuples int) {
+	if len(tb.block) < n {
+		b := slices.Grow(Tuple(nil), tuples*n)
+		tb.block = b[:cap(b)]
+	}
+}
+
+// keep returns a copy of t cut from the blocks, its strings copied into
+// the string blocks, all of one tuple's strings into one block. A block
+// keep starts asks for twice the tuples of the last one, up to
+// tuplesPerBlock.
+func (tb *TupleBlocks) keep(t Tuple) Tuple {
+	n := len(t)
+	if len(tb.block) < n {
+		tb.tuples = min(tuplesPerBlock, max(1, 2*tb.tuples))
+		tb.room(n, tb.tuples)
+	}
+	kept := tb.block[:n:n]
+	tb.block = tb.block[n:]
+	want := 0
+	for _, v := range t {
+		if v.Kind() == value.KindString {
+			want += len(v.Str())
+		}
+	}
+	for i, v := range t {
+		if v.Kind() == value.KindString {
+			s := v.Str()
+			v = value.String(tb.strs.Copy(s, want))
+			want -= len(s)
+		}
+		kept[i] = v
+	}
+	return kept
 }
 
 // ParseJSON reads b, a JSON array of scalars and nothing else, as a tuple
@@ -147,9 +197,7 @@ func (tb *TupleBlocks) ParseJSON(sch *schema.Schema, b []byte) (Tuple, error) {
 // parse reads the tuple at the front of b and returns what follows it.
 func (tb *TupleBlocks) parse(sch *schema.Schema, b []byte) (Tuple, []byte, error) {
 	n := sch.Arity()
-	if len(tb.block) < n {
-		tb.block = make(Tuple, tuplesPerBlock*n)
-	}
+	tb.room(n, tuplesPerBlock)
 	t, rest, err := parseTuple(tb.block[:0:n], sch, b, &tb.strs)
 	if err == nil {
 		tb.block = tb.block[n:]

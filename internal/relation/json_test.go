@@ -318,6 +318,23 @@ func checkAgainstReference(t *testing.T, sch *schema.Schema, b []byte) {
 	if err != nil || !sameTuple(back, got) || !bytes.Equal(AppendTupleJSON(nil, back), canon) {
 		t.Fatalf("%q read as %v, appended as %s, read back as %v (%v)", b, got, canon, back, err)
 	}
+	// Filed into a relation three times — across its first value blocks
+	// — each copy reads back as the tuple, at capacity = arity, after
+	// the caller overwrites what it read.
+	r := NewBag(sch)
+	for range 3 {
+		if err := r.Insert(got); err != nil {
+			t.Fatalf("%q read as %v, refused by a relation over its schema: %v", b, got, err)
+		}
+	}
+	for i := range got {
+		got[i] = value.Null
+	}
+	for i, kept := range r.Tuples() {
+		if !sameTuple(kept, want) || cap(kept) != len(kept) {
+			t.Fatalf("%q: a relation's copy %d reads %v (cap %d), want %v", b, i, kept, cap(kept), want)
+		}
+	}
 }
 
 // fuzzSchema builds a schema of 1–6 attributes from the fuzzer's bits,
@@ -333,8 +350,9 @@ func fuzzSchema(bits uint16) *schema.Schema {
 // FuzzTupleJSON throws arbitrary bytes, over schemas of every kind, at
 // the tuple parser: it never panics, accepts exactly the JSON arrays
 // encoding/json accepts whose scalars fit the schema, reads the same
-// values, and re-appends what it read as canonical bytes that read back
-// the same. Seeded from FuzzInsertBody's corpus (the tuples of its lines)
+// values, re-appends what it read as canonical bytes that read back the
+// same, and a relation that files what it read keeps a copy that reads
+// back the same. Seeded from FuzzInsertBody's corpus (the tuples of its lines)
 // and the codec's own extremes.
 func FuzzTupleJSON(f *testing.F) {
 	for _, seed := range []string{

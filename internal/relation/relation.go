@@ -5,6 +5,13 @@
 // entities of the same type can be represented as tuples in relations"
 // (§3.1).
 //
+// A relation's tuples have one resident form: their values in blocks of
+// about 64 tuples and their strings in blocks of up to 4 KiB
+// (TupleBlocks), either the relation's own — Insert and InsertAdmitted
+// file a copy of the tuple they are given there — or a decoder's, handed
+// over whole (InsertAll, KeepAdmitted). Each tuple's capacity is its
+// arity, so no append to one reaches the next.
+//
 // Key enforcement deliberately skips NULLs: the extended relations R′ and
 // S′ of §4.2 carry NULL in attributes the source relation never modeled,
 // and the integrated table T_RS may hold NULLs even inside extended-key
@@ -80,7 +87,10 @@ func (t Tuple) Identical(o Tuple) bool {
 type Relation struct {
 	schema *schema.Schema
 	// tuples are an ordinary relation's rows; an image relation has none.
+	// What InsertAdmitted files lies in blocks, whose rest is what the
+	// next filed tuples are cut from.
 	tuples []Tuple
+	blocks TupleBlocks
 	// keyCols holds, per candidate key, the column offsets of its
 	// attributes — resolved once, so key projection indexes the tuple
 	// instead of copying the schema's keys and looking each name up.
@@ -491,26 +501,34 @@ func (r *Relation) Admit(t Tuple) (Admission, error) {
 	return a, nil
 }
 
-// InsertAdmitted appends a copy of an admitted tuple under the key
-// hashes it was admitted on. It fails, changing nothing, if the
-// admission is another relation's or the relation has changed since.
+// InsertAdmitted files a copy of an admitted tuple into the relation's
+// blocks — its values and its strings: the tuple stays the caller's —
+// under the key hashes it was admitted on. It fails, changing nothing,
+// if the admission is another relation's or the relation has changed
+// since.
 func (r *Relation) InsertAdmitted(a Admission) error {
-	return r.fileAdmitted(a, a.t.Clone())
+	if err := r.stale(a); err != nil {
+		return err
+	}
+	r.file(a, r.blocks.keep(a.t))
+	return nil
 }
 
 // KeepAdmitted is InsertAdmitted keeping the admitted tuple itself, not a
 // copy, under InsertAll's rule: the caller hands the tuple over.
 func (r *Relation) KeepAdmitted(a Admission) error {
-	return r.fileAdmitted(a, a.t)
+	if err := r.stale(a); err != nil {
+		return err
+	}
+	r.file(a, a.t)
+	return nil
 }
 
-// fileAdmitted files t, admission a's tuple or its copy, unless a is
-// stale.
-func (r *Relation) fileAdmitted(a Admission, t Tuple) error {
+// stale refuses admission a unless r gave it and has not changed since.
+func (r *Relation) stale(a Admission) error {
 	if a.r != r || a.at != len(r.tuples) {
 		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, len(r.tuples))
 	}
-	r.file(a, t)
 	return nil
 }
 
@@ -526,9 +544,10 @@ func (r *Relation) file(a Admission, t Tuple) {
 
 // InsertAll inserts ts in order, each tuple admitted as Insert admits it
 // — shape and every candidate key — but kept itself, not copied: the
-// caller hands the tuples over, and into an empty relation the slice
-// too. The relation and its key indexes are sized for all of ts first. On
-// a refusal the tuples before the refused one stay inserted.
+// caller, a decoder whose blocks the tuples were cut from, hands the
+// tuples over, and into an empty relation the slice too. The relation
+// and its key indexes are sized for all of ts first. On a refusal the
+// tuples before the refused one stay inserted.
 func (r *Relation) InsertAll(ts []Tuple) error {
 	if len(r.tuples) == 0 {
 		r.tuples = ts[:0]
@@ -580,9 +599,10 @@ func checkShape(s *schema.Schema, t Tuple) error {
 	return nil
 }
 
-// Insert appends a copy of the tuple. It fails if the arity is wrong, a
-// value's kind disagrees with the schema (NULL is allowed anywhere), or a
-// candidate key is violated.
+// Insert files a copy of the tuple into the relation's blocks, as
+// InsertAdmitted does. It fails if the arity is wrong, a value's kind
+// disagrees with the schema (NULL is allowed anywhere), or a candidate
+// key is violated.
 func (r *Relation) Insert(t Tuple) error {
 	a, err := r.Admit(t)
 	if err != nil {
@@ -667,15 +687,18 @@ func (r *Relation) Project(t Tuple, attrs []string) (Tuple, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the relation. The copy of an image
-// relation is an ordinary relation: detached from what the image
-// extends, it holds whole rows and indexes its own keys.
+// Clone returns a deep copy of the relation, its tuples filed into
+// blocks of its own. The copy of an image relation is an ordinary
+// relation: detached from what the image extends, it holds whole rows
+// and indexes its own keys.
 func (r *Relation) Clone() *Relation {
 	out := New(r.schema)
 	out.bag = r.bag
 	out.tuples = make([]Tuple, r.Len())
+	var row Tuple
 	for i := range out.tuples {
-		out.tuples[i] = r.TupleInto(nil, i)
+		row = r.TupleInto(row, i)
+		out.tuples[i] = out.blocks.keep(row)
 	}
 	out.reindex()
 	return out

@@ -1,6 +1,9 @@
 package store
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // chunkBits sizes the Index's chunks: 1<<chunkBits record slots, one per
 // tuple position, 8 KiB of pointers each.
@@ -23,7 +26,11 @@ type chunk[R any] [chunkSlots]atomic.Pointer[R]
 // atomically. Set is writer-side — its callers serialise it — and grows
 // the directory copy-on-write: a new directory shares every existing
 // chunk with the old one and is published whole, so a reader holding an
-// old directory still sees every slot store made into a chunk it has.
+// old directory still sees every slot store made into a chunk it has. A
+// source's chunk list grows geometrically, in place: a new chunk is
+// written past the length every published directory gives the list, and
+// only a new directory's header covers it, so no reader sees the write,
+// and the list is copied only when its capacity runs out.
 // A reader that has seen one Set sees every Set made before it, the
 // directory growth included: the order in which a writer stores the
 // slots of one record is the order in which readers can find them.
@@ -57,12 +64,17 @@ func (x *Index[R]) Set(n Node, r *R) {
 	}
 	ci := n.Idx >> chunkBits
 	if n.Src >= len(srcs) || ci >= len(srcs[n.Src]) || srcs[n.Src][ci] == nil {
-		// A new directory and a new chunk list: readers of the old ones
-		// never see a write into them.
+		// A new directory, and the chunk written where no reader of the
+		// old one looks: past the list's length, or into a copy of the
+		// list when the chunk fills a hole below it.
 		grown := make([][]*chunk[R], max(len(srcs), n.Src+1))
 		copy(grown, srcs)
-		cs := make([]*chunk[R], max(len(grown[n.Src]), ci+1))
-		copy(cs, grown[n.Src])
+		cs := grown[n.Src]
+		if ci < len(cs) {
+			cs = slices.Clone(cs)
+		} else {
+			cs = slices.Grow(cs, ci+1-len(cs))[:ci+1]
+		}
 		cs[ci] = new(chunk[R])
 		grown[n.Src] = cs
 		x.dir.Store(&grown)

@@ -28,6 +28,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -123,9 +124,10 @@ func (c *clusters) Merged() int64 { return c.merged.Load() }
 // the snapshot/verification form. Every record holds ≥ 2 members by
 // construction, so the records themselves are the partition; the index
 // walks in node order, and taking each record at its first member keeps
-// it once, in that order. Writer-side.
+// it once, in that order, into a slice sized by the record count.
+// Writer-side.
 func (c *clusters) Partition() ([][]store.Node, error) {
-	var out [][]store.Node
+	out := slices.Grow([][]store.Node(nil), int(c.recs.Load())) // nil for an empty store
 	for n, r := range c.idx.All {
 		if r.members[0] == n {
 			out = append(out, r.members)

@@ -138,14 +138,16 @@ func AppendJSON(b []byte, v Value) []byte {
 // scalar of another kind, malformed JSON — is an error.
 func ParseJSON(b []byte, k Kind) (Value, []byte, error) { return parseJSON(b, k, nil) }
 
-// StringBlocks reads values as ParseJSON reads them, a string that is
-// its own bytes cut from a shared block of stringBlock bytes rather than
-// allocated alone: a decoded run or log tail allocates a block per few
-// hundred strings, not one per string. A block lives as long as any
-// string cut from it. The zero value is ready to use.
+// StringBlocks holds strings in shared blocks of up to stringBlock bytes
+// rather than one allocation each: ParseJSON cuts the plain strings it
+// reads from them, so a decoded run or log tail allocates a block per
+// few hundred strings, not one per string, and Copy copies a string in
+// (a relation keeps its tuples' strings so). A block lives as long as
+// any string cut from it. The zero value is ready to use.
 type StringBlocks struct{ block strings.Builder }
 
-// stringBlock is the size of one StringBlocks block.
+// stringBlock is the size of one StringBlocks block that ParseJSON
+// starts, and the most Copy starts for strings that fit in it.
 const stringBlock = 4 << 10
 
 // ParseJSON is ParseJSON, its plain strings cut from the blocks — or, on
@@ -164,6 +166,26 @@ func (sb *StringBlocks) cut(b []byte) string {
 	}
 	n := sb.block.Len()
 	sb.block.Write(b)
+	return sb.block.String()[n:]
+}
+
+// Copy returns a copy of s cut from the blocks. want is how many bytes
+// the caller is about to copy, s's first; when s does not fit, the block
+// Copy starts holds them all — or, when that is less, twice the last
+// block, up to stringBlock. So blocks that hold a few strings start at
+// their size and double: a relation of a handful of tuples does not pay
+// for a whole block.
+func (sb *StringBlocks) Copy(s string, want int) string {
+	if s == "" {
+		return ""
+	}
+	if sb.block.Cap()-sb.block.Len() < len(s) {
+		size := max(want, min(stringBlock, 2*sb.block.Cap()))
+		sb.block = strings.Builder{}
+		sb.block.Grow(size)
+	}
+	n := sb.block.Len()
+	sb.block.WriteString(s)
 	return sb.block.String()[n:]
 }
 
