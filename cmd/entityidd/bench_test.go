@@ -123,17 +123,26 @@ func BenchmarkClusterRead(b *testing.B) {
 	}
 }
 
-// BenchmarkClustersScan is a full enumeration of 2000 two-member
-// clusters per iteration.
+// BenchmarkClustersScan is a full enumeration of n two-member clusters
+// per iteration: 2,000, a working set that fits in cache, and 100,000,
+// one that does not, as a live_mixed scan's does not. Each hub is built
+// once, on the first round of its case, and lives as long as the whole
+// benchmark.
 func BenchmarkClustersScan(b *testing.B) {
-	const n = 2000
-	c := benchServer(b, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := c.do(b, "GET /v1/clusters HTTP/1.1\r\nHost: b\r\n\r\n"); got < n {
-			b.Fatalf("scan body of %d bytes", got)
-		}
+	for _, n := range []int{2000, 100_000} {
+		var c *benchConn
+		b.Run(fmt.Sprintf("clusters=%d", n), func(sb *testing.B) {
+			if c == nil {
+				c = benchServer(b, n)
+			}
+			sb.ReportAllocs()
+			sb.ResetTimer()
+			for i := 0; i < sb.N; i++ {
+				if got := c.do(sb, "GET /v1/clusters HTTP/1.1\r\nHost: b\r\n\r\n"); got < int64(n) {
+					sb.Fatalf("scan body of %d bytes", got)
+				}
+			}
+			sb.ReportMetric(float64(n)*float64(sb.N)/sb.Elapsed().Seconds(), "clusters/s")
+		})
 	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "clusters/s")
 }

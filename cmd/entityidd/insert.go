@@ -55,13 +55,16 @@ type insertLine struct {
 	Tuple  json.RawMessage `json:"tuple"`
 }
 
-// decodeLine parses one trimmed, non-blank body line into a hub insert.
-// A framing error (malformed JSON) is terminal — nothing after the line
-// can be trusted, it may be a torn tail; a tuple error is the line's own.
-// What only this door does is fold a string attribute's "" and "null"
-// into NULL, the way value.Parse folds them for every other kind and
-// every CSV field; storage holds those two strings as themselves.
-func (s *server) decodeLine(line []byte) (ins entityid.HubInsert, terminal bool, err error) {
+// decodeLine parses one trimmed, non-blank body line into a hub insert,
+// its tuple cut from blocks the request owns — the hub files a copy of
+// it, and blocks are only ever appended to, so reusing them across lines
+// and requests overwrites no tuple. A framing error (malformed JSON) is
+// terminal — nothing after the line can be trusted, it may be a torn
+// tail; a tuple error is the line's own. What only this door does is fold
+// a string attribute's "" and "null" into NULL, the way value.Parse folds
+// them for every other kind and every CSV field; storage holds those two
+// strings as themselves.
+func (s *server) decodeLine(line []byte, blocks *relation.TupleBlocks) (ins entityid.HubInsert, terminal bool, err error) {
 	var il insertLine
 	if err := json.Unmarshal(line, &il); err != nil {
 		return ins, true, err
@@ -73,7 +76,7 @@ func (s *server) decodeLine(line []byte) (ins entityid.HubInsert, terminal bool,
 	if len(il.Tuple) == 0 || string(il.Tuple) == "null" {
 		il.Tuple = json.RawMessage("[]") // a missing tuple is an empty one
 	}
-	t, err := relation.ParseTupleJSON(sch, il.Tuple)
+	t, err := blocks.ParseJSON(sch, il.Tuple)
 	if err != nil {
 		return ins, false, fmt.Errorf("source %q: %w", il.Source, err)
 	}
@@ -161,7 +164,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if line, lineNo, ok := soleLine(whole); ok {
-			buf.out = s.insertOne(buf.out[:0], line, lineNo)
+			buf.out = s.insertOne(buf.out[:0], line, lineNo, &buf.blocks)
 			writeInsertLine(w, buf.out)
 			return
 		}
@@ -175,8 +178,8 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // insertOne commits the single line of a one-line body on the request's
 // goroutine and renders its result line. An ack follows the WAL append
 // (Insert) and the flush epoch, as a stream's does.
-func (s *server) insertOne(b, line []byte, lineNo int) []byte {
-	ins, terminal, err := s.decodeLine(line)
+func (s *server) insertOne(b, line []byte, lineNo int, blocks *relation.TupleBlocks) []byte {
+	ins, terminal, err := s.decodeLine(line, blocks)
 	if err != nil {
 		return appendErrorLine(b, fmt.Errorf("line %d: %w", lineNo, err), terminal)
 	}
@@ -228,6 +231,7 @@ func (s *server) insertStream(ctx context.Context, w http.ResponseWriter, body i
 				return false
 			}
 		}
+		var blocks relation.TupleBlocks
 		sc := bufio.NewScanner(body)
 		sc.Buffer(make([]byte, 0, directInsertMax), 1<<20)
 		lineNo := 0
@@ -237,7 +241,7 @@ func (s *server) insertStream(ctx context.Context, w http.ResponseWriter, body i
 			if len(line) == 0 {
 				continue
 			}
-			ins, terminal, err := s.decodeLine(line)
+			ins, terminal, err := s.decodeLine(line, &blocks)
 			if terminal {
 				// If the tear came from a read failure — the body cap
 				// truncating mid-line is the common case — report that

@@ -30,6 +30,7 @@ import (
 
 	"entityid"
 	"entityid/internal/admit"
+	"entityid/internal/relation"
 	"entityid/internal/rules"
 	"entityid/internal/value"
 )
@@ -37,10 +38,11 @@ import (
 // scratch is one request's working memory, pooled across requests: out
 // is where every response line that shows a cluster is rendered
 // (render.go), body where a small declared-length insert body is read
-// whole.
+// whole, blocks where its tuple is parsed (decodeLine).
 type scratch struct {
-	out  []byte
-	body [directInsertMax]byte
+	out    []byte
+	body   [directInsertMax]byte
+	blocks relation.TupleBlocks
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

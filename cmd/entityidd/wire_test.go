@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"entityid"
+	"entityid/internal/relation"
 	"entityid/internal/value"
 )
 
@@ -153,9 +155,21 @@ func TestWireAcceptance(t *testing.T) {
 		{slot(3, `1`), nil, `attribute "b": number 1 for bool attribute`},
 		{slot(3, `0.5`), nil, `attribute "b": number 0.5 for bool attribute`},
 	}
+	// Every row is read into one set of blocks, as a stream's lines are:
+	// each tuple read stays as it was read while the rows after it are.
+	var blocks relation.TupleBlocks
+	type read struct {
+		line string
+		t    relation.Tuple
+		kept relation.Tuple
+	}
+	var reads []read
 	for _, r := range rows {
 		line := `{"source":"w","tuple":` + r.tuple + `}`
-		ins, terminal, err := srv.decodeLine([]byte(line))
+		ins, terminal, err := srv.decodeLine([]byte(line), &blocks)
+		if err == nil {
+			reads = append(reads, read{line, ins.Tuple, ins.Tuple.Clone()})
+		}
 		switch {
 		case terminal:
 			t.Errorf("%s: a tuple's own error ended the stream: %v", line, err)
@@ -171,6 +185,11 @@ func TestWireAcceptance(t *testing.T) {
 			if !ok {
 				t.Errorf("%s: read as %q %v, want %v", line, ins.Source, ins.Tuple, r.want)
 			}
+		}
+	}
+	for _, r := range reads {
+		if !slices.EqualFunc(r.t, r.kept, sameValue) {
+			t.Errorf("%s: read as %v, later lines left it %v", r.line, r.kept, r.t)
 		}
 	}
 
@@ -195,7 +214,7 @@ func TestWireAcceptance(t *testing.T) {
 		{`{"source":"w","tuple":["x",1,1.5,true,]}`, true, ""},
 		{`["x"]`, true, ""},
 	} {
-		_, terminal, err := srv.decodeLine([]byte(c.line))
+		_, terminal, err := srv.decodeLine([]byte(c.line), new(relation.TupleBlocks))
 		if terminal != c.terminal || (err == nil) != (c.err == "" && !c.terminal) || err != nil && !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s: terminal=%v err=%v, want terminal=%v %q", c.line, terminal, err, c.terminal, c.err)
 		}
@@ -244,7 +263,7 @@ func TestWireAcceptance(t *testing.T) {
 func TestJSONToValueIntRange(t *testing.T) {
 	srv := wireServer(t)
 	read := func(lit string) (value.Value, error) {
-		ins, _, err := srv.decodeLine([]byte(`{"source":"w","tuple":["k",` + lit + `,null,null]}`))
+		ins, _, err := srv.decodeLine([]byte(`{"source":"w","tuple":["k",`+lit+`,null,null]}`), new(relation.TupleBlocks))
 		if err != nil {
 			return value.Null, err
 		}

@@ -57,4 +57,14 @@ var Rules = []Rule{{
 	Shape:  Shape{Links: "entityid/internal/datagen"},
 	Reason: "the daemon does not link the synthetic-workload generator; what builds a hub from one is test code",
 	PR:     16,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/..."}},
+	Shape:  Shape{Funcs: []string{"AppendInsert", "ParseInsert", "appendChunk", "addChunk", "seedTuples"}},
+	Reason: "a run of one source's tuples has one record, in the log and in a snapshot, written by wal.AppendRun and read by wal.CutRun: no second N-tuple codec",
+	PR:     48,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/..."}, Except: []string{"entityid/internal/wal"}},
+	Shape:  Shape{Calls: []string{"entityid/internal/relation.AppendTuplesJSON", "(*entityid/internal/relation.TupleBlocks).ParseTuplesJSON"}},
+	Reason: "an array of tuples is written and read inside the run record's codec (internal/wal/run.go) alone",
+	PR:     48,
 }}

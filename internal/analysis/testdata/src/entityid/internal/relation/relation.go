@@ -26,3 +26,11 @@ const width = 0x1f
 func (t Tuple) prefixedKey() string { return string(rune(len(t))) + strings.Join(t, "") }
 
 func decodeRow(b []byte) []interface{} { return nil } // want `\[\]interface\{\}: a tuple has one`
+
+// Silent: the array codec is declared here; a call outside the run
+// record's codec is refused.
+func AppendTuplesJSON(b []byte, ts []Tuple) []byte { return b }
+
+type TupleBlocks struct{}
+
+func (tb *TupleBlocks) ParseTuplesJSON(dst []Tuple, b []byte) ([]Tuple, error) { return dst, nil }

@@ -1,20 +1,17 @@
-// Package baselines implements the five pre-existing entity-
-// identification approaches the paper surveys in §2.2, behind a common
-// Matcher interface, so the experiments can measure the failure modes
-// the paper argues qualitatively:
+// Package baselines implements three of the pre-existing
+// entity-identification approaches the paper surveys in §2.2 — the ones
+// the experiments and examples print, so that the failure modes the paper
+// argues qualitatively are measured:
 //
-//  1. Key equivalence (Multibase): match on a common candidate key.
-//  2. User-specified equivalence (Pegasus): an explicit mapping table.
-//  3. Probabilistic key equivalence (Pu): subfield matching over key
+//   - Key equivalence (Multibase): match on a common candidate key.
+//   - Probabilistic key equivalence (Pu): subfield matching over key
 //     values; a match needs only most subfields to agree.
-//  4. Probabilistic attribute equivalence (Chatterjee & Segev): a
+//   - Probabilistic attribute equivalence (Chatterjee & Segev): a
 //     comparison value over all common attributes.
-//  5. Heuristic rules (Wang & Madnick): rule-derived attributes feed an
-//     equality match; the rules are heuristic, so the result may be
-//     wrong.
 //
-// All matchers return match.Table pairs over tuple positions, like the
-// paper's technique, so metrics can score them uniformly.
+// Each returns match.Table pairs over tuple positions, like the paper's
+// technique, so metrics can score them uniformly. §2.2's user-specified
+// equivalence is System.AssertMatch on the real engine.
 package baselines
 
 import (
@@ -22,21 +19,10 @@ import (
 	"sort"
 	"strings"
 
-	"entityid/internal/derive"
-	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
-	"entityid/internal/schema"
 	"entityid/internal/value"
 )
-
-// Matcher is a baseline entity-identification technique.
-type Matcher interface {
-	// Name identifies the technique in reports.
-	Name() string
-	// Match pairs tuples of r with tuples of s.
-	Match(r, s *relation.Relation) (*match.Table, error)
-}
 
 // AttrPair names one attribute in each relation that the technique
 // treats as semantically equivalent.
@@ -84,10 +70,6 @@ type KeyEquivalence struct {
 	AllowNonKey bool
 }
 
-// Name implements Matcher.
-func (k KeyEquivalence) Name() string { return "key-equivalence" }
-
-// Match implements Matcher.
 func (k KeyEquivalence) Match(r, s *relation.Relation) (*match.Table, error) {
 	if err := validatePairs(r, s, k.Key); err != nil {
 		return nil, err
@@ -145,42 +127,6 @@ func projKey(rel *relation.Relation, t relation.Tuple, pairs []AttrPair, left bo
 	return b.String(), true
 }
 
-// UserSpecified implements §2.2's approach 2: the user supplies the
-// pairing explicitly as (R primary-key values, S primary-key values)
-// rows, the Pegasus-style mapping table. Entries that do not resolve to
-// tuples are reported as errors (a stale mapping is user error, not a
-// non-match).
-type UserSpecified struct {
-	// Mapping holds one entry per asserted pair: key values for R's
-	// primary key followed by key values for S's primary key.
-	Mapping [][]value.Value
-}
-
-// Name implements Matcher.
-func (u UserSpecified) Name() string { return "user-specified" }
-
-// Match implements Matcher.
-func (u UserSpecified) Match(r, s *relation.Relation) (*match.Table, error) {
-	rk := len(r.Schema().PrimaryKey())
-	sk := len(s.Schema().PrimaryKey())
-	var pairs []match.Pair
-	for n, row := range u.Mapping {
-		if len(row) != rk+sk {
-			return nil, fmt.Errorf("baselines: mapping row %d has %d values, want %d+%d", n, len(row), rk, sk)
-		}
-		i := r.LookupKey(row[:rk]...)
-		if i < 0 {
-			return nil, fmt.Errorf("baselines: mapping row %d: no R tuple with key %v", n, row[:rk])
-		}
-		j := s.LookupKey(row[rk:]...)
-		if j < 0 {
-			return nil, fmt.Errorf("baselines: mapping row %d: no S tuple with key %v", n, row[rk:])
-		}
-		pairs = append(pairs, match.Pair{RIndex: i, SIndex: j})
-	}
-	return mkTable(r, s, pairs), nil
-}
-
 // ProbabilisticKey implements §2.2's approach 3 (Pu): key values are
 // split into subfields and two keys match when the fraction of agreeing
 // subfields reaches Threshold. Ambiguity (several S tuples tie at the
@@ -193,10 +139,6 @@ type ProbabilisticKey struct {
 	Threshold float64
 }
 
-// Name implements Matcher.
-func (p ProbabilisticKey) Name() string { return "probabilistic-key" }
-
-// Match implements Matcher.
 func (p ProbabilisticKey) Match(r, s *relation.Relation) (*match.Table, error) {
 	if err := validatePairs(r, s, p.Key); err != nil {
 		return nil, err
@@ -299,10 +241,6 @@ type ProbabilisticAttr struct {
 	Threshold float64
 }
 
-// Name implements Matcher.
-func (p ProbabilisticAttr) Name() string { return "probabilistic-attribute" }
-
-// Match implements Matcher.
 func (p ProbabilisticAttr) Match(r, s *relation.Relation) (*match.Table, error) {
 	if err := validatePairs(r, s, p.Common); err != nil {
 		return nil, err
@@ -374,57 +312,4 @@ func (p ProbabilisticAttr) compare(r *relation.Relation, rt relation.Tuple, s *r
 		return 0, false
 	}
 	return agree / total, true
-}
-
-// Heuristic implements §2.2's approach 5 (Wang & Madnick): heuristic
-// rules — written in the same form as ILFDs but *not* guaranteed
-// correct — infer additional attribute values, then tuples agreeing on
-// the inferred Key attributes match. Because the knowledge is heuristic
-// the result may be wrong; the experiments feed it deliberately noisy
-// rules to quantify that.
-type Heuristic struct {
-	// Rules are applied with first-match (cut) semantics to both sides.
-	Rules ilfd.Set
-	// Key lists the integrated attributes to equate after inference;
-	// each must exist (or be derivable) on both sides.
-	Key []AttrPair
-	// Derive lists attributes to add to each relation before applying
-	// rules (integrated name and kind); attributes already present are
-	// left alone.
-	DeriveR, DeriveS []schema.Attribute
-}
-
-// Name implements Matcher.
-func (h Heuristic) Name() string { return "heuristic-rules" }
-
-// Match implements Matcher.
-func (h Heuristic) Match(r, s *relation.Relation) (*match.Table, error) {
-	rx, _, err := derive.Extend(r, r.Schema().Name()+"+", h.DeriveR, h.Rules, derive.Options{})
-	if err != nil {
-		return nil, err
-	}
-	sx, _, err := derive.Extend(s, s.Schema().Name()+"+", h.DeriveS, h.Rules, derive.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := validatePairs(rx, sx, h.Key); err != nil {
-		return nil, err
-	}
-	index := map[string][]int{}
-	for j, t := range sx.Tuples() {
-		if key, ok := projKey(sx, t, h.Key, false); ok {
-			index[key] = append(index[key], j)
-		}
-	}
-	var pairs []match.Pair
-	for i, t := range rx.Tuples() {
-		key, ok := projKey(rx, t, h.Key, true)
-		if !ok {
-			continue
-		}
-		for _, j := range index[key] {
-			pairs = append(pairs, match.Pair{RIndex: i, SIndex: j})
-		}
-	}
-	return mkTable(r, s, pairs), nil
 }

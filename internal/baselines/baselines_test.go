@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"entityid/internal/ilfd"
-	"entityid/internal/match"
 	"entityid/internal/paperdata"
 	"entityid/internal/relation"
 	"entityid/internal/schema"
@@ -65,9 +63,6 @@ func TestKeyEquivalenceHappyPath(t *testing.T) {
 	if mt.Len() != 1 {
 		t.Errorf("pairs = %d", mt.Len())
 	}
-	if m.Name() != "key-equivalence" {
-		t.Errorf("Name = %q", m.Name())
-	}
 }
 
 func TestKeyEquivalenceValidation(t *testing.T) {
@@ -80,49 +75,6 @@ func TestKeyEquivalenceValidation(t *testing.T) {
 	}
 	if _, err := (KeyEquivalence{Key: []AttrPair{{R: "name", S: "zzz"}}}).Match(r, sRel); err == nil {
 		t.Error("unknown S attribute accepted")
-	}
-}
-
-func TestUserSpecified(t *testing.T) {
-	r, sRel := paperdata.Table1R(), paperdata.Table1S()
-	m := UserSpecified{Mapping: [][]value.Value{
-		// R key (name, street) then S key (name, city).
-		{s("VillageWok"), s("Wash.Ave."), s("VillageWok"), s("Mpls")},
-		{s("OldCountry"), s("Co.B2 Rd."), s("OldCountry"), s("Roseville")},
-	}}
-	mt, err := m.Match(r, sRel)
-	if err != nil {
-		t.Fatalf("Match: %v", err)
-	}
-	if mt.Len() != 2 {
-		t.Errorf("pairs = %d, want 2", mt.Len())
-	}
-	if !mt.Contains(0, 0) || !mt.Contains(2, 1) {
-		t.Errorf("pairs = %v", slices.Collect(mt.All()))
-	}
-	if m.Name() != "user-specified" {
-		t.Errorf("Name = %q", m.Name())
-	}
-}
-
-func TestUserSpecifiedErrors(t *testing.T) {
-	r, sRel := paperdata.Table1R(), paperdata.Table1S()
-	cases := []struct {
-		name    string
-		mapping [][]value.Value
-		want    string
-	}{
-		{"wrong arity", [][]value.Value{{s("a")}}, "want 2+2"},
-		{"stale R", [][]value.Value{{s("Nope"), s("X"), s("VillageWok"), s("Mpls")}}, "no R tuple"},
-		{"stale S", [][]value.Value{{s("VillageWok"), s("Wash.Ave."), s("Nope"), s("X")}}, "no S tuple"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := UserSpecified{Mapping: c.mapping}.Match(r, sRel)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("error = %v, want contains %q", err, c.want)
-			}
-		})
 	}
 }
 
@@ -169,9 +121,6 @@ func TestProbabilisticKey(t *testing.T) {
 	if mt.Len() != 0 {
 		t.Errorf("pairs = %v at threshold 0.9", slices.Collect(mt.All()))
 	}
-	if m.Name() != "probabilistic-key" {
-		t.Errorf("Name = %q", m.Name())
-	}
 	if _, err := (ProbabilisticKey{Key: []AttrPair{{R: "name", S: "name"}}, Threshold: 2}).Match(r, sRel); err == nil {
 		t.Error("bad threshold accepted")
 	}
@@ -212,9 +161,6 @@ func TestProbabilisticAttr(t *testing.T) {
 	// the paper uses to motivate sound techniques.
 	if mt.Len() != 1 {
 		t.Errorf("pairs = %d, want the (unsound) 1", mt.Len())
-	}
-	if m.Name() != "probabilistic-attribute" {
-		t.Errorf("Name = %q", m.Name())
 	}
 }
 
@@ -299,92 +245,3 @@ func TestProbabilisticAttrAllNullIncomparable(t *testing.T) {
 		t.Error("incomparable pair matched")
 	}
 }
-
-func TestHeuristic(t *testing.T) {
-	// Heuristic rules in the style of Wang & Madnick: infer cuisine on
-	// the S side, then equate (name, cuisine). One rule is wrong on
-	// purpose: gyros → chinese.
-	r, sRel := paperdata.Table5R(), paperdata.Table5S()
-	h := Heuristic{
-		Rules: ilfd.Set{
-			ilfd.MustParse("speciality=Hunan -> cuisine=Chinese"),
-			ilfd.MustParse("speciality=Gyros -> cuisine=Chinese"), // wrong!
-			ilfd.MustParse("speciality=Mughalai -> cuisine=Indian"),
-		},
-		Key:     []AttrPair{{R: "name", S: "name"}, {R: "cuisine", S: "cuisine"}},
-		DeriveS: []schema.Attribute{{Name: "cuisine", Kind: value.KindString}},
-	}
-	mt, err := h.Match(r, sRel)
-	if err != nil {
-		t.Fatalf("Match: %v", err)
-	}
-	// TwinCities/Hunan and Anjuman/Mughalai match correctly; It'sGreek
-	// does NOT match because the wrong rule derived chinese ≠ greek. The
-	// wrong rule silently loses a correct match — exactly the "result
-	// may not be correct" failure mode.
-	if mt.Len() != 2 {
-		t.Errorf("pairs = %d, want 2", mt.Len())
-	}
-	for p := range mt.All() {
-		if r.MustValue(p.RIndex, "name").Str() == "It'sGreek" {
-			t.Error("It'sGreek matched despite wrong heuristic rule")
-		}
-	}
-	if h.Name() != "heuristic-rules" {
-		t.Errorf("Name = %q", h.Name())
-	}
-}
-
-func TestHeuristicUnsoundMatch(t *testing.T) {
-	// A wrong heuristic rule can also create a spurious match: derive
-	// cuisine=Chinese for Gyros and ALSO flip It'sGreek's R cuisine by
-	// matching name only through the derived key. Build a scenario where
-	// the wrong rule makes two different entities agree.
-	rSch := schema.MustNew("R", []schema.Attribute{
-		{Name: "name", Kind: value.KindString},
-		{Name: "cuisine", Kind: value.KindString},
-	}, []string{"name", "cuisine"})
-	r := relation.New(rSch)
-	r.MustInsert(s("corner"), s("chinese")) // entity A
-	sSch := schema.MustNew("S", []schema.Attribute{
-		{Name: "name", Kind: value.KindString},
-		{Name: "speciality", Kind: value.KindString},
-	}, []string{"name", "speciality"})
-	sRel := relation.New(sSch)
-	sRel.MustInsert(s("corner"), s("gyros")) // entity B (greek place)
-
-	h := Heuristic{
-		Rules:   ilfd.Set{ilfd.MustParse("speciality=gyros -> cuisine=chinese")}, // wrong
-		Key:     []AttrPair{{R: "name", S: "name"}, {R: "cuisine", S: "cuisine"}},
-		DeriveS: []schema.Attribute{{Name: "cuisine", Kind: value.KindString}},
-	}
-	mt, err := h.Match(r, sRel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt.Len() != 1 {
-		t.Errorf("pairs = %d; the wrong rule should produce the unsound match", mt.Len())
-	}
-}
-
-func TestHeuristicValidation(t *testing.T) {
-	r, sRel := paperdata.Table5R(), paperdata.Table5S()
-	h := Heuristic{Key: []AttrPair{{R: "name", S: "bogus"}}}
-	if _, err := h.Match(r, sRel); err == nil {
-		t.Error("unknown key attribute accepted")
-	}
-}
-
-// TestBaselinesAreMatchers pins the interface.
-func TestBaselinesAreMatchers(t *testing.T) {
-	for _, m := range []Matcher{
-		KeyEquivalence{}, UserSpecified{}, ProbabilisticKey{},
-		ProbabilisticAttr{}, Heuristic{},
-	} {
-		if m.Name() == "" {
-			t.Errorf("%T has empty name", m)
-		}
-	}
-}
-
-var _ = match.Pair{} // keep the import for doc references

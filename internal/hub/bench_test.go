@@ -283,7 +283,7 @@ func BenchmarkDecodeRun(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := readRunFile(wal.OS, dir, id, entry, rel.Schema()); err != nil {
+			if _, err := readRunFile(wal.OS, dir, id, entry, rel.Schema(), snapRunItems); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -61,13 +61,13 @@ func (h *Hub) Insert(source string, t relation.Tuple) (*Receipt, error) {
 }
 
 // walPayload encodes the write-ahead-log record of an insert on a
-// durable hub (nil on a memory-only one) — outside every lock, so the
-// append under them is a pure log write.
+// durable hub (nil on a memory-only one), a run of one — outside every
+// lock, so the append under them is a pure log write.
 func (h *Hub) walPayload(source string, t relation.Tuple) []byte {
 	if h.per == nil {
 		return nil
 	}
-	return wal.AppendInsert(make([]byte, 0, 64+24*len(t)), source, t)
+	return wal.AppendRun(make([]byte, 0, 32+24*len(t)), source, false, []relation.Tuple{t})
 }
 
 // insertTraced is the traced commit path shared by Insert and a

@@ -19,19 +19,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/relation"
-	"entityid/internal/schema"
-	"entityid/internal/value"
 	"entityid/internal/wal"
 )
 
@@ -74,14 +69,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	// Runs whose first chunk is spelled otherwise than this format writes
 	// it, every frame CRC intact: a space, reordered keys, a repeated key,
-	// an empty name, a signed and a zero-led number.
+	// an empty name, a mark spelled false.
+	name := `"source":"` + base.Sources[0].Name + `"`
 	for _, r := range [][2]string{
-		{`"run":0`, `"run": 0`},
-		{`"run":0,"chunk":1`, `"chunk":1,"run":0`},
-		{`"chunk":1`, `"chunk":1,"chunk":1`},
-		{`"name":"` + base.Sources[0].Name + `"`, `"name":""`},
-		{`"run":0`, `"run":-0`},
-		{`"chunk":1`, `"chunk":01`},
+		{name, `"source": "` + base.Sources[0].Name + `"`},
+		{`]]}`, `]],"more":true}`},
+		{name, name + `,` + name},
+		{name, `"source":""`},
+		{`,"tuples":`, `,"more":false,"tuples":`},
 	} {
 		f.Add(respell(f, first, func(p string) string { return strings.Replace(p, r[0], r[1], 1) }))
 	}
@@ -103,6 +98,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		func(m *snapManifest) { m.Format = 2 },
 		func(m *snapManifest) { m.Format = 3 },
 		func(m *snapManifest) { m.Format = 4 },
+		func(m *snapManifest) { m.Format = 5 },
 	} {
 		man := *base
 		man.Sources = append([]snapSource(nil), base.Sources...)
@@ -117,20 +113,22 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// A source run of the retired format (3): a {"k","v"} object per
 	// value. Like the corpus files under testdata/fuzz, refused.
 	f.Add([]byte(`{"v2":"source","run":0,"chunk":1,"last":true,"name":"src0","tuples":[[{"k":"string","v":"a"},{"k":"string","v":"b"},{"k":"null"},{"k":"string","v":"c"}]]}`))
-	// The format-4 directory's manifest and run files: a manifest that
-	// names pair runs, and a matching-table run, which this format has no
-	// kind for, beside source runs of another schema.
-	old := filepath.Join("testdata", "snapshot-format4")
-	oldRuns, err := filepath.Glob(filepath.Join(old, snapSecDir, "*"+snapSecSuffix))
-	if err != nil || len(oldRuns) != 3 {
-		f.Fatalf("format-4 runs: %v %v", oldRuns, err)
-	}
-	for _, path := range append(oldRuns, filepath.Join(old, snapshotManifest)) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
+	// The manifests and run files of the format-4 directory — a manifest
+	// that names pair runs, a matching-table run — and of the format-5
+	// one, whose chunks spell a run before the run record: refused.
+	for fixture, runs := range map[string]int{"snapshot-format4": 3, "snapshot-format5": 2} {
+		old := filepath.Join("testdata", fixture)
+		oldRuns, err := filepath.Glob(filepath.Join(old, snapSecDir, "*"+snapSecSuffix))
+		if err != nil || len(oldRuns) != runs {
+			f.Fatalf("%s runs: %v %v", fixture, oldRuns, err)
 		}
-		f.Add(data)
+		for _, path := range append(oldRuns, filepath.Join(old, snapshotManifest)) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
 	}
 
 	// load runs the manifest through the loader; a hub that comes back
@@ -166,7 +164,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		return append(runs, r)
 	}
 	run := func(t *testing.T, data []byte) {
-		d, err := decodeRun(data, sch)
+		d, err := decodeRun(data, sch, base.RunItems)
 		if err != nil {
 			return
 		}
@@ -226,142 +224,6 @@ func chunkPayloads(run []byte) []byte {
 		}
 		out = append(out, rec.Payload)
 	}
-}
-
-// refChunk is the source chunk struct format 4 began with: what
-// encoding/json wrote and read for a run chunk before appendChunk and
-// addChunk spelled it by hand, kept as the reference both halves are held
-// to.
-type refChunk struct {
-	V2     string          `json:"v2"`
-	Run    int             `json:"run"`
-	Chunk  int             `json:"chunk"`
-	Last   bool            `json:"last,omitempty"`
-	Name   string          `json:"name,omitempty"`
-	Tuples json.RawMessage `json:"tuples,omitempty"`
-}
-
-// refAddChunk is the reflective chunk reader addChunk replaced, as it
-// read a chunk into d.
-func refAddChunk(d *decRun, rec wal.Record, sch *schema.Schema) (last bool, err error) {
-	var c refChunk
-	if err := json.Unmarshal(rec.Payload, &c); err != nil {
-		return false, err
-	}
-	d.meta.Chunks++
-	if d.meta.Chunks == 1 {
-		if c.V2 != secSource {
-			return false, fmt.Errorf("unknown kind %q", c.V2)
-		}
-		d.id = runID{name: c.Name, run: c.Run}
-	}
-	if c.V2 != secSource || c.Run != d.id.run || c.Chunk != d.meta.Chunks || uint64(c.Chunk) != rec.Seq {
-		return false, fmt.Errorf("chunk out of sequence")
-	}
-	if len(c.Tuples) > 0 {
-		ts, err := relation.ParseTuplesJSON(sch, c.Tuples)
-		if err != nil {
-			return false, err
-		}
-		d.tuples = append(d.tuples, ts...)
-	}
-	return c.Last, nil
-}
-
-// FuzzRunChunk holds the hand-written chunk codec to the reflective one
-// it replaced. appendChunk writes byte for byte what encoding/json wrote
-// for the same chunk — source names with quotes, backslashes, control
-// bytes, <>&, U+2028/2029, non-ASCII and invalid UTF-8; tuples of every
-// kind — and addChunk reads back what the bytes say: the name as JSON
-// spells it (U+FFFD for each byte that is not UTF-8) and the tuples
-// written. On an arbitrary payload, read as a run's first chunk and as the
-// second after a well-spelled first, addChunk either refuses or reads what
-// the reference reads; neither panics. A chunk of format 4's pair runs is
-// one such payload, and is refused.
-func FuzzRunChunk(f *testing.F) {
-	sch := schema.MustNew("zagat", []schema.Attribute{
-		{Name: "name", Kind: value.KindString}, {Name: "n", Kind: value.KindInt},
-		{Name: "x", Kind: value.KindFloat}, {Name: "ok", Kind: value.KindBool},
-		{Name: "note", Kind: value.KindString},
-	})
-	for _, p := range []string{
-		`{"v2":"source","run":0,"chunk":1,"last":true,"name":"zagat","tuples":[["wok",3,0.5,true,null]]}`,
-		`{"v2":"source","run":12,"chunk":2,"tuples":[["w<ok\"",-9223372036854775808,-0,false,"NaN"]]}`,
-		`{"v2":"pair","run":3,"chunk":1,"last":true,"left":"a\\b","right":"café","mt":[[0,1],[2,3]]}`,
-		`{"v2":"pair","run":0,"chunk":2,"last":true,"mt":[[10,0]]}`,
-		`{"v2":"source","run":0,"chunk":1,"name":"","tuples":[["a",1,1,true,null]]}`,
-		`{"v2":"source","run":0,"chunk":1,"name":"A","tuples":[]}`,
-		`{"v2": "pair","run":0,"chunk":1,"left":"a","right":"b","mt":[[01,-1]]}`,
-		`{"run":0,"v2":"pair","chunk":1,"chunk":1,"left":"a","right":"b","mt":[[1]],"x":1}`,
-	} {
-		f.Add([]byte(p), "src\x00<&>\u2028\u2029\xff\"", "wok\\", int64(-7), uint32(5), uint8(2), true)
-	}
-	f.Fuzz(func(t *testing.T, payload []byte, name, s string, n int64, r uint32, k uint8, last bool) {
-		// An arbitrary payload, read by both halves as a run's first chunk
-		// and as the second chunk of a run.
-		prev := appendChunk(nil, runID{name: "zagat"}, 1, true, false, []relation.Tuple{{value.String("a"), value.Int(1), value.Null, value.Null, value.Null}})
-		for _, chunk := range [][]byte{nil, prev} {
-			var got, want decRun
-			if chunk != nil {
-				if _, err := got.addChunk(wal.Record{Seq: 1, Payload: chunk}, sch); err != nil {
-					t.Fatalf("addChunk refused %s: %v", chunk, err)
-				}
-				if _, err := refAddChunk(&want, wal.Record{Seq: 1, Payload: chunk}, sch); err != nil {
-					t.Fatalf("the reference refused %s: %v", chunk, err)
-				}
-			}
-			rec := wal.Record{Seq: uint64(got.meta.Chunks + 1), Payload: payload}
-			gotLast, err := got.addChunk(rec, sch)
-			if err != nil {
-				continue
-			}
-			wantLast, werr := refAddChunk(&want, rec, sch)
-			if werr != nil || gotLast != wantLast || !sameRun(&got, &want) {
-				t.Fatalf("addChunk read %s as %+v (last %v), the reference as %+v (last %v, %v)", payload, got, gotLast, want, wantLast, werr)
-			}
-		}
-
-		// A written chunk: equal to the reference's, read back as written —
-		// ts's strings as JSON spells them (spelled), in read.
-		spelled := func(s string) string { return string([]rune(s)) }
-		ts, read := make([]relation.Tuple, int(k%4)), make([]relation.Tuple, int(k%4))
-		for i := range ts {
-			m := n + int64(i)
-			ts[i] = relation.Tuple{value.String(s + strconv.Itoa(i)), value.Int(m), value.Float(float64(m) / 7), value.Bool(m%2 == 0), value.Null}
-			read[i] = append(relation.Tuple{value.String(spelled(s) + strconv.Itoa(i))}, ts[i][1:]...)
-		}
-		id := runID{name: name, run: int(r)}
-		ref := refChunk{V2: secSource, Run: id.run, Chunk: 1, Last: last, Name: name}
-		if len(ts) > 0 {
-			ref.Tuples = relation.AppendTuplesJSON(nil, ts)
-		}
-		want, err := json.Marshal(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := appendChunk(nil, id, 1, true, last, ts)
-		if !bytes.Equal(p, want) {
-			t.Fatalf("appendChunk wrote %s, encoding/json %s", p, want)
-		}
-		var d decRun
-		gotLast, err := d.addChunk(wal.Record{Seq: 1, Payload: p}, sch)
-		if (err == nil) != (name != "") {
-			t.Fatalf("addChunk read %s: %v", p, err)
-		}
-		if name == "" {
-			return
-		}
-		written := decRun{id: runID{name: spelled(name), run: id.run}, tuples: read}
-		if gotLast != last || !sameRun(&d, &written) {
-			t.Fatalf("addChunk read %s as %+v, want %+v", p, d, written)
-		}
-	})
-}
-
-// sameRun reports whether two decoded runs hold the same identity and
-// tuples.
-func sameRun(a, b *decRun) bool {
-	return a.id == b.id && slices.EqualFunc(a.tuples, b.tuples, relation.Tuple.Identical)
 }
 
 // FuzzCursor throws arbitrary strings at the cluster cursor parser

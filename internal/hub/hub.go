@@ -22,8 +22,8 @@
 // relation — it is never cloned on Link, insert or snapshot load. What
 // is derived from it is kept once per knowledge, not once per pair: the
 // source keeps one image (match.Image) for each distinct way its links
-// fill it — its renames, the ILFDs that can fire on it, the derive mode
-// — holding per tuple the cells those ILFDs derived and an entry in each
+// fill it — its renames and the ILFDs that can fire on it — holding per
+// tuple the cells those ILFDs derived and an entry in each
 // probe index some pairing joins on, and
 // every pair whose side agrees reads that image (on a full mesh of K
 // sources over one ILFD family, one image per source, not K − 1). A pair
@@ -61,7 +61,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"entityid/internal/derive"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
@@ -75,14 +74,12 @@ import (
 // attribute names onto the two sources (AttrMap.R addresses Left,
 // AttrMap.S addresses Right).
 type PairSpec struct {
-	Left, Right  string
-	Attrs        []match.AttrMap
-	ExtKey       []string
-	ILFDs        ilfd.Set
-	Identity     []rules.IdentityRule
-	Distinct     []rules.DistinctnessRule
-	DeriveMode   derive.Mode
-	DisableProp1 bool
+	Left, Right string
+	Attrs       []match.AttrMap
+	ExtKey      []string
+	ILFDs       ilfd.Set
+	Identity    []rules.IdentityRule
+	Distinct    []rules.DistinctnessRule
 }
 
 // sourceState is one registered source: the hub-owned canonical
@@ -365,15 +362,13 @@ func imageFor(have []*match.Image, cfg match.Config, left bool) (im *match.Image
 // write it.
 func (h *Hub) matchConfig(li, ri int, spec PairSpec) match.Config {
 	return match.Config{
-		R:            h.sources[li].rel,
-		S:            h.sources[ri].rel,
-		Attrs:        spec.Attrs,
-		ExtKey:       spec.ExtKey,
-		ILFDs:        spec.ILFDs,
-		Identity:     spec.Identity,
-		Distinct:     spec.Distinct,
-		DeriveMode:   spec.DeriveMode,
-		DisableProp1: spec.DisableProp1,
+		R:        h.sources[li].rel,
+		S:        h.sources[ri].rel,
+		Attrs:    spec.Attrs,
+		ExtKey:   spec.ExtKey,
+		ILFDs:    spec.ILFDs,
+		Identity: spec.Identity,
+		Distinct: spec.Distinct,
 	}
 }
 

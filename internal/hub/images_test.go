@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/derive"
 	"entityid/internal/match"
 	"entityid/internal/relation"
+	"entityid/internal/rules"
 )
 
 // imageCounts returns how many images and probe indexes the hub's sources
@@ -79,8 +79,9 @@ func pairsEqualBuild(t *testing.T, h *Hub) {
 // source, the whole family on an odd one — so the hub keeps one image
 // and one probe index per source for twelve pair sides. A fifth source's
 // link to source 0 on a longer extended key shares source 0's image and
-// files its own index there; its link to source 1 in fixpoint mode, with
-// live rules on source 1, makes source 1 an image of its own. Every pair
+// files its own index there; its link to source 1 on an identity rule
+// and no ILFDs, where source 1's other links fire the family, makes
+// source 1 an image of its own. Every pair
 // is what a standalone Build of it is, live and after a reopen, which
 // builds the same images.
 func TestImagesShared(t *testing.T) {
@@ -134,9 +135,13 @@ func TestImagesShared(t *testing.T) {
 
 	longer := SpecFromMultiPair(w.Pair(0, 4))
 	longer.ExtKey = []string{"name", "cuisine", "phone"}
-	fixpoint := SpecFromMultiPair(w.Pair(1, 4))
-	fixpoint.DeriveMode = derive.Fixpoint
-	for _, spec := range []PairSpec{longer, fixpoint} {
+	namePhone, err := rules.KeyEquivalence("name-phone", []string{"name", "phone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRule := SpecFromMultiPair(w.Pair(1, 4))
+	byRule.ILFDs, byRule.Identity = nil, []rules.IdentityRule{namePhone}
+	for _, spec := range []PairSpec{longer, byRule} {
 		if err := h.Link(spec); err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,6 @@ func build(spec PairSpec, r, s *relation.Relation) (*match.Result, error) {
 	res, err := match.Build(match.Config{
 		R: r, S: s, Attrs: spec.Attrs, ExtKey: spec.ExtKey, ILFDs: spec.ILFDs,
 		Identity: spec.Identity, Distinct: spec.Distinct,
-		DeriveMode: spec.DeriveMode, DisableProp1: spec.DisableProp1,
 		Naive: true,
 	})
 	if err != nil {

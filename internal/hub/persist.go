@@ -6,7 +6,6 @@
 package hub
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -254,34 +253,35 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 // readTail reads the log — every record verified, wal.Log.Recover's one
 // pass — and the records past the watermark into the hub, in log order,
 // before the logger is attached:
-//   - add_source, and a source_begin/source_chunk group at its final
-//     chunk, register the source with its seed tuples. A group the log
+//   - a source_begin record and the run records of its seed tuples
+//     register the source, at the run's last record. A group the log
 //     abandons mid-way — its writer crashed or its append failed between
-//     chunks, so the registration was never acknowledged — is discarded,
+//     records, so the registration was never acknowledged — is discarded,
 //     exactly like a torn single record;
 //   - link resolves and validates its spec where it stands and registers
 //     the pair with no table yet, its cut at the two sides' lengths there;
-//   - insert has its source admit the tuple (shape, candidate keys) and
-//     keep it, and notes the record as the tuple's arrival.
+//   - any other run record is an insert, a run of one: its source admits
+//     the tuple (shape, candidate keys) and keeps it, and the record is
+//     noted as the tuple's arrival.
 //
 // Nothing is matched or folded here: finish builds each pair once over
 // the relations as read. It returns the number of records applied — a
-// group's at its final chunk — the log bytes verified, and the first
+// group's at its last record — the log bytes verified, and the first
 // record that failed, as "record k: why"; the records before it are in
 // the hub.
 //
 // The read is a pipeline of three goroutines, each stage a batch of
 // records at a time, so that no stage waits on another's work: the log's
 // read cuts and verifies the frames of a window; the decoder decodes each
-// record — the envelope, a schema, the tuples, an insert's tuple into a
-// shared block (relation.TupleBlocks) — and the caller's goroutine
-// applies them, in log order. A tuple is read against its source's
-// schema, so the decoder carries the schemas it has seen: the hub's own
-// when the read starts, then each add_source and source_begin record's
-// as it passes — a source is always logged before its tuples. A record
-// that fails to decode travels down the same channel as the good ones
-// before it and ends the read, so the failure and the hub's state are
-// those of a read one record at a time.
+// record — a run record's tuples into shared blocks (relation.TupleBlocks)
+// by the one run reader (wal.CutRun), a link or a schema by the envelope
+// decoder — and the caller's goroutine applies them, in log order. A
+// tuple is read against its source's schema, so the decoder carries the
+// schemas it has seen: the hub's own when the read starts, then each
+// source_begin record's as it passes — a source is always logged before
+// its tuples. A record that fails to decode travels down the same channel
+// as the good ones before it and ends the read, so the failure and the
+// hub's state are those of a read one record at a time.
 func (r *recovery) readTail(l *wal.Log, after uint64) (int, int64, error) {
 	dec := &tailDecoder{schemas: map[string]namedSchema{}}
 	for _, s := range r.h.sources {
@@ -368,18 +368,17 @@ func (r *recovery) readTail(l *wal.Log, after uint64) (int, int64, error) {
 // failure itself is what readTail returns.
 var errReplayStopped = errors.New("hub: replay stopped")
 
-// replayRecord is one log record decoded ahead of its application: its
-// type, the source it names, the schema it registers, the tuples it
-// carries (an insert's one in tuple), the link it makes, or the error
+// replayRecord is one log record decoded ahead of its application: the
+// source it names, the schema a source_begin registers, a run record's
+// tuples and whether its run continues, the link it makes, or the error
 // decoding any of them gave.
 type replayRecord struct {
 	seq    uint64
-	typ    string
 	name   string
 	schema *schema.Schema
+	run    bool
 	tuples []relation.Tuple
-	tuple  relation.Tuple
-	final  bool
+	more   bool
 	link   *wal.LinkRec
 	err    error
 }
@@ -390,132 +389,128 @@ type namedSchema struct {
 	sch  *schema.Schema
 }
 
-// tailDecoder decodes records against the schemas logged so far, its
-// inserts' tuples cut from shared blocks.
+// tailDecoder decodes records against the schemas logged so far, their
+// tuples cut from shared blocks. A batch of decoded records, and each
+// run's tuples, are capped windows of shared slices the decoder only
+// ever appends to — a new one started when the next would not fit — so a
+// window handed over is never written again, and a slice is one
+// allocation for a thousand records or tuples, not one a batch.
 type tailDecoder struct {
 	schemas map[string]namedSchema
 	blocks  relation.TupleBlocks
+	recs    []replayRecord
+	tuples  []relation.Tuple
 }
+
+// sliceLen is how many decoded records, and how many tuples, the decoder
+// asks one allocation for.
+const sliceLen = 1024
 
 // decode decodes a batch of records, and reports false when the last
 // failed: the batch ends there.
 func (dec *tailDecoder) decode(recs []wal.Record) ([]replayRecord, bool) {
-	batch := make([]replayRecord, 0, len(recs))
+	if cap(dec.recs)-len(dec.recs) < len(recs) {
+		dec.recs = make([]replayRecord, 0, max(sliceLen, len(recs)))
+	}
+	start, ok := len(dec.recs), true
 	for _, rec := range recs {
 		d := dec.record(rec)
-		if batch = append(batch, d); d.err != nil {
-			return batch, false
+		if dec.recs = append(dec.recs, d); d.err != nil {
+			ok = false
+			break
 		}
 	}
-	return batch, true
+	return dec.recs[start:len(dec.recs):len(dec.recs)], ok
 }
 
-// record decodes one record, adding the schema it registers. An insert
-// spelled the way the commit path spells it is read without reflection
-// (wal.ParseInsert); every other record, and an insert that way does not
-// read whole, goes through the envelope decoder, whose failures are the
-// ones reported.
+// record decodes one record, adding the schema a source_begin registers.
 func (dec *tailDecoder) record(rec wal.Record) replayRecord {
-	d := replayRecord{seq: rec.Seq}
-	if src, tup, ok := wal.ParseInsert(rec.Payload); ok {
-		if ns, ok := dec.schemas[string(src)]; ok {
-			if t, err := dec.blocks.ParseJSON(ns.sch, tup); err == nil {
-				d.typ, d.name, d.tuple = wal.TypeInsert, ns.name, t
-				return d
+	d := replayRecord{seq: rec.Seq, run: wal.IsRun(rec.Payload)}
+	if !d.run {
+		env, err := wal.DecodeEnvelope(rec.Payload)
+		switch {
+		case err != nil:
+			d.err = err
+		case env.Type == wal.TypeSourceBegin:
+			d.name = env.SourceBegin.Name
+			if d.schema, d.err = wal.DecodeSchema(env.SourceBegin.Schema); d.err != nil {
+				d.err = fmt.Errorf("hub: source_begin record for source %q: %w", d.name, d.err)
+			} else {
+				dec.schemas[d.name] = namedSchema{d.name, d.schema}
 			}
+		default:
+			d.link = env.Link
 		}
-	}
-	env, err := wal.DecodeEnvelope(rec.Payload)
-	if d.typ, d.err = env.Type, err; err != nil {
 		return d
 	}
-	var tuples json.RawMessage
-	switch env.Type {
-	case wal.TypeAddSource:
-		d.name, tuples = env.AddSource.Name, env.AddSource.Tuples
-		d.schema, d.err = wal.DecodeSchema(env.AddSource.Schema)
-	case wal.TypeSourceBegin:
-		d.name = env.SourceBegin.Name
-		d.schema, d.err = wal.DecodeSchema(env.SourceBegin.Schema)
-	case wal.TypeSourceChunk:
-		d.name, tuples, d.final = env.SourceChunk.Name, env.SourceChunk.Tuples, env.SourceChunk.Final
-	case wal.TypeInsert:
-		d.name = env.Insert.Source
-	default:
-		d.link = env.Link
+	run, err := wal.CutRun(rec.Payload)
+	if err != nil {
+		d.err = err
 		return d
 	}
-	if d.schema != nil {
-		dec.schemas[d.name] = namedSchema{d.name, d.schema}
+	ns, ok := dec.schemas[string(run.Source)]
+	if !ok {
+		d.err = fmt.Errorf("hub: run record for source %q: no earlier record registers it", run.Source)
+		return d
 	}
-	switch ns, ok := dec.schemas[d.name]; {
-	case d.err != nil:
-	case !ok:
-		d.err = fmt.Errorf("no earlier record registers it")
-	case d.typ == wal.TypeInsert:
-		d.tuple, d.err = dec.blocks.ParseJSON(ns.sch, env.Insert.Tuple)
-	case tuples != nil:
-		d.tuples, d.err = relation.ParseTuplesJSON(ns.sch, tuples)
+	if len(dec.tuples) == cap(dec.tuples) {
+		dec.tuples = make([]relation.Tuple, 0, sliceLen)
 	}
-	if d.err != nil {
-		d.err = fmt.Errorf("hub: %s record for source %q: %w", d.typ, d.name, d.err)
+	start := len(dec.tuples)
+	if dec.tuples, err = run.Tuples(&dec.blocks, ns.sch, dec.tuples); err != nil {
+		d.err = fmt.Errorf("hub: run record for source %q: %w", ns.name, err)
 	}
+	d.name, d.more, d.tuples = ns.name, run.More, dec.tuples[start:len(dec.tuples):len(dec.tuples)]
 	return d
 }
 
-// pendingSource buffers an in-flight chunked source registration during
-// the read. records counts the group's log records, applied to the total
-// only when the group commits.
+// pendingSource buffers an in-flight source registration during the read:
+// its schema and the seed tuples its run has brought so far. records
+// counts the group's log records, applied to the total only when the
+// group commits.
 type pendingSource struct {
 	name    string
-	rel     *relation.Relation
+	schema  *schema.Schema
+	tuples  []relation.Tuple
 	records int
 }
 
 // apply reads one decoded record into the hub, returning how many log
-// records it committed (group records count at the final chunk). open
-// threads the chunked-registration state machine between records.
+// records it committed (a registration's at its run's last record). open
+// threads the registration state machine between records.
 func (r *recovery) apply(d replayRecord, open **pendingSource) (int, error) {
-	if d.typ != wal.TypeSourceChunk && *open != nil {
-		// Any non-continuation record aborts an open group: the group's
-		// writer saw an append fail and the registration was rejected.
-		// Forget the partial source; nothing of it was committed.
-		*open = nil
+	p := *open
+	if p != nil && (!d.run || d.name != p.name) {
+		// Anything but the group's own run aborts it: the group's writer saw
+		// an append fail and the registration was rejected. Forget the
+		// partial source; nothing of it was committed.
+		p, *open = nil, nil
 	}
-	switch d.typ {
-	case wal.TypeAddSource:
-		rel := relation.New(d.schema)
-		if err := seedTuples(rel, d.tuples); err != nil {
-			return 0, err
-		}
-		return 1, r.addSource(d.name, rel)
-	case wal.TypeSourceBegin:
-		*open = &pendingSource{name: d.name, rel: relation.New(d.schema), records: 1}
+	switch {
+	case d.schema != nil:
+		*open = &pendingSource{name: d.name, schema: d.schema, records: 1}
 		return 0, nil
-	case wal.TypeSourceChunk:
-		p := *open
-		if p == nil || p.name != d.name {
-			return 0, fmt.Errorf("hub: source_chunk for %q without matching source_begin", d.name)
-		}
-		if err := seedTuples(p.rel, d.tuples); err != nil {
-			return 0, err
-		}
-		p.records++
-		if !d.final {
-			return 0, nil
-		}
-		*open = nil
-		return p.records, r.addSource(p.name, p.rel)
-	case wal.TypeLink:
+	case d.link != nil:
 		spec, err := specFromLinkRec(*d.link)
 		if err != nil {
 			return 0, err
 		}
 		return 1, r.link(spec, linkCut{seq: d.seq})
-	case wal.TypeInsert:
-		return 1, r.insert(d.name, d.tuple, d.seq)
+	case p != nil:
+		p.tuples = append(p.tuples, d.tuples...)
+		if p.records++; d.more {
+			return 0, nil
+		}
+		*open = nil
+		rel := relation.New(p.schema)
+		if err := rel.InsertAll(p.tuples); err != nil {
+			return 0, fmt.Errorf("hub: source %q: seed tuple %d: %w", p.name, rel.Len(), err)
+		}
+		return p.records, r.addSource(p.name, rel)
+	case d.more || len(d.tuples) != 1:
+		return 0, fmt.Errorf("hub: run record for source %q outside a registration: an insert is one tuple in one record", d.name)
 	default:
-		return 0, fmt.Errorf("hub: unknown record type %q", d.typ)
+		return 1, r.insert(d.name, d.tuples[0], d.seq)
 	}
 }
 
@@ -539,16 +534,6 @@ func (r *recovery) insert(source string, t relation.Tuple, seq uint64) error {
 		return fmt.Errorf("hub: source %q: %w", source, err)
 	}
 	r.arrived[si].seqs = append(r.arrived[si].seqs, seq)
-	return nil
-}
-
-// seedTuples appends a registration record's seed tuples to rel.
-func seedTuples(rel *relation.Relation, ts []relation.Tuple) error {
-	for i, t := range ts {
-		if err := rel.Insert(t); err != nil {
-			return fmt.Errorf("seed tuple %d: %w", i, err)
-		}
-	}
 	return nil
 }
 

@@ -177,25 +177,16 @@ func logPayloads(t *testing.T, dir string, after uint64) [][]byte {
 	return out
 }
 
-// abandonedGroup is a chunked registration whose writer died after its
-// first chunk.
+// abandonedGroup is a registration whose writer died after its first
+// run record.
 func abandonedGroup(t *testing.T) [][]byte {
 	t.Helper()
 	ghost := schema.MustNew("ghost", []schema.Attribute{{Name: "id", Kind: value.KindString}})
-	var out [][]byte
-	for _, env := range []wal.Envelope{
-		{Type: wal.TypeSourceBegin, SourceBegin: &wal.SourceBeginRec{Name: "ghost", Schema: wal.EncodeSchema(ghost)}},
-		{Type: wal.TypeSourceChunk, SourceChunk: &wal.SourceChunkRec{
-			Name: "ghost", Tuples: relation.AppendTuplesJSON(nil, []relation.Tuple{{value.String("g1")}}),
-		}},
-	} {
-		p, err := env.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
+	begin, err := wal.Envelope{Type: wal.TypeSourceBegin, SourceBegin: &wal.SourceBeginRec{Name: "ghost", Schema: wal.EncodeSchema(ghost)}}.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return [][]byte{begin, wal.AppendRun(nil, "ghost", true, []relation.Tuple{{value.String("g1")}})}
 }
 
 // agreeWithNaive opens a copy of dir and, in a fresh directory, applies
@@ -297,15 +288,21 @@ func runFiles(t *testing.T, h *Hub) [][]byte {
 
 // naiveReplay applies log records to h one at a time, through AddSource,
 // Link and Insert, and returns how many records each payload committed (a
-// chunked registration's at its final chunk, an abandoned one's never).
+// registration's at its run's last record, an abandoned one's never).
 func naiveReplay(h *Hub, payloads [][]byte) ([]int, error) {
 	schemas := map[string]*schema.Schema{}
 	counts := make([]int, len(payloads))
 	var open *pendingSource
 	for i, p := range payloads {
-		env, err := wal.DecodeEnvelope(p)
-		if err == nil {
-			counts[i], err = naiveApply(h, env, schemas, &open)
+		var err error
+		if wal.IsRun(p) {
+			counts[i], err = naiveRun(h, p, schemas, &open)
+		} else {
+			open = nil // any other record aborts an open group
+			var env wal.Envelope
+			if env, err = wal.DecodeEnvelope(p); err == nil {
+				counts[i], err = naiveEnvelope(h, env, schemas, &open)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i+1, err)
@@ -314,70 +311,60 @@ func naiveReplay(h *Hub, payloads [][]byte) ([]int, error) {
 	return counts, nil
 }
 
-// naiveApply applies one decoded record, returning how many log records
-// it committed. open threads the chunked-registration state machine
-// between records.
-func naiveApply(h *Hub, env wal.Envelope, schemas map[string]*schema.Schema, open **pendingSource) (int, error) {
-	if env.Type != wal.TypeSourceChunk {
-		*open = nil // any other record aborts an open group
-	}
-	seed := func(rel *relation.Relation, tuples []byte) error {
-		ts, err := relation.ParseTuplesJSON(rel.Schema(), tuples)
-		for _, t := range ts {
-			if err == nil {
-				err = rel.Insert(t)
-			}
-		}
-		return err
-	}
-	switch env.Type {
-	case wal.TypeAddSource:
-		sch, err := wal.DecodeSchema(env.AddSource.Schema)
-		if err != nil {
-			return 0, err
-		}
-		schemas[env.AddSource.Name] = sch
-		rel := relation.New(sch)
-		if err := seed(rel, env.AddSource.Tuples); err != nil {
-			return 0, err
-		}
-		return 1, h.AddSource(env.AddSource.Name, rel)
-	case wal.TypeSourceBegin:
-		sch, err := wal.DecodeSchema(env.SourceBegin.Schema)
-		if err != nil {
-			return 0, err
-		}
-		schemas[env.SourceBegin.Name] = sch
-		*open = &pendingSource{name: env.SourceBegin.Name, rel: relation.New(sch), records: 1}
-		return 0, nil
-	case wal.TypeSourceChunk:
-		p := *open
-		if p == nil || p.name != env.SourceChunk.Name {
-			return 0, fmt.Errorf("source_chunk for %q without matching source_begin", env.SourceChunk.Name)
-		}
-		if err := seed(p.rel, env.SourceChunk.Tuples); err != nil {
-			return 0, err
-		}
-		if p.records++; !env.SourceChunk.Final {
-			return 0, nil
-		}
-		*open = nil
-		return p.records, h.AddSource(p.name, p.rel)
-	case wal.TypeLink:
+// naiveEnvelope applies a source_begin, which opens a group, or a link.
+func naiveEnvelope(h *Hub, env wal.Envelope, schemas map[string]*schema.Schema, open **pendingSource) (int, error) {
+	if env.Type == wal.TypeLink {
 		spec, err := specFromLinkRec(*env.Link)
 		if err != nil {
 			return 0, err
 		}
 		return 1, h.Link(spec)
-	default:
-		sch := schemas[env.Insert.Source]
-		if sch == nil {
-			return 0, fmt.Errorf("insert into unregistered %q", env.Insert.Source)
+	}
+	sch, err := wal.DecodeSchema(env.SourceBegin.Schema)
+	if err != nil {
+		return 0, err
+	}
+	schemas[env.SourceBegin.Name] = sch
+	*open = &pendingSource{name: env.SourceBegin.Name, schema: sch, records: 1}
+	return 0, nil
+}
+
+// naiveRun applies a run record: the open group's seeds, inserted one at
+// a time at its last record, or an insert.
+func naiveRun(h *Hub, payload []byte, schemas map[string]*schema.Schema, open **pendingSource) (int, error) {
+	run, err := wal.CutRun(payload)
+	if err != nil {
+		return 0, err
+	}
+	name := string(run.Source)
+	sch := schemas[name]
+	if sch == nil {
+		return 0, fmt.Errorf("run of unregistered %q", name)
+	}
+	var blocks relation.TupleBlocks
+	ts, err := run.Tuples(&blocks, sch, nil)
+	if err != nil {
+		return 0, err
+	}
+	p := *open
+	if p == nil || p.name != name {
+		*open = nil
+		if run.More || len(ts) != 1 {
+			return 0, fmt.Errorf("a run of %d tuples outside a registration", len(ts))
 		}
-		t, err := relation.ParseTupleJSON(sch, env.Insert.Tuple)
-		if err == nil {
-			_, err = h.Insert(env.Insert.Source, t)
-		}
+		_, err := h.Insert(name, ts[0])
 		return 1, err
 	}
+	p.tuples = append(p.tuples, ts...)
+	if p.records++; run.More {
+		return 0, nil
+	}
+	*open = nil
+	rel := relation.New(sch)
+	for _, t := range p.tuples {
+		if err := rel.Insert(t); err != nil {
+			return 0, err
+		}
+	}
+	return p.records, h.AddSource(name, rel)
 }

@@ -14,7 +14,6 @@ package hub
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -32,6 +31,11 @@ import (
 	"entityid/internal/value"
 	"entityid/internal/wal"
 )
+
+// replayHead is how many records replayLog's log holds before its first
+// insert: two registrations, each a source_begin record and the run of
+// its seed tuples (none), and the link.
+const replayHead = 5
 
 // replayLog logs a two-source workload (2 registrations, 1 link, the
 // inserts in source-major order) with snapshots off and returns the
@@ -65,7 +69,7 @@ func replayLog(t *testing.T) (dir string, payloads [][]byte, items []Insert) {
 		}
 		payloads = append(payloads, rec.Payload)
 	}
-	if want := 3 + len(items); len(payloads) != want || len(items) < 2*defaultStreamWindow {
+	if want := replayHead + len(items); len(payloads) != want || len(items) < 2*defaultStreamWindow {
 		t.Fatalf("log holds %d records for %d inserts, want %d and at least %d inserts",
 			len(payloads), len(items), want, 2*defaultStreamWindow)
 	}
@@ -145,19 +149,13 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 	if n-k <= defaultStreamWindow {
 		t.Fatalf("only %d records after record %d", n-k, k)
 	}
-	prev, err := wal.DecodeEnvelope(payloads[k-2])
+	prev, err := wal.CutRun(payloads[k-2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := prev.Insert.Source
-	insert := func(tup relation.Tuple) []byte { return wal.AppendInsert(nil, src, tup) }
-	badTuple, err := wal.Envelope{Type: wal.TypeInsert, Insert: &wal.InsertRec{
-		Source: src,
-		Tuple:  json.RawMessage(`[7,"loc","k","phone"]`),
-	}}.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := string(prev.Source)
+	insert := func(tup relation.Tuple) []byte { return wal.AppendRun(nil, src, false, []relation.Tuple{tup}) }
+	badTuple := bytes.Replace(insert(strs("a", "b", "c", "d")), []byte(`["a"`), []byte(`[7`), 1)
 	// Where record k starts in the segment: what a frame error reports.
 	offK := 0
 	for i, p := range payloads[:k-1] {
@@ -173,8 +171,8 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 		tup = append(relation.Tuple{value.String("@name@")}, tup[1:]...)
 		return bytes.Replace(insert(tup), []byte(`"@name@"`), []byte{'"', b, '"'}, 1)
 	}
-	utf8Payloads := with(with(payloads, k-1, lossy(items[k-5].Tuple, 0xfe)), k, lossy(items[k-5].Tuple, 0xff))
-	fffd := append(relation.Tuple{value.String("\ufffd")}, items[k-5].Tuple[1:]...)
+	utf8Payloads := with(with(payloads, k-1, lossy(items[k-replayHead-2].Tuple, 0xfe)), k, lossy(items[k-replayHead-2].Tuple, 0xff))
+	fffd := append(relation.Tuple{value.String("\ufffd")}, items[k-replayHead-2].Tuple[1:]...)
 	// A second tuple of an entity the other source models, under a fresh
 	// key of its own: the log takes it, and the pair build finds the other
 	// source's tuple, logged later, matched to both — the record that
@@ -182,7 +180,7 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 	writeSegment(t, dir, payloads, 0, nil)
 	tw := twinOf(t, dir, items, k)
 	unsound := fmt.Sprintf(`record %d: hub: link %q-%q: match: uniqueness violation: S tuple %d matches R tuples %d and %d`,
-		tw.partnerRecord, src, tw.other, tw.partner, tw.of, k-4)
+		tw.partnerRecord, src, tw.other, tw.partner, tw.of, k-replayHead-1)
 	return []replayCase{
 		{
 			name:     "corrupt frame",
@@ -194,7 +192,7 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 		},
 		{
 			name:     "undecodable envelope",
-			payloads: with(payloads, k, []byte(`{"type":"insert","insert":`)),
+			payloads: with(payloads, k, []byte(`{"type":"link","link":`)),
 			at:       k,
 			read:     fmt.Sprintf("record %d: wal: decode envelope: unexpected end of JSON input", k),
 		},
@@ -208,21 +206,33 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 			name:     "undecodable tuple",
 			payloads: with(payloads, k, badTuple),
 			at:       k,
-			read:     fmt.Sprintf(`record %d: hub: insert record for source %q: attribute "name": number 7 for string attribute`, k, src),
+			read:     fmt.Sprintf(`record %d: hub: run record for source %q: tuple 0: attribute "name": number 7 for string attribute`, k, src),
+		},
+		{
+			name:     "unspelled run",
+			payloads: with(payloads, k, bytes.Replace(payloads[k-2], []byte(`,"tuples":`), []byte(`, "tuples":`), 1)),
+			at:       k,
+			read:     fmt.Sprintf(`record %d: wal: not spelled as this format writes a run (byte %d)`, k, len(src)+12),
+		},
+		{
+			name:     "a run of two outside a registration",
+			payloads: with(payloads, k, wal.AppendRun(nil, src, false, []relation.Tuple{items[0].Tuple, items[1].Tuple})),
+			at:       k,
+			read:     fmt.Sprintf(`record %d: hub: run record for source %q outside a registration: an insert is one tuple in one record`, k, src),
 		},
 		{
 			name:     "rejected insert",
 			payloads: with(payloads, k, payloads[k-2]), // record k-1's tuple again
 			at:       k,
 			read: fmt.Sprintf(`record %d: hub: source %q: relation %s: key (name,loc) violation: tuple %v duplicates tuple %d`,
-				k, src, src, items[k-5].Tuple, k-5),
+				k, src, src, items[k-replayHead-2].Tuple, k-replayHead-2),
 		},
 		{
 			name:     "invalid UTF-8 tuple",
 			payloads: utf8Payloads,
 			at:       k,
 			read: fmt.Sprintf(`record %d: hub: source %q: relation %s: key (name,loc) violation: tuple %v duplicates tuple %d`,
-				k, src, src, fffd, k-5),
+				k, src, src, fffd, k-replayHead-2),
 		},
 		{
 			name:     "broken uniqueness",
@@ -370,10 +380,10 @@ func twinOf(t *testing.T, dir string, items []Insert, k int) twin {
 	for first < len(items) && items[first].Source == items[0].Source {
 		first++
 	}
-	if k-4 >= first {
+	if k-replayHead-1 >= first {
 		t.Fatalf("record %d is not an insert into %s", k, items[0].Source)
 	}
-	for i := k - 5; i >= 0; i-- {
+	for i := k - replayHead - 2; i >= 0; i-- {
 		c, err := h.ClusterAt(items[0].Source, i)
 		if err != nil {
 			t.Fatal(err)
@@ -381,7 +391,7 @@ func twinOf(t *testing.T, dir string, items []Insert, k int) twin {
 		if len(c.Members) == 2 {
 			tw := twin{twin: items[i].Tuple.Clone(), of: i, partner: c.Members[1].Index, other: items[first].Source}
 			tw.twin[1] = value.String(tw.twin[1].Str() + " annex")
-			tw.partnerRecord = 4 + first + tw.partner
+			tw.partnerRecord = replayHead + 1 + first + tw.partner
 			return tw
 		}
 	}
@@ -418,16 +428,18 @@ func TestOpenRefusesATransitiveBreakAtItsRecord(t *testing.T) {
 	}
 	var regs [][]byte
 	for _, sch := range []*schema.Schema{schemaOf("A", "k", "j"), schemaOf("B", "k"), schemaOf("C", "k", "j")} {
-		regs = append(regs, record(wal.Envelope{Type: wal.TypeAddSource, AddSource: &wal.AddSourceRec{
-			Name: sch.Name(), Schema: wal.EncodeSchema(sch), Tuples: relation.AppendTuplesJSON(nil, nil),
-		}}))
+		regs = append(regs, record(wal.Envelope{Type: wal.TypeSourceBegin, SourceBegin: &wal.SourceBeginRec{
+			Name: sch.Name(), Schema: wal.EncodeSchema(sch),
+		}}), wal.AppendRun(nil, sch.Name(), false, nil))
 	}
 	linkRec := func(spec PairSpec) []byte {
 		rec := linkRecFromSpec(spec)
 		return record(wal.Envelope{Type: wal.TypeLink, Link: &rec})
 	}
 	ab, bc, ac := linkRec(on("A", "B", "k")), linkRec(on("B", "C", "k")), linkRec(on("A", "C", "j"))
-	ins := func(src string, vals ...string) []byte { return wal.AppendInsert(nil, src, strs(vals...)) }
+	ins := func(src string, vals ...string) []byte {
+		return wal.AppendRun(nil, src, false, []relation.Tuple{strs(vals...)})
+	}
 	// a1-c0 in A-C, b0-c0 in B-C, then a0-b0 in A-B closes a0…a1.
 	chain := [][]byte{ins("C", "c0", "1", "20"), ins("A", "a1", "2", "20"), ins("B", "b0", "1"), ins("A", "a0", "1", "10")}
 	after := ins("B", "b1", "9")
@@ -437,9 +449,9 @@ func TestOpenRefusesATransitiveBreakAtItsRecord(t *testing.T) {
 		want     string
 	}{
 		{"at the insert", append(append(append(regs, ab, bc, ac), chain...), after),
-			`record 10: hub: link "A"-"B": pair (1,0): transitive uniqueness violation: tuples 1 and 0 of source "A"`},
+			`record 13: hub: link "A"-"B": pair (1,0): transitive uniqueness violation: tuples 1 and 0 of source "A"`},
 		{"at the link", append(append(append(regs, ab, bc), chain...), ac, after),
-			`record 10: hub: link "A"-"C": pair (0,0): transitive uniqueness violation: tuples 0 and 1 of source "A"`},
+			`record 13: hub: link "A"-"C": pair (0,0): transitive uniqueness violation: tuples 0 and 1 of source "A"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -454,8 +466,8 @@ func TestOpenRefusesATransitiveBreakAtItsRecord(t *testing.T) {
 	}
 }
 
-// TestReplayDiscardsAbandonedGroupFarBehind: a chunked registration the
-// log abandons after its first chunk, followed by far more records than
+// TestReplayDiscardsAbandonedGroupFarBehind: a registration the log
+// abandons after the first record of its run, followed by far more records than
 // the replay channel holds. The group is forgotten at the next record,
 // counted nowhere, and everything after it replays as if it were not
 // there.
@@ -477,13 +489,7 @@ func TestReplayDiscardsAbandonedGroupFarBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk, err := wal.Envelope{Type: wal.TypeSourceChunk, SourceChunk: &wal.SourceChunkRec{
-		Name:   "ghost",
-		Tuples: relation.AppendTuplesJSON(nil, []relation.Tuple{{value.String("g1")}, {value.String("g2")}}),
-	}}.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunk := wal.AppendRun(nil, "ghost", true, []relation.Tuple{{value.String("g1")}, {value.String("g2")}})
 	if len(payloads) <= defaultStreamWindow {
 		t.Fatalf("only %d records follow the abandoned group", len(payloads))
 	}

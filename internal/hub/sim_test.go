@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"entityid/internal/datagen"
-	"entityid/internal/derive"
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
@@ -106,10 +105,9 @@ const defaultSeeds = 120
 // key {name, cuisine} — over values that hold what a joined key would
 // put between two columns, with A's cuisine a column of its own that an
 // ILFD fills where A left it NULL — and "mixed" the multi world with
-// every third link on the name+phone identity rule, the first of the
-// others that has ILFDs in fixpoint mode and the rest on the ILFDs as
-// ever: some sides of a source agree on what fills them and share an
-// image, some do not.
+// every third link on the name+phone identity rule and the rest on the
+// ILFDs as ever: some sides of a source agree on what fills them and
+// share an image, some do not.
 type workSpec struct {
 	kind string
 	cfg  datagen.MultiConfig // multi, rule, mixed; ring and hostile read Entities (tuples per source) and Seed
@@ -147,22 +145,18 @@ func (ws workSpec) build() *workload {
 	default:
 		mw := datagen.MustMultiGenerate(ws.cfg)
 		w.truth, w.names = mw, mw.Names
-		fixpoint := false
 		for _, rel := range mw.Relations {
 			w.seeds = append(w.seeds, relation.New(rel.Schema()))
 		}
 		for i := range mw.Names {
 			for j := i + 1; j < len(mw.Names); j++ {
 				spec := SpecFromMultiPair(mw.Pair(i, j))
-				switch k := len(w.links); {
-				case ws.kind == "rule", ws.kind == "mixed" && k%3 == 1:
+				if ws.kind == "rule" || ws.kind == "mixed" && len(w.links)%3 == 1 {
 					namePhone, err := rules.KeyEquivalence("name-phone", []string{"name", "phone"})
 					if err != nil {
 						panic(err)
 					}
 					spec.ILFDs, spec.Identity = nil, []rules.IdentityRule{namePhone}
-				case ws.kind == "mixed" && spec.ILFDs != nil && !fixpoint:
-					spec.DeriveMode, fixpoint = derive.Fixpoint, true
 				}
 				w.links = append(w.links, spec)
 			}

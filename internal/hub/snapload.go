@@ -4,10 +4,11 @@
 // content-addressed file per run of each source's tuples under snapsecs/
 // (written by snapwriter.go, in the format of snapshot.go). Recovery runs
 // in four phases, each timed in RecoveryInfo: run decode (each file read
-// whole and its chunks decoded on a fixed set of workers, then each
+// whole and its run records decoded on a fixed set of workers, then each
 // source's decoded tuples admitted into its relation, not copied), log
 // read (the whole log read and verified once, its tail decoded into the
-// same relations, each tuple kept uncopied, persist.go), pair build
+// same relations, each tuple kept uncopied, persist.go; the log's run
+// records and a snapshot's are read by one reader, wal.CutRun), pair build
 // (each source's images — one per knowledge its links give it — extended
 // once over the final relations, then every pair's matching result built
 // once on two of them and verified, each step on parallel workers) and
@@ -21,7 +22,7 @@
 // One pass of the cluster fold (cluster.go) over all the tables, in log
 // order, each union decided by store.CheckMerge, then publishes each
 // component to the empty cluster store exactly once. Recovery fails
-// closed: run file sizes, frame CRCs, each chunk's one spelling, per-run
+// closed: run file sizes, frame CRCs, each run record's one spelling, per-run
 // content hashes, chunk and item counts, and each run's declared source
 // and position are verified against the manifest, whose run directories
 // must be dense and full but for each source's last run; every link must
@@ -181,7 +182,7 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 		}
 	}
 	err := inParallel(len(jobs), func(i int) (err error) {
-		*jobs[i].into, err = readRunFile(fsys, dir, jobs[i].id, jobs[i].want, jobs[i].sch)
+		*jobs[i].into, err = readRunFile(fsys, dir, jobs[i].id, jobs[i].want, jobs[i].sch, man.RunItems)
 		return err
 	})
 	if err != nil {
@@ -235,10 +236,10 @@ func itemCount(runs []snapRun) int {
 }
 
 // readRunFile reads one run file whole, once its size is the framed byte
-// count its manifest entry records, decodes it against sch and verifies
-// the result — source, position, counts, content hash — against that
-// entry.
-func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema) (*decRun, error) {
+// count its manifest entry records, decodes it against sch, at runs of
+// runItems, and verifies the result — source, position, counts, content
+// hash — against that entry.
+func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema, runItems int) (*decRun, error) {
 	path := secPath(dir, want.Hash)
 	fi, err := fsys.Stat(path)
 	if err == nil && fi.Size() != want.Bytes {
@@ -250,7 +251,7 @@ func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Sc
 	}
 	var d *decRun
 	if err == nil {
-		d, err = decodeRun(data, sch)
+		d, err = decodeRun(data, sch, runItems)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hub: snapshot %v: %w", id, err)

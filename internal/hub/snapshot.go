@@ -6,23 +6,20 @@
 // source's last, partial run is ever re-encoded. Each run is a
 // content-addressed file under the data directory (written by
 // snapwriter.go at a cut snapcut.go captures, read back by snapload.go);
-// this file is what is in them. A run is a sequence of CRC frames whose
-// tuples are split across continuation chunks, so no frame approaches the
-// WAL's frame cap however the chunk budget is set — the tuples as the
-// tuple codec's bytes (internal/relation/json.go; kinds come from the
-// schema in the run's manifest slot, which is what the loader reads them
-// against); the manifest carries each run's SHA-256 content address,
-// chunk count, byte count and item count, and — so that nothing that
-// changes ever sits inside a sealed run — each source's schema, each
-// pair's link spec and the two side lengths the link was cut at. Nothing
-// a load can rebuild is stored: a matching table is a function of its two
-// relations (§4.2) and the cluster partition is the fold of the tables,
-// so the loader computes both (snapload.go).
-//
-// A chunk has one spelling, and two hand-written halves: appendChunk
-// writes it, decRun.addChunk reads it by slicing, and a chunk spelled any
-// other way was not written by this format and is refused. The manifest,
-// read once per open, stays encoding/json's.
+// this file is what is in them. A run file is a sequence of the log's run
+// records (internal/wal/run.go), each in a CRC frame and none approaching
+// the frame cap however the chunk budget is set, every one but the last
+// marked "more": the tuples as the tuple codec's bytes, read against the
+// schema in the run's manifest slot. Run k's frames are numbered from
+// k·R+1, one a chunk, so a file declares its source and its position
+// itself. The manifest carries each run's SHA-256 content address, chunk
+// count, byte count and item count, and — so that nothing that changes
+// ever sits inside a sealed run — each source's schema, each pair's link
+// spec and the two side lengths the link was cut at. Nothing a load can
+// rebuild is stored: a matching table is a function of its two relations
+// (§4.2) and the cluster partition is the fold of the tables, so the
+// loader computes both (snapload.go). The manifest, read once per open,
+// is encoding/json's.
 package hub
 
 import (
@@ -31,12 +28,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 
 	"entityid/internal/relation"
 	"entityid/internal/schema"
-	"entityid/internal/value"
 	"entityid/internal/wal"
 )
 
@@ -45,7 +39,7 @@ const (
 	secSource   = "source"
 	secManifest = "manifest"
 
-	snapFormat = 5
+	snapFormat = 6
 
 	// snapRunItems is R, the items of a sealed run. An incremental
 	// snapshot re-encodes each sequence's partial run — R/2 items it has
@@ -127,19 +121,6 @@ func (m *snapManifest) eachRun(fn func(id runID, r snapRun)) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Run chunks: one spelling
-// ---------------------------------------------------------------------
-//
-// A run frame's payload is one chunk: a slice of the source's tuples, the
-// first chunk also naming the source, the final one marked, the chunk
-// number 1-based and equal to the frame's sequence number. Its spelling is
-// what encoding/json made of the chunk struct format 4 began with — its
-// fields in this order, each bracketed one only when set — and what every
-// writer since has written:
-//
-//	{"v2":"source","run":N,"chunk":N[,"last":true][,"name":S][,"tuples":[…]]}
-
 // estimateTuple approximates a tuple's encoded size, for size-budgeted
 // chunking; it only needs to be deterministic and roughly proportional.
 func estimateTuple(t relation.Tuple) int {
@@ -150,34 +131,16 @@ func estimateTuple(t relation.Tuple) int {
 	return n
 }
 
-// appendChunk appends chunk n of run id, holding tuples and, when first,
-// the source's name.
-func appendChunk(b []byte, id runID, n int, first, last bool, tuples []relation.Tuple) []byte {
-	b = append(b, `{"v2":"`+secSource+`","run":`...)
-	b = strconv.AppendInt(b, int64(id.run), 10)
-	b = append(b, `,"chunk":`...)
-	b = strconv.AppendInt(b, int64(n), 10)
-	if last {
-		b = append(b, `,"last":true`...)
-	}
-	if first && id.name != "" {
-		b = value.AppendJSONString(append(b, `,"name":`...), id.name)
-	}
-	if len(tuples) > 0 {
-		b = relation.AppendTuplesJSON(append(b, `,"tuples":`...), tuples)
-	}
-	return append(b, '}')
-}
-
-// writeChunked splits tuples into budget-sized runs, encoding each via
-// encode and handing the payload to emit. The estimator is
-// approximate, so a run whose encoded payload still overflows the
-// frame cap is halved until it fits (a single tuple larger than the cap
-// is unrepresentable and fails loudly at the frame encoder). The split
-// is deterministic for given tuples and budget, so equal content always
-// yields equal bytes. Shared by snapshot runs and chunked AddSource log
-// groups.
-func writeChunked(tuples []relation.Tuple, budget int, encode func(lo, hi int, first, last bool) ([]byte, error), emit func([]byte) error) error {
+// writeChunked writes source's tuples as one run — budget-sized run
+// records, each but the last marked more — handing each payload to emit,
+// which copies it out. The estimator is approximate, so a record whose
+// payload still overflows the frame cap is halved until it fits (a single
+// tuple larger than the cap is unrepresentable and fails loudly at the
+// frame encoder). The split is deterministic for given tuples and budget,
+// so equal content always yields equal bytes. An empty run is one record.
+// It is the one splitter: of a snapshot's runs and of a registration's
+// seeds in the log.
+func writeChunked(source string, tuples []relation.Tuple, budget int, emit func([]byte) error) error {
 	if budget <= 0 {
 		budget = wal.DefaultChunkPayload
 	}
@@ -186,6 +149,7 @@ func writeChunked(tuples []relation.Tuple, budget int, encode func(lo, hi int, f
 	if max := wal.FrameCap() / 2; budget > max {
 		budget = max
 	}
+	var buf []byte
 	total := len(tuples)
 	lo := 0
 	for first := true; first || lo < total; first = false {
@@ -198,15 +162,12 @@ func writeChunked(tuples []relation.Tuple, budget int, encode func(lo, hi int, f
 			}
 		}
 		for {
-			payload, err := encode(lo, hi, first, hi == total)
-			if err != nil {
-				return err
-			}
-			if len(payload) > wal.FrameCap() && hi-lo > 1 {
+			buf = wal.AppendRun(buf[:0], source, hi < total, tuples[lo:hi])
+			if len(buf) > wal.FrameCap() && hi-lo > 1 {
 				hi = lo + (hi-lo)/2
 				continue
 			}
-			if err := emit(payload); err != nil {
+			if err := emit(buf); err != nil {
 				return err
 			}
 			break
@@ -214,17 +175,6 @@ func writeChunked(tuples []relation.Tuple, budget int, encode func(lo, hi int, f
 		lo = hi
 	}
 	return nil
-}
-
-// writeRunChunks encodes run id's tuples as budget-sized chunks through
-// the section writer.
-func writeRunChunks(sw *wal.SectionWriter, id runID, tuples []relation.Tuple, budget int) error {
-	var buf []byte // the frame encoder copies each payload out
-	encode := func(lo, hi int, first, last bool) ([]byte, error) {
-		buf = appendChunk(buf[:0], id, sw.Chunks()+1, first, last, tuples[lo:hi])
-		return buf, nil
-	}
-	return writeChunked(tuples, budget, encode, sw.WriteChunk)
 }
 
 // encodeManifest frames a manifest under sequence watermark+1.
@@ -242,8 +192,9 @@ func encodeManifest(man *snapManifest) ([]byte, error) {
 
 // decodeManifest validates a manifest record. A manifest of another
 // format is refused by both numbers and never read further: format 2's
-// whole-sequence sections share nothing with runs but the frame, and
-// format 4's manifest names pair runs this build neither reads nor keeps.
+// whole-sequence sections share nothing with runs but the frame, format
+// 4's manifest names pair runs this build neither reads nor keeps, and
+// format 5's runs hold chunks spelled apart from the run record.
 func decodeManifest(rec wal.Record) (*snapManifest, error) {
 	var man snapManifest
 	if err := json.Unmarshal(rec.Payload, &man); err != nil {
@@ -275,7 +226,7 @@ func checkRuns(id runID, runs []snapRun, runItems int) error {
 // Run decoding
 // ---------------------------------------------------------------------
 
-// decRun is one decoded run: the identity its first chunk declares, the
+// decRun is one decoded run: the identity its records declare, the
 // manifest entry it reproduces (counts, content address) and its tuples.
 type decRun struct {
 	id     runID
@@ -283,14 +234,18 @@ type decRun struct {
 	tuples []relation.Tuple
 }
 
-// decodeRun decodes one run file's bytes, data, reading its tuples against
-// sch — the schema of the manifest slot the run is read for — and takes
-// the run's content address: the SHA-256 of data.
-func decodeRun(data []byte, sch *schema.Schema) (*decRun, error) {
+// decodeRun decodes one run file's bytes, data, of a snapshot cut at runs
+// of runItems, reading its tuples against sch — the schema of the
+// manifest slot the run is read for — into blocks of its own, and takes
+// the run's content address: the SHA-256 of data. The run the file
+// declares is its records' source and, by its first frame's number, its
+// position.
+func decodeRun(data []byte, sch *schema.Schema, runItems int) (*decRun, error) {
 	sum := sha256.Sum256(data)
 	d := &decRun{meta: snapRun{Bytes: int64(len(data)), Hash: hex.EncodeToString(sum[:])}}
+	var blocks relation.TupleBlocks
 	frames := wal.NewFrameCutter(data)
-	for last := false; !last; {
+	for more := true; more; {
 		rec, _, err := frames.Next()
 		if err == io.EOF {
 			return nil, fmt.Errorf("truncated (no final chunk)")
@@ -298,119 +253,28 @@ func decodeRun(data []byte, sch *schema.Schema) (*decRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		if last, err = d.addChunk(rec, sch); err != nil {
-			return nil, err
+		d.meta.Chunks++
+		n := d.meta.Chunks
+		run, err := wal.CutRun(rec.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d: %w", n, err)
 		}
+		if n == 1 {
+			d.id = runID{name: string(run.Source), run: int((rec.Seq - 1) / uint64(runItems))}
+		}
+		if string(run.Source) != d.id.name || rec.Seq != uint64(d.id.run*runItems+n) {
+			return nil, fmt.Errorf("chunk %d out of sequence (source %q, frame %d)", n, run.Source, rec.Seq)
+		}
+		if d.tuples, err = run.Tuples(&blocks, sch, d.tuples); err != nil {
+			return nil, fmt.Errorf("chunk %d after tuple %d: %w", n, len(d.tuples), err)
+		}
+		more = run.More
 	}
 	if _, _, err := frames.Next(); err != io.EOF {
 		return nil, fmt.Errorf("trailing frames after final chunk")
 	}
 	d.meta.Items = len(d.tuples)
 	return d, nil
-}
-
-// addChunk reads the run's next chunk, in the one spelling appendChunk
-// writes, and reports whether it was the final one.
-func (d *decRun) addChunk(rec wal.Record, sch *schema.Schema) (last bool, err error) {
-	d.meta.Chunks++
-	n := d.meta.Chunks
-	c := chunkReader{p: rec.Payload}
-	okKind := c.lit(`{"v2":"` + secSource + `"`)
-	run, okRun := c.num(`,"run":`)
-	chunk, okChunk := c.num(`,"chunk":`)
-	if !okKind || !okRun || !okChunk {
-		return false, c.refuse(n, rec.Payload)
-	}
-	last = c.lit(`,"last":true`)
-	if n == 1 {
-		d.id.run = run
-	}
-	if run != d.id.run || chunk != n || uint64(chunk) != rec.Seq {
-		return false, fmt.Errorf("chunk %d out of sequence (run %d chunk %d, frame %d)", n, run, chunk, rec.Seq)
-	}
-	ok := true
-	if n == 1 {
-		d.id.name, ok = c.name(`,"name":`)
-	}
-	// The tuples are the chunk's last field, an array from the colon to the
-	// closing brace; what is inside it is the tuple codec's to read.
-	if ok && c.lit(`,"tuples":`) {
-		end := len(c.p) - 1
-		if ok = end > 0 && c.p[0] == '[' && c.p[end-1] == ']' && c.p[end] == '}'; ok {
-			ts, err := relation.ParseTuplesJSON(sch, c.p[:end])
-			if err != nil {
-				return false, fmt.Errorf("chunk %d after tuple %d: %w", n, len(d.tuples), err)
-			}
-			if ok = len(ts) > 0; ok {
-				d.tuples, c.p = append(d.tuples, ts...), c.p[end:]
-			}
-		}
-	}
-	if !ok || !c.lit("}") || len(c.p) > 0 {
-		return false, c.refuse(n, rec.Payload)
-	}
-	return last, nil
-}
-
-// chunkReader reads a chunk payload front to back by slicing: each read
-// takes what the one spelling puts next, or takes nothing and says so,
-// leaving p where the payload left the spelling.
-type chunkReader struct{ p []byte }
-
-// refuse is the error of chunk n, whose payload is not in the one
-// spelling from where the reader stopped.
-func (c *chunkReader) refuse(n int, payload []byte) error {
-	return fmt.Errorf("chunk %d is not spelled as this format writes it (byte %d)", n, len(payload)-len(c.p))
-}
-
-// lit reads s.
-func (c *chunkReader) lit(s string) bool {
-	if len(c.p) < len(s) || string(c.p[:len(s)]) != s {
-		return false
-	}
-	c.p = c.p[len(s):]
-	return true
-}
-
-// num reads key and the number after it.
-func (c *chunkReader) num(key string) (int, bool) {
-	if !c.lit(key) {
-		return 0, false
-	}
-	return c.index()
-}
-
-// index reads a non-negative int as strconv writes it: digits, no sign,
-// no leading zero.
-func (c *chunkReader) index() (int, bool) {
-	n, i := 0, 0
-	for ; i < len(c.p) && '0' <= c.p[i] && c.p[i] <= '9'; i++ {
-		d := int(c.p[i] - '0')
-		if n > (math.MaxInt-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	if i == 0 || (i > 1 && c.p[0] == '0') {
-		return 0, false
-	}
-	c.p = c.p[i:]
-	return n, true
-}
-
-// name reads key and the name after it: a JSON string, read by the tuple
-// codec's string reader, that is not empty (the writer leaves an empty
-// name out).
-func (c *chunkReader) name(key string) (string, bool) {
-	if !c.lit(key) || len(c.p) == 0 || c.p[0] != '"' {
-		return "", false
-	}
-	v, rest, err := value.ParseJSON(c.p, value.KindString)
-	if err != nil || v.Str() == "" {
-		return "", false
-	}
-	c.p = rest
-	return v.Str(), true
 }
 
 // matches verifies a decoded run against the manifest position it was

@@ -104,12 +104,12 @@ func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*d
 			}
 		}
 	}
-	d, err := readRunFile(wal.OS, dir, id, *entry, sch)
+	d, err := readRunFile(wal.OS, dir, id, *entry, sch, man.RunItems)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edit(d)
-	if *entry, err = newDirSink(wal.OS, dir, nil, 0).write(id, d.tuples, 0); err != nil {
+	if *entry, err = newDirSink(wal.OS, dir, nil, man.RunItems).write(id, d.tuples, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +126,7 @@ func respell(t testing.TB, run []byte, edit func(string) string) []byte {
 			return out
 		}
 		payload := string(rec.Payload)
-		if rec.Seq == 1 {
+		if out == nil {
 			if payload = edit(payload); payload == string(rec.Payload) {
 				t.Fatalf("respelling left %s as it was", payload)
 			}
@@ -234,8 +234,9 @@ func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
 }
 
 // TestJumboAddSourceReplaysFromChunks pins the chunked AddSource log
-// path without a snapshot: the seed relation splits across
-// source_begin/source_chunk records and replays to the same relation.
+// path without a snapshot: the seed relation splits across a
+// source_begin record and the run records of its seeds, each but the last
+// marked more, and replays to the same relation.
 func TestJumboAddSourceReplaysFromChunks(t *testing.T) {
 	ws := multiWork(1, 40, 1, 17, 17)
 	ws.seeded = 40
@@ -244,8 +245,8 @@ func TestJumboAddSourceReplaysFromChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks := strings.Count(string(data), `"type":"`+wal.TypeSourceChunk+`"`)
-		if !strings.Contains(string(data), wal.TypeSourceBegin) || r.infos[1].Replayed != 1+chunks || r.h.Stats().Tuples != 40 {
+		chunks, more := strings.Count(string(data), ` {"source":`), strings.Count(string(data), `,"more":true,`)
+		if !strings.Contains(string(data), wal.TypeSourceBegin) || chunks < 2 || more != chunks-1 || r.infos[1].Replayed != 1+chunks || r.h.Stats().Tuples != 40 {
 			t.Fatalf("jumbo AddSource: %d chunk records, recovery %+v, %+v", chunks, r.infos[1], r.h.Stats())
 		}
 	}
@@ -477,8 +478,9 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 		}
 	}
 	unspelled := func(id runID) string {
-		return fmt.Sprintf("hub: snapshot %v: chunk 1 is not spelled as this format writes it", id)
+		return fmt.Sprintf("hub: snapshot %v: chunk 1: wal: not spelled as this format writes a run", id)
 	}
+	name := `"source":` + string(value.AppendJSONString(nil, src.Name))
 	for name, c := range map[string]struct {
 		edit func(*snapManifest)
 		want string
@@ -497,10 +499,10 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 		"another source's run": {func(m *snapManifest) { m.Sources[0].Runs[0] = m.Sources[1].Runs[0] }, "does not match its manifest entry"},
 		// Runs this format did not write, every frame CRC intact.
 		"a run file of another size than its entry": {func(m *snapManifest) { m.Sources[0].Runs[0].Bytes++ }, fmt.Sprintf("hub: snapshot %v: the run file holds", src.id())},
-		"a chunk spelled with a space":              {respelled(`"run":0`, `"run": 0`), unspelled(src.id())},
-		"a chunk with its keys reordered":           {respelled(`"run":0,"chunk":1`, `"chunk":1,"run":0`), unspelled(src.id())},
-		"a chunk with a key repeated":               {respelled(`"chunk":1`, `"chunk":1,"chunk":1`), unspelled(src.id())},
-		"a source run with an empty name":           {respelled(`"name":`+string(value.AppendJSONString(nil, src.Name)), `"name":""`), unspelled(src.id())},
+		"a chunk spelled with a space":              {respelled(`"source":`, `"source": `), unspelled(src.id())},
+		"a chunk with its keys reordered":           {respelled(`]]}`, `]],"more":true}`), unspelled(src.id())},
+		"a chunk with a key repeated":               {respelled(name, name+","+name), unspelled(src.id())},
+		"a source run with an empty name":           {respelled(name, `"source":""`), unspelled(src.id())},
 	} {
 		committed, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
 		if err != nil {
@@ -525,14 +527,18 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	// Directories written by earlier builds, checked in as they wrote
 	// them: format 2 (whole-sequence sections); the build before the one
 	// tuple codec — a format-3 snapshot with a log tail, and a log alone
-	// whose records spell a tuple value by value; and format 4, whose
-	// snapshot also stored each pair's matching table, with a log tail.
-	// Each is refused by both numbers.
+	// whose records spell a tuple value by value; format 4, whose
+	// snapshot also stored each pair's matching table, with a log tail;
+	// and the build before the run record — a format-5 snapshot with a log
+	// tail of insert records, and a log alone that registers its sources
+	// by add_source. Each is refused by both numbers.
 	for fixture, want := range map[string]string{
-		"snapshot-format2": "snapshot manifest: format 2, this build reads 5",
-		"snapshot-format3": "snapshot manifest: format 3, this build reads 5",
-		"snapshot-format4": "snapshot manifest: format 4, this build reads 5",
-		"wal-format1":      "record 1: wal: add_source record of format 1, this build reads 2",
+		"snapshot-format2": "snapshot manifest: format 2, this build reads 6",
+		"snapshot-format3": "snapshot manifest: format 3, this build reads 6",
+		"snapshot-format4": "snapshot manifest: format 4, this build reads 6",
+		"snapshot-format5": "snapshot manifest: format 5, this build reads 6",
+		"wal-format1":      "record 1: wal: add_source record of format 1, this build reads 3",
+		"wal-format2":      "record 1: wal: add_source record of format 2, this build reads 3",
 	} {
 		old := t.TempDir()
 		if err := os.CopyFS(old, os.DirFS(filepath.Join("testdata", fixture))); err != nil {

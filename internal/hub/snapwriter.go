@@ -250,9 +250,9 @@ func (s *dirSink) write(id runID, tuples []relation.Tuple, budget int) (snapRun,
 	if err != nil {
 		return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
 	}
-	sw := wal.NewSectionWriter(tmp)
+	sw := wal.NewSectionWriter(tmp, uint64(id.run*s.runItems+1))
 	meta := snapRun{Items: len(tuples)}
-	err = commitFile(s.fs, tmp, func() error { return writeRunChunks(sw, id, tuples, budget) }, func() string {
+	err = commitFile(s.fs, tmp, func() error { return writeChunked(id.name, tuples, budget, sw.WriteChunk) }, func() string {
 		meta.Chunks, meta.Bytes, meta.Hash = sw.Chunks(), sw.Bytes(), sw.Sum()
 		return secPath(s.dir, meta.Hash)
 	})

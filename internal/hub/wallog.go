@@ -4,18 +4,16 @@
 // on-disk log is always a prefix-exact account of the in-memory state.
 // It also owns the opt-in group-commit sync policy and the one record
 // codec that is the hub's rather than the wal package's (a link's spec).
-// What each record holds: add_source a schema and its seed tuples,
-// source_begin a schema, source_chunk tuples, insert a source name and
-// one tuple — tuples always the tuple codec's bytes
-// (internal/relation/json.go) — and link a pair's whole spec.
+// What each record holds: source_begin a source's schema; a run record
+// one source's tuples (wal.AppendRun) — an insert's one, or a
+// registration's seeds after its source_begin; and link a pair's whole
+// spec.
 package hub
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"entityid/internal/derive"
 	"entityid/internal/relation"
 	"entityid/internal/wal"
 )
@@ -96,46 +94,20 @@ func (p *walLogger) syncPending() {
 	p.unsynced.Add(-n)
 }
 
-// appendAddSource logs a source registration. A seed relation that fits
-// one frame-capped chunk is logged as a single add_source record; a
-// jumbo relation is split into a
-// source_begin record plus budget-sized source_chunk continuations
-// (the same writeChunked splitter the snapshot runs use, frame-cap
-// halving included) that commit atomically at the final chunk.
+// appendAddSource logs a source registration: a source_begin record,
+// then the run of its seed tuples, split into budget-sized records by the
+// snapshot runs' splitter (writeChunked), that commits atomically at its
+// last record.
 //
 //entitylint:walappend
 func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
-	budget := p.chunkBytes
-	if budget <= 0 {
-		budget = wal.DefaultChunkPayload
-	}
-	tuples := rel.Tuples()
-	total := 0
-	for _, t := range tuples {
-		total += estimateTuple(t)
-	}
-	if total < budget {
-		return p.append(wal.Envelope{Type: wal.TypeAddSource, AddSource: &wal.AddSourceRec{
-			Name:   name,
-			Schema: wal.EncodeSchema(rel.Schema()),
-			Tuples: relation.AppendTuplesJSON(nil, tuples),
-		}})
-	}
 	if err := p.append(wal.Envelope{Type: wal.TypeSourceBegin, SourceBegin: &wal.SourceBeginRec{
 		Name:   name,
 		Schema: wal.EncodeSchema(rel.Schema()),
 	}}); err != nil {
 		return err
 	}
-	encode := func(lo, hi int, _, last bool) ([]byte, error) {
-		env := wal.Envelope{Type: wal.TypeSourceChunk, SourceChunk: &wal.SourceChunkRec{
-			Name:   name,
-			Tuples: relation.AppendTuplesJSON(nil, tuples[lo:hi]),
-			Final:  last,
-		}}
-		return env.Encode()
-	}
-	return writeChunked(tuples, p.chunkBytes, encode, p.appendPayload)
+	return writeChunked(name, rel.Tuples(), p.chunkBytes, p.appendPayload)
 }
 
 //entitylint:walappend
@@ -147,15 +119,13 @@ func (p *walLogger) appendLink(spec PairSpec) error {
 // linkRecFromSpec converts a pair spec into its WAL/snapshot record.
 func linkRecFromSpec(spec PairSpec) wal.LinkRec {
 	return wal.LinkRec{
-		Left:         spec.Left,
-		Right:        spec.Right,
-		Attrs:        wal.EncodeAttrMaps(spec.Attrs),
-		ExtKey:       spec.ExtKey,
-		ILFDs:        wal.EncodeILFDs(spec.ILFDs),
-		Identity:     wal.EncodeIdentityRules(spec.Identity),
-		Distinct:     wal.EncodeDistinctnessRules(spec.Distinct),
-		DeriveMode:   int(spec.DeriveMode),
-		DisableProp1: spec.DisableProp1,
+		Left:     spec.Left,
+		Right:    spec.Right,
+		Attrs:    wal.EncodeAttrMaps(spec.Attrs),
+		ExtKey:   spec.ExtKey,
+		ILFDs:    wal.EncodeILFDs(spec.ILFDs),
+		Identity: wal.EncodeIdentityRules(spec.Identity),
+		Distinct: wal.EncodeDistinctnessRules(spec.Distinct),
 	}
 }
 
@@ -173,18 +143,13 @@ func specFromLinkRec(r wal.LinkRec) (PairSpec, error) {
 	if err != nil {
 		return PairSpec{}, err
 	}
-	if r.DeriveMode != int(derive.FirstMatch) && r.DeriveMode != int(derive.Fixpoint) {
-		return PairSpec{}, fmt.Errorf("hub: unknown derive mode %d", r.DeriveMode)
-	}
 	return PairSpec{
-		Left:         r.Left,
-		Right:        r.Right,
-		Attrs:        wal.DecodeAttrMaps(r.Attrs),
-		ExtKey:       r.ExtKey,
-		ILFDs:        ilfds,
-		Identity:     identity,
-		Distinct:     distinct,
-		DeriveMode:   derive.Mode(r.DeriveMode),
-		DisableProp1: r.DisableProp1,
+		Left:     r.Left,
+		Right:    r.Right,
+		Attrs:    wal.DecodeAttrMaps(r.Attrs),
+		ExtKey:   r.ExtKey,
+		ILFDs:    ilfds,
+		Identity: identity,
+		Distinct: distinct,
 	}, nil
 }

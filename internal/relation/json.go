@@ -1,7 +1,7 @@
 // The tuple codec: a tuple is a JSON array of scalars, its only
-// serialised form — the request line's "tuple", every served member, the
-// insert, add_source and source_chunk log records and the snapshot's
-// source runs hold these bytes. A schema fixes every attribute's domain
+// serialised form — the request line's "tuple", every served member and
+// every run record (internal/wal/run.go), in the log and in a snapshot,
+// hold these bytes. A schema fixes every attribute's domain
 // (§3), so the array carries no kinds: ParseTupleJSON reads against the
 // schema the reader already has. What AppendTupleJSON writes reads back
 // as itself (NULL, "", "null", −0, NaN, ±Inf, the int64 extremes), but
@@ -120,9 +120,8 @@ func parseTuple(t Tuple, sch *schema.Schema, b []byte, strs *value.StringBlocks)
 	return t, b, nil
 }
 
-// tuplesPerBlock is how many tuples' values ParseTuplesJSON and a
-// decoder's TupleBlocks ask one allocation for, and the most a
-// relation's blocks ask for.
+// tuplesPerBlock is how many tuples' values a decoder's TupleBlocks ask
+// one allocation for, and the most a relation's blocks ask for.
 const tuplesPerBlock = 64
 
 // TupleBlocks holds tuples in shared blocks: their values in blocks of
@@ -206,28 +205,28 @@ func (tb *TupleBlocks) parse(sch *schema.Schema, b []byte) (Tuple, []byte, error
 }
 
 // ParseTuplesJSON reads b, a JSON array of tuples over sch and nothing
-// else, the tuples' values and strings cut from shared blocks
-// (TupleBlocks): a snapshot run's 1,024 tuples take 16 allocations for
-// their values, not 1,024.
-func ParseTuplesJSON(sch *schema.Schema, b []byte) ([]Tuple, error) {
-	var ts []Tuple
-	var blocks TupleBlocks
+// else, into the blocks, appending the tuples to dst: a snapshot run's
+// 1,024 tuples take 16 allocations for their values, not 1,024, and a
+// log's runs of one share the decoder's blocks. On an error dst comes
+// back as it was given.
+func (tb *TupleBlocks) ParseTuplesJSON(sch *schema.Schema, dst []Tuple, b []byte) ([]Tuple, error) {
+	ts := dst
 	for first := true; ; first = false {
 		var ok bool
 		var err error
 		if b, ok, err = element(b, first); err != nil {
-			return nil, err
+			return dst, err
 		} else if !ok {
 			break
 		}
 		var t Tuple
-		if t, b, err = blocks.parse(sch, b); err != nil {
-			return nil, fmt.Errorf("tuple %d: %w", len(ts), err)
+		if t, b, err = tb.parse(sch, b); err != nil {
+			return dst, fmt.Errorf("tuple %d: %w", len(ts)-len(dst), err)
 		}
 		ts = append(ts, t)
 	}
 	if len(skipSpace(b)) > 0 {
-		return nil, fmt.Errorf("trailing bytes after the JSON array")
+		return dst, fmt.Errorf("trailing bytes after the JSON array")
 	}
 	return ts, nil
 }

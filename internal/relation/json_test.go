@@ -107,9 +107,19 @@ func TestTupleJSONRoundTrip(t *testing.T) {
 		}
 		// The same tuple inside a list, beside itself.
 		list := AppendTuplesJSON([]byte("junk"), []Tuple{tup, tup})[4:]
-		ts, err := ParseTuplesJSON(sch, list)
+		ts, err := parseTuples(sch, list)
 		if err != nil || len(ts) != 2 || !sameTuple(ts[0], tup) || !sameTuple(ts[1], tup) {
 			t.Fatalf("%s read back as %v (%v)", list, ts, err)
+		}
+		// Read again into the same blocks, behind what dst holds: appended,
+		// and on a refusal dst comes back as given.
+		var tb TupleBlocks
+		ts2, err := tb.ParseTuplesJSON(sch, ts[:1:1], list)
+		if err != nil || len(ts2) != 3 || !sameTuple(ts2[0], tup) || !sameTuple(ts2[2], tup) {
+			t.Fatalf("%s read behind a tuple as %v (%v)", list, ts2, err)
+		}
+		if back, err := tb.ParseTuplesJSON(sch, ts2, list[:len(list)-1]); err == nil || len(back) != 3 {
+			t.Fatalf("a torn %s read as %d tuples (%v)", list, len(back), err)
 		}
 		// The two share a block of values, each capped at its arity: an
 		// append to the first leaves the second as it was.
@@ -149,7 +159,7 @@ func TestTupleJSONRoundTrip(t *testing.T) {
 		}
 		check(kindsSchema(kinds...), tup)
 	}
-	if ts, err := ParseTuplesJSON(allKinds, AppendTuplesJSON(nil, nil)); err != nil || len(ts) != 0 {
+	if ts, err := parseTuples(allKinds, AppendTuplesJSON(nil, nil)); err != nil || len(ts) != 0 {
 		t.Fatalf("the empty list read back as %v (%v)", ts, err)
 	}
 	if i := (Tuple{value.Int(1), value.String("ok"), value.String("a\xffb"), value.String("\xfe")}).InvalidUTF8(); i != 2 {
@@ -214,11 +224,11 @@ func TestTupleJSONRefusals(t *testing.T) {
 			t.Errorf("%s: read as %v (%v), want a refusal saying %q", b, got, err, want)
 		}
 	}
-	if _, err := ParseTuplesJSON(allKinds, []byte(`[["x",1,1.5,true],["y",1,1.5]]`)); err == nil || !strings.Contains(err.Error(), "tuple 1: 3 values") {
+	if _, err := parseTuples(allKinds, []byte(`[["x",1,1.5,true],["y",1,1.5]]`)); err == nil || !strings.Contains(err.Error(), "tuple 1: 3 values") {
 		t.Errorf("a short second tuple: %v", err)
 	}
 	for _, b := range []string{``, `null`, `[[]`, `[["x",1,1.5,true]`, `[["x",1,1.5,true]] []`, `[["x",1,1.5,true],]`, `["x",1,1.5,true]`} {
-		if ts, err := ParseTuplesJSON(allKinds, []byte(b)); err == nil {
+		if ts, err := parseTuples(allKinds, []byte(b)); err == nil {
 			t.Errorf("list %s read as %v", b, ts)
 		}
 	}
@@ -395,4 +405,10 @@ func TestTupleJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		checkAgainstReference(t, sch, b)
 	}
+}
+
+// parseTuples reads a JSON array of tuples into blocks of its own.
+func parseTuples(sch *schema.Schema, b []byte) ([]Tuple, error) {
+	var tb TupleBlocks
+	return tb.ParseTuplesJSON(sch, nil, b)
 }

@@ -606,7 +606,7 @@ type pairs struct {
 
 func (p *pairs) Save(id int, tab store.PairTab) error {
 	var buf fileBuf
-	sw := wal.NewSectionWriter(&buf)
+	sw := wal.NewSectionWriter(&buf, 1)
 	hdr, err := json.Marshal(pairHdr{RLen: tab.RLen, SLen: tab.SLen, Pairs: len(tab.Pairs)})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,9 +17,9 @@ import (
 // FuzzWALDecode throws arbitrary bytes at the frame parser, held line by
 // line to strconv's reading of the fields (refParseFrame), at the frame
 // cutter, at the windowed reader and the segment read over it and — each accepted
-// frame's payload — at the envelope decoder (a record of the retired
-// tuple format, like the second seed and the corpus files, must be
-// refused there, not panic). The properties: cutting never panics, always
+// frame's payload — at the run reader or the envelope decoder, as its
+// first bytes say (a record of a retired tuple format, like the second
+// seed and the corpus files, must be refused there, not panic). The properties: cutting never panics, always
 // terminates in io.EOF or a *CorruptError, and every accepted frame
 // re-encodes to exactly the bytes consumed — so the cutter can never
 // "repair" a frame into something the writer would not have produced.
@@ -55,6 +56,11 @@ func FuzzWALDecode(f *testing.F) {
 		`{"type":"add_source","v":2,"add_source":{"name":"zagat","schema":{"name":"zagat","attrs":[{"name":"name","kind":"string"},{"name":"stars","kind":"int"}],"keys":[["name"]]},"tuples":[["wok",3],["\u003cb\u003e",null]]}}`,
 		`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["wok \"2\"",-0]}}`,
 		`{"type":"source_chunk","v":2,"source_chunk":{"name":"zagat","tuples":[],"final":true}}`), uint8(30))
+	f.Add(good(
+		`{"type":"source_begin","v":3,"source_begin":{"name":"zagat","schema":{"name":"zagat","attrs":[{"name":"name","kind":"string"}],"keys":[["name"]]}}}`,
+		`{"source":"zagat","more":true,"tuples":[["wok"]]}`,
+		`{"source":"zagat","tuples":[["\u003cb\u003e"]]}`,
+		`{"source":"zagat","tuples":[["w\"o\"k"]]}`), uint8(5))
 
 	f.Fuzz(func(t *testing.T, data []byte, window uint8) {
 		// Every line reads, and fails, as strconv's field parsing read it.
@@ -84,7 +90,9 @@ func FuzzWALDecode(f *testing.F) {
 				break
 			}
 			frames = append(frames, string(raw))
-			if env, err := DecodeEnvelope(rec.Payload); err == nil && !env.bodyOK() {
+			if IsRun(rec.Payload) {
+				CutRun(rec.Payload) // what it reads, FuzzRunChunk holds
+			} else if env, err := DecodeEnvelope(rec.Payload); err == nil && !env.bodyOK() {
 				t.Fatalf("accepted envelope %s has no body matching its type", rec.Payload)
 			}
 			frame, err := EncodeRecord(rec.Seq, rec.Payload)
@@ -181,58 +189,90 @@ func refParseFrame(line []byte) (Record, string) {
 	return Record{Seq: seq, Payload: payload}, ""
 }
 
-// FuzzParseInsert holds the hand-rolled insert reader to the envelope
-// decoder it stands in for. Whatever payload ParseInsert cuts, and whose
-// tuple bytes relation.ParseTupleJSON reads whole, DecodeEnvelope decodes
-// to the same source and a tuple that parses to the same values. And
-// AppendInsert's output, for any source name and any tuple — quotes,
-// backslashes, control bytes and invalid UTF-8 included — reads back by
-// DecodeEnvelope as the source JSON can spell (U+FFFD for each byte that
-// is not UTF-8) and the tuple's own bytes, and by ParseInsert, which must
-// read it when the source is written unescaped, as the same.
-func FuzzParseInsert(f *testing.F) {
+// refRun is a run record as encoding/json writes and reads it: the
+// reference the run codec is held to.
+type refRun struct {
+	Source string          `json:"source"`
+	More   bool            `json:"more,omitempty"`
+	Tuples json.RawMessage `json:"tuples"`
+}
+
+// FuzzRunChunk holds the run codec — the one record that carries tuples:
+// a log insert's run of one, a registration's seeds, a snapshot run's
+// chunk — to encoding/json's reading of refRun. AppendRun writes byte for
+// byte what encoding/json writes for the same run — source names with
+// quotes, backslashes, control bytes, <>&, U+2028/2029, non-ASCII and
+// invalid UTF-8; tuples of every kind — and CutRun and Tuples read back
+// what the bytes say: the name as JSON spells it (U+FFFD for each byte
+// that is not UTF-8), the mark and the tuples written. On an arbitrary
+// payload, whatever CutRun cuts and Tuples reads whole, encoding/json
+// reads as the same name, mark and tuple bytes; neither panics. A record
+// of an earlier format is one such payload, and is refused.
+func FuzzRunChunk(f *testing.F) {
 	sch := schema.MustNew("zagat", []schema.Attribute{
 		{Name: "name", Kind: value.KindString}, {Name: "n", Kind: value.KindInt},
-		{Name: "note", Kind: value.KindString}, {Name: "x", Kind: value.KindFloat},
-		{Name: "ok", Kind: value.KindBool},
+		{Name: "x", Kind: value.KindFloat}, {Name: "ok", Kind: value.KindBool},
+		{Name: "note", Kind: value.KindString},
 	})
-	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["wok",3,null,-0.5e3,true]}}`), "zagat", "wok", int64(3))
-	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["w\u00e9\"k\\\n",1,"`+"\xff"+`",2,false]}}`), "z\"a\\g", "\x1f\x00", int64(-1<<63))
-	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"z\u0061","tuple":[]}}`), "caf\xe9", "\xff\xfe<&>", int64(0))
-	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":[ "x" ,1e2, "3" ,1, null ] }}`), "\u2028", "", int64(7))
-	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["a",1,null,2,true]},"x":1}}`), "", "null", int64(1))
-	f.Add([]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["\x41",01,1.,2e,-]}}`), "zagat", "\"", int64(-7))
-	f.Fuzz(func(t *testing.T, payload []byte, source, s string, n int64) {
-		if src, tup, ok := ParseInsert(payload); ok {
-			if fast, err := relation.ParseTupleJSON(sch, tup); err == nil {
-				env, err := DecodeEnvelope(payload)
-				if err != nil || env.Type != TypeInsert || env.Insert.Source != string(src) {
-					t.Fatalf("ParseInsert read %q as (%q, %v); DecodeEnvelope: %+v %v", payload, src, fast, env.Insert, err)
-				}
-				if slow, err := relation.ParseTupleJSON(sch, env.Insert.Tuple); err != nil || !slow.Identical(fast) {
-					t.Fatalf("ParseInsert read %q's tuple as %v, DecodeEnvelope's reads as %v, %v", payload, fast, slow, err)
+	wok := relation.Tuple{value.String("wok"), value.Int(3), value.Float(0.5), value.Bool(true), value.Null}
+	for _, p := range [][]byte{
+		AppendRun(nil, "zagat", false, []relation.Tuple{wok}),           // a log insert
+		AppendRun(nil, "zagat", true, []relation.Tuple{wok, wok}),       // a registration's seeds, continued
+		AppendRun(nil, "zagat", false, nil),                             // a registration without seeds
+		AppendRun(nil, "z\"a\\<&>\u2028", false, []relation.Tuple{wok}), // a snapshot run's last chunk
+		[]byte(`{"source":"zagat","tuples":[["w<ok\"",-9223372036854775808,-0,false,"NaN"]]}`),
+		[]byte(`{"source":"z\u0061","more":true,"tuples":[[ "x" ,1e2,1, true, null ] ]}`),
+		[]byte(`{"source":"","tuples":[["a",1,1,true,null]]}`),
+		[]byte(`{"source": "zagat","tuples":[]}`),
+		[]byte(`{"source":"zagat","tuples":[],"more":true}`),
+		[]byte(`{"source":"zagat","more":false,"tuples":[]}`),
+		[]byte(`{"source":"zagat","tuples":[["a",1,1,true,null]]}{"x":[1]}`),
+		[]byte(`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["wok",3,0.5,true,null]}}`),
+		[]byte(`{"v2":"source","run":0,"chunk":1,"last":true,"name":"zagat","tuples":[["wok",3,0.5,true,null]]}`),
+	} {
+		f.Add(p, "src\x00<&>\u2028\u2029\xff\"", "wok\\", int64(-7), uint8(2), true)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, name, s string, n int64, k uint8, more bool) {
+		var tb relation.TupleBlocks
+		if run, err := CutRun(payload); err == nil {
+			if _, err := run.Tuples(&tb, sch, nil); err == nil {
+				var ref refRun
+				if err := json.Unmarshal(payload, &ref); err != nil || ref.Source != string(run.Source) || ref.More != run.More || !bytes.Equal(ref.Tuples, run.tuples) {
+					t.Fatalf("CutRun read %s as (%q, %v, %s); encoding/json as %+v, %v", payload, run.Source, run.More, run.tuples, ref, err)
 				}
 			}
 		}
-		tuple := relation.Tuple{value.String(s), value.Int(n), value.Null, value.Float(float64(n) / 7), value.Bool(n%2 == 0)}
-		p := AppendInsert(nil, source, tuple)
-		want := string([]rune(source))
-		env, err := DecodeEnvelope(p)
-		if err != nil || env.Insert.Source != want || !bytes.Equal(env.Insert.Tuple, relation.AppendTupleJSON(nil, tuple)) {
-			t.Fatalf("DecodeEnvelope read %q as %+v, %v", p, env.Insert, err)
+
+		// A written run, for any name and tuples: encoding/json's bytes, read
+		// back as written — ts's strings as JSON spells them (spelled), in
+		// read.
+		spelled := func(s string) string { return string([]rune(s)) }
+		ts, read := make([]relation.Tuple, int(k%4)), make([]relation.Tuple, int(k%4))
+		for i := range ts {
+			m := n + int64(i)
+			ts[i] = relation.Tuple{value.String(s + strconv.Itoa(i)), value.Int(m), value.Float(float64(m) / 7), value.Bool(m%2 == 0), value.Null}
+			read[i] = append(relation.Tuple{value.String(spelled(s) + strconv.Itoa(i))}, ts[i][1:]...)
 		}
-		slow, err := relation.ParseTupleJSON(sch, env.Insert.Tuple)
-		if err != nil {
-			t.Fatalf("tuple of %q: %v", p, err)
+		p := AppendRun(nil, name, more, ts)
+		want, err := json.Marshal(refRun{Source: name, More: more, Tuples: relation.AppendTuplesJSON(nil, ts)})
+		if err != nil || !bytes.Equal(p, want) {
+			t.Fatalf("AppendRun wrote %s, encoding/json %s (%v)", p, want, err)
 		}
-		src, tup, ok := ParseInsert(p)
-		if ok {
-			if fast, err := relation.ParseTupleJSON(sch, tup); string(src) != want || err != nil || !fast.Identical(slow) {
-				t.Fatalf("ParseInsert read %q as (%q, %v), %v", p, src, fast, err)
+		run, err := CutRun(p)
+		if (err == nil) != (name != "") || !IsRun(p) {
+			t.Fatalf("CutRun read %s: %v", p, err)
+		}
+		if name == "" {
+			return
+		}
+		got, err := run.Tuples(&tb, sch, nil)
+		if string(run.Source) != spelled(name) || run.More != more || err != nil || len(got) != len(read) {
+			t.Fatalf("CutRun read %s as (%q, %v, %v), %v", p, run.Source, run.More, got, err)
+		}
+		for i := range got {
+			if !got[i].Identical(read[i]) {
+				t.Fatalf("CutRun read %s's tuple %d as %v, want %v", p, i, got[i], read[i])
 			}
-		}
-		if plain := `"` + source + `"`; !ok && string(value.AppendJSONString(nil, source)) == plain {
-			t.Fatalf("ParseInsert refused %q, whose source is written unescaped", p)
 		}
 	})
 }

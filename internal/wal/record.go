@@ -7,93 +7,68 @@
 // corrupted-but-CRC-clean payload still cannot smuggle an ill-formed
 // rule into a recovered hub.
 //
-// A tuple is not a DTO of this package: the records that carry tuples
-// (insert, add_source, source_chunk) hold the tuple codec's bytes
-// (internal/relation/json.go) as raw JSON, which their reader parses
-// against the schema the record's source logged first, and are written
-// with "v":2 (TupleFormat); one of the format before — {"k":…,"v":…} per
-// value, no "v" — is refused by both numbers. ValueRec, that kind-tagged
-// form, remains for the values no schema describes: ILFD conditions and
-// rule constants inside link records.
+// A tuple is not a DTO of this package: the one record that carries
+// tuples is the run record (run.go), written by appends and read by
+// slicing, and encoding/json reads only the envelopes here, which carry
+// none — a link, and a source_begin record, which opens a registration
+// with its source's schema and says, as its "v" (TupleFormat), the format
+// of the runs that follow. A record of an earlier format that carried
+// tuples — insert, add_source, source_chunk — is refused by both numbers.
+// ValueRec, a kind-tagged value, remains for the values no schema
+// describes: ILFD conditions and rule constants inside link records.
 package wal
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"unicode/utf8"
 
 	"entityid/internal/ilfd"
 	"entityid/internal/match"
-	"entityid/internal/relation"
 	"entityid/internal/rules"
 	"entityid/internal/schema"
 	"entityid/internal/value"
 )
 
-// The record types. A jumbo source registration whose seed relation
-// would overflow one frame is logged as a source_begin record followed
-// by source_chunk continuation records; the group commits atomically at
-// the final chunk, and replay discards a group the log abandons
-// mid-way (a crashed or failed AddSource was never acknowledged).
+// The envelope record types. A registration is a source_begin record
+// followed by the run records of its seed tuples; the group commits
+// atomically at the run's last record, and replay discards a group the
+// log abandons mid-way (a crashed or failed AddSource was never
+// acknowledged).
 const (
-	TypeAddSource   = "add_source"
 	TypeLink        = "link"
-	TypeInsert      = "insert"
 	TypeSourceBegin = "source_begin"
-	TypeSourceChunk = "source_chunk"
 )
 
-// TupleFormat is the format of the records that carry tuples, written
-// as the envelope's "v"; every other record is format 1 and carries no
-// "v".
-const TupleFormat = 2
+// TupleFormat is the format of the tuples a log holds: its source_begin
+// records carry it as the envelope's "v"; a link record is format 1 and
+// carries no "v".
+const TupleFormat = 3
 
 // Envelope is the one-of payload wrapper; exactly the body named by
 // Type is set. Encode sets V.
 type Envelope struct {
 	Type        string          `json:"type"`
 	V           int             `json:"v,omitempty"`
-	AddSource   *AddSourceRec   `json:"add_source,omitempty"`
 	Link        *LinkRec        `json:"link,omitempty"`
-	Insert      *InsertRec      `json:"insert,omitempty"`
 	SourceBegin *SourceBeginRec `json:"source_begin,omitempty"`
-	SourceChunk *SourceChunkRec `json:"source_chunk,omitempty"`
 }
 
-// bodies counts the set body pointers and reports whether the one
-// matching Type is among them.
+// bodyOK reports whether exactly the body Type names is set.
 func (e Envelope) bodyOK() bool {
-	set := 0
-	for _, present := range []bool{e.AddSource != nil, e.Link != nil, e.Insert != nil, e.SourceBegin != nil, e.SourceChunk != nil} {
-		if present {
-			set++
-		}
-	}
-	if set != 1 {
-		return false
-	}
 	switch e.Type {
-	case TypeAddSource:
-		return e.AddSource != nil
 	case TypeLink:
-		return e.Link != nil
-	case TypeInsert:
-		return e.Insert != nil
+		return e.Link != nil && e.SourceBegin == nil
 	case TypeSourceBegin:
-		return e.SourceBegin != nil
-	case TypeSourceChunk:
-		return e.SourceChunk != nil
+		return e.SourceBegin != nil && e.Link == nil
 	}
 	return false
 }
 
-// v is the "v" a record of e's type carries: TupleFormat on the three
-// that hold tuples, none — format 1 — on the rest.
+// v is the "v" a record of e's type carries: TupleFormat on source_begin,
+// none — format 1 — on a link.
 func (e Envelope) v() int {
-	switch e.Type {
-	case TypeAddSource, TypeInsert, TypeSourceChunk:
+	if e.Type == TypeSourceBegin {
 		return TupleFormat
 	}
 	return 0
@@ -108,58 +83,6 @@ func (e Envelope) Encode() ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// AppendInsert appends an insert record's payload: byte for byte what
-// Encode marshals for it, by appends alone — it is the one record a
-// commit encodes.
-func AppendInsert(b []byte, source string, t relation.Tuple) []byte {
-	b = append(b, `{"type":"insert","v":2,"insert":{"source":`...)
-	b = value.AppendJSONString(b, source)
-	b = append(b, `,"tuple":`...)
-	b = relation.AppendTupleJSON(b, t)
-	return append(b, "}}"...)
-}
-
-// ParseInsert is AppendInsert's inverse, read by slicing alone: it cuts
-// a payload spelled as AppendInsert spells it into its source — one that
-// needs no escape and is UTF-8, so its bytes are its name — and the bytes
-// between `"tuple":` and the closing "}}", both aliasing the payload.
-// The tuple bytes are not checked here: the caller reads them with
-// relation.ParseTupleJSON, which takes a JSON array of scalars and
-// nothing after it, and only then is the payload the insert
-// DecodeEnvelope reads, with the same source and a tuple that parses the
-// same. Any other payload — an escaped or non-UTF-8 source, any other
-// shape, a tuple that does not parse — is DecodeEnvelope's to read or
-// refuse.
-func ParseInsert(payload []byte) (source, tuple []byte, ok bool) {
-	rest, ok := bytes.CutPrefix(payload, []byte(`{"type":"insert","v":2,"insert":{"source":"`))
-	if !ok {
-		return nil, nil, false
-	}
-	end := bytes.IndexByte(rest, '"')
-	if end < 0 || !plainJSON(rest[:end]) || !utf8.Valid(rest[:end]) {
-		return nil, nil, false
-	}
-	name := rest[:end]
-	if rest, ok = bytes.CutPrefix(rest[end+1:], []byte(`,"tuple":`)); ok {
-		tuple, ok = bytes.CutSuffix(rest, []byte("}}"))
-	}
-	if !ok {
-		return nil, nil, false
-	}
-	return name, tuple, true
-}
-
-// plainJSON reports whether s may stand inside a JSON string as itself:
-// no escape and no control character.
-func plainJSON(s []byte) bool {
-	for _, c := range s {
-		if c < ' ' || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
 // DecodeEnvelope unmarshals a record payload and checks the body.
 func DecodeEnvelope(payload []byte) (Envelope, error) {
 	var e Envelope
@@ -167,61 +90,39 @@ func DecodeEnvelope(payload []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("wal: decode envelope: %w", err)
 	}
 	switch e.Type {
-	case TypeAddSource, TypeLink, TypeInsert, TypeSourceBegin, TypeSourceChunk:
+	case TypeLink, TypeSourceBegin:
 		if !e.bodyOK() {
 			return Envelope{}, fmt.Errorf("wal: %s record without matching body", e.Type)
 		}
 		if e.V != e.v() {
 			return Envelope{}, fmt.Errorf("wal: %s record of format %d, this build reads %d", e.Type, max(e.V, 1), max(e.v(), 1))
 		}
+	case "insert", "add_source", "source_chunk":
+		// The records the formats before the run record carried tuples in.
+		return Envelope{}, fmt.Errorf("wal: %s record of format %d, this build reads %d", e.Type, max(e.V, 1), TupleFormat)
 	default:
 		return Envelope{}, fmt.Errorf("wal: unknown record type %q", e.Type)
 	}
 	return e, nil
 }
 
-// AddSourceRec registers a source: its schema and the seed tuples it
-// was registered with (relation.AppendTuplesJSON's array).
-type AddSourceRec struct {
-	Name   string          `json:"name"`
-	Schema SchemaRec       `json:"schema"`
-	Tuples json.RawMessage `json:"tuples"`
-}
-
-// SourceBeginRec opens a chunked source registration: the schema comes
-// first, the seed tuples follow in source_chunk records, and nothing
-// commits until the final chunk arrives.
+// SourceBeginRec opens a source registration: the schema comes first,
+// the seed tuples follow in run records, and nothing commits until the
+// run's last record arrives.
 type SourceBeginRec struct {
 	Name   string    `json:"name"`
 	Schema SchemaRec `json:"schema"`
 }
 
-// SourceChunkRec is one continuation batch of a chunked source
-// registration. Final marks the commit point of the group.
-type SourceChunkRec struct {
-	Name   string          `json:"name"`
-	Tuples json.RawMessage `json:"tuples"`
-	Final  bool            `json:"final,omitempty"`
-}
-
 // LinkRec is a pair link: the full per-pair identification knowledge.
 type LinkRec struct {
-	Left         string       `json:"left"`
-	Right        string       `json:"right"`
-	Attrs        []AttrMapRec `json:"attrs"`
-	ExtKey       []string     `json:"extkey,omitempty"`
-	ILFDs        []ILFDRec    `json:"ilfds,omitempty"`
-	Identity     []RuleRec    `json:"identity,omitempty"`
-	Distinct     []RuleRec    `json:"distinct,omitempty"`
-	DeriveMode   int          `json:"derive_mode,omitempty"`
-	DisableProp1 bool         `json:"disable_prop1,omitempty"`
-}
-
-// InsertRec is one committed tuple insert (relation.AppendTupleJSON's
-// array).
-type InsertRec struct {
-	Source string          `json:"source"`
-	Tuple  json.RawMessage `json:"tuple"`
+	Left     string       `json:"left"`
+	Right    string       `json:"right"`
+	Attrs    []AttrMapRec `json:"attrs"`
+	ExtKey   []string     `json:"extkey,omitempty"`
+	ILFDs    []ILFDRec    `json:"ilfds,omitempty"`
+	Identity []RuleRec    `json:"identity,omitempty"`
+	Distinct []RuleRec    `json:"distinct,omitempty"`
 }
 
 // ValueRec encodes a typed value where no schema says its kind (an ILFD

@@ -145,9 +145,9 @@ func TestRuleRoundTrip(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	tup := relation.Tuple{value.String("wok <&> \u2028"), value.Null, value.Float(-0.5), value.Int(-1 << 63)}
-	env := Envelope{Type: TypeInsert, V: TupleFormat, Insert: &InsertRec{
-		Source: "zagat \"1\"",
-		Tuple:  relation.AppendTupleJSON(nil, tup),
+	env := Envelope{Type: TypeSourceBegin, V: TupleFormat, SourceBegin: &SourceBeginRec{
+		Name:   "zagat \"1\"",
+		Schema: SchemaRec{Name: "zagat", Attrs: []AttrRec{{Name: "name", Kind: "string"}}, Keys: [][]string{{"name"}}},
 	}}
 	payload, err := env.Encode()
 	if err != nil {
@@ -160,29 +160,35 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, env) {
 		t.Fatalf("envelope round trip: %+v", got)
 	}
-	// The commit path's appends are that record, byte for byte.
-	if direct := AppendInsert(nil, env.Insert.Source, tup); string(direct) != string(payload) {
-		t.Fatalf("AppendInsert wrote %s\nEncode marshals  %s", direct, payload)
+	// A run record is not an envelope: it is read by its own reader, and
+	// the envelope decoder takes it for a record of no type.
+	run := AppendRun(nil, env.SourceBegin.Name, false, []relation.Tuple{tup})
+	if !IsRun(run) || IsRun(payload) {
+		t.Fatalf("IsRun(%s) = %v, IsRun(%s) = %v", run, IsRun(run), payload, IsRun(payload))
 	}
-	// A record of the format before TupleFormat — a {"k","v"} object per
-	// value and no "v" on the envelope — is refused by both numbers, as is
-	// any "v" this build does not write for the type.
-	for _, old := range []string{
-		`{"type":"insert","insert":{"source":"zagat","tuple":[{"k":"string","v":"wok"},{"k":"null"}]}}`,
-		`{"type":"add_source","add_source":{"name":"s","schema":{"name":"s","attrs":[{"name":"a","kind":"string"}],"keys":[["a"]]}}}`,
-		`{"type":"source_chunk","source_chunk":{"name":"s","tuples":[[{"k":"string","v":"v"}]],"final":true}}`,
+	if _, err := DecodeEnvelope(run); err == nil || !strings.Contains(err.Error(), `unknown record type ""`) {
+		t.Fatalf("envelope decoder read a run: %v", err)
+	}
+	// A record of a format before TupleFormat — the records that carried
+	// tuples until the run record, "v":2 with a bare array per tuple, or
+	// format 1's {"k","v"} object per value and no "v" — is refused by
+	// both numbers, as is any "v" this build does not write for the type.
+	for old, want := range map[string]string{
+		`{"type":"insert","insert":{"source":"zagat","tuple":[{"k":"string","v":"wok"},{"k":"null"}]}}`:                               "insert record of format 1, this build reads 3",
+		`{"type":"add_source","add_source":{"name":"s","schema":{"name":"s","attrs":[{"name":"a","kind":"string"}],"keys":[["a"]]}}}`: "add_source record of format 1, this build reads 3",
+		`{"type":"source_chunk","source_chunk":{"name":"s","tuples":[[{"k":"string","v":"v"}]],"final":true}}`:                        "source_chunk record of format 1, this build reads 3",
+		`{"type":"insert","v":2,"insert":{"source":"zagat","tuple":["wok",null]}}`:                                                    "insert record of format 2, this build reads 3",
+		`{"type":"add_source","v":2,"add_source":{"name":"s","schema":{"name":"s"},"tuples":[]}}`:                                     "add_source record of format 2, this build reads 3",
+		`{"type":"source_chunk","v":2,"source_chunk":{"name":"s","tuples":[],"final":true}}`:                                          "source_chunk record of format 2, this build reads 3",
+		`{"type":"source_begin","source_begin":{"name":"s","schema":{"name":"s"}}}`:                                                   "source_begin record of format 1, this build reads 3",
+		`{"type":"source_begin","v":2,"source_begin":{"name":"s","schema":{"name":"s"}}}`:                                             "source_begin record of format 2, this build reads 3",
+		`{"type":"link","v":3,"link":{"left":"a","right":"b"}}`:                                                                       "link record of format 3, this build reads 1",
 	} {
-		if _, err := DecodeEnvelope([]byte(old)); err == nil || !strings.Contains(err.Error(), "record of format 1, this build reads 2") {
-			t.Fatalf("%s: want a refusal naming formats 1 and 2, got %v", old, err)
+		if _, err := DecodeEnvelope([]byte(old)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: want a refusal saying %q, got %v", old, want, err)
 		}
 	}
-	if _, err := DecodeEnvelope([]byte(`{"type":"insert","v":3,"insert":{"source":"zagat","tuple":[]}}`)); err == nil || !strings.Contains(err.Error(), "record of format 3, this build reads 2") {
-		t.Fatalf("format 3 insert: %v", err)
-	}
-	if _, err := DecodeEnvelope([]byte(`{"type":"source_begin","v":2,"source_begin":{"name":"s","schema":{"name":"s"}}}`)); err == nil || !strings.Contains(err.Error(), "record of format 2, this build reads 1") {
-		t.Fatalf("format 2 source_begin: %v", err)
-	}
-	if _, err := (Envelope{Type: TypeLink, Insert: env.Insert}).Encode(); err == nil {
+	if _, err := (Envelope{Type: TypeLink, SourceBegin: env.SourceBegin}).Encode(); err == nil {
 		t.Fatal("mismatched envelope accepted")
 	}
 	if _, err := DecodeEnvelope([]byte(`{"type":"link"}`)); err == nil {

@@ -1,8 +1,9 @@
 // Section/continuation framing: the primitives behind jumbo logical
 // records that do not fit one CRC frame. A *section* is an ordered run
-// of frames whose sequence numbers restart at 1 — the hub's chunked
-// snapshot stores one section per run of a source's tuples, each in its
-// own file, and reads them back independently and in parallel.
+// of frames numbered consecutively from a first sequence number of its
+// own — the hub's chunked snapshot stores one section per run of a
+// source's tuples, each in its own file, numbered from where the run
+// starts, and reads them back independently and in parallel.
 //
 // SectionWriter frames chunk payloads with section-local sequence
 // numbers and maintains a running SHA-256 over the emitted frame bytes,
@@ -15,9 +16,8 @@
 // whole — a run file read in one call — or of a stream read a window at a
 // time, as the log's recovery reads a segment. It decodes consecutive
 // frames by the one frame grammar (parseFrame) without enforcing
-// cross-frame sequence contiguity (sections restart at 1; the caller
-// checks section-local ordering against the chunk counters embedded in
-// its payloads) and hands back the raw frame bytes so the caller can
+// cross-frame sequence contiguity (each section numbers its own; the
+// caller checks them against where its section starts) and hands back the raw frame bytes so the caller can
 // re-hash exactly what is on disk.
 package wal
 
@@ -113,24 +113,26 @@ func (c *FrameCutter) fill() error {
 }
 
 // SectionWriter frames chunk payloads as one section: frames numbered
-// 1..n, written through to w, with a running SHA-256 and byte count
-// over the emitted frame bytes.
+// first, first+1, …, written through to w, with a running SHA-256 and
+// byte count over the emitted frame bytes.
 type SectionWriter struct {
 	w      io.Writer
 	sum    hash.Hash
+	first  uint64
 	chunks int
 	bytes  int64
 }
 
-// NewSectionWriter starts a section on w.
-func NewSectionWriter(w io.Writer) *SectionWriter {
-	return &SectionWriter{w: w, sum: sha256.New()}
+// NewSectionWriter starts a section on w whose first frame is numbered
+// first.
+func NewSectionWriter(w io.Writer, first uint64) *SectionWriter {
+	return &SectionWriter{w: w, sum: sha256.New(), first: first}
 }
 
-// WriteChunk frames the payload under the section's next chunk ordinal
-// and writes it through.
+// WriteChunk frames the payload under the section's next number and
+// writes it through.
 func (sw *SectionWriter) WriteChunk(payload []byte) error {
-	frame, err := EncodeRecord(uint64(sw.chunks+1), payload)
+	frame, err := EncodeRecord(sw.first+uint64(sw.chunks), payload)
 	if err != nil {
 		return err
 	}

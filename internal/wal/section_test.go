@@ -4,20 +4,21 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // TestSectionWriterRoundTrip frames chunks through a SectionWriter and
 // reads them back with a FrameCutter over the stream, a few bytes at a
-// time: sequence numbers restart at 1, raw bytes hash to the writer's
-// content address, and the reader hands back exactly the bytes written.
+// time: sequence numbers count up from the section's first, raw bytes
+// hash to the writer's content address, and the reader hands back
+// exactly the bytes written.
 func TestSectionWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sw := NewSectionWriter(&buf)
+	sw := NewSectionWriter(&buf, 5)
 	payloads := [][]byte{[]byte(`{"a":1}`), []byte(`{"b":2}`), []byte(`{}`)}
 	for _, p := range payloads {
 		if err := sw.WriteChunk(p); err != nil {
@@ -48,7 +49,7 @@ func TestSectionWriterRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Seq != uint64(i+1) {
+		if rec.Seq != uint64(i+5) {
 			t.Fatalf("frame %d has seq %d", i, rec.Seq)
 		}
 		if !bytes.Equal(rec.Payload, payloads[i]) {
@@ -66,7 +67,7 @@ func TestSectionWriterRoundTrip(t *testing.T) {
 func TestFrameCutterToleratesSeqRestarts(t *testing.T) {
 	var buf bytes.Buffer
 	for range 2 {
-		sw := NewSectionWriter(&buf)
+		sw := NewSectionWriter(&buf, 1)
 		if err := sw.WriteChunk([]byte(`{"x":1}`)); err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestFrameCutterToleratesSeqRestarts(t *testing.T) {
 // CorruptError with everything before it intact.
 func TestFrameCutterStopsAtCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	sw := NewSectionWriter(&buf)
+	sw := NewSectionWriter(&buf, 1)
 	sw.WriteChunk([]byte(`{"ok":true}`))
 	good := buf.Len()
 	buf.WriteString("w1 2 00000000 4 ruin\n")
@@ -191,19 +192,16 @@ func TestSyncedTracksFsyncBoundary(t *testing.T) {
 	}
 }
 
-// TestChunkedSourceEnvelopes round-trips the source_begin/source_chunk
-// record types and pins the one-body-per-envelope validation.
+// TestChunkedSourceEnvelopes round-trips the source_begin record that
+// opens a registration, which carries the tuple format, and pins the
+// one-body-per-envelope validation.
 func TestChunkedSourceEnvelopes(t *testing.T) {
 	begin := Envelope{Type: TypeSourceBegin, SourceBegin: &SourceBeginRec{
 		Name:   "s",
 		Schema: SchemaRec{Name: "s", Attrs: []AttrRec{{Name: "a", Kind: "string"}}, Keys: [][]string{{"a"}}},
 	}}
-	chunk := Envelope{Type: TypeSourceChunk, SourceChunk: &SourceChunkRec{
-		Name:   "s",
-		Tuples: json.RawMessage(`[["v"]]`),
-		Final:  true,
-	}}
-	for _, env := range []Envelope{begin, chunk} {
+	link := Envelope{Type: TypeLink, Link: &LinkRec{Left: "s", Right: "r", Attrs: []AttrMapRec{{Name: "a", R: "a", S: "a"}}}}
+	for _, env := range []Envelope{begin, link} {
 		payload, err := env.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -212,19 +210,19 @@ func TestChunkedSourceEnvelopes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Type != env.Type {
-			t.Fatalf("type %q round-tripped as %q", env.Type, got.Type)
+		if env.V = env.v(); !reflect.DeepEqual(got, env) {
+			t.Fatalf("%s round-tripped as %+v", payload, got)
 		}
 	}
 	// Mismatched body fails both ways.
-	bad := Envelope{Type: TypeSourceBegin, SourceChunk: chunk.SourceChunk}
+	bad := Envelope{Type: TypeSourceBegin, Link: link.Link}
 	if _, err := bad.Encode(); err == nil {
 		t.Fatal("encode accepted a mismatched body")
 	}
-	if _, err := DecodeEnvelope([]byte(`{"type":"source_begin"}`)); err == nil {
+	if _, err := DecodeEnvelope([]byte(`{"type":"source_begin","v":3}`)); err == nil {
 		t.Fatal("decode accepted a bodyless record")
 	}
-	if _, err := DecodeEnvelope([]byte(`{"type":"insert","v":2,"insert":{"source":"s","tuple":[]},"link":{"left":"a","right":"b"}}`)); err == nil {
+	if _, err := DecodeEnvelope([]byte(`{"type":"link","link":{"left":"a","right":"b"},"source_begin":{"name":"s"}}`)); err == nil {
 		t.Fatal("decode accepted two bodies")
 	}
 }

@@ -67,9 +67,9 @@ const (
 
 // maxPayload bounds a single record; a declared length beyond it is
 // treated as corruption rather than an allocation request. Jumbo
-// logical payloads — an AddSource seed relation, a hub snapshot — are
-// split across continuation frames (see the source_begin/source_chunk
-// record types and the hub's chunked snapshot sections) so no single
+// logical payloads — an AddSource seed relation, a hub snapshot run — are
+// split across continuation frames (a run record marked "more", run.go)
+// so no single
 // frame ever needs to approach the cap. It is a variable only so tests
 // can lower it (SetFrameCapForTesting) and exercise the multi-chunk
 // paths without generating hundreds of megabytes.
