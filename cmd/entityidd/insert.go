@@ -1,8 +1,8 @@
 // POST /v1/insert, the NDJSON ingest path. A line is
-// {"source":…,"tuple":[…]}: encoding/json reads the envelope, and the
-// tuple — a JSON array of scalars, the bytes an ack serves back and the
-// log keeps — is read by the one tuple codec against the source's schema
-// (decodeLine).
+// {"source":…,"tuple":[…]}: readEnvelope reads the envelope as
+// encoding/json would (envelope.go), and the tuple — a JSON array of
+// scalars, the bytes an ack serves back and the log keeps — is read by
+// the one tuple codec against the source's schema (decodeLine).
 //
 // /v1/insert streams both ways: request lines decode as they arrive
 // off the wire into a hub ingest stream of the request's own (two
@@ -48,13 +48,6 @@ import (
 	"entityid/internal/value"
 )
 
-// insertLine is one NDJSON ingest item, its tuple kept as the bytes it
-// arrived in for the tuple codec.
-type insertLine struct {
-	Source string          `json:"source"`
-	Tuple  json.RawMessage `json:"tuple"`
-}
-
 // decodeLine parses one trimmed, non-blank body line into a hub insert,
 // its tuple cut from blocks the request owns — the hub files a copy of
 // it, and blocks are only ever appended to, so reusing them across lines
@@ -65,8 +58,8 @@ type insertLine struct {
 // them for every other kind and every CSV field; storage holds those two
 // strings as themselves.
 func (s *server) decodeLine(line []byte, blocks *relation.TupleBlocks) (ins entityid.HubInsert, terminal bool, err error) {
-	var il insertLine
-	if err := json.Unmarshal(line, &il); err != nil {
+	il, err := readEnvelope(line)
+	if err != nil {
 		return ins, true, err
 	}
 	sch, err := s.hub.SourceSchema(il.Source)

@@ -431,7 +431,7 @@ func (f *Federation) insert(left bool, t Tuple) ([]Pair, error) {
 	if err := rel.InsertAdmitted(a); err != nil {
 		return nil, err
 	}
-	if err := f.res.Append(left, &f.x, pairs); err != nil {
+	if err := f.res.Append(left, &f.x, pairs, 0); err != nil {
 		return nil, err
 	}
 	return slices.Clone(pairs), nil // pairs is f.sc's, until the next insert

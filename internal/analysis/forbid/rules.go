@@ -23,7 +23,7 @@ var Rules = []Rule{{
 	PR:     31,
 }, {
 	Scope:  Scope{Pkgs: []string{"entityid/internal/hub"}, Files: []string{"persist.go", "snapload.go"}},
-	Shape:  Shape{Calls: []string{"(*entityid/internal/hub.Hub).Insert", "(*entityid/internal/hub.Hub).Link", "(*entityid/internal/hub.Hub).insertTraced"}},
+	Shape:  Shape{Calls: []string{"(*entityid/internal/hub.Hub).Insert", "(*entityid/internal/hub.Hub).Link", "(*entityid/internal/hub.Hub).commitTraced"}},
 	Reason: "recovery reads the log into the relations and builds each pair once: it does not replay through the commit path",
 	PR:     33,
 }, {

@@ -20,8 +20,8 @@ type pending struct{}
 // Pairs is not the pair tier's.
 func (pending) Pairs() []match.Pair { return nil }
 
-func (h *Hub) Insert(t int) error                     { return h.insertTraced(t) }
-func (h *Hub) insertTraced(t int) error               { return nil }
+func (h *Hub) Insert(t int) error                     { return h.commitTraced(t) }
+func (h *Hub) commitTraced(t int) error               { return nil }
 func (h *Hub) Link(spec int) error                    { return nil }
 func (h *Hub) AddSource(name string, rel []int) error { return nil }
 

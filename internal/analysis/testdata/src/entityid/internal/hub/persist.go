@@ -6,5 +6,5 @@ func (h *Hub) replay(ts []int) error {
 			return err
 		}
 	}
-	return h.insertTraced(0) // want `call to \(\*entityid/internal/hub\.Hub\)\.insertTraced: recovery`
+	return h.commitTraced(0) // want `call to \(\*entityid/internal/hub\.Hub\)\.commitTraced: recovery`
 }

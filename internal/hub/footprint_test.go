@@ -9,11 +9,13 @@ import (
 
 // residentCeiling is the live heap a committed tuple may cost a
 // memory-store hub of four fully linked sources, in bytes, the hub's
-// alone. On this workload: 373 with the hub's own copy of each tuple —
+// alone. On this workload: 377 with the hub's own copy of each tuple —
 // its cells in the relation's value blocks, its strings (49 B of it) in
 // the relation's string blocks — and one image — derived cells and probe
 // index — per source and knowledge, which the source's three links
-// share; 391 while each value block left its size class's slack unused;
+// share, beside a commit run's working memory (a window of slots reused
+// from run to run: fixed, 4 B a tuple at this size); 373 before that
+// memory; 391 while each value block left its size class's slack unused;
 // 357 while the hub cloned each tuple's cells and kept the caller's
 // strings, which this workload's tuples share. Read with the caller's
 // copies live too, the figures were 322 for that hub; 436 with an image

@@ -94,12 +94,14 @@ type sourceState struct {
 	pairs []*pairState
 	// images are the source's images (match.Image), one per knowledge its
 	// links give it: a pair whose side agrees with another pair's on what
-	// fills it reads the image that pair reads. ext[k] is the arriving
-	// tuple as images[k] extends it, once per insert for every pair over
-	// the image.
+	// fills it reads the image that pair reads.
 	//entitylint:published
 	images []*match.Image
-	ext    []match.Extended
+	// runKeys and runN are the open commit run's accepted tuples of the
+	// source (commit.go): their candidate-key hashes and their count.
+	// Empty between runs; the commit lock guards them.
+	runKeys []uint64
+	runN    int
 	// attrOf maps integrated attribute names (from the pair specs) to
 	// this source's attribute names, for the merged cross-source view.
 	attrOf map[string]string
@@ -130,15 +132,6 @@ func (s *sourceState) publishView() {
 	s.view.Store(&tupleView{tuples: s.rel.Tuples()})
 }
 
-// extOf returns the arriving tuple as extended by the image pair p reads
-// of the source, its left side or its right.
-func (s *sourceState) extOf(p *pairState, left bool) *match.Extended {
-	if left {
-		return &s.ext[p.img[0]]
-	}
-	return &s.ext[p.img[1]]
-}
-
 // topoView is the read-path snapshot of the source topology, published
 // atomically by AddSource so point reads resolve source names without
 // touching the topology lock.
@@ -161,6 +154,11 @@ type pairState struct {
 	sc   match.Scratch
 	img  [2]int
 	spec PairSpec
+	// runPrints[n] and runN[n] are the open commit run's accepted tuples
+	// on side n (0 left): their probe footprints (match.Result.Footprint)
+	// and their count. Empty between runs; the commit lock guards them.
+	runPrints [2][]uint64
+	runN      [2]int
 }
 
 // Hub is the multi-source federation coordinator.
@@ -186,6 +184,9 @@ type Hub struct {
 	// per-source views and the store's Read path.
 	//entitylint:lock rank=50
 	commitMu sync.Mutex
+	// run is the commit run's working memory (commit.go), reused from
+	// run to run under the commit lock.
+	run runState
 	// backend is the storage layer (internal/store); clusters is its
 	// cluster-record store, cached because every commit and point read
 	// touches it.
@@ -453,7 +454,7 @@ func (h *Hub) setResult(p *pairState, res *match.Result) {
 		k := slices.Index(s.images, im)
 		if k < 0 {
 			k = len(s.images)
-			s.images, s.ext = append(s.images, im), append(s.ext, match.Extended{})
+			s.images = append(s.images, im)
 		}
 		p.img[n] = k
 	}

@@ -35,6 +35,8 @@ var (
 
 	mBatchSize = obs.Default.SizeHistogram("hub_ingest_batch_size",
 		"IngestBatch sizes")
+	mCommitRun = obs.Default.SizeHistogram("hub_commit_run_tuples",
+		"Tuples committed by one commit run: a stream commits what it has queued as one run, an Insert is a run of one")
 
 	depthCommit = obs.Default.GaugeVec("hub_pipeline_stage_depth",
 		"Items queued for the commit goroutines of all ingest streams", "stage").With("commit")

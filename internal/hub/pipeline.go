@@ -6,20 +6,24 @@
 // and streams share nothing but the commit lock. Encode-ahead reads the
 // caller's channel, honours the stream context and — on durable hubs —
 // encodes the tuple's write-ahead-log payload, so the encoding of tuple
-// N+1 overlaps the commit of tuple N. Commit runs the Insert commit path
-// (health, source lookup, blocking, per-pair matching, WAL append, apply
-// and cluster fold, under the same commit lock as a direct Insert), so
-// per-item semantics — WAL write-ahead, §3.2 uniqueness, all-or-nothing
-// per insert — are Insert's, decided in one place. It is one goroutine
-// because a pair's identification is only valid while the commit lock is
-// held: what identified a match must append it.
+// N+1 overlaps the commit of tuple N. Commit takes every job queued
+// behind it, up to Window, and runs the Insert commit path over them as
+// one run (commit.go: health, source lookup, blocking, per-pair
+// matching, one WAL write, apply and cluster fold, under the same commit
+// lock as a direct Insert, which is a run of one); a run ends before the
+// first job an earlier one of it could change the answer for, and that
+// job opens the next. So per-item semantics — WAL write-ahead, §3.2
+// uniqueness, all-or-nothing per insert — are Insert's, decided in one
+// place. It is one goroutine because a pair's identification is only
+// valid while the commit lock is held: what identified a match must
+// append it.
 //
 // Backpressure: both channels are bounded, so a consumer that stops
 // reading stalls its own stream — commit blocks on out, encode-ahead on
 // jobs, then the caller's producer (the HTTP decoder, then the client's
-// TCP window) — with at most Window results buffered, one held by the
-// commit goroutine and Window+1 encoded items behind it. No other
-// stream notices: there is no shared queue to fill.
+// TCP window) — with at most Window results buffered, at most a run's
+// Window held by the commit goroutine and Window+1 encoded items behind
+// it. No other stream notices: there is no shared queue to fill.
 //
 // Ordering and durability: one commit goroutine over a FIFO channel
 // commits in submission order, so the committed set after a crash or a
@@ -94,7 +98,7 @@ func (h *Hub) IngestStream(ctx context.Context, in <-chan Insert, opts StreamOpt
 	out := make(chan StreamResult, window)
 	mPipeStreams.Inc()
 	go h.encodeAhead(ctx, in, jobs)
-	go h.commitStream(ctx, jobs, out)
+	go h.commitStream(ctx, jobs, out, window)
 	return out
 }
 
@@ -147,50 +151,76 @@ func (h *Hub) FlushEpoch() {
 	h.per.syncPending()
 }
 
-// commitStream is a stream's serialized tail: each job takes the full
-// Insert commit path and its result goes to out. Once ctx has fired the
-// remaining jobs are drained uncommitted and nothing more is delivered
-// (the commits behind already-delivered results stand). Flush epochs
-// close whenever jobs is momentarily empty and before out closes —
-// closing the last one *before* close(out) is what lets the consumer
-// read "result channel closed" as "my acknowledged appends are synced".
-func (h *Hub) commitStream(ctx context.Context, jobs <-chan streamJob, out chan<- StreamResult) {
+// commitStream is a stream's serialized tail: it commits what is queued
+// behind it, up to window jobs, as one run (commitTraced), carries
+// the jobs the run left over into the next, and sends each result to
+// out in order. Once ctx has fired the remaining jobs are drained
+// uncommitted and nothing more is delivered (the commits behind
+// already-delivered results stand). Flush epochs close whenever nothing
+// is queued and before out closes — closing the last one *before*
+// close(out) is what lets the consumer read "result channel closed" as
+// "my acknowledged appends are synced".
+func (h *Hub) commitStream(ctx context.Context, jobs <-chan streamJob, out chan<- StreamResult, window int) {
 	// appended: an insert of this stream reached the log since the last
 	// flush epoch, so the epoch has something to force to stable storage.
 	appended := false
-	for seq := 0; ; seq++ {
-		var j streamJob
-		ok, waited := false, false
-		select {
-		case j, ok = <-jobs:
-		default:
-			waited = true
+	// A run is at most a window: its results wait to be sent with the
+	// window's, so a consumer that reads nothing still stalls the stream
+	// at 2×window commits.
+	run := make([]streamJob, 0, window)
+	results := make([]InsertResult, window)
+	for seq, open := 0, true; ; {
+		// Take what is queued, up to a run's worth, without waiting.
+	take:
+		for open && len(run) < cap(run) {
+			select {
+			case j, ok := <-jobs:
+				if open = ok; ok {
+					depthCommit.Add(-1)
+					run = append(run, j)
+				}
+			default:
+				break take
+			}
 		}
-		// The burst is over (nothing queued) or the stream is (jobs
-		// closed): close the flush epoch before blocking or ending.
-		if appended && (waited || !ok) {
-			appended = false
-			h.FlushEpoch()
-		}
-		if waited {
-			j, ok = <-jobs
-		}
-		if !ok {
-			close(out)
-			return
-		}
-		depthCommit.Add(-1)
-		if ctx.Err() != nil {
+		if len(run) == 0 {
+			// The burst is over (nothing queued) or the stream is (jobs
+			// closed): close the flush epoch before blocking or ending.
+			if appended {
+				appended = false
+				h.FlushEpoch()
+			}
+			if !open {
+				close(out)
+				return
+			}
+			if j, ok := <-jobs; ok {
+				depthCommit.Add(-1)
+				run = append(run, j)
+			} else {
+				open = false
+			}
 			continue
 		}
-		res := StreamResult{Seq: seq}
-		res.Receipt, res.Err = h.insertTraced(j.Source, j.Tuple, j.payload)
-		if res.Err == nil && h.per != nil {
-			appended = true
+		if ctx.Err() != nil {
+			seq += len(run)
+			run = run[:0]
+			continue
 		}
-		select {
-		case out <- res:
-		case <-ctx.Done():
+		n := h.commitTraced(run, results)
+	deliver:
+		for i, res := range results[:n] {
+			if res.Err == nil && h.per != nil {
+				appended = true
+			}
+			select {
+			case out <- StreamResult{Seq: seq + i, Receipt: res.Receipt, Err: res.Err}:
+			case <-ctx.Done():
+				break deliver // nothing past the cancellation is delivered
+			}
 		}
+		seq += n
+		clear(results[:n])
+		run = append(run[:0], run[n:]...)
 	}
 }

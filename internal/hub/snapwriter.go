@@ -113,18 +113,18 @@ func (h *Hub) LastSnapshot() SnapshotStats {
 	return s.stats
 }
 
-// noteCommit is called by Insert at its commit point, with the commit
-// lock held. When the snapshot interval elapses it takes the
-// O(sources+pairs) cut and the watermark — the only work done under
-// the lock — and hands everything slow (log rotation with its fsync,
-// encoding, writing, truncation) to a background
-// goroutine, so ingest never waits on snapshot I/O. Because rotation
-// happens off-lock, the segment boundary may land past the watermark;
+// noteCommits is called by a commit run at its commit point, with the
+// commit lock held, for the n tuples it committed. When the snapshot
+// interval elapses it takes the O(sources+pairs) cut and the watermark —
+// the only work done under the lock — and hands everything slow (log
+// rotation with its fsync, encoding, writing, truncation) to a
+// background goroutine, so ingest never waits on snapshot I/O. Because
+// rotation happens off-lock, the segment boundary may land past the watermark;
 // that only means the boundary segment survives until a later snapshot
 // covers it — RemoveThrough removes exactly the segments wholly ≤
 // watermark.
-func (s *snapshotter) noteCommit() {
-	if s.every <= 0 || s.sinceSnap.Add(1) < int64(s.every) {
+func (s *snapshotter) noteCommits(n int) {
+	if s.every <= 0 || s.sinceSnap.Add(int64(n)) < int64(s.every) {
 		return
 	}
 	if !s.snapMu.TryLock() {

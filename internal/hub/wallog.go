@@ -48,25 +48,34 @@ func (p *walLogger) append(env wal.Envelope) error {
 //
 //entitylint:walappend
 func (p *walLogger) appendPayload(payload []byte) error {
-	if _, err := p.log.Append(payload); err != nil {
+	return p.appendPayloads([][]byte{payload})
+}
+
+// appendPayloads appends already-encoded records with one write, all or
+// none (wal.Log.AppendAll) — a commit run's.
+//
+//entitylint:walappend
+func (p *walLogger) appendPayloads(payloads [][]byte) error {
+	if _, err := p.log.AppendAll(payloads...); err != nil {
 		return err
 	}
-	p.maybeSync()
+	p.maybeSync(len(payloads))
 	return nil
 }
 
-// maybeSync applies the opt-in group-commit policy: after every
-// SyncEvery appends, force the log to stable storage. The record is
-// already committed when the sync runs, so a sync failure is surfaced
-// as a background error (like a failed snapshot) rather than un-doing
-// an acknowledged commit — but the pending count is only consumed on
-// success, so the very next append retries the fsync and the
-// power-loss exposure stays bounded at N instead of silently widening.
-func (p *walLogger) maybeSync() {
+// maybeSync applies the opt-in group-commit policy to n appended
+// records: after every SyncEvery appends, force the log to stable
+// storage. The records are already committed when the sync runs, so a
+// sync failure is surfaced as a background error (like a failed
+// snapshot) rather than un-doing an acknowledged commit — but the
+// pending count is only consumed on success, so the very next append
+// retries the fsync and the power-loss exposure stays bounded at N
+// instead of silently widening.
+func (p *walLogger) maybeSync(n int) {
 	if p.syncEvery <= 0 {
 		return
 	}
-	if p.unsynced.Add(1) < int64(p.syncEvery) {
+	if p.unsynced.Add(int64(n)) < int64(p.syncEvery) {
 		return
 	}
 	p.syncPending()

@@ -124,7 +124,7 @@ func BenchmarkIdentifyAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		if err := p.res.Append(true, &p.x, pairs); err != nil {
+		if err := p.res.Append(true, &p.x, pairs, 0); err != nil {
 			b.Fatal(err)
 		}
 		commit += time.Since(t1)

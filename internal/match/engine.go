@@ -343,6 +343,38 @@ func (res *Result) probe(left bool, x *Extended, sc *Scratch) []int {
 	return partners
 }
 
+// Footprint appends to dst the hashes an extended tuple (left: an R′
+// tuple) is probed on against the opposite side — its projection onto
+// the extended key and onto each blocked identity rule's equality
+// attributes, wherever it can join, each tagged with its index pair —
+// and reports whether an identity rule scans the opposite side whole.
+// Two arrivals on opposite sides can pair each other only if their
+// footprints share a hash or a rule scans: a caller that identifies
+// several arrivals against the pairing as it stands (a run) holds apart
+// any two that could.
+func (res *Result) Footprint(dst []uint64, left bool, x *Extended) (_ []uint64, scans bool) {
+	px := &res.px
+	own, _ := sides(left)
+	tag := func(slot int, ix *imageIndex) {
+		if k := x.key(ix); k.joins {
+			dst = append(dst, k.h+uint64(slot)*0x9e3779b97f4a7c15)
+		}
+	}
+	if ix := px.byKey[own]; ix != nil {
+		tag(0, ix)
+	}
+	for n := range px.rules {
+		pr := &px.rules[n]
+		switch {
+		case pr.scan:
+			scans = true
+		case pr.blocks[own] != nil:
+			tag(n+1, pr.blocks[own])
+		}
+	}
+	return dst, scans
+}
+
 // admit adds candidate position j to partners if it is not there and the
 // rule pairs the arriving tuple, laid out in sc.ext, with the opposite
 // side's tuple j, read into sc.
@@ -385,16 +417,18 @@ func (res *Result) opposite(left bool, j int, sc *Scratch) relation.Tuple {
 }
 
 // Append adds an arriving tuple to its side once the side's relation
-// holds it: the image adopts it, unless another pairing over the image
-// did (Image.adopt, which refuses — with everything as it was — an
-// extension the image has outgrown and a relation not exactly one tuple
+// holds it — and, in a run, behind it the later tuples of the run the
+// relation took first (behind counts them; one tuple alone passes 0):
+// the image adopts it, unless another pairing over the image did
+// (Image.adopt, which refuses — with everything as it was — an extension
+// not at the image's next row and a relation not exactly behind+1 tuples
 // ahead), then the matching table grows its (unmatched) slot in the
 // partner array and takes its pairs. The side's candidate keys are not
 // looked at: they are the source relation's, which admits the tuple
 // before its image is appended here.
-func (res *Result) Append(left bool, x *Extended, pairs []Pair) error {
+func (res *Result) Append(left bool, x *Extended, pairs []Pair, behind int) error {
 	own, _ := sides(left)
-	if err := res.px.img[own].adopt(x); err != nil {
+	if err := res.px.img[own].adopt(x, behind); err != nil {
 		return err
 	}
 	res.MT.grow(res.RPrime.Len(), res.SPrime.Len())

@@ -84,7 +84,7 @@ func (p *pairing) insert(left bool, t relation.Tuple) ([]match.Pair, error) {
 	if err := p.side(left).InsertAdmitted(a); err != nil {
 		return nil, err
 	}
-	return pairs, p.res.Append(left, &p.x, pairs)
+	return pairs, p.res.Append(left, &p.x, pairs, 0)
 }
 
 func (p *pairing) side(left bool) *relation.Relation {
@@ -224,7 +224,7 @@ func TestIdentifyChangesNothingUntilAppend(t *testing.T) {
 	if err := p.cfg.R.InsertAdmitted(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.res.Append(true, &p.x, pairs); err != nil {
+	if err := p.res.Append(true, &p.x, pairs, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(pairs) != 0 || p.res.RPrime.Len() != 6 || p.cfg.R.Len() != 6 || !p.cfg.R.Tuple(5).Identical(tup) {
@@ -359,7 +359,7 @@ func TestAppendFailsClosedUnlessInsertedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.res.Append(true, &p.x, pairs); err == nil {
+	if err := p.res.Append(true, &p.x, pairs, 0); err == nil {
 		t.Fatal("append accepted a tuple that never reached the lent relation")
 	}
 	unchanged("append without insert")
@@ -370,7 +370,7 @@ func TestAppendFailsClosedUnlessInsertedOnce(t *testing.T) {
 	if err := p.cfg.R.Insert(relation.Tuple{s("Another"), s("Oak St."), s("Greek")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.res.Append(true, &p.x, pairs); err == nil {
+	if err := p.res.Append(true, &p.x, pairs, 0); err == nil {
 		t.Fatal("append accepted a lent relation two tuples ahead")
 	}
 	unchanged("append after two inserts")
@@ -404,7 +404,7 @@ func TestAppendedImageIsNotTheExtension(t *testing.T) {
 	if err := p.cfg.R.InsertAdmitted(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.res.Append(true, &p.x, pairs); err != nil {
+	if err := p.res.Append(true, &p.x, pairs, 0); err != nil {
 		t.Fatal(err)
 	}
 	image, scratch := p.res.RPrime.LayOut(nil, p.x.Row()), &p.x.Row()[0]
@@ -494,4 +494,102 @@ func TestIdentifyAllocs(t *testing.T) {
 		t.Fatalf("admit + Extend + Identify allocate %.1f times per tuple, ceiling %d", avg, ceiling)
 	}
 	t.Logf("admit + Extend + Identify: %.1f allocs per tuple (%d of %d matched)", avg, matched, i)
+}
+
+// TestRunIdentifiesAtItsRow: tuples of one run, each admitted behind
+// those ahead of it (relation.AdmitBehind) and identified against the
+// pairing as it stands, are paired at the rows they will take; once the
+// lent relation holds them all, each is appended behind the ones after
+// it, and the pairing ends where the tuples taken one at a time leave
+// it. Arrivals on opposite sides that could pair share a footprint
+// hash; two that cannot, none.
+func TestRunIdentifiesAtItsRow(t *testing.T) {
+	named := func(name string, rows ...string) *relation.Relation {
+		r := relation.New(schema.MustNew(name, []schema.Attribute{{Name: "id", Kind: value.KindString}, {Name: "name", Kind: value.KindString}}, []string{"id"}))
+		for i, n := range rows {
+			r.MustInsert(s(name+string(rune('0'+i))), s(n))
+		}
+		return r
+	}
+	config := func() match.Config {
+		return match.Config{
+			R: named("R", "a", "b"), S: named("S", "a", "x", "y"),
+			Attrs:  []match.AttrMap{{Name: "name", R: "name", S: "name"}, {Name: "rid", R: "id"}, {Name: "sid", S: "id"}},
+			ExtKey: []string{"name"},
+		}
+	}
+	arrivals := []relation.Tuple{{s("r7"), s("x")}, {s("r8"), s("z")}, {s("r9"), s("y")}}
+	one := newPairing(t, config())
+	for _, tup := range arrivals {
+		if _, err := one.insert(true, tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := newPairing(t, config())
+	xs := make([]match.Extended, len(arrivals))
+	adms := make([]relation.Admission, len(arrivals))
+	var found [][]match.Pair
+	for i, tup := range arrivals {
+		a, err := run.cfg.R.AdmitBehind(tup, i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.res.Image(true).Extend(a, &xs[i]); err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := run.res.Identify(true, &xs[i], &run.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adms[i], found = a, append(found, slices.Clone(pairs))
+	}
+	if want := []match.Pair{{RIndex: 2, SIndex: 1}}; !reflect.DeepEqual(found[0], want) || len(found[1]) != 0 || !reflect.DeepEqual(found[2], []match.Pair{{RIndex: 4, SIndex: 2}}) {
+		t.Fatalf("run identified %v, want each at its own row", found)
+	}
+	for _, a := range adms {
+		if err := run.cfg.R.InsertAdmitted(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run.res.Append(true, &xs[0], found[0], 0); err == nil {
+		t.Fatal("Append took the run's first tuple as if nothing were behind it")
+	}
+	for i := range arrivals {
+		if err := run.res.Append(true, &xs[i], found[i], len(arrivals)-1-i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := slices.Collect(run.res.MT.All()), slices.Collect(one.res.MT.All()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run's table %v, one at a time %v", got, want)
+	}
+	if run.res.RPrime.Len() != one.res.RPrime.Len() {
+		t.Fatalf("run's R' holds %d rows, one at a time %d", run.res.RPrime.Len(), one.res.RPrime.Len())
+	}
+
+	// Footprints: R's "x" and S's "x" share a hash; R's "x" and S's "y"
+	// share none.
+	p := newPairing(t, config())
+	print := func(left bool, tup relation.Tuple) []uint64 {
+		side := p.cfg.S
+		if left {
+			side = p.cfg.R
+		}
+		a, err := side.Admit(tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x match.Extended
+		if _, err := p.res.Image(left).Extend(a, &x); err != nil {
+			t.Fatal(err)
+		}
+		fp, scans := p.res.Footprint(nil, left, &x)
+		if scans {
+			t.Fatal("no identity rule scans, yet the footprint says one does")
+		}
+		return fp
+	}
+	rx, sx, sy := print(true, relation.Tuple{s("r7"), s("x")}), print(false, relation.Tuple{s("s7"), s("x")}), print(false, relation.Tuple{s("s8"), s("y")})
+	if len(rx) != 1 || !slices.Equal(rx, sx) || slices.Equal(rx, sy) {
+		t.Fatalf("footprints R x %v, S x %v, S y %v: want R x = S x ≠ S y", rx, sx, sy)
+	}
 }

@@ -320,7 +320,8 @@ type Extended struct {
 	// it was extended.
 	ixs  []*imageIndex
 	keys []projKey
-	// at is the row the tuple takes.
+	// at is the row the tuple takes: its admission's position, past the
+	// image's rows by the tuples of its run ahead of it.
 	at      int
 	adopted bool
 }
@@ -331,7 +332,10 @@ func (x *Extended) Row() relation.Tuple { return x.row }
 // Extend extends a tuple the image's relation has admitted
 // (relation.Admit, which checked its shape) into x, and returns the
 // conflicts found (fixpoint mode), at tuple index 0. Nothing changes but
-// x.
+// x. The tuple is to take the row its admission names: a run's later
+// tuple (relation.AdmitBehind) is identified and appended at its own
+// row, past those of the run ahead of it. Each tuple in flight needs an
+// Extended of its own.
 func (im *Image) Extend(a relation.Admission, x *Extended) ([]derive.Conflict, error) {
 	if !a.By(im.base) {
 		return nil, fmt.Errorf("match: extend: the admission is not the image's relation's")
@@ -343,7 +347,7 @@ func (im *Image) Extend(a relation.Admission, x *Extended) ([]derive.Conflict, e
 	if im.ext != nil {
 		x.buf = row
 	}
-	x.img, x.row, x.at, x.adopted = im, row, im.rel.Len(), false
+	x.img, x.row, x.at, x.adopted = im, row, a.At(), false
 	x.ixs, x.keys = append(x.ixs[:0], im.ixs...), x.keys[:0]
 	for _, ix := range im.ixs {
 		x.keys = append(x.keys, projection(ix.ix, row, ix.cols))
@@ -360,12 +364,13 @@ func (x *Extended) key(ix *imageIndex) projKey {
 }
 
 // adopt appends an extended tuple to the image once its relation holds
-// the tuple: the image relation keeps what the row adds to the tuple,
-// and every index files it. The first pairing to commit the tuple adopts
-// it; the others find it adopted. It fails, with the image unchanged,
-// when the image has grown since x was extended or the relation is not
-// exactly one tuple ahead of the image.
-func (im *Image) adopt(x *Extended) error {
+// the tuple, and behind it the later tuples of its run it took first:
+// the image relation keeps what the row adds to the tuple, and every
+// index files it. The first pairing to commit the tuple adopts it; the
+// others find it adopted. It fails, with the image unchanged, when the
+// image is not at the tuple's row or the relation is not exactly
+// behind+1 tuples ahead of the image.
+func (im *Image) adopt(x *Extended, behind int) error {
 	switch {
 	case x.img != im:
 		return fmt.Errorf("match: adopt: the tuple was extended by another image")
@@ -374,8 +379,8 @@ func (im *Image) adopt(x *Extended) error {
 	case x.adopted || im.rel.Len() != x.at:
 		return fmt.Errorf("match: adopt: stale extension: extended at row %d, the image holds %d", x.at, im.rel.Len())
 	}
-	if n := im.base.Len(); n != x.at+1 {
-		return fmt.Errorf("match: adopt: lent relation holds %d tuples, the extended tuple makes it %d", n, x.at+1)
+	if n := im.base.Len(); n != x.at+1+behind {
+		return fmt.Errorf("match: adopt: lent relation holds %d tuples, the extended tuple and the %d behind it make it %d", n, behind, x.at+1+behind)
 	}
 	if err := im.rel.Adopt(x.row); err != nil {
 		return err

@@ -631,7 +631,10 @@ func (res *Result) Verify() error {
 // in its side's columns beside the partner read whole). The error wraps
 // ErrUniqueness or ErrConsistency. Nothing changes but sc, and the pairs
 // returned — none, or the one held in sc until its next use — are what
-// Append is to add once the side's relation holds the tuple.
+// Append is to add once the side's relation holds the tuple. The tuple
+// is paired at the row its admission gave it (Extend), so a run's later
+// tuple is identified, against the pairing as it stands, at the row it
+// will take.
 func (res *Result) Identify(left bool, x *Extended, sc *Scratch) ([]Pair, error) {
 	if x.img != res.Image(left) {
 		return nil, fmt.Errorf("match: identify: the tuple was not extended by the side's image")
@@ -645,12 +648,12 @@ func (res *Result) Identify(left bool, x *Extended, sc *Scratch) ([]Pair, error)
 	}
 	j := partners[0]
 	rt, st := res.opposite(left, j, sc), res.layout(left, x, sc)
-	pair := Pair{RIndex: j, SIndex: res.SPrime.Len()}
+	pair := Pair{RIndex: j, SIndex: x.at}
 	var buf [1]int
 	prev, side, otherSide := res.MT.MatchesOfR(buf[:0], j), "R", "S"
 	if left {
 		rt, st = st, rt
-		pair = Pair{RIndex: res.RPrime.Len(), SIndex: j}
+		pair = Pair{RIndex: x.at, SIndex: j}
 		prev, side, otherSide = res.MT.MatchesOfS(buf[:0], j), "S", "R"
 	}
 	if len(prev) > 0 {

@@ -108,6 +108,20 @@ func (h *Histogram) Observe(d time.Duration) { h.observe(int64(d)) }
 // size histogram.
 func (h *Histogram) ObserveVal(v int64) { h.observe(v) }
 
+// ObserveShares records d as n observations of an equal share each —
+// one stage's time over the n items a batch did it for — so the sum
+// grows by d and the count by n, and sum/count stays time per item. No-op
+// for n <= 0.
+func (h *Histogram) ObserveShares(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
+	v := max(int64(d), 0)
+	h.counts[h.bucketOf(v/int64(n))].Add(uint64(n))
+	h.sum.Add(v)
+	h.count.Add(uint64(n))
+}
+
 // Since observes the elapsed time from start.
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 

@@ -24,6 +24,21 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestObserveShares: a batch's time observed once per item, at the
+// item's share: the count grows by the items, the sum by the whole time,
+// and every share lands in the share's bucket.
+func TestObserveShares(t *testing.T) {
+	h := NewRegistry().LatencyHistogram("run_seconds", "per item")
+	h.ObserveShares(40*time.Microsecond, 8)
+	h.ObserveShares(time.Second, 0) // no items: nothing to observe
+	if h.Count() != 8 || math.Abs(h.Sum()-40e-6) > 1e-12 {
+		t.Fatalf("count %d sum %v, want 8 and 40µs", h.Count(), h.Sum())
+	}
+	if got := h.counts[h.bucketOf(int64(5*time.Microsecond))].Load(); got != 8 {
+		t.Fatalf("the 5µs bucket holds %d, want the 8 shares", got)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.LatencyHistogram("lat_seconds", "latency")

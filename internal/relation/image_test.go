@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -308,6 +309,48 @@ func TestAdmitThenInsertAdmitted(t *testing.T) {
 	}
 	if _, err := r.Admit(tup[:2]); err == nil {
 		t.Error("Admit of a short tuple accepted")
+	}
+}
+
+// TestAdmitBehind: a tuple admitted behind others takes its place past
+// them, its keys held apart from theirs by hash and checked against the
+// tuples the relation holds.
+func TestAdmitBehind(t *testing.T) {
+	r := mkTable1R(t)
+	first, second := row("Anjuman", "LeSalle Ave.", "Indian"), row("Kabul", "Elm St.", "Afghan")
+	a1, err := r.AdmitBehind(first, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := a1.KeyHashes(nil)
+	a2, err := r.AdmitBehind(second, 1, held)
+	if err != nil || a1.At() != 3 || a2.At() != 4 || len(held) != 1 {
+		t.Fatalf("admitted at %d and %d (%v), %d key hashes held; want 3, 4 and one", a1.At(), a2.At(), err, len(held))
+	}
+	// The same key behind a tuple that holds it: held, whatever else the
+	// tuple holds; the key of a tuple the relation holds: a duplicate.
+	if _, err := r.AdmitBehind(row("Anjuman", "LeSalle Ave.", "Thai"), 2, held); !errors.Is(err, ErrHeld) {
+		t.Fatalf("a key held ahead = %v, want ErrHeld", err)
+	}
+	if _, err := r.AdmitBehind(r.Tuple(0), 2, held); err == nil || errors.Is(err, ErrHeld) {
+		t.Fatalf("a key the relation holds = %v, want a key violation", err)
+	}
+	if got := r.Tuple(0); len(got) > 1 {
+		nulled := Tuple{got[0], value.Null, got[2]}
+		if _, err := r.AdmitBehind(nulled, 2, held); err != nil {
+			t.Fatalf("a key with a NULL is neither held nor a duplicate: %v", err)
+		}
+	}
+	if err := r.InsertAdmitted(a2); err == nil {
+		t.Fatal("the tuple behind took its place before the one ahead of it")
+	}
+	for _, a := range []Admission{a1, a2} {
+		if err := r.InsertAdmitted(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.LookupKey(second[0], second[1]) != 4 {
+		t.Fatalf("the tuple behind is at %d, want 4", r.LookupKey(second[0], second[1]))
 	}
 }
 

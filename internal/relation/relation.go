@@ -33,6 +33,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -471,17 +472,34 @@ func (a *Admission) key(ki int) *keyHash {
 	return &a.more[ki-1]
 }
 
+// At returns the position the admitted tuple will take.
+func (a Admission) At() int { return a.at }
+
 // Admit checks that the relation can take the tuple — arity, value kinds
 // and every candidate key — without changing anything. On an image
 // relation it fails: rows join one through Adopt.
-func (r *Relation) Admit(t Tuple) (Admission, error) {
+func (r *Relation) Admit(t Tuple) (Admission, error) { return r.AdmitBehind(t, 0, nil) }
+
+// ErrHeld is AdmitBehind's refusal of a tuple that shares a candidate-key
+// hash with a tuple admitted ahead of it: only inserting those first
+// tells whether it is a duplicate.
+var ErrHeld = errors.New("relation: a candidate key is held by a tuple admitted ahead")
+
+// AdmitBehind is Admit for a tuple that joins the relation behind ahead
+// tuples admitted and not inserted yet — the later tuples of a run — whose
+// candidate-key hashes (Admission.KeyHashes) are held: it will take
+// position Len()+ahead, and InsertAdmitted takes it once those ahead are
+// in. Its keys are checked in order, each against held — ErrHeld — and
+// then against the tuples the relation holds, so a tuple it admits or
+// refuses for a key gets the answer it would get behind those ahead.
+func (r *Relation) AdmitBehind(t Tuple, ahead int, held []uint64) (Admission, error) {
 	if r.lender != nil {
 		return Admission{}, fmt.Errorf("relation %s: an image relation takes rows through Adopt", r.schema.Name())
 	}
 	if err := checkShape(r.schema, t); err != nil {
 		return Admission{}, err
 	}
-	a := Admission{r: r, t: t, at: len(r.tuples)}
+	a := Admission{r: r, t: t, at: len(r.tuples) + ahead}
 	if a.at >= r.limit {
 		return Admission{}, fmt.Errorf("relation %s: full: it holds %d tuples, the most a position index files", r.schema.Name(), a.at)
 	}
@@ -492,6 +510,9 @@ func (r *Relation) Admit(t Tuple) (Admission, error) {
 	for ki, cols := range r.keyCols {
 		kh := r.hashKey(ki, t, cols)
 		if kh.full && !r.bag {
+			if slices.Contains(held, heldHash(ki, kh.h)) {
+				return Admission{}, ErrHeld
+			}
 			if dup := r.find(ki, kh.h, t, cols); dup >= 0 {
 				return Admission{}, r.keyViolation(ki, t, dup)
 			}
@@ -500,6 +521,25 @@ func (r *Relation) Admit(t Tuple) (Admission, error) {
 	}
 	return a, nil
 }
+
+// KeyHashes appends the hashes of the admitted tuple's candidate keys
+// that a later AdmitBehind must hold apart from it: each key it holds no
+// NULL in, unless the relation is a bag, tagged with the key.
+func (a *Admission) KeyHashes(dst []uint64) []uint64 {
+	if a.r.bag {
+		return dst
+	}
+	for ki := range a.r.keyCols {
+		if kh := a.key(ki); kh.full {
+			dst = append(dst, heldHash(ki, kh.h))
+		}
+	}
+	return dst
+}
+
+// heldHash tags candidate key ki's projection hash h with the key, so
+// two keys' hashes are told apart.
+func heldHash(ki int, h uint64) uint64 { return h + uint64(ki)*0x9e3779b97f4a7c15 }
 
 // InsertAdmitted files a copy of an admitted tuple into the relation's
 // blocks — its values and its strings: the tuple stays the caller's —

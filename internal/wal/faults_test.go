@@ -99,6 +99,56 @@ func TestAppendENOSPCRollsBack(t *testing.T) {
 // half a frame stays on disk, the append is never acknowledged and the
 // log takes no other. The next open — the dead writer's lock gone with
 // it — drops the half frame and keeps the three good records.
+// TestAppendAllIsOneWriteAllOrNone: AppendAll writes its records in one
+// write, byte for byte what as many Appends write; a write torn past its
+// first frame is rolled back whole, the records keep no sequence number,
+// and the next write lands right behind the last good record.
+func TestAppendAllIsOneWriteAllOrNone(t *testing.T) {
+	one, all := t.TempDir(), t.TempDir()
+	lo := open(t, one, wal.OS)
+	fs := errfs.New(nil)
+	la := open(t, all, fs)
+	recs := [][]byte{[]byte(`{"a":1}`), []byte(`{"b":2}`), []byte(`{"c":3}`)}
+	for _, r := range recs {
+		if _, err := lo.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every write after the first fails: AppendAll must need only one.
+	fs.Inject(errfs.Rule{Op: errfs.OpWrite, PathContains: "wal-", After: 1, Err: syscall.EIO})
+	if seq, err := la.AppendAll(recs...); err != nil || seq != 3 {
+		t.Fatalf("AppendAll = %d, %v; want 3, nil", seq, err)
+	}
+	fs.Clear()
+	if _, err := la.AppendAll([]byte("ok"), []byte("bad\n")); err == nil {
+		t.Fatal("AppendAll framed a payload holding a raw newline")
+	}
+	// Torn after the first frame and part of the second.
+	fs.Inject(errfs.Rule{Op: errfs.OpWrite, PathContains: "wal-", Count: 1, Err: syscall.ENOSPC, Partial: 40})
+	if _, err := la.AppendAll([]byte(`{"doomed":1}`), []byte(`{"doomed":2}`), []byte(`{"doomed":3}`)); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("torn AppendAll = %v, want ENOSPC", err)
+	}
+	for _, l := range []*wal.Log{lo, la} {
+		if seq, err := l.AppendAll([]byte(`{"d":4}`)); err != nil || seq != 4 {
+			t.Fatalf("append after the torn run = %d, %v; want 4, nil", seq, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := os.ReadFile(filepath.Join(one, walSegName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(all, walSegName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("AppendAll wrote\n%s\nAppend one at a time wrote\n%s", b, a)
+	}
+}
+
 func TestInjectTornAppends(t *testing.T) {
 	dir := t.TempDir()
 	fs := errfs.New(nil)

@@ -117,6 +117,14 @@ func (e *CorruptError) Error() string {
 // EncodeRecord frames a payload. It fails on oversized payloads and on
 // payloads containing a raw newline (JSON encoders never emit one).
 func EncodeRecord(seq uint64, payload []byte) ([]byte, error) {
+	// magic, two decimal fields of at most 20 digits, 8 hex digits, four
+	// spaces and the newline.
+	return appendRecord(make([]byte, 0, len(magic)+20+8+20+5+len(payload)), seq, payload)
+}
+
+// appendRecord appends to frame the payload framed under seq, as
+// EncodeRecord frames it.
+func appendRecord(frame []byte, seq uint64, payload []byte) ([]byte, error) {
 	if len(payload) > maxPayload {
 		return nil, fmt.Errorf("wal: payload of %d bytes exceeds the %d-byte record limit", len(payload), maxPayload)
 	}
@@ -124,9 +132,6 @@ func EncodeRecord(seq uint64, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wal: payload contains a raw newline")
 	}
 	crc := crc32.Checksum(payload, castagnoli)
-	// magic, two decimal fields of at most 20 digits, 8 hex digits, four
-	// spaces and the newline.
-	frame := make([]byte, 0, len(magic)+20+8+20+5+len(payload))
 	frame = append(frame, magic...)
 	frame = append(frame, ' ')
 	frame = strconv.AppendUint(frame, seq, 10)
@@ -270,7 +275,14 @@ type Log struct {
 	// append returns it rather than stranding acknowledged records
 	// behind garbage bytes.
 	fail error
+	// frames is the append buffer, reused while it stays small.
+	frames []byte
 }
+
+// framesKept is the largest append buffer a log keeps between appends:
+// a run of inserts fits many times over, and a source registration's
+// larger records are framed and then let go.
+const framesKept = 256 << 10
 
 // lockDir takes the exclusive advisory lock. flock locks belong to the
 // open file description, so they exclude a second opener in the same
@@ -542,7 +554,16 @@ func (l *Log) OldestSeq() uint64 {
 // Append frames the payload under the next sequence number and writes
 // it to the active segment. The record is durable in the file-system
 // cache when Append returns; call Sync to force it to stable storage.
-func (l *Log) Append(payload []byte) (uint64, error) {
+func (l *Log) Append(payload []byte) (uint64, error) { return l.AppendAll(payload) }
+
+// AppendAll frames the payloads under the next sequence numbers, in
+// order, and writes them to the active segment in one write — all of
+// them or none: a payload that cannot be framed fails it before anything
+// is written, and a failed or short write rolls the segment back whole,
+// as Append's does. It returns the last record's sequence number. The
+// records are in the file-system cache when it returns, as Append's
+// record is.
+func (l *Log) AppendAll(payloads ...[]byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -555,9 +576,20 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		mAppendErrors.Inc()
 		return 0, l.fail
 	}
-	frame, err := EncodeRecord(l.seq+1, payload)
-	if err != nil {
-		return 0, err
+	if len(payloads) == 0 {
+		return l.seq, nil
+	}
+	frame := l.frames[:0]
+	for i, p := range payloads {
+		var err error
+		if frame, err = appendRecord(frame, l.seq+1+uint64(i), p); err != nil {
+			return 0, err
+		}
+	}
+	if cap(frame) <= framesKept {
+		l.frames = frame
+	} else {
+		l.frames = nil
 	}
 	start := time.Now()
 	if n, err := l.f.Write(frame); err != nil {
@@ -579,10 +611,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	l.off += int64(len(frame))
-	l.seq++
-	mAppendTotal.Inc()
+	l.seq += uint64(len(payloads))
+	mAppendTotal.Add(uint64(len(payloads)))
 	mAppendBytes.Add(uint64(len(frame)))
-	mAppendSeconds.Since(start)
+	mAppendSeconds.ObserveShares(time.Since(start), len(payloads))
 	return l.seq, nil
 }
 
