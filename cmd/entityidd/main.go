@@ -94,7 +94,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		dataDir       = flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
-		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots, each of which writes what was inserted since the last one, not the hub (0: only on shutdown)")
+		snapEvery     = flag.Int("snapshot-every", 1024, "committed inserts between background snapshots, each of which writes what was inserted since the last one as one segment file, not the hub (0: only on shutdown)")
 		syncEvery     = flag.Int("sync-every", 0, "fsync the write-ahead log every N appends and at every ingest flush epoch — when an insert stream's input runs empty and before its results end (0: leave durability between snapshots to the page cache)")
 		maxInsertBody = flag.Int64("max-insert-body", defaultMaxInsertBody, "largest /v1/insert request body in bytes (0: unlimited)")
 		ingestConc    = flag.Int("ingest-concurrency", 64, "max concurrent /v1/insert requests; excess is shed with 429 + Retry-After (0: unlimited)")
@@ -117,7 +117,7 @@ func main() {
 			log.Fatalf("entityidd: %v", err)
 		}
 		st, ri := hub.Stats(), hub.Recovery()
-		log.Printf("entityidd: recovered %d sources, %d links, %d tuples, %d clusters from %s (store: %s) in run decode %v, log read %v (%.1f MiB, %d records), pair build %v (%d images, %d pairings), cluster fold %v",
+		log.Printf("entityidd: recovered %d sources, %d links, %d tuples, %d clusters from %s (store: %s) in segment decode %v, log read %v (%.1f MiB, %d records), pair build %v (%d images, %d pairings), cluster fold %v",
 			st.Sources, st.Pairs, st.Tuples, st.Clusters, *dataDir, hub.StoreInfo().Backend,
 			ri.DecodeTime.Round(time.Microsecond), ri.ReplayTime.Round(time.Microsecond), float64(ri.LogBytes)/(1<<20), ri.Replayed,
 			ri.RestoreTime.Round(time.Microsecond), ri.Images, ri.Pairings, ri.FoldTime.Round(time.Microsecond))

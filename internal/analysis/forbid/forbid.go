@@ -6,12 +6,14 @@ package forbid
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"entityid/internal/analysis"
 )
@@ -45,7 +47,7 @@ type Shape struct {
 	Types  []string // a map or slice type as spell writes it; a trailing * matches any rest
 	Calls  []string // a call to a function, by types.Func.FullName
 	Funcs  []string // a declared function or method name
-	Holds  []string // a string or rune literal whose source or value holds one of these
+	Holds  []string // a string or rune literal whose source or value holds one of these, or an integer literal typed byte or rune that is one
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -103,6 +105,9 @@ func check(pass *analysis.Pass, r Rule, f *ast.File) {
 			}
 		case *ast.BasicLit:
 			v, _ := strconv.Unquote(n.Value) // "" for a number
+			if n.Kind == token.INT {
+				v = asChar(pass.TypesInfo.Types[n])
+			}
 			for _, h := range r.Shape.Holds {
 				if strings.Contains(n.Value, h) || strings.Contains(v, h) {
 					report(n.Pos(), "literal "+n.Value+" holds "+strconv.Quote(h))
@@ -112,6 +117,20 @@ func check(pass *analysis.Pass, r Rule, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// asChar is the character an integer literal stands for when its type,
+// as checked, is byte or rune — append(b, 0x1f), b.WriteByte(31) — and
+// "" for any other number, an untyped constant among them.
+func asChar(tv types.TypeAndValue) string {
+	b, ok := tv.Type.(*types.Basic)
+	if !ok || tv.Value == nil || (b.Kind() != types.Uint8 && b.Kind() != types.Int32) {
+		return ""
+	}
+	if c, exact := constant.Int64Val(tv.Value); exact && c >= 0 && c <= utf8.MaxRune {
+		return string(rune(c))
+	}
+	return ""
 }
 
 // chain returns the import path from p to target, p first, or nil if

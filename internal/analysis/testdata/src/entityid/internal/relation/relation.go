@@ -19,9 +19,22 @@ func (t Tuple) appendKey(b []byte) []byte {
 	return append(b, '\x1e') // want `literal '\\x1e' holds "\\x1e"`
 }
 
-// Silent: a number is not a string or rune literal, whatever its value;
-// a length prefix needs no separator.
+// A number typed byte or rune is the character it stands for.
+func (t Tuple) appendSep(b []byte) []byte {
+	return append(b, 0x1f) // want `literal 0x1f holds "\\x1f": a key or an ILFD condition set .*\(PR 29\)`
+}
+
+func (t Tuple) writeSeps(b *strings.Builder) {
+	b.WriteByte(31)   // want `literal 31 holds "\\x1f"`
+	b.WriteRune(0x1c) // want `literal 0x1c holds "\\x1c"`
+}
+
+// Silent: an untyped int constant is no character, whatever its value;
+// a byte that is no separator is none either; a length prefix needs no
+// separator.
 const width = 0x1f
+
+func (t Tuple) terminate(b []byte) []byte { return append(b, 0x0a) }
 
 func (t Tuple) prefixedKey() string { return string(rune(len(t))) + strings.Join(t, "") }
 

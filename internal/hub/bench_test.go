@@ -263,19 +263,20 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeRun is the run decode phase for one run file, as the
-// snapshot loader reads it (readRunFile): the file read, its frames cut,
-// its chunks read and its content hash checked against the manifest
-// entry — a source run of 1,024 of openWorkload's tuples, read against
-// the source's schema, written once by the snapshot writer. ns, B and
-// allocs are per item.
-func BenchmarkDecodeRun(b *testing.B) {
+// BenchmarkDecodeSegment is the segment decode phase for one segment
+// file, as the snapshot loader reads it (readSegmentFile): the file read,
+// its frames cut, its chunks read and its content hash checked against
+// the manifest entry — a segment of 1,024 of openWorkload's tuples of one
+// source, read against the source's schema, written once by the snapshot
+// writer. ns, B and allocs are per item.
+func BenchmarkDecodeSegment(b *testing.B) {
 	w := openWorkload()
 	rel := w.Relations[0]
-	id, tuples := runID{name: w.Names[0]}, rel.Tuples()[:snapRunItems]
+	tuples := rel.Tuples()[:snapSegItems]
+	srcs := []snapSource{{Name: w.Names[0]}}
 	b.Run("source", func(b *testing.B) {
 		dir := b.TempDir()
-		entry, err := newDirSink(wal.OS, dir, nil, snapRunItems).write(id, tuples, 0)
+		entry, err := newDirSink(wal.OS, dir, nil, snapSegItems).write(0, srcs, [][]relation.Tuple{tuples}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func BenchmarkDecodeRun(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := readRunFile(wal.OS, dir, id, entry, rel.Schema(), snapRunItems); err != nil {
+			if _, err := readSegmentFile(wal.OS, dir, 0, 0, entry, []segSource{{w.Names[0], rel.Schema()}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,9 +301,10 @@ func BenchmarkDecodeRun(b *testing.B) {
 // hub changed since the last snapshot — all of it in one source, or
 // spread over every source the way a served hub's traffic is: the
 // inserts run off the clock, the snapshot (capture, write of what is
-// past the sealed runs, log truncation) on it. The hub is large enough
-// that most of every sequence is sealed. How many runs carry forward is
-// pinned by snapshot_test.go, not measured here.
+// past the sealed segments, log truncation) on it. The hub is large
+// enough that most of it is sealed. bytes-written/op and
+// files-written/op are what each snapshot wrote (SnapshotStats); how many
+// segments carry forward is pinned by snapshot_test.go.
 func BenchmarkSnapshotIncremental(b *testing.B) {
 	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 4, Entities: 8000, PresenceFrac: 0.6,
@@ -321,7 +323,8 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 				b.Fatal(err)
 			}
 			delta := len(items)/100 + 1
-			var bytes int64
+			var bytes, files int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -334,9 +337,11 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 				if err := h.SnapshotNow(); err != nil {
 					b.Fatal(err)
 				}
-				bytes += h.LastSnapshot().BytesWritten
+				st := h.LastSnapshot()
+				bytes, files = bytes+st.BytesWritten, files+int64(st.SectionsWritten)
 			}
 			b.ReportMetric(float64(bytes)/float64(b.N), "bytes-written/op")
+			b.ReportMetric(float64(files)/float64(b.N), "files-written/op")
 		})
 	}
 }

@@ -145,7 +145,7 @@ func TestChaosUnusableLogHeals(t *testing.T) {
 	}
 }
 
-// TestChaosSnapshotSectionFault fails snapshot run-file writes (one
+// TestChaosSnapshotSectionFault fails snapshot segment-file writes (one
 // write through, then EIO): the synchronous snapshot reports the
 // failure and degrades the hub — ingest is refused until a probe finds
 // the disk healthy — the WAL still holds everything, and after the heal

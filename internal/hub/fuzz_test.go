@@ -1,15 +1,15 @@
 package hub
 
 // FuzzSnapshotDecode throws arbitrary bytes at what Open reads: the
-// manifest file and a run file. Each input is tried as a manifest frame
-// and as run bytes twice over — verbatim, and with its lines re-framed
-// as chunk payloads under fresh CRCs, so mutations reach the chunk
-// decoder instead of dying at the frame check. Bytes that decode as a
-// run get a manifest entry built around them (the content hash the
+// manifest file and a segment file. Each input is tried as a manifest
+// frame and as segment bytes twice over — verbatim, and with its lines
+// re-framed as chunk payloads under fresh CRCs, so mutations reach the
+// chunk decoder instead of dying at the frame check. Bytes that decode as
+// a segment get a manifest entry built around them (the content hash the
 // loader verifies is computed here, independently) and are spliced into
-// a committed snapshot directory at the position of the source they
-// claim, then loaded through loadSnapshotSections: hash check, chunk
-// decoding, run contiguity, assembly. The properties: the loader never
+// a committed snapshot directory at the position they declare, then
+// loaded through loadSnapshotSections: hash check, chunk decoding, source
+// order, assembly. The properties: the loader never
 // panics and never hangs — every input either yields a hub that passed
 // full verification (matching tables rebuilt and compared, cluster
 // partition refolded), snapshots again cleanly and passes
@@ -35,41 +35,40 @@ func FuzzSnapshotDecode(f *testing.F) {
 	snapshottedDir(f, dir, datagen.MultiConfig{
 		Sources: 2, Entities: 12, PresenceFrac: 0.8, HomonymRate: 0.2,
 		MissingPhone: 0.1, DirtyPhone: 0.2, Seed: 5,
-	}, 1<<8, 4) // several runs per sequence, several chunks per run
+	}, 1<<8, 4) // several segments, several chunks per segment
 	base, err := readManifest(wal.OS, dir)
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Every source of the fixture has the one shape (four strings), so
-	// any slot's schema reads any source run.
-	sch, err := wal.DecodeSchema(base.Sources[0].Schema)
+	srcs := manifestSources(f, base)
+	bases, err := base.checkSegments()
 	if err != nil {
 		f.Fatal(err)
 	}
 	committed := map[string]bool{}
 	var first []byte
-	base.eachRun(func(_ runID, r snapRun) {
-		committed[r.Hash] = true
-		data, err := os.ReadFile(secPath(dir, r.Hash))
+	for _, g := range base.Segments {
+		committed[g.Hash] = true
+		data, err := os.ReadFile(secPath(dir, g.Hash))
 		if err != nil {
 			f.Fatal(err)
 		}
 		if first == nil {
 			first = data
 		}
-		// Every committed run, framed and as bare chunk payloads.
+		// Every committed segment, framed and as bare chunk payloads.
 		f.Add(data)
 		f.Add(chunkPayloads(data))
-	})
+	}
 	if frames := bytes.SplitAfter(first, []byte("\n")); len(frames) > 3 {
-		// Truncated mid-run: cut inside the second frame.
+		// Truncated mid-segment: cut inside the second frame.
 		f.Add(first[:len(frames[0])+len(frames[1])/2])
 		// Sequence jump between chunks: drop a middle frame.
 		f.Add(append(append([]byte(nil), frames[0]...), bytes.Join(frames[2:], nil)...))
 	}
-	// Runs whose first chunk is spelled otherwise than this format writes
-	// it, every frame CRC intact: a space, reordered keys, a repeated key,
-	// an empty name, a mark spelled false.
+	// Segments whose first chunk is spelled otherwise than this format
+	// writes it, every frame CRC intact: a space, reordered keys, a
+	// repeated key, an empty name, a mark spelled false.
 	name := `"source":"` + base.Sources[0].Name + `"`
 	for _, r := range [][2]string{
 		{name, `"source": "` + base.Sources[0].Name + `"`},
@@ -80,28 +79,27 @@ func FuzzSnapshotDecode(f *testing.F) {
 	} {
 		f.Add(respell(f, first, func(p string) string { return strings.Replace(p, r[0], r[1], 1) }))
 	}
-	// The committed manifest, one with a sealed run gone, one whose run
-	// entry gives another size than its file's, one cut at a run length
-	// its runs do not have, one with no sources or links, ones of the
-	// retired formats, and garbage.
+	// The committed manifest, one with a sealed segment gone, one whose
+	// segment entry gives another size than its file's, one sealing at an
+	// R its segments do not reach, one with no sources or links, ones of
+	// the retired formats, and garbage.
 	if frame, err := os.ReadFile(filepath.Join(dir, snapshotManifest)); err == nil {
 		f.Add(frame)
 	}
 	for _, doctor := range []func(*snapManifest){
-		func(m *snapManifest) { m.Sources[0].Runs = m.Sources[0].Runs[1:] },
-		func(m *snapManifest) {
-			m.Sources[0].Runs = append([]snapRun(nil), m.Sources[0].Runs...)
-			m.Sources[0].Runs[0].Bytes--
-		},
-		func(m *snapManifest) { m.RunItems = 3 },
+		func(m *snapManifest) { m.Segments = m.Segments[1:] },
+		func(m *snapManifest) { m.Segments[0].Bytes-- },
+		func(m *snapManifest) { m.SegItems = 1000 },
 		func(m *snapManifest) { m.Sources, m.Pairs = nil, nil },
 		func(m *snapManifest) { m.Format = 2 },
 		func(m *snapManifest) { m.Format = 3 },
 		func(m *snapManifest) { m.Format = 4 },
 		func(m *snapManifest) { m.Format = 5 },
+		func(m *snapManifest) { m.Format = 6 },
 	} {
 		man := *base
 		man.Sources = append([]snapSource(nil), base.Sources...)
+		man.Segments = append([]snapSegment(nil), base.Segments...)
 		doctor(&man)
 		if frame, err := encodeManifest(&man); err == nil {
 			f.Add(frame)
@@ -114,9 +112,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// value. Like the corpus files under testdata/fuzz, refused.
 	f.Add([]byte(`{"v2":"source","run":0,"chunk":1,"last":true,"name":"src0","tuples":[[{"k":"string","v":"a"},{"k":"string","v":"b"},{"k":"null"},{"k":"string","v":"c"}]]}`))
 	// The manifests and run files of the format-4 directory — a manifest
-	// that names pair runs, a matching-table run — and of the format-5
-	// one, whose chunks spell a run before the run record: refused.
-	for fixture, runs := range map[string]int{"snapshot-format4": 3, "snapshot-format5": 2} {
+	// that names pair runs, a matching-table run — of the format-5 one,
+	// whose chunks spell a run before the run record, and of the format-6
+	// one, whose run files hold one source each: refused.
+	for fixture, runs := range map[string]int{"snapshot-format4": 3, "snapshot-format5": 2, "snapshot-format6": 2} {
 		old := filepath.Join("testdata", fixture)
 		oldRuns, err := filepath.Glob(filepath.Join(old, snapSecDir, "*"+snapSecSuffix))
 		if err != nil || len(oldRuns) != runs {
@@ -146,31 +145,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 		cut := h.cutLocked(man.Watermark)
 		h.commitMu.Unlock()
 		h.mu.RUnlock()
-		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil, man.RunItems), 0); err != nil {
+		if _, err := h.writeSnapshotSections(cut, newDirSink(wal.OS, t.TempDir(), nil, man.SegItems), 0); err != nil {
 			t.Fatalf("accepted snapshot does not re-save: %v", err)
 		}
 		if err := h.CheckInvariants(); err != nil {
 			t.Fatalf("accepted snapshot loads a hub that breaks its invariants: %v", err)
 		}
 	}
-	// put places run r at position k of a copy of runs: in place of the
-	// committed run there, or at the end.
-	put := func(runs []snapRun, k int, r snapRun) []snapRun {
-		runs = append([]snapRun(nil), runs...)
-		if k >= 0 && k < len(runs) {
-			runs[k] = r
-			return runs
-		}
-		return append(runs, r)
-	}
-	run := func(t *testing.T, data []byte) {
-		d, err := decodeRun(data, sch, base.RunItems)
+	segment := func(t *testing.T, data []byte) {
+		d, err := decodeSegment(data, srcs, nil)
 		if err != nil {
 			return
 		}
 		sum := sha256.Sum256(data)
 		if d.meta.Hash != hex.EncodeToString(sum[:]) || d.meta.Bytes != int64(len(data)) {
-			t.Fatalf("accepted run's content address covers %d bytes (%s), file has %d (%x)",
+			t.Fatalf("accepted segment's content address covers %d bytes (%s), file has %d (%x)",
 				d.meta.Bytes, d.meta.Hash, len(data), sum)
 		}
 		if !committed[d.meta.Hash] {
@@ -180,16 +169,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 			defer os.Remove(path)
 		}
-		// Splice the run in where it says it goes: into the committed
-		// source of the same name, or as a new source's first run under a
-		// committed schema.
+		// Splice the segment in where it says it goes: in place of the
+		// committed segment at its base, or at the end.
 		man := *base
-		man.Sources = append([]snapSource(nil), base.Sources...)
-		at := slices.IndexFunc(man.Sources, func(s snapSource) bool { return s.Name == d.id.name })
-		if at < 0 {
-			at, man.Sources = len(man.Sources), append(man.Sources, snapSource{Name: d.id.name, Schema: base.Sources[0].Schema})
+		man.Segments = append([]snapSegment(nil), base.Segments...)
+		if j := slices.Index(bases, d.base); j >= 0 {
+			man.Segments[j] = d.meta
+		} else {
+			man.Segments = append(man.Segments, d.meta)
 		}
-		man.Sources[at].Runs = put(man.Sources[at].Runs, d.id.run, d.meta)
 		load(t, &man)
 	}
 
@@ -199,7 +187,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 				load(t, man)
 			}
 		}
-		run(t, data)
+		segment(t, data)
 		var framed []byte
 		for i, payload := range bytes.Split(data, []byte("\n")) {
 			frame, err := wal.EncodeRecord(uint64(i+1), payload)
@@ -208,15 +196,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 			framed = append(framed, frame...)
 		}
-		run(t, framed)
+		segment(t, framed)
 	})
 }
 
-// chunkPayloads strips a run's frames down to their payloads, one per
+// chunkPayloads strips a segment's frames down to their payloads, one per
 // line — the form the fuzz target re-frames.
-func chunkPayloads(run []byte) []byte {
+func chunkPayloads(seg []byte) []byte {
 	var out [][]byte
-	sc := wal.NewFrameCutter(run)
+	sc := wal.NewFrameCutter(seg)
 	for {
 		rec, _, err := sc.Next()
 		if err != nil {

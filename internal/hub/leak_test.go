@@ -13,8 +13,8 @@ import (
 )
 
 // TestLoadSnapshotNoGoroutineLeak hammers Open with directories whose
-// run files are bit-rotted (the fuzz workload in miniature) and checks
-// the parallel run readers of the snapshot load are always reaped, on
+// segment files are bit-rotted (the fuzz workload in miniature) and checks
+// the parallel segment readers of the snapshot load are always reaped, on
 // failure paths included.
 func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 	dir := t.TempDir()
@@ -48,7 +48,7 @@ func TestLoadSnapshotNoGoroutineLeak(t *testing.T) {
 		if h, _, err := openOn(dir, Options{}); err == nil {
 			h.Close()
 			if !bytes.Equal(data, clean) {
-				t.Fatalf("round %d: bit-rotted run file %s loaded", i, filepath.Base(path))
+				t.Fatalf("round %d: bit-rotted segment file %s loaded", i, filepath.Base(path))
 			}
 		}
 		if err := os.WriteFile(path, clean, 0o644); err != nil {

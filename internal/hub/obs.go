@@ -6,10 +6,27 @@
 package hub
 
 import (
+	"sync/atomic"
 	"time"
 
 	"entityid/internal/obs"
 )
+
+// lastOpened is the snapshotter of the durable hub opened last (nil once
+// it closes), which hub_wal_bytes_since_snapshot reads at scrape time, so
+// the commit path pays nothing for it.
+var lastOpened atomic.Pointer[snapshotter]
+
+func init() {
+	obs.Default.GaugeFunc("hub_wal_bytes_since_snapshot",
+		"WAL bytes appended since the last committed snapshot's cut, of the durable hub opened last (at open, the log tail past the snapshot)",
+		func() float64 {
+			if s := lastOpened.Load(); s != nil {
+				return float64(s.walSinceSnapshot())
+			}
+			return 0
+		})
+}
 
 // SlowOps records per-stage timings of commits slower than its
 // threshold (default 100ms; entityidd overrides it via flag and serves
@@ -65,16 +82,16 @@ var (
 	snapshotOK     = mSnapshotTotal.With("ok")
 	snapshotFail   = mSnapshotTotal.With("error")
 	mSnapshotBytes = obs.Default.Counter("hub_snapshot_bytes_total",
-		"Bytes newly written by snapshots (carried-forward runs cost nothing)")
+		"Bytes newly written by snapshots (carried-forward segments cost nothing)")
 	mSnapSectionsWritten = obs.Default.Counter("hub_snapshot_sections_written_total",
-		"Snapshot runs encoded and written")
+		"Snapshot segments encoded and written")
 	mSnapSectionsReused = obs.Default.Counter("hub_snapshot_sections_reused_total",
-		"Snapshot runs carried forward by reference")
+		"Snapshot segments carried forward by reference")
 
 	mHealthState = obs.Default.Gauge("hub_health_state",
 		"Hub health: 0 ready, 1 degraded, 2 poisoned (last hub to transition wins)")
 	mRecoveryPhase = obs.Default.SecondsGaugeVec("hub_recovery_phase_seconds",
-		"Wall time of each phase of the last Open (RecoveryInfo): run decode, log read, pair build, cluster fold", "phase")
+		"Wall time of each phase of the last Open (RecoveryInfo): segment decode, log read, pair build, cluster fold", "phase")
 	phaseDecode  = mRecoveryPhase.With("decode")
 	phaseReplay  = mRecoveryPhase.With("replay")
 	phaseRestore = mRecoveryPhase.With("restore")

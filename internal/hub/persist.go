@@ -53,7 +53,7 @@ type Options struct {
 	HotClusterEntries int
 
 	// What only this package's tests vary, zero meaning the default
-	// constant: the chunk payload budget of a snapshot run and of a
+	// constant: the chunk payload budget of a snapshot segment's runs and of a
 	// chunked AddSource's seed batches (wal.DefaultChunkPayload), and the
 	// degraded-mode probe loop's first delay and cap.
 	chunkBytes                    int
@@ -116,7 +116,7 @@ type RecoveryInfo struct {
 	// last good record.
 	TailDamage string
 	// The wall time of each phase of Open, in the order they run: reading
-	// and decoding the snapshot's run files into the relations (zero with
+	// and decoding the snapshot's segment files into the relations (zero with
 	// no snapshot); reading the log — every frame cut and verified, the
 	// tail past the watermark decoded — into the relations; building and
 	// verifying every pair's matching result, the snapshot's and the tail's
@@ -185,7 +185,7 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	case !os.IsNotExist(err):
 		return fail(err)
 	}
-	// Sweep run files no committed manifest references — debris of
+	// Sweep segment files no committed manifest references — debris of
 	// snapshot attempts a crash interrupted before their manifest
 	// rename.
 	if err := sweepSections(fsys, dir, prevMan); err != nil {
@@ -235,8 +235,9 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 	h.per = &walLogger{log: l, syncEvery: opts.SyncEvery, chunkBytes: opts.chunkBytes, hub: h}
 	h.snap = &snapshotter{
 		log: l, fs: fsys, dir: dir, every: opts.SnapshotEvery, chunkBytes: opts.chunkBytes,
-		runItems: snapRunItems, prevMan: prevMan, hub: h,
+		segItems: snapSegItems, prevMan: prevMan, hub: h,
 	}
+	lastOpened.Store(h.snap)
 	h.prober = &prober{log: l, fs: fsys, dir: dir, base: probe, max: probeMax, done: make(chan struct{})}
 	if prevMan != nil {
 		// Seed last-snapshot age across restarts from the committed
@@ -545,6 +546,7 @@ func (r *recovery) insert(source string, t relation.Tuple, seq uint64) error {
 func (h *Hub) Close() error {
 	var err error
 	if h.per != nil {
+		lastOpened.CompareAndSwap(h.snap, nil)
 		h.quiesceBackground()
 		err = h.health.failed()
 		if cerr := h.per.log.Close(); err == nil {

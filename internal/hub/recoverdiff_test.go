@@ -12,7 +12,7 @@ package hub
 // pair's table — in commit order past the snapshot's cut, as a set inside
 // it, where Open rebuilds the table in Build's order — the partition,
 // Stats and the count of records replayed, and then write byte-identical
-// snapshot runs.
+// snapshot segments.
 
 import (
 	"bytes"
@@ -233,7 +233,7 @@ func agreeWithNaive(t *testing.T, label string, dir string, opts Options, payloa
 		t.Fatalf("%s: Stats %+v, the reference %+v", label, g, w)
 	}
 	if g, w := runFiles(t, got), runFiles(t, ref); !slices.EqualFunc(g, w, bytes.Equal) {
-		t.Fatalf("%s: the snapshots' runs differ: %d files, the reference %d", label, len(g), len(w))
+		t.Fatalf("%s: the snapshots' segments differ: %d files, the reference %d", label, len(g), len(w))
 	}
 }
 
@@ -264,10 +264,14 @@ func pairLogs(t *testing.T, h *Hub, man *snapManifest) [][]match.Pair {
 	return out
 }
 
-// runFiles snapshots h and returns its run files' bytes in manifest
-// order.
+// runFiles snapshots h whole — nothing carried forward from an earlier
+// snapshot, whose segments follow when it was taken — and returns its
+// segment files' bytes in manifest order.
 func runFiles(t *testing.T, h *Hub) [][]byte {
 	t.Helper()
+	h.snap.snapMu.Lock()
+	h.snap.prevMan = nil
+	h.snap.snapMu.Unlock()
 	if err := h.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +280,13 @@ func runFiles(t *testing.T, h *Hub) [][]byte {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	man.eachRun(func(_ runID, r snapRun) {
-		data, err := os.ReadFile(secPath(h.snap.dir, r.Hash))
+	for _, g := range man.Segments {
+		data, err := os.ReadFile(secPath(h.snap.dir, g.Hash))
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, data)
-	})
+	}
 	return out
 }
 

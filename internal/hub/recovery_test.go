@@ -189,7 +189,7 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// restore copies the directory without the files matching drop (of
-	// the run files, only the first).
+	// the segment files, only the first).
 	restore := func(drop ...string) string {
 		to := t.TempDir()
 		if err := os.CopyFS(to, os.DirFS(r.dir)); err != nil {
@@ -221,7 +221,7 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 		t.Fatalf("truncated log with no snapshot: want the uncovered-prefix rejection, got %v", err)
 	}
 	if _, _, err := openOn(restore(filepath.Join(snapSecDir, "*"+snapSecSuffix)), Options{}); err == nil {
-		t.Fatal("opened a snapshot with a missing run file")
+		t.Fatal("opened a snapshot with a missing segment file")
 	}
 	// Control: every piece together recovers.
 	h, info, err := openOn(restore(), Options{})
@@ -232,9 +232,9 @@ func TestRecoveryFailsClosedOnPartialRestore(t *testing.T) {
 }
 
 // TestCrashMidSnapshotBetweenSections kills the snapshot writer between
-// run files: the N+1-th rename into snapsecs/ fails and the process
+// segment files: the N+1-th rename into snapsecs/ fails and the process
 // dies. The manifest was never renamed, so recovery comes up from the
-// previous snapshot plus the log, and the orphaned runs are swept.
+// previous snapshot plus the log, and the orphaned segments are swept.
 func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 	ws := multiWork(3, 36, 0.65, 67, 19)
 	w := ws.build()
@@ -244,8 +244,8 @@ func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 			ops := append(append(setup(w), seq(0, n/2)...), snap())
 			ops = append(append(ops, seq(n/2, n)...),
 				fault(errfs.OpRename, snapSecDir, landed, 0, syscall.EIO, 0, 0), snap(), reopen(reopenKill))
-			// Runs of four: the second snapshot carries sealed runs of the first
-			// and dies between the files of the ones it adds.
+			// Segments of four: the second snapshot carries the sealed segments
+			// of the first and dies between the files of the ones it adds.
 			for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{runItems: 4}, ops: ops}) {
 				if r.errs[len(ops)-2] == nil {
 					t.Fatal("mid-snapshot kill did not fire")
@@ -258,11 +258,13 @@ func TestCrashMidSnapshotBetweenSections(t *testing.T) {
 					t.Fatal(err)
 				}
 				referenced := map[string]bool{}
-				man.eachRun(func(_ runID, r snapRun) { referenced[r.Hash+snapSecSuffix] = true })
+				for _, g := range man.Segments {
+					referenced[g.Hash+snapSecSuffix] = true
+				}
 				secs, _ := filepath.Glob(filepath.Join(r.dir, snapSecDir, "*"))
 				for _, s := range secs {
 					if !referenced[filepath.Base(s)] {
-						t.Fatalf("orphan run file survived recovery: %s", s)
+						t.Fatalf("orphan segment file survived recovery: %s", s)
 					}
 				}
 				if err := r.h.SnapshotNow(); err != nil {
@@ -563,4 +565,51 @@ func TestOpenReadsEachLogByteOnce(t *testing.T) {
 			t.Fatalf("Open reports %d log bytes verified, want %d", info.LogBytes, least)
 		}
 	})
+}
+
+// TestSimSegmentKills pins two kills of the snapshot writer to the
+// simulator's model, on R large enough that nothing seals, so every
+// snapshot after the first rewrites the last segment merged with what
+// came since: one between the segment file's rename and the manifest's
+// (the manifest rename fails and the process dies), one while the merged
+// segment is being written (a write tears and the process dies). Either
+// way recovery comes up from the first snapshot plus the log, no orphan
+// survives it, and the hub takes the rest of the workload and snapshots
+// again.
+func TestSimSegmentKills(t *testing.T) {
+	ws := multiWork(3, 30, 0.7, 97, 29)
+	w := ws.build()
+	n := len(w.items)
+	for name, kill := range map[string]op{
+		"between renames": fault(errfs.OpRename, snapshotManifest, 0, 0, syscall.EIO, 0, 0),
+		"merge rewrite":   fault(errfs.OpWrite, snapSecDir, 0, 1, syscall.ENOSPC, 7, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ops := append(append(setup(w), seq(0, n/3)...), snap())
+			ops = append(append(ops, seq(n/3, 2*n/3)...), kill, snap(), reopen(reopenKill))
+			ops = append(append(ops, batch(span(2*n/3, n)...)), snap(), reopen(reopenClose))
+			for _, r := range runSchedule(t, schedule{work: ws, opts: simOpts{syncEvery: 3}, ops: ops}) {
+				if at := len(ops) - 5; r.errs[at] == nil {
+					t.Fatalf("%s: the killed snapshot committed", r.backend)
+				}
+				if info := r.infos[1]; !info.FromSnapshot || info.Replayed == 0 {
+					t.Fatalf("%s: recovery did not come up from the first snapshot and the log: %+v", r.backend, info)
+				}
+				if info := r.infos[2]; !info.FromSnapshot || info.Replayed != 0 {
+					t.Fatalf("%s: the last snapshot did not cover the hub: %+v", r.backend, info)
+				}
+				man, err := readManifest(wal.OS, r.dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(man.Segments) != 1 {
+					t.Fatalf("%s: %d segments where nothing seals", r.backend, len(man.Segments))
+				}
+				secs, _ := filepath.Glob(filepath.Join(r.dir, snapSecDir, "*"))
+				if len(secs) != 1 || filepath.Base(secs[0]) != man.Segments[0].Hash+snapSecSuffix {
+					t.Fatalf("%s: snapsecs/ holds %v, the manifest %v", r.backend, secs, man.Segments)
+				}
+			}
+		})
+	}
 }

@@ -443,8 +443,9 @@ func (o op) String() string {
 type simOpts struct {
 	snapEvery, syncEvery, chunkBytes int
 	hotClusters                      int // the disk backend's budget
-	// runItems is the snapshot writer's run length (0: snapRunItems, which
-	// no sequence of a simulated workload reaches — nothing ever seals).
+	// runItems is the item count the snapshot writer seals a segment at
+	// (0: snapSegItems, which no simulated workload reaches — nothing
+	// ever seals).
 	runItems int
 }
 

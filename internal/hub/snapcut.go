@@ -10,6 +10,7 @@ package hub
 
 import (
 	"entityid/internal/match"
+	"entityid/internal/relation"
 	"entityid/internal/wal"
 )
 
@@ -34,8 +35,10 @@ type cutPair struct {
 // at the watermark without copying any content.
 type snapshotCut struct {
 	watermark uint64
-	sources   []cutSource
-	pairs     []cutPair
+	// past is the log's Past at the watermark.
+	past    int64
+	sources []cutSource
+	pairs   []cutPair
 }
 
 // cutLocked builds a cut. Callers hold h.mu (at least shared) and
@@ -89,20 +92,21 @@ func foldCut(cut *snapshotCut, mts []*match.Table) ([][]node, error) {
 }
 
 // writeSnapshotSections drives a snapshot at the given cut through the
-// directory sink: per source, carry the sealed runs forward and write
-// what is past them, then record each pair's link and side lengths and
-// commit the manifest. A source's tuples come from the published view —
-// the view at the cut already covers cs.n and its prefix is immutable,
-// so they are sliced, not copied, and take no lock at all.
+// directory sink: carry the previous manifest's segments forward and
+// write what is past them, then record each pair's link and side lengths
+// and commit the manifest. A source's tuples come from the published
+// view — the view at the cut already covers cs.n and its prefix is
+// immutable, so they are sliced, not copied, and take no lock at all.
 func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int) (*snapManifest, error) {
-	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark, RunItems: sink.runItems}
-	for _, cs := range cut.sources {
-		src := snapSource{Name: cs.s.name, Schema: wal.EncodeSchema(cs.s.rel.Schema())}
-		var err error
-		if src.Runs, err = sink.runs(src.id(), cs.s.view.Load().tuples[:cs.n], budget); err != nil {
-			return nil, err
-		}
-		man.Sources = append(man.Sources, src)
+	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark, SegItems: sink.segItems}
+	tuples := make([][]relation.Tuple, len(cut.sources))
+	for i, cs := range cut.sources {
+		man.Sources = append(man.Sources, snapSource{Name: cs.s.name, Schema: wal.EncodeSchema(cs.s.rel.Schema())})
+		tuples[i] = cs.s.view.Load().tuples[:cs.n]
+	}
+	var err error
+	if man.Segments, err = sink.segments(man.Sources, tuples, budget); err != nil {
+		return nil, err
 	}
 	for _, cp := range cut.pairs {
 		man.Pairs = append(man.Pairs, snapPair{Link: linkRecFromSpec(cp.p.spec), RLen: cp.rlen, SLen: cp.slen})

@@ -1,14 +1,15 @@
 // Rebuilding a hub from its data directory: the snapshot loader, and the
 // one path Open takes from the snapshot and the log tail to a hub. The
-// data directory holds the write-ahead log, a manifest file and one
-// content-addressed file per run of each source's tuples under snapsecs/
-// (written by snapwriter.go, in the format of snapshot.go). Recovery runs
-// in four phases, each timed in RecoveryInfo: run decode (each file read
+// data directory holds the write-ahead log, a manifest file and the
+// content-addressed segment files under snapsecs/ (written by
+// snapwriter.go, in the format of snapshot.go). Recovery runs in four
+// phases, each timed in RecoveryInfo: segment decode (each file read
 // whole and its run records decoded on a fixed set of workers, then each
-// source's decoded tuples admitted into its relation, not copied), log
+// source's tuples, concatenated in segment order, admitted into its
+// relation, not copied), log
 // read (the whole log read and verified once, its tail decoded into the
 // same relations, each tuple kept uncopied, persist.go; the log's run
-// records and a snapshot's are read by one reader, wal.CutRun), pair build
+// records and a segment's are read by one reader, wal.CutRun), pair build
 // (each source's images — one per knowledge its links give it — extended
 // once over the final relations, then every pair's matching result built
 // once on two of them and verified, each step on parallel workers) and
@@ -22,10 +23,10 @@
 // One pass of the cluster fold (cluster.go) over all the tables, in log
 // order, each union decided by store.CheckMerge, then publishes each
 // component to the empty cluster store exactly once. Recovery fails
-// closed: run file sizes, frame CRCs, each run record's one spelling, per-run
-// content hashes, chunk and item counts, and each run's declared source
-// and position are verified against the manifest, whose run directories
-// must be dense and full but for each source's last run; every link must
+// closed: segment file sizes, frame CRCs, each run record's one spelling,
+// per-segment content hashes, chunk counts, per-source item counts and
+// each segment's declared position are verified against the manifest,
+// every segment of which but the last must be sealed; every link must
 // stand where the snapshot cut it; every schema, ILFD and rule is
 // re-validated by its domain constructor; every rebuilt table must be
 // covered exactly by the order recovery lists it in (match.Table.Reorder);
@@ -48,7 +49,6 @@ import (
 
 	"entityid/internal/match"
 	"entityid/internal/relation"
-	"entityid/internal/schema"
 	"entityid/internal/wal"
 )
 
@@ -72,7 +72,7 @@ func readManifest(fsys wal.FS, dir string) (*snapManifest, error) {
 	return decodeManifest(rec)
 }
 
-// secPath names a run's content-addressed file.
+// secPath names a segment's content-addressed file.
 func secPath(dir, hash string) string {
 	return filepath.Join(dir, snapSecDir, hash+snapSecSuffix)
 }
@@ -144,62 +144,49 @@ func (r *recovery) link(spec PairSpec, cut linkCut) error {
 	return nil
 }
 
-// loadSnapshot reads a manifest's run files into the hub, decoding them
-// in parallel and verifying each file's content hash, chunk count, item
-// count and declared position against the manifest: each source's
-// decoded tuples are admitted into its relation, one source per worker,
-// and the sources registered in manifest order, then the links, each
-// where the snapshot cut it.
+// loadSnapshot reads a manifest's segment files into the hub, decoding
+// them in parallel and verifying each file's content hash, chunk count,
+// item counts and declared position against the manifest: each source's
+// tuples, concatenated in segment order, are admitted into its relation,
+// one source per worker, and the sources registered in manifest order,
+// then the links, each where the snapshot cut it.
 func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info *RecoveryInfo) error {
 	start := time.Now()
-	if man.RunItems < 1 {
-		return fmt.Errorf("hub: load snapshot: manifest cut at a run length of %d", man.RunItems)
+	bases, err := man.checkSegments()
+	if err != nil {
+		return err
 	}
-	// One job per run file; seqs[i] collects source i's decoded runs, each
-	// read against the schema of its manifest slot.
-	type job struct {
-		id   runID
-		want snapRun
-		sch  *schema.Schema
-		into **decRun
-	}
-	var jobs []job
-	seqs := make([][]*decRun, len(man.Sources))
-	schemas := make([]*schema.Schema, len(man.Sources))
+	srcs := make([]segSource, len(man.Sources))
 	for i, s := range man.Sources {
-		var err error
-		if schemas[i], err = wal.DecodeSchema(s.Schema); err != nil {
+		srcs[i].name = s.Name
+		if srcs[i].sch, err = wal.DecodeSchema(s.Schema); err != nil {
 			return fmt.Errorf("hub: snapshot source %q: %w", s.Name, err)
 		}
-		id := s.id()
-		if err := checkRuns(id, s.Runs, man.RunItems); err != nil {
-			return err
-		}
-		seqs[i] = make([]*decRun, len(s.Runs))
-		for k, r := range s.Runs {
-			id.run = k
-			jobs = append(jobs, job{id, r, schemas[i], &seqs[i][k]})
-		}
 	}
-	err := inParallel(len(jobs), func(i int) (err error) {
-		*jobs[i].into, err = readRunFile(fsys, dir, jobs[i].id, jobs[i].want, jobs[i].sch, man.RunItems)
+	segs := make([]*decSegment, len(man.Segments))
+	err = inParallel(len(segs), func(j int) (err error) {
+		segs[j], err = readSegmentFile(fsys, dir, j, bases[j], man.Segments[j], srcs)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	// Every run now holds the items its manifest entry counts, so each
-	// source's whole is sized from the manifest, and its decoded tuples
-	// are its relation's: admitted, not copied.
+	// Every segment now holds the items its manifest entry counts. A
+	// source's decoded tuples, concatenated in segment order, are its
+	// relation's: admitted, not copied.
 	rels := make([]*relation.Relation, len(man.Sources))
 	err = inParallel(len(rels), func(i int) error {
-		ts := make([]relation.Tuple, 0, itemCount(man.Sources[i].Runs))
-		for _, run := range seqs[i] {
-			ts = append(ts, run.tuples...)
+		n := 0
+		for _, g := range segs {
+			n += len(g.tuples[i])
 		}
-		rels[i] = relation.New(schemas[i])
+		ts := make([]relation.Tuple, 0, n)
+		for _, g := range segs {
+			ts = append(ts, g.tuples[i]...)
+		}
+		rels[i] = relation.New(srcs[i].sch)
 		if err := rels[i].InsertAll(ts); err != nil {
-			return fmt.Errorf("hub: snapshot source %q tuple %d: %w", man.Sources[i].Name, rels[i].Len(), err)
+			return fmt.Errorf("hub: snapshot source %q tuple %d: %w", srcs[i].name, rels[i].Len(), err)
 		}
 		return nil
 	})
@@ -226,37 +213,28 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 	return nil
 }
 
-// itemCount is how many items runs hold.
-func itemCount(runs []snapRun) int {
-	n := 0
-	for _, r := range runs {
-		n += r.Items
-	}
-	return n
-}
-
-// readRunFile reads one run file whole, once its size is the framed byte
-// count its manifest entry records, decodes it against sch, at runs of
-// runItems, and verifies the result — source, position, counts, content
-// hash — against that entry.
-func readRunFile(fsys wal.FS, dir string, id runID, want snapRun, sch *schema.Schema, runItems int) (*decRun, error) {
+// readSegmentFile reads segment j's file whole, once its size is the
+// framed byte count its manifest entry records, decodes it against the
+// manifest's sources and verifies the result — position, counts, content
+// hash — against that entry: base items before it.
+func readSegmentFile(fsys wal.FS, dir string, j, base int, want snapSegment, srcs []segSource) (*decSegment, error) {
 	path := secPath(dir, want.Hash)
 	fi, err := fsys.Stat(path)
 	if err == nil && fi.Size() != want.Bytes {
-		err = fmt.Errorf("the run file holds %d bytes, its manifest entry %d", fi.Size(), want.Bytes)
+		err = fmt.Errorf("the segment file holds %d bytes, its manifest entry %d", fi.Size(), want.Bytes)
 	}
 	var data []byte
 	if err == nil {
 		data, err = fsys.ReadFile(path)
 	}
-	var d *decRun
+	var d *decSegment
 	if err == nil {
-		d, err = decodeRun(data, sch, runItems)
+		d, err = decodeSegment(data, srcs, want.Items)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("hub: snapshot %v: %w", id, err)
+		return nil, fmt.Errorf("hub: snapshot segment %d: %w", j, err)
 	}
-	if err := d.matches(id, want); err != nil {
+	if err := d.matches(j, base, want); err != nil {
 		return nil, err
 	}
 	return d, nil

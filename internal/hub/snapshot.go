@@ -1,21 +1,27 @@
 // Hub snapshots: a chunked, incremental encoding of the sources, and the
-// only one. A snapshot is a *manifest* record plus the *runs* of each
-// source's tuples, taken in commit order: sequence items [k·R, (k+1)·R)
-// are run k, R one constant (snapRunItems). Sources are append-only, so a
-// full run is *sealed* — its content can never change — and only a
-// source's last, partial run is ever re-encoded. Each run is a
-// content-addressed file under the data directory (written by
-// snapwriter.go at a cut snapcut.go captures, read back by snapload.go);
-// this file is what is in them. A run file is a sequence of the log's run
-// records (internal/wal/run.go), each in a CRC frame and none approaching
-// the frame cap however the chunk budget is set, every one but the last
-// marked "more": the tuples as the tuple codec's bytes, read against the
-// schema in the run's manifest slot. Run k's frames are numbered from
-// k·R+1, one a chunk, so a file declares its source and its position
-// itself. The manifest carries each run's SHA-256 content address, chunk
-// count, byte count and item count, and — so that nothing that changes
-// ever sits inside a sealed run — each source's schema, each pair's link
-// spec and the two side lengths the link was cut at. Nothing a load can
+// only one. A snapshot is a *manifest* record plus *segments*: each
+// segment a content-addressed file under the data directory (written by
+// snapwriter.go at a cut snapcut.go captures, read back by snapload.go)
+// that holds, for each source in registration order, the run of tuples
+// the source gained since the segment before — so a source's tuples are
+// its runs concatenated in segment order. Sources are append-only, so a
+// snapshot writes what the hub gained since the last one as one segment,
+// and each tuple is encoded, hashed, written and fsynced once. A segment
+// *seals* at R items across all sources (snapSegItems): the last one,
+// while it holds fewer, is rewritten merged with the next snapshot's
+// tuples, so a snapshot costs its increment plus at most R tuples, and
+// every segment but the last holds at least R. This file is what is in
+// them. A segment file is a sequence of the log's run records
+// (internal/wal/run.go), each in a CRC frame and none approaching the
+// frame cap however the chunk budget is set, a source's records but its
+// last marked "more": the tuples as the tuple codec's bytes, read against
+// the schema of the source's manifest slot. A segment's frames are
+// numbered from one past the items of the segments before it, one a
+// chunk, so a file declares its position itself. The manifest carries
+// each segment's SHA-256 content address, chunk count, byte count and
+// per-source item counts, and — so that nothing that changes ever sits
+// inside a sealed segment — each source's schema, each pair's link spec
+// and the two side lengths the link was cut at. Nothing a load can
 // rebuild is stored: a matching table is a function of its two relations
 // (§4.2) and the cluster partition is the fold of the tables, so the
 // loader computes both (snapload.go). The manifest, read once per open,
@@ -28,52 +34,48 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"entityid/internal/relation"
 	"entityid/internal/schema"
 	"entityid/internal/wal"
 )
 
-// The run kind (and the marker of manifest records).
 const (
-	secSource   = "source"
+	// secManifest marks manifest records.
 	secManifest = "manifest"
 
-	snapFormat = 6
+	snapFormat = 7
 
-	// snapRunItems is R, the items of a sealed run. An incremental
-	// snapshot re-encodes each sequence's partial run — R/2 items it has
-	// written before, on average — and the manifest lists every run, so R
-	// trades bytes rewritten per snapshot against manifest entries and
-	// files per item. Measured under read_cold's traffic (inserts into
-	// all four sources, a snapshot per 1024; CHANGES.md, PR 23): a
-	// snapshot's cost is mostly per file, not per byte, so 256 halves the
-	// bytes written (2.9 per user byte against 5.4) yet ingests no faster
-	// (30.5–33.6k tuples/s against 32.9–34.9k) on a manifest four times
-	// as long, and 4096 re-encodes three times as much (15.9 per user
-	// byte, half the runs reused) and ingests at 29.6–30.9k.
-	snapRunItems = 1024
+	// snapSegItems is R, the items at which a segment seals. A snapshot
+	// rewrites the last segment while it holds fewer — R/2 items it has
+	// written before, on average, when snapshots come more often than R
+	// tuples — and a snapshot of R or more tuples seals the segment it
+	// writes; so R trades bytes rewritten under frequent small snapshots
+	// against segments per item. At R = 1024 a snapshot per 1024 inserts
+	// (read_cold's) writes one sealed segment and rewrites nothing.
+	snapSegItems = 1024
 )
 
-// snapManifest is the manifest record: the snapshot's watermark, the run
-// length its sources were cut at and, in registration order, each
-// source's schema and run directory and each pair's link and cut.
-// Its frame sequence number is watermark+1, so the zero watermark still
-// frames validly.
+// snapManifest is the manifest record: the snapshot's watermark, the
+// item count its segments seal at, each source's schema in registration
+// order, the segments in order and each pair's link and cut. Its frame
+// sequence number is watermark+1, so the zero watermark still frames
+// validly.
 type snapManifest struct {
-	V2        string       `json:"v2"` // always "manifest"
-	Format    int          `json:"format"`
-	Watermark uint64       `json:"watermark"`
-	RunItems  int          `json:"run_items"`
-	Sources   []snapSource `json:"sources"`
-	Pairs     []snapPair   `json:"pairs"`
+	V2        string        `json:"v2"` // always "manifest"
+	Format    int           `json:"format"`
+	Watermark uint64        `json:"watermark"`
+	SegItems  int           `json:"seg_items"`
+	Sources   []snapSource  `json:"sources"`
+	Segments  []snapSegment `json:"segments"`
+	Pairs     []snapPair    `json:"pairs"`
 }
 
-// snapSource is one source at the cut: its schema and its tuples' runs.
+// snapSource is one source at the cut: its name and schema.
 type snapSource struct {
 	Name   string        `json:"name"`
 	Schema wal.SchemaRec `json:"schema"`
-	Runs   []snapRun     `json:"runs"`
 }
 
 // snapPair is one pair at the cut: its link and the side lengths its
@@ -84,41 +86,37 @@ type snapPair struct {
 	SLen int         `json:"slen"`
 }
 
-// snapRun is one run's manifest entry: how many items it holds and the
-// encoded frames' chunk count, framed byte count and hex SHA-256 — the
-// run file's name.
-type snapRun struct {
-	Items  int    `json:"items"`
+// snapSegment is one segment's manifest entry: the tuples it holds of
+// each source, in registration order up to the last source it holds any
+// of, and the encoded frames' chunk count, framed byte count and hex
+// SHA-256 — the segment file's name.
+type snapSegment struct {
+	Items  []int  `json:"items"`
 	Chunks int    `json:"chunks"`
 	Bytes  int64  `json:"bytes"`
 	Hash   string `json:"hash"`
 }
 
-// runID says which run a file holds: the source, by name, and the
-// position in its sequence. The first chunk of every run declares it, so
-// a run file substituted for another fails the load even when the
-// manifest was edited to name it.
-type runID struct {
-	name string
-	run  int
-}
-
-func (id runID) String() string {
-	return fmt.Sprintf("source %s run %d", id.name, id.run)
-}
-
-// id is the source's sequence: its run 0.
-func (s snapSource) id() runID { return runID{name: s.Name} }
-
-// eachRun calls fn for every run of the manifest in manifest order.
-func (m *snapManifest) eachRun(fn func(id runID, r snapRun)) {
-	for _, s := range m.Sources {
-		id := s.id()
-		for k, r := range s.Runs {
-			id.run = k
-			fn(id, r)
-		}
+// total is how many items the segment holds.
+func (g snapSegment) total() int {
+	n := 0
+	for _, k := range g.Items {
+		n += k
 	}
+	return n
+}
+
+func (g snapSegment) equal(o snapSegment) bool {
+	return slices.Equal(g.Items, o.Items) && g.Chunks == o.Chunks && g.Bytes == o.Bytes && g.Hash == o.Hash
+}
+
+// trimItems drops the trailing sources a segment holds none of: the one
+// spelling of its item counts.
+func trimItems(items []int) []int {
+	for len(items) > 0 && items[len(items)-1] == 0 {
+		items = items[:len(items)-1]
+	}
+	return items
 }
 
 // estimateTuple approximates a tuple's encoded size, for size-budgeted
@@ -138,7 +136,7 @@ func estimateTuple(t relation.Tuple) int {
 // tuple larger than the cap is unrepresentable and fails loudly at the
 // frame encoder). The split is deterministic for given tuples and budget,
 // so equal content always yields equal bytes. An empty run is one record.
-// It is the one splitter: of a snapshot's runs and of a registration's
+// It is the one splitter: of a segment's runs and of a registration's
 // seeds in the log.
 func writeChunked(source string, tuples []relation.Tuple, budget int, emit func([]byte) error) error {
 	if budget <= 0 {
@@ -193,8 +191,10 @@ func encodeManifest(man *snapManifest) ([]byte, error) {
 // decodeManifest validates a manifest record. A manifest of another
 // format is refused by both numbers and never read further: format 2's
 // whole-sequence sections share nothing with runs but the frame, format
-// 4's manifest names pair runs this build neither reads nor keeps, and
-// format 5's runs hold chunks spelled apart from the run record.
+// 4's manifest names pair runs this build neither reads nor keeps, format
+// 5's runs hold chunks spelled apart from the run record, and format 6
+// keeps each source's tuples in runs of its own, one file per source and
+// 1,024 tuples, where a segment holds every source's.
 func decodeManifest(rec wal.Record) (*snapManifest, error) {
 	var man snapManifest
 	if err := json.Unmarshal(rec.Payload, &man); err != nil {
@@ -209,46 +209,76 @@ func decodeManifest(rec wal.Record) (*snapManifest, error) {
 	return &man, nil
 }
 
-// checkRuns holds a source's run directory to the cut it claims: runs
-// dense from 0 (their position is their number), every run but the last
-// exactly runItems long, the last non-empty and no longer.
-func checkRuns(id runID, runs []snapRun, runItems int) error {
-	for k, r := range runs {
-		if r.Items < 1 || r.Items > runItems || (r.Items < runItems && k < len(runs)-1) {
-			id.run = k
-			return fmt.Errorf("hub: snapshot %v holds %d items: every run but a sequence's last holds %d", id, r.Items, runItems)
+// checkSegments holds the manifest's segments to what a writer sealing
+// at SegItems leaves: each names at most the manifest's sources and holds
+// at least one item, and every one but the last at least SegItems. It
+// returns each segment's base: the items of the segments before it.
+func (m *snapManifest) checkSegments() ([]int, error) {
+	if m.SegItems < 1 {
+		return nil, fmt.Errorf("hub: load snapshot: manifest seals segments at %d items", m.SegItems)
+	}
+	bases := make([]int, len(m.Segments))
+	base := 0
+	for j, g := range m.Segments {
+		n := g.total()
+		bad := len(g.Items) > len(m.Sources) || n < 1 || (n < m.SegItems && j < len(m.Segments)-1)
+		for _, k := range g.Items {
+			bad = bad || k < 0
+		}
+		if bad {
+			return nil, fmt.Errorf("hub: snapshot segment %d holds %v items of %d sources: every segment holds some, of the manifest's sources, and every one but the last at least %d",
+				j, g.Items, len(m.Sources), m.SegItems)
+		}
+		bases[j], base = base, base+n
+	}
+	return bases, nil
+}
+
+// ---------------------------------------------------------------------
+// Segment decoding
+// ---------------------------------------------------------------------
+
+// segSource is what a segment is read against: a manifest slot's name and
+// schema.
+type segSource struct {
+	name string
+	sch  *schema.Schema
+}
+
+// decSegment is one decoded segment: the position its frames declare (its
+// base), the manifest entry it reproduces (item counts, chunks, bytes,
+// content address) and each source's tuples in it.
+type decSegment struct {
+	base   int
+	meta   snapSegment
+	tuples [][]relation.Tuple
+}
+
+// decodeSegment decodes one segment file's bytes, data, reading each
+// run's tuples against the schema of its source's slot in srcs into
+// blocks of its own, and takes the segment's content address: the
+// SHA-256 of data. sizes, when the manifest entry gives them, size each
+// source's tuples ahead. Runs come in srcs order, a source's at most
+// once and never empty; the base a file declares is one less than its
+// first frame's number.
+func decodeSegment(data []byte, srcs []segSource, sizes []int) (*decSegment, error) {
+	sum := sha256.Sum256(data)
+	d := &decSegment{meta: snapSegment{Bytes: int64(len(data)), Hash: hex.EncodeToString(sum[:])}, tuples: make([][]relation.Tuple, len(srcs))}
+	for i, n := range sizes {
+		if i < len(srcs) && n > 0 {
+			d.tuples[i] = make([]relation.Tuple, 0, min(n, len(data)))
 		}
 	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Run decoding
-// ---------------------------------------------------------------------
-
-// decRun is one decoded run: the identity its records declare, the
-// manifest entry it reproduces (counts, content address) and its tuples.
-type decRun struct {
-	id     runID
-	meta   snapRun
-	tuples []relation.Tuple
-}
-
-// decodeRun decodes one run file's bytes, data, of a snapshot cut at runs
-// of runItems, reading its tuples against sch — the schema of the
-// manifest slot the run is read for — into blocks of its own, and takes
-// the run's content address: the SHA-256 of data. The run the file
-// declares is its records' source and, by its first frame's number, its
-// position.
-func decodeRun(data []byte, sch *schema.Schema, runItems int) (*decRun, error) {
-	sum := sha256.Sum256(data)
-	d := &decRun{meta: snapRun{Bytes: int64(len(data)), Hash: hex.EncodeToString(sum[:])}}
 	var blocks relation.TupleBlocks
 	frames := wal.NewFrameCutter(data)
-	for more := true; more; {
+	cur, more := -1, false
+	for {
 		rec, _, err := frames.Next()
 		if err == io.EOF {
-			return nil, fmt.Errorf("truncated (no final chunk)")
+			if more || cur < 0 {
+				return nil, fmt.Errorf("truncated (no final chunk)")
+			}
+			break
 		}
 		if err != nil {
 			return nil, err
@@ -260,28 +290,40 @@ func decodeRun(data []byte, sch *schema.Schema, runItems int) (*decRun, error) {
 			return nil, fmt.Errorf("chunk %d: %w", n, err)
 		}
 		if n == 1 {
-			d.id = runID{name: string(run.Source), run: int((rec.Seq - 1) / uint64(runItems))}
+			d.base = int(rec.Seq - 1)
 		}
-		if string(run.Source) != d.id.name || rec.Seq != uint64(d.id.run*runItems+n) {
+		next := cur
+		if !more {
+			// A new run: of a source after the last run's.
+			next++
+			for next < len(srcs) && srcs[next].name != string(run.Source) {
+				next++
+			}
+		}
+		if next >= len(srcs) || srcs[next].name != string(run.Source) || rec.Seq != uint64(d.base+n) {
 			return nil, fmt.Errorf("chunk %d out of sequence (source %q, frame %d)", n, run.Source, rec.Seq)
 		}
-		if d.tuples, err = run.Tuples(&blocks, sch, d.tuples); err != nil {
-			return nil, fmt.Errorf("chunk %d after tuple %d: %w", n, len(d.tuples), err)
+		cur = next
+		if d.tuples[cur], err = run.Tuples(&blocks, srcs[cur].sch, d.tuples[cur]); err != nil {
+			return nil, fmt.Errorf("chunk %d after tuple %d of source %q: %w", n, len(d.tuples[cur]), srcs[cur].name, err)
 		}
-		more = run.More
+		if more = run.More; !more && len(d.tuples[cur]) == 0 {
+			return nil, fmt.Errorf("chunk %d ends an empty run of source %q", n, srcs[cur].name)
+		}
 	}
-	if _, _, err := frames.Next(); err != io.EOF {
-		return nil, fmt.Errorf("trailing frames after final chunk")
+	d.meta.Items = make([]int, len(srcs))
+	for i, ts := range d.tuples {
+		d.meta.Items[i] = len(ts)
 	}
-	d.meta.Items = len(d.tuples)
+	d.meta.Items = trimItems(d.meta.Items)
 	return d, nil
 }
 
-// matches verifies a decoded run against the manifest position it was
-// read for and that position's entry.
-func (d *decRun) matches(id runID, want snapRun) error {
-	if d.id != id || d.meta != want {
-		return fmt.Errorf("hub: snapshot %v does not match its manifest entry", id)
+// matches verifies a decoded segment against the manifest position it
+// was read for — segment j, after base items — and that position's entry.
+func (d *decSegment) matches(j, base int, want snapSegment) error {
+	if d.base != base || !d.meta.equal(want) {
+		return fmt.Errorf("hub: snapshot segment %d does not match its manifest entry", j)
 	}
 	return nil
 }

@@ -15,17 +15,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"entityid/internal/datagen"
-	"entityid/internal/schema"
+	"entityid/internal/obs"
 	"entityid/internal/store"
 	"entityid/internal/value"
 	"entityid/internal/wal"
 )
 
-// loadSnapshotSections rebuilds a hub from a manifest's run files alone,
+// loadSnapshotSections rebuilds a hub from a manifest's segment files alone,
 // the way Open does before it reads the log, onto backend b (nil means
 // memory): for a directory another hub holds locked, or a doctored
 // manifest no log goes with.
@@ -41,12 +44,13 @@ func loadSnapshotSections(fsys wal.FS, dir string, man *snapManifest, b store.Ba
 }
 
 // snapshottedDir ingests a workload into a fresh durable hub in dir,
-// snapshots it with runs of runItems (0: the constant) and closes it.
-func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkBytes, runItems int) {
+// snapshots it with segments sealed at segItems (0: the constant) and
+// closes it.
+func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkBytes, segItems int) {
 	t.Helper()
 	w := datagen.MustMultiGenerate(cfg)
 	h, _ := openMultiOpts(t, dir, w, Options{chunkBytes: chunkBytes})
-	sealAt(h, runItems)
+	sealAt(h, segItems)
 	for i, res := range h.IngestBatch(MultiInserts(w)) {
 		if res.Err != nil {
 			t.Fatalf("ingest %d: %v", i, res.Err)
@@ -60,12 +64,12 @@ func snapshottedDir(t testing.TB, dir string, cfg datagen.MultiConfig, chunkByte
 	}
 }
 
-// sealAt makes h cut its runs every n items instead of every
-// snapRunItems (0 leaves the constant), so a test-sized hub has sealed
-// runs; the loader takes the run length from the manifest.
+// sealAt makes h seal its segments at n items instead of at
+// snapSegItems (0 leaves the constant), so a test-sized hub has sealed
+// segments; the loader takes R from the manifest.
 func sealAt(h *Hub, n int) {
 	if n > 0 {
-		h.snap.runItems = n
+		h.snap.segItems = n
 	}
 }
 
@@ -86,40 +90,50 @@ func editManifest(t testing.TB, dir string, edit func(*snapManifest)) {
 	}
 }
 
-// rewriteRun re-encodes the run entry names as edit leaves its decoded
-// content and re-addresses it — new file, new content hash, new entry —
-// so every frame CRC, run hash and count stays self-consistent.
-func rewriteRun(t testing.TB, dir string, id runID, entry *snapRun, edit func(*decRun)) {
+// manifestSources is what dir's segments are read against.
+func manifestSources(t testing.TB, man *snapManifest) []segSource {
 	t.Helper()
-	// A run is read against its manifest slot's schema.
-	var sch *schema.Schema
+	srcs := make([]segSource, len(man.Sources))
+	for i, s := range man.Sources {
+		sch, err := wal.DecodeSchema(s.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = segSource{s.Name, sch}
+	}
+	return srcs
+}
+
+// rewriteSegment re-encodes segment j, whose entry is entry, as edit
+// leaves its decoded content and re-addresses it — new file, new content
+// hash, new entry — so every frame CRC, segment hash and count stays
+// self-consistent.
+func rewriteSegment(t testing.TB, dir string, j int, entry *snapSegment, edit func(*decSegment)) {
+	t.Helper()
 	man, err := readManifest(wal.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range man.Sources {
-		if s.Name == id.name {
-			if sch, err = wal.DecodeSchema(s.Schema); err != nil {
-				t.Fatal(err)
-			}
-		}
+	bases, err := man.checkSegments()
+	if err != nil {
+		t.Fatal(err)
 	}
-	d, err := readRunFile(wal.OS, dir, id, *entry, sch, man.RunItems)
+	d, err := readSegmentFile(wal.OS, dir, j, bases[j], *entry, manifestSources(t, man))
 	if err != nil {
 		t.Fatal(err)
 	}
 	edit(d)
-	if *entry, err = newDirSink(wal.OS, dir, nil, man.RunItems).write(id, d.tuples, 0); err != nil {
+	if *entry, err = newDirSink(wal.OS, dir, nil, man.SegItems).write(d.base, man.Sources, d.tuples, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// respell re-frames run, a run file's bytes, with chunk 1's payload as
-// edit leaves it, under fresh CRCs.
-func respell(t testing.TB, run []byte, edit func(string) string) []byte {
+// respell re-frames seg, a segment file's bytes, with chunk 1's payload
+// as edit leaves it, under fresh CRCs.
+func respell(t testing.TB, seg []byte, edit func(string) string) []byte {
 	t.Helper()
 	var out []byte
-	frames := wal.NewFrameCutter(run)
+	frames := wal.NewFrameCutter(seg)
 	for {
 		rec, _, err := frames.Next()
 		if err != nil {
@@ -139,10 +153,10 @@ func respell(t testing.TB, run []byte, edit func(string) string) []byte {
 	}
 }
 
-// respellRun writes the run entry names again, with chunk 1 respelled,
-// as a file of its own content address, and points entry at it: every
-// frame CRC, the run hash and the byte count agree.
-func respellRun(t testing.TB, dir string, entry *snapRun, edit func(string) string) {
+// respellSegment writes the segment entry names again, with chunk 1
+// respelled, as a file of its own content address, and points entry at
+// it: every frame CRC, the segment hash and the byte count agree.
+func respellSegment(t testing.TB, dir string, entry *snapSegment, edit func(string) string) {
 	t.Helper()
 	data, err := os.ReadFile(secPath(dir, entry.Hash))
 	if err != nil {
@@ -157,10 +171,10 @@ func respellRun(t testing.TB, dir string, entry *snapRun, edit func(string) stri
 }
 
 // TestSnapshotDeterministicRoundTrip pins snapshot→reopen→snapshot
-// identity: a hub recovered from a snapshot re-encodes every source run to
-// exactly the bytes it was loaded from — same run and chunk boundaries,
-// same content hashes — and, each pair rebuilt over the relations the
-// runs hold, commits a byte-identical manifest.
+// identity: a hub recovered from a snapshot written whole re-encodes every
+// segment to exactly the bytes it was loaded from — same segment and
+// chunk boundaries, same content hashes — and, each pair rebuilt over the
+// relations the segments hold, commits a byte-identical manifest.
 func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -180,7 +194,7 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 		t.Fatalf("reopen did not come up from the snapshot alone: %+v", info)
 	}
 	// Forget the loaded manifest so nothing carries forward by reference:
-	// every run is re-encoded from the recovered state.
+	// every segment is re-encoded from the recovered state.
 	h2.snap.prevMan = nil
 	sealAt(h2, 8)
 	if err := h2.SnapshotNow(); err != nil {
@@ -194,15 +208,15 @@ func TestSnapshotDeterministicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(man1, man2) {
-		t.Fatalf("snapshot→reopen→snapshot changed the manifest (run hashes differ):\n%s\n%s", man1, man2)
+		t.Fatalf("snapshot→reopen→snapshot changed the manifest (segment hashes differ):\n%s\n%s", man1, man2)
 	}
 }
 
 // TestSnapshotMultiChunkBeyondFrameCap lowers the WAL frame cap so the
 // hub's encoded state no longer fits one frame (the 256MB ceiling in
 // miniature): seed relations too large for one record go in as
-// source_begin/source_chunk groups, the snapshot persists multi-chunk
-// runs with every frame under the cap, and recovery comes up from
+// source_begin/source_chunk groups, the snapshot persists a multi-chunk
+// segment with every frame under the cap, and recovery comes up from
 // it alone.
 func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
 	defer wal.SetFrameCapForTesting(8 << 10)()
@@ -218,17 +232,14 @@ func TestSnapshotMultiChunkBeyondFrameCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks, multi, total := 0, 0, int64(0)
-		man.eachRun(func(_ runID, run snapRun) {
-			chunks += run.Chunks
-			total += run.Bytes
-			if run.Chunks > 1 {
-				multi++
-			}
-		})
-		if chunks < 8 || multi < 3 || total <= int64(wal.FrameCap()) {
-			t.Fatalf("expected a genuinely multi-chunk snapshot past the %d-byte frame cap, got %d chunks, %d multi-chunk runs, %d bytes; grow the workload",
-				wal.FrameCap(), chunks, multi, total)
+		chunks, total := 0, int64(0)
+		for _, g := range man.Segments {
+			chunks += g.Chunks
+			total += g.Bytes
+		}
+		if chunks < 8 || total <= int64(wal.FrameCap()) {
+			t.Fatalf("expected a genuinely multi-chunk snapshot past the %d-byte frame cap, got %d chunks, %d bytes; grow the workload",
+				wal.FrameCap(), chunks, total)
 		}
 	}
 }
@@ -255,8 +266,8 @@ func TestJumboAddSourceReplaysFromChunks(t *testing.T) {
 // TestSnapshotIncrementalCarryForward pins the economics: when almost
 // nothing changed between snapshots, almost nothing is rewritten —
 // whether the little that changed went into one source or was spread
-// over all of them, every sealed run carries forward by reference and
-// the bytes written are o(full state).
+// over all of them, every sealed segment carries forward by reference,
+// one segment is written and the bytes written are o(full state).
 func TestSnapshotIncrementalCarryForward(t *testing.T) {
 	w := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 4, Entities: 120, PresenceFrac: 0.7, HomonymRate: 0.1,
@@ -279,23 +290,22 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 		t.Fatalf("full snapshot wrote nothing: %+v", full)
 	}
 	if full.SectionsReused != 0 {
-		t.Fatalf("first snapshot reused runs: %+v", full)
+		t.Fatalf("first snapshot reused segments: %+v", full)
 	}
-	sequences := len(h.sources) + len(h.pairs)
 
-	// An unchanged hub re-snapshots for (almost) free: every run carries
-	// forward, only the manifest is rewritten.
+	// An unchanged hub re-snapshots for (almost) free: every segment
+	// carries forward, only the manifest is rewritten.
 	if err := h.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
 	idle := h.LastSnapshot()
 	if idle.SectionsWritten != 0 || idle.SectionsReused != full.SectionsWritten {
-		t.Fatalf("idle snapshot rewrote runs: %+v (full %+v)", idle, full)
+		t.Fatalf("idle snapshot rewrote segments: %+v (full %+v)", idle, full)
 	}
 
 	// Change ~1% of the tuples, first in one source, then in every source:
-	// at most the last run of each sequence (and what the inserts newly
-	// fill) is written, everything sealed is carried.
+	// one segment — the last one, if unsealed, merged with what the
+	// inserts add — is written, everything sealed is carried.
 	extra := datagen.MustMultiGenerate(datagen.MultiConfig{
 		Sources: 4, Entities: 4, PresenceFrac: 1, Seed: 48,
 	})
@@ -316,9 +326,9 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		incr := h.LastSnapshot()
-		if incr.SectionsWritten > 2*sequences || incr.SectionsReused < runs-sequences {
-			t.Fatalf("incremental snapshot into sources %v wrote %d runs and reused %d of %d (%d sequences): %+v",
-				into, incr.SectionsWritten, incr.SectionsReused, runs, sequences, incr)
+		if incr.SectionsWritten != 1 || incr.SectionsReused < runs-1 {
+			t.Fatalf("incremental snapshot into sources %v wrote %d segments and reused %d of %d: %+v",
+				into, incr.SectionsWritten, incr.SectionsReused, runs, incr)
 		}
 		if incr.BytesWritten*2 >= full.BytesWritten {
 			t.Fatalf("incremental snapshot into sources %v wrote %d bytes, not o(full %d)", into, incr.BytesWritten, full.BytesWritten)
@@ -339,16 +349,15 @@ func TestSnapshotIncrementalCarryForward(t *testing.T) {
 }
 
 // TestSnapshotSealedMeansSealed drives twenty snapshots with inserts
-// spread over every source between them, at two hub sizes: a run that
-// was full in one manifest has the same content address in every later
-// one, and what a snapshot writes after Δ inserts is bounded by
-// Δ + R·sources tuples — the increment plus each source's partial run —
-// however large the hub already is.
+// spread over every source between them, at two hub sizes: a segment that
+// was sealed in one manifest has the same content address in every later
+// one, and what a snapshot writes after Δ inserts is bounded by Δ + R
+// tuples — the increment plus the unsealed last segment — in one segment
+// file, however large the hub already is.
 func TestSnapshotSealedMeansSealed(t *testing.T) {
-	const runItems, delta, snapshots = 16, 12, 20
-	// No framed tuple of this workload is larger, and no manifest entry of
-	// a run.
-	const itemBytes, entryBytes = 200, 140
+	const segItems, delta, snapshots = 16, 12, 20
+	// No framed tuple of this workload is larger.
+	const itemBytes = 200
 	var steady [2]int64
 	for leg, entities := range []int{150, 600} {
 		w := datagen.MustMultiGenerate(datagen.MultiConfig{
@@ -357,7 +366,7 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 		})
 		dir := t.TempDir()
 		h, _ := openMultiOpts(t, dir, w, Options{})
-		sealAt(h, runItems)
+		sealAt(h, segItems)
 		// The last delta·snapshots/K tuples of each source, dealt round robin,
 		// are the increments; everything before them is the hub's size.
 		var head, tail []Insert
@@ -380,8 +389,7 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 		if err := h.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
-		sequences := len(h.sources)
-		sealed := map[runID]string{}
+		sealed := map[int]string{}
 		for i := 0; i < snapshots; i++ {
 			for _, it := range tail[i*delta : (i+1)*delta] {
 				if _, err := h.Insert(it.Source, it.Tuple); err != nil {
@@ -395,49 +403,54 @@ func TestSnapshotSealedMeansSealed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total := 0
-			man.eachRun(func(id runID, r snapRun) {
-				total++
-				if was, ok := sealed[id]; ok && was != r.Hash {
-					t.Fatalf("snapshot %d: sealed %v changed from %s to %s", i, id, was, r.Hash)
+			total := len(man.Segments)
+			for j, g := range man.Segments {
+				if was, ok := sealed[j]; ok && was != g.Hash {
+					t.Fatalf("snapshot %d: sealed segment %d changed from %s to %s", i, j, was, g.Hash)
 				}
-				if r.Items == runItems {
-					sealed[id] = r.Hash
+				if g.total() >= segItems {
+					sealed[j] = g.Hash
 				}
-			})
+			}
 			st := h.LastSnapshot()
-			if limit := int64(itemBytes*(delta+runItems*sequences) + entryBytes*total + 1024); st.BytesWritten > limit {
-				t.Fatalf("snapshot %d of a %d-tuple hub wrote %d bytes after %d inserts, limit %d: %+v", i, len(head)+len(tail), st.BytesWritten, delta, limit, st)
+			mf, err := os.Stat(filepath.Join(dir, snapshotManifest))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.SectionsReused < total-3*sequences {
-				t.Fatalf("snapshot %d reused %d of %d runs over %d sequences: %+v", i, st.SectionsReused, total, sequences, st)
+			segBytes := st.BytesWritten - mf.Size()
+			if limit := int64(itemBytes * (delta + segItems)); segBytes > limit {
+				t.Fatalf("snapshot %d of a %d-tuple hub wrote %d segment bytes after %d inserts, limit %d: %+v", i, len(head)+len(tail), segBytes, delta, limit, st)
 			}
-			steady[leg] = st.BytesWritten - int64(entryBytes*total)
+			if st.SectionsWritten != 1 || st.SectionsReused < total-1 {
+				t.Fatalf("snapshot %d wrote %d segments and reused %d of %d: %+v", i, st.SectionsWritten, st.SectionsReused, total, st)
+			}
+			steady[leg] = segBytes
 		}
-		if len(sealed) < 4*sequences {
-			t.Fatalf("only %d runs ever sealed over %d sequences; grow the workload", len(sealed), sequences)
+		if len(sealed) < 4 {
+			t.Fatalf("only %d segments ever sealed; grow the workload", len(sealed))
 		}
 		if err := h.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("run bytes written by the last snapshot: %d at the small hub, %d at the large", steady[0], steady[1])
+	t.Logf("segment bytes written by the last snapshot: %d at the small hub, %d at the large", steady[0], steady[1])
 	if steady[1] > 2*steady[0]+1024 {
-		t.Fatalf("run bytes written per snapshot grew with the hub: %d at the small hub, %d at the large", steady[0], steady[1])
+		t.Fatalf("segment bytes written per snapshot grew with the hub: %d at the small hub, %d at the large", steady[0], steady[1])
 	}
 }
 
 // TestSnapshotV3TamperDetection corrupts the on-disk form: a flipped byte
-// in a run file (content hash, even though the file's own frames may
+// in a segment file (content hash, even though the file's own frames may
 // still parse) and in the manifest (its own frame CRC), and manifests
-// whose every frame, hash and count is self-consistent but whose run
-// directory is not the cut's — a run removed, two sealed runs swapped, a
-// short run that is not its source's last, a run of another source in
-// place of one — or whose run is not what this format writes: a file of
+// whose every frame, hash and count is self-consistent but whose segments
+// are not the cut's — a segment removed, two sealed segments swapped, a
+// short segment that is not the last, another segment's entry in place of
+// one, item counts moved between sources or naming a source the manifest
+// lacks — or whose segment is not what this format writes: a file of
 // another size than its entry, a chunk spelled otherwise (a space,
 // reordered keys, a repeated key, an empty name). All of them must fail
-// the open, naming the run. A directory of a retired format is refused by
-// name, never misread.
+// the open, naming the segment. A directory of a retired format is
+// refused by name, never misread.
 func TestSnapshotV3TamperDetection(t *testing.T) {
 	dir := t.TempDir()
 	snapshottedDir(t, dir, datagen.MultiConfig{
@@ -446,7 +459,7 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	}, 0, 4)
 	secs, err := filepath.Glob(filepath.Join(dir, snapSecDir, "*"+snapSecSuffix))
 	if err != nil || len(secs) == 0 {
-		t.Fatalf("runs: %v %v", secs, err)
+		t.Fatalf("segments: %v %v", secs, err)
 	}
 	for _, path := range []string{secs[0], filepath.Join(dir, snapshotManifest)} {
 		data, err := os.ReadFile(path)
@@ -469,40 +482,62 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// mixed is a segment that holds two sources, from and to.
+	mixed, from, to := -1, -1, -1
+	for j, g := range man.Segments {
+		for i, k := range g.Items {
+			if k > 0 && from < 0 {
+				from = i
+			} else if k > 0 && to < 0 {
+				mixed, to = j, i
+			}
+		}
+		if mixed >= 0 {
+			break
+		}
+		from = -1
+	}
+	if len(man.Segments) < 3 || mixed < 0 {
+		t.Fatalf("want three segments or more, one holding two sources: %+v", man.Segments)
+	}
 	src := man.Sources[0]
-	// respelled is a manifest edit: chunk 1 of the source's first run
-	// written as edit leaves it, old replaced by new once.
+	// respelled is a manifest edit: chunk 1 of the first segment written
+	// as edit leaves it, old replaced by new once.
 	respelled := func(old, new string) func(*snapManifest) {
 		return func(m *snapManifest) {
-			respellRun(t, dir, &m.Sources[0].Runs[0], func(p string) string { return strings.Replace(p, old, new, 1) })
+			respellSegment(t, dir, &m.Segments[0], func(p string) string { return strings.Replace(p, old, new, 1) })
 		}
 	}
-	unspelled := func(id runID) string {
-		return fmt.Sprintf("hub: snapshot %v: chunk 1: wal: not spelled as this format writes a run", id)
-	}
+	const unspelled = "hub: snapshot segment 0: chunk 1: wal: not spelled as this format writes a run"
+	const mismatch = "does not match its manifest entry"
 	name := `"source":` + string(value.AppendJSONString(nil, src.Name))
 	for name, c := range map[string]struct {
 		edit func(*snapManifest)
 		want string
 	}{
-		"a run removed": {func(m *snapManifest) { m.Sources[0].Runs = m.Sources[0].Runs[1:] }, "does not match its manifest entry"},
-		"the last run removed": {func(m *snapManifest) {
-			m.Sources[0].Runs = m.Sources[0].Runs[:len(m.Sources[0].Runs)-1]
-		}, "the snapshot cut it at"},
-		"two runs swapped": {func(m *snapManifest) {
-			r := m.Sources[1].Runs
-			r[0], r[1] = r[1], r[0]
-		}, "does not match its manifest entry"},
-		"a short run that is not the last": {func(m *snapManifest) {
-			rewriteRun(t, dir, m.Sources[0].id(), &m.Sources[0].Runs[0], func(d *decRun) { d.tuples = d.tuples[:len(d.tuples)-1] })
-		}, "every run but a sequence's last holds 4"},
-		"another source's run": {func(m *snapManifest) { m.Sources[0].Runs[0] = m.Sources[1].Runs[0] }, "does not match its manifest entry"},
-		// Runs this format did not write, every frame CRC intact.
-		"a run file of another size than its entry": {func(m *snapManifest) { m.Sources[0].Runs[0].Bytes++ }, fmt.Sprintf("hub: snapshot %v: the run file holds", src.id())},
-		"a chunk spelled with a space":              {respelled(`"source":`, `"source": `), unspelled(src.id())},
-		"a chunk with its keys reordered":           {respelled(`]]}`, `]],"more":true}`), unspelled(src.id())},
-		"a chunk with a key repeated":               {respelled(name, name+","+name), unspelled(src.id())},
-		"a source run with an empty name":           {respelled(name, `"source":""`), unspelled(src.id())},
+		"a segment removed":        {func(m *snapManifest) { m.Segments = m.Segments[1:] }, "hub: snapshot segment 0 " + mismatch},
+		"the last segment removed": {func(m *snapManifest) { m.Segments = m.Segments[:len(m.Segments)-1] }, "the snapshot cut it at"},
+		"two segments swapped": {func(m *snapManifest) {
+			m.Segments[0], m.Segments[1] = m.Segments[1], m.Segments[0]
+		}, mismatch},
+		"a short segment that is not the last": {func(m *snapManifest) {
+			rewriteSegment(t, dir, 0, &m.Segments[0], func(d *decSegment) { d.tuples[0] = d.tuples[0][:len(d.tuples[0])-1] })
+		}, "every one but the last at least 4"},
+		"another segment's entry": {func(m *snapManifest) { m.Segments[0] = m.Segments[1] }, mismatch},
+		"items moved between sources": {func(m *snapManifest) {
+			items := slices.Clone(m.Segments[mixed].Items)
+			items[from], items[to] = items[from]-1, items[to]+1
+			m.Segments[mixed].Items = items
+		}, fmt.Sprintf("hub: snapshot segment %d %s", mixed, mismatch)},
+		"items of a source the manifest lacks": {func(m *snapManifest) {
+			m.Segments[0].Items = append(slices.Clone(m.Segments[0].Items), 0, 0, 1)
+		}, "of the manifest's sources"},
+		// Segments this format did not write, every frame CRC intact.
+		"a segment file of another size than its entry": {func(m *snapManifest) { m.Segments[0].Bytes++ }, "hub: snapshot segment 0: the segment file holds"},
+		"a chunk spelled with a space":                  {respelled(`"source":`, `"source": `), unspelled},
+		"a chunk with its keys reordered":               {respelled(`]]}`, `]],"more":true}`), unspelled},
+		"a chunk with a key repeated":                   {respelled(name, name+","+name), unspelled},
+		"a source run with an empty name":               {respelled(name, `"source":""`), unspelled},
 	} {
 		committed, err := os.ReadFile(filepath.Join(dir, snapshotManifest))
 		if err != nil {
@@ -517,7 +552,7 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 		}
 	}
 	// Control: with every file restored the directory opens again (and
-	// sweeps the run the short-run case left behind).
+	// sweeps the segment the short-segment case left behind).
 	h, info, err := openOn(dir, Options{})
 	if err != nil || !info.FromSnapshot {
 		t.Fatalf("restored directory: %v %+v", err, info)
@@ -529,14 +564,16 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 	// tuple codec — a format-3 snapshot with a log tail, and a log alone
 	// whose records spell a tuple value by value; format 4, whose
 	// snapshot also stored each pair's matching table, with a log tail;
-	// and the build before the run record — a format-5 snapshot with a log
+	// the build before the run record — a format-5 snapshot with a log
 	// tail of insert records, and a log alone that registers its sources
-	// by add_source. Each is refused by both numbers.
+	// by add_source; and format 6, whose runs hold one source each, with a
+	// log tail of run records. Each is refused by both numbers.
 	for fixture, want := range map[string]string{
-		"snapshot-format2": "snapshot manifest: format 2, this build reads 6",
-		"snapshot-format3": "snapshot manifest: format 3, this build reads 6",
-		"snapshot-format4": "snapshot manifest: format 4, this build reads 6",
-		"snapshot-format5": "snapshot manifest: format 5, this build reads 6",
+		"snapshot-format2": "snapshot manifest: format 2, this build reads 7",
+		"snapshot-format3": "snapshot manifest: format 3, this build reads 7",
+		"snapshot-format4": "snapshot manifest: format 4, this build reads 7",
+		"snapshot-format5": "snapshot manifest: format 5, this build reads 7",
+		"snapshot-format6": "snapshot manifest: format 6, this build reads 7",
 		"wal-format1":      "record 1: wal: add_source record of format 1, this build reads 3",
 		"wal-format2":      "record 1: wal: add_source record of format 2, this build reads 3",
 	} {
@@ -607,4 +644,251 @@ func TestSnapshotDuringIngest(t *testing.T) {
 		t.Fatalf("post-ingest snapshot not used: %+v", info)
 	}
 	mustEqualState(t, "post-ingest snapshot", stateOf(h2), want)
+}
+
+// commitLogFS records what the snapshot writer does to the file system, in
+// order: each segment file committed (renamed into snapsecs/) with the
+// bytes written to it, and each manifest committed with its bytes.
+type commitLogFS struct {
+	wal.FS
+	mu      sync.Mutex
+	written map[string][]byte // a temporary file's name → what was written to it
+	events  []fsEvent
+}
+
+// fsEvent is one commit: a segment file's (seg) or the manifest's.
+type fsEvent struct {
+	seg  string // the segment file's name; "" for the manifest
+	data []byte
+}
+
+type commitLogFile struct {
+	wal.File
+	fs *commitLogFS
+}
+
+func (f *commitLogFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	f.fs.written[f.Name()] = append(f.fs.written[f.Name()], p...)
+	f.fs.mu.Unlock()
+	return f.File.Write(p)
+}
+
+func (c *commitLogFS) CreateTemp(dir, pattern string) (wal.File, error) {
+	f, err := c.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &commitLogFile{File: f, fs: c}, nil
+}
+
+func (c *commitLogFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != snapshotManTmp {
+		return f, err
+	}
+	c.mu.Lock()
+	delete(c.written, name)
+	c.mu.Unlock()
+	return &commitLogFile{File: f, fs: c}, nil
+}
+
+func (c *commitLogFS) Rename(oldpath, newpath string) error {
+	if err := c.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case filepath.Base(newpath) == snapshotManifest:
+		c.events = append(c.events, fsEvent{data: c.written[oldpath]})
+	case strings.HasSuffix(newpath, snapSecSuffix):
+		c.events = append(c.events, fsEvent{seg: filepath.Base(newpath), data: c.written[oldpath]})
+	}
+	delete(c.written, oldpath)
+	return nil
+}
+
+// TestSnapshotWritesEachTupleOnce drives background snapshots every 64
+// inserts over four sources whose inserts interleave, through a file
+// system that records every segment and manifest commit: each snapshot
+// commits at most one segment file before its manifest; no segment file
+// is written twice; and the segment bytes written sum to the segments the
+// last manifest holds plus the segments later snapshots merged away, each
+// of which held fewer than R tuples — the rewrite a snapshot may add to
+// its increment. The directory then reopens to the hub's state.
+func TestSnapshotWritesEachTupleOnce(t *testing.T) {
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 4, Entities: 900, PresenceFrac: 0.8, HomonymRate: 0.1,
+		MissingPhone: 0.1, DirtyPhone: 0.1, Seed: 83,
+	})
+	dir := t.TempDir()
+	cfs := &commitLogFS{FS: wal.OS, written: map[string][]byte{}}
+	h, _ := openMultiOpts(t, dir, w, Options{FS: cfs, SnapshotEvery: 64})
+	var items []Insert
+	for i := 0; ; i++ {
+		more := false
+		for k, rel := range w.Relations {
+			if i < rel.Len() {
+				items, more = append(items, Insert{Source: w.Names[k], Tuple: rel.Tuple(i).Clone()}), true
+			}
+		}
+		if !more {
+			break
+		}
+	}
+	for i, it := range items {
+		if _, err := h.Insert(it.Source, it.Tuple); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			h.snap.wg.Wait() // the snapshot these 64 triggered, so none is skipped
+		}
+	}
+	h.snap.wg.Wait()
+	if err := h.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	want := stateOf(h)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfs.mu.Lock()
+	events := cfs.events
+	cfs.mu.Unlock()
+	// Every segment entry any committed manifest held, by file name.
+	entries := map[string]snapSegment{}
+	written := map[string]int64{}
+	var last *snapManifest
+	snapshots, segs := 0, 0
+	for _, e := range events {
+		if e.seg != "" {
+			if segs++; segs > 1 {
+				t.Fatalf("snapshot %d committed %d segment files", snapshots+1, segs)
+			}
+			if _, again := written[e.seg]; again {
+				t.Fatalf("segment file %s written twice", e.seg)
+			}
+			written[e.seg] = int64(len(e.data))
+			continue
+		}
+		rec, err := wal.DecodeRecord(e.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last, err = decodeManifest(rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range last.Segments {
+			entries[g.Hash+snapSecSuffix] = g
+		}
+		snapshots, segs = snapshots+1, 0
+	}
+	if snapshots < 20 || last == nil {
+		t.Fatalf("%d snapshots committed over %d inserts; grow the workload", snapshots, len(items))
+	}
+	var atRest, merged, total int64
+	held := map[string]bool{}
+	for _, g := range last.Segments {
+		held[g.Hash+snapSecSuffix] = true
+		atRest += g.Bytes
+	}
+	for name, n := range written {
+		total += n
+		if held[name] {
+			continue
+		}
+		g, ok := entries[name]
+		if !ok {
+			t.Fatalf("segment file %s written but never committed", name)
+		}
+		if g.total() >= snapSegItems {
+			t.Fatalf("sealed segment %s (%v items) was rewritten", name, g.Items)
+		}
+		merged += n
+	}
+	if total != atRest+merged {
+		t.Fatalf("segment bytes written %d, want %d at rest + %d merged away", total, atRest, merged)
+	}
+	t.Logf("%d snapshots, %d tuples: %d segment bytes at rest in %d segments, %d merged away", snapshots, len(items), atRest, len(last.Segments), merged)
+
+	h2, info, err := openOn(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	if !info.FromSnapshot || info.Replayed != 0 {
+		t.Fatalf("reopen did not come up from the snapshot alone: %+v", info)
+	}
+	mustEqualState(t, "segments written once", stateOf(h2), want)
+}
+
+// walBytesSinceSnapshot scrapes hub_wal_bytes_since_snapshot.
+func walBytesSinceSnapshot(t *testing.T) int64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := obs.Default.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "hub_wal_bytes_since_snapshot "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatal("hub_wal_bytes_since_snapshot not exposed")
+	return 0
+}
+
+// TestWalBytesSinceSnapshot reads hub_wal_bytes_since_snapshot around a
+// SnapshotNow: it counts the log's bytes past the last snapshot's cut, so
+// it falls to zero at the snapshot and then grows by exactly the bytes of
+// the records appended after it; a reopen starts it at the log tail past
+// the snapshot.
+func TestWalBytesSinceSnapshot(t *testing.T) {
+	w := datagen.MustMultiGenerate(datagen.MultiConfig{
+		Sources: 2, Entities: 20, PresenceFrac: 0.8, Seed: 89,
+	})
+	dir := t.TempDir()
+	h, _ := openMultiOpts(t, dir, w, Options{})
+	items := MultiInserts(w)
+	ingest := func(items []Insert) {
+		for _, res := range h.IngestBatch(items) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+	}
+	ingest(items[:len(items)/2])
+	before := walBytesSinceSnapshot(t)
+	if before <= 0 || before != h.per.log.Past() {
+		t.Fatalf("before the snapshot the gauge reads %d, want the whole log's %d bytes", before, h.per.log.Past())
+	}
+	if err := h.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walBytesSinceSnapshot(t); got != 0 {
+		t.Fatalf("after the snapshot the gauge reads %d, want 0", got)
+	}
+	at := h.per.log.Past()
+	ingest(items[len(items)/2:])
+	tail := h.per.log.Past() - at
+	if got := walBytesSinceSnapshot(t); tail <= 0 || got != tail {
+		t.Fatalf("after more inserts the gauge reads %d, want the %d bytes appended since", got, tail)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, _, err := openOn(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	if got := walBytesSinceSnapshot(t); got != tail {
+		t.Fatalf("after a reopen the gauge reads %d, want the log tail's %d bytes", got, tail)
+	}
 }

@@ -1,18 +1,17 @@
-// The snapshot producer and its directory store. It writes one run at a
-// time at a cut taken under the commit lock (snapcut.go), carrying the
-// runs the previous manifest already holds forward by reference: a run
-// at the same position of the same source with the same item count has
-// the same content, by append-onlyness within one directory's lineage,
-// and a full run never gains a tuple — so a writer that remembers the
-// previous manifest re-encodes each source's last, partial run plus
-// whatever arrived since, and a snapshot costs what the increment costs
-// (plus at most R tuples per source and one manifest entry per run), not
-// what the hub holds. After the cut it takes no lock: the tuples it
-// encodes are prefixes of the sources' published views, which never
-// change. The manifest rename is the commit point: a crash at any moment
-// leaves either the old manifest with a longer log or the new manifest
-// with a shorter one, and orphaned run files are swept on the next open
-// or snapshot.
+// The snapshot producer and its directory store. It writes, at a cut taken
+// under the commit lock (snapcut.go), one segment: the tuples each source
+// gained since the previous manifest, merged with that manifest's last
+// segment while it is unsealed, and carries every other segment forward
+// by reference — sources are append-only, so a segment's content never
+// changes within one directory's lineage. A snapshot therefore costs what
+// the increment costs plus at most R tuples and one manifest entry per
+// segment, one data file however many sources gained tuples, not what the
+// hub holds. After the cut it takes no lock: the tuples it encodes are
+// slices of the sources' published views, which never change. The
+// manifest rename is the commit point: a crash at any moment leaves
+// either the old manifest with a longer log or the new manifest with a
+// shorter one, and orphaned segment files are swept on the next open or
+// snapshot.
 package hub
 
 import (
@@ -32,13 +31,14 @@ import (
 type SnapshotStats struct {
 	// Watermark is the WAL sequence number the snapshot covers.
 	Watermark uint64
-	// BytesWritten counts newly written bytes (run files plus the
-	// manifest); carried-forward runs cost nothing, so it is proportional
-	// to what was inserted since the previous snapshot, not to the hub.
+	// BytesWritten counts newly written bytes (segment files plus the
+	// manifest); carried-forward segments cost nothing, so it is
+	// proportional to what was inserted since the previous snapshot, not
+	// to the hub.
 	BytesWritten int64
-	// SectionsWritten and SectionsReused partition the snapshot's runs
-	// into encoded and written vs carried forward by reference (every
-	// sealed run the previous manifest held is).
+	// SectionsWritten and SectionsReused partition the snapshot's
+	// segments into encoded and written vs carried forward by reference
+	// (every sealed segment the previous manifest held is).
 	SectionsWritten int
 	SectionsReused  int
 	// Taken is when the snapshot committed. After Open with no snapshot
@@ -57,9 +57,9 @@ type snapshotter struct {
 	dir        string
 	every      int
 	chunkBytes int
-	// runItems is snapRunItems; a field so tests can seal runs at hub
-	// sizes they can afford.
-	runItems int
+	// segItems is snapSegItems; a field so tests can seal segments at
+	// hub sizes they can afford.
+	segItems int
 	// hub is the owner: a cut is taken of it, and a snapshot failure is
 	// recorded on and may degrade it.
 	hub *Hub
@@ -73,8 +73,11 @@ type snapshotter struct {
 	//entitylint:lock rank=15
 	snapMu sync.Mutex
 	// prevMan is the manifest of the latest committed snapshot: the
-	// diff base that lets sealed and unchanged runs carry forward.
+	// diff base that lets its segments carry forward.
 	prevMan *snapManifest
+	// pastAtCut is the log's Past at the latest committed snapshot's cut:
+	// what hub_wal_bytes_since_snapshot counts from.
+	pastAtCut atomic.Int64
 	// wg tracks the background writer, so Close can quiesce it.
 	wg sync.WaitGroup
 	// statsMu/stats report the latest completed snapshot.
@@ -83,7 +86,7 @@ type snapshotter struct {
 	stats   SnapshotStats
 }
 
-// SnapshotNow forces a synchronous snapshot: cut, run writes,
+// SnapshotNow forces a synchronous snapshot: cut, segment write,
 // manifest rename, log truncation. It fails on a memory-only
 // hub.
 func (h *Hub) SnapshotNow() error {
@@ -95,7 +98,7 @@ func (h *Hub) SnapshotNow() error {
 	defer s.snapMu.Unlock()
 	h.mu.RLock()
 	h.commitMu.Lock()
-	cut := h.cutLocked(s.log.LastSeq())
+	cut := s.cutLocked()
 	h.commitMu.Unlock()
 	h.mu.RUnlock()
 	return s.run(cut)
@@ -131,7 +134,7 @@ func (s *snapshotter) noteCommits(n int) {
 		return // a snapshot is already in flight; never block ingest
 	}
 	s.sinceSnap.Store(0)
-	cut := s.hub.cutLocked(s.log.LastSeq())
+	cut := s.cutLocked()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -140,11 +143,24 @@ func (s *snapshotter) noteCommits(n int) {
 	}()
 }
 
+// walSinceSnapshot is the log's bytes past the latest committed
+// snapshot's cut — at open, past the snapshot loaded.
+func (s *snapshotter) walSinceSnapshot() int64 { return s.log.Past() - s.pastAtCut.Load() }
+
+// cutLocked takes the hub's cut at the log's end. Callers hold the
+// commit lock, which orders the appends.
+func (s *snapshotter) cutLocked() *snapshotCut {
+	cut := s.hub.cutLocked(s.log.LastSeq())
+	cut.past = s.log.Past()
+	return cut
+}
+
 // run produces the snapshot at cut, for the trigger and SnapshotNow
-// alike: log rotation, an incremental write against the previous manifest, a sweep of the
-// files it made stale and truncation of the log segments it covers. It
-// is the one place a snapshot failure is counted, recorded for Close
-// and — when it looks persistent — turned into degradation. A failure
+// alike: log rotation, an incremental write against the previous
+// manifest, a sweep of the files it made stale and truncation of the log
+// segments it covers. It is the one place a snapshot failure is counted,
+// recorded for Close and — when it looks persistent — turned into
+// degradation. A failure
 // does NOT suppress later attempts: a transient error (disk briefly
 // full) must not leave the log growing for the rest of the process's
 // life. Callers hold snapMu.
@@ -159,18 +175,19 @@ func (s *snapshotter) run(cut *snapshotCut) (err error) {
 		return err
 	}
 	start := time.Now()
-	sink := newDirSink(s.fs, s.dir, s.prevMan, s.runItems)
+	sink := newDirSink(s.fs, s.dir, s.prevMan, s.segItems)
 	man, err := s.hub.writeSnapshotSections(cut, sink, s.chunkBytes)
 	if err != nil {
 		return err
 	}
 	s.prevMan = man
+	s.pastAtCut.Store(cut.past)
 	st := sink.stats
 	st.Taken = time.Now()
 	s.statsMu.Lock()
 	s.stats = st
 	s.statsMu.Unlock()
-	// The manifest is committed: runs only older manifests referenced
+	// The manifest is committed: segments only older manifests referenced
 	// are now stale.
 	if err := sweepSections(s.fs, s.dir, man); err != nil {
 		return fmt.Errorf("hub: snapshot: %w", err)
@@ -186,82 +203,148 @@ func (s *snapshotter) run(cut *snapshotCut) (err error) {
 	return nil
 }
 
-// dirSink persists runs as content-addressed files under snapsecs/,
-// carrying forward the runs the previous manifest already holds, and
+// dirSink persists segments as content-addressed files under snapsecs/,
+// carrying forward the segments the previous manifest already holds, and
 // commits by atomically renaming the manifest.
 type dirSink struct {
 	fs       wal.FS
 	dir      string
-	runItems int
-	// prev indexes the previous manifest's run directories by source
-	// name, so planning a snapshot is O(sources).
-	prev  map[string][]snapRun
+	segItems int
+	// prev is the previous manifest's segments when they carry forward:
+	// sealed at the same R. nil for a full write.
+	prev  []snapSegment
 	stats SnapshotStats
-	// made says snapsecs/ exists: the first run written makes it, once
-	// per snapshot rather than once per run.
+	// made says snapsecs/ exists: the first segment written makes it,
+	// once per snapshot rather than once per segment.
 	made bool
 }
 
-// newDirSink indexes the previous manifest (nil for a full write; one
-// cut at another run length shares no run with this one).
-func newDirSink(fsys wal.FS, dir string, prev *snapManifest, runItems int) *dirSink {
-	s := &dirSink{fs: fsys, dir: dir, runItems: runItems, prev: map[string][]snapRun{}}
-	if prev != nil && prev.RunItems == runItems {
-		for _, src := range prev.Sources {
-			s.prev[src.Name] = src.Runs
-		}
+// newDirSink takes the previous manifest's segments as the base (prev nil
+// for a full write; one sealed at another R shares no segment with this
+// one).
+func newDirSink(fsys wal.FS, dir string, prev *snapManifest, segItems int) *dirSink {
+	s := &dirSink{fs: fsys, dir: dir, segItems: segItems}
+	if prev != nil && prev.SegItems == segItems {
+		s.prev = prev.Segments
 	}
 	return s
 }
 
-// runs returns the run directory of source id holding tuples: the
-// leading runs the previous manifest holds at the same length are carried
-// forward — every sealed one is — and the rest are cut from tuples and
-// written.
-func (s *dirSink) runs(id runID, tuples []relation.Tuple, budget int) ([]snapRun, error) {
-	prev, n := s.prev[id.name], len(tuples)
-	k := 0
-	for k < len(prev) && prev[k].Items == min(s.runItems, n-k*s.runItems) {
-		k++
+// segments returns the segments that hold the tuples of every source —
+// srcs[i] holding tuples[i], in registration order: the previous
+// segments that carry forward (base), then what is past them — the
+// unsealed last segment's tuples, if it is not carried, and every tuple
+// gained since — written as one segment or, past 2R, as segments of R
+// with the rest in the last, so that a segment of a large increment does
+// not hold up a load's parallel decode.
+func (s *dirSink) segments(srcs []snapSource, tuples [][]relation.Tuple, budget int) ([]snapSegment, error) {
+	keep, from := s.base(tuples)
+	s.stats.SectionsReused += len(keep)
+	segs := append([]snapSegment{}, keep...)
+	base, rest := 0, 0
+	for _, g := range keep {
+		base += g.total()
 	}
-	s.stats.SectionsReused += k
-	runs, lo := prev[:k:k], k*s.runItems
-	for at := lo; at < n; at += s.runItems {
-		id.run = len(runs)
-		meta, err := s.write(id, tuples[at:min(at+s.runItems, n)], budget)
+	for i, ts := range tuples {
+		rest += len(ts) - from[i]
+	}
+	// Cut what is past the kept segments, source-major, into pieces.
+	pieces, i := max(1, rest/s.segItems), 0
+	for p := 0; p < pieces && rest > 0; p++ {
+		size := s.segItems
+		if p == pieces-1 {
+			size = rest - p*s.segItems
+		}
+		parts := make([][]relation.Tuple, len(tuples))
+		for left := size; left > 0; {
+			if from[i] == len(tuples[i]) {
+				i++
+				continue
+			}
+			k := min(left, len(tuples[i])-from[i])
+			parts[i] = tuples[i][from[i] : from[i]+k]
+			from[i] += k
+			left -= k
+		}
+		g, err := s.write(base, srcs, parts, budget)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, meta)
+		segs = append(segs, g)
+		base += size
 	}
-	return runs, nil
+	return segs, nil
 }
 
-// write encodes one run into its content-addressed file.
-func (s *dirSink) write(id runID, tuples []relation.Tuple, budget int) (snapRun, error) {
+// base returns the previous segments that carry forward and how many
+// tuples of each source they hold: every previous segment when the
+// sources gained nothing since, else all but an unsealed last one.
+// Previous segments that do not fit the sources — more of them, or more
+// tuples, than the cut has — carry nothing.
+func (s *dirSink) base(tuples [][]relation.Tuple) ([]snapSegment, []int) {
+	from := make([]int, len(tuples))
+	keep := s.prev
+	for _, g := range keep {
+		if len(g.Items) > len(from) {
+			return nil, make([]int, len(tuples))
+		}
+		for i, k := range g.Items {
+			from[i] += k
+		}
+	}
+	gained := false
+	for i, ts := range tuples {
+		if from[i] > len(ts) {
+			return nil, make([]int, len(tuples))
+		}
+		gained = gained || len(ts) > from[i]
+	}
+	if n := len(keep); gained && n > 0 && keep[n-1].total() < s.segItems {
+		for i, k := range keep[n-1].Items {
+			from[i] -= k
+		}
+		keep = keep[:n-1]
+	}
+	return keep, from
+}
+
+// write encodes one segment — after base items, parts[i] the tuples of
+// source srcs[i] it holds — into its content-addressed file.
+func (s *dirSink) write(base int, srcs []snapSource, parts [][]relation.Tuple, budget int) (snapSegment, error) {
 	secdir := filepath.Join(s.dir, snapSecDir)
 	if !s.made {
 		if err := s.fs.MkdirAll(secdir, 0o755); err != nil {
-			return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
+			return snapSegment{}, fmt.Errorf("hub: snapshot: %w", err)
 		}
 		s.made = true
 	}
 	tmp, err := s.fs.CreateTemp(secdir, "sec-*.tmp")
 	if err != nil {
-		return snapRun{}, fmt.Errorf("hub: snapshot: %w", err)
+		return snapSegment{}, fmt.Errorf("hub: snapshot: %w", err)
 	}
-	sw := wal.NewSectionWriter(tmp, uint64(id.run*s.runItems+1))
-	meta := snapRun{Items: len(tuples)}
-	err = commitFile(s.fs, tmp, func() error { return writeChunked(id.name, tuples, budget, sw.WriteChunk) }, func() string {
-		meta.Chunks, meta.Bytes, meta.Hash = sw.Chunks(), sw.Bytes(), sw.Sum()
-		return secPath(s.dir, meta.Hash)
+	sw := wal.NewSectionWriter(tmp, uint64(base+1))
+	g := snapSegment{Items: make([]int, len(parts))}
+	fill := func() error {
+		for i, ts := range parts {
+			if g.Items[i] = len(ts); len(ts) > 0 {
+				if err := writeChunked(srcs[i].Name, ts, budget, sw.WriteChunk); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	err = commitFile(s.fs, tmp, fill, func() string {
+		g.Chunks, g.Bytes, g.Hash = sw.Chunks(), sw.Bytes(), sw.Sum()
+		return secPath(s.dir, g.Hash)
 	})
 	if err != nil {
-		return snapRun{}, err
+		return snapSegment{}, err
 	}
+	g.Items = trimItems(g.Items)
 	s.stats.SectionsWritten++
 	s.stats.BytesWritten += sw.Bytes()
-	return meta, nil
+	return g, nil
 }
 
 func (s *dirSink) finish(man *snapManifest) error {
@@ -269,8 +352,8 @@ func (s *dirSink) finish(man *snapManifest) error {
 	if err != nil {
 		return err
 	}
-	// The run files (and their directory entry) must be durable before
-	// the manifest that references them commits.
+	// The segment files (and their directory entry) must be durable
+	// before the manifest that references them commits.
 	syncDir(s.fs, filepath.Join(s.dir, snapSecDir))
 	tmp, err := s.fs.OpenFile(filepath.Join(s.dir, snapshotManTmp), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -288,7 +371,7 @@ func (s *dirSink) finish(man *snapManifest) error {
 
 // commitFile is the one durable file write: fill writes the open
 // temporary file f, which is then fsynced, closed and renamed to dst()
-// (a run file's name is the hash of what was written). On any failure the
+// (a segment file's name is the hash of what was written). On any failure the
 // temporary file is removed and nothing appears under dst.
 func commitFile(fsys wal.FS, f wal.File, fill func() error, dst func() string) error {
 	err := fill()
@@ -318,7 +401,7 @@ func syncDir(fsys wal.FS, path string) {
 	}
 }
 
-// sweepSections removes run files the manifest does not reference
+// sweepSections removes segment files the manifest does not reference
 // (man may be nil: remove them all). The caller holds the directory
 // lock.
 func sweepSections(fsys wal.FS, dir string, man *snapManifest) error {
@@ -332,7 +415,9 @@ func sweepSections(fsys wal.FS, dir string, man *snapManifest) error {
 	}
 	keep := map[string]bool{}
 	if man != nil {
-		man.eachRun(func(_ runID, r snapRun) { keep[r.Hash+snapSecSuffix] = true })
+		for _, g := range man.Segments {
+			keep[g.Hash+snapSecSuffix] = true
+		}
 	}
 	for _, e := range ents {
 		if !strings.HasSuffix(e.Name(), snapSecSuffix) && !strings.HasSuffix(e.Name(), ".tmp") {

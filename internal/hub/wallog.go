@@ -105,7 +105,7 @@ func (p *walLogger) syncPending() {
 
 // appendAddSource logs a source registration: a source_begin record,
 // then the run of its seed tuples, split into budget-sized records by the
-// snapshot runs' splitter (writeChunked), that commits atomically at its
+// snapshot segments' splitter (writeChunked), that commits atomically at its
 // last record.
 //
 //entitylint:walappend

@@ -205,8 +205,8 @@ func (tb *TupleBlocks) parse(sch *schema.Schema, b []byte) (Tuple, []byte, error
 }
 
 // ParseTuplesJSON reads b, a JSON array of tuples over sch and nothing
-// else, into the blocks, appending the tuples to dst: a snapshot run's
-// 1,024 tuples take 16 allocations for their values, not 1,024, and a
+// else, into the blocks, appending the tuples to dst: a snapshot
+// segment's run of 1,024 tuples takes 16 allocations for their values, not 1,024, and a
 // log's runs of one share the decoder's blocks. On an error dst comes
 // back as it was given.
 func (tb *TupleBlocks) ParseTuplesJSON(sch *schema.Schema, dst []Tuple, b []byte) ([]Tuple, error) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"entityid/internal/wal"
 	"entityid/internal/wal/errfs"
@@ -367,5 +368,130 @@ func TestRotateStaleSegmentUnpreservable(t *testing.T) {
 	// The failed rotate left the old segment active: appends continue.
 	if seq, err := l.Append([]byte("still-works")); err != nil || seq != 5 {
 		t.Fatalf("append after failed rotate = (%d, %v), want (5, nil)", seq, err)
+	}
+}
+
+// gatedFS passes every call through to the OS but, while armed, stops the
+// next fsync of a log segment until release hands it its result.
+type gatedFS struct {
+	wal.FS
+	armed   chan struct{} // a token the next segment Sync takes
+	entered chan struct{} // that Sync has begun
+	release chan error    // what it returns
+}
+
+type gatedFile struct {
+	wal.File
+	fs *gatedFS
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.Contains(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return &gatedFile{File: f, fs: g}, nil
+}
+
+// arm makes the next segment fsync block.
+func (g *gatedFS) arm() { g.armed <- struct{}{} }
+
+func (f *gatedFile) Sync() error {
+	select {
+	case <-f.fs.armed:
+		f.fs.entered <- struct{}{}
+		if err := <-f.fs.release; err != nil {
+			return err
+		}
+	default:
+	}
+	return f.File.Sync()
+}
+
+// TestRotateDoesNotBlockAppends holds Rotate inside the fsync of the
+// segment it closes: an append completes meanwhile, Synced claims the
+// closed segment only once that fsync returns — exactly its last record,
+// at offset 0 of the new segment — and a failed fsync fails Rotate with
+// the log still appendable and the closed segment left to the next
+// Rotate to make durable.
+func TestRotateDoesNotBlockAppends(t *testing.T) {
+	dir := t.TempDir()
+	g := &gatedFS{FS: wal.OS, armed: make(chan struct{}, 1), entered: make(chan struct{}), release: make(chan error)}
+	l := open(t, dir, g)
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		seq uint64
+		err error
+	}
+	rotate := func() chan result {
+		g.arm()
+		done := make(chan result, 1)
+		go func() {
+			seq, err := l.Rotate()
+			done <- result{seq, err}
+		}()
+		<-g.entered
+		return done
+	}
+	appended := func(want uint64) {
+		t.Helper()
+		done := make(chan result, 1)
+		go func() {
+			seq, err := l.AppendAll([]byte(`{"a":1}`), []byte(`{"a":2}`))
+			done <- result{seq, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil || r.seq != want {
+				t.Fatalf("append during the rotation's fsync = (%d, %v), want (%d, nil)", r.seq, r.err, want)
+			}
+		case <-time.After(10 * time.Second):
+			go func() { g.release <- nil }() // let Rotate, and so Close, finish
+			t.Fatal("append waited on the rotation's fsync")
+		}
+	}
+
+	done := rotate()
+	appended(5)
+	if seq, off := l.Synced(); seq != 0 || off != 0 {
+		t.Fatalf("Synced = (%d, %d) while the closed segment's fsync is in flight, want (0, 0)", seq, off)
+	}
+	g.release <- nil
+	if r := <-done; r.err != nil || r.seq != 3 {
+		t.Fatalf("Rotate = (%d, %v), want (3, nil)", r.seq, r.err)
+	}
+	if seq, off := l.Synced(); seq != 3 || off != 0 {
+		t.Fatalf("Synced = (%d, %d) after the rotation, want the closed segment exactly: (3, 0)", seq, off)
+	}
+
+	done = rotate()
+	g.release <- syscall.EIO
+	if r := <-done; !errors.Is(r.err, syscall.EIO) {
+		t.Fatalf("Rotate over a failing fsync = (%d, %v), want EIO", r.seq, r.err)
+	}
+	if seq, _ := l.Synced(); seq != 3 {
+		t.Fatalf("a failed fsync moved Synced to %d", seq)
+	}
+	appended(7)
+	// The next Rotate makes the segment the failed one closed durable
+	// before it closes another.
+	if seq, err := l.Rotate(); err != nil || seq != 7 {
+		t.Fatalf("Rotate after a failed fsync = (%d, %v), want (7, nil)", seq, err)
+	}
+	if seq, off := l.Synced(); seq != 7 || off != 0 {
+		t.Fatalf("Synced = (%d, %d), want (7, 0)", seq, off)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := open(t, dir, wal.OS)
+	defer l2.Close()
+	if got := l2.LastSeq(); got != 7 {
+		t.Fatalf("reopened log ends at %d, want 7", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"entityid/internal/relation"
@@ -130,7 +131,7 @@ func FuzzWALDecode(f *testing.F) {
 		}
 
 		var handed uint64
-		last, off, dmg, err := readFrames(NewFrameReader(bytes.NewReader(data), w), segName(1), 0, 0, func(recs []Record) error {
+		last, off, dmg, err := readFrames(NewFrameReader(bytes.NewReader(data), w), segName(1), 0, 0, new(atomic.Int64), func(recs []Record) error {
 			for _, rec := range recs {
 				if handed++; rec.Seq != handed {
 					t.Fatalf("segment read handed over record %d as the %dth", rec.Seq, handed)

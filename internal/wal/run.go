@@ -14,8 +14,8 @@ import (
 // source's tuples, the source named in every record, the tuples as the
 // tuple codec's array (internal/relation/json.go), read against the
 // source's schema. A log insert is a run of one; a registration is its
-// source_begin record and then the run of its seed tuples; a snapshot run
-// file is a sequence of them. A run too long for one frame continues in
+// source_begin record and then the run of its seed tuples; a snapshot
+// segment file is a sequence of them, each source's run in turn. A run too long for one frame continues in
 // the next record, each record but the last marked "more". The spelling
 // is one, its fields in this order, the bracketed one only when set:
 //

@@ -1,9 +1,9 @@
 // Section/continuation framing: the primitives behind jumbo logical
 // records that do not fit one CRC frame. A *section* is an ordered run
 // of frames numbered consecutively from a first sequence number of its
-// own — the hub's chunked snapshot stores one section per run of a
-// source's tuples, each in its own file, numbered from where the run
-// starts, and reads them back independently and in parallel.
+// own — the hub's chunked snapshot stores one section per segment, each
+// in its own file, numbered from the items of the segments before it, and
+// reads them back independently and in parallel.
 //
 // SectionWriter frames chunk payloads with section-local sequence
 // numbers and maintains a running SHA-256 over the emitted frame bytes,

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -97,7 +98,7 @@ func TestFrameCutterToleratesSeqRestarts(t *testing.T) {
 		}
 	}
 	// A log segment's read must reject the same stream at the restart.
-	if last, _, dmg, err := readFrames(NewFrameReader(bytes.NewReader(buf.Bytes()), 16), segName(1), 0, 0, nil); err != nil || last != 2 || dmg == nil {
+	if last, _, dmg, err := readFrames(NewFrameReader(bytes.NewReader(buf.Bytes()), 16), segName(1), 0, 0, new(atomic.Int64), nil); err != nil || last != 2 || dmg == nil {
 		t.Fatalf("segment read accepted a sequence restart: seq %d, damage %v, error %v", last, dmg, err)
 	}
 }

@@ -54,6 +54,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -67,7 +68,7 @@ const (
 
 // maxPayload bounds a single record; a declared length beyond it is
 // treated as corruption rather than an allocation request. Jumbo
-// logical payloads — an AddSource seed relation, a hub snapshot run — are
+// logical payloads — an AddSource seed relation, a hub snapshot segment — are
 // split across continuation frames (a run record marked "more", run.go)
 // so no single
 // frame ever needs to approach the cap. It is a variable only so tests
@@ -251,6 +252,11 @@ var errNotRecovered = errors.New("wal: the log takes no write before Recover")
 // A Log holds an exclusive flock on the directory for its lifetime, so
 // two writers can never interleave frames in one log.
 type Log struct {
+	// rotMu serialises the changes to the set of segments — Rotate and
+	// RemoveThrough — which do their file-system work outside mu, so an
+	// append never waits on a rotation's fsync or a truncation's unlinks.
+	//entitylint:lock rank=90
+	rotMu sync.Mutex
 	//entitylint:lock rank=100
 	mu     sync.Mutex
 	dir    string
@@ -268,8 +274,17 @@ type Log struct {
 	// live only in the page cache.
 	syncedSeq uint64
 	syncedOff int64
-	damage    *CorruptError
-	closed    bool
+	// past is the bytes of the records past the after Recover was given,
+	// read by it or appended since (Past).
+	past atomic.Int64
+	// closing is the segment a Rotate swapped out and has not yet seen
+	// durable, and closingLast its last record: Rotate syncs it outside
+	// mu, and a Sync or Close in the meantime syncs it too. A sync that
+	// failed leaves it here for the next Rotate to retry.
+	closing     File
+	closingLast uint64
+	damage      *CorruptError
+	closed      bool
 	// fail is the sticky fatal error set when a failed append leaves
 	// the segment in a state that could not be rolled back; every later
 	// append returns it rather than stranding acknowledged records
@@ -470,17 +485,18 @@ func (l *Log) recoverSegment(first, after uint64, fn func([]Record) error) (uint
 	if fi, err := f.Stat(); err == nil {
 		window = int(min(int64(window), fi.Size()+1))
 	}
-	return readFrames(NewFrameReader(f, window), segName(first), l.seq, after, fn)
+	return readFrames(NewFrameReader(f, window), segName(first), l.seq, after, &l.past, fn)
 }
 
 // readFrames reads the frames of the segment name. prevSeq is the last
 // sequence number of the preceding segment; a record that does not
 // continue the one before it — the first one, prevSeq — is damage (lost
-// records). The records past after go to fn a window at a time. It
+// records). The records past after go to fn a window at a time, their
+// frames' bytes added to past. It
 // returns the last good seq, the byte offset past the last good record,
 // and any damage found, naming the segment; a read error, naming it too,
 // or fn's error as it is.
-func readFrames(c *FrameCutter, name string, prevSeq, after uint64, fn func([]Record) error) (uint64, int64, *CorruptError, error) {
+func readFrames(c *FrameCutter, name string, prevSeq, after uint64, past *atomic.Int64, fn func([]Record) error) (uint64, int64, *CorruptError, error) {
 	var batch []Record
 	deliver := func() error {
 		if len(batch) == 0 || fn == nil {
@@ -491,10 +507,11 @@ func readFrames(c *FrameCutter, name string, prevSeq, after uint64, fn func([]Re
 		batch = make([]Record, 0, cap(batch))
 		return err
 	}
-	last := prevSeq
+	last, kept := prevSeq, int64(0)
+	defer func() { past.Add(kept) }()
 	for {
 		good, reads := c.Offset(), c.reads
-		rec, _, err := c.Next()
+		rec, frame, err := c.Next()
 		if c.reads != reads {
 			// A window was read: what the one before held goes first.
 			if err := deliver(); err != nil {
@@ -512,6 +529,7 @@ func readFrames(c *FrameCutter, name string, prevSeq, after uint64, fn func([]Re
 			last = rec.Seq
 			if rec.Seq > after {
 				batch = append(batch, rec)
+				kept += int64(len(frame))
 			}
 			continue
 		}
@@ -550,6 +568,11 @@ func (l *Log) OldestSeq() uint64 {
 	defer l.mu.Unlock()
 	return l.oldest
 }
+
+// Past returns the bytes of the records past the after Recover was given:
+// those it read and every append since. It takes no lock; under a lock
+// that orders the appends, it is where they left the log.
+func (l *Log) Past() int64 { return l.past.Load() }
 
 // Append frames the payload under the next sequence number and writes
 // it to the active segment. The record is durable in the file-system
@@ -611,6 +634,7 @@ func (l *Log) AppendAll(payloads ...[]byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	l.off += int64(len(frame))
+	l.past.Add(int64(len(frame)))
 	l.seq += uint64(len(payloads))
 	mAppendTotal.Add(uint64(len(payloads)))
 	mAppendBytes.Add(uint64(len(frame)))
@@ -618,31 +642,51 @@ func (l *Log) AppendAll(payloads ...[]byte) (uint64, error) {
 	return l.seq, nil
 }
 
-// Rotate syncs and closes the active segment and starts a fresh one, so
-// the snapshot covering everything up to the returned watermark can
-// truncate the old segments. The watermark is the last sequence number
-// of the closed segment. A Rotate that fails before the segment swap
-// leaves the old segment active and fully usable.
+// Rotate closes the active segment and starts a fresh one, so the
+// snapshot covering everything up to the returned watermark can truncate
+// the old segments. The watermark is the last sequence number of the
+// closed segment, and Rotate returns once that segment is durable. Only
+// the swap holds the append lock: the closed segment is synced and closed
+// outside it, so appends to the new segment go on meanwhile. A Rotate
+// that fails before the swap leaves the old segment active and fully
+// usable; one whose sync fails leaves the log appendable and the closed
+// segment to the next Rotate, Sync or Close to make durable.
 func (l *Log) Rotate() (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("wal: rotate closed log")
-	}
-	if l.f == nil {
-		return 0, errNotRecovered
-	}
-	if l.fail != nil {
-		return 0, l.fail
+	l.rotMu.Lock()
+	defer l.rotMu.Unlock()
+	// A segment an earlier Rotate could not sync is made durable first.
+	if err := l.syncClosing(); err != nil {
+		return 0, err
 	}
 	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+	l.mu.Lock()
+	last, err := l.swapLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
-	l.syncedSeq, l.syncedOff = l.seq, l.off
-	if l.first == l.seq+1 {
-		// The active segment holds no records yet: rotating would
-		// re-create the very same file name. Keep it.
+	if err := l.syncClosing(); err != nil {
+		return 0, err
+	}
+	mRotateSeconds.Since(start)
+	return last, nil
+}
+
+// swapLocked starts the segment after the active one and leaves the old
+// one to syncClosing. An active segment that holds no records is kept:
+// rotating would re-create its very file name. Callers hold rotMu and mu.
+func (l *Log) swapLocked() (uint64, error) {
+	switch {
+	case l.closed:
+		return 0, fmt.Errorf("wal: rotate closed log")
+	case l.f == nil:
+		return 0, errNotRecovered
+	case l.fail != nil:
+		return 0, l.fail
+	case l.first == l.seq+1:
+		// Every record is in a closed segment, and none is waiting on a
+		// sync: syncClosing ran first.
+		l.syncedSeq, l.syncedOff = l.seq, 0
 		return l.seq, nil
 	}
 	next := filepath.Join(l.dir, segName(l.seq+1))
@@ -659,25 +703,48 @@ func (l *Log) Rotate() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	old := l.f
+	l.closing, l.closingLast = l.f, l.seq
 	l.f = f
 	l.first = l.seq + 1
 	l.off = 0
-	l.syncedSeq, l.syncedOff = l.seq, 0
-	if err := old.Close(); err != nil {
-		// The swap already happened and the old segment was synced; the
-		// close failure is surfaced but the log remains consistent.
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	mRotateSeconds.Since(start)
+	l.syncedOff = 0 // of the new segment: nothing yet
 	return l.seq, nil
 }
 
-// RemoveThrough deletes every segment whose records all have sequence
-// numbers ≤ seq. The active segment is never removed.
-func (l *Log) RemoveThrough(seq uint64) error {
+// syncClosing makes the segment Rotate swapped out durable, outside mu,
+// and closes it; with none waiting it does nothing. Once the sync returns
+// Synced covers the segment's last record. Callers hold rotMu.
+func (l *Log) syncClosing() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	c, last := l.closing, l.closingLast
+	l.mu.Unlock()
+	if c == nil {
+		return nil
+	}
+	if err := c.Sync(); err != nil {
+		mFsyncErrors.Inc()
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.mu.Lock()
+	l.closing = nil
+	if l.syncedSeq < last {
+		l.syncedSeq, l.syncedOff = last, 0
+	}
+	l.mu.Unlock()
+	if err := c.Close(); err != nil {
+		// The segment is durable; the close failure is surfaced but the
+		// log remains consistent.
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
+// RemoveThrough deletes every segment whose records all have sequence
+// numbers ≤ seq. The active segment is never removed. It lists and
+// unlinks outside the append lock.
+func (l *Log) RemoveThrough(seq uint64) error {
+	l.rotMu.Lock()
+	defer l.rotMu.Unlock()
 	firsts, err := segments(l.fs, l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -694,7 +761,9 @@ func (l *Log) RemoveThrough(seq uint64) error {
 		keep = i + 1
 	}
 	if len(firsts) > 0 {
+		l.mu.Lock()
 		l.oldest = firsts[keep]
+		l.mu.Unlock()
 	}
 	return nil
 }
@@ -720,10 +789,9 @@ func (l *Log) Heal() error {
 		}
 		l.fail = nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		return fmt.Errorf("wal: heal: %w", err)
 	}
-	l.syncedSeq, l.syncedOff = l.seq, l.off
 	mHealTotal.Inc()
 	return nil
 }
@@ -736,11 +804,26 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	start := time.Now()
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		mFsyncErrors.Inc()
 		return fmt.Errorf("wal: %w", err)
 	}
 	mFsyncSeconds.Since(start)
+	return nil
+}
+
+// syncLocked forces every appended record to stable storage: the
+// segment a Rotate has not yet seen durable, if any, and the active one.
+// Callers hold mu.
+func (l *Log) syncLocked() error {
+	if l.closing != nil {
+		if err := l.closing.Sync(); err != nil {
+			return err
+		}
+	}
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
 	l.syncedSeq, l.syncedOff = l.seq, l.off
 	return nil
 }
@@ -758,6 +841,8 @@ func (l *Log) Synced() (seq uint64, off int64) {
 
 // Close syncs and closes the log and releases the directory lock.
 func (l *Log) Close() error {
+	l.rotMu.Lock()
+	defer l.rotMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -770,12 +855,15 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("wal: %w", err)
+	err := l.syncLocked()
+	if l.closing != nil {
+		l.closing.Close()
+		l.closing = nil
 	}
-	l.syncedSeq, l.syncedOff = l.seq, l.off
-	if err := l.f.Close(); err != nil {
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	return nil

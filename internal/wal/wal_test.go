@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -360,7 +361,7 @@ func TestSegmentScanDetectsSequenceJump(t *testing.T) {
 		t.Fatalf("segment not truncated to its last good record: %v, %v", fi, err)
 	}
 	// The first record of a segment continues the segment before it.
-	if last, off, dmg, err := readFrames(NewFrameReader(bytes.NewReader(data), 8), segName(1), 7, 0, nil); err != nil || last != 7 || off != 0 || dmg == nil ||
+	if last, off, dmg, err := readFrames(NewFrameReader(bytes.NewReader(data), 8), segName(1), 7, 0, new(atomic.Int64), nil); err != nil || last != 7 || off != 0 || dmg == nil ||
 		dmg.Reason != segName(1)+": sequence jump: 1 after 7" {
 		t.Fatalf("segment read after seq 7 = seq %d, offset %d, damage %v, error %v", last, off, dmg, err)
 	}
