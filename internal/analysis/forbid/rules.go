@@ -67,4 +67,9 @@ var Rules = []Rule{{
 	Shape:  Shape{Calls: []string{"entityid/internal/relation.AppendTuplesJSON", "(*entityid/internal/relation.TupleBlocks).ParseTuplesJSON"}},
 	Reason: "an array of tuples is written and read inside the run record's codec (internal/wal/run.go) alone",
 	PR:     48,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/internal/match"}},
+	Shape:  Shape{Calls: []string{"runtime.GOMAXPROCS"}},
+	Reason: "the trichotomy sweep is word-wise and sequential: one verdict row per R′ tuple, no worker pool",
+	PR:     51,
 }}

@@ -1,7 +1,9 @@
 // Package match is a fixture stand-in for the repo's matching package:
 // Pair is the type the pair-keyed-map rule names, and match is in the
-// joined-key rule's scope.
+// joined-key rule's scope and the retired sweep pool's.
 package match
+
+import "runtime"
 
 type Pair struct{ R, S int32 }
 
@@ -25,3 +27,11 @@ const sep = "\u001f" // want `literal "\\u001f" holds "\\x1f": a key or an ILFD 
 // A comment that names \x1f, or a string that spells it without an
 // escape, is not a separator.
 const doc = `keys are never joined with \x1f`
+
+// workers sizes a sweep pool by the processors the runtime may use.
+func workers() int {
+	return runtime.GOMAXPROCS(0) // want `call to runtime\.GOMAXPROCS: the trichotomy sweep is word-wise and sequential: one verdict row`
+}
+
+// Near miss: another call into runtime.
+var cpus = runtime.NumCPU()

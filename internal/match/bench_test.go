@@ -53,9 +53,11 @@ func BenchmarkScaleBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleCounts is S7: the full |R|×|S| Figure 3 partition — the
-// pair-indexed, compiled-rule, parallel sweep (engine) versus the
-// linear-scan, interpreted, sequential reference (naive).
+// BenchmarkScaleCounts is S7: the full |R|×|S| Figure 3 partition — one
+// verdict row per R′ tuple, column masks OR'd word by word and counted
+// by popcount in one goroutine (engine), versus the linear-scan,
+// interpreted, cell-by-cell reference (naive). The first iteration also
+// files every tuple into the cached sweep plan.
 func BenchmarkScaleCounts(b *testing.B) {
 	for _, mode := range scaleModes {
 		b.Run(mode.name, func(b *testing.B) {

@@ -1,10 +1,11 @@
 package match_test
 
-// Differential tests: the indexed/blocked/parallel engine versus the
+// Differential tests: the indexed/blocked/word-wise engine versus the
 // reference implementation (Config.Naive) over randomized datagen
 // instances. The two paths must agree bit-for-bit on the matching
 // table, the Figure 3 partition, verification (including the error
-// message), the classifier, and both lazy NMT/undetermined sweeps.
+// message), the classifier, and both lazy NMT/undetermined sweeps, which
+// the engine reads off its verdict rows and the reference cell by cell.
 
 import (
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"entityid/internal/datagen"
@@ -102,6 +104,26 @@ func withFloatKey(t testing.TB, cfg *match.Config) {
 	cfg.R, cfg.S = widen(cfg.R, math.Copysign(0, -1)), widen(cfg.S, 0)
 	cfg.Attrs = append(append([]match.AttrMap(nil), cfg.Attrs...), match.AttrMap{Name: "score", R: "score", S: "score"})
 	cfg.ExtKey = append(append([]string(nil), cfg.ExtKey...), "score")
+}
+
+// crossCity is the city withCrossRules pins its second rule on.
+const crossCity = "minneapolis"
+
+// withCrossRules appends two distinctness rules with a cross predicate,
+// which the sweep cannot decide from its column masks alone and tries
+// cell by cell: one whose single-side predicate reads the R′ tuple
+// forward and the S′ tuple reversed, and one whose single-side predicate
+// holds only on S′ (R′ has no city).
+func withCrossRules(_ testing.TB, cfg *match.Config) {
+	cfg.Distinct = append(append([]rules.DistinctnessRule(nil), cfg.Distinct...),
+		rules.MustNewDistinctness("phone-differs-chinese", []rules.Predicate{
+			{Left: rules.Attr1("phone"), Op: rules.Ne, Right: rules.Attr2("phone")},
+			{Left: rules.Attr1("cuisine"), Op: rules.Eq, Right: rules.Const(value.String("chinese"))},
+		}),
+		rules.MustNewDistinctness("name-before-in-city", []rules.Predicate{
+			{Left: rules.Attr1("name"), Op: rules.Lt, Right: rules.Attr2("name")},
+			{Left: rules.Attr2("city"), Op: rules.Eq, Right: rules.Const(value.String(crossCity))},
+		}))
 }
 
 func TestEngineMatchesReferenceDifferentially(t *testing.T) {
@@ -198,6 +220,25 @@ func TestEngineMatchesReferenceDifferentially(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "cross-predicate-distinctness",
+			gen:  datagen.Config{Entities: 90, OverlapFrac: 0.5, HomonymRate: 0.1, ILFDCoverage: 0.5, MissingPhone: 0.1, Seed: 11},
+			bend: withCrossRules,
+			check: func(t testing.TB, res *match.Result) {
+				// A pair both rules' single-side predicates hold on that is
+				// still undetermined was decided by a cross predicate.
+				decided := 0
+				for _, p := range res.UndeterminedPairs(0) {
+					if value.Equal(res.RPrime.MustValue(p.RIndex, "cuisine"), value.String("chinese")) ||
+						value.Equal(res.SPrime.MustValue(p.SIndex, "city"), value.String(crossCity)) {
+						decided++
+					}
+				}
+				if _, n, _ := res.Counts(); n == 0 || decided == 0 {
+					t.Fatalf("workload too tame: %d pairs not matching, %d undetermined on a cross rule's single-side survivors", n, decided)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		for seedShift := int64(0); seedShift < 3; seedShift++ {
@@ -257,6 +298,44 @@ func TestEngineMatchesReferenceDifferentially(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestConcurrentSweepsAgree runs the three sweeps on one Result from
+// several goroutines at once, the first of them building and extending
+// the cached plan: each sweep holds the plan, its masks and its verdict
+// row alone, so each reads what the reference does (run it under -race).
+func TestConcurrentSweepsAgree(t *testing.T) {
+	cfg := datagen.MustGenerate(datagen.Config{Entities: 90, OverlapFrac: 0.5, HomonymRate: 0.1, ILFDCoverage: 0.5, MissingPhone: 0.1, Seed: 11}).MatchConfig()
+	withCrossRules(t, &cfg)
+	refCfg := cfg
+	refCfg.Naive = true
+	eng, err := match.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := match.Build(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, rn, ru := ref.Counts()
+	neg, und := ref.NegativePairs(0), ref.UndeterminedPairs(17)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if m, n, u := eng.Counts(); m != rm || n != rn || u != ru {
+				t.Errorf("Counts (%d,%d,%d), reference (%d,%d,%d)", m, n, u, rm, rn, ru)
+			}
+			if got := eng.NegativePairs(0); !reflect.DeepEqual(got, neg) {
+				t.Errorf("NegativePairs: %d pairs, reference %d", len(got), len(neg))
+			}
+			if got := eng.UndeterminedPairs(17); !reflect.DeepEqual(got, und) {
+				t.Errorf("UndeterminedPairs(17): %v, reference %v", got, und)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func errString(err error) string {
@@ -388,13 +467,13 @@ func TestFederationStreamingEqualsBatchWithIdentityRules(t *testing.T) {
 			fedCfg.R = half(w.R, i)
 			fedCfg.S = half(w.S, j)
 			fed := newPairing(t, fedCfg)
-			// Sweep once now so the cached sweep plan must extend, not
-			// rebuild, across the inserts below.
-			fed.res.Counts()
 
-			// Stream the remainder, sides interleaved at random.
+			// Stream the remainder, sides interleaved at random, sweeping
+			// before and after every insert: the cached sweep plan must
+			// extend, not rebuild, its rows and its column masks across
+			// each 64-column word boundary.
 			rng := rand.New(rand.NewSource(int64(n)))
-			for i < w.R.Len() || j < w.S.Len() {
+			for fed.res.Counts(); i < w.R.Len() || j < w.S.Len(); fed.res.Counts() {
 				if j == w.S.Len() || i < w.R.Len() && rng.Intn(2) == 0 {
 					if _, err := fed.insert(true, w.R.Tuple(i).Clone()); err != nil {
 						t.Fatalf("insert R %d: %v", i, err)
@@ -420,6 +499,12 @@ func TestFederationStreamingEqualsBatchWithIdentityRules(t *testing.T) {
 			bm, bn, bu := batch.Counts()
 			if fm != bm || fn != bn || fu != bu {
 				t.Fatalf("Counts mismatch: streamed (%d,%d,%d), batch (%d,%d,%d)", fm, fn, fu, bm, bn, bu)
+			}
+			if got, want := fed.res.NegativePairs(0), batch.NegativePairs(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("NegativePairs mismatch: streamed %d, batch %d pairs", len(got), len(want))
+			}
+			if got, want := fed.res.UndeterminedPairs(0), batch.UndeterminedPairs(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("UndeterminedPairs mismatch: streamed %d, batch %d pairs", len(got), len(want))
 			}
 		})
 	}

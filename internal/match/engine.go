@@ -1,21 +1,18 @@
-// The indexed/blocked/parallel evaluation engine behind Build, Classify
+// The indexed/blocked/word-wise evaluation engine behind Build, Classify
 // and the |R|×|S| sweeps: the distinctness rules filed by the constant
 // each is pinned on, the probe index of the matching step — positions
 // under a hash, every candidate verified with value.Equal against the
-// image read in place — and the sweep plan, which walks R′ and S′
-// (views over the source relations) through per-worker scratch rows.
-// Everything here is an execution strategy only:
-// reference.go holds the naive formulation the engine must agree with
-// bit-for-bit (pinned by the differential tests), and Config.Naive
+// image read in place — and the sweep plan, which lays out one R′
+// tuple's verdicts at a time as three column bitsets (verdictRow), word
+// by word and in one goroutine. Everything here is an execution strategy
+// only: reference.go holds the naive formulation the engine must agree
+// with bit-for-bit (pinned by the differential tests), and Config.Naive
 // selects it at run time.
 package match
 
 import (
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"entityid/internal/relation"
 	"entityid/internal/rules"
@@ -438,28 +435,34 @@ func (res *Result) Append(left bool, x *Extended, pairs []Pair, behind int) erro
 	return nil
 }
 
-// sweepPlan is the evaluation plan for the distinctness rules over the
-// R′×S′ grid. Each rule contributes two virtual rules (one per
-// orientation: bit 2r forward, bit 2r+1 reverse); a virtual rule's
-// single-side predicates are evaluated once per row and once per column
-// into survival bitsets, so the per-cell test collapses to a bitset
-// AND, with the (rare) cross predicates evaluated only for virtual
-// rules surviving on both axes.
+// sweepPlan is the distinctness rules laid out over the R′×S′ grid for
+// the three sweeps. Each rule is two virtual rules, one per orientation
+// (bit 2r forward, 2r+1 reversed). A virtual rule's single-side
+// predicates are evaluated once per R′ tuple, into the row's survival
+// bits, and once per S′ tuple, into the rule's column mask: the columns
+// they hold on. A row's verdicts are then word operations over the
+// masks (verdictRow), and only the rare cross predicates are evaluated
+// cell by cell.
 //
-// The plan is cached on the Result and extended incrementally: the
-// rule-level structure (words, axis predicates, cross predicates) is
-// fixed per Result, and only the per-tuple survival bitsets grow as the
-// relations grow between sweeps (Append). Extension appends
-// bitsets for the new tuples under Result.planMu; sweeps work on a
-// value snapshot of the plan, so a concurrent later extension cannot
-// touch the rows a running sweep reads.
+// The plan is cached on the Result and grows with the relations: the
+// rule-level structure (axis and cross predicates) is fixed per Result,
+// and each sweep first files the tuples appended since the last (Append)
+// into the survival bits and the masks. A sweep holds Result.planMu from
+// that extension to its last row, so the plan and the verdict row it
+// lays out are the sweep's alone.
 type sweepPlan struct {
-	words   int
+	words   int         // words of a row's survival bits
 	row     []axisPreds // per virtual rule: predicates reading the R′ tuple
 	col     []axisPreds // per virtual rule: predicates reading the S′ tuple
-	rowBits [][]uint64  // [row][word]
-	colBits [][]uint64  // [col][word]
 	cross   [][]rules.CompiledPredicate
+	rowBits [][]uint64 // [row][word]
+	colMask [][]uint64 // [virtual rule][column word]
+	cols    int        // the S′ tuples the masks cover
+	// verdict is the row verdictRow laid out last, one column bitset per
+	// Verdict; rt, st and partners are its scratch.
+	verdict  [3][]uint64
+	rt, st   relation.Tuple
+	partners []int
 }
 
 // axisPreds is the single-side predicate set of one virtual rule on one
@@ -469,16 +472,27 @@ type axisPreds struct {
 	side  rules.Side
 }
 
-// newSweepPlan builds the rule-level plan structure with empty bitsets.
+// holds reports whether every predicate of the set holds for t.
+func (a axisPreds) holds(t relation.Tuple) bool {
+	for _, pr := range a.preds {
+		if !pr.HoldsSingle(a.side, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// newSweepPlan builds the rule-level plan structure with no tuple filed.
 func (res *Result) newSweepPlan() *sweepPlan {
 	eng := res.engine()
 	n := len(eng.fwd)
 	nv := 2 * n
 	p := &sweepPlan{
-		words: (nv + 63) / 64,
-		row:   make([]axisPreds, nv),
-		col:   make([]axisPreds, nv),
-		cross: make([][]rules.CompiledPredicate, nv),
+		words:   (nv + 63) / 64,
+		row:     make([]axisPreds, nv),
+		col:     make([]axisPreds, nv),
+		cross:   make([][]rules.CompiledPredicate, nv),
+		colMask: make([][]uint64, nv),
 	}
 	for r := 0; r < n; r++ {
 		// Forward orientation: e1 ← R′ tuple (row), e2 ← S′ tuple (col).
@@ -491,237 +505,164 @@ func (res *Result) newSweepPlan() *sweepPlan {
 	return p
 }
 
-// bitsFor evaluates one tuple's single-side survival bitset.
-func (p *sweepPlan) bitsFor(t relation.Tuple, axis []axisPreds) []uint64 {
-	bits := make([]uint64, p.words)
-vrule:
-	for k, a := range axis {
-		for _, pr := range a.preds {
-			if !pr.HoldsSingle(a.side, t) {
-				continue vrule
+// extend files every tuple the extended relations hold past those the
+// plan covers: a row's survival bits, a column's bit in each mask whose
+// rule's single-side predicates hold on it. Called with planMu held.
+func (p *sweepPlan) extend(res *Result) {
+	for i := len(p.rowBits); i < res.RPrime.Len(); i++ {
+		p.rt = res.RPrime.TupleInto(p.rt, i)
+		alive := make([]uint64, p.words)
+		for k, a := range p.row {
+			if a.holds(p.rt) {
+				alive[k/64] |= 1 << (k % 64)
 			}
 		}
-		bits[k/64] |= 1 << (k % 64)
+		p.rowBits = append(p.rowBits, alive)
 	}
-	return bits
+	cols := res.SPrime.Len()
+	words := (cols + 63) / 64
+	for k, m := range p.colMask {
+		p.colMask[k] = append(m, make([]uint64, words-len(m))...)
+	}
+	for j := p.cols; j < cols; j++ {
+		p.st = res.SPrime.TupleInto(p.st, j)
+		for k, a := range p.col {
+			if a.holds(p.st) {
+				p.colMask[k][j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	p.cols = cols
+	for v, row := range p.verdict {
+		p.verdict[v] = slices.Grow(row[:0], words)[:words]
+	}
 }
 
-// sweepPlanSnapshot returns the cached plan extended to cover every
-// tuple currently in the extended relations. The returned value's
-// bitset slice headers are private to the caller: later extensions
-// append under planMu and never mutate entries below the snapshot's
-// length.
-func (res *Result) sweepPlanSnapshot() sweepPlan {
+// verdictRow lays out row i's verdicts over the plan's columns: bit j of
+// p.verdict[v] is set when (i, j) is v, as Classify would say. Not
+// matching is the OR of the masks of the rules alive on the row that
+// have no cross predicate; a rule with one is tried cell by cell on the
+// columns of its mask not already set. The row's matching-table partners
+// win over that, and undetermined is the rest.
+func (p *sweepPlan) verdictRow(res *Result, i int) {
+	not, matched, und := p.verdict[NotMatching], p.verdict[Matching], p.verdict[Undetermined]
+	clear(not)
+	clear(matched)
+	rb := p.rowBits[i]
+	alive := func(yield func(k int) bool) {
+		for w, word := range rb {
+			for ; word != 0; word &= word - 1 {
+				if !yield(w*64 + bits.TrailingZeros64(word)) {
+					return
+				}
+			}
+		}
+	}
+	for k := range alive {
+		if len(p.cross[k]) == 0 {
+			m := p.colMask[k][:len(not)]
+			for w := range not {
+				not[w] |= m[w]
+			}
+		}
+	}
+	read := false
+	for k := range alive {
+		cross := p.cross[k]
+		if len(cross) == 0 {
+			continue
+		}
+		if !read {
+			p.rt, read = res.RPrime.TupleInto(p.rt, i), true
+		}
+		for w, m := range p.colMask[k] {
+			for open := m &^ not[w]; open != 0; open &= open - 1 {
+				j := w*64 + bits.TrailingZeros64(open)
+				p.st = res.SPrime.TupleInto(p.st, j)
+				t1, t2 := p.rt, p.st
+				if k%2 == 1 {
+					t1, t2 = t2, t1
+				}
+				if allHold(cross, t1, t2) {
+					not[w] |= 1 << (j % 64)
+				}
+			}
+		}
+	}
+	p.partners = res.MT.MatchesOfR(p.partners[:0], i)
+	for _, j := range p.partners {
+		if j < p.cols {
+			matched[j/64] |= 1 << (j % 64)
+		}
+	}
+	for w := range und {
+		not[w] &^= matched[w]
+		und[w] = ^(not[w] | matched[w])
+	}
+	if tail := p.cols % 64; tail != 0 {
+		und[len(und)-1] &= 1<<tail - 1
+	}
+}
+
+// allHold reports whether every predicate holds for (t1, t2).
+func allHold(preds []rules.CompiledPredicate, t1, t2 relation.Tuple) bool {
+	for _, pr := range preds {
+		if !pr.Holds(t1, t2) {
+			return false
+		}
+	}
+	return true
+}
+
+// sweep extends the cached plan over every tuple the extended relations
+// hold, then lays out each row's verdicts in turn and hands the plan to
+// visit, in row order, until it returns false. It holds planMu
+// throughout.
+func (res *Result) sweep(visit func(i int, p *sweepPlan) bool) {
 	res.planMu.Lock()
 	defer res.planMu.Unlock()
 	if res.plan == nil {
 		res.plan = res.newSweepPlan()
 	}
 	p := res.plan
-	var row relation.Tuple
-	for i := len(p.rowBits); i < res.RPrime.Len(); i++ {
-		row = res.RPrime.TupleInto(row, i)
-		p.rowBits = append(p.rowBits, p.bitsFor(row, p.row))
-	}
-	for j := len(p.colBits); j < res.SPrime.Len(); j++ {
-		row = res.SPrime.TupleInto(row, j)
-		p.colBits = append(p.colBits, p.bitsFor(row, p.col))
-	}
-	return *p
-}
-
-// sweepRows is one sweep worker's pair of scratch rows: a cell's two
-// tuples are read into them only when a cross predicate needs them, the
-// R′ one once per row.
-type sweepRows struct {
-	rt, st relation.Tuple
-	i      int // the row rt holds, -1 for none
-}
-
-// fires reports whether some distinctness rule declares cell (i, j)
-// distinct, using the precomputed survival bitsets.
-func (p *sweepPlan) fires(res *Result, i, j int, rows *sweepRows) bool {
-	rb, cb := p.rowBits[i], p.colBits[j]
-	for w := 0; w < p.words; w++ {
-		live := rb[w] & cb[w]
-		for live != 0 {
-			k := w*64 + bits.TrailingZeros64(live)
-			live &= live - 1
-			cross := p.cross[k]
-			if len(cross) == 0 {
-				return true
-			}
-			if rows.i != i {
-				rows.rt, rows.i = res.RPrime.TupleInto(rows.rt, i), i
-			}
-			rows.st = res.SPrime.TupleInto(rows.st, j)
-			rt, st := rows.rt, rows.st
-			t1, t2 := rt, st
-			if k%2 == 1 {
-				t1, t2 = st, rt
-			}
-			ok := true
-			for _, pr := range cross {
-				if !pr.Holds(t1, t2) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// sweepRow classifies every cell of row i in column order, invoking
-// visit per cell until it returns false. Membership is the matching
-// table's partner array: one comparison per cell.
-func (res *Result) sweepRow(plan *sweepPlan, rows *sweepRows, i, cols int, visit func(j int, v Verdict) bool) {
-	for j := 0; j < cols; j++ {
-		var v Verdict
-		switch {
-		case res.MT.Contains(i, j):
-			v = Matching
-		case plan.fires(res, i, j, rows):
-			v = NotMatching
-		default:
-			v = Undetermined
-		}
-		if !visit(j, v) {
+	p.extend(res)
+	for i := range p.rowBits {
+		p.verdictRow(res, i)
+		if !visit(i, p) {
 			return
 		}
 	}
 }
 
-// sweepGrain is the number of grid rows a worker claims at a time.
-const sweepGrain = 16
-
-// workerCount sizes the pool for a grid of the given row count:
-// GOMAXPROCS (so operator limits are respected) capped by the number of
-// row blocks.
-func workerCount(rows int) int {
-	w := runtime.GOMAXPROCS(0)
-	if blocks := (rows + sweepGrain - 1) / sweepGrain; w > blocks {
-		w = blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelCounts tallies the Figure 3 partition with the grid's rows
-// sharded across a worker pool. Tallies are additive, so the merge
-// order cannot affect the result.
-func (res *Result) parallelCounts() (matching, notMatching, undetermined int) {
-	rows, cols := res.RPrime.Len(), res.SPrime.Len()
-	if rows == 0 || cols == 0 {
-		return 0, 0, 0
-	}
-	plan := res.sweepPlanSnapshot()
-	workers := workerCount(rows)
-	type tally struct{ m, n, u int }
-	tallies := make([]tally, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var t tally
-			scratch := sweepRows{i: -1}
-			for {
-				lo := int(next.Add(sweepGrain)) - sweepGrain
-				if lo >= rows {
-					break
-				}
-				for i := lo; i < min(lo+sweepGrain, rows); i++ {
-					res.sweepRow(&plan, &scratch, i, cols, func(_ int, v Verdict) bool {
-						switch v {
-						case Matching:
-							t.m++
-						case NotMatching:
-							t.n++
-						default:
-							t.u++
-						}
-						return true
-					})
-				}
+// sweepCounts tallies the Figure 3 partition: each row's verdicts
+// counted by popcount.
+func (res *Result) sweepCounts() (matching, notMatching, undetermined int) {
+	var n [3]int
+	res.sweep(func(_ int, p *sweepPlan) bool {
+		for v, row := range p.verdict {
+			for _, w := range row {
+				n[v] += bits.OnesCount64(w)
 			}
-			tallies[w] = t
-		}(w)
-	}
-	wg.Wait()
-	for _, t := range tallies {
-		matching += t.m
-		notMatching += t.n
-		undetermined += t.u
-	}
-	return matching, notMatching, undetermined
-}
-
-// parallelSweep enumerates grid pairs with the given verdict in
-// row-major order. An unlimited sweep (limit <= 0) shards contiguous
-// row blocks across a worker pool and concatenates block results in
-// block order, so the output is identical to the sequential
-// enumeration. A limited sweep walks the grid in order with early
-// exit instead — still through the sweep plan, but without
-// classifying cells past the limit the way full-grid sharding would.
-func (res *Result) parallelSweep(want Verdict, limit int) []Pair {
-	rows, cols := res.RPrime.Len(), res.SPrime.Len()
-	if rows == 0 || cols == 0 {
-		return nil
-	}
-	plan := res.sweepPlanSnapshot()
-	if limit > 0 {
-		var out []Pair
-		scratch := sweepRows{i: -1}
-		for i := 0; i < rows && len(out) < limit; i++ {
-			res.sweepRow(&plan, &scratch, i, cols, func(j int, v Verdict) bool {
-				if v == want {
-					out = append(out, Pair{RIndex: i, SIndex: j})
-				}
-				return len(out) < limit
-			})
 		}
-		return out
-	}
-	blocks := (rows + sweepGrain - 1) / sweepGrain
-	results := make([][]Pair, blocks)
-	workers := workerCount(rows)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := sweepRows{i: -1}
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
-					break
-				}
-				lo, hi := b*sweepGrain, min((b+1)*sweepGrain, rows)
-				var out []Pair
-				for i := lo; i < hi; i++ {
-					res.sweepRow(&plan, &scratch, i, cols, func(j int, v Verdict) bool {
-						if v == want {
-							out = append(out, Pair{RIndex: i, SIndex: j})
-						}
-						return true
-					})
-				}
-				results[b] = out
-			}
-		}()
-	}
-	wg.Wait()
+		return true
+	})
+	return n[Matching], n[NotMatching], n[Undetermined]
+}
+
+// sweepPairs enumerates the grid's pairs with the given verdict in
+// row-major order, up to limit of them (limit <= 0: all).
+func (res *Result) sweepPairs(want Verdict, limit int) []Pair {
 	var out []Pair
-	for _, r := range results {
-		out = append(out, r...)
-	}
+	res.sweep(func(i int, p *sweepPlan) bool {
+		for w, word := range p.verdict[want] {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, Pair{RIndex: i, SIndex: w*64 + bits.TrailingZeros64(word)})
+				if len(out) == limit {
+					return false
+				}
+			}
+		}
+		return true
+	})
 	return out
 }

@@ -42,7 +42,7 @@
 //
 // # Engine architecture
 //
-// The paper's semantics are evaluated by an indexed, blocked, parallel
+// The paper's semantics are evaluated by an indexed, blocked, word-wise
 // engine; the naive formulation survives as the executable specification
 // in reference.go (Config.Naive selects it, and differential tests pin
 // the two paths to identical results).
@@ -71,8 +71,9 @@
 //     columns (relation.NewView). The source relation guards the candidate keys R′/S′
 //     inherit. The commit path reads a row one cell at a time
 //     (relation.At) or, the 0–1 candidates per insert a rule must judge,
-//     whole into scratch (TupleInto, Scratch); the sweeps walk with a
-//     scratch row per worker.
+//     whole into scratch (TupleInto, Scratch); a sweep reads a row whole
+//     only for a rule with a cross predicate, into the sweep plan's
+//     scratch.
 //   - Hashed, verified indexes: the extended-key join and the identity
 //     rules' blocks file positions under a hash of the projection
 //     (relation.PosIndex) and verify every candidate with value.Equal —
@@ -82,9 +83,14 @@
 //     candidate generation over each rule's cross-equality attributes
 //     (§3.2 well-formedness guarantees matched pairs agree on them),
 //     scanning the opposite side only for rules with no usable equality.
-//   - Parallel sweeps: Counts, NegativePairs and UndeterminedPairs shard
-//     the |R|×|S| grid across a GOMAXPROCS-sized worker pool and merge
-//     shard results in deterministic row order.
+//   - Verdict rows: Counts, NegativePairs and UndeterminedPairs read the
+//     |R|×|S| grid one R′ tuple at a time, sequentially, as three column
+//     bitsets (matching, not matching, undetermined): each distinctness
+//     rule's single-side predicates are evaluated once per tuple, into a
+//     row's survival bits and a column mask per rule, so a row is the OR
+//     of the masks of the rules alive on it, and only cross predicates
+//     are evaluated cell by cell (engine.go). Counts is popcounts; the
+//     pair sweeps read bits in row-major order.
 package match
 
 import (
@@ -139,10 +145,10 @@ type Config struct {
 	// DisableProp1 turns off the automatic ILFD → distinctness-rule
 	// conversion of Proposition 1.
 	DisableProp1 bool
-	// Naive disables the indexed/blocked/parallel engine and evaluates
+	// Naive disables the indexed/blocked/word-wise engine and evaluates
 	// with the reference implementation (reference.go): nested-loop
 	// identity rules, linear-scan table membership, interpreted rule
-	// predicates, sequential sweeps. It exists for differential testing
+	// predicates, cell-by-cell sweeps. It exists for differential testing
 	// and benchmarking; results are identical either way.
 	Naive bool
 }
@@ -390,8 +396,9 @@ type Result struct {
 	eng     *engine
 	engOnce sync.Once
 	// plan is the cached sweep plan (engine.go): built once, its
-	// per-tuple survival bitsets extended under planMu as the extended
-	// relations grow (Append), instead of rebuilt per sweep.
+	// survival bits and column masks extended as the extended relations
+	// grow (Append), instead of rebuilt per sweep. A sweep holds planMu
+	// from the extension to its last row.
 	plan   *sweepPlan
 	planMu sync.Mutex
 }
@@ -684,26 +691,25 @@ func (res *Result) Classify(i, j int) Verdict {
 
 // Counts enumerates all |R|×|S| pairs and tallies the three verdicts —
 // the Figure 3 partition. Completeness holds exactly when undetermined
-// is zero. The grid is sharded across a worker pool (engine.go); the
-// tallies are additive, so the merge is order-independent.
+// is zero. Each R′ tuple's verdict row is counted by popcount
+// (engine.go).
 func (res *Result) Counts() (matching, notMatching, undetermined int) {
 	if res.naive {
 		return res.referenceCounts()
 	}
-	return res.parallelCounts()
+	return res.sweepCounts()
 }
 
 // NegativePairs enumerates up to limit entries of the conceptual
 // negative matching table NMT_RS: pairs some distinctness rule declares
 // distinct. limit <= 0 means no limit. Matched pairs are excluded (a
 // pair in both tables is a consistency violation Verify reports; the
-// NMT view follows the classifier). Enumeration order is row-major
-// regardless of how the parallel sweep shards the grid.
+// NMT view follows the classifier). Enumeration order is row-major.
 func (res *Result) NegativePairs(limit int) []Pair {
 	if res.naive {
 		return res.referenceSweep(NotMatching, limit)
 	}
-	return res.parallelSweep(NotMatching, limit)
+	return res.sweepPairs(NotMatching, limit)
 }
 
 // UndeterminedPairs enumerates up to limit undetermined pairs.
@@ -711,7 +717,7 @@ func (res *Result) UndeterminedPairs(limit int) []Pair {
 	if res.naive {
 		return res.referenceSweep(Undetermined, limit)
 	}
-	return res.parallelSweep(Undetermined, limit)
+	return res.sweepPairs(Undetermined, limit)
 }
 
 // ExtKey returns the extended key attributes the result was built with.

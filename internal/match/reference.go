@@ -1,10 +1,11 @@
 // The reference (pre-engine) implementation of the §3.2/§4.2 semantics:
 // nested-loop extended-key join and identity rules, linear-scan table
-// membership, interpreted rule predicates, sequential |R|×|S| sweeps. It is kept as the
-// executable specification of what the indexed/blocked/parallel engine
-// (engine.go) must compute — differential tests build each workload both
-// ways and require identical results — and as the baseline the scale
-// benchmarks measure speedups against. Select it with Config.Naive.
+// membership, interpreted rule predicates, |R|×|S| sweeps cell by cell.
+// It is kept as the executable specification of what the
+// indexed/blocked/word-wise engine (engine.go) must compute —
+// differential tests build each workload both ways and require identical
+// results — and as the baseline the scale benchmarks measure speedups
+// against. Select it with Config.Naive.
 package match
 
 import (
