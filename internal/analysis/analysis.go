@@ -42,7 +42,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
+
+	"entityid/internal/analysis/load"
 )
 
 // Analyzer is one static check, in the x/tools go/analysis shape.
@@ -76,6 +79,31 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// Diagnose applies a to one loaded package and returns its diagnostics
+// that no //entitylint:ignore suppresses, sorted by position. The
+// driver and the fixture runner both call it.
+func Diagnose(a *Analyzer, p *load.Package) ([]Diagnostic, error) {
+	sup := NewSuppressor(p.Fset, p.Files)
+	var diags []Diagnostic
+	pass := &Pass{
+		Analyzer:  a,
+		Fset:      p.Fset,
+		Files:     p.Files,
+		Pkg:       p.Types,
+		TypesInfo: p.Info,
+		Report: func(d Diagnostic) {
+			if !sup.Suppressed(a.Name, d.Pos) {
+				diags = append(diags, d)
+			}
+		},
+	}
+	if _, err := a.Run(pass); err != nil {
+		return nil, err
+	}
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags, nil
 }
 
 // directivePrefix marks an entitylint directive comment.

@@ -8,9 +8,7 @@
 package analysistest
 
 import (
-	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -114,42 +112,9 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 // surviving (non-suppressed) diagnostics sorted by position.
 func RunPass(t *testing.T, a *analysis.Analyzer, p *load.Package) []analysis.Diagnostic {
 	t.Helper()
-	diags, err := diagnose(a, p)
+	diags, err := analysis.Diagnose(a, p)
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
 	return diags
-}
-
-// Diagnose is RunPass without a testing.T, for the driver: it returns
-// formatted findings ("file:line:col: message [analyzer]").
-func Diagnose(a *analysis.Analyzer, p *load.Package) ([]string, error) {
-	diags, err := diagnose(a, p)
-	out := make([]string, len(diags))
-	for i, d := range diags {
-		out[i] = fmt.Sprintf("%s: %s [%s]", p.Fset.Position(d.Pos), d.Message, a.Name)
-	}
-	return out, err
-}
-
-func diagnose(a *analysis.Analyzer, p *load.Package) ([]analysis.Diagnostic, error) {
-	sup := analysis.NewSuppressor(p.Fset, p.Files)
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      p.Fset,
-		Files:     p.Files,
-		Pkg:       p.Types,
-		TypesInfo: p.Info,
-		Report: func(d analysis.Diagnostic) {
-			if !sup.Suppressed(a.Name, d.Pos) {
-				diags = append(diags, d)
-			}
-		},
-	}
-	if _, err := a.Run(pass); err != nil {
-		return nil, err
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, nil
 }

@@ -1,12 +1,14 @@
 // Package load turns Go packages into analysis passes without
-// golang.org/x/tools: module packages are enumerated by `go list
-// -export -deps -test -json` and type-checked from source against the
-// export data the go command already produced (the same data the
-// compiler uses, read through go/importer's gc lookup mode), and
-// GOPATH-style fixture trees (internal/analysis/testdata/src) are
-// type-checked recursively from source with stdlib imports resolved
-// the same way. Everything works offline: the only external process is
-// the go command itself.
+// golang.org/x/tools. Every package is type-checked from source, each
+// once, on first use: module packages as `go list -deps -test -json`
+// enumerates them, test variants included, and GOPATH-style fixture
+// trees (internal/analysis/testdata/src) by directory. Only the
+// standard library is read from export data (the compiler's own,
+// through go/importer's gc lookup mode), so the lint compiles no
+// package of the module: this module's whole listing, test variants
+// included, loads in under a second on 2 vCPUs, warm build cache or not
+// for the module's own code. Everything works offline: the only
+// external process is the go command itself.
 package load
 
 import (
@@ -51,15 +53,14 @@ type listedPkg struct {
 	DepOnly    bool
 	ForTest    string
 	ImportMap  map[string]string
-	Imports    []string
 }
 
-const listFields = "ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ForTest,ImportMap,Imports"
+const listFields = "ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ForTest,ImportMap"
 
-// goList runs `go list -export -json` with the given extra arguments
-// in dir and decodes the package stream.
+// goList runs `go list -json` with the given extra arguments in dir
+// and decodes the package stream.
 func goList(dir string, args ...string) ([]*listedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-export", "-json=" + listFields}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-json=" + listFields}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -81,6 +82,129 @@ func goList(dir string, args ...string) ([]*listedPkg, error) {
 	return pkgs, nil
 }
 
+// stdExports caches standard-library export-data files across loads
+// (each `go list -export -deps` answer covers a whole import closure,
+// so the cache converges after the first few queries).
+var stdExports = struct {
+	sync.Mutex
+	files map[string]string // "" for a path asked about and not found
+}{files: map[string]string{}}
+
+// listStd asks the go command for the export data of the named
+// standard-library packages and their dependencies (compiling what the
+// build cache lacks) and caches every standard package in the answer.
+// The caller holds stdExports.
+func listStd(dir string, paths ...string) error {
+	listed, err := goList(dir, append([]string{"-export", "-deps", "--"}, paths...)...)
+	if err != nil {
+		return err
+	}
+	for _, p := range listed {
+		if p.Standard && p.Export != "" {
+			stdExports.files[p.ImportPath] = p.Export
+		}
+	}
+	return nil
+}
+
+// stdExportFile resolves a standard-library import path to its export
+// data file, querying the go command on first sight.
+func stdExportFile(dir, path string) (string, error) {
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	if _, asked := stdExports.files[path]; !asked {
+		stdExports.files[path] = ""
+		if err := listStd(dir, path); err != nil {
+			return "", err
+		}
+	}
+	if f := stdExports.files[path]; f != "" {
+		return f, nil
+	}
+	return "", fmt.Errorf("%q is not a standard-library package", path)
+}
+
+// source is one package to check from source.
+type source struct {
+	dir       string
+	files     []string          // relative to dir
+	importMap map[string]string // an import path to the package it means here
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loader checks the packages of one load from source, each once and on
+// first use, in one file set; a path it finds no source for is a
+// standard-library package, read from export data.
+type loader struct {
+	fset *token.FileSet
+	find func(path string) (*source, error) // nil, nil: no source
+	pkgs map[string]*Package                // nil while being checked
+	std  types.Importer
+}
+
+func newLoader(dir string, find func(string) (*source, error)) *loader {
+	fset := token.NewFileSet()
+	return &loader{fset: fset, find: find, pkgs: map[string]*Package{},
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			f, err := stdExportFile(dir, path)
+			if err != nil {
+				return nil, err
+			}
+			return os.Open(f)
+		})}
+}
+
+// load returns the package path names, checked, or nil if path has no
+// source. A test variant ("p [p.test]") type-checks as its plain path.
+func (l *loader) load(path string) (*Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %q", path)
+		}
+		return p, nil
+	}
+	src, err := l.find(path)
+	if src == nil || err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = nil // cycle guard
+	files, err := parseFiles(l.fset, src.dir, src.files)
+	if err != nil {
+		delete(l.pkgs, path)
+		return nil, err
+	}
+	p := &Package{PkgPath: path, Fset: l.fset, Files: files, Info: newInfo()}
+	conf := types.Config{
+		Importer: l.importer(src.importMap),
+		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	}
+	typesPath, _, _ := strings.Cut(path, " ")
+	p.Types, _ = conf.Check(typesPath, l.fset, files, p.Info)
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// importer resolves one package's imports: through its ImportMap to a
+// package with source, else to the standard library.
+func (l *loader) importer(importMap map[string]string) types.Importer {
+	return importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
+		switch p, err := l.load(path); {
+		case err != nil:
+			return nil, err
+		case p != nil:
+			return p.Types, nil
+		}
+		return l.std.Import(path)
+	})
+}
+
 // newInfo allocates the full types.Info an analyzer pass needs.
 func newInfo() *types.Info {
 	return &types.Info{
@@ -94,29 +218,11 @@ func newInfo() *types.Info {
 	}
 }
 
-// exportLookup builds the go/importer gc-mode lookup function over a
-// package's import map and the listed packages' export data.
-func exportLookup(importMap map[string]string, listed map[string]*listedPkg) func(string) (io.ReadCloser, error) {
-	return func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
-		if lp := listed[path]; lp != nil && lp.Export != "" {
-			return os.Open(lp.Export)
-		}
-		return nil, fmt.Errorf("no export data for %q", path)
-	}
-}
-
 // parseFiles parses the named files (relative to dir) with comments.
 func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -125,228 +231,89 @@ func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 	return files, nil
 }
 
-// check type-checks one package from parsed syntax.
-func check(pkgPath string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, []error) {
-	var terrs []error
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { terrs = append(terrs, err) },
-	}
-	info := newInfo()
-	pkg, _ := conf.Check(pkgPath, fset, files, info)
-	return pkg, info, terrs
-}
-
 // Module loads every package matching the patterns in the module
 // rooted at dir, including in-package and external test variants, each
-// fully type-checked. Dependencies resolve through export data, so the
-// cost is parsing and checking only the matched packages themselves.
+// fully type-checked. A dependency is checked from source too, under
+// the variant the importing package's ImportMap names, so each analyzed
+// package sees its dependencies' complete import graphs.
 func Module(dir string, patterns ...string) ([]*Package, error) {
 	listed, err := goList(dir, append([]string{"-deps", "-test", "--"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	byPath := map[string]*listedPkg{}
+	// hasTestVariant marks a package whose in-package test variant
+	// supersedes it in the analyze set: the variant's file set is a
+	// superset, so analyzing both would double-report.
+	byPath, hasTestVariant := map[string]*listedPkg{}, map[string]bool{}
+	var std []string
 	for _, p := range listed {
 		byPath[p.ImportPath] = p
-	}
-	// The analyze set: matched, non-standard packages, skipping the
-	// synthesized test mains and — when an in-package test variant
-	// exists — the bare package it supersedes (the variant's file set
-	// is a superset, so analyzing both would double-report).
-	hasTestVariant := map[string]bool{}
-	for _, p := range listed {
+		if p.Standard {
+			std = append(std, p.ImportPath)
+		}
 		if p.ForTest != "" && p.ImportPath == p.ForTest+" ["+p.ForTest+".test]" {
 			hasTestVariant[p.ForTest] = true
 		}
 	}
+	stdExports.Lock()
+	err = listStd(dir, std...)
+	stdExports.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	l := newLoader(dir, func(path string) (*source, error) {
+		if p := byPath[path]; p != nil && !p.Standard {
+			return &source{dir: p.Dir, files: p.GoFiles, importMap: p.ImportMap}, nil
+		}
+		return nil, nil
+	})
+	// The analyze set: matched, non-standard packages, skipping the
+	// synthesized test mains and the packages a test variant supersedes.
 	var out []*Package
 	for _, p := range listed {
-		if p.DepOnly || p.Standard || strings.HasSuffix(p.ImportPath, ".test") {
+		if p.DepOnly || p.Standard || strings.HasSuffix(p.ImportPath, ".test") ||
+			hasTestVariant[p.ImportPath] || len(p.GoFiles) == 0 {
 			continue
 		}
-		if hasTestVariant[p.ImportPath] {
-			continue
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		fset := token.NewFileSet()
-		files, err := parseFiles(fset, p.Dir, p.GoFiles)
+		pkg, err := l.load(p.ImportPath)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
-		// The importer is per-package: the same import path can map to
-		// different compilations (test variants) in different packages,
-		// so the importer's cache must not leak across them.
-		imp := importer.ForCompiler(fset, "gc", exportLookup(p.ImportMap, byPath))
-		typesPath := p.ImportPath
-		if i := strings.IndexByte(typesPath, ' '); i >= 0 {
-			typesPath = typesPath[:i] // "p [p.test]" type-checks as "p"
-		}
-		tpkg, info, terrs := check(typesPath, fset, files, imp)
-		linkImports(tpkg, imp, byPath)
-		out = append(out, &Package{
-			PkgPath:    p.ImportPath,
-			Fset:       fset,
-			Files:      files,
-			Types:      tpkg,
-			Info:       info,
-			TypeErrors: terrs,
-		})
+		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
 }
 
-// linkImports sets the imports of each module package reachable from
-// pkg to what go list reports: export data names only the packages a
-// dependency's exported objects reference, which would stop a
-// transitive walk of Imports (forbid's Links rules) short.
-func linkImports(pkg *types.Package, imp types.Importer, listed map[string]*listedPkg) {
-	seen := map[*types.Package]bool{}
-	for work := pkg.Imports(); len(work) > 0; {
-		p, lp := work[0], listed[work[0].Path()]
-		work = work[1:]
-		if seen[p] || lp == nil || lp.Standard {
-			continue
-		}
-		seen[p] = true
-		var imps []*types.Package
-		for _, path := range lp.Imports {
-			if q, err := imp.Import(path); err == nil {
-				imps = append(imps, q)
-			}
-		}
-		p.SetImports(imps)
-		work = append(work, imps...)
-	}
-}
-
-// stdExports caches stdlib export-data locations across fixture loads
-// (each `go list -export -deps` answer covers a whole import closure,
-// so the cache converges after the first few queries).
-var stdExports = struct {
-	sync.Mutex
-	files map[string]string
-}{files: map[string]string{}}
-
-// stdExportFile resolves a standard-library import path to its export
-// data file, querying the go command on first sight.
-func stdExportFile(dir, path string) (string, error) {
-	stdExports.Lock()
-	defer stdExports.Unlock()
-	if f, ok := stdExports.files[path]; ok {
-		if f == "" {
-			return "", fmt.Errorf("%q is not a loadable package", path)
-		}
-		return f, nil
-	}
-	listed, err := goList(dir, "-deps", "--", path)
-	if err != nil {
-		stdExports.files[path] = ""
-		return "", err
-	}
-	for _, p := range listed {
-		if p.Export != "" {
-			stdExports.files[p.ImportPath] = p.Export
-		}
-	}
-	f := stdExports.files[path]
-	if f == "" {
-		return "", fmt.Errorf("no export data for %q", path)
-	}
-	return f, nil
-}
-
-// fixtureImporter resolves a fixture package's imports: paths that
-// exist as directories under the testdata src root load recursively
-// from source; anything else resolves as a standard-library import
-// through export data.
-type fixtureImporter struct {
-	srcRoot string
-	fset    *token.FileSet
-	pkgs    map[string]*Package // loaded fixture packages by path
-	gc      types.Importer
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := fi.pkgs[path]; ok {
-		if p == nil {
-			return nil, fmt.Errorf("import cycle through %q", path)
-		}
-		return p.Types, nil
-	}
-	dir := filepath.Join(fi.srcRoot, filepath.FromSlash(path))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		fi.pkgs[path] = nil // cycle guard
-		p, err := loadFixturePkg(fi, path, dir)
-		if err != nil {
-			return nil, err
-		}
-		fi.pkgs[path] = p
-		return p.Types, nil
-	}
-	return fi.gc.Import(path)
-}
-
-// loadFixturePkg parses and type-checks one fixture directory.
-func loadFixturePkg(fi *fixtureImporter, path, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("fixture %q: no Go files in %s", path, dir)
-	}
-	files, err := parseFiles(fi.fset, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	tpkg, info, terrs := check(path, fi.fset, files, fi)
-	return &Package{
-		PkgPath:    path,
-		Fset:       fi.fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		TypeErrors: terrs,
-	}, nil
-}
-
 // Fixture loads the GOPATH-style fixture package at srcRoot/path
-// (srcRoot is a testdata/src directory), resolving in-tree imports
-// from source and everything else from standard-library export data.
+// (srcRoot is a testdata/src directory): an import that names a
+// directory under srcRoot loads from source, anything else from
+// standard-library export data.
 func Fixture(srcRoot, path string) (*Package, error) {
 	abs, err := filepath.Abs(srcRoot)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	fi := &fixtureImporter{srcRoot: abs, fset: fset, pkgs: map[string]*Package{}}
-	fi.gc = importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
-		f, err := stdExportFile(abs, p)
+	l := newLoader(abs, func(pkgPath string) (*source, error) {
+		dir := filepath.Join(abs, filepath.FromSlash(pkgPath))
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return nil, err
+			return nil, nil
 		}
-		return os.Open(f)
+		var names []string
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+				names = append(names, e.Name())
+			}
+		}
+		if len(names) == 0 {
+			return nil, fmt.Errorf("fixture %q: no Go files in %s", pkgPath, dir)
+		}
+		return &source{dir: dir, files: names}, nil
 	})
-	dir := filepath.Join(abs, filepath.FromSlash(path))
-	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("fixture %q: %v", path, err)
+	p, err := l.load(path)
+	if p == nil && err == nil {
+		err = fmt.Errorf("fixture %q: no directory %s", path, filepath.Join(abs, filepath.FromSlash(path)))
 	}
-	fi.pkgs[path] = nil
-	p, err := loadFixturePkg(fi, path, dir)
-	if err != nil {
-		return nil, err
-	}
-	fi.pkgs[path] = p
-	return p, nil
+	return p, err
 }
