@@ -23,6 +23,7 @@ var fixtures = []string{
 	"entityid/internal/relation",
 	"entityid/internal/resolve",
 	"entityid/internal/store",
+	"entityid/internal/store/disk",
 	"entityid/internal/store/mem",
 }
 

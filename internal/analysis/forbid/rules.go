@@ -72,4 +72,9 @@ var Rules = []Rule{{
 	Shape:  Shape{Calls: []string{"runtime.GOMAXPROCS"}},
 	Reason: "the trichotomy sweep is word-wise and sequential: one verdict row per R′ tuple, no worker pool",
 	PR:     51,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/internal/store/disk"}},
+	Shape:  Shape{Import: "entityid/internal/wal"},
+	Reason: "the disk tier caches cluster records in its own record format and frames nothing the log's way: no pair spill store",
+	PR:     53,
 }}

@@ -29,7 +29,9 @@ func TestNewBagAllowsDuplicates(t *testing.T) {
 	}
 }
 
-func TestCanInsert(t *testing.T) {
+// TestAdmitDoesNotMutate: Admit is Insert's check without the insert —
+// arity, value kinds and candidate keys — and a bag admits a duplicate.
+func TestAdmitDoesNotMutate(t *testing.T) {
 	sch := schema.MustNew("R", []schema.Attribute{
 		{Name: "a", Kind: value.KindString},
 		{Name: "b", Kind: value.KindInt},
@@ -37,31 +39,31 @@ func TestCanInsert(t *testing.T) {
 	r := New(sch)
 	r.MustInsert(value.String("x"), value.Int(1))
 
-	if err := r.CanInsert(Tuple{value.String("y"), value.Int(2)}); err != nil {
-		t.Errorf("CanInsert(valid) = %v", err)
+	if _, err := r.Admit(Tuple{value.String("y"), value.Int(2)}); err != nil {
+		t.Errorf("Admit(valid) = %v", err)
 	}
-	if err := r.CanInsert(Tuple{value.String("x"), value.Int(3)}); err == nil {
-		t.Error("CanInsert accepted key violation")
+	if _, err := r.Admit(Tuple{value.String("x"), value.Int(3)}); err == nil {
+		t.Error("Admit accepted key violation")
 	}
-	if err := r.CanInsert(Tuple{value.String("y")}); err == nil {
-		t.Error("CanInsert accepted wrong arity")
+	if _, err := r.Admit(Tuple{value.String("y")}); err == nil {
+		t.Error("Admit accepted wrong arity")
 	}
-	if err := r.CanInsert(Tuple{value.Int(1), value.Int(2)}); err == nil {
-		t.Error("CanInsert accepted wrong kind")
+	if _, err := r.Admit(Tuple{value.Int(1), value.Int(2)}); err == nil {
+		t.Error("Admit accepted wrong kind")
 	}
-	// CanInsert must not mutate: the valid probe tuple is still
-	// insertable afterwards, and Len is unchanged.
+	// Admit must not mutate: the valid probe tuple is still insertable
+	// afterwards, and Len is unchanged.
 	if r.Len() != 1 {
-		t.Errorf("CanInsert mutated: Len = %d", r.Len())
+		t.Errorf("Admit mutated: Len = %d", r.Len())
 	}
 	if err := r.Insert(Tuple{value.String("y"), value.Int(2)}); err != nil {
 		t.Errorf("post-probe insert failed: %v", err)
 	}
-	// Bags accept duplicates in CanInsert too.
+	// Bags admit duplicates too.
 	bag := NewBag(sch)
 	bag.MustInsert(value.String("x"), value.Int(1))
-	if err := bag.CanInsert(Tuple{value.String("x"), value.Int(1)}); err != nil {
-		t.Errorf("bag CanInsert(duplicate) = %v", err)
+	if _, err := bag.Admit(Tuple{value.String("x"), value.Int(1)}); err != nil {
+		t.Errorf("bag Admit(duplicate) = %v", err)
 	}
 }
 

@@ -91,8 +91,8 @@ func TestImageRelationAdoptsAndIndexesNoKey(t *testing.T) {
 	if err := r.Insert(good); err == nil || !strings.Contains(err.Error(), "Adopt") {
 		t.Errorf("Insert on an image relation = %v", err)
 	}
-	if err := r.CanInsert(good); err == nil {
-		t.Error("CanInsert on an image relation accepted")
+	if _, err := r.Admit(good); err == nil {
+		t.Error("Admit on an image relation accepted")
 	}
 	if err := New(mkExtSchema(t)).Adopt(good); err == nil {
 		t.Error("Adopt on an ordinary relation accepted")
@@ -369,7 +369,9 @@ func TestAdmitRefusesThePositionNoBackLinkHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	tup := row("Fifth", "Oak St.", "Thai")
-	for _, err := range []error{r.Insert(tup), r.CanInsert(tup)} {
+	insertErr := r.Insert(tup)
+	_, admitErr := r.Admit(tup)
+	for _, err := range []error{insertErr, admitErr} {
 		if err == nil || !strings.Contains(err.Error(), "full") {
 			t.Errorf("the tuple past the limit: %v, want it refused as full", err)
 		}

@@ -607,14 +607,6 @@ func (r *Relation) InsertAll(ts []Tuple) error {
 	return nil
 }
 
-// CanInsert reports whether Insert would accept the tuple, without
-// mutating the relation: it checks arity, value kinds and candidate
-// keys. Incremental pipelines use it as a cheap insertion guard.
-func (r *Relation) CanInsert(t Tuple) error {
-	_, err := r.Admit(t)
-	return err
-}
-
 func (r *Relation) keyViolation(ki int, t Tuple, at int) error {
 	return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
 		r.schema.Name(), strings.Join(r.schema.Keys()[ki], ","), t, at)
@@ -711,20 +703,6 @@ rows:
 		return pos
 	}
 	return -1
-}
-
-// Project returns the values of tuple t for the named attributes, in
-// order.
-func (r *Relation) Project(t Tuple, attrs []string) (Tuple, error) {
-	out := make(Tuple, len(attrs))
-	for i, a := range attrs {
-		j := r.schema.Index(a)
-		if j < 0 {
-			return nil, fmt.Errorf("relation %s: no attribute %q", r.schema.Name(), a)
-		}
-		out[i] = t[j]
-	}
-	return out, nil
 }
 
 // Clone returns a deep copy of the relation, its tuples filed into

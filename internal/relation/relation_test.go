@@ -180,20 +180,6 @@ func TestInsertStrings(t *testing.T) {
 	}
 }
 
-func TestProjectTuple(t *testing.T) {
-	r := mkTable1R(t)
-	p, err := r.Project(r.Tuple(0), []string{"cuisine", "name"})
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if p[0].Str() != "Chinese" || p[1].Str() != "VillageWok" {
-		t.Errorf("Project = %v", p)
-	}
-	if _, err := r.Project(r.Tuple(0), []string{"zzz"}); err == nil {
-		t.Error("Project unknown attribute did not fail")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	r := mkTable1R(t)
 	c := r.Clone()

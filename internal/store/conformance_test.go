@@ -390,6 +390,15 @@ func TestPairsConformance(t *testing.T) {
 			if got, want := p.Stats(), (store.PairStats{Spilled: 2, Spills: 3, PageIns: 3}); got != want {
 				t.Fatalf("Stats() = %+v, want %+v", got, want)
 			}
+			// The store keeps what was saved, not the caller's slice.
+			mine := slices.Clone(tab.Pairs)
+			if err := p.Save(2, store.PairTab{RLen: 5, SLen: 7, Pairs: mine}); err != nil {
+				t.Fatal(err)
+			}
+			mine[0] = match.Pair{RIndex: 9, SIndex: 9}
+			if got, err := p.Load(2); err != nil || !reflect.DeepEqual(got, tab) {
+				t.Fatalf("Load(2) after the caller changed its slice = %+v, %v, want %+v", got, err, tab)
+			}
 		})
 	}
 }

@@ -1,9 +1,9 @@
 // Package disk is the tiered storage backend: cold cluster records
 // spill to one append-only file of CRC-checked binary records and page
 // back in on demand, keeping resident memory bounded by the configured
-// hot-tier budget. Its pair store writes tables to CRC-framed section
-// files (the WAL frame format), but the hub keeps every pair's matching
-// table resident and never saves one (store's package comment).
+// hot-tier budget. It tiers cluster records and nothing else: its pair
+// store is store.NewPairs', resident, and the hub never saves a pair
+// (store's package comment).
 //
 // The spill tier is a CACHE, not a durability layer. Durability stays
 // with the WAL and snapshots; Open wipes any leftover spill files from
@@ -92,7 +92,6 @@ package disk
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,10 +100,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"entityid/internal/match"
 	"entityid/internal/obs"
 	"entityid/internal/store"
-	"entityid/internal/wal"
 )
 
 var (
@@ -116,17 +113,14 @@ var (
 	mSpills = obs.Default.CounterVec("store_tier_spills_total",
 		"Bodies written to the spill tier", "kind")
 	spillCluster = mSpills.With("cluster")
-	spillPair    = mSpills.With("pair")
 
 	mPageIns = obs.Default.CounterVec("store_tier_pageins_total",
 		"Bodies read back from the spill tier", "kind")
 	pageInCluster = mPageIns.With("cluster")
-	pageInPair    = mPageIns.With("pair")
 
 	mPageInSeconds = obs.Default.LatencyHistogramVec("store_tier_pagein_seconds",
 		"Spill-tier page-in latency", "kind")
 	pageInClusterSec = mPageInSeconds.With("cluster")
-	pageInPairSec    = mPageInSeconds.With("pair")
 
 	mSpillErrors = obs.Default.Counter("store_tier_spill_errors_total",
 		"Failed spill batch writes (the batch stays in memory and is written again with the next)")
@@ -576,147 +570,10 @@ func (c *clusters) pagedIn(start time.Time, off int64, b []byte, size int) ([]st
 	return ms, nil
 }
 
-func pairOf(pr [2]int) match.Pair {
-	return match.Pair{RIndex: pr[0], SIndex: pr[1]}
-}
-
-// pairHdr is the first chunk of a spilled pair table.
-type pairHdr struct {
-	RLen  int `json:"rlen"`
-	SLen  int `json:"slen"`
-	Pairs int `json:"pairs"`
-}
-
-// pairChunk is the pair count per continuation chunk: small enough to
-// stay far under the frame cap even when tests lower it is not a goal
-// (spill failures are tolerated); large enough to amortise framing.
-const pairChunk = 1 << 16
-
-// pairs spills pair tables to content-addressed section files, one per
-// link ordinal, replaced atomically on each save.
-type pairs struct {
-	//entitylint:lock rank=110
-	mu    sync.Mutex
-	dir   string
-	files map[int]string
-
-	spills  atomic.Int64
-	pageIns atomic.Int64
-}
-
-func (p *pairs) Save(id int, tab store.PairTab) error {
-	var buf fileBuf
-	sw := wal.NewSectionWriter(&buf, 1)
-	hdr, err := json.Marshal(pairHdr{RLen: tab.RLen, SLen: tab.SLen, Pairs: len(tab.Pairs)})
-	if err != nil {
-		return err
-	}
-	if err := sw.WriteChunk(hdr); err != nil {
-		return err
-	}
-	for lo := 0; lo < len(tab.Pairs); lo += pairChunk {
-		hi := min(lo+pairChunk, len(tab.Pairs))
-		ps := make([][2]int, hi-lo)
-		for i, pr := range tab.Pairs[lo:hi] {
-			ps[i] = [2]int{pr.RIndex, pr.SIndex}
-		}
-		payload, err := json.Marshal(ps)
-		if err != nil {
-			return err
-		}
-		if err := sw.WriteChunk(payload); err != nil {
-			return err
-		}
-	}
-	name := fmt.Sprintf("p%d-%s.sec", id, sw.Sum()[:16])
-	path := filepath.Join(p.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	p.mu.Lock()
-	old, had := p.files[id]
-	p.files[id] = path
-	p.mu.Unlock()
-	if had && old != path {
-		os.Remove(old)
-	}
-	p.spills.Add(1)
-	spillPair.Inc()
-	return nil
-}
-
-func (p *pairs) Load(id int) (store.PairTab, error) {
-	start := time.Now()
-	p.mu.Lock()
-	path, ok := p.files[id]
-	p.mu.Unlock()
-	if !ok {
-		return store.PairTab{}, fmt.Errorf("disk: pair %d not spilled", id)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %w", id, err)
-	}
-	sc := wal.NewFrameCutter(data)
-	first, _, err := sc.Next()
-	if err != nil {
-		return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %w", id, err)
-	}
-	var hdr pairHdr
-	if err := json.Unmarshal(first.Payload, &hdr); err != nil {
-		return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %w", id, err)
-	}
-	tab := store.PairTab{RLen: hdr.RLen, SLen: hdr.SLen}
-	for len(tab.Pairs) < hdr.Pairs {
-		rec, _, err := sc.Next()
-		if err != nil {
-			return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: truncated table: %w", id, err)
-		}
-		var ps [][2]int
-		if err := json.Unmarshal(rec.Payload, &ps); err != nil {
-			return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %w", id, err)
-		}
-		for _, pr := range ps {
-			tab.Pairs = append(tab.Pairs, pairOf(pr))
-		}
-	}
-	if len(tab.Pairs) != hdr.Pairs {
-		return store.PairTab{}, fmt.Errorf("disk: pair %d page-in: %d pairs on disk, header says %d", id, len(tab.Pairs), hdr.Pairs)
-	}
-	p.pageIns.Add(1)
-	pageInPair.Inc()
-	pageInPairSec.Since(start)
-	return tab, nil
-}
-
-func (p *pairs) Stats() store.PairStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return store.PairStats{
-		Spilled: len(p.files),
-		Spills:  p.spills.Load(),
-		PageIns: p.pageIns.Load(),
-	}
-}
-
-// fileBuf is a minimal append-only byte buffer implementing io.Writer.
-type fileBuf struct{ b []byte }
-
-func (f *fileBuf) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
 // Backend is the disk-tiered storage backend.
 type Backend struct {
-	dir       string
 	c         clusters
-	p         pairs
+	p         store.Pairs
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -729,23 +586,22 @@ func Open(dir string, caps store.Caps) (*Backend, error) {
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("disk: reset spill tier: %w", err)
 	}
-	pairDir := filepath.Join(dir, "pairs")
-	if err := os.MkdirAll(pairDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "clusters.spill"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
-	b := &Backend{dir: dir}
-	b.c = clusters{budget: caps.HotClusterEntries, f: f, due: batchBytes}
-	b.p = pairs{dir: pairDir, files: map[int]string{}}
-	return b, nil
+	return &Backend{
+		c: clusters{budget: caps.HotClusterEntries, f: f, due: batchBytes},
+		p: store.NewPairs(),
+	}, nil
 }
 
 func (b *Backend) Name() string             { return "disk" }
 func (b *Backend) Clusters() store.Clusters { return &b.c }
-func (b *Backend) Pairs() store.Pairs       { return &b.p }
+func (b *Backend) Pairs() store.Pairs       { return b.p }
 
 func (b *Backend) Close() error {
 	b.closeOnce.Do(func() {

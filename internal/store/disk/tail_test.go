@@ -9,6 +9,7 @@ package disk
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -71,6 +72,42 @@ func fileBytes(t *testing.T, c *clusters) []byte {
 // order. The tail stays under a batch between publications, and each
 // time it is written the file is byte for byte the records spilled so
 // far, in that order.
+// TestDirHoldsTheSpillFileAlone: the tier caches cluster records and
+// nothing else, so its directory holds the one spill file after Open and
+// after a run of publications that spills past the budget and writes a
+// batch.
+func TestDirHoldsTheSpillFileAlone(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tier")
+	be, err := Open(dir, store.Caps{HotClusterEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	holds := func(when string) {
+		t.Helper()
+		es, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range es {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, []string{"clusters.spill"}) {
+			t.Fatalf("%s the directory holds %v, want the spill file alone", when, names)
+		}
+	}
+	holds("after Open")
+	c := &be.c
+	for i := 0; c.fsize == 0 && i < 1<<16; i++ {
+		c.Publish(pairRow(i))
+	}
+	if c.fsize == 0 {
+		t.Fatalf("no batch written after %d spills", c.spills.Load())
+	}
+	holds("after spilling")
+}
+
 func TestSpillFileIsRecordsInSpillOrder(t *testing.T) {
 	c := &openTier(t, 2).c
 	var rows [][]store.Node

@@ -1,8 +1,8 @@
 // Package mem is the default, always-resident storage backend. Cluster
 // records live in a store.Index — tuples are numbered, so each node's
 // record sits at its position in a per-source list of fixed-size chunks
-// — and the pair store holds plain states for interface completeness and
-// tests: the hub never saves a pair (store's package comment).
+// — and its pair store is store.NewPairs': the hub never saves a pair
+// (store's package comment).
 //
 // The design splits the cluster store along the reader/writer
 // asymmetry:
@@ -27,9 +27,7 @@
 package mem
 
 import (
-	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"entityid/internal/store"
@@ -143,57 +141,16 @@ func (c *clusters) Stats() store.ClusterStats {
 	}
 }
 
-// pairs holds saved pair tables resident. The hub never saves one, so
-// in production this map stays empty; it behaves correctly regardless.
-type pairs struct {
-	//entitylint:lock rank=110
-	mu   sync.Mutex
-	tabs map[int]store.PairTab
-	st   store.PairStats
-}
-
-func (p *pairs) Save(id int, tab store.PairTab) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.tabs[id]; !ok {
-		p.st.Spilled++
-	}
-	p.tabs[id] = tab
-	p.st.Spills++
-	return nil
-}
-
-func (p *pairs) Load(id int) (store.PairTab, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	tab, ok := p.tabs[id]
-	if !ok {
-		return store.PairTab{}, fmt.Errorf("mem: pair %d not saved", id)
-	}
-	p.st.PageIns++
-	return tab, nil
-}
-
-func (p *pairs) Stats() store.PairStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st
-}
-
 // Backend is the in-memory storage backend.
 type Backend struct {
 	c clusters
-	p pairs
+	p store.Pairs
 }
 
 // New returns a fresh, empty in-memory backend.
-func New() *Backend {
-	b := &Backend{}
-	b.p.tabs = map[int]store.PairTab{}
-	return b
-}
+func New() *Backend { return &Backend{p: store.NewPairs()} }
 
 func (b *Backend) Name() string             { return "mem" }
 func (b *Backend) Clusters() store.Clusters { return &b.c }
-func (b *Backend) Pairs() store.Pairs       { return &b.p }
+func (b *Backend) Pairs() store.Pairs       { return b.p }
 func (b *Backend) Close() error             { return nil }

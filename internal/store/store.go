@@ -13,10 +13,10 @@
 // Index (index.go): tuples are numbered, so a record sits at its
 // members' positions, not under a hash.
 //
-// Both backends still carry a pair-table store (Pairs, PairTab,
-// PairStats, Caps.HotPairs) that the hub no longer calls: the
-// benchmark's tracer decorates it, and it goes with that decorator
-// (ROADMAP item 11).
+// The pair-table seam (Pairs, PairTab, PairStats, Caps.HotPairs) has one
+// implementation, NewPairs, resident, which both backends return and the
+// hub never calls: the benchmark's tracer decorates it, and it goes with
+// that decorator (ROADMAP item 11).
 //
 // Concurrency contract: Clusters readers (Read, Glance, Peek, Has,
 // Merged, Stats) may run concurrently with each other and with the
@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"entityid/internal/match"
 )
@@ -140,15 +141,16 @@ type PairTab struct {
 	RLen, SLen int
 }
 
-// PairStats describes the pair store's spill tier.
+// PairStats describes the pair store's contents and traffic.
 type PairStats struct {
 	Spilled int   // pair tables currently held by the store
-	Spills  int64 // Save calls (table bodies written)
-	PageIns int64 // Load calls (table bodies read back)
+	Spills  int64 // Save calls
+	PageIns int64 // Load calls that found a table
 }
 
 // Pairs is the per-pair matching-table store, kept only for the
-// benchmark's tracer (ROADMAP item 11): the hub never calls it.
+// benchmark's tracer (ROADMAP item 11): the hub never calls it, and
+// NewPairs is its one implementation.
 type Pairs interface {
 	// Save stores the pair table for link ordinal id, replacing any
 	// previous save.
@@ -158,13 +160,60 @@ type Pairs interface {
 	// id that was never saved is an error.
 	Load(id int) (PairTab, error)
 
-	// Stats snapshots spill-tier occupancy and traffic counters.
+	// Stats snapshots the store's occupancy and traffic counters.
 	Stats() PairStats
 }
 
+// NewPairs returns an empty resident pair store. It copies the pairs of
+// a table it saves and of a table it loads, so neither side aliases the
+// other's slice.
+func NewPairs() Pairs { return &pairs{} }
+
+// pairs holds saved tables in a map behind a mutex. The hub never saves
+// one, so in production the map is never made.
+type pairs struct {
+	//entitylint:lock rank=110
+	mu   sync.Mutex
+	tabs map[int]PairTab
+	st   PairStats
+}
+
+func (p *pairs) Save(id int, tab PairTab) error {
+	tab.Pairs = slices.Clone(tab.Pairs)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.tabs == nil {
+		p.tabs = map[int]PairTab{}
+	}
+	if _, ok := p.tabs[id]; !ok {
+		p.st.Spilled++
+	}
+	p.tabs[id] = tab
+	p.st.Spills++
+	return nil
+}
+
+func (p *pairs) Load(id int) (PairTab, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tab, ok := p.tabs[id]
+	if !ok {
+		return PairTab{}, fmt.Errorf("store: pair %d not saved", id)
+	}
+	p.st.PageIns++
+	tab.Pairs = slices.Clone(tab.Pairs)
+	return tab, nil
+}
+
+func (p *pairs) Stats() PairStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.st
+}
+
 // Caps is the disk backend's residency budget: it evicts cluster
-// records past HotClusterEntries. HotPairs is read by nothing; it goes
-// with the pair store (ROADMAP item 11).
+// records past HotClusterEntries. HotPairs is read by nothing, since no
+// backend tiers a pair; it goes with the pair seam (ROADMAP item 11).
 type Caps struct {
 	HotClusterEntries int // Σ members of resident cluster records
 	HotPairs          int
