@@ -77,4 +77,9 @@ var Rules = []Rule{{
 	Shape:  Shape{Import: "entityid/internal/wal"},
 	Reason: "the disk tier caches cluster records in its own record format and frames nothing the log's way: no pair spill store",
 	PR:     53,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/internal/store/...", "entityid/internal/hub"}},
+	Shape:  Shape{Funcs: []string{"Glance", "Peek"}},
+	Reason: "a walk reads the cluster store a window at a time, Clusters.Window: one state and a few run reads a window, no probe or body read per node",
+	PR:     54,
 }}

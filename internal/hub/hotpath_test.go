@@ -116,8 +116,8 @@ func TestKeyedLookupAllocBound(t *testing.T) {
 // the ID and the member slice (its key probe hashes, and builds
 // nothing). A walk lends its clusters: per cluster it builds the ID
 // alone, in one allocation, and the resume cursor is that ID when the
-// visit node leads; the cut, the closures and the one Members buffer the
-// walk reuses are paid once. A fresh Members slice per cluster, an ID
+// visit node leads; the window with its cut, the closures and the one
+// Members buffer the walk reuses are paid once. A fresh Members slice per cluster, an ID
 // built from strconv.Itoa and a concatenation, or a cursor rendered
 // apart from the ID breaks the bound.
 func TestReadSideAllocBound(t *testing.T) {

@@ -7,15 +7,16 @@
 // smallest member, reproducing the classic enumeration order (by
 // smallest member, singletons included) while holding at most one store
 // lock at a time (none on the resident store) and materialising one
-// cluster at a time, so
-// enumeration memory is O(largest cluster), not O(hub). The walk reads
-// through the store, never into it: one index probe per node
-// (store.Clusters.Glance), one body per emitted cluster and none per
-// skipped one (Peek), and no record promoted — on the resident store
-// that is two atomic loads per node (the positional index of
-// store.Index), on the disk store one pread per cold cluster, outside
-// the tier's lock, that leaves the hot set as the point reads built it.
-// What the walk hands out it builds in one reused buffer: a walked
+// cluster at a time, so enumeration memory is O(largest cluster plus a
+// window), not O(hub). The walk reads through the store, never into it,
+// a window of one source's nodes at a time (store.Clusters.Window): the
+// index entry of every node, one body per emitted cluster and none per
+// skipped one, and no record promoted — on the resident store that is
+// two atomic loads per node (the positional index of store.Index), on
+// the disk store one hold of the tier's lock per window and, outside
+// it, one read per run of the window's cold records, decoded into the
+// walk's own arena, that leaves the hot set as the point reads built
+// it. What the walk hands out it builds in one reused buffer: a walked
 // cluster allocates its ID and nothing else. Anchoring
 // emission inside the cut matters under concurrent ingest: a cluster
 // whose absolute lead was committed after the cut is still emitted at
@@ -23,7 +24,7 @@
 // walk will never visit.
 //
 // Consistency: each emitted cluster is a committed partition state at
-// its visit time (the record is immutable), and one pass's clusters
+// its window's read (the record is immutable), and one pass's clusters
 // are always pairwise disjoint. Across a long enumeration concurrent
 // ingest may merge clusters behind the cursor; the *entity* then
 // appears in the earlier, smaller committed form the walk emitted
@@ -49,6 +50,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"entityid/internal/store"
 )
 
 // clustersWalk visits, in canonical order, every cluster with a member
@@ -57,71 +60,90 @@ import (
 // fn each of the rest: the visit node and the cluster's member set (nil
 // for an implicit singleton); fn returns false to stop.
 //
-// The walk reads through the store, not into it. At every node it asks
-// the index alone (Glance): a node with no record is a singleton; a node
-// whose record's first member is inside the cut and is not the node
+// The walk reads through the store, not into it, a window of one
+// source's nodes at a time (store.Clusters.Window). At every node it
+// judges what the window found: a node with no record is a singleton; a
+// node whose record's first member is inside the cut and is not the node
 // itself belongs to a cluster emitted earlier and is passed without a
 // body being read; a node that is its record's first member leads it,
-// which is all a skipped cluster needs to be counted. A body is asked
-// for (Peek, which promotes nothing) only to emit a cluster, or in the
-// rare case the record's first member lies outside the cut — a merge
-// after the cut handed the cluster a new lead — and the lead inside the
-// cut has to be found among the members. Either way each emit, count or
-// pass is decided from ONE committed record: the glance's, or, once a
-// body has been fetched, the body's alone — a body that arrives newer
-// than the glance is judged again from scratch. So a cluster costs one
-// body read however many members it has, and none when skipped. A
-// storage read error (possible only on a paging backend) stops the walk
-// and is returned.
+// which is all a skipped cluster needs to be counted. A body is read —
+// by the window, which promotes nothing — only to emit a cluster, or in
+// the rare case the record's first member lies outside the cut (a merge
+// after the cut handed the cluster a new lead) and the lead inside the
+// cut has to be found among the members. Each emit, count or pass is
+// decided from ONE committed record, the window's: a window answers all
+// its nodes from one state, and a later window sees a later one. So a
+// cluster costs one body read however many members it has, and none when
+// skipped.
+//
+// Windows start at one node and double up to store.WindowNodes, so a
+// short page reads little and the first clusters are as fresh as a
+// node-by-node walk's; while the walk is counting past skip a window
+// reads no lead's body, and the window after the last cluster counted
+// starts at one node again. A storage read error (possible only on a
+// paging backend) stops the walk at the first node whose body could not
+// be read, and is returned.
 //
 //entitylint:hotpath noobs
 func (h *Hub) clustersWalk(t *topoView, start node, skip int, fn func(n node, members []node) bool) error {
-	lens := make([]int, len(t.sources))
+	w := new(store.Window)
+	w.Cut = make([]int, len(t.sources))
 	for i, s := range t.sources {
-		lens[i] = len(s.view.Load().tuples)
+		w.Cut[i] = len(s.view.Load().tuples)
 	}
-	inCut := func(m node) bool {
-		return m.Src < len(lens) && m.Idx < lens[m.Src]
-	}
+	size := 1
 	for si := start.Src; si < len(t.sources); si++ {
-		lo := 0
+		i := 0
 		if si == start.Src {
-			lo = start.Idx
+			i = start.Idx
 		}
-		for i := lo; i < lens[si]; i++ {
-			n := node{Src: si, Idx: i}
-			first, ms, ok := h.clusters.Glance(n)
-			if ok && first != n && inCut(first) {
-				continue // emitted (or to be emitted) at first
-			}
-			// A lead about to be counted past needs no body; any other
-			// record does, to be emitted or to have its in-cut lead found.
-			if ok && (first != n || skip == 0) {
-				if ms == nil {
-					var err error
-					if ms, err = h.clusters.Peek(n); err != nil {
-						return err
+		for i < w.Cut[si] {
+			w.Src, w.Lo, w.Hi, w.Leads = si, i, min(i+size, w.Cut[si]), skip == 0
+			// A window whose read failed still answers every node before the
+			// first body it could not read, so the walk serves those first.
+			werr := h.clusters.Window(w)
+			size = min(2*size, store.WindowNodes)
+			for ; i < w.Hi; i++ {
+				n := node{Src: si, Idx: i}
+				got := w.Got[i-w.Lo]
+				if got.OK && got.First != n && w.InCut(got.First) {
+					continue // emitted (or to be emitted) at first
+				}
+				// A lead about to be counted past needs no body; any other
+				// record does, and the window has read it (w.Leads is
+				// skip == 0 throughout a window).
+				if got.OK && w.Needs(n, got.First) {
+					if got.Members == nil && werr != nil {
+						return werr
+					}
+					// Emit at the cluster's first in-cut member (n itself is
+					// in the cut, so one exists at or before n).
+					lead := n
+					for _, m := range got.Members {
+						if w.InCut(m) {
+							lead = m
+							break
+						}
+					}
+					if lead != n {
+						continue
 					}
 				}
-				// Emit at the cluster's first in-cut member (n itself is
-				// in the cut, so one exists at or before n).
-				lead := n
-				for _, m := range ms {
-					if inCut(m) {
-						lead = m
+				if skip > 0 {
+					if skip--; skip == 0 {
+						// The rest of this window was read for counting: the
+						// clusters to serve start in a window of one node.
+						i, size = i+1, 1
 						break
 					}
-				}
-				if lead != n {
 					continue
 				}
+				if !fn(n, got.Members) {
+					return nil
+				}
 			}
-			if skip > 0 {
-				skip--
-				continue
-			}
-			if !fn(n, ms) {
-				return nil
+			if werr != nil && i == w.Hi {
+				return werr
 			}
 		}
 	}

@@ -11,6 +11,7 @@ package hub
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -289,6 +290,51 @@ func TestWalkLeavesHotSetAlone(t *testing.T) {
 	}
 	if hot2, cold2 := pointReads(); hot2 != hot || cold2 != cold {
 		t.Fatalf("after a walk the same reads split %d hot, %d cold; before it %d, %d", hot2, cold2, hot, cold)
+	}
+}
+
+// TestConcurrentWalksOverColdTier: walks running at once over a cold
+// tier each serve exactly the quiescent partition. A walk decodes the
+// bodies its windows read into its own window's arena; an arena the
+// walks shared — pooled in the store, say — would hand one walk's
+// members to another mid-window, and the walk would serve them.
+func TestConcurrentWalksOverColdTier(t *testing.T) {
+	h, _ := coldWalkHub(t)
+	want := h.Clusters()
+	const walkers, walks = 4, 200
+	before := h.clusters.Stats()
+	var wg sync.WaitGroup
+	errs := make(chan error, walkers)
+	for g := range walkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range walks {
+				i := 0
+				err := h.ClustersWalk("", 0, func(c Cluster, _ string) bool {
+					if i >= len(want) || c.ID != want[i].ID || !reflect.DeepEqual(c.Members, want[i].Members) {
+						return false
+					}
+					if i++; i%16 == 0 {
+						runtime.Gosched() // let another walk read a window inside this one's
+					}
+					return true
+				})
+				if err != nil || i != len(want) {
+					errs <- fmt.Errorf("walker %d, walk %d: cluster %d of %d differs from the quiescent walk's (%v)", g, k, i, len(want), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	after := h.clusters.Stats()
+	if pageIns := after.PageIns - before.PageIns; before.ColdRecords == 0 || pageIns != int64(walkers*walks*before.ColdRecords) {
+		t.Fatalf("%d walks paged in %d bodies, want %d a walk", walkers*walks, pageIns, before.ColdRecords)
 	}
 }
 

@@ -12,6 +12,7 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -158,6 +159,30 @@ func universe() []store.Node {
 	return out
 }
 
+// allIn is a cut that holds every node the tests name.
+var allIn = slices.Repeat([]int{math.MaxInt}, 16)
+
+// windowAt reads nodes (src, lo) … (src, hi-1) through one Window. With
+// bodies the cut is empty, so the window reads the body of every cold
+// record at every node that has one: each node's set, as Read answers
+// it, through the tier. Without, the cut holds every node and leads want
+// no body, so the window reads none: what the index knows, and a set
+// only where it is resident.
+func windowAt(c store.Clusters, src, lo, hi int, bodies bool) ([]store.Slot, error) {
+	w := &store.Window{Src: src, Lo: lo, Hi: hi, Leads: bodies}
+	if !bodies {
+		w.Cut = allIn
+	}
+	err := c.Window(w)
+	return w.Got[:hi-lo], err
+}
+
+// glance is a window of node x alone that reads no body.
+func glance(c store.Clusters, x store.Node) store.Slot {
+	got, _ := windowAt(c, x.Src, x.Idx, x.Idx+1, false)
+	return got[0]
+}
+
 // residency is which nodes' records a glance finds resident, with the
 // occupancy and spill counters: the tier state a scan must not move.
 type residency struct {
@@ -170,36 +195,53 @@ func residencyOf(c store.Clusters) residency {
 	st := c.Stats()
 	r := residency{map[store.Node]bool{}, st.HotRecords, st.HotEntries, st.ColdRecords, st.Spills}
 	for _, x := range universe() {
-		if _, ms, _ := c.Glance(x); ms != nil {
+		if glance(c, x).Members != nil {
 			r.resident[x] = true
 		}
 	}
 	return r
 }
 
-// checkScanReads holds the enumeration's pair to the model — the glance
-// of a node is absent for a singleton and names the set's first member
-// otherwise, a resident set it returns is the set, Peek is Read — and to
-// its promise: a full pass of both leaves the tier as it found it.
+// universeSources and universeRows bound the universe: its nodes are
+// (source, row) with source and row below them.
+const universeSources, universeRows = 5, 10
+
+// checkScanReads holds the window to the model over every node of the
+// universe's sources and rows, one window a source: a node has a record
+// exactly when the model gives it a set, the record names the set's first
+// member, a window that reads no body hands out a set only where it is
+// resident and then the set, and one that reads every body hands out
+// each node's set as Read would. It holds the window to its promise too:
+// one that reads no body pages nothing in, and a full pass of both kinds
+// leaves the tier as it found it.
 func checkScanReads(t *testing.T, step string, c store.Clusters, want model) {
 	t.Helper()
 	before := residencyOf(c)
-	for _, x := range universe() {
-		first, resident, ok := c.Glance(x)
-		switch ms := want[x]; {
-		case ok != (ms != nil):
-			t.Fatalf("%s: Glance(%v) ok = %v, model set %v", step, x, ok, ms)
-		case ok && first != ms[0]:
-			t.Fatalf("%s: Glance(%v) first = %v, want %v", step, x, first, ms[0])
-		case resident != nil && !reflect.DeepEqual(resident, ms):
-			t.Fatalf("%s: Glance(%v) resident set = %v, want %v", step, x, resident, ms)
-		}
-		if got, err := c.Peek(x); err != nil || !reflect.DeepEqual(got, want[x]) {
-			t.Fatalf("%s: Peek(%v) = %v, %v, want %v", step, x, got, err, want[x])
+	for src := range universeSources {
+		for _, bodies := range []bool{false, true} {
+			pageIns := c.Stats().PageIns
+			got, err := windowAt(c, src, 0, universeRows, bodies)
+			if err != nil {
+				t.Fatalf("%s: window of source %d (bodies %v): %v", step, src, bodies, err)
+			}
+			for i, g := range got {
+				x := n(src, i)
+				switch ms := want[x]; {
+				case g.OK != (ms != nil):
+					t.Fatalf("%s: window at %v: ok = %v, model set %v", step, x, g.OK, ms)
+				case g.OK && g.First != ms[0]:
+					t.Fatalf("%s: window at %v: first = %v, want %v", step, x, g.First, ms[0])
+				case (bodies || g.Members != nil) && !reflect.DeepEqual(g.Members, ms):
+					t.Fatalf("%s: window at %v (bodies %v): set = %v, want %v", step, x, bodies, g.Members, ms)
+				}
+			}
+			if !bodies && c.Stats().PageIns != pageIns {
+				t.Fatalf("%s: a window of source %d that reads no body paged %d in", step, src, c.Stats().PageIns-pageIns)
+			}
 		}
 	}
 	if after := residencyOf(c); !reflect.DeepEqual(after, before) {
-		t.Fatalf("%s: a pass of glances and peeks moved the tier: %+v, was %+v", step, after, before)
+		t.Fatalf("%s: a pass of windows moved the tier: %+v, was %+v", step, after, before)
 	}
 }
 
@@ -310,10 +352,10 @@ func TestClustersConformance(t *testing.T) {
 }
 
 // TestScanReadsKeepEvictionOrder: the next eviction victims are the same
-// records after a pass of glances and peeks as before it. With room for
-// two pair records, reading row 0 then row 1 makes row 0 the next victim
-// and row 1 the one after; peeking every row in between, last of all the
-// others, changes neither.
+// records after a pass of windows as before it. With room for two pair
+// records, reading row 0 then row 1 makes row 0 the next victim and row
+// 1 the one after; reading every row through a window in between, last
+// of all the others, changes neither.
 func TestScanReadsKeepEvictionOrder(t *testing.T) {
 	b, err := disk.Open(t.TempDir(), store.Caps{HotClusterEntries: 4})
 	if err != nil {
@@ -325,7 +367,7 @@ func TestScanReadsKeepEvictionOrder(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		c.Publish(pairRecord(i))
 	}
-	hot := func(i int) bool { _, ms, _ := c.Glance(n(0, i)); return ms != nil }
+	hot := func(i int) bool { return glance(c, n(0, i)).Members != nil }
 	for _, i := range []int{0, 1} {
 		if _, err := c.Read(n(0, i)); err != nil {
 			t.Fatal(err)
@@ -333,11 +375,11 @@ func TestScanReadsKeepEvictionOrder(t *testing.T) {
 	}
 	for i := rows - 1; i >= 0; i-- {
 		for s := 0; s < 2; s++ {
-			if _, _, ok := c.Glance(n(s, i)); !ok {
-				t.Fatalf("Glance(%v) finds no record", n(s, i))
+			if !glance(c, n(s, i)).OK {
+				t.Fatalf("a window finds no record at %v", n(s, i))
 			}
-			if ms, err := c.Peek(n(s, i)); err != nil || !reflect.DeepEqual(ms, pairRecord(i)) {
-				t.Fatalf("Peek(%v) = %v, %v", n(s, i), ms, err)
+			if got, err := windowAt(c, s, i, i+1, true); err != nil || !reflect.DeepEqual(got[0].Members, pairRecord(i)) {
+				t.Fatalf("window at %v = %v, %v", n(s, i), got[0].Members, err)
 			}
 		}
 	}
@@ -420,10 +462,11 @@ func TestBackendIdentityAndLifecycle(t *testing.T) {
 	}
 }
 
-// lookAt reads x's record one of three ways — Read, Peek, Glance by way
-// mod 3 — and holds the answer to what a reader racing Publish may see:
-// no record, or the committed record want, holding x. A Glance of a cold
-// record knows only the first member, which must be want's. It reports
+// lookAt reads x's record one of three ways — Read, a window that reads
+// its body, a window that reads none, by way mod 3 — and holds the
+// answer to what a reader racing Publish may see: no record, or the
+// committed record want, holding x. A window that reads no body knows a
+// cold record only by its first member, which must be want's. It reports
 // whether a record was found.
 func lookAt(c store.Clusters, way int, x store.Node, want []store.Node) (bool, error) {
 	var ms []store.Node
@@ -431,17 +474,16 @@ func lookAt(c store.Clusters, way int, x store.Node, want []store.Node) (bool, e
 	switch way % 3 {
 	case 0:
 		ms, err = c.Read(x)
-	case 1:
-		ms, err = c.Peek(x)
 	default:
-		first, resident, ok := c.Glance(x)
-		if ok && first != want[0] {
-			return true, fmt.Errorf("Glance(%v) names first member %v, want %v", x, first, want[0])
+		var got []store.Slot
+		got, err = windowAt(c, x.Src, x.Idx, x.Idx+1, way%3 == 1)
+		if err == nil && got[0].OK && got[0].First != want[0] {
+			return true, fmt.Errorf("window at %v names first member %v, want %v", x, got[0].First, want[0])
 		}
-		if ok && resident == nil {
+		if err == nil && got[0].OK && got[0].Members == nil {
 			return true, nil
 		}
-		ms = resident
+		ms = got[0].Members
 	}
 	switch {
 	case err != nil:
@@ -463,7 +505,7 @@ func lookAt(c store.Clusters, way int, x store.Node, want []store.Node) (bool, e
 // row on each row's last member is of a source ordinal no record held
 // before, so the index grows under its readers. Beside the ordered
 // reader a second one reads nodes at random, the unpublished among them;
-// both read by Read, Peek and Glance in turn.
+// both read by Read and by windows with and without bodies in turn.
 func TestPublishReachesLaterMembersFirst(t *testing.T) {
 	const rows, width, late = 4000, 8, 10
 	row := func(i int) []store.Node {
@@ -534,6 +576,130 @@ func TestPublishReachesLaterMembersFirst(t *testing.T) {
 				if err := <-done; err != nil {
 					t.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// TestWindowReachesLaterMembersFirst is TestPublishReachesLaterMembersFirst
+// for the walk's read. Each row is published twice: first its later
+// half, then the whole row, which supersedes it. A row's members are
+// consecutive nodes of source 0, so one window holds several members of
+// a record. One reader spins windows over the row being published, so
+// its reads fall inside the publications; a second reads windows at
+// random. Each holds every window to the committed records — a node
+// shows no record, the half or the row, with that set's first member —
+// and to the later-member rule: once a node has shown a record, every
+// later member of it shows that record or a newer one, in the same
+// window and in every later one. From the middle row on each row's last
+// member is of a source ordinal no record held before, so the index
+// grows under the readers; on disk the records spill to the tail and the
+// file while the windows read them.
+func TestWindowReachesLaterMembersFirst(t *testing.T) {
+	const rows, width, late = 4000, 8, 10
+	// version v of row i: 1 is its later half, 2 the whole row.
+	version := func(i, v int) []store.Node {
+		var ms []store.Node
+		for k := width / 2 * (2 - v); k < width; k++ {
+			ms = append(ms, n(0, i*width+k))
+		}
+		if i >= rows/2 {
+			ms = append(ms, n(late, i))
+		}
+		return ms
+	}
+	for _, bk := range backends {
+		t.Run(bk.name, func(t *testing.T) {
+			b := bk.open(t, t.TempDir())
+			defer b.Close()
+			c := b.Clusters()
+			var watching atomic.Int64
+			var published atomic.Bool
+			// reader reads the windows next sets up until it returns false,
+			// holding each to the records and to the rule; low[v][i] is the
+			// smallest node of row i that has shown version v or a newer one.
+			reader := func(next func(w *store.Window) bool) error {
+				w := new(store.Window) // reused, as a walk reuses its window
+				var low [3][rows]int
+				for v := range low {
+					for i := range low[v] {
+						low[v][i] = math.MaxInt
+					}
+				}
+				for next(w) {
+					if err := c.Window(w); err != nil {
+						return fmt.Errorf("window [%d, %d): %w", w.Lo, w.Hi, err)
+					}
+					for k, got := range w.Got[:w.Hi-w.Lo] {
+						x, i, ver := w.Lo+k, (w.Lo+k)/width, 0
+						for v := 1; v <= 2 && got.OK; v++ {
+							if want := version(i, v); got.First == want[0] && reflect.DeepEqual(got.Members, want) {
+								ver = v
+							}
+						}
+						if got.OK && ver == 0 {
+							return fmt.Errorf("window [%d, %d) at node %d: first %v, set %v: no record of row %d", w.Lo, w.Hi, x, got.First, got.Members, i)
+						}
+						for v := 1; v <= 2; v++ {
+							if ver < v && x > low[v][i] && slices.Contains(version(i, v), n(0, x)) {
+								return fmt.Errorf("window [%d, %d): row %d's version %d stood at node %d and not at %d, which shows %d", w.Lo, w.Hi, i, v, low[v][i], x, ver)
+							}
+						}
+						for v := 1; v <= ver; v++ {
+							low[v][i] = min(low[v][i], x)
+						}
+					}
+				}
+				return nil
+			}
+			done := make(chan error, 2)
+			go func() {
+				r := rand.New(rand.NewSource(1))
+				i := 0
+				err := reader(func(w *store.Window) bool {
+					// Row i is over once its first member shows a record: only
+					// the whole row holds it.
+					if first := i * width; first >= w.Lo && first < w.Hi && w.Got[first-w.Lo].OK {
+						i++
+						watching.Store(int64(i))
+					}
+					// A window holding row i, from up to a row before it to up to
+					// a row after it.
+					w.Src, w.Leads = 0, true
+					w.Lo = max(0, i*width-r.Intn(width+1))
+					w.Hi = min(rows*width, (i+1)*width+r.Intn(width+1))
+					runtime.Gosched()
+					return i < rows
+				})
+				watching.Store(rows) // let the writer run out
+				done <- err
+			}()
+			go func() {
+				r := rand.New(rand.NewSource(2))
+				done <- reader(func(w *store.Window) bool {
+					w.Src, w.Leads = 0, true
+					w.Lo = r.Intn(rows * width)
+					w.Hi = min(rows*width, w.Lo+1+r.Intn(store.WindowNodes))
+					runtime.Gosched()
+					return !published.Load()
+				})
+			}()
+			for i := 0; i < rows; i++ {
+				for watching.Load() < int64(i) {
+					runtime.Gosched()
+				}
+				c.Publish(version(i, 1))
+				runtime.Gosched()
+				c.Publish(version(i, 2))
+			}
+			published.Store(true)
+			for range 2 {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := c.Stats(); bk.budget > 0 && (st.ColdRecords == 0 || st.PageIns == 0) {
+				t.Fatalf("the windows never read a cold record: %+v", st)
 			}
 		})
 	}

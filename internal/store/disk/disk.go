@@ -28,10 +28,11 @@
 // evictions — a recovery's fold publishing every component in canonical
 // order, a stream's commits — costs a few sequential writes, not one a
 // record. A record still in the tail is served from memory, and that
-// read counts as a page-in as a file read does. Partition sorts its cold
-// records by offset and reads each run of nearby ones with one ReadAt
-// (readRuns). Where a record lies and which bytes it holds do not depend
-// on when the tail is written.
+// read counts as a page-in as a file read does. Partition and a walk's
+// Window sort their cold records by offset and read each run of nearby
+// ones with one ReadAt (readRuns, the one run reader). Where a record
+// lies and which bytes it holds do not depend on when the tail is
+// written.
 //
 // The index is the resident store's: a store.Index, one record-pointer
 // slot per tuple position. An index entry (rec) always knows its
@@ -48,12 +49,13 @@
 //     record stays addressable); only never-spilled records pay an
 //     append to the tail.
 //
-//   - The enumeration's reads move nothing. Glance answers from the
-//     index (has a record, its first member, the set if resident);
-//     Peek serves a cold body through the tier — decoded and handed to
-//     the caller, not installed, nothing evicted, LRU order untouched —
-//     so a scan leaves the hot set the point reads built as it found
-//     it. Partition (the snapshot cut's scan) reads through likewise.
+//   - The enumeration's reads move nothing. A Window answers a run of
+//     one source's nodes from the index (has a record, its first member,
+//     the set if resident) and serves the cold bodies the walk needs
+//     through the tier — decoded into the walk's arena, not installed,
+//     nothing evicted, LRU order untouched — so a scan leaves the hot
+//     set the point reads built as it found it. Partition (the snapshot
+//     cut's scan) reads through likewise.
 //
 //   - Writer-side lookups (Members) page in WITHOUT evicting: the
 //     commit path must never lose a record between its uniqueness
@@ -74,17 +76,22 @@
 // does its I/O under it: Read and Members must install what they load,
 // and at 0.2 page-ins per point read a re-validation protocol would not
 // pay.
-// Peek, which mutates nothing, copies the record's address (offset,
-// length, member count) under the mutex — and, for a record still in the
-// tail, its bytes — and preads and decodes after releasing it, so
-// scanners and point readers do not queue behind each other's system
-// calls. That is safe because a record in the file is immutable — the
-// file is append-only, written once per record at an offset no other
-// record shares, and never rewritten or truncated while open (a batch
-// written again after a failure writes the same bytes at the same
-// offsets) — and the record's identity was fixed at the lookup, the same
-// linearisation point Read has: a Publish that supersedes it in between
-// leaves the old bytes where they were. The always-hot mem backend reads
+// A Window, which mutates nothing, takes the mutex once: under that one
+// hold it reads every index entry of the window and copies the address
+// (offset, length, member count) of each cold record the walk needs —
+// and, for a record still in the tail, its bytes — and it reads the runs
+// and decodes after releasing it, so scanners and point readers do not
+// queue behind each other's system calls, and a scan takes the mutex a
+// few hundred nodes at a time rather than at every node. That is safe
+// because a record in the file is immutable — the file is append-only,
+// written once per record at an offset no other record shares, and
+// never rewritten or truncated while open (a batch written again after a
+// failure writes the same bytes at the same offsets) — and each record's
+// identity was fixed under the hold, the window's one linearisation
+// point: a Publish that supersedes it in between leaves the old bytes
+// where they were, and the window answers all its nodes from the state
+// before that Publish, so it never serves a record at one node and its
+// successor at another. The always-hot mem backend reads
 // the same index with no lock at all; here what a read finds in an entry
 // — resident set, LRU position, spill address — only the mutex keeps
 // consistent.
@@ -247,49 +254,57 @@ func (c *clusters) Read(n store.Node) ([]store.Node, error) {
 	return ms, nil
 }
 
-func (c *clusters) Glance(n store.Node) (store.Node, []store.Node, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := c.idx.Get(n)
-	if r == nil {
-		return store.Node{}, nil, false
-	}
-	return r.first, r.members, true
+// windowBufs hold a Window's cold-record list, its copies of records
+// still in the tail and its run buffer: working memory that never leaves
+// the call. What the window hands out it decodes into its caller's arena.
+var windowBufs = sync.Pool{New: func() any { return new(windowBuf) }}
+
+type windowBuf struct {
+	cold      []coldRec
+	tail, run []byte
 }
 
-// peekBufs are Peek's record buffers: it reads outside the mutex, so it
-// cannot share c.buf.
-var peekBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-func (c *clusters) Peek(n store.Node) ([]store.Node, error) {
+// Window answers the window's nodes from one hold of the mutex: every
+// index entry, and the address of each cold record whose body the walk
+// needs (store.Window.Needs), the bytes of one still in the tail copied
+// out. The bodies are read after the mutex is released, in offset order,
+// a run at a time (readRuns), and decoded into w.Arena. Nothing is
+// promoted or evicted, and the LRU order is left as it was.
+func (c *clusters) Window(w *store.Window) error {
+	got := w.Got[:w.Hi-w.Lo]
+	wb := windowBufs.Get().(*windowBuf)
+	defer windowBufs.Put(wb)
+	cold, tail, members := wb.cold[:0], wb.tail[:0], 0
 	c.mu.Lock()
-	r := c.idx.Get(n)
-	if r == nil {
-		c.mu.Unlock()
-		return nil, nil
-	}
-	if ms := r.members; ms != nil {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		tierHot.Inc()
-		return ms, nil
-	}
-	// The record is fixed here; its bytes cannot change (package comment).
-	off, flen, size := r.off, r.flen, r.size
-	buf := peekBufs.Get().(*[]byte)
-	defer peekBufs.Put(buf)
-	inTail := off >= c.fsize
-	if inTail {
-		// The tail is written and reused under the mutex: copy the bytes.
-		*buf = append((*buf)[:0], c.tailBytes(off, flen)...)
+	for i := range got {
+		n := store.Node{Src: w.Src, Idx: w.Lo + i}
+		r := c.idx.Get(n)
+		if r == nil {
+			got[i] = store.Slot{}
+			continue
+		}
+		got[i] = store.Slot{First: r.first, Members: r.members, OK: true}
+		if r.members != nil || !w.Needs(n, r.first) {
+			continue
+		}
+		// The record is fixed here; its bytes cannot change (package comment).
+		cr := coldRec{r: r, at: int32(i), tb: -1}
+		if r.off >= c.fsize {
+			// The tail is written and reused under the mutex: copy the bytes.
+			cr.tb = int32(len(tail))
+			tail = append(tail, c.tailBytes(r.off, r.flen)...)
+		}
+		cold = append(cold, cr)
+		members += r.size
 	}
 	c.mu.Unlock()
-	c.misses.Add(1)
-	tierCold.Inc()
-	if inTail {
-		return c.pagedIn(time.Now(), off, *buf, size)
-	}
-	return c.readRecord(buf, off, flen, size)
+	wb.cold, wb.tail = cold, tail
+	c.misses.Add(int64(len(cold)))
+	tierCold.Add(uint64(len(cold)))
+	w.Arena = slices.Grow(w.Arena[:0], members)
+	return c.readRuns(cold, tail, &wb.run, windowRunBytes, &w.Arena, func(at int, ms []store.Node) {
+		got[at].Members = ms
+	})
 }
 
 func (c *clusters) Members(n store.Node) ([]store.Node, error) {
@@ -369,71 +384,94 @@ func (c *clusters) Partition() ([][]store.Node, error) {
 			continue
 		}
 		if r.members == nil {
-			cold = append(cold, coldRec{at: len(out), r: r})
+			cr := coldRec{r: r, at: int32(len(out)), tb: -1}
+			if r.off >= c.fsize {
+				cr.tb = int32(r.off - c.fsize)
+			}
+			cold = append(cold, cr)
 		}
 		out = append(out, r.members)
 	}
-	if err := c.readRuns(cold, out); err != nil {
+	err := c.readRuns(cold, c.tail, &c.buf, runBytes, nil, func(at int, ms []store.Node) { out[at] = ms })
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// coldRec is a cold record Partition reads, and its place in the output.
+// coldRec is a cold record to read, its place in the caller's output
+// and, for a record still in the tail, where its bytes start in the tail
+// the reader is given (-1 for one in the file). A cold record's address
+// and size were fixed when it was spilled and are never written again,
+// so a reader that found it under c.mu may read them after releasing it.
 type coldRec struct {
-	at int
-	r  *rec
+	r      *rec
+	at, tb int32
 }
 
-// readRuns pages in every record of cold to out[at], in offset order: a
-// record still in the tail from memory, and each run of records in the
-// file whose gaps are at most runGap bytes, up to runBytes, with one
-// ReadAt. Each record is decoded and counted as its own page-in, timed
-// as its decode plus an even share of its run's read; a read that comes
-// back short fails at the first record it did not cover. Caller holds
-// c.mu.
-func (c *clusters) readRuns(cold []coldRec, out [][]store.Node) error {
+// readRuns pages in every record of cold and hands it to put with its
+// place, in offset order: the records still in the tail from tail, and
+// each run of records in the file whose gaps are at most runGap bytes,
+// up to most bytes, with one ReadAt into *buf (grown when short). Each
+// record is decoded onto the end of *arena — the caller has grown it to
+// hold them all — or, with a nil arena, into a slice of its own, and is
+// counted as its own page-in, timed as an even share of its run's read
+// and decodes; a read that comes back short fails at the first record it
+// did not cover. It reads no tier state: Partition calls it holding
+// c.mu, with the tail itself, and Window after releasing it, with its
+// copies of the tail's records.
+func (c *clusters) readRuns(cold []coldRec, tail []byte, buf *[]byte, most int64, arena *[]store.Node, put func(at int, ms []store.Node)) error {
 	slices.SortFunc(cold, func(a, b coldRec) int { return cmp.Compare(a.r.off, b.r.off) })
 	for len(cold) > 0 {
 		start := time.Now()
-		lo := cold[0].r.off
-		if lo >= c.fsize {
-			for _, cr := range cold {
-				ms, err := c.pagedIn(time.Now(), cr.r.off, c.tailBytes(cr.r.off, cr.r.flen), cr.r.size)
-				if err != nil {
-					return err
+		// The tail lies past the file's end: once the records reach it,
+		// every one left is in it.
+		k, b, lo := len(cold), tail, int64(0)
+		var rerr error
+		if cold[0].tb < 0 {
+			lo = cold[0].r.off
+			hi := lo + int64(cold[0].r.flen)
+			for k = 1; k < len(cold); k++ {
+				r := cold[k].r
+				end := r.off + int64(r.flen)
+				if cold[k].tb >= 0 || r.off-hi > runGap || end-lo > most {
+					break
 				}
-				out[cr.at] = ms
+				hi = max(hi, end)
 			}
-			return nil
-		}
-		hi, k := lo+int64(cold[0].r.flen), 1
-		for ; k < len(cold); k++ {
-			r := cold[k].r
-			end := r.off + int64(r.flen)
-			if r.off >= c.fsize || r.off-hi > runGap || end-lo > runBytes {
-				break
+			if int64(cap(*buf)) < hi-lo {
+				*buf = make([]byte, hi-lo)
 			}
-			hi = max(hi, end)
+			var n int
+			n, rerr = c.f.ReadAt((*buf)[:hi-lo], lo)
+			b = (*buf)[:n]
 		}
-		if int64(cap(c.buf)) < hi-lo {
-			c.buf = make([]byte, hi-lo)
-		}
-		b := c.buf[:hi-lo]
-		n, rerr := c.f.ReadAt(b, lo)
-		share := time.Since(start) / time.Duration(k)
-		for _, cr := range cold[:k] {
-			r := cr.r
-			at := int(r.off - lo)
-			if at+r.flen > n {
-				return fmt.Errorf("disk: cluster record at %d: %w", r.off, rerr)
+		for j, cr := range cold[:k] {
+			r, at := cr.r, int(cr.tb)
+			if at < 0 {
+				at = int(r.off - lo)
 			}
-			ms, err := c.pagedIn(time.Now().Add(-share), r.off, b[at:at+r.flen], r.size)
+			var dst []store.Node
+			if arena != nil {
+				dst = *arena
+			}
+			// A record the read did not cover fails with the read's error:
+			// ReadAt returns one whenever it comes back short.
+			var all []store.Node
+			err := rerr
+			if at+r.flen <= len(b) {
+				all, err = decodeRecord(dst, b[at:at+r.flen], r.size)
+			}
 			if err != nil {
-				return err
+				c.pagedIn(j, start)
+				return fmt.Errorf("disk: cluster record at %d: %w", r.off, err)
 			}
-			out[cr.at] = ms
+			if arena != nil {
+				*arena = all
+			}
+			put(int(cr.at), all[len(dst):len(all):len(all)])
 		}
+		c.pagedIn(k, start)
 		cold = cold[k:]
 	}
 	return nil
@@ -485,12 +523,16 @@ func (c *clusters) evict() {
 }
 
 // The spill file's batch and run sizes (package comment): the tail is
-// written once it holds batchBytes, and Partition reads records whose
-// gap is at most runGap bytes with one ReadAt of at most runBytes.
+// written once it holds batchBytes, and a reader reads records whose gap
+// is at most runGap bytes with one ReadAt — of at most runBytes for
+// Partition, which reads the whole tier at once, and of at most
+// windowRunBytes for a Window, whose few hundred nodes' records lie
+// scattered through the file.
 const (
-	batchBytes = 64 << 10
-	runGap     = 4 << 10
-	runBytes   = 256 << 10
+	batchBytes     = 64 << 10
+	runGap         = 4 << 10
+	runBytes       = 256 << 10
+	windowRunBytes = 32 << 10
 )
 
 // spill appends r's body to the tail at the offset it will occupy in
@@ -535,39 +577,33 @@ func (c *clusters) tailBytes(off int64, flen int) []byte {
 // load reads r's body back, from the tail or the file, without changing
 // tier state. Caller holds c.mu.
 func (c *clusters) load(r *rec) ([]store.Node, error) {
-	if r.off >= c.fsize {
-		return c.pagedIn(time.Now(), r.off, c.tailBytes(r.off, r.flen), r.size)
-	}
-	return c.readRecord(&c.buf, r.off, r.flen, r.size)
-}
-
-// readRecord pages in one record from the file: a single pread of the
-// flen bytes at off into *buf (grown when short) and the decode, against
-// the size members the index expects. It touches no tier state, so it
-// runs with or without c.mu held; *buf is the caller's alone meanwhile.
-func (c *clusters) readRecord(buf *[]byte, off int64, flen, size int) ([]store.Node, error) {
 	start := time.Now()
-	if cap(*buf) < flen {
-		*buf = make([]byte, flen)
+	var b []byte
+	if r.off >= c.fsize {
+		b = c.tailBytes(r.off, r.flen)
+	} else {
+		if cap(c.buf) < r.flen {
+			c.buf = make([]byte, r.flen)
+		}
+		b = c.buf[:r.flen]
+		if _, err := c.f.ReadAt(b, r.off); err != nil {
+			return nil, fmt.Errorf("disk: cluster record at %d: %w", r.off, err)
+		}
 	}
-	b := (*buf)[:flen]
-	if _, err := c.f.ReadAt(b, off); err != nil {
-		return nil, fmt.Errorf("disk: cluster record at %d: %w", off, err)
+	ms, err := decodeRecord(nil, b, r.size)
+	if err != nil {
+		return nil, fmt.Errorf("disk: cluster record at %d: %w", r.off, err)
 	}
-	return c.pagedIn(start, off, b, size)
+	c.pagedIn(1, start)
+	return ms, nil
 }
 
-// pagedIn decodes the record at off from its bytes b and counts the
-// page-in, timed from start.
-func (c *clusters) pagedIn(start time.Time, off int64, b []byte, size int) ([]store.Node, error) {
-	ms, err := decodeRecord(b, size)
-	if err != nil {
-		return nil, fmt.Errorf("disk: cluster record at %d: %w", off, err)
-	}
-	c.pageIns.Add(1)
-	pageInCluster.Inc()
-	pageInClusterSec.Since(start)
-	return ms, nil
+// pagedIn counts n page-ins that took the time since start, each an
+// even share of it.
+func (c *clusters) pagedIn(n int, start time.Time) {
+	c.pageIns.Add(int64(n))
+	pageInCluster.Add(uint64(n))
+	pageInClusterSec.ObserveShares(time.Since(start), n)
 }
 
 // Backend is the disk-tiered storage backend.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"entityid/internal/store"
 )
@@ -42,8 +43,9 @@ func uvarint(b []byte) (int, []byte, error) {
 }
 
 // decodeRecord is appendRecord's inverse over exactly the bytes of one
-// record, want being the member count the index holds for it.
-func decodeRecord(b []byte, want int) ([]store.Node, error) {
+// record, want being the member count the index holds for it: it appends
+// the members to dst and returns the extended slice.
+func decodeRecord(dst []store.Node, b []byte, want int) ([]store.Node, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%d bytes, too short for a checksum", len(b))
 	}
@@ -60,7 +62,8 @@ func decodeRecord(b []byte, want int) ([]store.Node, error) {
 	if count > len(b)/2 { // two bytes a member at least: no allocation a short record cannot back
 		return nil, fmt.Errorf("%d members in %d bytes", count, len(b))
 	}
-	ms := make([]store.Node, count)
+	dst = slices.Grow(dst, count)
+	ms := dst[len(dst) : len(dst)+count]
 	for i := range ms {
 		if ms[i].Src, b, err = uvarint(b); err != nil {
 			return nil, err
@@ -72,5 +75,5 @@ func decodeRecord(b []byte, want int) ([]store.Node, error) {
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(b))
 	}
-	return ms, nil
+	return dst[:len(dst)+count], nil
 }

@@ -46,9 +46,15 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	for k := 2; k <= maxSize; k++ {
 		ms := record(k, math.MaxInt32)
 		buf = appendRecord(buf[:0], ms)
-		got, err := decodeRecord(buf, k)
+		got, err := decodeRecord(nil, buf, k)
 		if err != nil || !reflect.DeepEqual(got, ms) {
 			t.Fatalf("size %d: decoded %v, %v, want %v", k, got, err, ms)
+		}
+		// Onto the end of an arena, as a window decodes: what was there stays.
+		arena := append(make([]store.Node, 0, 2*maxSize), record(2, math.MaxInt32)...)
+		got, err = decodeRecord(arena, buf, k)
+		if err != nil || !reflect.DeepEqual(got[:2], record(2, math.MaxInt32)) || !reflect.DeepEqual(got[2:], ms) {
+			t.Fatalf("size %d: decoded onto an arena %v, %v, want %v", k, got, err, ms)
 		}
 	}
 	// The same records through the tier: published, spilled by a budget
@@ -89,12 +95,21 @@ func writeTail(c *clusters) {
 	c.writeTail()
 }
 
+// windowRead reads n's set through a window of n alone. Its cut is
+// empty, so the window reads the body of n's record whether n leads it or
+// not.
+func windowRead(c *clusters, n store.Node) ([]store.Node, error) {
+	w := &store.Window{Src: n.Src, Lo: n.Idx, Hi: n.Idx + 1, Leads: true}
+	err := c.Window(w)
+	return w.Got[0].Members, err
+}
+
 // readPaths are the four ways a body comes back, each reduced to "the
 // set holding n".
 func readPaths(c *clusters) map[string]func(store.Node) ([]store.Node, error) {
 	return map[string]func(store.Node) ([]store.Node, error){
 		"Read":    c.Read,
-		"Peek":    c.Peek,
+		"Window":  func(n store.Node) ([]store.Node, error) { return windowRead(c, n) },
 		"Members": c.Members,
 		"Partition": func(n store.Node) ([]store.Node, error) {
 			part, err := c.Partition()
@@ -172,8 +187,9 @@ func TestDamagedSpillRecordFailsClosed(t *testing.T) {
 				t.Fatalf("%s: the failed %s moved the tier: %v, was %v", damage, name, after, before)
 			}
 		}
-		if _, ms, ok := c.Glance(n); !ok || ms != nil {
-			t.Fatalf("%s: the record became resident (%v) or left the index", damage, ms)
+		w := &store.Window{Src: n.Src, Lo: n.Idx, Hi: n.Idx + 1, Cut: []int{n.Idx + 1}}
+		if err := c.Window(w); err != nil || !w.Got[0].OK || w.Got[0].Members != nil {
+			t.Fatalf("%s: the record became resident (%v) or left the index (%v)", damage, w.Got[0].Members, err)
 		}
 	}
 	for i := 0; i < flen; i++ {
@@ -237,14 +253,14 @@ func TestDecodeRefusesMalformedBodies(t *testing.T) {
 		"unterminated varint":   {[]byte{1, 0, 0x80}, 1},
 		"eleven-byte varint":    {append([]byte{1, 0}, append(bytes.Repeat([]byte{0x80}, 10), 1)...), 1},
 	} {
-		if ms, err := decodeRecord(sealed(tc.body), tc.want); err == nil {
+		if ms, err := decodeRecord(nil, sealed(tc.body), tc.want); err == nil {
 			t.Errorf("%s: decoded %v", name, ms)
 		}
 	}
-	if _, err := decodeRecord([]byte{1, 2, 3}, 0); err == nil {
+	if _, err := decodeRecord(nil, []byte{1, 2, 3}, 0); err == nil {
 		t.Error("three bytes decoded")
 	}
-	if ms, err := decodeRecord(sealed(good), 2); err != nil || len(ms) != 2 {
+	if ms, err := decodeRecord(nil, sealed(good), 2); err != nil || len(ms) != 2 {
 		t.Errorf("the well-formed body: %v, %v", ms, err)
 	}
 }
@@ -270,7 +286,7 @@ func FuzzSpillRecord(f *testing.F) {
 			})
 		}
 		rec := appendRecord(nil, ms)
-		if got, err := decodeRecord(rec, len(ms)); err != nil || len(got) != len(ms) || (len(ms) > 0 && !reflect.DeepEqual(got, ms)) {
+		if got, err := decodeRecord(nil, rec, len(ms)); err != nil || len(got) != len(ms) || (len(ms) > 0 && !reflect.DeepEqual(got, ms)) {
 			t.Fatalf("decode(encode(%v)) = %v, %v", ms, got, err)
 		}
 		// As a record, and as a body under a valid checksum, against the
@@ -281,7 +297,7 @@ func FuzzSpillRecord(f *testing.F) {
 				v, _ := binary.Uvarint(rec[4:])
 				want = int(v & math.MaxInt32)
 			}
-			got, err := decodeRecord(rec, want)
+			got, err := decodeRecord(nil, rec, want)
 			if err != nil {
 				continue
 			}

@@ -161,9 +161,18 @@ func TestFailedBatchWriteLosesNothing(t *testing.T) {
 	if c.fsize != 0 || int64(len(c.tail)) != c.wsize {
 		t.Fatalf("%d bytes counted as written, %d of %d in the tail", c.fsize, len(c.tail), c.wsize)
 	}
-	for i, ms := range rows {
-		if got, err := c.Peek(ms[1]); err != nil || !reflect.DeepEqual(got, ms) {
-			t.Fatalf("Peek of row %d = %v, %v", i, got, err)
+	// Windows over the rows' second members, which lead nothing: each
+	// reads every body it holds from the tail.
+	w := &store.Window{Src: 1, Leads: true}
+	for w.Lo = 0; w.Lo < len(rows); w.Lo = w.Hi {
+		w.Hi = min(w.Lo+store.WindowNodes, len(rows))
+		if err := c.Window(w); err != nil {
+			t.Fatalf("window [%d, %d): %v", w.Lo, w.Hi, err)
+		}
+		for k, got := range w.Got[:w.Hi-w.Lo] {
+			if ms := rows[w.Lo+k]; !got.OK || got.First != ms[0] || !reflect.DeepEqual(got.Members, ms) {
+				t.Fatalf("window at row %d = %+v, want %v", w.Lo+k, got, ms)
+			}
 		}
 	}
 	if got, err := c.Partition(); err != nil || !reflect.DeepEqual(got, rows) {

@@ -61,22 +61,26 @@ func (c *clusters) Read(n store.Node) ([]store.Node, error) {
 	return nil, nil
 }
 
-// Glance is the walk-side probe: the one index load Read makes,
-// answering the first member beside the set (everything is resident).
+// Window is the walk's read: Read's one index load at every node of the
+// window, in node order, with the first member beside the set
+// (everything is resident). Each load is of a committed record, and one
+// that finds a new record at a member finds it at every later member
+// (Publish), so the loads need no lock to share.
 //
 //entitylint:hotpath noalloc,noobs,noio
-func (c *clusters) Glance(n store.Node) (first store.Node, resident []store.Node, ok bool) {
-	r := c.idx.Get(n)
-	if r == nil {
-		return first, nil, false
+func (c *clusters) Window(w *store.Window) error {
+	var n store.Node
+	n.Src = w.Src
+	for i := range w.Hi - w.Lo {
+		n.Idx = w.Lo + i
+		got := &w.Got[i]
+		got.First, got.Members, got.OK = n, nil, false
+		if r := c.idx.Get(n); r != nil {
+			got.First, got.Members, got.OK = r.members[0], r.members, true
+		}
 	}
-	return r.members[0], r.members, true
+	return nil
 }
-
-// Peek is Read: there is no tier to leave undisturbed.
-//
-//entitylint:hotpath noalloc,noobs,noio
-func (c *clusters) Peek(n store.Node) ([]store.Node, error) { return c.Read(n) }
 
 func (c *clusters) Members(n store.Node) ([]store.Node, error) {
 	if r := c.idx.Get(n); r != nil {

@@ -18,19 +18,20 @@
 // hub never calls: the benchmark's tracer decorates it, and it goes with
 // that decorator (ROADMAP item 11).
 //
-// Concurrency contract: Clusters readers (Read, Glance, Peek, Has,
-// Merged, Stats) may run concurrently with each other and with the
-// single mutator. Read is the point read and may move tier state (a
-// paging backend promotes what it serves); Glance and Peek are the
-// enumeration's pair and move none — Glance answers from the index
-// without reading a body, Peek reads a body through the tier and leaves
-// it where it was. Mutations (Publish) and writer-side reads
-// (Members, CheckMerge) are serialized by the hub's commit lock;
-// backends may rely on at most one of these running at a time. Slices
-// returned by Read, Glance, Peek and Members are immutable once
-// returned — callers must not modify them, and backends must never
+// Concurrency contract: Clusters readers (Read, Window, Has, Merged,
+// Stats) may run concurrently with each other and with the single
+// mutator. Read is the point read and may move tier state (a paging
+// backend promotes what it serves); Window is the enumeration's read and
+// moves none: it answers a run of one source's nodes — a paging backend
+// from one committed state, in one hold of its lock — reads only the
+// bodies the walk needs, and decodes them into memory the caller owns. Mutations (Publish) and writer-side reads (Members,
+// CheckMerge) are serialized by the hub's commit lock; backends may rely
+// on at most one of these running at a time. Slices returned by Read
+// and Members, and the resident sets a Window hands out, are immutable
+// once returned — callers must not modify them, and backends must never
 // mutate a slice they have handed out, even after the record is
-// superseded or evicted.
+// superseded or evicted. A set a Window decoded lives in its caller's
+// arena, the caller's until it reads the next window.
 package store
 
 import (
@@ -87,17 +88,20 @@ type Clusters interface {
 	// slice must not be modified.
 	Read(n Node) ([]Node, error)
 
-	// Glance answers what the index knows of n without reading a body
-	// or moving tier state: whether n has a record (ok), the record's
-	// first member, and the member set when it is resident (nil when it
-	// would have to be paged in). All three describe one committed
-	// record. Safe for concurrent use.
-	Glance(n Node) (first Node, resident []Node, ok bool)
-
-	// Peek is Read for a caller passing through: the same answer, but a
-	// paging backend serves a cold record without promoting it or
-	// evicting anything. Safe for concurrent use.
-	Peek(n Node) ([]Node, error)
+	// Window reads the nodes (w.Src, w.Lo) … (w.Src, w.Hi-1) into
+	// w.Got without moving tier state: at every node whether it has a
+	// record, the record's first member and, when the record is resident,
+	// its member set. A cold record's body is read, into w.Arena, where
+	// the walk needs it (Window.Needs) and nowhere else. A paging backend
+	// answers every node of a window from one committed state; every
+	// backend keeps Publish's later-member rule within a window and
+	// across windows: once a node has shown a record, every later member
+	// shows it or a newer one. A failed body read is returned, and
+	// leaves the tier as it was; every node the window answers still
+	// holds what the index says, and a node whose body was not read
+	// holds no set. Safe for concurrent use, each caller with its own
+	// Window.
+	Window(w *Window) error
 
 	// Members is the writer-side Read: it returns {n} itself for a
 	// singleton instead of nil, and tiered backends keep the record
@@ -130,6 +134,48 @@ type Clusters interface {
 
 	// Stats snapshots tier occupancy and traffic counters.
 	Stats() ClusterStats
+}
+
+// WindowNodes bounds a Window: the most nodes one read answers, and so
+// the longest a paging backend holds its lock for one.
+const WindowNodes = 256
+
+// Window is one windowed read of the cluster store (Clusters.Window).
+// The caller fills in the request — the nodes, the walk's cut, whether
+// leads want their bodies — and owns the rest: it reuses one Window from
+// window to window, and what a read put in Got and Arena is valid until
+// the next read into the same Window.
+type Window struct {
+	Src, Lo, Hi int   // the nodes (Src, Lo) … (Src, Hi-1); Hi-Lo ≤ WindowNodes
+	Cut         []int // the walk's cut: a committed length per source
+	Leads       bool  // read the bodies of cold records a node of the window leads
+
+	Got   [WindowNodes]Slot // Got[i] is node (Src, Lo+i)
+	Arena []Node            // the decoded bodies Got points into
+}
+
+// Slot is what a window read found at one node.
+type Slot struct {
+	First   Node   // the record's first member
+	Members []Node // the record's member set, when resident or read; else nil
+	OK      bool   // the node has a record
+}
+
+// InCut reports whether m lies inside the window's cut.
+func (w *Window) InCut(m Node) bool {
+	return m.Src < len(w.Cut) && m.Idx < w.Cut[m.Src]
+}
+
+// Needs reports whether the walk needs the body of n's record, whose
+// first member is first: a lead's when w.Leads asks for them, and a
+// non-lead's whose first member lies outside the cut, so that the lead
+// inside it has to be found among the members. A non-lead whose first
+// member is inside the cut is emitted at that member, and needs nothing.
+func (w *Window) Needs(n, first Node) bool {
+	if first == n {
+		return w.Leads
+	}
+	return !w.InCut(first)
 }
 
 // PairTab is the portable state of one pair's matching table: its pairs
