@@ -357,10 +357,10 @@ func (h *Hub) Clusters() []EntityCluster {
 // returns false to stop) — the pagination primitive: the resume cursor
 // tracks the walk position, which stays monotone even when a
 // concurrent merge moves a cluster's ID past the walk's cut. The
-// cluster fn receives is borrowed: its Members slice is reused for the
-// next cluster and is valid only until fn returns, so a caller that
-// keeps a cluster copies its Members (slices.Clone); the ID and the
-// resume cursor are the caller's to keep.
+// cluster fn receives is borrowed: its Members slice and its members'
+// tuples are reused for the next cluster and are valid only until fn
+// returns, so a caller that keeps a cluster keeps its Clone; the ID and
+// the resume cursor are the caller's to keep.
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c EntityCluster, resume string) bool) error {
 	return h.inner.ClustersWalk(cursor, skip, fn)
 }

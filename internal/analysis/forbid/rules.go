@@ -82,4 +82,9 @@ var Rules = []Rule{{
 	Shape:  Shape{Funcs: []string{"Glance", "Peek"}},
 	Reason: "a walk reads the cluster store a window at a time, Clusters.Window: one state and a few run reads a window, no probe or body read per node",
 	PR:     54,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid", "entityid/internal/...", "entityid/cmd/...", "entityid/examples/..."}},
+	Shape:  Shape{Import: "unsafe"},
+	Reason: "a relation's cells hold no pointer and a cell read rebuilds a string as a substring of its block: the module needs no unsafe",
+	PR:     55,
 }}

@@ -1,7 +1,10 @@
 package relation
 
-// Test files are never in scope.
+import "unsafe"
+
+// Test files are never in scope: a test may pin a size through unsafe.
 var (
 	rows = []any{"a", 1}
 	sep  = "\x1f"
+	size = unsafe.Sizeof(sep)
 )

@@ -103,10 +103,9 @@ func Extend(rel *relation.Relation, name string, extra []schema.Attribute, fs il
 	e := NewExtender(fs, opts)
 	out := relation.New(extSch)
 	var conflicts []Conflict
-	for idx, t := range rel.Tuples() {
+	for idx := range rel.Len() {
 		// The columns past the source arity are zero Values: NULL.
-		ext := make(relation.Tuple, extSch.Arity())
-		copy(ext, t)
+		ext := rel.TupleInto(make(relation.Tuple, 0, extSch.Arity()), idx)[:extSch.Arity()]
 		rowConflicts, err := e.extendAt(extSch, ext, idx)
 		if err != nil {
 			return nil, nil, err
@@ -423,13 +422,9 @@ func ExtendWithTables(rel *relation.Relation, name string, extra []schema.Attrib
 	}
 	// Working tuples, NULL-padded.
 	work := make([]relation.Tuple, rel.Len())
-	for i, t := range rel.Tuples() {
-		ext := make(relation.Tuple, extSch.Arity())
-		copy(ext, t)
-		for j := sch.Arity(); j < extSch.Arity(); j++ {
-			ext[j] = value.Null
-		}
-		work[i] = ext
+	for i := range work {
+		// The columns past the source arity are zero Values: NULL.
+		work[i] = rel.TupleInto(make(relation.Tuple, 0, extSch.Arity()), i)[:extSch.Arity()]
 	}
 	// A tuple whose primary key contains NULL cannot be addressed
 	// relationally (the paper folds derived values back keyed by K_R) and

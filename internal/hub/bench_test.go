@@ -272,11 +272,11 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 func BenchmarkDecodeSegment(b *testing.B) {
 	w := openWorkload()
 	rel := w.Relations[0]
-	tuples := rel.Tuples()[:snapSegItems]
+	tuples := rel.Rows().Slice(0, snapSegItems)
 	srcs := []snapSource{{Name: w.Names[0]}}
 	b.Run("source", func(b *testing.B) {
 		dir := b.TempDir()
-		entry, err := newDirSink(wal.OS, dir, nil, snapSegItems).write(0, srcs, [][]relation.Tuple{tuples}, 0)
+		entry, err := newDirSink(wal.OS, dir, nil, snapSegItems).write(0, srcs, []relation.Rows{tuples}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,13 +284,13 @@ func BenchmarkDecodeSegment(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := readSegmentFile(wal.OS, dir, 0, 0, entry, []segSource{{w.Names[0], rel.Schema()}}); err != nil {
+			if _, err := readSegmentFile(wal.OS, dir, 0, 0, nil, entry, []segSource{{w.Names[0], rel.Schema()}}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
-		items := float64(b.N * len(tuples))
+		items := float64(b.N * tuples.Len())
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/item")
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/items, "B/item")
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")

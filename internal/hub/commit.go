@@ -43,7 +43,9 @@ func checkUTF8(sch *schema.Schema, t relation.Tuple) error {
 
 // Receipt reports a successful insert: the tuple's position in its
 // source, the pairwise matches it produced, and its cluster after the
-// insert.
+// insert. The members' tuples are the receipt's own, read out of the
+// sources' cells, but for a tuple that joined no cluster: its member's
+// tuple is the one the caller inserted.
 type Receipt struct {
 	Source  string
 	Index   int
@@ -72,7 +74,7 @@ func (h *Hub) walPayload(source string, t relation.Tuple) []byte {
 	if h.per == nil {
 		return nil
 	}
-	return wal.AppendRun(make([]byte, 0, 32+24*len(t)), source, false, []relation.Tuple{t})
+	return wal.AppendRun(make([]byte, 0, 32+24*len(t)), source, false, relation.RowsOf(t))
 }
 
 // commitTraced commits a prefix of jobs as one run (commitRun) and
@@ -296,17 +298,27 @@ func (h *Hub) commitRun(jobs []streamJob, out []InsertResult, op *obs.Op) (n, ac
 		}
 		nd := node{Src: t.src.id, Idx: t.adm.At()}
 		rec := &Receipt{Source: jobs[i].Source, Index: nd.Idx}
-		if len(t.partners) > 0 {
-			rec.Matched = make([]Member, len(t.partners))
-			for k, p := range t.partners {
-				rec.Matched[k] = topo.member(p)
-			}
-		}
 		merged := t.merged
 		if merged == nil {
 			merged = []node{nd}
 		}
-		rec.Cluster = h.materialize(topo, merged)
+		// The cluster's members and the matched ones share one slice. A
+		// tuple that joined no cluster is its own, the tuple the caller
+		// gave; every partner is a member of the cluster the tuple joined:
+		// its member, tuple included, is the cluster's.
+		ms, n := make([]Member, 0, len(merged)+len(t.partners)), len(merged)
+		if n == 1 {
+			rec.Cluster = Cluster{ID: nodeID(topo, nd), Members: append(ms, Member{Source: rec.Source, Index: nd.Idx, Tuple: jobs[i].Tuple})}
+		} else {
+			rec.Cluster, _ = h.materializeInto(ms, nil, topo, merged)
+		}
+		rec.Cluster.Members = rec.Cluster.Members[:n:n]
+		if len(t.partners) > 0 {
+			rec.Matched = ms[n : n+len(t.partners)]
+			for k, p := range t.partners {
+				rec.Matched[k] = rec.Cluster.Members[slices.Index(merged, p)]
+			}
+		}
 		out[i].Receipt = rec
 	}
 	return n, accepted

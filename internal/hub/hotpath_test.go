@@ -66,7 +66,7 @@ func TestPointReadPathZeroAlloc(t *testing.T) {
 			return
 		}
 		src := tv.sources[si]
-		if src.view.Load().tuples[0] == nil {
+		if src.view.Load().rows.Len() == 0 {
 			bad = true
 			return
 		}
@@ -113,13 +113,16 @@ func TestKeyedLookupAllocBound(t *testing.T) {
 // TestReadSideAllocBound holds the served read side — what a point
 // read and an enumeration line cost before rendering — to the
 // allocations their results need. A Lookup owns its cluster: it builds
-// the ID and the member slice (its key probe hashes, and builds
-// nothing). A walk lends its clusters: per cluster it builds the ID
-// alone, in one allocation, and the resume cursor is that ID when the
-// visit node leads; the window with its cut, the closures and the one
-// Members buffer the walk reuses are paid once. A fresh Members slice per cluster, an ID
-// built from strconv.Itoa and a concatenation, or a cursor rendered
-// apart from the ID breaks the bound.
+// the ID, the member slice and one slice for the members' values, which
+// it reads out of the sources' cells (its key probe hashes, and builds
+// nothing); a slice per member's tuple breaks its bound of 3, which was
+// 2 while a member's tuple was the relation's own row. A walk lends its
+// clusters: per cluster it builds the ID alone, in one allocation, and
+// the resume cursor is that ID when the visit node leads; the window
+// with its cut, the closures and the Members and values buffers the walk
+// reuses are paid once. A fresh Members slice or values slice per
+// cluster, an ID built from strconv.Itoa and a concatenation, or a
+// cursor rendered apart from the ID breaks the bound.
 func TestReadSideAllocBound(t *testing.T) {
 	h := twoSourceHub(t)
 	for _, id := range []string{"a1", "a2", "a3"} {
@@ -138,10 +141,10 @@ func TestReadSideAllocBound(t *testing.T) {
 	if bad {
 		t.Fatal("Lookup missed cluster A/0")
 	}
-	if avg > 2 {
-		t.Fatalf("Lookup allocates %.1f times, want <= 2", avg)
+	if avg > 3 {
+		t.Fatalf("Lookup allocates %.1f times, want <= 3", avg)
 	}
-	t.Logf("Lookup: %.1f allocs (bound 2)", avg)
+	t.Logf("Lookup: %.1f allocs (bound 3)", avg)
 	const clusters = 4 // {A/0,B/0}, A/1, A/2, A/3
 	avg = testing.AllocsPerRun(200, func() {
 		n := 0
@@ -243,14 +246,17 @@ func insertAllocs(t *testing.T, h *Hub, items []Insert) float64 {
 // TestOpenAllocBound holds one Open of openWorkload's directory — on
 // the memory store, the relations filled, four images and six pairings
 // built, the clusters folded — per restored tuple, from the allocation
-// counters, in two legs. Each decoded tuple's values and strings are cut
-// from shared blocks (relation.TupleBlocks) and filed uncopied. Under
-// -race a value block is allocated twice, once as a temporary: the race
-// build does not fuse slices.Grow's append of a make.
+// counters, in two legs. Each decoded tuple is parsed straight into
+// flat cells (relation.TupleBlocks) laid out where its relation holds
+// it, and the relation adopts the cell blocks and the string blocks the
+// decoder filled, so neither a cell nor a string is copied but where a
+// block straddles a segment's start.
 //   - snapshot: every run read and decoded, no log tail. Ceilings 1,150
-//     bytes and 3.75 allocations (801 and 3.38 measured; 965 and 3.41
-//     under -race; 812 and 3.39 while a value block left the slack of
-//     its size class unused). A loader that allocates each string alone
+//     bytes and 3.75 allocations (578 and 3.38 measured; 660 and 3.40
+//     while the relation copied each decoded row's cells; 724 and 3.37
+//     while a relation kept the decoder's 32-byte value cells uncopied;
+//     812 and 3.39 while a value block left the slack of its size class
+//     unused). A loader that allocates each string alone
 //     (835 and 7.28), extends and indexes each source once per pair it
 //     sits in (1,097 and 10.81), or decodes each chunk through
 //     encoding/json and copies every decoded tuple into its relation
@@ -258,8 +264,9 @@ func insertAllocs(t *testing.T, h *Hub, items []Insert) float64 {
 //   - log-only: no snapshot, the whole log read, the way
 //     BenchmarkOpenReplay builds it. Ceilings 1,600 bytes and 3.75
 //     allocations, the snapshot leg's margins over what it measures
-//     (1,137 and 3.40; 1,285 and 3.42 under -race; 1,155 and 3.40 with
-//     the slack unused). A reader that scans every frame at open and
+//     (1,018 and 3.38; 1,083 and 3.40 while the relation copied each
+//     decoded row's cells; 1,089 and 3.38 with 32-byte value cells;
+//     1,155 and 3.40 with the slack unused). A reader that scans every frame at open and
 //     again to replay it, copying each line, each decoded tuple and each
 //     string alone (1,362 and 12.27), cannot meet them.
 func TestOpenAllocBound(t *testing.T) {

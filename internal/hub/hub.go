@@ -111,17 +111,17 @@ type sourceState struct {
 	// covered by the view a reader loads afterwards.
 	//entitylint:lock rank=60
 	keyMu sync.RWMutex
-	// view is the published snapshot of the committed tuples. Tuples are
-	// immutable once inserted and the slice prefix a view exposes is
-	// never rewritten, so readers materialise members lock-free from it.
+	// view is the published snapshot of the committed tuples. Rows are
+	// immutable once filed and the prefix a view exposes is never
+	// rewritten, so readers materialise members lock-free from it.
 	//entitylint:published
 	view atomic.Pointer[tupleView]
 }
 
-// tupleView is one source's committed-tuple snapshot: everything below
-// len(tuples) is committed and immutable. Republished on every commit.
+// tupleView is one source's committed-tuple snapshot: every row of rows
+// is committed and immutable. Republished on every commit.
 type tupleView struct {
-	tuples []relation.Tuple
+	rows relation.Rows
 }
 
 // publishView re-publishes the source's committed tuples. Callers hold
@@ -129,7 +129,7 @@ type tupleView struct {
 //
 //entitylint:publishes
 func (s *sourceState) publishView() {
-	s.view.Store(&tupleView{tuples: s.rel.Tuples()})
+	s.view.Store(&tupleView{rows: s.rel.Rows()})
 }
 
 // topoView is the read-path snapshot of the source topology, published
@@ -258,7 +258,9 @@ func (h *Hub) AddSource(name string, rel *relation.Relation) error {
 	if err := h.healthErr(); err != nil {
 		return fmt.Errorf("hub: source %q: %w", name, err)
 	}
-	for i, t := range rel.Tuples() {
+	var t relation.Tuple
+	for i := range rel.Len() {
+		t = rel.TupleInto(t, i)
 		if err := checkUTF8(rel.Schema(), t); err != nil {
 			return fmt.Errorf("hub: source %q: seed tuple %d: %w", name, i, err)
 		}

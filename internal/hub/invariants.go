@@ -92,7 +92,7 @@ func (h *Hub) CheckInvariants() error {
 // copy. Callers hold h.mu shared and the commit lock.
 func (h *Hub) checkCopiesLocked(cut *snapshotCut) error {
 	for _, cs := range cut.sources {
-		if got := len(cs.s.view.Load().tuples); got != cs.n {
+		if got := cs.s.view.Load().rows.Len(); got != cs.n {
 			return fmt.Errorf("source %q publishes %d tuples, its relation holds %d", cs.s.name, got, cs.n)
 		}
 		for k, im := range cs.s.images {

@@ -47,11 +47,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 
+	"entityid/internal/relation"
 	"entityid/internal/store"
+	"entityid/internal/value"
 )
 
 // clustersWalk visits, in canonical order, every cluster with a member
@@ -89,7 +90,7 @@ func (h *Hub) clustersWalk(t *topoView, start node, skip int, fn func(n node, me
 	w := new(store.Window)
 	w.Cut = make([]int, len(t.sources))
 	for i, s := range t.sources {
-		w.Cut[i] = len(s.view.Load().tuples)
+		w.Cut[i] = s.view.Load().rows.Len()
 	}
 	size := 1
 	for si := start.Src; si < len(t.sources); si++ {
@@ -175,11 +176,11 @@ func cursorFor(t *topoView, n node, members []node, c Cluster) string {
 // concurrent merges move a cluster's ID.
 //
 // The Cluster handed to fn is borrowed, as bufio.Scanner.Bytes is: its
-// Members slice is the walk's one buffer, overwritten by the next
-// cluster, and valid only until fn returns. A caller that keeps a
-// cluster keeps a copy of its Members (slices.Clone). Its ID, the
-// resume cursor and the members' tuples are the caller's to keep. So a
-// walked cluster costs one allocation, its ID.
+// Members slice and the members' tuples are the walk's two buffers,
+// overwritten by the next cluster, and valid only until fn returns. A
+// caller that keeps a cluster keeps its Clone. Its ID and the resume
+// cursor are the caller's to keep. So a walked cluster costs one
+// allocation, its ID.
 //
 //entitylint:hotpath noobs
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume string) bool) error {
@@ -188,29 +189,34 @@ func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume st
 	if err != nil {
 		return err
 	}
-	var c Cluster
+	// The walk's two buffers, for the members and their values, start in
+	// one allocation; a cluster larger than they hold grows them once.
+	bufs := new(struct {
+		members [4]Member
+		vals    [16]value.Value
+	})
+	c, vals := Cluster{Members: bufs.members[:0]}, relation.Tuple(bufs.vals[:0])
 	var single [1]node
 	return h.clustersWalk(t, start, skip, func(n node, members []node) bool {
 		if members == nil {
 			single[0] = n
 			members = single[:]
 		}
-		c = h.materializeInto(c.Members, t, members)
+		c, vals = h.materializeInto(c.Members, vals, t, members)
 		return fn(c, cursorFor(t, n, members, c))
 	})
 }
 
 // Clusters enumerates every global entity cluster into one slice — the
 // materialised form of a whole ClustersWalk, each cluster copied out of
-// the walk's buffer, deterministic for a given partition regardless of
+// the walk's buffers (Cluster.Clone), deterministic for a given partition regardless of
 // insert order. Prefer ClustersWalk when the hub is large.
 func (h *Hub) Clusters() []Cluster {
 	var out []Cluster
 	// A storage read error ends the enumeration early; callers needing
 	// the error use ClustersWalk.
 	_ = h.ClustersWalk("", 0, func(c Cluster, _ string) bool {
-		c.Members = slices.Clone(c.Members)
-		out = append(out, c)
+		out = append(out, c.Clone())
 		return true
 	})
 	return out

@@ -274,9 +274,12 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 // The read is a pipeline of three goroutines, each stage a batch of
 // records at a time, so that no stage waits on another's work: the log's
 // read cuts and verifies the frames of a window; the decoder decodes each
-// record — a run record's tuples into shared blocks (relation.TupleBlocks)
-// by the one run reader (wal.CutRun), a link or a schema by the envelope
-// decoder — and the caller's goroutine applies them, in log order. A
+// record — a run record's tuples straight into cell blocks of its
+// source's (relation.TupleBlocks) by the one run reader (wal.CutRun), a
+// link or a schema by the envelope decoder — and the caller's goroutine
+// applies them, in log order: a relation takes each row, its cells
+// copied and its strings left in the decoder's string blocks, which the
+// relation adopts. A
 // tuple is read against its source's schema, so the decoder carries the
 // schemas it has seen: the hub's own when the read starts, then each
 // source_begin record's as it passes — a source is always logged before
@@ -284,9 +287,11 @@ func Open(dir string, opts Options) (*Hub, *RecoveryInfo, error) {
 // as the good ones before it and ends the read, so the failure and the
 // hub's state are those of a read one record at a time.
 func (r *recovery) readTail(l *wal.Log, after uint64) (int, int64, error) {
-	dec := &tailDecoder{schemas: map[string]namedSchema{}}
+	dec := &tailDecoder{schemas: map[string]*decSource{}}
 	for _, s := range r.h.sources {
-		dec.schemas[s.name] = namedSchema{s.name, s.rel.Schema()}
+		src := &decSource{name: s.name, sch: s.rel.Schema()}
+		src.blocks.Skip(s.rel.Len())
+		dec.schemas[s.name] = src
 	}
 	// Each stage runs ahead of the next by a bounded number of batches, one
 	// channel operation per batch: the read two windows, the decoder
@@ -371,40 +376,45 @@ var errReplayStopped = errors.New("hub: replay stopped")
 
 // replayRecord is one log record decoded ahead of its application: the
 // source it names, the schema a source_begin registers, a run record's
-// tuples and whether its run continues, the link it makes, or the error
-// decoding any of them gave.
+// tuples — rows lo to hi of its source's decoded rows — and whether its
+// run continues, the link it makes, or the error decoding any of them
+// gave.
 type replayRecord struct {
 	seq    uint64
 	name   string
 	schema *schema.Schema
 	run    bool
-	tuples []relation.Tuple
+	src    *decSource
+	lo, hi int
+	rows   relation.Rows
 	more   bool
 	link   *wal.LinkRec
 	err    error
 }
 
-// namedSchema is a source's name and schema as the decoder knows them.
-type namedSchema struct {
-	name string
-	sch  *schema.Schema
+// decSource is a source as the decoder knows it: its name, its schema
+// and the rows decoded for it so far, laid out from the row its relation
+// holds next when the read starts, so that the relation takes them where
+// they lie.
+type decSource struct {
+	name   string
+	sch    *schema.Schema
+	blocks relation.TupleBlocks
 }
 
-// tailDecoder decodes records against the schemas logged so far, their
-// tuples cut from shared blocks. A batch of decoded records, and each
-// run's tuples, are capped windows of shared slices the decoder only
-// ever appends to — a new one started when the next would not fit — so a
-// window handed over is never written again, and a slice is one
-// allocation for a thousand records or tuples, not one a batch.
+// tailDecoder decodes records against the schemas logged so far, each
+// source's tuples into its own cell blocks. A batch of decoded records
+// is a capped window of a shared slice the decoder only ever appends to
+// — a new one started when the next would not fit — so a window handed
+// over is never written again, and a slice is one allocation for a
+// thousand records, not one a batch.
 type tailDecoder struct {
-	schemas map[string]namedSchema
-	blocks  relation.TupleBlocks
+	schemas map[string]*decSource
 	recs    []replayRecord
-	tuples  []relation.Tuple
 }
 
-// sliceLen is how many decoded records, and how many tuples, the decoder
-// asks one allocation for.
+// sliceLen is how many decoded records the decoder asks one allocation
+// for.
 const sliceLen = 1024
 
 // decode decodes a batch of records, and reports false when the last
@@ -421,7 +431,16 @@ func (dec *tailDecoder) decode(recs []wal.Record) ([]replayRecord, bool) {
 			break
 		}
 	}
-	return dec.recs[start:len(dec.recs):len(dec.recs)], ok
+	// Each run's rows are read as the batch ends, so that the runs of a
+	// source in one batch read its string blocks as one, and a relation
+	// adopts a block once a batch, not once a record.
+	batch := dec.recs[start:len(dec.recs):len(dec.recs)]
+	for i := range batch {
+		if d := &batch[i]; d.src != nil {
+			d.rows = d.src.blocks.Rows().Slice(d.lo, d.hi)
+		}
+	}
+	return batch, ok
 }
 
 // record decodes one record, adding the schema a source_begin registers.
@@ -437,7 +456,7 @@ func (dec *tailDecoder) record(rec wal.Record) replayRecord {
 			if d.schema, d.err = wal.DecodeSchema(env.SourceBegin.Schema); d.err != nil {
 				d.err = fmt.Errorf("hub: source_begin record for source %q: %w", d.name, d.err)
 			} else {
-				dec.schemas[d.name] = namedSchema{d.name, d.schema}
+				dec.schemas[d.name] = &decSource{name: d.name, sch: d.schema}
 			}
 		default:
 			d.link = env.Link
@@ -449,30 +468,27 @@ func (dec *tailDecoder) record(rec wal.Record) replayRecord {
 		d.err = err
 		return d
 	}
-	ns, ok := dec.schemas[string(run.Source)]
+	src, ok := dec.schemas[string(run.Source)]
 	if !ok {
 		d.err = fmt.Errorf("hub: run record for source %q: no earlier record registers it", run.Source)
 		return d
 	}
-	if len(dec.tuples) == cap(dec.tuples) {
-		dec.tuples = make([]relation.Tuple, 0, sliceLen)
+	d.name, d.more, d.src, d.lo = src.name, run.More, src, src.blocks.Len()
+	if _, err = run.Tuples(&src.blocks, src.sch); err != nil {
+		d.err = fmt.Errorf("hub: run record for source %q: %w", src.name, err)
 	}
-	start := len(dec.tuples)
-	if dec.tuples, err = run.Tuples(&dec.blocks, ns.sch, dec.tuples); err != nil {
-		d.err = fmt.Errorf("hub: run record for source %q: %w", ns.name, err)
-	}
-	d.name, d.more, d.tuples = ns.name, run.More, dec.tuples[start:len(dec.tuples):len(dec.tuples)]
+	d.hi = src.blocks.Len()
 	return d
 }
 
 // pendingSource buffers an in-flight source registration during the read:
-// its schema and the seed tuples its run has brought so far. records
-// counts the group's log records, applied to the total only when the
-// group commits.
+// its schema and the seed rows its run has brought so far, a record's at
+// a time. records counts the group's log records, applied to the total
+// only when the group commits.
 type pendingSource struct {
 	name    string
 	schema  *schema.Schema
-	tuples  []relation.Tuple
+	rows    []relation.Rows
 	records int
 }
 
@@ -498,38 +514,40 @@ func (r *recovery) apply(d replayRecord, open **pendingSource) (int, error) {
 		}
 		return 1, r.link(spec, linkCut{seq: d.seq})
 	case p != nil:
-		p.tuples = append(p.tuples, d.tuples...)
+		p.rows = append(p.rows, d.rows)
 		if p.records++; d.more {
 			return 0, nil
 		}
 		*open = nil
 		rel := relation.New(p.schema)
-		if err := rel.InsertAll(p.tuples); err != nil {
+		if err := rel.InsertAll(p.rows...); err != nil {
 			return 0, fmt.Errorf("hub: source %q: seed tuple %d: %w", p.name, rel.Len(), err)
 		}
 		return p.records, r.addSource(p.name, rel)
-	case d.more || len(d.tuples) != 1:
+	case d.more || d.rows.Len() != 1:
 		return 0, fmt.Errorf("hub: run record for source %q outside a registration: an insert is one tuple in one record", d.name)
 	default:
-		return 1, r.insert(d.name, d.tuples[0], d.seq)
+		return 1, r.insert(d.name, d.rows, d.seq)
 	}
 }
 
-// insert has a source admit a logged tuple and keep it — the decoder
-// hands it over — with the checks and the errors of a live insert's
-// admission, and notes the record as the tuple's arrival.
-func (r *recovery) insert(source string, t relation.Tuple, seq uint64) error {
+// insert has a source admit a logged tuple, rows' one, and take it — its
+// cells copied, its strings left where the decoder cut them — with the
+// checks and the errors of a live insert's admission, and notes the
+// record as the tuple's arrival.
+func (r *recovery) insert(source string, rows relation.Rows, seq uint64) error {
 	si, ok := r.h.byName[source]
 	if !ok {
 		return fmt.Errorf("hub: unknown source %q", source)
 	}
 	rel := r.h.sources[si].rel
-	adm, err := rel.Admit(t)
+	r.row = rows.TupleInto(r.row, 0)
+	adm, err := rel.Admit(r.row)
 	if err == nil {
-		err = checkUTF8(rel.Schema(), t)
+		err = checkUTF8(rel.Schema(), r.row)
 	}
 	if err == nil {
-		err = rel.KeepAdmitted(adm)
+		err = rel.KeepAdmitted(adm, rows, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("hub: source %q: %w", source, err)

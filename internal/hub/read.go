@@ -10,6 +10,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -51,14 +52,25 @@ type Cluster struct {
 	Members []Member
 }
 
-// member materialises a node from its source's published view.
-func (t *topoView) member(n node) Member {
-	s := t.sources[n.Src]
-	return Member{Source: s.name, Index: n.Idx, Tuple: s.view.Load().tuples[n.Idx]}
+// Clone returns a copy of the cluster that shares nothing with it: its
+// own Members, and their tuples in one slice of its own. It is how a
+// caller keeps a cluster a walk lends.
+func (c Cluster) Clone() Cluster {
+	n := 0
+	for _, m := range c.Members {
+		n += len(m.Tuple)
+	}
+	vals := make(relation.Tuple, 0, n)
+	out := Cluster{ID: c.ID, Members: slices.Clone(c.Members)}
+	for i, m := range out.Members {
+		vals = append(vals, m.Tuple...)
+		out.Members[i].Tuple = vals[len(vals)-len(m.Tuple) : len(vals) : len(vals)]
+	}
+	return out
 }
 
 // materialize builds the Cluster over a sorted member set, for readers
-// and for the commit path's receipt alike: each member's tuple comes
+// and for the commit path's receipt alike: each member's tuple is read
 // from its source's published view, which is guaranteed to cover the
 // member because views are published before the cluster record that
 // references them (on the commit path too). A record can also
@@ -66,26 +78,42 @@ func (t *topoView) member(n node) Member {
 // taken (the topology only grows, and the record was published after
 // the source), so the snapshot is upgraded on demand — the current
 // topo is always at least as new as any record already read. Lock-free.
-// The cluster owns its Members.
+// The cluster owns its Members and their tuples, which lie in one slice.
 func (h *Hub) materialize(t *topoView, members []node) Cluster {
-	return h.materializeInto(make([]Member, 0, len(members)), t, members)
+	c, _ := h.materializeInto(make([]Member, 0, len(members)), nil, t, members)
+	return c
 }
 
-// materializeInto is materialize over the caller's member buffer, which
-// it reuses from the start: the walk's one Members slice for all the
-// clusters it hands out.
-func (h *Hub) materializeInto(buf []Member, t *topoView, members []node) Cluster {
+// materializeInto is materialize over the caller's buffers, which it
+// reuses from the start and returns grown: buf for the members, vals for
+// their tuples' values — the walk's one pair for all the clusters it
+// hands out. Each member's tuple is a window of vals, capped at its
+// arity.
+func (h *Hub) materializeInto(buf []Member, vals relation.Tuple, t *topoView, members []node) (Cluster, relation.Tuple) {
 	for _, m := range members {
 		if m.Src >= len(t.sources) {
 			t = h.topo.Load()
 			break
 		}
 	}
+	n := 0
+	for _, m := range members {
+		n += t.sources[m.Src].rel.Schema().Arity()
+	}
+	if cap(vals) < n {
+		vals = make(relation.Tuple, 0, n)
+	}
+	vals = vals[:0]
 	c := Cluster{ID: nodeID(t, members[0]), Members: buf[:0]}
 	for _, m := range members {
-		c.Members = append(c.Members, t.member(m))
+		s := t.sources[m.Src]
+		lo := len(vals)
+		// vals holds n values, so the row is read in place.
+		row := s.view.Load().rows.TupleInto(vals[lo:lo:n], m.Idx)
+		vals = vals[:lo+len(row)]
+		c.Members = append(c.Members, Member{Source: s.name, Index: m.Idx, Tuple: vals[lo:len(vals):len(vals)]})
 	}
-	return c
+	return c, vals
 }
 
 // nodeID renders a node as "source/index" — the ID of the cluster it
@@ -144,7 +172,7 @@ func (h *Hub) SourceLen(source string) (int, error) {
 	if !ok {
 		return 0, unknownSource(source)
 	}
-	return len(t.sources[si].view.Load().tuples), nil
+	return t.sources[si].view.Load().rows.Len(), nil
 }
 
 // Lookup finds a source tuple by its primary-key values and returns its
@@ -180,7 +208,7 @@ func (h *Hub) ClusterAt(source string, idx int) (Cluster, error) {
 	if !ok {
 		return Cluster{}, unknownSource(source)
 	}
-	if idx < 0 || idx >= len(t.sources[si].view.Load().tuples) {
+	if idx < 0 || idx >= t.sources[si].view.Load().rows.Len() {
 		return Cluster{}, notFound(fmt.Sprintf("hub: source %q: no tuple %d", source, idx))
 	}
 	return h.clusterRead(t, node{Src: si, Idx: idx})
@@ -274,7 +302,7 @@ func (h *Hub) Stats() Stats {
 	merged := h.clusters.Merged()
 	t := h.topo.Load()
 	for _, s := range t.sources {
-		st.Tuples += len(s.view.Load().tuples)
+		st.Tuples += s.view.Load().rows.Len()
 	}
 	st.Clusters = st.Tuples - int(merged)
 	return st

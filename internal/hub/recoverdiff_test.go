@@ -186,7 +186,7 @@ func abandonedGroup(t *testing.T) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [][]byte{begin, wal.AppendRun(nil, "ghost", true, []relation.Tuple{{value.String("g1")}})}
+	return [][]byte{begin, wal.AppendRun(nil, "ghost", true, relation.RowsOf(relation.Tuple{value.String("g1")}))}
 }
 
 // agreeWithNaive opens a copy of dir and, in a fresh directory, applies
@@ -346,28 +346,30 @@ func naiveRun(h *Hub, payload []byte, schemas map[string]*schema.Schema, open **
 		return 0, fmt.Errorf("run of unregistered %q", name)
 	}
 	var blocks relation.TupleBlocks
-	ts, err := run.Tuples(&blocks, sch, nil)
+	ts, err := run.Tuples(&blocks, sch)
 	if err != nil {
 		return 0, err
 	}
 	p := *open
 	if p == nil || p.name != name {
 		*open = nil
-		if run.More || len(ts) != 1 {
-			return 0, fmt.Errorf("a run of %d tuples outside a registration", len(ts))
+		if run.More || ts.Len() != 1 {
+			return 0, fmt.Errorf("a run of %d tuples outside a registration", ts.Len())
 		}
-		_, err := h.Insert(name, ts[0])
+		_, err := h.Insert(name, ts.TupleInto(nil, 0))
 		return 1, err
 	}
-	p.tuples = append(p.tuples, ts...)
+	p.rows = append(p.rows, ts)
 	if p.records++; run.More {
 		return 0, nil
 	}
 	*open = nil
 	rel := relation.New(sch)
-	for _, t := range p.tuples {
-		if err := rel.Insert(t); err != nil {
-			return 0, err
+	for _, rows := range p.rows {
+		for i := range rows.Len() {
+			if err := rel.Insert(rows.TupleInto(nil, i)); err != nil {
+				return 0, err
+			}
 		}
 	}
 	return p.records, h.AddSource(name, rel)

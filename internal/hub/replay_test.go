@@ -154,7 +154,7 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 		t.Fatal(err)
 	}
 	src := string(prev.Source)
-	insert := func(tup relation.Tuple) []byte { return wal.AppendRun(nil, src, false, []relation.Tuple{tup}) }
+	insert := func(tup relation.Tuple) []byte { return wal.AppendRun(nil, src, false, relation.RowsOf(tup)) }
 	badTuple := bytes.Replace(insert(strs("a", "b", "c", "d")), []byte(`["a"`), []byte(`[7`), 1)
 	// Where record k starts in the segment: what a frame error reports.
 	offK := 0
@@ -216,7 +216,7 @@ func replayCases(t *testing.T, dir string, payloads [][]byte, items []Insert, k 
 		},
 		{
 			name:     "a run of two outside a registration",
-			payloads: with(payloads, k, wal.AppendRun(nil, src, false, []relation.Tuple{items[0].Tuple, items[1].Tuple})),
+			payloads: with(payloads, k, wal.AppendRun(nil, src, false, relation.RowsOf(items[0].Tuple, items[1].Tuple))),
 			at:       k,
 			read:     fmt.Sprintf(`record %d: hub: run record for source %q outside a registration: an insert is one tuple in one record`, k, src),
 		},
@@ -430,7 +430,7 @@ func TestOpenRefusesATransitiveBreakAtItsRecord(t *testing.T) {
 	for _, sch := range []*schema.Schema{schemaOf("A", "k", "j"), schemaOf("B", "k"), schemaOf("C", "k", "j")} {
 		regs = append(regs, record(wal.Envelope{Type: wal.TypeSourceBegin, SourceBegin: &wal.SourceBeginRec{
 			Name: sch.Name(), Schema: wal.EncodeSchema(sch),
-		}}), wal.AppendRun(nil, sch.Name(), false, nil))
+		}}), wal.AppendRun(nil, sch.Name(), false, relation.Rows{}))
 	}
 	linkRec := func(spec PairSpec) []byte {
 		rec := linkRecFromSpec(spec)
@@ -438,7 +438,7 @@ func TestOpenRefusesATransitiveBreakAtItsRecord(t *testing.T) {
 	}
 	ab, bc, ac := linkRec(on("A", "B", "k")), linkRec(on("B", "C", "k")), linkRec(on("A", "C", "j"))
 	ins := func(src string, vals ...string) []byte {
-		return wal.AppendRun(nil, src, false, []relation.Tuple{strs(vals...)})
+		return wal.AppendRun(nil, src, false, relation.RowsOf(strs(vals...)))
 	}
 	// a1-c0 in A-C, b0-c0 in B-C, then a0-b0 in A-B closes a0…a1.
 	chain := [][]byte{ins("C", "c0", "1", "20"), ins("A", "a1", "2", "20"), ins("B", "b0", "1"), ins("A", "a0", "1", "10")}
@@ -489,7 +489,7 @@ func TestReplayDiscardsAbandonedGroupFarBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := wal.AppendRun(nil, "ghost", true, []relation.Tuple{{value.String("g1")}, {value.String("g2")}})
+	chunk := wal.AppendRun(nil, "ghost", true, relation.RowsOf(relation.Tuple{value.String("g1")}, relation.Tuple{value.String("g2")}))
 	if len(payloads) <= defaultStreamWindow {
 		t.Fatalf("only %d records follow the abandoned group", len(payloads))
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,8 +157,7 @@ func TestReadsSurviveTopologyGrowth(t *testing.T) {
 			addNamed(t, h, "c", "a")
 			mustInsert(t, h, "c", "c0", "y")
 		}
-		second = c
-		second.Members = slices.Clone(c.Members) // kept past the callback
+		second = c.Clone() // kept past the callback
 		return true
 	})
 	if err != nil || second.ID != "a/1" || len(second.Members) != 2 || second.Members[1].Source != "c" {
@@ -335,6 +333,91 @@ func TestConcurrentWalksOverColdTier(t *testing.T) {
 	after := h.clusters.Stats()
 	if pageIns := after.PageIns - before.PageIns; before.ColdRecords == 0 || pageIns != int64(walkers*walks*before.ColdRecords) {
 		t.Fatalf("%d walks paged in %d bodies, want %d a walk", walkers*walks, pageIns, before.ColdRecords)
+	}
+}
+
+// TestWalksWhileMergingOverColdTier races walks against merging
+// publications on a disk hub whose hot tier holds four cluster entries,
+// so that nearly every record a window reads is cold and its body is
+// read after the window's lock hold. Sources a, b and c are linked
+// pairwise on name, and 300 clusters {a_i, b_i} are cold before the
+// walks start. Meanwhile one writer grows each of them by c_i — a record
+// superseded under its lead — and gives 300 singletons b'_k a partner
+// a'_k committed after every walk's cut, which hands the cluster a lead
+// outside the cut. Every pass must serve each tuple at most once: one
+// pass's clusters are pairwise disjoint however the records a window
+// read change while it reads them.
+func TestWalksWhileMergingOverColdTier(t *testing.T) {
+	h, _, err := Open(t.TempDir(), Options{Store: "disk", HotClusterEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	addNamed(t, h, "a")
+	addNamed(t, h, "b", "a")
+	addNamed(t, h, "c", "a", "b")
+	const n = 300
+	for i := range n {
+		mustInsert(t, h, "a", fmt.Sprintf("a%d", i), fmt.Sprintf("n%d", i))
+		mustInsert(t, h, "b", fmt.Sprintf("b%d", i), fmt.Sprintf("n%d", i))
+		mustInsert(t, h, "b", fmt.Sprintf("b'%d", i), fmt.Sprintf("p%d", i))
+	}
+	if st := h.clusters.Stats(); st.ColdRecords < n/2 {
+		t.Fatalf("%d cold records before the walks, want most of %d", st.ColdRecords, n)
+	}
+	// The writer commits two merges, then waits for a pass to end, so
+	// that its publications land inside the other walker's passes.
+	var writing, failed atomic.Bool
+	var passes atomic.Int64
+	writing.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writing.Store(false)
+		for i := 0; i < n && !failed.Load(); i++ {
+			mustInsert(t, h, "c", fmt.Sprintf("c%d", i), fmt.Sprintf("n%d", i))
+			mustInsert(t, h, "a", fmt.Sprintf("a'%d", i), fmt.Sprintf("p%d", i))
+			for p := passes.Load(); passes.Load() == p && !failed.Load(); {
+				runtime.Gosched()
+			}
+		}
+	}()
+	errs := make(chan error, 2)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; writing.Load(); pass++ {
+				seen := map[string]string{}
+				var dup error
+				err := h.ClustersWalk("", 0, func(c Cluster, _ string) bool {
+					for _, m := range c.Members {
+						k := m.Source + "/" + fmt.Sprint(m.Index)
+						if prev, ok := seen[k]; ok {
+							dup = fmt.Errorf("walker %d, pass %d served %s in clusters %s and %s", g, pass, k, prev, c.ID)
+							return false
+						}
+						seen[k] = c.ID
+					}
+					return true
+				})
+				if err == nil {
+					err = dup
+				}
+				if err != nil {
+					errs <- err
+					failed.Store(true)
+					return
+				}
+				passes.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -1179,14 +1179,13 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 
 // walkPages enumerates the hub limit clusters at a time (limit <= 0: in
 // one pass), resuming each page at the cursor the last one handed out.
-// It keeps every cluster, so it copies each out of the walk's buffer.
+// It keeps every cluster, so it copies each out of the walk's buffers.
 func walkPages(h *Hub, limit int) ([]Cluster, error) {
 	var out []Cluster
 	for cursor := ""; ; {
 		n, resume := 0, ""
 		err := h.ClustersWalk(cursor, 0, func(c Cluster, next string) bool {
-			c.Members = slices.Clone(c.Members)
-			out, resume, n = append(out, c), next, n+1
+			out, resume, n = append(out, c.Clone()), next, n+1
 			return n != limit
 		})
 		if err != nil {

@@ -99,10 +99,10 @@ func foldCut(cut *snapshotCut, mts []*match.Table) ([][]node, error) {
 // immutable, so they are sliced, not copied, and take no lock at all.
 func (h *Hub) writeSnapshotSections(cut *snapshotCut, sink *dirSink, budget int) (*snapManifest, error) {
 	man := &snapManifest{V2: secManifest, Format: snapFormat, Watermark: cut.watermark, SegItems: sink.segItems}
-	tuples := make([][]relation.Tuple, len(cut.sources))
+	tuples := make([]relation.Rows, len(cut.sources))
 	for i, cs := range cut.sources {
 		man.Sources = append(man.Sources, snapSource{Name: cs.s.name, Schema: wal.EncodeSchema(cs.s.rel.Schema())})
-		tuples[i] = cs.s.view.Load().tuples[:cs.n]
+		tuples[i] = cs.s.view.Load().rows.Slice(0, cs.n)
 	}
 	var err error
 	if man.Segments, err = sink.segments(man.Sources, tuples, budget); err != nil {

@@ -86,6 +86,8 @@ type recovery struct {
 	// table starts.
 	arrived []arrivals
 	cuts    []linkCut
+	// row is scratch a logged tuple is read into to be admitted.
+	row relation.Tuple
 }
 
 // arrivals holds the log record each tuple of a source was inserted by,
@@ -163,29 +165,37 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 			return fmt.Errorf("hub: snapshot source %q: %w", s.Name, err)
 		}
 	}
+	// froms[j][i] is how many tuples of source i the segments before j
+	// hold: where segment j's lie in the source's relation.
+	froms := make([][]int, len(man.Segments))
+	next := make([]int, len(srcs))
+	for j, g := range man.Segments {
+		froms[j] = slices.Clone(next)
+		for i, k := range g.Items {
+			if i < len(next) {
+				next[i] += k
+			}
+		}
+	}
 	segs := make([]*decSegment, len(man.Segments))
 	err = inParallel(len(segs), func(j int) (err error) {
-		segs[j], err = readSegmentFile(fsys, dir, j, bases[j], man.Segments[j], srcs)
+		segs[j], err = readSegmentFile(fsys, dir, j, bases[j], froms[j], man.Segments[j], srcs)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	// Every segment now holds the items its manifest entry counts. A
-	// source's decoded tuples, concatenated in segment order, are its
-	// relation's: admitted, not copied.
+	// source's decoded rows, in segment order, are its relation's:
+	// admitted, their cells copied and their string blocks adopted.
 	rels := make([]*relation.Relation, len(man.Sources))
 	err = inParallel(len(rels), func(i int) error {
-		n := 0
-		for _, g := range segs {
-			n += len(g.tuples[i])
-		}
-		ts := make([]relation.Tuple, 0, n)
-		for _, g := range segs {
-			ts = append(ts, g.tuples[i]...)
+		runs := make([]relation.Rows, len(segs))
+		for j, g := range segs {
+			runs[j] = g.rows[i]
 		}
 		rels[i] = relation.New(srcs[i].sch)
-		if err := rels[i].InsertAll(ts); err != nil {
+		if err := rels[i].InsertAll(runs...); err != nil {
 			return fmt.Errorf("hub: snapshot source %q tuple %d: %w", srcs[i].name, rels[i].Len(), err)
 		}
 		return nil
@@ -217,7 +227,7 @@ func (r *recovery) loadSnapshot(fsys wal.FS, dir string, man *snapManifest, info
 // framed byte count its manifest entry records, decodes it against the
 // manifest's sources and verifies the result — position, counts, content
 // hash — against that entry: base items before it.
-func readSegmentFile(fsys wal.FS, dir string, j, base int, want snapSegment, srcs []segSource) (*decSegment, error) {
+func readSegmentFile(fsys wal.FS, dir string, j, base int, from []int, want snapSegment, srcs []segSource) (*decSegment, error) {
 	path := secPath(dir, want.Hash)
 	fi, err := fsys.Stat(path)
 	if err == nil && fi.Size() != want.Bytes {
@@ -229,7 +239,7 @@ func readSegmentFile(fsys wal.FS, dir string, j, base int, want snapSegment, src
 	}
 	var d *decSegment
 	if err == nil {
-		d, err = decodeSegment(data, srcs, want.Items)
+		d, err = decodeSegment(data, srcs, from)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hub: snapshot segment %d: %w", j, err)

@@ -119,12 +119,13 @@ func trimItems(items []int) []int {
 	return items
 }
 
-// estimateTuple approximates a tuple's encoded size, for size-budgeted
-// chunking; it only needs to be deterministic and roughly proportional.
-func estimateTuple(t relation.Tuple) int {
+// estimateTuple approximates the encoded size of row i of ts, for
+// size-budgeted chunking; it only needs to be deterministic and roughly
+// proportional.
+func estimateTuple(ts relation.Rows, i int) int {
 	n := 2
-	for _, v := range t {
-		n += len(v.String()) + 3
+	for c := range ts.Arity() {
+		n += len(ts.At(i, c).String()) + 3
 	}
 	return n
 }
@@ -138,7 +139,7 @@ func estimateTuple(t relation.Tuple) int {
 // so equal content always yields equal bytes. An empty run is one record.
 // It is the one splitter: of a segment's runs and of a registration's
 // seeds in the log.
-func writeChunked(source string, tuples []relation.Tuple, budget int, emit func([]byte) error) error {
+func writeChunked(source string, tuples relation.Rows, budget int, emit func([]byte) error) error {
 	if budget <= 0 {
 		budget = wal.DefaultChunkPayload
 	}
@@ -148,19 +149,19 @@ func writeChunked(source string, tuples []relation.Tuple, budget int, emit func(
 		budget = max
 	}
 	var buf []byte
-	total := len(tuples)
+	total := tuples.Len()
 	lo := 0
 	for first := true; first || lo < total; first = false {
 		hi, est := lo, 0
 		for hi < total {
-			est += estimateTuple(tuples[hi])
+			est += estimateTuple(tuples, hi)
 			hi++
 			if est >= budget {
 				break
 			}
 		}
 		for {
-			buf = wal.AppendRun(buf[:0], source, hi < total, tuples[lo:hi])
+			buf = wal.AppendRun(buf[:0], source, hi < total, tuples.Slice(lo, hi))
 			if len(buf) > wal.FrameCap() && hi-lo > 1 {
 				hi = lo + (hi-lo)/2
 				continue
@@ -249,27 +250,29 @@ type segSource struct {
 // base), the manifest entry it reproduces (item counts, chunks, bytes,
 // content address) and each source's tuples in it.
 type decSegment struct {
-	base   int
-	meta   snapSegment
-	tuples [][]relation.Tuple
+	base int
+	meta snapSegment
+	// blocks[i] holds source i's rows, rows[i] all of them.
+	blocks []relation.TupleBlocks
+	rows   []relation.Rows
 }
 
 // decodeSegment decodes one segment file's bytes, data, reading each
-// run's tuples against the schema of its source's slot in srcs into
-// blocks of its own, and takes the segment's content address: the
-// SHA-256 of data. sizes, when the manifest entry gives them, size each
-// source's tuples ahead. Runs come in srcs order, a source's at most
-// once and never empty; the base a file declares is one less than its
-// first frame's number.
-func decodeSegment(data []byte, srcs []segSource, sizes []int) (*decSegment, error) {
+// run's tuples against the schema of its source's slot in srcs straight
+// into cell blocks of the source's own — laid out from row from[i] on,
+// the source's tuples in the segments before it, where its relation will
+// hold them — and takes the segment's content address: the SHA-256 of
+// data. Runs come in srcs order, a source's at most once and never
+// empty; the base a file declares is one less than its first frame's
+// number.
+func decodeSegment(data []byte, srcs []segSource, from []int) (*decSegment, error) {
 	sum := sha256.Sum256(data)
-	d := &decSegment{meta: snapSegment{Bytes: int64(len(data)), Hash: hex.EncodeToString(sum[:])}, tuples: make([][]relation.Tuple, len(srcs))}
-	for i, n := range sizes {
-		if i < len(srcs) && n > 0 {
-			d.tuples[i] = make([]relation.Tuple, 0, min(n, len(data)))
+	d := &decSegment{meta: snapSegment{Bytes: int64(len(data)), Hash: hex.EncodeToString(sum[:])}, blocks: make([]relation.TupleBlocks, len(srcs))}
+	for i, n := range from {
+		if i < len(srcs) {
+			d.blocks[i].Skip(n)
 		}
 	}
-	var blocks relation.TupleBlocks
 	frames := wal.NewFrameCutter(data)
 	cur, more := -1, false
 	for {
@@ -304,16 +307,18 @@ func decodeSegment(data []byte, srcs []segSource, sizes []int) (*decSegment, err
 			return nil, fmt.Errorf("chunk %d out of sequence (source %q, frame %d)", n, run.Source, rec.Seq)
 		}
 		cur = next
-		if d.tuples[cur], err = run.Tuples(&blocks, srcs[cur].sch, d.tuples[cur]); err != nil {
-			return nil, fmt.Errorf("chunk %d after tuple %d of source %q: %w", n, len(d.tuples[cur]), srcs[cur].name, err)
+		if _, err = run.Tuples(&d.blocks[cur], srcs[cur].sch); err != nil {
+			return nil, fmt.Errorf("chunk %d after tuple %d of source %q: %w", n, d.blocks[cur].Len(), srcs[cur].name, err)
 		}
-		if more = run.More; !more && len(d.tuples[cur]) == 0 {
+		if more = run.More; !more && d.blocks[cur].Len() == 0 {
 			return nil, fmt.Errorf("chunk %d ends an empty run of source %q", n, srcs[cur].name)
 		}
 	}
 	d.meta.Items = make([]int, len(srcs))
-	for i, ts := range d.tuples {
-		d.meta.Items[i] = len(ts)
+	d.rows = make([]relation.Rows, len(srcs))
+	for i := range d.blocks {
+		d.rows[i] = d.blocks[i].Rows()
+		d.meta.Items[i] = d.rows[i].Len()
 	}
 	d.meta.Items = trimItems(d.meta.Items)
 	return d, nil

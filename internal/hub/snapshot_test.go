@@ -118,12 +118,12 @@ func rewriteSegment(t testing.TB, dir string, j int, entry *snapSegment, edit fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := readSegmentFile(wal.OS, dir, j, bases[j], *entry, manifestSources(t, man))
+	d, err := readSegmentFile(wal.OS, dir, j, bases[j], nil, *entry, manifestSources(t, man))
 	if err != nil {
 		t.Fatal(err)
 	}
 	edit(d)
-	if *entry, err = newDirSink(wal.OS, dir, nil, man.SegItems).write(d.base, man.Sources, d.tuples, 0); err != nil {
+	if *entry, err = newDirSink(wal.OS, dir, nil, man.SegItems).write(d.base, man.Sources, d.rows, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -521,7 +521,7 @@ func TestSnapshotV3TamperDetection(t *testing.T) {
 			m.Segments[0], m.Segments[1] = m.Segments[1], m.Segments[0]
 		}, mismatch},
 		"a short segment that is not the last": {func(m *snapManifest) {
-			rewriteSegment(t, dir, 0, &m.Segments[0], func(d *decSegment) { d.tuples[0] = d.tuples[0][:len(d.tuples[0])-1] })
+			rewriteSegment(t, dir, 0, &m.Segments[0], func(d *decSegment) { d.rows[0] = d.rows[0].Slice(0, d.rows[0].Len()-1) })
 		}, "every one but the last at least 4"},
 		"another segment's entry": {func(m *snapManifest) { m.Segments[0] = m.Segments[1] }, mismatch},
 		"items moved between sources": {func(m *snapManifest) {

@@ -237,7 +237,7 @@ func newDirSink(fsys wal.FS, dir string, prev *snapManifest, segItems int) *dirS
 // gained since — written as one segment or, past 2R, as segments of R
 // with the rest in the last, so that a segment of a large increment does
 // not hold up a load's parallel decode.
-func (s *dirSink) segments(srcs []snapSource, tuples [][]relation.Tuple, budget int) ([]snapSegment, error) {
+func (s *dirSink) segments(srcs []snapSource, tuples []relation.Rows, budget int) ([]snapSegment, error) {
 	keep, from := s.base(tuples)
 	s.stats.SectionsReused += len(keep)
 	segs := append([]snapSegment{}, keep...)
@@ -246,7 +246,7 @@ func (s *dirSink) segments(srcs []snapSource, tuples [][]relation.Tuple, budget 
 		base += g.total()
 	}
 	for i, ts := range tuples {
-		rest += len(ts) - from[i]
+		rest += ts.Len() - from[i]
 	}
 	// Cut what is past the kept segments, source-major, into pieces.
 	pieces, i := max(1, rest/s.segItems), 0
@@ -255,14 +255,14 @@ func (s *dirSink) segments(srcs []snapSource, tuples [][]relation.Tuple, budget 
 		if p == pieces-1 {
 			size = rest - p*s.segItems
 		}
-		parts := make([][]relation.Tuple, len(tuples))
+		parts := make([]relation.Rows, len(tuples))
 		for left := size; left > 0; {
-			if from[i] == len(tuples[i]) {
+			if from[i] == tuples[i].Len() {
 				i++
 				continue
 			}
-			k := min(left, len(tuples[i])-from[i])
-			parts[i] = tuples[i][from[i] : from[i]+k]
+			k := min(left, tuples[i].Len()-from[i])
+			parts[i] = tuples[i].Slice(from[i], from[i]+k)
 			from[i] += k
 			left -= k
 		}
@@ -281,7 +281,7 @@ func (s *dirSink) segments(srcs []snapSource, tuples [][]relation.Tuple, budget 
 // sources gained nothing since, else all but an unsealed last one.
 // Previous segments that do not fit the sources — more of them, or more
 // tuples, than the cut has — carry nothing.
-func (s *dirSink) base(tuples [][]relation.Tuple) ([]snapSegment, []int) {
+func (s *dirSink) base(tuples []relation.Rows) ([]snapSegment, []int) {
 	from := make([]int, len(tuples))
 	keep := s.prev
 	for _, g := range keep {
@@ -294,10 +294,10 @@ func (s *dirSink) base(tuples [][]relation.Tuple) ([]snapSegment, []int) {
 	}
 	gained := false
 	for i, ts := range tuples {
-		if from[i] > len(ts) {
+		if from[i] > ts.Len() {
 			return nil, make([]int, len(tuples))
 		}
-		gained = gained || len(ts) > from[i]
+		gained = gained || ts.Len() > from[i]
 	}
 	if n := len(keep); gained && n > 0 && keep[n-1].total() < s.segItems {
 		for i, k := range keep[n-1].Items {
@@ -310,7 +310,7 @@ func (s *dirSink) base(tuples [][]relation.Tuple) ([]snapSegment, []int) {
 
 // write encodes one segment — after base items, parts[i] the tuples of
 // source srcs[i] it holds — into its content-addressed file.
-func (s *dirSink) write(base int, srcs []snapSource, parts [][]relation.Tuple, budget int) (snapSegment, error) {
+func (s *dirSink) write(base int, srcs []snapSource, parts []relation.Rows, budget int) (snapSegment, error) {
 	secdir := filepath.Join(s.dir, snapSecDir)
 	if !s.made {
 		if err := s.fs.MkdirAll(secdir, 0o755); err != nil {
@@ -326,7 +326,7 @@ func (s *dirSink) write(base int, srcs []snapSource, parts [][]relation.Tuple, b
 	g := snapSegment{Items: make([]int, len(parts))}
 	fill := func() error {
 		for i, ts := range parts {
-			if g.Items[i] = len(ts); len(ts) > 0 {
+			if g.Items[i] = ts.Len(); ts.Len() > 0 {
 				if err := writeChunked(srcs[i].Name, ts, budget, sw.WriteChunk); err != nil {
 					return err
 				}

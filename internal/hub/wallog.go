@@ -116,7 +116,7 @@ func (p *walLogger) appendAddSource(name string, rel *relation.Relation) error {
 	}}); err != nil {
 		return err
 	}
-	return writeChunked(name, rel.Tuples(), p.chunkBytes, p.appendPayload)
+	return writeChunked(name, rel.Rows(), p.chunkBytes, p.appendPayload)
 }
 
 //entitylint:walappend

@@ -282,8 +282,9 @@ type Violation struct {
 // not holding).
 func (fs Set) Violations(r *relation.Relation) []Violation {
 	var out []Violation
+	ts := r.Tuples()
 	for _, f := range fs {
-		for i, t := range r.Tuples() {
+		for i, t := range ts {
 			if !f.SatisfiedBy(r, t) {
 				out = append(out, Violation{ILFD: f, Index: i})
 			}
@@ -296,8 +297,9 @@ func (fs Set) Violations(r *relation.Relation) []Violation {
 // positively contradicts the ILFD (non-NULL wrong value).
 func (fs Set) Contradictions(r *relation.Relation) []Violation {
 	var out []Violation
+	ts := r.Tuples()
 	for _, f := range fs {
-		for i, t := range r.Tuples() {
+		for i, t := range ts {
 			if f.Contradicts(r, t) {
 				out = append(out, Violation{ILFD: f, Index: i})
 			}

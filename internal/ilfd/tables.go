@@ -122,7 +122,7 @@ func (t *Table) Lookup(vals ...value.Value) (value.Value, bool) {
 	if i < 0 {
 		return value.Null, false
 	}
-	return t.rel.Tuple(i)[len(t.from)], true
+	return t.rel.At(i, len(t.from)), true
 }
 
 // signature groups uniform ILFDs: same antecedent attribute list (sorted)

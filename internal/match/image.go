@@ -281,10 +281,11 @@ func (im *Image) extend(dst, t relation.Tuple) (relation.Tuple, []derive.Conflic
 // hold yet, in order, filing each in the image's indexes, and returns
 // the conflicts found, each at its tuple's position.
 func (im *Image) Grow() ([]derive.Conflict, error) {
-	var buf relation.Tuple
+	var buf, src relation.Tuple
 	var found []derive.Conflict
 	for i, n := im.rel.Len(), im.base.Len(); i < n; i++ {
-		row, cs, err := im.extend(buf, im.base.Tuple(i))
+		src = im.base.TupleInto(src, i)
+		row, cs, err := im.extend(buf, src)
 		if err != nil {
 			return nil, fmt.Errorf("match: extend: %w", err)
 		}

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,11 +89,10 @@ func TestInsertKeepsItsOwnCopy(t *testing.T) {
 	runtime.KeepAlive(small)
 }
 
-// TestKeptTupleShape holds every tuple a relation files — inserted, or
-// copied by Clone — to capacity = length = arity across value and string
-// block boundaries, strings of up to 5,000 bytes among them: appending
-// to one tuple never reaches the next. A relation whose tuples keep the
-// block's capacity fails it.
+// TestKeptTupleShape holds every tuple a relation hands out — inserted,
+// or copied by Clone — to capacity = length = arity across cell and
+// string block boundaries, strings of up to 5,000 bytes among them:
+// appending to one materialised tuple never reaches the next.
 func TestKeptTupleShape(t *testing.T) {
 	r := New(kindsSchema(value.KindString, value.KindInt, value.KindString))
 	const n = 300
@@ -118,66 +116,56 @@ func TestKeptTupleShape(t *testing.T) {
 	}
 }
 
-// TestSmallRelationBlocks holds a relation of k < 64 tuples to value
-// blocks for at most 2k tuples: its blocks start at one tuple and
-// double. The blocks' bytes are what k inserts allocate beyond the same
-// k filed uncopied (KeepAdmitted), held to what one allocation of 2k
-// tuples' cells costs, plus an eighth for the size classes that round
-// each block up. A relation that starts at a full 64-tuple block fails
-// it.
+// TestSmallRelationBlocks holds a relation of k < blockRows tuples to
+// cell blocks for fewer than 2k rows, and of more to one block of
+// blockRows rows per blockRows past the first firstRows: its blocks start
+// at one row and double, and none is copied as it grows. A relation that
+// starts at a full block fails it.
 func TestSmallRelationBlocks(t *testing.T) {
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	var sink Tuple
 	for _, arity := range []int{1, 4, 16} {
 		kinds := make([]value.Kind, arity)
 		for i := range kinds {
 			kinds[i] = value.KindInt
 		}
-		sch := kindsSchema(kinds...)
 		tup := make(Tuple, arity)
 		for i := range tup {
 			tup[i] = value.Int(int64(i))
 		}
-		// fill files k tuples into a bag through file.
-		fill := func(k int, file func(*Relation, Admission) error) {
-			r := NewBag(sch)
-			for range k {
-				a, err := r.Admit(tup)
-				if err == nil {
-					err = file(r, a)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		r := NewBag(kindsSchema(kinds...))
+		for k := 1; k <= 3*blockRows; k++ {
+			if err := r.Insert(tup); err != nil {
+				t.Fatal(err)
+			}
+			cells := 0
+			for _, b := range r.blocks.blocks {
+				cells += len(b)
+			}
+			limit := 2 * k * arity
+			if k > blockRows {
+				limit = (firstRows + (k-firstRows+blockRows-1)/blockRows*blockRows) * arity
+			}
+			if cells > limit {
+				t.Fatalf("arity %d: %d tuples lie in blocks of %d cells, want at most %d", arity, k, cells, limit)
 			}
 		}
-		for k := 1; k < tuplesPerBlock; k++ {
-			got := allocated(func() { fill(k, (*Relation).InsertAdmitted) }) - allocated(func() { fill(k, (*Relation).KeepAdmitted) })
-			limit := allocated(func() { sink = slices.Grow(Tuple(nil), 2*k*arity) }) * 9 / 8
-			if got > limit {
-				t.Fatalf("arity %d: %d tuples allocate %d bytes of value blocks, want at most %d (2k tuples' cells and size-class slack)", arity, k, got, limit)
+		for i := range r.Len() {
+			if !r.Tuple(i).Identical(tup) {
+				t.Fatalf("arity %d: tuple %d reads %v", arity, i, r.Tuple(i))
 			}
 		}
 	}
-	runtime.KeepAlive(sink)
 }
 
-// TestReadersWhileFiling reads a relation's published tuples, every cell
-// and every string byte, while inserts file more into the same value and
+// TestReadersWhileFiling reads a relation's published rows, every cell
+// and every string byte, while inserts file more into the same cell and
 // string blocks, the way the hub's readers read a source's published
 // view: run under -race, a write into a block cell or a string byte a
 // published tuple holds is reported. A relation that filed a tuple over
 // cells it had already handed out fails it.
 func TestReadersWhileFiling(t *testing.T) {
 	r := New(kindsSchema(value.KindString, value.KindInt, value.KindString))
-	var view atomic.Pointer[[]Tuple]
-	view.Store(new([]Tuple))
+	var view atomic.Pointer[Rows]
+	view.Store(new(Rows))
 	want := make([]Tuple, 2000)
 	for i := range want {
 		want[i] = keptTuple(i)
@@ -194,8 +182,10 @@ func TestReadersWhileFiling(t *testing.T) {
 					return
 				default:
 				}
-				for i, tup := range *view.Load() {
-					if !tup.Identical(want[i]) {
+				rows := view.Load()
+				var tup Tuple
+				for i := range rows.Len() {
+					if tup = rows.TupleInto(tup, i); !tup.Identical(want[i]) {
 						t.Errorf("published tuple %d reads %.40v, want %.40v", i, tup, want[i])
 						return
 					}
@@ -207,8 +197,8 @@ func TestReadersWhileFiling(t *testing.T) {
 		if err := r.Insert(tup); err != nil {
 			t.Fatal(err)
 		}
-		ts := r.Tuples()
-		view.Store(&ts)
+		rows := r.Rows()
+		view.Store(&rows)
 	}
 	close(done)
 	wg.Wait()

@@ -63,8 +63,8 @@ func TestImageRelationAdoptsAndIndexesNoKey(t *testing.T) {
 	if got, want := r.Tuple(0), extended(first, value.String("Hunan"), value.Null); !got.Identical(want) {
 		t.Errorf("row 0 = %v after its image was overwritten, want %v", got, want)
 	}
-	if len(r.cells.val) != 1 || r.tuples != nil {
-		t.Errorf("row 0 keeps %d cells and %d whole rows, want the one derived cell", len(r.cells.val), len(r.tuples))
+	if len(r.cells.val) != 1 || r.blocks.Len() != 0 {
+		t.Errorf("row 0 keeps %d cells and %d whole rows, want the one derived cell", len(r.cells.val), r.blocks.Len())
 	}
 	// The same key again: an ordinary relation refuses, an image does not
 	// look.

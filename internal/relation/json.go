@@ -11,7 +11,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"unicode/utf8"
 
 	"entityid/internal/schema"
@@ -30,14 +29,22 @@ func AppendTupleJSON(b []byte, t Tuple) []byte {
 	return append(b, ']')
 }
 
-// AppendTuplesJSON appends ts as a JSON array of tuples.
-func AppendTuplesJSON(b []byte, ts []Tuple) []byte {
+// AppendTuplesJSON appends rows as a JSON array of tuples, each cell read
+// where it lies.
+func AppendTuplesJSON(b []byte, rows Rows) []byte {
 	b = append(b, '[')
-	for i, t := range ts {
+	for i := range rows.Len() {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = AppendTupleJSON(b, t)
+		b = append(b, '[')
+		for c := range rows.Arity() {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			b = value.AppendJSON(b, rows.At(i, c))
+		}
+		b = append(b, ']')
 	}
 	return append(b, ']')
 }
@@ -85,148 +92,132 @@ func element(b []byte, first bool) (rest []byte, ok bool, err error) {
 // tuple over sch: one scalar per attribute, each read as its attribute's
 // kind by value.ParseJSON.
 func ParseTupleJSON(sch *schema.Schema, b []byte) (Tuple, error) {
-	t, rest, err := parseTuple(make(Tuple, 0, sch.Arity()), sch, b, nil)
-	if err == nil && len(skipSpace(rest)) > 0 {
-		return nil, fmt.Errorf("trailing bytes after the JSON array")
-	}
-	return t, err
-}
-
-// parseTuple reads the tuple at the front of b into t, empty with room
-// for sch's arity, and returns what follows it; its plain strings are cut
-// from strs, or allocated alone when strs is nil.
-func parseTuple(t Tuple, sch *schema.Schema, b []byte, strs *value.StringBlocks) (Tuple, []byte, error) {
-	for first := true; ; first = false {
-		var ok bool
-		var err error
-		if b, ok, err = element(b, first); err != nil {
-			return nil, b, err
-		} else if !ok {
-			break
-		}
-		if len(t) == sch.Arity() {
-			return nil, b, fmt.Errorf("more than %d values, schema wants %[1]d", sch.Arity())
-		}
-		a := sch.Attr(len(t))
-		var v value.Value
-		if v, b, err = strs.ParseJSON(b, a.Kind); err != nil {
-			return nil, b, fmt.Errorf("attribute %q: %w", a.Name, err)
-		}
-		t = append(t, v)
-	}
-	if len(t) != sch.Arity() {
-		return nil, b, fmt.Errorf("%d values, schema wants %d", len(t), sch.Arity())
-	}
-	return t, b, nil
-}
-
-// tuplesPerBlock is how many tuples' values a decoder's TupleBlocks ask
-// one allocation for, and the most a relation's blocks ask for.
-const tuplesPerBlock = 64
-
-// TupleBlocks holds tuples in shared blocks: their values in blocks of
-// tuplesPerBlock tuples or so — one allocation for 64 tuples, not 64,
-// and as many fewer objects for the collector to mark — each tuple's
-// capacity its arity, so an append to one never reaches the next; and
-// their strings in shared blocks too (value.StringBlocks). It is where
-// every tuple a relation holds lies. A decoder reads tuples into blocks
-// of its own (ParseJSON, whole blocks at a time) and hands them over to
-// a relation uncopied (InsertAll, KeepAdmitted); a relation files a copy
-// of any other tuple into its own (InsertAdmitted), which start at one
-// tuple's worth and double. The zero value is ready to use.
-type TupleBlocks struct {
-	block Tuple
-	strs  value.StringBlocks
-	// tuples is how many tuples the last block keep started asked for.
-	tuples int
-}
-
-// room makes sure the value block has n cells left, starting a block
-// for tuples tuples of arity n when it does not. The block is as long as
-// the allocation the runtime rounds it up to: a block of pointer-holding
-// cells carries an 8-byte header past 512 bytes, so 64 tuples of 128
-// bytes take a 9,472-byte size class, and what would be slack holds 9
-// tuples more.
-func (tb *TupleBlocks) room(n, tuples int) {
-	if len(tb.block) < n {
-		b := slices.Grow(Tuple(nil), tuples*n)
-		tb.block = b[:cap(b)]
-	}
-}
-
-// keep returns a copy of t cut from the blocks, its strings copied into
-// the string blocks, all of one tuple's strings into one block. A block
-// keep starts asks for twice the tuples of the last one, up to
-// tuplesPerBlock.
-func (tb *TupleBlocks) keep(t Tuple) Tuple {
-	n := len(t)
-	if len(tb.block) < n {
-		tb.tuples = min(tuplesPerBlock, max(1, 2*tb.tuples))
-		tb.room(n, tb.tuples)
-	}
-	kept := tb.block[:n:n]
-	tb.block = tb.block[n:]
-	want := 0
-	for _, v := range t {
-		if v.Kind() == value.KindString {
-			want += len(v.Str())
-		}
-	}
-	for i, v := range t {
-		if v.Kind() == value.KindString {
-			s := v.Str()
-			v = value.String(tb.strs.Copy(s, want))
-			want -= len(s)
-		}
-		kept[i] = v
-	}
-	return kept
+	var tb *TupleBlocks
+	return tb.ParseJSON(sch, b)
 }
 
 // ParseJSON reads b, a JSON array of scalars and nothing else, as a tuple
-// over sch, with ParseTupleJSON's results.
+// over sch, with ParseTupleJSON's results, into a Tuple of its own whose
+// plain strings are cut from the string blocks — or, on a nil
+// TupleBlocks, allocated alone. It fills no row, and blocks it parses
+// into hold none: what it returns is a tuple for a relation to file a
+// copy of (the daemon's request lines), and a block it has filled lives
+// as long as a tuple cut from it, not as long as the blocks.
 func (tb *TupleBlocks) ParseJSON(sch *schema.Schema, b []byte) (Tuple, error) {
-	t, rest, err := tb.parse(sch, b)
-	if err == nil && len(skipSpace(rest)) > 0 {
-		return nil, fmt.Errorf("trailing bytes after the JSON array")
+	if tb != nil {
+		if tb.rows > 0 {
+			panic("relation: ParseJSON into blocks that hold rows")
+		}
+		// No cell points into a sealed block: let each go.
+		clear(tb.strs.sealed)
+		tb.strs.sealed = tb.strs.sealed[:0]
 	}
-	return t, err
+	t := make(Tuple, 0, sch.Arity())
+	b, err := eachValue(sch, b, func(b []byte, k value.Kind) ([]byte, error) {
+		if s, rest, ok := value.PlainJSONString(b); ok && k == value.KindString && tb != nil {
+			tb.strs.room(len(s), stringBlock)
+			c := tb.strs.putBytes(s)
+			t = append(t, c.value(tb.strs.sealed, tb.strs.tail.String()))
+			return rest, nil
+		}
+		v, rest, err := value.ParseJSON(b, k)
+		t = append(t, v)
+		return rest, err
+	})
+	if err == nil && len(skipSpace(b)) > 0 {
+		err = fmt.Errorf("trailing bytes after the JSON array")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// parse reads the tuple at the front of b and returns what follows it.
-func (tb *TupleBlocks) parse(sch *schema.Schema, b []byte) (Tuple, []byte, error) {
-	n := sch.Arity()
-	tb.room(n, tuplesPerBlock)
-	t, rest, err := parseTuple(tb.block[:0:n], sch, b, &tb.strs)
-	if err == nil {
-		tb.block = tb.block[n:]
-	}
-	return t, rest, err
-}
-
-// ParseTuplesJSON reads b, a JSON array of tuples over sch and nothing
-// else, into the blocks, appending the tuples to dst: a snapshot
-// segment's run of 1,024 tuples takes 16 allocations for their values, not 1,024, and a
-// log's runs of one share the decoder's blocks. On an error dst comes
-// back as it was given.
-func (tb *TupleBlocks) ParseTuplesJSON(sch *schema.Schema, dst []Tuple, b []byte) ([]Tuple, error) {
-	ts := dst
+// eachValue reads the tuple at the front of b, a JSON array of sch's
+// arity, handing each value's bytes and its attribute's kind to read,
+// which returns what follows the value; eachValue returns what follows
+// the array.
+func eachValue(sch *schema.Schema, b []byte, read func(b []byte, k value.Kind) ([]byte, error)) ([]byte, error) {
+	n := 0
 	for first := true; ; first = false {
 		var ok bool
 		var err error
 		if b, ok, err = element(b, first); err != nil {
-			return dst, err
+			return b, err
 		} else if !ok {
 			break
 		}
-		var t Tuple
-		if t, b, err = tb.parse(sch, b); err != nil {
-			return dst, fmt.Errorf("tuple %d: %w", len(ts)-len(dst), err)
+		if n == sch.Arity() {
+			return b, fmt.Errorf("more than %d values, schema wants %[1]d", sch.Arity())
 		}
-		ts = append(ts, t)
+		a := sch.Attr(n)
+		if b, err = read(b, a.Kind); err != nil {
+			return b, fmt.Errorf("attribute %q: %w", a.Name, err)
+		}
+		n++
+	}
+	if n != sch.Arity() {
+		return b, fmt.Errorf("%d values, schema wants %d", n, sch.Arity())
+	}
+	return b, nil
+}
+
+// parseRow reads the tuple at the front of b into the next row and
+// returns what follows it: a plain string's bytes go straight into the
+// string blocks, and no Value is built for one. The row is counted only
+// when it reads whole.
+func (tb *TupleBlocks) parseRow(sch *schema.Schema, b []byte) ([]byte, error) {
+	tb.whole(sch.Arity())
+	row, c := tb.slot(sch.Arity()), 0
+	b, err := eachValue(sch, b, func(b []byte, k value.Kind) ([]byte, error) {
+		if s, rest, ok := value.PlainJSONString(b); ok && k == value.KindString {
+			if len(s) == 0 {
+				row[c] = cell{kind: uint8(value.KindString)}
+			} else {
+				tb.strs.room(len(s), stringBlock)
+				row[c] = tb.strs.putBytes(s)
+			}
+			c++
+			return rest, nil
+		}
+		v, rest, err := value.ParseJSON(b, k)
+		if err == nil {
+			row[c] = tb.strs.cellOf(v, stringBlock)
+			c++
+		}
+		return rest, err
+	})
+	if err == nil {
+		tb.rows++
+	}
+	return b, err
+}
+
+// ParseTuplesJSON reads b, a JSON array of tuples over sch and nothing
+// else, into rows of the blocks — a snapshot segment's run of 1,024
+// tuples takes a few allocations for its cells and strings, not 1,024 —
+// and returns the rows it read. On an error the blocks hold the rows
+// they held.
+func (tb *TupleBlocks) ParseTuplesJSON(sch *schema.Schema, b []byte) (Rows, error) {
+	start := tb.rows
+	for first := true; ; first = false {
+		var ok bool
+		var err error
+		if b, ok, err = element(b, first); err != nil {
+			tb.rows = start
+			return Rows{}, err
+		} else if !ok {
+			break
+		}
+		if b, err = tb.parseRow(sch, b); err != nil {
+			err = fmt.Errorf("tuple %d: %w", tb.rows-start, err)
+			tb.rows = start
+			return Rows{}, err
+		}
 	}
 	if len(skipSpace(b)) > 0 {
-		return dst, fmt.Errorf("trailing bytes after the JSON array")
+		tb.rows = start
+		return Rows{}, fmt.Errorf("trailing bytes after the JSON array")
 	}
-	return ts, nil
+	return tb.Rows().Slice(start-tb.first, tb.rows-tb.first), nil
 }

@@ -106,25 +106,29 @@ func TestTupleJSONRoundTrip(t *testing.T) {
 			t.Fatalf("%s re-appended as %s", b, again)
 		}
 		// The same tuple inside a list, beside itself.
-		list := AppendTuplesJSON([]byte("junk"), []Tuple{tup, tup})[4:]
+		list := AppendTuplesJSON([]byte("junk"), RowsOf(tup, tup))[4:]
 		ts, err := parseTuples(sch, list)
 		if err != nil || len(ts) != 2 || !sameTuple(ts[0], tup) || !sameTuple(ts[1], tup) {
 			t.Fatalf("%s read back as %v (%v)", list, ts, err)
 		}
-		// Read again into the same blocks, behind what dst holds: appended,
-		// and on a refusal dst comes back as given.
+		// Read twice into the same blocks: the second read's rows follow
+		// the first's, a refusal leaves the blocks as they were, and the
+		// first read's rows read as they did.
 		var tb TupleBlocks
-		ts2, err := tb.ParseTuplesJSON(sch, ts[:1:1], list)
-		if err != nil || len(ts2) != 3 || !sameTuple(ts2[0], tup) || !sameTuple(ts2[2], tup) {
-			t.Fatalf("%s read behind a tuple as %v (%v)", list, ts2, err)
+		first, err := tb.ParseTuplesJSON(sch, list)
+		if err != nil || first.Len() != 2 {
+			t.Fatalf("%s read as %d rows (%v)", list, first.Len(), err)
 		}
-		if back, err := tb.ParseTuplesJSON(sch, ts2, list[:len(list)-1]); err == nil || len(back) != 3 {
-			t.Fatalf("a torn %s read as %d tuples (%v)", list, len(back), err)
+		second, err := tb.ParseTuplesJSON(sch, list)
+		if err != nil || second.Len() != 2 || tb.Len() != 4 || !sameTuple(second.TupleInto(nil, 1), tup) {
+			t.Fatalf("%s read behind two rows as %d, the blocks holding %d (%v)", list, second.Len(), tb.Len(), err)
 		}
-		// The two share a block of values, each capped at its arity: an
-		// append to the first leaves the second as it was.
-		if _ = append(ts[0], value.Null); cap(ts[0]) != len(tup) || !sameTuple(ts[1], tup) {
-			t.Fatalf("%s read back with capacity %d, the second as %v after an append to the first", list, cap(ts[0]), ts[1])
+		if back, err := tb.ParseTuplesJSON(sch, list[:len(list)-1]); err == nil || back.Len() != 0 || tb.Len() != 4 {
+			t.Fatalf("a torn %s read as %d rows, the blocks holding %d (%v)", list, back.Len(), tb.Len(), err)
+		}
+		all := tb.Rows()
+		if !sameTuple(first.TupleInto(nil, 0), tup) || !sameTuple(all.TupleInto(nil, 3), tup) {
+			t.Fatalf("%s reads %v and %v once more rows were read behind it", list, first.TupleInto(nil, 0), all.TupleInto(nil, 3))
 		}
 	}
 	null := Tuple{value.Null, value.Null, value.Null, value.Null}
@@ -159,7 +163,7 @@ func TestTupleJSONRoundTrip(t *testing.T) {
 		}
 		check(kindsSchema(kinds...), tup)
 	}
-	if ts, err := parseTuples(allKinds, AppendTuplesJSON(nil, nil)); err != nil || len(ts) != 0 {
+	if ts, err := parseTuples(allKinds, AppendTuplesJSON(nil, Rows{})); err != nil || len(ts) != 0 {
 		t.Fatalf("the empty list read back as %v (%v)", ts, err)
 	}
 	if i := (Tuple{value.Int(1), value.String("ok"), value.String("a\xffb"), value.String("\xfe")}).InvalidUTF8(); i != 2 {
@@ -407,8 +411,17 @@ func TestTupleJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// parseTuples reads a JSON array of tuples into blocks of its own.
+// parseTuples reads a JSON array of tuples into blocks of its own and
+// materialises them.
 func parseTuples(sch *schema.Schema, b []byte) ([]Tuple, error) {
 	var tb TupleBlocks
-	return tb.ParseTuplesJSON(sch, nil, b)
+	rows, err := tb.ParseTuplesJSON(sch, b)
+	if err != nil {
+		return nil, err
+	}
+	ts := make([]Tuple, rows.Len())
+	for i := range ts {
+		ts[i] = rows.TupleInto(nil, i)
+	}
+	return ts, nil
 }

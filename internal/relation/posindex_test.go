@@ -264,7 +264,7 @@ func TestKeyIndexEqualsItsReferences(t *testing.T) {
 						for i, c := range r.keyCols[ki] {
 							vals[i] = tup[c]
 						}
-						rows := r.tuples
+						rows := r.Tuples()
 						if err == nil {
 							rows = rows[:len(rows)-1]
 						}
@@ -279,7 +279,7 @@ func TestKeyIndexEqualsItsReferences(t *testing.T) {
 				continue
 			}
 			key := w.probe()
-			got, want := r.LookupKey(key...), nestedLookup(r.tuples, r.keyCols[0], key)
+			got, want := r.LookupKey(key...), nestedLookup(r.Tuples(), r.keyCols[0], key)
 			if !hostile {
 				if old := ref.lookup(key); old != want {
 					t.Fatalf("seed %d step %d: the references disagree on LookupKey(%v): string-keyed %d, nested loop %d", seed, step, key, old, want)
@@ -299,7 +299,7 @@ func TestKeyIndexEqualsItsReferences(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			key := w.probe()
-			if got, want := c.LookupKey(key...), nestedLookup(c.tuples, c.keyCols[0], key); got != want {
+			if got, want := c.LookupKey(key...), nestedLookup(c.Tuples(), c.keyCols[0], key); got != want {
 				t.Fatalf("seed %d: sorted clone: LookupKey(%v) = %d, want %d", seed, key, got, want)
 			}
 		}

@@ -5,12 +5,20 @@
 // entities of the same type can be represented as tuples in relations"
 // (§3.1).
 //
-// A relation's tuples have one resident form: their values in blocks of
-// about 64 tuples and their strings in blocks of up to 4 KiB
-// (TupleBlocks), either the relation's own — Insert and InsertAdmitted
-// file a copy of the tuple they are given there — or a decoder's, handed
-// over whole (InsertAll, KeepAdmitted). Each tuple's capacity is its
-// arity, so no append to one reaches the next.
+// A relation's tuples have one resident form, TupleBlocks (cells.go): no
+// Tuple is held, and no value.Value. Each cell is 16 bytes with no
+// pointer in it — a number, a bool or NULL inline, a string a block, an
+// offset and a length — laid out row-major, arity to a row, in blocks
+// that never move (128 rows each past the first few, which double up to
+// it); the strings lie in the relation's own string blocks, its only
+// pointers. Insert and InsertAdmitted file a copy of
+// the tuple they are given; InsertAll and KeepAdmitted take rows a
+// decoder parsed straight into cells, the cells copied and the decoder's
+// string blocks adopted whole. Whatever returns a Tuple materialises it:
+// At is the one cell read, a string rebuilt as a substring of its block
+// with no copy, and TupleInto reads a row into the caller's scratch.
+// Rows is a prefix of the rows that reads the same while the relation
+// grows: what a lock-free reader is published.
 //
 // Key enforcement deliberately skips NULLs: the extended relations R′ and
 // S′ of §4.2 carry NULL in attributes the source relation never modeled,
@@ -87,10 +95,7 @@ func (t Tuple) Identical(o Tuple) bool {
 // candidate keys declared on the schema are enforced likewise.
 type Relation struct {
 	schema *schema.Schema
-	// tuples are an ordinary relation's rows; an image relation has none.
-	// What InsertAdmitted files lies in blocks, whose rest is what the
-	// next filed tuples are cut from.
-	tuples []Tuple
+	// blocks are an ordinary relation's rows; an image relation has none.
 	blocks TupleBlocks
 	// keyCols holds, per candidate key, the column offsets of its
 	// attributes — resolved once, so key projection indexes the tuple
@@ -106,7 +111,7 @@ type Relation struct {
 	limit int
 
 	// lender marks an image relation (NewImage) or a view of one
-	// (NewView) and is the relation it extends: row i is lender.tuples[i]
+	// (NewView) and is the relation it extends: row i is lender's row i
 	// overlaid with the cells of row i in the image's arena. A view shares
 	// its image's arena and reads each cell's image column through remap,
 	// which is nil on the image itself.
@@ -116,12 +121,33 @@ type Relation struct {
 }
 
 // arena is an image's derived cells: those of row i are [end[i-1],
-// end[i]), each an image column and the value the image holds there.
-// Append-only.
+// end[i]), each an image column and the cell the image holds there, its
+// string in the arena's own string blocks. Append-only. A derived string
+// is an ILFD's consequent, one of the few its set holds, so each is
+// copied in once: interned maps it to its cell.
 type arena struct {
-	col []int32
-	val []value.Value
-	end []uint32
+	col      []int32
+	val      []cell
+	end      []uint32
+	strs     strs
+	interned map[string]cell
+}
+
+// cellOf returns the cell of derived value v, copying a string in the
+// first time it is derived.
+func (a *arena) cellOf(v value.Value) cell {
+	if v.Kind() != value.KindString {
+		return a.strs.cellOf(v, 0)
+	}
+	if c, ok := a.interned[v.Str()]; ok {
+		return c
+	}
+	if a.interned == nil {
+		a.interned = map[string]cell{}
+	}
+	c := a.strs.cellOf(v, stringBlock/8)
+	a.interned[c.value(a.strs.sealed, a.strs.tail.String()).Str()] = c
+	return c
 }
 
 // New creates an empty relation with the given schema.
@@ -232,17 +258,17 @@ func (r *Relation) Adopt(ext Tuple) error {
 	}
 	a := r.cells
 	i := len(a.end)
-	if i >= len(r.lender.tuples) {
-		return fmt.Errorf("relation %s: adopt: row %d has no tuple to extend: %s holds %d", r.schema.Name(), i, r.lender.schema.Name(), len(r.lender.tuples))
+	if i >= r.lender.Len() {
+		return fmt.Errorf("relation %s: adopt: row %d has no tuple to extend: %s holds %d", r.schema.Name(), i, r.lender.schema.Name(), r.lender.Len())
 	}
 	if err := checkShape(r.schema, ext); err != nil {
 		return err
 	}
-	src, mark := r.lender.tuples[i], len(a.val)
+	base, mark := r.lender.schema.Arity(), len(a.val)
 	for c, v := range ext {
 		var have value.Value // NULL past the lender's arity
-		if c < len(src) {
-			have = src[c]
+		if c < base {
+			have = r.lender.blocks.at(i, c)
 		}
 		if v.Canon() == have.Canon() {
 			continue
@@ -250,9 +276,9 @@ func (r *Relation) Adopt(ext Tuple) error {
 		if !have.IsNull() {
 			a.col, a.val = a.col[:mark], a.val[:mark]
 			return fmt.Errorf("relation %s: adopt: image %v of row %d holds %v for %q where tuple %v of %s holds %v",
-				r.schema.Name(), ext, i, v, r.schema.Attr(c).Name, src, r.lender.schema.Name(), have)
+				r.schema.Name(), ext, i, v, r.schema.Attr(c).Name, r.lender.Tuple(i), r.lender.schema.Name(), have)
 		}
-		a.col, a.val = append(a.col, int32(c)), append(a.val, v)
+		a.col, a.val = append(a.col, int32(c)), append(a.val, a.cellOf(v))
 	}
 	if uint64(len(a.val)) > math.MaxUint32 {
 		a.col, a.val = a.col[:mark], a.val[:mark]
@@ -290,7 +316,7 @@ func (r *Relation) Len() int {
 	if r.lender != nil {
 		return len(r.cells.end)
 	}
-	return len(r.tuples)
+	return r.blocks.rows
 }
 
 // At returns column c of tuple i. It is how a row of an image relation
@@ -299,15 +325,16 @@ func (r *Relation) Len() int {
 //entitylint:hotpath nolock,noobs,noio
 func (r *Relation) At(i, c int) value.Value {
 	if r.lender == nil {
-		return r.tuples[i][c]
+		return r.blocks.at(i, c)
 	}
-	for k, hi := r.cells.row(i); k < hi; k++ {
+	a := r.cells
+	for k, hi := a.row(i); k < hi; k++ {
 		if r.col(k) == c {
-			return r.cells.val[k]
+			return a.val[k].value(a.strs.sealed, a.strs.tail.String())
 		}
 	}
-	if src := r.lender.tuples[i]; c < len(src) {
-		return src[c]
+	if c < r.lender.blocks.arity {
+		return r.lender.blocks.at(i, c)
 	}
 	return value.Null
 }
@@ -319,15 +346,18 @@ func (r *Relation) At(i, c int) value.Value {
 //
 //entitylint:hotpath nolock,noobs,noio
 func (r *Relation) TupleInto(dst Tuple, i int) Tuple {
+	dst = slices.Grow(dst[:0], r.schema.Arity())
 	if r.lender == nil {
-		return append(dst[:0], r.tuples[i]...)
+		return r.blocks.tupleInto(dst, i)
 	}
-	dst = append(dst[:0], r.lender.tuples[i]...)
+	dst = r.lender.blocks.tupleInto(dst, i)
 	for n := r.schema.Arity(); len(dst) < n; {
 		dst = append(dst, value.Null)
 	}
-	for k, hi := r.cells.row(i); k < hi; k++ {
-		dst[r.col(k)] = r.cells.val[k]
+	a := r.cells
+	tail := a.strs.tail.String()
+	for k, hi := a.row(i); k < hi; k++ {
+		dst[r.col(k)] = a.val[k].value(a.strs.sealed, tail)
 	}
 	return dst
 }
@@ -351,24 +381,21 @@ func (r *Relation) LayOut(dst, row Tuple) Tuple {
 	return dst
 }
 
-// Tuple returns the tuple at position i: an ordinary relation's own row
-// (not a copy; callers must not mutate it), an image relation's row
-// materialised — a sweep reads through TupleInto and a scratch row
-// instead.
+// Tuple returns the tuple at position i, materialised: a Tuple of its
+// own, the caller's. A loop over rows reads through At or TupleInto and
+// a scratch row instead.
 func (r *Relation) Tuple(i int) Tuple {
-	if r.lender != nil {
-		return r.TupleInto(make(Tuple, 0, r.schema.Arity()), i)
-	}
-	return r.tuples[i]
+	return r.TupleInto(make(Tuple, 0, r.schema.Arity()), i)
 }
 
-// Tuples returns the tuples in insertion order: an ordinary relation's
-// own slice (shared; callers must not mutate it), an image relation's
-// rows materialised, all of them, on every call.
+// Rows returns the rows an ordinary relation holds now, a prefix that
+// reads the same however the relation grows after: what a reader that
+// does not order itself with the writer is handed.
+func (r *Relation) Rows() Rows { return r.blocks.Rows() }
+
+// Tuples returns the tuples in insertion order, materialised, all of
+// them, on every call: the caller's.
 func (r *Relation) Tuples() []Tuple {
-	if r.lender == nil {
-		return r.tuples
-	}
 	arity := r.schema.Arity()
 	out, cells := make([]Tuple, r.Len()), make(Tuple, r.Len()*arity)
 	for i := range out {
@@ -433,7 +460,7 @@ func (r *Relation) find(ki int, h uint64, vals Tuple, cols []int) int {
 chain:
 	for pos := ix.Last(h); pos >= 0; pos = ix.Prev(pos) {
 		for n, c := range r.keyCols[ki] {
-			if r.tuples[pos][c].Canon() != projected(vals, cols, n).Canon() {
+			if r.blocks.at(pos, c).Canon() != projected(vals, cols, n).Canon() {
 				continue chain
 			}
 		}
@@ -499,7 +526,7 @@ func (r *Relation) AdmitBehind(t Tuple, ahead int, held []uint64) (Admission, er
 	if err := checkShape(r.schema, t); err != nil {
 		return Admission{}, err
 	}
-	a := Admission{r: r, t: t, at: len(r.tuples) + ahead}
+	a := Admission{r: r, t: t, at: r.blocks.rows + ahead}
 	if a.at >= r.limit {
 		return Admission{}, fmt.Errorf("relation %s: full: it holds %d tuples, the most a position index files", r.schema.Name(), a.at)
 	}
@@ -542,7 +569,7 @@ func (a *Admission) KeyHashes(dst []uint64) []uint64 {
 func heldHash(ki int, h uint64) uint64 { return h + uint64(ki)*0x9e3779b97f4a7c15 }
 
 // InsertAdmitted files a copy of an admitted tuple into the relation's
-// blocks — its values and its strings: the tuple stays the caller's —
+// blocks — its cells and its strings: the tuple stays the caller's —
 // under the key hashes it was admitted on. It fails, changing nothing,
 // if the admission is another relation's or the relation has changed
 // since.
@@ -550,59 +577,66 @@ func (r *Relation) InsertAdmitted(a Admission) error {
 	if err := r.stale(a); err != nil {
 		return err
 	}
-	r.file(a, r.blocks.keep(a.t))
+	r.blocks.keep(a.t)
+	r.index(a)
 	return nil
 }
 
-// KeepAdmitted is InsertAdmitted keeping the admitted tuple itself, not a
-// copy, under InsertAll's rule: the caller hands the tuple over.
-func (r *Relation) KeepAdmitted(a Admission) error {
+// KeepAdmitted is InsertAdmitted for a tuple admitted as row i of rows,
+// a decoder's: the row's cells are copied and the string blocks its
+// strings lie in adopted, under InsertAll's rule.
+func (r *Relation) KeepAdmitted(a Admission, rows Rows, i int) error {
 	if err := r.stale(a); err != nil {
 		return err
 	}
-	r.file(a, a.t)
+	r.blocks.take(&rows, i)
+	r.index(a)
 	return nil
 }
 
 // stale refuses admission a unless r gave it and has not changed since.
 func (r *Relation) stale(a Admission) error {
-	if a.r != r || a.at != len(r.tuples) {
-		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, len(r.tuples))
+	if a.r != r || a.at != r.blocks.rows {
+		return fmt.Errorf("relation %s: stale admission: given at %d tuples, the relation holds %d", r.schema.Name(), a.at, r.blocks.rows)
 	}
 	return nil
 }
 
-// file appends t, the tuple of admission a or its copy, under a's key
-// hashes.
-func (r *Relation) file(a Admission, t Tuple) {
-	r.tuples = append(r.tuples, t)
+// index files the row just filed under admission a's key hashes.
+func (r *Relation) index(a Admission) {
 	for ki, ix := range r.keyIdx {
 		kh := a.key(ki)
 		ix.Add(kh.h, kh.full)
 	}
 }
 
-// InsertAll inserts ts in order, each tuple admitted as Insert admits it
-// — shape and every candidate key — but kept itself, not copied: the
-// caller, a decoder whose blocks the tuples were cut from, hands the
-// tuples over, and into an empty relation the slice too. The relation
-// and its key indexes are sized for all of ts first. On a refusal the
-// tuples before the refused one stay inserted.
-func (r *Relation) InsertAll(ts []Tuple) error {
-	if len(r.tuples) == 0 {
-		r.tuples = ts[:0]
-	} else {
-		r.tuples = slices.Grow(r.tuples, len(ts))
+// InsertAll inserts the rows of each of runs in order, each admitted as
+// Insert admits it — shape and every candidate key — and taken as a
+// decoder parsed it: where a decoder laid it out where the relation
+// holds it next (TupleBlocks.Skip), the block it lies in is adopted; else
+// its cells are copied, 16 bytes each. The string blocks its strings lie
+// in are adopted whole, so no string is copied. The key indexes are sized
+// for all of runs first. On a refusal the rows before the refused one
+// stay inserted.
+func (r *Relation) InsertAll(runs ...Rows) error {
+	n := 0
+	for _, rows := range runs {
+		n += rows.Len()
 	}
 	for _, ix := range r.keyIdx {
-		ix.Reserve(len(ts))
+		ix.Reserve(n)
 	}
-	for _, t := range ts {
-		a, err := r.Admit(t)
-		if err != nil {
-			return err
+	t := make(Tuple, 0, r.schema.Arity())
+	for _, rows := range runs {
+		for i := range rows.Len() {
+			t = rows.TupleInto(t, i)
+			a, err := r.Admit(t)
+			if err != nil {
+				return err
+			}
+			r.blocks.take(&rows, i)
+			r.index(a)
 		}
-		r.file(a, t)
 	}
 	return nil
 }
@@ -712,11 +746,10 @@ rows:
 func (r *Relation) Clone() *Relation {
 	out := New(r.schema)
 	out.bag = r.bag
-	out.tuples = make([]Tuple, r.Len())
 	var row Tuple
-	for i := range out.tuples {
+	for i := range r.Len() {
 		row = r.TupleInto(row, i)
-		out.tuples[i] = out.blocks.keep(row)
+		out.blocks.keep(row)
 	}
 	out.reindex()
 	return out
@@ -763,8 +796,9 @@ func (r *Relation) Sort(attrs ...string) error {
 			idx = append(idx, j)
 		}
 	}
-	sort.SliceStable(r.tuples, func(a, b int) bool {
-		ta, tb := r.tuples[a], r.tuples[b]
+	ts := r.Tuples()
+	sort.SliceStable(ts, func(a, b int) bool {
+		ta, tb := ts[a], ts[b]
 		for _, j := range idx {
 			if c := value.Compare(ta[j], tb[j]); c != 0 {
 				return c < 0
@@ -772,14 +806,20 @@ func (r *Relation) Sort(attrs ...string) error {
 		}
 		return false
 	})
+	r.blocks = TupleBlocks{}
+	for _, t := range ts {
+		r.blocks.keep(t)
+	}
 	r.reindex()
 	return nil
 }
 
 func (r *Relation) reindex() {
+	var t Tuple
 	for ki, cols := range r.keyCols {
 		r.keyIdx[ki] = NewPosIndex()
-		for _, t := range r.tuples {
+		for i := range r.blocks.rows {
+			t = r.blocks.tupleInto(t, i)
 			kh := r.hashKey(ki, t, cols)
 			r.keyIdx[ki].Add(kh.h, kh.full)
 		}

@@ -129,6 +129,18 @@ func AppendJSON(b []byte, v Value) []byte {
 	}
 }
 
+// PlainJSONString returns the bytes between the quotes of the JSON
+// string at the front of b when they are the string itself — no escape,
+// no control character, only UTF-8 — and what follows it; ok is false
+// for any other scalar, which ParseJSON reads.
+func PlainJSONString(b []byte) (s, rest []byte, ok bool) {
+	n, plain := scalarLen(b)
+	if !plain {
+		return nil, b, false
+	}
+	return b[1 : n-1], b[n:], true
+}
+
 // ParseJSON reads the JSON scalar at the front of b as a value of kind
 // k and returns what follows it. null is NULL for every kind; a string
 // is itself for KindString and Parse's reading of its text for any
@@ -136,61 +148,8 @@ func AppendJSON(b []byte, v Value) []byte {
 // are read exactly, any other notation through float64) or a float;
 // true and false are bools. Anything else — an array, an object, a
 // scalar of another kind, malformed JSON — is an error.
-func ParseJSON(b []byte, k Kind) (Value, []byte, error) { return parseJSON(b, k, nil) }
+func ParseJSON(b []byte, k Kind) (Value, []byte, error) {
 
-// StringBlocks holds strings in shared blocks of up to stringBlock bytes
-// rather than one allocation each: ParseJSON cuts the plain strings it
-// reads from them, so a decoded run or log tail allocates a block per
-// few hundred strings, not one per string, and Copy copies a string in
-// (a relation keeps its tuples' strings so). A block lives as long as
-// any string cut from it. The zero value is ready to use.
-type StringBlocks struct{ block strings.Builder }
-
-// stringBlock is the size of one StringBlocks block that ParseJSON
-// starts, and the most Copy starts for strings that fit in it.
-const stringBlock = 4 << 10
-
-// ParseJSON is ParseJSON, its plain strings cut from the blocks — or, on
-// a nil StringBlocks, allocated alone.
-func (sb *StringBlocks) ParseJSON(b []byte, k Kind) (Value, []byte, error) {
-	return parseJSON(b, k, sb)
-}
-
-// cut copies b into the block, starting another when it does not fit. A
-// strings.Builder never writes over what it holds, so a string cut from
-// it stays as it was.
-func (sb *StringBlocks) cut(b []byte) string {
-	if sb.block.Cap()-sb.block.Len() < len(b) {
-		sb.block = strings.Builder{}
-		sb.block.Grow(max(stringBlock, len(b)))
-	}
-	n := sb.block.Len()
-	sb.block.Write(b)
-	return sb.block.String()[n:]
-}
-
-// Copy returns a copy of s cut from the blocks. want is how many bytes
-// the caller is about to copy, s's first; when s does not fit, the block
-// Copy starts holds them all — or, when that is less, twice the last
-// block, up to stringBlock. So blocks that hold a few strings start at
-// their size and double: a relation of a handful of tuples does not pay
-// for a whole block.
-func (sb *StringBlocks) Copy(s string, want int) string {
-	if s == "" {
-		return ""
-	}
-	if sb.block.Cap()-sb.block.Len() < len(s) {
-		size := max(want, min(stringBlock, 2*sb.block.Cap()))
-		sb.block = strings.Builder{}
-		sb.block.Grow(size)
-	}
-	n := sb.block.Len()
-	sb.block.WriteString(s)
-	return sb.block.String()[n:]
-}
-
-// parseJSON is ParseJSON, its plain strings cut from sb unless it is nil.
-func parseJSON(b []byte, k Kind, sb *StringBlocks) (Value, []byte, error) {
 	n, plain := scalarLen(b)
 	tok, rest := b[:n], b[n:]
 	switch {
@@ -200,9 +159,7 @@ func parseJSON(b []byte, k Kind, sb *StringBlocks) (Value, []byte, error) {
 		// decode or refuse.
 		var s string
 		var err error
-		if plain && sb != nil {
-			s = sb.cut(tok[1 : n-1])
-		} else if plain {
+		if plain {
 			s = string(tok[1 : n-1])
 		} else if s, err = unquoteJSON(tok); err != nil {
 			return Null, b, err

@@ -97,6 +97,20 @@ func Bool(b bool) Value {
 	return Value{kind: KindBool}
 }
 
+// Scalar returns the value of kind k, NULL or a scalar kind, whose word
+// is w: what Word returns of it. It is how a value held as its kind and
+// its word is rebuilt.
+func Scalar(k Kind, w uint64) Value {
+	if k == KindString {
+		panic("value: a string is no scalar")
+	}
+	return Value{kind: k, n: w}
+}
+
+// Word returns the word v's scalar kind holds — an integer's bits, a
+// float's IEEE bits, a boolean's 0 or 1 — and 0 for NULL and a string.
+func (v Value) Word() uint64 { return v.n }
+
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
 

@@ -217,10 +217,10 @@ func FuzzRunChunk(f *testing.F) {
 	})
 	wok := relation.Tuple{value.String("wok"), value.Int(3), value.Float(0.5), value.Bool(true), value.Null}
 	for _, p := range [][]byte{
-		AppendRun(nil, "zagat", false, []relation.Tuple{wok}),           // a log insert
-		AppendRun(nil, "zagat", true, []relation.Tuple{wok, wok}),       // a registration's seeds, continued
-		AppendRun(nil, "zagat", false, nil),                             // a registration without seeds
-		AppendRun(nil, "z\"a\\<&>\u2028", false, []relation.Tuple{wok}), // a snapshot run's last chunk
+		AppendRun(nil, "zagat", false, relation.RowsOf(wok)),           // a log insert
+		AppendRun(nil, "zagat", true, relation.RowsOf(wok, wok)),       // a registration's seeds, continued
+		AppendRun(nil, "zagat", false, relation.Rows{}),                // a registration without seeds
+		AppendRun(nil, "z\"a\\<&>\u2028", false, relation.RowsOf(wok)), // a snapshot run's last chunk
 		[]byte(`{"source":"zagat","tuples":[["w<ok\"",-9223372036854775808,-0,false,"NaN"]]}`),
 		[]byte(`{"source":"z\u0061","more":true,"tuples":[[ "x" ,1e2,1, true, null ] ]}`),
 		[]byte(`{"source":"","tuples":[["a",1,1,true,null]]}`),
@@ -236,7 +236,7 @@ func FuzzRunChunk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, name, s string, n int64, k uint8, more bool) {
 		var tb relation.TupleBlocks
 		if run, err := CutRun(payload); err == nil {
-			if _, err := run.Tuples(&tb, sch, nil); err == nil {
+			if _, err := run.Tuples(&tb, sch); err == nil {
 				var ref refRun
 				if err := json.Unmarshal(payload, &ref); err != nil || ref.Source != string(run.Source) || ref.More != run.More || !bytes.Equal(ref.Tuples, run.tuples) {
 					t.Fatalf("CutRun read %s as (%q, %v, %s); encoding/json as %+v, %v", payload, run.Source, run.More, run.tuples, ref, err)
@@ -254,8 +254,8 @@ func FuzzRunChunk(f *testing.F) {
 			ts[i] = relation.Tuple{value.String(s + strconv.Itoa(i)), value.Int(m), value.Float(float64(m) / 7), value.Bool(m%2 == 0), value.Null}
 			read[i] = append(relation.Tuple{value.String(spelled(s) + strconv.Itoa(i))}, ts[i][1:]...)
 		}
-		p := AppendRun(nil, name, more, ts)
-		want, err := json.Marshal(refRun{Source: name, More: more, Tuples: relation.AppendTuplesJSON(nil, ts)})
+		p := AppendRun(nil, name, more, relation.RowsOf(ts...))
+		want, err := json.Marshal(refRun{Source: name, More: more, Tuples: relation.AppendTuplesJSON(nil, relation.RowsOf(ts...))})
 		if err != nil || !bytes.Equal(p, want) {
 			t.Fatalf("AppendRun wrote %s, encoding/json %s (%v)", p, want, err)
 		}
@@ -266,13 +266,13 @@ func FuzzRunChunk(f *testing.F) {
 		if name == "" {
 			return
 		}
-		got, err := run.Tuples(&tb, sch, nil)
-		if string(run.Source) != spelled(name) || run.More != more || err != nil || len(got) != len(read) {
-			t.Fatalf("CutRun read %s as (%q, %v, %v), %v", p, run.Source, run.More, got, err)
+		got, err := run.Tuples(&tb, sch)
+		if string(run.Source) != spelled(name) || run.More != more || err != nil || got.Len() != len(read) {
+			t.Fatalf("CutRun read %s as (%q, %v, %d tuples), %v", p, run.Source, run.More, got.Len(), err)
 		}
-		for i := range got {
-			if !got[i].Identical(read[i]) {
-				t.Fatalf("CutRun read %s's tuple %d as %v, want %v", p, i, got[i], read[i])
+		for i := range got.Len() {
+			if tup := got.TupleInto(nil, i); !tup.Identical(read[i]) {
+				t.Fatalf("CutRun read %s's tuple %d as %v, want %v", p, i, tup, read[i])
 			}
 		}
 	})

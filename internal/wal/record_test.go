@@ -162,7 +162,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	// A run record is not an envelope: it is read by its own reader, and
 	// the envelope decoder takes it for a record of no type.
-	run := AppendRun(nil, env.SourceBegin.Name, false, []relation.Tuple{tup})
+	run := AppendRun(nil, env.SourceBegin.Name, false, relation.RowsOf(tup))
 	if !IsRun(run) || IsRun(payload) {
 		t.Fatalf("IsRun(%s) = %v, IsRun(%s) = %v", run, IsRun(run), payload, IsRun(payload))
 	}

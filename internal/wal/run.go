@@ -26,9 +26,10 @@ import (
 // refused.
 const runPrefix = `{"source":`
 
-// AppendRun appends a run record's payload: source's tuples ts, marked
+// AppendRun appends a run record's payload: source's tuples ts — a
+// relation's rows, or tuples the caller holds (relation.RowsOf) — marked
 // more when the run continues in the next record.
-func AppendRun(b []byte, source string, more bool, ts []relation.Tuple) []byte {
+func AppendRun(b []byte, source string, more bool, ts relation.Rows) []byte {
 	b = value.AppendJSONString(append(b, runPrefix...), source)
 	if more {
 		b = append(b, `,"more":true`...)
@@ -95,8 +96,8 @@ func cutName(p []byte) (name, rest []byte, ok bool) {
 	return []byte(v.Str()), rest, true
 }
 
-// Tuples reads the run's tuples over sch into tb's blocks and appends
-// them to dst; on an error dst comes back as it was given.
-func (r Run) Tuples(tb *relation.TupleBlocks, sch *schema.Schema, dst []relation.Tuple) ([]relation.Tuple, error) {
-	return tb.ParseTuplesJSON(sch, dst, r.tuples)
+// Tuples reads the run's tuples over sch into rows of tb's blocks and
+// returns them; on an error tb holds the rows it held.
+func (r Run) Tuples(tb *relation.TupleBlocks, sch *schema.Schema) (relation.Rows, error) {
+	return tb.ParseTuplesJSON(sch, r.tuples)
 }
