@@ -3,8 +3,9 @@
 // and each /v1/clusters line with the next_cursor or terminal line that
 // ends a stream, are appended into a caller-owned []byte, with no
 // intermediate map and no reflection. A member's tuple is the tuple
-// codec's bytes (relation.AppendTupleJSON — what the log and the
-// snapshots hold too); this file is the objects around them. The output
+// codec's bytes, rendered from the cells it lies in
+// (relation.Rows.AppendRowJSON — what the log and the snapshots hold
+// too); this file is the objects around them. The output
 // is byte for byte what encoding/json writes for the sorted-key map form
 // of the same line (kept in render_test.go as the reference the property
 // test and FuzzClusterJSON hold this file and the codec's appenders
@@ -18,7 +19,6 @@ import (
 	"strconv"
 
 	"entityid"
-	"entityid/internal/relation"
 	"entityid/internal/value"
 )
 
@@ -71,7 +71,8 @@ func (s *server) appendMembers(b []byte, ms []entityid.ClusterMember) []byte {
 		b = append(b, `,"source":`...)
 		b = s.appendSource(b, m.Source)
 		b = append(b, `,"tuple":`...)
-		b = relation.AppendTupleJSON(b, m.Tuple)
+		rows, row := m.Row()
+		b = rows.AppendRowJSON(b, row)
 		b = append(b, '}')
 	}
 	return append(b, ']')

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"entityid"
+	"entityid/internal/hub"
 	"entityid/internal/value"
 )
 
@@ -39,8 +40,8 @@ func valueToJSON(v value.Value) any {
 func membersJSON(ms []entityid.ClusterMember) []map[string]any {
 	out := make([]map[string]any, len(ms))
 	for i, m := range ms {
-		tuple := make([]any, len(m.Tuple))
-		for j, v := range m.Tuple {
+		tuple := make([]any, len(m.Tuple()))
+		for j, v := range m.Tuple() {
 			tuple[j] = valueToJSON(v)
 		}
 		out[i] = map[string]any{"source": m.Source, "index": m.Index, "tuple": tuple}
@@ -178,22 +179,22 @@ func randValue(r *rand.Rand, k value.Kind) value.Value {
 // render hub and has its shape; any other has an arbitrary name, arity
 // and kinds (and makes Merged fail, which is the merge_error case).
 func randMember(r *rand.Rand, mergeable bool) entityid.ClusterMember {
-	m := entityid.ClusterMember{Index: r.Intn(1 << 20)}
+	index := r.Intn(1 << 20)
 	if r.Intn(4) == 0 {
-		m.Index = []int{0, 1, math.MaxInt32, math.MaxInt64}[r.Intn(4)]
+		index = []int{0, 1, math.MaxInt32, math.MaxInt64}[r.Intn(4)]
 	}
+	var tuple entityid.Tuple
 	if mergeable {
-		m.Source = []string{"a", "b"}[r.Intn(2)]
 		for _, k := range renderKinds {
-			m.Tuple = append(m.Tuple, randValue(r, k))
+			tuple = append(tuple, randValue(r, k))
 		}
-		return m
+		return hub.MemberOf([]string{"a", "b"}[r.Intn(2)], index, tuple)
 	}
-	m.Source = randString(r)
+	source := randString(r)
 	for n := r.Intn(5); n > 0; n-- {
-		m.Tuple = append(m.Tuple, randValue(r, renderKinds[r.Intn(len(renderKinds))]))
+		tuple = append(tuple, randValue(r, renderKinds[r.Intn(len(renderKinds))]))
 	}
-	return m
+	return hub.MemberOf(source, index, tuple)
 }
 
 func randCluster(r *rand.Rand) entityid.EntityCluster {
@@ -342,12 +343,12 @@ func FuzzClusterJSON(f *testing.F) {
 		}
 		vals := entityid.Tuple{value.String(s1), value.Int(n), value.Float(fl), value.Bool(shape&1 == 0), value.String(s2)}
 		other := entityid.Tuple{value.String(s2), value.Int(-n), value.Float(-fl), value.Bool(shape&2 == 0), value.Null}
-		cl := entityid.EntityCluster{ID: s1, Members: []entityid.ClusterMember{{Source: "a", Index: int(n), Tuple: vals}}}
+		cl := entityid.EntityCluster{ID: s1, Members: []entityid.ClusterMember{hub.MemberOf("a", int(n), vals)}}
 		switch shape >> 2 % 3 {
 		case 1: // two mergeable members that may conflict
-			cl.Members = append(cl.Members, entityid.ClusterMember{Source: "b", Index: int(shape), Tuple: other})
+			cl.Members = append(cl.Members, hub.MemberOf("b", int(shape), other))
 		case 2: // a member of no source the hub knows ("a" and "b"): merge_error
-			cl.Members = append(cl.Members, entityid.ClusterMember{Source: "?" + s2, Index: int(shape), Tuple: other[:int(shape>>4)%6]})
+			cl.Members = append(cl.Members, hub.MemberOf("?"+s2, int(shape), other[:int(shape>>4)%6]))
 		}
 		checkRender(t, srv, cl, cl.Members[1:])
 		checkMessageLines(t, s1)

@@ -7,9 +7,13 @@ package main
 // client left.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -120,5 +124,46 @@ func TestClustersScanFraming(t *testing.T) {
 	w = scan("/v1/clusters", func(cancel func()) { cancel() })
 	if len(w.writes) != 1 || !strings.HasPrefix(strings.Join(lines, ""), w.Body.String()) || !strings.HasSuffix(w.Body.String(), "\n") {
 		t.Fatalf("a scan whose client left at its first write wrote %v: %d bytes", w.writes, w.Body.Len())
+	}
+}
+
+// TestClustersMergeScanGolden streams /v1/clusters?merge=coalesce over
+// the golden script's hub — each member merged through its cells
+// (Hub.Merged reads Rows.At) and rendered from them — and holds the
+// bytes to clusters.golden.json: each of its lines as encoding/json
+// writes it, compact, one a line.
+func TestClustersMergeScanGolden(t *testing.T) {
+	srv := newServer()
+	srv.logf = func(string, ...any) {}
+	var path string
+	for _, st := range goldenScript {
+		if st.name == "clusters" {
+			path = st.path
+			break
+		}
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(st.method, st.path, strings.NewReader(st.body)))
+	}
+	if !strings.Contains(path, "merge=coalesce") {
+		t.Fatalf("the golden script's scan is %q, not a coalescing one", path)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "clusters.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct{ Body []json.RawMessage }
+	if err := json.Unmarshal(raw, &golden); err != nil || len(golden.Body) == 0 {
+		t.Fatalf("clusters.golden.json: %d lines (%v)", len(golden.Body), err)
+	}
+	var want bytes.Buffer
+	for _, line := range golden.Body {
+		if err := json.Compact(&want, line); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+	}
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+	if w.Code != 200 || w.Body.String() != want.String() {
+		t.Fatalf("GET %s: %d\n%s\nwant, byte for byte,\n%s", path, w.Code, w.Body, want.String())
 	}
 }

@@ -579,7 +579,8 @@ func TestHubHoldsExample3(t *testing.T) {
 		if !ok {
 			return name.IsNull()
 		}
-		return value.Identical(name, m.Tuple[0]) && value.Identical(key, m.Tuple[1])
+		t := m.Tuple()
+		return value.Identical(name, t[0]) && value.Identical(key, t[1])
 	}
 	pairs, singles, derived := 0, 0, []string{}
 	used := map[string]bool{}

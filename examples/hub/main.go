@@ -145,7 +145,7 @@ func demo(w io.Writer) error {
 	for _, cl := range h.Clusters() {
 		var ms []string
 		for _, m := range cl.Members {
-			ms = append(ms, fmt.Sprintf("%s[%s]", m.Source, m.Tuple[0]))
+			ms = append(ms, fmt.Sprintf("%s[%s]", m.Source, m.Tuple()[0]))
 		}
 		fmt.Fprintf(w, "  %-10s %s\n", cl.ID, strings.Join(ms, " ≡ "))
 	}
@@ -196,7 +196,7 @@ func demo(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "corrected listing clusters with %s[%s]\n\n",
-		rec.Matched[0].Source, rec.Matched[0].Tuple[0])
+		rec.Matched[0].Source, rec.Matched[0].Tuple()[0])
 
 	// Durability: the same federation, written ahead to disk, surviving
 	// a restart. The directory is single-writer (an flock guards it, so

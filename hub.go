@@ -46,7 +46,8 @@ type AttrMap = match.AttrMap
 // EntityCluster is one global entity: its member tuples across sources.
 type EntityCluster = hub.Cluster
 
-// ClusterMember is one tuple of one cluster.
+// ClusterMember is one tuple of one cluster: its source, its index, and
+// the tuple, built on request (Tuple).
 type ClusterMember = hub.Member
 
 // HubReceipt reports a successful hub insert.
@@ -357,10 +358,10 @@ func (h *Hub) Clusters() []EntityCluster {
 // returns false to stop) — the pagination primitive: the resume cursor
 // tracks the walk position, which stays monotone even when a
 // concurrent merge moves a cluster's ID past the walk's cut. The
-// cluster fn receives is borrowed: its Members slice and its members'
-// tuples are reused for the next cluster and are valid only until fn
-// returns, so a caller that keeps a cluster keeps its Clone; the ID and
-// the resume cursor are the caller's to keep.
+// cluster fn receives is borrowed: its Members slice is reused for the
+// next cluster and is valid only until fn returns, so a caller that
+// keeps a cluster keeps its Clone; the ID, the resume cursor and the
+// members themselves are the caller's to keep.
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c EntityCluster, resume string) bool) error {
 	return h.inner.ClustersWalk(cursor, skip, fn)
 }

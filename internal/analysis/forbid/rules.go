@@ -87,4 +87,9 @@ var Rules = []Rule{{
 	Shape:  Shape{Import: "unsafe"},
 	Reason: "a relation's cells hold no pointer and a cell read rebuilds a string as a substring of its block: the module needs no unsafe",
 	PR:     55,
+}, {
+	Scope:  Scope{Pkgs: []string{"entityid/internal/hub"}},
+	Shape:  Shape{Funcs: []string{"materializeInto", "nodeID"}},
+	Reason: "a served member is its view's rows and its row, rendered from its cells: no read builds its values, and a read cuts its cluster IDs from a block (idBlock), not one string an ID",
+	PR:     56,
 }}

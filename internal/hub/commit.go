@@ -302,16 +302,11 @@ func (h *Hub) commitRun(jobs []streamJob, out []InsertResult, op *obs.Op) (n, ac
 		if merged == nil {
 			merged = []node{nd}
 		}
-		// The cluster's members and the matched ones share one slice. A
-		// tuple that joined no cluster is its own, the tuple the caller
-		// gave; every partner is a member of the cluster the tuple joined:
-		// its member, tuple included, is the cluster's.
+		// The cluster's members and the matched ones share one slice:
+		// every partner is a member of the cluster the tuple joined, and
+		// its member is the cluster's.
 		ms, n := make([]Member, 0, len(merged)+len(t.partners)), len(merged)
-		if n == 1 {
-			rec.Cluster = Cluster{ID: nodeID(topo, nd), Members: append(ms, Member{Source: rec.Source, Index: nd.Idx, Tuple: jobs[i].Tuple})}
-		} else {
-			rec.Cluster, _ = h.materializeInto(ms, nil, topo, merged)
-		}
+		rec.Cluster = h.cluster(ms, topo, merged)
 		rec.Cluster.Members = rec.Cluster.Members[:n:n]
 		if len(t.partners) > 0 {
 			rec.Matched = ms[n : n+len(t.partners)]

@@ -237,7 +237,7 @@ func FuzzCursor(f *testing.F) {
 		n, err := parseCursor(tv, resume)
 		var rest []string
 		werr := h.ClustersWalk(resume, 0, func(c Cluster, _ string) bool { rest = append(rest, c.ID); return true })
-		if err != nil || werr != nil || nodeID(tv, n) != resume || fmt.Sprint(rest) != fmt.Sprint(ids[i+1:]) {
+		if err != nil || werr != nil || new(idBlock).id(tv, n) != resume || fmt.Sprint(rest) != fmt.Sprint(ids[i+1:]) {
 			f.Fatalf("cursor %q handed out after %s: parses to %v (%v), resumes %v (%v), want %v", resume, ids[i], n, err, rest, werr, ids[i+1:])
 		}
 		f.Add(resume)

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -112,17 +113,17 @@ func TestKeyedLookupAllocBound(t *testing.T) {
 
 // TestReadSideAllocBound holds the served read side — what a point
 // read and an enumeration line cost before rendering — to the
-// allocations their results need. A Lookup owns its cluster: it builds
-// the ID, the member slice and one slice for the members' values, which
-// it reads out of the sources' cells (its key probe hashes, and builds
-// nothing); a slice per member's tuple breaks its bound of 3, which was
-// 2 while a member's tuple was the relation's own row. A walk lends its
-// clusters: per cluster it builds the ID alone, in one allocation, and
-// the resume cursor is that ID when the visit node leads; the window
-// with its cut, the closures and the Members and values buffers the walk
-// reuses are paid once. A fresh Members slice or values slice per
-// cluster, an ID built from strconv.Itoa and a concatenation, or a
-// cursor rendered apart from the ID breaks the bound.
+// allocations their results need. A member is where it lies, its
+// source's published rows and its row, so no read builds a value. A
+// Lookup owns its cluster: it builds the member slice and the ID, and
+// nothing else (its key probe hashes, and builds nothing); a slice of
+// the members' values, as when a member carried its tuple, breaks its
+// bound of 2. A walk lends its clusters: it cuts every ID and resume
+// cursor from a block of its own, a few hundred IDs to a block, and pays
+// once for the window with its cut, the closures, and the Members buffer
+// it reuses. So its bound is a constant, the same over 4 clusters as
+// over 2,048: an allocation per cluster — an ID of its own, a fresh
+// Members slice, a slice of values — breaks it a thousand times over.
 func TestReadSideAllocBound(t *testing.T) {
 	h := twoSourceHub(t)
 	for _, id := range []string{"a1", "a2", "a3"} {
@@ -141,32 +142,50 @@ func TestReadSideAllocBound(t *testing.T) {
 	if bad {
 		t.Fatal("Lookup missed cluster A/0")
 	}
-	if avg > 3 {
-		t.Fatalf("Lookup allocates %.1f times, want <= 3", avg)
+	if avg > 2 {
+		t.Fatalf("Lookup allocates %.1f times, want <= 2", avg)
 	}
-	t.Logf("Lookup: %.1f allocs (bound 3)", avg)
-	const clusters = 4 // {A/0,B/0}, A/1, A/2, A/3
-	avg = testing.AllocsPerRun(200, func() {
-		n := 0
-		err := h.ClustersWalk("", 0, func(c Cluster, resume string) bool {
-			if resume != c.ID {
+	t.Logf("Lookup: %.1f allocs (bound 2)", avg)
+	const walkBound = 6
+	walk := func(clusters int) {
+		t.Helper()
+		avg = testing.AllocsPerRun(50, func() {
+			n := 0
+			err := h.ClustersWalk("", 0, func(c Cluster, resume string) bool {
+				if resume != c.ID {
+					bad = true
+				}
+				n++
+				return true
+			})
+			if err != nil || n != clusters {
 				bad = true
 			}
-			n++
-			return true
 		})
-		if err != nil || n != clusters {
-			bad = true
+		if bad {
+			t.Fatalf("walk did not visit the %d clusters with ID cursors", clusters)
 		}
-	})
-	if bad {
-		t.Fatal("walk did not visit the four clusters with ID cursors")
+		if avg > walkBound {
+			t.Fatalf("ClustersWalk allocates %.1f times over %d clusters, want <= %d", avg, clusters, walkBound)
+		}
+		t.Logf("ClustersWalk: %.1f allocs over %d clusters (bound %d)", avg, clusters, walkBound)
 	}
-	ceiling := float64(clusters + 4)
-	if avg > ceiling {
-		t.Fatalf("ClustersWalk allocates %.1f times over %d clusters, want <= %.0f", avg, clusters, ceiling)
+	walk(4) // {A/0,B/0}, A/1, A/2, A/3
+	kept, err := h.Lookup("A", key...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("ClustersWalk: %.1f allocs over %d clusters (bound %.0f)", avg, clusters, ceiling)
+	for i := 4; i < 2048; i++ {
+		if _, err := h.Insert("A", relation.Tuple{value.String(fmt.Sprintf("a%d", i)), value.Null}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk(2048)
+	// A kept member lies in the view it was read from, which the inserts
+	// since, across many blocks, did not write.
+	if got := kept.Members[0].Tuple(); len(got) != 2 || got[0].Str() != "a0" || got[1].Str() != "n1" {
+		t.Fatalf("member A/0 kept across 2,044 inserts reads %v", got)
+	}
 }
 
 // TestInsertAllocBound holds one commit — a tuple extended once per

@@ -16,8 +16,8 @@
 // the disk store one hold of the tier's lock per window and, outside
 // it, one read per run of the window's cold records, decoded into the
 // walk's own arena, that leaves the hot set as the point reads built
-// it. What the walk hands out it builds in one reused buffer: a walked
-// cluster allocates its ID and nothing else. Anchoring
+// it. What the walk hands out lies in one reused buffer and one block of
+// IDs: a walked cluster allocates nothing. Anchoring
 // emission inside the cut matters under concurrent ingest: a cluster
 // whose absolute lead was committed after the cut is still emitted at
 // its oldest in-cut member instead of being skipped toward a node the
@@ -50,9 +50,7 @@ import (
 	"strconv"
 	"strings"
 
-	"entityid/internal/relation"
 	"entityid/internal/store"
-	"entityid/internal/value"
 )
 
 // clustersWalk visits, in canonical order, every cluster with a member
@@ -151,21 +149,6 @@ func (h *Hub) clustersWalk(t *topoView, start node, skip int, fn func(n node, me
 	return nil
 }
 
-// cursorFor returns the cursor that resumes the walk after visit node
-// n, whose cluster c was just materialised over members. On a quiescent
-// hub this equals the cluster's ID — the visit node is the lead, and
-// the string is reused; under concurrent ingest the two can differ (a
-// merge can hand the cluster a lead outside the cut), and it is the
-// *visit* position that must anchor resumption — a cursor taken from
-// the absolute lead could jump the walk backwards and re-serve clusters
-// already emitted.
-func cursorFor(t *topoView, n node, members []node, c Cluster) string {
-	if members[0] == n {
-		return c.ID
-	}
-	return nodeID(t, n)
-}
-
 // ClustersWalk visits the clusters that follow the cursor ("" = from
 // the beginning), passing each materialised cluster together with the
 // cursor that resumes the walk immediately after it; fn returns false
@@ -176,11 +159,19 @@ func cursorFor(t *topoView, n node, members []node, c Cluster) string {
 // concurrent merges move a cluster's ID.
 //
 // The Cluster handed to fn is borrowed, as bufio.Scanner.Bytes is: its
-// Members slice and the members' tuples are the walk's two buffers,
-// overwritten by the next cluster, and valid only until fn returns. A
-// caller that keeps a cluster keeps its Clone. Its ID and the resume
-// cursor are the caller's to keep. So a walked cluster costs one
-// allocation, its ID.
+// Members slice is the walk's buffer, overwritten by the next cluster,
+// and valid only until fn returns. A caller that keeps a cluster keeps
+// its Clone. Its ID and the resume cursor are the caller's to keep: both
+// are cut from the walk's block of IDs (idBlock). So a walked cluster
+// allocates nothing — a member is its view's rows and its row — and a
+// walk allocates one block of IDs per few hundred clusters.
+//
+// On a quiescent hub the resume cursor is the cluster's ID, the visit
+// node being the lead; under concurrent ingest the two can differ (a
+// merge can hand the cluster a lead outside the cut), and it is the
+// *visit* position that must anchor resumption — a cursor taken from
+// the absolute lead could jump the walk backwards and re-serve clusters
+// already emitted.
 //
 //entitylint:hotpath noobs
 func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume string) bool) error {
@@ -189,21 +180,27 @@ func (h *Hub) ClustersWalk(cursor string, skip int, fn func(c Cluster, resume st
 	if err != nil {
 		return err
 	}
-	// The walk's two buffers, for the members and their values, start in
-	// one allocation; a cluster larger than they hold grows them once.
+	// The walk's Members buffer and its block of IDs start in one
+	// allocation; a cluster larger than the buffer grows it once.
 	bufs := new(struct {
 		members [4]Member
-		vals    [16]value.Value
+		ids     idBlock
 	})
-	c, vals := Cluster{Members: bufs.members[:0]}, relation.Tuple(bufs.vals[:0])
+	bufs.ids.size = walkIDBlock
+	c := Cluster{Members: bufs.members[:0]}
 	var single [1]node
 	return h.clustersWalk(t, start, skip, func(n node, members []node) bool {
 		if members == nil {
 			single[0] = n
 			members = single[:]
 		}
-		c, vals = h.materializeInto(c.Members, vals, t, members)
-		return fn(c, cursorFor(t, n, members, c))
+		c.Members = h.materialize(c.Members[:0], t, members)
+		c.ID = bufs.ids.id(t, members[0])
+		resume := c.ID
+		if members[0] != n {
+			resume = bufs.ids.id(t, n)
+		}
+		return fn(c, resume)
 	})
 }
 

@@ -238,11 +238,63 @@ func (m *model) clusters() []Cluster {
 	for i, ns := range part {
 		c := Cluster{ID: fmt.Sprintf("%s/%d", m.names[ns[0][0]], ns[0][1])}
 		for _, n := range ns {
-			c.Members = append(c.Members, Member{Source: m.names[n[0]], Index: n[1], Tuple: m.rels[n[0]].Tuple(n[1])})
+			c.Members = append(c.Members, MemberOf(m.names[n[0]], n[1], m.rels[n[0]].Tuple(n[1])))
 		}
 		out[i] = c
 	}
 	return out
+}
+
+// plainCluster is a cluster as its values: its ID and each member's
+// source, index and tuple. Two reads of one cluster — from two hubs, at
+// two moments, or a hub's and the model's — are equal in it however
+// their members lie.
+type plainCluster struct {
+	ID      string
+	Members []plainMember
+}
+
+type plainMember struct {
+	Source string
+	Index  int
+	Tuple  relation.Tuple
+}
+
+// plainOf returns cs as their values.
+func plainOf(cs ...Cluster) []plainCluster {
+	out := make([]plainCluster, len(cs))
+	for i, c := range cs {
+		out[i] = plainCluster{ID: c.ID, Members: plainMembers(c.Members)}
+	}
+	return out
+}
+
+// plainMembers returns ms as their values, nil for nil.
+func plainMembers(ms []Member) []plainMember {
+	if ms == nil {
+		return nil
+	}
+	out := make([]plainMember, len(ms))
+	for i, m := range ms {
+		out[i] = plainMember{m.Source, m.Index, m.Tuple()}
+	}
+	return out
+}
+
+// plainReceipt is a receipt as its values.
+type plainReceipt struct {
+	Source  string
+	Index   int
+	Matched []plainMember
+	Cluster plainCluster
+}
+
+// plainReceiptOf returns r as its values, nil for nil.
+func plainReceiptOf(r *Receipt) *plainReceipt {
+	if r == nil {
+		return nil
+	}
+	return &plainReceipt{r.Source, r.Index, plainMembers(r.Matched), plainOf(r.Cluster)[0]}
 }
 
 // table is a link's matching table, sorted.
@@ -271,7 +323,7 @@ func (m *model) merged(c Cluster, st resolve.Strategy) (map[string]value.Value, 
 		for _, mem := range c.Members {
 			si := m.source(mem.Source)
 			if attr, ok := m.attrOf[si][name]; ok {
-				vals = append(vals, mem.Tuple[m.rels[si].Schema().Index(attr)])
+				vals = append(vals, mem.Tuple()[m.rels[si].Schema().Index(attr)])
 			}
 		}
 		v, conflicted, err := resolve.Reduce(st, vals...)

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"entityid/internal/relation"
 	"entityid/internal/resolve"
@@ -36,11 +37,40 @@ func unknownSource(source string) error {
 	return notFound(fmt.Sprintf("hub: unknown source %q", source))
 }
 
-// Member is one tuple of one cluster.
+// Member is one tuple of one cluster, read where it lies: row row of
+// rows, its source's published rows — a view's, which never change, so a
+// member reads the same however long it is kept. A hub's member lies at
+// its Index; one a caller builds (MemberOf) lies in rows of its own.
 type Member struct {
 	Source string
 	Index  int
-	Tuple  relation.Tuple
+	rows   *relation.Rows
+	row    int
+}
+
+// MemberOf returns the member at position index of source whose tuple
+// is t: a cluster a caller builds of its own tuples, to render or merge
+// what no hub holds.
+func MemberOf(source string, index int, t relation.Tuple) Member {
+	rows := relation.RowsOf(t)
+	return Member{Source: source, Index: index, rows: &rows}
+}
+
+// String prints the member as its fields: source, index and tuple.
+func (m Member) String() string {
+	return fmt.Sprintf("{%s %d %v}", m.Source, m.Index, m.Tuple())
+}
+
+// Tuple builds the member's tuple, a slice of its own.
+func (m Member) Tuple() relation.Tuple {
+	return m.rows.TupleInto(nil, m.row)
+}
+
+// Row returns the rows the member lies in and its row: what a renderer
+// reads cell by cell (relation.Rows.AppendRowJSON) with no tuple built.
+// The rows are read-only.
+func (m Member) Row() (*relation.Rows, int) {
+	return m.rows, m.row
 }
 
 // Cluster is one global entity: its members across sources, sorted by
@@ -52,77 +82,75 @@ type Cluster struct {
 	Members []Member
 }
 
-// Clone returns a copy of the cluster that shares nothing with it: its
-// own Members, and their tuples in one slice of its own. It is how a
-// caller keeps a cluster a walk lends.
+// Clone returns a copy of the cluster with Members of its own, which no
+// walk writes over. It is how a caller keeps a cluster a walk lends.
 func (c Cluster) Clone() Cluster {
-	n := 0
-	for _, m := range c.Members {
-		n += len(m.Tuple)
-	}
-	vals := make(relation.Tuple, 0, n)
-	out := Cluster{ID: c.ID, Members: slices.Clone(c.Members)}
-	for i, m := range out.Members {
-		vals = append(vals, m.Tuple...)
-		out.Members[i].Tuple = vals[len(vals)-len(m.Tuple) : len(vals) : len(vals)]
-	}
-	return out
+	return Cluster{ID: c.ID, Members: slices.Clone(c.Members)}
 }
 
-// materialize builds the Cluster over a sorted member set, for readers
-// and for the commit path's receipt alike: each member's tuple is read
-// from its source's published view, which is guaranteed to cover the
-// member because views are published before the cluster record that
-// references them (on the commit path too). A record can also
-// name a source registered *after* the caller's topo snapshot was
-// taken (the topology only grows, and the record was published after
-// the source), so the snapshot is upgraded on demand — the current
-// topo is always at least as new as any record already read. Lock-free.
-// The cluster owns its Members and their tuples, which lie in one slice.
-func (h *Hub) materialize(t *topoView, members []node) Cluster {
-	c, _ := h.materializeInto(make([]Member, 0, len(members)), nil, t, members)
-	return c
-}
-
-// materializeInto is materialize over the caller's buffers, which it
-// reuses from the start and returns grown: buf for the members, vals for
-// their tuples' values — the walk's one pair for all the clusters it
-// hands out. Each member's tuple is a window of vals, capped at its
-// arity.
-func (h *Hub) materializeInto(buf []Member, vals relation.Tuple, t *topoView, members []node) (Cluster, relation.Tuple) {
+// materialize appends to buf the members of a sorted member set, for
+// readers and for the commit path's receipt alike: each member lies in
+// its source's published view, which is guaranteed to cover the member
+// because views are published before the cluster record that references
+// them (on the commit path too). A record can also name a source
+// registered *after* the caller's topo snapshot was taken (the topology
+// only grows, and the record was published after the source), so the
+// snapshot is upgraded on demand — the current topo is always at least
+// as new as any record already read. Lock-free, and it builds nothing: a
+// member is its view's rows and its row.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (h *Hub) materialize(buf []Member, t *topoView, members []node) []Member {
 	for _, m := range members {
 		if m.Src >= len(t.sources) {
 			t = h.topo.Load()
 			break
 		}
 	}
-	n := 0
-	for _, m := range members {
-		n += t.sources[m.Src].rel.Schema().Arity()
-	}
-	if cap(vals) < n {
-		vals = make(relation.Tuple, 0, n)
-	}
-	vals = vals[:0]
-	c := Cluster{ID: nodeID(t, members[0]), Members: buf[:0]}
 	for _, m := range members {
 		s := t.sources[m.Src]
-		lo := len(vals)
-		// vals holds n values, so the row is read in place.
-		row := s.view.Load().rows.TupleInto(vals[lo:lo:n], m.Idx)
-		vals = vals[:lo+len(row)]
-		c.Members = append(c.Members, Member{Source: s.name, Index: m.Idx, Tuple: vals[lo:len(vals):len(vals)]})
+		buf = append(buf, Member{Source: s.name, Index: m.Idx, rows: &s.view.Load().rows, row: m.Idx})
 	}
-	return c, vals
+	return buf
 }
 
-// nodeID renders a node as "source/index" — the ID of the cluster it
-// leads and the cursor that resumes a walk after it — in one
-// allocation: the digits go to the stack, and a conversion that only
-// feeds a concatenation copies nothing.
-func nodeID(t *topoView, n node) string {
+// idBlock is where the cluster IDs and cursors a read hands out are cut
+// from, as a relation cuts its strings from a strings.Builder: a Builder
+// never writes over what it holds, so an ID cut from it stays as it was,
+// and a walk pays one allocation a block of IDs, not one an ID. size is
+// the block to start when an ID does not fit: 0 for a point read, which
+// cuts one ID from a block of its own.
+type idBlock struct {
+	b    strings.Builder
+	size int
+}
+
+// walkIDBlock is the block a walk starts for its IDs: a few hundred.
+const walkIDBlock = 4 << 10
+
+// id renders node n as "source/index" — the ID of the cluster it leads
+// and the cursor that resumes a walk after it — into the block.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (ib *idBlock) id(t *topoView, n node) string {
+	name := t.sources[n.Src].name
+	if need := len(name) + 1 + 20; ib.b.Cap()-ib.b.Len() < need {
+		ib.b = strings.Builder{}
+		ib.b.Grow(max(ib.size, need))
+	}
+	start := ib.b.Len()
+	ib.b.WriteString(name)
+	ib.b.WriteByte('/')
 	var digits [20]byte
-	return t.sources[n.Src].name + "/" + string(strconv.AppendInt(digits[:0], int64(n.Idx), 10))
+	ib.b.Write(strconv.AppendInt(digits[:0], int64(n.Idx), 10))
+	return ib.b.String()[start:]
+}
+
+// cluster is the Cluster over a sorted member set, which owns its ID and
+// its Members: a point read's and a receipt's.
+func (h *Hub) cluster(buf []Member, t *topoView, members []node) Cluster {
+	var ids idBlock
+	return Cluster{ID: ids.id(t, members[0]), Members: h.materialize(buf, t, members)}
 }
 
 // clusterRead resolves and materialises node n's cluster on the read
@@ -138,7 +166,7 @@ func (h *Hub) clusterRead(t *topoView, n node) (Cluster, error) {
 	if ms == nil {
 		ms = []node{n}
 	}
-	return h.materialize(t, ms), nil
+	return h.cluster(make([]Member, 0, len(ms)), t, ms), nil
 }
 
 // SourceNames lists the registered sources in registration order.
@@ -256,7 +284,7 @@ func (h *Hub) Merged(c Cluster, strategy resolve.Strategy) (*MergedEntity, error
 			if !ok {
 				continue
 			}
-			vals = append(vals, m.Tuple[s.rel.Schema().Index(attr)])
+			vals = append(vals, m.rows.At(m.row, s.rel.Schema().Index(attr)))
 		}
 		v, conflicted, err := resolve.Reduce(strategy, vals...)
 		if err != nil {

@@ -116,8 +116,8 @@ func sameResults(t *testing.T, path string, items []Insert, got, want []InsertRe
 			classOf(g.Err, errModelTuple) != classOf(w.Err, errModelTuple) {
 			t.Fatalf("%s, item %d %s %v: answered %v, one at a time %v", path, i, it.Source, it.Tuple, g.Err, w.Err)
 		}
-		if !reflect.DeepEqual(g.Receipt, w.Receipt) {
-			t.Fatalf("%s, item %d %s %v: receipt %+v, one at a time %+v", path, i, it.Source, it.Tuple, g.Receipt, w.Receipt)
+		if g, w := plainReceiptOf(g.Receipt), plainReceiptOf(w.Receipt); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s, item %d %s %v: receipt %+v, one at a time %+v", path, i, it.Source, it.Tuple, g, w)
 		}
 	}
 }

@@ -729,17 +729,17 @@ func (r *simRun) insertItem(it Insert, rec *Receipt, hubErr error) error {
 		for p := range l.res.MT.All() {
 			switch {
 			case l.li == si && p.RIndex == at[1]:
-				matched = append(matched, Member{Source: r.m.names[l.ri], Index: p.SIndex, Tuple: r.m.rels[l.ri].Tuple(p.SIndex)})
+				matched = append(matched, MemberOf(r.m.names[l.ri], p.SIndex, r.m.rels[l.ri].Tuple(p.SIndex)))
 			case l.ri == si && p.SIndex == at[1]:
-				matched = append(matched, Member{Source: r.m.names[l.li], Index: p.RIndex, Tuple: r.m.rels[l.li].Tuple(p.RIndex)})
+				matched = append(matched, MemberOf(r.m.names[l.li], p.RIndex, r.m.rels[l.li].Tuple(p.RIndex)))
 			}
 		}
 	}
 	for _, c := range r.m.clusters() {
 		for _, mem := range c.Members {
 			if mem.Source == it.Source && mem.Index == at[1] {
-				if want := (Receipt{Source: it.Source, Index: at[1], Matched: matched, Cluster: c}); !reflect.DeepEqual(*rec, want) {
-					return fmt.Errorf("insert %s %v: receipt %+v, model %+v", it.Source, it.Tuple, *rec, want)
+				if got, want := plainReceiptOf(rec), plainReceiptOf(&Receipt{Source: it.Source, Index: at[1], Matched: matched, Cluster: c}); !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("insert %s %v: receipt %+v, model %+v", it.Source, it.Tuple, *got, *want)
 				}
 			}
 		}
@@ -999,13 +999,13 @@ func (r *simRun) streams(o op) error {
 				if mem.Source != name || mem.Index != i {
 					continue
 				}
-				key := name + "|" + mem.Tuple.Key()
+				key := name + "|" + mem.Tuple().Key()
 				if submitted[key] == 0 {
-					return fmt.Errorf("hub committed %s %v, which no stream submitted", name, mem.Tuple)
+					return fmt.Errorf("hub committed %s %v, which no stream submitted", name, mem.Tuple())
 				}
 				committed[key] = true
-				if err := r.m.insert(name, mem.Tuple); err != nil {
-					return fmt.Errorf("hub committed %s %v: %w", name, mem.Tuple, err)
+				if err := r.m.insert(name, mem.Tuple()); err != nil {
+					return fmt.Errorf("hub committed %s %v: %w", name, mem.Tuple(), err)
 				}
 			}
 		}
@@ -1060,7 +1060,7 @@ func (r *simRun) streams(o op) error {
 	home := map[string]string{}
 	for _, c := range r.m.clusters() {
 		for _, mem := range c.Members {
-			home[mem.Source+"|"+mem.Tuple.Key()] = c.ID
+			home[mem.Source+"|"+mem.Tuple().Key()] = c.ID
 		}
 	}
 	for _, rs := range samples {
@@ -1136,7 +1136,7 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 		var keys []string
 		found := false
 		for _, m := range c.Members {
-			keys = append(keys, m.Source+"|"+m.Tuple.Key())
+			keys = append(keys, m.Source+"|"+m.Tuple().Key())
 			found = found || (m.Source == name && m.Index == idx)
 		}
 		if !found {
@@ -1161,7 +1161,7 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 						return false
 					}
 					seen[k] = c.ID
-					keys = append(keys, m.Source+"|"+m.Tuple.Key())
+					keys = append(keys, m.Source+"|"+m.Tuple().Key())
 				}
 				if len(keys) > 1 && fromWalks < 256 {
 					samples, fromWalks = append(samples, keys), fromWalks+1
@@ -1180,12 +1180,12 @@ func readWhileIngesting(h *Hub, seed int64, stop <-chan struct{}) (samples [][]s
 // walkPages enumerates the hub limit clusters at a time (limit <= 0: in
 // one pass), resuming each page at the cursor the last one handed out.
 // It keeps every cluster, so it copies each out of the walk's buffers.
-func walkPages(h *Hub, limit int) ([]Cluster, error) {
-	var out []Cluster
+func walkPages(h *Hub, limit int) ([]plainCluster, error) {
+	var out []plainCluster
 	for cursor := ""; ; {
 		n, resume := 0, ""
 		err := h.ClustersWalk(cursor, 0, func(c Cluster, next string) bool {
-			out, resume, n = append(out, c.Clone()), next, n+1
+			out, resume, n = append(out, plainOf(c)...), next, n+1
 			return n != limit
 		})
 		if err != nil {
@@ -1211,7 +1211,8 @@ func (r *simRun) check(full bool) error {
 	if got := h.SourceNames(); !reflect.DeepEqual(got, m.names) && len(got)+len(m.names) > 0 {
 		return fmt.Errorf("sources %v, model %v", got, m.names)
 	}
-	want := m.clusters()
+	model := m.clusters()
+	want := plainOf(model...)
 	got, err := walkPages(h, 0)
 	if err != nil {
 		return err
@@ -1227,13 +1228,13 @@ func (r *simRun) check(full bool) error {
 		return fmt.Errorf("walk by cursor (pages of %d) differs from the walk in one pass", 1+len(r.errs)%5)
 	}
 	matches, tuples := 0, 0
-	for _, c := range want {
+	for ci, c := range model {
 		tuples += len(c.Members)
 		for _, mem := range c.Members {
 			si := m.source(mem.Source)
 			var key []value.Value
 			for _, a := range m.rels[si].Schema().PrimaryKey() {
-				key = append(key, mem.Tuple[m.rels[si].Schema().Index(a)])
+				key = append(key, mem.Tuple()[m.rels[si].Schema().Index(a)])
 			}
 			byKey, err := h.Lookup(mem.Source, key...)
 			if err != nil {
@@ -1243,7 +1244,7 @@ func (r *simRun) check(full bool) error {
 			if err != nil {
 				return err
 			}
-			if !reflect.DeepEqual(byKey, c) || !reflect.DeepEqual(byPos, c) {
+			if !reflect.DeepEqual(plainOf(byKey, byPos), []plainCluster{want[ci], want[ci]}) {
 				return fmt.Errorf("point reads of %s/%d: by key %v, by position %v, model %v", mem.Source, mem.Index, byKey, byPos, c)
 			}
 		}
@@ -1392,7 +1393,7 @@ func (r *simRun) servesTruth() error {
 	for _, c := range r.h.Clusters() {
 		var ms []string
 		for _, m := range c.Members {
-			ms = append(ms, m.Source+"|"+m.Tuple.Key())
+			ms = append(ms, m.Source+"|"+m.Tuple().Key())
 		}
 		got = append(got, keys(ms))
 	}

@@ -23,7 +23,7 @@ import (
 
 // hubState is everything two hubs must agree on to be the same hub.
 type hubState struct {
-	clusters []Cluster
+	clusters []plainCluster
 	pairs    map[string][]match.Pair
 	rels     map[string][]relation.Tuple
 }
@@ -33,7 +33,7 @@ type hubState struct {
 // prefix runs, a snapshot's round trip; what a hub should hold in the
 // first place is the model's business (model_test.go).
 func stateOf(h *Hub) hubState {
-	st := hubState{clusters: h.Clusters(), pairs: map[string][]match.Pair{}, rels: map[string][]relation.Tuple{}}
+	st := hubState{clusters: plainOf(h.Clusters()...), pairs: map[string][]match.Pair{}, rels: map[string][]relation.Tuple{}}
 	for _, p := range h.pairs {
 		st.pairs[p.spec.Left+"|"+p.spec.Right] = h.pairTable(p)
 	}
@@ -106,7 +106,7 @@ func mustEqualServed(t *testing.T, label string, hm, hd *Hub) {
 			if err != nil {
 				t.Fatalf("%s: disk ClusterAt(%s,%d): %v", label, s.name, i, err)
 			}
-			if !reflect.DeepEqual(cm, cd) {
+			if !reflect.DeepEqual(plainOf(cm), plainOf(cd)) {
 				t.Fatalf("%s: ClusterAt(%s,%d) diverges:\nmem:  %+v\ndisk: %+v", label, s.name, i, cm, cd)
 			}
 		}

@@ -54,3 +54,43 @@ func BenchmarkLookupKey(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendRowJSON renders a filed row from its cells
+// (Rows.AppendRowJSON, the daemon's member render) beside the same
+// tuple's values through AppendTupleJSON, over the shapes of
+// BenchmarkAppendJSONString: the benchmark generator's tuples (plain,
+// every string verbatim), strings that escape after 12 plain bytes
+// (escape-late) and non-ASCII text (non-ascii), neither verbatim.
+func BenchmarkAppendRowJSON(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		in   []string
+	}{
+		{"plain", []string{"greengarden-21027", "3586 oldcountry st", "mexican", "612-225-6374"}},
+		{"escape-late", []string{`greengarden-"21027`, "3586 oldcoun<try st", "mexican", "612-225-6374"}},
+		{"non-ascii", []string{"Café Zürich – 東京", "3586 oldcountry st", "mexican", "612-225-6374"}},
+	} {
+		attrs := make([]schema.Attribute, len(bc.in))
+		tup := make(Tuple, len(bc.in))
+		for i, s := range bc.in {
+			attrs[i] = schema.Attribute{Name: fmt.Sprintf("a%d", i), Kind: value.KindString}
+			tup[i] = value.String(s)
+		}
+		r := NewBag(schema.MustNew("bench", attrs))
+		r.MustInsert(tup...)
+		rows := r.Rows()
+		buf := make([]byte, 0, 256)
+		b.Run(bc.name+"/row", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = rows.AppendRowJSON(buf[:0], 0)
+			}
+		})
+		b.Run(bc.name+"/tuple", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = AppendTupleJSON(buf[:0], tup)
+			}
+		})
+	}
+}

@@ -16,12 +16,20 @@ import (
 // where it lies in its relation's string blocks, the block in w's high
 // half, the offset in its low half, the length in n. kind is the value's
 // kind, NULL's included: checkShape fixes every other cell's kind to its
-// column's, but NULL may lie in any column.
+// column's, but NULL may lie in any column. verbatim, in what would be
+// padding, marks a string value.AppendJSONString writes unchanged between
+// its quotes (value.VerbatimJSON); it is judged once, where the bytes are
+// first copied into a string block — by a decoder in the walk that found
+// them — and travels with the cell.
 type cell struct {
-	w    uint64
-	n    uint32
-	kind uint8
+	w        uint64
+	n        uint32
+	kind     uint8
+	verbatim bool
 }
+
+// emptyString is the cell of "": no bytes, nothing to escape.
+var emptyString = cell{kind: uint8(value.KindString), verbatim: true}
 
 // blockRows is how many rows a cell block holds. A store's first blocks
 // hold 1, 2, 4, … rows, doubling up to it, so a relation of a handful of
@@ -80,13 +88,16 @@ func (ss *strs) room(n, size int) {
 func (ss *strs) put(s string) cell {
 	c := ss.next(len(s))
 	ss.tail.WriteString(s)
+	c.verbatim = value.VerbatimJSON(s)
 	return c
 }
 
-// putBytes is put for a string's bytes.
-func (ss *strs) putBytes(b []byte) cell {
+// putBytes is put for a string's bytes that a decoder has judged
+// verbatim or not (value.PlainJSONString) in the walk that found them.
+func (ss *strs) putBytes(b []byte, verbatim bool) cell {
 	c := ss.next(len(b))
 	ss.tail.Write(b)
+	c.verbatim = verbatim
 	return c
 }
 
@@ -112,7 +123,7 @@ func (ss *strs) cellOf(v value.Value, want int) cell {
 	}
 	s := v.Str()
 	if s == "" {
-		return cell{kind: uint8(value.KindString)}
+		return emptyString
 	}
 	ss.room(len(s), max(want, min(stringBlock, 2*ss.tail.Cap())))
 	return ss.put(s)
@@ -126,12 +137,37 @@ func (c cell) value(sealed []string, tail string) value.Value {
 	if c.kind != uint8(value.KindString) {
 		return value.Scalar(value.Kind(c.kind), c.w)
 	}
+	return value.String(c.str(sealed, tail))
+}
+
+// str returns string cell c's bytes, a substring of the block they lie
+// in: one of sealed or, past them, tail.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (c cell) str(sealed []string, tail string) string {
 	s := tail
 	if blk := int(c.w >> 32); blk < len(sealed) {
 		s = sealed[blk]
 	}
 	off := uint32(c.w)
-	return value.String(s[off : off+c.n])
+	return s[off : off+c.n]
+}
+
+// appendJSON appends cell c as a JSON scalar, the bytes value.AppendJSON
+// writes for its value: a verbatim string is copied between its quotes,
+// and no value is built for a string.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (c cell) appendJSON(b []byte, sealed []string, tail string) []byte {
+	if c.kind != uint8(value.KindString) {
+		return value.AppendJSON(b, value.Scalar(value.Kind(c.kind), c.w))
+	}
+	if !c.verbatim {
+		return value.AppendJSONString(b, c.str(sealed, tail))
+	}
+	b = append(b, '"')
+	b = append(b, c.str(sealed, tail)...)
+	return append(b, '"')
 }
 
 // TupleBlocks is where a relation's tuples lie: row-major cells, arity to

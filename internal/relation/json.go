@@ -29,22 +29,34 @@ func AppendTupleJSON(b []byte, t Tuple) []byte {
 	return append(b, ']')
 }
 
-// AppendTuplesJSON appends rows as a JSON array of tuples, each cell read
-// where it lies.
+// AppendRowJSON appends row i as a JSON array of scalars, the bytes
+// AppendTupleJSON writes for the same tuple, each cell rendered where it
+// lies: no value is built for a string, and a verbatim one is one copy.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (r *Rows) AppendRowJSON(b []byte, i int) []byte {
+	if r.list != nil {
+		return AppendTupleJSON(b, r.list[r.off+i])
+	}
+	b = append(b, '[')
+	for c, cl := range r.row(i) {
+		if c > 0 {
+			b = append(b, ',')
+		}
+		b = cl.appendJSON(b, r.sealed, r.tail)
+	}
+	return append(b, ']')
+}
+
+// AppendTuplesJSON appends rows as a JSON array of tuples, each row
+// rendered where it lies (AppendRowJSON).
 func AppendTuplesJSON(b []byte, rows Rows) []byte {
 	b = append(b, '[')
 	for i := range rows.Len() {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '[')
-		for c := range rows.Arity() {
-			if c > 0 {
-				b = append(b, ',')
-			}
-			b = value.AppendJSON(b, rows.At(i, c))
-		}
-		b = append(b, ']')
+		b = rows.AppendRowJSON(b, i)
 	}
 	return append(b, ']')
 }
@@ -114,9 +126,9 @@ func (tb *TupleBlocks) ParseJSON(sch *schema.Schema, b []byte) (Tuple, error) {
 	}
 	t := make(Tuple, 0, sch.Arity())
 	b, err := eachValue(sch, b, func(b []byte, k value.Kind) ([]byte, error) {
-		if s, rest, ok := value.PlainJSONString(b); ok && k == value.KindString && tb != nil {
+		if s, rest, verbatim, ok := value.PlainJSONString(b); ok && k == value.KindString && tb != nil {
 			tb.strs.room(len(s), stringBlock)
-			c := tb.strs.putBytes(s)
+			c := tb.strs.putBytes(s, verbatim)
 			t = append(t, c.value(tb.strs.sealed, tb.strs.tail.String()))
 			return rest, nil
 		}
@@ -170,12 +182,12 @@ func (tb *TupleBlocks) parseRow(sch *schema.Schema, b []byte) ([]byte, error) {
 	tb.whole(sch.Arity())
 	row, c := tb.slot(sch.Arity()), 0
 	b, err := eachValue(sch, b, func(b []byte, k value.Kind) ([]byte, error) {
-		if s, rest, ok := value.PlainJSONString(b); ok && k == value.KindString {
+		if s, rest, verbatim, ok := value.PlainJSONString(b); ok && k == value.KindString {
 			if len(s) == 0 {
-				row[c] = cell{kind: uint8(value.KindString)}
+				row[c] = emptyString
 			} else {
 				tb.strs.room(len(s), stringBlock)
-				row[c] = tb.strs.putBytes(s)
+				row[c] = tb.strs.putBytes(s, verbatim)
 			}
 			c++
 			return rest, nil

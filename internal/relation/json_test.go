@@ -341,12 +341,45 @@ func checkAgainstReference(t *testing.T, sch *schema.Schema, b []byte) {
 			t.Fatalf("%q read as %v, refused by a relation over its schema: %v", b, got, err)
 		}
 	}
+	checkRowRender(t, r, sch, b, canon)
 	for i := range got {
 		got[i] = value.Null
 	}
 	for i, kept := range r.Tuples() {
 		if !sameTuple(kept, want) || cap(kept) != len(kept) {
 			t.Fatalf("%q: a relation's copy %d reads %v (cap %d), want %v", b, i, kept, cap(kept), want)
+		}
+	}
+}
+
+// checkRowRender holds the row renderer to AppendTupleJSON: every row
+// of r — three filed copies (InsertAdmitted, keep) — and the rows b, a
+// tuple the codec accepts, parses into (ParseTuplesJSON, parseRow),
+// taken by r with their blocks adopted where laid out where r holds
+// them next (InsertAll after Skip) and their cells copied where not,
+// render as canon, the tuple's canonical bytes, whether each string
+// cell was judged verbatim or not.
+func checkRowRender(t *testing.T, r *Relation, sch *schema.Schema, b, canon []byte) {
+	t.Helper()
+	list := append(append([]byte{'['}, b...), ']')
+	var laid, apart TupleBlocks
+	laid.Skip(r.Len())
+	for _, tb := range []*TupleBlocks{&laid, &apart} {
+		rows, err := tb.ParseTuplesJSON(sch, list)
+		if err != nil || rows.Len() != 1 {
+			t.Fatalf("%q, read as a list of one, read as %d rows (%v)", b, rows.Len(), err)
+		}
+		if got := rows.AppendRowJSON(nil, 0); !bytes.Equal(got, canon) {
+			t.Fatalf("%q parsed into a row renders as %s, AppendTupleJSON writes %s", b, got, canon)
+		}
+		if err := r.InsertAll(rows); err != nil {
+			t.Fatalf("%q parsed into a row, refused by a relation over its schema: %v", b, err)
+		}
+	}
+	rows := r.Rows()
+	for i := range rows.Len() {
+		if got := rows.AppendRowJSON([]byte("junk"), i)[4:]; !bytes.Equal(got, canon) {
+			t.Fatalf("%q filed as row %d of %d renders as %s, AppendTupleJSON writes %s", b, i, rows.Len(), got, canon)
 		}
 	}
 }
@@ -373,6 +406,9 @@ func FuzzTupleJSON(f *testing.F) {
 		`["a1","n2"]`, `["a1",null]`, ` [ "a1" ,	"n2" ] `, `["a1"`, `["a1"]`, `["a1",7]`, `[1]`, `null`, `[]`, `{}`, "\xff\xfe[\"a1\"]",
 		`["` + strings.Repeat("x", 5000) + `","n"]`, `["<z>","< "]`, `["a0","dup"] {}`, `["\ud83d\ude00","\ud800"]`,
 		`["",true]`, `[1e3,-0.0]`, `[9007199254740993,1e400]`, `["NaN","-Inf"]`, `[9223372036854775808,"null"]`, `[[1],{"a":[]}]`,
+		// Plain to the decoder, escaped or walked by the encoder: a row
+		// renders them as AppendTupleJSON does, not as they were read.
+		`["a<b","c>d"]`, `["&",">"]`, "[\"\u2028\",\"x\u2029\"]", `["\u2028","\u2029"]`, `["é","東京 Zürich"]`, `["","null"]`, `["null",""]`,
 	} {
 		for _, bits := range []uint16{1, 0x0009, 0x0011, 0x0019, 0x5a5d, 0xffff} {
 			f.Add([]byte(seed), bits)
@@ -394,7 +430,7 @@ func FuzzTupleJSON(f *testing.F) {
 // spellings: inserted whitespace, escaped characters, exponent forms.
 func TestTupleJSONMatchesEncodingJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	splice := []string{" ", "\t", "\n", `\u0041`, `\/`, `\ud83d\ude00`, `\udc00`, "e0", "E+2", ".0", "-", "0", `"`, ",", "]", "[", "null", "\xff", "\x01"}
+	splice := []string{" ", "\t", "\n", `\u0041`, `\/`, `\ud83d\ude00`, `\udc00`, "e0", "E+2", ".0", "-", "0", `"`, ",", "]", "[", "null", "\xff", "\x01", "<", "&", "\u2028", "é"}
 	for n := 0; n < 20000; n++ {
 		bits := uint16(r.Uint32())
 		sch := fuzzSchema(bits)

@@ -33,17 +33,32 @@ var plainByte = func() (t [256]uint8) {
 	return t
 }()
 
+// plainRun returns the length of s's longest prefix of bytes plainByte
+// marks, asking the table about four bytes a step.
+func plainRun(s string) int {
+	i := 0
+	for i+4 <= len(s) && plainByte[s[i]]&plainByte[s[i+1]]&plainByte[s[i+2]]&plainByte[s[i+3]] != 0 {
+		i += 4
+	}
+	for i < len(s) && plainByte[s[i]] != 0 {
+		i++
+	}
+	return i
+}
+
+// VerbatimJSON reports whether AppendJSONString writes s unchanged
+// between its quotes: every byte is one plainByte marks. It is the
+// encoder's own test, stricter than PlainJSONString's, which reads back
+// <, >, & and any UTF-8 — bytes the encoder escapes or walks rune by rune.
+func VerbatimJSON(s string) bool { return plainRun(s) == len(s) }
+
 // AppendJSONString appends s as a JSON string the way encoding/json does
 // with HTML escaping on (its default): ", \ and control characters
 // escaped, <, > and & as \u00XX, U+2028/2029 as \u202X, invalid UTF-8
 // as \ufffd.
 func AppendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
-	i := 0
-	for i+4 <= len(s) && plainByte[s[i]]&plainByte[s[i+1]]&plainByte[s[i+2]]&plainByte[s[i+3]] != 0 {
-		i += 4
-	}
-	start := 0
+	i, start := plainRun(s), 0
 	for i < len(s) {
 		c := s[i]
 		if plainByte[c] != 0 {
@@ -132,13 +147,16 @@ func AppendJSON(b []byte, v Value) []byte {
 // PlainJSONString returns the bytes between the quotes of the JSON
 // string at the front of b when they are the string itself — no escape,
 // no control character, only UTF-8 — and what follows it; ok is false
-// for any other scalar, which ParseJSON reads.
-func PlainJSONString(b []byte) (s, rest []byte, ok bool) {
-	n, plain := scalarLen(b)
+// for any other scalar, which ParseJSON reads. verbatim is VerbatimJSON
+// of those bytes, judged in the same walk: plain is the decoder's test,
+// and verbatim the encoder's, which plain strings holding <, >, & or
+// anything past ASCII fail.
+func PlainJSONString(b []byte) (s, rest []byte, verbatim, ok bool) {
+	n, plain, verbatim := scalarLen(b)
 	if !plain {
-		return nil, b, false
+		return nil, b, false, false
 	}
-	return b[1 : n-1], b[n:], true
+	return b[1 : n-1], b[n:], verbatim, true
 }
 
 // ParseJSON reads the JSON scalar at the front of b as a value of kind
@@ -150,7 +168,7 @@ func PlainJSONString(b []byte) (s, rest []byte, ok bool) {
 // scalar of another kind, malformed JSON — is an error.
 func ParseJSON(b []byte, k Kind) (Value, []byte, error) {
 
-	n, plain := scalarLen(b)
+	n, plain, _ := scalarLen(b)
 	tok, rest := b[:n], b[n:]
 	switch {
 	case n > 0 && tok[0] == '"':
@@ -192,28 +210,34 @@ func unquoteJSON(tok []byte) (s string, err error) {
 
 // scalarLen returns the length of the token at the front of b: a string
 // through its closing quote — plain when it has one and holds no escape,
-// no control character and only UTF-8 — or anything else up to the next
-// array punctuation or space.
-func scalarLen(b []byte) (n int, plain bool) {
+// no control character and only UTF-8, verbatim when every byte of it is
+// one plainByte marks (and so ASCII, which needs no UTF-8 check) — or
+// anything else up to the next array punctuation or space.
+func scalarLen(b []byte) (n int, plain, verbatim bool) {
 	if len(b) > 0 && b[0] == '"' {
 		plain = true
+		v := uint8(1)
 		for i := 1; i < len(b); i++ {
-			switch c := b[i]; {
+			c := b[i]
+			switch {
 			case c == '"':
-				return i + 1, plain && utf8.Valid(b[1:i])
+				// v != 0: every byte was plainByte's, ASCII with no escape
+				// and no control character.
+				return i + 1, plain && (v != 0 || utf8.Valid(b[1:i])), v != 0
 			case c == '\\':
 				i++
 				plain = false
 			case c < ' ':
 				plain = false
 			}
+			v &= plainByte[c]
 		}
-		return len(b), false
+		return len(b), false, false
 	}
 	for n < len(b) && strings.IndexByte(",] \t\r\n", b[n]) < 0 {
 		n++
 	}
-	return n, false
+	return n, false, false
 }
 
 // numberFromJSON types a JSON number literal: Parse reads a float and an

@@ -16,6 +16,16 @@ func checkJSONString(t *testing.T, s string) {
 	if got := AppendJSONString([]byte("x"), s); string(got) != "x"+string(want) {
 		t.Fatalf("AppendJSONString(%q) = %s, want x%s", s, got, want)
 	}
+	// A verbatim string is written unchanged between its quotes, and the
+	// decoder judges the bytes it reads as plain by the same rule.
+	if VerbatimJSON(s) && string(want) != `"`+s+`"` {
+		t.Fatalf("VerbatimJSON(%q), but it is written %s", s, want)
+	}
+	for _, b := range [][]byte{want, []byte(`"` + s + `",`)} {
+		if got, _, verbatim, ok := PlainJSONString(b); ok && verbatim != VerbatimJSON(string(got)) {
+			t.Fatalf("PlainJSONString(%s) reads %q, verbatim %v; VerbatimJSON says %v", b, got, verbatim, !verbatim)
+		}
+	}
 }
 
 // TestAppendJSONStringMatchesEncodingJSON puts every single byte, the
