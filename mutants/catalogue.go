@@ -162,4 +162,62 @@ var Catalogue = []Mutant{
 		Why:  "a window looks each cold record up again after its one hold and may serve a node from two states",
 		Pkgs: []string{"./internal/store"},
 	},
+
+	// The daemon's answers.
+	{
+		ID:   "readyz-always-ok",
+		File: "cmd/entityidd/server.go",
+		Old:  "if status != \"ready\" {\n\t\tcode = http.StatusServiceUnavailable",
+		New:  "if false {\n\t\tcode = http.StatusServiceUnavailable",
+		Why:  "/readyz answers 200 while the hub is degraded, poisoned or draining",
+		Pkgs: []string{"./cmd/entityidd"},
+	},
+	{
+		ID:   "drain-admits",
+		File: "cmd/entityidd/server.go",
+		Old:  "if s.draining.Load() {\n\t\tw.Header().Set(\"Retry-After\", \"5\")\n\t\thttpError(w, http.StatusServiceUnavailable, errors.New(\"draining: ingest",
+		New:  "if false && s.draining.Load() {\n\t\tw.Header().Set(\"Retry-After\", \"5\")\n\t\thttpError(w, http.StatusServiceUnavailable, errors.New(\"draining: ingest",
+		Why:  "a draining daemon still takes inserts",
+		Pkgs: []string{"./cmd/entityidd"},
+	},
+	{
+		ID:   "body-cap-is-400",
+		File: "cmd/entityidd/server.go",
+		Old:  "return http.StatusRequestEntityTooLarge",
+		New:  "return http.StatusBadRequest",
+		Why:  "a request body past its size cap is answered 400, not 413",
+		Pkgs: []string{"./cmd/entityidd"},
+	},
+	{
+		ID:   "prop1-wrong-op",
+		File: "internal/rules/rules.go",
+		Old:  "Op: Ne, Right: Const(cons.Val)})",
+		New:  "Op: Eq, Right: Const(cons.Val)})",
+		Why:  "Proposition 1: the distinctness rule of an ILFD requires the consequent instead of its negation",
+		Pkgs: []string{"./internal/rules"},
+	},
+	{
+		ID:   "identical-by-length",
+		File: "internal/value/value.go",
+		Old:  "return a.s == b.s",
+		New:  "return len(a.s) == len(b.s)",
+		Why:  "two strings of one length are equal values",
+		Pkgs: []string{"./internal/value"},
+	},
+	{
+		ID:   "null-not-identical",
+		File: "internal/value/value.go",
+		Old:  "case KindNull:\n\t\treturn true",
+		New:  "case KindNull:\n\t\treturn false",
+		Why:  "storage equality: a NULL is not identical to a NULL, so duplicates and derivation conflicts go unseen",
+		Pkgs: []string{"./internal/value"},
+	},
+	{
+		ID:   "lost-segment-absorbed",
+		File: "internal/wal/wal.go",
+		Old:  "if i > 0 && first != l.seq+1 {",
+		New:  "if false && i > 0 && first != l.seq+1 {",
+		Why:  "recovery reads past a segment gap, losing committed records silently",
+		Pkgs: []string{"./internal/wal"},
+	},
 }
